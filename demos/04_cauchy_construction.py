@@ -5,7 +5,7 @@
 import numpy as np
 
 from cgsys import (
-    FlowConfig, build_F, check_cr_transverse, compute_PQA, construct_fields,
+    FlowConfig, build_dF, build_F, check_cr_transverse, compute_PQA, construct_fields,
     equation_map, grid_queries, load_builtin, solve,
 )
 
@@ -28,15 +28,16 @@ print("U(0.25 - 0.4i) =", U, " parameters:", p)
 sf = load_builtin("heisenberg-cr")
 data = sf.cr
 
-# On M the frame matrices are trivial: P = identity, Q = 0.
-F = build_F(data, cfg)
-frame0 = compute_PQA(data, F, np.array([0.2, -0.1, 0.4]), np.zeros(3), cfg)
+# On M the frame matrices are trivial: P = identity, Q = 0.  The frame is
+# built on the exact Jacobian of F (one block matrix exponential).
+dF = build_dF(data, cfg)
+frame0 = compute_PQA(data, dF, np.array([0.2, -0.1, 0.4]), np.zeros(3), cfg)
 print("P on M:\n", np.round(frame0.P, 12))
 print("Q on M:\n", np.round(frame0.Q, 12))
 
 # Off M the construction produces the extending fields; they match the
 # closed forms recorded in the oracle section of the gallery file.
-frame = compute_PQA(data, F, np.array([0.2, -0.1, 0.4]),
+frame = compute_PQA(data, dF, np.array([0.2, -0.1, 0.4]),
                     np.array([0.2, 0.1, 0.0]), cfg)
 built = construct_fields(frame, cfg)
 grads, fields = sf.oracle

@@ -28,13 +28,13 @@ from .geometry import (
 )
 from .flow import (
     DivergenceError, EmbeddingError, FlowConfig, FlowError, HolomorphyError,
-    MatrixGroupSpec, NewtonError, complexified_flow_matrix, exp_map,
-    flow_complex, flow_complex_multi, flow_real, left_invariant_fields,
-    matrix_exp, newton_inverse,
+    ComplexFlow, MatrixGroupSpec, NewtonError, complexified_flow_jacobian,
+    complexified_flow_matrix, exp_map, flow_complex, flow_complex_multi,
+    flow_real, left_invariant_fields, matrix_exp, newton_inverse,
 )
 from .cauchy import (
     AdaptedFrame, CauchyError, CauchySolution, ConstructionError,
-    CRInitialData, OutsideDomainError, TransversalityError, build_F,
+    CRInitialData, OutsideDomainError, TransversalityError, build_dF, build_F,
     check_cr_transverse, compute_PQA, construct_fields, equation_map,
     grid_queries, invariant_lift, solve,
 )

@@ -23,9 +23,13 @@ The pipeline:
    which satisfy dU_a(xi_b) = 0 and d^c U_a(xi_b) = delta_ab by
    construction and restrict to the initial fields on M.
 
-dF is taken by central finite differences (the integrator stays simple; the
-halved-step stability check guards against silent noise).  The range of F
-is not certified globally: |det P| <= 1e-10 or Newton failure at a query
+dF is exact: on a matrix group it comes from one block-triangular matrix
+exponential that yields exp(X) and its Frechet derivatives together; for
+ambient fields the tangent columns are stepped by the same RK4 loop as the
+trajectory, which is the exact derivative of the discrete flow map.  It is
+built from the initial data by build_dF, alongside build_F.  A Newton
+solution counts only when its parameters lie in param_domain.  The range of
+F is not certified globally: |det P| <= 1e-10 or Newton failure at a query
 simply marks it outside the working neighbourhood.  Query points are
 independent, so batches may be processed concurrently; the sequential path
 warm-starts Newton from the previous solution.
@@ -40,9 +44,9 @@ import numpy as np
 
 from .expr import Expr, ExprError, diff, evaluate, free_vars, subst
 from .flow import (
-    DEFAULT_CONFIG, FlowConfig, FlowError, MatrixGroupSpec, NewtonError,
-    complexified_flow_matrix, flow_complex_multi, left_invariant_fields,
-    newton_inverse, numerical_jacobian,
+    DEFAULT_CONFIG, ComplexFlow, FlowConfig, FlowError, MatrixGroupSpec,
+    NewtonError, complexified_flow_jacobian, complexified_flow_matrix,
+    left_invariant_fields, newton_inverse,
 )
 from .geometry import ComplexChart, VectorField, env_at, is_holomorphic, complexify
 
@@ -51,7 +55,7 @@ __all__ = [
     "ConstructionError", "AdaptedFrame", "ConstructedFields",
     "TransversalityResult", "QueryRecord", "CauchySolution",
     "check_cr_transverse", "validate_tangency", "frobenius_defect_on_M",
-    "build_F", "invariant_lift", "compute_PQA", "construct_fields",
+    "build_F", "build_dF", "invariant_lift", "compute_PQA", "construct_fields",
     "equation_map", "solve", "grid_queries",
 ]
 
@@ -73,7 +77,7 @@ class OutsideDomainError(CauchyError):
 
 
 class ConstructionError(CauchyError):
-    """Internal consistency residual above tolerance (dF noise)."""
+    """Internal consistency residual above tolerance (ill-conditioned dF)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,6 +266,19 @@ def frobenius_defect_on_M(data: CRInitialData, param_samples=None,
 # the flow coordinates F and their inversion
 
 
+def _ambient_flow(data: CRInitialData, cfg: FlowConfig) -> ComplexFlow:
+    """The complex flow of the ambient fields, refused unless their
+    complexification is holomorphic at the base point."""
+    base_point = data.sigma_at(data.base)
+    for f in data.ambient_fields:
+        ok, worst = is_holomorphic(complexify(f), [base_point], cfg.holomorphy_tol)
+        if not ok:
+            raise CauchyError(
+                "ambient initial field does not extend holomorphically "
+                f"(Cauchy-Riemann residual {worst:.3e}); complexified flow refused")
+    return ComplexFlow(data.ambient_fields, cfg)
+
+
 def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     """The map F(p, u) = flow of sigma(p) for complex time i u.
 
@@ -278,47 +295,80 @@ def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 
         return F
 
-    base_point = data.sigma_at(data.base)
-    for f in data.ambient_fields:
-        ok, worst = is_holomorphic(complexify(f), [base_point], cfg.holomorphy_tol)
-        if not ok:
-            raise CauchyError(
-                "ambient initial field does not extend holomorphically "
-                f"(Cauchy-Riemann residual {worst:.3e}); complexified flow refused")
-    fields = list(data.ambient_fields)
+    flow = _ambient_flow(data, cfg)
 
     def F(p, u) -> np.ndarray:
-        q0 = data.sigma_at(p)
-        w = 1j * np.asarray(u, dtype=complex)
-        return flow_complex_multi(fields, q0, w, cfg)
+        return flow(data.sigma_at(p), 1j * np.asarray(u, dtype=complex))
 
     return F
 
 
-def _as_maps(data: CRInitialData, F):
+def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
+    """The exact derivative of F: dF(p, u) returns (F(p, u), J) with J the
+    real 2N x (2n + 2k) Jacobian in the variables (p, u).
+
+    Matrix-group data differentiates g exp(X) through the block Frechet
+    exponential; ambient fields step the tangent columns
+    [dz/dz0 dsigma | dz/dw] along the RK4 trajectory, with d/du_a = i d/dw_a.
+    """
+    k = data.k
+    m = len(data.param_names)
+    if data.group is not None:
+        spec = data.group
+        directions = 1j * np.eye(k)
+
+        def dF(p, u):
+            V = 1j * np.asarray(u, dtype=complex)
+            return complexified_flow_jacobian(
+                spec, data.sigma_at(p), V, data.dsigma_at(p), directions)
+
+        return dF
+
+    flow = _ambient_flow(data, cfg)
+
+    def dF(p, u):
+        D = data.dsigma_at(p)
+        point, Y = flow.with_tangents(
+            data.sigma_at(p), 1j * np.asarray(u, dtype=complex),
+            D[0::2] + 1j * D[1::2])
+        Y[:, m:] *= 1j
+        J = np.empty((2 * len(Y), m + k))
+        J[0::2], J[1::2] = Y.real, Y.imag
+        return point, J
+
+    return dF
+
+
+def _as_maps(data: CRInitialData, F, dF):
+    """F and its Jacobian as maps of the stacked variable x = (p, u)."""
     m = len(data.param_names)
 
     def G(x) -> np.ndarray:
         return F(x[:m], x[m:])
 
-    return G, m
+    def dG(x) -> np.ndarray:
+        return dF(x[:m], x[m:])[1]
+
+    return G, dG, m
 
 
 def equation_map(data: CRInitialData, q, cfg: FlowConfig = DEFAULT_CONFIG,
-                 F=None, x0=None):
+                 F=None, x0=None, dF=None):
     """Solve F(p, iu) = q for (p, u) and return (U(q), p, u) with U = -u.
 
-    Newton runs on the composite map with a central finite-difference
-    Jacobian; the default start point linearizes sigma around the base
-    parameters, and grid drivers warm-start from the previous solution.
+    Newton runs on the composite map with the exact Jacobian of build_dF;
+    the default start point linearizes sigma around the base parameters,
+    and grid drivers warm-start from the previous solution.
     """
     if F is None:
         F = build_F(data, cfg)
-    G, m = _as_maps(data, F)
+    if dF is None:
+        dF = build_dF(data, cfg)
+    G, dG, m = _as_maps(data, F, dF)
     q = np.asarray(q, dtype=float)
     if x0 is None:
         x0 = _initial_guess(data, q)
-    x = newton_inverse(G, q, x0, cfg)
+    x = newton_inverse(G, q, x0, cfg, jac=dG)
     p, u = x[:m], x[m:]
     return -u, p, u
 
@@ -355,12 +405,12 @@ class AdaptedFrame:
     A: np.ndarray
 
 
-def invariant_lift(data: CRInitialData, F, p, u,
+def invariant_lift(data: CRInitialData, dF_map, p, u,
                    cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Ambient values at F(p, u) of the invariantly lifted initial frame:
     the adapted components of h_a at (p, u) equal those of rho0(e_a) at
-    (p, 0), pushed to the chart through dF (central differences)."""
-    frame = compute_PQA(data, F, p, u, cfg, check_det=False)
+    (p, 0), pushed to the chart through dF (``dF_map`` as in compute_PQA)."""
+    frame = compute_PQA(data, dF_map, p, u, cfg, check_det=False)
     return (frame.dF @ frame.lifts.T).T
 
 
@@ -375,21 +425,24 @@ def _tangent_coeffs(data: CRInitialData, p) -> np.ndarray:
     return np.array(coefs)
 
 
-def compute_PQA(data: CRInitialData, F, p, u, cfg: FlowConfig = DEFAULT_CONFIG,
+def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CONFIG,
                 check_det: bool = True) -> AdaptedFrame:
     """Evaluate dF, the lifted frame, and the matrices P, Q, A at (p, u).
 
-    P[a, b] = du_a(J h_b) and Q[a, b] = du_a(J d/du_b), with J pulled back
-    through F, i.e. applied in chart coordinates between dF and its inverse.
+    ``dF_map`` is the (point, Jacobian) map of build_dF(data, cfg), or None
+    to build it here.  P[a, b] = du_a(J h_b) and Q[a, b] = du_a(J d/du_b),
+    with J pulled back through F, i.e. applied in chart coordinates between
+    dF and its inverse.
     """
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
     m = len(data.param_names)
     k = data.k
-    G, _ = _as_maps(data, F)
-    x = np.concatenate([p, u])
-    dF = numerical_jacobian(G, x, cfg.fd_step)
-    ambient = F(p, u)
+    if dF_map is None:
+        dF_map = build_dF(data, cfg)
+    ambient, dF = dF_map(p, u)
+    if np.ndim(dF) != 2:
+        raise TypeError("compute_PQA needs the (point, Jacobian) map of build_dF")
 
     coeffs = _tangent_coeffs(data, p)
     lifts = np.hstack([coeffs, np.zeros((k, k))])
@@ -434,7 +487,7 @@ def construct_fields(frame: AdaptedFrame,
     """xi_a = -J(d/du_a) + sum_b A[b, a] J(h_b) in adapted coordinates,
     pushed to the chart through dF.  The contract du_a(xi_b) = 0 and
     d^c u_a(xi_b) = delta_ab (with the gradient components U = -u) is checked
-    internally; a residual above tolerance signals dF noise."""
+    internally; a residual above tolerance signals an ill-conditioned dF."""
     k = frame.P.shape[0]
     m = frame.lifts.shape[1] - k
     xi_adapted = np.empty((k, m + k))
@@ -453,7 +506,7 @@ def construct_fields(frame: AdaptedFrame,
     if max(residual_d, residual_dc) > cfg.construction_tol:
         raise ConstructionError(
             f"internal identity residual {max(residual_d, residual_dc):.3e} "
-            f"exceeds {cfg.construction_tol:g}; dF is too noisy here")
+            f"exceeds {cfg.construction_tol:g}; dF is ill-conditioned here")
     return ConstructedFields(xi_adapted, xi_ambient, jxi_ambient,
                              residual_d, residual_dc)
 
@@ -531,26 +584,20 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
             f"initial distribution is not involutive on M (defect {defect:.3e}); "
             "proceeding pointwise")
 
-    F = build_F(data, cfg)
-    G, m = _as_maps(data, F)
+    F, dF = build_F(data, cfg), build_dF(data, cfg)
+    G, dG, m = _as_maps(data, F, dF)
     warm = None
     for q in queries:
         q = np.asarray(q, dtype=float)
         rec = QueryRecord(query=q, ok=False)
         sol.records.append(rec)
         try:
-            x0 = warm if warm is not None else _initial_guess(data, q)
-            try:
-                x = newton_inverse(G, q, x0, cfg)
-            except NewtonError:
-                if warm is None:
-                    raise
-                x = newton_inverse(G, q, _initial_guess(data, q), cfg)
+            x = _invert_in_domain(data, G, dG, q, warm, cfg)
             warm = x
             rec.params, rec.u = x[:m], x[m:]
             rec.U = -rec.u
-            rec.newton_residual = float(np.max(np.abs(G(x) - q)))
-            frame = compute_PQA(data, F, rec.params, rec.u, cfg)
+            frame = compute_PQA(data, dF, rec.params, rec.u, cfg)
+            rec.newton_residual = float(np.max(np.abs(frame.ambient - q)))
             built = construct_fields(frame, cfg)
             rec.xi = built.xi_ambient
             rec.jxi = built.jxi_ambient
@@ -572,6 +619,25 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
         except (CauchyError, FlowError, np.linalg.LinAlgError) as exc:
             rec.error = str(exc)
     return sol
+
+
+def _invert_in_domain(data: CRInitialData, G, dG, q, warm, cfg: FlowConfig):
+    """Newton from the warm start, then from the linearized guess; a solution
+    counts only when its parameters lie in param_domain."""
+    m = len(data.param_names)
+    if warm is not None:
+        try:
+            x = newton_inverse(G, q, warm, cfg, jac=dG)
+            if data.params_in_domain(x[:m]):
+                return x
+        except NewtonError:
+            pass
+    x = newton_inverse(G, q, _initial_guess(data, q), cfg, jac=dG)
+    if not data.params_in_domain(x[:m]):
+        raise OutsideDomainError(
+            f"Newton solution has parameters {np.round(x[:m], 6).tolist()} "
+            "outside param_domain")
+    return x
 
 
 def grid_queries(data: CRInitialData, u_axes, base_params=None,

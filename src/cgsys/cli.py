@@ -39,6 +39,12 @@ def _resolve(name_or_path: str) -> SystemFile:
     raise LoadError(f"'{name_or_path}' is neither a builtin system nor a file")
 
 
+def _positive(name: str, value: int) -> int:
+    if value < 1:
+        raise LoadError(f"{name} must be a positive count, got {value}")
+    return value
+
+
 def _print_check(entry: dict) -> None:
     flag = "PASS" if entry["pass"] else "FAIL"
     res = entry["max_residual"]
@@ -61,7 +67,8 @@ def cmd_verify(args) -> int:
     sf = _resolve(args.system)
     if sf.system is None:
         raise LoadError(f"'{sf.name}' has no [system] section to verify")
-    points = args.points if args.points is not None else sf.config.get("points", 100)
+    points = _positive("points", args.points if args.points is not None
+                       else sf.config.get("points", 100))
     seed = args.seed if args.seed is not None else sf.config.get("seed", 0)
     tol = args.tol if args.tol is not None else sf.config.get("tol", 1e-9)
 
@@ -105,10 +112,6 @@ def _flow_config(sf: SystemFile, args) -> FlowConfig:
         updates["steps_per_unit"] = sf.config["steps_per_unit"]
     if "newton_tol" in sf.config:
         updates["newton_tol"] = sf.config["newton_tol"]
-    if "fd_step" in sf.config:
-        updates["fd_step"] = sf.config["fd_step"]
-    if getattr(args, "h", None) is not None:
-        updates["fd_step"] = args.h
     if getattr(args, "newton_tol", None) is not None:
         updates["newton_tol"] = args.newton_tol
     return cfg.with_(**updates) if updates else cfg
@@ -119,7 +122,8 @@ def cmd_cauchy(args) -> int:
     if sf.cr is None:
         raise LoadError(f"'{sf.name}' has no [cr_data] section")
     cfg = _flow_config(sf, args)
-    grid = args.grid if args.grid is not None else sf.config.get("grid", 5)
+    grid = _positive("grid", args.grid if args.grid is not None
+                     else sf.config.get("grid", 5))
     extent = (args.u_extent if args.u_extent is not None
               else sf.config.get("u_extent", 0.5))
     tol = args.tol if args.tol is not None else sf.config.get("cauchy_tol", 1e-5)
@@ -271,8 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None,
                    help="grid points per flow-time axis")
     p.add_argument("--u-extent", type=float, default=None, dest="u_extent")
-    p.add_argument("--h", type=float, default=None,
-                   help="finite-difference step for dF")
     p.add_argument("--newton-tol", type=float, default=None, dest="newton_tol")
     p.set_defaults(func=cmd_cauchy)
 

@@ -12,7 +12,7 @@ appear inside atan2 calls).  Sections:
 * ``[oracle]``  - closed-form field_i and grad_i to compare a
   reconstruction against
 * ``[config]``  - numeric defaults (seed, points, tol, steps_per_unit,
-  newton_tol, fd_step, grid, u_extent)
+  newton_tol, grid, u_extent)
 
 The built-in gallery ships as data files inside the package, so the file
 path is exercised by everything that runs a gallery system.  The full
@@ -45,8 +45,7 @@ BUILTINS = (
 
 _CONFIG_KEYS = {
     "seed": int, "points": int, "tol": float, "cauchy_tol": float,
-    "steps_per_unit": int, "newton_tol": float, "fd_step": float,
-    "grid": int, "u_extent": float,
+    "steps_per_unit": int, "newton_tol": float, "grid": int, "u_extent": float,
 }
 
 _SYSTEM_KEYS = {"k", "domain"}

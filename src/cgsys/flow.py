@@ -11,6 +11,13 @@ step count is a plain config knob.  Complex time is supported on two routes:
   holomorphic components.  Holomorphy is the computable sufficient condition
   for the flow to extend; fields that fail it are refused.
 
+Both routes also give exact derivatives of the flow map.  On a matrix group
+one block-triangular exponential yields exp(X) and its Frechet derivatives
+L(X, E) together (Al-Mohy & Higham 2009).  For ambient fields the tangent
+columns are stepped by the same RK4 loop as the trajectory (the variational
+equations, Hairer-Norsett-Wanner I.14), which is the exact derivative of
+the discrete map.
+
 Everything is pure: configs are read-only shared data and independent
 trajectories or Newton solves can run concurrently.
 """
@@ -22,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import Const, Expr, add, evaluate, mul, sub
+from .expr import Const, Expr, add, diff, evaluate, mul, sub
 from .geometry import (
     ComplexChart, ComplexField, VectorField, complexify, env_at,
     _wirtinger_bar_residuals,
@@ -32,8 +39,8 @@ __all__ = [
     "FlowConfig", "FlowError", "DivergenceError", "HolomorphyError",
     "NewtonError", "EmbeddingError",
     "flow_real", "exp_map", "matrix_exp",
-    "MatrixGroupSpec", "complexified_flow_matrix", "left_invariant_fields",
-    "flow_complex", "flow_complex_multi",
+    "MatrixGroupSpec", "complexified_flow_matrix", "complexified_flow_jacobian",
+    "left_invariant_fields", "ComplexFlow", "flow_complex", "flow_complex_multi",
     "newton_inverse", "numerical_jacobian",
 ]
 
@@ -66,7 +73,6 @@ class FlowConfig:
     max_time: float = 16.0
     divergence_bound: float = 1e6
     holomorphy_tol: float = 1e-8
-    fd_step: float = 1e-6
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     construction_tol: float = 1e-8
@@ -82,8 +88,9 @@ class FlowConfig:
 DEFAULT_CONFIG = FlowConfig()
 
 
-def _rk4(velocity, state, span, nsteps, bound):
-    """Generic fixed-step RK4 over s in [0, span] with divergence guard."""
+def _rk4(velocity, state, span, nsteps, after_step):
+    """The one fixed-step RK4 loop over s in [0, span]; ``after_step`` sees
+    each new state and raises to abort the trajectory."""
     h = span / nsteps
     y = state
     for _ in range(nsteps):
@@ -92,9 +99,13 @@ def _rk4(velocity, state, span, nsteps, bound):
         k3 = velocity(y + 0.5 * h * k2)
         k4 = velocity(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.max(np.abs(y)) > bound:
-            raise DivergenceError(f"trajectory exceeded bound {bound:g}")
+        after_step(y)
     return y
+
+
+def _check_bound(y, bound: float) -> None:
+    if np.max(np.abs(y)) > bound:
+        raise DivergenceError(f"trajectory exceeded bound {bound:g}")
 
 
 def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -105,7 +116,8 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG) -> 
     if t == 0.0:
         return p.copy()
     nsteps = max(1, math.ceil(abs(t) * cfg.steps_per_unit))
-    return _rk4(V.values, p, t, nsteps, cfg.divergence_bound)
+    return _rk4(V.values, p, t, nsteps,
+                lambda y: _check_bound(y, cfg.divergence_bound))
 
 
 def exp_map(p, V: VectorField, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -178,27 +190,32 @@ class MatrixGroupSpec:
 
     def embed(self, p) -> np.ndarray:
         """Chart point -> complex group matrix."""
-        p = np.asarray(p, dtype=float)
-        M = np.array(self.base, dtype=complex)
+        return np.asarray(self.base, dtype=complex) + self.embed_tangent(p)
+
+    def embed_tangent(self, v) -> np.ndarray:
+        """Chart tangent vector -> complex matrix: the linear part of embed."""
+        v = np.asarray(v, dtype=float)
+        M = np.zeros(self.base.shape, dtype=complex)
         for mu, (r, c) in enumerate(self.positions):
-            M[r, c] = M[r, c] + complex(p[2 * mu], p[2 * mu + 1])
+            M[r, c] = complex(v[2 * mu], v[2 * mu + 1])
         return M
+
+    def read_slots(self, M) -> np.ndarray:
+        """The chart vector held in the coordinate slots of a complex matrix."""
+        z = np.array([M[r, c] for r, c in self.positions], dtype=complex)
+        return _complex_to_real(z)
 
     def unembed(self, M, tol: float = 1e-9) -> np.ndarray:
         """Complex group matrix -> chart point; rejects off-pattern matrices."""
-        M = np.asarray(M, dtype=complex)
-        rest = M.copy()
-        out = np.empty(self.chart.dim)
-        for mu, (r, c) in enumerate(self.positions):
-            z = M[r, c] - self.base[r, c]
-            out[2 * mu] = z.real
-            out[2 * mu + 1] = z.imag
-            rest[r, c] = self.base[r, c]
-        drift = float(np.max(np.abs(rest - self.base)))
+        offset = np.asarray(M, dtype=complex) - self.base
+        rest = offset.copy()
+        for r, c in self.positions:
+            rest[r, c] = 0.0
+        drift = float(np.max(np.abs(rest)))
         if drift > tol:
             raise EmbeddingError(
                 f"matrix leaves the embedded coordinate pattern (drift {drift:.3e})")
-        return out
+        return self.read_slots(offset)
 
     def algebra_element(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs)
@@ -214,6 +231,36 @@ def complexified_flow_matrix(spec: MatrixGroupSpec, g, V,
     with V a vector of k complex numbers, mapped back to chart coordinates."""
     M = spec.embed(g) if np.ndim(g) == 1 else np.asarray(g, dtype=complex)
     return spec.unembed(M @ matrix_exp(spec.algebra_element(V)))
+
+
+def complexified_flow_jacobian(spec: MatrixGroupSpec, g, V, dg, dV):
+    """The flow point g exp(X), X = sum V_a E_a, and its exact real Jacobian.
+
+    ``dg`` holds chart tangent columns at g (2N x r) and ``dV`` complex
+    coefficient columns of algebra directions (k x s).  Returns the chart
+    point and the 2N x (r + s) Jacobian: column j is dg_j exp(X), and
+    column r + b is g L(X, D_b), with L the Frechet derivative of exp.  All
+    of exp(X) and the L(X, D_b) come from the first block row of one
+    exponential of the block upper-triangular matrix with X on the diagonal
+    and D_1, ..., D_s beside the first block; it is exact where the Taylor
+    sum terminates, i.e. on nilpotent algebras.
+    """
+    M = spec.embed(g)
+    X = spec.algebra_element(V)
+    dirs = [spec.algebra_element(col) for col in np.asarray(dV).T]
+    n = spec.matrix_dim
+    size = (len(dirs) + 1) * n
+    block = np.zeros((size, size), dtype=complex)
+    for b in range(len(dirs) + 1):
+        block[b * n:(b + 1) * n, b * n:(b + 1) * n] = X
+    for b, D in enumerate(dirs, start=1):
+        block[:n, b * n:(b + 1) * n] = D
+    top = matrix_exp(block)[:n]
+    expX = top[:, :n]
+    cols = [spec.read_slots(spec.embed_tangent(t) @ expX) for t in np.asarray(dg).T]
+    cols += [spec.read_slots(M @ top[:, b * n:(b + 1) * n])
+             for b in range(1, len(dirs) + 1)]
+    return spec.unembed(M @ expX), np.column_stack(cols)
 
 
 def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
@@ -271,6 +318,11 @@ class _HolomorphicFrame:
         self.cfg = cfg
         self.complexified = [complexify(V) for V in fields]
         self.residuals = [_wirtinger_bar_residuals(Z) for Z in self.complexified]
+        # holomorphic Jacobians dZ_mu/dz_nu = d re/dx_nu + i d im/dx_nu
+        # (Cauchy-Riemann), one N x N table of expression pairs per field
+        xs = self.chart.names[0::2]
+        self.jacobians = [[[(diff(re, x), diff(im, x)) for x in xs]
+                           for re, im in Z.parts] for Z in self.complexified]
 
     def check_holomorphy(self, p):
         env = env_at(self.chart, p)
@@ -289,6 +341,13 @@ class _HolomorphicFrame:
         return np.array([[complex(evaluate(re, env), evaluate(im, env))
                           for re, im in Z.parts] for Z in self.complexified])
 
+    def derivatives(self, zreal) -> np.ndarray:
+        """dZ_a/dz at a point, shape (k, N, N)."""
+        env = env_at(self.chart, zreal)
+        return np.array([[[complex(evaluate(re, env), evaluate(im, env))
+                           for re, im in row] for row in table]
+                         for table in self.jacobians])
+
 
 def _complex_to_real(z: np.ndarray) -> np.ndarray:
     out = np.empty(2 * len(z))
@@ -302,40 +361,84 @@ def _real_to_complex(p: np.ndarray) -> np.ndarray:
     return p[0::2] + 1j * p[1::2]
 
 
+class ComplexFlow:
+    """Complex-time flows along a fixed list of holomorphic fields.
+
+    The symbolic preparation (complexification, Cauchy-Riemann residuals,
+    holomorphic Jacobians) is done once here; each call integrates one
+    trajectory of dz/ds = sum_a w_a Z_a(z) over s in [0, 1] with
+    ceil(|w|_1 steps_per_unit) RK4 steps.  Holomorphy of every field is
+    checked at the start point and after each step.
+    """
+
+    def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
+        fields = list(fields)
+        self.k = len(fields)
+        self.cfg = cfg
+        self.frame = _HolomorphicFrame(fields, cfg)
+
+    def __call__(self, p, w) -> np.ndarray:
+        """The end point of the flow from p for complex time vector w."""
+        return self._integrate(p, w, None)[0]
+
+    def with_tangents(self, p, w, dz0) -> tuple[np.ndarray, np.ndarray]:
+        """The end point and the exact derivative of the discrete flow map.
+
+        ``dz0`` holds r complex tangent columns at z(p) (shape N x r).
+        Returns the chart point and Y = [dz/dz0 dz0 | dz/dw_1 ... dz/dw_k]
+        (complex, N x (r + k)), stepped by the same RK4 steps as z."""
+        return self._integrate(p, w, np.asarray(dz0, dtype=complex))
+
+    def _integrate(self, p, w, dz0):
+        cfg, frame = self.cfg, self.frame
+        w = np.asarray(w, dtype=complex)
+        if len(w) != self.k:
+            raise ValueError("one complex time entry per field")
+        frame.check_holomorphy(p)
+        scale = float(np.sum(np.abs(w)))
+        if scale > cfg.max_time:
+            raise FlowError(f"|w| = {scale:g} exceeds max_time {cfg.max_time:g}")
+        z = _real_to_complex(np.asarray(p, dtype=float))
+        if dz0 is None and scale == 0.0:
+            return _complex_to_real(z), None
+        nsteps = max(1, math.ceil(scale * cfg.steps_per_unit))
+
+        def after_step(state):
+            zz = state if dz0 is None else state[0]
+            _check_bound(zz, cfg.divergence_bound)
+            frame.check_holomorphy(_complex_to_real(zz))
+
+        if dz0 is None:
+            z = _rk4(lambda zz: w @ frame.coefficients(_complex_to_real(zz)),
+                     z, 1.0, nsteps, after_step)
+            return _complex_to_real(z), None
+
+        # state rows [z; Y^T]: Y' = (sum_a w_a dZ_a/dz) Y, plus Z_a in the
+        # column of dz/dw_a
+        N, r = dz0.shape
+
+        def velocity(state):
+            zr = _complex_to_real(state[0])
+            Z = frame.coefficients(zr)
+            A = (w @ frame.derivatives(zr).reshape(self.k, N * N)).reshape(N, N)
+            out = np.empty_like(state)
+            out[0] = w @ Z
+            out[1:] = state[1:] @ A.T
+            out[1 + r:] += Z
+            return out
+
+        state = np.vstack([z, dz0.T, np.zeros((self.k, N), dtype=complex)])
+        state = _rk4(velocity, state, 1.0, nsteps, after_step)
+        return _complex_to_real(state[0]), state[1:].T
+
+
 def flow_complex_multi(fields, p, w, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Flow from p for complex time vector w along holomorphic fields:
     integrates dz/ds = sum_a w_a Z_a(z) over s in [0, 1].
 
     Holomorphy of every field is checked at the start point and at each
     macro step of the trajectory; the result is holomorphic in w."""
-    fields = list(fields)
-    w = np.asarray(w, dtype=complex)
-    if len(w) != len(fields):
-        raise ValueError("one complex time entry per field")
-    frame = _HolomorphicFrame(fields, cfg)
-    frame.check_holomorphy(p)
-    scale = float(np.sum(np.abs(w)))
-    if scale > cfg.max_time:
-        raise FlowError(f"|w| = {scale:g} exceeds max_time {cfg.max_time:g}")
-    z = _real_to_complex(np.asarray(p, dtype=float))
-    if scale == 0.0:
-        return _complex_to_real(z)
-    nsteps = max(1, math.ceil(scale * cfg.steps_per_unit))
-    h = 1.0 / nsteps
-
-    def velocity(zz):
-        return w @ frame.coefficients(_complex_to_real(zz))
-
-    for _ in range(nsteps):
-        k1 = velocity(z)
-        k2 = velocity(z + 0.5 * h * k1)
-        k3 = velocity(z + 0.5 * h * k2)
-        k4 = velocity(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.max(np.abs(z)) > cfg.divergence_bound:
-            raise DivergenceError(f"trajectory exceeded bound {cfg.divergence_bound:g}")
-        frame.check_holomorphy(_complex_to_real(z))
-    return _complex_to_real(z)
+    return ComplexFlow(fields, cfg)(p, w)
 
 
 def flow_complex(V: VectorField, p, w: complex,
@@ -349,7 +452,8 @@ def flow_complex(V: VectorField, p, w: complex,
 
 
 def numerical_jacobian(F, x, h: float) -> np.ndarray:
-    """Central-difference Jacobian of a vector map."""
+    """Central-difference Jacobian of a vector map: the oracle for exact
+    derivatives, and the fallback for maps that come without one."""
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(len(x)):
@@ -359,13 +463,22 @@ def numerical_jacobian(F, x, h: float) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Solve F(x) = target by damped Newton with a finite-difference Jacobian.
+_FD_STEP = 1e-6
 
-    Steps are halved (up to ten times) until the residual decreases; failure
-    to converge within the iteration budget or a numerically singular
-    Jacobian raises NewtonError.
+
+def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG,
+                   jac=None) -> np.ndarray:
+    """Solve F(x) = target by damped Newton.
+
+    ``jac(x)`` gives the Jacobian of F at x; without it the Jacobian is
+    taken by central differences with step 1e-6.  Steps are halved (up to
+    ten times) until the residual decreases; failure to converge within the
+    iteration budget or a numerically singular Jacobian raises NewtonError.
     """
+    if jac is None:
+        def jac(x):
+            return numerical_jacobian(F, x, _FD_STEP)
+
     x = np.asarray(x0, dtype=float).copy()
     target = np.asarray(target, dtype=float)
     res = np.asarray(F(x)) - target
@@ -373,7 +486,7 @@ def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarra
     for _ in range(cfg.newton_max_iter):
         if best < cfg.newton_tol:
             return x
-        Jm = numerical_jacobian(F, x, cfg.fd_step)
+        Jm = jac(x)
         try:
             step = np.linalg.solve(Jm, -res)
         except np.linalg.LinAlgError:

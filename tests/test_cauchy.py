@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from cgsys.dsl import load_builtin, loads
 from cgsys.expr import parse_expr
-from cgsys.flow import FlowConfig, MatrixGroupSpec
+from cgsys.flow import FlowConfig, MatrixGroupSpec, numerical_jacobian
 from cgsys.cauchy import (
-    CRInitialData, TransversalityError, build_F, check_cr_transverse,
+    CRInitialData, TransversalityError, build_dF, build_F, check_cr_transverse,
     compute_PQA, construct_fields, equation_map, frobenius_defect_on_M,
     grid_queries, invariant_lift, solve, validate_tangency,
 )
@@ -20,6 +21,26 @@ CFG = FlowConfig()
 
 def field(chart, comps):
     return VectorField.from_exprs(chart, comps)
+
+
+def fd_dF(data, h):
+    """The (point, Jacobian) map of build_dF, by central differences of F."""
+    F = build_F(data, CFG)
+    m = len(data.param_names)
+
+    def dF(p, u):
+        x = np.concatenate([p, u])
+        return F(p, u), numerical_jacobian(lambda y: F(y[:m], y[m:]), x, h)
+
+    return dF
+
+
+def _heisenberg_ode_data(heis_data):
+    """The Heisenberg initial data without its group: F runs the RK4 route."""
+    return CRInitialData(
+        chart=heis_data.chart, k=3, param_names=heis_data.param_names,
+        sigma=heis_data.sigma, ambient_fields=heis_data.ambient_fields,
+        group=None, name="heisenberg-ode")
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +162,7 @@ def test_heisenberg_F_is_group_product(heis_data, heis_spec):
 
 
 def test_ode_route_matches_matrix_route(heis_data, heis_spec):
-    ode_data = CRInitialData(
-        chart=heis_data.chart, k=3, param_names=heis_data.param_names,
-        sigma=heis_data.sigma, ambient_fields=heis_data.ambient_fields,
-        group=None, name="heisenberg-ode")
-    F_ode = build_F(ode_data, CFG)
+    F_ode = build_F(_heisenberg_ode_data(heis_data), CFG)
     F_mat = build_F(heis_data, CFG)
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -190,56 +207,62 @@ def test_group_identity_recovers_algebra_vector(heis_data, heis_spec):
 
 
 def test_PQA_on_M_is_identity_and_zero(heis_data):
-    F = build_F(heis_data, CFG)
+    dF = build_dF(heis_data, CFG)
     rng = np.random.default_rng(7)
     for p in rng.uniform(-1, 1, size=(5, 3)):
-        frame = compute_PQA(heis_data, F, p, np.zeros(3), CFG)
+        frame = compute_PQA(heis_data, dF, p, np.zeros(3), CFG)
         assert np.max(np.abs(frame.P - np.eye(3))) < 1e-9
         assert np.max(np.abs(frame.Q)) < 1e-9
         assert np.max(np.abs(frame.A)) < 1e-9
 
 
 def test_line_frame_is_flat_off_M(line_data):
-    F = build_F(line_data, CFG)
-    frame = compute_PQA(line_data, F, np.array([0.2]), np.array([0.35]), CFG)
+    dF = build_dF(line_data, CFG)
+    frame = compute_PQA(line_data, dF, np.array([0.2]), np.array([0.35]), CFG)
     assert frame.P[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert abs(frame.Q[0, 0]) < 1e-9
     assert abs(frame.A[0, 0]) < 1e-9
 
 
+def test_compute_PQA_refuses_the_map_F(line_data):
+    with pytest.raises(TypeError):
+        compute_PQA(line_data, build_F(line_data, CFG), np.array([0.2]),
+                    np.array([0.35]), CFG)
+
+
 def test_invariant_lift_on_M_is_initial_frame(heis_data):
-    F = build_F(heis_data, CFG)
+    dF = build_dF(heis_data, CFG)
     p = np.array([0.3, 0.2, -0.4])
-    lifted = invariant_lift(heis_data, F, p, np.zeros(3), CFG)
+    lifted = invariant_lift(heis_data, dF, p, np.zeros(3), CFG)
     assert np.max(np.abs(lifted - heis_data.initial_field_values(p))) < 1e-8
 
 
 def test_invariant_lift_matches_refined_differences(heis_data):
-    # push-forward of the lifted frame against the halved-step dF oracle
-    F = build_F(heis_data, CFG)
+    # push-forward of the lifted frame: exact dF against a central-difference
+    # dF with step 5e-7
     p = np.array([0.1, -0.2, 0.3])
     u = np.array([0.1, 0.0, 0.0])
-    coarse = invariant_lift(heis_data, F, p, u, CFG)
-    fine = invariant_lift(heis_data, F, p, u, CFG.with_(fd_step=5e-7))
-    assert np.max(np.abs(coarse - fine)) < 1e-6
+    exact = invariant_lift(heis_data, build_dF(heis_data, CFG), p, u, CFG)
+    fd = invariant_lift(heis_data, fd_dF(heis_data, 5e-7), p, u, CFG)
+    assert np.max(np.abs(exact - fd)) < 1e-6
 
 
 def test_constructed_fields_extend_initial_data(heis_data):
-    F = build_F(heis_data, CFG)
+    dF = build_dF(heis_data, CFG)
     rng = np.random.default_rng(8)
     for p in rng.uniform(-1, 1, size=(5, 3)):
-        frame = compute_PQA(heis_data, F, p, np.zeros(3), CFG)
+        frame = compute_PQA(heis_data, dF, p, np.zeros(3), CFG)
         built = construct_fields(frame, CFG)
         rho0 = heis_data.initial_field_values(p)
         assert np.max(np.abs(built.xi_ambient - rho0)) < 1e-8
 
 
 def test_heisenberg_fields_match_closed_forms_off_M(heis_data, heis_oracle):
-    F = build_F(heis_data, CFG)
+    dF = build_dF(heis_data, CFG)
     grads, fields = heis_oracle
     p = np.array([0.4, -0.3, 0.2])
     u = np.array([0.2, 0.1, 0.0])
-    frame = compute_PQA(heis_data, F, p, u, CFG)
+    frame = compute_PQA(heis_data, dF, p, u, CFG)
     built = construct_fields(frame, CFG)
     q = frame.ambient
     ref = np.array([f.values(q) for f in fields])
@@ -247,13 +270,64 @@ def test_heisenberg_fields_match_closed_forms_off_M(heis_data, heis_oracle):
 
 
 def test_field_values_stable_under_h_refinement(heis_data):
-    F = build_F(heis_data, CFG)
+    # the fields built on the exact dF against those built on a
+    # central-difference dF with step 5e-7
     p = np.array([0.4, -0.3, 0.2])
     u = np.array([0.2, 0.1, 0.0])
-    a = construct_fields(compute_PQA(heis_data, F, p, u, CFG), CFG).xi_ambient
-    cfg2 = CFG.with_(fd_step=5e-7)
-    b = construct_fields(compute_PQA(heis_data, F, p, u, cfg2), cfg2).xi_ambient
+    a = construct_fields(compute_PQA(heis_data, build_dF(heis_data, CFG), p, u, CFG),
+                         CFG).xi_ambient
+    b = construct_fields(compute_PQA(heis_data, fd_dF(heis_data, 5e-7), p, u, CFG),
+                         CFG).xi_ambient
     assert np.max(np.abs(a - b)) < 1e-6
+
+
+# --- the exact dF against central differences ----------------------------------
+
+
+QUADRATIC_FIELD = """
+[chart]
+complex_dim = 1
+
+[cr_data]
+params = s
+sigma = s; 0
+field_1 = 1 + 1.1*(x1^2 - y1^2); 2*1.1*x1*y1
+
+[oracle]
+field_1 = 1 + 1.1*(x1^2 - y1^2); 2*1.1*x1*y1
+grad_1 = -log((1.1*x1^2 + (1 + sqrt(1.1)*y1)^2)/(1.1*x1^2 + (1 - sqrt(1.1)*y1)^2))/(4*sqrt(1.1))
+"""
+
+
+def _product_exp_data():
+    # N = 2, k = 1: Z = (z1 z2, exp(z1)) has a non-constant holomorphic
+    # Jacobian; dF does not need the field to be tangent to M
+    chart = ComplexChart.standard(2)
+    return CRInitialData(
+        chart=chart, k=1, param_names=("s1", "s2", "s3"),
+        sigma=tuple(parse_expr(t) for t in ["s1", "0", "s2", "s3"]),
+        ambient_fields=(field(chart, ["x1*x2 - y1*y2", "x1*y2 + y1*x2",
+                                      "exp(x1)*cos(y1)", "exp(x1)*sin(y1)"]),),
+        name="product-exp")
+
+
+@pytest.mark.parametrize("which", ["heisenberg", "affine", "heisenberg-ode",
+                                   "line", "quadratic", "product-exp"])
+def test_dF_matches_numerical_jacobian(which, heis_data, affine_data, line_data):
+    data = {"heisenberg": heis_data, "affine": affine_data, "line": line_data,
+            "heisenberg-ode": _heisenberg_ode_data(heis_data),
+            "quadratic": loads(QUADRATIC_FIELD, name="quadratic").cr,
+            "product-exp": _product_exp_data()}[which]
+    F, dF = build_F(data, CFG), build_dF(data, CFG)
+    m = len(data.param_names)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        p = data.base + rng.uniform(-0.3, 0.3, size=m)
+        u = rng.uniform(-0.3, 0.3, size=data.k)
+        point, J = dF(p, u)
+        assert np.max(np.abs(point - F(p, u))) < 1e-14
+        fd = numerical_jacobian(lambda x: F(x[:m], x[m:]), np.concatenate([p, u]), 1e-6)
+        assert np.max(np.abs(J - fd)) < 1e-8
 
 
 # --- solve -------------------------------------------------------------------------
@@ -294,6 +368,47 @@ def test_affine_solve_grid(affine_data):
     assert sol.ok
     assert sol.max_oracle_dU < 1e-5
     assert sol.max_oracle_dxi < 1e-5
+
+
+def test_line_grid_9_field_oracle_is_exact(line_data):
+    oracle = ((parse_expr("-y1"),), (VectorField.coordinate(line_data.chart, "x1"),))
+    queries = grid_queries(line_data, [np.linspace(-0.5, 0.5, 9)], cfg=CFG)
+    sol = solve(line_data, queries, CFG, oracle=oracle)
+    assert sol.ok
+    assert sol.max_oracle_dxi < 1e-13
+
+
+def test_heisenberg_cr_oracle_exact_on_the_nilpotent_group():
+    sf = load_builtin("heisenberg-cr")
+    queries = grid_queries(sf.cr, [np.linspace(-0.5, 0.5, 3)] * 3, cfg=CFG)
+    sol = solve(sf.cr, queries, CFG, oracle=sf.oracle)
+    assert sol.ok
+    assert sol.max_oracle_dU <= 1e-14
+    assert sol.max_oracle_dxi <= 1e-14
+
+
+def test_quadratic_field_meets_the_field_oracle():
+    # (1 + c z^2) d/dz with c = 1.1: U = -Im atan(sqrt(c) z)/sqrt(c).  At
+    # |u| <= 0.25 the RK4 step count jumps right at the grid's end points,
+    # which a central-difference dF straddles
+    sf = loads(QUADRATIC_FIELD, name="quadratic")
+    queries = grid_queries(sf.cr, [np.linspace(-0.25, 0.25, 3)], cfg=CFG)
+    sol = solve(sf.cr, queries, CFG, oracle=sf.oracle)
+    assert sol.ok
+    assert sol.max_oracle_dU < 1e-10
+    assert sol.max_oracle_dxi < 1e-10
+
+
+def test_solve_rejects_parameters_outside_domain(affine_data):
+    # at |u| <= 3 Newton can land on p1 = -1, the other sheet of
+    # z1 = p1 exp(i u1), which param_domain p1 > 0.25 excludes
+    axes = [np.linspace(-3.0, 3.0, 5)] * 2
+    queries = grid_queries(affine_data, axes, cfg=CFG)
+    sol = solve(affine_data, queries, CFG)
+    outside = [r for r in sol.records if not r.ok]
+    assert outside
+    assert all("outside param_domain" in r.error for r in outside)
+    assert all(affine_data.params_in_domain(r.params) for r in sol.records if r.ok)
 
 
 def test_solve_rejects_non_transverse_data():

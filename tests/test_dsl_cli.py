@@ -85,6 +85,11 @@ def test_unknown_key_rejected():
     assert "unknown key" in str(err.value)
 
 
+def test_fd_step_config_key_is_unknown():
+    with pytest.raises(LoadError, match="unknown key 'fd_step'"):
+        loads(MINIMAL + "\n[config]\nfd_step = 1e-6\n")
+
+
 def test_unknown_section_rejected():
     with pytest.raises(LoadError):
         loads(MINIMAL + "\n[extras]\nfoo = 1\n")
@@ -144,6 +149,18 @@ def test_cli_load_error_exit_code(capsys):
     assert main(["verify", "does-not-exist"]) == 2
     assert main(["cauchy", "heisenberg"]) == 2       # no [cr_data]
     assert main(["verify", "heisenberg-cr"]) == 2    # no [system]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cauchy", "line", "--grid", "0"],
+    ["cauchy", "line", "--grid", "-2"],
+    ["verify", "line", "--points", "0"],
+    ["verify", "line", "--points", "-5"],
+])
+def test_cli_rejects_non_positive_counts(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_cli_cauchy_non_transverse(capsys):

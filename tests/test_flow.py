@@ -9,9 +9,10 @@ import scipy.linalg
 
 from cgsys.expr import parse_expr
 from cgsys.flow import (
-    DivergenceError, FlowConfig, HolomorphyError, MatrixGroupSpec, NewtonError,
-    complexified_flow_matrix, exp_map, flow_complex, flow_complex_multi,
-    flow_real, left_invariant_fields, matrix_exp, newton_inverse,
+    ComplexFlow, DivergenceError, FlowConfig, HolomorphyError, MatrixGroupSpec,
+    NewtonError, complexified_flow_jacobian, complexified_flow_matrix, exp_map,
+    flow_complex, flow_complex_multi, flow_real, left_invariant_fields,
+    matrix_exp, newton_inverse, numerical_jacobian,
 )
 from cgsys.geometry import ComplexChart, VectorField, j_matrix
 
@@ -280,6 +281,91 @@ def test_flow_complex_refuses_non_holomorphic(heis_spec):
         flow_complex(V, np.zeros(6), 1j, CFG)
 
 
+# --- exact derivatives of the flows -------------------------------------------
+
+
+def test_block_frechet_matches_central_differences(affine_spec):
+    # the affine algebra is not nilpotent, so the Taylor sum runs in full
+    rng = np.random.default_rng(9)
+    h = 1e-6
+    for _ in range(5):
+        g = rng.uniform(-1, 1, size=4)
+        V = rng.uniform(-0.8, 0.8, size=2) + 1j * rng.uniform(-0.8, 0.8, size=2)
+        dg = rng.uniform(-1, 1, size=(4, 3))
+        dV = rng.uniform(-1, 1, size=(2, 2)) + 1j * rng.uniform(-1, 1, size=(2, 2))
+        point, J = complexified_flow_jacobian(affine_spec, g, V, dg, dV)
+        assert J.shape == (4, 5)
+        assert np.max(np.abs(point - complexified_flow_matrix(affine_spec, g, V))) < 1e-14
+        for j in range(3):
+            fd = (complexified_flow_matrix(affine_spec, g + h * dg[:, j], V)
+                  - complexified_flow_matrix(affine_spec, g - h * dg[:, j], V)) / (2 * h)
+            assert np.max(np.abs(J[:, j] - fd)) < 1e-8
+        for b in range(2):
+            fd = (complexified_flow_matrix(affine_spec, g, V + h * dV[:, b])
+                  - complexified_flow_matrix(affine_spec, g, V - h * dV[:, b])) / (2 * h)
+            assert np.max(np.abs(J[:, 3 + b] - fd)) < 1e-8
+
+
+def test_block_frechet_matches_scipy(affine_spec):
+    # from the identity the direction columns are the Frechet derivative
+    # itself; the affine algebra lives in the first row, which the slots hold
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    V = np.array([0.3 + 0.7j, -0.4 + 0.2j])
+    dV = np.array([[1.0, 0.5j], [-0.25, 1.0 + 1.0j]])
+    _, J = complexified_flow_jacobian(affine_spec, identity, V, np.zeros((4, 0)), dV)
+    X = affine_spec.algebra_element(V)
+    for b in range(2):
+        L = scipy.linalg.expm_frechet(X, affine_spec.algebra_element(dV[:, b]),
+                                      compute_expm=False)
+        assert np.max(np.abs(J[:, b] - affine_spec.read_slots(L))) < 1e-14
+
+
+def test_block_frechet_is_exact_on_the_nilpotent_group(heis_spec):
+    # exp(i u E1) with g = identity: d/du_1 of the slot (0, 1) is i exactly,
+    # and the (0, 2) slot of g exp(X) is the polynomial z1 z2 / 2 + z3
+    identity = np.zeros(6)
+    u = np.array([0.3, -0.2, 0.1])
+    _, J = complexified_flow_jacobian(heis_spec, identity, 1j * u,
+                                      np.zeros((6, 0)), 1j * np.eye(3))
+    expected = np.zeros((6, 3))
+    expected[1, 0] = expected[3, 1] = expected[5, 2] = 1.0
+    expected[4, 0] = -u[1] / 2    # d/du1 of (i u1)(i u2)/2 = -u1 u2 / 2
+    expected[4, 1] = -u[0] / 2
+    assert np.array_equal(J, expected)
+
+
+def test_variational_flow_matches_central_differences():
+    # N = 2 with a non-constant holomorphic Jacobian: Z = (z1 z2, exp(z1))
+    chart = ComplexChart.standard(2)
+    V = field(chart, ["x1*x2 - y1*y2", "x1*y2 + y1*x2",
+                      "exp(x1)*cos(y1)", "exp(x1)*sin(y1)"])
+    flow = ComplexFlow([V], CFG)
+    rng = np.random.default_rng(10)
+    for _ in range(4):
+        p = rng.uniform(-0.5, 0.5, size=4)
+        w = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+        tangents = rng.uniform(-1, 1, size=(4, 2))
+        dz0 = tangents[0::2] + 1j * tangents[1::2]
+        point, Y = flow.with_tangents(p, [w], dz0)
+        assert np.array_equal(point, flow(p, [w]))
+
+        def real_map(x):
+            # chart start point moved along the tangents, real and imaginary time
+            return flow(p + tangents @ x[:2], [w + complex(x[2], x[3])])
+
+        fd = numerical_jacobian(real_map, np.zeros(4), 1e-6)
+        exact = np.column_stack([Y[:, 0], Y[:, 1], Y[:, 2], 1j * Y[:, 2]])
+        exact_real = np.empty((4, 4))
+        exact_real[0::2], exact_real[1::2] = exact.real, exact.imag
+        assert np.max(np.abs(exact_real - fd)) < 1e-8
+
+
+def test_variational_flow_refuses_non_holomorphic(heis_spec):
+    V = field(heis_spec.chart, ["1", "0", "0", "0", "0", "y2"])
+    with pytest.raises(HolomorphyError):
+        ComplexFlow([V], CFG).with_tangents(np.zeros(6), [1j], np.eye(3))
+
+
 # --- Newton inversion ----------------------------------------------------------
 
 
@@ -288,6 +374,17 @@ def test_newton_inverse_quadratic():
         return np.array([x[0] ** 2 + x[1], x[1] ** 3 - x[0]])
 
     x = newton_inverse(F, [1.2, -0.3], [1.0, 0.5], CFG)
+    assert np.max(np.abs(F(x) - [1.2, -0.3])) < 1e-10
+
+
+def test_newton_inverse_uses_a_given_jacobian():
+    def F(x):
+        return np.array([x[0] ** 2 + x[1], x[1] ** 3 - x[0]])
+
+    def jac(x):
+        return np.array([[2 * x[0], 1.0], [-1.0, 3 * x[1] ** 2]])
+
+    x = newton_inverse(F, [1.2, -0.3], [1.0, 0.5], CFG, jac=jac)
     assert np.max(np.abs(F(x) - [1.2, -0.3])) < 1e-10
 
 
