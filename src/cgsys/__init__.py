@@ -17,14 +17,14 @@ evaluated concurrently over point batches without synchronization.
 """
 
 from .expr import (
-    Atan2, Binary, Const, DomainError, Expr, ParseError, UnboundVariableError,
-    Unary, UnknownFunctionError, Var, diff, evaluate, free_vars, parse_expr,
-    subst, to_string,
+    Atan2, Binary, Const, DomainError, Expr, ParseError, Program,
+    UnboundVariableError, Unary, UnknownFunctionError, Var, compile_exprs, diff,
+    evaluate, free_vars, parse_expr, subst, to_string,
 )
 from .geometry import (
     ComplexChart, ComplexField, VectorField, apply_J, complexify, d_apply,
     dc_apply, ddc_apply, distribution_rank, frobenius_defect, is_holomorphic,
-    laplacian, lie_bracket,
+    laplacian, lie_bracket, pair_brackets, span_residuals,
 )
 from .flow import (
     DivergenceError, EmbeddingError, FlowConfig, FlowError, HolomorphyError,
@@ -39,7 +39,7 @@ from .cauchy import (
     grid_queries, invariant_lift, solve,
 )
 from .verify import (
-    Classification, CheckResult, GradientSystem, GridSpec, LevelSetRecord,
+    Classification, CheckResult, CheckTable, GradientSystem, GridSpec, LevelSetRecord,
     NormalForm, NormalFormRefusal, SamplingError, VerificationReport,
     check_axioms, check_bracket_relations, check_commutation,
     check_decompositions, check_level_set, classify, normal_form,

@@ -48,7 +48,10 @@ from .flow import (
     NewtonError, complexified_flow_jacobian, complexified_flow_matrix,
     left_invariant_fields, newton_inverse,
 )
-from .geometry import ComplexChart, VectorField, env_at, is_holomorphic, complexify
+from .geometry import (
+    ComplexChart, VectorField, complexify, env_at, field_matrix, is_holomorphic,
+    pair_brackets, span_residuals,
+)
 
 __all__ = [
     "CRInitialData", "CauchyError", "TransversalityError", "OutsideDomainError",
@@ -226,12 +229,9 @@ def validate_tangency(data: CRInitialData, param_samples=None, tol: float = 1e-9
     is invalid when any initial value fails to project onto range dsigma."""
     if param_samples is None:
         param_samples = _param_samples(data, n_samples, seed)
-    worst = 0.0
-    for p in param_samples:
-        D = data.dsigma_at(p)
-        for v in data.initial_field_values(p):
-            coef, *_ = np.linalg.lstsq(D, v, rcond=None)
-            worst = max(worst, float(np.linalg.norm(v - D @ coef)))
+    D = np.array([data.dsigma_at(p) for p in param_samples])
+    V = np.array([data.initial_field_values(p).T for p in param_samples])
+    worst = float(np.max(span_residuals(D, V), initial=0.0))
     if worst > tol:
         raise CauchyError(
             f"initial fields are not tangent to M (residual {worst:.3e})")
@@ -243,23 +243,16 @@ def frobenius_defect_on_M(data: CRInitialData, param_samples=None,
     """Involutivity defect of the initial distribution along M.  The
     construction proceeds pointwise regardless, so callers warn rather than
     fail when this is positive."""
-    from .geometry import lie_bracket
     if param_samples is None:
         param_samples = _param_samples(data, n_samples, seed)
-    brackets = {}
     fs = list(data.ambient_fields)
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            brackets[(i, j)] = lie_bracket(fs[i], fs[j])
-    worst = 0.0
-    for p in param_samples:
-        q = data.sigma_at(p)
-        S = np.column_stack([f.values(q) for f in fs])
-        for b in brackets.values():
-            v = b.values(q)
-            coef, *_ = np.linalg.lstsq(S, v, rcond=None)
-            worst = max(worst, float(np.linalg.norm(v - S @ coef)))
-    return worst
+    brackets = pair_brackets(fs)
+    if not brackets:
+        return 0.0
+    qs = [data.sigma_at(p) for p in param_samples]
+    S = np.array([field_matrix(fs, q) for q in qs])
+    V = np.array([field_matrix(brackets, q) for q in qs])
+    return float(np.max(span_residuals(S, V)))
 
 
 # ---------------------------------------------------------------------------

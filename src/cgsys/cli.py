@@ -8,6 +8,7 @@ report document described by the shipped schema.
 from __future__ import annotations
 
 import argparse
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .cauchy import (
     CauchyError, TransversalityError, check_cr_transverse, grid_queries, solve,
 )
 from .dsl import LoadError, SystemFile, builtin_names, builtin_text, load, loads
+from .expr import DomainError
 from .flow import DEFAULT_CONFIG, FlowConfig, FlowError
 from .report import build_document, check_entry, input_digest, write_report
 from .verify import (
@@ -43,6 +45,18 @@ def _positive(name: str, value: int) -> int:
     if value < 1:
         raise LoadError(f"{name} must be a positive count, got {value}")
     return value
+
+
+def _level_target(text: str, k: int) -> list[float]:
+    """The --level-set values: k finite numbers, one per gradient component."""
+    try:
+        target = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise LoadError(f"level-set values must be numbers, got {text!r}") from None
+    if len(target) != k or not all(map(math.isfinite, target)):
+        raise LoadError(f"level-set needs {k} finite comma-separated values "
+                        f"(one per gradient component), got {text!r}")
+    return target
 
 
 def _print_check(entry: dict) -> None:
@@ -73,6 +87,8 @@ def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else sf.config.get("tol", 1e-9)
 
     sys_ = sf.system
+    target = (None if args.level_set is None
+              else _level_target(args.level_set, sys_.k))
     results = list(check_axioms(sys_, points, seed, tol).checks)
     pts = sample_points(sys_, min(points, 25), seed)
     results.append(decomposition_check_result(sys_, pts))
@@ -81,8 +97,7 @@ def cmd_verify(args) -> int:
     cls = classify(sys_, min(points, 50), seed, tol)
 
     entries = _result_entries(results)
-    if args.level_set is not None:
-        target = [float(tok) for tok in args.level_set.split(",")]
+    if target is not None:
         rec = check_level_set(sys_, target, seed=seed)
         entries.append(check_entry(
             "level-set", "level-set-cr-type", 0.0 if rec.ok else 1.0, 0.5,
@@ -295,7 +310,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LoadError as err:
+    except (LoadError, DomainError) as err:
+        # a DomainError names the node and the sample point that left its domain
         print(f"input error: {err}", file=_sys.stderr)
         return 2
     except SamplingError as err:

@@ -20,8 +20,20 @@ There is no canonicalization beyond that list.  The parser builds nodes
 through the same constructors, which is what keeps
 ``parse_expr(to_string(t))`` structurally equal to ``t``.
 
-Everything in this module is pure and immutable; expressions and
-environments can be shared between threads without synchronization.
+Two evaluators share these semantics.  ``evaluate`` walks one tree at one
+point with Python's ``math``; it serves single trajectory points (the RK4
+loops) and is the reference.  ``compile_exprs`` turns a list of trees into a
+``Program``: a straight-line tape with value numbering, so structurally
+equal subtrees are computed once, run with numpy ufuncs over an
+``(n_points, n_vars)`` array.  Both raise DomainError at the same node and
+point, never return NaN from a domain fault.  Determinism contract: each
+evaluator is bit-reproducible from run to run; ``+ - * /``, negation,
+``sqrt`` and ``^`` (computed by Python's own power) agree bit for bit
+between them, while numpy's ``sin``/``exp``/``log``/``atan2`` and the other
+transcendental ufuncs may differ from libm in the last ulp.
+
+Everything in this module is pure and immutable; expressions, environments
+and programs can be shared between threads without synchronization.
 """
 
 from __future__ import annotations
@@ -30,11 +42,14 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 __all__ = [
     "Expr", "Const", "Var", "Unary", "Binary", "Atan2",
     "ExprError", "ParseError", "UnknownFunctionError",
     "UnboundVariableError", "DomainError",
-    "parse_expr", "evaluate", "diff", "free_vars", "subst", "to_string",
+    "parse_expr", "evaluate", "compile_exprs", "Program", "diff", "free_vars",
+    "subst", "to_string",
     "add", "sub", "mul", "div", "pow_", "neg", "unary", "as_expr",
     "UNARY_OPS", "BINARY_OPS",
 ]
@@ -64,7 +79,14 @@ class UnboundVariableError(ExprError):
 
 
 class DomainError(ExprError):
-    """Evaluation left an operation's domain; the message names the node."""
+    """Evaluation left an operation's domain; the message names the node.
+
+    ``index`` is the row of the first offending point when a Program raised
+    it, None for a single-point evaluation."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class Expr:
@@ -226,7 +248,7 @@ def unary(op: str, a: Expr) -> Expr:
 def _eval_pow(base: float, expo: float, node) -> float:
     if base == 0.0 and expo < 0.0:
         raise DomainError(f"zero raised to negative power in '{_name(node)}'")
-    if base < 0.0 and expo != int(expo):
+    if base < 0.0 and not float(expo).is_integer():
         raise DomainError(f"negative base with non-integer exponent in '{_name(node)}'")
     try:
         return float(base ** expo)
@@ -236,6 +258,9 @@ def _eval_pow(base: float, expo: float, node) -> float:
 
 def _name(node) -> str:
     return to_string(node) if node is not None else "pow"
+
+
+_TRIG = {"sin": math.sin, "cos": math.cos, "tan": math.tan}
 
 
 def evaluate(e: Expr, env: dict[str, float]) -> float:
@@ -259,12 +284,10 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
             x = evaluate(a, env)
             if op == "neg":
                 return -x
-            if op == "sin":
-                return math.sin(x)
-            if op == "cos":
-                return math.cos(x)
-            if op == "tan":
-                return math.tan(x)
+            if op in _TRIG:
+                if math.isinf(x):
+                    raise DomainError(f"{op} of infinite value in '{to_string(e)}'")
+                return _TRIG[op](x)
             if op == "atan":
                 return math.atan(x)
             if op == "exp":
@@ -300,6 +323,220 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
         case Atan2(y=ye, x=xe):
             return math.atan2(evaluate(ye, env), evaluate(xe, env))
     raise TypeError(f"not an expression: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# compiled straight-line programs
+
+
+def _is_integer(y):
+    return np.isfinite(y) & (np.floor(y) == y)
+
+
+def _pow_values(x, y):
+    """x ** y elementwise through Python's float power, so the tape and
+    ``evaluate`` agree bit for bit; returns the values and the fault mask."""
+    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
+    bad = ((x == 0.0) & (y < 0.0)) | ((x < 0.0) & ~_is_integer(y))
+    xs = np.where(bad, 1.0, x).tolist()
+    ys = np.where(bad, 1.0, y).tolist()
+    try:
+        return np.array(list(map(pow, xs, ys)), dtype=float), bad
+    except OverflowError:
+        out = np.empty(len(xs))
+        for i, (a, b) in enumerate(zip(xs, ys)):
+            try:
+                out[i] = a ** b
+            except OverflowError:
+                out[i], bad[i] = math.inf, True
+        return out, bad
+
+
+def _pow_reason(x, y) -> str:
+    if x == 0.0 and y < 0.0:
+        return "zero raised to negative power"
+    if x < 0.0 and not float(y).is_integer():
+        return "negative base with non-integer exponent"
+    return "overflow"
+
+
+def _checked_div(x, y):
+    return np.divide(x, y), np.equal(y, 0.0)
+
+
+def _checked_log(x):
+    return np.log(x), np.less_equal(x, 0.0)
+
+
+def _checked_sqrt(x):
+    return np.sqrt(x), np.less(x, 0.0)
+
+
+def _checked_exp(x):
+    v = np.exp(x)
+    return v, np.isinf(v) & np.isfinite(x)
+
+
+def _checked_trig(fn):
+    def run(x):
+        return fn(x), np.isinf(x)
+    return run
+
+
+# op -> (ufunc, or a checked function returning (values, fault mask), and
+# the reason a fault names; pow takes its reason from the operands)
+_TAPE_OPS = {
+    "neg": (np.negative, None), "atan": (np.arctan, None),
+    "sin": (_checked_trig(np.sin), "sin of infinite value"),
+    "cos": (_checked_trig(np.cos), "cos of infinite value"),
+    "tan": (_checked_trig(np.tan), "tan of infinite value"),
+    "exp": (_checked_exp, "overflow"),
+    "log": (_checked_log, "log of non-positive value"),
+    "sqrt": (_checked_sqrt, "sqrt of negative value"),
+    "add": (np.add, None), "sub": (np.subtract, None),
+    "mul": (np.multiply, None), "div": (_checked_div, "division by zero"),
+    "pow": (_pow_values, "pow"), "atan2": (np.arctan2, None),
+}
+
+
+class Program:
+    """A straight-line tape for several output expressions over named inputs.
+
+    Calling it on an ``(n, len(names))`` point array returns the ``(n, m)``
+    array of the m outputs, one row per point.  Slots ``0..len(names)-1``
+    hold the input columns, constants have slots of their own, and each
+    instruction writes one new slot from earlier ones.  A domain fault at
+    any point raises DomainError naming the node and the first offending
+    point (its row index and coordinates); the faulting instruction is the
+    first one on the tape that faults at that point, which is the node
+    ``evaluate`` names there.
+    """
+
+    __slots__ = ("names", "n_slots", "consts", "code", "outputs", "nodes")
+
+    def __init__(self, names, n_slots, consts, code, outputs, nodes):
+        self.names = names        # input variable per column
+        self.n_slots = n_slots
+        self.consts = consts      # (slot, value) pairs
+        self.code = code          # (function, out slot, operand slots, checked)
+        self.outputs = outputs    # slot of each output expression
+        self.nodes = nodes        # expression node of each instruction
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __call__(self, P, labels=None) -> np.ndarray:
+        """Outputs at the rows of ``P``; ``labels`` optionally gives the
+        index a DomainError reports for each row (default: the row)."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] != len(self.names):
+            raise ValueError(f"points must have shape (n, {len(self.names)}), "
+                             f"got {P.shape}")
+        n = len(P)
+        out = np.empty((n, len(self.outputs)))
+        if n == 0:
+            return out
+        reg = [None] * self.n_slots
+        reg[:len(self.names)] = np.ascontiguousarray(P.T)
+        for slot, value in self.consts:
+            reg[slot] = value
+        fault = None                              # (point index, instruction)
+        with np.errstate(all="ignore"):
+            for pos, (fn, dst, args, checked) in enumerate(self.code):
+                v = fn(*[reg[a] for a in args])
+                if checked:
+                    v, bad = v
+                    if np.any(bad):
+                        i = int(np.argmax(np.atleast_1d(bad)))
+                        if fault is None or i < fault[0]:
+                            fault = (i, pos)
+                reg[dst] = v
+        if fault is not None:
+            raise self._fault(P, *fault, reg, labels)
+        for j, slot in enumerate(self.outputs):
+            out[:, j] = reg[slot]
+        return out
+
+    def _fault(self, P, row, pos, reg, labels) -> DomainError:
+        args = self.code[pos][2]
+        node = self.nodes[pos]
+        reason = _TAPE_OPS[_op_of(node)][1]
+        if reason == "pow":
+            x, y = (float(np.broadcast_to(reg[a], (len(P),))[row]) for a in args)
+            reason = _pow_reason(x, y)
+        index = row if labels is None else int(labels[row])
+        coords = ", ".join(f"{name}={float(v)!r}"
+                           for name, v in zip(self.names, P[row]))
+        return DomainError(f"{reason} in '{to_string(node)}' at point {index} "
+                           f"({coords})", index)
+
+
+def _op_of(e: Expr) -> str:
+    return "atan2" if isinstance(e, Atan2) else e.op
+
+
+def compile_exprs(exprs, names) -> Program:
+    """Compile ``exprs`` into one Program over the input variables ``names``.
+
+    One pass over the trees, memoized by node identity, numbers every value
+    by (op, operand slots), so structurally equal subtrees share a slot
+    whether or not they are the same object.  A variable absent from
+    ``names`` raises UnboundVariableError here rather than at run time.
+    """
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError("input variable names must be distinct")
+    roots = [as_expr(e) for e in exprs]       # alive while ids are memoized
+    slots: dict[tuple, int] = {("var", n): i for i, n in enumerate(names)}
+    consts: list[tuple[int, float]] = []
+    code: list[tuple] = []
+    nodes: list[Expr] = []
+    seen: dict[int, int] = {}
+
+    def number(key, make):
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(slots)
+            make(slot)
+        return slot
+
+    def emit(e, op, args):
+        fn, reason = _TAPE_OPS[op]
+
+        def make(slot):
+            code.append((fn, slot, args, reason is not None))
+            nodes.append(e)
+        return number((op, *args), make)
+
+    def visit(e: Expr) -> int:
+        slot = seen.get(id(e))
+        if slot is not None:
+            return slot
+        match e:
+            case Const(value=v):
+                v = float(v)
+                slot = number(("const", v.hex()), lambda s: consts.append((s, v)))
+            case Var(name=n):
+                slot = slots.get(("var", n))
+                if slot is None:
+                    raise UnboundVariableError(f"unbound variable '{n}'")
+            case Unary(op=op, arg=a):
+                if op not in _TAPE_OPS:
+                    raise ValueError(f"unknown unary operation {op!r}")
+                slot = emit(e, op, (visit(a),))
+            case Binary(op=op, lhs=l, rhs=r):
+                if op not in _TAPE_OPS:
+                    raise ValueError(f"unknown binary operation {op!r}")
+                slot = emit(e, op, (visit(l), visit(r)))
+            case Atan2(y=ye, x=xe):
+                slot = emit(e, "atan2", (visit(ye), visit(xe)))
+            case _:
+                raise TypeError(f"not an expression: {e!r}")
+        seen[id(e)] = slot
+        return slot
+
+    outputs = [visit(e) for e in roots]
+    return Program(names, len(slots), consts, code, outputs, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,21 @@ without synchronization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import (
-    Const, Expr, add, as_expr, diff, evaluate, free_vars, mul, neg, sub,
+    Const, Expr, add, as_expr, compile_exprs, diff, evaluate, free_vars, mul,
+    neg, sub,
 )
 
 __all__ = [
     "ComplexChart", "VectorField", "ComplexField",
     "env_at", "apply_J", "j_matrix", "d_of", "dc_of", "d_apply", "dc_apply",
-    "lie_bracket", "ddc_apply", "complexify", "is_holomorphic",
-    "distribution_rank", "frobenius_defect", "laplacian", "field_matrix",
+    "lie_bracket", "pair_brackets", "ddc_apply", "complexify", "is_holomorphic",
+    "distribution_rank", "span_residuals", "frobenius_defect", "laplacian",
+    "field_matrix",
 ]
 
 
@@ -194,6 +195,12 @@ def lie_bracket(V: VectorField, W: VectorField) -> VectorField:
     return VectorField(V.chart, tuple(comps))
 
 
+def pair_brackets(fields) -> list[VectorField]:
+    """The brackets [V_i, V_j], i < j, in row-major order of the pairs."""
+    return [lie_bracket(fields[i], fields[j])
+            for i in range(len(fields)) for j in range(i + 1, len(fields))]
+
+
 def ddc_apply(f: Expr, V: VectorField, W: VectorField, p) -> float:
     """dd^c f(V, W) at a point, evaluated through the three-term identity
     V(d^c f(W)) - W(d^c f(V)) - d^c f([V, W]), all symbolic until the end."""
@@ -256,14 +263,10 @@ def _wirtinger_bar_residuals(Z: ComplexField) -> list[tuple[Expr, Expr]]:
 def is_holomorphic(Z: ComplexField, pts, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether every coefficient satisfies the Cauchy-Riemann equations at the
     sample points; returns the verdict and the max residual modulus."""
-    residuals = _wirtinger_bar_residuals(Z)
-    worst = 0.0
-    for p in pts:
-        env = env_at(Z.chart, p)
-        for rr, ii in residuals:
-            m = 0.5 * math.hypot(evaluate(rr, env), evaluate(ii, env))
-            if m > worst:
-                worst = m
+    parts = [e for pair in _wirtinger_bar_residuals(Z) for e in pair]
+    R = compile_exprs(parts, Z.chart.names)(
+        np.reshape(np.asarray(pts, dtype=float), (-1, Z.chart.dim)))
+    worst = float(np.max(0.5 * np.hypot(R[:, 0::2], R[:, 1::2]), initial=0.0))
     return worst < tol, worst
 
 
@@ -284,6 +287,21 @@ def distribution_rank(fields, p) -> int:
     return int(np.linalg.matrix_rank(field_matrix(fields, p)))
 
 
+def span_residuals(S, V) -> np.ndarray:
+    """Norm of each column of V outside the column span of S, over a stack
+    of frames: S is (..., d, r), V is (..., d, m) and the result (..., m).
+
+    One stacked SVD stands for a least-squares solve per column, with the
+    cutoff of ``np.linalg.lstsq(rcond=None)``: singular values at or below
+    max(d, r) * eps * sigma_max count as zero, so rank-deficient frames
+    project as that solve does."""
+    S, V = np.asarray(S, dtype=float), np.asarray(V, dtype=float)
+    U, s, _ = np.linalg.svd(S, full_matrices=False)
+    cutoff = max(S.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    U = U * (s > cutoff)[..., None, :]
+    return np.linalg.norm(V - U @ (np.swapaxes(U, -1, -2) @ V), axis=-2)
+
+
 def frobenius_defect(fields, p) -> float:
     """Max norm of a pairwise bracket's component outside span{fields(p)}.
 
@@ -294,15 +312,9 @@ def frobenius_defect(fields, p) -> float:
     S = field_matrix(fields, p)
     if np.linalg.matrix_rank(S) < len(fields):
         raise ValueError("fields are rank-deficient at the given point")
-    worst = 0.0
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            b = lie_bracket(fields[i], fields[j]).values(p)
-            coef, *_ = np.linalg.lstsq(S, b, rcond=None)
-            r = float(np.linalg.norm(b - S @ coef))
-            if r > worst:
-                worst = r
-    return worst
+    if len(fields) < 2:
+        return 0.0
+    return float(np.max(span_residuals(S, field_matrix(pair_brackets(fields), p))))
 
 
 def laplacian(f: Expr, chart: ComplexChart) -> Expr:

@@ -14,25 +14,31 @@ an explicit tolerance; verdicts are residual-based, never symbolic proofs.
 
 Sampling draws from the box [-2, 2]^(2N) filtered by the system's domain
 predicate, so identical seed and configuration reproduce identical residual
-tables bit for bit.  Checks are pure and can fan out over points
-concurrently; reports merge deterministically by point index.
+tables bit for bit.  The checks share one compiled table of expressions per
+system (``GradientSystem.table``), evaluate it over their whole point set in
+one call and reduce the result with numpy, span residuals by one stacked
+projection.  A domain fault at a sample point raises DomainError naming the
+node and the point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, evaluate, diff
+from .expr import DomainError, Expr, compile_exprs, diff, evaluate
 from .flow import DEFAULT_CONFIG, FlowConfig, flow_real
 from .geometry import (
-    ComplexChart, VectorField, apply_J, complexify, d_of, dc_of, env_at,
-    field_matrix, is_holomorphic, j_matrix, laplacian, lie_bracket,
+    ComplexChart, VectorField, _wirtinger_bar_residuals, apply_J, complexify,
+    d_of, dc_of, env_at, field_matrix, j_matrix, laplacian, lie_bracket,
+    pair_brackets, span_residuals,
 )
 
 __all__ = [
-    "GradientSystem", "CheckResult", "VerificationReport", "Classification",
+    "GradientSystem", "CheckTable", "CheckResult", "VerificationReport",
+    "Classification",
     "DecompositionRecord", "LevelSetRecord", "NormalForm", "GridSpec",
     "SamplingError", "NormalFormRefusal",
     "sample_points", "check_axioms", "check_decompositions",
@@ -76,6 +82,95 @@ class GradientSystem:
     def in_domain(self, p) -> bool:
         env = env_at(self.chart, p)
         return all(evaluate(g, env) > 0.0 for g in self.domain)
+
+    @cached_property
+    def table(self) -> "CheckTable":
+        """The compiled check table, built on first use."""
+        return CheckTable(self)
+
+
+class CheckTable:
+    """Every expression the checks evaluate, compiled once into one Program.
+
+    Frame index i < k stands for xi_(i+1), k + a for J xi_(a+1).  ``at(pts)``
+    returns these blocks, each with a leading point axis: ``d``, ``dc`` (k, k)
+    du_a(xi_b) and d^c u_a(xi_b); ``grad`` (k, 2N) the rows of dU; ``frame``
+    (2N, 2k) and ``bracket`` (2N, B), fields as columns, the latter
+    [frame_i, frame_j] for (i, j) in ``pairs``; ``t1``, ``t2``, ``t3`` (P, k)
+    the dd^c terms X(d^c u_c(Y)), Y(d^c u_c(X)) and d^c u_c([X, Y]) over
+    the P frame pairs; ``cr`` (k, N^2, 2) the Cauchy-Riemann residual parts
+    of each complexified xi_a; ``lap`` (k,).
+
+    ``pairs`` lists the frame pairs i < j first, then the [J xi_a, xi_b].
+    ``ddc_ref[p]`` is the bracket row the dd^c identity of frame pair p
+    recovers: [xi_a, xi_b] for (J xi_a, J xi_b), else pair p itself.  The
+    domain predicate is compiled too, one program per expression.
+    """
+
+    def __init__(self, sys: GradientSystem):
+        k, names = sys.k, sys.chart.names
+        frame = list(sys.fields) + [apply_J(f) for f in sys.fields]
+        frame_pairs = [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k)]
+        self.n_frame_pairs = P = len(frame_pairs)
+        self.pairs = frame_pairs + [(k + a, b) for a in range(k) for b in range(k)]
+        self.row = {pq: r for r, pq in enumerate(self.pairs)}
+        self.ddc_ref = [self.row[(i - k, j - k) if i >= k else (i, j)]
+                        for i, j in frame_pairs]
+        brackets = pair_brackets(frame)
+        brackets += [lie_bracket(frame[k + a], frame[b])
+                     for a in range(k) for b in range(k)]
+
+        gs, dim = sys.grads, sys.chart.dim
+        dc = [[dc_of(g, f) for f in frame] for g in gs]     # d^c u_c(frame_i)
+        blocks = [
+            ("d", (k, k), [d_of(g, f) for g in gs for f in sys.fields]),
+            ("dc", (k, k), [e for row in dc for e in row[:k]]),
+            ("grad", (k, dim), [diff(g, name) for g in gs for name in names]),
+            ("frame", (dim, 2 * k),
+             [f.components[i] for i in range(dim) for f in frame]),
+            ("bracket", (dim, len(brackets)),
+             [b.components[i] for i in range(dim) for b in brackets]),
+            ("t1", (P, k), [d_of(dc[c][y], frame[x])
+                            for x, y in frame_pairs for c in range(k)]),
+            ("t2", (P, k), [d_of(dc[c][x], frame[y])
+                            for x, y in frame_pairs for c in range(k)]),
+            ("t3", (P, k), [dc_of(g, b) for b in brackets[:P] for g in gs]),
+            ("cr", (k, sys.chart.N ** 2, 2),
+             [e for f in sys.fields
+              for pair in _wirtinger_bar_residuals(complexify(f)) for e in pair]),
+            ("lap", (k,), [laplacian(g, sys.chart) for g in gs]),
+        ]
+        self.exprs, self._blocks = [], []
+        for name, shape, exprs in blocks:
+            self._blocks.append((name, len(self.exprs), shape))
+            self.exprs += exprs
+        self.program = compile_exprs(self.exprs, names)
+        self.domain = [compile_exprs([g], names) for g in sys.domain]
+
+    def at(self, pts) -> dict[str, np.ndarray]:
+        """The named blocks of the table evaluated at every row of ``pts``."""
+        vals = self.program(pts)
+        n = len(vals)
+        return {name: vals[:, lo:lo + int(np.prod(shape))].reshape((n, *shape))
+                for name, lo, shape in self._blocks}
+
+    def inside(self, C, first: int = 0):
+        """The domain predicate (every expression > 0) at the rows of C up
+        to the first row where it faults, and that DomainError (or None),
+        which names the row as ``first`` + its index.  Like ``all`` over the
+        expressions, each is evaluated only where the earlier ones hold."""
+        fault = None
+        while True:
+            rows = np.arange(len(C))
+            try:
+                for prog in self.domain:
+                    rows = rows[prog(C[rows], labels=rows + first)[:, 0] > 0.0]
+            except DomainError as err:
+                fault, C = err, C[:err.index - first]
+                continue
+            mask = np.zeros(len(C), dtype=bool)
+            mask[rows] = True
+            return mask, fault
 
 
 @dataclass
@@ -133,86 +228,56 @@ class VerificationReport:
 def sample_points(sys: GradientSystem, n: int, seed: int,
                   box: float = 2.0) -> np.ndarray:
     """Seeded uniform samples from [-box, box]^(2N) filtered by the domain
-    predicate; resamples until n are accepted or 100 n draws are spent."""
+    predicate; resamples until n are accepted or 100 n draws are spent.
+
+    Candidates are drawn in growing blocks from one stream, so the points
+    are those of drawing and testing one candidate at a time.  A domain
+    fault counts only at a candidate that one-at-a-time drawing would
+    reach, and names it by its draw index."""
     rng = np.random.default_rng(seed)
-    out = []
-    attempts = 0
-    while len(out) < n and attempts < 100 * n:
-        p = rng.uniform(-box, box, size=sys.chart.dim)
-        attempts += 1
-        if sys.in_domain(p):
-            out.append(p)
-    if len(out) < n:
-        raise SamplingError(
-            f"found {len(out)}/{n} domain points in {attempts} draws")
-    return np.array(out)
+    budget, drawn, size = 100 * n, 0, max(n, 1)
+    found = np.empty((0, sys.chart.dim))
+    while len(found) < n and drawn < budget:
+        C = rng.uniform(-box, box, size=(min(size, budget - drawn), sys.chart.dim))
+        inside, fault = sys.table.inside(C, drawn)
+        drawn += len(C)
+        found = np.concatenate([found, C[:len(inside)][inside]])[:n]
+        if fault is not None and len(found) < n:
+            raise fault
+        size *= 2
+    if len(found) < n:
+        raise SamplingError(f"found {len(found)}/{n} domain points in {drawn} draws")
+    return found
 
 
 # ---------------------------------------------------------------------------
 # axiom checks
 
 
-def _pair_exprs(sys: GradientSystem):
-    """Symbolic du_a(xi_b) and d^c u_a(xi_b) for all pairs."""
-    d_tab = [[d_of(g, f) for f in sys.fields] for g in sys.grads]
-    dc_tab = [[dc_of(g, f) for f in sys.fields] for g in sys.grads]
-    return d_tab, dc_tab
-
-
 def check_axioms(sys: GradientSystem, n_points: int = 100, seed: int = 0,
                  tol: float = 1e-9) -> VerificationReport:
     """Residuals of the two defining identities plus pointwise independence
     and involutivity of the 2k-frame."""
-    pts = sample_points(sys, n_points, seed)
     k = sys.k
-    d_tab, dc_tab = _pair_exprs(sys)
-    frame = list(sys.fields) + [apply_J(f) for f in sys.fields]
-    brackets = _pair_brackets(frame)
-
-    r_d = np.empty((len(pts), k, k))
-    r_dc = np.empty((len(pts), k, k))
-    r_rank = np.empty(len(pts))
-    r_inv = np.empty(len(pts))
-    for i, p in enumerate(pts):
-        env = env_at(sys.chart, p)
-        for a in range(k):
-            for b in range(k):
-                r_d[i, a, b] = abs(evaluate(d_tab[a][b], env))
-                r_dc[i, a, b] = abs(evaluate(dc_tab[a][b], env)
-                                    - (1.0 if a == b else 0.0))
-        S = field_matrix(frame, p)
-        r_rank[i] = 2 * k - np.linalg.matrix_rank(S)
-        r_inv[i] = _span_defect(S, brackets, p)
+    t = sys.table.at(sample_points(sys, n_points, seed))
+    S = t["frame"]
+    r_d = np.abs(t["d"]).max(axis=(1, 2))
+    r_dc = np.abs(t["dc"] - np.eye(k)).max(axis=(1, 2))
+    r_rank = (2 * k - np.linalg.matrix_rank(S)).astype(float)
+    r_inv = span_residuals(S, t["bracket"][..., :sys.table.n_frame_pairs]).max(axis=1)
 
     report = VerificationReport(sys.name, seed, n_points)
     report.checks = [
         CheckResult("axioms.gradient-annihilation", "gradient-annihilation",
-                    r_d.reshape(len(pts), -1).max(axis=1), tol, n_points),
+                    r_d, tol, n_points),
         CheckResult("axioms.normalization", "twisted-gradient-normalization",
-                    r_dc.reshape(len(pts), -1).max(axis=1), tol, n_points),
+                    r_dc, tol, n_points),
         CheckResult("axioms.independence", "frame-pointwise-independence",
                     r_rank, 0.5, n_points),
         CheckResult("axioms.integrability", "span-involutivity",
                     r_inv, max(tol, 1e-9), n_points),
     ]
     return report
-
-
-def _pair_brackets(fields):
-    out = {}
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            out[(i, j)] = lie_bracket(fields[i], fields[j])
-    return out
-
-
-def _span_defect(S, brackets, p) -> float:
-    worst = 0.0
-    for b in brackets.values():
-        v = b.values(p)
-        coef, *_ = np.linalg.lstsq(S, v, rcond=None)
-        worst = max(worst, float(np.linalg.norm(v - S @ coef)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +307,20 @@ class DecompositionRecord:
                 and self.residual_gradient_on_rep < 1e-8)
 
 
-def _gradient_matrices(sys: GradientSystem, p):
-    """Rows of dU and d^c U in chart coordinates at p."""
+def _gradient_rows(sys: GradientSystem, p) -> np.ndarray:
+    """Rows of dU in chart coordinates at one point."""
     env = env_at(sys.chart, p)
-    G = np.array([[evaluate(diff(g, name), env) for name in sys.chart.names]
-                  for g in sys.grads])
-    C = np.empty_like(G)
-    for nu in range(sys.chart.N):
-        C[:, 2 * nu] = -G[:, 2 * nu + 1]
-        C[:, 2 * nu + 1] = G[:, 2 * nu]
-    return G, C
+    return np.array([[evaluate(diff(g, name), env) for name in sys.chart.names]
+                     for g in sys.grads])
 
 
-def _nullspace(M, rtol=None):
-    u, s, vt = np.linalg.svd(M)
-    if rtol is None:
-        rtol = max(M.shape) * np.finfo(float).eps
-    cutoff = rtol * (s[0] if len(s) else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T, rank
+def _kernel(M):
+    """Right-singular vectors of M, or of each matrix of a stack, and the
+    numerical rank r: singular values at or below max(shape) * eps * sigma_max
+    count as zero, and the vectors from row r on span the kernel."""
+    _, s, vt = np.linalg.svd(M)
+    return vt, np.sum(s > max(M.shape[-2:]) * np.finfo(float).eps * s[..., :1],
+                      axis=-1)
 
 
 def check_decompositions(sys: GradientSystem, p) -> DecompositionRecord:
@@ -268,41 +328,47 @@ def check_decompositions(sys: GradientSystem, p) -> DecompositionRecord:
     arithmetic: the representation span sits inside ker dU, the span plus its
     J-rotation is 2k-dimensional, and the horizontal space ker dU cap
     ker d^c U supplies the remaining 2n directions."""
+    return _decompositions(sys, np.asarray(p, dtype=float)[None])[0]
+
+
+def _decompositions(sys: GradientSystem, pts) -> list[DecompositionRecord]:
+    """The records of check_decompositions at every row of ``pts``; every
+    rank with the same shape at all points is taken over the whole stack."""
     k, N = sys.k, sys.chart.N
-    n = N - k
-    Xi = field_matrix(sys.fields, p)
-    JXi = field_matrix([apply_J(f) for f in sys.fields], p)
-    G, C = _gradient_matrices(sys, p)
-    H, rank_G = _nullspace(np.vstack([G, C]))[0], int(np.linalg.matrix_rank(G))
-    rec = DecompositionRecord(
-        rank_representation=int(np.linalg.matrix_rank(Xi)),
-        rank_span=int(np.linalg.matrix_rank(np.hstack([Xi, JXi]))),
-        rank_gradient=rank_G,
-        dim_horizontal=H.shape[1],
-        rank_total=int(np.linalg.matrix_rank(np.hstack([Xi, JXi, H]))),
-        residual_gradient_on_rep=float(np.max(np.abs(G @ Xi))),
-        expected={"rank_representation": k, "rank_span": 2 * k,
-                  "rank_gradient": k, "dim_horizontal": 2 * n,
-                  "rank_total": 2 * N},
-    )
+    t = sys.table.at(pts)
+    G, span = t["grad"], t["frame"]
+    Xi = span[..., :k]
+    # the horizontal space ker dU cap ker d^c U, with d^c U = -dU o J
+    vt, rank_M = _kernel(np.concatenate([G, G @ j_matrix(sys.chart).T], axis=1))
+    ranks = zip(np.linalg.matrix_rank(Xi), np.linalg.matrix_rank(span),
+                np.linalg.matrix_rank(G), rank_M)
+    residual = np.abs(G @ Xi).max(axis=(1, 2))
     # flag rank decisions sitting close to the SVD cutoff
-    s = np.linalg.svd(np.hstack([Xi, JXi]), compute_uv=False)
-    if len(s) > 1 and s[-1] > 0 and s[0] / s[-1] > 1e10:
-        rec.warning = "rank decision is close to the singular-value cutoff"
-    return rec
+    s = np.linalg.svd(span, compute_uv=False)
+    close = np.divide(s[:, 0], s[:, -1], out=np.zeros(len(s)),
+                      where=s[:, -1] > 0) > 1e10
+    expected = {"rank_representation": k, "rank_span": 2 * k, "rank_gradient": k,
+                "dim_horizontal": 2 * (N - k), "rank_total": 2 * N}
+    recs = []
+    for i, (r_rep, r_span, r_G, r_M) in enumerate(ranks):
+        H = vt[i, r_M:].T
+        recs.append(DecompositionRecord(
+            rank_representation=int(r_rep), rank_span=int(r_span),
+            rank_gradient=int(r_G), dim_horizontal=H.shape[1],
+            rank_total=int(np.linalg.matrix_rank(np.hstack([span[i], H]))),
+            residual_gradient_on_rep=float(residual[i]), expected=dict(expected),
+            warning=("rank decision is close to the singular-value cutoff"
+                     if close[i] else "")))
+    return recs
 
 
 def decomposition_check_result(sys: GradientSystem, pts) -> CheckResult:
     """Aggregate decomposition records over points into a residual check."""
-    residuals = []
-    note = ""
-    for p in pts:
-        rec = check_decompositions(sys, p)
-        residuals.append(0.0 if rec.ok else 1.0)
-        if rec.warning:
-            note = rec.warning
+    recs = _decompositions(sys, pts)
+    note = next((r.warning for r in reversed(recs) if r.warning), "")
     return CheckResult("decompositions", "tangent-splitting",
-                       np.array(residuals), 0.5, len(pts), note)
+                       np.array([0.0 if r.ok else 1.0 for r in recs]), 0.5,
+                       len(pts), note)
 
 
 # ---------------------------------------------------------------------------
@@ -320,82 +386,30 @@ def check_bracket_relations(sys: GradientSystem, n_points: int = 100,
     * J-rotated brackets satisfy [JX, JY] = [X, Y] and [JX, Y] = -[X, JY].
     """
     pts = sample_points(sys, n_points, seed)
-    k = sys.k
-    xs = list(sys.fields)
-    jxs = [apply_J(f) for f in sys.fields]
+    n, k, tab = len(pts), sys.k, sys.table
+    t = tab.at(pts)
+    br = t["bracket"]
+    S = t["frame"][..., :k]
+    rep = [tab.row[(a, b)] for a in range(k) for b in range(a + 1, k)]
 
-    # pair types: (X, Y, reference bracket for the displayed identities)
-    pair_list = []
-    for a in range(k):
-        for b in range(k):
-            if a < b:
-                pair_list.append((xs[a], xs[b], lie_bracket(xs[a], xs[b])))
-                pair_list.append((jxs[a], jxs[b], lie_bracket(xs[a], xs[b])))
-            pair_list.append((xs[a], jxs[b], lie_bracket(xs[a], jxs[b])))
+    closure = span_residuals(S, br[..., :tab.n_frame_pairs]).max(axis=1)
 
-    # symbolic preparation
-    rep_brackets = _pair_brackets(xs)
-    sym_JJ = [(lie_bracket(jxs[a], jxs[b]), rep_brackets[(a, b)])
-              for a in range(k) for b in range(k) if a < b]
-    sym_mixed = [(lie_bracket(jxs[a], xs[b]), lie_bracket(xs[a], jxs[b]))
-                 for a in range(k) for b in range(k)]
+    # dd^c u_c(X, Y) through the three-term identity, one coefficient per c
+    coeffs = t["t1"] - t["t2"] - t["t3"]
+    identity = np.abs(coeffs + t["t3"][:, tab.ddc_ref]).max(axis=(1, 2))
+    recovered = 0
+    for c in range(k):
+        recovered = recovered + coeffs[:, None, :, c] * S[..., c, None]
+    recovery = np.abs(recovered + br[..., tab.ddc_ref]).max(axis=(1, 2))
 
-    # dd^c u_c(X, Y) through the three-term identity, symbolically
-    ddc_terms = []
-    closure_brackets = []
-    for X, Y, B in pair_list:
-        bxy = lie_bracket(X, Y)
-        closure_brackets.append(bxy)
-        per_c = []
-        for g in sys.grads:
-            t1 = d_of(dc_of(g, Y), X)
-            t2 = d_of(dc_of(g, X), Y)
-            t3 = dc_of(g, bxy)
-            ref = dc_of(g, B)
-            per_c.append((t1, t2, t3, ref))
-        ddc_terms.append((X, Y, B, per_c))
+    rep_involutive = span_residuals(S, br[..., rep]).max(axis=1, initial=0.0)
 
-    closure = np.empty(len(pts))
-    identity = np.empty(len(pts))
-    recovery = np.empty(len(pts))
-    rep_involutive = np.empty(len(pts))
-    j_symmetry = np.empty(len(pts))
+    jj = [br[..., tab.row[(k + a, k + b)]] - br[..., tab.row[(a, b)]]
+          for a in range(k) for b in range(a + 1, k)]
+    mixed = [br[..., tab.row[(k + a, b)]] + br[..., tab.row[(a, k + b)]]
+             for a in range(k) for b in range(k)]
+    j_symmetry = np.abs(np.stack(jj + mixed, axis=1)).max(axis=(1, 2))
 
-    for i, p in enumerate(pts):
-        env = env_at(sys.chart, p)
-        S = field_matrix(xs, p)
-
-        worst_closure = 0.0
-        for bxy in closure_brackets:
-            v = bxy.values(p)
-            coef, *_ = np.linalg.lstsq(S, v, rcond=None)
-            worst_closure = max(worst_closure, float(np.linalg.norm(v - S @ coef)))
-        closure[i] = worst_closure
-
-        worst_id = 0.0
-        worst_rec = 0.0
-        for X, Y, B, per_c in ddc_terms:
-            coeffs = []
-            for t1, t2, t3, ref in per_c:
-                val = evaluate(t1, env) - evaluate(t2, env) - evaluate(t3, env)
-                coeffs.append(val)
-                worst_id = max(worst_id, abs(val + evaluate(ref, env)))
-            recovered = sum(c * f.values(p) for c, f in zip(coeffs, xs))
-            worst_rec = max(worst_rec, float(np.max(np.abs(recovered + B.values(p)))))
-        identity[i] = worst_id
-        recovery[i] = worst_rec
-
-        rep_involutive[i] = (_span_defect(S, rep_brackets, p)
-                             if len(rep_brackets) else 0.0)
-
-        worst_j = 0.0
-        for lhs, rhs in sym_JJ:
-            worst_j = max(worst_j, float(np.max(np.abs(lhs.values(p) - rhs.values(p)))))
-        for lhs, rhs in sym_mixed:
-            worst_j = max(worst_j, float(np.max(np.abs(lhs.values(p) + rhs.values(p)))))
-        j_symmetry[i] = worst_j
-
-    n = len(pts)
     return [
         CheckResult("brackets.closure", "bracket-closure-in-representation",
                     closure, tol, n),
@@ -417,23 +431,14 @@ def check_commutation(sys: GradientSystem, n_points: int = 100, seed: int = 0,
     ([X_a, X_b] - [JX_a, JX_b])/4 and the imaginary part
     -([X_a, JX_b] + [JX_a, X_b])/4."""
     pts = sample_points(sys, n_points, seed)
-    k = sys.k
-    xs = list(sys.fields)
-    jxs = [apply_J(f) for f in sys.fields]
-    parts = []
+    k, row = sys.k, sys.table.row
+    residuals = np.zeros(len(pts))
+    br = sys.table.at(pts)["bracket"]
     for a in range(k):
         for b in range(a + 1, k):
-            re = lie_bracket(xs[a], xs[b]) - lie_bracket(jxs[a], jxs[b])
-            im = lie_bracket(xs[a], jxs[b]) + lie_bracket(jxs[a], xs[b])
-            parts.append((re, im))
-    residuals = np.zeros(len(pts))
-    for i, p in enumerate(pts):
-        worst = 0.0
-        for re, im in parts:
-            rv = re.values(p) / 4.0
-            iv = im.values(p) / 4.0
-            worst = max(worst, float(np.max(np.hypot(rv, iv))))
-        residuals[i] = worst
+            re = (br[..., row[(a, b)]] - br[..., row[(k + a, k + b)]]) / 4.0
+            im = (br[..., row[(a, k + b)]] + br[..., row[(k + a, b)]]) / 4.0
+            residuals = np.maximum(residuals, np.hypot(re, im).max(axis=1))
     note = "single-field system commutes identically" if k == 1 else ""
     return CheckResult("commutation", "complexified-fields-commute",
                        residuals, tol, len(pts), note)
@@ -449,34 +454,12 @@ def classify(sys: GradientSystem, n_points: int = 50, seed: int = 0,
     abelian (all real brackets among {xi_a, J xi_a} vanish, the real form of
     [Z_a, conj Z_b] = 0), harmonic (flat Laplacian of every gradient
     component vanishes)."""
-    pts = sample_points(sys, n_points, seed)
-    k = sys.k
-    xs = list(sys.fields)
-    jxs = [apply_J(f) for f in sys.fields]
-
-    holo = 0.0
-    for f in xs:
-        _, worst = is_holomorphic(complexify(f), pts, tol)
-        holo = max(holo, worst)
-
-    abel = 0.0
-    abelian_brackets = []
-    for a in range(k):
-        for b in range(k):
-            if a < b:
-                abelian_brackets.append(lie_bracket(xs[a], xs[b]))
-                abelian_brackets.append(lie_bracket(jxs[a], jxs[b]))
-            abelian_brackets.append(lie_bracket(xs[a], jxs[b]))
-    for br in abelian_brackets:
-        for p in pts:
-            abel = max(abel, float(np.max(np.abs(br.values(p)))))
-
-    harm = 0.0
-    for g in sys.grads:
-        lap = laplacian(g, sys.chart)
-        for p in pts:
-            harm = max(harm, abs(evaluate(lap, env_at(sys.chart, p))))
-
+    t = sys.table.at(sample_points(sys, n_points, seed))
+    cr = t["cr"]
+    holo = float(np.max(0.5 * np.hypot(cr[..., 0], cr[..., 1]), initial=0.0))
+    abel = float(np.max(np.abs(t["bracket"][..., :sys.table.n_frame_pairs]),
+                        initial=0.0))
+    harm = float(np.max(np.abs(t["lap"]), initial=0.0))
     return Classification(
         holomorphic=holo < tol, abelian=abel < tol, harmonic=harm < tol,
         residuals={"holomorphic": holo, "abelian": abel, "harmonic": harm})
@@ -512,6 +495,8 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8, seed: int = 0,
     in a space of complex dimension n."""
     V = np.asarray(V, dtype=float)
     k, N = sys.k, sys.chart.N
+    if V.shape != (k,):
+        raise ValueError(f"level-set target needs {k} values, got shape {V.shape}")
     n = N - k
     try:
         seeds = sample_points(sys, max(4 * n_points, 16), seed)
@@ -528,7 +513,7 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8, seed: int = 0,
             if np.max(np.abs(r)) < 1e-11:
                 ok = True
                 break
-            G, _ = _gradient_matrices(sys, p)
+            G = _gradient_rows(sys, p)
             step, *_ = np.linalg.lstsq(G, -r, rcond=None)
             if not np.all(np.isfinite(step)):
                 break
@@ -546,11 +531,11 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8, seed: int = 0,
     ranks = []
     hdims = []
     for p in found:
-        G, _ = _gradient_matrices(sys, p)
+        G = _gradient_rows(sys, p)
         ranks.append(int(np.linalg.matrix_rank(G)))
-        T, _ = _nullspace(G)
-        J = j_matrix(sys.chart)
-        span = np.hstack([T, J @ T])
+        vt, rank = _kernel(G)
+        T = vt[rank:].T
+        span = np.hstack([T, j_matrix(sys.chart) @ T])
         inter = 2 * T.shape[1] - int(np.linalg.matrix_rank(span))
         hdims.append(inter // 2)
     note = "" if all(h == n for h in hdims) else \

@@ -203,6 +203,25 @@ def test_cli_verify_file_path(tmp_path):
     assert main(["verify", str(path)]) == 0
 
 
+@pytest.mark.parametrize("value", ["1,2", "1,x"])
+@pytest.mark.parametrize("system", ["heisenberg", "line"])
+def test_cli_rejects_malformed_level_set(system, value, capsys):
+    assert main(["verify", system, "--level-set", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_cli_verify_domain_fault_is_input_error(tmp_path, capsys):
+    # sqrt(x1) leaves its domain at the sample points with x1 < 0
+    path = tmp_path / "sqrt.cgs"
+    path.write_text(MINIMAL.replace("field_1 = 1; 0", "field_1 = 0; 1")
+                    .replace("grad_1 = -y1", "grad_1 = -y1 + sqrt(x1)"))
+    assert main(["verify", str(path), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert "'sqrt(x1)'" in err and "at point " in err and "x1=-" in err
+
+
 # --- JSON reports ------------------------------------------------------------------
 
 

@@ -1,15 +1,18 @@
-"""Parser, evaluator and structural-derivative checks for the expression core."""
+"""Parser, evaluators and structural-derivative checks for the expression core."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cgsys.dsl import builtin_names, load_builtin
 from cgsys.expr import (
     Atan2, Binary, Const, DomainError, ParseError, UnboundVariableError,
-    UnknownFunctionError, Var, diff, evaluate, free_vars, parse_expr, subst,
-    to_string,
+    UnknownFunctionError, Var, add, compile_exprs, diff, div, evaluate,
+    free_vars, mul, neg, parse_expr, pow_, sub, subst, to_string, unary,
 )
+from cgsys.verify import sample_points
 
 
 def central_difference(e, name, env, h=1e-5):
@@ -223,3 +226,132 @@ def test_operator_overloading_builds_trees():
     e = (x + 1) * y - x / y
     assert evaluate(e, {"x": 2.0, "y": 4.0}) == pytest.approx(11.5)
     assert evaluate(e + 0, {"x": 2.0, "y": 4.0}) == pytest.approx(11.5)
+
+
+# --- compiled programs -------------------------------------------------------
+
+NAMES = ("x1", "y1", "x2")
+COORDS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.25, -2.5]),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+POINTS = st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=1, max_size=8)
+LEAVES = st.one_of(
+    st.sampled_from([Var(n) for n in NAMES]),
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -3.25, 1e-3]).map(Const))
+EXPONENTS = st.sampled_from([-2.0, -1.0, 0.0, 2.0, 3.0, 0.5, 1.5]).map(Const)
+
+
+def _arithmetic(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda t: add(*t)), pairs.map(lambda t: sub(*t)),
+        pairs.map(lambda t: mul(*t)), pairs.map(lambda t: div(*t)),
+        children.map(neg),
+        st.tuples(children, EXPONENTS).map(lambda t: pow_(*t)))
+
+
+def _with_faults(children):
+    return st.one_of(_arithmetic(children),
+                     children.map(lambda e: unary("log", e)),
+                     children.map(lambda e: unary("sqrt", e)))
+
+
+ARITHMETIC_TREES = st.recursive(LEAVES, _arithmetic, max_leaves=12)
+FAULTING_TREES = st.recursive(LEAVES, _with_faults, max_leaves=12)
+
+
+def tree_walk(exprs, P):
+    """The per-point reference: ``evaluate`` every expression at each row.
+    Returns the values, or None and the row of the first DomainError."""
+    rows = []
+    for i, p in enumerate(P):
+        env = dict(zip(NAMES, p))
+        try:
+            rows.append([evaluate(e, env) for e in exprs])
+        except DomainError:
+            return None, i
+    return np.array(rows).reshape(len(P), len(exprs)), None
+
+
+def run_program(exprs, P):
+    try:
+        return compile_exprs(exprs, NAMES)(P), None
+    except DomainError as err:
+        return None, err.index
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ARITHMETIC_TREES, min_size=1, max_size=3), POINTS)
+def test_program_bit_identical_on_arithmetic(exprs, points):
+    P = np.array(points, dtype=float)
+    ref, ref_fault = tree_walk(exprs, P)
+    got, fault = run_program(exprs, P)
+    assert fault == ref_fault
+    if ref is not None:
+        assert np.array_equal(got, ref, equal_nan=True)
+        same = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(got[same]), np.signbit(ref[same]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(FAULTING_TREES, min_size=1, max_size=3), POINTS)
+def test_program_faults_at_the_tree_walks_first_point(exprs, points):
+    P = np.array(points, dtype=float)
+    _, ref_fault = tree_walk(exprs, P)
+    _, fault = run_program(exprs, P)
+    assert fault == ref_fault
+
+
+@pytest.mark.parametrize("exponent", ["2", "3", "0.5", "-1", "1.5"])
+def test_program_power_matches_python_power(exponent):
+    # x^2 through libm's pow differs from x*x in about one case in a thousand
+    e = parse_expr(f"x1^{exponent}")
+    P = np.random.default_rng(5).uniform(0.0, 3.0, size=(20000, 1))
+    ref = np.array([evaluate(e, {"x1": x}) for x in P[:, 0]])
+    assert np.array_equal(compile_exprs([e], ("x1",))(P)[:, 0], ref)
+
+
+def test_program_domain_error_names_node_and_point():
+    prog = compile_exprs([parse_expr("x1 + 1"), parse_expr("-y1 + sqrt(x1)")],
+                         ("x1", "y1"))
+    P = np.array([[1.0, 0.0], [-0.5, 2.0], [-1.0, 0.0]])
+    with pytest.raises(DomainError) as err:
+        prog(P)
+    assert err.value.index == 1
+    msg = str(err.value)
+    assert "sqrt of negative value in 'sqrt(x1)'" in msg
+    assert "point 1 (x1=-0.5, y1=2.0)" in msg
+    with pytest.raises(DomainError) as err:
+        evaluate(parse_expr("sqrt(x1)"), {"x1": -0.5})
+    assert err.value.index is None
+
+
+def test_program_numbers_equal_subtrees_once():
+    # two separately parsed copies of one subtree share every slot
+    a, b = parse_expr("sin(x1*y1) + x1*y1"), parse_expr("x1*y1")
+    prog = compile_exprs([a, b], ("x1", "y1"))
+    assert len(prog) == 3                     # mul, sin, add
+    out = prog(np.array([[0.5, 2.0]]))
+    assert out[0, 1] == 1.0 and out[0, 0] == pytest.approx(math.sin(1.0) + 1.0)
+
+
+def test_program_rejects_unbound_variables_and_bad_shapes():
+    with pytest.raises(UnboundVariableError):
+        compile_exprs([parse_expr("x1 + q")], ("x1",))
+    prog = compile_exprs([parse_expr("x1")], ("x1", "y1"))
+    with pytest.raises(ValueError):
+        prog(np.zeros((3, 3)))
+    assert prog(np.zeros((0, 2))).shape == (0, 1)
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names()
+                                  if load_builtin(n).system is not None])
+def test_gallery_tables_match_tree_walk(name):
+    # numpy's transcendental ufuncs are not libm: a fixed float64 tolerance
+    # relative to the table's scale, not bit equality
+    sys_ = load_builtin(name).system
+    pts = sample_points(sys_, 12, seed=3)
+    ref = np.array([[evaluate(e, dict(zip(sys_.chart.names, p)))
+                     for e in sys_.table.exprs] for p in pts])
+    got = sys_.table.program(pts)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale

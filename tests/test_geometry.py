@@ -8,8 +8,8 @@ import pytest
 from cgsys.expr import parse_expr
 from cgsys.geometry import (
     ComplexChart, VectorField, apply_J, complexify, d_apply, dc_apply,
-    ddc_apply, distribution_rank, env_at, frobenius_defect, is_holomorphic,
-    laplacian, lie_bracket,
+    ddc_apply, distribution_rank, env_at, field_matrix, frobenius_defect,
+    is_holomorphic, laplacian, lie_bracket, pair_brackets, span_residuals,
 )
 
 
@@ -372,3 +372,50 @@ def test_laplacian_of_group_gradients(heis, affine):
     from cgsys.expr import evaluate
     vals = [abs(evaluate(lap2, env_at(chart2, p))) for p in affine_points(20, 24)]
     assert max(vals) > 1e-3
+
+
+# --- batched span projection ----------------------------------------------------
+
+
+def lstsq_residuals(S, V):
+    """The reference: one least-squares solve per frame and column."""
+    out = np.empty(S.shape[:-2] + V.shape[-1:])
+    for idx in np.ndindex(*S.shape[:-2]):
+        for j in range(V.shape[-1]):
+            v = V[idx][:, j]
+            coef, *_ = np.linalg.lstsq(S[idx], v, rcond=None)
+            out[idx + (j,)] = np.linalg.norm(v - S[idx] @ coef)
+    return out
+
+
+def stacked(fields, others, pts):
+    S = np.array([field_matrix(fields, p) for p in pts])
+    V = np.array([field_matrix(others, p) for p in pts])
+    return S, V
+
+
+def test_span_residuals_match_lstsq_on_full_rank_frames(heis, affine):
+    for (chart, fields, _), pts in ((heis, sample_points(heis[0], 20, 30)),
+                                    (affine, affine_points(20, 31))):
+        frame = list(fields) + [apply_J(V) for V in fields]
+        # a random right-hand side escapes the span, the brackets do not
+        S, V = stacked(fields, pair_brackets(frame), pts)
+        V = np.concatenate([V, np.random.default_rng(32).normal(size=V.shape)], axis=2)
+        assert np.max(np.abs(span_residuals(S, V) - lstsq_residuals(S, V))) < 1e-14
+
+
+def test_span_residuals_match_lstsq_on_rank_deficient_frames(heis):
+    chart, fields, _ = heis
+    pts = sample_points(chart, 15, 33)
+    rng = np.random.default_rng(34)
+    repeated = [fields[0], fields[1], fields[0]]
+    S, V = stacked(repeated, pair_brackets(list(fields) + [apply_J(fields[0])]), pts)
+    V = np.concatenate([V, rng.normal(size=(len(pts), chart.dim, 3))], axis=2)
+    assert np.max(np.abs(span_residuals(S, V) - lstsq_residuals(S, V))) < 1e-14
+    # the broken demo's frame {2 d/dx, 2 d/dy} at a point, plus a zero frame
+    c1 = ComplexChart.standard(1)
+    broken = make_field(c1, ["2", "0"])
+    S = np.array([field_matrix([broken, apply_J(broken), broken], [0.3, -0.4]),
+                  np.zeros((2, 3))])
+    V = rng.normal(size=(2, 2, 4))
+    assert np.max(np.abs(span_residuals(S, V) - lstsq_residuals(S, V))) < 1e-14

@@ -4,9 +4,11 @@ commutation, classification, level sets and the normal form."""
 import numpy as np
 import pytest
 
-from cgsys.expr import parse_expr
+from cgsys.expr import DomainError, parse_expr
 from cgsys.flow import FlowConfig
-from cgsys.geometry import ComplexChart, VectorField
+from cgsys.geometry import (
+    ComplexChart, VectorField, apply_J, field_matrix, lie_bracket,
+)
 from cgsys.verify import (
     Classification, GradientSystem, GridSpec, NormalFormRefusal,
     check_axioms, check_bracket_relations, check_commutation,
@@ -134,6 +136,84 @@ def test_sampling_reproducible(heis):
     a = sample_points(heis, 32, seed=9)
     b = sample_points(heis, 32, seed=9)
     assert np.array_equal(a, b)
+
+
+def one_at_a_time(sys_, n, seed, box=2.0):
+    """The reference sampler: draw and test one candidate at a time.
+    Returns the points, or None and the draw index of a DomainError."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for attempt in range(100 * n):
+        if len(out) == n:
+            break
+        p = rng.uniform(-box, box, size=sys_.chart.dim)
+        try:
+            inside = sys_.in_domain(p)
+        except DomainError:
+            return None, attempt
+        if inside:
+            out.append(p)
+    return np.array(out), None
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (8, 5), (64, 5), (300, 2)])
+def test_sampling_matches_one_at_a_time(affine, heis, n, seed):
+    for sys_ in (affine, heis):
+        ref, _ = one_at_a_time(sys_, n, seed)
+        assert np.array_equal(sample_points(sys_, n, seed), ref)
+
+
+def test_sampling_domain_faults_like_one_at_a_time(line):
+    # log(x1) is only evaluated where x1 > 0 holds, as all() would
+    guarded = system(line.chart, line.fields, ["-y1"], domain=["x1", "log(x1) + 1"])
+    ref, fault = one_at_a_time(guarded, 20, 4)
+    assert fault is None
+    assert np.array_equal(sample_points(guarded, 20, 4), ref)
+    # sqrt(x1) faults at the first draw with x1 < 0, unless enough points
+    # were accepted before it
+    bare = system(line.chart, line.fields, ["-y1"], domain=["y1 + 3", "sqrt(x1)"])
+    faults = []
+    for n in (1, 2, 3, 6):
+        ref, fault = one_at_a_time(bare, n, 9)
+        faults.append(fault)
+        if fault is None:
+            assert np.array_equal(sample_points(bare, n, 9), ref)
+        else:
+            with pytest.raises(DomainError) as err:
+                sample_points(bare, n, 9)
+            assert err.value.index == fault
+    assert faults == [None, None, None, 4]
+
+
+def test_table_is_built_once_per_system(heis):
+    assert heis.table is heis.table
+    other = system(heis.chart, heis.fields, ["-y1", "-y2", "x1*y2 - y3"])
+    assert other.table is not heis.table
+
+
+def test_span_residuals_of_checks_match_lstsq_per_point(affine, heis):
+    # the batched checks against one least-squares solve per point and bracket
+    def worst(S, brackets, p):
+        out = 0.0
+        for b in brackets:
+            v = b.values(p)
+            coef, *_ = np.linalg.lstsq(S, v, rcond=None)
+            out = max(out, float(np.linalg.norm(v - S @ coef)))
+        return out
+
+    for sys_, seed in ((affine, 40), (heis, 41)):
+        xs = list(sys_.fields)
+        frame = xs + [apply_J(f) for f in xs]
+        pairs = [(i, j) for i in range(len(frame)) for j in range(i + 1, len(frame))]
+        brackets = [lie_bracket(frame[i], frame[j]) for i, j in pairs]
+        pts = sample_points(sys_, 30, seed)
+        integrability = check_axioms(sys_, 30, seed).checks[3]
+        closure = check_bracket_relations(sys_, 30, seed)[0]
+        for i, p in enumerate(pts):
+            ref = worst(field_matrix(frame, p), brackets, p)
+            assert abs(integrability.residuals[i] - ref) < 1e-14
+            ref = worst(field_matrix(xs, p), brackets, p)
+            assert abs(closure.residuals[i] - ref) < 1e-14
 
 
 # --- decompositions -----------------------------------------------------------
