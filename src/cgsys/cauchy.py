@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, ExprError, diff, evaluate, free_vars, subst
+from .expr import Expr, ExprError, diff, evaluate, require_vars, subst
 from .flow import (
     DEFAULT_CONFIG, ComplexFlow, FlowConfig, FlowError, MatrixGroupSpec,
     NewtonError, complexified_flow_jacobian, complexified_flow_matrix,
@@ -107,13 +107,19 @@ class CRInitialData:
         if len(self.sigma) != self.chart.dim:
             raise ValueError(
                 f"sigma needs {self.chart.dim} components, got {len(self.sigma)}")
+        if self.k < 1:
+            raise ValueError("need at least one initial field")
         if (len(self.param_names) - self.k) % 2 != 0 or len(self.param_names) < self.k:
             raise ValueError("parameter count must be 2n + k")
-        allowed = set(self.param_names)
-        for s in self.sigma:
-            extra = free_vars(s) - allowed
-            if extra:
-                raise ValueError(f"sigma uses non-parameter variables {sorted(extra)}")
+        if len(set(self.param_names)) != len(self.param_names):
+            raise ValueError("parameter names must be distinct")
+        require_vars(self.sigma, self.param_names, "sigma")
+        require_vars(self.param_domain, self.param_names, "param_domain")
+        if self.base_params is not None and (
+                np.shape(self.base_params) != (len(self.param_names),)
+                or not np.all(np.isfinite(self.base_params))):
+            raise ValueError("base_params needs one finite value per parameter "
+                             f"({len(self.param_names)})")
         if self.ambient_fields is not None and len(self.ambient_fields) != self.k:
             raise ValueError("need one ambient field per initial direction")
         if self.group is not None and self.group.k != self.k:

@@ -1,8 +1,10 @@
 """Command-line driver: verify | cauchy | normal-form | list.
 
 Exit codes: 0 all checks pass, 1 a check fails or a construction is refused,
-2 the input cannot be loaded.  ``--json PATH`` writes the deterministic
-report document described by the shipped schema.
+2 the input is malformed: a file that does not load, a setting outside its
+rule (``dsl.SETTINGS``) or a sample point outside an expression's domain.
+``--json PATH`` writes the deterministic report document described by the
+shipped schema.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cauchy import (
-    CauchyError, TransversalityError, check_cr_transverse, grid_queries, solve,
-)
-from .dsl import LoadError, SystemFile, builtin_names, builtin_text, load, loads
+from .cauchy import CauchyError, TransversalityError, grid_queries, solve
+from .dsl import SETTINGS, LoadError, SystemFile, builtin_names, load, load_builtin
 from .expr import DomainError
-from .flow import DEFAULT_CONFIG, FlowConfig, FlowError
+from .flow import DEFAULT_CONFIG, FlowError
 from .report import build_document, check_entry, input_digest, write_report
 from .verify import (
     GridSpec, NormalFormRefusal, SamplingError, check_axioms,
@@ -31,20 +31,31 @@ from .verify import (
 __all__ = ["main"]
 
 
+# normal-form's --extent has no [config] key; like a tolerance it must be
+# finite and > 0
+_RULES = {**SETTINGS, "extent": SETTINGS["tol"]}
+
+
 def _resolve(name_or_path: str) -> SystemFile:
     if name_or_path in builtin_names():
-        text = builtin_text(name_or_path)
-        return loads(text, name=name_or_path)
-    path = Path(name_or_path)
-    if path.exists():
-        return load(path)
-    raise LoadError(f"'{name_or_path}' is neither a builtin system nor a file")
+        return load_builtin(name_or_path)
+    if not Path(name_or_path).exists():
+        raise LoadError(f"'{name_or_path}' is neither a builtin system nor a file")
+    return load(name_or_path)
 
 
-def _positive(name: str, value: int) -> int:
-    if value < 1:
-        raise LoadError(f"{name} must be a positive count, got {value}")
-    return value
+def _setting(sf: SystemFile, args, flag: str, default, key: str | None = None):
+    """The value of ``--flag``, else of the file's [config] ``key`` (named
+    like the flag unless given), else ``default``.  Flag values pass the
+    same checked converter as [config] values."""
+    key = key or flag
+    value = getattr(args, flag, None)
+    if value is None:
+        return sf.config.get(key, default)
+    try:
+        return _RULES[key](value)
+    except ValueError as err:
+        raise LoadError(f"--{flag.replace('_', '-')}: {err}") from None
 
 
 def _level_target(text: str, k: int) -> list[float]:
@@ -81,10 +92,9 @@ def cmd_verify(args) -> int:
     sf = _resolve(args.system)
     if sf.system is None:
         raise LoadError(f"'{sf.name}' has no [system] section to verify")
-    points = _positive("points", args.points if args.points is not None
-                       else sf.config.get("points", 100))
-    seed = args.seed if args.seed is not None else sf.config.get("seed", 0)
-    tol = args.tol if args.tol is not None else sf.config.get("tol", 1e-9)
+    points = _setting(sf, args, "points", 100)
+    seed = _setting(sf, args, "seed", 0)
+    tol = _setting(sf, args, "tol", 1e-9)
 
     sys_ = sf.system
     target = (None if args.level_set is None
@@ -120,37 +130,19 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _flow_config(sf: SystemFile, args) -> FlowConfig:
-    cfg = DEFAULT_CONFIG
-    updates = {}
-    if "steps_per_unit" in sf.config:
-        updates["steps_per_unit"] = sf.config["steps_per_unit"]
-    if "newton_tol" in sf.config:
-        updates["newton_tol"] = sf.config["newton_tol"]
-    if getattr(args, "newton_tol", None) is not None:
-        updates["newton_tol"] = args.newton_tol
-    return cfg.with_(**updates) if updates else cfg
-
-
 def cmd_cauchy(args) -> int:
     sf = _resolve(args.system)
     if sf.cr is None:
         raise LoadError(f"'{sf.name}' has no [cr_data] section")
-    cfg = _flow_config(sf, args)
-    grid = _positive("grid", args.grid if args.grid is not None
-                     else sf.config.get("grid", 5))
-    extent = (args.u_extent if args.u_extent is not None
-              else sf.config.get("u_extent", 0.5))
-    tol = args.tol if args.tol is not None else sf.config.get("cauchy_tol", 1e-5)
+    cfg = DEFAULT_CONFIG.with_(
+        steps_per_unit=_setting(sf, args, "steps_per_unit",
+                                DEFAULT_CONFIG.steps_per_unit),
+        newton_tol=_setting(sf, args, "newton_tol", DEFAULT_CONFIG.newton_tol))
+    grid = _setting(sf, args, "grid", 5)
+    extent = _setting(sf, args, "u_extent", 0.5)
+    tol = _setting(sf, args, "tol", 1e-5, key="cauchy_tol")
 
     data = sf.cr
-    tres = check_cr_transverse(data)
-    if not tres.transverse:
-        print(f"transversality failure: rank {tres.min_rank} < "
-              f"{tres.required_rank} at a sample", file=_sys.stderr)
-        print(f"witness parameters: {np.asarray(tres.witnesses[0]).tolist()}",
-              file=_sys.stderr)
-        return 1
     try:
         axes = [np.linspace(-extent, extent, grid)] * data.k
         queries = grid_queries(data, axes, cfg=cfg)
@@ -212,9 +204,9 @@ def cmd_normal_form(args) -> int:
     sf = _resolve(args.system)
     if sf.system is None:
         raise LoadError(f"'{sf.name}' has no [system] section")
-    grid_n = args.grid if args.grid is not None else sf.config.get("grid", 11)
-    extent = args.extent if args.extent is not None else 0.5
-    tol = args.tol if args.tol is not None else sf.config.get("tol", 1e-6)
+    grid_n = _setting(sf, args, "grid", 11)
+    extent = _setting(sf, args, "extent", 0.5)
+    tol = _setting(sf, args, "tol", 1e-6)
     p = np.zeros(sf.chart.dim)
     try:
         nf = normal_form(sf.system, p, GridSpec(nx=grid_n, ny=grid_n,
@@ -254,7 +246,7 @@ def cmd_list(args) -> int:
         doc = {"version": __version__, "builtins": list(names)}
         write_report(doc, args.json)
     for name in names:
-        sf = loads(builtin_text(name), name=name)
+        sf = load_builtin(name)
         kinds = []
         if sf.system is not None:
             kinds.append(f"system k={sf.system.k}")

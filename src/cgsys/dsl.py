@@ -11,8 +11,16 @@ appear inside atan2 calls).  Sections:
   basis_i, embed), plus optional base_params and param_domain
 * ``[oracle]``  - closed-form field_i and grad_i to compare a
   reconstruction against
-* ``[config]``  - numeric defaults (seed, points, tol, steps_per_unit,
-  newton_tol, grid, u_extent)
+* ``[config]``  - default settings, the keys of ``SETTINGS``
+
+One spec table (``_SECTIONS``) gives each section's fixed keys and indexed
+prefixes; one reader (``_Section``) rejects duplicate, unknown and gapped
+keys and reports every ``ValueError`` raised while converting a value or
+building a model as a ``LoadError`` naming the section, the key and the
+line.  The models (``ComplexChart``, ``VectorField``, ``GradientSystem``,
+``MatrixGroupSpec``, ``CRInitialData``) check their own invariants; the
+loader keeps only the rules that join keys or sections.  ``SETTINGS`` holds
+the checked converter of each setting, shared with the CLI flags.
 
 The built-in gallery ships as data files inside the package, so the file
 path is exercised by everything that runs a gallery system.  The full
@@ -22,6 +30,8 @@ format reference lives in docs/format.md.
 from __future__ import annotations
 
 import importlib.resources
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +44,7 @@ from .geometry import ComplexChart, VectorField
 from .verify import GradientSystem
 
 __all__ = [
-    "SystemFile", "LoadError", "load", "loads", "save", "dumps",
+    "SystemFile", "LoadError", "SETTINGS", "load", "loads", "save", "dumps",
     "builtin_names", "load_builtin", "builtin_text",
 ]
 
@@ -43,15 +53,41 @@ BUILTINS = (
     "model-k1-rotated", "heisenberg-cr", "broken-demo", "non-transverse-demo",
 )
 
-_CONFIG_KEYS = {
-    "seed": int, "points": int, "tol": float, "cauchy_tol": float,
-    "steps_per_unit": int, "newton_tol": float, "grid": int, "u_extent": float,
+
+def _rule(convert, ok, wanted: str):
+    def check(raw):
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(f"must be {wanted}, got {raw}")
+        return value
+    return check
+
+
+_COUNT = _rule(int, lambda n: n >= 1, "an integer >= 1")
+_POSITIVE = _rule(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+
+# setting -> checked converter; the keys of [config] and the values of the
+# CLI flags that override them
+SETTINGS = {
+    "seed": _rule(int, lambda n: n >= 0, "an integer >= 0"),
+    "points": _COUNT,
+    "grid": _COUNT,
+    "steps_per_unit": _COUNT,
+    "tol": _POSITIVE,
+    "cauchy_tol": _POSITIVE,
+    "newton_tol": _POSITIVE,
+    "u_extent": _rule(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
 }
 
-_SYSTEM_KEYS = {"k", "domain"}
-_CR_KEYS = {"params", "sigma", "matrix_dim", "base", "embed",
-            "base_params", "param_domain"}
-_CHART_KEYS = {"complex_dim", "names"}
+# section -> (fixed keys, prefixes of the indexed keys prefix_1..prefix_m)
+_SECTIONS = {
+    "chart": ({"complex_dim", "names"}, ()),
+    "system": ({"k", "domain"}, ("field", "grad")),
+    "cr_data": ({"params", "sigma", "matrix_dim", "base", "embed",
+                 "base_params", "param_domain"}, ("field", "basis")),
+    "oracle": ((), ("field", "grad")),
+    "config": (SETTINGS, ()),
+}
 
 
 class LoadError(ValueError):
@@ -76,296 +112,212 @@ class SystemFile:
     text: str = ""
 
 
-def _split_sections(text: str):
-    sections: dict[str, list[tuple[int, str, str]]] = {}
+_REQUIRED = object()
+
+
+class _Section:
+    """The entries of one section, checked against its spec as they arrive."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.keys, self.prefixes = _SECTIONS[name]
+        self.entries: dict[str, tuple[str, int]] = {}   # key -> (value, line)
+        self.indexed: dict[str, list[str]] = {}          # prefix -> keys
+
+    def add(self, key: str, value: str, line: int) -> None:
+        if key in self.entries:
+            raise LoadError(f"duplicate key '{key}' in [{self.name}]", line)
+        prefix, _, index = key.rpartition("_")
+        if prefix in self.prefixes and index.isdecimal():
+            self.indexed.setdefault(prefix, []).append(key)
+        elif key not in self.keys:
+            raise LoadError(f"unknown key '{key}' in [{self.name}]", line)
+        self.entries[key] = (value, line)
+
+    def has(self, name: str) -> bool:
+        """Whether the key ``name``, or an indexed key name_i, is present."""
+        return name in self.entries or name in self.indexed
+
+    def line(self, key: str | None) -> int | None:
+        return self.entries[key][1] if key in self.entries else None
+
+    @contextmanager
+    def blame(self, key: str | None = None):
+        """Report a ValueError raised inside as a LoadError of this section,
+        and of ``key`` and its line when given."""
+        try:
+            yield
+        except LoadError:
+            raise
+        except ValueError as err:
+            where = f"[{self.name}] {key}" if key else f"[{self.name}]"
+            raise LoadError(f"{where}: {err}", self.line(key)) from None
+
+    def read(self, key: str, convert, default=_REQUIRED):
+        """``convert(value)`` of ``key``; ``default`` when absent, which
+        without a default is an error."""
+        if key not in self.entries:
+            if default is _REQUIRED:
+                raise LoadError(f"[{self.name}] needs {key}")
+            return default
+        with self.blame(key):
+            return convert(self.entries[key][0])
+
+    def items(self, prefix: str, convert) -> tuple:
+        """The converted values of prefix_1..prefix_m, which must have no gaps."""
+        keys = self.indexed.get(prefix, [])
+        wanted = [f"{prefix}_{i}" for i in range(1, len(keys) + 1)]
+        for key in keys:
+            if key not in wanted:
+                raise LoadError(f"[{self.name}] {prefix} indices must be "
+                                "1..m without gaps", self.line(key))
+        return tuple(self.read(key, convert) for key in wanted)
+
+    def fields(self, chart: ComplexChart) -> tuple[VectorField, ...]:
+        """field_1..field_m, each 2N component expressions on ``chart``."""
+        return self.items("field", lambda text: VectorField(chart, _exprs(text)))
+
+
+def _split_sections(text: str) -> dict[str, _Section]:
+    sections: dict[str, _Section] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current in sections:
-                raise LoadError(f"duplicate section [{current}]", lineno)
-            sections[current] = []
+            name = line[1:-1].strip()
+            if name in sections:
+                raise LoadError(f"duplicate section [{name}]", lineno)
+            if name not in _SECTIONS:
+                raise LoadError(f"unknown section [{name}]", lineno)
+            current = sections[name] = _Section(name)
             continue
         if current is None:
             raise LoadError("content before any [section] header", lineno)
         if "=" not in line:
             raise LoadError("expected 'key = value'", lineno)
         key, _, value = line.partition("=")
-        sections[current].append((lineno, key.strip(), value.strip()))
+        current.add(key.strip(), value.strip(), lineno)
     return sections
 
 
-def _as_table(entries, section):
-    table = {}
-    lines = {}
-    for lineno, key, value in entries:
-        if key in table:
-            raise LoadError(f"duplicate key '{key}' in [{section}]", lineno)
-        table[key] = value
-        lines[key] = lineno
-    return table, lines
-
-
-def _parse_expr_here(text, section, key, lineno) -> Expr:
+def _expr(text: str) -> Expr:
     try:
-        return parse_expr(text)
+        return parse_expr(text.strip())
     except ParseError as err:
-        raise LoadError(
-            f"[{section}] {key}: {err.args[0]} in {text!r}", lineno) from None
+        raise ValueError(f"{err} in {text.strip()!r}") from None
 
 
-def _expr_list(text, section, key, lineno):
-    return tuple(_parse_expr_here(part.strip(), section, key, lineno)
-                 for part in text.split(";"))
+def _exprs(text: str) -> tuple[Expr, ...]:
+    return tuple(map(_expr, text.split(";")))
 
 
-def _indexed_values(table, lines, prefix, section):
-    """Collect field_1..field_m style keys in order, rejecting gaps."""
-    out = []
-    i = 1
-    while f"{prefix}_{i}" in table:
-        out.append((table[f"{prefix}_{i}"], lines[f"{prefix}_{i}"]))
-        i += 1
-    for key in table:
-        if key.startswith(prefix + "_"):
-            try:
-                idx = int(key[len(prefix) + 1:])
-            except ValueError:
-                raise LoadError(f"bad key '{key}' in [{section}]", lines[key]) from None
-            if idx < 1 or idx > len(out):
-                raise LoadError(
-                    f"[{section}] {prefix} indices must be 1..m without gaps",
-                    lines[key])
-    return out
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(text.replace(";", " ").split())
 
 
-def _parse_matrix(text, section, key, lineno) -> np.ndarray:
-    rows = []
-    for chunk in text.split("/"):
-        try:
-            rows.append([float(tok) for tok in chunk.split()])
-        except ValueError:
-            raise LoadError(f"[{section}] {key}: bad matrix entry", lineno) from None
-    width = {len(r) for r in rows}
-    if len(width) != 1:
-        raise LoadError(f"[{section}] {key}: ragged matrix rows", lineno)
+def _numbers(text: str) -> np.ndarray:
+    return np.array([float(tok) for tok in text.split(";")])
+
+
+def _matrix(text: str) -> np.ndarray:
+    rows = [[float(tok) for tok in chunk.split()] for chunk in text.split("/")]
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError("ragged matrix rows")
     return np.array(rows)
 
 
-def _load_chart(sections) -> ComplexChart:
-    if "chart" not in sections:
-        raise LoadError("missing [chart] section")
-    table, lines = _as_table(sections["chart"], "chart")
-    for key in table:
-        if key not in _CHART_KEYS:
-            raise LoadError(f"unknown key '{key}' in [chart]", lines[key])
-    if "complex_dim" not in table:
-        raise LoadError("[chart] needs complex_dim")
-    try:
-        n = int(table["complex_dim"])
-    except ValueError:
-        raise LoadError("[chart] complex_dim must be an integer",
-                        lines["complex_dim"]) from None
-    if "names" in table:
-        names = tuple(table["names"].split())
-        chart = ComplexChart(names)
-        if chart.N != n:
-            raise LoadError(
-                f"[chart] names give complex dimension {chart.N}, not {n}",
-                lines["names"])
-        return chart
-    return ComplexChart.standard(n)
+def _positions(text: str) -> tuple[tuple[int, int], ...]:
+    pairs = [chunk.split() for chunk in text.split(";")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("embed entries are 'row col' pairs")
+    return tuple((int(r) - 1, int(c) - 1) for r, c in pairs)
 
 
-def _load_system(sections, chart, name) -> GradientSystem | None:
-    if "system" not in sections:
-        return None
-    table, lines = _as_table(sections["system"], "system")
-    fields_raw = _indexed_values(table, lines, "field", "system")
-    grads_raw = _indexed_values(table, lines, "grad", "system")
-    known = (_SYSTEM_KEYS | {f"field_{i + 1}" for i in range(len(fields_raw))}
-             | {f"grad_{i + 1}" for i in range(len(grads_raw))})
-    for key in table:
-        if key not in known:
-            raise LoadError(f"unknown key '{key}' in [system]", lines[key])
-    if "k" not in table:
-        raise LoadError("[system] needs k")
-    k = int(table["k"])
-    if len(fields_raw) != k or len(grads_raw) != k:
+def _load_chart(sec: _Section) -> ComplexChart:
+    n = sec.read("complex_dim", int)
+    names = sec.read("names", _names, None)
+    with sec.blame("complex_dim" if names is None else "names"):
+        chart = ComplexChart.standard(n) if names is None else ComplexChart(names)
+    if chart.N != n:
+        raise LoadError(f"[chart] names give complex dimension {chart.N}, not {n}",
+                        sec.line("names"))
+    return chart
+
+
+def _load_system(sec: _Section, chart: ComplexChart, name: str) -> GradientSystem:
+    k = sec.read("k", int)
+    fields, grads = sec.fields(chart), sec.items("grad", _expr)
+    if len(fields) != k or len(grads) != k:
         raise LoadError(
-            f"[system] declares k = {k} but has {len(fields_raw)} fields "
-            f"and {len(grads_raw)} gradient components")
-    vfields = []
-    for i, (text, lineno) in enumerate(fields_raw):
-        comps = _expr_list(text, "system", f"field_{i + 1}", lineno)
-        if len(comps) != chart.dim:
-            raise LoadError(
-                f"[system] field_{i + 1} has {len(comps)} components, "
-                f"chart needs {chart.dim}", lineno)
-        try:
-            vfields.append(VectorField(chart, comps))
-        except ValueError as err:
-            raise LoadError(f"[system] field_{i + 1}: {err}", lineno) from None
-    grads = tuple(_parse_expr_here(t, "system", f"grad_{i + 1}", ln)
-                  for i, (t, ln) in enumerate(grads_raw))
-    domain = ()
-    if "domain" in table:
-        domain = _expr_list(table["domain"], "system", "domain", lines["domain"])
-    try:
-        return GradientSystem(chart, tuple(vfields), grads, domain, name)
-    except ValueError as err:
-        raise LoadError(f"[system]: {err}") from None
+            f"[system] declares k = {k} but has {len(fields)} fields "
+            f"and {len(grads)} gradient components", sec.line("k"))
+    with sec.blame():
+        return GradientSystem(chart, fields, grads, sec.read("domain", _exprs, ()),
+                              name)
 
 
-def _load_cr(sections, chart, name) -> CRInitialData | None:
-    if "cr_data" not in sections:
-        return None
-    table, lines = _as_table(sections["cr_data"], "cr_data")
-    fields_raw = _indexed_values(table, lines, "field", "cr_data")
-    basis_raw = _indexed_values(table, lines, "basis", "cr_data")
-    known = (_CR_KEYS | {f"field_{i + 1}" for i in range(len(fields_raw))}
-             | {f"basis_{i + 1}" for i in range(len(basis_raw))})
-    for key in table:
-        if key not in known:
-            raise LoadError(f"unknown key '{key}' in [cr_data]", lines[key])
-
-    param_domain = ()
-    base_params = None
-
-    if "matrix_dim" in table:
-        if fields_raw or "params" in table or "sigma" in table:
-            raise LoadError("[cr_data] mixes matrix-group and explicit data")
-        m = int(table["matrix_dim"])
-        if "base" not in table or "embed" not in table or not basis_raw:
-            raise LoadError("[cr_data] matrix data needs base, embed, basis_i")
-        base = _parse_matrix(table["base"], "cr_data", "base", lines["base"])
+def _load_cr(sec: _Section, chart: ComplexChart, name: str) -> CRInitialData:
+    group = sec.has("matrix_dim")
+    if any(map(sec.has, ("params", "sigma", "field") if group
+               else ("base", "embed", "basis"))):
+        raise LoadError("[cr_data] mixes matrix-group and explicit data")
+    shared = dict(param_domain=sec.read("param_domain", _exprs, ()),
+                  base_params=sec.read("base_params", _numbers, None), name=name)
+    with sec.blame():
+        if not group:
+            fields = sec.fields(chart)
+            return CRInitialData(
+                chart=chart, k=len(fields), param_names=sec.read("params", _names),
+                sigma=sec.read("sigma", _exprs), ambient_fields=fields, **shared)
+        m = sec.read("matrix_dim", int)
+        base = sec.read("base", _matrix)
         if base.shape != (m, m):
-            raise LoadError(f"[cr_data] base must be {m}x{m}", lines["base"])
-        basis = []
-        for i, (text, lineno) in enumerate(basis_raw):
-            E = _parse_matrix(text, "cr_data", f"basis_{i + 1}", lineno)
-            if E.shape != (m, m):
-                raise LoadError(f"[cr_data] basis_{i + 1} must be {m}x{m}", lineno)
-            basis.append(E)
-        positions = []
-        for chunk in table["embed"].split(";"):
-            toks = chunk.split()
-            if len(toks) != 2:
-                raise LoadError("[cr_data] embed entries are 'row col' pairs",
-                                lines["embed"])
-            positions.append((int(toks[0]) - 1, int(toks[1]) - 1))
-        if len(positions) != chart.N:
-            raise LoadError(
-                f"[cr_data] embed needs {chart.N} positions", lines["embed"])
-        try:
-            spec = MatrixGroupSpec(chart, base, tuple(positions), tuple(basis))
-        except ValueError as err:
-            raise LoadError(f"[cr_data]: {err}") from None
-        if "param_domain" in table:
-            param_domain = _expr_list(table["param_domain"], "cr_data",
-                                      "param_domain", lines["param_domain"])
-        if "base_params" in table:
-            base_params = np.array([
-                float(tok.strip()) for tok in table["base_params"].split(";")])
-        return CRInitialData.from_group(spec, param_domain=param_domain,
-                                        base_params=base_params, name=name)
-
-    if "params" not in table or "sigma" not in table or not fields_raw:
-        raise LoadError("[cr_data] needs params, sigma and field_i "
-                        "(or matrix-group keys)")
-    params = tuple(table["params"].replace(";", " ").split())
-    sigma = _expr_list(table["sigma"], "cr_data", "sigma", lines["sigma"])
-    if len(sigma) != chart.dim:
-        raise LoadError(
-            f"[cr_data] sigma has {len(sigma)} components, chart needs "
-            f"{chart.dim}", lines["sigma"])
-    vfields = []
-    for i, (text, lineno) in enumerate(fields_raw):
-        comps = _expr_list(text, "cr_data", f"field_{i + 1}", lineno)
-        if len(comps) != chart.dim:
-            raise LoadError(
-                f"[cr_data] field_{i + 1} has {len(comps)} components, "
-                f"chart needs {chart.dim}", lineno)
-        vfields.append(VectorField(chart, comps))
-    if "param_domain" in table:
-        param_domain = _expr_list(table["param_domain"], "cr_data",
-                                  "param_domain", lines["param_domain"])
-    if "base_params" in table:
-        base_params = np.array([
-            float(tok.strip()) for tok in table["base_params"].split(";")])
-    try:
-        return CRInitialData(
-            chart=chart, k=len(vfields), param_names=params, sigma=sigma,
-            ambient_fields=tuple(vfields), param_domain=param_domain,
-            base_params=base_params, name=name)
-    except ValueError as err:
-        raise LoadError(f"[cr_data]: {err}") from None
+            raise LoadError(f"[cr_data] base must be {m}x{m}", sec.line("base"))
+        spec = MatrixGroupSpec(chart, base, sec.read("embed", _positions),
+                               sec.items("basis", _matrix))
+        return CRInitialData.from_group(spec, **shared)
 
 
-def _load_oracle(sections, chart):
-    if "oracle" not in sections:
-        return None
-    table, lines = _as_table(sections["oracle"], "oracle")
-    fields_raw = _indexed_values(table, lines, "field", "oracle")
-    grads_raw = _indexed_values(table, lines, "grad", "oracle")
-    known = ({f"field_{i + 1}" for i in range(len(fields_raw))}
-             | {f"grad_{i + 1}" for i in range(len(grads_raw))})
-    for key in table:
-        if key not in known:
-            raise LoadError(f"unknown key '{key}' in [oracle]", lines[key])
-    vfields = []
-    for i, (text, lineno) in enumerate(fields_raw):
-        comps = _expr_list(text, "oracle", f"field_{i + 1}", lineno)
-        if len(comps) != chart.dim:
-            raise LoadError(f"[oracle] field_{i + 1} has wrong component count",
-                            lineno)
-        vfields.append(VectorField(chart, comps))
-    grads = tuple(_parse_expr_here(t, "oracle", f"grad_{i + 1}", ln)
-                  for i, (t, ln) in enumerate(grads_raw))
-    return grads, tuple(vfields)
-
-
-def _load_config(sections) -> dict:
-    if "config" not in sections:
-        return {}
-    table, lines = _as_table(sections["config"], "config")
-    out = {}
-    for key, value in table.items():
-        if key not in _CONFIG_KEYS:
-            raise LoadError(f"unknown key '{key}' in [config]", lines[key])
-        try:
-            out[key] = _CONFIG_KEYS[key](value)
-        except ValueError:
-            raise LoadError(f"[config] {key}: bad value {value!r}",
-                            lines[key]) from None
-    return out
+def _load_oracle(sec: _Section, chart: ComplexChart, cr: CRInitialData | None):
+    # the closed forms make a gradient system of their own, which checks them
+    with sec.blame():
+        closed = GradientSystem(chart, sec.fields(chart), sec.items("grad", _expr))
+    if cr is not None and closed.k != cr.k:
+        raise LoadError(f"[oracle] has {closed.k} fields, [cr_data] has k = {cr.k}")
+    return closed.grads, closed.fields
 
 
 def loads(text: str, name: str = "<string>") -> SystemFile:
     """Parse a system definition from a string."""
     sections = _split_sections(text)
-    for section in sections:
-        if section not in ("chart", "system", "cr_data", "oracle", "config"):
-            raise LoadError(f"unknown section [{section}]")
-    chart = _load_chart(sections)
-    return SystemFile(
-        name=name,
-        chart=chart,
-        system=_load_system(sections, chart, name),
-        cr=_load_cr(sections, chart, name),
-        oracle=_load_oracle(sections, chart),
-        config=_load_config(sections),
-        text=text,
-    )
+    if "chart" not in sections:
+        raise LoadError("missing [chart] section")
+    chart = _load_chart(sections["chart"])
+    system = cr = oracle = None
+    config = {}
+    if "system" in sections:
+        system = _load_system(sections["system"], chart, name)
+    if "cr_data" in sections:
+        cr = _load_cr(sections["cr_data"], chart, name)
+    if "oracle" in sections:
+        oracle = _load_oracle(sections["oracle"], chart, cr)
+    if "config" in sections:
+        sec = sections["config"]
+        config = {key: sec.read(key, SETTINGS[key]) for key in sec.entries}
+    return SystemFile(name=name, chart=chart, system=system, cr=cr,
+                      oracle=oracle, config=config, text=text)
 
 
 def load(path) -> SystemFile:
     """Parse a system definition file."""
     p = Path(path)
-    return loads(p.read_text(encoding="utf-8"), name=p.stem)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise LoadError(f"cannot read {p}: {err}") from None
+    return loads(text, name=p.stem)
 
 
 def builtin_names() -> tuple[str, ...]:
@@ -381,8 +333,7 @@ def builtin_text(name: str) -> str:
 
 
 def load_builtin(name: str) -> SystemFile:
-    sf = loads(builtin_text(name), name=name)
-    return sf
+    return loads(builtin_text(name), name=name)
 
 
 def _fmt_exprs(exprs) -> str:

@@ -49,7 +49,7 @@ __all__ = [
     "ExprError", "ParseError", "UnknownFunctionError",
     "UnboundVariableError", "DomainError",
     "parse_expr", "evaluate", "compile_exprs", "Program", "diff", "free_vars",
-    "subst", "to_string",
+    "require_vars", "subst", "to_string",
     "add", "sub", "mul", "div", "pow_", "neg", "unary", "as_expr",
     "UNARY_OPS", "BINARY_OPS",
 ]
@@ -614,6 +614,13 @@ def free_vars(e: Expr) -> frozenset[str]:
         case Atan2(y=a, x=b):
             return free_vars(a) | free_vars(b)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def require_vars(exprs, names, what: str) -> None:
+    """Raise ValueError unless ``exprs`` use only variables among ``names``."""
+    extra = set().union(*map(free_vars, exprs)) - set(names)
+    if extra:
+        raise ValueError(f"{what} uses undeclared variables {sorted(extra)}")
 
 
 def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:

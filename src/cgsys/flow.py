@@ -176,6 +176,10 @@ class MatrixGroupSpec:
             raise ValueError("one matrix position per complex coordinate")
         if len(set(self.positions)) != len(self.positions):
             raise ValueError("coordinate positions must be distinct")
+        if not all(0 <= r < m and 0 <= c < m for r, c in self.positions):
+            raise ValueError(f"coordinate positions must lie inside the {m}x{m} matrix")
+        if not self.basis or any(np.shape(E) != (m, m) for E in self.basis):
+            raise ValueError(f"need at least one {m}x{m} algebra basis matrix")
         flat = np.stack([np.asarray(E, dtype=float).ravel() for E in self.basis])
         if np.linalg.matrix_rank(flat) != len(self.basis):
             raise ValueError("algebra basis matrices must be linearly independent")

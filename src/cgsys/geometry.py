@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    Const, Expr, add, as_expr, compile_exprs, diff, evaluate, free_vars, mul,
-    neg, sub,
+    Const, Expr, add, as_expr, compile_exprs, diff, evaluate, mul, neg,
+    require_vars, sub,
 )
 
 __all__ = [
@@ -83,11 +83,7 @@ class VectorField:
         if len(self.components) != self.chart.dim:
             raise ValueError(
                 f"field needs {self.chart.dim} components, got {len(self.components)}")
-        allowed = set(self.chart.names)
-        for c in self.components:
-            extra = free_vars(c) - allowed
-            if extra:
-                raise ValueError(f"component uses non-chart variables {sorted(extra)}")
+        require_vars(self.components, self.chart.names, "field component")
 
     @classmethod
     def from_exprs(cls, chart: ComplexChart, comps) -> "VectorField":

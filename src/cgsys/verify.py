@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import DomainError, Expr, compile_exprs, diff, evaluate
+from .expr import DomainError, Expr, compile_exprs, diff, evaluate, require_vars
 from .flow import DEFAULT_CONFIG, FlowConfig, flow_real
 from .geometry import (
     ComplexChart, VectorField, _wirtinger_bar_residuals, apply_J, complexify,
@@ -74,6 +74,8 @@ class GradientSystem:
         for f in self.fields:
             if f.chart != self.chart:
                 raise ValueError("all fields must live on the system chart")
+        require_vars(self.grads, self.chart.names, "gradient")
+        require_vars(self.domain, self.chart.names, "domain")
 
     @property
     def k(self) -> int:
@@ -680,28 +682,27 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
                (xs[-1], ys[-1]), (xs[len(xs) // 2], ys[len(ys) // 2])]
     corners = list(dict.fromkeys(corners))
 
-    indep = 0.0
-    push = 0.0
-    timecr = 0.0
+    # np.maximum, not max(): a NaN residual must propagate and fail its check
+    indep = push = timecr = 0.0
     J = j_matrix(sys.chart)
     h = 1e-3
     for zxy in corners:
         base_val = profile(zxy, w0)
         for w in w_samples:
-            indep = max(indep, float(np.max(np.abs(profile(zxy, w) - base_val))))
+            indep = np.maximum(indep, np.max(np.abs(profile(zxy, w) - base_val)))
             q = phi(zxy, w)
             for a in range(k):
                 e = np.zeros(k, dtype=complex)
                 e[a] = h
                 dphidt = (phi(zxy, w + e) - phi(zxy, w - e)) / (2 * h)
-                push = max(push, float(np.max(np.abs(
-                    dphidt - sys.fields[a].values(q)))))
+                push = np.maximum(push, np.max(np.abs(
+                    dphidt - sys.fields[a].values(q))))
                 dphidu = (phi(zxy, w + 1j * e) - phi(zxy, w - 1j * e)) / (2 * h)
-                timecr = max(timecr, float(np.max(np.abs(
-                    0.5 * (dphidt + J @ dphidu)))))
+                timecr = np.maximum(timecr, np.max(np.abs(
+                    0.5 * (dphidt + J @ dphidu))))
 
     return NormalForm(sys.name, p, slice_pair, xs, ys, F,
-                      pushforward_residual=push,
-                      independence_residual=indep,
-                      time_cr_residual=timecr,
+                      pushforward_residual=float(push),
+                      independence_residual=float(indep),
+                      time_cr_residual=float(timecr),
                       phi=phi)

@@ -5,6 +5,7 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgsys.cli import main
 from cgsys.dsl import (
@@ -106,6 +107,35 @@ def test_missing_k_rejected():
     bad = MINIMAL.replace("k = 1\n", "")
     with pytest.raises(LoadError):
         loads(bad)
+
+
+# --- fuzzed values ---------------------------------------------------------------
+
+ATOMS = st.one_of(
+    st.integers(-3, 10**4).map(str), st.floats().map(repr),
+    st.sampled_from(["x1", "y1", "y2", "x3", "p1", "s", "q", "k", "sin"]))
+EXPR_TEXT = st.recursive(ATOMS, lambda e: st.one_of(
+    st.tuples(e, st.sampled_from(["+", "-", "*", "/", "^"]), e).map(" ".join),
+    e.map("-{}".format), e.map("sqrt({})".format), e.map("({})".format),
+    st.tuples(e, e).map(lambda t: f"atan2({t[0]}, {t[1]})")), max_leaves=6)
+VALUES = st.lists(st.one_of(EXPR_TEXT, st.sampled_from([";", "/", "", "(", "="])),
+                  max_size=6).map(" ".join)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_value_loads_or_is_load_error(name, data):
+    lines = builtin_text(name).splitlines()
+    entries = [i for i, line in enumerate(lines)
+               if "=" in line and not line.startswith("#")]
+    i = data.draw(st.sampled_from(entries))
+    lines[i] = lines[i].partition("=")[0] + "= " + data.draw(VALUES)
+    try:
+        sf = loads("\n".join(lines), name=name)
+    except LoadError:
+        return
+    assert sf.system is not None or sf.cr is not None
 
 
 # --- round-trip ----------------------------------------------------------------
@@ -220,6 +250,73 @@ def test_cli_verify_domain_fault_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
     assert "'sqrt(x1)'" in err and "at point " in err and "x1=-" in err
+
+
+def _edited(base: str, old: str, new: str) -> str:
+    text = builtin_text(base) if base in builtin_names() else base
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+CR = "sigma = s; 0\n"                       # in line's [cr_data]
+ORACLE = "[oracle]\nfield_1 = 1; 0\ngrad_1 = -y1\n"
+
+# id -> (argv, file text): "FILE" in argv names a file holding the text, or a
+# directory when the text is None
+MALFORMED = {
+    "chart-dim-0": (["verify", "FILE"], _edited(MINIMAL, "= 1\n", "= 0\n")),
+    "chart-names-repeat": (["verify", "FILE"],
+                           _edited(MINIMAL, "= 1\n", "= 1\nnames = x x\n")),
+    "system-k-word": (["verify", "FILE"], _edited(MINIMAL, "k = 1", "k = one")),
+    "system-domain-q": (["verify", "FILE"],
+                        _edited(MINIMAL, "-y1", "-y1\ndomain = q")),
+    "system-grad-q": (["verify", "FILE", "--level-set", "0"],
+                      _edited(MINIMAL, "-y1", "-y1 + q")),
+    "cr-field-q": (["cauchy", "FILE"],
+                   _edited("line", CR + "field_1 = 1;", CR + "field_1 = 1 + q;")),
+    "cr-param_domain-q": (["cauchy", "FILE"],
+                          _edited("line", CR, CR + "param_domain = q\n")),
+    "cr-base_params-word": (["cauchy", "FILE"],
+                            _edited("line", CR, CR + "base_params = x\n")),
+    "cr-base_params-nan": (["cauchy", "FILE"],
+                           _edited("line", CR, CR + "base_params = nan\n")),
+    "cr-params-repeat": (["cauchy", "FILE"],
+                         _edited("line", "params = s", "params = s s s")),
+    "cr-base_params-3": (["cauchy", "FILE"],
+                         _edited("line", CR, CR + "base_params = 0; 0; 0\n")),
+    "cr-embed-word": (["cauchy", "FILE"],
+                      _edited("affine", "embed = 1 1; 1 2", "embed = 1 x")),
+    "cr-embed-outside": (["cauchy", "FILE"],
+                         _edited("affine", "embed = 1 1; 1 2", "embed = 1 1; 1 5")),
+    "cr-mixed-forms": (["cauchy", "FILE"], _edited("line", CR, CR + "embed = 1 1\n")),
+    "oracle-field-q": (["cauchy", "FILE"],
+                       _edited("line", ORACLE, ORACLE.replace("1; 0", "1; q"))),
+    "oracle-no-field": (["cauchy", "FILE"],
+                        _edited("line", ORACLE, ORACLE.replace("field_1 = 1; 0\n", ""))),
+    "oracle-grad-q": (["cauchy", "FILE"],
+                      _edited("line", ORACLE, ORACLE.replace("-y1", "-y1 + q"))),
+    "config-steps-0": (["verify", "FILE"], MINIMAL + "[config]\nsteps_per_unit = 0\n"),
+    "config-seed-neg": (["verify", "FILE"], MINIMAL + "[config]\nseed = -1\n"),
+    "flag-seed-neg": (["verify", "line", "--seed", "-1"], None),
+    "flag-grid-0": (["normal-form", "model-k1", "--grid", "0"], None),
+    "flag-u-extent-nan": (["cauchy", "line", "--u-extent", "nan"], None),
+    "flag-extent-nan": (["normal-form", "model-k1", "--extent", "nan"], None),
+    "flag-tol-nan": (["verify", "line", "--tol", "nan"], None),
+    "flag-newton-tol-neg": (["cauchy", "line", "--newton-tol", "-1"], None),
+    "path-is-directory": (["verify", "FILE"], None),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cli_malformed_input_is_input_error(case, tmp_path, capsys):
+    argv, text = MALFORMED[case]
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "bad.cgs"
+        path.write_text(text)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 # --- JSON reports ------------------------------------------------------------------

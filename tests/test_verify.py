@@ -420,6 +420,14 @@ def test_normal_form_rotated_model_matches_transformed_oracle():
     assert nf.independence_residual < 1e-6
 
 
+def test_normal_form_nan_residual_is_not_dropped(model):
+    # a NaN residual must fail its check, not read as 0
+    nf = normal_form(model, np.zeros(4), GridSpec(nx=5, ny=5, extent=float("nan")))
+    assert np.isnan(nf.independence_residual)
+    assert np.isnan(nf.pushforward_residual)
+    assert np.isnan(nf.time_cr_residual)
+
+
 def test_normal_form_refuses_non_abelian(heis):
     with pytest.raises(NormalFormRefusal):
         normal_form(heis, np.zeros(6))
