@@ -6,7 +6,7 @@ import numpy as np
 
 from cgsys import (
     FlowConfig, build_dF, build_F, check_cr_transverse, compute_PQA, construct_fields,
-    equation_map, grid_queries, load_builtin, solve,
+    equation_map, grid_queries, load_builtin, param_samples, solve,
 )
 
 cfg = FlowConfig()
@@ -14,7 +14,7 @@ cfg = FlowConfig()
 # --- the flat line case ------------------------------------------------------
 line = load_builtin("line")
 data = line.cr
-print("transverse?", check_cr_transverse(data).transverse)
+print("transverse?", check_cr_transverse(data, param_samples(data, 25, 0)).transverse)
 
 # F(s, u) flows the point sigma(s) = s on the real axis for imaginary time:
 F = build_F(data, cfg)

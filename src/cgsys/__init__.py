@@ -36,14 +36,14 @@ from .cauchy import (
     AdaptedFrame, CauchyError, CauchySolution, ConstructionError,
     CRInitialData, OutsideDomainError, TransversalityError, build_dF, build_F,
     check_cr_transverse, compute_PQA, construct_fields, equation_map,
-    grid_queries, invariant_lift, solve,
+    grid_queries, invariant_lift, param_samples, solve,
 )
 from .verify import (
     Classification, CheckResult, CheckTable, GradientSystem, GridSpec, LevelSetRecord,
     NormalForm, NormalFormRefusal, SamplingError, VerificationReport,
     check_axioms, check_bracket_relations, check_commutation,
     check_decompositions, check_level_set, classify, normal_form,
-    sample_points,
+    sample_points, verify_system,
 )
 from .dsl import (
     LoadError, SystemFile, builtin_names, builtin_text, dumps, load,

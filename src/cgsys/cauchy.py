@@ -9,6 +9,9 @@ The pipeline:
 
 1. Transversality: at sample parameters the columns of dsigma together with
    the J-rotations of the initial fields must span 2n + 2k directions.
+   ``solve`` draws one set of parameter samples (``param_samples``) and
+   checks transversality, tangency of the initial fields and their
+   involutivity defect on it; each check takes the samples it checks.
 2. F(p, u) flows sigma(p) for complex time i(u_1, ..., u_k); near M this is
    a diffeomorphism onto a neighbourhood, giving adapted coordinates (p, u).
 3. For an ambient query q, damped Newton inverts F; the gradient map value
@@ -37,7 +40,6 @@ warm-starts Newton from the previous solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,15 +51,16 @@ from .flow import (
     left_invariant_fields, newton_inverse,
 )
 from .geometry import (
-    ComplexChart, VectorField, complexify, env_at, field_matrix, is_holomorphic,
-    pair_brackets, span_residuals,
+    ComplexChart, VectorField, env_at, field_matrix, j_rotate, pair_brackets,
+    span_residuals,
 )
 
 __all__ = [
     "CRInitialData", "CauchyError", "TransversalityError", "OutsideDomainError",
     "ConstructionError", "AdaptedFrame", "ConstructedFields",
     "TransversalityResult", "QueryRecord", "CauchySolution",
-    "check_cr_transverse", "validate_tangency", "frobenius_defect_on_M",
+    "param_samples", "check_cr_transverse", "validate_tangency",
+    "frobenius_defect_on_M",
     "build_F", "build_dF", "invariant_lift", "compute_PQA", "construct_fields",
     "equation_map", "solve", "grid_queries",
 ]
@@ -177,15 +180,12 @@ class CRInitialData:
                      for f in self.ambient_fields)
 
 
-def _j_vec(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    out[0::2] = -v[1::2]
-    out[1::2] = v[0::2]
-    return out
+# half-width of the box of parameter offsets param_samples draws around
+# the base point
+PARAM_SPREAD = 1.0
 
 
-def _param_samples(data: CRInitialData, n_samples: int, seed: int,
-                   spread: float = 1.0) -> np.ndarray:
+def param_samples(data: CRInitialData, n_samples: int, seed: int) -> np.ndarray:
     """Base point plus seeded draws around it, filtered by the parameter
     domain.  The base point always participates, so degeneracies placed
     there (e.g. an initial field vanishing at the origin) are caught."""
@@ -193,7 +193,8 @@ def _param_samples(data: CRInitialData, n_samples: int, seed: int,
     out = [data.base]
     attempts = 0
     while len(out) < n_samples + 1 and attempts < 100 * (n_samples + 1):
-        p = data.base + rng.uniform(-spread, spread, size=len(data.param_names))
+        p = data.base + rng.uniform(-PARAM_SPREAD, PARAM_SPREAD,
+                                    size=len(data.param_names))
         attempts += 1
         if data.params_in_domain(p):
             out.append(p)
@@ -208,35 +209,26 @@ class TransversalityResult:
     required_rank: int
 
 
-def check_cr_transverse(data: CRInitialData, param_samples=None,
-                        n_samples: int = 25, seed: int = 0) -> TransversalityResult:
-    """At each sample the matrix [dsigma | J rho0(e_1) ... J rho0(e_k)] must
-    have rank 2n + 2k, i.e. no J-rotated initial direction falls into TM."""
-    if param_samples is None:
-        param_samples = _param_samples(data, n_samples, seed)
+def check_cr_transverse(data: CRInitialData, params) -> TransversalityResult:
+    """At each parameter sample in ``params`` (rows) the matrix
+    [dsigma | J rho0(e_1) ... J rho0(e_k)] must have rank 2n + 2k, i.e. no
+    J-rotated initial direction falls into TM."""
+    params = [p for p in params if data.params_in_domain(p)]
     required = 2 * data.n + 2 * data.k
-    witnesses = []
-    min_rank = required
-    for p in param_samples:
-        if not data.params_in_domain(p):
-            continue
-        A = np.column_stack([data.dsigma_at(p)]
-                            + [_j_vec(v) for v in data.initial_field_values(p)])
-        r = int(np.linalg.matrix_rank(A))
-        min_rank = min(min_rank, r)
-        if r < required:
-            witnesses.append(np.asarray(p))
-    return TransversalityResult(not witnesses, witnesses, min_rank, required)
+    ranks = [int(np.linalg.matrix_rank(np.hstack(
+        [data.dsigma_at(p), j_rotate(data.initial_field_values(p)).T])))
+        for p in params]
+    witnesses = [np.asarray(p) for p, r in zip(params, ranks) if r < required]
+    return TransversalityResult(not witnesses, witnesses,
+                                min(ranks, default=required), required)
 
 
-def validate_tangency(data: CRInitialData, param_samples=None, tol: float = 1e-9,
-                      n_samples: int = 10, seed: int = 0) -> float:
-    """Max residual of the initial fields against the tangent of M; the data
-    is invalid when any initial value fails to project onto range dsigma."""
-    if param_samples is None:
-        param_samples = _param_samples(data, n_samples, seed)
-    D = np.array([data.dsigma_at(p) for p in param_samples])
-    V = np.array([data.initial_field_values(p).T for p in param_samples])
+def validate_tangency(data: CRInitialData, params, tol: float = 1e-9) -> float:
+    """Max residual of the initial fields against the tangent of M at the
+    parameter samples ``params``; the data is invalid when any initial
+    value fails to project onto range dsigma."""
+    D = np.array([data.dsigma_at(p) for p in params])
+    V = np.array([data.initial_field_values(p).T for p in params])
     worst = float(np.max(span_residuals(D, V), initial=0.0))
     if worst > tol:
         raise CauchyError(
@@ -244,18 +236,15 @@ def validate_tangency(data: CRInitialData, param_samples=None, tol: float = 1e-9
     return worst
 
 
-def frobenius_defect_on_M(data: CRInitialData, param_samples=None,
-                          n_samples: int = 10, seed: int = 0) -> float:
-    """Involutivity defect of the initial distribution along M.  The
-    construction proceeds pointwise regardless, so callers warn rather than
-    fail when this is positive."""
-    if param_samples is None:
-        param_samples = _param_samples(data, n_samples, seed)
+def frobenius_defect_on_M(data: CRInitialData, params) -> float:
+    """Involutivity defect of the initial distribution along M at the
+    parameter samples ``params``.  The construction proceeds pointwise
+    regardless, so callers warn rather than fail when this is positive."""
     fs = list(data.ambient_fields)
     brackets = pair_brackets(fs)
     if not brackets:
         return 0.0
-    qs = [data.sigma_at(p) for p in param_samples]
+    qs = [data.sigma_at(p) for p in params]
     S = np.array([field_matrix(fs, q) for q in qs])
     V = np.array([field_matrix(brackets, q) for q in qs])
     return float(np.max(span_residuals(S, V)))
@@ -263,19 +252,6 @@ def frobenius_defect_on_M(data: CRInitialData, param_samples=None,
 
 # ---------------------------------------------------------------------------
 # the flow coordinates F and their inversion
-
-
-def _ambient_flow(data: CRInitialData, cfg: FlowConfig) -> ComplexFlow:
-    """The complex flow of the ambient fields, refused unless their
-    complexification is holomorphic at the base point."""
-    base_point = data.sigma_at(data.base)
-    for f in data.ambient_fields:
-        ok, worst = is_holomorphic(complexify(f), [base_point], cfg.holomorphy_tol)
-        if not ok:
-            raise CauchyError(
-                "ambient initial field does not extend holomorphically "
-                f"(Cauchy-Riemann residual {worst:.3e}); complexified flow refused")
-    return ComplexFlow(data.ambient_fields, cfg)
 
 
 def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
@@ -294,7 +270,7 @@ def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 
         return F
 
-    flow = _ambient_flow(data, cfg)
+    flow = ComplexFlow(data.ambient_fields, cfg)
 
     def F(p, u) -> np.ndarray:
         return flow(data.sigma_at(p), 1j * np.asarray(u, dtype=complex))
@@ -323,7 +299,7 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 
         return dF
 
-    flow = _ambient_flow(data, cfg)
+    flow = ComplexFlow(data.ambient_fields, cfg)
 
     def dF(p, u):
         D = data.dsigma_at(p)
@@ -424,6 +400,14 @@ def _tangent_coeffs(data: CRInitialData, p) -> np.ndarray:
     return np.array(coefs)
 
 
+def _adapted_J(dF, V) -> np.ndarray:
+    """J pulled back through F: dF^-1 J dF v for each row v of V, as one
+    stacked product and solve whose rows round as they would on their own."""
+    W = j_rotate((dF @ V[..., None])[..., 0])
+    return np.linalg.solve(np.broadcast_to(dF, (len(V), *dF.shape)),
+                           W[..., None])[..., 0]
+
+
 def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CONFIG,
                 check_det: bool = True) -> AdaptedFrame:
     """Evaluate dF, the lifted frame, and the matrices P, Q, A at (p, u).
@@ -447,17 +431,12 @@ def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CON
     lifts = np.hstack([coeffs, np.zeros((k, k))])
 
     try:
-        jh = np.linalg.solve(dF, np.column_stack(
-            [_j_vec(dF @ lift) for lift in lifts]))
+        # one solve for all lifts; _adapted_J would round differently
+        jh_adapted = np.linalg.solve(
+            dF, j_rotate((dF @ lifts[..., None])[..., 0]).T).T
     except np.linalg.LinAlgError:
         raise OutsideDomainError("dF is numerically singular at this point") from None
-    jh_adapted = jh.T
-    je_cols = []
-    for b in range(k):
-        e = np.zeros(m + k)
-        e[m + b] = 1.0
-        je_cols.append(np.linalg.solve(dF, _j_vec(dF @ e)))
-    je_adapted = np.array(je_cols)
+    je_adapted = _adapted_J(dF, np.eye(m + k)[m:])
 
     P = jh_adapted[:, m:].T       # P[a, b] = u_a-component of J h_b
     Q = je_adapted[:, m:].T       # Q[a, b] = u_a-component of J d/du_b
@@ -496,11 +475,10 @@ def construct_fields(frame: AdaptedFrame,
             xi += frame.A[b, a] * frame.jh_adapted[b]
         xi_adapted[a] = xi
     xi_ambient = (frame.dF @ xi_adapted.T).T
-    jxi_ambient = np.array([_j_vec(v) for v in xi_ambient])
+    jxi_ambient = j_rotate(xi_ambient)
 
     residual_d = float(np.max(np.abs(xi_adapted[:, m:])))
-    jxi_adapted = np.array([np.linalg.solve(frame.dF, _j_vec(frame.dF @ xi))
-                            for xi in xi_adapted])
+    jxi_adapted = _adapted_J(frame.dF, xi_adapted)
     residual_dc = float(np.max(np.abs(jxi_adapted[:, m:] - np.eye(k))))
     if max(residual_d, residual_dc) > cfg.construction_tol:
         raise ConstructionError(
@@ -568,15 +546,16 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     when given, each record carries the deviation of the reconstructed U and
     xi_a from the oracle values at the query.
     """
-    tres = check_cr_transverse(data)
+    params = param_samples(data, 25, 0)
+    tres = check_cr_transverse(data, params)
     if not tres.transverse:
         raise TransversalityError(
             f"initial data is not CR-transverse "
             f"(rank {tres.min_rank} < {tres.required_rank} at a sample)",
             witness=tres.witnesses[0])
-    validate_tangency(data)
+    validate_tangency(data, params)
     sol = CauchySolution(data)
-    defect = frobenius_defect_on_M(data)
+    defect = frobenius_defect_on_M(data, params)
     sol.integrability_defect = defect
     if defect > 1e-8:
         sol.integrability_note = (

@@ -23,9 +23,8 @@ from .expr import DomainError
 from .flow import DEFAULT_CONFIG, FlowError
 from .report import build_document, check_entry, input_digest, write_report
 from .verify import (
-    GridSpec, NormalFormRefusal, SamplingError, check_axioms,
-    check_bracket_relations, check_commutation, check_level_set, classify,
-    decomposition_check_result, normal_form, sample_points,
+    GridSpec, NormalFormRefusal, SamplingError, check_level_set, normal_form,
+    verify_system,
 )
 
 __all__ = ["main"]
@@ -83,11 +82,6 @@ def _emit(doc: dict, json_path: str | None) -> None:
         print(f"report written to {json_path}")
 
 
-def _result_entries(results) -> list[dict]:
-    return [check_entry(c.name, c.anchor, c.max_residual, c.tolerance,
-                        c.passed, c.points) for c in results]
-
-
 def cmd_verify(args) -> int:
     sf = _resolve(args.system)
     if sf.system is None:
@@ -99,14 +93,10 @@ def cmd_verify(args) -> int:
     sys_ = sf.system
     target = (None if args.level_set is None
               else _level_target(args.level_set, sys_.k))
-    results = list(check_axioms(sys_, points, seed, tol).checks)
-    pts = sample_points(sys_, min(points, 25), seed)
-    results.append(decomposition_check_result(sys_, pts))
-    results.extend(check_bracket_relations(sys_, points, seed, tol))
-    results.append(check_commutation(sys_, points, seed, tol))
-    cls = classify(sys_, min(points, 50), seed, tol)
-
-    entries = _result_entries(results)
+    rep = verify_system(sys_, points, seed, tol)
+    cls = rep.classification
+    entries = [check_entry(c.name, c.anchor, c.max_residual, c.tolerance,
+                           c.passed, c.points) for c in rep.checks]
     if target is not None:
         rec = check_level_set(sys_, target, seed=seed)
         entries.append(check_entry(
@@ -266,12 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write the JSON report here")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--points", type=int, default=None)
     common.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run every identity check on a [system]")
     p.add_argument("system", help="builtin name or file path")
+    p.add_argument("--points", type=int, default=None)
     p.add_argument("--level-set", default=None, metavar="V1,V2,...",
                    help="also verify the CR type of one level set")
     p.set_defaults(func=cmd_verify)

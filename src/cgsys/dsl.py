@@ -44,8 +44,8 @@ from .geometry import ComplexChart, VectorField
 from .verify import GradientSystem
 
 __all__ = [
-    "SystemFile", "LoadError", "SETTINGS", "load", "loads", "save", "dumps",
-    "builtin_names", "load_builtin", "builtin_text",
+    "SystemFile", "LoadError", "SETTINGS", "MAX_COMPLEX_DIM", "load", "loads",
+    "save", "dumps", "builtin_names", "load_builtin", "builtin_text",
 ]
 
 BUILTINS = (
@@ -65,6 +65,12 @@ def _rule(convert, ok, wanted: str):
 
 _COUNT = _rule(int, lambda n: n >= 1, "an integer >= 1")
 _POSITIVE = _rule(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+
+# the largest [chart] complex_dim; the gallery's largest is 3, and the
+# symbolic tables grow with a power of the dimension
+MAX_COMPLEX_DIM = 64
+_COMPLEX_DIM = _rule(int, lambda n: n <= MAX_COMPLEX_DIM,
+                     f"an integer <= {MAX_COMPLEX_DIM}")
 
 # setting -> checked converter; the keys of [config] and the values of the
 # CLI flags that override them
@@ -236,7 +242,7 @@ def _positions(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _load_chart(sec: _Section) -> ComplexChart:
-    n = sec.read("complex_dim", int)
+    n = sec.read("complex_dim", _COMPLEX_DIM)
     names = sec.read("names", _names, None)
     with sec.blame("complex_dim" if names is None else "names"):
         chart = ComplexChart.standard(n) if names is None else ComplexChart(names)

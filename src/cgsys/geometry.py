@@ -25,8 +25,8 @@ from .expr import (
 
 __all__ = [
     "ComplexChart", "VectorField", "ComplexField",
-    "env_at", "apply_J", "j_matrix", "d_of", "dc_of", "d_apply", "dc_apply",
-    "lie_bracket", "pair_brackets", "ddc_apply", "complexify", "is_holomorphic",
+    "env_at", "apply_J", "j_rotate", "j_matrix", "d_of", "dc_of", "d_apply",
+    "dc_apply", "lie_bracket", "pair_brackets", "ddc_apply", "complexify", "is_holomorphic",
     "distribution_rank", "span_residuals", "frobenius_defect", "laplacian",
     "field_matrix",
 ]
@@ -127,13 +127,21 @@ def _same_chart(*objs):
         raise ValueError("operands live on different charts")
 
 
+def j_rotate(v) -> np.ndarray:
+    """J on chart vectors along the last axis of an array: the components
+    (v_x, v_y) of each complex coordinate become (-v_y, v_x).  An exact
+    shuffle and negation, no arithmetic."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    out[..., 0::2] = -v[..., 1::2]
+    out[..., 1::2] = v[..., 0::2]
+    return out
+
+
 def j_matrix(chart: ComplexChart) -> np.ndarray:
     """The 2N x 2N matrix of J in chart coordinates."""
-    J = np.zeros((chart.dim, chart.dim))
-    for mu in range(chart.N):
-        J[2 * mu + 1, 2 * mu] = 1.0
-        J[2 * mu, 2 * mu + 1] = -1.0
-    return J
+    # row i of j_rotate(I) is J e_i; + 0.0 turns the negated zeros into +0.0
+    return j_rotate(np.eye(chart.dim)).T + 0.0
 
 
 def apply_J(V: VectorField) -> VectorField:

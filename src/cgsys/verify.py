@@ -9,14 +9,17 @@ with {xi_a, J xi_a} pointwise independent and spanning an involutive
 distribution.  Every identity that follows from these axioms (bracket
 closure, the dd^c bracket identities, commutation of the complexified
 fields, dimension splittings of the tangent space, the CR type of level
-sets) is checked here as a numerical residual at seeded sample points with
-an explicit tolerance; verdicts are residual-based, never symbolic proofs.
+sets) is checked here as a numerical residual at sample points with an
+explicit tolerance; verdicts are residual-based, never symbolic proofs.
 
-Sampling draws from the box [-2, 2]^(2N) filtered by the system's domain
-predicate, so identical seed and configuration reproduce identical residual
-tables bit for bit.  The checks share one compiled table of expressions per
-system (``GradientSystem.table``), evaluate it over their whole point set in
-one call and reduce the result with numpy, span residuals by one stacked
+Sampling is separate from checking.  ``sample_points`` draws seeded points
+from the box [-2, 2]^(2N) filtered by the system's domain predicate, and
+every check is a function of the point set it is given.  ``verify_system``
+draws one set and runs every check on it (or on a prefix of it), so
+identical seed and configuration reproduce identical residual tables bit
+for bit.  The checks share one compiled table of expressions per system
+(``GradientSystem.table``), evaluate it over their whole point set in one
+call and reduce the result with numpy, span residuals by one stacked
 projection.  A domain fault at a sample point raises DomainError naming the
 node and the point.
 """
@@ -41,9 +44,9 @@ __all__ = [
     "Classification",
     "DecompositionRecord", "LevelSetRecord", "NormalForm", "GridSpec",
     "SamplingError", "NormalFormRefusal",
-    "sample_points", "check_axioms", "check_decompositions",
-    "check_bracket_relations", "check_commutation", "classify",
-    "check_level_set", "normal_form",
+    "sample_points", "verify_system", "check_axioms", "check_decompositions",
+    "decomposition_check_result", "check_bracket_relations",
+    "check_commutation", "classify", "check_level_set", "normal_form",
 ]
 
 
@@ -222,14 +225,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def extend(self, more) -> "VerificationReport":
-        self.checks.extend(more)
-        return self
+
+# half-width of the sampling box [-SAMPLE_BOX, SAMPLE_BOX]^(2N)
+SAMPLE_BOX = 2.0
 
 
-def sample_points(sys: GradientSystem, n: int, seed: int,
-                  box: float = 2.0) -> np.ndarray:
-    """Seeded uniform samples from [-box, box]^(2N) filtered by the domain
+def sample_points(sys: GradientSystem, n: int, seed: int) -> np.ndarray:
+    """Seeded uniform samples from the sampling box filtered by the domain
     predicate; resamples until n are accepted or 100 n draws are spent.
 
     Candidates are drawn in growing blocks from one stream, so the points
@@ -240,7 +242,8 @@ def sample_points(sys: GradientSystem, n: int, seed: int,
     budget, drawn, size = 100 * n, 0, max(n, 1)
     found = np.empty((0, sys.chart.dim))
     while len(found) < n and drawn < budget:
-        C = rng.uniform(-box, box, size=(min(size, budget - drawn), sys.chart.dim))
+        C = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX,
+                        size=(min(size, budget - drawn), sys.chart.dim))
         inside, fault = sys.table.inside(C, drawn)
         drawn += len(C)
         found = np.concatenate([found, C[:len(inside)][inside]])[:n]
@@ -253,33 +256,48 @@ def sample_points(sys: GradientSystem, n: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
+# one op: one draw, every check
+
+
+def verify_system(sys: GradientSystem, points: int, seed: int,
+                  tol: float) -> VerificationReport:
+    """Every identity check and the classification of ``sys`` from one draw
+    of ``points`` sample points.  The decomposition check reads the first 25
+    of them and the classification the first 50; sampling draws one stream,
+    so each prefix is the set a draw of that size would give."""
+    pts = sample_points(sys, points, seed)
+    checks = check_axioms(sys, pts, tol)
+    checks.append(decomposition_check_result(sys, pts[:25]))
+    checks += check_bracket_relations(sys, pts, tol)
+    checks.append(check_commutation(sys, pts, tol))
+    return VerificationReport(sys.name, seed, points, checks,
+                              classify(sys, pts[:50], tol))
+
+
+# ---------------------------------------------------------------------------
 # axiom checks
 
 
-def check_axioms(sys: GradientSystem, n_points: int = 100, seed: int = 0,
-                 tol: float = 1e-9) -> VerificationReport:
+def check_axioms(sys: GradientSystem, pts, tol: float = 1e-9) -> list[CheckResult]:
     """Residuals of the two defining identities plus pointwise independence
-    and involutivity of the 2k-frame."""
-    k = sys.k
-    t = sys.table.at(sample_points(sys, n_points, seed))
+    and involutivity of the 2k-frame at the rows of ``pts``."""
+    n, k = len(pts), sys.k
+    t = sys.table.at(pts)
     S = t["frame"]
     r_d = np.abs(t["d"]).max(axis=(1, 2))
     r_dc = np.abs(t["dc"] - np.eye(k)).max(axis=(1, 2))
     r_rank = (2 * k - np.linalg.matrix_rank(S)).astype(float)
     r_inv = span_residuals(S, t["bracket"][..., :sys.table.n_frame_pairs]).max(axis=1)
-
-    report = VerificationReport(sys.name, seed, n_points)
-    report.checks = [
+    return [
         CheckResult("axioms.gradient-annihilation", "gradient-annihilation",
-                    r_d, tol, n_points),
+                    r_d, tol, n),
         CheckResult("axioms.normalization", "twisted-gradient-normalization",
-                    r_dc, tol, n_points),
+                    r_dc, tol, n),
         CheckResult("axioms.independence", "frame-pointwise-independence",
-                    r_rank, 0.5, n_points),
+                    r_rank, 0.5, n),
         CheckResult("axioms.integrability", "span-involutivity",
-                    r_inv, max(tol, 1e-9), n_points),
+                    r_inv, max(tol, 1e-9), n),
     ]
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +395,9 @@ def decomposition_check_result(sys: GradientSystem, pts) -> CheckResult:
 # bracket relations
 
 
-def check_bracket_relations(sys: GradientSystem, n_points: int = 100,
-                            seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
-    """All bracket consequences of the axioms:
+def check_bracket_relations(sys: GradientSystem, pts,
+                            tol: float = 1e-9) -> list[CheckResult]:
+    """All bracket consequences of the axioms at the rows of ``pts``:
 
     * brackets of frame fields stay in the representation span,
     * the dd^c three-term identity collapses onto bracket evaluation,
@@ -387,7 +405,6 @@ def check_bracket_relations(sys: GradientSystem, n_points: int = 100,
     * the representation span itself is involutive,
     * J-rotated brackets satisfy [JX, JY] = [X, Y] and [JX, Y] = -[X, JY].
     """
-    pts = sample_points(sys, n_points, seed)
     n, k, tab = len(pts), sys.k, sys.table
     t = tab.at(pts)
     br = t["bracket"]
@@ -426,13 +443,11 @@ def check_bracket_relations(sys: GradientSystem, n_points: int = 100,
     ]
 
 
-def check_commutation(sys: GradientSystem, n_points: int = 100, seed: int = 0,
-                      tol: float = 1e-9) -> CheckResult:
-    """Commutation of the complexified fields: with Z_a = (xi_a - i J xi_a)/2,
-    [Z_a, Z_b] = 0.  Expanded over real brackets the real part is
-    ([X_a, X_b] - [JX_a, JX_b])/4 and the imaginary part
+def check_commutation(sys: GradientSystem, pts, tol: float = 1e-9) -> CheckResult:
+    """Commutation of the complexified fields at the rows of ``pts``: with
+    Z_a = (xi_a - i J xi_a)/2, [Z_a, Z_b] = 0.  Expanded over real brackets
+    the real part is ([X_a, X_b] - [JX_a, JX_b])/4 and the imaginary part
     -([X_a, JX_b] + [JX_a, X_b])/4."""
-    pts = sample_points(sys, n_points, seed)
     k, row = sys.k, sys.table.row
     residuals = np.zeros(len(pts))
     br = sys.table.at(pts)["bracket"]
@@ -450,13 +465,12 @@ def check_commutation(sys: GradientSystem, n_points: int = 100, seed: int = 0,
 # classification
 
 
-def classify(sys: GradientSystem, n_points: int = 50, seed: int = 0,
-             tol: float = 1e-9) -> Classification:
-    """Flags: holomorphic (every complexified field satisfies Cauchy-Riemann),
-    abelian (all real brackets among {xi_a, J xi_a} vanish, the real form of
-    [Z_a, conj Z_b] = 0), harmonic (flat Laplacian of every gradient
-    component vanishes)."""
-    t = sys.table.at(sample_points(sys, n_points, seed))
+def classify(sys: GradientSystem, pts, tol: float = 1e-9) -> Classification:
+    """Flags at the rows of ``pts``: holomorphic (every complexified field
+    satisfies Cauchy-Riemann), abelian (all real brackets among
+    {xi_a, J xi_a} vanish, the real form of [Z_a, conj Z_b] = 0), harmonic
+    (flat Laplacian of every gradient component vanishes)."""
+    t = sys.table.at(pts)
     cr = t["cr"]
     holo = float(np.max(0.5 * np.hypot(cr[..., 0], cr[..., 1]), initial=0.0))
     abel = float(np.max(np.abs(t["bracket"][..., :sys.table.n_frame_pairs]),
@@ -490,10 +504,10 @@ class LevelSetRecord:
                 and len(set(self.holomorphic_dim)) == 1)
 
 
-def check_level_set(sys: GradientSystem, V, n_points: int = 8, seed: int = 0,
-                    tol: float = 1e-9) -> LevelSetRecord:
-    """Find points with U = V by Gauss-Newton from nearby seeds, then check
-    that dU has rank k there and the level set's tangent meets its J-rotation
+def check_level_set(sys: GradientSystem, V, n_points: int = 8,
+                    seed: int = 0) -> LevelSetRecord:
+    """Find up to ``n_points`` points with U = V by Gauss-Newton from the
+    points of a seeded draw of its own, then check that dU has rank k there and the level set's tangent meets its J-rotation
     in a space of complex dimension n."""
     V = np.asarray(V, dtype=float)
     k, N = sys.k, sys.chart.N
@@ -621,7 +635,7 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     slice variables alone.  Systems that are not holomorphic abelian are
     refused.
     """
-    cls = classify(sys, n_points=25, seed=1, tol=class_tol)
+    cls = classify(sys, sample_points(sys, 25, 1), class_tol)
     if not (cls.holomorphic and cls.abelian):
         raise NormalFormRefusal(
             f"system {sys.name or '<anonymous>'} is not holomorphic abelian "

@@ -12,7 +12,7 @@ from cgsys.flow import FlowConfig, MatrixGroupSpec, numerical_jacobian
 from cgsys.cauchy import (
     CRInitialData, TransversalityError, build_dF, build_F, check_cr_transverse,
     compute_PQA, construct_fields, equation_map, frobenius_defect_on_M,
-    grid_queries, invariant_lift, solve, validate_tangency,
+    grid_queries, invariant_lift, param_samples, solve, validate_tangency,
 )
 from cgsys.geometry import ComplexChart, VectorField
 
@@ -95,12 +95,12 @@ def affine_data():
 
 
 def test_line_transverse(line_data):
-    res = check_cr_transverse(line_data)
+    res = check_cr_transverse(line_data, param_samples(line_data, 25, 0))
     assert res.transverse and res.min_rank == 2
 
 
 def test_heisenberg_transverse_at_random_points(heis_data):
-    res = check_cr_transverse(heis_data, n_samples=50, seed=3)
+    res = check_cr_transverse(heis_data, param_samples(heis_data, 50, 3))
     assert res.transverse and res.min_rank == 6
 
 
@@ -111,18 +111,34 @@ def test_vanishing_initial_field_fails_at_origin():
         sigma=(parse_expr("s"), parse_expr("0")),
         ambient_fields=(field(chart, ["x1", "0"]),),
         name="non-transverse")
-    res = check_cr_transverse(data)
+    res = check_cr_transverse(data, param_samples(data, 25, 0))
     assert not res.transverse
     assert np.allclose(res.witnesses[0], [0.0])
 
 
 def test_tangency_validates(line_data, heis_data):
-    assert validate_tangency(line_data) < 1e-12
-    assert validate_tangency(heis_data) < 1e-12
+    assert validate_tangency(line_data, param_samples(line_data, 10, 0)) < 1e-12
+    assert validate_tangency(heis_data, param_samples(heis_data, 10, 0)) < 1e-12
 
 
 def test_initial_distribution_involutive_on_group(heis_data):
-    assert frobenius_defect_on_M(heis_data) < 1e-12
+    assert frobenius_defect_on_M(heis_data, param_samples(heis_data, 10, 0)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["line", "heisenberg-cr"])
+def test_cauchy_op_draws_parameter_samples_once(monkeypatch, name):
+    import cgsys.cauchy
+    from cgsys.cli import main
+    calls = []
+    inner = cgsys.cauchy.param_samples
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cgsys.cauchy, "param_samples", counted)
+    assert main(["cauchy", name, "--grid", "3"]) == 0
+    assert len(calls) == 1
 
 
 def test_rho0_param_exprs_restrict_ambient(heis_data):
@@ -214,6 +230,39 @@ def test_PQA_on_M_is_identity_and_zero(heis_data):
         assert np.max(np.abs(frame.P - np.eye(3))) < 1e-9
         assert np.max(np.abs(frame.Q)) < 1e-9
         assert np.max(np.abs(frame.A)) < 1e-9
+
+
+def _j_loop(v):
+    out = np.empty_like(v)
+    out[0::2] = -v[1::2]
+    out[1::2] = v[0::2]
+    return out
+
+
+@pytest.mark.parametrize("name", ["heis_data", "affine_data", "line_data"])
+def test_stacked_J_pullbacks_equal_the_per_vector_loops(name, request):
+    # the batched J products and solves must round as the per-vector
+    # products and solves do, so reports stay bit for bit what they were
+    data = request.getfixturevalue(name)
+    dF_map = build_dF(data, CFG)
+    m, k = len(data.param_names), data.k
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        p = data.base + rng.uniform(-0.3, 0.3, m)
+        frame = compute_PQA(data, dF_map, p, rng.uniform(-0.4, 0.4, k), CFG)
+        D = frame.dF
+        jh = np.linalg.solve(D, np.column_stack(
+            [_j_loop(D @ lift) for lift in frame.lifts])).T
+        je = np.array([np.linalg.solve(D, _j_loop(D @ e))
+                       for e in np.eye(m + k)[m:]])
+        assert np.array_equal(frame.jh_adapted, jh)
+        assert np.array_equal(frame.je_adapted, je)
+        built = construct_fields(frame, CFG)
+        jxi = np.array([np.linalg.solve(D, _j_loop(D @ xi))
+                        for xi in built.xi_adapted])
+        assert built.residual_dc == float(np.max(np.abs(jxi[:, m:] - np.eye(k))))
+        assert np.array_equal(built.jxi_ambient,
+                              np.array([_j_loop(v) for v in built.xi_ambient]))
 
 
 def test_line_frame_is_flat_off_M(line_data):

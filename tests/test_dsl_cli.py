@@ -1,6 +1,7 @@
 """File format, gallery, CLI exit codes, JSON schema and determinism."""
 
 import json
+import time
 
 import jsonschema
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from cgsys.cli import main
 from cgsys.dsl import (
-    LoadError, builtin_names, builtin_text, dumps, load_builtin, loads,
+    MAX_COMPLEX_DIM, LoadError, builtin_names, builtin_text, dumps,
+    load_builtin, loads,
 )
 from cgsys.report import canonical_json, schema_text
-from cgsys.verify import check_axioms
+from cgsys.verify import check_axioms, sample_points
 
 MINIMAL = """
 [chart]
@@ -146,9 +148,9 @@ def test_roundtrip_serialization(name):
     sf = load_builtin(name)
     sf2 = loads(dumps(sf), name=name)
     if sf.system is not None:
-        r1 = check_axioms(sf.system, 25, seed=3, tol=1e-6)
-        r2 = check_axioms(sf2.system, 25, seed=3, tol=1e-6)
-        for c1, c2 in zip(r1.checks, r2.checks):
+        r1 = check_axioms(sf.system, sample_points(sf.system, 25, 3), 1e-6)
+        r2 = check_axioms(sf2.system, sample_points(sf2.system, 25, 3), 1e-6)
+        for c1, c2 in zip(r1, r2):
             assert np.array_equal(c1.residuals, c2.residuals), (name, c1.name)
     if sf.cr is not None:
         assert sf2.cr is not None
@@ -250,6 +252,55 @@ def test_cli_verify_domain_fault_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
     assert "'sqrt(x1)'" in err and "at point " in err and "x1=-" in err
+
+
+AMBIENT_NOT_HOLOMORPHIC = """
+[chart]
+complex_dim = 1
+
+[cr_data]
+params = s
+sigma = s; 0
+field_1 = 1 + y1; 0
+"""
+
+
+def test_cli_cauchy_non_holomorphic_ambient_field(tmp_path, capsys):
+    # 1 + y1 is not holomorphic: its complexified flow is refused where the
+    # first trajectory starts, and the op fails without a traceback
+    path = tmp_path / "not-holomorphic.cgs"
+    path.write_text(AMBIENT_NOT_HOLOMORPHIC)
+    assert main(["cauchy", str(path), "--grid", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Cauchy-Riemann" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cauchy", "normal-form"])
+def test_cli_points_flag_belongs_to_verify(command, capsys):
+    system = "line" if command == "cauchy" else "model-k1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, system, "--points", "9"])
+    assert exc.value.code == 2
+    assert "--points" in capsys.readouterr().err
+
+
+def test_cli_refuses_huge_complex_dim_quickly(tmp_path, capsys):
+    path = tmp_path / "huge.cgs"
+    path.write_text(MINIMAL.replace("complex_dim = 1", "complex_dim = 100000000"))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "complex_dim" in err
+    assert "(line 3)" in err
+
+
+def test_complex_dim_bound_is_inclusive():
+    text = f"[chart]\ncomplex_dim = {MAX_COMPLEX_DIM}\n"
+    assert loads(text).chart.N == MAX_COMPLEX_DIM
+    with pytest.raises(LoadError, match="complex_dim"):
+        loads(f"[chart]\ncomplex_dim = {MAX_COMPLEX_DIM + 1}\n")
 
 
 def _edited(base: str, old: str, new: str) -> str:

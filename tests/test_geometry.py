@@ -9,7 +9,8 @@ from cgsys.expr import parse_expr
 from cgsys.geometry import (
     ComplexChart, VectorField, apply_J, complexify, d_apply, dc_apply,
     ddc_apply, distribution_rank, env_at, field_matrix, frobenius_defect,
-    is_holomorphic, laplacian, lie_bracket, pair_brackets, span_residuals,
+    is_holomorphic, j_matrix, j_rotate, laplacian, lie_bracket, pair_brackets,
+    span_residuals,
 )
 
 
@@ -80,6 +81,25 @@ def test_J_squared_is_minus_identity(heis):
         W = apply_J(apply_J(V))
         for p in sample_points(chart, 100, 2):
             assert np.max(np.abs(W.values(p) + V.values(p))) < 1e-12
+
+
+def test_numeric_J_matches_symbolic_J(heis):
+    chart, fields, _ = heis
+    pts = sample_points(chart, 5, 3)
+    # rows are field values: (points, fields, 2N)
+    V = np.array([field_matrix(fields, p).T for p in pts])
+    JV = np.array([field_matrix([apply_J(f) for f in fields], p).T for p in pts])
+    assert np.array_equal(j_rotate(V), JV)
+    assert np.array_equal(j_rotate(V[0, 0]), JV[0, 0])
+    assert np.array_equal(j_rotate(j_rotate(V)), -V)
+
+
+def test_j_matrix_is_j_rotate_without_negative_zeros():
+    for n in (1, 2, 3):
+        J = j_matrix(ComplexChart.standard(n))
+        assert np.array_equal(J, j_rotate(np.eye(2 * n)).T)
+        assert np.array_equal(J @ J, -np.eye(2 * n))
+        assert not np.any(np.signbit(J) & (J == 0.0))
 
 
 # --- d and d^c ---------------------------------------------------------------

@@ -9,11 +9,13 @@ from cgsys.flow import FlowConfig
 from cgsys.geometry import (
     ComplexChart, VectorField, apply_J, field_matrix, lie_bracket,
 )
+import cgsys.verify
+from cgsys.cli import main
 from cgsys.verify import (
     Classification, GradientSystem, GridSpec, NormalFormRefusal,
     check_axioms, check_bracket_relations, check_commutation,
-    check_decompositions, check_level_set, classify, normal_form,
-    sample_points,
+    check_decompositions, check_level_set, classify,
+    decomposition_check_result, normal_form, sample_points, verify_system,
 )
 
 
@@ -104,26 +106,26 @@ def rotated_model():
 
 
 def test_axioms_heisenberg_machine_tight(heis):
-    rep = check_axioms(heis, n_points=100, seed=7, tol=1e-12)
-    assert rep.passed
-    for c in rep.checks:
+    rep = check_axioms(heis, sample_points(heis, 100, 7), 1e-12)
+    assert all(c.passed for c in rep)
+    for c in rep:
         assert c.max_residual < 1e-12, c.name
 
 
 def test_axioms_line(line):
-    rep = check_axioms(line, n_points=50, seed=0, tol=1e-12)
-    assert rep.passed
+    rep = check_axioms(line, sample_points(line, 50, 0), 1e-12)
+    assert all(c.passed for c in rep)
 
 
 def test_axioms_affine(affine):
-    rep = check_axioms(affine, n_points=100, seed=1, tol=1e-9)
-    assert rep.passed
+    rep = check_axioms(affine, sample_points(affine, 100, 1), 1e-9)
+    assert all(c.passed for c in rep)
 
 
 def test_axioms_broken_fails_with_unit_residual(broken):
-    rep = check_axioms(broken, n_points=20, seed=0, tol=1e-9)
-    assert not rep.passed
-    norm = next(c for c in rep.checks if c.name == "axioms.normalization")
+    rep = check_axioms(broken, sample_points(broken, 20, 0), 1e-9)
+    assert not all(c.passed for c in rep)
+    norm = next(c for c in rep if c.name == "axioms.normalization")
     assert norm.max_residual == pytest.approx(1.0, abs=1e-14)
 
 
@@ -207,8 +209,8 @@ def test_span_residuals_of_checks_match_lstsq_per_point(affine, heis):
         pairs = [(i, j) for i in range(len(frame)) for j in range(i + 1, len(frame))]
         brackets = [lie_bracket(frame[i], frame[j]) for i, j in pairs]
         pts = sample_points(sys_, 30, seed)
-        integrability = check_axioms(sys_, 30, seed).checks[3]
-        closure = check_bracket_relations(sys_, 30, seed)[0]
+        integrability = check_axioms(sys_, sample_points(sys_, 30, seed))[3]
+        closure = check_bracket_relations(sys_, sample_points(sys_, 30, seed))[0]
         for i, p in enumerate(pts):
             ref = worst(field_matrix(frame, p), brackets, p)
             assert abs(integrability.residuals[i] - ref) < 1e-14
@@ -240,8 +242,9 @@ def test_decompositions_broken_fails(broken):
     p = np.array([0.3, -0.4])
     rec = check_decompositions(broken, p)
     assert rec.ok  # rank arithmetic still consistent for this demo ...
-    rep = check_axioms(broken, n_points=10, seed=0, tol=1e-9)
-    assert not rep.passed  # ... the axiom residuals are what flag it
+    rep = check_axioms(broken, sample_points(broken, 10, 0), 1e-9)
+    # ... the axiom residuals are what flag it
+    assert not all(c.passed for c in rep)
 
 
 def test_decompositions_kernel_failure():
@@ -257,17 +260,17 @@ def test_decompositions_kernel_failure():
 
 
 def test_bracket_relations_heisenberg(heis):
-    for c in check_bracket_relations(heis, n_points=100, seed=11, tol=1e-9):
+    for c in check_bracket_relations(heis, sample_points(heis, 100, 11), 1e-9):
         assert c.passed, (c.name, c.max_residual)
 
 
 def test_bracket_relations_affine(affine):
-    for c in check_bracket_relations(affine, n_points=60, seed=12, tol=1e-9):
+    for c in check_bracket_relations(affine, sample_points(affine, 60, 12), 1e-9):
         assert c.passed, (c.name, c.max_residual)
 
 
 def test_bracket_relations_abelian_trivial(model):
-    for c in check_bracket_relations(model, n_points=20, seed=13, tol=1e-12):
+    for c in check_bracket_relations(model, sample_points(model, 20, 13), 1e-12):
         assert c.passed
 
 
@@ -275,17 +278,17 @@ def test_bracket_relations_abelian_trivial(model):
 
 
 def test_commutation_heisenberg(heis):
-    c = check_commutation(heis, n_points=100, seed=14, tol=1e-9)
+    c = check_commutation(heis, sample_points(heis, 100, 14), 1e-9)
     assert c.passed and c.max_residual < 1e-12
 
 
 def test_commutation_affine(affine):
-    c = check_commutation(affine, n_points=100, seed=15, tol=1e-9)
+    c = check_commutation(affine, sample_points(affine, 100, 15), 1e-9)
     assert c.passed
 
 
 def test_commutation_line(line):
-    c = check_commutation(line, n_points=20, seed=16, tol=1e-12)
+    c = check_commutation(line, sample_points(line, 20, 16), 1e-12)
     assert c.passed
 
 
@@ -293,30 +296,31 @@ def test_commutation_line(line):
 
 
 def test_classify_heisenberg(heis):
-    cls = classify(heis, n_points=50, seed=17, tol=1e-9)
+    cls = classify(heis, sample_points(heis, 50, 17), 1e-9)
     assert cls.as_dict() == {"holomorphic": False, "abelian": False, "harmonic": True}
     # the non-holomorphic residual is the constant 1/2 from the i y2 coefficient
     assert cls.residuals["holomorphic"] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_classify_affine(affine):
-    cls = classify(affine, n_points=50, seed=18, tol=1e-9)
+    cls = classify(affine, sample_points(affine, 50, 18), 1e-9)
     assert cls.abelian is False
     assert cls.harmonic is False
     assert cls.residuals["harmonic"] > 1e-3
 
 
 def test_classify_line_and_alternative(line, line_alt):
-    assert classify(line, 20, 19, 1e-9).as_dict() == {
+    assert classify(line, sample_points(line, 20, 19), 1e-9).as_dict() == {
         "holomorphic": True, "abelian": True, "harmonic": True}
-    alt = classify(line_alt, 20, 19, 1e-9)
+    alt = classify(line_alt, sample_points(line_alt, 20, 19), 1e-9)
     assert alt.abelian is False and alt.holomorphic is False
 
 
 def test_classify_model_and_rotation(model):
-    cls = classify(model, 30, 20, 1e-9)
+    cls = classify(model, sample_points(model, 30, 20), 1e-9)
     assert cls.holomorphic and cls.abelian
-    rot = classify(rotated_model(), 30, 20, 1e-8)
+    rotated = rotated_model()
+    rot = classify(rotated, sample_points(rotated, 30, 20), 1e-8)
     assert rot.holomorphic and rot.abelian
 
 
@@ -344,10 +348,10 @@ def test_classify_abelian_invariant_under_basis_change(heis, model):
             changed = GradientSystem(sys_.chart, tuple(new_fields),
                                      tuple(new_grads), sys_.domain,
                                      name=sys_.name + "-basis")
-            rep = check_axioms(changed, n_points=25, seed=22, tol=1e-9)
-            assert rep.passed
-            assert classify(changed, 25, 22, 1e-9).abelian == \
-                classify(sys_, 25, 22, 1e-9).abelian
+            rep = check_axioms(changed, sample_points(changed, 25, 22), 1e-9)
+            assert all(c.passed for c in rep)
+            assert (classify(changed, sample_points(changed, 25, 22), 1e-9).abelian
+                    == classify(sys_, sample_points(sys_, 25, 22), 1e-9).abelian)
 
 
 # --- consequence meta-check ----------------------------------------------------------
@@ -355,11 +359,11 @@ def test_classify_abelian_invariant_under_basis_change(heis, model):
 
 def test_axiom_pass_implies_consequences(heis, affine, line, line_alt, model):
     for sys_ in (heis, affine, line, line_alt, model):
-        rep = check_axioms(sys_, n_points=40, seed=23, tol=1e-8)
-        assert rep.passed, sys_.name
-        for c in check_bracket_relations(sys_, n_points=40, seed=23, tol=1e-8):
+        rep = check_axioms(sys_, sample_points(sys_, 40, 23), 1e-8)
+        assert all(c.passed for c in rep), sys_.name
+        for c in check_bracket_relations(sys_, sample_points(sys_, 40, 23), 1e-8):
             assert c.passed, (sys_.name, c.name, c.max_residual)
-        assert check_commutation(sys_, 40, 23, 1e-8).passed, sys_.name
+        assert check_commutation(sys_, sample_points(sys_, 40, 23), 1e-8).passed, sys_.name
         p = sample_points(sys_, 1, seed=23)[0]
         assert check_decompositions(sys_, p).ok, sys_.name
 
@@ -452,7 +456,44 @@ def test_normal_form_line_degenerate_slice(line):
 
 
 def test_reports_bitwise_reproducible(affine):
-    r1 = check_axioms(affine, n_points=40, seed=30, tol=1e-9)
-    r2 = check_axioms(affine, n_points=40, seed=30, tol=1e-9)
-    for c1, c2 in zip(r1.checks, r2.checks):
+    r1 = check_axioms(affine, sample_points(affine, 40, 30), 1e-9)
+    r2 = check_axioms(affine, sample_points(affine, 40, 30), 1e-9)
+    for c1, c2 in zip(r1, r2):
         assert np.array_equal(c1.residuals, c2.residuals)
+
+
+# --- one draw per op -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("extra, draws", [([], 1), (["--level-set=0.1,-0.2,0.3"], 2)])
+def test_verify_op_samples_once(monkeypatch, extra, draws):
+    calls = []
+    inner = cgsys.verify.sample_points
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cgsys.verify, "sample_points", counted)
+    assert main(["verify", "heisenberg", "--points", "20", *extra]) == 0
+    assert len(calls) == draws
+
+
+@pytest.mark.parametrize("points, seed", [(100, 0), (37, 5), (12, 3)])
+def test_verify_system_equals_checks_on_their_own_draws(heis, affine, points, seed):
+    for sys_ in (heis, affine):
+        rep = verify_system(sys_, points, seed, 1e-9)
+        pts = sample_points(sys_, points, seed)
+        alone = (check_axioms(sys_, pts, 1e-9)
+                 + [decomposition_check_result(
+                     sys_, sample_points(sys_, min(points, 25), seed))]
+                 + check_bracket_relations(sys_, pts, 1e-9)
+                 + [check_commutation(sys_, pts, 1e-9)])
+        assert [c.name for c in rep.checks] == [c.name for c in alone]
+        for c, ref in zip(rep.checks, alone):
+            assert np.array_equal(c.residuals, ref.residuals), (sys_.name, c.name)
+            assert (c.points, c.tolerance, c.note) == \
+                (ref.points, ref.tolerance, ref.note)
+        cls = classify(sys_, sample_points(sys_, min(points, 50), seed), 1e-9)
+        assert rep.classification == cls
+        assert (rep.system, rep.seed, rep.n_points) == (sys_.name, seed, points)
