@@ -14,7 +14,8 @@ cfg = FlowConfig()
 # --- the flat line case ------------------------------------------------------
 line = load_builtin("line")
 data = line.cr
-print("transverse?", check_cr_transverse(data, param_samples(data, 25, 0)).transverse)
+t = data.table.at(param_samples(data, 25, 0))
+print("transverse?", check_cr_transverse(data, t).transverse)
 
 # F(s, u) flows the point sigma(s) = s on the real axis for imaginary time:
 F = build_F(data, cfg)

@@ -15,8 +15,8 @@ for name in builtin_names():
         continue
     sys_ = sf.system
     tol = sf.config.get("tol", 1e-9)
-    rep = check_axioms(sys_, sample_points(sys_, 60, 7), tol)
-    cls = classify(sys_, sample_points(sys_, 30, 7), max(tol, 1e-9))
+    rep = check_axioms(sys_, sys_.table.at(sample_points(sys_, 60, 7)), tol)
+    cls = classify(sys_, sys_.table.at(sample_points(sys_, 30, 7)), max(tol, 1e-9))
     worst = max(c.max_residual for c in rep)
     passed = all(c.passed for c in rep)
     print(f"{name:<18} axioms {'pass' if passed else 'FAIL'} "
@@ -27,9 +27,9 @@ for name in builtin_names():
 # the dd^c identities, commutation of the complexified fields, and the
 # dimension splittings.
 heis = load_builtin("heisenberg").system
-for c in check_bracket_relations(heis, sample_points(heis, 60, 7), 1e-9):
+for c in check_bracket_relations(heis, heis.table.at(sample_points(heis, 60, 7)), 1e-9):
     print(f"  {c.name:<42} max {c.max_residual:.1e}")
-c = check_commutation(heis, sample_points(heis, 60, 7), 1e-9)
+c = check_commutation(heis, heis.table.at(sample_points(heis, 60, 7)), 1e-9)
 print(f"  {c.name:<42} max {c.max_residual:.1e}")
 
 p = sample_points(heis, 1, seed=7)[0]

@@ -9,9 +9,10 @@ The pipeline:
 
 1. Transversality: at sample parameters the columns of dsigma together with
    the J-rotations of the initial fields must span 2n + 2k directions.
-   ``solve`` draws one set of parameter samples (``param_samples``) and
-   checks transversality, tangency of the initial fields and their
-   involutivity defect on it; each check takes the samples it checks.
+   ``solve`` draws one set of parameter samples (``param_samples``),
+   evaluates the data's compiled table (``CRInitialData.table``) there once
+   and checks transversality, tangency of the initial fields and their
+   involutivity defect as reductions over its blocks.
 2. F(p, u) flows sigma(p) for complex time i(u_1, ..., u_k); near M this is
    a diffeomorphism onto a neighbourhood, giving adapted coordinates (p, u).
 3. For an ambient query q, damped Newton inverts F; the gradient map value
@@ -31,7 +32,8 @@ exponential that yields exp(X) and its Frechet derivatives together; for
 ambient fields the tangent columns are stepped by the same RK4 loop as the
 trajectory, which is the exact derivative of the discrete flow map.  It is
 built from the initial data by build_dF, alongside build_F.  A Newton
-solution counts only when its parameters lie in param_domain.  The range of
+solution counts only when its parameters lie in param_domain (where
+param_domain faults, the query is refused).  The range of
 F is not certified globally: |det P| <= 1e-10 or Newton failure at a query
 simply marks it outside the working neighbourhood.  Query points are
 independent, so batches may be processed concurrently; the sequential path
@@ -41,17 +43,21 @@ warm-starts Newton from the previous solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, ExprError, diff, evaluate, require_vars, subst
+from .expr import (
+    Const, DomainError, Expr, ExprError, Predicate, Table, Var, diff, evaluate,
+    require_vars, subst,
+)
 from .flow import (
     DEFAULT_CONFIG, ComplexFlow, FlowConfig, FlowError, MatrixGroupSpec,
     NewtonError, complexified_flow_jacobian, complexified_flow_matrix,
     left_invariant_fields, newton_inverse,
 )
 from .geometry import (
-    ComplexChart, VectorField, env_at, field_matrix, j_rotate, pair_brackets,
+    ComplexChart, VectorField, env_at, j_matrix, j_rotate, pair_brackets,
     span_residuals,
 )
 
@@ -135,7 +141,6 @@ class CRInitialData:
                    base_params=None, name: str = "") -> "CRInitialData":
         """Initial data for the real form of an embedded matrix group, with
         the left-invariant fields of the algebra basis as initial fields."""
-        from .expr import Const, Var
         names = tuple(f"p{mu + 1}" for mu in range(spec.chart.N))
         sigma = []
         for mu in range(spec.chart.N):
@@ -179,6 +184,29 @@ class CRInitialData:
         return tuple(tuple(subst(c, mapping) for c in f.components)
                      for f in self.ambient_fields)
 
+    @cached_property
+    def table(self) -> Table:
+        """The compiled table of the data checks over the parameters, with
+        blocks ``p`` (m,) the parameters, ``dsigma`` (2N, m), and ``rho0``
+        (2N, k) and ``bracket`` (2N, B) the initial fields and their
+        brackets [rho0_i, rho0_j], i < j, at sigma as columns."""
+        names, dim = self.param_names, self.chart.dim
+        mapping = dict(zip(self.chart.names, self.sigma))
+        rho0, brackets = self.rho0_param_exprs(), pair_brackets(self.ambient_fields)
+        return Table([
+            ("p", (len(names),), [Var(name) for name in names]),
+            ("dsigma", (dim, len(names)),
+             [diff(s, name) for s in self.sigma for name in names]),
+            ("rho0", (dim, self.k), [f[i] for i in range(dim) for f in rho0]),
+            ("bracket", (dim, len(brackets)),
+             [subst(b.components[i], mapping) for i in range(dim) for b in brackets]),
+        ], names)
+
+    @cached_property
+    def domain_predicate(self) -> Predicate:
+        """The compiled param_domain predicate, built on first use."""
+        return Predicate(self.param_domain, self.param_names)
+
 
 # half-width of the box of parameter offsets param_samples draws around
 # the base point
@@ -190,15 +218,11 @@ def param_samples(data: CRInitialData, n_samples: int, seed: int) -> np.ndarray:
     domain.  The base point always participates, so degeneracies placed
     there (e.g. an initial field vanishing at the origin) are caught."""
     rng = np.random.default_rng(seed)
-    out = [data.base]
-    attempts = 0
-    while len(out) < n_samples + 1 and attempts < 100 * (n_samples + 1):
-        p = data.base + rng.uniform(-PARAM_SPREAD, PARAM_SPREAD,
-                                    size=len(data.param_names))
-        attempts += 1
-        if data.params_in_domain(p):
-            out.append(p)
-    return np.array(out)
+    m = len(data.param_names)
+    found = data.domain_predicate.sample(
+        lambda size: data.base + rng.uniform(-PARAM_SPREAD, PARAM_SPREAD, (size, m)),
+        n_samples, 100 * (n_samples + 1))
+    return np.vstack([data.base, found])
 
 
 @dataclass
@@ -209,45 +233,39 @@ class TransversalityResult:
     required_rank: int
 
 
-def check_cr_transverse(data: CRInitialData, params) -> TransversalityResult:
-    """At each parameter sample in ``params`` (rows) the matrix
-    [dsigma | J rho0(e_1) ... J rho0(e_k)] must have rank 2n + 2k, i.e. no
-    J-rotated initial direction falls into TM."""
-    params = [p for p in params if data.params_in_domain(p)]
+def check_cr_transverse(data: CRInitialData, t) -> TransversalityResult:
+    """At each row of ``t = data.table.at(params)`` inside param_domain the
+    matrix [dsigma | J rho0(e_1) ... J rho0(e_k)] must have rank 2n + 2k,
+    i.e. no J-rotated initial direction falls into TM."""
+    inside, fault = data.domain_predicate.holds(t["p"])
+    if fault is not None:
+        raise fault
     required = 2 * data.n + 2 * data.k
-    ranks = [int(np.linalg.matrix_rank(np.hstack(
-        [data.dsigma_at(p), j_rotate(data.initial_field_values(p)).T])))
-        for p in params]
-    witnesses = [np.asarray(p) for p, r in zip(params, ranks) if r < required]
+    M = np.concatenate([t["dsigma"], j_matrix(data.chart) @ t["rho0"]], axis=2)[inside]
+    ranks = np.linalg.matrix_rank(M)
+    witnesses = list(t["p"][inside][ranks < required])
     return TransversalityResult(not witnesses, witnesses,
-                                min(ranks, default=required), required)
+                                int(min(ranks, default=required)), required)
 
 
-def validate_tangency(data: CRInitialData, params, tol: float = 1e-9) -> float:
+def validate_tangency(data: CRInitialData, t, tol: float = 1e-9) -> float:
     """Max residual of the initial fields against the tangent of M at the
-    parameter samples ``params``; the data is invalid when any initial
-    value fails to project onto range dsigma."""
-    D = np.array([data.dsigma_at(p) for p in params])
-    V = np.array([data.initial_field_values(p).T for p in params])
-    worst = float(np.max(span_residuals(D, V), initial=0.0))
+    rows of ``t``; the data is invalid when any initial value fails to
+    project onto range dsigma."""
+    worst = float(np.max(span_residuals(t["dsigma"], t["rho0"]), initial=0.0))
     if worst > tol:
         raise CauchyError(
             f"initial fields are not tangent to M (residual {worst:.3e})")
     return worst
 
 
-def frobenius_defect_on_M(data: CRInitialData, params) -> float:
-    """Involutivity defect of the initial distribution along M at the
-    parameter samples ``params``.  The construction proceeds pointwise
-    regardless, so callers warn rather than fail when this is positive."""
-    fs = list(data.ambient_fields)
-    brackets = pair_brackets(fs)
-    if not brackets:
+def frobenius_defect_on_M(data: CRInitialData, t) -> float:
+    """Involutivity defect of the initial distribution along M at the rows
+    of ``t``.  The construction proceeds pointwise regardless, so callers
+    warn rather than fail when this is positive."""
+    if data.k < 2:
         return 0.0
-    qs = [data.sigma_at(p) for p in params]
-    S = np.array([field_matrix(fs, q) for q in qs])
-    V = np.array([field_matrix(brackets, q) for q in qs])
-    return float(np.max(span_residuals(S, V)))
+    return float(np.max(span_residuals(t["rho0"], t["bracket"])))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +410,8 @@ def invariant_lift(data: CRInitialData, dF_map, p, u,
 def _tangent_coeffs(data: CRInitialData, p) -> np.ndarray:
     """Parameter-space components of the initial fields at sigma(p)."""
     D = data.dsigma_at(p)
-    vals = data.initial_field_values(p)
-    coefs = []
-    for v in vals:
-        c, *_ = np.linalg.lstsq(D, v, rcond=None)
-        coefs.append(c)
-    return np.array(coefs)
+    return np.array([np.linalg.lstsq(D, v, rcond=None)[0]
+                     for v in data.initial_field_values(p)])
 
 
 def _adapted_J(dF, V) -> np.ndarray:
@@ -417,18 +431,15 @@ def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CON
     with J pulled back through F, i.e. applied in chart coordinates between
     dF and its inverse.
     """
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    m = len(data.param_names)
-    k = data.k
+    p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
+    m, k = len(data.param_names), data.k
     if dF_map is None:
         dF_map = build_dF(data, cfg)
     ambient, dF = dF_map(p, u)
     if np.ndim(dF) != 2:
         raise TypeError("compute_PQA needs the (point, Jacobian) map of build_dF")
 
-    coeffs = _tangent_coeffs(data, p)
-    lifts = np.hstack([coeffs, np.zeros((k, k))])
+    lifts = np.hstack([_tangent_coeffs(data, p), np.zeros((k, k))])
 
     try:
         # one solve for all lifts; _adapted_J would round differently
@@ -468,12 +479,9 @@ def construct_fields(frame: AdaptedFrame,
     internally; a residual above tolerance signals an ill-conditioned dF."""
     k = frame.P.shape[0]
     m = frame.lifts.shape[1] - k
-    xi_adapted = np.empty((k, m + k))
-    for a in range(k):
-        xi = -frame.je_adapted[a].copy()
-        for b in range(k):
-            xi += frame.A[b, a] * frame.jh_adapted[b]
-        xi_adapted[a] = xi
+    xi_adapted = -frame.je_adapted
+    for b in range(k):
+        xi_adapted += frame.A[b, :, None] * frame.jh_adapted[b]
     xi_ambient = (frame.dF @ xi_adapted.T).T
     jxi_ambient = j_rotate(xi_ambient)
 
@@ -546,17 +554,16 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     when given, each record carries the deviation of the reconstructed U and
     xi_a from the oracle values at the query.
     """
-    params = param_samples(data, 25, 0)
-    tres = check_cr_transverse(data, params)
+    t = data.table.at(param_samples(data, 25, 0))
+    tres = check_cr_transverse(data, t)
     if not tres.transverse:
         raise TransversalityError(
             f"initial data is not CR-transverse "
             f"(rank {tres.min_rank} < {tres.required_rank} at a sample)",
             witness=tres.witnesses[0])
-    validate_tangency(data, params)
-    sol = CauchySolution(data)
-    defect = frobenius_defect_on_M(data, params)
-    sol.integrability_defect = defect
+    validate_tangency(data, t)
+    defect = frobenius_defect_on_M(data, t)
+    sol = CauchySolution(data, integrability_defect=defect)
     if defect > 1e-8:
         sol.integrability_note = (
             f"initial distribution is not involutive on M (defect {defect:.3e}); "
@@ -577,10 +584,8 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
             frame = compute_PQA(data, dF, rec.params, rec.u, cfg)
             rec.newton_residual = float(np.max(np.abs(frame.ambient - q)))
             built = construct_fields(frame, cfg)
-            rec.xi = built.xi_ambient
-            rec.jxi = built.jxi_ambient
-            rec.residual_d = built.residual_d
-            rec.residual_dc = built.residual_dc
+            rec.xi, rec.jxi = built.xi_ambient, built.jxi_ambient
+            rec.residual_d, rec.residual_dc = built.residual_d, built.residual_dc
             if oracle is not None:
                 try:
                     grads, fields = oracle
@@ -602,20 +607,25 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
 def _invert_in_domain(data: CRInitialData, G, dG, q, warm, cfg: FlowConfig):
     """Newton from the warm start, then from the linearized guess; a solution
     counts only when its parameters lie in param_domain."""
-    m = len(data.param_names)
     if warm is not None:
         try:
-            x = newton_inverse(G, q, warm, cfg, jac=dG)
-            if data.params_in_domain(x[:m]):
-                return x
-        except NewtonError:
+            return _in_domain(data, newton_inverse(G, q, warm, cfg, jac=dG))
+        except (NewtonError, OutsideDomainError):
             pass
-    x = newton_inverse(G, q, _initial_guess(data, q), cfg, jac=dG)
-    if not data.params_in_domain(x[:m]):
-        raise OutsideDomainError(
-            f"Newton solution has parameters {np.round(x[:m], 6).tolist()} "
-            "outside param_domain")
-    return x
+    return _in_domain(data, newton_inverse(G, q, _initial_guess(data, q), cfg, jac=dG))
+
+
+def _in_domain(data: CRInitialData, x):
+    """x, unless param_domain excludes its parameters or faults there."""
+    p = x[:len(data.param_names)]
+    try:
+        if data.params_in_domain(p):
+            return x
+        why = "outside param_domain"
+    except DomainError as err:
+        why = f"where param_domain faults: {err}"
+    raise OutsideDomainError(
+        f"Newton solution has parameters {np.round(p, 6).tolist()} {why}")
 
 
 def grid_queries(data: CRInitialData, u_axes, base_params=None,
@@ -623,6 +633,5 @@ def grid_queries(data: CRInitialData, u_axes, base_params=None,
     """Ambient query points F(base, u) over a cartesian grid of u values."""
     F = build_F(data, cfg)
     base = data.base if base_params is None else np.asarray(base_params, float)
-    grids = np.meshgrid(*u_axes, indexing="ij")
-    us = np.stack([g.ravel() for g in grids], axis=-1)
+    us = np.stack(np.meshgrid(*u_axes, indexing="ij"), axis=-1).reshape(-1, len(u_axes))
     return np.array([F(base, u) for u in us])

@@ -76,10 +76,14 @@ def _print_check(entry: dict) -> None:
     print(f"  {entry['name']:<44} max {res_s}  tol {entry['tolerance']:<8g} {flag}")
 
 
-def _emit(doc: dict, json_path: str | None) -> None:
+def _finish(doc: dict, json_path: str | None) -> int:
+    """Write the report when asked, print the verdict and return the exit
+    code."""
     if json_path:
         write_report(doc, json_path)
         print(f"report written to {json_path}")
+    print("verdict:", doc["verdict"])
+    return 0 if doc["verdict"] == "pass" else 1
 
 
 def cmd_verify(args) -> int:
@@ -114,10 +118,7 @@ def cmd_verify(args) -> int:
     doc = build_document(input_digest(sf.text), entries,
                          classification=cls.as_dict(),
                          system=sf.name, seed=seed, points=points)
-    _emit(doc, args.json)
-    ok = all(e["pass"] for e in entries)
-    print("verdict:", "pass" if ok else "fail")
-    return 0 if ok else 1
+    return _finish(doc, args.json)
 
 
 def cmd_cauchy(args) -> int:
@@ -184,10 +185,7 @@ def cmd_cauchy(args) -> int:
         rec_payload.append(item)
     doc = build_document(input_digest(sf.text), entries, system=sf.name,
                          records=rec_payload)
-    _emit(doc, args.json)
-    ok = all(e["pass"] for e in entries)
-    print("verdict:", "pass" if ok else "fail")
-    return 0 if ok else 1
+    return _finish(doc, args.json)
 
 
 def cmd_normal_form(args) -> int:
@@ -204,18 +202,14 @@ def cmd_normal_form(args) -> int:
     except NormalFormRefusal as err:
         print(f"refused: {err}", file=_sys.stderr)
         return 1
-    entries = [
-        check_entry("normal-form.straightened-fields", "fields-become-translations",
-                    nf.pushforward_residual, max(tol, 1e-6),
-                    nf.pushforward_residual < max(tol, 1e-6), len(nf.xs) * len(nf.ys)),
-        check_entry("normal-form.profile-shift-invariance",
-                    "profile-independent-of-flow-times",
-                    nf.independence_residual, max(tol, 1e-7),
-                    nf.independence_residual < max(tol, 1e-7), len(nf.xs) * len(nf.ys)),
-        check_entry("normal-form.time-holomorphy", "coordinates-holomorphic-in-time",
-                    nf.time_cr_residual, 1e-6, nf.time_cr_residual < 1e-6,
-                    len(nf.xs) * len(nf.ys)),
-    ]
+    entries = [check_entry(f"normal-form.{name}", anchor, res, t, res < t, nf.points)
+               for name, anchor, res, t in (
+                   ("straightened-fields", "fields-become-translations",
+                    nf.pushforward_residual, max(tol, 1e-6)),
+                   ("profile-shift-invariance", "profile-independent-of-flow-times",
+                    nf.independence_residual, max(tol, 1e-7)),
+                   ("time-holomorphy", "coordinates-holomorphic-in-time",
+                    nf.time_cr_residual, 1e-6))]
     print(f"normal-form {sf.name}: slice pair "
           f"{'-' if nf.slice_pair is None else nf.slice_pair + 1}, "
           f"{len(nf.xs)}x{len(nf.ys)} grid")
@@ -224,10 +218,7 @@ def cmd_normal_form(args) -> int:
     profile = {"xs": nf.xs, "ys": nf.ys, "values": nf.F}
     doc = build_document(input_digest(sf.text), entries, system=sf.name,
                          profile=profile)
-    _emit(doc, args.json)
-    ok = all(e["pass"] for e in entries)
-    print("verdict:", "pass" if ok else "fail")
-    return 0 if ok else 1
+    return _finish(doc, args.json)
 
 
 def cmd_list(args) -> int:

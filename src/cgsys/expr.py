@@ -32,6 +32,10 @@ evaluator is bit-reproducible from run to run; ``+ - * /``, negation,
 between them, while numpy's ``sin``/``exp``/``log``/``atan2`` and the other
 transcendental ufuncs may differ from libm in the last ulp.
 
+``Table`` names the blocks of a Program's outputs and ``Predicate`` is a
+compiled domain test with its block-draw sampler; gradient systems and CR
+initial data both check and sample through them.
+
 Everything in this module is pure and immutable; expressions, environments
 and programs can be shared between threads without synchronization.
 """
@@ -48,8 +52,8 @@ __all__ = [
     "Expr", "Const", "Var", "Unary", "Binary", "Atan2",
     "ExprError", "ParseError", "UnknownFunctionError",
     "UnboundVariableError", "DomainError",
-    "parse_expr", "evaluate", "compile_exprs", "Program", "diff", "free_vars",
-    "require_vars", "subst", "to_string",
+    "parse_expr", "evaluate", "compile_exprs", "Program", "Table", "Predicate",
+    "diff", "free_vars", "require_vars", "subst", "to_string",
     "add", "sub", "mul", "div", "pow_", "neg", "unary", "as_expr",
     "UNARY_OPS", "BINARY_OPS",
 ]
@@ -537,6 +541,69 @@ def compile_exprs(exprs, names) -> Program:
 
     outputs = [visit(e) for e in roots]
     return Program(names, len(slots), consts, code, outputs, nodes)
+
+
+class Table:
+    """Named blocks of expressions, (name, shape, exprs) with prod(shape)
+    expressions in row-major order each, compiled into one Program.
+    ``at(pts)`` returns every block at every row of ``pts``, each with a
+    leading point axis; rows are computed independently of each other."""
+
+    def __init__(self, blocks, names):
+        self.exprs, self._blocks = [], []
+        for name, shape, exprs in blocks:
+            self._blocks.append((name, len(self.exprs), shape))
+            self.exprs += exprs
+        self.program = compile_exprs(self.exprs, names)
+
+    def at(self, pts) -> dict[str, np.ndarray]:
+        vals = self.program(pts)
+        return {name: vals[:, lo:lo + int(np.prod(shape))].reshape((len(vals), *shape))
+                for name, lo, shape in self._blocks}
+
+
+class Predicate:
+    """The domain test "every expression > 0" over ``names``, compiled one
+    program per expression."""
+
+    def __init__(self, exprs, names):
+        self.dim = len(names)
+        self.programs = [compile_exprs([g], names) for g in exprs]
+
+    def holds(self, C, first: int = 0):
+        """The predicate at the rows of C up to the first row where it
+        faults, and that DomainError (or None), which names the row as
+        ``first`` + its index.  Like ``all`` over the expressions, each is
+        evaluated only where the earlier ones hold."""
+        fault = None
+        while True:
+            rows = np.arange(len(C))
+            try:
+                for prog in self.programs:
+                    rows = rows[prog(C[rows], labels=rows + first)[:, 0] > 0.0]
+            except DomainError as err:
+                fault, C = err, C[:err.index - first]
+                continue
+            mask = np.zeros(len(C), dtype=bool)
+            mask[rows] = True
+            return mask, fault
+
+    def sample(self, draw, n: int, budget: int) -> np.ndarray:
+        """The first n candidates that hold, from at most ``budget`` drawn in
+        growing blocks ``draw(size)`` of one stream: the candidates that
+        drawing and testing one at a time gives.  A fault counts only at a
+        candidate that one-at-a-time drawing would reach."""
+        drawn, size = 0, max(n, 1)
+        found = np.empty((0, self.dim))
+        while len(found) < n and drawn < budget:
+            C = draw(min(size, budget - drawn))
+            inside, fault = self.holds(C, drawn)
+            drawn += len(C)
+            found = np.concatenate([found, C[:len(inside)][inside]])[:n]
+            if fault is not None and len(found) < n:
+                raise fault
+            size *= 2
+        return found
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import Const, Expr, add, diff, evaluate, mul, sub
+from .expr import Const, Expr, Var, add, diff, evaluate, mul, sub
 from .geometry import (
     ComplexChart, ComplexField, VectorField, complexify, env_at,
     _wirtinger_bar_residuals,
@@ -279,7 +279,6 @@ def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
     entries: list[list[tuple[Expr, Expr]]] = []
     coord_at = {pos: mu for mu, pos in enumerate(spec.positions)}
     base = np.asarray(spec.base, dtype=complex)
-    from .expr import Var
     for r in range(m):
         row = []
         for c in range(m):

@@ -276,8 +276,7 @@ def is_holomorphic(Z: ComplexField, pts, tol: float = 1e-9) -> tuple[bool, float
 
 def field_matrix(fields, p) -> np.ndarray:
     """Column matrix of field values at a point (2N x m)."""
-    cols = [f.values(p) for f in fields]
-    return np.column_stack(cols)
+    return np.column_stack([f.values(p) for f in fields])
 
 
 def distribution_rank(fields, p) -> int:

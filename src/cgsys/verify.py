@@ -13,15 +13,15 @@ sets) is checked here as a numerical residual at sample points with an
 explicit tolerance; verdicts are residual-based, never symbolic proofs.
 
 Sampling is separate from checking.  ``sample_points`` draws seeded points
-from the box [-2, 2]^(2N) filtered by the system's domain predicate, and
-every check is a function of the point set it is given.  ``verify_system``
-draws one set and runs every check on it (or on a prefix of it), so
-identical seed and configuration reproduce identical residual tables bit
-for bit.  The checks share one compiled table of expressions per system
-(``GradientSystem.table``), evaluate it over their whole point set in one
-call and reduce the result with numpy, span residuals by one stacked
-projection.  A domain fault at a sample point raises DomainError naming the
-node and the point.
+from the box [-2, 2]^(2N) filtered by the system's compiled domain
+predicate.  Every expression a check needs sits in one compiled table per
+system (``GradientSystem.table``), and every check is a numpy reduction
+over the blocks ``t = sys.table.at(pts)`` it is handed, span residuals by
+one stacked projection.  ``verify_system`` draws one point set, evaluates
+the table there once and hands every check those blocks or their first
+rows, so identical seed and configuration reproduce identical residual
+tables bit for bit.  A domain fault at a sample point raises DomainError
+naming the node and the point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import DomainError, Expr, compile_exprs, diff, evaluate, require_vars
+from .expr import Expr, Predicate, Table, diff, evaluate, require_vars
 from .flow import DEFAULT_CONFIG, FlowConfig, flow_real
 from .geometry import (
     ComplexChart, VectorField, _wirtinger_bar_residuals, apply_J, complexify,
@@ -93,9 +93,14 @@ class GradientSystem:
         """The compiled check table, built on first use."""
         return CheckTable(self)
 
+    @cached_property
+    def domain_predicate(self) -> Predicate:
+        """The compiled domain predicate, built on first use."""
+        return Predicate(self.domain, self.chart.names)
 
-class CheckTable:
-    """Every expression the checks evaluate, compiled once into one Program.
+
+class CheckTable(Table):
+    """Every expression the checks evaluate, compiled once into one Table.
 
     Frame index i < k stands for xi_(i+1), k + a for J xi_(a+1).  ``at(pts)``
     returns these blocks, each with a leading point axis: ``d``, ``dc`` (k, k)
@@ -108,8 +113,7 @@ class CheckTable:
 
     ``pairs`` lists the frame pairs i < j first, then the [J xi_a, xi_b].
     ``ddc_ref[p]`` is the bracket row the dd^c identity of frame pair p
-    recovers: [xi_a, xi_b] for (J xi_a, J xi_b), else pair p itself.  The
-    domain predicate is compiled too, one program per expression.
+    recovers: [xi_a, xi_b] for (J xi_a, J xi_b), else pair p itself.
     """
 
     def __init__(self, sys: GradientSystem):
@@ -145,37 +149,7 @@ class CheckTable:
               for pair in _wirtinger_bar_residuals(complexify(f)) for e in pair]),
             ("lap", (k,), [laplacian(g, sys.chart) for g in gs]),
         ]
-        self.exprs, self._blocks = [], []
-        for name, shape, exprs in blocks:
-            self._blocks.append((name, len(self.exprs), shape))
-            self.exprs += exprs
-        self.program = compile_exprs(self.exprs, names)
-        self.domain = [compile_exprs([g], names) for g in sys.domain]
-
-    def at(self, pts) -> dict[str, np.ndarray]:
-        """The named blocks of the table evaluated at every row of ``pts``."""
-        vals = self.program(pts)
-        n = len(vals)
-        return {name: vals[:, lo:lo + int(np.prod(shape))].reshape((n, *shape))
-                for name, lo, shape in self._blocks}
-
-    def inside(self, C, first: int = 0):
-        """The domain predicate (every expression > 0) at the rows of C up
-        to the first row where it faults, and that DomainError (or None),
-        which names the row as ``first`` + its index.  Like ``all`` over the
-        expressions, each is evaluated only where the earlier ones hold."""
-        fault = None
-        while True:
-            rows = np.arange(len(C))
-            try:
-                for prog in self.domain:
-                    rows = rows[prog(C[rows], labels=rows + first)[:, 0] > 0.0]
-            except DomainError as err:
-                fault, C = err, C[:err.index - first]
-                continue
-            mask = np.zeros(len(C), dtype=bool)
-            mask[rows] = True
-            return mask, fault
+        super().__init__(blocks, names)
 
 
 @dataclass
@@ -232,26 +206,13 @@ SAMPLE_BOX = 2.0
 
 def sample_points(sys: GradientSystem, n: int, seed: int) -> np.ndarray:
     """Seeded uniform samples from the sampling box filtered by the domain
-    predicate; resamples until n are accepted or 100 n draws are spent.
-
-    Candidates are drawn in growing blocks from one stream, so the points
-    are those of drawing and testing one candidate at a time.  A domain
-    fault counts only at a candidate that one-at-a-time drawing would
-    reach, and names it by its draw index."""
+    predicate; resamples until n are accepted or 100 n draws are spent."""
     rng = np.random.default_rng(seed)
-    budget, drawn, size = 100 * n, 0, max(n, 1)
-    found = np.empty((0, sys.chart.dim))
-    while len(found) < n and drawn < budget:
-        C = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX,
-                        size=(min(size, budget - drawn), sys.chart.dim))
-        inside, fault = sys.table.inside(C, drawn)
-        drawn += len(C)
-        found = np.concatenate([found, C[:len(inside)][inside]])[:n]
-        if fault is not None and len(found) < n:
-            raise fault
-        size *= 2
+    found = sys.domain_predicate.sample(
+        lambda size: rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (size, sys.chart.dim)),
+        n, 100 * n)
     if len(found) < n:
-        raise SamplingError(f"found {len(found)}/{n} domain points in {drawn} draws")
+        raise SamplingError(f"found {len(found)}/{n} domain points in {100 * n} draws")
     return found
 
 
@@ -262,28 +223,32 @@ def sample_points(sys: GradientSystem, n: int, seed: int) -> np.ndarray:
 def verify_system(sys: GradientSystem, points: int, seed: int,
                   tol: float) -> VerificationReport:
     """Every identity check and the classification of ``sys`` from one draw
-    of ``points`` sample points.  The decomposition check reads the first 25
-    of them and the classification the first 50; sampling draws one stream,
-    so each prefix is the set a draw of that size would give."""
-    pts = sample_points(sys, points, seed)
-    checks = check_axioms(sys, pts, tol)
-    checks.append(decomposition_check_result(sys, pts[:25]))
-    checks += check_bracket_relations(sys, pts, tol)
-    checks.append(check_commutation(sys, pts, tol))
+    of ``points`` sample points and one evaluation of the check table there.
+    The decomposition check reads the first 25 rows of the blocks and the
+    classification the first 50: sampling draws one stream and the table
+    evaluates rows independently, so each is what a draw of that size gives."""
+    t = sys.table.at(sample_points(sys, points, seed))
+    checks = check_axioms(sys, t, tol)
+    checks.append(decomposition_check_result(sys, _head(t, 25)))
+    checks += check_bracket_relations(sys, t, tol)
+    checks.append(check_commutation(sys, t, tol))
     return VerificationReport(sys.name, seed, points, checks,
-                              classify(sys, pts[:50], tol))
+                              classify(sys, _head(t, 50), tol))
+
+
+def _head(t, n: int) -> dict[str, np.ndarray]:
+    """The first n rows of every block of ``t``."""
+    return {name: block[:n] for name, block in t.items()}
 
 
 # ---------------------------------------------------------------------------
 # axiom checks
 
 
-def check_axioms(sys: GradientSystem, pts, tol: float = 1e-9) -> list[CheckResult]:
+def check_axioms(sys: GradientSystem, t, tol: float = 1e-9) -> list[CheckResult]:
     """Residuals of the two defining identities plus pointwise independence
-    and involutivity of the 2k-frame at the rows of ``pts``."""
-    n, k = len(pts), sys.k
-    t = sys.table.at(pts)
-    S = t["frame"]
+    and involutivity of the 2k-frame at the rows of ``t``."""
+    S, k, n = t["frame"], sys.k, len(t["frame"])
     r_d = np.abs(t["d"]).max(axis=(1, 2))
     r_dc = np.abs(t["dc"] - np.eye(k)).max(axis=(1, 2))
     r_rank = (2 * k - np.linalg.matrix_rank(S)).astype(float)
@@ -319,11 +284,7 @@ class DecompositionRecord:
 
     @property
     def ok(self) -> bool:
-        return (self.rank_representation == self.expected["rank_representation"]
-                and self.rank_span == self.expected["rank_span"]
-                and self.rank_gradient == self.expected["rank_gradient"]
-                and self.dim_horizontal == self.expected["dim_horizontal"]
-                and self.rank_total == self.expected["rank_total"]
+        return (all(getattr(self, key) == n for key, n in self.expected.items())
                 and self.residual_gradient_on_rep < 1e-8)
 
 
@@ -348,14 +309,13 @@ def check_decompositions(sys: GradientSystem, p) -> DecompositionRecord:
     arithmetic: the representation span sits inside ker dU, the span plus its
     J-rotation is 2k-dimensional, and the horizontal space ker dU cap
     ker d^c U supplies the remaining 2n directions."""
-    return _decompositions(sys, np.asarray(p, dtype=float)[None])[0]
+    return _decompositions(sys, sys.table.at(np.asarray(p, dtype=float)[None]))[0]
 
 
-def _decompositions(sys: GradientSystem, pts) -> list[DecompositionRecord]:
-    """The records of check_decompositions at every row of ``pts``; every
+def _decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
+    """The records of check_decompositions at every row of ``t``; every
     rank with the same shape at all points is taken over the whole stack."""
     k, N = sys.k, sys.chart.N
-    t = sys.table.at(pts)
     G, span = t["grad"], t["frame"]
     Xi = span[..., :k]
     # the horizontal space ker dU cap ker d^c U, with d^c U = -dU o J
@@ -382,22 +342,22 @@ def _decompositions(sys: GradientSystem, pts) -> list[DecompositionRecord]:
     return recs
 
 
-def decomposition_check_result(sys: GradientSystem, pts) -> CheckResult:
-    """Aggregate decomposition records over points into a residual check."""
-    recs = _decompositions(sys, pts)
+def decomposition_check_result(sys: GradientSystem, t) -> CheckResult:
+    """Aggregate the decomposition records at the rows of ``t`` into a check."""
+    recs = _decompositions(sys, t)
     note = next((r.warning for r in reversed(recs) if r.warning), "")
     return CheckResult("decompositions", "tangent-splitting",
                        np.array([0.0 if r.ok else 1.0 for r in recs]), 0.5,
-                       len(pts), note)
+                       len(recs), note)
 
 
 # ---------------------------------------------------------------------------
 # bracket relations
 
 
-def check_bracket_relations(sys: GradientSystem, pts,
+def check_bracket_relations(sys: GradientSystem, t,
                             tol: float = 1e-9) -> list[CheckResult]:
-    """All bracket consequences of the axioms at the rows of ``pts``:
+    """All bracket consequences of the axioms at the rows of ``t``:
 
     * brackets of frame fields stay in the representation span,
     * the dd^c three-term identity collapses onto bracket evaluation,
@@ -405,9 +365,8 @@ def check_bracket_relations(sys: GradientSystem, pts,
     * the representation span itself is involutive,
     * J-rotated brackets satisfy [JX, JY] = [X, Y] and [JX, Y] = -[X, JY].
     """
-    n, k, tab = len(pts), sys.k, sys.table
-    t = tab.at(pts)
-    br = t["bracket"]
+    k, tab, br = sys.k, sys.table, t["bracket"]
+    n = len(br)
     S = t["frame"][..., :k]
     rep = [tab.row[(a, b)] for a in range(k) for b in range(a + 1, k)]
 
@@ -443,14 +402,13 @@ def check_bracket_relations(sys: GradientSystem, pts,
     ]
 
 
-def check_commutation(sys: GradientSystem, pts, tol: float = 1e-9) -> CheckResult:
-    """Commutation of the complexified fields at the rows of ``pts``: with
+def check_commutation(sys: GradientSystem, t, tol: float = 1e-9) -> CheckResult:
+    """Commutation of the complexified fields at the rows of ``t``: with
     Z_a = (xi_a - i J xi_a)/2, [Z_a, Z_b] = 0.  Expanded over real brackets
     the real part is ([X_a, X_b] - [JX_a, JX_b])/4 and the imaginary part
     -([X_a, JX_b] + [JX_a, X_b])/4."""
-    k, row = sys.k, sys.table.row
-    residuals = np.zeros(len(pts))
-    br = sys.table.at(pts)["bracket"]
+    k, row, br = sys.k, sys.table.row, t["bracket"]
+    residuals = np.zeros(len(br))
     for a in range(k):
         for b in range(a + 1, k):
             re = (br[..., row[(a, b)]] - br[..., row[(k + a, k + b)]]) / 4.0
@@ -458,19 +416,18 @@ def check_commutation(sys: GradientSystem, pts, tol: float = 1e-9) -> CheckResul
             residuals = np.maximum(residuals, np.hypot(re, im).max(axis=1))
     note = "single-field system commutes identically" if k == 1 else ""
     return CheckResult("commutation", "complexified-fields-commute",
-                       residuals, tol, len(pts), note)
+                       residuals, tol, len(br), note)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def classify(sys: GradientSystem, pts, tol: float = 1e-9) -> Classification:
-    """Flags at the rows of ``pts``: holomorphic (every complexified field
+def classify(sys: GradientSystem, t, tol: float = 1e-9) -> Classification:
+    """Flags at the rows of ``t``: holomorphic (every complexified field
     satisfies Cauchy-Riemann), abelian (all real brackets among
     {xi_a, J xi_a} vanish, the real form of [Z_a, conj Z_b] = 0), harmonic
     (flat Laplacian of every gradient component vanishes)."""
-    t = sys.table.at(pts)
     cr = t["cr"]
     holo = float(np.max(0.5 * np.hypot(cr[..., 0], cr[..., 1]), initial=0.0))
     abel = float(np.max(np.abs(t["bracket"][..., :sys.table.n_frame_pairs]),
@@ -507,45 +464,40 @@ class LevelSetRecord:
 def check_level_set(sys: GradientSystem, V, n_points: int = 8,
                     seed: int = 0) -> LevelSetRecord:
     """Find up to ``n_points`` points with U = V by Gauss-Newton from the
-    points of a seeded draw of its own, then check that dU has rank k there and the level set's tangent meets its J-rotation
-    in a space of complex dimension n."""
+    points of a seeded draw of its own, then check that dU has rank k there
+    and the level set's tangent meets its J-rotation in a space of complex
+    dimension n."""
     V = np.asarray(V, dtype=float)
-    k, N = sys.k, sys.chart.N
+    k, n = sys.k, sys.chart.N - sys.k
     if V.shape != (k,):
         raise ValueError(f"level-set target needs {k} values, got shape {V.shape}")
-    n = N - k
     try:
         seeds = sample_points(sys, max(4 * n_points, 16), seed)
     except SamplingError:
         return LevelSetRecord(V, np.empty((0, sys.chart.dim)), [], [],
                               note="no domain samples")
     found = []
-    for p0 in seeds:
-        p = np.array(p0)
-        ok = False
+    for p in seeds:
         for _ in range(60):
             env = env_at(sys.chart, p)
             r = np.array([evaluate(g, env) for g in sys.grads]) - V
             if np.max(np.abs(r)) < 1e-11:
-                ok = True
+                if sys.in_domain(p) and not any(
+                        np.linalg.norm(p - q) < 1e-6 for q in found):
+                    found.append(p)
                 break
-            G = _gradient_rows(sys, p)
-            step, *_ = np.linalg.lstsq(G, -r, rcond=None)
+            step, *_ = np.linalg.lstsq(_gradient_rows(sys, p), -r, rcond=None)
             if not np.all(np.isfinite(step)):
                 break
             p = p + step
             if np.max(np.abs(p)) > 50.0:
                 break
-        if ok and sys.in_domain(p):
-            if not any(np.linalg.norm(p - q) < 1e-6 for q in found):
-                found.append(p)
         if len(found) >= n_points:
             break
     if not found:
         return LevelSetRecord(V, np.empty((0, sys.chart.dim)), [], [],
                               note="level set appears empty for this target")
-    ranks = []
-    hdims = []
+    ranks, hdims = [], []
     for p in found:
         G = _gradient_rows(sys, p)
         ranks.append(int(np.linalg.matrix_rank(G)))
@@ -568,8 +520,11 @@ class GridSpec:
     nx: int = 11
     ny: int = 11
     extent: float = 0.5
-    w_extent: float = 0.25
-    n_w_samples: int = 4
+
+
+# the scale of the flow times normal_form checks at, and their largest count
+W_EXTENT = 0.25
+N_W_SAMPLES = 4
 
 
 @dataclass
@@ -591,37 +546,25 @@ class NormalForm:
     independence_residual: float
     time_cr_residual: float
     phi: object                 # callable ((x, y), w complex k-vector) -> point
+    points: int                 # (slice point, flow time) pairs the residuals saw
 
 
-def _pick_slice_pairs(sys: GradientSystem, p, n: int) -> list[int]:
-    """Greedy pivoted choice of n complex coordinate lines most orthogonal to
-    the span of {xi_a(p), J xi_a(p)}."""
+def _pick_slice_pair(sys: GradientSystem, p) -> int:
+    """The complex coordinate line most orthogonal to the span of
+    {xi_a(p), J xi_a(p)}."""
     frame = field_matrix(list(sys.fields) + [apply_J(f) for f in sys.fields], p)
     basis = np.linalg.qr(frame)[0]
-    dim = sys.chart.dim
-    chosen: list[int] = []
-    for _ in range(n):
-        best, best_score = None, -1.0
-        for mu in range(sys.chart.N):
-            if mu in chosen:
-                continue
-            score = 0.0
-            for idx in (2 * mu, 2 * mu + 1):
-                e = np.zeros(dim)
-                e[idx] = 1.0
-                r = e - basis @ (basis.T @ e)
-                score += float(r @ r)
-            if score > best_score:
-                best, best_score = mu, score
-        chosen.append(best)
-        for idx in (2 * best, 2 * best + 1):
-            e = np.zeros(dim)
+    best, best_score = None, -1.0
+    for mu in range(sys.chart.N):
+        score = 0.0
+        for idx in (2 * mu, 2 * mu + 1):
+            e = np.zeros(sys.chart.dim)
             e[idx] = 1.0
             r = e - basis @ (basis.T @ e)
-            nrm = np.linalg.norm(r)
-            if nrm > 1e-12:
-                basis = np.column_stack([basis, r / nrm])
-    return chosen
+            score += float(r @ r)
+        if score > best_score:
+            best, best_score = mu, score
+    return best
 
 
 def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
@@ -635,83 +578,74 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     slice variables alone.  Systems that are not holomorphic abelian are
     refused.
     """
-    cls = classify(sys, sample_points(sys, 25, 1), class_tol)
+    cls = classify(sys, sys.table.at(sample_points(sys, 25, 1)), class_tol)
     if not (cls.holomorphic and cls.abelian):
         raise NormalFormRefusal(
             f"system {sys.name or '<anonymous>'} is not holomorphic abelian "
             f"(holomorphic={cls.holomorphic}, abelian={cls.abelian}); "
             "no straightening exists")
-    p = np.asarray(p, dtype=float)
-    k, N = sys.k, sys.chart.N
-    n = N - k
+    p, k = np.asarray(p, dtype=float), sys.k
     jfields = [apply_J(f) for f in sys.fields]
+    slice_pair = _pick_slice_pair(sys, p) if sys.chart.N > k else None
 
-    pairs = _pick_slice_pairs(sys, p, n) if n > 0 else []
-    slice_pair = pairs[0] if pairs else None
-
-    def slice_point(x: float, y: float) -> np.ndarray:
+    def phi(zxy, w, flow=flow_real) -> np.ndarray:
         q = p.copy()
         if slice_pair is not None:
-            q[2 * slice_pair] += x
-            q[2 * slice_pair + 1] += y
-        return q
-
-    def phi(zxy, w) -> np.ndarray:
-        q = slice_point(*zxy)
+            q[2 * slice_pair:2 * slice_pair + 2] += zxy
         w = np.asarray(w, dtype=complex)
         for a in reversed(range(k)):
             if w[a].real != 0.0:
-                q = flow_real(sys.fields[a], q, float(w[a].real), cfg)
+                q = flow(sys.fields[a], q, float(w[a].real), cfg)
             if w[a].imag != 0.0:
-                q = flow_real(jfields[a], q, float(w[a].imag), cfg)
+                q = flow(jfields[a], q, float(w[a].imag), cfg)
         return q
 
-    def profile(zxy, w) -> np.ndarray:
-        q = phi(zxy, w)
+    def profile(q, w) -> np.ndarray:
+        """U(q) + Im w, the profile at q = phi(zxy, w)."""
         env = env_at(sys.chart, q)
-        u = np.array([w[a].imag for a in range(k)])
-        return np.array([evaluate(g, env) for g in sys.grads]) + u
+        return np.array([evaluate(g, env) for g in sys.grads]) + w.imag
 
-    xs = np.linspace(-grid.extent, grid.extent, grid.nx)
-    ys = np.linspace(-grid.extent, grid.extent, grid.ny)
+    # the residual loop below meets each flow leg (field, start point, time)
+    # several times: phi at w +- h e_a shares its earlier legs with phi at w
+    legs: dict = {}
+
+    def flow_once(f, q, t, cfg):
+        key = (id(f), q.tobytes(), t)
+        if key not in legs:
+            legs[key] = flow_real(f, q, t, cfg)
+        return legs[key]
+
+    xs, ys = (np.linspace(-grid.extent, grid.extent, n) for n in (grid.nx, grid.ny))
     if slice_pair is None:
-        xs = np.zeros(1)
-        ys = np.zeros(1)
-    F = np.empty((k, len(xs), len(ys)))
+        xs = ys = np.zeros(1)
     w0 = np.zeros(k, dtype=complex)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            F[:, i, j] = profile((x, y), w0)
+    F = np.moveaxis(np.array([[profile(phi((x, y), w0), w0) for y in ys]
+                              for x in xs]), -1, 0)
 
     # deterministic w samples exercising each flow direction and a mix
-    w_samples = []
-    for a in range(k):
-        w = np.zeros(k, dtype=complex)
-        w[a] = complex(grid.w_extent, 0.6 * grid.w_extent)
-        w_samples.append(w)
-    w_samples.append(np.full(k, complex(0.5 * grid.w_extent, -0.4 * grid.w_extent)))
-    w_samples = w_samples[:max(1, grid.n_w_samples)]
+    w_samples = [complex(W_EXTENT, 0.6 * W_EXTENT) * np.eye(k)[a] for a in range(k)]
+    w_samples.append(np.full(k, complex(0.5 * W_EXTENT, -0.4 * W_EXTENT)))
+    w_samples = w_samples[:N_W_SAMPLES]
 
-    corners = [(xs[0], ys[0]), (xs[-1], ys[0]), (xs[0], ys[-1]),
-               (xs[-1], ys[-1]), (xs[len(xs) // 2], ys[len(ys) // 2])]
-    corners = list(dict.fromkeys(corners))
+    corners = list(dict.fromkeys([(xs[0], ys[0]), (xs[-1], ys[0]), (xs[0], ys[-1]),
+                                  (xs[-1], ys[-1]), (xs[len(xs) // 2], ys[len(ys) // 2])]))
 
     # np.maximum, not max(): a NaN residual must propagate and fail its check
     indep = push = timecr = 0.0
-    J = j_matrix(sys.chart)
-    h = 1e-3
+    J, h = j_matrix(sys.chart), 1e-3
     for zxy in corners:
-        base_val = profile(zxy, w0)
+        base_val = profile(phi(zxy, w0), w0)
         for w in w_samples:
-            indep = np.maximum(indep, np.max(np.abs(profile(zxy, w) - base_val)))
-            q = phi(zxy, w)
+            q = phi(zxy, w, flow_once)
+            indep = np.maximum(indep, np.max(np.abs(profile(q, w) - base_val)))
             for a in range(k):
-                e = np.zeros(k, dtype=complex)
-                e[a] = h
-                dphidt = (phi(zxy, w + e) - phi(zxy, w - e)) / (2 * h)
+                e = h * np.eye(k, dtype=complex)[a]
+                dphidt = (phi(zxy, w + e, flow_once)
+                          - phi(zxy, w - e, flow_once)) / (2 * h)
                 push = np.maximum(push, np.max(np.abs(
                     dphidt - sys.fields[a].values(q))))
-                dphidu = (phi(zxy, w + 1j * e) - phi(zxy, w - 1j * e)) / (2 * h)
+                dphidu = (phi(zxy, w + 1j * e, flow_once)
+                          - phi(zxy, w - 1j * e, flow_once)) / (2 * h)
                 timecr = np.maximum(timecr, np.max(np.abs(
                     0.5 * (dphidt + J @ dphidu))))
 
@@ -719,4 +653,4 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
                       pushforward_residual=float(push),
                       independence_residual=float(indep),
                       time_cr_residual=float(timecr),
-                      phi=phi)
+                      phi=phi, points=len(corners) * len(w_samples))

@@ -47,7 +47,7 @@ def line():
 
 def test_criterion_01_heisenberg_axioms(heis):
     start = time.perf_counter()
-    rep = check_axioms(heis, sample_points(heis, 100, 7), 1e-12)
+    rep = check_axioms(heis, heis.table.at(sample_points(heis, 100, 7)), 1e-12)
     elapsed = time.perf_counter() - start
     d = next(c for c in rep if c.name == "axioms.gradient-annihilation")
     dc = next(c for c in rep if c.name == "axioms.normalization")
@@ -113,7 +113,7 @@ def test_criterion_04_affine_bracket_identity(affine):
 def test_criterion_05_commutation(heis, affine, line):
     worst = 0.0
     for sys_ in (heis, affine, line.system):
-        c = check_commutation(sys_, sample_points(sys_, 100, 7), 1e-9)
+        c = check_commutation(sys_, sys_.table.at(sample_points(sys_, 100, 7)), 1e-9)
         worst = max(worst, c.max_residual)
         assert c.passed, sys_.name
     _criterion(5, worst < 1e-9,
@@ -149,8 +149,9 @@ def test_criterion_07_cauchy_heisenberg():
 
 def test_criterion_08_non_uniqueness(line):
     alt = load_builtin("line-alt").system
-    rep1 = check_axioms(line.system, sample_points(line.system, 100, 7), 1e-12)
-    rep2 = check_axioms(alt, sample_points(alt, 100, 7), 1e-12)
+    rep1 = check_axioms(line.system,
+                        line.system.table.at(sample_points(line.system, 100, 7)), 1e-12)
+    rep2 = check_axioms(alt, alt.table.at(sample_points(alt, 100, 7)), 1e-12)
     p = np.array([0.0, 0.1])
     gap = float(np.max(np.abs(alt.fields[0].values(p)
                               - line.system.fields[0].values(p))))

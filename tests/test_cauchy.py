@@ -1,20 +1,25 @@
 """End-to-end checks of the initial-value construction: the flat line case,
 the nilpotent group against its closed forms, and the affine group."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cgsys.cauchy
+from cgsys.cli import main
 from cgsys.dsl import load_builtin, loads
-from cgsys.expr import parse_expr
+from cgsys.expr import Table, parse_expr
 from cgsys.flow import FlowConfig, MatrixGroupSpec, numerical_jacobian
 from cgsys.cauchy import (
-    CRInitialData, TransversalityError, build_dF, build_F, check_cr_transverse,
-    compute_PQA, construct_fields, equation_map, frobenius_defect_on_M,
-    grid_queries, invariant_lift, param_samples, solve, validate_tangency,
+    PARAM_SPREAD, CRInitialData, TransversalityError, build_dF, build_F,
+    check_cr_transverse, compute_PQA, construct_fields, equation_map,
+    frobenius_defect_on_M, grid_queries, invariant_lift, param_samples, solve,
+    validate_tangency,
 )
-from cgsys.geometry import ComplexChart, VectorField
+from cgsys.geometry import ComplexChart, VectorField, field_matrix, pair_brackets
 
 CFG = FlowConfig()
 
@@ -95,12 +100,12 @@ def affine_data():
 
 
 def test_line_transverse(line_data):
-    res = check_cr_transverse(line_data, param_samples(line_data, 25, 0))
+    res = check_cr_transverse(line_data, line_data.table.at(param_samples(line_data, 25, 0)))
     assert res.transverse and res.min_rank == 2
 
 
 def test_heisenberg_transverse_at_random_points(heis_data):
-    res = check_cr_transverse(heis_data, param_samples(heis_data, 50, 3))
+    res = check_cr_transverse(heis_data, heis_data.table.at(param_samples(heis_data, 50, 3)))
     assert res.transverse and res.min_rank == 6
 
 
@@ -111,24 +116,23 @@ def test_vanishing_initial_field_fails_at_origin():
         sigma=(parse_expr("s"), parse_expr("0")),
         ambient_fields=(field(chart, ["x1", "0"]),),
         name="non-transverse")
-    res = check_cr_transverse(data, param_samples(data, 25, 0))
+    res = check_cr_transverse(data, data.table.at(param_samples(data, 25, 0)))
     assert not res.transverse
     assert np.allclose(res.witnesses[0], [0.0])
 
 
 def test_tangency_validates(line_data, heis_data):
-    assert validate_tangency(line_data, param_samples(line_data, 10, 0)) < 1e-12
-    assert validate_tangency(heis_data, param_samples(heis_data, 10, 0)) < 1e-12
+    for data in (line_data, heis_data):
+        assert validate_tangency(data, data.table.at(param_samples(data, 10, 0))) < 1e-12
 
 
 def test_initial_distribution_involutive_on_group(heis_data):
-    assert frobenius_defect_on_M(heis_data, param_samples(heis_data, 10, 0)) < 1e-12
+    t = heis_data.table.at(param_samples(heis_data, 10, 0))
+    assert frobenius_defect_on_M(heis_data, t) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["line", "heisenberg-cr"])
 def test_cauchy_op_draws_parameter_samples_once(monkeypatch, name):
-    import cgsys.cauchy
-    from cgsys.cli import main
     calls = []
     inner = cgsys.cauchy.param_samples
 
@@ -139,6 +143,80 @@ def test_cauchy_op_draws_parameter_samples_once(monkeypatch, name):
     monkeypatch.setattr(cgsys.cauchy, "param_samples", counted)
     assert main(["cauchy", name, "--grid", "3"]) == 0
     assert len(calls) == 1
+
+
+def _ambient_data():
+    """The CR data of the benchmark's generated (1 + c z^2) d/dz file, c = 1.1."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return loads(workloads.ambient_cgs(1.1), name="ambient").cr
+
+
+CR_DATA = ["line", "heisenberg-cr", "affine", "non-transverse-demo", "ambient"]
+
+
+def _cr_data(name):
+    return _ambient_data() if name == "ambient" else load_builtin(name).cr
+
+
+def one_at_a_time(data, n, seed):
+    """The reference sampler: the base point, then draw and test one
+    candidate at a time."""
+    rng = np.random.default_rng(seed)
+    out = [data.base]
+    for _ in range(100 * (n + 1)):
+        if len(out) == n + 1:
+            break
+        p = data.base + rng.uniform(-PARAM_SPREAD, PARAM_SPREAD,
+                                    size=len(data.param_names))
+        if data.params_in_domain(p):
+            out.append(p)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", CR_DATA)
+def test_param_samples_match_one_at_a_time(monkeypatch, name):
+    data = _cr_data(name)
+    for n, seed in ((25, 0), (10, 0), (50, 3), (0, 1)):
+        ref = one_at_a_time(data, n, seed)
+        with monkeypatch.context() as m:
+            # block draws test whole blocks through the compiled predicate
+            m.setattr(cgsys.cauchy, "evaluate", None)
+            got = param_samples(data, n, seed)
+        assert np.array_equal(got, ref), (n, seed)
+
+
+@pytest.mark.parametrize("name", CR_DATA)
+def test_cr_table_matches_the_per_point_views(name):
+    data = _cr_data(name)
+    params = param_samples(data, 10, 2)
+    t = data.table.at(params)
+    brackets = pair_brackets(data.ambient_fields)
+    for i, p in enumerate(params):
+        q = data.sigma_at(p)
+        assert np.array_equal(t["p"][i], p)
+        assert np.allclose(t["dsigma"][i], data.dsigma_at(p), rtol=1e-14, atol=1e-14)
+        assert np.allclose(t["rho0"][i], data.initial_field_values(p).T,
+                           rtol=1e-14, atol=1e-14)
+        if brackets:
+            assert np.allclose(t["bracket"][i], field_matrix(brackets, q),
+                               rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["line", "heisenberg-cr", "affine"])
+def test_cauchy_op_evaluates_the_cr_table_once(monkeypatch, name):
+    rows = []
+    inner = Table.at
+
+    def counted(self, pts):
+        rows.append(len(pts))
+        return inner(self, pts)
+
+    monkeypatch.setattr(Table, "at", counted)
+    assert main(["cauchy", name, "--grid", "3"]) == 0
+    assert rows == [26]
 
 
 def test_rho0_param_exprs_restrict_ambient(heis_data):

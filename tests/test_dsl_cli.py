@@ -148,8 +148,8 @@ def test_roundtrip_serialization(name):
     sf = load_builtin(name)
     sf2 = loads(dumps(sf), name=name)
     if sf.system is not None:
-        r1 = check_axioms(sf.system, sample_points(sf.system, 25, 3), 1e-6)
-        r2 = check_axioms(sf2.system, sample_points(sf2.system, 25, 3), 1e-6)
+        r1 = check_axioms(sf.system, sf.system.table.at(sample_points(sf.system, 25, 3)), 1e-6)
+        r2 = check_axioms(sf2.system, sf2.system.table.at(sample_points(sf2.system, 25, 3)), 1e-6)
         for c1, c2 in zip(r1, r2):
             assert np.array_equal(c1.residuals, c2.residuals), (name, c1.name)
     if sf.cr is not None:
@@ -301,6 +301,31 @@ def test_complex_dim_bound_is_inclusive():
     assert loads(text).chart.N == MAX_COMPLEX_DIM
     with pytest.raises(LoadError, match="complex_dim"):
         loads(f"[chart]\ncomplex_dim = {MAX_COMPLEX_DIM + 1}\n")
+
+
+def test_cli_param_domain_fault_at_a_newton_solution_refuses_the_query(
+        tmp_path, capsys):
+    path = tmp_path / "log-domain.cgs"
+    path.write_text(_edited("affine", "param_domain = p1 - 0.25",
+                            "param_domain = log(p1 + 0.75)"))
+    assert main(["cauchy", str(path), "--grid", "5"]) == 0
+    # at |u| <= 3 Newton lands on p1 = -1, where log(p1 + 0.75) faults
+    report = tmp_path / "report.json"
+    assert main(["cauchy", str(path), "--u-extent", "3", "--grid", "5",
+                 "--json", str(report)]) == 1
+    refused = [r["error"] for r in json.loads(report.read_text())["records"]
+               if not r["ok"]]
+    assert refused
+    assert all(e.startswith("Newton solution has parameters [-1.0, ")
+               and "param_domain faults: log of non-positive value" in e
+               for e in refused)
+    assert "Traceback" not in capsys.readouterr().err
+    # a fault while sampling the parameters stays an input error
+    path.write_text(_edited("affine", "param_domain = p1 - 0.25",
+                            "param_domain = log(p1 - 0.5)"))
+    assert main(["cauchy", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: log of non-positive value in 'log(p1 - 0.5)' at point ")
 
 
 def _edited(base: str, old: str, new: str) -> str:

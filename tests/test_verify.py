@@ -1,9 +1,12 @@
 """Verifier checks: axioms, decompositions, bracket consequences,
 commutation, classification, level sets and the normal form."""
 
+import json
+
 import numpy as np
 import pytest
 
+from cgsys.dsl import builtin_names, load_builtin
 from cgsys.expr import DomainError, parse_expr
 from cgsys.flow import FlowConfig
 from cgsys.geometry import (
@@ -12,7 +15,7 @@ from cgsys.geometry import (
 import cgsys.verify
 from cgsys.cli import main
 from cgsys.verify import (
-    Classification, GradientSystem, GridSpec, NormalFormRefusal,
+    CheckTable, Classification, GradientSystem, GridSpec, NormalFormRefusal,
     check_axioms, check_bracket_relations, check_commutation,
     check_decompositions, check_level_set, classify,
     decomposition_check_result, normal_form, sample_points, verify_system,
@@ -106,24 +109,24 @@ def rotated_model():
 
 
 def test_axioms_heisenberg_machine_tight(heis):
-    rep = check_axioms(heis, sample_points(heis, 100, 7), 1e-12)
+    rep = check_axioms(heis, heis.table.at(sample_points(heis, 100, 7)), 1e-12)
     assert all(c.passed for c in rep)
     for c in rep:
         assert c.max_residual < 1e-12, c.name
 
 
 def test_axioms_line(line):
-    rep = check_axioms(line, sample_points(line, 50, 0), 1e-12)
+    rep = check_axioms(line, line.table.at(sample_points(line, 50, 0)), 1e-12)
     assert all(c.passed for c in rep)
 
 
 def test_axioms_affine(affine):
-    rep = check_axioms(affine, sample_points(affine, 100, 1), 1e-9)
+    rep = check_axioms(affine, affine.table.at(sample_points(affine, 100, 1)), 1e-9)
     assert all(c.passed for c in rep)
 
 
 def test_axioms_broken_fails_with_unit_residual(broken):
-    rep = check_axioms(broken, sample_points(broken, 20, 0), 1e-9)
+    rep = check_axioms(broken, broken.table.at(sample_points(broken, 20, 0)), 1e-9)
     assert not all(c.passed for c in rep)
     norm = next(c for c in rep if c.name == "axioms.normalization")
     assert norm.max_residual == pytest.approx(1.0, abs=1e-14)
@@ -209,8 +212,8 @@ def test_span_residuals_of_checks_match_lstsq_per_point(affine, heis):
         pairs = [(i, j) for i in range(len(frame)) for j in range(i + 1, len(frame))]
         brackets = [lie_bracket(frame[i], frame[j]) for i, j in pairs]
         pts = sample_points(sys_, 30, seed)
-        integrability = check_axioms(sys_, sample_points(sys_, 30, seed))[3]
-        closure = check_bracket_relations(sys_, sample_points(sys_, 30, seed))[0]
+        integrability = check_axioms(sys_, sys_.table.at(sample_points(sys_, 30, seed)))[3]
+        closure = check_bracket_relations(sys_, sys_.table.at(sample_points(sys_, 30, seed)))[0]
         for i, p in enumerate(pts):
             ref = worst(field_matrix(frame, p), brackets, p)
             assert abs(integrability.residuals[i] - ref) < 1e-14
@@ -242,7 +245,7 @@ def test_decompositions_broken_fails(broken):
     p = np.array([0.3, -0.4])
     rec = check_decompositions(broken, p)
     assert rec.ok  # rank arithmetic still consistent for this demo ...
-    rep = check_axioms(broken, sample_points(broken, 10, 0), 1e-9)
+    rep = check_axioms(broken, broken.table.at(sample_points(broken, 10, 0)), 1e-9)
     # ... the axiom residuals are what flag it
     assert not all(c.passed for c in rep)
 
@@ -260,17 +263,17 @@ def test_decompositions_kernel_failure():
 
 
 def test_bracket_relations_heisenberg(heis):
-    for c in check_bracket_relations(heis, sample_points(heis, 100, 11), 1e-9):
+    for c in check_bracket_relations(heis, heis.table.at(sample_points(heis, 100, 11)), 1e-9):
         assert c.passed, (c.name, c.max_residual)
 
 
 def test_bracket_relations_affine(affine):
-    for c in check_bracket_relations(affine, sample_points(affine, 60, 12), 1e-9):
+    for c in check_bracket_relations(affine, affine.table.at(sample_points(affine, 60, 12)), 1e-9):
         assert c.passed, (c.name, c.max_residual)
 
 
 def test_bracket_relations_abelian_trivial(model):
-    for c in check_bracket_relations(model, sample_points(model, 20, 13), 1e-12):
+    for c in check_bracket_relations(model, model.table.at(sample_points(model, 20, 13)), 1e-12):
         assert c.passed
 
 
@@ -278,17 +281,17 @@ def test_bracket_relations_abelian_trivial(model):
 
 
 def test_commutation_heisenberg(heis):
-    c = check_commutation(heis, sample_points(heis, 100, 14), 1e-9)
+    c = check_commutation(heis, heis.table.at(sample_points(heis, 100, 14)), 1e-9)
     assert c.passed and c.max_residual < 1e-12
 
 
 def test_commutation_affine(affine):
-    c = check_commutation(affine, sample_points(affine, 100, 15), 1e-9)
+    c = check_commutation(affine, affine.table.at(sample_points(affine, 100, 15)), 1e-9)
     assert c.passed
 
 
 def test_commutation_line(line):
-    c = check_commutation(line, sample_points(line, 20, 16), 1e-12)
+    c = check_commutation(line, line.table.at(sample_points(line, 20, 16)), 1e-12)
     assert c.passed
 
 
@@ -296,31 +299,31 @@ def test_commutation_line(line):
 
 
 def test_classify_heisenberg(heis):
-    cls = classify(heis, sample_points(heis, 50, 17), 1e-9)
+    cls = classify(heis, heis.table.at(sample_points(heis, 50, 17)), 1e-9)
     assert cls.as_dict() == {"holomorphic": False, "abelian": False, "harmonic": True}
     # the non-holomorphic residual is the constant 1/2 from the i y2 coefficient
     assert cls.residuals["holomorphic"] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_classify_affine(affine):
-    cls = classify(affine, sample_points(affine, 50, 18), 1e-9)
+    cls = classify(affine, affine.table.at(sample_points(affine, 50, 18)), 1e-9)
     assert cls.abelian is False
     assert cls.harmonic is False
     assert cls.residuals["harmonic"] > 1e-3
 
 
 def test_classify_line_and_alternative(line, line_alt):
-    assert classify(line, sample_points(line, 20, 19), 1e-9).as_dict() == {
+    assert classify(line, line.table.at(sample_points(line, 20, 19)), 1e-9).as_dict() == {
         "holomorphic": True, "abelian": True, "harmonic": True}
-    alt = classify(line_alt, sample_points(line_alt, 20, 19), 1e-9)
+    alt = classify(line_alt, line_alt.table.at(sample_points(line_alt, 20, 19)), 1e-9)
     assert alt.abelian is False and alt.holomorphic is False
 
 
 def test_classify_model_and_rotation(model):
-    cls = classify(model, sample_points(model, 30, 20), 1e-9)
+    cls = classify(model, model.table.at(sample_points(model, 30, 20)), 1e-9)
     assert cls.holomorphic and cls.abelian
     rotated = rotated_model()
-    rot = classify(rotated, sample_points(rotated, 30, 20), 1e-8)
+    rot = classify(rotated, rotated.table.at(sample_points(rotated, 30, 20)), 1e-8)
     assert rot.holomorphic and rot.abelian
 
 
@@ -348,10 +351,12 @@ def test_classify_abelian_invariant_under_basis_change(heis, model):
             changed = GradientSystem(sys_.chart, tuple(new_fields),
                                      tuple(new_grads), sys_.domain,
                                      name=sys_.name + "-basis")
-            rep = check_axioms(changed, sample_points(changed, 25, 22), 1e-9)
+            t = changed.table.at(sample_points(changed, 25, 22))
+            rep = check_axioms(changed, t, 1e-9)
             assert all(c.passed for c in rep)
-            assert (classify(changed, sample_points(changed, 25, 22), 1e-9).abelian
-                    == classify(sys_, sample_points(sys_, 25, 22), 1e-9).abelian)
+            t_ref = sys_.table.at(sample_points(sys_, 25, 22))
+            assert (classify(changed, t, 1e-9).abelian
+                    == classify(sys_, t_ref, 1e-9).abelian)
 
 
 # --- consequence meta-check ----------------------------------------------------------
@@ -359,11 +364,12 @@ def test_classify_abelian_invariant_under_basis_change(heis, model):
 
 def test_axiom_pass_implies_consequences(heis, affine, line, line_alt, model):
     for sys_ in (heis, affine, line, line_alt, model):
-        rep = check_axioms(sys_, sample_points(sys_, 40, 23), 1e-8)
+        rep = check_axioms(sys_, sys_.table.at(sample_points(sys_, 40, 23)), 1e-8)
         assert all(c.passed for c in rep), sys_.name
-        for c in check_bracket_relations(sys_, sample_points(sys_, 40, 23), 1e-8):
+        for c in check_bracket_relations(sys_, sys_.table.at(sample_points(sys_, 40, 23)), 1e-8):
             assert c.passed, (sys_.name, c.name, c.max_residual)
-        assert check_commutation(sys_, sample_points(sys_, 40, 23), 1e-8).passed, sys_.name
+        t = sys_.table.at(sample_points(sys_, 40, 23))
+        assert check_commutation(sys_, t, 1e-8).passed, sys_.name
         p = sample_points(sys_, 1, seed=23)[0]
         assert check_decompositions(sys_, p).ok, sys_.name
 
@@ -445,6 +451,31 @@ def test_normal_form_stable_under_step_refinement(model):
     assert np.max(np.abs(a.F - b.F)) < 1e-7
 
 
+@pytest.mark.parametrize("name", ["model-k1", "model-k1-rotated"])
+def test_normal_form_integrates_each_flow_leg_once(monkeypatch, name):
+    # 5 corners x 2 flow times x 4 legs for the central differences, each
+    # sharing its first leg with phi(w) when it perturbs Im w
+    calls = []
+    inner = cgsys.verify.flow_real
+
+    def counted(f, q, t, cfg):
+        calls.append((id(f), q.tobytes(), t))
+        return inner(f, q, t, cfg)
+
+    monkeypatch.setattr(cgsys.verify, "flow_real", counted)
+    assert main(["normal-form", name]) == 0
+    assert len(calls) <= 80
+    assert len(set(calls)) == len(calls)
+
+
+def test_normal_form_report_counts_the_points_it_checked(tmp_path):
+    path = tmp_path / "model-k1.json"
+    assert main(["normal-form", "model-k1", "--json", str(path)]) == 0
+    # the residuals see 5 slice corners x 2 flow times (k = 1), not the
+    # 11 x 11 profile grid
+    assert [c["points"] for c in json.loads(path.read_text())["checks"]] == [10] * 3
+
+
 def test_normal_form_line_degenerate_slice(line):
     nf = normal_form(line, np.zeros(2))
     assert nf.slice_pair is None
@@ -456,8 +487,8 @@ def test_normal_form_line_degenerate_slice(line):
 
 
 def test_reports_bitwise_reproducible(affine):
-    r1 = check_axioms(affine, sample_points(affine, 40, 30), 1e-9)
-    r2 = check_axioms(affine, sample_points(affine, 40, 30), 1e-9)
+    r1 = check_axioms(affine, affine.table.at(sample_points(affine, 40, 30)), 1e-9)
+    r2 = check_axioms(affine, affine.table.at(sample_points(affine, 40, 30)), 1e-9)
     for c1, c2 in zip(r1, r2):
         assert np.array_equal(c1.residuals, c2.residuals)
 
@@ -484,16 +515,49 @@ def test_verify_system_equals_checks_on_their_own_draws(heis, affine, points, se
     for sys_ in (heis, affine):
         rep = verify_system(sys_, points, seed, 1e-9)
         pts = sample_points(sys_, points, seed)
-        alone = (check_axioms(sys_, pts, 1e-9)
+        alone = (check_axioms(sys_, sys_.table.at(pts), 1e-9)
                  + [decomposition_check_result(
-                     sys_, sample_points(sys_, min(points, 25), seed))]
-                 + check_bracket_relations(sys_, pts, 1e-9)
-                 + [check_commutation(sys_, pts, 1e-9)])
+                     sys_, sys_.table.at(sample_points(sys_, min(points, 25), seed)))]
+                 + check_bracket_relations(sys_, sys_.table.at(pts), 1e-9)
+                 + [check_commutation(sys_, sys_.table.at(pts), 1e-9)])
         assert [c.name for c in rep.checks] == [c.name for c in alone]
         for c, ref in zip(rep.checks, alone):
             assert np.array_equal(c.residuals, ref.residuals), (sys_.name, c.name)
             assert (c.points, c.tolerance, c.note) == \
                 (ref.points, ref.tolerance, ref.note)
-        cls = classify(sys_, sample_points(sys_, min(points, 50), seed), 1e-9)
+        cls = classify(sys_, sys_.table.at(sample_points(sys_, min(points, 50), seed)), 1e-9)
         assert rep.classification == cls
         assert (rep.system, rep.seed, rep.n_points) == (sys_.name, seed, points)
+
+
+# --- one table evaluation per op -------------------------------------------------
+
+
+SYSTEMS = [n for n in builtin_names() if load_builtin(n).system is not None]
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_table_blocks_sliced_equal_the_prefix_evaluated_alone(name):
+    sys_ = load_builtin(name).system
+    for points, seed in ((100, 0), (37, 5)):
+        pts = sample_points(sys_, points, seed)
+        t = sys_.table.at(pts)
+        for n in (25, 50):
+            alone = sys_.table.at(pts[:n])
+            assert alone.keys() == t.keys()
+            for block, vals in alone.items():
+                assert np.array_equal(t[block][:n], vals), (block, points, n)
+
+
+@pytest.mark.parametrize("extra", [[], ["--level-set=0.1,-0.2,0.3"]])
+def test_verify_op_evaluates_the_check_table_once(monkeypatch, extra):
+    rows = []
+    inner = CheckTable.at
+
+    def counted(self, pts):
+        rows.append(len(pts))
+        return inner(self, pts)
+
+    monkeypatch.setattr(CheckTable, "at", counted)
+    assert main(["verify", "heisenberg", "--points", "20", *extra]) == 0
+    assert rows == [20]
