@@ -98,8 +98,9 @@ class CRInitialData:
 
     ``sigma`` gives the ambient coordinates as expressions in the parameter
     names (2n + k of them).  Initial fields are the restriction to M of
-    ``ambient_fields``; matrix-group data supplies both the parametrization
-    (real points of the group) and exact complex-time flows.
+    ``ambient_fields``, which every data object needs; matrix-group data
+    (``from_group``) adds the parametrization by real points of the group
+    and exact complex-time flows.
     """
 
     chart: ComplexChart
@@ -129,12 +130,12 @@ class CRInitialData:
                 or not np.all(np.isfinite(self.base_params))):
             raise ValueError("base_params needs one finite value per parameter "
                              f"({len(self.param_names)})")
-        if self.ambient_fields is not None and len(self.ambient_fields) != self.k:
+        if self.ambient_fields is None:
+            raise ValueError("need ambient_fields (CRInitialData.from_group builds them)")
+        if len(self.ambient_fields) != self.k:
             raise ValueError("need one ambient field per initial direction")
         if self.group is not None and self.group.k != self.k:
             raise ValueError("group basis size must equal k")
-        if self.ambient_fields is None and self.group is None:
-            raise ValueError("need ambient extension fields or matrix group data")
 
     @classmethod
     def from_group(cls, spec: MatrixGroupSpec, param_domain=(),
@@ -353,10 +354,8 @@ def equation_map(data: CRInitialData, q, cfg: FlowConfig = DEFAULT_CONFIG,
     the default start point linearizes sigma around the base parameters,
     and grid drivers warm-start from the previous solution.
     """
-    if F is None:
-        F = build_F(data, cfg)
-    if dF is None:
-        dF = build_dF(data, cfg)
+    F = build_F(data, cfg) if F is None else F
+    dF = build_dF(data, cfg) if dF is None else dF
     G, dG, m = _as_maps(data, F, dF)
     q = np.asarray(q, dtype=float)
     if x0 is None:
@@ -433,8 +432,7 @@ def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CON
     """
     p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
     m, k = len(data.param_names), data.k
-    if dF_map is None:
-        dF_map = build_dF(data, cfg)
+    dF_map = build_dF(data, cfg) if dF_map is None else dF_map
     ambient, dF = dF_map(p, u)
     if np.ndim(dF) != 2:
         raise TypeError("compute_PQA needs the (point, Jacobian) map of build_dF")

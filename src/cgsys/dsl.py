@@ -350,17 +350,23 @@ def _fmt_matrix(M) -> str:
     return " / ".join(" ".join(repr(float(v)) for v in row) for row in np.asarray(M))
 
 
+def _indexed(prefix: str, items, fmt) -> list[str]:
+    """The entries prefix_1 .. prefix_m of ``items``, each formatted by fmt."""
+    return [f"{prefix}_{i} = {fmt(v)}" for i, v in enumerate(items, start=1)]
+
+
+def _fmt_field(f: VectorField) -> str:
+    return _fmt_exprs(f.components)
+
+
 def dumps(sf: SystemFile) -> str:
     """Serialize back to the file format; reloading reproduces the model."""
     out = [f"# {sf.name}", "", "[chart]", f"complex_dim = {sf.chart.N}",
            f"names = {' '.join(sf.chart.names)}", ""]
     if sf.system is not None:
-        out.append("[system]")
-        out.append(f"k = {sf.system.k}")
-        for i, f in enumerate(sf.system.fields):
-            out.append(f"field_{i + 1} = {_fmt_exprs(f.components)}")
-        for i, g in enumerate(sf.system.grads):
-            out.append(f"grad_{i + 1} = {to_string(g)}")
+        out += ["[system]", f"k = {sf.system.k}",
+                *_indexed("field", sf.system.fields, _fmt_field),
+                *_indexed("grad", sf.system.grads, to_string)]
         if sf.system.domain:
             out.append(f"domain = {_fmt_exprs(sf.system.domain)}")
         out.append("")
@@ -368,17 +374,14 @@ def dumps(sf: SystemFile) -> str:
         out.append("[cr_data]")
         if sf.cr.group is not None:
             spec = sf.cr.group
-            out.append(f"matrix_dim = {spec.matrix_dim}")
-            out.append(f"base = {_fmt_matrix(spec.base.real)}")
-            for i, E in enumerate(spec.basis):
-                out.append(f"basis_{i + 1} = {_fmt_matrix(E)}")
-            out.append("embed = " + "; ".join(
-                f"{r + 1} {c + 1}" for r, c in spec.positions))
+            out += [f"matrix_dim = {spec.matrix_dim}",
+                    f"base = {_fmt_matrix(spec.base.real)}",
+                    *_indexed("basis", spec.basis, _fmt_matrix),
+                    "embed = " + "; ".join(f"{r + 1} {c + 1}" for r, c in spec.positions)]
         else:
-            out.append("params = " + "; ".join(sf.cr.param_names))
-            out.append(f"sigma = {_fmt_exprs(sf.cr.sigma)}")
-            for i, f in enumerate(sf.cr.ambient_fields):
-                out.append(f"field_{i + 1} = {_fmt_exprs(f.components)}")
+            out += ["params = " + "; ".join(sf.cr.param_names),
+                    f"sigma = {_fmt_exprs(sf.cr.sigma)}",
+                    *_indexed("field", sf.cr.ambient_fields, _fmt_field)]
         if sf.cr.param_domain:
             out.append(f"param_domain = {_fmt_exprs(sf.cr.param_domain)}")
         if sf.cr.base_params is not None:
@@ -387,17 +390,10 @@ def dumps(sf: SystemFile) -> str:
         out.append("")
     if sf.oracle is not None:
         grads, fields = sf.oracle
-        out.append("[oracle]")
-        for i, f in enumerate(fields):
-            out.append(f"field_{i + 1} = {_fmt_exprs(f.components)}")
-        for i, g in enumerate(grads):
-            out.append(f"grad_{i + 1} = {to_string(g)}")
-        out.append("")
+        out += ["[oracle]", *_indexed("field", fields, _fmt_field),
+                *_indexed("grad", grads, to_string), ""]
     if sf.config:
-        out.append("[config]")
-        for key in sorted(sf.config):
-            out.append(f"{key} = {sf.config[key]}")
-        out.append("")
+        out += ["[config]", *(f"{k} = {sf.config[k]}" for k in sorted(sf.config)), ""]
     return "\n".join(out)
 
 

@@ -11,11 +11,12 @@ step count is a plain config knob.  Complex time is supported on two routes:
   holomorphic components.  Holomorphy is the computable sufficient condition
   for the flow to extend; fields that fail it are refused.
 
-Both routes also give exact derivatives of the flow map.  On a matrix group
+Every route also gives exact derivatives of the flow map.  On a matrix group
 one block-triangular exponential yields exp(X) and its Frechet derivatives
-L(X, E) together (Al-Mohy & Higham 2009).  For ambient fields the tangent
-columns are stepped by the same RK4 loop as the trajectory (the variational
-equations, Hairer-Norsett-Wanner I.14), which is the exact derivative of
+L(X, E) together (Al-Mohy & Higham 2009).  Real flows, of one point or of a
+stack of them, and ambient complex flows step the tangent columns, and the
+column of the time derivative, in the same RK4 loop as the trajectory (the
+variational equations, Hairer-Norsett-Wanner I.14): the exact derivative of
 the discrete map.
 
 Everything is pure: configs are read-only shared data and independent
@@ -108,16 +109,42 @@ def _check_bound(y, bound: float) -> None:
         raise DivergenceError(f"trajectory exceeded bound {bound:g}")
 
 
-def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """The flow of V for time t from p: RK4 solution of dg/ds = V(g)."""
+def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG,
+              tangents=None):
+    """The flow of V for time t from p: RK4 solution of dg/ds = V(g).
+
+    ``p`` is one point (2N,) or a stack of rows (n, 2N), stepped together by
+    V's compiled components.  Given ``tangents`` (p.shape + (r,)), also
+    returns r + 1 columns stepped by the same RK4 steps with V's compiled
+    Jacobian: the tangents pushed through the discrete flow map, then
+    d(end)/dt.  The divergence bound applies to the trajectory only.
+    """
     p = np.asarray(p, dtype=float)
     if abs(t) > cfg.max_time:
         raise FlowError(f"|t| = {abs(t):g} exceeds max_time {cfg.max_time:g}")
-    if t == 0.0:
-        return p.copy()
-    nsteps = max(1, math.ceil(abs(t) * cfg.steps_per_unit))
-    return _rk4(V.values, p, t, nsteps,
-                lambda y: _check_bound(y, cfg.divergence_bound))
+    rows = p.reshape(-1, p.shape[-1])
+    # state columns [g | tangents | d/dt]: the tangents follow DV, and the
+    # last column c = (s/t) V(g(s)) follows c' = DV c + V/t from c(0) = 0
+    state = rows[..., None].copy() if tangents is None else np.concatenate(
+        [rows[..., None], np.reshape(tangents, (*rows.shape, -1)),
+         np.zeros((*rows.shape, 1))], axis=-1)
+
+    def velocity(state):
+        out = np.empty_like(state)
+        out[..., 0] = vals = V.program(state[..., 0])
+        if tangents is not None:
+            DV = V.jacobian_program(state[..., 0]).reshape(len(vals), vals.shape[1], -1)
+            out[..., 1:] = DV @ state[..., 1:]
+            out[..., -1] += vals / t
+        return out
+
+    if t != 0.0:
+        state = _rk4(velocity, state, t, max(1, math.ceil(abs(t) * cfg.steps_per_unit)),
+                     lambda s: _check_bound(s[..., 0], cfg.divergence_bound))
+    elif tangents is not None:
+        state[..., -1] = V.program(rows)
+    end = state[..., 0].reshape(p.shape)
+    return end if tangents is None else (end, state[..., 1:].reshape(*p.shape, -1))
 
 
 def exp_map(p, V: VectorField, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -136,9 +163,7 @@ def matrix_exp(A) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix_exp needs a square matrix")
     norm = float(np.linalg.norm(A, 1))
-    s = 0
-    if norm > 0.5:
-        s = max(0, int(math.ceil(math.log2(norm / 0.5))))
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
     B = A / (2.0 ** s)
     n = A.shape[0]
     out = np.eye(n, dtype=np.result_type(A.dtype, float))
@@ -275,35 +300,29 @@ def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
     are complex-linear in the coordinates, hence holomorphic."""
     chart = spec.chart
     m = spec.matrix_dim
-    # symbolic complex entries of the generic group element
-    entries: list[list[tuple[Expr, Expr]]] = []
     coord_at = {pos: mu for mu, pos in enumerate(spec.positions)}
     base = np.asarray(spec.base, dtype=complex)
-    for r in range(m):
-        row = []
-        for c in range(m):
-            re: Expr = Const(float(base[r, c].real))
-            im: Expr = Const(float(base[r, c].imag))
-            if (r, c) in coord_at:
-                mu = coord_at[(r, c)]
-                re = add(re, Var(chart.names[2 * mu]))
-                im = add(im, Var(chart.names[2 * mu + 1]))
-            row.append((re, im))
-        entries.append(row)
+
+    def entry(r, c) -> tuple[Expr, Expr]:
+        """The symbolic complex entry (re, im) of the generic group element."""
+        re, im = Const(float(base[r, c].real)), Const(float(base[r, c].imag))
+        if (r, c) in coord_at:
+            x, y = chart.names[2 * coord_at[(r, c)]:][:2]
+            re, im = add(re, Var(x)), add(im, Var(y))
+        return re, im
+
+    entries = [[entry(r, c) for c in range(m)] for r in range(m)]
     fields = []
     for E in spec.basis:
         E = np.asarray(E, dtype=float)
         comps: list[Expr] = []
         for mu, (r, c) in enumerate(spec.positions):
-            re: Expr = Const(0.0)
-            im: Expr = Const(0.0)
+            re = im = Const(0.0)
             for j in range(m):
-                if E[j, c] == 0.0:
-                    continue
-                ere, eim = entries[r][j]
-                coeff = Const(float(E[j, c]))
-                re = add(re, mul(ere, coeff))
-                im = add(im, mul(eim, coeff))
+                if E[j, c] != 0.0:
+                    coeff = Const(float(E[j, c]))
+                    re = add(re, mul(entries[r][j][0], coeff))
+                    im = add(im, mul(entries[r][j][1], coeff))
             comps.extend((re, im))
         fields.append(VectorField(chart, tuple(comps)))
     return tuple(fields)
@@ -329,10 +348,8 @@ class _HolomorphicFrame:
 
     def check_holomorphy(self, p):
         env = env_at(self.chart, p)
-        worst = 0.0
-        for res in self.residuals:
-            for rr, ii in res:
-                worst = max(worst, 0.5 * math.hypot(evaluate(rr, env), evaluate(ii, env)))
+        worst = max([0.0] + [0.5 * math.hypot(evaluate(rr, env), evaluate(ii, env))
+                             for res in self.residuals for rr, ii in res])
         if worst > self.cfg.holomorphy_tol:
             raise HolomorphyError(
                 f"field complexification violates the Cauchy-Riemann equations "
@@ -353,10 +370,8 @@ class _HolomorphicFrame:
 
 
 def _complex_to_real(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(z))
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
+    """The chart vector of z: complex128 memory is its (re, im) pairs."""
+    return np.ascontiguousarray(z, dtype=complex).view(float)
 
 
 def _real_to_complex(p: np.ndarray) -> np.ndarray:
@@ -458,12 +473,8 @@ def numerical_jacobian(F, x, h: float) -> np.ndarray:
     """Central-difference Jacobian of a vector map: the oracle for exact
     derivatives, and the fallback for maps that come without one."""
     x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(len(x)):
-        dx = np.zeros_like(x)
-        dx[i] = h
-        cols.append((np.asarray(F(x + dx)) - np.asarray(F(x - dx))) / (2.0 * h))
-    return np.column_stack(cols)
+    return np.column_stack([(np.asarray(F(x + dx)) - np.asarray(F(x - dx))) / (2.0 * h)
+                            for dx in h * np.eye(len(x))])
 
 
 _FD_STEP = 1e-6

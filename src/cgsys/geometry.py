@@ -15,11 +15,12 @@ without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .expr import (
-    Const, Expr, add, as_expr, compile_exprs, diff, evaluate, mul, neg,
+    Const, Expr, Program, add, as_expr, compile_exprs, diff, evaluate, mul, neg,
     require_vars, sub,
 )
 
@@ -102,6 +103,17 @@ class VectorField:
     def values(self, p) -> np.ndarray:
         env = env_at(self.chart, p)
         return np.array([evaluate(c, env) for c in self.components])
+
+    @cached_property
+    def program(self) -> Program:
+        """The components compiled into one Program over the chart."""
+        return compile_exprs(self.components, self.chart.names)
+
+    @cached_property
+    def jacobian_program(self) -> Program:
+        """The Jacobian entries dV^i/dx_j, row-major, in one Program."""
+        names = self.chart.names
+        return compile_exprs([diff(c, x) for c in self.components for x in names], names)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _same_chart(self, other)

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, Predicate, Table, diff, evaluate, require_vars
+from .expr import Expr, Predicate, Table, compile_exprs, diff, evaluate, require_vars
 from .flow import DEFAULT_CONFIG, FlowConfig, flow_real
 from .geometry import (
     ComplexChart, VectorField, _wirtinger_bar_residuals, apply_J, complexify,
@@ -551,20 +551,10 @@ class NormalForm:
 
 def _pick_slice_pair(sys: GradientSystem, p) -> int:
     """The complex coordinate line most orthogonal to the span of
-    {xi_a(p), J xi_a(p)}."""
+    {xi_a(p), J xi_a(p)}: the pair of unit vectors most outside that span."""
     frame = field_matrix(list(sys.fields) + [apply_J(f) for f in sys.fields], p)
-    basis = np.linalg.qr(frame)[0]
-    best, best_score = None, -1.0
-    for mu in range(sys.chart.N):
-        score = 0.0
-        for idx in (2 * mu, 2 * mu + 1):
-            e = np.zeros(sys.chart.dim)
-            e[idx] = 1.0
-            r = e - basis @ (basis.T @ e)
-            score += float(r @ r)
-        if score > best_score:
-            best, best_score = mu, score
-    return best
+    r = span_residuals(frame, np.eye(sys.chart.dim))
+    return int(np.argmax((r * r).reshape(-1, 2).sum(axis=1)))
 
 
 def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
@@ -576,7 +566,8 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     phi(z, w) = G^1_{w_1} ... G^k_{w_k}(slice(z)); in the new coordinates the
     fields become d/dt_a and U_a + u_a collapses to a function F_a of the
     slice variables alone.  Systems that are not holomorphic abelian are
-    refused.
+    refused.  F is U on the slice grid (w = 0); the residuals read dphi/dw
+    off flow_real's variational columns over the slice corners, one per leg.
     """
     cls = classify(sys, sys.table.at(sample_points(sys, 25, 1)), class_tol)
     if not (cls.holomorphic and cls.abelian):
@@ -587,40 +578,35 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     p, k = np.asarray(p, dtype=float), sys.k
     jfields = [apply_J(f) for f in sys.fields]
     slice_pair = _pick_slice_pair(sys, p) if sys.chart.N > k else None
+    U = compile_exprs(sys.grads, sys.chart.names)
 
-    def phi(zxy, w, flow=flow_real) -> np.ndarray:
-        q = p.copy()
+    def on_slice(X, Y) -> np.ndarray:
+        """The slice points p + (x, y) at the slice pair, one row per (x, y)."""
+        Q = np.tile(p, (len(X), 1))
         if slice_pair is not None:
-            q[2 * slice_pair:2 * slice_pair + 2] += zxy
-        w = np.asarray(w, dtype=complex)
+            Q[:, 2 * slice_pair:2 * slice_pair + 2] += np.column_stack([X, Y])
+        return Q
+
+    def legs(Q, w):
+        """phi at the slice rows Q and its columns dphi/dRe w_a, dphi/dIm w_a,
+        shape (n, 2N, k, 2): each leg of phi is one flow_real over Q."""
+        w, cols = np.asarray(w, dtype=complex), np.zeros((*Q.shape, 0))
         for a in reversed(range(k)):
-            if w[a].real != 0.0:
-                q = flow(sys.fields[a], q, float(w[a].real), cfg)
-            if w[a].imag != 0.0:
-                q = flow(jfields[a], q, float(w[a].imag), cfg)
-        return q
+            Q, cols = flow_real(sys.fields[a], Q, float(w[a].real), cfg, cols)
+            Q, cols = flow_real(jfields[a], Q, float(w[a].imag), cfg, cols)
+        return Q, cols.reshape(*Q.shape, k, 2)[..., ::-1, :]
 
-    def profile(q, w) -> np.ndarray:
-        """U(q) + Im w, the profile at q = phi(zxy, w)."""
-        env = env_at(sys.chart, q)
-        return np.array([evaluate(g, env) for g in sys.grads]) + w.imag
-
-    # the residual loop below meets each flow leg (field, start point, time)
-    # several times: phi at w +- h e_a shares its earlier legs with phi at w
-    legs: dict = {}
-
-    def flow_once(f, q, t, cfg):
-        key = (id(f), q.tobytes(), t)
-        if key not in legs:
-            legs[key] = flow_real(f, q, t, cfg)
-        return legs[key]
+    def phi(zxy, w) -> np.ndarray:
+        return legs(on_slice(*np.transpose([zxy])), w)[0][0]
 
     xs, ys = (np.linspace(-grid.extent, grid.extent, n) for n in (grid.nx, grid.ny))
     if slice_pair is None:
         xs = ys = np.zeros(1)
+    # w = 0 moves no point, so the profile is U on the slice grid itself
     w0 = np.zeros(k, dtype=complex)
-    F = np.moveaxis(np.array([[profile(phi((x, y), w0), w0) for y in ys]
-                              for x in xs]), -1, 0)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    F = np.moveaxis((U(on_slice(X.ravel(), Y.ravel())) + w0.imag)
+                    .reshape(len(xs), len(ys), k), -1, 0)
 
     # deterministic w samples exercising each flow direction and a mix
     w_samples = [complex(W_EXTENT, 0.6 * W_EXTENT) * np.eye(k)[a] for a in range(k)]
@@ -629,28 +615,25 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
 
     corners = list(dict.fromkeys([(xs[0], ys[0]), (xs[-1], ys[0]), (xs[0], ys[-1]),
                                   (xs[-1], ys[-1]), (xs[len(xs) // 2], ys[len(ys) // 2])]))
+    C = on_slice(*np.transpose(corners))
 
     # np.maximum, not max(): a NaN residual must propagate and fail its check
     indep = push = timecr = 0.0
-    J, h = j_matrix(sys.chart), 1e-3
-    for zxy in corners:
-        base_val = profile(phi(zxy, w0), w0)
-        for w in w_samples:
-            q = phi(zxy, w, flow_once)
-            indep = np.maximum(indep, np.max(np.abs(profile(q, w) - base_val)))
-            for a in range(k):
-                e = h * np.eye(k, dtype=complex)[a]
-                dphidt = (phi(zxy, w + e, flow_once)
-                          - phi(zxy, w - e, flow_once)) / (2 * h)
-                push = np.maximum(push, np.max(np.abs(
-                    dphidt - sys.fields[a].values(q))))
-                dphidu = (phi(zxy, w + 1j * e, flow_once)
-                          - phi(zxy, w - 1j * e, flow_once)) / (2 * h)
-                timecr = np.maximum(timecr, np.max(np.abs(
-                    0.5 * (dphidt + J @ dphidu))))
+    J = j_matrix(sys.chart)
+    for w in w_samples:
+        Q, D = legs(C, w)
+        indep = np.maximum(indep, np.max(np.abs(U(Q) + w.imag - U(C))))
+        xi = np.stack([f.program(Q) for f in sys.fields], axis=-1)
+        push = np.maximum(push, _worst(Q, D[..., 0] - xi))
+        timecr = np.maximum(timecr, _worst(Q, 0.5 * (D[..., 0] + J @ D[..., 1])))
 
     return NormalForm(sys.name, p, slice_pair, xs, ys, F,
                       pushforward_residual=float(push),
                       independence_residual=float(indep),
                       time_cr_residual=float(timecr),
                       phi=phi, points=len(corners) * len(w_samples))
+
+
+def _worst(Q, R) -> float:
+    """max |R|; NaN at a non-finite point of Q even if R is finite (constant fields)."""
+    return np.nan if not np.isfinite(Q).all() else np.max(np.abs(R))

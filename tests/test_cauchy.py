@@ -1,6 +1,7 @@
 """End-to-end checks of the initial-value construction: the flat line case,
 the nilpotent group against its closed forms, and the affine group."""
 
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -119,6 +120,12 @@ def test_vanishing_initial_field_fails_at_origin():
     res = check_cr_transverse(data, data.table.at(param_samples(data, 25, 0)))
     assert not res.transverse
     assert np.allclose(res.witnesses[0], [0.0])
+
+
+def test_group_data_without_ambient_fields_is_refused(heis_data):
+    # every data check reads the initial fields, so the data object needs them
+    with pytest.raises(ValueError, match=r"CRInitialData\.from_group"):
+        dataclasses.replace(heis_data, ambient_fields=None)
 
 
 def test_tangency_validates(line_data, heis_data):

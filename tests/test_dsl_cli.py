@@ -210,6 +210,26 @@ def test_cli_normal_form_model():
     assert main(["normal-form", "model-k1", "--grid", "5"]) == 0
 
 
+@pytest.mark.parametrize("a", [1, 3, 5])
+def test_cli_normal_form_passes_the_exponential_family(tmp_path, a):
+    # the model x1^2 - y1^2 pushed through (z, w) -> (z, (e^(aw) - 1)/a): a
+    # valid holomorphic abelian system whose flow grows like e^(at)
+    path = tmp_path / f"exp-{a}.cgs"
+    path.write_text(f"""[chart]
+complex_dim = 2
+
+[system]
+k = 1
+field_1 = 0; 0; 1 + {a}*x2; {a}*y2
+grad_1 = x1^2 - y1^2 - atan2({a}*y2, 1 + {a}*x2)/{a}
+""", encoding="utf-8")
+    report = tmp_path / "verify.json"
+    assert main(["verify", str(path), "--json", str(report)]) == 0
+    flags = json.loads(report.read_text())["classification"]
+    assert flags["holomorphic"] and flags["abelian"]
+    assert main(["normal-form", str(path)]) == 0
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from cgsys.flow import (
     flow_complex, flow_complex_multi, flow_real, left_invariant_fields,
     matrix_exp, newton_inverse, numerical_jacobian,
 )
-from cgsys.geometry import ComplexChart, VectorField, j_matrix
+from cgsys.geometry import ComplexChart, VectorField, apply_J, j_matrix
 
 CFG = FlowConfig()
 
@@ -87,6 +87,55 @@ def test_flow_divergence_guard():
     V = field(chart, ["x1^2", "0"])
     with pytest.raises(DivergenceError):
         flow_real(V, [1.0, 0.0], 2.0, FlowConfig(divergence_bound=1e3))
+
+
+def _one_plus_z_squared(chart, rotate):
+    # the real form of (1 + z^2) d/dz, or its J-rotation
+    V = field(chart, ["1 + x1^2 - y1^2", "2*x1*y1"])
+    return apply_J(V) if rotate else V
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("t", [0.3, -0.2])
+def test_flow_real_columns_match_central_differences(rotate, t):
+    chart = ComplexChart.standard(1)
+    V = _one_plus_z_squared(chart, rotate)
+    rng = np.random.default_rng(12)
+    P = rng.uniform(-0.5, 0.5, size=(3, 2))
+    T = rng.uniform(-1, 1, size=(3, 2, 2))
+    _, cols = flow_real(V, P, t, CFG, T)
+    assert cols.shape == (3, 2, 3)
+    for p, tangents, c in zip(P, T, cols):
+        def real_map(x):
+            # start point moved along the tangents, and the time moved
+            return flow_real(V, p + tangents @ x[:2], t + x[2], CFG)
+
+        fd = numerical_jacobian(real_map, np.zeros(3), 1e-6)
+        assert np.max(np.abs(c - fd)) < 1e-8
+
+
+def test_flow_real_stack_equals_row_by_row(monkeypatch):
+    # polynomial components: + - * agree bit for bit however rows are batched
+    def refuse(self, p):
+        raise AssertionError("flow_real evaluates the compiled field")
+
+    monkeypatch.setattr(VectorField, "values", refuse)
+    chart = ComplexChart.standard(1)
+    V = _one_plus_z_squared(chart, True)
+    rng = np.random.default_rng(13)
+    P = rng.uniform(-0.5, 0.5, size=(4, 2))
+    T = rng.uniform(-1, 1, size=(4, 2, 1))
+    for t in (0.35, 0.0):
+        end, cols = flow_real(V, P, t, CFG, T)
+        assert np.array_equal(flow_real(V, P, t, CFG), end)
+        for i in range(len(P)):
+            row_end, row_cols = flow_real(V, P[i], t, CFG, T[i])
+            assert np.array_equal(row_end, end[i])
+            assert np.array_equal(row_cols, cols[i])
+            assert np.array_equal(flow_real(V, P[i], t, CFG), end[i])
+    # at t = 0 the map is the identity and d(end)/dt is V itself
+    assert np.array_equal(cols[..., 0], T[..., 0])
+    assert np.array_equal(cols[..., 1], V.program(P))
 
 
 def test_exp_map_of_zero_field():

@@ -451,21 +451,45 @@ def test_normal_form_stable_under_step_refinement(model):
     assert np.max(np.abs(a.F - b.F)) < 1e-7
 
 
-@pytest.mark.parametrize("name", ["model-k1", "model-k1-rotated"])
-def test_normal_form_integrates_each_flow_leg_once(monkeypatch, name):
-    # 5 corners x 2 flow times x 4 legs for the central differences, each
-    # sharing its first leg with phi(w) when it perturbs Im w
-    calls = []
-    inner = cgsys.verify.flow_real
+def _flow_stack_shapes(monkeypatch) -> list:
+    """The start-point stack shape of every flow_real call normal_form makes."""
+    shapes, inner = [], cgsys.verify.flow_real
 
-    def counted(f, q, t, cfg):
-        calls.append((id(f), q.tobytes(), t))
-        return inner(f, q, t, cfg)
+    def counted(f, Q, t, cfg, tangents):
+        shapes.append(Q.shape)
+        return inner(f, Q, t, cfg, tangents)
 
     monkeypatch.setattr(cgsys.verify, "flow_real", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("name", ["model-k1", "model-k1-rotated"])
+def test_normal_form_flows_each_leg_once_per_flow_time(monkeypatch, name):
+    # k = 1: 2 flow times x 2 legs, each one flow over the 5 slice corners
+    shapes = _flow_stack_shapes(monkeypatch)
     assert main(["normal-form", name]) == 0
-    assert len(calls) <= 80
-    assert len(set(calls)) == len(calls)
+    assert shapes == [(5, 4)] * 4
+
+
+def test_normal_form_two_commuting_fields(monkeypatch):
+    # k = 2: the exponential chart change in w1 beside a flat w2, so each
+    # derivative column must be read against its own field
+    chart = ComplexChart.standard(3)
+    sys_ = system(chart, [field(chart, ["0", "0", "1 + x2", "y2", "0", "0"]),
+                          field(chart, ["0", "0", "0", "0", "1", "0"])],
+                  ["x1^2 - y1^2 - atan2(y2, 1 + x2)", "-y3"])
+    shapes = _flow_stack_shapes(monkeypatch)
+    nf = normal_form(sys_, np.zeros(6), GridSpec(nx=5, ny=5, extent=0.4))
+    assert nf.slice_pair == 0 and nf.points == 5 * 3
+    assert shapes == [(5, 6)] * (2 * 2 * 3)
+    assert nf.pushforward_residual < 1e-9
+    assert nf.time_cr_residual < 1e-9
+    assert nf.independence_residual < 1e-9
+    # phi at one slice point against its closed form (z1, e^(w1) - 1, w2)
+    w = np.array([0.2 + 0.1j, -0.1 + 0.3j])
+    z = np.array([0.1 - 0.2j, np.exp(w[0]) - 1, w[1]])
+    expect = np.column_stack([z.real, z.imag]).ravel()
+    assert np.max(np.abs(nf.phi((0.1, -0.2), w) - expect)) < 1e-9
 
 
 def test_normal_form_report_counts_the_points_it_checked(tmp_path):
