@@ -35,26 +35,35 @@ built from the initial data by build_dF, alongside build_F.  A Newton
 solution counts only when its parameters lie in param_domain (where
 param_domain faults, the query is refused).  The range of
 F is not certified globally: |det P| <= 1e-10 or Newton failure at a query
-simply marks it outside the working neighbourhood.  Query points are
-independent, so batches may be processed concurrently; the sequential path
-warm-starts Newton from the previous solution.
+simply marks it outside the working neighbourhood.
+
+Query points are independent, so ``solve`` handles all of them in
+lockstep: one damped Newton over the stacked rows (p, u), each started
+from the linearized guess with its own step halvings and convergence test,
+then stacked dF, P/Q/A and field products.  F, dF, the frames and the
+fields all take stacks of rows and return, beside their values, the error
+that refuses each row, so a failing query refuses only its own record; the
+one-point functions (``compute_PQA``, ``construct_fields``, F(p, u)) are
+one-row views of the same code.  On matrix groups a stack costs one
+batched matrix exponential; ambient fields still integrate one trajectory
+per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .expr import (
-    Const, DomainError, Expr, ExprError, Predicate, Table, Var, diff, evaluate,
-    require_vars, subst,
+    Const, DomainError, Expr, ExprError, Predicate, Program, Table, Var,
+    compile_exprs, diff, evaluate, require_vars, subst,
 )
 from .flow import (
     DEFAULT_CONFIG, ComplexFlow, FlowConfig, FlowError, MatrixGroupSpec,
-    NewtonError, complexified_flow_jacobian, complexified_flow_matrix,
-    left_invariant_fields, newton_inverse,
+    _raise_first, complexified_flow_jacobian, complexified_flow_matrix,
+    left_invariant_fields, newton_inverse, newton_rows, solve_rows,
 )
 from .geometry import (
     ComplexChart, VectorField, env_at, j_matrix, j_rotate, pair_brackets,
@@ -208,6 +217,52 @@ class CRInitialData:
         """The compiled param_domain predicate, built on first use."""
         return Predicate(self.param_domain, self.param_names)
 
+    @cached_property
+    def _programs(self) -> tuple[Program, Program]:
+        """Compiled over the parameters: sigma then dsigma (row-major), and
+        the initial fields at sigma, one field after the other."""
+        names = self.param_names
+        return (compile_exprs([*self.sigma, *(diff(s, name) for s in self.sigma
+                                              for name in names)], names),
+                compile_exprs([c for f in self.rho0_param_exprs() for c in f], names))
+
+    def sigma_rows(self, P):
+        """sigma (n, 2N) and dsigma (n, 2N, m) at the parameter rows P, and
+        per row None or the DomainError that refuses it."""
+        vals, errors = _program_rows(self._programs[0], P)
+        dim = self.chart.dim
+        return (vals[:, :dim], vals[:, dim:].reshape(len(vals), dim, len(self.param_names)),
+                errors)
+
+    def initial_field_rows(self, P):
+        """The initial fields at sigma of the parameter rows P, (n, k, 2N),
+        and per row None or the DomainError that refuses it."""
+        vals, errors = _program_rows(self._programs[1], P)
+        return vals.reshape(len(vals), self.k, self.chart.dim), errors
+
+
+def _program_rows(program: Program, P):
+    """``program`` at the rows of P, and per row None or the DomainError
+    that refuses it (its outputs NaN)."""
+    P = np.asarray(P, dtype=float)
+    try:
+        return program(P), [None] * len(P)
+    except DomainError:
+        pass
+    out = np.full((len(P), len(program.outputs)), np.nan)
+    errors = [None] * len(P)
+    for i in range(len(P)):
+        try:
+            out[i] = program(P[i:i + 1])[0]
+        except DomainError as err:
+            errors[i] = err
+    return out, errors
+
+
+def _first_error(*errors):
+    """Per row the first of several per-row error lists that is not None."""
+    return [next((e for e in row if e is not None), None) for row in zip(*errors)]
+
 
 # half-width of the box of parameter offsets param_samples draws around
 # the base point
@@ -273,37 +328,65 @@ def frobenius_defect_on_M(data: CRInitialData, t) -> float:
 # the flow coordinates F and their inversion
 
 
+def _point_view(rows):
+    """A map over stacks of rows (P (n, m), U (n, k)) returning (..., errors),
+    callable on one point (p, u) as well: then it returns that row's values
+    and raises the exception that refuses it."""
+    def view(p, u):
+        if np.ndim(p) == 2:
+            return rows(np.asarray(p, dtype=float), np.asarray(u, dtype=float))
+        *out, errors = rows(np.asarray(p, dtype=float)[None],
+                            np.asarray(u, dtype=float)[None])
+        _raise_first(errors)
+        return out[0][0] if len(out) == 1 else tuple(o[0] for o in out)
+
+    return view
+
+
 def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     """The map F(p, u) = flow of sigma(p) for complex time i u.
 
-    Matrix-group data uses the exact product g exp(i sum u_a E_a); otherwise
-    the ambient fields must complexify holomorphically and the flow is
-    integrated in the chart.
+    Matrix-group data uses the exact products g exp(i sum u_a E_a) of all
+    rows at once; otherwise the ambient fields must complexify
+    holomorphically and each row's flow is integrated in the chart.  One
+    point (p (m,), u (k,)) gives the chart point and raises what refuses
+    it; stacks p (n, m), u (n, k) give (points (n, 2N), errors), errors[i]
+    None or the exception that refuses row i.
     """
     if data.group is not None:
         spec = data.group
 
-        def F(p, u) -> np.ndarray:
-            g = data.sigma_at(p)
-            return complexified_flow_matrix(spec, g, 1j * np.asarray(u, dtype=complex))
+        def rows(P, U):
+            S, _, errors = data.sigma_rows(P)
+            points, flow_errors = complexified_flow_matrix(spec, S, 1j * U.astype(complex))
+            return points, _first_error(errors, flow_errors)
 
-        return F
+        return _point_view(rows)
 
     flow = ComplexFlow(data.ambient_fields, cfg)
 
-    def F(p, u) -> np.ndarray:
-        return flow(data.sigma_at(p), 1j * np.asarray(u, dtype=complex))
+    def rows(P, U):
+        S, _, errors = data.sigma_rows(P)
+        points = np.full(S.shape, np.nan)
+        for i in np.flatnonzero([e is None for e in errors]):
+            try:
+                points[i] = flow(S[i], 1j * U[i].astype(complex))
+            except (FlowError, ValueError) as err:
+                errors[i] = err
+        return points, errors
 
-    return F
+    return _point_view(rows)
 
 
 def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     """The exact derivative of F: dF(p, u) returns (F(p, u), J) with J the
-    real 2N x (2n + 2k) Jacobian in the variables (p, u).
+    real 2N x (2n + 2k) Jacobian in the variables (p, u); stacks of rows
+    give (points, Jacobians (n, 2N, 2n + 2k), errors) as build_F does.
 
     Matrix-group data differentiates g exp(X) through the block Frechet
-    exponential; ambient fields step the tangent columns
-    [dz/dz0 dsigma | dz/dw] along the RK4 trajectory, with d/du_a = i d/dw_a.
+    exponential, all rows at once; ambient fields step the tangent columns
+    [dz/dz0 dsigma | dz/dw] along each row's RK4 trajectory, with
+    d/du_a = i d/dw_a.
     """
     k = data.k
     m = len(data.param_names)
@@ -311,26 +394,32 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
         spec = data.group
         directions = 1j * np.eye(k)
 
-        def dF(p, u):
-            V = 1j * np.asarray(u, dtype=complex)
-            return complexified_flow_jacobian(
-                spec, data.sigma_at(p), V, data.dsigma_at(p), directions)
+        def rows(P, U):
+            S, D, errors = data.sigma_rows(P)
+            points, J, flow_errors = complexified_flow_jacobian(
+                spec, S, 1j * U.astype(complex), D, directions)
+            return points, J, _first_error(errors, flow_errors)
 
-        return dF
+        return _point_view(rows)
 
     flow = ComplexFlow(data.ambient_fields, cfg)
 
-    def dF(p, u):
-        D = data.dsigma_at(p)
-        point, Y = flow.with_tangents(
-            data.sigma_at(p), 1j * np.asarray(u, dtype=complex),
-            D[0::2] + 1j * D[1::2])
-        Y[:, m:] *= 1j
-        J = np.empty((2 * len(Y), m + k))
-        J[0::2], J[1::2] = Y.real, Y.imag
-        return point, J
+    def rows(P, U):
+        S, D, errors = data.sigma_rows(P)
+        points = np.full(S.shape, np.nan)
+        J = np.full((len(S), S.shape[1], m + k), np.nan)
+        for i in np.flatnonzero([e is None for e in errors]):
+            try:
+                points[i], Y = flow.with_tangents(
+                    S[i], 1j * U[i].astype(complex), D[i, 0::2] + 1j * D[i, 1::2])
+            except (FlowError, ValueError) as err:
+                errors[i] = err
+                continue
+            Y[:, m:] *= 1j
+            J[i, 0::2], J[i, 1::2] = Y.real, Y.imag
+        return points, J, errors
 
-    return dF
+    return _point_view(rows)
 
 
 def _as_maps(data: CRInitialData, F, dF):
@@ -351,35 +440,45 @@ def equation_map(data: CRInitialData, q, cfg: FlowConfig = DEFAULT_CONFIG,
     """Solve F(p, iu) = q for (p, u) and return (U(q), p, u) with U = -u.
 
     Newton runs on the composite map with the exact Jacobian of build_dF;
-    the default start point linearizes sigma around the base parameters,
-    and grid drivers warm-start from the previous solution.
+    the default start point linearizes sigma around the base parameters.
     """
     F = build_F(data, cfg) if F is None else F
     dF = build_dF(data, cfg) if dF is None else dF
     G, dG, m = _as_maps(data, F, dF)
     q = np.asarray(q, dtype=float)
     if x0 is None:
-        x0 = _initial_guess(data, q)
+        x0 = _initial_guesses(data, q[None])[0]
     x = newton_inverse(G, q, x0, cfg, jac=dG)
     p, u = x[:m], x[m:]
     return -u, p, u
 
 
-def _initial_guess(data: CRInitialData, q) -> np.ndarray:
+def _initial_guesses(data: CRInitialData, Q) -> np.ndarray:
+    """Newton's start rows for the query rows Q: sigma linearized around
+    the base parameters, inverted by least squares, and u = 0."""
     base = data.base
-    D = data.dsigma_at(base)
-    rhs = np.asarray(q, dtype=float) - data.sigma_at(base)
-    coef, *_ = np.linalg.lstsq(D, rhs, rcond=None)
-    return np.concatenate([base + coef, np.zeros(data.k)])
+    coef = np.linalg.pinv(data.dsigma_at(base)) @ (Q - data.sigma_at(base))[..., None]
+    return np.concatenate([base + coef[..., 0], np.zeros((len(Q), data.k))], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # adapted frame and field construction
 
 
+def _row(obj, i):
+    """Row i of a dataclass whose fields are stacked over rows."""
+    return type(obj)(*(getattr(obj, f.name)[i] for f in fields(obj)))
+
+
+def _stacked(obj):
+    """A dataclass of one point as a stack of one row."""
+    return type(obj)(*(np.asarray(getattr(obj, f.name))[None] for f in fields(obj)))
+
+
 @dataclass
 class AdaptedFrame:
-    """Numerical frame of the construction at one adapted point (p, u).
+    """Numerical frame of the construction at one adapted point (p, u), or
+    at a stack of them (every field then has a leading row axis).
 
     On M itself P is the identity and Q is zero; the construction lives on
     the neighbourhood where det P stays away from zero.
@@ -406,19 +505,52 @@ def invariant_lift(data: CRInitialData, dF_map, p, u,
     return (frame.dF @ frame.lifts.T).T
 
 
-def _tangent_coeffs(data: CRInitialData, p) -> np.ndarray:
-    """Parameter-space components of the initial fields at sigma(p)."""
-    D = data.dsigma_at(p)
-    return np.array([np.linalg.lstsq(D, v, rcond=None)[0]
-                     for v in data.initial_field_values(p)])
+def _tangent_coeffs(data: CRInitialData, P):
+    """Parameter-space components of the initial fields at sigma(p), (n, k, m)
+    over the parameter rows P, and per row None or the error refusing it."""
+    _, D, errors = data.sigma_rows(P)
+    rho0, field_errors = data.initial_field_rows(P)
+    coeffs = np.swapaxes(np.linalg.pinv(D) @ np.swapaxes(rho0, 1, 2), 1, 2)
+    return coeffs, _first_error(errors, field_errors)
 
 
 def _adapted_J(dF, V) -> np.ndarray:
-    """J pulled back through F: dF^-1 J dF v for each row v of V, as one
-    stacked product and solve whose rows round as they would on their own."""
-    W = j_rotate((dF @ V[..., None])[..., 0])
-    return np.linalg.solve(np.broadcast_to(dF, (len(V), *dF.shape)),
-                           W[..., None])[..., 0]
+    """J pulled back through F: dF^-1 J dF v for each row v of V, (r, d) or
+    (n, r, d), at each frame of the stack dF (n, d, d); one stacked product
+    and solve whose rows round as they would on their own (NaN at a
+    singular dF)."""
+    W = j_rotate((dF[:, None] @ V[..., None])[..., 0])
+    A = np.broadcast_to(dF[:, None], (*W.shape[:2], *dF.shape[1:]))
+    return solve_rows(A, W[..., None])[0][..., 0]
+
+
+def _frames(data: CRInitialData, params, u, ambient, dF, check_det: bool = True):
+    """The adapted frames at the rows (params, u), given F and dF there: one
+    stacked AdaptedFrame and per row None or the error that refuses it."""
+    m, k = len(data.param_names), data.k
+    coeffs, errors = _tangent_coeffs(data, params)
+    lifts = np.concatenate([coeffs, np.zeros((len(params), k, k))], axis=2)
+    # one solve per row for all its lifts; _adapted_J would round differently
+    jh, singular = solve_rows(
+        dF, np.swapaxes(j_rotate((dF[:, None] @ lifts[..., None])[..., 0]), 1, 2))
+    jh_adapted = np.swapaxes(jh, 1, 2)
+    je_adapted = _adapted_J(dF, np.eye(m + k)[m:])
+    P = np.swapaxes(jh_adapted[:, :, m:], 1, 2)   # P[a, b] = u_a-component of J h_b
+    Q = np.swapaxes(je_adapted[:, :, m:], 1, 2)   # Q[a, b] = u_a-component of J d/du_b
+    det = np.linalg.det(P)
+    A, singular_P = solve_rows(P, Q)
+    for i, err in enumerate(errors):
+        if err is not None:
+            continue
+        if singular[i]:
+            errors[i] = OutsideDomainError("dF is numerically singular at this point")
+        elif check_det and abs(det[i]) <= 1e-10:
+            errors[i] = OutsideDomainError(
+                f"det P = {det[i]:.3e}: point lies outside the construction domain")
+        elif singular_P[i]:
+            errors[i] = np.linalg.LinAlgError("Singular matrix")
+    frame = AdaptedFrame(params, u, ambient, dF, lifts, jh_adapted, je_adapted, P, Q, A)
+    return frame, errors
 
 
 def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CONFIG,
@@ -428,39 +560,25 @@ def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CON
     ``dF_map`` is the (point, Jacobian) map of build_dF(data, cfg), or None
     to build it here.  P[a, b] = du_a(J h_b) and Q[a, b] = du_a(J d/du_b),
     with J pulled back through F, i.e. applied in chart coordinates between
-    dF and its inverse.
+    dF and its inverse.  This is the one-row view of the stacked frames
+    that ``solve`` computes for all its queries at once.
     """
     p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
-    m, k = len(data.param_names), data.k
     dF_map = build_dF(data, cfg) if dF_map is None else dF_map
     ambient, dF = dF_map(p, u)
     if np.ndim(dF) != 2:
         raise TypeError("compute_PQA needs the (point, Jacobian) map of build_dF")
-
-    lifts = np.hstack([_tangent_coeffs(data, p), np.zeros((k, k))])
-
-    try:
-        # one solve for all lifts; _adapted_J would round differently
-        jh_adapted = np.linalg.solve(
-            dF, j_rotate((dF @ lifts[..., None])[..., 0]).T).T
-    except np.linalg.LinAlgError:
-        raise OutsideDomainError("dF is numerically singular at this point") from None
-    je_adapted = _adapted_J(dF, np.eye(m + k)[m:])
-
-    P = jh_adapted[:, m:].T       # P[a, b] = u_a-component of J h_b
-    Q = je_adapted[:, m:].T       # Q[a, b] = u_a-component of J d/du_b
-    det = float(np.linalg.det(P))
-    if check_det and abs(det) <= 1e-10:
-        raise OutsideDomainError(
-            f"det P = {det:.3e}: point lies outside the construction domain")
-    A = np.linalg.solve(P, Q)
-    return AdaptedFrame(p, u, ambient, dF, lifts, jh_adapted, je_adapted, P, Q, A)
+    frame, errors = _frames(data, p[None], u[None], np.asarray(ambient)[None],
+                            np.asarray(dF)[None], check_det)
+    _raise_first(errors)
+    return _row(frame, 0)
 
 
 @dataclass
 class ConstructedFields:
-    """Values of the extending fields at one point, with the internal
-    residuals of the defining identities (rounding-level when dF is sound)."""
+    """Values of the extending fields at one point (or stacked over rows),
+    with the internal residuals of the defining identities (rounding-level
+    when dF is sound)."""
 
     xi_adapted: np.ndarray    # (k, 2n+2k)
     xi_ambient: np.ndarray    # (k, 2N)
@@ -469,29 +587,39 @@ class ConstructedFields:
     residual_dc: float
 
 
+def _construct_rows(frame: AdaptedFrame, cfg: FlowConfig):
+    """construct_fields over a stacked frame: the stacked fields and per
+    row None or the ConstructionError that refuses it."""
+    k = frame.P.shape[-1]
+    m = frame.lifts.shape[-1] - k
+    xi_adapted = -frame.je_adapted
+    for b in range(k):
+        xi_adapted += frame.A[:, b, :, None] * frame.jh_adapted[:, b, None]
+    xi_ambient = np.swapaxes(frame.dF @ np.swapaxes(xi_adapted, 1, 2), 1, 2)
+    jxi_ambient = j_rotate(xi_ambient)
+
+    residual_d = np.max(np.abs(xi_adapted[:, :, m:]), axis=(1, 2))
+    jxi_adapted = _adapted_J(frame.dF, xi_adapted)
+    residual_dc = np.max(np.abs(jxi_adapted[:, :, m:] - np.eye(k)), axis=(1, 2))
+    # Python's max(residual_d, residual_dc), NaN handling included
+    worst = np.where(residual_dc > residual_d, residual_dc, residual_d)
+    errors = [ConstructionError(
+        f"internal identity residual {w:.3e} exceeds {cfg.construction_tol:g}; "
+        "dF is ill-conditioned here") if w > cfg.construction_tol else None
+        for w in worst]
+    return ConstructedFields(xi_adapted, xi_ambient, jxi_ambient,
+                             residual_d, residual_dc), errors
+
+
 def construct_fields(frame: AdaptedFrame,
                      cfg: FlowConfig = DEFAULT_CONFIG) -> ConstructedFields:
     """xi_a = -J(d/du_a) + sum_b A[b, a] J(h_b) in adapted coordinates,
     pushed to the chart through dF.  The contract du_a(xi_b) = 0 and
     d^c u_a(xi_b) = delta_ab (with the gradient components U = -u) is checked
     internally; a residual above tolerance signals an ill-conditioned dF."""
-    k = frame.P.shape[0]
-    m = frame.lifts.shape[1] - k
-    xi_adapted = -frame.je_adapted
-    for b in range(k):
-        xi_adapted += frame.A[b, :, None] * frame.jh_adapted[b]
-    xi_ambient = (frame.dF @ xi_adapted.T).T
-    jxi_ambient = j_rotate(xi_ambient)
-
-    residual_d = float(np.max(np.abs(xi_adapted[:, m:])))
-    jxi_adapted = _adapted_J(frame.dF, xi_adapted)
-    residual_dc = float(np.max(np.abs(jxi_adapted[:, m:] - np.eye(k))))
-    if max(residual_d, residual_dc) > cfg.construction_tol:
-        raise ConstructionError(
-            f"internal identity residual {max(residual_d, residual_dc):.3e} "
-            f"exceeds {cfg.construction_tol:g}; dF is ill-conditioned here")
-    return ConstructedFields(xi_adapted, xi_ambient, jxi_ambient,
-                             residual_d, residual_dc)
+    built, errors = _construct_rows(_stacked(frame), cfg)
+    _raise_first(errors)
+    return _row(built, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +641,8 @@ class QueryRecord:
     newton_residual: float = np.nan
     oracle_dU: float = np.nan
     oracle_dxi: float = np.nan
+    newton_iters: int = 0     # Newton steps the query took
+    halvings: int = 0         # step halvings over all of them
 
 
 @dataclass
@@ -548,6 +678,13 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
           oracle=None) -> CauchySolution:
     """Run the construction at each ambient query point.
 
+    The queries are independent, so they are solved in lockstep: one
+    damped Newton (newton_rows) inverts F at all of them, each from the
+    linearized guess, and the frames and fields come from stacked dF,
+    P/Q/A and field products.  A query that fails refuses only its own
+    record, which then names the error; each record also counts its Newton
+    steps and step halvings.
+
     ``oracle`` is an optional (grad_exprs, field_list) pair of closed forms;
     when given, each record carries the deviation of the reconstructed U and
     xi_a from the oracle values at the query.
@@ -567,69 +704,95 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
             f"initial distribution is not involutive on M (defect {defect:.3e}); "
             "proceeding pointwise")
 
+    queries = np.asarray(queries, dtype=float).reshape(-1, data.chart.dim)
+    sol.records = [QueryRecord(query=q, ok=False) for q in queries]
+    m = len(data.param_names)
     F, dF = build_F(data, cfg), build_dF(data, cfg)
-    G, dG, m = _as_maps(data, F, dF)
-    warm = None
-    for q in queries:
-        q = np.asarray(q, dtype=float)
-        rec = QueryRecord(query=q, ok=False)
-        sol.records.append(rec)
-        try:
-            x = _invert_in_domain(data, G, dG, q, warm, cfg)
-            warm = x
-            rec.params, rec.u = x[:m], x[m:]
-            rec.U = -rec.u
-            frame = compute_PQA(data, dF, rec.params, rec.u, cfg)
-            rec.newton_residual = float(np.max(np.abs(frame.ambient - q)))
-            built = construct_fields(frame, cfg)
-            rec.xi, rec.jxi = built.xi_ambient, built.jxi_ambient
-            rec.residual_d, rec.residual_dc = built.residual_d, built.residual_dc
-            if oracle is not None:
-                try:
-                    grads, fields = oracle
-                    env = env_at(data.chart, q)
-                    U_ref = np.array([evaluate(g, env) for g in grads])
-                    xi_ref = np.array([f.values(q) for f in fields])
-                    rec.oracle_dU = float(np.max(np.abs(U_ref - rec.U)))
-                    rec.oracle_dxi = float(np.max(np.abs(xi_ref - rec.xi)))
-                except ExprError:
-                    # oracle formula undefined at this query, e.g. a
-                    # removable singularity evaluated exactly on it
-                    pass
-            rec.ok = True
-        except (CauchyError, FlowError, np.linalg.LinAlgError) as exc:
-            rec.error = str(exc)
+    newton = newton_rows(lambda X: F(X[:, :m], X[:, m:]),
+                         lambda X: dF(X[:, :m], X[:, m:])[1:],
+                         queries, _initial_guesses(data, queries), cfg)
+    errors = newton.errors
+    for rec, iters, halvings in zip(sol.records, newton.iters, newton.halvings):
+        rec.newton_iters, rec.halvings = int(iters), int(halvings)
+
+    def passing(rows, stage_errors) -> np.ndarray:
+        """Record the errors of a stage at its rows; the mask of those that
+        pass it."""
+        for i, err in zip(rows, stage_errors):
+            errors[i] = err
+        return np.array([err is None for err in stage_errors], dtype=bool)
+
+    rows = np.flatnonzero([err is None for err in errors])
+    rows = rows[passing(rows, _domain_errors(data, newton.x[rows, :m]))]
+    for i in rows:
+        rec = sol.records[i]
+        rec.params, rec.u = newton.x[i, :m], newton.x[i, m:]
+        rec.U = -rec.u
+    P, U = newton.x[rows, :m], newton.x[rows, m:]
+    ambient, D, stage_errors = dF(P, U)
+    keep = passing(rows, stage_errors)
+    rows = rows[keep]
+    frame, stage_errors = _frames(data, P[keep], U[keep], ambient[keep], D[keep])
+    keep = passing(rows, stage_errors)
+    rows, frame = rows[keep], _row(frame, keep)
+    built, stage_errors = _construct_rows(frame, cfg)
+    keep = passing(rows, stage_errors)
+    rows, frame, built = rows[keep], _row(frame, keep), _row(built, keep)
+
+    for j, i in enumerate(rows):
+        rec = sol.records[i]
+        q = rec.query
+        rec.newton_residual = float(np.max(np.abs(frame.ambient[j] - q)))
+        rec.xi, rec.jxi = built.xi_ambient[j], built.jxi_ambient[j]
+        rec.residual_d, rec.residual_dc = float(built.residual_d[j]), float(built.residual_dc[j])
+        if oracle is not None:
+            try:
+                grads, oracle_fields = oracle
+                env = env_at(data.chart, q)
+                U_ref = np.array([evaluate(g, env) for g in grads])
+                xi_ref = np.array([f.values(q) for f in oracle_fields])
+                rec.oracle_dU = float(np.max(np.abs(U_ref - rec.U)))
+                rec.oracle_dxi = float(np.max(np.abs(xi_ref - rec.xi)))
+            except ExprError:
+                # oracle formula undefined at this query, e.g. a
+                # removable singularity evaluated exactly on it
+                pass
+        rec.ok = True
+    for rec, err in zip(sol.records, errors):
+        if err is not None:
+            rec.error = str(err)
     return sol
 
 
-def _invert_in_domain(data: CRInitialData, G, dG, q, warm, cfg: FlowConfig):
-    """Newton from the warm start, then from the linearized guess; a solution
-    counts only when its parameters lie in param_domain."""
-    if warm is not None:
-        try:
-            return _in_domain(data, newton_inverse(G, q, warm, cfg, jac=dG))
-        except (NewtonError, OutsideDomainError):
-            pass
-    return _in_domain(data, newton_inverse(G, q, _initial_guess(data, q), cfg, jac=dG))
-
-
-def _in_domain(data: CRInitialData, x):
-    """x, unless param_domain excludes its parameters or faults there."""
-    p = x[:len(data.param_names)]
-    try:
-        if data.params_in_domain(p):
-            return x
-        why = "outside param_domain"
-    except DomainError as err:
-        why = f"where param_domain faults: {err}"
-    raise OutsideDomainError(
-        f"Newton solution has parameters {np.round(p, 6).tolist()} {why}")
+def _domain_errors(data: CRInitialData, P) -> list:
+    """Per row of Newton-solved parameters P: None inside param_domain, else
+    the OutsideDomainError that refuses the solution.  One compiled test
+    over the rows; a row where it faults is named as the per-point view
+    names it."""
+    errors, lo = [None] * len(P), 0
+    while lo < len(P):
+        inside, fault = data.domain_predicate.holds(P[lo:], lo)
+        outside = [(i, "outside param_domain") for i in np.flatnonzero(~inside) + lo]
+        lo += len(inside)
+        if fault is not None:
+            try:
+                if not data.params_in_domain(P[lo]):
+                    outside.append((lo, "outside param_domain"))
+            except DomainError as err:
+                outside.append((lo, f"where param_domain faults: {err}"))
+            lo += 1
+        for i, why in outside:
+            errors[i] = OutsideDomainError(
+                f"Newton solution has parameters {np.round(P[i], 6).tolist()} {why}")
+    return errors
 
 
 def grid_queries(data: CRInitialData, u_axes, base_params=None,
                  cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Ambient query points F(base, u) over a cartesian grid of u values."""
-    F = build_F(data, cfg)
+    """Ambient query points F(base, u) over a cartesian grid of u values,
+    as one stacked F; the first row refused raises its error."""
     base = data.base if base_params is None else np.asarray(base_params, float)
     us = np.stack(np.meshgrid(*u_axes, indexing="ij"), axis=-1).reshape(-1, len(u_axes))
-    return np.array([F(base, u) for u in us])
+    points, errors = build_F(data, cfg)(np.broadcast_to(base, (len(us), len(base))), us)
+    _raise_first(errors)
+    return points

@@ -172,7 +172,8 @@ def cmd_cauchy(args) -> int:
 
     rec_payload = []
     for r in records:
-        item = {"query": r.query, "ok": r.ok}
+        item = {"query": r.query, "ok": r.ok, "newton_iters": r.newton_iters,
+                "halvings": r.halvings}
         if r.ok:
             item.update({
                 "params": r.params, "u": r.u, "U": r.U, "xi": r.xi,

@@ -19,6 +19,14 @@ column of the time derivative, in the same RK4 loop as the trajectory (the
 variational equations, Hairer-Norsett-Wanner I.14): the exact derivative of
 the discrete map.
 
+The matrix-group maps (``matrix_exp``, ``complexified_flow_matrix``,
+``complexified_flow_jacobian``) also take stacks of rows: each matrix gets
+its own scaling and its own Taylor stopping point, and a row comes out as
+it would alone.  ``newton_rows`` runs damped Newton over stacked rows in
+lockstep, each row with its own step halvings and convergence test, and
+``newton_inverse`` is its one-row view.  Stacked maps report the error that
+refuses a row beside the values, so one failing row fails alone.
+
 Everything is pure: configs are read-only shared data and independent
 trajectories or Newton solves can run concurrently.
 """
@@ -42,7 +50,7 @@ __all__ = [
     "flow_real", "exp_map", "matrix_exp",
     "MatrixGroupSpec", "complexified_flow_matrix", "complexified_flow_jacobian",
     "left_invariant_fields", "ComplexFlow", "flow_complex", "flow_complex_multi",
-    "newton_inverse", "numerical_jacobian",
+    "newton_inverse", "newton_rows", "NewtonRows", "solve_rows", "numerical_jacobian",
 ]
 
 
@@ -155,27 +163,52 @@ def exp_map(p, V: VectorField, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
 def matrix_exp(A) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a truncated Taylor sum.
 
-    After scaling to norm <= 1/2 the series runs to degree 16 (remainder
-    below double rounding), terminating early only when a term is exactly
-    zero, which makes the result exact for nilpotent input.
+    ``A`` is one square matrix or a stack of them (n, d, d).  Each matrix is
+    scaled to norm <= 1/2 by its own power of two and its series runs to
+    degree 16 (remainder below double rounding), stopping early only when
+    its own term is exactly zero, which makes the result exact for
+    nilpotent input.  A row of a stack comes out as it would alone.
     """
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix_exp needs a square matrix")
-    norm = float(np.linalg.norm(A, 1))
-    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    B = A / (2.0 ** s)
-    n = A.shape[0]
-    out = np.eye(n, dtype=np.result_type(A.dtype, float))
-    term = np.eye(n, dtype=out.dtype)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError("matrix_exp needs a square matrix or a stack of them")
+    if A.ndim == 2:
+        return matrix_exp(A[None])[0]
+    n, d = len(A), A.shape[-1]
+    # each matrix's 1-norm, its largest absolute column sum
+    colsum = np.abs(A[:, 0])
+    for i in range(1, d):
+        colsum = colsum + np.abs(A[:, i])
+    s = np.array([max(0, math.ceil(math.log2(x / 0.5))) if x > 0.5 else 0
+                  for x in colsum.max(axis=1, initial=0.0)], dtype=int)
+    B = A / (2.0 ** s)[:, None, None]
+    out = np.broadcast_to(np.eye(d, dtype=np.result_type(A.dtype, float)), A.shape).copy()
+    term = out.copy()
+    live = np.ones(n, dtype=bool)
     for j in range(1, 17):
-        term = term @ B / j
-        if not np.any(term):
+        term = term @ B
+        term /= j
+        live &= term.any(axis=(1, 2))
+        if live.all():
+            out += term
+        elif live.any():
+            out[live] += term[live]
+        else:
             break
-        out = out + term
-    for _ in range(s):
-        out = out @ out
+    for i in range(int(s.max(initial=0))):
+        sq = s > i
+        if sq.all():
+            out = out @ out
+        else:
+            out[sq] = out[sq] @ out[sq]
     return out
+
+
+def _raise_first(errors) -> None:
+    """Raise the first exception of a per-row error list, if any."""
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,46 +251,60 @@ class MatrixGroupSpec:
         return self.base.shape[0]
 
     def embed(self, p) -> np.ndarray:
-        """Chart point -> complex group matrix."""
+        """Chart point -> complex group matrix (over the last axis of p)."""
         return np.asarray(self.base, dtype=complex) + self.embed_tangent(p)
 
     def embed_tangent(self, v) -> np.ndarray:
-        """Chart tangent vector -> complex matrix: the linear part of embed."""
-        v = np.asarray(v, dtype=float)
-        M = np.zeros(self.base.shape, dtype=complex)
-        for mu, (r, c) in enumerate(self.positions):
-            M[r, c] = complex(v[2 * mu], v[2 * mu + 1])
+        """Chart tangent vector -> complex matrix: the linear part of embed.
+        A stack of vectors (..., 2N) gives a stack of matrices."""
+        z = np.ascontiguousarray(v, dtype=float).view(complex)
+        M = np.zeros(z.shape[:-1] + self.base.shape, dtype=complex)
+        M[(..., *zip(*self.positions))] = z
         return M
 
     def read_slots(self, M) -> np.ndarray:
-        """The chart vector held in the coordinate slots of a complex matrix."""
-        z = np.array([M[r, c] for r, c in self.positions], dtype=complex)
-        return _complex_to_real(z)
+        """The chart vector held in the coordinate slots of a complex matrix
+        (of each matrix of a stack)."""
+        return _complex_to_real(np.asarray(M)[(..., *zip(*self.positions))])
 
     def unembed(self, M, tol: float = 1e-9) -> np.ndarray:
         """Complex group matrix -> chart point; rejects off-pattern matrices."""
+        points, errors = self.unembed_rows(np.asarray(M)[None], tol)
+        _raise_first(errors)
+        return points[0]
+
+    def unembed_rows(self, M, tol: float = 1e-9):
+        """unembed over a stack of matrices (n, m, m): the chart points and,
+        per row, None or the EmbeddingError that refuses it."""
         offset = np.asarray(M, dtype=complex) - self.base
         rest = offset.copy()
-        for r, c in self.positions:
-            rest[r, c] = 0.0
-        drift = float(np.max(np.abs(rest)))
-        if drift > tol:
-            raise EmbeddingError(
-                f"matrix leaves the embedded coordinate pattern (drift {drift:.3e})")
-        return self.read_slots(offset)
+        rest[(..., *zip(*self.positions))] = 0.0
+        drift = np.max(np.abs(rest), axis=(-2, -1), initial=0.0)
+        errors = [EmbeddingError(
+            f"matrix leaves the embedded coordinate pattern (drift {d:.3e})")
+            if d > tol else None for d in drift]
+        return self.read_slots(offset), errors
 
     def algebra_element(self, coeffs) -> np.ndarray:
+        """sum_a coeffs_a E_a, over the last axis of coeffs."""
         coeffs = np.asarray(coeffs)
-        total = np.zeros_like(np.asarray(self.base, dtype=complex))
-        for c, E in zip(coeffs, self.basis):
-            total = total + c * np.asarray(E, dtype=complex)
+        total = np.zeros(coeffs.shape[:-1] + self.base.shape, dtype=complex)
+        for a, E in enumerate(self.basis):
+            total = total + coeffs[..., a, None, None] * np.asarray(E, dtype=complex)
         return total
 
 
 def complexified_flow_matrix(spec: MatrixGroupSpec, g, V,
-                             cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
+                             cfg: FlowConfig = DEFAULT_CONFIG):
     """The complexified flow on a matrix group: (g, V) -> g exp(sum V_a E_a),
-    with V a vector of k complex numbers, mapped back to chart coordinates."""
+    with V a vector of k complex numbers, mapped back to chart coordinates.
+
+    ``g`` is a chart point or a group matrix.  Stacks of rows, g (n, 2N)
+    and V (n, k), give (points (n, 2N), errors), errors[i] None or the
+    EmbeddingError that refuses row i; a row equals its one-point call.
+    """
+    if np.ndim(V) == 2:
+        return spec.unembed_rows(spec.embed(g) @ matrix_exp(spec.algebra_element(V)))
     M = spec.embed(g) if np.ndim(g) == 1 else np.asarray(g, dtype=complex)
     return spec.unembed(M @ matrix_exp(spec.algebra_element(V)))
 
@@ -273,23 +320,32 @@ def complexified_flow_jacobian(spec: MatrixGroupSpec, g, V, dg, dV):
     exponential of the block upper-triangular matrix with X on the diagonal
     and D_1, ..., D_s beside the first block; it is exact where the Taylor
     sum terminates, i.e. on nilpotent algebras.
+
+    Stacks of rows, g (n, 2N), V (n, k) and dg (n, 2N, r), with ``dV``
+    shared, give (points, Jacobians (n, 2N, r + s), errors) as
+    complexified_flow_matrix does; a row equals its one-point call.
     """
+    if np.ndim(V) == 1:
+        points, J, errors = complexified_flow_jacobian(
+            spec, np.asarray(g)[None], np.asarray(V)[None], np.asarray(dg)[None], dV)
+        _raise_first(errors)
+        return points[0], J[0]
     M = spec.embed(g)
     X = spec.algebra_element(V)
-    dirs = [spec.algebra_element(col) for col in np.asarray(dV).T]
-    n = spec.matrix_dim
-    size = (len(dirs) + 1) * n
-    block = np.zeros((size, size), dtype=complex)
-    for b in range(len(dirs) + 1):
-        block[b * n:(b + 1) * n, b * n:(b + 1) * n] = X
-    for b, D in enumerate(dirs, start=1):
-        block[:n, b * n:(b + 1) * n] = D
-    top = matrix_exp(block)[:n]
-    expX = top[:, :n]
-    cols = [spec.read_slots(spec.embed_tangent(t) @ expX) for t in np.asarray(dg).T]
-    cols += [spec.read_slots(M @ top[:, b * n:(b + 1) * n])
-             for b in range(1, len(dirs) + 1)]
-    return spec.unembed(M @ expX), np.column_stack(cols)
+    dirs = spec.algebra_element(np.asarray(dV).T)
+    rows, n, s = len(X), spec.matrix_dim, len(dirs)
+    block = np.zeros((rows, s + 1, n, s + 1, n), dtype=complex)
+    for b in range(s + 1):
+        block[:, b, :, b] = X
+    block[:, 0, :, 1:] = dirs.transpose(1, 0, 2)
+    top = matrix_exp(block.reshape(rows, (s + 1) * n, (s + 1) * n))[:, :n].copy()
+    expX = top[:, :, :n]
+    # column j: dg_j exp(X); column r + b: g L(X, D_b)
+    tangent = spec.read_slots(spec.embed_tangent(np.swapaxes(dg, 1, 2)) @ expX[:, None])
+    frechet = (M @ top[:, :, n:]).reshape(rows, n, s, n).transpose(0, 2, 1, 3)
+    J = np.concatenate([tangent, spec.read_slots(frechet)], axis=1)
+    points, errors = spec.unembed_rows(M @ expX)
+    return points, np.swapaxes(J, 1, 2), errors
 
 
 def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
@@ -480,9 +536,116 @@ def numerical_jacobian(F, x, h: float) -> np.ndarray:
 _FD_STEP = 1e-6
 
 
+def _row_norms(R) -> np.ndarray:
+    """The 2-norm of each row, summed column by column so that a row's
+    norm does not depend on the rows stacked with it."""
+    total = np.zeros(len(R))
+    for col in np.asarray(R, dtype=float).T:
+        total = total + col * col
+    return np.sqrt(total)
+
+
+def solve_rows(A, B):
+    """np.linalg.solve over a stack of systems, and the mask of the rows
+    whose matrix is singular (their solutions NaN).  Each row is solved as
+    it would be alone."""
+    try:
+        return np.linalg.solve(A, B), np.zeros(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(np.broadcast_shapes(A.shape[:-1], B.shape[:-1]) + B.shape[-1:], np.nan)
+    bad = np.zeros(len(A), dtype=bool)
+    for i in range(len(A)):
+        try:
+            out[i] = np.linalg.solve(A[i:i + 1], B[i:i + 1])[0]
+        except np.linalg.LinAlgError:
+            bad[i] = True
+    return out, bad
+
+
+@dataclass
+class NewtonRows:
+    """The outcome of newton_rows, one entry per row."""
+
+    x: np.ndarray          # (n, D) the last iterate
+    errors: list           # None, or the exception that refuses the row
+    iters: np.ndarray      # Newton steps taken (Jacobians solved)
+    halvings: np.ndarray   # step halvings over all of them
+
+
+def newton_rows(F, jac, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows:
+    """Solve F(x_i) = target_i for every row i by damped Newton in lockstep.
+
+    ``F(X)`` maps rows X (n, D) to (values (n, d), errors) and ``jac(X)``
+    to (Jacobians (n, d, D), errors), with errors[i] None or the exception
+    that refuses row i.  Each row runs the steps newton_inverse describes,
+    with its own halvings and convergence test, so it ends as it would
+    alone: a failed start or Jacobian refuses the row with its exception,
+    a trial that fails or does not lower the residual halves only that
+    row's step, and a row that finds no descent step or does not converge
+    within the budget gets a NewtonError.
+    """
+    X = np.array(x0, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    n = len(X)
+    iters, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    values, errors = F(X)
+    errors = list(errors)
+    res = values - targets
+    best = _row_norms(res)
+    live = np.array([err is None for err in errors], dtype=bool)
+
+    def refuse(rows, make):
+        for i in rows:
+            errors[i] = make(i)
+        live[rows] = False
+
+    for _ in range(cfg.newton_max_iter):
+        live &= ~(best < cfg.newton_tol)
+        rows = np.flatnonzero(live)
+        if not len(rows):
+            break
+        J, jerrors = jac(X[rows])
+        for i, err in zip(rows, jerrors):
+            if err is not None:
+                errors[i], live[i] = err, False
+        steps, singular = solve_rows(J, -res[rows][..., None])
+        refuse(rows[singular & live[rows]],
+               lambda i: NewtonError("Jacobian is numerically singular"))
+        keep = live[rows]
+        rows, steps = rows[keep], steps[keep, :, 0]
+        if not len(rows):
+            continue
+        iters[rows] += 1
+        lam = np.ones(len(rows))
+        pending = np.ones(len(rows), dtype=bool)
+        for _ in range(10):
+            idx = rows[pending]
+            trial = X[idx] + lam[pending, None] * steps[pending]
+            values, terrors = F(trial)
+            tres = values - targets[idx]
+            tnorm = _row_norms(tres)
+            better = np.array([err is None for err in terrors], dtype=bool)
+            better &= tnorm < best[idx]
+            X[idx[better]], res[idx[better]], best[idx[better]] = (
+                trial[better], tres[better], tnorm[better])
+            halvings[idx[~better]] += 1
+            slot = np.flatnonzero(pending)
+            lam[slot[~better]] *= 0.5
+            pending[slot[better]] = False
+            if not pending.any():
+                break
+        refuse(rows[pending], lambda i: NewtonError(
+            f"no descent step found (residual {best[i]:.3e})"))
+    refuse(np.flatnonzero(live & ~(best < cfg.newton_tol)), lambda i: NewtonError(
+        f"did not converge in {cfg.newton_max_iter} iterations "
+        f"(residual {best[i]:.3e})"))
+    return NewtonRows(X, errors, iters, halvings)
+
+
 def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG,
                    jac=None) -> np.ndarray:
-    """Solve F(x) = target by damped Newton.
+    """Solve F(x) = target by damped Newton: the one-row view of newton_rows.
 
     ``jac(x)`` gives the Jacobian of F at x; without it the Jacobian is
     taken by central differences with step 1e-6.  Steps are halved (up to
@@ -493,36 +656,14 @@ def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG,
         def jac(x):
             return numerical_jacobian(F, x, _FD_STEP)
 
-    x = np.asarray(x0, dtype=float).copy()
-    target = np.asarray(target, dtype=float)
-    res = np.asarray(F(x)) - target
-    best = float(np.linalg.norm(res))
-    for _ in range(cfg.newton_max_iter):
-        if best < cfg.newton_tol:
-            return x
-        Jm = jac(x)
+    def rows(X):
         try:
-            step = np.linalg.solve(Jm, -res)
-        except np.linalg.LinAlgError:
-            raise NewtonError("Jacobian is numerically singular") from None
-        lam = 1.0
-        for _ in range(10):
-            trial = x + lam * step
-            try:
-                tres = np.asarray(F(trial)) - target
-            except (FlowError, ValueError):
-                lam *= 0.5
-                continue
-            tnorm = float(np.linalg.norm(tres))
-            if tnorm < best:
-                x, res, best = trial, tres, tnorm
-                break
-            lam *= 0.5
-        else:
-            raise NewtonError(
-                f"no descent step found (residual {best:.3e})")
-    if best < cfg.newton_tol:
-        return x
-    raise NewtonError(
-        f"did not converge in {cfg.newton_max_iter} iterations "
-        f"(residual {best:.3e})")
+            return np.asarray(F(X[0]), dtype=float)[None], [None]
+        except (FlowError, ValueError) as err:
+            return np.full((1, len(np.atleast_1d(target))), np.nan), [err]
+
+    out = newton_rows(rows, lambda X: (np.asarray(jac(X[0]), dtype=float)[None], [None]),
+                      np.asarray(target, dtype=float)[None],
+                      np.asarray(x0, dtype=float)[None], cfg)
+    _raise_first(out.errors)
+    return out.x[0]

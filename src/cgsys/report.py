@@ -13,6 +13,7 @@ byte-identical files; the shipped report_schema.json validates the layout.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -59,7 +60,62 @@ def build_document(digest: str, checks: list[dict], **extras) -> dict:
     return doc
 
 
+_FLOAT_TYPES = frozenset({float, np.float64})
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+
+
+def _float_block(obj):
+    """obj as a float64 array when it is a non-empty float64 ndarray of one
+    or more axes, or a rectangular nested list or tuple whose leaves are
+    all floats; else None."""
+    if isinstance(obj, np.ndarray):
+        return obj if obj.dtype == np.float64 and obj.ndim and obj.size else None
+    first = obj
+    while isinstance(first, (list, tuple)) and first:
+        first = first[0]
+    if type(first) not in _FLOAT_TYPES:
+        return None
+    try:
+        leaves = np.asarray(obj, dtype=object)
+    except ValueError:
+        return None
+    if set(map(type, leaves.ravel().tolist())) <= _FLOAT_TYPES:
+        return leaves.astype(float)
+    return None
+
+
+def _encode_floats(a: np.ndarray) -> str:
+    """A float array in one pass: every value formatted at once (NaN and
+    infinities as null), then the brackets of each axis."""
+    parts = list(map("%.17g".__mod__, a.ravel().tolist()))
+    if a.ndim == 1:
+        text = "[" + ", ".join(parts) + "]"
+        if "n" not in text:          # no finite value prints an 'n'
+            return text
+    parts = ["null" if t in _NON_FINITE else t for t in parts]
+    for n in reversed(a.shape):
+        parts = ["[" + ", ".join(parts[i:i + n]) + "]" for i in range(0, len(parts), n)]
+    return parts[0]
+
+
+@functools.lru_cache(maxsize=1024)
+def _str_key(k: str) -> str:
+    return json.dumps(k)
+
+
 def _encode(obj) -> str:
+    if isinstance(obj, dict):
+        return "{" + ", ".join(
+            f"{_str_key(k) if type(k) is str else json.dumps(k)}: {_encode(v)}"
+            for k, v in sorted(obj.items())) + "}"
+    if isinstance(obj, (np.ndarray, list, tuple)):
+        block = _float_block(obj)
+        if block is not None:
+            return _encode_floats(block)
+        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if not isinstance(items, (list, tuple)):
+            raise TypeError(f"cannot encode {type(items).__name__} in a report")
+        return "[" + ", ".join(_encode(v) for v in items) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -73,13 +129,6 @@ def _encode(obj) -> str:
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ", ".join(f"{json.dumps(k)}: {_encode(v)}" for k, v in items) + "}"
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot encode {type(obj).__name__} in a report")
 
 

@@ -3,6 +3,7 @@ the nilpotent group against its closed forms, and the affine group."""
 
 import dataclasses
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import cgsys.cauchy
 from cgsys.cli import main
 from cgsys.dsl import load_builtin, loads
 from cgsys.expr import Table, parse_expr
-from cgsys.flow import FlowConfig, MatrixGroupSpec, numerical_jacobian
+from cgsys.flow import FlowConfig, MatrixGroupSpec, newton_inverse, numerical_jacobian
 from cgsys.cauchy import (
     PARAM_SPREAD, CRInitialData, TransversalityError, build_dF, build_F,
     check_cr_transverse, compute_PQA, construct_fields, equation_map,
@@ -152,13 +153,18 @@ def test_cauchy_op_draws_parameter_samples_once(monkeypatch, name):
     assert len(calls) == 1
 
 
-def _ambient_data():
-    """The CR data of the benchmark's generated (1 + c z^2) d/dz file, c = 1.1."""
+def _ambient_file():
+    """The benchmark's generated (1 + c z^2) d/dz file, c = 1.1."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return loads(workloads.ambient_cgs(1.1), name="ambient").cr
+    return loads(workloads.ambient_cgs(1.1), name="ambient")
+
+
+def _ambient_data():
+    """The CR data of the benchmark's generated file, c = 1.1."""
+    return _ambient_file().cr
 
 
 CR_DATA = ["line", "heisenberg-cr", "affine", "non-transverse-demo", "ambient"]
@@ -570,3 +576,110 @@ def test_alternate_line_extension_differs():
     gap = np.max(np.abs(xi_alt.values(p) - xi.values(p)))
     assert gap == pytest.approx(math.exp(0.1) - 1.0, abs=1e-15)
     assert gap > 0.105
+
+
+# --- every query of a solve in lockstep -------------------------------------------
+
+
+# name: (system, u extent, grid); affine at |u| >= 2 refuses some of its
+# rows, and at |u| <= 2 on the 7-grid some rows halve their steps
+LOCKSTEP_CASES = {
+    "line": ("line", 0.5, 9), "heisenberg-cr": ("heisenberg-cr", 0.5, 3),
+    "affine": ("affine", 0.5, 5), "ambient": ("ambient", 0.5, 5),
+    "affine-wide": ("affine", 3.0, 5), "affine-halving": ("affine", 2.0, 7),
+}
+
+
+def _lockstep_case(name):
+    system, extent, grid = LOCKSTEP_CASES[name]
+    sf = _ambient_file() if system == "ambient" else load_builtin(system)
+    axes = [np.linspace(-extent, extent, grid)] * sf.cr.k
+    return sf.cr, sf.oracle, grid_queries(sf.cr, axes, cfg=CFG)
+
+
+def _assert_same_record(a, b):
+    assert (a.ok, a.error, a.newton_iters, a.halvings) == \
+        (b.ok, b.error, b.newton_iters, b.halvings)
+    for name in ("query", "params", "u", "U", "xi", "jxi"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+    for name in ("residual_d", "residual_dc", "newton_residual", "oracle_dU", "oracle_dxi"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_solve_gives_each_query_the_record_it_gets_alone(name):
+    data, oracle, queries = _lockstep_case(name)
+    sol = solve(data, queries, CFG, oracle=oracle)
+    refused = [r.error for r in sol.records if not r.ok]
+    assert bool(refused) == name.startswith("affine-")
+    assert all("outside param_domain" in e for e in refused)
+    for q, rec in zip(queries, sol.records):
+        _assert_same_record(rec, solve(data, [q], CFG, oracle=oracle).records[0])
+
+
+@pytest.mark.parametrize("name", ["heisenberg-cr", "affine-wide"])
+def test_reversed_queries_reverse_the_records(name):
+    data, oracle, queries = _lockstep_case(name)
+    forward = solve(data, queries, CFG, oracle=oracle).records
+    backward = solve(data, queries[::-1], CFG, oracle=oracle).records
+    for a, b in zip(forward, backward[::-1]):
+        _assert_same_record(a, b)
+
+
+def test_newton_counts_are_the_steps_of_newton_inverse():
+    # an independent count: Jacobians taken and F trials made by the
+    # one-row Newton from the same start, on the one-point maps
+    data, _, queries = _lockstep_case("affine-halving")
+    F, dF = build_F(data, CFG), build_dF(data, CFG)
+    m = len(data.param_names)
+    records = solve(data, queries, CFG).records
+    assert any(r.halvings for r in records)
+    for q, rec in zip(queries, records):
+        calls = {"F": 0, "jac": 0}
+
+        def G(x):
+            calls["F"] += 1
+            return F(x[:m], x[m:])
+
+        def dG(x):
+            calls["jac"] += 1
+            return dF(x[:m], x[m:])[1]
+
+        x0 = cgsys.cauchy._initial_guesses(data, q[None])[0]
+        newton_inverse(G, q, x0, CFG, jac=dG)
+        assert rec.newton_iters == calls["jac"]
+        # each step is one accepted trial; every other trial was a halving
+        assert rec.halvings == calls["F"] - 1 - calls["jac"]
+
+
+def test_cli_newton_counts_repeat_from_run_to_run(tmp_path):
+    reports = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in reports:
+        assert main(["cauchy", "affine", "--u-extent", "3", "--grid", "5",
+                     "--json", str(out)]) == 1
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    data, _, queries = _lockstep_case("affine-wide")
+    records = json.loads(reports[0].read_text())["records"]
+    for rec, ref in zip(records, solve(data, queries, CFG).records):
+        assert (rec["newton_iters"], rec["halvings"]) == (ref.newton_iters, ref.halvings)
+
+
+@pytest.mark.parametrize("which", ["heisenberg", "affine", "heisenberg-ode", "quadratic"])
+def test_stacked_F_and_dF_equal_their_one_point_calls(which, heis_data, affine_data):
+    data = {"heisenberg": heis_data, "affine": affine_data,
+            "heisenberg-ode": _heisenberg_ode_data(heis_data),
+            "quadratic": loads(QUADRATIC_FIELD, name="quadratic").cr}[which]
+    F, dF = build_F(data, CFG), build_dF(data, CFG)
+    m = len(data.param_names)
+    rng = np.random.default_rng(14)
+    P = data.base + rng.uniform(-0.3, 0.3, size=(4, m))
+    U = rng.uniform(-0.3, 0.3, size=(4, data.k))
+    points, errors = F(P, U)
+    dpoints, J, derrors = dF(P, U)
+    assert errors == derrors == [None] * 4
+    for i in range(4):
+        assert np.array_equal(points[i], F(P[i], U[i]))
+        point, Ji = dF(P[i], U[i])
+        assert np.array_equal(dpoints[i], point)
+        assert np.array_equal(J[i], Ji)

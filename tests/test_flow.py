@@ -9,10 +9,11 @@ import scipy.linalg
 
 from cgsys.expr import parse_expr
 from cgsys.flow import (
-    ComplexFlow, DivergenceError, FlowConfig, HolomorphyError, MatrixGroupSpec,
-    NewtonError, complexified_flow_jacobian, complexified_flow_matrix, exp_map,
-    flow_complex, flow_complex_multi, flow_real, left_invariant_fields,
-    matrix_exp, newton_inverse, numerical_jacobian,
+    ComplexFlow, DivergenceError, EmbeddingError, FlowConfig, FlowError,
+    HolomorphyError, MatrixGroupSpec, NewtonError, complexified_flow_jacobian,
+    complexified_flow_matrix, exp_map, flow_complex, flow_complex_multi,
+    flow_real, left_invariant_fields, matrix_exp, newton_inverse, newton_rows,
+    numerical_jacobian,
 )
 from cgsys.geometry import ComplexChart, VectorField, apply_J, j_matrix
 
@@ -199,6 +200,22 @@ def test_matrix_exp_against_scipy():
         assert np.max(np.abs(matrix_exp(A) - scipy.linalg.expm(A))) < 1e-11
 
 
+def test_stacked_matrix_exp_equals_one_row_calls(heis_spec):
+    # rows with different scaling exponents, a nilpotent row whose Taylor
+    # sum stops after two terms, a zero row and a real row in one stack
+    rng = np.random.default_rng(12)
+    A = rng.uniform(-1, 1, size=(7, 3, 3)) + 1j * rng.uniform(-1, 1, size=(7, 3, 3))
+    A *= np.array([0.1, 0.4, 1.0, 3.0, 9.0, 40.0, 0.7])[:, None, None]
+    nilpotent = 0.5 * heis_spec.basis[0] + 0.25 * heis_spec.basis[1]
+    A = np.concatenate([A, [nilpotent, np.zeros((3, 3)), A[2].real]])
+    E = matrix_exp(A)
+    for row, alone in zip(E, map(matrix_exp, A)):
+        assert np.array_equal(row, alone)
+    assert np.array_equal(E[7], np.eye(3) + nilpotent + nilpotent @ nilpotent / 2.0)
+    for row, ref in zip(E[:5], map(scipy.linalg.expm, A[:5])):
+        assert np.max(np.abs(row - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
+
+
 # --- matrix-group complexified flow -------------------------------------------
 
 
@@ -355,6 +372,44 @@ def test_block_frechet_matches_central_differences(affine_spec):
             assert np.max(np.abs(J[:, 3 + b] - fd)) < 1e-8
 
 
+@pytest.mark.parametrize("which", ["affine", "heisenberg"])
+def test_stacked_flow_jacobian_equals_one_row_calls(which, affine_spec, heis_spec):
+    spec = {"affine": affine_spec, "heisenberg": heis_spec}[which]
+    dim, k = spec.chart.dim, spec.k
+    rng = np.random.default_rng(13)
+    g = rng.uniform(-1, 1, size=(6, dim))
+    V = rng.uniform(-0.8, 0.8, size=(6, k)) + 1j * rng.uniform(-0.8, 0.8, size=(6, k))
+    dg = rng.uniform(-1, 1, size=(6, dim, 2))
+    dV = 1j * np.eye(k)
+    points, J, errors = complexified_flow_jacobian(spec, g, V, dg, dV)
+    flowed, flow_errors = complexified_flow_matrix(spec, g, V)
+    assert errors == flow_errors == [None] * 6
+    assert np.max(np.abs(points - flowed)) < 1e-14
+    h = 1e-6
+    for i in range(6):
+        point, Ji = complexified_flow_jacobian(spec, g[i], V[i], dg[i], dV)
+        assert np.array_equal(points[i], point)
+        assert np.array_equal(J[i], Ji)
+        assert np.array_equal(flowed[i], complexified_flow_matrix(spec, g[i], V[i]))
+
+        def real_map(x, i=i):
+            # the start point moved along dg, then the real coefficients of u
+            return complexified_flow_matrix(spec, g[i] + dg[i] @ x[:2],
+                                            V[i] + 1j * x[2:])
+
+        fd = numerical_jacobian(real_map, np.zeros(2 + k), h)
+        assert np.max(np.abs(J[i] - fd)) < 1e-8
+
+
+def test_stacked_unembed_refuses_only_the_drifting_row(heis_spec):
+    M = np.stack([heis_spec.embed(np.full(6, 0.1 * i)) for i in range(3)])
+    M[1, 2, 0] = 0.5
+    points, errors = heis_spec.unembed_rows(M)
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], EmbeddingError) and "drift 5.000e-01" in str(errors[1])
+    assert np.array_equal(points[2], heis_spec.unembed(M[2]))
+
+
 def test_block_frechet_matches_scipy(affine_spec):
     # from the identity the direction columns are the Frechet derivative
     # itself; the affine algebra lives in the first row, which the slots hold
@@ -435,6 +490,58 @@ def test_newton_inverse_uses_a_given_jacobian():
 
     x = newton_inverse(F, [1.2, -0.3], [1.0, 0.5], CFG, jac=jac)
     assert np.max(np.abs(F(x) - [1.2, -0.3])) < 1e-10
+
+
+def _atan_rows(fail):
+    """arctan over rows, with the trials where ``fail(x)`` holds refused."""
+    def F(X):
+        errors = [fail(x) for x in X]
+        return np.arctan(X), errors
+    return F
+
+
+def _atan_jac(X):
+    return 1.0 / (1.0 + X[:, :, None] ** 2), [None] * len(X)
+
+
+@pytest.mark.parametrize("error", [EmbeddingError, FlowError, ValueError])
+def test_a_failed_trial_halves_only_its_own_row(error):
+    # from 2 a full Newton step on arctan lands at -3.5, which is refused;
+    # the rows started at 0.5 and -0.3 never see a refusal
+    def fail(x):
+        return error("refused trial") if abs(x[0]) > 2.5 else None
+
+    x0 = np.array([[0.5], [2.0], [-0.3]])
+    out = newton_rows(_atan_rows(fail), _atan_jac, np.zeros((3, 1)), x0, CFG)
+    assert out.errors == [None] * 3
+    assert out.halvings[0] == out.halvings[2] == 0 and out.halvings[1] >= 1
+    assert np.max(np.abs(out.x)) < 1e-10
+    for i in range(3):
+        alone = newton_rows(_atan_rows(fail), _atan_jac, np.zeros((1, 1)), x0[i:i + 1], CFG)
+        assert np.array_equal(alone.x[0], out.x[i])
+        assert (alone.iters[0], alone.halvings[0]) == (out.iters[i], out.halvings[i])
+        # the one-row view follows the same steps
+        x = newton_inverse(np.arctan, [0.0], x0[i], CFG,
+                           jac=lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]))
+        if i != 1:
+            assert np.array_equal(x, out.x[i])
+
+
+def test_lockstep_rows_fail_on_their_own():
+    # row 0 converges; row 1 has a singular Jacobian; row 2 has no root
+    def F(X):
+        return np.column_stack([X[:, 0] ** 2]), [None] * len(X)
+
+    def jac(X):
+        return (2.0 * X)[:, :, None], [None] * len(X)
+
+    out = newton_rows(F, jac, np.array([[4.0], [1.0], [-1.0]]),
+                      np.array([[3.0], [0.0], [1.0]]), FlowConfig(newton_max_iter=8))
+    assert out.errors[0] is None and abs(out.x[0, 0] - 2.0) < 1e-10
+    assert str(out.errors[1]) == "Jacobian is numerically singular"
+    assert isinstance(out.errors[2], NewtonError)
+    with pytest.raises(NewtonError, match="singular"):
+        newton_inverse(lambda x: x ** 2, [1.0], [0.0], jac=lambda x: np.array([[2.0 * x[0]]]))
 
 
 def test_newton_inverse_reports_failure():
