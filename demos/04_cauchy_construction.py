@@ -22,7 +22,7 @@ F = build_F(data, cfg)
 print("F(0.3, 0.4) =", F(np.array([0.3]), np.array([0.4])), " (= 0.3 + 0.4i)")
 
 # Inverting F at an ambient point gives the equation of M: U(x + iy) = -y.
-U, p, u = equation_map(data, [0.25, -0.4], cfg, F=F)
+U, p, u = equation_map(data, [0.25, -0.4], cfg)
 print("U(0.25 - 0.4i) =", U, " parameters:", p)
 
 # --- the nilpotent group -------------------------------------------------------

@@ -39,14 +39,18 @@ simply marks it outside the working neighbourhood.
 
 Query points are independent, so ``solve`` handles all of them in
 lockstep: one damped Newton over the stacked rows (p, u), each started
-from the linearized guess with its own step halvings and convergence test,
-then stacked dF, P/Q/A and field products.  F, dF, the frames and the
-fields all take stacks of rows and return, beside their values, the error
-that refuses each row, so a failing query refuses only its own record; the
-one-point functions (``compute_PQA``, ``construct_fields``, F(p, u)) are
-one-row views of the same code.  On matrix groups a stack costs one
-batched matrix exponential; ambient fields still integrate one trajectory
-per row.
+from the linearized guess with its own step halvings and convergence test.
+Newton runs on the map of build_dF, whose points equal F's to the last
+bit, so each Newton point is evaluated once for its value and Jacobian
+together, and the stacked P/Q/A and field products are built on the F and
+dF that Newton returns at the solutions; F itself only places the grid
+queries (``grid_queries``).  F, dF, the frames and the fields all take
+stacks of rows and return, beside their values, the error that refuses
+each row, so a failing query refuses only its own record; the one-point
+functions (``compute_PQA``, ``construct_fields``, ``equation_map``,
+F(p, u)) are one-row views of the same code.  On matrix groups a stack
+costs one batched matrix exponential; ambient fields still integrate one
+trajectory per row.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .expr import (
 from .flow import (
     DEFAULT_CONFIG, ComplexFlow, FlowConfig, FlowError, MatrixGroupSpec,
     _raise_first, complexified_flow_jacobian, complexified_flow_matrix,
-    left_invariant_fields, newton_inverse, newton_rows, solve_rows,
+    left_invariant_fields, newton_rows, solve_rows,
 )
 from .geometry import (
     ComplexChart, VectorField, env_at, j_matrix, j_rotate, pair_brackets,
@@ -381,7 +385,9 @@ def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     """The exact derivative of F: dF(p, u) returns (F(p, u), J) with J the
     real 2N x (2n + 2k) Jacobian in the variables (p, u); stacks of rows
-    give (points, Jacobians (n, 2N, 2n + 2k), errors) as build_F does.
+    give (points, Jacobians (n, 2N, 2n + 2k), errors) as build_F does.  The
+    points and errors are build_F's to the last bit, so Newton can take
+    its residuals from this map alone.
 
     Matrix-group data differentiates g exp(X) through the block Frechet
     exponential, all rows at once; ambient fields step the tangent columns
@@ -422,34 +428,24 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     return _point_view(rows)
 
 
-def _as_maps(data: CRInitialData, F, dF):
-    """F and its Jacobian as maps of the stacked variable x = (p, u)."""
-    m = len(data.param_names)
-
-    def G(x) -> np.ndarray:
-        return F(x[:m], x[m:])
-
-    def dG(x) -> np.ndarray:
-        return dF(x[:m], x[m:])[1]
-
-    return G, dG, m
-
-
 def equation_map(data: CRInitialData, q, cfg: FlowConfig = DEFAULT_CONFIG,
                  F=None, x0=None, dF=None):
     """Solve F(p, iu) = q for (p, u) and return (U(q), p, u) with U = -u.
 
-    Newton runs on the composite map with the exact Jacobian of build_dF;
-    the default start point linearizes sigma around the base parameters.
+    The one-row view of the Newton that ``solve`` runs: newton_rows over
+    the stacked map of build_dF, which gives F and its exact Jacobian from
+    one evaluation; the default start point linearizes sigma around the
+    base parameters.  ``F`` is accepted for existing callers and not used.
     """
-    F = build_F(data, cfg) if F is None else F
     dF = build_dF(data, cfg) if dF is None else dF
-    G, dG, m = _as_maps(data, F, dF)
+    m = len(data.param_names)
     q = np.asarray(q, dtype=float)
     if x0 is None:
         x0 = _initial_guesses(data, q[None])[0]
-    x = newton_inverse(G, q, x0, cfg, jac=dG)
-    p, u = x[:m], x[m:]
+    newton = newton_rows(lambda X: dF(X[:, :m], X[:, m:]), q[None],
+                         np.asarray(x0, dtype=float)[None], cfg)
+    _raise_first(newton.errors)
+    p, u = newton.x[0, :m], newton.x[0, m:]
     return -u, p, u
 
 
@@ -680,10 +676,12 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
 
     The queries are independent, so they are solved in lockstep: one
     damped Newton (newton_rows) inverts F at all of them, each from the
-    linearized guess, and the frames and fields come from stacked dF,
-    P/Q/A and field products.  A query that fails refuses only its own
-    record, which then names the error; each record also counts its Newton
-    steps and step halvings.
+    linearized guess, on the stacked map of build_dF, which evaluates each
+    Newton point once for F and dF together.  The frames and fields come
+    from stacked P/Q/A and field products on the F and dF that Newton
+    returns at the solutions; nothing is flowed after Newton.  A query that
+    fails refuses only its own record, which then names the error; each
+    record also counts its Newton steps and step halvings.
 
     ``oracle`` is an optional (grad_exprs, field_list) pair of closed forms;
     when given, each record carries the deviation of the reconstructed U and
@@ -707,9 +705,8 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     queries = np.asarray(queries, dtype=float).reshape(-1, data.chart.dim)
     sol.records = [QueryRecord(query=q, ok=False) for q in queries]
     m = len(data.param_names)
-    F, dF = build_F(data, cfg), build_dF(data, cfg)
-    newton = newton_rows(lambda X: F(X[:, :m], X[:, m:]),
-                         lambda X: dF(X[:, :m], X[:, m:])[1:],
+    dF = build_dF(data, cfg)
+    newton = newton_rows(lambda X: dF(X[:, :m], X[:, m:]),
                          queries, _initial_guesses(data, queries), cfg)
     errors = newton.errors
     for rec, iters, halvings in zip(sol.records, newton.iters, newton.halvings):
@@ -728,11 +725,8 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
         rec = sol.records[i]
         rec.params, rec.u = newton.x[i, :m], newton.x[i, m:]
         rec.U = -rec.u
-    P, U = newton.x[rows, :m], newton.x[rows, m:]
-    ambient, D, stage_errors = dF(P, U)
-    keep = passing(rows, stage_errors)
-    rows = rows[keep]
-    frame, stage_errors = _frames(data, P[keep], U[keep], ambient[keep], D[keep])
+    frame, stage_errors = _frames(data, newton.x[rows, :m], newton.x[rows, m:],
+                                  newton.values[rows], newton.jac[rows])
     keep = passing(rows, stage_errors)
     rows, frame = rows[keep], _row(frame, keep)
     built, stage_errors = _construct_rows(frame, cfg)

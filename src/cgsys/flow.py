@@ -24,8 +24,12 @@ The matrix-group maps (``matrix_exp``, ``complexified_flow_matrix``,
 its own scaling and its own Taylor stopping point, and a row comes out as
 it would alone.  ``newton_rows`` runs damped Newton over stacked rows in
 lockstep, each row with its own step halvings and convergence test, and
-``newton_inverse`` is its one-row view.  Stacked maps report the error that
-refuses a row beside the values, so one failing row fails alone.
+``newton_inverse`` is its one-row view.  Newton takes one map that returns
+the values and the Jacobians together, so every start row and every trial
+is evaluated once (an accepted trial's Jacobian is the next step's), and
+it returns F and dF at the solutions as the map gave them.  Stacked maps
+report the error that refuses a row beside the values, so one failing row
+fails alone.
 
 Everything is pure: configs are read-only shared data and independent
 trajectories or Newton solves can run concurrently.
@@ -315,11 +319,13 @@ def complexified_flow_jacobian(spec: MatrixGroupSpec, g, V, dg, dV):
     ``dg`` holds chart tangent columns at g (2N x r) and ``dV`` complex
     coefficient columns of algebra directions (k x s).  Returns the chart
     point and the 2N x (r + s) Jacobian: column j is dg_j exp(X), and
-    column r + b is g L(X, D_b), with L the Frechet derivative of exp.  All
-    of exp(X) and the L(X, D_b) come from the first block row of one
-    exponential of the block upper-triangular matrix with X on the diagonal
-    and D_1, ..., D_s beside the first block; it is exact where the Taylor
-    sum terminates, i.e. on nilpotent algebras.
+    column r + b is g L(X, D_b), with L the Frechet derivative of exp.  The
+    Jacobian's exp(X) and the L(X, D_b) come from the first block row of
+    one exponential of the block upper-triangular matrix with X on the
+    diagonal and D_1, ..., D_s beside the first block; it is exact where
+    the Taylor sum terminates, i.e. on nilpotent algebras.  The point is
+    g matrix_exp(X), as complexified_flow_matrix computes it (the block's
+    corner can differ from it in the last bits), so the point equals F's.
 
     Stacks of rows, g (n, 2N), V (n, k) and dg (n, 2N, r), with ``dV``
     shared, give (points, Jacobians (n, 2N, r + s), errors) as
@@ -344,7 +350,7 @@ def complexified_flow_jacobian(spec: MatrixGroupSpec, g, V, dg, dV):
     tangent = spec.read_slots(spec.embed_tangent(np.swapaxes(dg, 1, 2)) @ expX[:, None])
     frechet = (M @ top[:, :, n:]).reshape(rows, n, s, n).transpose(0, 2, 1, 3)
     J = np.concatenate([tangent, spec.read_slots(frechet)], axis=1)
-    points, errors = spec.unembed_rows(M @ expX)
+    points, errors = spec.unembed_rows(M @ matrix_exp(X))
     return points, np.swapaxes(J, 1, 2), errors
 
 
@@ -568,29 +574,34 @@ class NewtonRows:
     """The outcome of newton_rows, one entry per row."""
 
     x: np.ndarray          # (n, D) the last iterate
+    values: np.ndarray     # (n, d) F at x, as the map returned it
+    jac: np.ndarray        # (n, d, D) dF at x, as the map returned it
     errors: list           # None, or the exception that refuses the row
     iters: np.ndarray      # Newton steps taken (Jacobians solved)
     halvings: np.ndarray   # step halvings over all of them
 
 
-def newton_rows(F, jac, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows:
+def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows:
     """Solve F(x_i) = target_i for every row i by damped Newton in lockstep.
 
-    ``F(X)`` maps rows X (n, D) to (values (n, d), errors) and ``jac(X)``
-    to (Jacobians (n, d, D), errors), with errors[i] None or the exception
-    that refuses row i.  Each row runs the steps newton_inverse describes,
-    with its own halvings and convergence test, so it ends as it would
-    alone: a failed start or Jacobian refuses the row with its exception,
-    a trial that fails or does not lower the residual halves only that
-    row's step, and a row that finds no descent step or does not converge
-    within the budget gets a NewtonError.
+    ``FJ(X)`` maps rows X (n, D) to (values (n, d), Jacobians (n, d, D),
+    errors), with errors[i] None or the exception that refuses row i.  The
+    start rows and every trial are evaluated once: an accepted trial's
+    Jacobian is the next step's, and ``values``/``jac`` of the result are
+    F and dF at the returned ``x``, exactly as the map returned them.  Each
+    row runs the steps newton_inverse describes, with its own halvings and
+    convergence test, so it ends as it would alone: a refused start refuses
+    the row with its exception, a trial that the map refuses or that does
+    not lower the residual halves only that row's step, and a row that
+    finds no descent step or does not converge within the budget gets a
+    NewtonError.
     """
     X = np.array(x0, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = len(X)
     iters, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    values, errors = F(X)
-    errors = list(errors)
+    values, J, errors = FJ(X)
+    values, J, errors = np.array(values, dtype=float), np.array(J, dtype=float), list(errors)
     res = values - targets
     best = _row_norms(res)
     live = np.array([err is None for err in errors], dtype=bool)
@@ -605,15 +616,9 @@ def newton_rows(F, jac, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> Newton
         rows = np.flatnonzero(live)
         if not len(rows):
             break
-        J, jerrors = jac(X[rows])
-        for i, err in zip(rows, jerrors):
-            if err is not None:
-                errors[i], live[i] = err, False
-        steps, singular = solve_rows(J, -res[rows][..., None])
-        refuse(rows[singular & live[rows]],
-               lambda i: NewtonError("Jacobian is numerically singular"))
-        keep = live[rows]
-        rows, steps = rows[keep], steps[keep, :, 0]
+        steps, singular = solve_rows(J[rows], -res[rows][..., None])
+        refuse(rows[singular], lambda i: NewtonError("Jacobian is numerically singular"))
+        rows, steps = rows[~singular], steps[~singular, :, 0]
         if not len(rows):
             continue
         iters[rows] += 1
@@ -622,13 +627,14 @@ def newton_rows(F, jac, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> Newton
         for _ in range(10):
             idx = rows[pending]
             trial = X[idx] + lam[pending, None] * steps[pending]
-            values, terrors = F(trial)
-            tres = values - targets[idx]
+            tvalues, tJ, terrors = FJ(trial)
+            tres = tvalues - targets[idx]
             tnorm = _row_norms(tres)
             better = np.array([err is None for err in terrors], dtype=bool)
             better &= tnorm < best[idx]
-            X[idx[better]], res[idx[better]], best[idx[better]] = (
-                trial[better], tres[better], tnorm[better])
+            won = idx[better]
+            X[won], values[won], J[won] = trial[better], tvalues[better], tJ[better]
+            res[won], best[won] = tres[better], tnorm[better]
             halvings[idx[~better]] += 1
             slot = np.flatnonzero(pending)
             lam[slot[~better]] *= 0.5
@@ -640,7 +646,7 @@ def newton_rows(F, jac, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> Newton
     refuse(np.flatnonzero(live & ~(best < cfg.newton_tol)), lambda i: NewtonError(
         f"did not converge in {cfg.newton_max_iter} iterations "
         f"(residual {best[i]:.3e})"))
-    return NewtonRows(X, errors, iters, halvings)
+    return NewtonRows(X, values, J, errors, iters, halvings)
 
 
 def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG,
@@ -648,22 +654,25 @@ def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG,
     """Solve F(x) = target by damped Newton: the one-row view of newton_rows.
 
     ``jac(x)`` gives the Jacobian of F at x; without it the Jacobian is
-    taken by central differences with step 1e-6.  Steps are halved (up to
-    ten times) until the residual decreases; failure to converge within the
-    iteration budget or a numerically singular Jacobian raises NewtonError.
+    taken by central differences with step 1e-6.  Both are evaluated at the
+    start and at every trial point.  Steps are halved (up to ten times)
+    until the residual decreases; failure to converge within the iteration
+    budget or a numerically singular Jacobian raises NewtonError.
     """
     if jac is None:
         def jac(x):
             return numerical_jacobian(F, x, _FD_STEP)
 
+    d = len(np.atleast_1d(target))
+
     def rows(X):
         try:
-            return np.asarray(F(X[0]), dtype=float)[None], [None]
+            return (np.asarray(F(X[0]), dtype=float)[None],
+                    np.asarray(jac(X[0]), dtype=float)[None], [None])
         except (FlowError, ValueError) as err:
-            return np.full((1, len(np.atleast_1d(target))), np.nan), [err]
+            return np.full((1, d), np.nan), np.full((1, d, X.shape[1]), np.nan), [err]
 
-    out = newton_rows(rows, lambda X: (np.asarray(jac(X[0]), dtype=float)[None], [None]),
-                      np.asarray(target, dtype=float)[None],
+    out = newton_rows(rows, np.asarray(target, dtype=float)[None],
                       np.asarray(x0, dtype=float)[None], cfg)
     _raise_first(out.errors)
     return out.x[0]

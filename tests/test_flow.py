@@ -493,15 +493,12 @@ def test_newton_inverse_uses_a_given_jacobian():
 
 
 def _atan_rows(fail):
-    """arctan over rows, with the trials where ``fail(x)`` holds refused."""
-    def F(X):
+    """arctan and its derivative over rows, with the trials where
+    ``fail(x)`` holds refused."""
+    def FJ(X):
         errors = [fail(x) for x in X]
-        return np.arctan(X), errors
-    return F
-
-
-def _atan_jac(X):
-    return 1.0 / (1.0 + X[:, :, None] ** 2), [None] * len(X)
+        return np.arctan(X), 1.0 / (1.0 + X[:, :, None] ** 2), errors
+    return FJ
 
 
 @pytest.mark.parametrize("error", [EmbeddingError, FlowError, ValueError])
@@ -512,12 +509,15 @@ def test_a_failed_trial_halves_only_its_own_row(error):
         return error("refused trial") if abs(x[0]) > 2.5 else None
 
     x0 = np.array([[0.5], [2.0], [-0.3]])
-    out = newton_rows(_atan_rows(fail), _atan_jac, np.zeros((3, 1)), x0, CFG)
+    out = newton_rows(_atan_rows(fail), np.zeros((3, 1)), x0, CFG)
     assert out.errors == [None] * 3
     assert out.halvings[0] == out.halvings[2] == 0 and out.halvings[1] >= 1
     assert np.max(np.abs(out.x)) < 1e-10
+    # F and dF at the returned rows are the map's own values there
+    values, jac, _ = _atan_rows(fail)(out.x)
+    assert np.array_equal(out.values, values) and np.array_equal(out.jac, jac)
     for i in range(3):
-        alone = newton_rows(_atan_rows(fail), _atan_jac, np.zeros((1, 1)), x0[i:i + 1], CFG)
+        alone = newton_rows(_atan_rows(fail), np.zeros((1, 1)), x0[i:i + 1], CFG)
         assert np.array_equal(alone.x[0], out.x[i])
         assert (alone.iters[0], alone.halvings[0]) == (out.iters[i], out.halvings[i])
         # the one-row view follows the same steps
@@ -529,17 +529,21 @@ def test_a_failed_trial_halves_only_its_own_row(error):
 
 def test_lockstep_rows_fail_on_their_own():
     # row 0 converges; row 1 has a singular Jacobian; row 2 has no root
-    def F(X):
-        return np.column_stack([X[:, 0] ** 2]), [None] * len(X)
+    def FJ(X):
+        return np.column_stack([X[:, 0] ** 2]), (2.0 * X)[:, :, None], [None] * len(X)
 
-    def jac(X):
-        return (2.0 * X)[:, :, None], [None] * len(X)
-
-    out = newton_rows(F, jac, np.array([[4.0], [1.0], [-1.0]]),
-                      np.array([[3.0], [0.0], [1.0]]), FlowConfig(newton_max_iter=8))
+    targets, x0 = np.array([[4.0], [1.0], [-1.0]]), np.array([[3.0], [0.0], [1.0]])
+    cfg = FlowConfig(newton_max_iter=8)
+    out = newton_rows(FJ, targets, x0, cfg)
     assert out.errors[0] is None and abs(out.x[0, 0] - 2.0) < 1e-10
     assert str(out.errors[1]) == "Jacobian is numerically singular"
     assert isinstance(out.errors[2], NewtonError)
+    # stacked still equals alone
+    for i in range(3):
+        alone = newton_rows(FJ, targets[i:i + 1], x0[i:i + 1], cfg)
+        assert np.array_equal(alone.x[0], out.x[i])
+        assert (alone.iters[0], alone.halvings[0]) == (out.iters[i], out.halvings[i])
+        assert str(alone.errors[0]) == str(out.errors[i])
     with pytest.raises(NewtonError, match="singular"):
         newton_inverse(lambda x: x ** 2, [1.0], [0.0], jac=lambda x: np.array([[2.0 * x[0]]]))
 
