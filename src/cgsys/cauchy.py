@@ -49,8 +49,8 @@ stacks of rows and return, beside their values, the error that refuses
 each row, so a failing query refuses only its own record; the one-point
 functions (``compute_PQA``, ``construct_fields``, ``equation_map``,
 F(p, u)) are one-row views of the same code.  On matrix groups a stack
-costs one batched matrix exponential; ambient fields still integrate one
-trajectory per row.
+costs one batched matrix exponential; on ambient fields one stacked RK4
+run (``ComplexFlow.rows``), each row with its own step count.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .expr import (
     compile_exprs, diff, evaluate, require_vars, subst,
 )
 from .flow import (
-    DEFAULT_CONFIG, ComplexFlow, FlowConfig, FlowError, MatrixGroupSpec,
+    DEFAULT_CONFIG, ComplexFlow, FlowConfig, MatrixGroupSpec,
     _raise_first, complexified_flow_jacobian, complexified_flow_matrix,
     left_invariant_fields, newton_rows, solve_rows,
 )
@@ -233,7 +233,7 @@ class CRInitialData:
     def sigma_rows(self, P):
         """sigma (n, 2N) and dsigma (n, 2N, m) at the parameter rows P, and
         per row None or the DomainError that refuses it."""
-        vals, errors = _program_rows(self._programs[0], P)
+        vals, errors = self._programs[0].rows(P)
         dim = self.chart.dim
         return (vals[:, :dim], vals[:, dim:].reshape(len(vals), dim, len(self.param_names)),
                 errors)
@@ -241,26 +241,15 @@ class CRInitialData:
     def initial_field_rows(self, P):
         """The initial fields at sigma of the parameter rows P, (n, k, 2N),
         and per row None or the DomainError that refuses it."""
-        vals, errors = _program_rows(self._programs[1], P)
+        vals, errors = self._programs[1].rows(P)
         return vals.reshape(len(vals), self.k, self.chart.dim), errors
 
 
-def _program_rows(program: Program, P):
-    """``program`` at the rows of P, and per row None or the DomainError
-    that refuses it (its outputs NaN)."""
-    P = np.asarray(P, dtype=float)
-    try:
-        return program(P), [None] * len(P)
-    except DomainError:
-        pass
-    out = np.full((len(P), len(program.outputs)), np.nan)
-    errors = [None] * len(P)
-    for i in range(len(P)):
-        try:
-            out[i] = program(P[i:i + 1])[0]
-        except DomainError as err:
-            errors[i] = err
-    return out, errors
+def _scatter_errors(errors, rows, row_errors):
+    """``errors`` with row_errors[j] put at rows[j]."""
+    for i, err in zip(rows, row_errors):
+        errors[i] = err
+    return errors
 
 
 def _first_error(*errors):
@@ -352,10 +341,10 @@ def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 
     Matrix-group data uses the exact products g exp(i sum u_a E_a) of all
     rows at once; otherwise the ambient fields must complexify
-    holomorphically and each row's flow is integrated in the chart.  One
-    point (p (m,), u (k,)) gives the chart point and raises what refuses
-    it; stacks p (n, m), u (n, k) give (points (n, 2N), errors), errors[i]
-    None or the exception that refuses row i.
+    holomorphically and the rows' flows are integrated in the chart by one
+    stacked RK4 run.  One point (p (m,), u (k,)) gives the chart point and
+    raises what refuses it; stacks p (n, m), u (n, k) give (points (n, 2N),
+    errors), errors[i] None or the exception that refuses row i.
     """
     if data.group is not None:
         spec = data.group
@@ -372,12 +361,9 @@ def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     def rows(P, U):
         S, _, errors = data.sigma_rows(P)
         points = np.full(S.shape, np.nan)
-        for i in np.flatnonzero([e is None for e in errors]):
-            try:
-                points[i] = flow(S[i], 1j * U[i].astype(complex))
-            except (FlowError, ValueError) as err:
-                errors[i] = err
-        return points, errors
+        ok = np.flatnonzero([e is None for e in errors])
+        points[ok], _, flow_errors = flow.rows(S[ok], 1j * U[ok].astype(complex))
+        return points, _scatter_errors(errors, ok, flow_errors)
 
     return _point_view(rows)
 
@@ -391,8 +377,8 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 
     Matrix-group data differentiates g exp(X) through the block Frechet
     exponential, all rows at once; ambient fields step the tangent columns
-    [dz/dz0 dsigma | dz/dw] along each row's RK4 trajectory, with
-    d/du_a = i d/dw_a.
+    [dz/dz0 dsigma | dz/dw] along each row's RK4 trajectory, all rows in
+    one stacked run, with d/du_a = i d/dw_a.
     """
     k = data.k
     m = len(data.param_names)
@@ -414,16 +400,12 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
         S, D, errors = data.sigma_rows(P)
         points = np.full(S.shape, np.nan)
         J = np.full((len(S), S.shape[1], m + k), np.nan)
-        for i in np.flatnonzero([e is None for e in errors]):
-            try:
-                points[i], Y = flow.with_tangents(
-                    S[i], 1j * U[i].astype(complex), D[i, 0::2] + 1j * D[i, 1::2])
-            except (FlowError, ValueError) as err:
-                errors[i] = err
-                continue
-            Y[:, m:] *= 1j
-            J[i, 0::2], J[i, 1::2] = Y.real, Y.imag
-        return points, J, errors
+        ok = np.flatnonzero([e is None for e in errors])
+        points[ok], Y, flow_errors = flow.rows(
+            S[ok], 1j * U[ok].astype(complex), D[ok, 0::2] + 1j * D[ok, 1::2])
+        Y[:, :, m:] *= 1j
+        J[ok, 0::2], J[ok, 1::2] = Y.real, Y.imag
+        return points, J, _scatter_errors(errors, ok, flow_errors)
 
     return _point_view(rows)
 

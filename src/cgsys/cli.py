@@ -18,7 +18,9 @@ import numpy as np
 
 from . import __version__
 from .cauchy import CauchyError, TransversalityError, grid_queries, solve
-from .dsl import SETTINGS, LoadError, SystemFile, builtin_names, load, load_builtin
+from .dsl import (
+    SETTINGS, LoadError, SystemFile, builtin_names, check_rows, load, load_builtin,
+)
 from .expr import DomainError
 from .flow import DEFAULT_CONFIG, FlowError
 from .report import build_document, check_entry, input_digest, write_report
@@ -90,7 +92,7 @@ def cmd_verify(args) -> int:
     sf = _resolve(args.system)
     if sf.system is None:
         raise LoadError(f"'{sf.name}' has no [system] section to verify")
-    points = _setting(sf, args, "points", 100)
+    points = check_rows(_setting(sf, args, "points", 100), "points")
     seed = _setting(sf, args, "seed", 0)
     tol = _setting(sf, args, "tol", 1e-9)
 
@@ -134,6 +136,7 @@ def cmd_cauchy(args) -> int:
     tol = _setting(sf, args, "tol", 1e-5, key="cauchy_tol")
 
     data = sf.cr
+    check_rows(grid ** data.k, f"grid^k = {grid}^{data.k}")
     try:
         axes = [np.linspace(-extent, extent, grid)] * data.k
         queries = grid_queries(data, axes, cfg=cfg)
@@ -196,6 +199,7 @@ def cmd_normal_form(args) -> int:
     grid_n = _setting(sf, args, "grid", 11)
     extent = _setting(sf, args, "extent", 0.5)
     tol = _setting(sf, args, "tol", 1e-6)
+    check_rows(grid_n ** 2, f"grid^2 = {grid_n}^2")
     p = np.zeros(sf.chart.dim)
     try:
         nf = normal_form(sf.system, p, GridSpec(nx=grid_n, ny=grid_n,

@@ -44,8 +44,8 @@ from .geometry import ComplexChart, VectorField
 from .verify import GradientSystem
 
 __all__ = [
-    "SystemFile", "LoadError", "SETTINGS", "MAX_COMPLEX_DIM", "load", "loads",
-    "save", "dumps", "builtin_names", "load_builtin", "builtin_text",
+    "SystemFile", "LoadError", "SETTINGS", "MAX_COMPLEX_DIM", "MAX_ROWS", "check_rows",
+    "load", "loads", "save", "dumps", "builtin_names", "load_builtin", "builtin_text",
 ]
 
 BUILTINS = (
@@ -71,6 +71,20 @@ _POSITIVE = _rule(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 MAX_COMPLEX_DIM = 64
 _COMPLEX_DIM = _rule(int, lambda n: n <= MAX_COMPLEX_DIM,
                      f"an integer <= {MAX_COMPLEX_DIM}")
+
+# the most rows one run evaluates: sample points (verify), queries, grid^k
+# (cauchy) or profile cells, grid^2 (normal-form); the largest in use are
+# normal-form --grid 300 (90,000 cells) and grid 21 at k = 3 (9,261 queries)
+MAX_ROWS = 100_000
+
+
+def check_rows(count: int, what: str) -> int:
+    """``count`` if it is at most MAX_ROWS, else a LoadError naming ``what``;
+    checked before a run allocates anything of that size."""
+    if count > MAX_ROWS:
+        raise LoadError(f"{what}: {count} rows, more than MAX_ROWS = {MAX_ROWS}")
+    return count
+
 
 # setting -> checked converter; the keys of [config] and the values of the
 # CLI flags that override them

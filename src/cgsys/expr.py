@@ -21,12 +21,15 @@ through the same constructors, which is what keeps
 ``parse_expr(to_string(t))`` structurally equal to ``t``.
 
 Two evaluators share these semantics.  ``evaluate`` walks one tree at one
-point with Python's ``math``; it serves single trajectory points (the RK4
-loops) and is the reference.  ``compile_exprs`` turns a list of trees into a
+point with Python's ``math``; it is the reference and the per-point API
+(no RK4 loop runs it).  ``compile_exprs`` turns a list of trees into a
 ``Program``: a straight-line tape with value numbering, so structurally
 equal subtrees are computed once, run with numpy ufuncs over an
-``(n_points, n_vars)`` array.  Both raise DomainError at the same node and
-point, never return NaN from a domain fault.  Determinism contract: each
+``(n_points, n_vars)`` array.  Its instructions are bound at compile time:
+a power with a constant exponent runs ``_pow_by``, which tests only the
+faults that exponent can have, and constant outputs are filled in one
+assignment.  Both evaluators raise DomainError at the same node and point,
+never return NaN from a domain fault.  Determinism contract: each
 evaluator is bit-reproducible from run to run; ``+ - * /``, negation,
 ``sqrt`` and ``^`` (computed by Python's own power) agree bit for bit
 between them, while numpy's ``sin``/``exp``/``log``/``atan2`` and the other
@@ -42,6 +45,7 @@ and programs can be shared between threads without synchronization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -342,18 +346,45 @@ def _pow_values(x, y):
     ``evaluate`` agree bit for bit; returns the values and the fault mask."""
     x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
     bad = ((x == 0.0) & (y < 0.0)) | ((x < 0.0) & ~_is_integer(y))
-    xs = np.where(bad, 1.0, x).tolist()
-    ys = np.where(bad, 1.0, y).tolist()
+    return _python_pow(np.where(bad, 1.0, x).tolist(), np.where(bad, 1.0, y).tolist(), bad)
+
+
+def _python_pow(xs, ys, bad):
+    """Python's float power over the lists xs and ys (ys may be an endless
+    iterator of one exponent), with overflow marked in ``bad`` (None: no
+    fault yet); the values and the fault mask."""
     try:
-        return np.array(list(map(pow, xs, ys)), dtype=float), bad
+        return np.fromiter(map(pow, xs, ys), dtype=float, count=len(xs)), bad
     except OverflowError:
-        out = np.empty(len(xs))
-        for i, (a, b) in enumerate(zip(xs, ys)):
-            try:
-                out[i] = a ** b
-            except OverflowError:
-                out[i], bad[i] = math.inf, True
-        return out, bad
+        pass
+    out = np.empty(len(xs))
+    bad = np.zeros(len(xs), dtype=bool) if bad is None else bad.copy()
+    for i, (a, b) in enumerate(zip(xs, ys)):
+        try:
+            out[i] = a ** b
+        except OverflowError:
+            out[i], bad[i] = math.inf, True
+    return out, bad
+
+
+def _pow_by(e: float):
+    """x ** e for the constant exponent e over an array x: Python's float
+    power as in _pow_values, with the fault mask computed only where e can
+    fault (x == 0 for e < 0, x < 0 for a non-integer e, and overflow)."""
+    zero_faults, negative_faults = e < 0.0, not e.is_integer()
+
+    def run(x, _):
+        bad = None
+        if zero_faults:
+            bad = x == 0.0
+        if negative_faults:
+            bad = x < 0.0 if bad is None else bad | (x < 0.0)
+        if bad is not None and bad.any():
+            x = np.where(bad, 1.0, x)
+        else:
+            bad = None
+        return _python_pow(x.tolist(), itertools.repeat(e), bad)
+    return run
 
 
 def _pow_reason(x, y) -> str:
@@ -387,8 +418,9 @@ def _checked_trig(fn):
     return run
 
 
-# op -> (ufunc, or a checked function returning (values, fault mask), and
-# the reason a fault names; pow takes its reason from the operands)
+# op -> (ufunc, or a checked function returning (values, fault mask or
+# None), and the reason a fault names; pow takes its reason from the
+# operands)
 _TAPE_OPS = {
     "neg": (np.negative, None), "atan": (np.arctan, None),
     "sin": (_checked_trig(np.sin), "sin of infinite value"),
@@ -416,15 +448,26 @@ class Program:
     ``evaluate`` names there.
     """
 
-    __slots__ = ("names", "n_slots", "consts", "code", "outputs", "nodes")
+    __slots__ = ("names", "code", "outputs", "nodes", "_registers", "_const_row",
+                 "_slot_outputs")
 
     def __init__(self, names, n_slots, consts, code, outputs, nodes):
         self.names = names        # input variable per column
-        self.n_slots = n_slots
-        self.consts = consts      # (slot, value) pairs
-        self.code = code          # (function, out slot, operand slots, checked)
+        self.code = code          # (function, out slot, lhs slot, rhs slot or None, checked)
         self.outputs = outputs    # slot of each output expression
         self.nodes = nodes        # expression node of each instruction
+        # the register file before a call: the constants in their slots
+        self._registers = [None] * n_slots
+        for slot, value in consts:
+            self._registers[slot] = value
+        # an output row holding the constant outputs, which fills them all
+        # in one assignment (None: there are none); the other outputs, with
+        # their slots, are copied one by one
+        const_slots = dict(consts)
+        row = np.array([const_slots.get(slot, np.nan) for slot in outputs])
+        self._const_row = row if len(const_slots.keys() & set(outputs)) else None
+        self._slot_outputs = [(j, slot) for j, slot in enumerate(outputs)
+                              if slot not in const_slots]
 
     def __len__(self) -> int:
         return len(self.code)
@@ -440,33 +483,53 @@ class Program:
         out = np.empty((n, len(self.outputs)))
         if n == 0:
             return out
-        reg = [None] * self.n_slots
+        if self._const_row is not None:
+            out[:] = self._const_row
+        if not self._slot_outputs:              # then there is no instruction
+            return out
+        reg = self._registers.copy()
         reg[:len(self.names)] = np.ascontiguousarray(P.T)
-        for slot, value in self.consts:
-            reg[slot] = value
-        fault = None                              # (point index, instruction)
-        with np.errstate(all="ignore"):
-            for pos, (fn, dst, args, checked) in enumerate(self.code):
-                v = fn(*[reg[a] for a in args])
-                if checked:
-                    v, bad = v
-                    if np.any(bad):
-                        i = int(np.argmax(np.atleast_1d(bad)))
-                        if fault is None or i < fault[0]:
-                            fault = (i, pos)
-                reg[dst] = v
-        if fault is not None:
-            raise self._fault(P, *fault, reg, labels)
-        for j, slot in enumerate(self.outputs):
+        if self.code:
+            fault = None                          # (point index, instruction)
+            with np.errstate(all="ignore"):
+                for pos, (fn, dst, a, b, checked) in enumerate(self.code):
+                    v = fn(reg[a]) if b is None else fn(reg[a], reg[b])
+                    if checked:
+                        v, bad = v
+                        if bad is not None and bad.any():
+                            i = int(bad.argmax())
+                            if fault is None or i < fault[0]:
+                                fault = (i, pos)
+                    reg[dst] = v
+            if fault is not None:
+                raise self._fault(P, *fault, reg, labels)
+        for j, slot in self._slot_outputs:
             out[:, j] = reg[slot]
         return out
 
+    def rows(self, P):
+        """The outputs at the rows of P, and per row None or the DomainError
+        that refuses it (its outputs NaN)."""
+        P = np.asarray(P, dtype=float)
+        try:
+            return self(P), [None] * len(P)
+        except DomainError:
+            pass
+        out = np.full((len(P), len(self.outputs)), np.nan)
+        errors = [None] * len(P)
+        for i in range(len(P)):
+            try:
+                out[i] = self(P[i:i + 1])[0]
+            except DomainError as err:
+                errors[i] = err
+        return out, errors
+
     def _fault(self, P, row, pos, reg, labels) -> DomainError:
-        args = self.code[pos][2]
+        _, _, a, b, _ = self.code[pos]
         node = self.nodes[pos]
         reason = _TAPE_OPS[_op_of(node)][1]
         if reason == "pow":
-            x, y = (float(np.broadcast_to(reg[a], (len(P),))[row]) for a in args)
+            x, y = (float(np.broadcast_to(reg[s], (len(P),))[row]) for s in (a, b))
             reason = _pow_reason(x, y)
         index = row if labels is None else int(labels[row])
         coords = ", ".join(f"{name}={float(v)!r}"
@@ -485,14 +548,17 @@ def compile_exprs(exprs, names) -> Program:
     One pass over the trees, memoized by node identity, numbers every value
     by (op, operand slots), so structurally equal subtrees share a slot
     whether or not they are the same object.  A variable absent from
-    ``names`` raises UnboundVariableError here rather than at run time.
+    ``names`` raises UnboundVariableError here rather than at run time.  A
+    power of a point-dependent base to a constant exponent runs the
+    specialized ``_pow_by``.
     """
     names = tuple(names)
     if len(set(names)) != len(names):
         raise ValueError("input variable names must be distinct")
     roots = [as_expr(e) for e in exprs]       # alive while ids are memoized
     slots: dict[tuple, int] = {("var", n): i for i, n in enumerate(names)}
-    consts: list[tuple[int, float]] = []
+    consts: dict[int, float] = {}
+    scalar: set[int] = set()                  # slots that hold one value, not a column
     code: list[tuple] = []
     nodes: list[Expr] = []
     seen: dict[int, int] = {}
@@ -506,11 +572,20 @@ def compile_exprs(exprs, names) -> Program:
 
     def emit(e, op, args):
         fn, reason = _TAPE_OPS[op]
+        if op == "pow" and args[1] in consts and args[0] not in scalar:
+            fn = _pow_by(consts[args[1]])
 
         def make(slot):
-            code.append((fn, slot, args, reason is not None))
+            code.append((fn, slot, args[0], args[1] if len(args) > 1 else None,
+                         reason is not None))
             nodes.append(e)
+            if all(a in scalar for a in args):
+                scalar.add(slot)
         return number((op, *args), make)
+
+    def add_const(slot, v):
+        consts[slot] = v
+        scalar.add(slot)
 
     def visit(e: Expr) -> int:
         slot = seen.get(id(e))
@@ -519,7 +594,7 @@ def compile_exprs(exprs, names) -> Program:
         match e:
             case Const(value=v):
                 v = float(v)
-                slot = number(("const", v.hex()), lambda s: consts.append((s, v)))
+                slot = number(("const", v.hex()), lambda s: add_const(s, v))
             case Var(name=n):
                 slot = slots.get(("var", n))
                 if slot is None:
@@ -540,7 +615,7 @@ def compile_exprs(exprs, names) -> Program:
         return slot
 
     outputs = [visit(e) for e in roots]
-    return Program(names, len(slots), consts, code, outputs, nodes)
+    return Program(names, len(slots), list(consts.items()), code, outputs, nodes)
 
 
 class Table:

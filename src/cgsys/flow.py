@@ -19,6 +19,14 @@ column of the time derivative, in the same RK4 loop as the trajectory (the
 variational equations, Hairer-Norsett-Wanner I.14): the exact derivative of
 the discrete map.
 
+One RK4 loop (``_rk4``) steps every flow, over a stack of rows that each
+have their own step size and step count.  ``ComplexFlow.rows`` runs the
+ambient complex flows of a whole stack in it: one compiled tape per stage
+gives the fields and, at the first stage of a step, their Cauchy-Riemann
+residuals, so holomorphy is checked at the start point and after every
+step; a row that diverges, leaves the holomorphic region, exceeds max_time
+or faults is refused alone, with the error the per-point tree walk gives.
+
 The matrix-group maps (``matrix_exp``, ``complexified_flow_matrix``,
 ``complexified_flow_jacobian``) also take stacks of rows: each matrix gets
 its own scaling and its own Taylor stopping point, and a row comes out as
@@ -42,7 +50,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import Const, Expr, Var, add, diff, evaluate, mul, sub
+from .expr import (
+    Const, DomainError, Expr, Var, add, compile_exprs, diff, evaluate, mul, sub,
+)
 from .geometry import (
     ComplexChart, ComplexField, VectorField, complexify, env_at,
     _wirtinger_bar_residuals,
@@ -101,24 +111,39 @@ class FlowConfig:
 DEFAULT_CONFIG = FlowConfig()
 
 
-def _rk4(velocity, state, span, nsteps, after_step):
-    """The one fixed-step RK4 loop over s in [0, span]; ``after_step`` sees
-    each new state and raises to abort the trajectory."""
-    h = span / nsteps
-    y = state
-    for _ in range(nsteps):
-        k1 = velocity(y)
-        k2 = velocity(y + 0.5 * h * k1)
-        k3 = velocity(y + 0.5 * h * k2)
-        k4 = velocity(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        after_step(y)
-    return y
-
-
-def _check_bound(y, bound: float) -> None:
-    if np.max(np.abs(y)) > bound:
-        raise DivergenceError(f"trajectory exceeded bound {bound:g}")
+def _rk4(velocity, state, h, nsteps, after_step):
+    """The one fixed-step RK4 loop, over a stack of rows: row i of ``state``
+    takes nsteps[i] steps of size h[i] (``h`` and ``nsteps`` are arrays over
+    the rows or shared scalars).  ``velocity(rows, y, stage)`` returns the
+    velocities at the states y of the rows ``rows`` (indices into state)
+    for RK4 stage 0..3, and ``after_step(rows, y)`` sees their new states;
+    each also returns the mask of the rows it keeps, or None to keep all,
+    and may raise to abort the whole stack.  A refused row drops out, as
+    does a finished one, and keeps the state it had before the step."""
+    n = len(state)
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
+    nsteps = np.broadcast_to(nsteps, (n,))
+    ends = set(nsteps.tolist())
+    column = (slice(None),) + (None,) * (state.ndim - 1)
+    rows = np.flatnonzero(nsteps > 0)
+    hh = h[rows][column]
+    for s in range(max(ends, default=0)):
+        if s in ends:            # rows that took nsteps[i] = s steps are done
+            rows = rows[nsteps[rows] > s]
+            hh = h[rows][column]
+        y, ks = state[rows], []
+        for stage in range(4):
+            arg = y if stage == 0 else y + (hh if stage == 3 else 0.5 * hh) * ks[-1]
+            k, keep = velocity(rows, arg, stage)
+            ks.append(k)
+            if keep is not None:
+                rows, y, hh, ks = rows[keep], y[keep], hh[keep], [k[keep] for k in ks]
+        y = y + (hh / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+        keep = after_step(rows, y)
+        if keep is not None:
+            rows, y, hh = rows[keep], y[keep], hh[keep]
+        state[rows] = y
+    return state
 
 
 def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG,
@@ -141,18 +166,22 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG,
         [rows[..., None], np.reshape(tangents, (*rows.shape, -1)),
          np.zeros((*rows.shape, 1))], axis=-1)
 
-    def velocity(state):
+    def velocity(_, state, __):
         out = np.empty_like(state)
         out[..., 0] = vals = V.program(state[..., 0])
         if tangents is not None:
             DV = V.jacobian_program(state[..., 0]).reshape(len(vals), vals.shape[1], -1)
             out[..., 1:] = DV @ state[..., 1:]
             out[..., -1] += vals / t
-        return out
+        return out, None
+
+    def after_step(_, state):
+        if np.max(np.abs(state[..., 0])) > cfg.divergence_bound:
+            raise DivergenceError(f"trajectory exceeded bound {cfg.divergence_bound:g}")
 
     if t != 0.0:
-        state = _rk4(velocity, state, t, max(1, math.ceil(abs(t) * cfg.steps_per_unit)),
-                     lambda s: _check_bound(s[..., 0], cfg.divergence_bound))
+        nsteps = max(1, math.ceil(abs(t) * cfg.steps_per_unit))
+        state = _rk4(velocity, state, t / nsteps, nsteps, after_step)
     elif tangents is not None:
         state[..., -1] = V.program(rows)
     end = state[..., 0].reshape(p.shape)
@@ -395,7 +424,14 @@ def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
 
 
 class _HolomorphicFrame:
-    """Evaluator bundle for complex flows of one or more ambient fields."""
+    """The fields' complexifications, Cauchy-Riemann residuals and
+    holomorphic Jacobians, as expression trees and as compiled tapes.
+
+    ``at`` runs a tape over a stack of chart rows; the per-point methods
+    (``check_holomorphy``, ``coefficients``, ``derivatives``) walk the
+    trees with ``evaluate``.  They are the reference: a row that the tape
+    refuses takes its error, and its text, from them.
+    """
 
     def __init__(self, fields, cfg: FlowConfig):
         self.chart = fields[0].chart
@@ -407,6 +443,19 @@ class _HolomorphicFrame:
         xs = self.chart.names[0::2]
         self.jacobians = [[[(diff(re, x), diff(im, x)) for x in xs]
                            for re, im in Z.parts] for Z in self.complexified]
+        # block -> (its expressions as (re, im) pairs in order, the
+        # reference that evaluates it at one point); a residual pair that
+        # is the constant 0 can neither fault nor fail, and is left out
+        self._blocks = {
+            "res": ([pair for res in self.residuals for pair in res
+                     if not all(isinstance(e, Const) and e.value == 0.0 for e in pair)],
+                    self.check_holomorphy),
+            "Z": ([pair for Z in self.complexified for pair in Z.parts], self.coefficients),
+            "dZ": ([pair for table in self.jacobians for row in table for pair in row],
+                   self.derivatives),
+        }
+        self.checks_holomorphy = bool(self._blocks["res"][0])
+        self._plans = {}
 
     def check_holomorphy(self, p):
         env = env_at(self.chart, p)
@@ -430,25 +479,77 @@ class _HolomorphicFrame:
                            for re, im in row] for row in table]
                          for table in self.jacobians])
 
+    def at(self, X, blocks):
+        """The named blocks ("res", "Z", "dZ", in that order) at the chart
+        rows X (m, 2N), from one tape: a dict of the complex values of "Z"
+        (m, k, N) and "dZ" (m, k, N, N), and a dict row -> the error that
+        refuses it.  With "res", a row whose Cauchy-Riemann residual
+        exceeds holomorphy_tol is refused.  A refused row's error is the
+        one its reference evaluation raises, block by block in order."""
+        plan = self._plans.get(blocks)
+        if plan is None:
+            plan = self._plans[blocks] = self._plan(blocks)
+        tape, layout = plan
+        try:
+            vals, refused = tape(X), {}
+        except DomainError:
+            vals, faults = tape.rows(X)
+            refused = {i: self._reference_error(X[i], blocks) or err
+                       for i, err in enumerate(faults) if err is not None}
+        out = {}
+        for b, lo, hi, shape in layout:
+            if b == "res":
+                # Python's max in check_holomorphy skips NaN, as fmax does;
+                # a row near the tolerance is decided by the reference
+                R = vals[:, lo:hi]
+                worst = np.fmax.reduce(0.5 * np.hypot(R[:, 0::2], R[:, 1::2]),
+                                       axis=1, initial=0.0)
+                for i in np.flatnonzero(worst > self.cfg.holomorphy_tol * (1 - 1e-6)):
+                    if i not in refused:
+                        refused[i] = self._reference_error(X[i], ("res",))
+            else:
+                out[b] = np.ascontiguousarray(vals[:, lo:hi]).view(complex).reshape(
+                    (len(X), *shape))
+        return out, {i: err for i, err in refused.items() if err is not None}
+
+    def _plan(self, blocks):
+        """The tape of the blocks and each block's (name, output columns,
+        complex shape per row)."""
+        N, k = self.chart.N, len(self.complexified)
+        shapes = {"res": None, "Z": (k, N), "dZ": (k, N, N)}
+        layout, exprs = [], []
+        for b in blocks:
+            pairs = self._blocks[b][0]
+            layout.append((b, len(exprs), len(exprs) + 2 * len(pairs), shapes[b]))
+            exprs += [e for pair in pairs for e in pair]
+        return compile_exprs(exprs, self.chart.names), layout
+
+    def _reference_error(self, x, blocks):
+        """The error that the per-point evaluation of the blocks raises at
+        the chart point x, or None."""
+        try:
+            for b in blocks:
+                self._blocks[b][1](x)
+        except (FlowError, ValueError) as err:
+            return err
+        return None
+
 
 def _complex_to_real(z: np.ndarray) -> np.ndarray:
     """The chart vector of z: complex128 memory is its (re, im) pairs."""
     return np.ascontiguousarray(z, dtype=complex).view(float)
 
 
-def _real_to_complex(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    return p[0::2] + 1j * p[1::2]
-
-
 class ComplexFlow:
     """Complex-time flows along a fixed list of holomorphic fields.
 
     The symbolic preparation (complexification, Cauchy-Riemann residuals,
-    holomorphic Jacobians) is done once here; each call integrates one
-    trajectory of dz/ds = sum_a w_a Z_a(z) over s in [0, 1] with
-    ceil(|w|_1 steps_per_unit) RK4 steps.  Holomorphy of every field is
-    checked at the start point and after each step.
+    holomorphic Jacobians) and its compiled tapes are made once here.
+    ``rows`` integrates a stack of trajectories of dz/ds = sum_a w_a Z_a(z)
+    over s in [0, 1], row i with ceil(|w_i|_1 steps_per_unit) RK4 steps of
+    its own size, all stepped together by one RK4 loop; ``__call__`` and
+    ``with_tangents`` are its one-row views.  Holomorphy of every field is
+    checked at the start point and after every RK4 step.
     """
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
@@ -459,7 +560,7 @@ class ComplexFlow:
 
     def __call__(self, p, w) -> np.ndarray:
         """The end point of the flow from p for complex time vector w."""
-        return self._integrate(p, w, None)[0]
+        return self._one(p, w, None)[0]
 
     def with_tangents(self, p, w, dz0) -> tuple[np.ndarray, np.ndarray]:
         """The end point and the exact derivative of the discrete flow map.
@@ -467,57 +568,118 @@ class ComplexFlow:
         ``dz0`` holds r complex tangent columns at z(p) (shape N x r).
         Returns the chart point and Y = [dz/dz0 dz0 | dz/dw_1 ... dz/dw_k]
         (complex, N x (r + k)), stepped by the same RK4 steps as z."""
-        return self._integrate(p, w, np.asarray(dz0, dtype=complex))
+        return self._one(p, w, np.asarray(dz0, dtype=complex))
 
-    def _integrate(self, p, w, dz0):
-        cfg, frame = self.cfg, self.frame
-        w = np.asarray(w, dtype=complex)
-        if len(w) != self.k:
+    def _one(self, p, w, dz0):
+        points, Y, errors = self.rows(np.asarray(p, dtype=float)[None],
+                                      np.asarray(w, dtype=complex)[None],
+                                      None if dz0 is None else dz0[None])
+        _raise_first(errors)
+        return points[0], None if Y is None else Y[0]
+
+    def rows(self, P, W, dZ0=None):
+        """The flows from the chart rows P (n, 2N) for the complex times W
+        (n, k), stepped together; row i comes out as it would alone.
+
+        Returns (points (n, 2N), Y, errors): with tangent columns dZ0
+        (n, N, r) Y is the (n, N, r + k) stack of with_tangents' Y, else
+        None, and errors[i] is None or the exception that refuses row i
+        (its outputs NaN): a HolomorphyError or DomainError of the fields
+        at its start point or after a step, a DivergenceError, or a
+        FlowError when |w_i|_1 exceeds max_time.  A row takes
+        max(1, ceil(|w_i|_1 steps_per_unit)) steps of size 1/nsteps_i;
+        without tangents a row with w_i = 0 takes none.
+        """
+        cfg, frame, k = self.cfg, self.frame, self.k
+        P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
+        dZ0 = None if dZ0 is None else np.asarray(dZ0, dtype=complex)
+        n, N = len(P), frame.chart.N
+        if P.ndim != 2 or P.shape[1] != 2 * N:
+            raise ValueError(f"points must have shape (n, {2 * N}), got {P.shape}")
+        if W.shape != (n, k):
             raise ValueError("one complex time entry per field")
-        frame.check_holomorphy(p)
-        scale = float(np.sum(np.abs(w)))
-        if scale > cfg.max_time:
-            raise FlowError(f"|w| = {scale:g} exceeds max_time {cfg.max_time:g}")
-        z = _real_to_complex(np.asarray(p, dtype=float))
-        if dz0 is None and scale == 0.0:
-            return _complex_to_real(z), None
-        nsteps = max(1, math.ceil(scale * cfg.steps_per_unit))
-
-        def after_step(state):
-            zz = state if dz0 is None else state[0]
-            _check_bound(zz, cfg.divergence_bound)
-            frame.check_holomorphy(_complex_to_real(zz))
-
-        if dz0 is None:
-            z = _rk4(lambda zz: w @ frame.coefficients(_complex_to_real(zz)),
-                     z, 1.0, nsteps, after_step)
-            return _complex_to_real(z), None
-
+        errors = [None] * n
+        scale = np.abs(W[:, 0])
+        for a in range(1, k):
+            scale = scale + np.abs(W[:, a])
+        # rows that take no step raise these once their start point passes
+        # the holomorphy check
+        late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {cfg.max_time:g}")
+                for i in np.flatnonzero(scale > cfg.max_time)}
+        late.update((i, ValueError("cannot convert float NaN to integer"))
+                    for i in np.flatnonzero(np.isnan(scale)))
+        stepping = scale <= cfg.max_time
+        nsteps = np.zeros(n, dtype=int)
+        nsteps[stepping] = np.maximum(1, np.ceil(scale[stepping] * cfg.steps_per_unit))
         # state rows [z; Y^T]: Y' = (sum_a w_a dZ_a/dz) Y, plus Z_a in the
         # column of dz/dw_a
-        N, r = dz0.shape
+        z = (P[:, 0::2] + 1j * P[:, 1::2])[:, None]
+        if dZ0 is None:
+            nsteps[scale == 0.0] = 0
+            state, blocks = z, ("Z",)
+        else:
+            r = dZ0.shape[2]
+            state = np.concatenate([z, np.swapaxes(dZ0, 1, 2),
+                                    np.zeros((n, k, N), dtype=complex)], axis=1)
+            blocks = ("Z", "dZ")
+        # the state at the start of each step is checked by its k1 call
+        checked = ("res", *blocks) if frame.checks_holomorphy else blocks
+        times = [None, None]     # the rows of the last call and their W
 
-        def velocity(state):
-            zr = _complex_to_real(state[0])
-            Z = frame.coefficients(zr)
-            A = (w @ frame.derivatives(zr).reshape(self.k, N * N)).reshape(N, N)
-            out = np.empty_like(state)
-            out[0] = w @ Z
-            out[1:] = state[1:] @ A.T
-            out[1 + r:] += Z
-            return out
+        def refuse(rows, refused):
+            for j, err in refused.items():
+                errors[rows[j]] = err
+            if not refused:
+                return None
+            keep = np.ones(len(rows), dtype=bool)
+            keep[list(refused)] = False
+            return keep
 
-        state = np.vstack([z, dz0.T, np.zeros((self.k, N), dtype=complex)])
-        state = _rk4(velocity, state, 1.0, nsteps, after_step)
-        return _complex_to_real(state[0]), state[1:].T
+        def velocity(rows, y, stage):
+            vals, refused = frame.at(_complex_to_real(y[:, 0]),
+                                     checked if stage == 0 else blocks)
+            if rows is not times[0]:
+                times[:] = rows, W[rows][:, None]
+            Z, Wr = vals["Z"], times[1]
+            if dZ0 is None:
+                return Wr @ Z, refuse(rows, refused)
+            A = (Wr @ vals["dZ"].reshape(len(rows), k, N * N)).reshape(-1, N, N)
+            out = np.empty_like(y)
+            out[:, :1] = Wr @ Z
+            out[:, 1:] = y[:, 1:] @ np.swapaxes(A, 1, 2)
+            out[:, 1 + r:] += Z
+            return out, refuse(rows, refused)
+
+        def after_step(rows, y):
+            far = np.abs(y[:, 0]).max(axis=1) > cfg.divergence_bound
+            if not far.any():
+                return None
+            return refuse(rows, {j: DivergenceError(
+                f"trajectory exceeded bound {cfg.divergence_bound:g}")
+                for j in np.flatnonzero(far)})
+
+        # a state that overflows within a step is refused by the bound after it
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = _rk4(velocity, state, 1.0 / np.maximum(nsteps, 1), nsteps,
+                         after_step)
+        # the end points, and the start points of rows that took no step
+        if frame.checks_holomorphy:
+            rows = np.flatnonzero([err is None for err in errors])
+            refuse(rows, frame.at(_complex_to_real(state[rows, 0]), ("res",))[1])
+        for i, err in late.items():
+            errors[i] = errors[i] or err
+        failed = [err is not None for err in errors]
+        state[failed] = complex(np.nan, np.nan)
+        Y = None if dZ0 is None else np.swapaxes(state[:, 1:], 1, 2)
+        return _complex_to_real(state[:, 0]), Y, errors
 
 
 def flow_complex_multi(fields, p, w, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Flow from p for complex time vector w along holomorphic fields:
     integrates dz/ds = sum_a w_a Z_a(z) over s in [0, 1].
 
-    Holomorphy of every field is checked at the start point and at each
-    macro step of the trajectory; the result is holomorphic in w."""
+    Holomorphy of every field is checked at the start point and after
+    every RK4 step; the result is holomorphic in w."""
     return ComplexFlow(fields, cfg)(p, w)
 
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from cgsys.cli import main
 from cgsys.dsl import (
-    MAX_COMPLEX_DIM, LoadError, builtin_names, builtin_text, dumps,
-    load_builtin, loads,
+    MAX_COMPLEX_DIM, MAX_ROWS, LoadError, builtin_names, builtin_text, check_rows,
+    dumps, load_builtin, loads,
 )
 from cgsys.report import canonical_json, schema_text
 from cgsys.verify import check_axioms, sample_points
@@ -314,6 +314,31 @@ def test_cli_refuses_huge_complex_dim_quickly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "complex_dim" in err
     assert "(line 3)" in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["cauchy", "heisenberg-cr", "--grid", "100000"], "grid^k = 100000^3"),
+    (["cauchy", "line", "--grid", "1000000000000"], "grid^k = 1000000000000^1"),
+    (["verify", "heisenberg", "--points", "1000000000000"], "points"),
+    (["normal-form", "model-k1", "--grid", "100000000"], "grid^2 = 100000000^2"),
+])
+def test_cli_refuses_more_rows_than_max_rows_before_any_work(argv, what, capsys,
+                                                             monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+    for name in ("grid_queries", "solve", "verify_system", "normal_form"):
+        monkeypatch.setattr(f"cgsys.cli.{name}", never)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {what}: ") and "MAX_ROWS" in err
+
+
+def test_row_bound_is_inclusive_and_admits_the_largest_runs():
+    assert check_rows(MAX_ROWS, "rows") == MAX_ROWS
+    with pytest.raises(LoadError, match="MAX_ROWS"):
+        check_rows(MAX_ROWS + 1, "rows")
+    # normal-form --grid 300, and grid 21 at k = 3
+    assert check_rows(300 ** 2, "grid^2") and check_rows(21 ** 3, "grid^k")
 
 
 def test_complex_dim_bound_is_inclusive():

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cgsys.dsl import builtin_names, load_builtin
 from cgsys.expr import (
     Atan2, Binary, Const, DomainError, ParseError, UnboundVariableError,
-    UnknownFunctionError, Var, add, compile_exprs, diff, div, evaluate,
-    free_vars, mul, neg, parse_expr, pow_, sub, subst, to_string, unary,
+    UnknownFunctionError, Var, _pow_values, add, compile_exprs, diff, div,
+    evaluate, free_vars, mul, neg, parse_expr, pow_, sub, subst, to_string, unary,
 )
 from cgsys.verify import sample_points
 
@@ -308,6 +308,54 @@ def test_program_power_matches_python_power(exponent):
     P = np.random.default_rng(5).uniform(0.0, 3.0, size=(20000, 1))
     ref = np.array([evaluate(e, {"x1": x}) for x in P[:, 0]])
     assert np.array_equal(compile_exprs([e], ("x1",))(P)[:, 0], ref)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 3.0, 0.0, -1.0, -2.0, 0.5, 1.5])
+def test_constant_exponent_power_keeps_the_evaluator_contract(exponent):
+    e = pow_(Var("x1"), Const(exponent))
+    prog = compile_exprs([e], NAMES)
+    assert prog.code[0][0] is not _pow_values           # the specialized path
+    good = [0.5, 1.0, -3.0, 2.0, -0.25, 7.5]
+    # each fault candidate first after the good rows: 0^-1, (-1)^0.5 and
+    # 1e200^2 (overflow), then more candidates behind it
+    for bad in (0.0, -1.0, 1e200, -1e200):
+        P = np.zeros((len(good) + 3, 3))
+        P[:, 0] = good + [bad, 0.0, -1.0]
+        ref, ref_row = tree_walk([e], P)
+        got, row = run_program([e], P)
+        assert row == ref_row
+        if ref is not None:
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        else:
+            with pytest.raises(DomainError) as walked:
+                evaluate(e, dict(zip(NAMES, P[row])))
+            with pytest.raises(DomainError) as compiled:
+                prog(P)
+            assert str(compiled.value).startswith(f"{walked.value} at point {row} ")
+
+
+def test_power_of_two_variables_takes_the_general_path():
+    prog = compile_exprs([parse_expr("x1^y1")], ("x1", "y1"))
+    assert prog.code[0][0] is _pow_values
+    P = np.array([[2.0, 0.5], [-2.0, 3.0], [0.0, 2.0]])
+    assert np.array_equal(prog(P)[:, 0], [2.0 ** 0.5, -8.0, 0.0])
+    with pytest.raises(DomainError, match="negative base with non-integer exponent"):
+        prog(np.array([[-2.0, 0.5]]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 50])
+def test_constant_and_input_column_outputs(n):
+    prog = compile_exprs([Const(2.5), Var("y1"), parse_expr("x1*y1"), Const(0.0),
+                          Var("x1"), Const(2.5)], ("x1", "y1"))
+    P = np.random.default_rng(n).uniform(-1, 1, (n, 2))
+    out = prog(P)
+    assert out.shape == (n, 6)
+    assert np.array_equal(out, np.column_stack(
+        [np.full(n, 2.5), P[:, 1], P[:, 0] * P[:, 1], np.zeros(n), P[:, 0],
+         np.full(n, 2.5)]))
+    consts = compile_exprs([Const(1.0), Const(-3.0)], ("x1", "y1"))
+    assert np.array_equal(consts(P), np.tile([1.0, -3.0], (n, 1)))
 
 
 def test_program_domain_error_names_node_and_point():

@@ -470,6 +470,90 @@ def test_variational_flow_refuses_non_holomorphic(heis_spec):
         ComplexFlow([V], CFG).with_tangents(np.zeros(6), [1j], np.eye(3))
 
 
+def _flow_one_row(frame, cfg, p, w, dz0):
+    """The reference for ComplexFlow.rows: one trajectory integrated on its
+    own, every RK4 stage a tree walk of the fields (frame.coefficients and
+    frame.derivatives), holomorphy checked at the start point and after
+    every step.  Returns the chart point and Y, or raises what refuses it."""
+    w = np.asarray(w, dtype=complex)
+    frame.check_holomorphy(p)
+    scale = float(np.sum(np.abs(w)))
+    if scale > cfg.max_time:
+        raise FlowError(f"|w| = {scale:g} exceeds max_time {cfg.max_time:g}")
+    z = p[0::2] + 1j * p[1::2]
+    if dz0 is None and scale == 0.0:
+        return np.ascontiguousarray(z).view(float), None
+    nsteps = max(1, math.ceil(scale * cfg.steps_per_unit))
+    h = 1.0 / nsteps
+    N, k = len(z), len(w)
+
+    def real(v):
+        return np.ascontiguousarray(v).view(float)
+
+    def velocity(y):
+        if dz0 is None:
+            return w @ frame.coefficients(real(y))
+        Z = frame.coefficients(real(y[0]))
+        A = (w @ frame.derivatives(real(y[0])).reshape(k, N * N)).reshape(N, N)
+        out = np.empty_like(y)
+        out[0] = w @ Z
+        out[1:] = y[1:] @ A.T
+        out[1 + dz0.shape[1]:] += Z
+        return out
+
+    y = z if dz0 is None else np.vstack([z, dz0.T, np.zeros((k, N), dtype=complex)])
+    for _ in range(nsteps):
+        k1 = velocity(y)
+        k2 = velocity(y + 0.5 * h * k1)
+        k3 = velocity(y + 0.5 * h * k2)
+        k4 = velocity(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        zz = y if dz0 is None else y[0]
+        if np.max(np.abs(zz)) > cfg.divergence_bound:
+            raise DivergenceError(f"trajectory exceeded bound {cfg.divergence_bound:g}")
+        frame.check_holomorphy(real(zz))
+    return (real(y), None) if dz0 is None else (real(y[0]), y[1:].T)
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_stacked_complex_flow_equals_each_row_alone(tangents):
+    # Z(z) = 1 + 1.1 z^2 + 1/(z + 3), plus a term that is 0 for y1 <= 0.5
+    # and not holomorphic above it
+    chart = ComplexChart.standard(1)
+    bump = "(y1 - 0.5 + sqrt((y1 - 0.5)^2))^3"
+    V = field(chart, [f"1 + 1.1*(x1^2 - y1^2) + (x1 + 3)/((x1 + 3)^2 + y1^2) + {bump}",
+                      "2*1.1*x1*y1 - y1/((x1 + 3)^2 + y1^2)"])
+    flow = ComplexFlow([V], CFG)
+    # |w| = 0, 0.1, 0.25 and just above it (64 and 65 steps), then a row
+    # that diverges, one that crosses y1 = 0.5, one over max_time and one
+    # that starts on the pole
+    P = np.array([[0.2, 0.0], [0.1, 0.0], [0.3, 0.0], [-0.1, 0.0],
+                  [0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [-3.0, 0.0]])
+    W = np.array([[0.0], [0.1j], [0.25j], [np.nextafter(0.25, 1.0) * 1j],
+                  [2.0], [1.0j], [20.0j], [0.1j]])
+    dZ0 = (np.random.default_rng(4).uniform(-1, 1, (8, 1, 2)) + 1j) if tangents else None
+    points, Y, errors = flow.rows(P, W, dZ0)
+    assert [type(err).__name__ if err else None for err in errors] == [
+        None, None, None, None,
+        "DivergenceError", "HolomorphyError", "FlowError", "DomainError"]
+    for i in range(len(P)):
+        dz0 = None if dZ0 is None else dZ0[i]
+        try:
+            want = _flow_one_row(flow.frame, CFG, P[i], W[i], dz0)
+        except (FlowError, ValueError) as err:
+            assert type(errors[i]) is type(err) and str(errors[i]) == str(err)
+            assert np.isnan(points[i]).all()
+            continue
+        one = flow(P[i], W[i]) if dz0 is None else flow.with_tangents(P[i], W[i], dz0)
+        for got in (points[i], one if dz0 is None else one[0]):
+            assert np.array_equal(got, want[0])
+        if tangents:
+            assert np.array_equal(Y[i], want[1]) and np.array_equal(one[1], want[1])
+    # the refused rows change nothing in the others
+    rest = flow.rows(P[:4], W[:4], None if dZ0 is None else dZ0[:4])
+    assert np.array_equal(rest[0], points[:4])
+
+
 # --- Newton inversion ----------------------------------------------------------
 
 
