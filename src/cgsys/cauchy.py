@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import (
-    Const, DomainError, Expr, ExprError, Predicate, Program, Table, Var,
+    Const, Expr, ExprError, Predicate, Program, Table, Var,
     compile_exprs, diff, evaluate, require_vars, subst,
 )
 from .flow import (
@@ -702,7 +702,9 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
         return np.array([err is None for err in stage_errors], dtype=bool)
 
     rows = np.flatnonzero([err is None for err in errors])
-    rows = rows[passing(rows, _domain_errors(data, newton.x[rows, :m]))]
+    # every row is tested, so a fault names the query by its own index
+    outside = _domain_errors(data, newton.x[:, :m])
+    rows = rows[passing(rows, [outside[i] for i in rows])]
     for i in rows:
         rec = sol.records[i]
         rec.params, rec.u = newton.x[i, :m], newton.x[i, m:]
@@ -743,19 +745,15 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
 def _domain_errors(data: CRInitialData, P) -> list:
     """Per row of Newton-solved parameters P: None inside param_domain, else
     the OutsideDomainError that refuses the solution.  One compiled test
-    over the rows; a row where it faults is named as the per-point view
-    names it."""
+    over the rows; a row where it faults names the fault, its node and
+    the point."""
     errors, lo = [None] * len(P), 0
     while lo < len(P):
         inside, fault = data.domain_predicate.holds(P[lo:], lo)
         outside = [(i, "outside param_domain") for i in np.flatnonzero(~inside) + lo]
         lo += len(inside)
         if fault is not None:
-            try:
-                if not data.params_in_domain(P[lo]):
-                    outside.append((lo, "outside param_domain"))
-            except DomainError as err:
-                outside.append((lo, f"where param_domain faults: {err}"))
+            outside.append((lo, f"where param_domain faults: {fault}"))
             lo += 1
         for i, why in outside:
             errors[i] = OutsideDomainError(

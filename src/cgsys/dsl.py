@@ -44,7 +44,8 @@ from .geometry import ComplexChart, VectorField
 from .verify import GradientSystem
 
 __all__ = [
-    "SystemFile", "LoadError", "SETTINGS", "MAX_COMPLEX_DIM", "MAX_ROWS", "check_rows",
+    "SystemFile", "LoadError", "SETTINGS", "MAX_COMPLEX_DIM", "MAX_ROWS",
+    "MAX_STEPS_PER_UNIT", "check_rows",
     "load", "loads", "save", "dumps", "builtin_names", "load_builtin", "builtin_text",
 ]
 
@@ -78,6 +79,12 @@ _COMPLEX_DIM = _rule(int, lambda n: n <= MAX_COMPLEX_DIM,
 MAX_ROWS = 100_000
 
 
+# the most RK4 steps per unit of flow time: 16 times the default of 256, and
+# 8 times the largest in use (512).  At FlowConfig.max_time = 16 a flow row
+# takes at most 16 * 4,096 = 65,536 steps
+MAX_STEPS_PER_UNIT = 4_096
+
+
 def check_rows(count: int, what: str) -> int:
     """``count`` if it is at most MAX_ROWS, else a LoadError naming ``what``;
     checked before a run allocates anything of that size."""
@@ -92,7 +99,8 @@ SETTINGS = {
     "seed": _rule(int, lambda n: n >= 0, "an integer >= 0"),
     "points": _COUNT,
     "grid": _COUNT,
-    "steps_per_unit": _COUNT,
+    "steps_per_unit": _rule(int, lambda n: 1 <= n <= MAX_STEPS_PER_UNIT,
+                            f"an integer from 1 to MAX_STEPS_PER_UNIT = {MAX_STEPS_PER_UNIT}"),
     "tol": _POSITIVE,
     "cauchy_tol": _POSITIVE,
     "newton_tol": _POSITIVE,

@@ -507,19 +507,20 @@ class Program:
             out[:, j] = reg[slot]
         return out
 
-    def rows(self, P):
+    def rows(self, P, labels=None):
         """The outputs at the rows of P, and per row None or the DomainError
-        that refuses it (its outputs NaN)."""
+        that refuses it (its outputs NaN), which names row i as labels[i]
+        (default: i)."""
         P = np.asarray(P, dtype=float)
         try:
-            return self(P), [None] * len(P)
+            return self(P, labels), [None] * len(P)
         except DomainError:
             pass
         out = np.full((len(P), len(self.outputs)), np.nan)
         errors = [None] * len(P)
         for i in range(len(P)):
             try:
-                out[i] = self(P[i:i + 1])[0]
+                out[i] = self(P[i:i + 1], [i] if labels is None else labels[i:i + 1])[0]
             except DomainError as err:
                 errors[i] = err
         return out, errors

@@ -21,11 +21,13 @@ the discrete map.
 
 One RK4 loop (``_rk4``) steps every flow, over a stack of rows that each
 have their own step size and step count.  ``ComplexFlow.rows`` runs the
-ambient complex flows of a whole stack in it: one compiled tape per stage
-gives the fields and, at the first stage of a step, their Cauchy-Riemann
-residuals, so holomorphy is checked at the start point and after every
-step; a row that diverges, leaves the holomorphic region, exceeds max_time
-or faults is refused alone, with the error the per-point tree walk gives.
+ambient complex flows of a whole stack in it: one compiled tape of the
+fields' first partials per stage gives Z, its holomorphic Jacobian dZ/dz
+and, at the first stage of a step, the Cauchy-Riemann residual |dZ/dzbar|,
+so holomorphy is checked at the start point and after every step; a row
+that diverges, leaves the holomorphic region, exceeds max_time or faults
+is refused alone, with the tape's own error: its DomainError, naming the
+node and the point, or a HolomorphyError from the tape's residual.
 
 The matrix-group maps (``matrix_exp``, ``complexified_flow_matrix``,
 ``complexified_flow_jacobian``) also take stacks of rows: each matrix gets
@@ -50,13 +52,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import (
-    Const, DomainError, Expr, Var, add, compile_exprs, diff, evaluate, mul, sub,
-)
-from .geometry import (
-    ComplexChart, ComplexField, VectorField, complexify, env_at,
-    _wirtinger_bar_residuals,
-)
+from .expr import Const, DomainError, Expr, Var, add, compile_exprs, mul
+from .geometry import ComplexChart, VectorField, cr_residuals, holomorphic_partials
 
 __all__ = [
     "FlowConfig", "FlowError", "DivergenceError", "HolomorphyError",
@@ -424,115 +421,61 @@ def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
 
 
 class _HolomorphicFrame:
-    """The fields' complexifications, Cauchy-Riemann residuals and
-    holomorphic Jacobians, as expression trees and as compiled tapes.
-
-    ``at`` runs a tape over a stack of chart rows; the per-point methods
-    (``check_holomorphy``, ``coefficients``, ``derivatives``) walk the
-    trees with ``evaluate``.  They are the reference: a row that the tape
-    refuses takes its error, and its text, from them.
+    """The complexified fields Z_a = (xi_a - i J xi_a)/2 and their first
+    partials (``holomorphic_partials``), compiled into three tapes over the
+    chart: Z; Z and dZ/dx; Z, dZ/dx and dZ/dy.  ``at`` runs one of them over
+    a stack of chart rows; the last one also gives the Cauchy-Riemann
+    residuals |dZ/dzbar| (``cr_residuals``), which checks holomorphy.
     """
 
     def __init__(self, fields, cfg: FlowConfig):
-        self.chart = fields[0].chart
+        self.chart = chart = fields[0].chart
         self.cfg = cfg
-        self.complexified = [complexify(V) for V in fields]
-        self.residuals = [_wirtinger_bar_residuals(Z) for Z in self.complexified]
-        # holomorphic Jacobians dZ_mu/dz_nu = d re/dx_nu + i d im/dx_nu
-        # (Cauchy-Riemann), one N x N table of expression pairs per field
-        xs = self.chart.names[0::2]
-        self.jacobians = [[[(diff(re, x), diff(im, x)) for x in xs]
-                           for re, im in Z.parts] for Z in self.complexified]
-        # block -> (its expressions as (re, im) pairs in order, the
-        # reference that evaluates it at one point); a residual pair that
-        # is the constant 0 can neither fault nor fail, and is left out
-        self._blocks = {
-            "res": ([pair for res in self.residuals for pair in res
-                     if not all(isinstance(e, Const) and e.value == 0.0 for e in pair)],
-                    self.check_holomorphy),
-            "Z": ([pair for Z in self.complexified for pair in Z.parts], self.coefficients),
-            "dZ": ([pair for table in self.jacobians for row in table for pair in row],
-                   self.derivatives),
-        }
-        self.checks_holomorphy = bool(self._blocks["res"][0])
-        self._plans = {}
+        self.shape = (len(fields), chart.N)
+        Z = [c for V in fields for c in V.components]
+        dx, dy = holomorphic_partials(fields)
+        self.tapes = [compile_exprs(Z + extra, chart.names) for extra in ([], dx, dx + dy)]
+        # constant partials have one residual everywhere, decided here once
+        self.checks_holomorphy = not all(isinstance(e, Const) for e in dx + dy) or bool(
+            self._worst([[e.value for e in dx + dy]]) > cfg.holomorphy_tol)
 
-    def check_holomorphy(self, p):
-        env = env_at(self.chart, p)
-        worst = max([0.0] + [0.5 * math.hypot(evaluate(rr, env), evaluate(ii, env))
-                             for res in self.residuals for rr, ii in res])
-        if worst > self.cfg.holomorphy_tol:
-            raise HolomorphyError(
-                f"field complexification violates the Cauchy-Riemann equations "
-                f"(residual {worst:.3e} > {self.cfg.holomorphy_tol:g}); "
-                "complex-time flow refused")
+    def _worst(self, partials) -> np.ndarray:
+        """Each row's largest residual, from its partials [dZ/dx | dZ/dy]
+        (m, 4 k N^2).  NaN residuals are skipped."""
+        k, N = self.shape
+        R = np.asarray(partials).reshape(len(partials), 2, k * N * N, 2)
+        return np.fmax.reduce(cr_residuals(R[:, 0], R[:, 1]), axis=1, initial=0.0)
 
     def coefficients(self, zreal) -> np.ndarray:
-        env = env_at(self.chart, zreal)
-        return np.array([[complex(evaluate(re, env), evaluate(im, env))
-                          for re, im in Z.parts] for Z in self.complexified])
+        """Z (k, N) at one chart point: the one-row view of ``at``."""
+        Z, _, refused = self.at(np.asarray(zreal, dtype=float)[None], 0)
+        _raise_first(refused.values())
+        return Z[0]
 
-    def derivatives(self, zreal) -> np.ndarray:
-        """dZ_a/dz at a point, shape (k, N, N)."""
-        env = env_at(self.chart, zreal)
-        return np.array([[[complex(evaluate(re, env), evaluate(im, env))
-                           for re, im in row] for row in table]
-                         for table in self.jacobians])
-
-    def at(self, X, blocks):
-        """The named blocks ("res", "Z", "dZ", in that order) at the chart
-        rows X (m, 2N), from one tape: a dict of the complex values of "Z"
-        (m, k, N) and "dZ" (m, k, N, N), and a dict row -> the error that
-        refuses it.  With "res", a row whose Cauchy-Riemann residual
-        exceeds holomorphy_tol is refused.  A refused row's error is the
-        one its reference evaluation raises, block by block in order."""
-        plan = self._plans.get(blocks)
-        if plan is None:
-            plan = self._plans[blocks] = self._plan(blocks)
-        tape, layout = plan
+    def at(self, X, tape, labels=None):
+        """Tape 0, 1 or 2 at the chart rows X (m, 2N): Z (m, k, N), dZ/dz
+        (m, k, N, N) from tapes 1 and 2 (else None), both complex views of
+        the outputs, and a dict j -> the error that refuses row j: the tape's
+        DomainError, naming row j as labels[j] (default j), or from tape 2 a
+        HolomorphyError when its Cauchy-Riemann residual exceeds holomorphy_tol."""
+        prog = self.tapes[tape]
         try:
-            vals, refused = tape(X), {}
+            vals, refused = prog(X, labels), {}
         except DomainError:
-            vals, faults = tape.rows(X)
-            refused = {i: self._reference_error(X[i], blocks) or err
-                       for i, err in enumerate(faults) if err is not None}
-        out = {}
-        for b, lo, hi, shape in layout:
-            if b == "res":
-                # Python's max in check_holomorphy skips NaN, as fmax does;
-                # a row near the tolerance is decided by the reference
-                R = vals[:, lo:hi]
-                worst = np.fmax.reduce(0.5 * np.hypot(R[:, 0::2], R[:, 1::2]),
-                                       axis=1, initial=0.0)
-                for i in np.flatnonzero(worst > self.cfg.holomorphy_tol * (1 - 1e-6)):
-                    if i not in refused:
-                        refused[i] = self._reference_error(X[i], ("res",))
-            else:
-                out[b] = np.ascontiguousarray(vals[:, lo:hi]).view(complex).reshape(
-                    (len(X), *shape))
-        return out, {i: err for i, err in refused.items() if err is not None}
-
-    def _plan(self, blocks):
-        """The tape of the blocks and each block's (name, output columns,
-        complex shape per row)."""
-        N, k = self.chart.N, len(self.complexified)
-        shapes = {"res": None, "Z": (k, N), "dZ": (k, N, N)}
-        layout, exprs = [], []
-        for b in blocks:
-            pairs = self._blocks[b][0]
-            layout.append((b, len(exprs), len(exprs) + 2 * len(pairs), shapes[b]))
-            exprs += [e for pair in pairs for e in pair]
-        return compile_exprs(exprs, self.chart.names), layout
-
-    def _reference_error(self, x, blocks):
-        """The error that the per-point evaluation of the blocks raises at
-        the chart point x, or None."""
-        try:
-            for b in blocks:
-                self._blocks[b][1](x)
-        except (FlowError, ValueError) as err:
-            return err
-        return None
+            vals, faults = prog.rows(X, labels)
+            refused = {j: err for j, err in enumerate(faults) if err is not None}
+        (k, N), m = self.shape, len(X)
+        C = vals.view(complex)
+        Z = C[:, :k * N].reshape(m, k, N)
+        dZ = C[:, k * N:k * N * (N + 1)].reshape(m, k, N, N) if tape else None
+        if tape == 2:
+            tol, worst = self.cfg.holomorphy_tol, self._worst(vals[:, 2 * k * N:])
+            for j in np.flatnonzero(worst > tol):
+                refused.setdefault(j, HolomorphyError(
+                    f"field complexification violates the Cauchy-Riemann "
+                    f"equations (residual {worst[j]:.3e} > {tol:g}); "
+                    "complex-time flow refused"))
+        return Z, dZ, refused
 
 
 def _complex_to_real(z: np.ndarray) -> np.ndarray:
@@ -543,8 +486,8 @@ def _complex_to_real(z: np.ndarray) -> np.ndarray:
 class ComplexFlow:
     """Complex-time flows along a fixed list of holomorphic fields.
 
-    The symbolic preparation (complexification, Cauchy-Riemann residuals,
-    holomorphic Jacobians) and its compiled tapes are made once here.
+    The fields' first partials and their compiled tapes
+    (``_HolomorphicFrame``) are made once here.
     ``rows`` integrates a stack of trajectories of dz/ds = sum_a w_a Z_a(z)
     over s in [0, 1], row i with ceil(|w_i|_1 steps_per_unit) RK4 steps of
     its own size, all stepped together by one RK4 loop; ``__call__`` and
@@ -616,14 +559,14 @@ class ComplexFlow:
         z = (P[:, 0::2] + 1j * P[:, 1::2])[:, None]
         if dZ0 is None:
             nsteps[scale == 0.0] = 0
-            state, blocks = z, ("Z",)
+            state, tape = z, 0
         else:
             r = dZ0.shape[2]
             state = np.concatenate([z, np.swapaxes(dZ0, 1, 2),
                                     np.zeros((n, k, N), dtype=complex)], axis=1)
-            blocks = ("Z", "dZ")
+            tape = 1
         # the state at the start of each step is checked by its k1 call
-        checked = ("res", *blocks) if frame.checks_holomorphy else blocks
+        checked = 2 if frame.checks_holomorphy else tape
         times = [None, None]     # the rows of the last call and their W
 
         def refuse(rows, refused):
@@ -636,14 +579,14 @@ class ComplexFlow:
             return keep
 
         def velocity(rows, y, stage):
-            vals, refused = frame.at(_complex_to_real(y[:, 0]),
-                                     checked if stage == 0 else blocks)
+            Z, dZ, refused = frame.at(_complex_to_real(y[:, 0]),
+                                      checked if stage == 0 else tape, rows)
             if rows is not times[0]:
                 times[:] = rows, W[rows][:, None]
-            Z, Wr = vals["Z"], times[1]
+            Wr = times[1]
             if dZ0 is None:
                 return Wr @ Z, refuse(rows, refused)
-            A = (Wr @ vals["dZ"].reshape(len(rows), k, N * N)).reshape(-1, N, N)
+            A = (Wr @ dZ.reshape(len(rows), k, N * N)).reshape(-1, N, N)
             out = np.empty_like(y)
             out[:, :1] = Wr @ Z
             out[:, 1:] = y[:, 1:] @ np.swapaxes(A, 1, 2)
@@ -665,7 +608,7 @@ class ComplexFlow:
         # the end points, and the start points of rows that took no step
         if frame.checks_holomorphy:
             rows = np.flatnonzero([err is None for err in errors])
-            refuse(rows, frame.at(_complex_to_real(state[rows, 0]), ("res",))[1])
+            refuse(rows, frame.at(_complex_to_real(state[rows, 0]), 2, rows)[2])
         for i, err in late.items():
             errors[i] = errors[i] or err
         failed = [err is not None for err in errors]

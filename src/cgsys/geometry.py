@@ -9,7 +9,8 @@ Vector fields are symbolic end to end: components are expression trees and
 points enter only at the final evaluation, so second-derivative quantities
 (dd^c, Laplacians) are exact up to rounding.  All values are immutable and
 every operation is pure; evaluation over point batches can run concurrently
-without synchronization.
+without synchronization.  Holomorphy has one residual: ``cr_residuals`` of
+the partials ``holomorphic_partials`` gives, which every check compiles.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .expr import (
 __all__ = [
     "ComplexChart", "VectorField", "ComplexField",
     "env_at", "apply_J", "j_rotate", "j_matrix", "d_of", "dc_of", "d_apply",
-    "dc_apply", "lie_bracket", "pair_brackets", "ddc_apply", "complexify", "is_holomorphic",
-    "distribution_rank", "span_residuals", "frobenius_defect", "laplacian",
+    "dc_apply", "lie_bracket", "pair_brackets", "ddc_apply", "complexify",
+    "holomorphic_partials", "cr_residuals", "is_holomorphic", "distribution_rank", "span_residuals", "frobenius_defect", "laplacian",
     "field_matrix",
 ]
 
@@ -263,26 +264,30 @@ def complexify(V: VectorField) -> ComplexField:
     return ComplexField(V.chart, parts)
 
 
-def _wirtinger_bar_residuals(Z: ComplexField) -> list[tuple[Expr, Expr]]:
-    # d a_mu / d zbar_nu = ((d re/dx_nu - d im/dy_nu) + i (d im/dx_nu + d re/dy_nu))/2
-    names = Z.chart.names
-    out = []
-    for re, im in Z.parts:
-        for nu in range(Z.chart.N):
-            xn, yn = names[2 * nu], names[2 * nu + 1]
-            rr = sub(diff(re, xn), diff(im, yn))
-            ii = add(diff(im, xn), diff(re, yn))
-            out.append((rr, ii))
-    return out
+def holomorphic_partials(fields) -> tuple[list[Expr], list[Expr]]:
+    """The first partials dZ_mu/dx_nu and dZ_mu/dy_nu of the complexified
+    fields Z = complexify(V), as expressions: two lists laid out (k, N, N, 2),
+    over field, component mu, coordinate nu and (re, im).  Where Z is
+    holomorphic, dZ/dx_nu is its Jacobian dZ/dz_nu."""
+    return tuple([diff(part, x) for V in fields
+                  for re_im in zip(V.components[0::2], V.components[1::2])
+                  for x in V.chart.names[j::2] for part in re_im] for j in (0, 1))
+
+
+def cr_residuals(dx, dy) -> np.ndarray:
+    """|dZ/dzbar_nu| = |dZ/dx_nu + i dZ/dy_nu|/2 from the partials (..., 2) of
+    holomorphic_partials; it vanishes where the Cauchy-Riemann equations hold."""
+    return 0.5 * np.hypot(dx[..., 0] - dy[..., 1], dx[..., 1] + dy[..., 0])
 
 
 def is_holomorphic(Z: ComplexField, pts, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether every coefficient satisfies the Cauchy-Riemann equations at the
     sample points; returns the verdict and the max residual modulus."""
-    parts = [e for pair in _wirtinger_bar_residuals(Z) for e in pair]
-    R = compile_exprs(parts, Z.chart.names)(
+    dx, dy = holomorphic_partials([Z.to_real()])
+    vals = compile_exprs(dx + dy, Z.chart.names)(
         np.reshape(np.asarray(pts, dtype=float), (-1, Z.chart.dim)))
-    worst = float(np.max(0.5 * np.hypot(R[:, 0::2], R[:, 1::2]), initial=0.0))
+    R = vals.reshape(-1, 2, len(dx) // 2, 2)
+    worst = float(np.max(cr_residuals(R[:, 0], R[:, 1]), initial=0.0))
     return worst < tol, worst
 
 

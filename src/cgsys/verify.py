@@ -34,8 +34,8 @@ import numpy as np
 from .expr import Expr, Predicate, Table, compile_exprs, diff, evaluate, require_vars
 from .flow import DEFAULT_CONFIG, FlowConfig, flow_real
 from .geometry import (
-    ComplexChart, VectorField, _wirtinger_bar_residuals, apply_J, complexify,
-    d_of, dc_of, env_at, field_matrix, j_matrix, laplacian, lie_bracket,
+    ComplexChart, VectorField, apply_J, cr_residuals, d_of, dc_of, env_at,
+    field_matrix, holomorphic_partials, j_matrix, laplacian, lie_bracket,
     pair_brackets, span_residuals,
 )
 
@@ -108,8 +108,9 @@ class CheckTable(Table):
     (2N, 2k) and ``bracket`` (2N, B), fields as columns, the latter
     [frame_i, frame_j] for (i, j) in ``pairs``; ``t1``, ``t2``, ``t3`` (P, k)
     the dd^c terms X(d^c u_c(Y)), Y(d^c u_c(X)) and d^c u_c([X, Y]) over
-    the P frame pairs; ``cr`` (k, N^2, 2) the Cauchy-Riemann residual parts
-    of each complexified xi_a; ``lap`` (k,).
+    the P frame pairs; ``dZ`` (2, k, N, N, 2) the partials d/dx and d/dy of
+    each complexified xi_a, as ``holomorphic_partials`` lays them out;
+    ``lap`` (k,).
 
     ``pairs`` lists the frame pairs i < j first, then the [J xi_a, xi_b].
     ``ddc_ref[p]`` is the bracket row the dd^c identity of frame pair p
@@ -144,9 +145,8 @@ class CheckTable(Table):
             ("t2", (P, k), [d_of(dc[c][x], frame[y])
                             for x, y in frame_pairs for c in range(k)]),
             ("t3", (P, k), [dc_of(g, b) for b in brackets[:P] for g in gs]),
-            ("cr", (k, sys.chart.N ** 2, 2),
-             [e for f in sys.fields
-              for pair in _wirtinger_bar_residuals(complexify(f)) for e in pair]),
+            ("dZ", (2, k, sys.chart.N, sys.chart.N, 2),
+             [e for part in holomorphic_partials(sys.fields) for e in part]),
             ("lap", (k,), [laplacian(g, sys.chart) for g in gs]),
         ]
         super().__init__(blocks, names)
@@ -428,8 +428,8 @@ def classify(sys: GradientSystem, t, tol: float = 1e-9) -> Classification:
     satisfies Cauchy-Riemann), abelian (all real brackets among
     {xi_a, J xi_a} vanish, the real form of [Z_a, conj Z_b] = 0), harmonic
     (flat Laplacian of every gradient component vanishes)."""
-    cr = t["cr"]
-    holo = float(np.max(0.5 * np.hypot(cr[..., 0], cr[..., 1]), initial=0.0))
+    dZ = t["dZ"]
+    holo = float(np.max(cr_residuals(dZ[:, 0], dZ[:, 1]), initial=0.0))
     abel = float(np.max(np.abs(t["bracket"][..., :sys.table.n_frame_pairs]),
                         initial=0.0))
     harm = float(np.max(np.abs(t["lap"]), initial=0.0))

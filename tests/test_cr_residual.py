@@ -1,0 +1,132 @@
+"""The one Cauchy-Riemann residual against sympy: the compiled partials of
+``holomorphic_partials`` reduced by ``cr_residuals`` give |dZ/dzbar| of
+random real polynomial fields in (x, y), and rounding-size residuals for
+fields that are polynomials in z."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cgsys.expr import compile_exprs, parse_expr
+from cgsys.geometry import (
+    ComplexChart, VectorField, complexify, cr_residuals, holomorphic_partials,
+    is_holomorphic,
+)
+
+sympy = pytest.importorskip("sympy")
+
+REL = 1e-12
+
+
+def _monomials(nvars: int, degree: int):
+    """Exponent tuples of total degree <= degree."""
+    if nvars == 0:
+        return [()]
+    return [(a, *rest) for a in range(degree + 1)
+            for rest in _monomials(nvars - 1, degree - a)]
+
+
+def _to_text(poly: dict, names) -> str:
+    """cgsys source of sum c * prod name^e over the terms of ``poly``."""
+    terms = [" * ".join([f"({c})"] + [f"{n}^{e}" for n, e in zip(names, exps) if e])
+             for exps, c in poly.items() if c != 0]
+    return " + ".join(terms) or "0"
+
+
+def _check(polys, N, points, holomorphic):
+    chart = ComplexChart.standard(N)
+    syms = sympy.symbols(chart.names, real=True)
+    V = VectorField.from_exprs(chart, [parse_expr(_to_text(p, chart.names)) for p in polys])
+    dx, dy = holomorphic_partials([V])
+    vals = compile_exprs(dx + dy, chart.names)(points)
+    R = vals.reshape(len(points), 2, N, N, 2)
+    got = cr_residuals(R[:, 0], R[:, 1])                 # (n, N, N)
+    exact = [[Fraction(float(v)) for v in p] for p in points]
+    for mu in range(N):
+        re, im = polys[2 * mu:2 * mu + 2]
+        Z = sympy.Poly.from_dict({m: re.get(m, 0) + sympy.I * im.get(m, 0)
+                                  for m in re.keys() | im.keys()} or {(0,) * 2 * N: 0},
+                                 *syms, domain="QQ_I")
+        for nu in range(N):
+            x, y = syms[2 * nu], syms[2 * nu + 1]
+            dzbar = _terms((Z.diff(x) + sympy.I * Z.diff(y)) * sympy.Rational(1, 2))
+            # the terms the compiled partials sum, whose size bounds their rounding
+            terms = [(m, (abs(c), 0)) for part in (re, im) for v in (x, y)
+                     for m, (c, _) in _terms(_poly(part, syms).diff(v))]
+            for i, q in enumerate(exact):
+                want = abs(_at(dzbar, q))
+                scale = 1 + _at(terms, [abs(v) for v in q]).real
+                assert abs(got[i, mu, nu] - want) <= REL * scale
+                if holomorphic:
+                    assert got[i, mu, nu] <= REL * scale
+
+
+def _poly(terms: dict, syms):
+    """The sympy polynomial of {exponents: integer coefficient}."""
+    return sympy.Poly.from_dict(terms or {(0,) * len(syms): 0}, *syms, domain="ZZ")
+
+
+def _terms(poly):
+    """(exponents, exact complex coefficient as a (re, im) pair of
+    Fractions) of each term of a sympy polynomial."""
+    return [(m, tuple(Fraction(int(v.p), int(v.q)) for v in c.as_real_imag()))
+            for m, c in poly.terms()]
+
+
+def _at(terms, q) -> complex:
+    """A polynomial's value at the exact point q, summed exactly."""
+    re = im = Fraction(0)
+    for m, (cr, ci) in terms:
+        mono = math.prod(v ** e for v, e in zip(q, m))
+        re, im = re + cr * mono, im + ci * mono
+    return complex(float(re), float(im))
+
+
+coefficient = st.integers(-3, 3)
+chart_points = st.integers(1, 2).flatmap(lambda N: st.tuples(
+    st.just(N),
+    st.lists(st.lists(st.floats(-2, 2, allow_nan=False), min_size=2 * N,
+                      max_size=2 * N), min_size=1, max_size=3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(chart_points, st.data())
+def test_cr_residual_of_real_polynomial_fields_matches_sympy(drawn, data):
+    N, pts = drawn
+    monos = _monomials(2 * N, 2 if N == 2 else 3)
+    polys = [dict(zip(monos, data.draw(st.lists(coefficient, min_size=len(monos),
+                                                max_size=len(monos)))))
+             for _ in range(2 * N)]
+    _check(polys, N, np.array(pts, dtype=float), holomorphic=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(chart_points, st.data())
+def test_cr_residual_of_polynomials_in_z_is_rounding_size(drawn, data):
+    N, pts = drawn
+    chart = ComplexChart.standard(N)
+    syms = sympy.symbols(chart.names, real=True)
+    unit = [tuple(int(i == j) for i in range(2 * N)) for j in range(2 * N)]
+    zs = [sympy.Poly.from_dict({unit[2 * mu]: 1, unit[2 * mu + 1]: sympy.I}, *syms,
+                               domain="ZZ_I") for mu in range(N)]
+    monos = _monomials(N, 3 if N == 1 else 2)
+    polys = []
+    for _ in range(N):
+        cs = data.draw(st.lists(st.tuples(coefficient, coefficient),
+                                min_size=len(monos), max_size=len(monos)))
+        Z = sympy.Poly.from_dict({(0,) * 2 * N: 0}, *syms, domain="ZZ_I")
+        for m, (a, b) in zip(monos, cs):
+            term = sympy.Poly.from_dict({(0,) * 2 * N: a + b * sympy.I}, *syms,
+                                        domain="ZZ_I")
+            for z, e in zip(zs, m):
+                term = term * z ** e
+            Z = Z + term
+        terms = _terms(Z)
+        polys += [{m: int(c[j]) for m, c in terms} for j in (0, 1)]
+    pts = np.array(pts, dtype=float)
+    _check(polys, N, pts, holomorphic=True)
+    V = VectorField.from_exprs(chart, [parse_expr(_to_text(p, chart.names)) for p in polys])
+    assert is_holomorphic(complexify(V), pts, tol=1e-9)[0]

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from cgsys.cli import main
 from cgsys.dsl import (
-    MAX_COMPLEX_DIM, MAX_ROWS, LoadError, builtin_names, builtin_text, check_rows,
-    dumps, load_builtin, loads,
+    MAX_COMPLEX_DIM, MAX_ROWS, MAX_STEPS_PER_UNIT, LoadError, builtin_names,
+    builtin_text, check_rows, dumps, load_builtin, loads,
 )
+from cgsys.flow import DEFAULT_CONFIG
 from cgsys.report import canonical_json, schema_text
 from cgsys.verify import check_axioms, sample_points
 
@@ -341,6 +342,27 @@ def test_row_bound_is_inclusive_and_admits_the_largest_runs():
     assert check_rows(300 ** 2, "grid^2") and check_rows(21 ** 3, "grid^k")
 
 
+def test_steps_per_unit_bound_is_inclusive_and_admits_the_values_in_use():
+    for n in (1, 128, 256, 512, DEFAULT_CONFIG.steps_per_unit, MAX_STEPS_PER_UNIT):
+        assert loads(f"{MINIMAL}[config]\nsteps_per_unit = {n}\n").config[
+            "steps_per_unit"] == n
+    with pytest.raises(LoadError, match="MAX_STEPS_PER_UNIT"):
+        loads(f"{MINIMAL}[config]\nsteps_per_unit = {MAX_STEPS_PER_UNIT + 1}\n")
+
+
+def test_cli_refuses_huge_steps_per_unit_before_any_flow(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+    for name in ("grid_queries", "solve"):
+        monkeypatch.setattr(f"cgsys.cli.{name}", never)
+    path = tmp_path / "steps.cgs"
+    path.write_text(_edited("line", "[config]\n",
+                            "[config]\nsteps_per_unit = 1000000000000\n"))
+    assert main(["cauchy", str(path), "--grid", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "MAX_STEPS_PER_UNIT" in err
+
+
 def test_complex_dim_bound_is_inclusive():
     text = f"[chart]\ncomplex_dim = {MAX_COMPLEX_DIM}\n"
     assert loads(text).chart.N == MAX_COMPLEX_DIM
@@ -364,6 +386,10 @@ def test_cli_param_domain_fault_at_a_newton_solution_refuses_the_query(
     assert all(e.startswith("Newton solution has parameters [-1.0, ")
                and "param_domain faults: log of non-positive value" in e
                for e in refused)
+    # the fault names each query by its own index
+    records = json.loads(report.read_text())["records"]
+    assert all(f"at point {i} (p1=" in r["error"]
+               for i, r in enumerate(records) if not r["ok"])
     assert "Traceback" not in capsys.readouterr().err
     # a fault while sampling the parameters stays an input error
     path.write_text(_edited("affine", "param_domain = p1 - 0.25",
@@ -417,6 +443,9 @@ MALFORMED = {
     "oracle-grad-q": (["cauchy", "FILE"],
                       _edited("line", ORACLE, ORACLE.replace("-y1", "-y1 + q"))),
     "config-steps-0": (["verify", "FILE"], MINIMAL + "[config]\nsteps_per_unit = 0\n"),
+    "config-steps-huge": (["cauchy", "FILE", "--grid", "3"],
+                          _edited("line", "[config]\n",
+                                  "[config]\nsteps_per_unit = 1000000000000\n")),
     "config-seed-neg": (["verify", "FILE"], MINIMAL + "[config]\nseed = -1\n"),
     "flag-seed-neg": (["verify", "line", "--seed", "-1"], None),
     "flag-grid-0": (["normal-form", "model-k1", "--grid", "0"], None),

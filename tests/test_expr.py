@@ -373,6 +373,22 @@ def test_program_domain_error_names_node_and_point():
     assert err.value.index is None
 
 
+def test_program_rows_names_each_faulting_row_by_its_own_index():
+    prog = compile_exprs([parse_expr("1/x1")], ("x1",))
+    P = np.array([[1.0], [2.0], [0.0], [4.0], [0.0]])
+    out, errors = prog.rows(P)
+    assert [err is None for err in errors] == [True, True, False, True, False]
+    assert np.array_equal(out[[0, 1, 3], 0], [1.0, 0.5, 0.25])
+    assert np.isnan(out[[2, 4]]).all()
+    for i in (2, 4):
+        assert errors[i].index == i
+        assert str(errors[i]) == f"division by zero in '1/x1' at point {i} (x1=0.0)"
+    # given labels, row i is named labels[i]
+    _, errors = prog.rows(P, labels=np.array([10, 11, 12, 13, 14]))
+    assert [err.index for err in errors if err] == [12, 14]
+    assert "at point 14 (x1=0.0)" in str(errors[4])
+
+
 def test_program_numbers_equal_subtrees_once():
     # two separately parsed copies of one subtree share every slot
     a, b = parse_expr("sin(x1*y1) + x1*y1"), parse_expr("x1*y1")
