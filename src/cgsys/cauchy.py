@@ -30,12 +30,12 @@ The pipeline:
 dF is exact: on a matrix group it comes from one block-triangular matrix
 exponential that yields exp(X) and its Frechet derivatives together; for
 ambient fields the tangent columns are stepped by the same RK4 loop as the
-trajectory, which is the exact derivative of the discrete flow map.  It is
-built from the initial data by build_dF, alongside build_F.  A Newton
-solution counts only when its parameters lie in param_domain (where
-param_domain faults, the query is refused).  The range of
-F is not certified globally: |det P| <= 1e-10 or Newton failure at a query
-simply marks it outside the working neighbourhood.
+trajectory, which is the exact derivative of the discrete flow map.  A
+Newton solution counts only when its parameters lie in param_domain (where
+param_domain faults, the query is refused).  The range of F is not
+certified globally: |det P| <= 1e-10 or Newton failure at a query simply
+marks it outside the working neighbourhood.  Every step runs on compiled
+tapes; only the comparison with an ``[oracle]`` walks expression trees.
 
 Query points are independent, so ``solve`` handles all of them in
 lockstep: one damped Newton over the stacked rows (p, u), each started
@@ -258,8 +258,9 @@ def _first_error(*errors):
 
 
 # half-width of the box of parameter offsets param_samples draws around
-# the base point
+# the base point, and the largest residual of the initial fields off TM
 PARAM_SPREAD = 1.0
+TANGENCY_TOL = 1e-9
 
 
 def param_samples(data: CRInitialData, n_samples: int, seed: int) -> np.ndarray:
@@ -297,12 +298,12 @@ def check_cr_transverse(data: CRInitialData, t) -> TransversalityResult:
                                 int(min(ranks, default=required)), required)
 
 
-def validate_tangency(data: CRInitialData, t, tol: float = 1e-9) -> float:
+def validate_tangency(data: CRInitialData, t) -> float:
     """Max residual of the initial fields against the tangent of M at the
     rows of ``t``; the data is invalid when any initial value fails to
-    project onto range dsigma."""
+    project onto range dsigma (residual above TANGENCY_TOL)."""
     worst = float(np.max(span_residuals(t["dsigma"], t["rho0"]), initial=0.0))
-    if worst > tol:
+    if worst > TANGENCY_TOL:
         raise CauchyError(
             f"initial fields are not tangent to M (residual {worst:.3e})")
     return worst
@@ -411,21 +412,18 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 
 
 def equation_map(data: CRInitialData, q, cfg: FlowConfig = DEFAULT_CONFIG,
-                 F=None, x0=None, dF=None):
+                 dF=None):
     """Solve F(p, iu) = q for (p, u) and return (U(q), p, u) with U = -u.
 
     The one-row view of the Newton that ``solve`` runs: newton_rows over
-    the stacked map of build_dF, which gives F and its exact Jacobian from
-    one evaluation; the default start point linearizes sigma around the
-    base parameters.  ``F`` is accepted for existing callers and not used.
+    the stacked map of build_dF (``dF``, built here when None), which
+    gives F and its exact Jacobian from one evaluation, started where
+    sigma linearized around the base parameters meets q.
     """
     dF = build_dF(data, cfg) if dF is None else dF
     m = len(data.param_names)
-    q = np.asarray(q, dtype=float)
-    if x0 is None:
-        x0 = _initial_guesses(data, q[None])[0]
-    newton = newton_rows(lambda X: dF(X[:, :m], X[:, m:]), q[None],
-                         np.asarray(x0, dtype=float)[None], cfg)
+    Q = np.asarray(q, dtype=float)[None]
+    newton = newton_rows(lambda X: dF(X[:, :m], X[:, m:]), Q, _initial_guesses(data, Q), cfg)
     _raise_first(newton.errors)
     p, u = newton.x[0, :m], newton.x[0, m:]
     return -u, p, u
@@ -435,7 +433,9 @@ def _initial_guesses(data: CRInitialData, Q) -> np.ndarray:
     """Newton's start rows for the query rows Q: sigma linearized around
     the base parameters, inverted by least squares, and u = 0."""
     base = data.base
-    coef = np.linalg.pinv(data.dsigma_at(base)) @ (Q - data.sigma_at(base))[..., None]
+    S, D, errors = data.sigma_rows(base[None])
+    _raise_first(errors)
+    coef = np.linalg.pinv(D[0]) @ (Q - S[0])[..., None]
     return np.concatenate([base + coef[..., 0], np.zeros((len(Q), data.k))], axis=1)
 
 
@@ -515,7 +515,8 @@ def _frames(data: CRInitialData, params, u, ambient, dF, check_det: bool = True)
     je_adapted = _adapted_J(dF, np.eye(m + k)[m:])
     P = np.swapaxes(jh_adapted[:, :, m:], 1, 2)   # P[a, b] = u_a-component of J h_b
     Q = np.swapaxes(je_adapted[:, :, m:], 1, 2)   # Q[a, b] = u_a-component of J d/du_b
-    det = np.linalg.det(P)
+    with np.errstate(invalid="ignore"):      # NaN at a singular dF
+        det = np.linalg.det(P)
     A, singular_P = solve_rows(P, Q)
     for i, err in enumerate(errors):
         if err is not None:
@@ -761,11 +762,12 @@ def _domain_errors(data: CRInitialData, P) -> list:
     return errors
 
 
-def grid_queries(data: CRInitialData, u_axes, base_params=None,
+def grid_queries(data: CRInitialData, u_axes,
                  cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Ambient query points F(base, u) over a cartesian grid of u values,
-    as one stacked F; the first row refused raises its error."""
-    base = data.base if base_params is None else np.asarray(base_params, float)
+    """Ambient query points F(base, u) over a cartesian grid of u values
+    at the base parameters, as one stacked F; the first row refused raises
+    its error."""
+    base = data.base
     us = np.stack(np.meshgrid(*u_axes, indexing="ij"), axis=-1).reshape(-1, len(u_axes))
     points, errors = build_F(data, cfg)(np.broadcast_to(base, (len(us), len(base))), us)
     _raise_first(errors)

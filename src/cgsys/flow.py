@@ -32,14 +32,14 @@ node and the point, or a HolomorphyError from the tape's residual.
 The matrix-group maps (``matrix_exp``, ``complexified_flow_matrix``,
 ``complexified_flow_jacobian``) also take stacks of rows: each matrix gets
 its own scaling and its own Taylor stopping point, and a row comes out as
-it would alone.  ``newton_rows`` runs damped Newton over stacked rows in
-lockstep, each row with its own step halvings and convergence test, and
-``newton_inverse`` is its one-row view.  Newton takes one map that returns
-the values and the Jacobians together, so every start row and every trial
-is evaluated once (an accepted trial's Jacobian is the next step's), and
-it returns F and dF at the solutions as the map gave them.  Stacked maps
-report the error that refuses a row beside the values, so one failing row
-fails alone.
+it would alone.  ``newton_rows``, the one Newton of cgsys, runs damped
+Newton over stacked rows in lockstep, each row with its own step halvings
+and convergence test, on one map that returns the values and the exact
+Jacobians together: every start row and trial is evaluated once (an
+accepted trial's Jacobian is the next step's), F and dF at the solutions
+come back as the map gave them, and a wide system (a level set of U)
+takes minimum-norm steps.  Stacked maps report the error that refuses a
+row beside the values, so one failing row fails alone.
 
 Everything is pure: configs are read-only shared data and independent
 trajectories or Newton solves can run concurrently.
@@ -106,6 +106,8 @@ class FlowConfig:
 
 
 DEFAULT_CONFIG = FlowConfig()
+# how far an entry off a group's coordinate pattern may drift from its base
+EMBEDDING_TOL = 1e-9
 
 
 def _rk4(velocity, state, h, nsteps, after_step):
@@ -297,13 +299,13 @@ class MatrixGroupSpec:
         (of each matrix of a stack)."""
         return _complex_to_real(np.asarray(M)[(..., *zip(*self.positions))])
 
-    def unembed(self, M, tol: float = 1e-9) -> np.ndarray:
+    def unembed(self, M) -> np.ndarray:
         """Complex group matrix -> chart point; rejects off-pattern matrices."""
-        points, errors = self.unembed_rows(np.asarray(M)[None], tol)
+        points, errors = self.unembed_rows(np.asarray(M)[None])
         _raise_first(errors)
         return points[0]
 
-    def unembed_rows(self, M, tol: float = 1e-9):
+    def unembed_rows(self, M):
         """unembed over a stack of matrices (n, m, m): the chart points and,
         per row, None or the EmbeddingError that refuses it."""
         offset = np.asarray(M, dtype=complex) - self.base
@@ -312,7 +314,7 @@ class MatrixGroupSpec:
         drift = np.max(np.abs(rest), axis=(-2, -1), initial=0.0)
         errors = [EmbeddingError(
             f"matrix leaves the embedded coordinate pattern (drift {d:.3e})")
-            if d > tol else None for d in drift]
+            if d > EMBEDDING_TOL else None for d in drift]
         return self.read_slots(offset), errors
 
     def algebra_element(self, coeffs) -> np.ndarray:
@@ -547,10 +549,9 @@ class ComplexFlow:
             scale = scale + np.abs(W[:, a])
         # rows that take no step raise these once their start point passes
         # the holomorphy check
-        late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {cfg.max_time:g}")
-                for i in np.flatnonzero(scale > cfg.max_time)}
-        late.update((i, ValueError("cannot convert float NaN to integer"))
-                    for i in np.flatnonzero(np.isnan(scale)))
+        late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {cfg.max_time:g}"
+                             if np.isfinite(scale[i]) else f"|w| = {scale[i]:g} is not finite")
+                for i in np.flatnonzero(~(scale <= cfg.max_time))}
         stepping = scale <= cfg.max_time
         nsteps = np.zeros(n, dtype=int)
         nsteps[stepping] = np.maximum(1, np.ceil(scale[stepping] * cfg.steps_per_unit))
@@ -637,14 +638,11 @@ def flow_complex(V: VectorField, p, w: complex,
 
 
 def numerical_jacobian(F, x, h: float) -> np.ndarray:
-    """Central-difference Jacobian of a vector map: the oracle for exact
-    derivatives, and the fallback for maps that come without one."""
+    """Central-difference Jacobian of a vector map: the tests' oracle for
+    the exact derivatives; no solve in the package takes it."""
     x = np.asarray(x, dtype=float)
     return np.column_stack([(np.asarray(F(x + dx)) - np.asarray(F(x - dx))) / (2.0 * h)
                             for dx in h * np.eye(len(x))])
-
-
-_FD_STEP = 1e-6
 
 
 def _row_norms(R) -> np.ndarray:
@@ -659,7 +657,13 @@ def _row_norms(R) -> np.ndarray:
 def solve_rows(A, B):
     """np.linalg.solve over a stack of systems, and the mask of the rows
     whose matrix is singular (their solutions NaN).  Each row is solved as
-    it would be alone."""
+    it would be alone.  Non-square systems get the minimum-norm
+    least-squares solution pinv(A) B; none is singular (non-finite A: NaN)."""
+    if A.shape[-1] != A.shape[-2]:
+        finite = np.isfinite(A).all(axis=(-2, -1))[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = np.linalg.pinv(np.where(finite, A, 0.0)) @ B
+        return np.where(finite, X, np.nan), np.zeros(len(A), dtype=bool)
     try:
         return np.linalg.solve(A, B), np.zeros(len(A), dtype=bool)
     except np.linalg.LinAlgError:
@@ -694,12 +698,12 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows
     start rows and every trial are evaluated once: an accepted trial's
     Jacobian is the next step's, and ``values``/``jac`` of the result are
     F and dF at the returned ``x``, exactly as the map returned them.  Each
-    row runs the steps newton_inverse describes, with its own halvings and
-    convergence test, so it ends as it would alone: a refused start refuses
-    the row with its exception, a trial that the map refuses or that does
-    not lower the residual halves only that row's step, and a row that
-    finds no descent step or does not converge within the budget gets a
-    NewtonError.
+    row takes the steps newton_inverse describes (minimum-norm ones where
+    d != D) with its own halvings and convergence test, so it ends as it
+    would alone: a refused start refuses the row with its exception, a
+    trial that the map refuses or that does not lower the residual halves
+    only that row's step, and a row that finds no descent step or does not
+    converge within the budget gets a NewtonError.
     """
     X = np.array(x0, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -754,20 +758,15 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows
     return NewtonRows(X, values, J, errors, iters, halvings)
 
 
-def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG,
-                   jac=None) -> np.ndarray:
+def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG, *,
+                   jac) -> np.ndarray:
     """Solve F(x) = target by damped Newton: the one-row view of newton_rows.
 
-    ``jac(x)`` gives the Jacobian of F at x; without it the Jacobian is
-    taken by central differences with step 1e-6.  Both are evaluated at the
-    start and at every trial point.  Steps are halved (up to ten times)
+    ``jac(x)`` gives the exact Jacobian of F at x; both are evaluated at
+    the start and at every trial point.  Steps are halved (up to ten times)
     until the residual decreases; failure to converge within the iteration
     budget or a numerically singular Jacobian raises NewtonError.
     """
-    if jac is None:
-        def jac(x):
-            return numerical_jacobian(F, x, _FD_STEP)
-
     d = len(np.atleast_1d(target))
 
     def rows(X):

@@ -21,7 +21,8 @@ one stacked projection.  ``verify_system`` draws one point set, evaluates
 the table there once and hands every check those blocks or their first
 rows, so identical seed and configuration reproduce identical residual
 tables bit for bit.  A domain fault at a sample point raises DomainError
-naming the node and the point.
+naming the node and the point.  The level-set search runs flow's one
+Newton, on a compiled tape like every check.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, Predicate, Table, compile_exprs, diff, evaluate, require_vars
-from .flow import DEFAULT_CONFIG, FlowConfig, flow_real
+from .expr import (
+    DomainError, Expr, Predicate, Table, compile_exprs, diff, evaluate, require_vars,
+)
+from .flow import DEFAULT_CONFIG, FlowConfig, flow_real, newton_rows
 from .geometry import (
     ComplexChart, VectorField, apply_J, cr_residuals, d_of, dc_of, env_at,
-    field_matrix, holomorphic_partials, j_matrix, laplacian, lie_bracket,
+    holomorphic_partials, j_matrix, j_rotate, laplacian, lie_bracket,
     pair_brackets, span_residuals,
 )
 
@@ -288,13 +291,6 @@ class DecompositionRecord:
                 and self.residual_gradient_on_rep < 1e-8)
 
 
-def _gradient_rows(sys: GradientSystem, p) -> np.ndarray:
-    """Rows of dU in chart coordinates at one point."""
-    env = env_at(sys.chart, p)
-    return np.array([[evaluate(diff(g, name), env) for name in sys.chart.names]
-                     for g in sys.grads])
-
-
 def _kernel(M):
     """Right-singular vectors of M, or of each matrix of a stack, and the
     numerical rank r: singular values at or below max(shape) * eps * sigma_max
@@ -463,12 +459,15 @@ class LevelSetRecord:
 
 def check_level_set(sys: GradientSystem, V, n_points: int = 8,
                     seed: int = 0) -> LevelSetRecord:
-    """Find up to ``n_points`` points with U = V by Gauss-Newton from the
-    points of a seeded draw of its own, then check that dU has rank k there
-    and the level set's tangent meets its J-rotation in a space of complex
-    dimension n."""
+    """Find up to ``n_points`` points with U = V, then check that dU has
+    rank k there and the level set's tangent meets its J-rotation in a
+    space of complex dimension n.  A seeded draw of its own starts one
+    lockstep Newton (minimum-norm steps) on a compiled tape of U and dU;
+    in seed order, until ``n_points`` are found, a root counts inside the
+    box |x| <= 50 and the domain, 1e-6 from every earlier one, and a fault
+    of the domain test or of the tape at a seed raises."""
     V = np.asarray(V, dtype=float)
-    k, n = sys.k, sys.chart.N - sys.k
+    k, names = sys.k, sys.chart.names
     if V.shape != (k,):
         raise ValueError(f"level-set target needs {k} values, got shape {V.shape}")
     try:
@@ -476,39 +475,38 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8,
     except SamplingError:
         return LevelSetRecord(V, np.empty((0, sys.chart.dim)), [], [],
                               note="no domain samples")
+    tape = compile_exprs([*sys.grads, *(diff(g, x) for g in sys.grads for x in names)],
+                         names)
+
+    def U_dU(X):
+        vals, errors = tape.rows(X)
+        return vals[:, :k], vals[:, k:].reshape(len(X), k, len(names)), errors
+
+    newton = newton_rows(U_dU, np.broadcast_to(V, (len(seeds), k)), seeds,
+                         DEFAULT_CONFIG.with_(newton_tol=1e-11, newton_max_iter=60))
+    root = np.array([err is None for err in newton.errors]) & (
+        np.max(np.abs(newton.x), axis=1) <= 50.0)
+    inside, fault = sys.domain_predicate.holds(newton.x[root])
     found = []
-    for p in seeds:
-        for _ in range(60):
-            env = env_at(sys.chart, p)
-            r = np.array([evaluate(g, env) for g in sys.grads]) - V
-            if np.max(np.abs(r)) < 1e-11:
-                if sys.in_domain(p) and not any(
-                        np.linalg.norm(p - q) < 1e-6 for q in found):
-                    found.append(p)
-                break
-            step, *_ = np.linalg.lstsq(_gradient_rows(sys, p), -r, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            p = p + step
-            if np.max(np.abs(p)) > 50.0:
-                break
+    for i, j in enumerate(np.cumsum(root) - 1):      # j: the index among roots
         if len(found) >= n_points:
             break
-    if not found:
-        return LevelSetRecord(V, np.empty((0, sys.chart.dim)), [], [],
-                              note="level set appears empty for this target")
-    ranks, hdims = [], []
-    for p in found:
-        G = _gradient_rows(sys, p)
-        ranks.append(int(np.linalg.matrix_rank(G)))
-        vt, rank = _kernel(G)
-        T = vt[rank:].T
-        span = np.hstack([T, j_matrix(sys.chart) @ T])
-        inter = 2 * T.shape[1] - int(np.linalg.matrix_rank(span))
-        hdims.append(inter // 2)
-    note = "" if all(h == n for h in hdims) else \
-        f"holomorphic tangent dimension {hdims} differs from {n}"
-    return LevelSetRecord(V, np.array(found), ranks, hdims, note=note)
+        if isinstance(newton.errors[i], DomainError):
+            raise newton.errors[i]
+        if root[i] and j == len(inside):
+            raise fault
+        if root[i] and inside[j] and not any(
+                np.linalg.norm(newton.x[i] - newton.x[f]) < 1e-6 for f in found):
+            found.append(i)
+    # T cap JT = ker dU cap ker d^c U, with d^c U = -dU o J
+    G, n = newton.jac[found], sys.chart.N - k
+    hdims = (sys.chart.dim - np.linalg.matrix_rank(
+        np.concatenate([G, G @ j_matrix(sys.chart).T], axis=1))) // 2
+    note = ("level set appears empty for this target" if not found else
+            "" if all(hdims == n) else
+            f"holomorphic tangent dimension {hdims.tolist()} differs from {n}")
+    return LevelSetRecord(V, newton.x[found], np.linalg.matrix_rank(G).tolist(),
+                          hdims.tolist(), note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +550,8 @@ class NormalForm:
 def _pick_slice_pair(sys: GradientSystem, p) -> int:
     """The complex coordinate line most orthogonal to the span of
     {xi_a(p), J xi_a(p)}: the pair of unit vectors most outside that span."""
-    frame = field_matrix(list(sys.fields) + [apply_J(f) for f in sys.fields], p)
-    r = span_residuals(frame, np.eye(sys.chart.dim))
+    xi = np.stack([f.program(p[None])[0] for f in sys.fields], axis=1)
+    r = span_residuals(np.hstack([xi, j_rotate(xi.T).T]), np.eye(sys.chart.dim))
     return int(np.argmax((r * r).reshape(-1, 2).sum(axis=1)))
 
 

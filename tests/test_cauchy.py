@@ -14,7 +14,7 @@ import pytest
 import cgsys.cauchy
 from cgsys.cli import main
 from cgsys.dsl import load_builtin, loads
-from cgsys.expr import Table, parse_expr
+from cgsys.expr import DomainError, Table, parse_expr
 from cgsys.flow import FlowConfig, MatrixGroupSpec, newton_inverse, numerical_jacobian
 from cgsys.cauchy import (
     PARAM_SPREAD, CRInitialData, TransversalityError, build_dF, build_F,
@@ -133,6 +133,31 @@ def test_group_data_without_ambient_fields_is_refused(heis_data):
 def test_tangency_validates(line_data, heis_data):
     for data in (line_data, heis_data):
         assert validate_tangency(data, data.table.at(param_samples(data, 10, 0))) < 1e-12
+
+
+def _line_with(field_y="0", param_domain=()):
+    """The line's data with initial field d/dx + field_y d/dy."""
+    chart = ComplexChart.standard(1)
+    return CRInitialData(
+        chart=chart, k=1, param_names=("s",),
+        sigma=(parse_expr("s"), parse_expr("0")),
+        ambient_fields=(field(chart, ["1", field_y]),),
+        param_domain=tuple(parse_expr(g) for g in param_domain), name="line")
+
+
+def test_tangency_refuses_a_field_off_M_above_its_tolerance():
+    t = np.array([[0.0], [0.3]])
+    assert validate_tangency(_line_with("1e-9"), _line_with("1e-9").table.at(t)) == 1e-9
+    with pytest.raises(cgsys.cauchy.CauchyError) as err:
+        validate_tangency(_line_with("0.5"), _line_with("0.5").table.at(t))
+    assert str(err.value) == "initial fields are not tangent to M (residual 5.000e-01)"
+
+
+def test_transversality_raises_a_param_domain_fault_naming_its_row():
+    data = _line_with(param_domain=["log(s + 0.5)"])
+    with pytest.raises(DomainError) as err:
+        check_cr_transverse(data, data.table.at(np.array([[0.1], [-1.0], [0.2]])))
+    assert str(err.value) == "log of non-positive value in 'log(s + 0.5)' at point 1 (s=-1.0)"
 
 
 def test_initial_distribution_involutive_on_group(heis_data):
@@ -283,31 +308,28 @@ def test_ode_route_matches_matrix_route(heis_data, heis_spec):
 
 
 def test_line_equation_map_gives_minus_y(line_data):
-    F = build_F(line_data, CFG)
     for x, y in [(0.0, 0.25), (0.4, -0.31), (-1.0, 0.5)]:
-        U, p, u = equation_map(line_data, [x, y], CFG, F=F)
+        U, p, u = equation_map(line_data, [x, y], CFG)
         assert U[0] == pytest.approx(-y, abs=1e-9)
         assert p[0] == pytest.approx(x, abs=1e-9)
 
 
 def test_equation_map_vanishes_on_M(heis_data):
-    F = build_F(heis_data, CFG)
     rng = np.random.default_rng(5)
     for p in rng.uniform(-1, 1, size=(5, 3)):
         q = heis_data.sigma_at(p)
-        U, _, _ = equation_map(heis_data, q, CFG, F=F)
+        U, _, _ = equation_map(heis_data, q, CFG)
         assert np.max(np.abs(U)) < 1e-9
 
 
 def test_group_identity_recovers_algebra_vector(heis_data, heis_spec):
     # q = exp(-i(a E1 + b E2 + c E3)) from the identity must give U = (a,b,c)
     from cgsys.flow import complexified_flow_matrix
-    F = build_F(heis_data, CFG)
     rng = np.random.default_rng(6)
     for _ in range(5):
         v = rng.uniform(-0.5, 0.5, size=3)
         q = complexified_flow_matrix(heis_spec, np.zeros(6), -1j * v)
-        U, _, _ = equation_map(heis_data, q, CFG, F=F)
+        U, _, _ = equation_map(heis_data, q, CFG)
         assert np.max(np.abs(U - v)) < 1e-9
 
 
@@ -355,6 +377,83 @@ def test_stacked_J_pullbacks_equal_the_per_vector_loops(name, request):
         assert built.residual_dc == float(np.max(np.abs(jxi[:, m:] - np.eye(k))))
         assert np.array_equal(built.jxi_ambient,
                               np.array([_j_loop(v) for v in built.xi_ambient]))
+
+
+NON_INVOLUTIVE = """
+[chart]
+complex_dim = 3
+
+[cr_data]
+params = a b c d
+sigma = a; 0; b; 0; c; d
+field_1 = 1; 0; 0; 0; 0; 0
+field_2 = 0; 0; 1; 0; x1; y1
+"""
+
+
+def test_non_involutive_data_is_solved_pointwise_with_a_note(tmp_path, capsys):
+    # [d/dx1, d/dx2 + x1 d/dx3] = d/dx3 leaves the span of the initial fields
+    data = loads(NON_INVOLUTIVE, name="contact").cr
+    queries = grid_queries(data, [np.linspace(-0.25, 0.25, 2)] * 2, cfg=CFG)
+    sol = solve(data, queries, CFG)
+    assert sol.integrability_defect == 1.0
+    assert sol.integrability_note == ("initial distribution is not involutive on M "
+                                      "(defect 1.000e+00); proceeding pointwise")
+    assert sol.ok and len(sol.records) == 4
+    path = tmp_path / "contact.cgs"
+    path.write_text(NON_INVOLUTIVE)
+    assert main(["cauchy", str(path), "--grid", "2", "--u-extent", "0.25"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [f"note: {sol.integrability_note}", "verdict: pass"]
+
+
+def _frames_with(data, refused, check_det=True):
+    """_frames at three solved rows of ``data`` with ``refused`` (a map of
+    the solved dF to a dF) put in as row 1, and the frames of the three
+    rows alone; asserts that the other rows are as they are alone."""
+    m, k = len(data.param_names), data.k
+    rng = np.random.default_rng(3)
+    P, U = data.base + rng.uniform(-0.3, 0.3, (3, m)), rng.uniform(-0.2, 0.2, (3, k))
+    ambient, dF, _ = build_dF(data, CFG)(P, U)
+    dF[1] = refused(dF[1])
+    frame, errors = cgsys.cauchy._frames(data, P, U, ambient, dF, check_det)
+    for i in (0, 2):
+        alone, alone_errors = cgsys.cauchy._frames(
+            data, P[i:i + 1], U[i:i + 1], ambient[i:i + 1], dF[i:i + 1], check_det)
+        assert errors[i] is None and alone_errors == [None]
+        for f in dataclasses.fields(frame):
+            assert np.array_equal(getattr(frame, f.name)[i], getattr(alone, f.name)[0])
+    return frame, errors[1]
+
+
+def test_frames_refuse_a_singular_dF_alone(heis_data):
+    def singular(dF):
+        dF[:, 0] = 0.0
+        return dF
+    _, err = _frames_with(heis_data, singular)
+    assert type(err) is cgsys.cauchy.OutsideDomainError
+    assert str(err) == "dF is numerically singular at this point"
+
+
+def test_frames_refuse_a_small_det_P_alone(heis_data):
+    # u columns 1e4 times longer: P shrinks by 1e4 and det P by 1e12
+    def stretched(dF):
+        dF[:, 3:] *= 1e4
+        return dF
+    frame, err = _frames_with(heis_data, stretched)
+    det = np.linalg.det(frame.P[1])
+    assert 0.0 < abs(det) <= 1e-10
+    assert type(err) is cgsys.cauchy.OutsideDomainError
+    assert str(err) == f"det P = {det:.3e}: point lies outside the construction domain"
+
+
+def test_frames_without_the_det_test_refuse_a_singular_P_alone(heis_data):
+    # p1, p2, p3 go to x1, y1, x2: J h_b lies in the image of the parameter
+    # directions except for its y2 part, so P has rank one and dF is regular
+    def permuted(dF):
+        return np.eye(6)
+    _, err = _frames_with(heis_data, permuted, check_det=False)
+    assert type(err) is np.linalg.LinAlgError and str(err) == "Singular matrix"
 
 
 def test_line_frame_is_flat_off_M(line_data):

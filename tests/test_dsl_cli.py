@@ -1,7 +1,10 @@
 """File format, gallery, CLI exit codes, JSON schema and determinism."""
 
+import importlib.util
 import json
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -13,6 +16,7 @@ from cgsys.dsl import (
     MAX_COMPLEX_DIM, MAX_ROWS, MAX_STEPS_PER_UNIT, LoadError, builtin_names,
     builtin_text, check_rows, dumps, load_builtin, loads,
 )
+from cgsys.expr import evaluate
 from cgsys.flow import DEFAULT_CONFIG
 from cgsys.report import canonical_json, schema_text
 from cgsys.verify import check_axioms, sample_points
@@ -273,6 +277,62 @@ def test_cli_verify_domain_fault_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
     assert "'sqrt(x1)'" in err and "at point " in err and "x1=-" in err
+
+
+def test_cli_empty_domain_is_a_sampling_error(tmp_path, capsys):
+    path = tmp_path / "empty-domain.cgs"
+    path.write_text(MINIMAL + "domain = -1\n")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "sampling error: found 0/100 domain points in 10000 draws\n"
+
+
+def test_cli_normal_form_needs_a_system_section(capsys):
+    assert main(["normal-form", "heisenberg-cr"]) == 2
+    assert capsys.readouterr().err == \
+        "input error: 'heisenberg-cr' has no [system] section\n"
+
+
+def test_cli_empty_level_set_passes_with_its_note(capsys):
+    assert main(["verify", "line", "--level-set=1e7"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("level-set note: level set appears empty for this target\n")
+    assert "  level-set " in out and out.endswith("verdict: pass\n")
+
+
+def _ambient_file_without_oracle(tmp_path):
+    """The benchmark's generated (1 + c z^2) d/dz file, c = 1.1, with its
+    [oracle] section cut out."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    head, rest = workloads.ambient_cgs(1.1).split("[oracle]")
+    out = tmp_path / "ambient.cgs"
+    out.write_text(head + rest[rest.index("[config]"):])
+    return str(out)
+
+
+def test_cli_ops_walk_no_expression_tree(tmp_path, monkeypatch, capsys):
+    # the level-set search, the normal form and a Cauchy op without an
+    # [oracle] run on compiled tapes only: with every cgsys binding of the
+    # tree walker raising, each op exits and prints as it does unpatched
+    ops = [["verify", "heisenberg", "--points", "20", "--level-set=0.1,-0.2,0.3"],
+           ["normal-form", "model-k1"], ["normal-form", "model-k1-rotated"],
+           ["cauchy", _ambient_file_without_oracle(tmp_path)]]
+    unpatched = []
+    for argv in ops:
+        unpatched.append((main(argv), capsys.readouterr().out))
+    assert [code for code, _ in unpatched] == [0, 0, 0, 0]
+
+    def tree_walk(*args):
+        raise AssertionError("expression tree walked at run time")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cgsys" and getattr(module, "evaluate", None) is evaluate:
+            monkeypatch.setattr(module, "evaluate", tree_walk)
+    for argv, before in zip(ops, unpatched):
+        assert (main(argv), capsys.readouterr().out) == before, argv
 
 
 AMBIENT_NOT_HOLOMORPHIC = """

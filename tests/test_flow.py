@@ -13,7 +13,7 @@ from cgsys.flow import (
     HolomorphyError, MatrixGroupSpec, NewtonError, complexified_flow_jacobian,
     complexified_flow_matrix, exp_map, flow_complex, flow_complex_multi,
     flow_real, left_invariant_fields, matrix_exp, newton_inverse, newton_rows,
-    numerical_jacobian,
+    numerical_jacobian, solve_rows,
 )
 from cgsys.geometry import ComplexChart, VectorField, apply_J, j_matrix
 
@@ -589,6 +589,24 @@ def test_stacked_complex_flow_equals_each_row_alone(tangents):
     assert np.array_equal(rest[0], points[:4])
 
 
+@pytest.mark.parametrize("tangents", [False, True])
+def test_non_finite_complex_time_refuses_only_its_row(tangents):
+    chart = ComplexChart.standard(1)
+    flow = ComplexFlow([VectorField.coordinate(chart, "x1")], CFG)
+    W = np.array([[np.nan], [1.0], [complex(np.inf, 0.5)], [20.0]])
+    dZ0 = np.ones((4, 1, 1), dtype=complex) if tangents else None
+    points, Y, errors = flow.rows(np.zeros((4, 2)), W, dZ0)
+    assert [type(err) for err in errors] == [FlowError, type(None), FlowError, FlowError]
+    assert [str(err) for err in errors[::2]] == [
+        "|w| = nan is not finite", "|w| = inf is not finite"]
+    assert str(errors[3]) == "|w| = 20 exceeds max_time 16"
+    assert np.isnan(points[::2]).all() and np.isnan(points[3]).all()
+    alone = flow.rows(np.zeros((1, 2)), W[1:2], None if dZ0 is None else dZ0[1:2])
+    assert np.array_equal(points[1], alone[0][0]) and np.array_equal(points[1], [1.0, 0.0])
+    if tangents:
+        assert np.array_equal(Y[1], alone[1][0])
+
+
 # --- Newton inversion ----------------------------------------------------------
 
 
@@ -596,7 +614,8 @@ def test_newton_inverse_quadratic():
     def F(x):
         return np.array([x[0] ** 2 + x[1], x[1] ** 3 - x[0]])
 
-    x = newton_inverse(F, [1.2, -0.3], [1.0, 0.5], CFG)
+    x = newton_inverse(F, [1.2, -0.3], [1.0, 0.5], CFG,
+                       jac=lambda x: numerical_jacobian(F, x, 1e-6))
     assert np.max(np.abs(F(x) - [1.2, -0.3])) < 1e-10
 
 
@@ -646,6 +665,20 @@ def test_a_failed_trial_halves_only_its_own_row(error):
             assert np.array_equal(x, out.x[i])
 
 
+def test_non_square_rows_take_the_minimum_norm_least_squares_step():
+    # a wide, a zero, a non-finite and a tall system: none is singular
+    A = np.array([[[1.0, 2.0, -1.0]], [[0.0, 0.0, 0.0]], [[np.nan, 1.0, 0.0]]])
+    B = np.array([[[3.0]], [[1.0]], [[1.0]]])
+    X, singular = solve_rows(A, B)
+    assert not singular.any()
+    assert np.allclose(X[0], np.linalg.lstsq(A[0], B[0], rcond=None)[0], rtol=0, atol=1e-15)
+    assert np.array_equal(X[1], np.zeros((3, 1))) and np.isnan(X[2]).all()
+    for i in range(2):
+        assert np.array_equal(solve_rows(A[i:i + 1], B[i:i + 1])[0][0], X[i])
+    tall = np.array([[[1.0], [1.0]]])
+    assert np.allclose(solve_rows(tall, np.array([[[1.0], [3.0]]]))[0], 2.0)
+
+
 def test_lockstep_rows_fail_on_their_own():
     # row 0 converges; row 1 has a singular Jacobian; row 2 has no root
     def FJ(X):
@@ -672,4 +705,5 @@ def test_newton_inverse_reports_failure():
         return np.array([x[0] ** 2])
 
     with pytest.raises(NewtonError):
-        newton_inverse(F, [-1.0], [1.0], FlowConfig(newton_max_iter=8))
+        newton_inverse(F, [-1.0], [1.0], FlowConfig(newton_max_iter=8),
+                       jac=lambda x: numerical_jacobian(F, x, 1e-6))

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from cgsys.dsl import builtin_names, load_builtin
-from cgsys.expr import DomainError, parse_expr
+from cgsys.expr import DomainError, diff, evaluate, parse_expr
 from cgsys.flow import FlowConfig
 from cgsys.geometry import (
-    ComplexChart, VectorField, apply_J, field_matrix, lie_bracket,
+    ComplexChart, VectorField, apply_J, env_at, field_matrix, j_matrix, lie_bracket,
 )
 import cgsys.verify
 from cgsys.cli import main
@@ -20,6 +20,10 @@ from cgsys.verify import (
     check_decompositions, check_level_set, classify,
     decomposition_check_result, normal_form, sample_points, verify_system,
 )
+
+
+# the gallery entries with a [system] section
+SYSTEMS = [n for n in builtin_names() if load_builtin(n).system is not None]
 
 
 def field(chart, comps):
@@ -398,6 +402,78 @@ def test_level_set_far_target_is_empty_pass(line):
     assert "empty" in rec.note
 
 
+def _level_set_by_gauss_newton(sys_, V, n_points=8, seed=0):
+    """The reference search: per seed point, undamped Gauss-Newton with
+    lstsq steps on the tree-walked U and dU, stopped when max |U - V| <
+    1e-11, after 60 passes, at a non-finite step or outside |x| <= 50; a
+    root counts when it is in the domain and 1e-6 from every earlier one.
+    Returns the points, whether each point's residuals fell at every step,
+    the ranks of dU and the holomorphic dimensions."""
+    names = sys_.chart.names
+
+    def rows_of_dU(p):
+        env = env_at(sys_.chart, p)
+        return np.array([[evaluate(diff(g, x), env) for x in names] for g in sys_.grads])
+
+    found, falling = [], []
+    for p in sample_points(sys_, max(4 * n_points, 16), seed):
+        norms = []
+        for _ in range(60):
+            r = np.array([evaluate(g, env_at(sys_.chart, p)) for g in sys_.grads]) - V
+            norms.append(np.linalg.norm(r))
+            if np.max(np.abs(r)) < 1e-11:
+                if sys_.in_domain(p) and not any(
+                        np.linalg.norm(p - q) < 1e-6 for q in found):
+                    found.append(p)
+                    falling.append(all(np.diff(norms) < 0))
+                break
+            step, *_ = np.linalg.lstsq(rows_of_dU(p), -r, rcond=None)
+            if not np.all(np.isfinite(step)):
+                break
+            p = p + step
+            if np.max(np.abs(p)) > 50.0:
+                break
+        if len(found) >= n_points:
+            break
+    ranks, hdims = [], []
+    for p in found:
+        G = rows_of_dU(p)
+        ranks.append(int(np.linalg.matrix_rank(G)))
+        _, s, vt = np.linalg.svd(G)
+        T = vt[int(np.sum(s > max(G.shape) * np.finfo(float).eps * s[0])):].T
+        span = np.hstack([T, j_matrix(sys_.chart) @ T])
+        hdims.append((2 * T.shape[1] - int(np.linalg.matrix_rank(span))) // 2)
+    return found, falling, ranks, hdims
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_level_set_search_finds_what_gauss_newton_finds(name):
+    # the lockstep damped Newton on the compiled tape against the undamped
+    # per-point tree-walk reference, at 12 seeded targets in [-1.5, 1.5]^k:
+    # the same number of points, ranks, dimensions and note; every point on
+    # the level set, in the box and the domain; and the reference's point
+    # wherever its residuals fell at every step, so that damping took no part
+    sys_ = load_builtin(name).system
+    n = sys_.chart.N - sys_.k
+    rng = np.random.default_rng(12)
+    for seed, V in enumerate(rng.uniform(-1.5, 1.5, (12, sys_.k))):
+        rec = check_level_set(sys_, V, seed=seed)
+        points, falling, ranks, hdims = _level_set_by_gauss_newton(sys_, V, seed=seed)
+        assert len(rec.points) == len(points), (name, V)
+        assert rec.rank_gradient == ranks and rec.holomorphic_dim == hdims, (name, V)
+        assert rec.note == (
+            "level set appears empty for this target" if not points else
+            "" if all(h == n for h in hdims) else
+            f"holomorphic tangent dimension {hdims} differs from {n}")
+        for p in rec.points:
+            U = [evaluate(g, env_at(sys_.chart, p)) for g in sys_.grads]
+            assert np.max(np.abs(U - V)) < 1e-11 and np.max(np.abs(p)) <= 50.0
+            assert sys_.in_domain(p)
+        for p, fell in zip(points, falling):
+            if fell:
+                assert np.min(np.max(np.abs(rec.points - p), axis=1)) < 1e-9, (name, V)
+
+
 # --- normal form ------------------------------------------------------------------------
 
 
@@ -556,8 +632,6 @@ def test_verify_system_equals_checks_on_their_own_draws(heis, affine, points, se
 
 # --- one table evaluation per op -------------------------------------------------
 
-
-SYSTEMS = [n for n in builtin_names() if load_builtin(n).system is not None]
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
