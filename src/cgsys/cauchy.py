@@ -61,8 +61,8 @@ from functools import cached_property
 import numpy as np
 
 from .expr import (
-    Const, Expr, ExprError, Predicate, Program, Table, Var,
-    compile_exprs, diff, evaluate, require_vars, subst,
+    Const, Expr, ExprError, Predicate, Table, Var, diff, evaluate,
+    require_vars, subst,
 )
 from .flow import (
     DEFAULT_CONFIG, ComplexFlow, FlowConfig, MatrixGroupSpec,
@@ -70,8 +70,8 @@ from .flow import (
     left_invariant_fields, newton_rows, solve_rows,
 )
 from .geometry import (
-    ComplexChart, VectorField, env_at, j_matrix, j_rotate, pair_brackets,
-    span_residuals,
+    ComplexChart, VectorField, bracket_values, env_at, j_matrix, j_rotate,
+    jet_blocks, jets_at, span_residuals,
 )
 
 __all__ = [
@@ -199,50 +199,59 @@ class CRInitialData:
                      for f in self.ambient_fields)
 
     @cached_property
-    def table(self) -> Table:
-        """The compiled table of the data checks over the parameters, with
-        blocks ``p`` (m,) the parameters, ``dsigma`` (2N, m), and ``rho0``
-        (2N, k) and ``bracket`` (2N, B) the initial fields and their
-        brackets [rho0_i, rho0_j], i < j, at sigma as columns."""
-        names, dim = self.param_names, self.chart.dim
-        mapping = dict(zip(self.chart.names, self.sigma))
-        rho0, brackets = self.rho0_param_exprs(), pair_brackets(self.ambient_fields)
-        return Table([
-            ("p", (len(names),), [Var(name) for name in names]),
-            ("dsigma", (dim, len(names)),
-             [diff(s, name) for s in self.sigma for name in names]),
-            ("rho0", (dim, self.k), [f[i] for i in range(dim) for f in rho0]),
-            ("bracket", (dim, len(brackets)),
-             [subst(b.components[i], mapping) for i in range(dim) for b in brackets]),
-        ], names)
+    def table(self) -> "CRTable":
+        """The compiled table of the data checks, built on first use."""
+        return CRTable(self)
 
     @cached_property
     def domain_predicate(self) -> Predicate:
         """The compiled param_domain predicate, built on first use."""
         return Predicate(self.param_domain, self.param_names)
 
-    @cached_property
-    def _programs(self) -> tuple[Program, Program]:
-        """Compiled over the parameters: sigma then dsigma (row-major), and
-        the initial fields at sigma, one field after the other."""
-        names = self.param_names
-        return (compile_exprs([*self.sigma, *(diff(s, name) for s in self.sigma
-                                              for name in names)], names),
-                compile_exprs([c for f in self.rho0_param_exprs() for c in f], names))
+    def complex_flow(self, cfg: FlowConfig) -> ComplexFlow:
+        """The ComplexFlow of the ambient fields under cfg, made once per
+        data object and config."""
+        flows = self.__dict__.setdefault("_flows", {})
+        if cfg not in flows:
+            flows[cfg] = ComplexFlow(self.ambient_fields, cfg)
+        return flows[cfg]
 
     def sigma_rows(self, P):
         """sigma (n, 2N) and dsigma (n, 2N, m) at the parameter rows P, and
         per row None or the DomainError that refuses it."""
-        vals, errors = self._programs[0].rows(P)
-        dim = self.chart.dim
-        return (vals[:, :dim], vals[:, dim:].reshape(len(vals), dim, len(self.param_names)),
-                errors)
+        vals, errors = self.table.program.rows(P)
+        t = self.table.blocks(vals)
+        return t["sigma"], t["dsigma"], errors
 
-    def initial_field_rows(self, P):
-        """The initial fields at sigma of the parameter rows P, (n, k, 2N),
-        and per row None or the DomainError that refuses it."""
-        vals, errors = self._programs[1].rows(P)
-        return vals.reshape(len(vals), self.k, self.chart.dim), errors
+
+
+class CRTable(Table):
+    """The compiled table of the data checks over the parameters.
+
+    ``at(P)`` returns the blocks ``p`` (m,) the parameters, ``sigma`` (2N,),
+    ``dsigma`` (2N, m), and ``rho0`` (2N, k) and ``bracket`` (2N, B) the
+    initial fields and their brackets [rho0_i, rho0_j], i < j, at sigma as
+    columns.  The Table compiles sigma and its partials over the parameters;
+    the fields and their Jacobians (``jet_blocks``), compiled over the
+    chart, are evaluated at sigma, and the brackets composed from them."""
+
+    def __init__(self, data: CRInitialData):
+        names, dim = data.param_names, data.chart.dim
+        super().__init__([
+            ("p", (len(names),), [Var(name) for name in names]),
+            ("sigma", (dim,), list(data.sigma)),
+            ("dsigma", (dim, len(names)),
+             [diff(s, name) for s in data.sigma for name in names]),
+        ], names)
+        self.fields = Table(jet_blocks((), data.ambient_fields, data.chart), data.chart.names)
+        self.pairs = [(i, j) for i in range(data.k) for j in range(i + 1, data.k)]
+
+    def at(self, P) -> dict[str, np.ndarray]:
+        t = super().at(P)
+        jets = jets_at(self.fields, t["sigma"])
+        t["rho0"] = np.transpose(jets["X"], (2, 1, 0))
+        t["bracket"] = np.transpose(bracket_values(jets["X"], jets["DX"], self.pairs), (2, 1, 0))
+        return t
 
 
 def _scatter_errors(errors, rows, row_errors):
@@ -337,6 +346,36 @@ def _point_view(rows):
     return view
 
 
+def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
+    """F over stacks of rows P (n, m), U (n, k): (points (n, 2N), errors),
+    and with ``jac`` (points, Jacobians (n, 2N, m + k), errors), errors[i]
+    None or the exception that refuses row i.  The points and errors do not
+    depend on ``jac``."""
+    k, m, spec = data.k, len(data.param_names), data.group
+    flow = data.complex_flow(cfg) if spec is None else None
+
+    def rows(P, U):
+        S, D, errors = data.sigma_rows(P)
+        W = 1j * U.astype(complex)
+        if spec is not None:
+            *out, flow_errors = (complexified_flow_jacobian(spec, S, W, D, 1j * np.eye(k))
+                                 if jac else complexified_flow_matrix(spec, S, W))
+            return *out, _first_error(errors, flow_errors)
+        points = np.full(S.shape, np.nan)
+        ok = np.flatnonzero([e is None for e in errors])
+        points[ok], Y, flow_errors = flow.rows(
+            S[ok], W[ok], (D[ok, 0::2] + 1j * D[ok, 1::2]) if jac else None)
+        errors = _scatter_errors(errors, ok, flow_errors)
+        if not jac:
+            return points, errors
+        J = np.full((len(S), S.shape[1], m + k), np.nan)
+        Y[:, :, m:] *= 1j
+        J[ok, 0::2], J[ok, 1::2] = Y.real, Y.imag
+        return points, J, errors
+
+    return rows
+
+
 def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     """The map F(p, u) = flow of sigma(p) for complex time i u.
 
@@ -347,26 +386,7 @@ def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     raises what refuses it; stacks p (n, m), u (n, k) give (points (n, 2N),
     errors), errors[i] None or the exception that refuses row i.
     """
-    if data.group is not None:
-        spec = data.group
-
-        def rows(P, U):
-            S, _, errors = data.sigma_rows(P)
-            points, flow_errors = complexified_flow_matrix(spec, S, 1j * U.astype(complex))
-            return points, _first_error(errors, flow_errors)
-
-        return _point_view(rows)
-
-    flow = ComplexFlow(data.ambient_fields, cfg)
-
-    def rows(P, U):
-        S, _, errors = data.sigma_rows(P)
-        points = np.full(S.shape, np.nan)
-        ok = np.flatnonzero([e is None for e in errors])
-        points[ok], _, flow_errors = flow.rows(S[ok], 1j * U[ok].astype(complex))
-        return points, _scatter_errors(errors, ok, flow_errors)
-
-    return _point_view(rows)
+    return _point_view(_flow_rows(data, cfg, jac=False))
 
 
 def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
@@ -381,34 +401,7 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     [dz/dz0 dsigma | dz/dw] along each row's RK4 trajectory, all rows in
     one stacked run, with d/du_a = i d/dw_a.
     """
-    k = data.k
-    m = len(data.param_names)
-    if data.group is not None:
-        spec = data.group
-        directions = 1j * np.eye(k)
-
-        def rows(P, U):
-            S, D, errors = data.sigma_rows(P)
-            points, J, flow_errors = complexified_flow_jacobian(
-                spec, S, 1j * U.astype(complex), D, directions)
-            return points, J, _first_error(errors, flow_errors)
-
-        return _point_view(rows)
-
-    flow = ComplexFlow(data.ambient_fields, cfg)
-
-    def rows(P, U):
-        S, D, errors = data.sigma_rows(P)
-        points = np.full(S.shape, np.nan)
-        J = np.full((len(S), S.shape[1], m + k), np.nan)
-        ok = np.flatnonzero([e is None for e in errors])
-        points[ok], Y, flow_errors = flow.rows(
-            S[ok], 1j * U[ok].astype(complex), D[ok, 0::2] + 1j * D[ok, 1::2])
-        Y[:, :, m:] *= 1j
-        J[ok, 0::2], J[ok, 1::2] = Y.real, Y.imag
-        return points, J, _scatter_errors(errors, ok, flow_errors)
-
-    return _point_view(rows)
+    return _point_view(_flow_rows(data, cfg, jac=True))
 
 
 def equation_map(data: CRInitialData, q, cfg: FlowConfig = DEFAULT_CONFIG,
@@ -486,10 +479,13 @@ def invariant_lift(data: CRInitialData, dF_map, p, u,
 def _tangent_coeffs(data: CRInitialData, P):
     """Parameter-space components of the initial fields at sigma(p), (n, k, m)
     over the parameter rows P, and per row None or the error refusing it."""
-    _, D, errors = data.sigma_rows(P)
-    rho0, field_errors = data.initial_field_rows(P)
+    S, D, errors = data.sigma_rows(P)
+    rho0 = np.full((len(S), data.k, data.chart.dim), np.nan)
+    ok = np.flatnonzero([e is None for e in errors])
+    vals, field_errors = data.table.fields.program.rows(S[ok], ok)
+    rho0[ok] = data.table.fields.blocks(vals)["X"]
     coeffs = np.swapaxes(np.linalg.pinv(D) @ np.swapaxes(rho0, 1, 2), 1, 2)
-    return coeffs, _first_error(errors, field_errors)
+    return coeffs, _scatter_errors(errors, ok, field_errors)
 
 
 def _adapted_J(dF, V) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys as _sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +243,10 @@ def cmd_list(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    makes a new namespace each call, so calls share nothing else."""
     ap = argparse.ArgumentParser(
         prog="cgsys",
         description="Construct and numerically verify complex gradient systems.")

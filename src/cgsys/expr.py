@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -633,7 +633,10 @@ class Table:
         self.program = compile_exprs(self.exprs, names)
 
     def at(self, pts) -> dict[str, np.ndarray]:
-        vals = self.program(pts)
+        return self.blocks(self.program(pts))
+
+    def blocks(self, vals) -> dict[str, np.ndarray]:
+        """The blocks of the program's output rows ``vals``."""
         return {name: vals[:, lo:lo + int(np.prod(shape))].reshape((len(vals), *shape))
                 for name, lo, shape in self._blocks}
 
@@ -685,8 +688,13 @@ class Predicate:
 # ---------------------------------------------------------------------------
 # structural differentiation
 
+# the bound of the diff and free_vars caches: one table build makes a few
+# hundred entries (228 for the largest in the gallery), so it never evicts
+# its own, while a long-lived process that loads many systems stays bounded
+CACHE_SIZE = 1 << 14
 
-@cache
+
+@lru_cache(maxsize=CACHE_SIZE)
 def diff(e: Expr, name: str) -> Expr:
     """Exact structural derivative of ``e`` with respect to variable ``name``.
 
@@ -742,7 +750,7 @@ def diff(e: Expr, name: str) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def free_vars(e: Expr) -> frozenset[str]:
     """The set of variable names appearing in ``e``."""
     match e:

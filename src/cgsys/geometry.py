@@ -5,29 +5,38 @@ x1, y1, ..., xN, yN with z_mu = x_mu + i y_mu.  The complex structure J acts
 on coordinate fields by J d/dx_mu = d/dy_mu and J d/dy_mu = -d/dx_mu, and the
 twisted differential is d^c f(V) = -df(J V).
 
-Vector fields are symbolic end to end: components are expression trees and
-points enter only at the final evaluation, so second-derivative quantities
-(dd^c, Laplacians) are exact up to rounding.  All values are immutable and
-every operation is pure; evaluation over point batches can run concurrently
-without synchronization.  Holomorphy has one residual: ``cr_residuals`` of
-the partials ``holomorphic_partials`` gives, which every check compiles.
+Vector fields and functions are expression trees, but only their jets are
+differentiated symbolically: ``jet_blocks`` lists the fields, their
+Jacobians, the differentials and the Hessians of the functions, which one
+compiled Table evaluates.  Everything built from them is composed
+numerically from those values: d and d^c (``d_values``, ``dc_values``),
+brackets [X, Y] = DY X - DX Y (``bracket_values``) and the terms of dd^c by
+the product rule (``dc_differentials``, ``ddc_terms``), so second-derivative
+quantities (dd^c, Laplacians) are exact up to rounding with no nested
+symbolic derivatives.  ``d_apply``, ``dc_apply`` and ``ddc_apply`` are their
+one-point views; ``lie_bracket``, ``pair_brackets`` and ``laplacian`` build
+the symbolic forms, which tests use as references.  All values are
+immutable and every operation is pure; evaluation over point batches can
+run concurrently without synchronization.  Holomorphy has one residual:
+``cr_residuals`` of the partials ``holomorphic_partials`` gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .expr import (
-    Const, Expr, Program, add, as_expr, compile_exprs, diff, evaluate, mul, neg,
-    require_vars, sub,
+    Const, Expr, Program, Table, add, as_expr, compile_exprs, diff, evaluate, mul,
+    neg, require_vars, sub,
 )
 
 __all__ = [
     "ComplexChart", "VectorField", "ComplexField",
-    "env_at", "apply_J", "j_rotate", "j_matrix", "d_of", "dc_of", "d_apply",
+    "env_at", "apply_J", "j_rotate", "j_matrix", "jet_blocks", "jets_at", "d_values",
+    "dc_values", "bracket_values", "dc_differentials", "ddc_terms", "d_apply",
     "dc_apply", "lie_bracket", "pair_brackets", "ddc_apply", "complexify",
     "holomorphic_partials", "cr_residuals", "is_holomorphic", "distribution_rank", "span_residuals", "frobenius_defect", "laplacian",
     "field_matrix",
@@ -140,15 +149,15 @@ def _same_chart(*objs):
         raise ValueError("operands live on different charts")
 
 
-def j_rotate(v) -> np.ndarray:
-    """J on chart vectors along the last axis of an array: the components
-    (v_x, v_y) of each complex coordinate become (-v_y, v_x).  An exact
-    shuffle and negation, no arithmetic."""
-    v = np.asarray(v, dtype=float)
+def j_rotate(v, axis: int = -1) -> np.ndarray:
+    """J on chart vectors along an axis of an array (the last by default):
+    the components (v_x, v_y) of each complex coordinate become (-v_y, v_x).
+    An exact shuffle and negation, no arithmetic."""
+    v = np.moveaxis(np.asarray(v, dtype=float), axis, -1)
     out = np.empty_like(v)
     out[..., 0::2] = -v[..., 1::2]
     out[..., 1::2] = v[..., 0::2]
-    return out
+    return np.moveaxis(out, -1, axis)
 
 
 def j_matrix(chart: ComplexChart) -> np.ndarray:
@@ -167,34 +176,117 @@ def apply_J(V: VectorField) -> VectorField:
     return VectorField(V.chart, tuple(out))
 
 
-def d_of(f: Expr, V: VectorField) -> Expr:
-    """The directional derivative df(V) as a symbolic expression."""
-    total: Expr = Const(0.0)
-    for comp, name in zip(V.components, V.chart.names):
-        total = add(total, mul(comp, diff(f, name)))
-    return total
+def jet_blocks(grads, fields, chart: ComplexChart, hessians: bool = True) -> list:
+    """The Table blocks every composed quantity is read from: the fields
+    ``X`` (m, 2N) and their Jacobians ``DX`` (m, 2N, 2N), DX[a, i, j] =
+    dX_a^i/dx_j; the differentials ``dU`` (k, 2N) of the functions and,
+    with ``hessians``, their Hessians ``D2U`` (k, 2N, 2N) laid out as DX."""
+    names, dim = chart.names, chart.dim
+    dU = [diff(g, x) for g in grads for x in names]
+    blocks = [
+        ("X", (len(fields), dim), [c for V in fields for c in V.components]),
+        ("DX", (len(fields), dim, dim),
+         [diff(c, x) for V in fields for c in V.components for x in names]),
+        ("dU", (len(grads), dim), dU),
+    ]
+    if hessians:
+        blocks.append(("D2U", (len(grads), dim, dim), [diff(e, x) for e in dU for x in names]))
+    return blocks
 
 
-def dc_of(f: Expr, V: VectorField) -> Expr:
-    """The twisted differential d^c f(V) = -df(JV), written directly in
-    coordinates: sum_mu (df/dx_mu V^{y_mu} - df/dy_mu V^{x_mu})."""
-    total: Expr = Const(0.0)
-    names = V.chart.names
-    for mu in range(V.chart.N):
-        xn, yn = names[2 * mu], names[2 * mu + 1]
-        total = add(total, sub(mul(diff(f, xn), V.components[2 * mu + 1]),
-                               mul(diff(f, yn), V.components[2 * mu])))
-    return total
+def jets_at(table: Table, pts, labels=None) -> dict[str, np.ndarray]:
+    """The blocks of a Table of jet_blocks at the rows of pts, each with the
+    point axis last, as the helpers below take them: every operation then
+    runs along contiguous rows of points.  ``labels`` as Program takes it."""
+    vals = np.ascontiguousarray(table.program(pts, labels).T)
+    return {name: np.moveaxis(b, 0, -1) for name, b in table.blocks(vals.T).items()}
+
+
+# The helpers below take and return arrays whose last axis is the points,
+# with the coordinates on the axis before it, and sum each coordinate sum in
+# coordinate order.
+
+
+def d_values(G, V) -> np.ndarray:
+    """du(V) for the differential rows G (k, 2N, n) and the vectors V
+    (m, 2N, n): (k, m, n)."""
+    return np.sum(G[:, None] * V[None], axis=-2)
+
+
+def dc_values(G, V) -> np.ndarray:
+    """d^c u(V) = -du(JV), laid out as d_values and written in coordinates:
+    the sum over mu of du/dx_mu V^{y_mu} - du/dy_mu V^{x_mu}."""
+    G, V = G[:, None], V[None]
+    return np.sum(G[:, :, 0::2] * V[:, :, 1::2] - G[:, :, 1::2] * V[:, :, 0::2], axis=-2)
+
+
+def _pair_index(pairs):
+    """The first and the second members of the index pairs, as two arrays."""
+    return np.reshape(np.asarray(pairs, dtype=int), (-1, 2)).T
+
+
+def bracket_values(X, DX, pairs) -> np.ndarray:
+    """[X_i, X_j] = DX_j X_i - DX_i X_j for (i, j) in pairs, (P, 2N, n),
+    from the fields X (m, 2N, n) and their Jacobians DX (m, 2N, 2N, n);
+    each component sums X_i^l dX_j/dx_l - X_j^l dX_i/dx_l over l in order,
+    as lie_bracket does."""
+    i, j = _pair_index(pairs)
+    return reduce(np.add, (DX[j, :, l] * X[i, None, l] - DX[i, :, l] * X[j, None, l]
+                           for l in range(X.shape[1])))
+
+
+def dc_differentials(dU, D2U, X, DX) -> np.ndarray:
+    """The differentials of the functions d^c u_c(X_b), (k, m, 2N, n), from
+    the Hessians D2U and the fields X with their Jacobians DX, by the
+    product rule applied to each term of d^c u(X)'s coordinate sum."""
+    H, G, X, DX = D2U[:, None], dU[:, None, :, None], X[None, :, :, None], DX[None]
+    # d/dx_j of du/dx_mu X^{y_mu} - du/dy_mu X^{x_mu}, summed over mu in order
+    return reduce(np.add, ((H[:, :, x] * X[:, :, x + 1] + G[:, :, x] * DX[:, :, x + 1])
+                           - (H[:, :, x + 1] * X[:, :, x] + G[:, :, x + 1] * DX[:, :, x])
+                           for x in range(0, dU.shape[1], 2)))
+
+
+def ddc_terms(dU, D2U, X, DX, pairs, brackets) -> tuple[np.ndarray, ...]:
+    """The terms X(d^c u(Y)), Y(d^c u(X)) and d^c u([X, Y]) of
+    dd^c u(X, Y), each (P, k, n), over the field pairs (X_x, X_y) for
+    (x, y) in pairs, given their brackets (P, 2N, n).  The first two apply
+    the dc_differentials of one member to the other member."""
+    xs, ys = _pair_index(pairs)
+    d_dc = dc_differentials(dU, D2U, X, DX)
+    return (np.swapaxes(np.sum(X[xs][None] * d_dc[:, ys], axis=-2), 0, 1),
+            np.swapaxes(np.sum(X[ys][None] * d_dc[:, xs], axis=-2), 0, 1),
+            np.swapaxes(dc_values(dU, brackets), 0, 1))
+
+
+def _jets_at(f: Expr, fields, p, hessians: bool = False) -> dict[str, np.ndarray]:
+    """The jet_blocks of f and the fields at the one point p."""
+    _same_chart(*fields)
+    chart = fields[0].chart
+    table = Table(jet_blocks([f], fields, chart, hessians), chart.names)
+    return jets_at(table, np.reshape(np.asarray(p, dtype=float), (1, chart.dim)))
 
 
 def d_apply(f: Expr, V: VectorField, p) -> float:
-    """df(V) at a point."""
-    return evaluate(d_of(f, V), env_at(V.chart, p))
+    """df(V) at a point, the one-point view of d_values."""
+    t = _jets_at(f, [V], p)
+    return float(d_values(t["dU"], t["X"])[0, 0, 0])
 
 
 def dc_apply(f: Expr, V: VectorField, p) -> float:
-    """d^c f(V) at a point."""
-    return evaluate(dc_of(f, V), env_at(V.chart, p))
+    """d^c f(V) at a point, the one-point view of dc_values."""
+    t = _jets_at(f, [V], p)
+    return float(dc_values(t["dU"], t["X"])[0, 0, 0])
+
+
+def ddc_apply(f: Expr, V: VectorField, W: VectorField, p) -> float:
+    """dd^c f(V, W) at a point through the three-term identity
+    V(d^c f(W)) - W(d^c f(V)) - d^c f([V, W]), composed from the jets of f,
+    V and W as the check table composes it."""
+    t = _jets_at(f, [V, W], p, hessians=True)
+    X, DX = t["X"], t["DX"]
+    t1, t2, t3 = ddc_terms(t["dU"], t["D2U"], X, DX, [(0, 1)],
+                           bracket_values(X, DX, [(0, 1)]))
+    return float((t1 - t2 - t3)[0, 0, 0])
 
 
 def lie_bracket(V: VectorField, W: VectorField) -> VectorField:
@@ -216,17 +308,6 @@ def pair_brackets(fields) -> list[VectorField]:
     """The brackets [V_i, V_j], i < j, in row-major order of the pairs."""
     return [lie_bracket(fields[i], fields[j])
             for i in range(len(fields)) for j in range(i + 1, len(fields))]
-
-
-def ddc_apply(f: Expr, V: VectorField, W: VectorField, p) -> float:
-    """dd^c f(V, W) at a point, evaluated through the three-term identity
-    V(d^c f(W)) - W(d^c f(V)) - d^c f([V, W]), all symbolic until the end."""
-    _same_chart(V, W)
-    term1 = d_of(dc_of(f, W), V)
-    term2 = d_of(dc_of(f, V), W)
-    term3 = dc_of(f, lie_bracket(V, W))
-    env = env_at(V.chart, p)
-    return evaluate(term1, env) - evaluate(term2, env) - evaluate(term3, env)
 
 
 @dataclass(frozen=True)

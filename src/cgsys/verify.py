@@ -14,13 +14,14 @@ explicit tolerance; verdicts are residual-based, never symbolic proofs.
 
 Sampling is separate from checking.  ``sample_points`` draws seeded points
 from the box [-2, 2]^(2N) filtered by the system's compiled domain
-predicate.  Every expression a check needs sits in one compiled table per
-system (``GradientSystem.table``), and every check is a numpy reduction
-over the blocks ``t = sys.table.at(pts)`` it is handed, span residuals by
-one stacked projection.  ``verify_system`` draws one point set, evaluates
-the table there once and hands every check those blocks or their first
-rows, so identical seed and configuration reproduce identical residual
-tables bit for bit.  A domain fault at a sample point raises DomainError
+predicate.  Every value a check needs comes from one table per system
+(``GradientSystem.table``), which compiles only the jets of the fields and
+gradients and composes brackets, d^c and the dd^c terms from their values;
+every check is a numpy reduction over the blocks ``t = sys.table.at(pts)``
+it is handed, span residuals by one stacked projection.  ``verify_system``
+draws one point set, evaluates the table there once and hands every check
+those blocks or their first rows, so identical seed and configuration
+reproduce identical residual tables bit for bit.  A domain fault at a sample point raises DomainError
 naming the node and the point.  The level-set search runs flow's one
 Newton, on a compiled tape like every check.
 """
@@ -37,9 +38,9 @@ from .expr import (
 )
 from .flow import DEFAULT_CONFIG, FlowConfig, flow_real, newton_rows
 from .geometry import (
-    ComplexChart, VectorField, apply_J, cr_residuals, d_of, dc_of, env_at,
-    holomorphic_partials, j_matrix, j_rotate, laplacian, lie_bracket,
-    pair_brackets, span_residuals,
+    ComplexChart, VectorField, apply_J, bracket_values, cr_residuals, d_values,
+    dc_values, ddc_terms, env_at, j_matrix, j_rotate, jet_blocks, jets_at,
+    span_residuals,
 )
 
 __all__ = [
@@ -102,18 +103,32 @@ class GradientSystem:
         return Predicate(self.domain, self.chart.names)
 
 
-class CheckTable(Table):
-    """Every expression the checks evaluate, compiled once into one Table.
+# the rows CheckTable composes at a time: the composition's temporaries grow
+# with the rows composed together (heisenberg at 20,000 points peaks at
+# 229 MB unchunked against 78 MB in chunks of 256, for 74 MB of blocks),
+# and chunks of 256 also composed fastest
+TABLE_CHUNK = 256
 
-    Frame index i < k stands for xi_(i+1), k + a for J xi_(a+1).  ``at(pts)``
-    returns these blocks, each with a leading point axis: ``d``, ``dc`` (k, k)
+
+class CheckTable(Table):
+    """Every block the checks read, composed from one compiled Table of jets.
+
+    The Table compiles only ``jet_blocks``: the fields xi_a, their Jacobians,
+    the differentials of the u_a and their Hessians.  ``at(pts)`` evaluates
+    it once and composes the blocks from those values with geometry's numpy
+    helpers: brackets from the Jacobians, d^c u(V) = -du(JV), the dd^c terms
+    by the product rule, D(J xi) = J D(xi), the Laplacian as the Hessian's
+    trace.  Frame index i < k stands for xi_(i+1), k + a for J xi_(a+1).
+    The blocks, each with a leading point axis: ``d``, ``dc`` (k, k)
     du_a(xi_b) and d^c u_a(xi_b); ``grad`` (k, 2N) the rows of dU; ``frame``
     (2N, 2k) and ``bracket`` (2N, B), fields as columns, the latter
     [frame_i, frame_j] for (i, j) in ``pairs``; ``t1``, ``t2``, ``t3`` (P, k)
     the dd^c terms X(d^c u_c(Y)), Y(d^c u_c(X)) and d^c u_c([X, Y]) over
     the P frame pairs; ``dZ`` (2, k, N, N, 2) the partials d/dx and d/dy of
     each complexified xi_a, as ``holomorphic_partials`` lays them out;
-    ``lap`` (k,).
+    ``lap`` (k,).  Every block is computed row by row, so a row does not
+    depend on the other points, and ``at`` composes TABLE_CHUNK rows at a
+    time.
 
     ``pairs`` lists the frame pairs i < j first, then the [J xi_a, xi_b].
     ``ddc_ref[p]`` is the bracket row the dd^c identity of frame pair p
@@ -121,38 +136,45 @@ class CheckTable(Table):
     """
 
     def __init__(self, sys: GradientSystem):
-        k, names = sys.k, sys.chart.names
-        frame = list(sys.fields) + [apply_J(f) for f in sys.fields]
+        k = sys.k
         frame_pairs = [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k)]
-        self.n_frame_pairs = P = len(frame_pairs)
+        self.n_frame_pairs = len(frame_pairs)
         self.pairs = frame_pairs + [(k + a, b) for a in range(k) for b in range(k)]
         self.row = {pq: r for r, pq in enumerate(self.pairs)}
         self.ddc_ref = [self.row[(i - k, j - k) if i >= k else (i, j)]
                         for i, j in frame_pairs]
-        brackets = pair_brackets(frame)
-        brackets += [lie_bracket(frame[k + a], frame[b])
-                     for a in range(k) for b in range(k)]
+        super().__init__(jet_blocks(sys.grads, sys.fields, sys.chart), sys.chart.names)
 
-        gs, dim = sys.grads, sys.chart.dim
-        dc = [[dc_of(g, f) for f in frame] for g in gs]     # d^c u_c(frame_i)
-        blocks = [
-            ("d", (k, k), [d_of(g, f) for g in gs for f in sys.fields]),
-            ("dc", (k, k), [e for row in dc for e in row[:k]]),
-            ("grad", (k, dim), [diff(g, name) for g in gs for name in names]),
-            ("frame", (dim, 2 * k),
-             [f.components[i] for i in range(dim) for f in frame]),
-            ("bracket", (dim, len(brackets)),
-             [b.components[i] for i in range(dim) for b in brackets]),
-            ("t1", (P, k), [d_of(dc[c][y], frame[x])
-                            for x, y in frame_pairs for c in range(k)]),
-            ("t2", (P, k), [d_of(dc[c][x], frame[y])
-                            for x, y in frame_pairs for c in range(k)]),
-            ("t3", (P, k), [dc_of(g, b) for b in brackets[:P] for g in gs]),
-            ("dZ", (2, k, sys.chart.N, sys.chart.N, 2),
-             [e for part in holomorphic_partials(sys.fields) for e in part]),
-            ("lap", (k,), [laplacian(g, sys.chart) for g in gs]),
-        ]
-        super().__init__(blocks, names)
+    def at(self, pts) -> dict[str, np.ndarray]:
+        pts = np.asarray(pts, dtype=float)
+        for lo in range(0, max(len(pts), 1), TABLE_CHUNK):
+            hi = min(lo + TABLE_CHUNK, len(pts))
+            # a DomainError names the row by its index in pts
+            blocks = self._compose(jets_at(self, pts[lo:hi], np.arange(lo, hi)))
+            if lo == 0:
+                out = {name: np.empty((len(pts), *b.shape[:-1])) for name, b in blocks.items()}
+            for name, b in blocks.items():
+                out[name][lo:hi] = np.moveaxis(b, -1, 0)
+        return out
+
+    def _compose(self, jets) -> dict[str, np.ndarray]:
+        """The blocks, with the point axis last, from the jets at some
+        points (``jets_at``)."""
+        xi, Dxi, dU, D2U = jets["X"], jets["DX"], jets["dU"], jets["D2U"]
+        (k, dim, n), P = xi.shape, self.n_frame_pairs
+        X = np.concatenate([xi, j_rotate(xi, axis=1)])
+        DX = np.concatenate([Dxi, j_rotate(Dxi, axis=1)])      # D(J xi) = J D(xi)
+        brackets = bracket_values(X, DX, self.pairs)
+        t1, t2, t3 = ddc_terms(dU, D2U, X, DX, self.pairs[:P], brackets[:P])
+        return {
+            "d": d_values(dU, xi), "dc": dc_values(dU, xi), "grad": dU,
+            "frame": np.swapaxes(X, 0, 1), "bracket": np.swapaxes(brackets, 0, 1),
+            "t1": t1, "t2": t2, "t3": t3,
+            # DX[a, 2 mu + r, 2 nu + j] is d/dx_nu (j = 0) or d/dy_nu (j = 1)
+            # of the part r of Z_a's component mu
+            "dZ": Dxi.reshape(k, dim // 2, 2, dim // 2, 2, n).transpose(4, 0, 1, 3, 2, 5),
+            "lap": np.trace(D2U, axis1=1, axis2=2),
+        }
 
 
 @dataclass

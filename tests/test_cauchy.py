@@ -891,3 +891,23 @@ def test_equation_map_is_the_one_row_view_of_solve(name):
         U, p, u = equation_map(data, q, CFG, dF=dF)
         assert np.array_equal(p, rec.params) and np.array_equal(u, rec.u)
         assert np.array_equal(U, rec.U)
+
+
+def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):
+    # grid_queries' F and solve's dF share the data's one ComplexFlow
+    path = tmp_path / "ambient.cgs"
+    path.write_text(_ambient_file().text)
+    built = []
+    inner = cgsys.flow.ComplexFlow.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(cgsys.flow.ComplexFlow, "__init__", counted)
+    for argv in (["cauchy", str(path), "--grid", "3"],
+                 ["cauchy", str(path), "--grid", "5", "--u-extent", "0.25"]):
+        built.clear()
+        assert main(argv) == 0
+        assert len(built) == 1
+    capsys.readouterr()

@@ -582,3 +582,21 @@ def test_report_digest_reflects_input():
     from cgsys.report import input_digest
     assert input_digest(builtin_text("line")) != input_digest(builtin_text("affine"))
     assert len(input_digest("x")) == 64
+
+
+def test_main_builds_its_parser_once_and_calls_share_no_options(tmp_path, capsys):
+    from cgsys import cli
+    plain, flagged, again = (tmp_path / f"{n}.json" for n in ("plain", "flagged", "again"))
+    assert main(["verify", "line", "--json", str(plain)]) == 0
+    assert main(["verify", "line", "--points", "12", "--seed", "3", "--tol", "1e-6",
+                 "--level-set=0.5", "--json", str(flagged)]) == 0
+    assert main(["cauchy", "line", "--grid", "3", "--u-extent", "0.25"]) == 0
+    assert main(["verify", "line", "--json", str(again)]) == 0
+    # the flags of the calls in between leave the defaults as they were
+    assert again.read_text() == plain.read_text()
+    doc = json.loads(flagged.read_text())
+    assert (doc["points"], doc["seed"]) == (12, 3)
+    assert [c["name"] for c in doc["checks"]][-1] == "level-set"
+    assert "level-set" not in [c["name"] for c in json.loads(plain.read_text())["checks"]]
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()

@@ -419,3 +419,32 @@ def test_gallery_tables_match_tree_walk(name):
     got = sys_.table.program(pts)
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+def test_diff_and_free_vars_caches_stay_within_their_bound():
+    import random
+    from cgsys import expr
+    from cgsys.dsl import loads
+    for fn in (expr.diff, expr.free_vars):
+        assert fn.cache_info().maxsize == expr.CACHE_SIZE
+    rng = random.Random(7)
+
+    def poly():
+        return " + ".join(f"{rng.uniform(-2, 2):.6f}*x1^{i}*y1^{j}"
+                          for i in range(5) for j in range(5 - i))
+
+    def misses():
+        return min(expr.diff.cache_info().misses, expr.free_vars.cache_info().misses)
+
+    # distinct generated systems, loaded and their tables built, until each
+    # cache has made more entries than its bound holds
+    start = misses()
+    for _ in range(1000):
+        if misses() - start > expr.CACHE_SIZE:
+            break
+        sf = loads(f"[chart]\ncomplex_dim = 1\n\n[system]\nk = 1\n"
+                   f"field_1 = {poly()}; {poly()}\ngrad_1 = {poly()}\n")
+        assert sf.system.table.at(np.array([[0.1, 0.2]]))["lap"].shape == (1, 1)
+    assert misses() - start > expr.CACHE_SIZE
+    for fn in (expr.diff, expr.free_vars):
+        assert fn.cache_info().currsize <= expr.CACHE_SIZE
