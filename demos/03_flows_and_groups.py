@@ -1,4 +1,4 @@
-# Flows: fixed-step RK4 in real time, exact matrix products on embedded
+# Flows: fixed-step 8th-order Runge-Kutta in real time, exact matrix products on embedded
 # groups, and complex-time flows of holomorphically extendable fields.
 
 import numpy as np
@@ -9,7 +9,7 @@ from cgsys import (
 )
 from cgsys.geometry import ComplexChart, VectorField
 
-cfg = FlowConfig()  # 256 RK4 steps per unit time, divergence bound 1e6
+cfg = FlowConfig()  # 32 Runge-Kutta steps per unit time, divergence bound 1e6
 
 # A linear field integrates to the exponential: x' = x from x(0) = 1.
 chart1 = ComplexChart.standard(1)
@@ -27,7 +27,7 @@ A = 0.5 * E1 + 0.25 * E2 + 0.125 * E3
 print("exp(A)[0, 2] =", matrix_exp(A)[0, 2], " (exactly u3 + u1*u2/2 = 0.1875)")
 
 # Left-invariant fields fall out of the embedding symbolically; flowing one
-# with RK4 agrees with the closed-form product g exp(t E).
+# with Runge-Kutta agrees with the closed-form product g exp(t E).
 L = left_invariant_fields(spec)
 p = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 by_ode = flow_real(L[1], p, 1.0, cfg)

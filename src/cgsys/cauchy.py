@@ -29,8 +29,9 @@ The pipeline:
 
 dF is exact: on a matrix group it comes from one block-triangular matrix
 exponential that yields exp(X) and its Frechet derivatives together; for
-ambient fields the tangent columns are stepped by the same RK4 loop as the
-trajectory, which is the exact derivative of the discrete flow map.  A
+ambient fields the tangent columns are stepped by the same 8th-order
+Runge-Kutta loop as the trajectory, which is the exact derivative of the
+discrete flow map, with holomorphy read at every stage state.  A
 Newton solution counts only when its parameters lie in param_domain (where
 param_domain faults, the query is refused).  The range of F is not
 certified globally: |det P| <= 1e-10 or Newton failure at a query simply
@@ -49,8 +50,8 @@ stacks of rows and return, beside their values, the error that refuses
 each row, so a failing query refuses only its own record; the one-point
 functions (``compute_PQA``, ``construct_fields``, ``equation_map``,
 F(p, u)) are one-row views of the same code.  On matrix groups a stack
-costs one batched matrix exponential; on ambient fields one stacked RK4
-run (``ComplexFlow.rows``), each row with its own step count.
+costs one batched matrix exponential; on ambient fields one stacked
+Runge-Kutta run (``ComplexFlow.rows``), each row with its own step count.
 """
 
 from __future__ import annotations
@@ -382,7 +383,7 @@ def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     Matrix-group data uses the exact products g exp(i sum u_a E_a) of all
     rows at once; otherwise the ambient fields must complexify
     holomorphically and the rows' flows are integrated in the chart by one
-    stacked RK4 run.  One point (p (m,), u (k,)) gives the chart point and
+    stacked Runge-Kutta run.  One point (p (m,), u (k,)) gives the chart point and
     raises what refuses it; stacks p (n, m), u (n, k) give (points (n, 2N),
     errors), errors[i] None or the exception that refuses row i.
     """
@@ -398,7 +399,7 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 
     Matrix-group data differentiates g exp(X) through the block Frechet
     exponential, all rows at once; ambient fields step the tangent columns
-    [dz/dz0 dsigma | dz/dw] along each row's RK4 trajectory, all rows in
+    [dz/dz0 dsigma | dz/dw] along each row's Runge-Kutta trajectory, all rows in
     one stacked run, with d/du_a = i d/dw_a.
     """
     return _point_view(_flow_rows(data, cfg, jac=True))

@@ -79,10 +79,10 @@ _COMPLEX_DIM = _rule(int, lambda n: n <= MAX_COMPLEX_DIM,
 MAX_ROWS = 100_000
 
 
-# the most RK4 steps per unit of flow time: 16 times the default of 256, and
-# 8 times the largest in use (512).  At FlowConfig.max_time = 16 a flow row
-# takes at most 16 * 4,096 = 65,536 steps
-MAX_STEPS_PER_UNIT = 4_096
+# the most Runge-Kutta steps per unit of flow time: 32 times the default of
+# 32, and twice the largest in use (512).  At FlowConfig.max_time = 16 a flow
+# row takes at most 16 * 1,024 = 16,384 steps of 12 stages, 196,608 tape calls
+MAX_STEPS_PER_UNIT = 1_024
 
 
 def check_rows(count: int, what: str) -> int:

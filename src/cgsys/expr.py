@@ -22,7 +22,7 @@ through the same constructors, which is what keeps
 
 Two evaluators share these semantics.  ``evaluate`` walks one tree at one
 point with Python's ``math``; it is the reference and the per-point API
-(no RK4 loop runs it).  ``compile_exprs`` turns a list of trees into a
+(no Runge-Kutta loop runs it).  ``compile_exprs`` turns a list of trees into a
 ``Program``: a straight-line tape with value numbering, so structurally
 equal subtrees are computed once, run with numpy ufuncs over an
 ``(n_points, n_vars)`` array.  Its instructions are bound at compile time:

@@ -1,6 +1,8 @@
 """Flows of vector fields, matrix exponentials, and complexified flows.
 
-Real flows use classical fixed-step RK4: trajectories here are short and the
+Real flows use a fixed-step explicit Runge-Kutta method of order 8: the
+12-stage Dormand-Prince 8(5,3) of DOP853 (Hairer-Norsett-Wanner I, II.5),
+without its error estimate.  Trajectories here are short and the
 reproducibility of residual tables matters more than adaptive speed, so the
 step count is a plain config knob.  Complex time is supported on two routes:
 
@@ -15,19 +17,20 @@ Every route also gives exact derivatives of the flow map.  On a matrix group
 one block-triangular exponential yields exp(X) and its Frechet derivatives
 L(X, E) together (Al-Mohy & Higham 2009).  Real flows, of one point or of a
 stack of them, and ambient complex flows step the tangent columns, and the
-column of the time derivative, in the same RK4 loop as the trajectory (the
-variational equations, Hairer-Norsett-Wanner I.14): the exact derivative of
-the discrete map.
+column of the time derivative, in the same Runge-Kutta loop as the
+trajectory (the variational equations, Hairer-Norsett-Wanner I.14): the
+exact derivative of the discrete map.
 
-One RK4 loop (``_rk4``) steps every flow, over a stack of rows that each
-have their own step size and step count.  ``ComplexFlow.rows`` runs the
-ambient complex flows of a whole stack in it: one compiled tape of the
+One Runge-Kutta loop (``_rk``) steps every flow, over a stack of rows that
+each have their own step size and step count.  ``ComplexFlow.rows`` runs
+the ambient complex flows of a whole stack in it: one compiled tape of the
 fields' first partials per stage gives Z, its holomorphic Jacobian dZ/dz
-and, at the first stage of a step, the Cauchy-Riemann residual |dZ/dzbar|,
-so holomorphy is checked at the start point and after every step; a row
-that diverges, leaves the holomorphic region, exceeds max_time or faults
-is refused alone, with the tape's own error: its DomainError, naming the
-node and the point, or a HolomorphyError from the tape's residual.
+and the Cauchy-Riemann residual |dZ/dzbar|, so holomorphy is checked at the
+start point, at every stage state and at the end point (12 states a step);
+a row that diverges (at a stage state or a step's end), leaves the
+holomorphic region, exceeds max_time or faults is refused alone, with the
+tape's own error: its DomainError, naming the node and the point, or a
+HolomorphyError from the tape's residual.
 
 The matrix-group maps (``matrix_exp``, ``complexified_flow_matrix``,
 ``complexified_flow_jacobian``) also take stacks of rows: each matrix gets
@@ -89,7 +92,7 @@ class EmbeddingError(FlowError):
 class FlowConfig:
     """Shared numerical knobs for flows and the construction pipeline."""
 
-    steps_per_unit: int = 256
+    steps_per_unit: int = 32
     max_time: float = 16.0
     divergence_bound: float = 1e6
     holomorphy_tol: float = 1e-8
@@ -110,15 +113,63 @@ DEFAULT_CONFIG = FlowConfig()
 EMBEDDING_TOL = 1e-9
 
 
-def _rk4(velocity, state, h, nsteps, after_step):
-    """The one fixed-step RK4 loop, over a stack of rows: row i of ``state``
-    takes nsteps[i] steps of size h[i] (``h`` and ``nsteps`` are arrays over
-    the rows or shared scalars).  ``velocity(rows, y, stage)`` returns the
-    velocities at the states y of the rows ``rows`` (indices into state)
-    for RK4 stage 0..3, and ``after_step(rows, y)`` sees their new states;
-    each also returns the mask of the rows it keeps, or None to keep all,
-    and may raise to abort the whole stack.  A refused row drops out, as
-    does a finished one, and keeps the state it had before the step."""
+# Dormand-Prince 8(5,3), the 12-stage 8th-order method of DOP853 (Hairer,
+# Norsett & Wanner I, II.5): its nodes c, the rows of its matrix A as
+# {column: entry} (the other entries are zero) and its weights b
+_DP8_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+          0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+          0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+_DP8_A = (
+    {},
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+     5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+)
+_DP8_B = {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+          7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+          10: 0.20136540080403034, 11: 0.04471061572777259}
+# the stages after the first as (c_i, its (j, a_ij) with j >= 1), then the
+# step's end as (None, its (j, b_j) with j >= 1)
+_DP8_STAGES = tuple((c, tuple((j, a) for j, a in row.items() if j))
+                    for c, row in zip(_DP8_C[1:], _DP8_A[1:])) + (
+    (None, tuple((j, b) for j, b in _DP8_B.items() if j)),)
+
+
+def _rk(velocity, state, h, nsteps, guard):
+    """The one explicit Runge-Kutta loop, over the DP8 tableau and a stack
+    of rows: row i of ``state`` takes nsteps[i] steps of size h[i] (``h``
+    and ``nsteps`` are arrays over the rows or shared scalars).
+    ``velocity(rows, y)`` returns the velocities at the states y of the
+    rows ``rows`` (indices into state), one call per stage, and
+    ``guard(rows, y)`` sees every later stage state before its call and
+    every step's end; each also returns the mask of the rows it keeps, or
+    None to keep all, and may raise to abort the whole stack.  A refused
+    row drops out, as does a finished one, and keeps the state it had
+    before the step; nothing is evaluated once no row is left.
+
+    The stage sums run around the first stage's k0, over the nonzero
+    entries of A and b in column order: y + h (c_i k0 + sum_j a_ij (k_j - k0))
+    and y + h (k0 + sum_j b_j (k_j - k0)), j >= 1.  A's rows sum to c and
+    b sums to 1 (to the rounding of the literals), so this is the tableau,
+    and a constant field steps exactly.
+    """
     n = len(state)
     h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
     nsteps = np.broadcast_to(nsteps, (n,))
@@ -130,30 +181,40 @@ def _rk4(velocity, state, h, nsteps, after_step):
         if s in ends:            # rows that took nsteps[i] = s steps are done
             rows = rows[nsteps[rows] > s]
             hh = h[rows][column]
-        y, ks = state[rows], []
-        for stage in range(4):
-            arg = y if stage == 0 else y + (hh if stage == 3 else 0.5 * hh) * ks[-1]
-            k, keep = velocity(rows, arg, stage)
-            ks.append(k)
+        if not len(rows):        # every row still stepping was refused
+            break
+        y = state[rows]
+        k, keep = velocity(rows, y)
+        ks = [k]                 # k0, then k_j - k0 for j >= 1
+        for c, terms in _DP8_STAGES:
             if keep is not None:
-                rows, y, hh, ks = rows[keep], y[keep], hh[keep], [k[keep] for k in ks]
-        y = y + (hh / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
-        keep = after_step(rows, y)
-        if keep is not None:
-            rows, y, hh = rows[keep], y[keep], hh[keep]
-        state[rows] = y
+                rows, y, hh, *ks = (x[keep] for x in (rows, y, hh, *ks))
+            total = ks[0] if c is None else c * ks[0]
+            for j, a in terms:
+                total = total + a * ks[j]
+            arg = y + hh * total
+            keep = guard(rows, arg)
+            if keep is not None:
+                rows, y, hh, arg, *ks = (x[keep] for x in (rows, y, hh, arg, *ks))
+            if c is None or not len(rows):    # the step's end, or no row left
+                break
+            k, keep = velocity(rows, arg)
+            ks.append(k - ks[0])
+        state[rows] = arg
     return state
 
 
 def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG,
               tangents=None):
-    """The flow of V for time t from p: RK4 solution of dg/ds = V(g).
+    """The flow of V for time t from p: the solution of dg/ds = V(g) in
+    max(1, ceil(|t| steps_per_unit)) steps of ``_rk``.
 
     ``p`` is one point (2N,) or a stack of rows (n, 2N), stepped together by
     V's compiled components.  Given ``tangents`` (p.shape + (r,)), also
-    returns r + 1 columns stepped by the same RK4 steps with V's compiled
+    returns r + 1 columns stepped by the same steps with V's compiled
     Jacobian: the tangents pushed through the discrete flow map, then
-    d(end)/dt.  The divergence bound applies to the trajectory only.
+    d(end)/dt.  The divergence bound applies to every stage state and step
+    end of the trajectory, not to the columns.
     """
     p = np.asarray(p, dtype=float)
     if abs(t) > cfg.max_time:
@@ -165,7 +226,7 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG,
         [rows[..., None], np.reshape(tangents, (*rows.shape, -1)),
          np.zeros((*rows.shape, 1))], axis=-1)
 
-    def velocity(_, state, __):
+    def velocity(_, state):
         out = np.empty_like(state)
         out[..., 0] = vals = V.program(state[..., 0])
         if tangents is not None:
@@ -174,13 +235,13 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG,
             out[..., -1] += vals / t
         return out, None
 
-    def after_step(_, state):
+    def guard(_, state):
         if np.max(np.abs(state[..., 0])) > cfg.divergence_bound:
             raise DivergenceError(f"trajectory exceeded bound {cfg.divergence_bound:g}")
 
     if t != 0.0:
         nsteps = max(1, math.ceil(abs(t) * cfg.steps_per_unit))
-        state = _rk4(velocity, state, t / nsteps, nsteps, after_step)
+        state = _rk(velocity, state, t / nsteps, nsteps, guard)
     elif tangents is not None:
         state[..., -1] = V.program(rows)
     end = state[..., 0].reshape(p.shape)
@@ -491,10 +552,11 @@ class ComplexFlow:
     The fields' first partials and their compiled tapes
     (``_HolomorphicFrame``) are made once here.
     ``rows`` integrates a stack of trajectories of dz/ds = sum_a w_a Z_a(z)
-    over s in [0, 1], row i with ceil(|w_i|_1 steps_per_unit) RK4 steps of
-    its own size, all stepped together by one RK4 loop; ``__call__`` and
-    ``with_tangents`` are its one-row views.  Holomorphy of every field is
-    checked at the start point and after every RK4 step.
+    over s in [0, 1], row i with ceil(|w_i|_1 steps_per_unit) steps of its
+    own size, all stepped together by the one Runge-Kutta loop ``_rk``;
+    ``__call__`` and ``with_tangents`` are its one-row views.  Holomorphy of
+    every field is checked at the start point, at every stage state and at
+    the end point.
     """
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
@@ -512,7 +574,7 @@ class ComplexFlow:
 
         ``dz0`` holds r complex tangent columns at z(p) (shape N x r).
         Returns the chart point and Y = [dz/dz0 dz0 | dz/dw_1 ... dz/dw_k]
-        (complex, N x (r + k)), stepped by the same RK4 steps as z."""
+        (complex, N x (r + k)), stepped by the same steps as z."""
         return self._one(p, w, np.asarray(dz0, dtype=complex))
 
     def _one(self, p, w, dz0):
@@ -530,8 +592,9 @@ class ComplexFlow:
         (n, N, r) Y is the (n, N, r + k) stack of with_tangents' Y, else
         None, and errors[i] is None or the exception that refuses row i
         (its outputs NaN): a HolomorphyError or DomainError of the fields
-        at its start point or after a step, a DivergenceError, or a
-        FlowError when |w_i|_1 exceeds max_time.  A row takes
+        at its start point, a stage state or its end point, a
+        DivergenceError of a stage state or a step's end, or a FlowError
+        when |w_i|_1 exceeds max_time.  A row takes
         max(1, ceil(|w_i|_1 steps_per_unit)) steps of size 1/nsteps_i;
         without tangents a row with w_i = 0 takes none.
         """
@@ -566,8 +629,9 @@ class ComplexFlow:
             state = np.concatenate([z, np.swapaxes(dZ0, 1, 2),
                                     np.zeros((n, k, N), dtype=complex)], axis=1)
             tape = 1
-        # the state at the start of each step is checked by its k1 call
-        checked = 2 if frame.checks_holomorphy else tape
+        # every stage state is checked by its own call
+        if frame.checks_holomorphy:
+            tape = 2
         times = [None, None]     # the rows of the last call and their W
 
         def refuse(rows, refused):
@@ -579,9 +643,8 @@ class ComplexFlow:
             keep[list(refused)] = False
             return keep
 
-        def velocity(rows, y, stage):
-            Z, dZ, refused = frame.at(_complex_to_real(y[:, 0]),
-                                      checked if stage == 0 else tape, rows)
+        def velocity(rows, y):
+            Z, dZ, refused = frame.at(_complex_to_real(y[:, 0]), tape, rows)
             if rows is not times[0]:
                 times[:] = rows, W[rows][:, None]
             Wr = times[1]
@@ -594,7 +657,7 @@ class ComplexFlow:
             out[:, 1 + r:] += Z
             return out, refuse(rows, refused)
 
-        def after_step(rows, y):
+        def guard(rows, y):
             far = np.abs(y[:, 0]).max(axis=1) > cfg.divergence_bound
             if not far.any():
                 return None
@@ -602,13 +665,12 @@ class ComplexFlow:
                 f"trajectory exceeded bound {cfg.divergence_bound:g}")
                 for j in np.flatnonzero(far)})
 
-        # a state that overflows within a step is refused by the bound after it
+        # a stage sum that overflows is refused by the bound on its state
         with np.errstate(over="ignore", invalid="ignore"):
-            state = _rk4(velocity, state, 1.0 / np.maximum(nsteps, 1), nsteps,
-                         after_step)
+            state = _rk(velocity, state, 1.0 / np.maximum(nsteps, 1), nsteps, guard)
         # the end points, and the start points of rows that took no step
-        if frame.checks_holomorphy:
-            rows = np.flatnonzero([err is None for err in errors])
+        rows = np.flatnonzero([err is None for err in errors])
+        if frame.checks_holomorphy and len(rows):
             refuse(rows, frame.at(_complex_to_real(state[rows, 0]), 2, rows)[2])
         for i, err in late.items():
             errors[i] = errors[i] or err
@@ -622,8 +684,8 @@ def flow_complex_multi(fields, p, w, cfg: FlowConfig = DEFAULT_CONFIG) -> np.nda
     """Flow from p for complex time vector w along holomorphic fields:
     integrates dz/ds = sum_a w_a Z_a(z) over s in [0, 1].
 
-    Holomorphy of every field is checked at the start point and after
-    every RK4 step; the result is holomorphic in w."""
+    Holomorphy of every field is checked at the start point, at every
+    stage state and at the end point; the result is holomorphic in w."""
     return ComplexFlow(fields, cfg)(p, w)
 
 

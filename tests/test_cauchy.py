@@ -179,13 +179,13 @@ def test_cauchy_op_draws_parameter_samples_once(monkeypatch, name):
     assert len(calls) == 1
 
 
-def _ambient_file():
-    """The benchmark's generated (1 + c z^2) d/dz file, c = 1.1."""
+def _ambient_file(c=1.1):
+    """The benchmark's generated (1 + c z^2) d/dz file, by default c = 1.1."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return loads(workloads.ambient_cgs(1.1), name="ambient")
+    return loads(workloads.ambient_cgs(c), name="ambient")
 
 
 def _ambient_data():
@@ -628,9 +628,9 @@ def test_heisenberg_cr_oracle_exact_on_the_nilpotent_group():
 
 
 def test_quadratic_field_meets_the_field_oracle():
-    # (1 + c z^2) d/dz with c = 1.1: U = -Im atan(sqrt(c) z)/sqrt(c).  At
-    # |u| <= 0.25 the RK4 step count jumps right at the grid's end points,
-    # which a central-difference dF straddles
+    # (1 + c z^2) d/dz with c = 1.1: U = -Im atan(sqrt(c) z)/sqrt(c).  The
+    # step count changes at |u| = 0.25, the grid's end points, where the
+    # flow moves by rounding only
     sf = loads(QUADRATIC_FIELD, name="quadratic")
     queries = grid_queries(sf.cr, [np.linspace(-0.25, 0.25, 3)], cfg=CFG)
     sol = solve(sf.cr, queries, CFG, oracle=sf.oracle)
@@ -910,4 +910,19 @@ def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):
         built.clear()
         assert main(argv) == 0
         assert len(built) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("c", [0.75, 1.1, 1.25])
+def test_flow_is_not_the_accuracy_limit_of_ambient_cauchy(tmp_path, capsys, c):
+    # at a tight Newton tolerance every ok record meets the closed form to
+    # 1e-13: the 8th-order flow adds rounding only
+    path, out = tmp_path / "ambient.cgs", tmp_path / "ambient.json"
+    path.write_text(_ambient_file(c).text)
+    assert main(["cauchy", str(path), "--grid", "3", "--u-extent", "0.25",
+                 "--newton-tol", "1e-13", "--json", str(out)]) == 0
+    records = [r for r in json.loads(out.read_text())["records"] if r["ok"]]
+    assert len(records) == 3
+    for rec in records:
+        assert rec["oracle_dU"] < 1e-13 and rec["oracle_dxi"] < 1e-13
     capsys.readouterr()

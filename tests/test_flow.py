@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate._ivp.dop853_coefficients as dop853
 import scipy.linalg
 
+import cgsys.flow
 from cgsys.expr import DomainError, add, diff, evaluate, sub
 from cgsys.flow import (
     ComplexFlow, DivergenceError, EmbeddingError, FlowConfig, FlowError,
@@ -472,11 +474,14 @@ def test_variational_flow_refuses_non_holomorphic(heis_spec):
 
 def _flow_one_row(fields, cfg, p, w, dz0):
     """The reference for ComplexFlow.rows: one trajectory integrated on its
-    own, every RK4 stage a tree walk (``evaluate``) of the fields Z and their
-    Jacobians dZ/dz, holomorphy checked at the start point and after every
-    step by a residual of its own, 2 dZ/dzbar = (re_x - im_y) + i (im_x + re_y)
-    built as expressions.  Returns the chart point and Y, or raises what
-    refuses it; a DomainError carries the point it was raised at."""
+    own by scipy's DOP853 tableau, with the stage sums formed around k0 in
+    the order flow._rk documents, every stage a tree walk (``evaluate``) of
+    the fields Z and their Jacobians dZ/dz, the divergence bound applied to
+    every later stage state and step end, and holomorphy checked at the start
+    point, every stage state and the end point by a residual of its own,
+    2 dZ/dzbar = (re_x - im_y) + i (im_x + re_y) built as expressions.
+    Returns the chart point and Y, or raises what refuses it; a DomainError
+    carries the point it was raised at."""
     chart = fields[0].chart
     N, k = chart.N, len(fields)
     xs, ys = chart.names[0::2], chart.names[1::2]
@@ -519,27 +524,40 @@ def _flow_one_row(fields, cfg, p, w, dz0):
         return np.ascontiguousarray(v).view(float)
 
     def velocity(y):
+        zreal = real(y if dz0 is None else y[0])
+        Z = walk(Zs, zreal)
+        DZ = None if dz0 is None else walk(jacobians, zreal)
+        check_holomorphy(zreal)
         if dz0 is None:
-            return w @ walk(Zs, real(y))
-        Z = walk(Zs, real(y[0]))
-        A = (w @ walk(jacobians, real(y[0]))).reshape(N, N)
+            return w @ Z
+        DZ = (w @ DZ).reshape(N, N)
         out = np.empty_like(y)
         out[0] = w @ Z
-        out[1:] = y[1:] @ A.T
+        out[1:] = y[1:] @ DZ.T
         out[1 + dz0.shape[1]:] += Z
         return out
 
+    def bounded(y):
+        if np.max(np.abs(y if dz0 is None else y[0])) > cfg.divergence_bound:
+            raise DivergenceError(f"trajectory exceeded bound {cfg.divergence_bound:g}")
+        return y
+
+    A, b, c = (x.tolist() for x in (dop853.A[:12, :12], dop853.B, dop853.C[:12]))
     y = z if dz0 is None else np.vstack([z, dz0.T, np.zeros((k, N), dtype=complex)])
     for _ in range(nsteps):
-        k1 = velocity(y)
-        k2 = velocity(y + 0.5 * h * k1)
-        k3 = velocity(y + 0.5 * h * k2)
-        k4 = velocity(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        zz = y if dz0 is None else y[0]
-        if np.max(np.abs(zz)) > cfg.divergence_bound:
-            raise DivergenceError(f"trajectory exceeded bound {cfg.divergence_bound:g}")
-        check_holomorphy(real(zz))
+        ks = [velocity(y)]
+        for i in range(1, 12):
+            total = c[i] * ks[0]
+            for j in range(1, i):
+                if A[i][j] != 0.0:
+                    total = total + A[i][j] * ks[j]
+            ks.append(velocity(bounded(y + h * total)) - ks[0])
+        total = ks[0]
+        for j in range(1, 12):
+            if b[j] != 0.0:
+                total = total + b[j] * ks[j]
+        y = bounded(y + h * total)
+    check_holomorphy(real(y if dz0 is None else y[0]))
     return (real(y), None) if dz0 is None else (real(y[0]), y[1:].T)
 
 
@@ -552,7 +570,7 @@ def test_stacked_complex_flow_equals_each_row_alone(tangents):
     V = field(chart, [f"1 + 1.1*(x1^2 - y1^2) + (x1 + 3)/((x1 + 3)^2 + y1^2) + {bump}",
                       "2*1.1*x1*y1 - y1/((x1 + 3)^2 + y1^2)"])
     flow = ComplexFlow([V], CFG)
-    # |w| = 0, 0.1, 0.25 and just above it (64 and 65 steps), then a row
+    # |w| = 0, 0.1, 0.25 and just above it (8 and 9 steps), then a row
     # that diverges, one that crosses y1 = 0.5, one over max_time and one
     # that starts on the pole
     P = np.array([[0.2, 0.0], [0.1, 0.0], [0.3, 0.0], [-0.1, 0.0],
@@ -605,6 +623,111 @@ def test_non_finite_complex_time_refuses_only_its_row(tangents):
     assert np.array_equal(points[1], alone[0][0]) and np.array_equal(points[1], [1.0, 0.0])
     if tangents:
         assert np.array_equal(Y[1], alone[1][0])
+
+
+def _dp8_dense():
+    """flow's DOP853 literals as dense arrays: A (12, 12), b (12,), c (12,)."""
+    A, b = np.zeros((12, 12)), np.zeros(12)
+    for i, row in enumerate(cgsys.flow._DP8_A):
+        for j, a in row.items():
+            A[i, j] = a
+    for j, x in cgsys.flow._DP8_B.items():
+        b[j] = x
+    return A, b, np.array(cgsys.flow._DP8_C)
+
+
+def test_tableau_literals_are_dop853s():
+    A, b, c = _dp8_dense()
+    assert np.array_equal(A, dop853.A[:12, :12])
+    assert np.array_equal(b, dop853.B)
+    assert np.array_equal(c, dop853.C[:12])
+
+
+def test_tableau_is_explicit_with_rows_summing_to_the_nodes():
+    # each literal is its 30-digit coefficient rounded once, so the sums are
+    # off by a few ulps; the loop steps around k0 and so uses c and 1 exactly
+    A, b, c = _dp8_dense()
+    assert not np.triu(A).any()
+    for row, node in zip(A, c):
+        assert abs(math.fsum(row) - node) <= 1e-14
+    assert math.fsum(b) == 1.0
+
+
+def _quadratic_flow(c, cfg=CFG):
+    """The flow of (1 + c z^2) d/dz, and its closed form from z0 for time w,
+    tan(atan(sqrt(c) z0) + sqrt(c) w) / sqrt(c)."""
+    chart = ComplexChart.standard(1)
+    flow = ComplexFlow([field(chart, [f"1 + {c}*(x1^2 - y1^2)", f"2*{c}*x1*y1"])], cfg)
+    r = math.sqrt(c)
+    return flow, lambda z0, w: np.tan(np.arctan(r * z0) + r * w) / r
+
+
+def test_observed_order_is_eight():
+    # dz/ds = w (1 + 1.1 z^2): doubling the steps cuts the error by 2^8
+    # in the limit; require 2^7
+    errors = []
+    for per_unit in (4, 8):
+        flow, exact = _quadratic_flow(1.1, FlowConfig(steps_per_unit=per_unit))
+        end = flow([0.3, 0.0], [1j])
+        errors.append(abs(complex(*end) - exact(0.3, 1j)))
+    assert 1e-13 < errors[1] and errors[0] >= 2 ** 7 * errors[1]
+
+
+def test_flow_is_continuous_across_a_step_count_boundary():
+    # |w| = 0.25 takes 8 steps and the next float up 9: the end points
+    # agree to rounding and both meet the closed form
+    flow, exact = _quadratic_flow(1.25)
+    ws = [0.25j, np.nextafter(0.25, 1.0) * 1j]
+    assert [math.ceil(abs(w) * CFG.steps_per_unit) for w in ws] == [8, 9]
+    ends = [complex(*flow([0.3, 0.0], [w])) for w in ws]
+    assert abs(ends[0] - ends[1]) <= 1e-15
+    for z, w in zip(ends, ws):
+        assert abs(z - exact(0.3, w)) <= 1e-14
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_every_stage_state_is_checked_for_holomorphy(monkeypatch, tangents):
+    # a row reads the Cauchy-Riemann residual at its start point, at all 12
+    # stage states of each step and at its end point: at 32 steps per unit
+    # never fewer states per unit of |w| than 256 steps of 4 stages checked
+    # at their starts; test_stacked_complex_flow_equals_each_row_alone
+    # pins that a row crossing into the non-holomorphic region is refused
+    flow, _ = _quadratic_flow(1.1)
+    assert flow.frame.checks_holomorphy
+    reads, at = [], flow.frame.at
+
+    def counted(X, tape, labels=None):
+        if tape == 2:
+            reads.append(len(X))
+        return at(X, tape, labels)
+
+    monkeypatch.setattr(flow.frame, "at", counted)
+    dZ0 = np.ones((2, 1, 1), dtype=complex) if tangents else None
+    for scale in (1e-3, 0.01, 1 / 7, 0.25, np.nextafter(0.25, 1.0), 1 / 3, 0.5, 1.0, 2.3):
+        # two rows, |w|_1 = scale each
+        W = np.array([[1j * scale], [-1j * scale]])
+        reads.clear()
+        _, _, errors = flow.rows(np.array([[0.1, 0.0], [-0.2, 0.0]]), W, dZ0)
+        assert errors == [None, None]
+        nsteps = math.ceil(scale * CFG.steps_per_unit)
+        assert sum(reads) == 2 * (12 * nsteps + 1)
+        assert 12 * nsteps + 1 >= math.ceil(256 * scale)
+
+
+def test_a_stack_whose_rows_are_all_refused_stops_stepping():
+    # w = 3 in real time runs into the pole of tan near s = 1.5: the row is
+    # refused within its 96 steps, and no stage is evaluated after it
+    flow, _ = _quadratic_flow(1.1)
+    sizes, at = [], flow.frame.at
+
+    def counted(X, tape, labels=None):
+        sizes.append(len(X))
+        return at(X, tape, labels)
+
+    flow.frame.at = counted
+    _, _, errors = flow.rows(np.zeros((1, 2)), np.array([[3.0]]))
+    assert isinstance(errors[0], DivergenceError)
+    assert 0 not in sizes and len(sizes) < 12 * 96
 
 
 # --- Newton inversion ----------------------------------------------------------
