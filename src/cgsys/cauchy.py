@@ -695,8 +695,7 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     def passing(rows, stage_errors) -> np.ndarray:
         """Record the errors of a stage at its rows; the mask of those that
         pass it."""
-        for i, err in zip(rows, stage_errors):
-            errors[i] = err
+        _scatter_errors(errors, rows, stage_errors)
         return np.array([err is None for err in stage_errors], dtype=bool)
 
     rows = np.flatnonzero([err is None for err in errors])
@@ -745,18 +744,11 @@ def _domain_errors(data: CRInitialData, P) -> list:
     the OutsideDomainError that refuses the solution.  One compiled test
     over the rows; a row where it faults names the fault, its node and
     the point."""
-    errors, lo = [None] * len(P), 0
-    while lo < len(P):
-        inside, fault = data.domain_predicate.holds(P[lo:], lo)
-        outside = [(i, "outside param_domain") for i in np.flatnonzero(~inside) + lo]
-        lo += len(inside)
-        if fault is not None:
-            outside.append((lo, f"where param_domain faults: {fault}"))
-            lo += 1
-        for i, why in outside:
-            errors[i] = OutsideDomainError(
-                f"Newton solution has parameters {np.round(P[i], 6).tolist()} {why}")
-    return errors
+    inside, faults = data.domain_predicate.rows(P)
+    return [None if ok else OutsideDomainError(
+        f"Newton solution has parameters {np.round(p, 6).tolist()} "
+        + ("outside param_domain" if fault is None else f"where param_domain faults: {fault}"))
+        for p, ok, fault in zip(P, inside, faults)]
 
 
 def grid_queries(data: CRInitialData, u_axes,

@@ -9,8 +9,9 @@ picking up finite-difference noise.
 
 Construction applies a fixed list of light simplifications and nothing more:
 
-* constant folding of arithmetic on two constants (skipped when it would
-  raise, e.g. division by a zero constant)
+* constant folding of arithmetic on two constants, only to a finite value
+  (skipped when it would raise, e.g. division by a zero constant, or
+  overflow, so ``1e308*10`` stays a product)
 * ``0 + e -> e``, ``e + 0 -> e``, ``e - 0 -> e``
 * ``0 * e -> 0``, ``e * 0 -> 0``, ``1 * e -> e``, ``e * 1 -> e``
 * ``e / 1 -> e``, ``e ^ 1 -> e``
@@ -28,8 +29,10 @@ equal subtrees are computed once, run with numpy ufuncs over an
 ``(n_points, n_vars)`` array.  Its instructions are bound at compile time:
 a power with a constant exponent runs ``_pow_by``, which tests only the
 faults that exponent can have, and constant outputs are filled in one
-assignment.  Both evaluators raise DomainError at the same node and point,
-never return NaN from a domain fault.  Determinism contract: each
+assignment.  One pass of the tape over all the rows records each row's
+first faulting instruction; a DomainError's message is built only for a
+row that reports one.  Both evaluators fault at the same node and point
+and never return NaN for a domain fault.  Determinism contract: each
 evaluator is bit-reproducible from run to run; ``+ - * /``, negation,
 ``sqrt`` and ``^`` (computed by Python's own power) agree bit for bit
 between them, while numpy's ``sin``/``exp``/``log``/``atan2`` and the other
@@ -89,7 +92,7 @@ class UnboundVariableError(ExprError):
 class DomainError(ExprError):
     """Evaluation left an operation's domain; the message names the node.
 
-    ``index`` is the row of the first offending point when a Program raised
+    ``index`` is the label of the offending row when a Program reported
     it, None for a single-point evaluation."""
 
     def __init__(self, message: str, index: int | None = None):
@@ -187,8 +190,8 @@ def _is_const(e: Expr, v: float) -> bool:
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value + b.value):
+        return Const(v)
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -197,16 +200,16 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value - b.value):
+        return Const(v)
     if _is_const(b, 0.0):
         return a
     return Binary("sub", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value * b.value):
+        return Const(v)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return ZERO
     if _is_const(a, 1.0):
@@ -217,8 +220,9 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+    if (isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0
+            and math.isfinite(v := a.value / b.value)):
+        return Const(v)
     if _is_const(b, 1.0):
         return a
     return Binary("div", a, b)
@@ -441,11 +445,11 @@ class Program:
     Calling it on an ``(n, len(names))`` point array returns the ``(n, m)``
     array of the m outputs, one row per point.  Slots ``0..len(names)-1``
     hold the input columns, constants have slots of their own, and each
-    instruction writes one new slot from earlier ones.  A domain fault at
-    any point raises DomainError naming the node and the first offending
-    point (its row index and coordinates); the faulting instruction is the
-    first one on the tape that faults at that point, which is the node
-    ``evaluate`` names there.
+    instruction writes one new slot from earlier ones.  One pass over all
+    the rows records each row's first faulting instruction, the node
+    ``evaluate`` names at that point; a call raises the first faulting
+    row's DomainError (node, row index, coordinates), ``rows`` returns each
+    row's, and no other error message is built.
     """
 
     __slots__ = ("names", "code", "outputs", "nodes", "_registers", "_const_row",
@@ -453,7 +457,7 @@ class Program:
 
     def __init__(self, names, n_slots, consts, code, outputs, nodes):
         self.names = names        # input variable per column
-        self.code = code          # (function, out slot, lhs slot, rhs slot or None, checked)
+        self.code = code          # (function, out slot, lhs slot, rhs slot or None, reason)
         self.outputs = outputs    # slot of each output expression
         self.nodes = nodes        # expression node of each instruction
         # the register file before a call: the constants in their slots
@@ -475,72 +479,63 @@ class Program:
     def __call__(self, P, labels=None) -> np.ndarray:
         """Outputs at the rows of ``P``; ``labels`` optionally gives the
         index a DomainError reports for each row (default: the row)."""
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 2 or P.shape[1] != len(self.names):
-            raise ValueError(f"points must have shape (n, {len(self.names)}), "
-                             f"got {P.shape}")
-        n = len(P)
-        out = np.empty((n, len(self.outputs)))
-        if n == 0:
-            return out
-        if self._const_row is not None:
-            out[:] = self._const_row
-        if not self._slot_outputs:              # then there is no instruction
-            return out
-        reg = self._registers.copy()
-        reg[:len(self.names)] = np.ascontiguousarray(P.T)
-        if self.code:
-            fault = None                          # (point index, instruction)
-            with np.errstate(all="ignore"):
-                for pos, (fn, dst, a, b, checked) in enumerate(self.code):
-                    v = fn(reg[a]) if b is None else fn(reg[a], reg[b])
-                    if checked:
-                        v, bad = v
-                        if bad is not None and bad.any():
-                            i = int(bad.argmax())
-                            if fault is None or i < fault[0]:
-                                fault = (i, pos)
-                    reg[dst] = v
-            if fault is not None:
-                raise self._fault(P, *fault, reg, labels)
-        for j, slot in self._slot_outputs:
-            out[:, j] = reg[slot]
+        out, first, error = self._pass(P)
+        if first is not None:
+            raise error(int(np.argmax(first >= 0)), labels)
         return out
 
     def rows(self, P, labels=None):
         """The outputs at the rows of P, and per row None or the DomainError
         that refuses it (its outputs NaN), which names row i as labels[i]
         (default: i)."""
-        P = np.asarray(P, dtype=float)
-        try:
-            return self(P, labels), [None] * len(P)
-        except DomainError:
-            pass
-        out = np.full((len(P), len(self.outputs)), np.nan)
-        errors = [None] * len(P)
-        for i in range(len(P)):
-            try:
-                out[i] = self(P[i:i + 1], [i] if labels is None else labels[i:i + 1])[0]
-            except DomainError as err:
-                errors[i] = err
+        out, first, error = self._pass(P)
+        errors = [None] * len(out)
+        if first is not None:
+            out[first >= 0] = np.nan
+            for i in np.flatnonzero(first >= 0):
+                errors[i] = error(i, labels)
         return out, errors
 
+    def _pass(self, P):
+        """The tape run once over the rows of P: the outputs, each row's first
+        faulting instruction (-1: none; None if no row faults) and
+        ``error(i, labels)``, which builds row i's DomainError."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] != len(self.names):
+            raise ValueError(f"points must have shape (n, {len(self.names)}), "
+                             f"got {P.shape}")
+        n = len(P)
+        out = np.empty((n, len(self.outputs)))
+        if self._const_row is not None:
+            out[:] = self._const_row
+        if n == 0 or not self._slot_outputs:    # then there is no instruction
+            return out, None, None
+        reg = self._registers.copy()
+        reg[:len(self.names)] = np.ascontiguousarray(P.T)
+        first = None
+        with np.errstate(all="ignore"):
+            for pos, (fn, dst, a, b, reason) in enumerate(self.code):
+                v = fn(reg[a]) if b is None else fn(reg[a], reg[b])
+                if reason:
+                    v, bad = v
+                    if bad is not None and bad.any():
+                        first = np.full(n, -1) if first is None else first
+                        first[bad & (first < 0)] = pos
+                reg[dst] = v
+        for j, slot in self._slot_outputs:
+            out[:, j] = reg[slot]
+        return out, first, lambda i, labels: self._fault(P, i, first[i], reg, labels)
+
     def _fault(self, P, row, pos, reg, labels) -> DomainError:
-        _, _, a, b, _ = self.code[pos]
-        node = self.nodes[pos]
-        reason = _TAPE_OPS[_op_of(node)][1]
+        _, _, a, b, reason = self.code[pos]
         if reason == "pow":
             x, y = (float(np.broadcast_to(reg[s], (len(P),))[row]) for s in (a, b))
             reason = _pow_reason(x, y)
-        index = row if labels is None else int(labels[row])
+        index = int(row if labels is None else labels[row])
         coords = ", ".join(f"{name}={float(v)!r}"
                            for name, v in zip(self.names, P[row]))
-        return DomainError(f"{reason} in '{to_string(node)}' at point {index} "
+        return DomainError(f"{reason} in '{to_string(self.nodes[pos])}' at point {index} "
                            f"({coords})", index)
-
-
-def _op_of(e: Expr) -> str:
-    return "atan2" if isinstance(e, Atan2) else e.op
 
 
 def compile_exprs(exprs, names) -> Program:
@@ -577,8 +572,7 @@ def compile_exprs(exprs, names) -> Program:
             fn = _pow_by(consts[args[1]])
 
         def make(slot):
-            code.append((fn, slot, args[0], args[1] if len(args) > 1 else None,
-                         reason is not None))
+            code.append((fn, slot, args[0], args[1] if len(args) > 1 else None, reason))
             nodes.append(e)
             if all(a in scalar for a in args):
                 scalar.add(slot)
@@ -642,30 +636,45 @@ class Table:
 
 
 class Predicate:
-    """The domain test "every expression > 0" over ``names``, compiled one
-    program per expression."""
+    """The domain test "every expression > 0" over ``names``, one program per
+    expression, each run once over the rows where the earlier ones hold."""
 
     def __init__(self, exprs, names):
         self.dim = len(names)
         self.programs = [compile_exprs([g], names) for g in exprs]
 
+    def rows(self, C):
+        """Per row of C the predicate, and None or the DomainError of the
+        expression that faults there, naming the row by its index."""
+        inside, faults = self._passes(C)
+        errors = [None] * len(C)
+        for rows, bad, error in faults:
+            for j in bad:
+                errors[rows[j]] = error(j, rows)
+        return inside, errors
+
     def holds(self, C, first: int = 0):
-        """The predicate at the rows of C up to the first row where it
-        faults, and that DomainError (or None), which names the row as
-        ``first`` + its index.  Like ``all`` over the expressions, each is
-        evaluated only where the earlier ones hold."""
-        fault = None
-        while True:
-            rows = np.arange(len(C))
-            try:
-                for prog in self.programs:
-                    rows = rows[prog(C[rows], labels=rows + first)[:, 0] > 0.0]
-            except DomainError as err:
-                fault, C = err, C[:err.index - first]
-                continue
-            mask = np.zeros(len(C), dtype=bool)
-            mask[rows] = True
-            return mask, fault
+        """``rows`` up to its first error, the only one built: the predicate
+        at the rows before it, and that DomainError (or None), which names
+        the row as ``first`` + its index."""
+        inside, faults = self._passes(C)
+        if not faults:
+            return inside, None
+        rows, bad, error = min(faults, key=lambda f: f[0][f[1][0]])
+        return inside[:rows[bad[0]]], error(bad[0], rows + first)
+
+    def _passes(self, C):
+        """The mask of the rows of C where all hold, and per faulting program
+        (the rows it ran on, the indices among them that fault, ``error``)."""
+        inside, faults = np.ones(len(C), dtype=bool), []
+        for prog in self.programs:
+            rows = np.flatnonzero(inside)
+            vals, at, error = prog._pass(C[rows])
+            inside[rows] = vals[:, 0] > 0.0
+            if at is not None:
+                inside[rows[at >= 0]] = False
+                faults.append((rows, np.flatnonzero(at >= 0), error))
+        return inside, faults
 
     def sample(self, draw, n: int, budget: int) -> np.ndarray:
         """The first n candidates that hold, from at most ``budget`` drawn in
@@ -836,7 +845,7 @@ def to_string(e: Expr) -> str:
             ls = to_string(l)
             rs = to_string(r)
             if op == "pow":
-                if _prec(l) <= p:
+                if _prec(l) <= p or (isinstance(l, Const) and l.value < 0.0):
                     ls = f"({ls})"
                 if _prec(r) < p:
                     rs = f"({rs})"
@@ -963,9 +972,12 @@ class _Parser:
                 self.pos = mark  # not an exponent, e.g. "2e" where e is a name boundary
         token = t[start:self.pos]
         try:
-            return Const(float(token))
+            value = float(token)
         except ValueError:
-            raise ParseError(f"bad number {token!r}", start) from None
+            value = math.inf
+        if not math.isfinite(value):      # e.g. "1e309" overflows
+            raise ParseError(f"bad number {token!r}", start)
+        return Const(value)
 
     def _ident(self) -> Expr:
         start = self.pos

@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import Const, DomainError, Expr, Var, add, compile_exprs, mul
+from .expr import Const, Expr, Var, add, compile_exprs, mul
 from .geometry import ComplexChart, VectorField, cr_residuals, holomorphic_partials
 
 __all__ = [
@@ -387,8 +387,7 @@ class MatrixGroupSpec:
         return total
 
 
-def complexified_flow_matrix(spec: MatrixGroupSpec, g, V,
-                             cfg: FlowConfig = DEFAULT_CONFIG):
+def complexified_flow_matrix(spec: MatrixGroupSpec, g, V):
     """The complexified flow on a matrix group: (g, V) -> g exp(sum V_a E_a),
     with V a vector of k complex numbers, mapped back to chart coordinates.
 
@@ -521,12 +520,8 @@ class _HolomorphicFrame:
         the outputs, and a dict j -> the error that refuses row j: the tape's
         DomainError, naming row j as labels[j] (default j), or from tape 2 a
         HolomorphyError when its Cauchy-Riemann residual exceeds holomorphy_tol."""
-        prog = self.tapes[tape]
-        try:
-            vals, refused = prog(X, labels), {}
-        except DomainError:
-            vals, faults = prog.rows(X, labels)
-            refused = {j: err for j, err in enumerate(faults) if err is not None}
+        vals, faults = self.tapes[tape].rows(X, labels)
+        refused = {j: err for j, err in enumerate(faults) if err} if any(faults) else {}
         (k, N), m = self.shape, len(X)
         C = vals.view(complex)
         Z = C[:, :k * N].reshape(m, k, N)

@@ -529,6 +529,56 @@ def test_cli_malformed_input_is_input_error(case, tmp_path, capsys):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+# non-finite literals: the parser refuses them, so no tree holds an infinite
+# constant whose name a DomainError would have to print
+NON_FINITE = {
+    "domain-1e309": MINIMAL + "domain = log(x1 - 1e309)\n",
+    "grad-1e999": _edited(MINIMAL, "grad_1 = -y1", "grad_1 = sqrt(x1 - 1e999)"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_cli_non_finite_literal_is_input_error(case, tmp_path, capsys):
+    path = tmp_path / "inf.cgs"
+    path.write_text(NON_FINITE[case])
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "bad number" in err
+    assert "Traceback" not in err
+
+
+# --- fuzzed files through main --------------------------------------------------------
+
+INJECTED = ["log(", "/0", "^-1", "1e309", "(", ")", ";", "=", "\n[system]\n",
+            "\ndomain = log(x1)\n", "\nparam_domain = sqrt(s)\n",
+            "\nsteps_per_unit = 0\n", "\nk = 2\n", "-", "0", "x1", "sqrt(-1)"]
+RUNS = [["verify", "FILE", "--points", "5"], ["cauchy", "FILE", "--grid", "2"],
+        ["normal-form", "FILE", "--grid", "3"]]
+
+
+def _mutated(data, text: str) -> str:
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(["insert", "delete", "inject"]))
+        if edit == "insert":
+            text = text[:at] + data.draw(st.characters(max_codepoint=127)) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + data.draw(st.integers(1, 4)):]
+        else:
+            text = text[:at] + data.draw(st.sampled_from(INJECTED)) + text[at:]
+    return text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_files_keep_the_exit_code_contract(data, tmp_path_factory):
+    text = _mutated(data, builtin_text(data.draw(st.sampled_from(builtin_names()))))
+    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.cgs"
+    path.write_text(text)
+    for argv in RUNS:
+        assert main([str(path) if a == "FILE" else a for a in argv]) in (0, 1, 2)
+
+
 # --- JSON reports ------------------------------------------------------------------
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cgsys import expr as expr_module
 from cgsys.dsl import builtin_names, load_builtin
 from cgsys.expr import (
-    Atan2, Binary, Const, DomainError, ParseError, UnboundVariableError,
+    Atan2, Binary, Const, DomainError, ParseError, Predicate, UnboundVariableError,
     UnknownFunctionError, Var, _pow_values, add, compile_exprs, diff, div,
     evaluate, free_vars, mul, neg, parse_expr, pow_, sub, subst, to_string, unary,
 )
@@ -448,3 +449,169 @@ def test_diff_and_free_vars_caches_stay_within_their_bound():
     assert misses() - start > expr.CACHE_SIZE
     for fn in (expr.diff, expr.free_vars):
         assert fn.cache_info().currsize <= expr.CACHE_SIZE
+
+
+# --- one pass per stack --------------------------------------------------------
+
+MIXED_COORDS = st.one_of(COORDS, st.sampled_from([710.0, -710.0, 1e200, -1e200]))
+MIXED_POINTS = st.lists(st.tuples(MIXED_COORDS, MIXED_COORDS, MIXED_COORDS),
+                        min_size=1, max_size=12)
+MIXED_LEAVES = st.one_of(
+    st.sampled_from([Var(n) for n in NAMES]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.25, 1e-3]).map(Const))
+FRACTIONAL = st.sampled_from([0.5, 1.5, -0.5, -2.5, 1.0 / 3.0]).map(Const)
+
+
+def _mixed(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        _arithmetic(children),
+        st.tuples(children, FRACTIONAL).map(lambda t: pow_(*t)),
+        pairs.map(lambda t: pow_(*t)),
+        pairs.map(lambda t: Atan2(*t)),
+        st.tuples(st.sampled_from(["log", "sqrt", "exp", "sin", "cos", "tan", "atan"]),
+                  children).map(lambda t: unary(*t)))
+
+
+MIXED_TREES = st.recursive(MIXED_LEAVES, _mixed, max_leaves=10)
+
+
+def walked_error(exprs, p):
+    """The DomainError ``evaluate`` raises at the point p, or None."""
+    env = dict(zip(NAMES, p))
+    try:
+        for e in exprs:
+            evaluate(e, env)
+    except DomainError as err:
+        return err
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(MIXED_TREES, min_size=1, max_size=3), MIXED_POINTS)
+def test_program_rows_is_each_row_alone_in_one_pass(exprs, points):
+    P = np.array(points, dtype=float)
+    labels = np.arange(len(P)) + 10
+    prog = compile_exprs(exprs, NAMES)
+    out, errors = prog.rows(P, labels)
+    for i in range(len(P)):
+        try:
+            alone, alone_error = prog(P[i:i + 1], labels[i:i + 1])[0], None
+        except DomainError as err:
+            alone, alone_error = None, err
+        walked = walked_error(exprs, P[i])
+        if alone_error is None:
+            assert errors[i] is None and walked is None
+            assert out[i].tobytes() == alone.tobytes()
+        else:
+            assert str(errors[i]) == str(alone_error)
+            assert errors[i].index == alone_error.index == 10 + i
+            assert np.isnan(out[i]).all()
+            # the node evaluate raises at, named by the row's label
+            assert str(errors[i]).startswith(f"{walked} at point {10 + i} (")
+    faulting = [i for i, err in enumerate(errors) if err is not None]
+    if faulting:
+        with pytest.raises(DomainError) as raised:
+            prog(P, labels)
+        assert str(raised.value) == str(errors[faulting[0]])
+        assert raised.value.index == 10 + faulting[0]
+    else:
+        assert prog(P, labels).tobytes() == out.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(MIXED_TREES, min_size=1, max_size=3), MIXED_POINTS)
+def test_predicate_matches_all_one_row_at_a_time(exprs, points):
+    # log of the first expression faults only where that expression fails
+    gs = exprs + [unary("log", exprs[0])]
+    P = np.array(points, dtype=float)
+    ref_inside, ref_errors = [], []
+    for p in P:
+        env = dict(zip(NAMES, p))
+        try:
+            ref_inside.append(all(evaluate(g, env) > 0.0 for g in gs))
+            ref_errors.append(None)
+        except DomainError as err:
+            ref_inside.append(False)
+            ref_errors.append(err)
+    pred = Predicate(gs, NAMES)
+    inside, errors = pred.rows(P)
+    assert inside.tolist() == ref_inside
+    for i, (err, ref) in enumerate(zip(errors, ref_errors)):
+        assert (err is None) == (ref is None)
+        if err is not None:
+            assert err.index == i and str(err).startswith(f"{ref} at point {i} (")
+    first = next((i for i, ref in enumerate(ref_errors) if ref is not None), len(P))
+    mask, fault = pred.holds(P, 7)
+    assert mask.tolist() == ref_inside[:first]
+    if first == len(P):
+        assert fault is None
+    else:
+        assert fault.index == first + 7
+        assert str(fault).startswith(f"{ref_errors[first]} at point {first + 7} (")
+
+
+def test_predicate_counts_no_fault_where_an_earlier_expression_fails():
+    pred = Predicate([parse_expr("x1"), parse_expr("log(x1)"), parse_expr("1/(x1 - 2)")],
+                     ("x1",))
+    P = np.array([[1.5], [-1.0], [0.0], [3.0], [2.0], [0.5]])
+    inside, errors = pred.rows(P)
+    assert inside.tolist() == [False, False, False, True, False, False]
+    assert [i for i, err in enumerate(errors) if err] == [4]
+    assert str(errors[4]) == "division by zero in '1/(x1 - 2)' at point 4 (x1=2.0)"
+    mask, fault = pred.holds(P, 10)
+    assert mask.tolist() == [False, False, False, True]
+    assert fault.index == 14 and "at point 14 (x1=2.0)" in str(fault)
+    mask, fault = pred.holds(P[:4])
+    assert mask.tolist() == [False, False, False, True] and fault is None
+
+
+def test_program_rows_runs_the_tape_once(monkeypatch):
+    log, reason = expr_module._TAPE_OPS["log"]
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return log(x)
+    monkeypatch.setitem(expr_module._TAPE_OPS, "log", (counting, reason))
+    prog = compile_exprs([parse_expr("log(x1) + y1")], ("x1", "y1"))
+    P = np.random.default_rng(1).uniform(0.5, 2.0, (1000, 2))
+    P[[10, 500, 999], 0] = [0.0, -1.0, 0.0]
+    out, errors = prog.rows(P)
+    assert calls == [1000]
+    assert [i for i, err in enumerate(errors) if err] == [10, 500, 999]
+    assert np.isnan(out[[10, 500, 999]]).all()
+    assert not np.isnan(np.delete(out, [10, 500, 999], axis=0)).any()
+
+
+# --- finite constants ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["1e309", "x1 - 1e999", "2*10e308"])
+def test_parse_refuses_non_finite_numbers(text):
+    with pytest.raises(ParseError, match="bad number"):
+        parse_expr(text)
+
+
+def test_constants_fold_only_to_finite_values():
+    assert mul(Const(1e308), Const(10.0)) == Binary("mul", Const(1e308), Const(10.0))
+    assert add(Const(1e308), Const(1e308)).op == "add"
+    assert sub(Const(-1e308), Const(1e308)).op == "sub"
+    assert div(Const(1e308), Const(1e-10)).op == "div"
+    assert pow_(Const(1e300), Const(2.0)).op == "pow"
+    assert mul(Const(1e154), Const(1e154)) == Const(1e308)
+    assert to_string(mul(Const(1e308), Const(10.0))) == "1e+308*10"
+
+
+HUGE = st.one_of(
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1e300, -2.5e200, 5e-324,
+                     1e16, -1e22, 0.1, -3.25, 0.0, -0.0, 2.0]),
+    st.floats(allow_nan=False, allow_infinity=False)).map(Const)
+ROUNDTRIP_TREES = st.recursive(
+    st.one_of(st.sampled_from([Var(n) for n in NAMES]), HUGE), _mixed, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ROUNDTRIP_TREES)
+def test_print_parse_roundtrip_of_random_trees(t):
+    assert parse_expr(to_string(t)) == t
