@@ -4,8 +4,8 @@
 import numpy as np
 
 from cgsys import (
-    FlowConfig, HolomorphyError, MatrixGroupSpec, complexified_flow_matrix,
-    flow_complex, flow_real, left_invariant_fields, load_builtin, matrix_exp,
+    ComplexFlow, FlowConfig, MatrixGroupSpec, complexified_flow_matrix, flow_real,
+    left_invariant_fields, matrix_exp,
 )
 from cgsys.geometry import ComplexChart, VectorField
 
@@ -41,13 +41,13 @@ out = complexified_flow_matrix(spec, np.zeros(6), [0.3j, -0.5j, 0.2j])
 print("imaginary-time point:", out)
 
 # The same trip through the ODE route, allowed because the left-invariant
-# coefficients are holomorphic:
-ode = flow_complex(L[0], np.zeros(6), 0.3j, cfg)
-print("single-direction ODE check:", ode)
+# coefficients are holomorphic.  ComplexFlow.rows flows a stack of start
+# points, each for its own complex times (here a stack of one row):
+ends, _, errors = ComplexFlow([L[0]], cfg).rows(np.zeros((1, 6)), np.array([[0.3j]]))
+print("single-direction ODE check:", ends[0])
 
-# Fields whose complexification mixes conjugate coordinates are refused.
+# Fields whose complexification mixes conjugate coordinates are refused,
+# row by row: the refused row's error comes back beside the stack's points.
 bad = VectorField.from_exprs(chart3, ["1", "0", "0", "0", "0", "y2"])
-try:
-    flow_complex(bad, np.zeros(6), 1j, cfg)
-except HolomorphyError as err:
-    print("refused:", err)
+_, _, errors = ComplexFlow([bad], cfg).rows(np.zeros((1, 6)), np.array([[1j]]))
+print("refused:", errors[0])

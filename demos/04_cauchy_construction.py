@@ -6,7 +6,7 @@ import numpy as np
 
 from cgsys import (
     FlowConfig, build_dF, build_F, check_cr_transverse, compute_PQA, construct_fields,
-    equation_map, grid_queries, load_builtin, param_samples, solve,
+    grid_queries, load_builtin, param_samples, solve,
 )
 
 cfg = FlowConfig()
@@ -22,8 +22,10 @@ F = build_F(data, cfg)
 print("F(0.3, 0.4) =", F(np.array([0.3]), np.array([0.4])), " (= 0.3 + 0.4i)")
 
 # Inverting F at an ambient point gives the equation of M: U(x + iy) = -y.
-U, p, u = equation_map(data, [0.25, -0.4], cfg)
-print("U(0.25 - 0.4i) =", U, " parameters:", p)
+# solve inverts F at a stack of query points; its record of each carries
+# the parameters p, the flow times u and U = -u.
+[rec] = solve(data, [[0.25, -0.4]], cfg).records
+print("U(0.25 - 0.4i) =", rec.U, " parameters:", rec.params)
 
 # --- the nilpotent group -------------------------------------------------------
 sf = load_builtin("heisenberg-cr")
@@ -42,7 +44,7 @@ frame = compute_PQA(data, dF, np.array([0.2, -0.1, 0.4]),
                     np.array([0.2, 0.1, 0.0]), cfg)
 built = construct_fields(frame, cfg)
 grads, fields = sf.oracle
-ref = np.array([f.values(frame.ambient) for f in fields])
+ref = np.array([f.program(frame.ambient[None])[0] for f in fields])
 print("max field deviation from closed form:",
       np.max(np.abs(built.xi_ambient - ref)))
 

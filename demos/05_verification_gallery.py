@@ -32,10 +32,11 @@ for c in check_bracket_relations(heis, heis.table.at(sample_points(heis, 60, 7))
 c = check_commutation(heis, heis.table.at(sample_points(heis, 60, 7)), 1e-9)
 print(f"  {c.name:<42} max {c.max_residual:.1e}")
 
-p = sample_points(heis, 1, seed=7)[0]
-rec = check_decompositions(heis, p)
+recs = check_decompositions(heis, heis.table.at(sample_points(heis, 10, seed=7)))
+rec = recs[0]
 print("splitting ranks (span, gradient, horizontal):",
-      rec.rank_span, rec.rank_gradient, rec.dim_horizontal)
+      rec.rank_span, rec.rank_gradient, rec.dim_horizontal,
+      " every point ok:", all(r.ok for r in recs))
 
 # Level sets of the gradient map are CR submanifolds; at level zero this is
 # the original real group (all imaginary parts vanish).

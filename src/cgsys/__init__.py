@@ -22,21 +22,20 @@ from .expr import (
     evaluate, free_vars, parse_expr, subst, to_string,
 )
 from .geometry import (
-    ComplexChart, ComplexField, VectorField, apply_J, complexify, d_apply,
-    dc_apply, ddc_apply, distribution_rank, frobenius_defect, is_holomorphic,
+    ComplexChart, ComplexField, VectorField, apply_J, complexify, is_holomorphic,
     laplacian, lie_bracket, pair_brackets, span_residuals,
 )
 from .flow import (
     DivergenceError, EmbeddingError, FlowConfig, FlowError, HolomorphyError,
     ComplexFlow, MatrixGroupSpec, NewtonError, complexified_flow_jacobian,
-    complexified_flow_matrix, exp_map, flow_complex, flow_complex_multi,
-    flow_real, left_invariant_fields, matrix_exp, newton_inverse,
+    complexified_flow_matrix, flow_complex_multi, flow_real,
+    left_invariant_fields, matrix_exp, newton_inverse,
 )
 from .cauchy import (
     AdaptedFrame, CauchyError, CauchySolution, ConstructionError,
     CRInitialData, OutsideDomainError, TransversalityError, build_dF, build_F,
-    check_cr_transverse, compute_PQA, construct_fields, equation_map,
-    grid_queries, invariant_lift, param_samples, solve,
+    check_cr_transverse, compute_PQA, construct_fields, grid_queries,
+    param_samples, solve,
 )
 from .verify import (
     Classification, CheckResult, CheckTable, GradientSystem, GridSpec, LevelSetRecord,
@@ -51,3 +50,21 @@ from .dsl import (
 )
 
 __version__ = "0.1.0"
+
+# removed one-point functions and the batched code that replaces each
+REMOVED = {
+    "d_apply": "CheckTable.at(pts)['d'] or geometry.d_values over jets_at",
+    "dc_apply": "CheckTable.at(pts)['dc'] or geometry.dc_values over jets_at",
+    "ddc_apply": "CheckTable.at(pts)['t1'] - ['t2'] - ['t3'] (geometry.ddc_terms)",
+    "distribution_rank": "np.linalg.matrix_rank of CheckTable.at(pts)['frame']",
+    "frobenius_defect": "span_residuals of CheckTable.at(pts)['frame'] and ['bracket']",
+    "exp_map": "flow_real(V, p, 1.0, cfg)",
+    "flow_complex": "ComplexFlow([V], cfg).rows(P, W) or flow_complex_multi([V], p, [w])",
+    "equation_map": "solve(data, queries, cfg): its records carry params, u and U",
+    "invariant_lift": "compute_PQA(data, dF, p, u): frame.dF @ frame.lifts.T",
+}
+
+
+def __getattr__(name):
+    hint = f"; it was removed, use {REMOVED[name]}" if name in REMOVED else ""
+    raise AttributeError(f"module 'cgsys' has no attribute {name!r}{hint}")

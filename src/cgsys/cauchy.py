@@ -36,7 +36,8 @@ Newton solution counts only when its parameters lie in param_domain (where
 param_domain faults, the query is refused).  The range of F is not
 certified globally: |det P| <= 1e-10 or Newton failure at a query simply
 marks it outside the working neighbourhood.  Every step runs on compiled
-tapes; only the comparison with an ``[oracle]`` walks expression trees.
+tapes, the comparison with an ``[oracle]`` included: its closed forms are
+compiled once per ``solve`` and run over the resolved queries.
 
 Query points are independent, so ``solve`` handles all of them in
 lockstep: one damped Newton over the stacked rows (p, u), each started
@@ -47,11 +48,11 @@ together, and the stacked P/Q/A and field products are built on the F and
 dF that Newton returns at the solutions; F itself only places the grid
 queries (``grid_queries``).  F, dF, the frames and the fields all take
 stacks of rows and return, beside their values, the error that refuses
-each row, so a failing query refuses only its own record; the one-point
-functions (``compute_PQA``, ``construct_fields``, ``equation_map``,
-F(p, u)) are one-row views of the same code.  On matrix groups a stack
-costs one batched matrix exponential; on ambient fields one stacked
-Runge-Kutta run (``ComplexFlow.rows``), each row with its own step count.
+each row, so a failing query refuses only its own record; ``compute_PQA``,
+``construct_fields`` and F(p, u) at one point are one-row views of the
+same code.  On matrix groups a stack costs one batched matrix exponential;
+on ambient fields one stacked Runge-Kutta run (``ComplexFlow.rows``), each
+row with its own step count.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import (
-    Const, Expr, ExprError, Predicate, Table, Var, diff, evaluate,
-    require_vars, subst,
+    Const, Expr, Predicate, Table, Var, compile_exprs, diff, require_vars,
 )
 from .flow import (
     DEFAULT_CONFIG, ComplexFlow, FlowConfig, MatrixGroupSpec,
@@ -71,7 +71,7 @@ from .flow import (
     left_invariant_fields, newton_rows, solve_rows,
 )
 from .geometry import (
-    ComplexChart, VectorField, bracket_values, env_at, j_matrix, j_rotate,
+    ComplexChart, VectorField, bracket_values, j_matrix, j_rotate,
     jet_blocks, jets_at, span_residuals,
 )
 
@@ -81,8 +81,8 @@ __all__ = [
     "TransversalityResult", "QueryRecord", "CauchySolution",
     "param_samples", "check_cr_transverse", "validate_tangency",
     "frobenius_defect_on_M",
-    "build_F", "build_dF", "invariant_lift", "compute_PQA", "construct_fields",
-    "equation_map", "solve", "grid_queries",
+    "build_F", "build_dF", "compute_PQA", "construct_fields", "solve",
+    "grid_queries",
 ]
 
 
@@ -174,30 +174,6 @@ class CRInitialData:
         if self.base_params is not None:
             return np.asarray(self.base_params, dtype=float)
         return np.zeros(len(self.param_names))
-
-    def params_in_domain(self, p) -> bool:
-        env = dict(zip(self.param_names, np.asarray(p, dtype=float)))
-        return all(evaluate(g, env) > 0.0 for g in self.param_domain)
-
-    def sigma_at(self, p) -> np.ndarray:
-        env = dict(zip(self.param_names, np.asarray(p, dtype=float)))
-        return np.array([evaluate(s, env) for s in self.sigma])
-
-    def dsigma_at(self, p) -> np.ndarray:
-        env = dict(zip(self.param_names, np.asarray(p, dtype=float)))
-        return np.array([[evaluate(diff(s, name), env) for name in self.param_names]
-                         for s in self.sigma])
-
-    def initial_field_values(self, p) -> np.ndarray:
-        """Values of the initial fields at sigma(p), one row per direction."""
-        q = self.sigma_at(p)
-        return np.array([f.values(q) for f in self.ambient_fields])
-
-    def rho0_param_exprs(self) -> tuple[tuple[Expr, ...], ...]:
-        """Initial fields as ambient-valued expressions over the parameters."""
-        mapping = dict(zip(self.chart.names, self.sigma))
-        return tuple(tuple(subst(c, mapping) for c in f.components)
-                     for f in self.ambient_fields)
 
     @cached_property
     def table(self) -> "CRTable":
@@ -405,24 +381,6 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     return _point_view(_flow_rows(data, cfg, jac=True))
 
 
-def equation_map(data: CRInitialData, q, cfg: FlowConfig = DEFAULT_CONFIG,
-                 dF=None):
-    """Solve F(p, iu) = q for (p, u) and return (U(q), p, u) with U = -u.
-
-    The one-row view of the Newton that ``solve`` runs: newton_rows over
-    the stacked map of build_dF (``dF``, built here when None), which
-    gives F and its exact Jacobian from one evaluation, started where
-    sigma linearized around the base parameters meets q.
-    """
-    dF = build_dF(data, cfg) if dF is None else dF
-    m = len(data.param_names)
-    Q = np.asarray(q, dtype=float)[None]
-    newton = newton_rows(lambda X: dF(X[:, :m], X[:, m:]), Q, _initial_guesses(data, Q), cfg)
-    _raise_first(newton.errors)
-    p, u = newton.x[0, :m], newton.x[0, m:]
-    return -u, p, u
-
-
 def _initial_guesses(data: CRInitialData, Q) -> np.ndarray:
     """Newton's start rows for the query rows Q: sigma linearized around
     the base parameters, inverted by least squares, and u = 0."""
@@ -466,15 +424,6 @@ class AdaptedFrame:
     P: np.ndarray
     Q: np.ndarray
     A: np.ndarray
-
-
-def invariant_lift(data: CRInitialData, dF_map, p, u,
-                   cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Ambient values at F(p, u) of the invariantly lifted initial frame:
-    the adapted components of h_a at (p, u) equal those of rho0(e_a) at
-    (p, 0), pushed to the chart through dF (``dF_map`` as in compute_PQA)."""
-    frame = compute_PQA(data, dF_map, p, u, cfg, check_det=False)
-    return (frame.dF @ frame.lifts.T).T
 
 
 def _tangent_coeffs(data: CRInitialData, P):
@@ -665,7 +614,8 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
 
     ``oracle`` is an optional (grad_exprs, field_list) pair of closed forms;
     when given, each record carries the deviation of the reconstructed U and
-    xi_a from the oracle values at the query.
+    xi_a from the oracle values at the query (NaN where a closed form is
+    undefined at it).
     """
     t = data.table.at(param_samples(data, 25, 0))
     tres = check_cr_transverse(data, t)
@@ -714,29 +664,34 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     keep = passing(rows, stage_errors)
     rows, frame, built = rows[keep], _row(frame, keep), _row(built, keep)
 
+    if oracle is not None:
+        dU_ref, dxi_ref = _oracle_residuals(data, oracle, queries[rows],
+                                            -newton.x[rows, m:], built.xi_ambient)
     for j, i in enumerate(rows):
         rec = sol.records[i]
-        q = rec.query
-        rec.newton_residual = float(np.max(np.abs(frame.ambient[j] - q)))
+        rec.newton_residual = float(np.max(np.abs(frame.ambient[j] - rec.query)))
         rec.xi, rec.jxi = built.xi_ambient[j], built.jxi_ambient[j]
         rec.residual_d, rec.residual_dc = float(built.residual_d[j]), float(built.residual_dc[j])
         if oracle is not None:
-            try:
-                grads, oracle_fields = oracle
-                env = env_at(data.chart, q)
-                U_ref = np.array([evaluate(g, env) for g in grads])
-                xi_ref = np.array([f.values(q) for f in oracle_fields])
-                rec.oracle_dU = float(np.max(np.abs(U_ref - rec.U)))
-                rec.oracle_dxi = float(np.max(np.abs(xi_ref - rec.xi)))
-            except ExprError:
-                # oracle formula undefined at this query, e.g. a
-                # removable singularity evaluated exactly on it
-                pass
+            rec.oracle_dU, rec.oracle_dxi = float(dU_ref[j]), float(dxi_ref[j])
         rec.ok = True
     for rec, err in zip(sol.records, errors):
         if err is not None:
             rec.error = str(err)
     return sol
+
+
+def _oracle_residuals(data: CRInitialData, oracle, Q, U, xi):
+    """The largest deviations of U (n, k) and xi (n, k, 2N) at the query
+    rows Q from the closed forms ``oracle = (grad_exprs, field_list)``, each
+    (n,): one tape of the closed forms over the chart, run once over Q.  A
+    row where the tape faults (a closed form undefined at the query, e.g.
+    exactly on a removable singularity) gets NaN outputs, so NaN residuals."""
+    grads, fields = oracle
+    ref, _ = compile_exprs([*grads, *(c for f in fields for c in f.components)],
+                           data.chart.names).rows(Q)
+    U_ref, xi_ref = ref[:, :len(grads)], ref[:, len(grads):].reshape(xi.shape)
+    return np.abs(U_ref - U).max(axis=1), np.abs(xi_ref - xi).max(axis=(1, 2))
 
 
 def _domain_errors(data: CRInitialData, P) -> list:

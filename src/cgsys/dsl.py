@@ -253,6 +253,8 @@ def _matrix(text: str) -> np.ndarray:
     rows = [[float(tok) for tok in chunk.split()] for chunk in text.split("/")]
     if len({len(r) for r in rows}) != 1:
         raise ValueError("ragged matrix rows")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("matrix entries must be finite numbers")
     return np.array(rows)
 
 

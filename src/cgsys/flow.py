@@ -30,7 +30,8 @@ start point, at every stage state and at the end point (12 states a step);
 a row that diverges (at a stage state or a step's end), leaves the
 holomorphic region, exceeds max_time or faults is refused alone, with the
 tape's own error: its DomainError, naming the node and the point, or a
-HolomorphyError from the tape's residual.
+HolomorphyError from the tape's residual.  ``flow_complex_multi`` is its
+one-row view.
 
 The matrix-group maps (``matrix_exp``, ``complexified_flow_matrix``,
 ``complexified_flow_jacobian``) also take stacks of rows: each matrix gets
@@ -61,9 +62,9 @@ from .geometry import ComplexChart, VectorField, cr_residuals, holomorphic_parti
 __all__ = [
     "FlowConfig", "FlowError", "DivergenceError", "HolomorphyError",
     "NewtonError", "EmbeddingError",
-    "flow_real", "exp_map", "matrix_exp",
+    "flow_real", "matrix_exp",
     "MatrixGroupSpec", "complexified_flow_matrix", "complexified_flow_jacobian",
-    "left_invariant_fields", "ComplexFlow", "flow_complex", "flow_complex_multi",
+    "left_invariant_fields", "ComplexFlow", "flow_complex_multi",
     "newton_inverse", "newton_rows", "NewtonRows", "solve_rows", "numerical_jacobian",
 ]
 
@@ -246,11 +247,6 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG,
         state[..., -1] = V.program(rows)
     end = state[..., 0].reshape(p.shape)
     return end if tangents is None else (end, state[..., 1:].reshape(*p.shape, -1))
-
-
-def exp_map(p, V: VectorField, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Exp_p(V): the time-one flow of V from p."""
-    return flow_real(V, p, 1.0, cfg)
 
 
 def matrix_exp(A) -> np.ndarray:
@@ -548,46 +544,27 @@ class ComplexFlow:
     (``_HolomorphicFrame``) are made once here.
     ``rows`` integrates a stack of trajectories of dz/ds = sum_a w_a Z_a(z)
     over s in [0, 1], row i with ceil(|w_i|_1 steps_per_unit) steps of its
-    own size, all stepped together by the one Runge-Kutta loop ``_rk``;
-    ``__call__`` and ``with_tangents`` are its one-row views.  Holomorphy of
-    every field is checked at the start point, at every stage state and at
-    the end point.
+    own size, all stepped together by the one Runge-Kutta loop ``_rk``, and
+    with tangent columns also gives the exact derivative of the discrete
+    flow map.  Holomorphy of every field is checked at the start point, at
+    every stage state and at the end point.
     """
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
-        fields = list(fields)
-        self.k = len(fields)
         self.cfg = cfg
-        self.frame = _HolomorphicFrame(fields, cfg)
-
-    def __call__(self, p, w) -> np.ndarray:
-        """The end point of the flow from p for complex time vector w."""
-        return self._one(p, w, None)[0]
-
-    def with_tangents(self, p, w, dz0) -> tuple[np.ndarray, np.ndarray]:
-        """The end point and the exact derivative of the discrete flow map.
-
-        ``dz0`` holds r complex tangent columns at z(p) (shape N x r).
-        Returns the chart point and Y = [dz/dz0 dz0 | dz/dw_1 ... dz/dw_k]
-        (complex, N x (r + k)), stepped by the same steps as z."""
-        return self._one(p, w, np.asarray(dz0, dtype=complex))
-
-    def _one(self, p, w, dz0):
-        points, Y, errors = self.rows(np.asarray(p, dtype=float)[None],
-                                      np.asarray(w, dtype=complex)[None],
-                                      None if dz0 is None else dz0[None])
-        _raise_first(errors)
-        return points[0], None if Y is None else Y[0]
+        self.frame = _HolomorphicFrame(list(fields), cfg)
+        self.k = self.frame.shape[0]
 
     def rows(self, P, W, dZ0=None):
         """The flows from the chart rows P (n, 2N) for the complex times W
         (n, k), stepped together; row i comes out as it would alone.
 
-        Returns (points (n, 2N), Y, errors): with tangent columns dZ0
-        (n, N, r) Y is the (n, N, r + k) stack of with_tangents' Y, else
-        None, and errors[i] is None or the exception that refuses row i
-        (its outputs NaN): a HolomorphyError or DomainError of the fields
-        at its start point, a stage state or its end point, a
+        Returns (points (n, 2N), Y, errors): with complex tangent columns
+        dZ0 (n, N, r) at the start points, Y is the (n, N, r + k) stack
+        [dz/dz0 dZ0_i | dz/dw_1 ... dz/dw_k], stepped by the same steps as
+        the points, else None, and errors[i] is None or the exception that
+        refuses row i (its outputs NaN): a HolomorphyError or DomainError of
+        the fields at its start point, a stage state or its end point, a
         DivergenceError of a stage state or a step's end, or a FlowError
         when |w_i|_1 exceeds max_time.  A row takes
         max(1, ceil(|w_i|_1 steps_per_unit)) steps of size 1/nsteps_i;
@@ -676,18 +653,13 @@ class ComplexFlow:
 
 
 def flow_complex_multi(fields, p, w, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Flow from p for complex time vector w along holomorphic fields:
-    integrates dz/ds = sum_a w_a Z_a(z) over s in [0, 1].
-
-    Holomorphy of every field is checked at the start point, at every
-    stage state and at the end point; the result is holomorphic in w."""
-    return ComplexFlow(fields, cfg)(p, w)
-
-
-def flow_complex(V: VectorField, p, w: complex,
-                 cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Complex-time flow of a single holomorphically-extendable field."""
-    return flow_complex_multi([V], p, [w], cfg)
+    """Flow from p for complex time vector w along holomorphic fields: the
+    one-row view of ``ComplexFlow.rows``, raising what refuses the row.
+    The result is holomorphic in w."""
+    points, _, errors = ComplexFlow(fields, cfg).rows(
+        np.asarray(p, dtype=float)[None], np.asarray(w, dtype=complex)[None])
+    _raise_first(errors)
+    return points[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ numerically from those values: d and d^c (``d_values``, ``dc_values``),
 brackets [X, Y] = DY X - DX Y (``bracket_values``) and the terms of dd^c by
 the product rule (``dc_differentials``, ``ddc_terms``), so second-derivative
 quantities (dd^c, Laplacians) are exact up to rounding with no nested
-symbolic derivatives.  ``d_apply``, ``dc_apply`` and ``ddc_apply`` are their
-one-point views; ``lie_bracket``, ``pair_brackets`` and ``laplacian`` build
-the symbolic forms, which tests use as references.  All values are
+symbolic derivatives.  ``lie_bracket``, ``pair_brackets`` and ``laplacian``
+build the symbolic forms, which tests use as references.  All values are
 immutable and every operation is pure; evaluation over point batches can
 run concurrently without synchronization.  Holomorphy has one residual:
 ``cr_residuals`` of the partials ``holomorphic_partials`` gives.
@@ -36,10 +35,9 @@ from .expr import (
 __all__ = [
     "ComplexChart", "VectorField", "ComplexField",
     "env_at", "apply_J", "j_rotate", "j_matrix", "jet_blocks", "jets_at", "d_values",
-    "dc_values", "bracket_values", "dc_differentials", "ddc_terms", "d_apply",
-    "dc_apply", "lie_bracket", "pair_brackets", "ddc_apply", "complexify",
-    "holomorphic_partials", "cr_residuals", "is_holomorphic", "distribution_rank", "span_residuals", "frobenius_defect", "laplacian",
-    "field_matrix",
+    "dc_values", "bracket_values", "dc_differentials", "ddc_terms", "lie_bracket",
+    "pair_brackets", "complexify", "holomorphic_partials", "cr_residuals",
+    "is_holomorphic", "span_residuals", "laplacian", "field_matrix",
 ]
 
 
@@ -258,37 +256,6 @@ def ddc_terms(dU, D2U, X, DX, pairs, brackets) -> tuple[np.ndarray, ...]:
             np.swapaxes(dc_values(dU, brackets), 0, 1))
 
 
-def _jets_at(f: Expr, fields, p, hessians: bool = False) -> dict[str, np.ndarray]:
-    """The jet_blocks of f and the fields at the one point p."""
-    _same_chart(*fields)
-    chart = fields[0].chart
-    table = Table(jet_blocks([f], fields, chart, hessians), chart.names)
-    return jets_at(table, np.reshape(np.asarray(p, dtype=float), (1, chart.dim)))
-
-
-def d_apply(f: Expr, V: VectorField, p) -> float:
-    """df(V) at a point, the one-point view of d_values."""
-    t = _jets_at(f, [V], p)
-    return float(d_values(t["dU"], t["X"])[0, 0, 0])
-
-
-def dc_apply(f: Expr, V: VectorField, p) -> float:
-    """d^c f(V) at a point, the one-point view of dc_values."""
-    t = _jets_at(f, [V], p)
-    return float(dc_values(t["dU"], t["X"])[0, 0, 0])
-
-
-def ddc_apply(f: Expr, V: VectorField, W: VectorField, p) -> float:
-    """dd^c f(V, W) at a point through the three-term identity
-    V(d^c f(W)) - W(d^c f(V)) - d^c f([V, W]), composed from the jets of f,
-    V and W as the check table composes it."""
-    t = _jets_at(f, [V, W], p, hessians=True)
-    X, DX = t["X"], t["DX"]
-    t1, t2, t3 = ddc_terms(t["dU"], t["D2U"], X, DX, [(0, 1)],
-                           bracket_values(X, DX, [(0, 1)]))
-    return float((t1 - t2 - t3)[0, 0, 0])
-
-
 def lie_bracket(V: VectorField, W: VectorField) -> VectorField:
     """Lie bracket [V, W], built symbolically:
     [V,W]^i = sum_j (V^j dW^i/dx_j - W^j dV^i/dx_j)."""
@@ -377,17 +344,6 @@ def field_matrix(fields, p) -> np.ndarray:
     return np.column_stack([f.values(p) for f in fields])
 
 
-def distribution_rank(fields, p) -> int:
-    """Numerical rank of the span of the fields at a point.
-
-    Cutoff is max(dim) * eps * sigma_max relative to the largest singular
-    value, so chart rescaling cannot flip the decision.
-    """
-    if not fields:
-        raise ValueError("need at least one field")
-    return int(np.linalg.matrix_rank(field_matrix(fields, p)))
-
-
 def span_residuals(S, V) -> np.ndarray:
     """Norm of each column of V outside the column span of S, over a stack
     of frames: S is (..., d, r), V is (..., d, m) and the result (..., m).
@@ -401,21 +357,6 @@ def span_residuals(S, V) -> np.ndarray:
     cutoff = max(S.shape[-2:]) * np.finfo(float).eps * s[..., :1]
     U = U * (s > cutoff)[..., None, :]
     return np.linalg.norm(V - U @ (np.swapaxes(U, -1, -2) @ V), axis=-2)
-
-
-def frobenius_defect(fields, p) -> float:
-    """Max norm of a pairwise bracket's component outside span{fields(p)}.
-
-    Zero (up to rounding) at every point of a region means the distribution
-    is involutive there.  Raises if the fields are dependent at p.
-    """
-    fields = list(fields)
-    S = field_matrix(fields, p)
-    if np.linalg.matrix_rank(S) < len(fields):
-        raise ValueError("fields are rank-deficient at the given point")
-    if len(fields) < 2:
-        return 0.0
-    return float(np.max(span_residuals(S, field_matrix(pair_brackets(fields), p))))
 
 
 def laplacian(f: Expr, chart: ComplexChart) -> Expr:

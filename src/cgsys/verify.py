@@ -322,17 +322,13 @@ def _kernel(M):
                       axis=-1)
 
 
-def check_decompositions(sys: GradientSystem, p) -> DecompositionRecord:
-    """Verify the splittings of the tangent space at one point by rank
-    arithmetic: the representation span sits inside ker dU, the span plus its
-    J-rotation is 2k-dimensional, and the horizontal space ker dU cap
-    ker d^c U supplies the remaining 2n directions."""
-    return _decompositions(sys, sys.table.at(np.asarray(p, dtype=float)[None]))[0]
-
-
-def _decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
-    """The records of check_decompositions at every row of ``t``; every
-    rank with the same shape at all points is taken over the whole stack."""
+def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
+    """Verify the splittings of the tangent space at every row of ``t`` by
+    rank arithmetic: the representation span sits inside ker dU, the span
+    plus its J-rotation is 2k-dimensional, and the horizontal space
+    ker dU cap ker d^c U supplies the remaining 2n directions.  One record
+    per row; every rank with the same shape at all points is taken over
+    the whole stack."""
     k, N = sys.k, sys.chart.N
     G, span = t["grad"], t["frame"]
     Xi = span[..., :k]
@@ -362,7 +358,7 @@ def _decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
 
 def decomposition_check_result(sys: GradientSystem, t) -> CheckResult:
     """Aggregate the decomposition records at the rows of ``t`` into a check."""
-    recs = _decompositions(sys, t)
+    recs = check_decompositions(sys, t)
     note = next((r.warning for r in reversed(recs) if r.warning), "")
     return CheckResult("decompositions", "tangent-splitting",
                        np.array([0.0 if r.ok else 1.0 for r in recs]), 0.5,

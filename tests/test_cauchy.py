@@ -14,13 +14,15 @@ import pytest
 import cgsys.cauchy
 from cgsys.cli import main
 from cgsys.dsl import load_builtin, loads
-from cgsys.expr import DomainError, Table, parse_expr
-from cgsys.flow import FlowConfig, MatrixGroupSpec, newton_inverse, numerical_jacobian
+from cgsys.expr import DomainError, ExprError, Table, diff, evaluate, parse_expr, subst
+from cgsys.flow import (
+    FlowConfig, MatrixGroupSpec, complexified_flow_matrix, newton_inverse,
+    numerical_jacobian,
+)
 from cgsys.cauchy import (
     PARAM_SPREAD, CRInitialData, TransversalityError, build_dF, build_F,
-    check_cr_transverse, compute_PQA, construct_fields, equation_map,
-    frobenius_defect_on_M, grid_queries, invariant_lift, param_samples, solve,
-    validate_tangency,
+    check_cr_transverse, compute_PQA, construct_fields, frobenius_defect_on_M,
+    grid_queries, param_samples, solve, validate_tangency,
 )
 from cgsys.geometry import ComplexChart, VectorField, field_matrix, pair_brackets
 
@@ -210,7 +212,8 @@ def one_at_a_time(data, n, seed):
             break
         p = data.base + rng.uniform(-PARAM_SPREAD, PARAM_SPREAD,
                                     size=len(data.param_names))
-        if data.params_in_domain(p):
+        env = dict(zip(data.param_names, p))
+        if all(evaluate(g, env) > 0.0 for g in data.param_domain):
             out.append(p)
     return np.array(out)
 
@@ -222,7 +225,7 @@ def test_param_samples_match_one_at_a_time(monkeypatch, name):
         ref = one_at_a_time(data, n, seed)
         with monkeypatch.context() as m:
             # block draws test whole blocks through the compiled predicate
-            m.setattr(cgsys.cauchy, "evaluate", None)
+            m.setattr(cgsys.expr, "evaluate", None)
             got = param_samples(data, n, seed)
         assert np.array_equal(got, ref), (n, seed)
 
@@ -234,10 +237,14 @@ def test_cr_table_matches_the_per_point_views(name):
     t = data.table.at(params)
     brackets = pair_brackets(data.ambient_fields)
     for i, p in enumerate(params):
-        q = data.sigma_at(p)
+        # the tree walk at one point: sigma, its partials and the fields there
+        env = dict(zip(data.param_names, p))
+        q = np.array([evaluate(s, env) for s in data.sigma])
+        dsigma = [[evaluate(diff(s, x), env) for x in data.param_names] for s in data.sigma]
         assert np.array_equal(t["p"][i], p)
-        assert np.allclose(t["dsigma"][i], data.dsigma_at(p), rtol=1e-14, atol=1e-14)
-        assert np.allclose(t["rho0"][i], data.initial_field_values(p).T,
+        assert np.allclose(t["sigma"][i], q, rtol=1e-14, atol=1e-14)
+        assert np.allclose(t["dsigma"][i], dsigma, rtol=1e-14, atol=1e-14)
+        assert np.allclose(t["rho0"][i], field_matrix(data.ambient_fields, q),
                            rtol=1e-14, atol=1e-14)
         if brackets:
             assert np.allclose(t["bracket"][i], field_matrix(brackets, q),
@@ -259,13 +266,16 @@ def test_cauchy_op_evaluates_the_cr_table_once(monkeypatch, name):
 
 
 def test_rho0_param_exprs_restrict_ambient(heis_data):
-    from cgsys.expr import evaluate
-    exprs = heis_data.rho0_param_exprs()
-    rng = np.random.default_rng(1)
-    for p in rng.uniform(-1, 1, size=(5, 3)):
+    # the initial fields as expressions over the parameters, sigma
+    # substituted into the ambient fields, against the table's rho0
+    mapping = dict(zip(heis_data.chart.names, heis_data.sigma))
+    exprs = [[subst(c, mapping) for c in f.components] for f in heis_data.ambient_fields]
+    P = np.random.default_rng(1).uniform(-1, 1, size=(5, 3))
+    rho0 = heis_data.table.at(P)["rho0"]
+    for p, table_rho0 in zip(P, rho0):
         env = dict(zip(heis_data.param_names, p))
         vals = np.array([[evaluate(c, env) for c in row] for row in exprs])
-        assert np.allclose(vals, heis_data.initial_field_values(p), atol=1e-14)
+        assert np.allclose(vals, table_rho0.T, atol=1e-14)
 
 
 # --- the flow coordinates F ----------------------------------------------------
@@ -278,10 +288,10 @@ def test_line_F_is_translation_into_imaginary_axis(line_data):
 
 
 def test_F_restricts_to_sigma_at_zero(heis_data):
-    F = build_F(heis_data, CFG)
-    rng = np.random.default_rng(2)
-    for p in rng.uniform(-1, 1, size=(20, 3)):
-        assert np.allclose(F(p, np.zeros(3)), heis_data.sigma_at(p), atol=1e-14)
+    P = np.random.default_rng(2).uniform(-1, 1, size=(20, 3))
+    points, errors = build_F(heis_data, CFG)(P, np.zeros((20, 3)))
+    assert errors == [None] * 20
+    assert np.allclose(points, heis_data.table.at(P)["sigma"], atol=1e-14)
 
 
 def test_heisenberg_F_is_group_product(heis_data, heis_spec):
@@ -289,8 +299,7 @@ def test_heisenberg_F_is_group_product(heis_data, heis_spec):
     p = np.array([0.2, -0.4, 0.1])
     u = np.array([0.3, 0.1, -0.2])
     got = F(p, u)
-    from cgsys.flow import complexified_flow_matrix
-    oracle = complexified_flow_matrix(heis_spec, heis_data.sigma_at(p), 1j * u)
+    oracle = complexified_flow_matrix(heis_spec, heis_data.table.at(p[None])["sigma"][0], 1j * u)
     assert np.allclose(got, oracle, atol=0)
 
 
@@ -308,29 +317,26 @@ def test_ode_route_matches_matrix_route(heis_data, heis_spec):
 
 
 def test_line_equation_map_gives_minus_y(line_data):
-    for x, y in [(0.0, 0.25), (0.4, -0.31), (-1.0, 0.5)]:
-        U, p, u = equation_map(line_data, [x, y], CFG)
-        assert U[0] == pytest.approx(-y, abs=1e-9)
-        assert p[0] == pytest.approx(x, abs=1e-9)
+    queries = [(0.0, 0.25), (0.4, -0.31), (-1.0, 0.5)]
+    for (x, y), rec in zip(queries, solve(line_data, queries, CFG).records):
+        assert rec.ok
+        assert rec.U[0] == pytest.approx(-y, abs=1e-9)
+        assert rec.params[0] == pytest.approx(x, abs=1e-9)
 
 
 def test_equation_map_vanishes_on_M(heis_data):
-    rng = np.random.default_rng(5)
-    for p in rng.uniform(-1, 1, size=(5, 3)):
-        q = heis_data.sigma_at(p)
-        U, _, _ = equation_map(heis_data, q, CFG)
-        assert np.max(np.abs(U)) < 1e-9
+    P = np.random.default_rng(5).uniform(-1, 1, size=(5, 3))
+    for rec in solve(heis_data, heis_data.table.at(P)["sigma"], CFG).records:
+        assert rec.ok and np.max(np.abs(rec.U)) < 1e-9
 
 
 def test_group_identity_recovers_algebra_vector(heis_data, heis_spec):
     # q = exp(-i(a E1 + b E2 + c E3)) from the identity must give U = (a,b,c)
-    from cgsys.flow import complexified_flow_matrix
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        v = rng.uniform(-0.5, 0.5, size=3)
-        q = complexified_flow_matrix(heis_spec, np.zeros(6), -1j * v)
-        U, _, _ = equation_map(heis_data, q, CFG)
-        assert np.max(np.abs(U - v)) < 1e-9
+    V = np.random.default_rng(6).uniform(-0.5, 0.5, size=(5, 3))
+    queries, errors = complexified_flow_matrix(heis_spec, np.zeros((5, 6)), -1j * V)
+    assert errors == [None] * 5
+    for v, rec in zip(V, solve(heis_data, queries, CFG).records):
+        assert rec.ok and np.max(np.abs(rec.U - v)) < 1e-9
 
 
 # --- frame, P, Q, A ---------------------------------------------------------------
@@ -471,10 +477,12 @@ def test_compute_PQA_refuses_the_map_F(line_data):
 
 
 def test_invariant_lift_on_M_is_initial_frame(heis_data):
-    dF = build_dF(heis_data, CFG)
+    # the lifted frame h_a at F(p, u): its adapted components pushed
+    # through dF, one column each
     p = np.array([0.3, 0.2, -0.4])
-    lifted = invariant_lift(heis_data, dF, p, np.zeros(3), CFG)
-    assert np.max(np.abs(lifted - heis_data.initial_field_values(p))) < 1e-8
+    frame = compute_PQA(heis_data, build_dF(heis_data, CFG), p, np.zeros(3), CFG)
+    lifted = frame.dF @ frame.lifts.T
+    assert np.max(np.abs(lifted - heis_data.table.at(p[None])["rho0"][0])) < 1e-8
 
 
 def test_invariant_lift_matches_refined_differences(heis_data):
@@ -482,19 +490,18 @@ def test_invariant_lift_matches_refined_differences(heis_data):
     # dF with step 5e-7
     p = np.array([0.1, -0.2, 0.3])
     u = np.array([0.1, 0.0, 0.0])
-    exact = invariant_lift(heis_data, build_dF(heis_data, CFG), p, u, CFG)
-    fd = invariant_lift(heis_data, fd_dF(heis_data, 5e-7), p, u, CFG)
-    assert np.max(np.abs(exact - fd)) < 1e-6
+    exact, fd = (compute_PQA(heis_data, dF, p, u, CFG, check_det=False)
+                 for dF in (build_dF(heis_data, CFG), fd_dF(heis_data, 5e-7)))
+    assert np.max(np.abs(exact.dF @ exact.lifts.T - fd.dF @ fd.lifts.T)) < 1e-6
 
 
 def test_constructed_fields_extend_initial_data(heis_data):
     dF = build_dF(heis_data, CFG)
-    rng = np.random.default_rng(8)
-    for p in rng.uniform(-1, 1, size=(5, 3)):
+    P = np.random.default_rng(8).uniform(-1, 1, size=(5, 3))
+    for p, rho0 in zip(P, heis_data.table.at(P)["rho0"]):
         frame = compute_PQA(heis_data, dF, p, np.zeros(3), CFG)
         built = construct_fields(frame, CFG)
-        rho0 = heis_data.initial_field_values(p)
-        assert np.max(np.abs(built.xi_ambient - rho0)) < 1e-8
+        assert np.max(np.abs(built.xi_ambient - rho0.T)) < 1e-8
 
 
 def test_heisenberg_fields_match_closed_forms_off_M(heis_data, heis_oracle):
@@ -639,6 +646,44 @@ def test_quadratic_field_meets_the_field_oracle():
     assert sol.max_oracle_dxi < 1e-10
 
 
+def test_a_query_on_a_removable_singularity_keeps_nan_oracle_residuals():
+    # affine's closed forms divide by y1, which this query on M sets to 0:
+    # the query resolves, and only its comparison with them is undefined
+    sf = load_builtin("affine")
+    [rec] = solve(sf.cr, [[1.0, 0.0, 0.3, 0.0]], CFG, oracle=sf.oracle).records
+    assert rec.ok and rec.error == ""
+    assert rec.residual_d < 1e-12 and rec.residual_dc < 1e-12
+    assert math.isnan(rec.oracle_dU) and math.isnan(rec.oracle_dxi)
+
+
+@pytest.mark.parametrize("source, extent", [
+    ("line", 0.5), ("heisenberg-cr", 0.5), ("affine", 0.5), ("affine", 3.0),
+    ("ambient 0.8", 0.5), ("ambient 1.1", 0.5)])
+def test_compiled_oracle_equals_the_tree_walk(source, extent):
+    # every resolved record's oracle residuals, bit for bit, against the
+    # closed forms walked at its query (NaN where a walk faults); affine
+    # also gets the query on its removable singularity
+    name, _, c = source.partition(" ")
+    sf = _ambient_file(float(c)) if c else load_builtin(name)
+    queries = grid_queries(sf.cr, [np.linspace(-extent, extent, 5)] * sf.cr.k, cfg=CFG)
+    if name == "affine":
+        queries = np.vstack([queries, [1.0, 0.0, 0.3, 0.0]])
+    grads, fields = sf.oracle
+    records = [r for r in solve(sf.cr, queries, CFG, oracle=sf.oracle).records if r.ok]
+    assert records
+    for rec in records:
+        env = dict(zip(sf.chart.names, rec.query))
+        try:
+            U_ref = np.array([evaluate(g, env) for g in grads])
+            xi_ref = np.array([f.values(rec.query) for f in fields])
+            walked = [np.max(np.abs(U_ref - rec.U)), np.max(np.abs(xi_ref - rec.xi))]
+        except ExprError:
+            walked = [np.nan, np.nan]
+        assert np.array_equal([rec.oracle_dU, rec.oracle_dxi], walked, equal_nan=True)
+    if name == "affine":
+        assert math.isnan(records[-1].oracle_dU)
+
+
 def test_solve_rejects_parameters_outside_domain(affine_data):
     # at |u| <= 3 Newton can land on p1 = -1, the other sheet of
     # z1 = p1 exp(i u1), which param_domain p1 > 0.25 excludes
@@ -648,7 +693,9 @@ def test_solve_rejects_parameters_outside_domain(affine_data):
     outside = [r for r in sol.records if not r.ok]
     assert outside
     assert all("outside param_domain" in r.error for r in outside)
-    assert all(affine_data.params_in_domain(r.params) for r in sol.records if r.ok)
+    inside, fault = affine_data.domain_predicate.holds(
+        np.array([r.params for r in sol.records if r.ok]))
+    assert inside.all() and fault is None
 
 
 def test_solve_rejects_non_transverse_data():
@@ -883,14 +930,13 @@ def test_solve_evaluates_each_newton_point_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["line", "affine", "ambient"])
 def test_equation_map_is_the_one_row_view_of_solve(name):
-    data, _, queries = _lockstep_case(name)
-    dF = build_dF(data, CFG)
-    records = solve(data, queries, CFG).records
+    # the equation map U = -u of one query solved alone is its record in
+    # the stack, bit for bit, as are the fields and residuals
+    data, oracle, queries = _lockstep_case(name)
+    records = solve(data, queries, CFG, oracle=oracle).records
     assert all(r.ok for r in records)
     for q, rec in zip(queries, records):
-        U, p, u = equation_map(data, q, CFG, dF=dF)
-        assert np.array_equal(p, rec.params) and np.array_equal(u, rec.u)
-        assert np.array_equal(U, rec.U)
+        _assert_same_record(solve(data, [q], CFG, oracle=oracle).records[0], rec)
 
 
 def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):

@@ -18,6 +18,7 @@ from cgsys.dsl import (
 )
 from cgsys.expr import evaluate
 from cgsys.flow import DEFAULT_CONFIG
+from cgsys.geometry import ComplexField, VectorField
 from cgsys.report import canonical_json, schema_text
 from cgsys.verify import check_axioms, sample_points
 
@@ -116,6 +117,18 @@ def test_missing_k_rejected():
         loads(bad)
 
 
+def test_removed_names_raise_naming_their_replacement():
+    import cgsys
+    for name, replacement in cgsys.REMOVED.items():
+        with pytest.raises(AttributeError) as err:
+            getattr(cgsys, name)
+        assert str(err.value).endswith(f"it was removed, use {replacement}")
+        assert not any(hasattr(module, name) for module in (
+            cgsys.expr, cgsys.geometry, cgsys.flow, cgsys.cauchy, cgsys.verify))
+    with pytest.raises(AttributeError, match="^module 'cgsys' has no attribute 'nope'$"):
+        cgsys.nope
+
+
 # --- fuzzed values ---------------------------------------------------------------
 
 ATOMS = st.one_of(
@@ -159,10 +172,10 @@ def test_roundtrip_serialization(name):
             assert np.array_equal(c1.residuals, c2.residuals), (name, c1.name)
     if sf.cr is not None:
         assert sf2.cr is not None
-        p = np.asarray(sf.cr.base) + 0.25
-        assert np.allclose(sf.cr.sigma_at(p), sf2.cr.sigma_at(p), atol=0)
-        assert np.allclose(sf.cr.initial_field_values(p),
-                           sf2.cr.initial_field_values(p), atol=0)
+        P = np.asarray(sf.cr.base) + np.array([[0.0], [0.25]])
+        t1, t2 = sf.cr.table.at(P), sf2.cr.table.at(P)
+        for key in ("sigma", "dsigma", "rho0"):
+            assert np.array_equal(t1[key], t2[key]), (name, key)
 
 
 # --- CLI exit codes --------------------------------------------------------------
@@ -300,30 +313,38 @@ def test_cli_empty_level_set_passes_with_its_note(capsys):
     assert "  level-set " in out and out.endswith("verdict: pass\n")
 
 
-def _ambient_file_without_oracle(tmp_path):
-    """The benchmark's generated (1 + c z^2) d/dz file, c = 1.1, with its
-    [oracle] section cut out."""
+def _ambient_file(tmp_path):
+    """The benchmark's generated (1 + c z^2) d/dz file, c = 1.1."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    head, rest = workloads.ambient_cgs(1.1).split("[oracle]")
     out = tmp_path / "ambient.cgs"
-    out.write_text(head + rest[rest.index("[config]"):])
+    out.write_text(workloads.ambient_cgs(1.1))
     return str(out)
 
 
 def test_cli_ops_walk_no_expression_tree(tmp_path, monkeypatch, capsys):
-    # the level-set search, the normal form and a Cauchy op without an
-    # [oracle] run on compiled tapes only: with every cgsys binding of the
-    # tree walker raising, each op exits and prints as it does unpatched
-    ops = [["verify", "heisenberg", "--points", "20", "--level-set=0.1,-0.2,0.3"],
+    # every check, the level-set search, the normal form and the Cauchy
+    # construction with its [oracle] comparison run on compiled tapes only:
+    # with every cgsys binding of the tree walker and the one-point field
+    # values raising, each op exits, prints and reports as it does unpatched
+    systems = [n for n in builtin_names() if load_builtin(n).system is not None]
+    ops = [*(["verify", name] for name in systems),
+           ["verify", "heisenberg", "--points", "20", "--level-set=0.1,-0.2,0.3"],
            ["normal-form", "model-k1"], ["normal-form", "model-k1-rotated"],
-           ["cauchy", _ambient_file_without_oracle(tmp_path)]]
-    unpatched = []
-    for argv in ops:
-        unpatched.append((main(argv), capsys.readouterr().out))
-    assert [code for code, _ in unpatched] == [0, 0, 0, 0]
+           ["cauchy", "line"], ["cauchy", "affine"], ["cauchy", "heisenberg-cr"],
+           ["cauchy", _ambient_file(tmp_path)]]
+    report = tmp_path / "report.json"
+
+    def run(argv):
+        report.unlink(missing_ok=True)
+        code = main([*argv, "--json", str(report)])
+        return code, capsys.readouterr().out, report.read_bytes()
+
+    unpatched = [run(argv) for argv in ops]
+    assert [code for code, _, _ in unpatched] == [1 if argv[1] == "broken-demo" else 0
+                                                   for argv in ops]
 
     def tree_walk(*args):
         raise AssertionError("expression tree walked at run time")
@@ -331,8 +352,10 @@ def test_cli_ops_walk_no_expression_tree(tmp_path, monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "cgsys" and getattr(module, "evaluate", None) is evaluate:
             monkeypatch.setattr(module, "evaluate", tree_walk)
+    monkeypatch.setattr(VectorField, "values", tree_walk)
+    monkeypatch.setattr(ComplexField, "values", tree_walk)
     for argv, before in zip(ops, unpatched):
-        assert (main(argv), capsys.readouterr().out) == before, argv
+        assert run(argv) == before, argv
 
 
 AMBIENT_NOT_HOLOMORPHIC = """
@@ -496,6 +519,12 @@ MALFORMED = {
     "cr-embed-outside": (["cauchy", "FILE"],
                          _edited("affine", "embed = 1 1; 1 2", "embed = 1 1; 1 5")),
     "cr-mixed-forms": (["cauchy", "FILE"], _edited("line", CR, CR + "embed = 1 1\n")),
+    "cr-base-nan": (["cauchy", "FILE", "--grid", "2"],
+                    _edited("affine", "base = 0.0 0.0 / 0.0 1.0", "base = 0.0 0.0 / 0.0 nan")),
+    "cr-base-inf": (["cauchy", "FILE", "--grid", "2"],
+                    _edited("affine", "base = 0.0 0.0 / 0.0 1.0", "base = 0.0 0.0 / 0.0 inf")),
+    "cr-basis-1e309": (["cauchy", "FILE", "--grid", "2"],
+                       _edited("affine", "basis_1 = 1.0 0.0", "basis_1 = 1e309 0.0")),
     "oracle-field-q": (["cauchy", "FILE"],
                        _edited("line", ORACLE, ORACLE.replace("1; 0", "1; q"))),
     "oracle-no-field": (["cauchy", "FILE"],

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from cgsys import expr as expr_module
 from cgsys.dsl import builtin_names, load_builtin
 from cgsys.expr import (
-    Atan2, Binary, Const, DomainError, ParseError, Predicate, UnboundVariableError,
-    UnknownFunctionError, Var, _pow_values, add, compile_exprs, diff, div,
-    evaluate, free_vars, mul, neg, parse_expr, pow_, sub, subst, to_string, unary,
+    Atan2, Binary, Const, DomainError, ParseError, Predicate, Unary,
+    UnboundVariableError, UnknownFunctionError, Var, _pow_values, add,
+    compile_exprs, diff, div, evaluate, free_vars, mul, neg, parse_expr, pow_,
+    sub, subst, to_string, unary,
 )
 from cgsys.verify import sample_points
 
@@ -258,6 +259,51 @@ def _with_faults(children):
 
 ARITHMETIC_TREES = st.recursive(LEAVES, _arithmetic, max_leaves=12)
 FAULTING_TREES = st.recursive(LEAVES, _with_faults, max_leaves=12)
+
+
+SMOOTH_TREES = st.recursive(LEAVES, lambda children: st.one_of(
+    _arithmetic(children),
+    st.tuples(children, children).map(lambda t: Atan2(*t)),
+    st.tuples(st.sampled_from(["sin", "cos", "tan", "atan", "exp", "log", "sqrt"]),
+              children).map(lambda t: unary(*t))), max_leaves=8)
+
+
+def subtrees(e):
+    """e and every node below it, repeats included."""
+    kids = {Unary: ("arg",), Binary: ("lhs", "rhs"), Atan2: ("y", "x")}.get(type(e), ())
+    return [e, *(s for k in kids for s in subtrees(getattr(e, k)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SMOOTH_TREES, st.tuples(COORDS, COORDS, COORDS))
+def test_diff_matches_central_differences_of_the_tape(e, point):
+    # the central difference D(h) of the compiled e errs by c h^2 + O(h^4)
+    # plus rounding; at h = H, H/2, H/4 the gap D(H/2) - D(H/4) is then a
+    # quarter of D(H) - D(H/2) and three times the error of D(H/4), and the
+    # second difference K(h) = h f'' + O(h^3) halves with h.  A coordinate
+    # where they do not shrink so (a stencil across a branch cut or a pole)
+    # is skipped, and so is a stencil where a partial or an intermediate of
+    # e exceeds 1e4.  Rounding: a few ulps of the largest intermediate, per
+    # node, over the smallest step.
+    grads = [diff(e, x) for x in NAMES]
+    nodes, grad_nodes = subtrees(e), [n for g in grads for n in subtrees(g)]
+    h = 1e-3 / np.array([1.0, 2.0, 4.0])
+    steps = (h[:, None, None] * np.eye(3)).reshape(-1, 3)
+    P = np.array(point) + np.concatenate([np.zeros((1, 3)), steps, -steps])
+    vals, errors = compile_exprs([*grads, *nodes, *grad_nodes], NAMES).rows(P)
+    n = len(nodes)
+    if any(errors) or not np.isfinite(vals).all() or np.max(np.abs(vals[:, :3 + n])) > 1e4:
+        return      # outside the domain of e or its partials, or ill-scaled
+    f = vals[:, 3]
+    plus, minus = f[1:10].reshape(3, 3), f[10:].reshape(3, 3)   # (step, coordinate)
+    D = (plus - minus) / (2 * h[:, None])
+    K = (plus - 2 * f[0] + minus) / h[:, None]                  # h f'' + O(h^3)
+    eps = np.finfo(float).eps
+    noise = 8 * n * eps * np.max(np.abs(vals[:, 3:3 + n])) / h[2]
+    gap1, gap2 = np.abs(D[0] - D[1]), np.abs(D[1] - D[2])
+    resolved = (gap2 <= 0.5 * gap1 + noise) & (np.abs(K[2]) <= 0.75 * np.abs(K[1]) + noise)
+    noise += 8 * len(grad_nodes) * eps * np.max(np.abs(vals[0, 3 + n:]), initial=0.0)
+    assert np.all((np.abs(vals[0, :3] - D[2]) <= gap2 + noise)[resolved])
 
 
 def tree_walk(exprs, P):

@@ -13,8 +13,7 @@ from cgsys.expr import DomainError, add, diff, evaluate, sub
 from cgsys.flow import (
     ComplexFlow, DivergenceError, EmbeddingError, FlowConfig, FlowError,
     HolomorphyError, MatrixGroupSpec, NewtonError, complexified_flow_jacobian,
-    complexified_flow_matrix, exp_map, flow_complex, flow_complex_multi,
-    flow_real, left_invariant_fields, matrix_exp, newton_inverse, newton_rows,
+    complexified_flow_matrix, flow_complex_multi, flow_real, left_invariant_fields, matrix_exp, newton_inverse, newton_rows,
     numerical_jacobian, solve_rows,
 )
 from cgsys.geometry import ComplexChart, VectorField, apply_J, j_matrix
@@ -144,13 +143,13 @@ def test_flow_real_stack_equals_row_by_row(monkeypatch):
 def test_exp_map_of_zero_field():
     chart = ComplexChart.standard(2)
     p = np.array([0.1, 0.2, 0.3, 0.4])
-    assert np.allclose(exp_map(p, VectorField.zero(chart), CFG), p, atol=0)
+    assert np.allclose(flow_real(VectorField.zero(chart), p, 1.0, CFG), p, atol=0)
 
 
 def test_exp_map_group_identity_row(heis_spec):
     chart = heis_spec.chart
     L1 = field(chart, ["1", "0", "0", "0", "0", "0"])
-    out = exp_map(np.zeros(6), L1, CFG)
+    out = flow_real(L1, np.zeros(6), 1.0, CFG)
     oracle = heis_spec.unembed(matrix_exp(heis_spec.basis[0]))
     assert np.allclose(out, oracle, atol=1e-12)
     assert out[0] == pytest.approx(1.0, abs=1e-12)
@@ -161,8 +160,8 @@ def test_exp_map_halving_composition():
     V = field(chart, ["sin(x1) + 1", "0"])
     p = np.array([0.2, 0.0])
     half = VectorField.from_exprs(chart, ["(sin(x1) + 1)/2", "0"])
-    twice = exp_map(exp_map(p, half, CFG), half, CFG)
-    assert np.max(np.abs(twice - exp_map(p, V, CFG))) < 1e-9
+    twice = flow_real(half, flow_real(half, p, 1.0, CFG), 1.0, CFG)
+    assert np.max(np.abs(twice - flow_real(V, p, 1.0, CFG))) < 1e-9
 
 
 # --- matrix exponential -------------------------------------------------------
@@ -289,7 +288,7 @@ def test_left_invariant_fields_closed_forms(heis_spec, affine_spec):
 def test_flow_complex_constant_field_imaginary_time():
     chart = ComplexChart.standard(1)
     V = VectorField.coordinate(chart, "x1")
-    out = flow_complex(V, [0.0, 0.0], 1j, CFG)
+    out = flow_complex_multi([V], [0.0, 0.0], [1j], CFG)
     assert np.allclose(out, [0.0, 1.0], atol=1e-14)
 
 
@@ -297,7 +296,7 @@ def test_flow_complex_linear_field_rotates():
     chart = ComplexChart.standard(1)
     V = field(chart, ["x1", "y1"])  # coefficient z1, holomorphic
     th = 0.6
-    out = flow_complex(V, [1.0, 0.0], 1j * th, CFG)
+    out = flow_complex_multi([V], [1.0, 0.0], [1j * th], CFG)
     assert out[0] == pytest.approx(math.cos(th), abs=1e-10)
     assert out[1] == pytest.approx(math.sin(th), abs=1e-10)
 
@@ -305,12 +304,11 @@ def test_flow_complex_linear_field_rotates():
 def test_flow_complex_real_time_matches_flow_real(heis_spec):
     L = left_invariant_fields(heis_spec)
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        p = rng.uniform(-1, 1, size=6)
-        t = rng.uniform(-1, 1)
-        a = flow_complex(L[1], p, complex(t), CFG)
-        b = flow_real(L[1], p, t, CFG) if t != 0 else p
-        assert np.max(np.abs(a - b)) < 1e-10
+    P, t = rng.uniform(-1, 1, size=(5, 6)), rng.uniform(-1, 1, size=5)
+    a, _, errors = ComplexFlow([L[1]], CFG).rows(P, t[:, None].astype(complex))
+    assert errors == [None] * 5
+    for i in range(5):
+        assert np.max(np.abs(a[i] - flow_real(L[1], P[i], t[i], CFG))) < 1e-10
 
 
 def test_flow_complex_agrees_with_matrix_oracle(heis_spec):
@@ -328,16 +326,17 @@ def test_flow_complex_agrees_with_matrix_oracle(heis_spec):
 def test_flow_complex_holomorphic_in_time():
     chart = ComplexChart.standard(1)
     V = field(chart, ["x1", "y1"])
-    p = np.array([1.0, 0.0])
     J = j_matrix(chart)
     h = 1e-4
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        w = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        dt = (flow_complex(V, p, w + h, CFG) - flow_complex(V, p, w - h, CFG)) / (2 * h)
-        du = (flow_complex(V, p, w + 1j * h, CFG) - flow_complex(V, p, w - 1j * h, CFG)) / (2 * h)
-        cr = 0.5 * (dt + J @ du)
-        assert np.max(np.abs(cr)) < 1e-6
+    w = rng.uniform(-0.5, 0.5, 20) + 1j * rng.uniform(-0.5, 0.5, 20)
+    # the flows from (1, 0) at w +- h and w +- ih, one row each
+    W = np.concatenate([w + h, w - h, w + 1j * h, w - 1j * h])[:, None]
+    ends, _, errors = ComplexFlow([V], CFG).rows(np.tile([1.0, 0.0], (80, 1)), W)
+    assert errors == [None] * 80
+    up, dn, iup, idn = ends.reshape(4, 20, 2)
+    cr = 0.5 * ((up - dn) + (iup - idn) @ J.T) / (2 * h)
+    assert np.max(np.abs(cr)) < 1e-6
 
 
 def test_flow_complex_refuses_non_holomorphic(heis_spec):
@@ -346,7 +345,7 @@ def test_flow_complex_refuses_non_holomorphic(heis_spec):
     # depends on zbar_2: must be refused
     V = field(chart, ["1", "0", "0", "0", "0", "y2"])
     with pytest.raises(HolomorphyError):
-        flow_complex(V, np.zeros(6), 1j, CFG)
+        flow_complex_multi([V], np.zeros(6), [1j], CFG)
 
 
 # --- exact derivatives of the flows -------------------------------------------
@@ -452,12 +451,12 @@ def test_variational_flow_matches_central_differences():
         w = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         tangents = rng.uniform(-1, 1, size=(4, 2))
         dz0 = tangents[0::2] + 1j * tangents[1::2]
-        point, Y = flow.with_tangents(p, [w], dz0)
-        assert np.array_equal(point, flow(p, [w]))
+        [point], [Y], _ = flow.rows(p[None], np.array([[w]]), dz0[None])
+        assert np.array_equal(point, flow.rows(p[None], np.array([[w]]))[0][0])
 
         def real_map(x):
             # chart start point moved along the tangents, real and imaginary time
-            return flow(p + tangents @ x[:2], [w + complex(x[2], x[3])])
+            return flow_complex_multi([V], p + tangents @ x[:2], [w + complex(x[2], x[3])], CFG)
 
         fd = numerical_jacobian(real_map, np.zeros(4), 1e-6)
         exact = np.column_stack([Y[:, 0], Y[:, 1], Y[:, 2], 1j * Y[:, 2]])
@@ -468,8 +467,10 @@ def test_variational_flow_matches_central_differences():
 
 def test_variational_flow_refuses_non_holomorphic(heis_spec):
     V = field(heis_spec.chart, ["1", "0", "0", "0", "0", "y2"])
-    with pytest.raises(HolomorphyError):
-        ComplexFlow([V], CFG).with_tangents(np.zeros(6), [1j], np.eye(3))
+    points, Y, [err] = ComplexFlow([V], CFG).rows(np.zeros((1, 6)), np.array([[1j]]),
+                                                  np.eye(3, dtype=complex)[None])
+    assert isinstance(err, HolomorphyError)
+    assert np.isnan(points).all() and np.isnan(Y).all()
 
 
 def _flow_one_row(fields, cfg, p, w, dz0):
@@ -597,11 +598,11 @@ def test_stacked_complex_flow_equals_each_row_alone(tangents):
             assert type(errors[i]) is type(err) and str(errors[i]) == str(err)
             assert np.isnan(points[i]).all()
             continue
-        one = flow(P[i], W[i]) if dz0 is None else flow.with_tangents(P[i], W[i], dz0)
-        for got in (points[i], one if dz0 is None else one[0]):
+        one, one_Y, _ = flow.rows(P[i:i + 1], W[i:i + 1], None if dz0 is None else dz0[None])
+        for got in (points[i], one[0]):
             assert np.array_equal(got, want[0])
         if tangents:
-            assert np.array_equal(Y[i], want[1]) and np.array_equal(one[1], want[1])
+            assert np.array_equal(Y[i], want[1]) and np.array_equal(one_Y[0], want[1])
     # the refused rows change nothing in the others
     rest = flow.rows(P[:4], W[:4], None if dZ0 is None else dZ0[:4])
     assert np.array_equal(rest[0], points[:4])
@@ -668,7 +669,7 @@ def test_observed_order_is_eight():
     errors = []
     for per_unit in (4, 8):
         flow, exact = _quadratic_flow(1.1, FlowConfig(steps_per_unit=per_unit))
-        end = flow([0.3, 0.0], [1j])
+        end = flow.rows(np.array([[0.3, 0.0]]), np.array([[1j]]))[0][0]
         errors.append(abs(complex(*end) - exact(0.3, 1j)))
     assert 1e-13 < errors[1] and errors[0] >= 2 ** 7 * errors[1]
 
@@ -679,7 +680,8 @@ def test_flow_is_continuous_across_a_step_count_boundary():
     flow, exact = _quadratic_flow(1.25)
     ws = [0.25j, np.nextafter(0.25, 1.0) * 1j]
     assert [math.ceil(abs(w) * CFG.steps_per_unit) for w in ws] == [8, 9]
-    ends = [complex(*flow([0.3, 0.0], [w])) for w in ws]
+    ends = [complex(*end) for end in flow.rows(np.tile([0.3, 0.0], (2, 1)),
+                                               np.array(ws)[:, None])[0]]
     assert abs(ends[0] - ends[1]) <= 1e-15
     for z, w in zip(ends, ws):
         assert abs(z - exact(0.3, w)) <= 1e-14

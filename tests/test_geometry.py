@@ -5,13 +5,13 @@ closed forms."""
 import numpy as np
 import pytest
 
-from cgsys.expr import parse_expr
+from cgsys.expr import diff, evaluate, parse_expr
 from cgsys.geometry import (
-    ComplexChart, VectorField, apply_J, complexify, d_apply, dc_apply,
-    ddc_apply, distribution_rank, env_at, field_matrix, frobenius_defect,
+    ComplexChart, VectorField, apply_J, complexify, env_at, field_matrix,
     is_holomorphic, j_matrix, j_rotate, laplacian, lie_bracket, pair_brackets,
     span_residuals,
 )
+from cgsys.verify import GradientSystem
 
 
 def make_field(chart, comps):
@@ -105,62 +105,64 @@ def test_j_matrix_is_j_rotate_without_negative_zeros():
 # --- d and d^c ---------------------------------------------------------------
 
 
+def table_at(chart, fields, grads, pts):
+    """The check table blocks of the system (fields, grads) at the rows of pts."""
+    return GradientSystem(chart, tuple(fields), tuple(grads)).table.at(pts)
+
+
 def test_d_of_coordinate():
     chart = ComplexChart.standard(1)
-    f = parse_expr("x1")
-    V = VectorField.coordinate(chart, "x1")
-    assert d_apply(f, V, [0.3, -1.2]) == 1.0
+    t = table_at(chart, [VectorField.coordinate(chart, "x1")], [parse_expr("x1")], [[0.3, -1.2]])
+    assert t["d"][0, 0, 0] == 1.0
 
 
 def test_d_of_constant_vanishes():
     chart = ComplexChart.standard(1)
-    V = VectorField.coordinate(chart, "x1")
-    assert d_apply(parse_expr("7"), V, [0.3, -1.2]) == 0.0
+    t = table_at(chart, [VectorField.coordinate(chart, "x1")], [parse_expr("7")], [[0.3, -1.2]])
+    assert t["d"][0, 0, 0] == 0.0
 
 
 def test_d_group_gradient_annihilates_representation(heis):
     chart, fields, grads = heis
-    rng = np.random.default_rng(5)
-    for p in rng.uniform(-2, 2, size=(10, 6)):
+    pts = np.random.default_rng(5).uniform(-2, 2, size=(10, 6))
+    for p in pts:
         # independent oracle: directional central difference
         h = 1e-6
         v = fields[0].values(p)
         up = env_at(chart, p + h * v)
         dn = env_at(chart, p - h * v)
-        from cgsys.expr import evaluate
         oracle = (evaluate(grads[2], up) - evaluate(grads[2], dn)) / (2 * h)
         assert abs(oracle) < 1e-8
-        assert abs(d_apply(grads[2], fields[0], p)) < 1e-13
+    # d[:, a, b] = du_(a+1)(xi_(b+1))
+    assert np.max(np.abs(table_at(chart, fields, grads, pts)["d"][:, 2, 0])) < 1e-13
 
 
 def test_dc_unit_normalization():
     chart = ComplexChart.standard(1)
-    f = parse_expr("-y1")
-    V = VectorField.coordinate(chart, "x1")
-    assert dc_apply(f, V, [0.0, 0.0]) == 1.0
+    t = table_at(chart, [VectorField.coordinate(chart, "x1")], [parse_expr("-y1")], [[0.0, 0.0]])
+    assert t["dc"][0, 0, 0] == 1.0
 
 
 def test_dc_misses_x_coordinate():
     chart = ComplexChart.standard(1)
-    assert dc_apply(parse_expr("x1"), VectorField.coordinate(chart, "x1"), [0.4, 0.2]) == 0.0
+    t = table_at(chart, [VectorField.coordinate(chart, "x1")], [parse_expr("x1")], [[0.4, 0.2]])
+    assert t["dc"][0, 0, 0] == 0.0
 
 
 def test_dc_cross_terms_vanish(heis):
     chart, fields, grads = heis
-    for p in sample_points(chart, 10, 7):
-        assert abs(dc_apply(grads[0], fields[1], p)) < 1e-13
+    t = table_at(chart, fields, grads, sample_points(chart, 10, 7))
+    assert np.max(np.abs(t["dc"][:, 0, 1])) < 1e-13
 
 
 def test_dc_equals_minus_d_of_J_two_paths(heis):
     # d^c is computed from its own coordinate formula; compare against the
     # independent route -d(f)(JV)
     chart, fields, grads = heis
-    for p in sample_points(chart, 25, 8):
-        for f in grads:
-            for V in fields:
-                a = dc_apply(f, V, p)
-                b = -d_apply(f, apply_J(V), p)
-                assert a == pytest.approx(b, abs=1e-14)
+    pts = sample_points(chart, 25, 8)
+    dc = table_at(chart, fields, grads, pts)["dc"]
+    d_of_J = table_at(chart, [apply_J(V) for V in fields], grads, pts)["d"]
+    assert np.allclose(dc, -d_of_J, rtol=0, atol=1e-14)
 
 
 # --- brackets ----------------------------------------------------------------
@@ -213,47 +215,60 @@ def test_bracket_jacobi_identity(heis, affine):
 # --- dd^c --------------------------------------------------------------------
 
 
+def ddc(sys_, pts):
+    """dd^c u_c(X, Y) through the three-term identity at the rows of pts,
+    from the check table: (points, frame pair, c)."""
+    t = sys_.table.at(pts)
+    return t["t1"] - t["t2"] - t["t3"]
+
+
 def test_ddc_linear_function_vanishes():
     chart = ComplexChart.standard(1)
-    f = parse_expr("-y1")
-    V = VectorField.coordinate(chart, "x1")
-    W = VectorField.coordinate(chart, "y1")
+    line = GradientSystem(chart, (VectorField.coordinate(chart, "x1"),), (parse_expr("-y1"),))
     # brute-force oracle from the defining three-term expression: every term
-    # is constant for a linear f, so the value is exactly 0
-    assert ddc_apply(f, V, W, [0.2, 0.4]) == 0.0
+    # is constant for a linear f, so the value is exactly 0 on (d/dx1, d/dy1)
+    assert line.table.pairs[0] == (0, 1)
+    assert ddc(line, [[0.2, 0.4]])[0, 0, 0] == 0.0
 
 
 def test_ddc_group_value_frozen(heis):
     chart, fields, grads = heis
-    for p in sample_points(chart, 10, 13):
-        got = ddc_apply(grads[2], fields[0], fields[1], p)
-        # oracle: with du_a(xi_b) = 0 the identity collapses to
-        # -d^c u_3([xi_1, xi_2]) = -d^c u_3(xi_3) = -1
-        oracle = -dc_apply(grads[2], lie_bracket(fields[0], fields[1]), p)
-        assert oracle == pytest.approx(-1.0, abs=1e-14)
-        assert got == pytest.approx(-1.0, abs=1e-13)
+    pts = sample_points(chart, 10, 13)
+    sys_ = GradientSystem(chart, fields, grads)
+    got = ddc(sys_, pts)[:, sys_.table.row[(0, 1)], 2]
+    # oracle: with du_a(xi_b) = 0 the identity collapses to
+    # -d^c u_3([xi_1, xi_2]) = -d^c u_3(xi_3) = -1, with d^c u(V) = -du(JV)
+    JB = apply_J(lie_bracket(fields[0], fields[1]))
+    for p in pts:
+        du = [evaluate(diff(grads[2], x), env_at(chart, p)) for x in chart.names]
+        assert np.dot(du, JB.values(p)) == pytest.approx(-1.0, abs=1e-14)
+    assert np.allclose(got, -1.0, rtol=0, atol=1e-13)
 
 
 def test_ddc_constant_vanishes(heis):
     chart, fields, _ = heis
-    f = parse_expr("3.5")
-    for p in sample_points(chart, 5, 14):
-        assert ddc_apply(f, fields[0], fields[1], p) == 0.0
+    sys_ = GradientSystem(chart, fields, (parse_expr("3.5"),) * 3)
+    assert not ddc(sys_, sample_points(chart, 5, 14))[:, sys_.table.row[(0, 1)]].any()
 
 
 def test_ddc_bracket_recovery_identities(heis):
     # the three dd^c identities: applying the representation to
-    # dd^c U(X, Y) recovers -[X, Y] for X, Y drawn from {xi, J xi}
+    # dd^c U(X, Y) recovers -[X, Y] for X, Y drawn from {xi, J xi}, against
+    # the symbolic brackets
     chart, fields, grads = heis
+    sys_ = GradientSystem(chart, fields, grads)
+    k = sys_.k
     pairs = [
-        (fields[0], fields[1], lie_bracket(fields[0], fields[1])),
-        (apply_J(fields[0]), apply_J(fields[1]), lie_bracket(fields[0], fields[1])),
-        (fields[0], apply_J(fields[1]), lie_bracket(fields[0], apply_J(fields[1]))),
+        ((0, 1), lie_bracket(fields[0], fields[1])),
+        ((k, k + 1), lie_bracket(fields[0], fields[1])),
+        ((0, k + 1), lie_bracket(fields[0], apply_J(fields[1]))),
     ]
-    for p in sample_points(chart, 100, 15):
-        for X, Y, B in pairs:
-            coeffs = [ddc_apply(g, X, Y, p) for g in grads]
-            recovered = sum(c * f.values(p) for c, f in zip(coeffs, fields))
+    pts = sample_points(chart, 100, 15)
+    coeffs = ddc(sys_, pts)
+    for i, p in enumerate(pts):
+        for pair, B in pairs:
+            c = coeffs[i, sys_.table.row[pair]]
+            recovered = sum(c[a] * f.values(p) for a, f in enumerate(fields))
             assert np.max(np.abs(recovered + B.values(p))) < 1e-9
 
 
@@ -310,33 +325,33 @@ def test_left_invariant_affine_field_is_holomorphic(affine):
 def test_rank_of_coordinate_pair():
     chart = ComplexChart.standard(2)
     fs = [VectorField.coordinate(chart, "x1"), VectorField.coordinate(chart, "y1")]
-    assert distribution_rank(fs, [0.0, 0.0, 0.0, 0.0]) == 2
+    assert np.linalg.matrix_rank(field_matrix(fs, [0.0, 0.0, 0.0, 0.0])) == 2
 
 
 def test_rank_full_for_group_frame(heis):
-    chart, fields, _ = heis
-    frame = list(fields) + [apply_J(V) for V in fields]
-    for p in sample_points(chart, 10, 18):
-        assert distribution_rank(frame, p) == 6
+    chart, fields, grads = heis
+    t = GradientSystem(chart, fields, grads).table.at(sample_points(chart, 10, 18))
+    assert np.array_equal(np.linalg.matrix_rank(t["frame"]), [6] * 10)
 
 
 def test_rank_of_repeated_field(heis):
     chart, fields, _ = heis
     p = sample_points(chart, 1, 19)[0]
-    assert distribution_rank([fields[0], fields[0]], p) == 1
+    assert np.linalg.matrix_rank(field_matrix([fields[0], fields[0]], p)) == 1
 
 
 def test_frobenius_defect_coordinate_fields():
     chart = ComplexChart.standard(2)
     fs = [VectorField.coordinate(chart, "x1"), VectorField.coordinate(chart, "x2")]
-    assert frobenius_defect(fs, [0.1, 0.2, 0.3, 0.4]) == 0.0
+    S, B = stacked(fs, pair_brackets(fs), [[0.1, 0.2, 0.3, 0.4]])
+    assert np.max(span_residuals(S, B)) == 0.0
 
 
 def test_frobenius_defect_group_frame_integrable(heis):
-    chart, fields, _ = heis
-    frame = list(fields) + [apply_J(V) for V in fields]
-    for p in sample_points(chart, 10, 20):
-        assert frobenius_defect(frame, p) < 1e-12
+    chart, fields, grads = heis
+    table = GradientSystem(chart, fields, grads).table
+    t = table.at(sample_points(chart, 10, 20))
+    assert np.max(span_residuals(t["frame"], t["bracket"][..., :table.n_frame_pairs])) < 1e-12
 
 
 def test_frobenius_defect_positive_when_bracket_escapes():
@@ -348,14 +363,8 @@ def test_frobenius_defect_positive_when_bracket_escapes():
     p = [0.0, 0.0, 0.0, 0.0]
     b = lie_bracket(V, W).values(p)
     assert np.allclose(b, [0, 0, 1, 0])
-    assert frobenius_defect([V, W], p) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_frobenius_rank_deficient_raises(heis):
-    chart, fields, _ = heis
-    p = sample_points(chart, 1, 21)[0]
-    with pytest.raises(ValueError):
-        frobenius_defect([fields[0], fields[0]], p)
+    S, B = stacked([V, W], [lie_bracket(V, W)], [p])
+    assert span_residuals(S, B)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 # --- symmetry relations under J ----------------------------------------------
@@ -384,12 +393,10 @@ def test_laplacian_of_group_gradients(heis, affine):
     for g in grads:
         lap = laplacian(g, chart)
         for p in sample_points(chart, 20, 23):
-            from cgsys.expr import evaluate
             assert abs(evaluate(lap, env_at(chart, p))) < 1e-13
 
     chart2, _, grads2 = affine
     lap2 = laplacian(grads2[1], chart2)
-    from cgsys.expr import evaluate
     vals = [abs(evaluate(lap2, env_at(chart2, p))) for p in affine_points(20, 24)]
     assert max(vals) > 1e-3
 

@@ -229,25 +229,24 @@ def test_span_residuals_of_checks_match_lstsq_per_point(affine, heis):
 
 
 def test_decompositions_heisenberg_counts(heis):
-    p = sample_points(heis, 1, seed=2)[0]
-    rec = check_decompositions(heis, p)
-    assert rec.ok
-    assert (rec.rank_span, rec.rank_gradient, rec.dim_horizontal) == (6, 3, 0)
-    assert rec.rank_total == 6
+    recs = check_decompositions(heis, heis.table.at(sample_points(heis, 5, seed=2)))
+    assert len(recs) == 5
+    for rec in recs:
+        assert rec.ok
+        assert (rec.rank_span, rec.rank_gradient, rec.dim_horizontal) == (6, 3, 0)
+        assert rec.rank_total == 6
 
 
 def test_decompositions_model_counts(model):
-    p = sample_points(model, 1, seed=3)[0]
-    rec = check_decompositions(model, p)
-    assert rec.ok
-    assert (rec.rank_span, rec.rank_gradient, rec.dim_horizontal) == (2, 1, 2)
-    assert rec.rank_total == 4
+    for rec in check_decompositions(model, model.table.at(sample_points(model, 5, seed=3))):
+        assert rec.ok
+        assert (rec.rank_span, rec.rank_gradient, rec.dim_horizontal) == (2, 1, 2)
+        assert rec.rank_total == 4
 
 
 def test_decompositions_broken_fails(broken):
     # the scaled field still spans, but the gradient does not vanish on it
-    p = np.array([0.3, -0.4])
-    rec = check_decompositions(broken, p)
+    [rec] = check_decompositions(broken, broken.table.at([[0.3, -0.4]]))
     assert rec.ok  # rank arithmetic still consistent for this demo ...
     rep = check_axioms(broken, broken.table.at(sample_points(broken, 10, 0)), 1e-9)
     # ... the axiom residuals are what flag it
@@ -258,7 +257,7 @@ def test_decompositions_kernel_failure():
     # a genuinely degenerate gradient map: U constant has rank 0, not k
     chart = ComplexChart.standard(1)
     sys = system(chart, [field(chart, ["1", "0"])], ["2"], name="degenerate")
-    rec = check_decompositions(sys, np.array([0.1, 0.2]))
+    [rec] = check_decompositions(sys, sys.table.at([[0.1, 0.2]]))
     assert not rec.ok
     assert rec.rank_gradient == 0
 
@@ -374,8 +373,7 @@ def test_axiom_pass_implies_consequences(heis, affine, line, line_alt, model):
             assert c.passed, (sys_.name, c.name, c.max_residual)
         t = sys_.table.at(sample_points(sys_, 40, 23))
         assert check_commutation(sys_, t, 1e-8).passed, sys_.name
-        p = sample_points(sys_, 1, seed=23)[0]
-        assert check_decompositions(sys_, p).ok, sys_.name
+        assert all(r.ok for r in check_decompositions(sys_, t)), sys_.name
 
 
 # --- level sets ------------------------------------------------------------------------
