@@ -4,9 +4,7 @@
 
 import numpy as np
 
-from cgsys import (
-    apply_J, complexify, is_holomorphic, load_builtin, span_residuals, to_string,
-)
+from cgsys import apply_J, is_holomorphic, load_builtin, span_residuals, to_string
 
 sys_ = load_builtin("heisenberg").system
 x1, x2, x3 = sys_.fields
@@ -44,6 +42,7 @@ print("frame involutivity defect:",
       span_residuals(t["frame"], t["bracket"][..., :table.n_frame_pairs]).max())
 
 # The field coefficients mix z and conjugate-z, so the complexified field
-# is not holomorphic; the residual is the constant 1/2 from the i*y2 term.
-ok, worst = is_holomorphic(complexify(x1), [p])
+# (xi_1 - i J xi_1)/2 is not holomorphic; the residual is the constant 1/2
+# from the i*y2 term.  is_holomorphic takes the real field and complexifies it.
+ok, worst = is_holomorphic(x1, p[None])
 print("xi_1 holomorphic?", ok, " residual:", worst)

@@ -27,18 +27,20 @@ A = 0.5 * E1 + 0.25 * E2 + 0.125 * E3
 print("exp(A)[0, 2] =", matrix_exp(A)[0, 2], " (exactly u3 + u1*u2/2 = 0.1875)")
 
 # Left-invariant fields fall out of the embedding symbolically; flowing one
-# with Runge-Kutta agrees with the closed-form product g exp(t E).
+# with Runge-Kutta agrees with the closed-form product g exp(t E).  The group
+# flow takes stacks of rows, start points g and algebra coefficients V (here
+# a stack of one), and returns the points with each row's error or None.
 L = left_invariant_fields(spec)
 p = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 by_ode = flow_real(L[1], p, 1.0, cfg)
-by_mat = complexified_flow_matrix(spec, p, [0.0, 1.0, 0.0])
+by_mat, errors = complexified_flow_matrix(spec, p[None], np.array([[0.0, 1.0, 0.0]]))
 print("ODE flow:      ", by_ode)
-print("matrix product:", by_mat)
+print("matrix product:", by_mat[0])
 
 # Complex time: purely imaginary time along the left-invariant frame leaves
 # the real group and fills out the complexification.
-out = complexified_flow_matrix(spec, np.zeros(6), [0.3j, -0.5j, 0.2j])
-print("imaginary-time point:", out)
+out, errors = complexified_flow_matrix(spec, np.zeros((1, 6)), np.array([[0.3j, -0.5j, 0.2j]]))
+print("imaginary-time point:", out[0])
 
 # The same trip through the ODE route, allowed because the left-invariant
 # coefficients are holomorphic.  ComplexFlow.rows flows a stack of start

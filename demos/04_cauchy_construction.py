@@ -17,9 +17,12 @@ data = line.cr
 t = data.table.at(param_samples(data, 25, 0))
 print("transverse?", check_cr_transverse(data, t).transverse)
 
-# F(s, u) flows the point sigma(s) = s on the real axis for imaginary time:
+# F(s, u) flows the point sigma(s) = s on the real axis for imaginary time.
+# It maps stacks of rows (s, u), here a stack of one, to the chart points
+# and, per row, None or the error that refuses it:
 F = build_F(data, cfg)
-print("F(0.3, 0.4) =", F(np.array([0.3]), np.array([0.4])), " (= 0.3 + 0.4i)")
+points, errors = F(np.array([[0.3]]), np.array([[0.4]]))
+print("F(0.3, 0.4) =", points[0], " (= 0.3 + 0.4i)")
 
 # Inverting F at an ambient point gives the equation of M: U(x + iy) = -y.
 # solve inverts F at a stack of query points; its record of each carries
@@ -32,7 +35,8 @@ sf = load_builtin("heisenberg-cr")
 data = sf.cr
 
 # On M the frame matrices are trivial: P = identity, Q = 0.  The frame is
-# built on the exact Jacobian of F (one block matrix exponential).
+# built on the exact Jacobian of F (one block matrix exponential);
+# compute_PQA runs dF and the frame on (p, u) as a stack of one row.
 dF = build_dF(data, cfg)
 frame0 = compute_PQA(data, dF, np.array([0.2, -0.1, 0.4]), np.zeros(3), cfg)
 print("P on M:\n", np.round(frame0.P, 12))

@@ -22,8 +22,8 @@ from .expr import (
     evaluate, free_vars, parse_expr, subst, to_string,
 )
 from .geometry import (
-    ComplexChart, ComplexField, VectorField, apply_J, complexify, is_holomorphic,
-    laplacian, lie_bracket, pair_brackets, span_residuals,
+    ComplexChart, VectorField, apply_J, is_holomorphic, laplacian, lie_bracket,
+    pair_brackets, span_residuals,
 )
 from .flow import (
     DivergenceError, EmbeddingError, FlowConfig, FlowError, HolomorphyError,
@@ -51,7 +51,7 @@ from .dsl import (
 
 __version__ = "0.1.0"
 
-# removed one-point functions and the batched code that replaces each
+# removed one-point functions and types and the batched code that replaces each
 REMOVED = {
     "d_apply": "CheckTable.at(pts)['d'] or geometry.d_values over jets_at",
     "dc_apply": "CheckTable.at(pts)['dc'] or geometry.dc_values over jets_at",
@@ -62,6 +62,8 @@ REMOVED = {
     "flow_complex": "ComplexFlow([V], cfg).rows(P, W) or flow_complex_multi([V], p, [w])",
     "equation_map": "solve(data, queries, cfg): its records carry params, u and U",
     "invariant_lift": "compute_PQA(data, dF, p, u): frame.dF @ frame.lifts.T",
+    "ComplexField": "the real VectorField; geometry.holomorphic_partials complexifies it",
+    "complexify": "geometry.holomorphic_partials([V]), or is_holomorphic(V, pts)",
 }
 
 

@@ -46,13 +46,13 @@ Newton runs on the map of build_dF, whose points equal F's to the last
 bit, so each Newton point is evaluated once for its value and Jacobian
 together, and the stacked P/Q/A and field products are built on the F and
 dF that Newton returns at the solutions; F itself only places the grid
-queries (``grid_queries``).  F, dF, the frames and the fields all take
-stacks of rows and return, beside their values, the error that refuses
-each row, so a failing query refuses only its own record; ``compute_PQA``,
-``construct_fields`` and F(p, u) at one point are one-row views of the
-same code.  On matrix groups a stack costs one batched matrix exponential;
-on ambient fields one stacked Runge-Kutta run (``ComplexFlow.rows``), each
-row with its own step count.
+queries (``grid_queries``).  F, dF, the frames and the fields take stacks
+of rows only, a point being a stack of one, and return, beside their
+values, the error that refuses each row, so a failing query refuses only
+its own record; ``compute_PQA`` and ``construct_fields`` run the same code
+on a stack of one row and raise its error.  On matrix groups a stack costs
+one batched matrix exponential; on ambient fields one stacked Runge-Kutta
+run (``ComplexFlow.rows``), each row with its own step count.
 """
 
 from __future__ import annotations
@@ -308,21 +308,6 @@ def frobenius_defect_on_M(data: CRInitialData, t) -> float:
 # the flow coordinates F and their inversion
 
 
-def _point_view(rows):
-    """A map over stacks of rows (P (n, m), U (n, k)) returning (..., errors),
-    callable on one point (p, u) as well: then it returns that row's values
-    and raises the exception that refuses it."""
-    def view(p, u):
-        if np.ndim(p) == 2:
-            return rows(np.asarray(p, dtype=float), np.asarray(u, dtype=float))
-        *out, errors = rows(np.asarray(p, dtype=float)[None],
-                            np.asarray(u, dtype=float)[None])
-        _raise_first(errors)
-        return out[0][0] if len(out) == 1 else tuple(o[0] for o in out)
-
-    return view
-
-
 def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
     """F over stacks of rows P (n, m), U (n, k): (points (n, 2N), errors),
     and with ``jac`` (points, Jacobians (n, 2N, m + k), errors), errors[i]
@@ -333,7 +318,7 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
 
     def rows(P, U):
         S, D, errors = data.sigma_rows(P)
-        W = 1j * U.astype(complex)
+        W = 1j * np.asarray(U, dtype=complex)
         if spec is not None:
             *out, flow_errors = (complexified_flow_jacobian(spec, S, W, D, 1j * np.eye(k))
                                  if jac else complexified_flow_matrix(spec, S, W))
@@ -356,29 +341,29 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
 def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     """The map F(p, u) = flow of sigma(p) for complex time i u.
 
+    The map takes stacks of rows P (n, m), U (n, k) and returns (points
+    (n, 2N), errors), errors[i] None or the exception that refuses row i.
     Matrix-group data uses the exact products g exp(i sum u_a E_a) of all
     rows at once; otherwise the ambient fields must complexify
     holomorphically and the rows' flows are integrated in the chart by one
-    stacked Runge-Kutta run.  One point (p (m,), u (k,)) gives the chart point and
-    raises what refuses it; stacks p (n, m), u (n, k) give (points (n, 2N),
-    errors), errors[i] None or the exception that refuses row i.
+    stacked Runge-Kutta run.
     """
-    return _point_view(_flow_rows(data, cfg, jac=False))
+    return _flow_rows(data, cfg, jac=False)
 
 
 def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
-    """The exact derivative of F: dF(p, u) returns (F(p, u), J) with J the
-    real 2N x (2n + 2k) Jacobian in the variables (p, u); stacks of rows
-    give (points, Jacobians (n, 2N, 2n + 2k), errors) as build_F does.  The
-    points and errors are build_F's to the last bit, so Newton can take
-    its residuals from this map alone.
+    """The exact derivative of F: the map takes stacks of rows P, U as
+    build_F's does and returns (points, Jacobians (n, 2N, 2n + 2k), errors),
+    each Jacobian the real one in the variables (p, u).  The points and
+    errors are build_F's to the last bit, so Newton can take its residuals
+    from this map alone.
 
     Matrix-group data differentiates g exp(X) through the block Frechet
     exponential, all rows at once; ambient fields step the tangent columns
     [dz/dz0 dsigma | dz/dw] along each row's Runge-Kutta trajectory, all rows in
     one stacked run, with d/du_a = i d/dw_a.
     """
-    return _point_view(_flow_rows(data, cfg, jac=True))
+    return _flow_rows(data, cfg, jac=True)
 
 
 def _initial_guesses(data: CRInitialData, Q) -> np.ndarray:
@@ -482,19 +467,18 @@ def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CON
                 check_det: bool = True) -> AdaptedFrame:
     """Evaluate dF, the lifted frame, and the matrices P, Q, A at (p, u).
 
-    ``dF_map`` is the (point, Jacobian) map of build_dF(data, cfg), or None
-    to build it here.  P[a, b] = du_a(J h_b) and Q[a, b] = du_a(J d/du_b),
-    with J pulled back through F, i.e. applied in chart coordinates between
-    dF and its inverse.  This is the one-row view of the stacked frames
-    that ``solve`` computes for all its queries at once.
+    ``dF_map`` is the stacked map of build_dF(data, cfg), or None to build
+    it here.  P[a, b] = du_a(J h_b) and Q[a, b] = du_a(J d/du_b), with J
+    pulled back through F, i.e. applied in chart coordinates between dF and
+    its inverse.  The map and the stacked frames that ``solve`` computes
+    for all its queries at once run on (p, u) as a stack of one row, and
+    the error that refuses it is raised.
     """
-    p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
+    P, U = np.asarray(p, dtype=float)[None], np.asarray(u, dtype=float)[None]
     dF_map = build_dF(data, cfg) if dF_map is None else dF_map
-    ambient, dF = dF_map(p, u)
-    if np.ndim(dF) != 2:
-        raise TypeError("compute_PQA needs the (point, Jacobian) map of build_dF")
-    frame, errors = _frames(data, p[None], u[None], np.asarray(ambient)[None],
-                            np.asarray(dF)[None], check_det)
+    ambient, dF, errors = dF_map(P, U)
+    _raise_first(errors)
+    frame, errors = _frames(data, P, U, ambient, dF, check_det)
     _raise_first(errors)
     return _row(frame, 0)
 

@@ -139,7 +139,9 @@ def cmd_cauchy(args) -> int:
     data = sf.cr
     check_rows(grid ** data.k, f"grid^k = {grid}^{data.k}")
     try:
-        axes = [np.linspace(-extent, extent, grid)] * data.k
+        # the halved span cannot overflow, and doubling is exact: these are
+        # linspace(-extent, extent)'s values for every extent whose span is finite
+        axes = [2.0 * np.linspace(-extent / 2, extent / 2, grid)] * data.k
         queries = grid_queries(data, axes, cfg=cfg)
         sol = solve(data, queries, cfg, oracle=sf.oracle)
     except TransversalityError as err:

@@ -33,17 +33,18 @@ tape's own error: its DomainError, naming the node and the point, or a
 HolomorphyError from the tape's residual.  ``flow_complex_multi`` is its
 one-row view.
 
-The matrix-group maps (``matrix_exp``, ``complexified_flow_matrix``,
-``complexified_flow_jacobian``) also take stacks of rows: each matrix gets
-its own scaling and its own Taylor stopping point, and a row comes out as
-it would alone.  ``newton_rows``, the one Newton of cgsys, runs damped
-Newton over stacked rows in lockstep, each row with its own step halvings
-and convergence test, on one map that returns the values and the exact
-Jacobians together: every start row and trial is evaluated once (an
-accepted trial's Jacobian is the next step's), F and dF at the solutions
-come back as the map gave them, and a wide system (a level set of U)
-takes minimum-norm steps.  Stacked maps report the error that refuses a
-row beside the values, so one failing row fails alone.
+The matrix-group maps take stacks of rows: ``complexified_flow_matrix``
+and ``complexified_flow_jacobian`` only those, ``matrix_exp`` one matrix
+or a stack.  Each matrix gets its own scaling and its own Taylor stopping
+point, and a row comes out as it would alone.  ``newton_rows``, the one
+Newton of cgsys, runs damped Newton over stacked rows in lockstep, each
+row with its own step halvings and convergence test, on one map that
+returns the values and the exact Jacobians together: every start row and
+trial is evaluated once (an accepted trial's Jacobian is the next
+step's), F and dF at the solutions come back as the map gave them, and a
+wide system (a level set of U) takes minimum-norm steps.  Stacked maps
+report the error that refuses a row beside the values, so one failing
+row fails alone.
 
 Everything is pure: configs are read-only shared data and independent
 trajectories or Newton solves can run concurrently.
@@ -256,7 +257,9 @@ def matrix_exp(A) -> np.ndarray:
     scaled to norm <= 1/2 by its own power of two and its series runs to
     degree 16 (remainder below double rounding), stopping early only when
     its own term is exactly zero, which makes the result exact for
-    nilpotent input.  A row of a stack comes out as it would alone.
+    nilpotent input.  A row of a stack comes out as it would alone.  The
+    squarings may overflow to inf (or underflow to 0); a matrix whose
+    doubled norm is not finite comes out NaN.
     """
     A = np.asarray(A)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -264,13 +267,16 @@ def matrix_exp(A) -> np.ndarray:
     if A.ndim == 2:
         return matrix_exp(A[None])[0]
     n, d = len(A), A.shape[-1]
-    # each matrix's 1-norm, its largest absolute column sum
-    colsum = np.abs(A[:, 0])
-    for i in range(1, d):
-        colsum = colsum + np.abs(A[:, i])
-    s = np.array([max(0, math.ceil(math.log2(x / 0.5))) if x > 0.5 else 0
-                  for x in colsum.max(axis=1, initial=0.0)], dtype=int)
-    B = A / (2.0 ** s)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # twice each matrix's 1-norm, its largest absolute column sum
+        colsum = np.abs(A[:, 0])
+        for i in range(1, d):
+            colsum = colsum + np.abs(A[:, i])
+        twice = colsum.max(axis=1, initial=0.0) / 0.5
+        s = np.array([math.ceil(math.log2(x)) if 1.0 < x < math.inf else 0 for x in twice],
+                     dtype=int)
+        # 2^-s is exact and cannot overflow; a row with no finite scaling is NaN
+        B = A * np.where(np.isfinite(twice), np.ldexp(1.0, -s), np.nan)[:, None, None]
     out = np.broadcast_to(np.eye(d, dtype=np.result_type(A.dtype, float)), A.shape).copy()
     term = out.copy()
     live = np.ones(n, dtype=bool)
@@ -284,12 +290,13 @@ def matrix_exp(A) -> np.ndarray:
             out[live] += term[live]
         else:
             break
-    for i in range(int(s.max(initial=0))):
-        sq = s > i
-        if sq.all():
-            out = out @ out
-        else:
-            out[sq] = out[sq] @ out[sq]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(s.max(initial=0))):
+            sq = s > i
+            if sq.all():
+                out = out @ out
+            else:
+                out[sq] = out[sq] @ out[sq]
     return out
 
 
@@ -356,22 +363,18 @@ class MatrixGroupSpec:
         (of each matrix of a stack)."""
         return _complex_to_real(np.asarray(M)[(..., *zip(*self.positions))])
 
-    def unembed(self, M) -> np.ndarray:
-        """Complex group matrix -> chart point; rejects off-pattern matrices."""
-        points, errors = self.unembed_rows(np.asarray(M)[None])
-        _raise_first(errors)
-        return points[0]
-
     def unembed_rows(self, M):
-        """unembed over a stack of matrices (n, m, m): the chart points and,
-        per row, None or the EmbeddingError that refuses it."""
+        """Complex group matrices (n, m, m) -> their chart points, and per
+        row None or the EmbeddingError that refuses an off-pattern or
+        non-finite matrix."""
         offset = np.asarray(M, dtype=complex) - self.base
         rest = offset.copy()
         rest[(..., *zip(*self.positions))] = 0.0
-        drift = np.max(np.abs(rest), axis=(-2, -1), initial=0.0)
+        drift = np.where(np.isfinite(offset).all(axis=(-2, -1)),
+                         np.max(np.abs(rest), axis=(-2, -1), initial=0.0), np.nan)
         errors = [EmbeddingError(
             f"matrix leaves the embedded coordinate pattern (drift {d:.3e})")
-            if d > EMBEDDING_TOL else None for d in drift]
+            if not d <= EMBEDDING_TOL else None for d in drift]
         return self.read_slots(offset), errors
 
     def algebra_element(self, coeffs) -> np.ndarray:
@@ -384,42 +387,33 @@ class MatrixGroupSpec:
 
 
 def complexified_flow_matrix(spec: MatrixGroupSpec, g, V):
-    """The complexified flow on a matrix group: (g, V) -> g exp(sum V_a E_a),
-    with V a vector of k complex numbers, mapped back to chart coordinates.
+    """The complexified flow on a matrix group: (g, V) -> g exp(sum V_a E_a)
+    over stacks of rows, the chart points g (n, 2N) and the k complex
+    coefficients V (n, k), mapped back to chart coordinates.
 
-    ``g`` is a chart point or a group matrix.  Stacks of rows, g (n, 2N)
-    and V (n, k), give (points (n, 2N), errors), errors[i] None or the
-    EmbeddingError that refuses row i; a row equals its one-point call.
+    Returns (points (n, 2N), errors), errors[i] None or the EmbeddingError
+    that refuses row i; a row comes out as it would in a stack of one.
     """
-    if np.ndim(V) == 2:
-        return spec.unembed_rows(spec.embed(g) @ matrix_exp(spec.algebra_element(V)))
-    M = spec.embed(g) if np.ndim(g) == 1 else np.asarray(g, dtype=complex)
-    return spec.unembed(M @ matrix_exp(spec.algebra_element(V)))
+    return spec.unembed_rows(spec.embed(g) @ matrix_exp(spec.algebra_element(V)))
 
 
 def complexified_flow_jacobian(spec: MatrixGroupSpec, g, V, dg, dV):
-    """The flow point g exp(X), X = sum V_a E_a, and its exact real Jacobian.
+    """The flow points g exp(X), X = sum V_a E_a, and their exact real
+    Jacobians, over stacks of rows as complexified_flow_matrix takes them.
 
-    ``dg`` holds chart tangent columns at g (2N x r) and ``dV`` complex
-    coefficient columns of algebra directions (k x s).  Returns the chart
-    point and the 2N x (r + s) Jacobian: column j is dg_j exp(X), and
-    column r + b is g L(X, D_b), with L the Frechet derivative of exp.  The
-    Jacobian's exp(X) and the L(X, D_b) come from the first block row of
-    one exponential of the block upper-triangular matrix with X on the
-    diagonal and D_1, ..., D_s beside the first block; it is exact where
-    the Taylor sum terminates, i.e. on nilpotent algebras.  The point is
-    g matrix_exp(X), as complexified_flow_matrix computes it (the block's
-    corner can differ from it in the last bits), so the point equals F's.
-
-    Stacks of rows, g (n, 2N), V (n, k) and dg (n, 2N, r), with ``dV``
-    shared, give (points, Jacobians (n, 2N, r + s), errors) as
-    complexified_flow_matrix does; a row equals its one-point call.
+    ``dg`` (n, 2N, r) holds chart tangent columns at each g and ``dV`` (k, s)
+    complex coefficient columns of algebra directions, shared by the rows.
+    Returns (points (n, 2N), Jacobians (n, 2N, r + s), errors) with errors
+    as complexified_flow_matrix gives them: column j of a Jacobian is
+    dg_j exp(X), and column r + b is g L(X, D_b), with L the Frechet
+    derivative of exp.  The Jacobian's exp(X) and the L(X, D_b) come from
+    the first block row of one exponential of the block upper-triangular
+    matrix with X on the diagonal and D_1, ..., D_s beside the first block;
+    it is exact where the Taylor sum terminates, i.e. on nilpotent
+    algebras.  The point is g matrix_exp(X), as complexified_flow_matrix
+    computes it (the block's corner can differ from it in the last bits),
+    so the point equals F's.
     """
-    if np.ndim(V) == 1:
-        points, J, errors = complexified_flow_jacobian(
-            spec, np.asarray(g)[None], np.asarray(V)[None], np.asarray(dg)[None], dV)
-        _raise_first(errors)
-        return points[0], J[0]
     M = spec.embed(g)
     X = spec.algebra_element(V)
     dirs = spec.algebra_element(np.asarray(dV).T)

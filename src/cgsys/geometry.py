@@ -16,8 +16,9 @@ quantities (dd^c, Laplacians) are exact up to rounding with no nested
 symbolic derivatives.  ``lie_bracket``, ``pair_brackets`` and ``laplacian``
 build the symbolic forms, which tests use as references.  All values are
 immutable and every operation is pure; evaluation over point batches can
-run concurrently without synchronization.  Holomorphy has one residual:
-``cr_residuals`` of the partials ``holomorphic_partials`` gives.
+run concurrently without synchronization.  Fields are complexified only
+by ``holomorphic_partials``, and holomorphy has one residual:
+``cr_residuals`` of the partials it gives.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .expr import (
 )
 
 __all__ = [
-    "ComplexChart", "VectorField", "ComplexField",
+    "ComplexChart", "VectorField",
     "env_at", "apply_J", "j_rotate", "j_matrix", "jet_blocks", "jets_at", "d_values",
     "dc_values", "bracket_values", "dc_differentials", "ddc_terms", "lie_bracket",
-    "pair_brackets", "complexify", "holomorphic_partials", "cr_residuals",
+    "pair_brackets", "holomorphic_partials", "cr_residuals",
     "is_holomorphic", "span_residuals", "laplacian", "field_matrix",
 ]
 
@@ -277,46 +278,14 @@ def pair_brackets(fields) -> list[VectorField]:
             for i in range(len(fields)) for j in range(i + 1, len(fields))]
 
 
-@dataclass(frozen=True)
-class ComplexField:
-    """Type-(1,0) field sum_mu a_mu d/dz_mu with a_mu = re_mu + i im_mu.
-
-    This is the complexified representation (V - iJV)/2 of a real field V;
-    the 1/2 lives in d/dz_mu = (d/dx_mu - i d/dy_mu)/2, so the coefficient
-    pair is exactly (V^{x_mu}, V^{y_mu}).
-    """
-
-    chart: ComplexChart
-    parts: tuple[tuple[Expr, Expr], ...]
-
-    def __post_init__(self):
-        if len(self.parts) != self.chart.N:
-            raise ValueError(f"need {self.chart.N} complex components")
-
-    def values(self, p) -> np.ndarray:
-        env = env_at(self.chart, p)
-        return np.array([complex(evaluate(re, env), evaluate(im, env))
-                         for re, im in self.parts])
-
-    def to_real(self) -> VectorField:
-        comps = []
-        for re, im in self.parts:
-            comps.extend((re, im))
-        return VectorField(self.chart, tuple(comps))
-
-
-def complexify(V: VectorField) -> ComplexField:
-    """The complexified field (V - iJV)/2 in the d/dz basis."""
-    parts = tuple((V.components[2 * mu], V.components[2 * mu + 1])
-                  for mu in range(V.chart.N))
-    return ComplexField(V.chart, parts)
-
-
 def holomorphic_partials(fields) -> tuple[list[Expr], list[Expr]]:
     """The first partials dZ_mu/dx_nu and dZ_mu/dy_nu of the complexified
-    fields Z = complexify(V), as expressions: two lists laid out (k, N, N, 2),
-    over field, component mu, coordinate nu and (re, im).  Where Z is
-    holomorphic, dZ/dx_nu is its Jacobian dZ/dz_nu."""
+    fields Z = (V - iJV)/2 of the real fields V, as expressions: two lists
+    laid out (k, N, N, 2), over field, component mu, coordinate nu and
+    (re, im).  In the basis d/dz_mu = (d/dx_mu - i d/dy_mu)/2 the
+    coefficient of Z is V^{x_mu} + i V^{y_mu}, so these are the partials of
+    V's components.  Where Z is holomorphic, dZ/dx_nu is its Jacobian
+    dZ/dz_nu.  Fields are complexified only here."""
     return tuple([diff(part, x) for V in fields
                   for re_im in zip(V.components[0::2], V.components[1::2])
                   for x in V.chart.names[j::2] for part in re_im] for j in (0, 1))
@@ -328,12 +297,13 @@ def cr_residuals(dx, dy) -> np.ndarray:
     return 0.5 * np.hypot(dx[..., 0] - dy[..., 1], dx[..., 1] + dy[..., 0])
 
 
-def is_holomorphic(Z: ComplexField, pts, tol: float = 1e-9) -> tuple[bool, float]:
-    """Whether every coefficient satisfies the Cauchy-Riemann equations at the
-    sample points; returns the verdict and the max residual modulus."""
-    dx, dy = holomorphic_partials([Z.to_real()])
-    vals = compile_exprs(dx + dy, Z.chart.names)(
-        np.reshape(np.asarray(pts, dtype=float), (-1, Z.chart.dim)))
+def is_holomorphic(V: VectorField, pts, tol: float = 1e-9) -> tuple[bool, float]:
+    """Whether every coefficient of the complexification of the real field
+    V satisfies the Cauchy-Riemann equations at the sample points; returns
+    the verdict and the max residual modulus."""
+    dx, dy = holomorphic_partials([V])
+    vals = compile_exprs(dx + dy, V.chart.names)(
+        np.reshape(np.asarray(pts, dtype=float), (-1, V.chart.dim)))
     R = vals.reshape(-1, 2, len(dx) // 2, 2)
     worst = float(np.max(cr_residuals(R[:, 0], R[:, 1]), initial=0.0))
     return worst < tol, worst

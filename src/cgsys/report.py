@@ -60,28 +60,7 @@ def build_document(digest: str, checks: list[dict], **extras) -> dict:
     return doc
 
 
-_FLOAT_TYPES = frozenset({float, np.float64})
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
-
-
-def _float_block(obj):
-    """obj as a float64 array when it is a non-empty float64 ndarray of one
-    or more axes, or a rectangular nested list or tuple whose leaves are
-    all floats; else None."""
-    if isinstance(obj, np.ndarray):
-        return obj if obj.dtype == np.float64 and obj.ndim and obj.size else None
-    first = obj
-    while isinstance(first, (list, tuple)) and first:
-        first = first[0]
-    if type(first) not in _FLOAT_TYPES:
-        return None
-    try:
-        leaves = np.asarray(obj, dtype=object)
-    except ValueError:
-        return None
-    if set(map(type, leaves.ravel().tolist())) <= _FLOAT_TYPES:
-        return leaves.astype(float)
-    return None
 
 
 def _encode_floats(a: np.ndarray) -> str:
@@ -108,10 +87,10 @@ def _encode(obj) -> str:
         return "{" + ", ".join(
             f"{_str_key(k) if type(k) is str else json.dumps(k)}: {_encode(v)}"
             for k, v in sorted(obj.items())) + "}"
+    # float64 arrays in one pass; lists, of floats too, item by item to the same text
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim and obj.size:
+        return _encode_floats(obj)
     if isinstance(obj, (np.ndarray, list, tuple)):
-        block = _float_block(obj)
-        if block is not None:
-            return _encode_floats(block)
         items = obj.tolist() if isinstance(obj, np.ndarray) else obj
         if not isinstance(items, (list, tuple)):
             raise TypeError(f"cannot encode {type(items).__name__} in a report")

@@ -313,13 +313,20 @@ class DecompositionRecord:
                 and self.residual_gradient_on_rep < 1e-8)
 
 
-def _kernel(M):
-    """Right-singular vectors of M, or of each matrix of a stack, and the
-    numerical rank r: singular values at or below max(shape) * eps * sigma_max
-    count as zero, and the vectors from row r on span the kernel."""
-    _, s, vt = np.linalg.svd(M)
-    return vt, np.sum(s > max(M.shape[-2:]) * np.finfo(float).eps * s[..., :1],
-                      axis=-1)
+def _svd_rank(M, vectors: bool = False):
+    """The singular values s of M, or of each matrix of a stack, its
+    numerical rank r and, with ``vectors``, its right-singular vectors (else
+    None): singular values at or below max(shape) * eps * sigma_max count
+    as zero, as np.linalg.matrix_rank counts them, and the vectors from row
+    r on span the kernel.  Without vectors s is matrix_rank's own."""
+    _, s, vt = np.linalg.svd(M) if vectors else (None, np.linalg.svd(M, compute_uv=False), None)
+    return s, np.sum(s > max(M.shape[-2:]) * np.finfo(float).eps * s[..., :1], axis=-1), vt
+
+
+def _horizontal_system(G, chart: ComplexChart) -> np.ndarray:
+    """[dU; d^c U] over a stack of differential rows G (n, k, 2N), with
+    d^c U = -dU o J: its kernel is ker dU cap ker d^c U."""
+    return np.concatenate([G, G @ j_matrix(chart).T], axis=1)
 
 
 def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
@@ -327,33 +334,33 @@ def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
     rank arithmetic: the representation span sits inside ker dU, the span
     plus its J-rotation is 2k-dimensional, and the horizontal space
     ker dU cap ker d^c U supplies the remaining 2n directions.  One record
-    per row; every rank with the same shape at all points is taken over
-    the whole stack."""
+    per row; every rank is taken over the whole stack, the total rank once
+    for each dimension of the horizontal space that occurs."""
     k, N = sys.k, sys.chart.N
     G, span = t["grad"], t["frame"]
     Xi = span[..., :k]
-    # the horizontal space ker dU cap ker d^c U, with d^c U = -dU o J
-    vt, rank_M = _kernel(np.concatenate([G, G @ j_matrix(sys.chart).T], axis=1))
-    ranks = zip(np.linalg.matrix_rank(Xi), np.linalg.matrix_rank(span),
-                np.linalg.matrix_rank(G), rank_M)
+    _, rank_M, vt = _svd_rank(_horizontal_system(G, sys.chart), vectors=True)
+    s, rank_span, _ = _svd_rank(span)
+    rank_total = np.zeros(len(span), dtype=int)
+    for r in np.unique(rank_M):
+        rows = np.flatnonzero(rank_M == r)
+        # the horizontal space is spanned by the rows r on of vt
+        rank_total[rows] = _svd_rank(np.concatenate(
+            [span[rows], np.swapaxes(vt[rows, r:], 1, 2)], axis=2))[1]
+    ranks = zip(np.linalg.matrix_rank(Xi), rank_span, np.linalg.matrix_rank(G),
+                2 * N - rank_M, rank_total)
     residual = np.abs(G @ Xi).max(axis=(1, 2))
     # flag rank decisions sitting close to the SVD cutoff
-    s = np.linalg.svd(span, compute_uv=False)
     close = np.divide(s[:, 0], s[:, -1], out=np.zeros(len(s)),
                       where=s[:, -1] > 0) > 1e10
     expected = {"rank_representation": k, "rank_span": 2 * k, "rank_gradient": k,
                 "dim_horizontal": 2 * (N - k), "rank_total": 2 * N}
-    recs = []
-    for i, (r_rep, r_span, r_G, r_M) in enumerate(ranks):
-        H = vt[i, r_M:].T
-        recs.append(DecompositionRecord(
-            rank_representation=int(r_rep), rank_span=int(r_span),
-            rank_gradient=int(r_G), dim_horizontal=H.shape[1],
-            rank_total=int(np.linalg.matrix_rank(np.hstack([span[i], H]))),
-            residual_gradient_on_rep=float(residual[i]), expected=dict(expected),
-            warning=("rank decision is close to the singular-value cutoff"
-                     if close[i] else "")))
-    return recs
+    return [DecompositionRecord(
+        rank_representation=int(r_rep), rank_span=int(r_span), rank_gradient=int(r_G),
+        dim_horizontal=int(dim_H), rank_total=int(r_total),
+        residual_gradient_on_rep=float(residual[i]), expected=dict(expected),
+        warning="rank decision is close to the singular-value cutoff" if close[i] else "")
+        for i, (r_rep, r_span, r_G, dim_H, r_total) in enumerate(ranks)]
 
 
 def decomposition_check_result(sys: GradientSystem, t) -> CheckResult:
@@ -516,10 +523,9 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8,
         if root[i] and inside[j] and not any(
                 np.linalg.norm(newton.x[i] - newton.x[f]) < 1e-6 for f in found):
             found.append(i)
-    # T cap JT = ker dU cap ker d^c U, with d^c U = -dU o J
+    # T cap JT = ker dU cap ker d^c U
     G, n = newton.jac[found], sys.chart.N - k
-    hdims = (sys.chart.dim - np.linalg.matrix_rank(
-        np.concatenate([G, G @ j_matrix(sys.chart).T], axis=1))) // 2
+    hdims = (sys.chart.dim - np.linalg.matrix_rank(_horizontal_system(G, sys.chart))) // 2
     note = ("level set appears empty for this target" if not found else
             "" if all(hdims == n) else
             f"holomorphic tangent dimension {hdims.tolist()} differs from {n}")

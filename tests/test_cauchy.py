@@ -34,13 +34,19 @@ def field(chart, comps):
 
 
 def fd_dF(data, h):
-    """The (point, Jacobian) map of build_dF, by central differences of F."""
+    """The stacked map of build_dF, its Jacobians by central differences of
+    F: (F(x + h e_j) - F(x - h e_j)) / 2h, as numerical_jacobian takes them."""
     F = build_F(data, CFG)
     m = len(data.param_names)
 
-    def dF(p, u):
-        x = np.concatenate([p, u])
-        return F(p, u), numerical_jacobian(lambda y: F(y[:m], y[m:]), x, h)
+    def dF(P, U):
+        X = np.concatenate([P, U], axis=1)
+        points, errors = F(P, U)
+        steps = h * np.eye(X.shape[1])
+        # every row x + h e_j, then every row x - h e_j
+        Y = np.concatenate([X[:, None] + steps, X[:, None] - steps]).reshape(-1, X.shape[1])
+        ends = F(Y[:, :m], Y[:, m:])[0].reshape(2, *X.shape, -1)
+        return points, np.swapaxes(ends[0] - ends[1], 1, 2) / (2.0 * h), errors
 
     return dF
 
@@ -283,8 +289,8 @@ def test_rho0_param_exprs_restrict_ambient(heis_data):
 
 def test_line_F_is_translation_into_imaginary_axis(line_data):
     F = build_F(line_data, CFG)
-    out = F(np.array([0.3]), np.array([0.4]))
-    assert np.allclose(out, [0.3, 0.4], atol=1e-12)
+    out, errors = F(np.array([[0.3]]), np.array([[0.4]]))
+    assert errors == [None] and np.allclose(out, [[0.3, 0.4]], atol=1e-12)
 
 
 def test_F_restricts_to_sigma_at_zero(heis_data):
@@ -296,21 +302,24 @@ def test_F_restricts_to_sigma_at_zero(heis_data):
 
 def test_heisenberg_F_is_group_product(heis_data, heis_spec):
     F = build_F(heis_data, CFG)
-    p = np.array([0.2, -0.4, 0.1])
-    u = np.array([0.3, 0.1, -0.2])
-    got = F(p, u)
-    oracle = complexified_flow_matrix(heis_spec, heis_data.table.at(p[None])["sigma"][0], 1j * u)
-    assert np.allclose(got, oracle, atol=0)
+    P = np.array([[0.2, -0.4, 0.1]])
+    U = np.array([[0.3, 0.1, -0.2]])
+    got, errors = F(P, U)
+    oracle, _ = complexified_flow_matrix(heis_spec, heis_data.table.at(P)["sigma"], 1j * U)
+    assert errors == [None] and np.allclose(got, oracle, atol=0)
 
 
 def test_ode_route_matches_matrix_route(heis_data, heis_spec):
     F_ode = build_F(_heisenberg_ode_data(heis_data), CFG)
     F_mat = build_F(heis_data, CFG)
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        p = rng.uniform(-0.8, 0.8, size=3)
-        u = rng.uniform(-0.5, 0.5, size=3)
-        assert np.max(np.abs(F_ode(p, u) - F_mat(p, u))) < 1e-8
+    P, U = np.zeros((5, 3)), np.zeros((5, 3))
+    for i in range(5):
+        P[i] = rng.uniform(-0.8, 0.8, size=3)
+        U[i] = rng.uniform(-0.5, 0.5, size=3)
+    (ode, ode_errors), (mat, errors) = F_ode(P, U), F_mat(P, U)
+    assert ode_errors == errors == [None] * 5
+    assert np.max(np.abs(ode - mat)) < 1e-8
 
 
 # --- equation map ----------------------------------------------------------------
@@ -470,12 +479,6 @@ def test_line_frame_is_flat_off_M(line_data):
     assert abs(frame.A[0, 0]) < 1e-9
 
 
-def test_compute_PQA_refuses_the_map_F(line_data):
-    with pytest.raises(TypeError):
-        compute_PQA(line_data, build_F(line_data, CFG), np.array([0.2]),
-                    np.array([0.35]), CFG)
-
-
 def test_invariant_lift_on_M_is_initial_frame(heis_data):
     # the lifted frame h_a at F(p, u): its adapted components pushed
     # through dF, one column each
@@ -571,9 +574,11 @@ def test_dF_matches_numerical_jacobian(which, heis_data, affine_data, line_data)
     for _ in range(4):
         p = data.base + rng.uniform(-0.3, 0.3, size=m)
         u = rng.uniform(-0.3, 0.3, size=data.k)
-        point, J = dF(p, u)
-        assert np.max(np.abs(point - F(p, u))) < 1e-14
-        fd = numerical_jacobian(lambda x: F(x[:m], x[m:]), np.concatenate([p, u]), 1e-6)
+        (point,), (J,), errors = dF(p[None], u[None])
+        assert errors == [None]
+        assert np.max(np.abs(point - F(p[None], u[None])[0][0])) < 1e-14
+        fd = numerical_jacobian(lambda x: F(x[None, :m], x[None, m:])[0][0],
+                                np.concatenate([p, u]), 1e-6)
         assert np.max(np.abs(J - fd)) < 1e-8
 
 
@@ -775,8 +780,8 @@ def test_reversed_queries_reverse_the_records(name):
 
 
 def test_newton_counts_are_the_steps_of_newton_inverse():
-    # an independent count: the one-row Newton from the same start on the
-    # one-point maps evaluates F and dF once per point; a step is taken at
+    # an independent count: the one-row Newton from the same start on row 0
+    # of stacks of one evaluates F and dF once per point; a step is taken at
     # each point whose residual norm beats the best so far, and every
     # other trial was a halving
     data, _, queries = _lockstep_case("affine-halving")
@@ -788,12 +793,12 @@ def test_newton_counts_are_the_steps_of_newton_inverse():
         norms = []
 
         def G(x):
-            value = dF(x[:m], x[m:])[0]
+            value = dF(x[None, :m], x[None, m:])[0][0]
             norms.append(math.sqrt(sum(r * r for r in value - q)))
             return value
 
         def dG(x):
-            return dF(x[:m], x[m:])[1]
+            return dF(x[None, :m], x[None, m:])[1][0]
 
         x0 = cgsys.cauchy._initial_guesses(data, q[None])[0]
         newton_inverse(G, q, x0, CFG, jac=dG)
@@ -819,6 +824,7 @@ def test_cli_newton_counts_repeat_from_run_to_run(tmp_path):
 
 @pytest.mark.parametrize("which", ["heisenberg", "affine", "heisenberg-ode", "quadratic"])
 def test_stacked_F_and_dF_equal_their_one_point_calls(which, heis_data, affine_data):
+    # a row of a stack comes out as it does in a stack of one
     data = {"heisenberg": heis_data, "affine": affine_data,
             "heisenberg-ode": _heisenberg_ode_data(heis_data),
             "quadratic": loads(QUADRATIC_FIELD, name="quadratic").cr}[which]
@@ -831,10 +837,11 @@ def test_stacked_F_and_dF_equal_their_one_point_calls(which, heis_data, affine_d
     dpoints, J, derrors = dF(P, U)
     assert errors == derrors == [None] * 4
     for i in range(4):
-        assert np.array_equal(points[i], F(P[i], U[i]))
-        point, Ji = dF(P[i], U[i])
-        assert np.array_equal(dpoints[i], point)
-        assert np.array_equal(J[i], Ji)
+        one = slice(i, i + 1)
+        assert np.array_equal(points[one], F(P[one], U[one])[0])
+        point, Ji, _ = dF(P[one], U[one])
+        assert np.array_equal(dpoints[one], point)
+        assert np.array_equal(J[one], Ji)
 
 
 @pytest.mark.parametrize("which", ["heisenberg", "affine", "heisenberg-ode",

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgsys.expr import compile_exprs, parse_expr
 from cgsys.geometry import (
-    ComplexChart, VectorField, complexify, cr_residuals, holomorphic_partials,
-    is_holomorphic,
+    ComplexChart, VectorField, cr_residuals, holomorphic_partials, is_holomorphic,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -129,4 +128,4 @@ def test_cr_residual_of_polynomials_in_z_is_rounding_size(drawn, data):
     pts = np.array(pts, dtype=float)
     _check(polys, N, pts, holomorphic=True)
     V = VectorField.from_exprs(chart, [parse_expr(_to_text(p, chart.names)) for p in polys])
-    assert is_holomorphic(complexify(V), pts, tol=1e-9)[0]
+    assert is_holomorphic(V, pts, tol=1e-9)[0]

@@ -16,11 +16,10 @@ from cgsys.dsl import (
     MAX_COMPLEX_DIM, MAX_ROWS, MAX_STEPS_PER_UNIT, LoadError, builtin_names,
     builtin_text, check_rows, dumps, load_builtin, loads,
 )
-from cgsys.expr import evaluate
-from cgsys.flow import DEFAULT_CONFIG
-from cgsys.geometry import ComplexField, VectorField
+from cgsys.flow import DEFAULT_CONFIG, _HolomorphicFrame
+from cgsys.geometry import VectorField
 from cgsys.report import canonical_json, schema_text
-from cgsys.verify import check_axioms, sample_points
+from cgsys.verify import GradientSystem, check_axioms, sample_points
 
 MINIMAL = """
 [chart]
@@ -326,14 +325,16 @@ def _ambient_file(tmp_path):
 
 def test_cli_ops_walk_no_expression_tree(tmp_path, monkeypatch, capsys):
     # every check, the level-set search, the normal form and the Cauchy
-    # construction with its [oracle] comparison run on compiled tapes only:
-    # with every cgsys binding of the tree walker and the one-point field
+    # construction with its [oracle] comparison run on compiled tapes and
+    # stacks of rows only: with every cgsys binding of the tree walker, the
+    # symbolic brackets and Laplacian, and the one-point views and field
     # values raising, each op exits, prints and reports as it does unpatched
     systems = [n for n in builtin_names() if load_builtin(n).system is not None]
     ops = [*(["verify", name] for name in systems),
            ["verify", "heisenberg", "--points", "20", "--level-set=0.1,-0.2,0.3"],
            ["normal-form", "model-k1"], ["normal-form", "model-k1-rotated"],
            ["cauchy", "line"], ["cauchy", "affine"], ["cauchy", "heisenberg-cr"],
+           ["cauchy", "affine", "--u-extent", "3"],
            ["cauchy", _ambient_file(tmp_path)]]
     report = tmp_path / "report.json"
 
@@ -343,17 +344,30 @@ def test_cli_ops_walk_no_expression_tree(tmp_path, monkeypatch, capsys):
         return code, capsys.readouterr().out, report.read_bytes()
 
     unpatched = [run(argv) for argv in ops]
-    assert [code for code, _, _ in unpatched] == [1 if argv[1] == "broken-demo" else 0
-                                                   for argv in ops]
+    # broken-demo fails its normalization; affine at |u| <= 3 refuses the
+    # queries whose Newton solutions leave param_domain
+    assert [code for code, _, _ in unpatched] == [
+        1 if argv[1] == "broken-demo" or "--u-extent" in argv else 0 for argv in ops]
 
-    def tree_walk(*args):
-        raise AssertionError("expression tree walked at run time")
+    def banned(*args):
+        raise AssertionError("a tree walk or a one-point view ran at run time")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cgsys" and getattr(module, "evaluate", None) is evaluate:
-            monkeypatch.setattr(module, "evaluate", tree_walk)
-    monkeypatch.setattr(VectorField, "values", tree_walk)
-    monkeypatch.setattr(ComplexField, "values", tree_walk)
+    functions = {
+        "cgsys.expr": ["evaluate", "subst"],
+        "cgsys.geometry": ["field_matrix", "lie_bracket", "pair_brackets", "laplacian"],
+        "cgsys.flow": ["newton_inverse", "numerical_jacobian", "flow_complex_multi"],
+        "cgsys.cauchy": ["compute_PQA", "construct_fields"],
+    }
+    for home, names in functions.items():
+        for name in names:
+            original = getattr(sys.modules[home], name)
+            for module_name, module in list(sys.modules.items()):
+                if (module_name.split(".")[0] == "cgsys"
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, banned)
+    monkeypatch.setattr(VectorField, "values", banned)
+    monkeypatch.setattr(GradientSystem, "in_domain", banned)
+    monkeypatch.setattr(_HolomorphicFrame, "coefficients", banned)
     for argv, before in zip(ops, unpatched):
         assert run(argv) == before, argv
 
@@ -378,6 +392,25 @@ def test_cli_cauchy_non_holomorphic_ambient_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Cauchy-Riemann" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cauchy", "affine", "--u-extent", "1e308", "--grid", "2"],
+    ["cauchy", "heisenberg-cr", "--u-extent", "1e308", "--grid", "2"],
+    ["cauchy", "affine", "--u-extent", "5e307", "--grid", "2"],
+])
+def test_cli_cauchy_huge_u_extent_is_refused(argv, tmp_path, capsys):
+    # the group exponentials of such times overflow or lose every digit: the
+    # op exits 1 without a traceback, and no query is taken for the base point
+    report = tmp_path / "report.json"
+    assert main([*argv, "--json", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if report.exists():      # refused in their own records
+        records = json.loads(report.read_text())["records"]
+        assert records and not any(r["ok"] for r in records)
+    else:                    # refused where F places the queries
+        assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("command", ["cauchy", "normal-form"])

@@ -59,8 +59,9 @@ def test_flow_group_field_matches_matrix_product(heis_spec):
     L2 = field(chart, ["0", "0", "1", "0", "x1", "y1"])
     p = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     got = flow_real(L2, p, 1.0, CFG)
-    oracle = heis_spec.unembed(heis_spec.embed(p) @ matrix_exp(heis_spec.basis[1]))
-    assert np.allclose(got, oracle, atol=1e-12)
+    oracle, errors = complexified_flow_matrix(heis_spec, p[None], np.array([[0.0, 1.0, 0.0]]))
+    assert errors == [None]
+    assert np.allclose(got, oracle[0], atol=1e-12)
     assert got[2] == pytest.approx(1.0, abs=1e-12)  # x2
     assert got[4] == pytest.approx(1.0, abs=1e-12)  # x3
 
@@ -150,8 +151,9 @@ def test_exp_map_group_identity_row(heis_spec):
     chart = heis_spec.chart
     L1 = field(chart, ["1", "0", "0", "0", "0", "0"])
     out = flow_real(L1, np.zeros(6), 1.0, CFG)
-    oracle = heis_spec.unembed(matrix_exp(heis_spec.basis[0]))
-    assert np.allclose(out, oracle, atol=1e-12)
+    oracle, errors = heis_spec.unembed_rows(matrix_exp(heis_spec.basis[0])[None])
+    assert errors == [None]
+    assert np.allclose(out, oracle[0], atol=1e-12)
     assert out[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -217,26 +219,56 @@ def test_stacked_matrix_exp_equals_one_row_calls(heis_spec):
         assert np.max(np.abs(row - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
 
 
+def test_matrix_exp_scaling_does_not_overflow():
+    # a 1-norm near the largest double needs 2^1024 to scale it down: the
+    # squarings then overflow to inf or underflow to 0
+    assert np.array_equal(matrix_exp([[5e307]]), [[np.inf]])
+    assert np.array_equal(matrix_exp([[-5e307]]), [[0.0]])
+    # a nilpotent matrix of that norm squares back exactly
+    assert np.array_equal(matrix_exp([[0.0, 5e307], [0.0, 0.0]]), [[1.0, 5e307], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("huge", [9e307, np.inf, 1j * np.inf, np.nan])
+def test_matrix_exp_without_a_finite_scaling_is_nan(huge):
+    # twice the norm is not finite: no power of two scales it, and the
+    # row comes out NaN instead of raising
+    with np.errstate(all="raise"):
+        E = matrix_exp([[huge, 1.0], [0.0, 0.0]])
+    assert np.isnan(E).all()
+
+
+def test_matrix_exp_huge_row_leaves_its_stack_alone():
+    A = np.array([[[0.3, 1.0], [-0.2, 0.1]], [[9e307, 0.0], [0.0, 1.0]],
+                  [[5e307, 0.0], [0.0, 0.0]], [[2.5, -1.0], [0.5, 0.0]]])
+    E = matrix_exp(A)
+    assert np.array_equal(E[0], matrix_exp(A[0])) and np.array_equal(E[3], matrix_exp(A[3]))
+    # the squarings of 5e307 overflow, and inf * 0 makes NaN beside it
+    assert np.isnan(E[1]).all() and not np.isfinite(E[2]).all()
+
+
 # --- matrix-group complexified flow -------------------------------------------
 
 
 def test_matrix_flow_zero_time(heis_spec):
-    g = np.array([0.4, 0.0, -0.7, 0.0, 0.2, 0.0])
-    assert np.allclose(complexified_flow_matrix(heis_spec, g, [0, 0, 0]), g, atol=0)
+    g = np.array([[0.4, 0.0, -0.7, 0.0, 0.2, 0.0]])
+    out, errors = complexified_flow_matrix(heis_spec, g, np.zeros((1, 3)))
+    assert errors == [None] and np.allclose(out, g, atol=0)
 
 
 def test_matrix_flow_imaginary_time_frozen(heis_spec):
     a, b, c = 0.3, -0.5, 0.2
-    out = complexified_flow_matrix(heis_spec, np.zeros(6), [1j * a, 1j * b, 1j * c])
+    out, errors = complexified_flow_matrix(heis_spec, np.zeros((1, 6)),
+                                           np.array([[1j * a, 1j * b, 1j * c]]))
     # exp(i(aE1+bE2+cE3)) = I + i(aE1+bE2+cE3) - (ab/2) E3
     expect = np.array([0.0, a, 0.0, b, -a * b / 2.0, c])
-    assert np.allclose(out, expect, atol=1e-15)
+    assert errors == [None] and np.allclose(out[0], expect, atol=1e-15)
 
 
 def test_matrix_flow_affine_rotation(affine_spec):
     th = 0.77
-    out = complexified_flow_matrix(affine_spec, np.array([1.0, 0.0, 0.0, 0.0]),
-                                   [1j * th, 0.0])
+    (out,), errors = complexified_flow_matrix(
+        affine_spec, np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[1j * th, 0.0]]))
+    assert errors == [None]
     assert out[0] == pytest.approx(math.cos(th), abs=1e-15)
     assert out[1] == pytest.approx(math.sin(th), abs=1e-15)
     assert np.allclose(out[2:], 0.0, atol=1e-15)
@@ -251,11 +283,13 @@ def test_group_spec_rejects_dependent_basis():
 
 
 def test_unembed_rejects_off_pattern(heis_spec):
-    M = np.eye(3, dtype=complex)
-    M[2, 0] = 0.5
-    from cgsys.flow import EmbeddingError
-    with pytest.raises(EmbeddingError):
-        heis_spec.unembed(M)
+    M = np.stack([np.eye(3, dtype=complex)] * 3)
+    M[0, 2, 0] = 0.5
+    # a matrix that is not finite is refused too, whatever its slots hold
+    M[1, 2, 0] = np.nan
+    M[2, 0, 1] = np.inf
+    _, errors = heis_spec.unembed_rows(M)
+    assert all(isinstance(err, EmbeddingError) for err in errors)
 
 
 def test_left_invariant_fields_closed_forms(heis_spec, affine_spec):
@@ -314,13 +348,14 @@ def test_flow_complex_real_time_matches_flow_real(heis_spec):
 def test_flow_complex_agrees_with_matrix_oracle(heis_spec):
     L = left_invariant_fields(heis_spec)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        g = np.zeros(6)
-        g[0::2] = rng.uniform(-1, 1, size=3)  # random real group point
-        V = rng.uniform(-0.7, 0.7, size=3) + 1j * rng.uniform(-0.7, 0.7, size=3)
-        ode = flow_complex_multi(L, g, V, CFG)
-        mat = complexified_flow_matrix(heis_spec, g, V)
-        assert np.max(np.abs(ode - mat)) < 1e-8
+    g, V = np.zeros((20, 6)), np.zeros((20, 3), dtype=complex)
+    for i in range(20):
+        g[i, 0::2] = rng.uniform(-1, 1, size=3)  # random real group point
+        V[i] = rng.uniform(-0.7, 0.7, size=3) + 1j * rng.uniform(-0.7, 0.7, size=3)
+    ode, _, ode_errors = ComplexFlow(L, CFG).rows(g, V)
+    mat, errors = complexified_flow_matrix(heis_spec, g, V)
+    assert ode_errors == errors == [None] * 20
+    assert np.max(np.abs(ode - mat)) < 1e-8
 
 
 def test_flow_complex_holomorphic_in_time():
@@ -356,21 +391,21 @@ def test_block_frechet_matches_central_differences(affine_spec):
     rng = np.random.default_rng(9)
     h = 1e-6
     for _ in range(5):
-        g = rng.uniform(-1, 1, size=4)
-        V = rng.uniform(-0.8, 0.8, size=2) + 1j * rng.uniform(-0.8, 0.8, size=2)
-        dg = rng.uniform(-1, 1, size=(4, 3))
+        g = rng.uniform(-1, 1, size=(1, 4))
+        V = (rng.uniform(-0.8, 0.8, size=2) + 1j * rng.uniform(-0.8, 0.8, size=2))[None]
+        dg = rng.uniform(-1, 1, size=(1, 4, 3))
         dV = rng.uniform(-1, 1, size=(2, 2)) + 1j * rng.uniform(-1, 1, size=(2, 2))
-        point, J = complexified_flow_jacobian(affine_spec, g, V, dg, dV)
-        assert J.shape == (4, 5)
-        assert np.max(np.abs(point - complexified_flow_matrix(affine_spec, g, V))) < 1e-14
-        for j in range(3):
-            fd = (complexified_flow_matrix(affine_spec, g + h * dg[:, j], V)
-                  - complexified_flow_matrix(affine_spec, g - h * dg[:, j], V)) / (2 * h)
-            assert np.max(np.abs(J[:, j] - fd)) < 1e-8
-        for b in range(2):
-            fd = (complexified_flow_matrix(affine_spec, g, V + h * dV[:, b])
-                  - complexified_flow_matrix(affine_spec, g, V - h * dV[:, b])) / (2 * h)
-            assert np.max(np.abs(J[:, 3 + b] - fd)) < 1e-8
+        point, J, errors = complexified_flow_jacobian(affine_spec, g, V, dg, dV)
+        assert errors == [None] and J.shape == (1, 4, 5)
+        flowed, _ = complexified_flow_matrix(affine_spec, g, V)
+        assert np.max(np.abs(point - flowed)) < 1e-14
+        # the steps +h and -h along each column of dg, then of dV, as rows
+        g_steps = h * np.concatenate([dg[0].T, -dg[0].T])
+        ends, _ = complexified_flow_matrix(affine_spec, g + g_steps, np.repeat(V, 6, axis=0))
+        assert np.max(np.abs(J[0, :, :3] - (ends[:3] - ends[3:]).T / (2 * h))) < 1e-8
+        V_steps = h * np.concatenate([dV.T, -dV.T])
+        ends, _ = complexified_flow_matrix(affine_spec, np.repeat(g, 4, axis=0), V + V_steps)
+        assert np.max(np.abs(J[0, :, 3:] - (ends[:2] - ends[2:]).T / (2 * h))) < 1e-8
 
 
 @pytest.mark.parametrize("which", ["affine", "heisenberg"])
@@ -388,15 +423,17 @@ def test_stacked_flow_jacobian_equals_one_row_calls(which, affine_spec, heis_spe
     assert np.max(np.abs(points - flowed)) < 1e-14
     h = 1e-6
     for i in range(6):
-        point, Ji = complexified_flow_jacobian(spec, g[i], V[i], dg[i], dV)
-        assert np.array_equal(points[i], point)
-        assert np.array_equal(J[i], Ji)
-        assert np.array_equal(flowed[i], complexified_flow_matrix(spec, g[i], V[i]))
+        # row i in a stack of one
+        one = slice(i, i + 1)
+        point, Ji, _ = complexified_flow_jacobian(spec, g[one], V[one], dg[one], dV)
+        assert np.array_equal(points[one], point)
+        assert np.array_equal(J[one], Ji)
+        assert np.array_equal(flowed[one], complexified_flow_matrix(spec, g[one], V[one])[0])
 
         def real_map(x, i=i):
             # the start point moved along dg, then the real coefficients of u
-            return complexified_flow_matrix(spec, g[i] + dg[i] @ x[:2],
-                                            V[i] + 1j * x[2:])
+            return complexified_flow_matrix(spec, (g[i] + dg[i] @ x[:2])[None],
+                                            (V[i] + 1j * x[2:])[None])[0][0]
 
         fd = numerical_jacobian(real_map, np.zeros(2 + k), h)
         assert np.max(np.abs(J[i] - fd)) < 1e-8
@@ -408,16 +445,17 @@ def test_stacked_unembed_refuses_only_the_drifting_row(heis_spec):
     points, errors = heis_spec.unembed_rows(M)
     assert errors[0] is None and errors[2] is None
     assert isinstance(errors[1], EmbeddingError) and "drift 5.000e-01" in str(errors[1])
-    assert np.array_equal(points[2], heis_spec.unembed(M[2]))
+    assert np.array_equal(points[2:], heis_spec.unembed_rows(M[2:])[0])
 
 
 def test_block_frechet_matches_scipy(affine_spec):
     # from the identity the direction columns are the Frechet derivative
     # itself; the affine algebra lives in the first row, which the slots hold
-    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    identity = np.array([[1.0, 0.0, 0.0, 0.0]])
     V = np.array([0.3 + 0.7j, -0.4 + 0.2j])
     dV = np.array([[1.0, 0.5j], [-0.25, 1.0 + 1.0j]])
-    _, J = complexified_flow_jacobian(affine_spec, identity, V, np.zeros((4, 0)), dV)
+    _, (J,), _ = complexified_flow_jacobian(affine_spec, identity, V[None],
+                                            np.zeros((1, 4, 0)), dV)
     X = affine_spec.algebra_element(V)
     for b in range(2):
         L = scipy.linalg.expm_frechet(X, affine_spec.algebra_element(dV[:, b]),
@@ -428,10 +466,10 @@ def test_block_frechet_matches_scipy(affine_spec):
 def test_block_frechet_is_exact_on_the_nilpotent_group(heis_spec):
     # exp(i u E1) with g = identity: d/du_1 of the slot (0, 1) is i exactly,
     # and the (0, 2) slot of g exp(X) is the polynomial z1 z2 / 2 + z3
-    identity = np.zeros(6)
+    identity = np.zeros((1, 6))
     u = np.array([0.3, -0.2, 0.1])
-    _, J = complexified_flow_jacobian(heis_spec, identity, 1j * u,
-                                      np.zeros((6, 0)), 1j * np.eye(3))
+    _, (J,), _ = complexified_flow_jacobian(heis_spec, identity, 1j * u[None],
+                                            np.zeros((1, 6, 0)), 1j * np.eye(3))
     expected = np.zeros((6, 3))
     expected[1, 0] = expected[3, 1] = expected[5, 2] = 1.0
     expected[4, 0] = -u[1] / 2    # d/du1 of (i u1)(i u2)/2 = -u1 u2 / 2

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cgsys.expr import diff, evaluate, parse_expr
+from cgsys.flow import ComplexFlow
 from cgsys.geometry import (
-    ComplexChart, VectorField, apply_J, complexify, env_at, field_matrix,
-    is_holomorphic, j_matrix, j_rotate, laplacian, lie_bracket, pair_brackets,
-    span_residuals,
+    ComplexChart, VectorField, apply_J, env_at, field_matrix, is_holomorphic,
+    j_matrix, j_rotate, laplacian, lie_bracket, pair_brackets, span_residuals,
 )
 from cgsys.verify import GradientSystem
 
@@ -275,38 +275,46 @@ def test_ddc_bracket_recovery_identities(heis):
 # --- complexification --------------------------------------------------------
 
 
+def complexified(fields, pts):
+    """The coefficients Z (n, k, N) of the complexified fields (V - iJV)/2 at
+    the rows of pts, as complex-time flows read them."""
+    Z, _, refused = ComplexFlow(fields).frame.at(np.asarray(pts, dtype=float), 0)
+    assert not refused
+    return Z
+
+
 def test_complexify_coordinate_fields():
     chart = ComplexChart.standard(2)
-    Zx = complexify(VectorField.coordinate(chart, "x1"))
-    assert np.allclose(Zx.values([0.1, 0.2, 0.3, 0.4]), [1, 0])
-    Zy = complexify(VectorField.coordinate(chart, "y1"))
-    assert np.allclose(Zy.values([0.1, 0.2, 0.3, 0.4]), [1j, 0])
+    fields = [VectorField.coordinate(chart, "x1"), VectorField.coordinate(chart, "y1")]
+    Z = complexified(fields, [[0.1, 0.2, 0.3, 0.4]])
+    assert np.allclose(Z[0], [[1, 0], [1j, 0]])
 
 
 def test_complexify_group_field(heis):
     chart, fields, _ = heis
-    Z = complexify(fields[0])
     p = [0.3, -0.7, 1.1, 0.5, 0.0, 2.0]
-    assert np.allclose(Z.values(p), [1.0, 0.0, 0.5j])  # (1, 0, i y2)
+    assert np.allclose(complexified(fields[:1], [p])[0, 0], [1.0, 0.0, 0.5j])  # (1, 0, i y2)
 
 
 def test_complexify_roundtrip(heis):
+    # the coefficients of Z, read as (re, im) pairs, are V's components
     chart, fields, _ = heis
-    for V in fields:
-        assert complexify(V).to_real() == V
+    pts = sample_points(chart, 5, 3)
+    Z = complexified(fields, pts)
+    for a, V in enumerate(fields):
+        assert np.array_equal(Z[:, a].view(float), V.program(pts))
 
 
 def test_holomorphy_of_constant_field():
     chart = ComplexChart.standard(1)
-    Z = complexify(VectorField.coordinate(chart, "x1"))
-    ok, worst = is_holomorphic(Z, [[0.0, 0.0], [1.0, -1.0]], tol=1e-12)
+    V = VectorField.coordinate(chart, "x1")
+    ok, worst = is_holomorphic(V, [[0.0, 0.0], [1.0, -1.0]], tol=1e-12)
     assert ok and worst == 0.0
 
 
 def test_group_field_is_not_holomorphic(heis):
     chart, fields, _ = heis
-    Z = complexify(fields[0])
-    ok, worst = is_holomorphic(Z, sample_points(chart, 10, 16), tol=1e-8)
+    ok, worst = is_holomorphic(fields[0], sample_points(chart, 10, 16), tol=1e-8)
     assert not ok
     # d(i y2)/dzbar_2 has modulus exactly 1/2 everywhere
     assert worst == pytest.approx(0.5, abs=1e-15)
@@ -315,7 +323,7 @@ def test_group_field_is_not_holomorphic(heis):
 def test_left_invariant_affine_field_is_holomorphic(affine):
     chart, _, _ = affine
     L1 = make_field(chart, ["x1", "y1", "0", "0"])  # coefficient z1
-    ok, worst = is_holomorphic(complexify(L1), affine_points(10, 17), tol=1e-12)
+    ok, worst = is_holomorphic(L1, affine_points(10, 17), tol=1e-12)
     assert ok and worst == 0.0
 
 

@@ -262,6 +262,37 @@ def test_decompositions_kernel_failure():
     assert rec.rank_gradient == 0
 
 
+def _decomposition_ranks_row_by_row(sys_, t):
+    """The rank arithmetic of check_decompositions one row at a time, with
+    numpy's matrix_rank: the reference for the stacked check."""
+    rank, k = np.linalg.matrix_rank, sys_.k
+    out = []
+    for G, span in zip(t["grad"], t["frame"]):
+        M = np.concatenate([G, G @ j_matrix(sys_.chart).T])
+        _, s, vt = np.linalg.svd(M)
+        H = vt[int(np.sum(s > max(M.shape) * np.finfo(float).eps * s[0])):].T
+        sv = np.linalg.svd(span, compute_uv=False)
+        out.append((rank(span[:, :k]), rank(span), rank(G), H.shape[1],
+                    rank(np.hstack([span, H])), bool(sv[-1] > 0 and sv[0] / sv[-1] > 1e10)))
+    return out
+
+
+def test_stacked_decompositions_equal_the_row_by_row_ranks(heis, affine, line, model, broken):
+    # U = x1^2 has dU = 0 on x1 = 0, so its horizontal spaces differ in
+    # dimension between rows of one stack (and d/dx2 lies in them)
+    chart = ComplexChart.standard(2)
+    fold = system(chart, [field(chart, ["0", "0", "1", "0"])], ["x1^2"], name="fold")
+    cases = [(sys_, sys_.table.at(sample_points(sys_, 60, 4)))
+             for sys_ in (heis, affine, line, model, broken)]
+    cases.append((fold, fold.table.at([[0.5, -0.2, 0.1, 0.0], [0.0, 0.3, 0.0, 1.0],
+                                       [-1.5, 0.0, 0.2, 0.2], [0.0, 1.0, -0.4, 0.0]])))
+    for sys_, t in cases:
+        got = [(r.rank_representation, r.rank_span, r.rank_gradient, r.dim_horizontal,
+                r.rank_total, bool(r.warning)) for r in check_decompositions(sys_, t)]
+        assert got == _decomposition_ranks_row_by_row(sys_, t), sys_.name
+    assert [rec.dim_horizontal for rec in check_decompositions(*cases[-1])] == [2, 4, 2, 4]
+
+
 # --- bracket relations ----------------------------------------------------------
 
 
