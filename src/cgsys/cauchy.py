@@ -31,7 +31,11 @@ dF is exact: on a matrix group it comes from one block-triangular matrix
 exponential that yields exp(X) and its Frechet derivatives together; for
 ambient fields the tangent columns are stepped by the same 8th-order
 Runge-Kutta loop as the trajectory, which is the exact derivative of the
-discrete flow map, with holomorphy read at every stage state.  A
+discrete flow map at its step count, with holomorphy read at every stage
+state.  ``solve`` chooses each query's count from the flow's error
+estimate at its Newton start and freezes it for every trial, so Newton
+inverts one smooth map; where the estimate at the solution asks for more
+steps, the query is solved once more there at the new count.  A
 Newton solution counts only when its parameters lie in param_domain (where
 param_domain faults, the query is refused).  The range of F is not
 certified globally: |det P| <= 1e-10 or Newton failure at a query simply
@@ -66,7 +70,7 @@ from .expr import (
     Const, Expr, Predicate, Table, Var, compile_exprs, diff, require_vars,
 )
 from .flow import (
-    DEFAULT_CONFIG, ComplexFlow, FlowConfig, MatrixGroupSpec,
+    DEFAULT_CONFIG, PILOT_STEPS, ComplexFlow, FlowConfig, MatrixGroupSpec,
     _raise_first, complexified_flow_jacobian, complexified_flow_matrix,
     left_invariant_fields, newton_rows, solve_rows,
 )
@@ -312,11 +316,13 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
     """F over stacks of rows P (n, m), U (n, k): (points (n, 2N), errors),
     and with ``jac`` (points, Jacobians (n, 2N, m + k), errors), errors[i]
     None or the exception that refuses row i.  The points and errors do not
-    depend on ``jac``."""
+    depend on ``jac``.  On ambient fields, row i takes nsteps[i] Runge-Kutta
+    steps, by default the count ``ComplexFlow.steps`` chooses for it;
+    matrix-group data takes no steps and ignores nsteps."""
     k, m, spec = data.k, len(data.param_names), data.group
     flow = data.complex_flow(cfg) if spec is None else None
 
-    def rows(P, U):
+    def rows(P, U, nsteps=None):
         S, D, errors = data.sigma_rows(P)
         W = 1j * np.asarray(U, dtype=complex)
         if spec is not None:
@@ -326,7 +332,8 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
         points = np.full(S.shape, np.nan)
         ok = np.flatnonzero([e is None for e in errors])
         points[ok], Y, flow_errors = flow.rows(
-            S[ok], W[ok], (D[ok, 0::2] + 1j * D[ok, 1::2]) if jac else None)
+            S[ok], W[ok], (D[ok, 0::2] + 1j * D[ok, 1::2]) if jac else None,
+            None if nsteps is None else np.asarray(nsteps)[ok])
         errors = _scatter_errors(errors, ok, flow_errors)
         if not jac:
             return points, errors
@@ -341,22 +348,23 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
 def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     """The map F(p, u) = flow of sigma(p) for complex time i u.
 
-    The map takes stacks of rows P (n, m), U (n, k) and returns (points
-    (n, 2N), errors), errors[i] None or the exception that refuses row i.
-    Matrix-group data uses the exact products g exp(i sum u_a E_a) of all
-    rows at once; otherwise the ambient fields must complexify
-    holomorphically and the rows' flows are integrated in the chart by one
-    stacked Runge-Kutta run.
+    The map takes stacks of rows P (n, m), U (n, k) and optional per-row
+    step counts nsteps (n,) and returns (points (n, 2N), errors), errors[i]
+    None or the exception that refuses row i.  Matrix-group data uses the
+    exact products g exp(i sum u_a E_a) of all rows at once; otherwise the
+    ambient fields must complexify holomorphically and the rows' flows are
+    integrated in the chart by one stacked Runge-Kutta run, row i in
+    nsteps[i] steps, by default the count its error estimate asks for.
     """
     return _flow_rows(data, cfg, jac=False)
 
 
 def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
-    """The exact derivative of F: the map takes stacks of rows P, U as
-    build_F's does and returns (points, Jacobians (n, 2N, 2n + 2k), errors),
-    each Jacobian the real one in the variables (p, u).  The points and
-    errors are build_F's to the last bit, so Newton can take its residuals
-    from this map alone.
+    """The exact derivative of F: the map takes stacks of rows P, U and
+    step counts as build_F's does and returns (points, Jacobians
+    (n, 2N, 2n + 2k), errors), each Jacobian the real one in the variables
+    (p, u) at the rows' step counts.  The points and errors are build_F's
+    to the last bit, so Newton can take its residuals from this map alone.
 
     Matrix-group data differentiates g exp(X) through the block Frechet
     exponential, all rows at once; ambient fields step the tangent columns
@@ -552,6 +560,8 @@ class QueryRecord:
     oracle_dxi: float = np.nan
     newton_iters: int = 0     # Newton steps the query took
     halvings: int = 0         # step halvings over all of them
+    rk_steps: int | None = None     # ambient fields: the frozen step count
+    rk_error: float | None = None   # and its flow's error estimate at the solution
 
 
 @dataclass
@@ -590,11 +600,13 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     The queries are independent, so they are solved in lockstep: one
     damped Newton (newton_rows) inverts F at all of them, each from the
     linearized guess, on the stacked map of build_dF, which evaluates each
-    Newton point once for F and dF together.  The frames and fields come
-    from stacked P/Q/A and field products on the F and dF that Newton
-    returns at the solutions; nothing is flowed after Newton.  A query that
-    fails refuses only its own record, which then names the error; each
-    record also counts its Newton steps and step halvings.
+    Newton point once for F and dF together; on ambient fields each
+    query's step count is frozen as ``_newton`` describes.  The frames and
+    fields come from stacked P/Q/A and field products on the F and dF that
+    Newton returns at the solutions.  A query that fails refuses only its
+    own record, which then names the error; each record also counts its
+    Newton steps and step halvings, and on ambient fields its step count
+    and its flow's error estimate at the solution.
 
     ``oracle`` is an optional (grad_exprs, field_list) pair of closed forms;
     when given, each record carries the deviation of the reconstructed U and
@@ -619,12 +631,12 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     queries = np.asarray(queries, dtype=float).reshape(-1, data.chart.dim)
     sol.records = [QueryRecord(query=q, ok=False) for q in queries]
     m = len(data.param_names)
-    dF = build_dF(data, cfg)
-    newton = newton_rows(lambda X: dF(X[:, :m], X[:, m:]),
-                         queries, _initial_guesses(data, queries), cfg)
+    newton, counts, estimates = _newton(data, cfg, queries)
     errors = newton.errors
-    for rec, iters, halvings in zip(sol.records, newton.iters, newton.halvings):
-        rec.newton_iters, rec.halvings = int(iters), int(halvings)
+    for i, rec in enumerate(sol.records):
+        rec.newton_iters, rec.halvings = int(newton.iters[i]), int(newton.halvings[i])
+        if counts is not None:
+            rec.rk_steps, rec.rk_error = int(counts[i]), float(estimates[i])
 
     def passing(rows, stage_errors) -> np.ndarray:
         """Record the errors of a stage at its rows; the mask of those that
@@ -663,6 +675,62 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
         if err is not None:
             rec.error = str(err)
     return sol
+
+
+def _newton(data: CRInitialData, cfg: FlowConfig, queries):
+    """newton_rows on the map of build_dF from the linearized guesses, and
+    on ambient fields each row's frozen step count and the error estimate
+    of its flow at the returned row (else None, None).
+
+    A row's count is chosen (``ComplexFlow.steps``) once, at its start row,
+    and every trial of the row is flowed with it, so Newton inverts one
+    smooth discrete map whose exact derivative dF is.  At a solution the
+    estimate is read again at that count; where it exceeds the flow's
+    tolerance, the count is chosen again from the solution and the row is
+    solved once more from there, its Newton steps and halvings adding up.
+    That solve takes one step past newton_tol (``polish``): its start
+    misses the new map by about the old map's error, which may already be
+    below the tolerance, and the step removes it."""
+    m = len(data.param_names)
+    dF = build_dF(data, cfg)
+    x0 = _initial_guesses(data, queries)
+    if data.group is not None:
+        return newton_rows(lambda X, _: dF(X[:, :m], X[:, m:]), queries, x0, cfg), None, None
+    flow = data.complex_flow(cfg)
+
+    def choose(X, start=None):
+        """The count each row of X chooses from start, and its estimate;
+        a row whose sigma faults keeps the start (its flow is refused)."""
+        S, _, errors = data.sigma_rows(X[:, :m])
+        ok = np.flatnonzero([e is None for e in errors])
+        counts = np.full(len(X), PILOT_STEPS) if start is None else start.copy()
+        estimates = np.full(len(X), np.nan)
+        counts[ok], estimates[ok], _, _ = flow.steps(
+            S[ok], 1j * X[ok, m:], None if start is None else start[ok])
+        return counts, estimates
+
+    def solved(targets, X, counts, polish=False):
+        return newton_rows(lambda X, idx: dF(X[:, :m], X[:, m:], counts[idx]),
+                           targets, X, cfg, polish)
+
+    counts = choose(x0)[0]
+    newton = solved(queries, x0, counts)
+    ok = np.flatnonzero([e is None for e in newton.errors])
+    chosen, estimates = choose(newton.x[ok], counts[ok])
+    again = ok[chosen != counts[ok]]
+    counts[ok], final = chosen, np.full(len(queries), np.nan)
+    final[ok] = estimates
+    if len(again):
+        redo = solved(queries[again], newton.x[again], counts[again], polish=True)
+        for name in ("x", "values", "jac"):
+            getattr(newton, name)[again] = getattr(redo, name)
+        newton.iters[again] += redo.iters
+        newton.halvings[again] += redo.halvings
+        _scatter_errors(newton.errors, again, redo.errors)
+        S = data.sigma_rows(newton.x[again, :m])[0]
+        final[again] = flow.estimates(S, 1j * newton.x[again, m:], counts[again])
+    final[[e is not None for e in newton.errors]] = np.nan
+    return newton, counts, final
 
 
 def _oracle_residuals(data: CRInitialData, oracle, Q, U, xi):

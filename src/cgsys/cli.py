@@ -180,6 +180,8 @@ def cmd_cauchy(args) -> int:
     for r in records:
         item = {"query": r.query, "ok": r.ok, "newton_iters": r.newton_iters,
                 "halvings": r.halvings}
+        if r.rk_steps is not None:
+            item.update({"rk_steps": r.rk_steps, "rk_error": r.rk_error})
         if r.ok:
             item.update({
                 "params": r.params, "u": r.u, "U": r.U, "xi": r.xi,

@@ -1,10 +1,12 @@
 """Flows of vector fields, matrix exponentials, and complexified flows.
 
-Real flows use a fixed-step explicit Runge-Kutta method of order 8: the
-12-stage Dormand-Prince 8(5,3) of DOP853 (Hairer-Norsett-Wanner I, II.5),
-without its error estimate.  Trajectories here are short and the
-reproducibility of residual tables matters more than adaptive speed, so the
-step count is a plain config knob.  Complex time is supported on two routes:
+Flows use an explicit Runge-Kutta method of order 8: the 12-stage
+Dormand-Prince 8(5,3) of DOP853 (Hairer-Norsett-Wanner I, II.5).  Real
+flows take a fixed count of max(1, ceil(|t| steps_per_unit)) steps.  Each
+ambient complex flow row takes the count its own summed DOP853 error
+estimate asks for, at most that one, and its caller may freeze the count,
+so that a Newton solve inverts one smooth discrete map (internal numerical
+differentiation, Bock 1981).  Complex time is supported on two routes:
 
 * matrix-group data, where the flow of a left-invariant field is the exact
   product g exp(w V) and complex w costs nothing extra, and
@@ -26,8 +28,9 @@ each have their own step size and step count.  ``ComplexFlow.rows`` runs
 the ambient complex flows of a whole stack in it: one compiled tape of the
 fields' first partials per stage gives Z, its holomorphic Jacobian dZ/dz
 and the Cauchy-Riemann residual |dZ/dzbar|, so holomorphy is checked at the
-start point, at every stage state and at the end point (12 states a step);
-a row that diverges (at a stage state or a step's end), leaves the
+start point, at every stage state and at the end point (12 states a step),
+and on each step's path where a row takes too few steps for 256 states per
+unit of |w|; a row that diverges (at a stage state or a step's end), leaves the
 holomorphic region, exceeds max_time or faults is refused alone, with the
 tape's own error: its DomainError, naming the node and the point, or a
 HolomorphyError from the tape's residual.  ``flow_complex_multi`` is its
@@ -113,6 +116,15 @@ class FlowConfig:
 DEFAULT_CONFIG = FlowConfig()
 # how far an entry off a group's coordinate pattern may drift from its base
 EMBEDDING_TOL = 1e-9
+# the most squarings matrix_exp takes after a Taylor sum that did not stop
+MAX_SQUARINGS = 26
+# complex flows: the fraction of newton_tol that a row's summed error
+# estimate may reach, the count a row's choice starts from, the margin on a
+# predicted count, and the holomorphy reads a row takes per unit of |w|_1
+STEP_TOL_FRACTION = 0.01
+PILOT_STEPS = 1
+STEP_MARGIN = 1.1
+HOLOMORPHY_READS = 256
 
 
 # Dormand-Prince 8(5,3), the 12-stage 8th-order method of DOP853 (Hairer,
@@ -147,6 +159,15 @@ _DP8_A = (
 _DP8_B = {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
           7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
           10: 0.20136540080403034, 11: 0.04471061572777259}
+# DOP853's embedded error estimators E3 and E5, the differences of the
+# weights b from those of its 3rd- and 5th-order companions: their nonzero
+# entries (E3[12] = E5[12] = 0, so the estimate needs no stage after the end)
+_DP8_E3 = {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+           7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+           10: 0.20136540080403034, 11: 0.02265179219836082}
+_DP8_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+           7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+           10: 0.08192320648511571, 11: -0.022355307863886294}
 # the stages after the first as (c_i, its (j, a_ij) with j >= 1), then the
 # step's end as (None, its (j, b_j) with j >= 1)
 _DP8_STAGES = tuple((c, tuple((j, a) for j, a in row.items() if j))
@@ -154,7 +175,17 @@ _DP8_STAGES = tuple((c, tuple((j, a) for j, a in row.items() if j))
     (None, tuple((j, b) for j, b in _DP8_B.items() if j)),)
 
 
-def _rk(velocity, state, h, nsteps, guard):
+def _embedded(E, ks):
+    """sum_j E_j (k_j - k0), j >= 1, on the point column of the stage
+    differences ks: the exact E sums to 0, so this is sum_j E_j k_j."""
+    total = 0.0
+    for j, e in E.items():
+        if j:
+            total = total + e * ks[j][:, 0]
+    return total
+
+
+def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
     """The one explicit Runge-Kutta loop, over the DP8 tableau and a stack
     of rows: row i of ``state`` takes nsteps[i] steps of size h[i] (``h``
     and ``nsteps`` are arrays over the rows or shared scalars).
@@ -165,12 +196,23 @@ def _rk(velocity, state, h, nsteps, guard):
     None to keep all, and may raise to abort the whole stack.  A refused
     row drops out, as does a finished one, and keeps the state it had
     before the step; nothing is evaluated once no row is left.
+    ``path(rows, y, end, hh, k0, k1)``, if given, sees each step of the
+    rows that passed its end, with k1 the velocity of the stage at c = 1,
+    and keeps rows as guard does.
 
     The stage sums run around the first stage's k0, over the nonzero
     entries of A and b in column order: y + h (c_i k0 + sum_j a_ij (k_j - k0))
     and y + h (k0 + sum_j b_j (k_j - k0)), j >= 1.  A's rows sum to c and
     b sums to 1 (to the rounding of the literals), so this is the tableau,
     and a constant field steps exactly.
+
+    Given ``error`` (n,), each step adds to error[i] DOP853's local error
+    estimate of row i (Hairer-Norsett-Wanner I, II.5 and II.10) on the
+    point column ``state[i, 0]``: with e5 = h sum E5_j k_j and
+    e3 = h sum E3_j k_j, |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) in the
+    Euclidean norm (0 where both vanish), the same stage differences
+    summed as the step is.  The sum over a row's steps bounds its global
+    error to the order the steps' errors add up.
     """
     n = len(state)
     h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
@@ -202,6 +244,17 @@ def _rk(velocity, state, h, nsteps, guard):
                 break
             k, keep = velocity(rows, arg)
             ks.append(k - ks[0])
+        if path is not None and len(rows):
+            keep = path(rows, y, arg, hh, ks[0], ks[0] + ks[-1])
+            if keep is not None:
+                rows, y, hh, arg, *ks = (x[keep] for x in (rows, y, hh, arg, *ks))
+        if error is not None and len(rows):
+            hp = hh[:, 0]
+            e5 = np.abs(hp * _embedded(_DP8_E5, ks)) ** 2
+            e3 = np.abs(hp * _embedded(_DP8_E3, ks)) ** 2
+            e5, e3 = (e.reshape(len(rows), -1).sum(axis=1) for e in (e5, e3))
+            with np.errstate(invalid="ignore"):
+                error[rows] += np.where(e5 > 0.0, e5 / np.sqrt(e5 + 0.01 * e3), 0.0)
         state[rows] = arg
     return state
 
@@ -257,9 +310,13 @@ def matrix_exp(A) -> np.ndarray:
     scaled to norm <= 1/2 by its own power of two and its series runs to
     degree 16 (remainder below double rounding), stopping early only when
     its own term is exactly zero, which makes the result exact for
-    nilpotent input.  A row of a stack comes out as it would alone.  The
-    squarings may overflow to inf (or underflow to 0); a matrix whose
-    doubled norm is not finite comes out NaN.
+    nilpotent input.  A row of a stack comes out as it would alone.  Each
+    of the s squarings can double the relative rounding u = 2^-53 of the
+    Taylor value, so a matrix whose series did not terminate comes out NaN
+    where 2^s u would exceed 2^-27 (s > MAX_SQUARINGS = 26, a 1-norm above
+    2^25): a value with fewer than 26 correct bits is not returned.  A
+    matrix whose doubled norm is not finite comes out NaN too; the
+    squarings of a nilpotent one may overflow to inf.
     """
     A = np.asarray(A)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -290,6 +347,10 @@ def matrix_exp(A) -> np.ndarray:
             out[live] += term[live]
         else:
             break
+    # squarings that would amplify rounding past 2^-27 (live: no terminated sum)
+    inexact = live & (s > MAX_SQUARINGS)
+    if inexact.any():
+        out[inexact], s[inexact] = np.nan, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(int(s.max(initial=0))):
             sq = s > i
@@ -537,19 +598,77 @@ class ComplexFlow:
     The fields' first partials and their compiled tapes
     (``_HolomorphicFrame``) are made once here.
     ``rows`` integrates a stack of trajectories of dz/ds = sum_a w_a Z_a(z)
-    over s in [0, 1], row i with ceil(|w_i|_1 steps_per_unit) steps of its
-    own size, all stepped together by the one Runge-Kutta loop ``_rk``, and
-    with tangent columns also gives the exact derivative of the discrete
-    flow map.  Holomorphy of every field is checked at the start point, at
-    every stage state and at the end point.
+    over s in [0, 1], row i with its own count of steps of its own size,
+    all stepped together by the one Runge-Kutta loop ``_rk``, and with
+    tangent columns also gives the exact derivative of the discrete flow
+    map at those counts.  ``steps`` chooses each row's count from its
+    summed error estimate, below ``tol`` = newton_tol * STEP_TOL_FRACTION
+    (1/100), and never above ``limit``, max(1, ceil(|w_i|_1
+    steps_per_unit)).  Holomorphy of every field is checked at the start
+    point, at every stage state, at the end point and, where the stage
+    states number fewer than ceil(HOLOMORPHY_READS |w_i|_1), at as many
+    more states on each step's path.
     """
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         self.frame = _HolomorphicFrame(list(fields), cfg)
         self.k = self.frame.shape[0]
+        self.tol = cfg.newton_tol * STEP_TOL_FRACTION
 
-    def rows(self, P, W, dZ0=None):
+    def _scale(self, W) -> np.ndarray:
+        """|w|_1 of each row of W (n, k), summed column by column."""
+        scale = np.abs(W[:, 0])
+        for a in range(1, self.k):
+            scale = scale + np.abs(W[:, a])
+        return scale
+
+    def limit(self, W) -> np.ndarray:
+        """Each row's upper limit on its step count,
+        max(1, ceil(|w|_1 steps_per_unit)), and 0 for a row that takes no
+        step because |w|_1 is not finite or exceeds max_time."""
+        scale = self._scale(np.asarray(W, dtype=complex))
+        stepping = scale <= self.cfg.max_time
+        limit = np.zeros(len(scale), dtype=int)
+        limit[stepping] = np.maximum(1, np.ceil(scale[stepping] * self.cfg.steps_per_unit))
+        return limit
+
+    def steps(self, P, W, start=None):
+        """The step count each row's own error asks for.
+
+        Row i starts from start[i] steps (default PILOT_STEPS) and is
+        flowed without tangents; while its summed error estimate (``_rk``)
+        exceeds ``tol`` = newton_tol * STEP_TOL_FRACTION, it is flowed again
+        at the count that the estimate's 7th-order decay predicts, with a
+        margin, and at least one step more.  A row that a run refuses is
+        flowed again at its upper limit (``limit``), and no count exceeds
+        it, so a row whose estimate wants more takes exactly the limit.
+        Rows are chosen independently, so a row gets the count it gets
+        alone.  Returns (counts, estimates, points, errors), the last three
+        from each row's last run.
+        """
+        P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
+        limit = self.limit(W)
+        counts = np.minimum(PILOT_STEPS if start is None else start, limit)
+        estimates, points, errors = np.zeros(len(P)), np.empty_like(P), [None] * len(P)
+        pending = np.arange(len(P))
+        while len(pending):
+            at, cap = counts[pending], limit[pending]
+            points[pending], _, errs, est = self._run(P[pending], W[pending], None, at,
+                                                      pending)
+            estimates[pending] = est
+            for i, err in zip(pending, errs):
+                errors[i] = err
+            failed = np.array([e is not None for e in errs], dtype=bool) | ~np.isfinite(est)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                grow = np.ceil(at * STEP_MARGIN * (est / self.tol) ** (1 / 7))
+            wanted = np.where(failed, cap, np.minimum(cap, np.maximum(at + 1, grow)))
+            again = (at < cap) & (failed | (est > self.tol))
+            counts[pending[again]] = wanted[again]
+            pending = pending[again]
+        return counts, estimates, points, errors
+
+    def rows(self, P, W, dZ0=None, nsteps=None):
         """The flows from the chart rows P (n, 2N) for the complex times W
         (n, k), stepped together; row i comes out as it would alone.
 
@@ -558,12 +677,26 @@ class ComplexFlow:
         [dz/dz0 dZ0_i | dz/dw_1 ... dz/dw_k], stepped by the same steps as
         the points, else None, and errors[i] is None or the exception that
         refuses row i (its outputs NaN): a HolomorphyError or DomainError of
-        the fields at its start point, a stage state or its end point, a
-        DivergenceError of a stage state or a step's end, or a FlowError
-        when |w_i|_1 exceeds max_time.  A row takes
-        max(1, ceil(|w_i|_1 steps_per_unit)) steps of size 1/nsteps_i;
-        without tangents a row with w_i = 0 takes none.
+        the fields at its start point, a state it reads holomorphy at or its
+        end point, a DivergenceError of a stage state or a step's end, or a
+        FlowError when |w_i|_1 exceeds max_time.  Row i takes nsteps[i]
+        steps of size 1/nsteps[i], by default the count ``steps`` chooses
+        for it; without tangents a row with w_i = 0 takes none.
         """
+        if nsteps is None:
+            nsteps, _, points, errors = self.steps(P, W)
+            if dZ0 is None:
+                return points, None, errors
+        return self._run(P, W, dZ0, nsteps)[:3]
+
+    def estimates(self, P, W, nsteps):
+        """Each row's summed error estimate (``_rk``) at the counts nsteps,
+        0 for a row the flow refuses."""
+        return self._run(P, W, None, nsteps)[3]
+
+    def _run(self, P, W, dZ0, nsteps, labels=None):
+        """``rows`` at the given counts, and each row's summed error estimate
+        (0 for a refused row); a DomainError names row i as labels[i]."""
         cfg, frame, k = self.cfg, self.frame, self.k
         P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
         dZ0 = None if dZ0 is None else np.asarray(dZ0, dtype=complex)
@@ -573,17 +706,14 @@ class ComplexFlow:
         if W.shape != (n, k):
             raise ValueError("one complex time entry per field")
         errors = [None] * n
-        scale = np.abs(W[:, 0])
-        for a in range(1, k):
-            scale = scale + np.abs(W[:, a])
+        labels = np.arange(n) if labels is None else labels
+        scale = self._scale(W)
         # rows that take no step raise these once their start point passes
         # the holomorphy check
         late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {cfg.max_time:g}"
                              if np.isfinite(scale[i]) else f"|w| = {scale[i]:g} is not finite")
                 for i in np.flatnonzero(~(scale <= cfg.max_time))}
-        stepping = scale <= cfg.max_time
-        nsteps = np.zeros(n, dtype=int)
-        nsteps[stepping] = np.maximum(1, np.ceil(scale[stepping] * cfg.steps_per_unit))
+        nsteps = np.where(scale <= cfg.max_time, np.broadcast_to(nsteps, (n,)), 0).astype(int)
         # state rows [z; Y^T]: Y' = (sum_a w_a dZ_a/dz) Y, plus Z_a in the
         # column of dz/dw_a
         z = (P[:, 0::2] + 1j * P[:, 1::2])[:, None]
@@ -610,7 +740,7 @@ class ComplexFlow:
             return keep
 
         def velocity(rows, y):
-            Z, dZ, refused = frame.at(_complex_to_real(y[:, 0]), tape, rows)
+            Z, dZ, refused = frame.at(_complex_to_real(y[:, 0]), tape, labels[rows])
             if rows is not times[0]:
                 times[:] = rows, W[rows][:, None]
             Wr = times[1]
@@ -631,19 +761,47 @@ class ComplexFlow:
                 f"trajectory exceeded bound {cfg.divergence_bound:g}")
                 for j in np.flatnonzero(far)})
 
+        # a row reads holomorphy at its start point, its 12 stage states a
+        # step and its end point; where that is fewer than
+        # ceil(HOLOMORPHY_READS * |w|_1), each step adds ``extra`` states on
+        # its path, the Hermite cubic from (y, k0) to (end, k1)
+        extra = np.zeros(n, dtype=int)
+        if frame.checks_holomorphy:
+            reads = np.ceil(HOLOMORPHY_READS * np.where(nsteps > 0, scale, 0.0))
+            short = reads - 1 - 12 * nsteps
+            extra[short > 0] = np.ceil(short[short > 0] / nsteps[short > 0])
+
+        def path(rows, y, end, hh, k0, k1):
+            m = extra[rows]
+            if not m.any():
+                return None
+            at = np.repeat(np.arange(len(rows)), m)
+            t = ((np.arange(len(at)) - np.repeat(np.cumsum(m) - m, m) + 1.0)
+                 / np.repeat(m + 1.0, m))[:, None]
+            h = hh[at, 0]
+            states = ((1 - t) ** 2 * ((1 + 2 * t) * y[at, 0] + t * h * k0[at, 0])
+                      + t * t * ((3 - 2 * t) * end[at, 0] - (1 - t) * h * k1[at, 0]))
+            refused = {}
+            for j, err in frame.at(_complex_to_real(states), 2, labels[rows[at]])[2].items():
+                refused.setdefault(at[j], err)
+            return refuse(rows, refused)
+
         # a stage sum that overflows is refused by the bound on its state
+        estimates = np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            state = _rk(velocity, state, 1.0 / np.maximum(nsteps, 1), nsteps, guard)
+            state = _rk(velocity, state, 1.0 / np.maximum(nsteps, 1), nsteps, guard,
+                        estimates, path if extra.any() else None)
         # the end points, and the start points of rows that took no step
         rows = np.flatnonzero([err is None for err in errors])
         if frame.checks_holomorphy and len(rows):
-            refuse(rows, frame.at(_complex_to_real(state[rows, 0]), 2, rows)[2])
+            refuse(rows, frame.at(_complex_to_real(state[rows, 0]), 2, labels[rows])[2])
         for i, err in late.items():
             errors[i] = errors[i] or err
         failed = [err is not None for err in errors]
         state[failed] = complex(np.nan, np.nan)
+        estimates[failed] = 0.0
         Y = None if dZ0 is None else np.swapaxes(state[:, 1:], 1, 2)
-        return _complex_to_real(state[:, 0]), Y, errors
+        return _complex_to_real(state[:, 0]), Y, errors, estimates
 
 
 def flow_complex_multi(fields, p, w, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -713,11 +871,14 @@ class NewtonRows:
     halvings: np.ndarray   # step halvings over all of them
 
 
-def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows:
+def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
+                polish: bool = False) -> NewtonRows:
     """Solve F(x_i) = target_i for every row i by damped Newton in lockstep.
 
-    ``FJ(X)`` maps rows X (n, D) to (values (n, d), Jacobians (n, d, D),
-    errors), with errors[i] None or the exception that refuses row i.  The
+    ``FJ(X, rows)`` maps rows X (n, D) to (values (n, d), Jacobians (n, d, D),
+    errors), with errors[i] None or the exception that refuses row i;
+    ``rows`` holds the indices of the evaluated rows among x0, so a map may
+    keep per-row data (such as a frozen step count) fixed over trials.  The
     start rows and every trial are evaluated once: an accepted trial's
     Jacobian is the next step's, and ``values``/``jac`` of the result are
     F and dF at the returned ``x``, exactly as the map returned them.  Each
@@ -726,13 +887,17 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows
     would alone: a refused start refuses the row with its exception, a
     trial that the map refuses or that does not lower the residual halves
     only that row's step, and a row that finds no descent step or does not
-    converge within the budget gets a NewtonError.
+    converge within the budget gets a NewtonError.  With ``polish`` each
+    row takes one step more once its residual is below newton_tol, so that
+    the residual of a start that solves a nearby map (the same equations
+    flowed in fewer steps) is squared away, not just brought under the
+    tolerance; a row keeps its point where that last step fails.
     """
     X = np.array(x0, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = len(X)
     iters, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    values, J, errors = FJ(X)
+    values, J, errors = FJ(X, np.arange(n))
     values, J, errors = np.array(values, dtype=float), np.array(J, dtype=float), list(errors)
     res = values - targets
     best = _row_norms(res)
@@ -743,13 +908,20 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows
             errors[i] = make(i)
         live[rows] = False
 
+    owed = np.full(n, polish)    # rows that owe one step past newton_tol
     for _ in range(cfg.newton_max_iter):
-        live &= ~(best < cfg.newton_tol)
+        near = best < cfg.newton_tol
+        last = near & owed & live
+        owed &= ~last
+        live &= ~near | last
         rows = np.flatnonzero(live)
         if not len(rows):
             break
         steps, singular = solve_rows(J[rows], -res[rows][..., None])
-        refuse(rows[singular], lambda i: NewtonError("Jacobian is numerically singular"))
+        # a row's step past newton_tol is its last, and it cannot refuse it
+        live[rows[last[rows]]] = False
+        refuse(rows[singular & live[rows]],
+               lambda i: NewtonError("Jacobian is numerically singular"))
         rows, steps = rows[~singular], steps[~singular, :, 0]
         if not len(rows):
             continue
@@ -759,7 +931,7 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows
         for _ in range(10):
             idx = rows[pending]
             trial = X[idx] + lam[pending, None] * steps[pending]
-            tvalues, tJ, terrors = FJ(trial)
+            tvalues, tJ, terrors = FJ(trial, idx)
             tres = tvalues - targets[idx]
             tnorm = _row_norms(tres)
             better = np.array([err is None for err in terrors], dtype=bool)
@@ -773,7 +945,7 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG) -> NewtonRows
             pending[slot[better]] = False
             if not pending.any():
                 break
-        refuse(rows[pending], lambda i: NewtonError(
+        refuse(rows[pending & live[rows]], lambda i: NewtonError(
             f"no descent step found (residual {best[i]:.3e})"))
     refuse(np.flatnonzero(live & ~(best < cfg.newton_tol)), lambda i: NewtonError(
         f"did not converge in {cfg.newton_max_iter} iterations "
@@ -792,7 +964,7 @@ def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG, *,
     """
     d = len(np.atleast_1d(target))
 
-    def rows(X):
+    def rows(X, _):
         try:
             return (np.asarray(F(X[0]), dtype=float)[None],
                     np.asarray(jac(X[0]), dtype=float)[None], [None])

@@ -503,7 +503,7 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8,
     tape = compile_exprs([*sys.grads, *(diff(g, x) for g in sys.grads for x in names)],
                          names)
 
-    def U_dU(X):
+    def U_dU(X, _):
         vals, errors = tape.rows(X)
         return vals[:, :k], vals[:, k:].reshape(len(X), k, len(names)), errors
 

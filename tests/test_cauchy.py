@@ -868,37 +868,49 @@ def test_dF_points_equal_F_points(which, heis_data, affine_data):
 
 def _counted_maps(monkeypatch):
     """Patch build_F, build_dF and newton_rows in cauchy so that each F
-    call records its caller, each dF call its rows and whether Newton had
-    returned, and the Newton result is kept."""
-    seen = {"F": [], "dF": [], "late": 0, "newton": None}
+    call records its caller, each dF call its rows and whether it came from
+    outside a Newton run, and each Newton result is kept."""
+    seen = {"F": [], "dF": [], "late": 0, "newton": [], "running": False}
     build_F_, build_dF_, newton_rows_ = (
         cgsys.cauchy.build_F, cgsys.cauchy.build_dF, cgsys.cauchy.newton_rows)
 
     def counted_F(*args):
         F = build_F_(*args)
 
-        def view(p, u):
+        def view(p, u, *nsteps):
             seen["F"].append(sys._getframe(1).f_code.co_name)
-            return F(p, u)
+            return F(p, u, *nsteps)
         return view
 
     def counted_dF(*args):
         dF = build_dF_(*args)
 
-        def view(p, u):
+        def view(p, u, *nsteps):
             seen["dF"].append(np.concatenate([np.atleast_2d(p), np.atleast_2d(u)], axis=1))
-            seen["late"] += seen["newton"] is not None
-            return dF(p, u)
+            seen["late"] += not seen["running"]
+            return dF(p, u, *nsteps)
         return view
 
     def kept(*args):
-        seen["newton"] = newton_rows_(*args)
-        return seen["newton"]
+        seen["running"] = True
+        out = newton_rows_(*args)
+        seen["running"] = False
+        # the counts as this run returned them, before solve adds them up;
+        # solve writes a second run's rows into the first run's result
+        seen["newton"].append((out.iters.copy(), out.halvings.copy()))
+        seen.setdefault("result", out)
+        return out
 
     monkeypatch.setattr(cgsys.cauchy, "build_F", counted_F)
     monkeypatch.setattr(cgsys.cauchy, "build_dF", counted_dF)
     monkeypatch.setattr(cgsys.cauchy, "newton_rows", kept)
     return seen
+
+
+def _evaluated_by_newton(runs):
+    """The rows that Newton runs evaluate: each run's start rows, then one
+    trial per Newton step and one per halving."""
+    return sum(int(np.sum(1 + iters + halvings)) for iters, halvings in runs)
 
 
 @pytest.mark.parametrize("name", ["line", "affine-halving", "ambient"])
@@ -911,9 +923,14 @@ def test_solve_evaluates_each_newton_point_once(monkeypatch, name):
         sol = solve(data, queries, CFG, oracle=oracle)
     assert seen["F"] == ["grid_queries"]
     assert seen["late"] == 0
-    # the start row, then one trial per Newton step and one per halving
     evaluated = sum(len(rows) for rows in seen["dF"])
-    assert evaluated == sum(1 + r.newton_iters + r.halvings for r in sol.records)
+    assert evaluated == _evaluated_by_newton(seen["newton"])
+    # a row solved once more (ambient rows off M) takes its steps and
+    # halvings of both runs
+    assert len(seen["newton"]) == (2 if name == "ambient" else 1)
+    for j, count in enumerate(("newton_iters", "halvings")):
+        assert sum(getattr(r, count) for r in sol.records) == sum(
+            int(run[j].sum()) for run in seen["newton"])
     assert any(r.newton_iters for r in sol.records)
     if name == "affine-halving":
         assert any(r.halvings for r in sol.records)
@@ -923,13 +940,17 @@ def test_solve_evaluates_each_newton_point_once(monkeypatch, name):
         with monkeypatch.context() as mp:
             alone = _counted_maps(mp)
             solve(data, [q], CFG, oracle=oracle)
-        assert sum(len(rows) for rows in alone["dF"]) == 1 + rec.newton_iters + rec.halvings
-    # F and dF at the returned rows are what a fresh dF gives there
-    newton = seen["newton"]
+        assert sum(len(rows) for rows in alone["dF"]) == _evaluated_by_newton(alone["newton"])
+        assert sum(int(iters[0]) for iters, _ in alone["newton"]) == rec.newton_iters
+        assert sum(int(halvings[0]) for _, halvings in alone["newton"]) == rec.halvings
+    # F and dF at the returned rows, at their frozen step counts, are what
+    # a fresh dF gives there
+    newton = seen["result"]
     ok = [i for i, r in enumerate(sol.records) if r.ok]
     assert ok
     m = len(data.param_names)
-    points, J, errors = build_dF(data, CFG)(newton.x[ok, :m], newton.x[ok, m:])
+    counts = None if data.group is not None else [sol.records[i].rk_steps for i in ok]
+    points, J, errors = build_dF(data, CFG)(newton.x[ok, :m], newton.x[ok, m:], counts)
     assert errors == [None] * len(ok)
     assert np.array_equal(newton.values[ok], points)
     assert np.array_equal(newton.jac[ok], J)
@@ -979,3 +1000,88 @@ def test_flow_is_not_the_accuracy_limit_of_ambient_cauchy(tmp_path, capsys, c):
     for rec in records:
         assert rec["oracle_dU"] < 1e-13 and rec["oracle_dxi"] < 1e-13
     capsys.readouterr()
+
+
+# --- frozen Runge-Kutta step counts on ambient fields ------------------------------
+
+
+def test_dF_is_the_derivative_of_F_at_frozen_counts():
+    # at fixed counts F is one smooth discrete map and dF its exact
+    # derivative, also where the chosen counts would differ across x +- h
+    data = _ambient_data()
+    F, dF = build_F(data, CFG), build_dF(data, CFG)
+    rng = np.random.default_rng(16)
+    for nsteps in ([1], [2], [5], [9]):
+        p, u = rng.uniform(-0.4, 0.4, size=1), rng.uniform(-0.3, 0.3, size=1)
+        (point,), (J,), errors = dF(p[None], u[None], nsteps)
+        assert errors == [None]
+        assert np.array_equal(point, F(p[None], u[None], nsteps)[0][0])
+        fd = numerical_jacobian(lambda x: F(x[None, :1], x[None, 1:], nsteps)[0][0],
+                                np.concatenate([p, u]), 1e-6)
+        assert np.max(np.abs(J - fd)) < 1e-8
+
+
+def test_each_row_reaches_the_newton_map_with_one_count(monkeypatch):
+    # a spy between newton_rows and build_dF's map: within a Newton run each
+    # row index is flowed at one count, the count its start row chose; a
+    # row off M is checked at its solution and solved once more at the
+    # count chosen there, which its record reports
+    data, oracle, queries = _lockstep_case("ambient")
+    seen, runs = [], []
+    build_dF_, newton_rows_ = cgsys.cauchy.build_dF, cgsys.cauchy.newton_rows
+
+    def spied_dF(*args):
+        dF = build_dF_(*args)
+
+        def view(P, U, nsteps):
+            seen[-1].append(np.asarray(nsteps).tolist())
+            return dF(P, U, nsteps)
+        return view
+
+    def spied_newton(FJ, targets, x0, cfg, *rest):
+        runs.append([])
+
+        def FJ_(X, rows):
+            seen.append([rows.tolist()])
+            runs[-1].append(len(seen) - 1)
+            return FJ(X, rows)
+        return newton_rows_(FJ_, targets, x0, cfg, *rest)
+
+    monkeypatch.setattr(cgsys.cauchy, "build_dF", spied_dF)
+    monkeypatch.setattr(cgsys.cauchy, "newton_rows", spied_newton)
+    records = solve(data, queries, CFG, oracle=oracle).records
+    assert len(runs) == 2 and all(r.ok for r in records)
+    per_run = []
+    for run in runs:
+        counts = {}
+        for rows, nsteps in (seen[j] for j in run):
+            for i, n in zip(rows, nsteps):
+                counts.setdefault(i, set()).add(n)
+        assert all(len(c) == 1 for c in counts.values())
+        per_run.append({i: c.pop() for i, c in counts.items()})
+    # every query starts at u = 0, where one step is exact
+    assert set(per_run[0].values()) == {1}
+    again = [i for i, r in enumerate(records) if r.u[0] != 0.0]
+    assert len(again) == len(per_run[1]) == 4
+    assert [records[i].rk_steps for i in again] == [per_run[1][j] for j in range(4)]
+    for r in records:
+        assert r.rk_error <= CFG.newton_tol * cgsys.flow.STEP_TOL_FRACTION
+        assert r.rk_steps < math.ceil(abs(r.u[0]) * CFG.steps_per_unit) or r.u[0] == 0.0
+
+
+def test_cli_ambient_records_report_their_step_counts(tmp_path):
+    # ambient records carry rk_steps and rk_error, byte for byte from run to
+    # run; matrix-group records do not
+    path = tmp_path / "ambient.cgs"
+    path.write_text(_ambient_file(1.25).text)
+    reports = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in reports:
+        assert main(["cauchy", str(path), "--grid", "3", "--u-extent", "0.25",
+                     "--json", str(out)]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    records = json.loads(reports[0].read_text())["records"]
+    assert [r["rk_steps"] for r in records] == [3, 1, 3]
+    assert all(0.0 <= r["rk_error"] <= 1e-12 for r in records)
+    assert main(["cauchy", "affine", "--grid", "2", "--json", str(reports[0])]) == 0
+    records = json.loads(reports[0].read_text())["records"]
+    assert not any("rk_steps" in r or "rk_error" in r for r in records)

@@ -220,12 +220,28 @@ def test_stacked_matrix_exp_equals_one_row_calls(heis_spec):
 
 
 def test_matrix_exp_scaling_does_not_overflow():
-    # a 1-norm near the largest double needs 2^1024 to scale it down: the
-    # squarings then overflow to inf or underflow to 0
-    assert np.array_equal(matrix_exp([[5e307]]), [[np.inf]])
-    assert np.array_equal(matrix_exp([[-5e307]]), [[0.0]])
+    # a 1-norm near the largest double needs 2^1024 to scale it down: its
+    # 1024 squarings would leave no correct bit, so the value is NaN
+    with np.errstate(all="raise"):
+        assert np.isnan(matrix_exp([[5e307]])).all()
+        assert np.isnan(matrix_exp([[-5e307]])).all()
     # a nilpotent matrix of that norm squares back exactly
     assert np.array_equal(matrix_exp([[0.0, 5e307], [0.0, 0.0]]), [[1.0, 5e307], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("x", [5e307, 1e17, 1e15, 2.0 ** 25 * 1.01])
+def test_matrix_exp_refuses_squarings_past_its_accuracy_bound(x):
+    # exp(i x) has modulus 1; past MAX_SQUARINGS = 26 squarings (1-norm
+    # above 2^25) rounding amplified by 2^s would decide it, and it is NaN
+    assert np.isnan(matrix_exp([[1j * x]])).all()
+    assert np.isnan(matrix_exp(np.array([[[0.5]], [[1j * x]]]))[1]).all()
+
+
+@pytest.mark.parametrize("x", [1e3, 1e7, 2.0 ** 25])
+def test_matrix_exp_within_its_accuracy_bound_keeps_26_bits(x):
+    # at most 26 squarings: the relative error stays below 2^-27
+    [[z]] = matrix_exp([[1j * x]])
+    assert abs(z - complex(math.cos(x), math.sin(x))) <= 2.0 ** -27
 
 
 @pytest.mark.parametrize("huge", [9e307, np.inf, 1j * np.inf, np.nan])
@@ -242,8 +258,8 @@ def test_matrix_exp_huge_row_leaves_its_stack_alone():
                   [[5e307, 0.0], [0.0, 0.0]], [[2.5, -1.0], [0.5, 0.0]]])
     E = matrix_exp(A)
     assert np.array_equal(E[0], matrix_exp(A[0])) and np.array_equal(E[3], matrix_exp(A[3]))
-    # the squarings of 5e307 overflow, and inf * 0 makes NaN beside it
-    assert np.isnan(E[1]).all() and not np.isfinite(E[2]).all()
+    # 5e307 needs more squarings than the accuracy bound allows
+    assert np.isnan(E[1]).all() and np.isnan(E[2]).all()
 
 
 # --- matrix-group complexified flow -------------------------------------------
@@ -617,7 +633,9 @@ def test_stacked_complex_flow_equals_each_row_alone(tangents):
     W = np.array([[0.0], [0.1j], [0.25j], [np.nextafter(0.25, 1.0) * 1j],
                   [2.0], [1.0j], [20.0j], [0.1j]])
     dZ0 = (np.random.default_rng(4).uniform(-1, 1, (8, 1, 2)) + 1j) if tangents else None
-    points, Y, errors = flow.rows(P, W, dZ0)
+    # at the upper limit, the counts the reference takes
+    nsteps = flow.limit(W)
+    points, Y, errors = flow.rows(P, W, dZ0, nsteps)
     assert [type(err).__name__ if err else None for err in errors] == [
         None, None, None, None,
         "DivergenceError", "HolomorphyError", "FlowError", "DomainError"]
@@ -636,13 +654,14 @@ def test_stacked_complex_flow_equals_each_row_alone(tangents):
             assert type(errors[i]) is type(err) and str(errors[i]) == str(err)
             assert np.isnan(points[i]).all()
             continue
-        one, one_Y, _ = flow.rows(P[i:i + 1], W[i:i + 1], None if dz0 is None else dz0[None])
+        one, one_Y, _ = flow.rows(P[i:i + 1], W[i:i + 1], None if dz0 is None else dz0[None],
+                                  nsteps[i:i + 1])
         for got in (points[i], one[0]):
             assert np.array_equal(got, want[0])
         if tangents:
             assert np.array_equal(Y[i], want[1]) and np.array_equal(one_Y[0], want[1])
     # the refused rows change nothing in the others
-    rest = flow.rows(P[:4], W[:4], None if dZ0 is None else dZ0[:4])
+    rest = flow.rows(P[:4], W[:4], None if dZ0 is None else dZ0[:4], nsteps[:4])
     assert np.array_equal(rest[0], points[:4])
 
 
@@ -682,6 +701,17 @@ def test_tableau_literals_are_dop853s():
     assert np.array_equal(c, dop853.C[:12])
 
 
+def test_error_estimators_are_dop853s():
+    # E3[12] = E5[12] = 0: the estimate needs no stage after the step's end
+    for ours, theirs in ((cgsys.flow._DP8_E3, dop853.E3), (cgsys.flow._DP8_E5, dop853.E5)):
+        E = np.zeros(13)
+        for j, e in ours.items():
+            E[j] = e
+        assert np.array_equal(E, theirs) and theirs[12] == 0.0
+        # the exact coefficients sum to 0; each literal is rounded once
+        assert abs(math.fsum(E)) <= 2e-16
+
+
 def test_tableau_is_explicit_with_rows_summing_to_the_nodes():
     # each literal is its 30-digit coefficient rounded once, so the sums are
     # off by a few ulps; the loop steps around k0 and so uses c and 1 exactly
@@ -705,9 +735,9 @@ def test_observed_order_is_eight():
     # dz/ds = w (1 + 1.1 z^2): doubling the steps cuts the error by 2^8
     # in the limit; require 2^7
     errors = []
+    flow, exact = _quadratic_flow(1.1)
     for per_unit in (4, 8):
-        flow, exact = _quadratic_flow(1.1, FlowConfig(steps_per_unit=per_unit))
-        end = flow.rows(np.array([[0.3, 0.0]]), np.array([[1j]]))[0][0]
+        end = flow.rows(np.array([[0.3, 0.0]]), np.array([[1j]]), nsteps=[per_unit])[0][0]
         errors.append(abs(complex(*end) - exact(0.3, 1j)))
     assert 1e-13 < errors[1] and errors[0] >= 2 ** 7 * errors[1]
 
@@ -717,18 +747,101 @@ def test_flow_is_continuous_across_a_step_count_boundary():
     # agree to rounding and both meet the closed form
     flow, exact = _quadratic_flow(1.25)
     ws = [0.25j, np.nextafter(0.25, 1.0) * 1j]
-    assert [math.ceil(abs(w) * CFG.steps_per_unit) for w in ws] == [8, 9]
+    nsteps = [math.ceil(abs(w) * CFG.steps_per_unit) for w in ws]
+    assert nsteps == [8, 9]
     ends = [complex(*end) for end in flow.rows(np.tile([0.3, 0.0], (2, 1)),
-                                               np.array(ws)[:, None])[0]]
+                                               np.array(ws)[:, None], nsteps=nsteps)[0]]
     assert abs(ends[0] - ends[1]) <= 1e-15
     for z, w in zip(ends, ws):
         assert abs(z - exact(0.3, w)) <= 1e-14
 
 
+def test_error_estimate_bounds_the_error_and_decays_at_order_seven():
+    # the summed DOP853 estimate of (1 + 1.1 z^2) d/dz against its closed form
+    flow, exact = _quadratic_flow(1.1)
+    P, W = np.array([[0.3, 0.0]]), np.array([[1j]])
+    estimates = []
+    for n in (4, 8, 16):
+        [end], _, _ = flow.rows(P, W, nsteps=[n])
+        [est] = flow.estimates(P, W, [n])
+        assert abs(complex(*end) - exact(0.3, 1j)) <= est
+        estimates.append(est)
+    assert estimates[0] >= 2 ** 6 * estimates[1] >= 2 ** 12 * estimates[2] > 0.0
+    # a constant field steps exactly, and its estimate is 0
+    line = ComplexFlow([VectorField.coordinate(ComplexChart.standard(1), "x1")], CFG)
+    assert line.steps(P, W)[:2] == ([1], [0.0])
+
+
+def test_each_row_takes_the_steps_its_own_estimate_asks_for():
+    flow, exact = _quadratic_flow(1.1)
+    P = np.array([[0.3, 0.0], [0.3, 0.0], [0.0, 0.0], [-0.5, 0.0]])
+    W = np.array([[0.0], [0.1j], [1.0j], [0.5 - 0.4j]])
+    counts, estimates, points, errors = flow.steps(P, W)
+    assert errors == [None] * 4
+    # no row over its limit; the rows that move stop below it, within tol
+    assert (counts <= flow.limit(W)).all() and (counts[1:] < flow.limit(W)[1:]).all()
+    assert (estimates <= flow.tol).all()
+    assert counts[2] > counts[1]
+    # the points are the flows at those counts, each row as it is alone
+    assert np.array_equal(points, flow.rows(P, W, nsteps=counts)[0])
+    assert np.array_equal(points, flow.rows(P, W)[0])
+    for i in range(4):
+        alone = flow.steps(P[i:i + 1], W[i:i + 1])
+        assert (alone[0][0], alone[1][0]) == (counts[i], estimates[i])
+        assert np.array_equal(alone[2][0], points[i])
+    z = exact(P[:, 0], W[:, 0])
+    assert np.max(np.abs(points[:, 0] + 1j * points[:, 1] - z)) < 1e-13
+
+
+def test_a_row_whose_estimate_wants_more_takes_the_upper_limit():
+    # no count meets newton_tol 1e-20, so every row takes its limit, the
+    # count it took before the estimate picked counts
+    flow, _ = _quadratic_flow(1.1, FlowConfig(newton_tol=1e-20))
+    P = np.array([[0.3, 0.0], [-0.1, 0.0]])
+    W = np.array([[0.25j], [1.3 - 0.2j]])
+    counts, estimates, points, _ = flow.steps(P, W)
+    assert counts.tolist() == [8, 43] == flow.limit(W).tolist()
+    assert (estimates > flow.tol).all()
+    dZ0 = np.ones((2, 1, 1), dtype=complex)
+    at_limit = flow.rows(P, W, dZ0, [8, 43])
+    chosen = flow.rows(P, W, dZ0)
+    assert np.array_equal(points, at_limit[0])
+    for got, want in zip(chosen[:2], at_limit[:2]):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_chosen_counts_give_each_row_what_it_gets_alone(tangents):
+    # the stack of test_stacked_complex_flow_equals_each_row_alone at the
+    # counts the rows choose: the same refusals, and each row as alone
+    chart = ComplexChart.standard(1)
+    bump = "(y1 - 0.5 + sqrt((y1 - 0.5)^2))^3"
+    V = field(chart, [f"1 + 1.1*(x1^2 - y1^2) + (x1 + 3)/((x1 + 3)^2 + y1^2) + {bump}",
+                      "2*1.1*x1*y1 - y1/((x1 + 3)^2 + y1^2)"])
+    flow = ComplexFlow([V], CFG)
+    P = np.array([[0.2, 0.0], [0.1, 0.0], [0.3, 0.0], [-0.1, 0.0],
+                  [0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [-3.0, 0.0]])
+    W = np.array([[0.0], [0.1j], [0.25j], [np.nextafter(0.25, 1.0) * 1j],
+                  [2.0], [1.0j], [20.0j], [0.1j]])
+    dZ0 = (np.random.default_rng(4).uniform(-1, 1, (8, 1, 2)) + 1j) if tangents else None
+    points, Y, errors = flow.rows(P, W, dZ0)
+    assert [type(err).__name__ if err else None for err in errors] == [
+        None, None, None, None,
+        "DivergenceError", "HolomorphyError", "FlowError", "DomainError"]
+    for i in range(len(P)):
+        one, one_Y, one_errors = flow.rows(P[i:i + 1], W[i:i + 1],
+                                           None if dZ0 is None else dZ0[i:i + 1])
+        assert str(one_errors[0]) == str(errors[i]).replace(f"at point {i} ", "at point 0 ")
+        assert np.array_equal(one[0], points[i], equal_nan=True)
+        if tangents:
+            assert np.array_equal(one_Y[0], Y[i], equal_nan=True)
+
+
 @pytest.mark.parametrize("tangents", [False, True])
 def test_every_stage_state_is_checked_for_holomorphy(monkeypatch, tangents):
     # a row reads the Cauchy-Riemann residual at its start point, at all 12
-    # stage states of each step and at its end point: at 32 steps per unit
+    # stage states of each step and at its end point, and where that is
+    # fewer than ceil(256 |w|) states, at m more states on each step's path:
     # never fewer states per unit of |w| than 256 steps of 4 stages checked
     # at their starts; test_stacked_complex_flow_equals_each_row_alone
     # pins that a row crossing into the non-holomorphic region is refused
@@ -738,20 +851,33 @@ def test_every_stage_state_is_checked_for_holomorphy(monkeypatch, tangents):
 
     def counted(X, tape, labels=None):
         if tape == 2:
-            reads.append(len(X))
+            reads.extend(np.arange(len(X)) if labels is None else labels)
         return at(X, tape, labels)
 
-    monkeypatch.setattr(flow.frame, "at", counted)
     dZ0 = np.ones((2, 1, 1), dtype=complex) if tangents else None
+    P = np.array([[0.1, 0.0], [-0.2, 0.0]])
+    added = 0
     for scale in (1e-3, 0.01, 1 / 7, 0.25, np.nextafter(0.25, 1.0), 1 / 3, 0.5, 1.0, 2.3):
-        # two rows, |w|_1 = scale each
+        # two rows, |w|_1 = scale each, at the counts their errors ask for
         W = np.array([[1j * scale], [-1j * scale]])
+        nsteps = flow.steps(P, W)[0]
         reads.clear()
-        _, _, errors = flow.rows(np.array([[0.1, 0.0], [-0.2, 0.0]]), W, dZ0)
+        with monkeypatch.context() as mp:
+            mp.setattr(flow.frame, "at", counted)
+            _, _, errors = flow.rows(P, W, dZ0, nsteps)
         assert errors == [None, None]
-        nsteps = math.ceil(scale * CFG.steps_per_unit)
-        assert sum(reads) == 2 * (12 * nsteps + 1)
-        assert 12 * nsteps + 1 >= math.ceil(256 * scale)
+        for row, n in enumerate(nsteps):
+            m = max(0, math.ceil((math.ceil(256 * scale) - 1 - 12 * n) / n))
+            assert reads.count(row) == 12 * n + 1 + n * m >= math.ceil(256 * scale)
+            added += m
+    assert added
+    # at the upper limit the stage states alone are enough
+    reads.clear()
+    W = np.array([[2.3j], [-2.3j]])
+    with monkeypatch.context() as mp:
+        mp.setattr(flow.frame, "at", counted)
+        flow.rows(P, W, dZ0, flow.limit(W))
+    assert len(reads) == 2 * (12 * math.ceil(2.3 * CFG.steps_per_unit) + 1)
 
 
 def test_a_stack_whose_rows_are_all_refused_stops_stepping():
@@ -796,7 +922,7 @@ def test_newton_inverse_uses_a_given_jacobian():
 def _atan_rows(fail):
     """arctan and its derivative over rows, with the trials where
     ``fail(x)`` holds refused."""
-    def FJ(X):
+    def FJ(X, _rows):
         errors = [fail(x) for x in X]
         return np.arctan(X), 1.0 / (1.0 + X[:, :, None] ** 2), errors
     return FJ
@@ -815,7 +941,7 @@ def test_a_failed_trial_halves_only_its_own_row(error):
     assert out.halvings[0] == out.halvings[2] == 0 and out.halvings[1] >= 1
     assert np.max(np.abs(out.x)) < 1e-10
     # F and dF at the returned rows are the map's own values there
-    values, jac, _ = _atan_rows(fail)(out.x)
+    values, jac, _ = _atan_rows(fail)(out.x, np.arange(3))
     assert np.array_equal(out.values, values) and np.array_equal(out.jac, jac)
     for i in range(3):
         alone = newton_rows(_atan_rows(fail), np.zeros((1, 1)), x0[i:i + 1], CFG)
@@ -844,7 +970,7 @@ def test_non_square_rows_take_the_minimum_norm_least_squares_step():
 
 def test_lockstep_rows_fail_on_their_own():
     # row 0 converges; row 1 has a singular Jacobian; row 2 has no root
-    def FJ(X):
+    def FJ(X, _rows):
         return np.column_stack([X[:, 0] ** 2]), (2.0 * X)[:, :, None], [None] * len(X)
 
     targets, x0 = np.array([[4.0], [1.0], [-1.0]]), np.array([[3.0], [0.0], [1.0]])
