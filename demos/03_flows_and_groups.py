@@ -45,11 +45,11 @@ print("imaginary-time point:", out[0])
 # The same trip through the ODE route, allowed because the left-invariant
 # coefficients are holomorphic.  ComplexFlow.rows flows a stack of start
 # points, each for its own complex times (here a stack of one row):
-ends, _, errors = ComplexFlow([L[0]], cfg).rows(np.zeros((1, 6)), np.array([[0.3j]]))
+ends, _, errors, _ = ComplexFlow([L[0]], cfg).rows(np.zeros((1, 6)), np.array([[0.3j]]))
 print("single-direction ODE check:", ends[0])
 
 # Fields whose complexification mixes conjugate coordinates are refused,
 # row by row: the refused row's error comes back beside the stack's points.
 bad = VectorField.from_exprs(chart3, ["1", "0", "0", "0", "0", "y2"])
-_, _, errors = ComplexFlow([bad], cfg).rows(np.zeros((1, 6)), np.array([[1j]]))
+_, _, errors, _ = ComplexFlow([bad], cfg).rows(np.zeros((1, 6)), np.array([[1j]]))
 print("refused:", errors[0])

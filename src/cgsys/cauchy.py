@@ -32,10 +32,10 @@ exponential that yields exp(X) and its Frechet derivatives together; for
 ambient fields the tangent columns are stepped by the same 8th-order
 Runge-Kutta loop as the trajectory, which is the exact derivative of the
 discrete flow map at its step count, with holomorphy read at every stage
-state.  ``solve`` chooses each query's count from the flow's error
-estimate at its Newton start and freezes it for every trial, so Newton
-inverts one smooth map; where the estimate at the solution asks for more
-steps, the query is solved once more there at the new count.  A
+state.  ``solve`` freezes each query's count for every Newton trial, so
+Newton inverts one smooth map; where the error estimate that the map
+returned at the solution asks for more steps, the query is solved again
+from there at the new count.  No flow runs outside Newton's map.  A
 Newton solution counts only when its parameters lie in param_domain (where
 param_domain faults, the query is refused).  The range of F is not
 certified globally: |det P| <= 1e-10 or Newton failure at a query simply
@@ -47,16 +47,17 @@ Query points are independent, so ``solve`` handles all of them in
 lockstep: one damped Newton over the stacked rows (p, u), each started
 from the linearized guess with its own step halvings and convergence test.
 Newton runs on the map of build_dF, whose points equal F's to the last
-bit, so each Newton point is evaluated once for its value and Jacobian
-together, and the stacked P/Q/A and field products are built on the F and
-dF that Newton returns at the solutions; F itself only places the grid
-queries (``grid_queries``).  F, dF, the frames and the fields take stacks
-of rows only, a point being a stack of one, and return, beside their
-values, the error that refuses each row, so a failing query refuses only
-its own record; ``compute_PQA`` and ``construct_fields`` run the same code
-on a stack of one row and raise its error.  On matrix groups a stack costs
-one batched matrix exponential; on ambient fields one stacked Runge-Kutta
-run (``ComplexFlow.rows``), each row with its own step count.
+bit, so each Newton point is evaluated once for its value, its Jacobian
+and its flow's error estimate together, and the stacked P/Q/A and field
+products are built on the F and dF that Newton returns at the solutions;
+F itself only places the grid queries (``grid_queries``).  F, dF, the
+frames and the fields take stacks of rows only, a point being a stack of
+one, and return, beside their values, the error that refuses each row, so
+a failing query refuses only its own record; ``compute_PQA`` and
+``construct_fields`` run the same code on a stack of one row and raise its
+error.  On matrix groups a stack costs one batched matrix exponential; on
+ambient fields one stacked Runge-Kutta run (``ComplexFlow.rows``), each
+row with its own step count.
 """
 
 from __future__ import annotations
@@ -314,11 +315,12 @@ def frobenius_defect_on_M(data: CRInitialData, t) -> float:
 
 def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
     """F over stacks of rows P (n, m), U (n, k): (points (n, 2N), errors),
-    and with ``jac`` (points, Jacobians (n, 2N, m + k), errors), errors[i]
-    None or the exception that refuses row i.  The points and errors do not
-    depend on ``jac``.  On ambient fields, row i takes nsteps[i] Runge-Kutta
-    steps, by default the count ``ComplexFlow.steps`` chooses for it;
-    matrix-group data takes no steps and ignores nsteps."""
+    and with ``jac`` (points, Jacobians (n, 2N, m + k), errors, estimates),
+    errors[i] None or the exception that refuses row i.  The points and
+    errors do not depend on ``jac``.  On ambient fields, row i takes
+    nsteps[i] Runge-Kutta steps, by default the count ``ComplexFlow.steps``
+    chooses for it, and estimates[i] is their summed error estimate;
+    matrix-group data takes no steps, ignores nsteps and estimates 0."""
     k, m, spec = data.k, len(data.param_names), data.group
     flow = data.complex_flow(cfg) if spec is None else None
 
@@ -326,12 +328,14 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
         S, D, errors = data.sigma_rows(P)
         W = 1j * np.asarray(U, dtype=complex)
         if spec is not None:
-            *out, flow_errors = (complexified_flow_jacobian(spec, S, W, D, 1j * np.eye(k))
-                                 if jac else complexified_flow_matrix(spec, S, W))
-            return *out, _first_error(errors, flow_errors)
-        points = np.full(S.shape, np.nan)
+            if not jac:
+                points, flow_errors = complexified_flow_matrix(spec, S, W)
+                return points, _first_error(errors, flow_errors)
+            *out, flow_errors = complexified_flow_jacobian(spec, S, W, D, 1j * np.eye(k))
+            return *out, _first_error(errors, flow_errors), np.zeros(len(S))
+        points, estimates = np.full(S.shape, np.nan), np.full(len(S), np.nan)
         ok = np.flatnonzero([e is None for e in errors])
-        points[ok], Y, flow_errors = flow.rows(
+        points[ok], Y, flow_errors, estimates[ok] = flow.rows(
             S[ok], W[ok], (D[ok, 0::2] + 1j * D[ok, 1::2]) if jac else None,
             None if nsteps is None else np.asarray(nsteps)[ok])
         errors = _scatter_errors(errors, ok, flow_errors)
@@ -340,7 +344,7 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
         J = np.full((len(S), S.shape[1], m + k), np.nan)
         Y[:, :, m:] *= 1j
         J[ok, 0::2], J[ok, 1::2] = Y.real, Y.imag
-        return points, J, errors
+        return points, J, errors, estimates
 
     return rows
 
@@ -362,9 +366,11 @@ def build_F(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     """The exact derivative of F: the map takes stacks of rows P, U and
     step counts as build_F's does and returns (points, Jacobians
-    (n, 2N, 2n + 2k), errors), each Jacobian the real one in the variables
-    (p, u) at the rows' step counts.  The points and errors are build_F's
-    to the last bit, so Newton can take its residuals from this map alone.
+    (n, 2N, 2n + 2k), errors, estimates), each Jacobian the real one in the
+    variables (p, u) at the rows' step counts, each estimate the row's
+    summed Runge-Kutta error estimate (0 on matrix groups).  The points and
+    errors are build_F's to the last bit, so Newton takes its residuals,
+    and its step counts their estimates, from this map alone.
 
     Matrix-group data differentiates g exp(X) through the block Frechet
     exponential, all rows at once; ambient fields step the tangent columns
@@ -484,7 +490,7 @@ def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CON
     """
     P, U = np.asarray(p, dtype=float)[None], np.asarray(u, dtype=float)[None]
     dF_map = build_dF(data, cfg) if dF_map is None else dF_map
-    ambient, dF, errors = dF_map(P, U)
+    ambient, dF, errors, _ = dF_map(P, U)
     _raise_first(errors)
     frame, errors = _frames(data, P, U, ambient, dF, check_det)
     _raise_first(errors)
@@ -600,8 +606,9 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     The queries are independent, so they are solved in lockstep: one
     damped Newton (newton_rows) inverts F at all of them, each from the
     linearized guess, on the stacked map of build_dF, which evaluates each
-    Newton point once for F and dF together; on ambient fields each
-    query's step count is frozen as ``_newton`` describes.  The frames and
+    Newton point once for F, dF and the flow's error estimate together; on
+    ambient fields each query's step count is frozen, and re-chosen from
+    that estimate, as ``_newton`` describes.  The frames and
     fields come from stacked P/Q/A and field products on the F and dF that
     Newton returns at the solutions.  A query that fails refuses only its
     own record, which then names the error; each record also counts its
@@ -631,12 +638,12 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     queries = np.asarray(queries, dtype=float).reshape(-1, data.chart.dim)
     sol.records = [QueryRecord(query=q, ok=False) for q in queries]
     m = len(data.param_names)
-    newton, counts, estimates = _newton(data, cfg, queries)
+    newton, counts = _newton(data, cfg, queries)
     errors = newton.errors
     for i, rec in enumerate(sol.records):
         rec.newton_iters, rec.halvings = int(newton.iters[i]), int(newton.halvings[i])
         if counts is not None:
-            rec.rk_steps, rec.rk_error = int(counts[i]), float(estimates[i])
+            rec.rk_steps, rec.rk_error = int(counts[i]), float(newton.estimates[i])
 
     def passing(rows, stage_errors) -> np.ndarray:
         """Record the errors of a stage at its rows; the mask of those that
@@ -679,58 +686,48 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
 
 def _newton(data: CRInitialData, cfg: FlowConfig, queries):
     """newton_rows on the map of build_dF from the linearized guesses, and
-    on ambient fields each row's frozen step count and the error estimate
-    of its flow at the returned row (else None, None).
+    on ambient fields each row's frozen step count (else None).
 
-    A row's count is chosen (``ComplexFlow.steps``) once, at its start row,
-    and every trial of the row is flowed with it, so Newton inverts one
-    smooth discrete map whose exact derivative dF is.  At a solution the
-    estimate is read again at that count; where it exceeds the flow's
-    tolerance, the count is chosen again from the solution and the row is
-    solved once more from there, its Newton steps and halvings adding up.
-    That solve takes one step past newton_tol (``polish``): its start
-    misses the new map by about the old map's error, which may already be
-    below the tolerance, and the step removes it."""
+    Every row starts at PILOT_STEPS and keeps its count for every trial of
+    a Newton run, so Newton inverts one smooth discrete map whose exact
+    derivative dF is.  Where ``ComplexFlow.recount`` raises a count from
+    the estimate the map returned at a solution, the row is solved again
+    from there at the new count, its Newton steps and halvings adding up,
+    until no count changes.  Such a solve takes one step past newton_tol
+    (``polish``): its start misses the new map by about the old map's
+    error, which may already be below the tolerance.  A refused row's
+    estimate is NaN."""
     m = len(data.param_names)
     dF = build_dF(data, cfg)
     x0 = _initial_guesses(data, queries)
     if data.group is not None:
-        return newton_rows(lambda X, _: dF(X[:, :m], X[:, m:]), queries, x0, cfg), None, None
+        return newton_rows(lambda X, _: dF(X[:, :m], X[:, m:]), queries, x0, cfg), None
     flow = data.complex_flow(cfg)
+    counts = np.full(len(queries), PILOT_STEPS)
 
-    def choose(X, start=None):
-        """The count each row of X chooses from start, and its estimate;
-        a row whose sigma faults keeps the start (its flow is refused)."""
-        S, _, errors = data.sigma_rows(X[:, :m])
-        ok = np.flatnonzero([e is None for e in errors])
-        counts = np.full(len(X), PILOT_STEPS) if start is None else start.copy()
-        estimates = np.full(len(X), np.nan)
-        counts[ok], estimates[ok], _, _ = flow.steps(
-            S[ok], 1j * X[ok, m:], None if start is None else start[ok])
-        return counts, estimates
+    def solved(rows, X, polish):
+        frozen = counts[rows]
+        return newton_rows(lambda X, idx: dF(X[:, :m], X[:, m:], frozen[idx]),
+                           queries[rows], X, cfg, polish)
 
-    def solved(targets, X, counts, polish=False):
-        return newton_rows(lambda X, idx: dF(X[:, :m], X[:, m:], counts[idx]),
-                           targets, X, cfg, polish)
-
-    counts = choose(x0)[0]
-    newton = solved(queries, x0, counts)
-    ok = np.flatnonzero([e is None for e in newton.errors])
-    chosen, estimates = choose(newton.x[ok], counts[ok])
-    again = ok[chosen != counts[ok]]
-    counts[ok], final = chosen, np.full(len(queries), np.nan)
-    final[ok] = estimates
-    if len(again):
-        redo = solved(queries[again], newton.x[again], counts[again], polish=True)
-        for name in ("x", "values", "jac"):
-            getattr(newton, name)[again] = getattr(redo, name)
-        newton.iters[again] += redo.iters
-        newton.halvings[again] += redo.halvings
-        _scatter_errors(newton.errors, again, redo.errors)
-        S = data.sigma_rows(newton.x[again, :m])[0]
-        final[again] = flow.estimates(S, 1j * newton.x[again, m:], counts[again])
-    final[[e is not None for e in newton.errors]] = np.nan
-    return newton, counts, final
+    rows = np.arange(len(queries))
+    newton = solved(rows, x0, False)
+    while True:
+        ok = rows[[newton.errors[i] is None for i in rows]]
+        chosen = flow.recount(counts[ok], newton.estimates[ok],
+                              flow.limit(1j * newton.x[ok, m:]))
+        rows = ok[chosen != counts[ok]]
+        if not len(rows):
+            break
+        counts[ok] = chosen
+        redo = solved(rows, newton.x[rows], True)
+        for name in ("x", "values", "jac", "estimates"):
+            getattr(newton, name)[rows] = getattr(redo, name)
+        newton.iters[rows] += redo.iters
+        newton.halvings[rows] += redo.halvings
+        _scatter_errors(newton.errors, rows, redo.errors)
+    newton.estimates[[e is not None for e in newton.errors]] = np.nan
+    return newton, counts
 
 
 def _oracle_residuals(data: CRInitialData, oracle, Q, U, xi):

@@ -4,9 +4,11 @@ Flows use an explicit Runge-Kutta method of order 8: the 12-stage
 Dormand-Prince 8(5,3) of DOP853 (Hairer-Norsett-Wanner I, II.5).  Real
 flows take a fixed count of max(1, ceil(|t| steps_per_unit)) steps.  Each
 ambient complex flow row takes the count its own summed DOP853 error
-estimate asks for, at most that one, and its caller may freeze the count,
-so that a Newton solve inverts one smooth discrete map (internal numerical
-differentiation, Bock 1981).  Complex time is supported on two routes:
+estimate asks for, at most that one: one count rule
+(``ComplexFlow.recount``) reads the estimates that every run returns, also
+for a Newton solve that freezes the counts so as to invert one smooth
+discrete map (internal numerical differentiation, Bock 1981).  Complex
+time is supported on two routes:
 
 * matrix-group data, where the flow of a left-invariant field is the exact
   product g exp(w V) and complex w costs nothing extra, and
@@ -42,12 +44,12 @@ or a stack.  Each matrix gets its own scaling and its own Taylor stopping
 point, and a row comes out as it would alone.  ``newton_rows``, the one
 Newton of cgsys, runs damped Newton over stacked rows in lockstep, each
 row with its own step halvings and convergence test, on one map that
-returns the values and the exact Jacobians together: every start row and
-trial is evaluated once (an accepted trial's Jacobian is the next
-step's), F and dF at the solutions come back as the map gave them, and a
-wide system (a level set of U) takes minimum-norm steps.  Stacked maps
-report the error that refuses a row beside the values, so one failing
-row fails alone.
+returns the values, the exact Jacobians and an error estimate together:
+every start row and trial is evaluated once (an accepted trial's Jacobian
+is the next step's), F, dF and the estimate at the solutions come back as
+the map gave them, and a wide system (a level set of U) takes minimum-norm
+steps.  Stacked maps report the error that refuses a row beside the
+values, so one failing row fails alone.
 
 Everything is pure: configs are read-only shared data and independent
 trajectories or Newton solves can run concurrently.
@@ -119,7 +121,7 @@ EMBEDDING_TOL = 1e-9
 # the most squarings matrix_exp takes after a Taylor sum that did not stop
 MAX_SQUARINGS = 26
 # complex flows: the fraction of newton_tol that a row's summed error
-# estimate may reach, the count a row's choice starts from, the margin on a
+# estimate may reach, the count a row starts from, the margin on a
 # predicted count, and the holomorphy reads a row takes per unit of |w|_1
 STEP_TOL_FRACTION = 0.01
 PILOT_STEPS = 1
@@ -427,15 +429,16 @@ class MatrixGroupSpec:
     def unembed_rows(self, M):
         """Complex group matrices (n, m, m) -> their chart points, and per
         row None or the EmbeddingError that refuses an off-pattern or
-        non-finite matrix."""
+        non-finite matrix (an exponential past matrix_exp's bounds)."""
         offset = np.asarray(M, dtype=complex) - self.base
         rest = offset.copy()
         rest[(..., *zip(*self.positions))] = 0.0
-        drift = np.where(np.isfinite(offset).all(axis=(-2, -1)),
-                         np.max(np.abs(rest), axis=(-2, -1), initial=0.0), np.nan)
-        errors = [EmbeddingError(
-            f"matrix leaves the embedded coordinate pattern (drift {d:.3e})")
-            if not d <= EMBEDDING_TOL else None for d in drift]
+        finite = np.isfinite(offset).all(axis=(-2, -1))
+        drift = np.max(np.abs(rest), axis=(-2, -1), initial=0.0)
+        errors = [None if ok and d <= EMBEDDING_TOL else EmbeddingError(
+            f"matrix leaves the embedded coordinate pattern (drift {d:.3e})" if ok else
+            "matrix exponential is not finite (overflow, or past matrix_exp's accuracy bound)")
+            for ok, d in zip(finite, drift)]
         return self.read_slots(offset), errors
 
     def algebra_element(self, coeffs) -> np.ndarray:
@@ -601,13 +604,14 @@ class ComplexFlow:
     over s in [0, 1], row i with its own count of steps of its own size,
     all stepped together by the one Runge-Kutta loop ``_rk``, and with
     tangent columns also gives the exact derivative of the discrete flow
-    map at those counts.  ``steps`` chooses each row's count from its
-    summed error estimate, below ``tol`` = newton_tol * STEP_TOL_FRACTION
-    (1/100), and never above ``limit``, max(1, ceil(|w_i|_1
-    steps_per_unit)).  Holomorphy of every field is checked at the start
-    point, at every stage state, at the end point and, where the stage
-    states number fewer than ceil(HOLOMORPHY_READS |w_i|_1), at as many
-    more states on each step's path.
+    map at those counts; every run returns each row's summed error
+    estimate.  ``recount``, the one count rule, raises a row's count while
+    its estimate exceeds ``tol`` = newton_tol * STEP_TOL_FRACTION (1/100),
+    never above ``limit``, max(1, ceil(|w_i|_1 steps_per_unit)); ``steps``
+    runs it from PILOT_STEPS.  Holomorphy of every field is checked at the
+    start point, at every stage state, at the end point and, where the
+    stage states number fewer than ceil(HOLOMORPHY_READS |w_i|_1), at as
+    many more states on each step's path.
     """
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
@@ -633,70 +637,64 @@ class ComplexFlow:
         limit[stepping] = np.maximum(1, np.ceil(scale[stepping] * self.cfg.steps_per_unit))
         return limit
 
-    def steps(self, P, W, start=None):
+    def recount(self, counts, estimates, limit) -> np.ndarray:
+        """The count rule: a row below its ``limit`` whose run at ``counts``
+        gave an estimate above ``tol``, or NaN (a refused run), takes the
+        count the estimate's 7th-order decay predicts, with a margin, at
+        least one step more and at most the limit; the others keep theirs.
+        Counts only grow, so re-running the rows whose count changed ends."""
+        estimates = np.where(np.isnan(estimates), np.inf, estimates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = np.ceil(counts * STEP_MARGIN * (estimates / self.tol) ** (1 / 7))
+            wanted = np.minimum(limit, np.maximum(counts + 1, grow))
+        return np.where((counts < limit) & (estimates > self.tol), wanted, counts).astype(int)
+
+    def steps(self, P, W):
         """The step count each row's own error asks for.
 
-        Row i starts from start[i] steps (default PILOT_STEPS) and is
-        flowed without tangents; while its summed error estimate (``_rk``)
-        exceeds ``tol`` = newton_tol * STEP_TOL_FRACTION, it is flowed again
-        at the count that the estimate's 7th-order decay predicts, with a
-        margin, and at least one step more.  A row that a run refuses is
-        flowed again at its upper limit (``limit``), and no count exceeds
-        it, so a row whose estimate wants more takes exactly the limit.
-        Rows are chosen independently, so a row gets the count it gets
-        alone.  Returns (counts, estimates, points, errors), the last three
-        from each row's last run.
+        Every row is flowed without tangents from PILOT_STEPS, and again
+        while ``recount`` changes its count: a refused row is flowed again
+        at its upper limit (``limit``), and a row whose estimate wants more
+        takes exactly the limit.  Rows are chosen independently, so a row
+        gets the count it gets alone.  Returns (counts, estimates, points,
+        errors), the last three from each row's last run.
         """
         P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
         limit = self.limit(W)
-        counts = np.minimum(PILOT_STEPS if start is None else start, limit)
+        counts = np.minimum(PILOT_STEPS, limit)
         estimates, points, errors = np.zeros(len(P)), np.empty_like(P), [None] * len(P)
         pending = np.arange(len(P))
         while len(pending):
-            at, cap = counts[pending], limit[pending]
-            points[pending], _, errs, est = self._run(P[pending], W[pending], None, at,
-                                                      pending)
-            estimates[pending] = est
+            at = counts[pending]
+            points[pending], _, errs, estimates[pending] = self.rows(
+                P[pending], W[pending], None, at, pending)
             for i, err in zip(pending, errs):
                 errors[i] = err
-            failed = np.array([e is not None for e in errs], dtype=bool) | ~np.isfinite(est)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                grow = np.ceil(at * STEP_MARGIN * (est / self.tol) ** (1 / 7))
-            wanted = np.where(failed, cap, np.minimum(cap, np.maximum(at + 1, grow)))
-            again = (at < cap) & (failed | (est > self.tol))
-            counts[pending[again]] = wanted[again]
-            pending = pending[again]
+            counts[pending] = self.recount(at, estimates[pending], limit[pending])
+            pending = pending[counts[pending] != at]
         return counts, estimates, points, errors
 
-    def rows(self, P, W, dZ0=None, nsteps=None):
+    def rows(self, P, W, dZ0=None, nsteps=None, labels=None):
         """The flows from the chart rows P (n, 2N) for the complex times W
         (n, k), stepped together; row i comes out as it would alone.
 
-        Returns (points (n, 2N), Y, errors): with complex tangent columns
-        dZ0 (n, N, r) at the start points, Y is the (n, N, r + k) stack
-        [dz/dz0 dZ0_i | dz/dw_1 ... dz/dw_k], stepped by the same steps as
-        the points, else None, and errors[i] is None or the exception that
-        refuses row i (its outputs NaN): a HolomorphyError or DomainError of
-        the fields at its start point, a state it reads holomorphy at or its
-        end point, a DivergenceError of a stage state or a step's end, or a
-        FlowError when |w_i|_1 exceeds max_time.  Row i takes nsteps[i]
-        steps of size 1/nsteps[i], by default the count ``steps`` chooses
-        for it; without tangents a row with w_i = 0 takes none.
+        Returns (points (n, 2N), Y, errors, estimates): with complex tangent
+        columns dZ0 (n, N, r) at the start points, Y is the (n, N, r + k)
+        stack [dz/dz0 dZ0_i | dz/dw_1 ... dz/dw_k], stepped by the same
+        steps as the points, else None, estimates[i] is row i's summed error
+        estimate (``_rk``), and errors[i] is None or the exception that
+        refuses row i (its outputs NaN): a HolomorphyError or DomainError
+        (naming row i as labels[i], default i) of the fields at its start
+        point, a state it reads holomorphy at or its end point, a
+        DivergenceError of a stage state or a step's end, or a FlowError
+        when |w_i|_1 exceeds max_time.  Row i takes nsteps[i] steps of size
+        1/nsteps[i], by default the count ``steps`` chooses for it; without
+        tangents a row with w_i = 0 takes none.
         """
         if nsteps is None:
-            nsteps, _, points, errors = self.steps(P, W)
+            nsteps, estimates, points, errors = self.steps(P, W)
             if dZ0 is None:
-                return points, None, errors
-        return self._run(P, W, dZ0, nsteps)[:3]
-
-    def estimates(self, P, W, nsteps):
-        """Each row's summed error estimate (``_rk``) at the counts nsteps,
-        0 for a row the flow refuses."""
-        return self._run(P, W, None, nsteps)[3]
-
-    def _run(self, P, W, dZ0, nsteps, labels=None):
-        """``rows`` at the given counts, and each row's summed error estimate
-        (0 for a refused row); a DomainError names row i as labels[i]."""
+                return points, None, errors, estimates
         cfg, frame, k = self.cfg, self.frame, self.k
         P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
         dZ0 = None if dZ0 is None else np.asarray(dZ0, dtype=complex)
@@ -798,8 +796,7 @@ class ComplexFlow:
         for i, err in late.items():
             errors[i] = errors[i] or err
         failed = [err is not None for err in errors]
-        state[failed] = complex(np.nan, np.nan)
-        estimates[failed] = 0.0
+        state[failed], estimates[failed] = complex(np.nan, np.nan), np.nan
         Y = None if dZ0 is None else np.swapaxes(state[:, 1:], 1, 2)
         return _complex_to_real(state[:, 0]), Y, errors, estimates
 
@@ -808,7 +805,7 @@ def flow_complex_multi(fields, p, w, cfg: FlowConfig = DEFAULT_CONFIG) -> np.nda
     """Flow from p for complex time vector w along holomorphic fields: the
     one-row view of ``ComplexFlow.rows``, raising what refuses the row.
     The result is holomorphic in w."""
-    points, _, errors = ComplexFlow(fields, cfg).rows(
+    points, _, errors, _ = ComplexFlow(fields, cfg).rows(
         np.asarray(p, dtype=float)[None], np.asarray(w, dtype=complex)[None])
     _raise_first(errors)
     return points[0]
@@ -866,6 +863,7 @@ class NewtonRows:
     x: np.ndarray          # (n, D) the last iterate
     values: np.ndarray     # (n, d) F at x, as the map returned it
     jac: np.ndarray        # (n, d, D) dF at x, as the map returned it
+    estimates: np.ndarray  # (n,) the error estimate at x, as the map returned it
     errors: list           # None, or the exception that refuses the row
     iters: np.ndarray      # Newton steps taken (Jacobians solved)
     halvings: np.ndarray   # step halvings over all of them
@@ -876,29 +874,32 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
     """Solve F(x_i) = target_i for every row i by damped Newton in lockstep.
 
     ``FJ(X, rows)`` maps rows X (n, D) to (values (n, d), Jacobians (n, d, D),
-    errors), with errors[i] None or the exception that refuses row i;
-    ``rows`` holds the indices of the evaluated rows among x0, so a map may
-    keep per-row data (such as a frozen step count) fixed over trials.  The
-    start rows and every trial are evaluated once: an accepted trial's
-    Jacobian is the next step's, and ``values``/``jac`` of the result are
-    F and dF at the returned ``x``, exactly as the map returned them.  Each
-    row takes the steps newton_inverse describes (minimum-norm ones where
-    d != D) with its own halvings and convergence test, so it ends as it
-    would alone: a refused start refuses the row with its exception, a
-    trial that the map refuses or that does not lower the residual halves
-    only that row's step, and a row that finds no descent step or does not
-    converge within the budget gets a NewtonError.  With ``polish`` each
-    row takes one step more once its residual is below newton_tol, so that
-    the residual of a start that solves a nearby map (the same equations
-    flowed in fewer steps) is squared away, not just brought under the
-    tolerance; a row keeps its point where that last step fails.
+    errors, estimates (n,)), errors[i] None or the exception that refuses
+    row i and estimates[i] the error estimate of its values (0 for an exact
+    map); ``rows`` holds the indices of the evaluated rows among x0, so a
+    map may keep per-row data (such as a frozen step count) fixed over
+    trials.  The start rows and every trial are evaluated once: an accepted
+    trial's Jacobian is the next step's, and ``values``/``jac``/``estimates``
+    of the result are the map's outputs at the returned ``x``, exactly as it
+    returned them.  Each row takes the steps newton_inverse describes
+    (minimum-norm ones where d != D) with its own halvings and convergence
+    test, so it ends as it would alone: a refused start refuses the row
+    with its exception, a trial that the map refuses or that does not lower
+    the residual halves only that row's step, and a row that finds no
+    descent step or does not converge within the budget gets a NewtonError.
+    With ``polish`` each row takes one step more once its residual is below
+    newton_tol, so that the residual of a start that solves a nearby map
+    (the same equations flowed in fewer steps) is squared away, not just
+    brought under the tolerance; a row keeps its point where that last step
+    fails.
     """
     X = np.array(x0, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = len(X)
     iters, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    values, J, errors = FJ(X, np.arange(n))
-    values, J, errors = np.array(values, dtype=float), np.array(J, dtype=float), list(errors)
+    values, J, errors, est = FJ(X, np.arange(n))
+    values, J, est = (np.array(a, dtype=float) for a in (values, J, est))
+    errors = list(errors)
     res = values - targets
     best = _row_norms(res)
     live = np.array([err is None for err in errors], dtype=bool)
@@ -931,13 +932,14 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
         for _ in range(10):
             idx = rows[pending]
             trial = X[idx] + lam[pending, None] * steps[pending]
-            tvalues, tJ, terrors = FJ(trial, idx)
+            tvalues, tJ, terrors, test = FJ(trial, idx)
             tres = tvalues - targets[idx]
             tnorm = _row_norms(tres)
             better = np.array([err is None for err in terrors], dtype=bool)
             better &= tnorm < best[idx]
             won = idx[better]
             X[won], values[won], J[won] = trial[better], tvalues[better], tJ[better]
+            est[won] = np.asarray(test)[better]
             res[won], best[won] = tres[better], tnorm[better]
             halvings[idx[~better]] += 1
             slot = np.flatnonzero(pending)
@@ -950,7 +952,7 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
     refuse(np.flatnonzero(live & ~(best < cfg.newton_tol)), lambda i: NewtonError(
         f"did not converge in {cfg.newton_max_iter} iterations "
         f"(residual {best[i]:.3e})"))
-    return NewtonRows(X, values, J, errors, iters, halvings)
+    return NewtonRows(X, values, J, est, errors, iters, halvings)
 
 
 def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG, *,
@@ -967,9 +969,9 @@ def newton_inverse(F, target, x0, cfg: FlowConfig = DEFAULT_CONFIG, *,
     def rows(X, _):
         try:
             return (np.asarray(F(X[0]), dtype=float)[None],
-                    np.asarray(jac(X[0]), dtype=float)[None], [None])
+                    np.asarray(jac(X[0]), dtype=float)[None], [None], [0.0])
         except (FlowError, ValueError) as err:
-            return np.full((1, d), np.nan), np.full((1, d, X.shape[1]), np.nan), [err]
+            return np.full((1, d), np.nan), np.full((1, d, X.shape[1]), np.nan), [err], [0.0]
 
     out = newton_rows(rows, np.asarray(target, dtype=float)[None],
                       np.asarray(x0, dtype=float)[None], cfg)

@@ -505,7 +505,7 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8,
 
     def U_dU(X, _):
         vals, errors = tape.rows(X)
-        return vals[:, :k], vals[:, k:].reshape(len(X), k, len(names)), errors
+        return vals[:, :k], vals[:, k:].reshape(len(X), k, len(names)), errors, np.zeros(len(X))
 
     newton = newton_rows(U_dU, np.broadcast_to(V, (len(seeds), k)), seeds,
                          DEFAULT_CONFIG.with_(newton_tol=1e-11, newton_max_iter=60))

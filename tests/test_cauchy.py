@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cgsys.cauchy
 from cgsys.cli import main
@@ -35,7 +36,8 @@ def field(chart, comps):
 
 def fd_dF(data, h):
     """The stacked map of build_dF, its Jacobians by central differences of
-    F: (F(x + h e_j) - F(x - h e_j)) / 2h, as numerical_jacobian takes them."""
+    F: (F(x + h e_j) - F(x - h e_j)) / 2h, as numerical_jacobian takes them;
+    its estimates are 0."""
     F = build_F(data, CFG)
     m = len(data.param_names)
 
@@ -46,7 +48,8 @@ def fd_dF(data, h):
         # every row x + h e_j, then every row x - h e_j
         Y = np.concatenate([X[:, None] + steps, X[:, None] - steps]).reshape(-1, X.shape[1])
         ends = F(Y[:, :m], Y[:, m:])[0].reshape(2, *X.shape, -1)
-        return points, np.swapaxes(ends[0] - ends[1], 1, 2) / (2.0 * h), errors
+        J = np.swapaxes(ends[0] - ends[1], 1, 2) / (2.0 * h)
+        return points, J, errors, np.zeros(len(X))
 
     return dF
 
@@ -429,7 +432,7 @@ def _frames_with(data, refused, check_det=True):
     m, k = len(data.param_names), data.k
     rng = np.random.default_rng(3)
     P, U = data.base + rng.uniform(-0.3, 0.3, (3, m)), rng.uniform(-0.2, 0.2, (3, k))
-    ambient, dF, _ = build_dF(data, CFG)(P, U)
+    ambient, dF, _, _ = build_dF(data, CFG)(P, U)
     dF[1] = refused(dF[1])
     frame, errors = cgsys.cauchy._frames(data, P, U, ambient, dF, check_det)
     for i in (0, 2):
@@ -574,7 +577,7 @@ def test_dF_matches_numerical_jacobian(which, heis_data, affine_data, line_data)
     for _ in range(4):
         p = data.base + rng.uniform(-0.3, 0.3, size=m)
         u = rng.uniform(-0.3, 0.3, size=data.k)
-        (point,), (J,), errors = dF(p[None], u[None])
+        (point,), (J,), errors, _ = dF(p[None], u[None])
         assert errors == [None]
         assert np.max(np.abs(point - F(p[None], u[None])[0][0])) < 1e-14
         fd = numerical_jacobian(lambda x: F(x[None, :m], x[None, m:])[0][0],
@@ -834,12 +837,12 @@ def test_stacked_F_and_dF_equal_their_one_point_calls(which, heis_data, affine_d
     P = data.base + rng.uniform(-0.3, 0.3, size=(4, m))
     U = rng.uniform(-0.3, 0.3, size=(4, data.k))
     points, errors = F(P, U)
-    dpoints, J, derrors = dF(P, U)
+    dpoints, J, derrors, _ = dF(P, U)
     assert errors == derrors == [None] * 4
     for i in range(4):
         one = slice(i, i + 1)
         assert np.array_equal(points[one], F(P[one], U[one])[0])
-        point, Ji, _ = dF(P[one], U[one])
+        point, Ji, _, _ = dF(P[one], U[one])
         assert np.array_equal(dpoints[one], point)
         assert np.array_equal(J[one], Ji)
 
@@ -861,7 +864,7 @@ def test_dF_points_equal_F_points(which, heis_data, affine_data):
     U = rng.uniform(-1.0, 1.0, size=(16, data.k))
     U[0] = 0.0
     points, errors = F(P, U)
-    dpoints, _, derrors = dF(P, U)
+    dpoints, _, derrors, _ = dF(P, U)
     assert errors == derrors == [None] * 16
     assert np.array_equal(points, dpoints)
 
@@ -869,10 +872,17 @@ def test_dF_points_equal_F_points(which, heis_data, affine_data):
 def _counted_maps(monkeypatch):
     """Patch build_F, build_dF and newton_rows in cauchy so that each F
     call records its caller, each dF call its rows and whether it came from
-    outside a Newton run, and each Newton result is kept."""
-    seen = {"F": [], "dF": [], "late": 0, "newton": [], "running": False}
+    outside a Newton run, and each Newton result is kept; and patch the one
+    Runge-Kutta loop of flow, which every complex flow runs once, so that
+    each flow records whether it ran inside a Newton run."""
+    seen = {"F": [], "dF": [], "late": 0, "newton": [], "running": False, "flows": []}
     build_F_, build_dF_, newton_rows_ = (
         cgsys.cauchy.build_F, cgsys.cauchy.build_dF, cgsys.cauchy.newton_rows)
+    rk = cgsys.flow._rk
+
+    def counted_rk(*args):
+        seen["flows"].append(seen["running"])
+        return rk(*args)
 
     def counted_F(*args):
         F = build_F_(*args)
@@ -904,6 +914,7 @@ def _counted_maps(monkeypatch):
     monkeypatch.setattr(cgsys.cauchy, "build_F", counted_F)
     monkeypatch.setattr(cgsys.cauchy, "build_dF", counted_dF)
     monkeypatch.setattr(cgsys.cauchy, "newton_rows", kept)
+    monkeypatch.setattr(cgsys.flow, "_rk", counted_rk)
     return seen
 
 
@@ -913,6 +924,12 @@ def _evaluated_by_newton(runs):
     return sum(int(np.sum(1 + iters + halvings)) for iters, halvings in runs)
 
 
+def _only_newton_flows(seen, data):
+    """Whether every complex flow ran inside a Newton run, one per
+    evaluation of its map (matrix groups run none)."""
+    return seen["flows"] == ([] if data.group is not None else [True] * len(seen["dF"]))
+
+
 @pytest.mark.parametrize("name", ["line", "affine-halving", "ambient"])
 def test_solve_evaluates_each_newton_point_once(monkeypatch, name):
     data, oracle, _ = _lockstep_case(name)
@@ -920,9 +937,11 @@ def test_solve_evaluates_each_newton_point_once(monkeypatch, name):
     with monkeypatch.context() as mp:
         seen = _counted_maps(mp)
         queries = grid_queries(data, [np.linspace(-extent, extent, grid)] * data.k, cfg=CFG)
+        seen["flows"].clear()
         sol = solve(data, queries, CFG, oracle=oracle)
     assert seen["F"] == ["grid_queries"]
     assert seen["late"] == 0
+    assert _only_newton_flows(seen, data)
     evaluated = sum(len(rows) for rows in seen["dF"])
     assert evaluated == _evaluated_by_newton(seen["newton"])
     # a row solved once more (ambient rows off M) takes its steps and
@@ -941,6 +960,7 @@ def test_solve_evaluates_each_newton_point_once(monkeypatch, name):
             alone = _counted_maps(mp)
             solve(data, [q], CFG, oracle=oracle)
         assert sum(len(rows) for rows in alone["dF"]) == _evaluated_by_newton(alone["newton"])
+        assert _only_newton_flows(alone, data)
         assert sum(int(iters[0]) for iters, _ in alone["newton"]) == rec.newton_iters
         assert sum(int(halvings[0]) for _, halvings in alone["newton"]) == rec.halvings
     # F and dF at the returned rows, at their frozen step counts, are what
@@ -950,7 +970,7 @@ def test_solve_evaluates_each_newton_point_once(monkeypatch, name):
     assert ok
     m = len(data.param_names)
     counts = None if data.group is not None else [sol.records[i].rk_steps for i in ok]
-    points, J, errors = build_dF(data, CFG)(newton.x[ok, :m], newton.x[ok, m:], counts)
+    points, J, errors, _ = build_dF(data, CFG)(newton.x[ok, :m], newton.x[ok, m:], counts)
     assert errors == [None] * len(ok)
     assert np.array_equal(newton.values[ok], points)
     assert np.array_equal(newton.jac[ok], J)
@@ -1013,7 +1033,7 @@ def test_dF_is_the_derivative_of_F_at_frozen_counts():
     rng = np.random.default_rng(16)
     for nsteps in ([1], [2], [5], [9]):
         p, u = rng.uniform(-0.4, 0.4, size=1), rng.uniform(-0.3, 0.3, size=1)
-        (point,), (J,), errors = dF(p[None], u[None], nsteps)
+        (point,), (J,), errors, _ = dF(p[None], u[None], nsteps)
         assert errors == [None]
         assert np.array_equal(point, F(p[None], u[None], nsteps)[0][0])
         fd = numerical_jacobian(lambda x: F(x[None, :1], x[None, 1:], nsteps)[0][0],
@@ -1085,3 +1105,21 @@ def test_cli_ambient_records_report_their_step_counts(tmp_path):
     assert main(["cauchy", "affine", "--grid", "2", "--json", str(reports[0])]) == 0
     records = json.loads(reports[0].read_text())["records"]
     assert not any("rk_steps" in r or "rk_error" in r for r in records)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(c=st.floats(0.75, 1.25), grid=st.sampled_from([3, 5]),
+       extent=st.sampled_from([0.25, 0.5]), newton_tol=st.sampled_from([1e-10, 1e-13]))
+def test_ambient_records_meet_the_flow_tolerance_or_take_their_limit(c, grid, extent,
+                                                                     newton_tol):
+    # the step counts are re-chosen until none changes, so every ok record's
+    # flow meets newton_tol * STEP_TOL_FRACTION at its solution, or takes the
+    # most steps its |u| allows
+    data, cfg = _ambient_file(c).cr, FlowConfig(newton_tol=newton_tol)
+    axes = [2.0 * np.linspace(-extent / 2, extent / 2, grid)]
+    records = [r for r in solve(data, grid_queries(data, axes, cfg), cfg).records if r.ok]
+    assert records
+    for r in records:
+        limit = max(1, math.ceil(cfg.steps_per_unit * float(np.abs(r.u).sum())))
+        assert (r.rk_error <= newton_tol * cgsys.flow.STEP_TOL_FRACTION
+                or r.rk_steps == limit)

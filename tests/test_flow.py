@@ -355,7 +355,7 @@ def test_flow_complex_real_time_matches_flow_real(heis_spec):
     L = left_invariant_fields(heis_spec)
     rng = np.random.default_rng(4)
     P, t = rng.uniform(-1, 1, size=(5, 6)), rng.uniform(-1, 1, size=5)
-    a, _, errors = ComplexFlow([L[1]], CFG).rows(P, t[:, None].astype(complex))
+    a, _, errors, _ = ComplexFlow([L[1]], CFG).rows(P, t[:, None].astype(complex))
     assert errors == [None] * 5
     for i in range(5):
         assert np.max(np.abs(a[i] - flow_real(L[1], P[i], t[i], CFG))) < 1e-10
@@ -368,7 +368,7 @@ def test_flow_complex_agrees_with_matrix_oracle(heis_spec):
     for i in range(20):
         g[i, 0::2] = rng.uniform(-1, 1, size=3)  # random real group point
         V[i] = rng.uniform(-0.7, 0.7, size=3) + 1j * rng.uniform(-0.7, 0.7, size=3)
-    ode, _, ode_errors = ComplexFlow(L, CFG).rows(g, V)
+    ode, _, ode_errors, _ = ComplexFlow(L, CFG).rows(g, V)
     mat, errors = complexified_flow_matrix(heis_spec, g, V)
     assert ode_errors == errors == [None] * 20
     assert np.max(np.abs(ode - mat)) < 1e-8
@@ -383,7 +383,7 @@ def test_flow_complex_holomorphic_in_time():
     w = rng.uniform(-0.5, 0.5, 20) + 1j * rng.uniform(-0.5, 0.5, 20)
     # the flows from (1, 0) at w +- h and w +- ih, one row each
     W = np.concatenate([w + h, w - h, w + 1j * h, w - 1j * h])[:, None]
-    ends, _, errors = ComplexFlow([V], CFG).rows(np.tile([1.0, 0.0], (80, 1)), W)
+    ends, _, errors, _ = ComplexFlow([V], CFG).rows(np.tile([1.0, 0.0], (80, 1)), W)
     assert errors == [None] * 80
     up, dn, iup, idn = ends.reshape(4, 20, 2)
     cr = 0.5 * ((up - dn) + (iup - idn) @ J.T) / (2 * h)
@@ -464,6 +464,26 @@ def test_stacked_unembed_refuses_only_the_drifting_row(heis_spec):
     assert np.array_equal(points[2:], heis_spec.unembed_rows(M[2:])[0])
 
 
+def test_unembed_names_a_non_finite_exponential(heis_spec, affine_spec):
+    # a product whose exponential overflowed, or passed matrix_exp's
+    # accuracy bound (NaN), is refused as not finite, not as drift; a finite
+    # off-pattern matrix still names its drift
+    M = np.stack([heis_spec.embed(np.full(6, 0.1))] * 4)
+    M[1, 0, 1], M[2, 2, 1], M[3, 2, 0] = np.inf, np.nan, 0.5
+    _, errors = heis_spec.unembed_rows(M)
+    assert errors[0] is None
+    for err in errors[1:3]:
+        assert isinstance(err, EmbeddingError) and str(err) == (
+            "matrix exponential is not finite (overflow, or past matrix_exp's accuracy bound)")
+    assert "drift 5.000e-01" in str(errors[3])
+    # exp(1e9 i E1) needs more squarings than MAX_SQUARINGS, so it is NaN,
+    # and its row is refused as not finite
+    points, errors = complexified_flow_matrix(
+        affine_spec, np.zeros((2, 4)), np.array([[1e9j, 0.0], [0.5j, 0.0]]))
+    assert str(errors[0]) == str(err) and errors[1] is None
+    assert np.isfinite(points[1]).all()
+
+
 def test_block_frechet_matches_scipy(affine_spec):
     # from the identity the direction columns are the Frechet derivative
     # itself; the affine algebra lives in the first row, which the slots hold
@@ -505,7 +525,7 @@ def test_variational_flow_matches_central_differences():
         w = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         tangents = rng.uniform(-1, 1, size=(4, 2))
         dz0 = tangents[0::2] + 1j * tangents[1::2]
-        [point], [Y], _ = flow.rows(p[None], np.array([[w]]), dz0[None])
+        [point], [Y], _, _ = flow.rows(p[None], np.array([[w]]), dz0[None])
         assert np.array_equal(point, flow.rows(p[None], np.array([[w]]))[0][0])
 
         def real_map(x):
@@ -521,8 +541,8 @@ def test_variational_flow_matches_central_differences():
 
 def test_variational_flow_refuses_non_holomorphic(heis_spec):
     V = field(heis_spec.chart, ["1", "0", "0", "0", "0", "y2"])
-    points, Y, [err] = ComplexFlow([V], CFG).rows(np.zeros((1, 6)), np.array([[1j]]),
-                                                  np.eye(3, dtype=complex)[None])
+    points, Y, [err], _ = ComplexFlow([V], CFG).rows(np.zeros((1, 6)), np.array([[1j]]),
+                                                     np.eye(3, dtype=complex)[None])
     assert isinstance(err, HolomorphyError)
     assert np.isnan(points).all() and np.isnan(Y).all()
 
@@ -635,7 +655,7 @@ def test_stacked_complex_flow_equals_each_row_alone(tangents):
     dZ0 = (np.random.default_rng(4).uniform(-1, 1, (8, 1, 2)) + 1j) if tangents else None
     # at the upper limit, the counts the reference takes
     nsteps = flow.limit(W)
-    points, Y, errors = flow.rows(P, W, dZ0, nsteps)
+    points, Y, errors, _ = flow.rows(P, W, dZ0, nsteps)
     assert [type(err).__name__ if err else None for err in errors] == [
         None, None, None, None,
         "DivergenceError", "HolomorphyError", "FlowError", "DomainError"]
@@ -654,8 +674,8 @@ def test_stacked_complex_flow_equals_each_row_alone(tangents):
             assert type(errors[i]) is type(err) and str(errors[i]) == str(err)
             assert np.isnan(points[i]).all()
             continue
-        one, one_Y, _ = flow.rows(P[i:i + 1], W[i:i + 1], None if dz0 is None else dz0[None],
-                                  nsteps[i:i + 1])
+        one, one_Y, _, _ = flow.rows(P[i:i + 1], W[i:i + 1],
+                                     None if dz0 is None else dz0[None], nsteps[i:i + 1])
         for got in (points[i], one[0]):
             assert np.array_equal(got, want[0])
         if tangents:
@@ -671,7 +691,7 @@ def test_non_finite_complex_time_refuses_only_its_row(tangents):
     flow = ComplexFlow([VectorField.coordinate(chart, "x1")], CFG)
     W = np.array([[np.nan], [1.0], [complex(np.inf, 0.5)], [20.0]])
     dZ0 = np.ones((4, 1, 1), dtype=complex) if tangents else None
-    points, Y, errors = flow.rows(np.zeros((4, 2)), W, dZ0)
+    points, Y, errors, _ = flow.rows(np.zeros((4, 2)), W, dZ0)
     assert [type(err) for err in errors] == [FlowError, type(None), FlowError, FlowError]
     assert [str(err) for err in errors[::2]] == [
         "|w| = nan is not finite", "|w| = inf is not finite"]
@@ -762,8 +782,7 @@ def test_error_estimate_bounds_the_error_and_decays_at_order_seven():
     P, W = np.array([[0.3, 0.0]]), np.array([[1j]])
     estimates = []
     for n in (4, 8, 16):
-        [end], _, _ = flow.rows(P, W, nsteps=[n])
-        [est] = flow.estimates(P, W, [n])
+        [end], _, _, [est] = flow.rows(P, W, nsteps=[n])
         assert abs(complex(*end) - exact(0.3, 1j)) <= est
         estimates.append(est)
     assert estimates[0] >= 2 ** 6 * estimates[1] >= 2 ** 12 * estimates[2] > 0.0
@@ -824,13 +843,13 @@ def test_chosen_counts_give_each_row_what_it_gets_alone(tangents):
     W = np.array([[0.0], [0.1j], [0.25j], [np.nextafter(0.25, 1.0) * 1j],
                   [2.0], [1.0j], [20.0j], [0.1j]])
     dZ0 = (np.random.default_rng(4).uniform(-1, 1, (8, 1, 2)) + 1j) if tangents else None
-    points, Y, errors = flow.rows(P, W, dZ0)
+    points, Y, errors, _ = flow.rows(P, W, dZ0)
     assert [type(err).__name__ if err else None for err in errors] == [
         None, None, None, None,
         "DivergenceError", "HolomorphyError", "FlowError", "DomainError"]
     for i in range(len(P)):
-        one, one_Y, one_errors = flow.rows(P[i:i + 1], W[i:i + 1],
-                                           None if dZ0 is None else dZ0[i:i + 1])
+        one, one_Y, one_errors, _ = flow.rows(P[i:i + 1], W[i:i + 1],
+                                              None if dZ0 is None else dZ0[i:i + 1])
         assert str(one_errors[0]) == str(errors[i]).replace(f"at point {i} ", "at point 0 ")
         assert np.array_equal(one[0], points[i], equal_nan=True)
         if tangents:
@@ -864,7 +883,7 @@ def test_every_stage_state_is_checked_for_holomorphy(monkeypatch, tangents):
         reads.clear()
         with monkeypatch.context() as mp:
             mp.setattr(flow.frame, "at", counted)
-            _, _, errors = flow.rows(P, W, dZ0, nsteps)
+            _, _, errors, _ = flow.rows(P, W, dZ0, nsteps)
         assert errors == [None, None]
         for row, n in enumerate(nsteps):
             m = max(0, math.ceil((math.ceil(256 * scale) - 1 - 12 * n) / n))
@@ -891,7 +910,7 @@ def test_a_stack_whose_rows_are_all_refused_stops_stepping():
         return at(X, tape, labels)
 
     flow.frame.at = counted
-    _, _, errors = flow.rows(np.zeros((1, 2)), np.array([[3.0]]))
+    _, _, errors, _ = flow.rows(np.zeros((1, 2)), np.array([[3.0]]))
     assert isinstance(errors[0], DivergenceError)
     assert 0 not in sizes and len(sizes) < 12 * 96
 
@@ -924,7 +943,7 @@ def _atan_rows(fail):
     ``fail(x)`` holds refused."""
     def FJ(X, _rows):
         errors = [fail(x) for x in X]
-        return np.arctan(X), 1.0 / (1.0 + X[:, :, None] ** 2), errors
+        return np.arctan(X), 1.0 / (1.0 + X[:, :, None] ** 2), errors, np.zeros(len(X))
     return FJ
 
 
@@ -941,7 +960,7 @@ def test_a_failed_trial_halves_only_its_own_row(error):
     assert out.halvings[0] == out.halvings[2] == 0 and out.halvings[1] >= 1
     assert np.max(np.abs(out.x)) < 1e-10
     # F and dF at the returned rows are the map's own values there
-    values, jac, _ = _atan_rows(fail)(out.x, np.arange(3))
+    values, jac, _, _ = _atan_rows(fail)(out.x, np.arange(3))
     assert np.array_equal(out.values, values) and np.array_equal(out.jac, jac)
     for i in range(3):
         alone = newton_rows(_atan_rows(fail), np.zeros((1, 1)), x0[i:i + 1], CFG)
@@ -971,7 +990,8 @@ def test_non_square_rows_take_the_minimum_norm_least_squares_step():
 def test_lockstep_rows_fail_on_their_own():
     # row 0 converges; row 1 has a singular Jacobian; row 2 has no root
     def FJ(X, _rows):
-        return np.column_stack([X[:, 0] ** 2]), (2.0 * X)[:, :, None], [None] * len(X)
+        return (np.column_stack([X[:, 0] ** 2]), (2.0 * X)[:, :, None], [None] * len(X),
+                np.zeros(len(X)))
 
     targets, x0 = np.array([[4.0], [1.0], [-1.0]]), np.array([[3.0], [0.0], [1.0]])
     cfg = FlowConfig(newton_max_iter=8)
