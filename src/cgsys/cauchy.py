@@ -25,7 +25,9 @@ The pipeline:
        xi_a = -J(d/du_a) + sum_b A[b, a] J(h_b),
 
    which satisfy dU_a(xi_b) = 0 and d^c U_a(xi_b) = delta_ab by
-   construction and restrict to the initial fields on M.
+   construction and restrict to the initial fields on M.  J is pulled
+   back once per query, Jt = dF^-1 J dF, and J h_b, J d/du_a and the J xi_a
+   of the d^c identity are products with it.
 
 dF is exact: on a matrix group it comes from one block-triangular matrix
 exponential that yields exp(X) and its Frechet derivatives together; for
@@ -76,7 +78,7 @@ from .flow import (
     left_invariant_fields, newton_rows, solve_rows,
 )
 from .geometry import (
-    ComplexChart, VectorField, bracket_values, j_matrix, j_rotate,
+    ComplexChart, VectorField, bracket_values, j_rotate,
     jet_blocks, jets_at, span_residuals,
 )
 
@@ -282,7 +284,7 @@ def check_cr_transverse(data: CRInitialData, t) -> TransversalityResult:
     if fault is not None:
         raise fault
     required = 2 * data.n + 2 * data.k
-    M = np.concatenate([t["dsigma"], j_matrix(data.chart) @ t["rho0"]], axis=2)[inside]
+    M = np.concatenate([t["dsigma"], j_rotate(t["rho0"], axis=1)], axis=2)[inside]
     ranks = np.linalg.matrix_rank(M)
     witnesses = list(t["p"][inside][ranks < required])
     return TransversalityResult(not witnesses, witnesses,
@@ -417,6 +419,7 @@ class AdaptedFrame:
     u: np.ndarray
     ambient: np.ndarray
     dF: np.ndarray
+    Jt: np.ndarray           # J pulled back through F, dF^-1 J dF
     lifts: np.ndarray        # adapted components of h_a, rows of length 2n+2k
     jh_adapted: np.ndarray   # adapted components of J h_a
     je_adapted: np.ndarray   # adapted components of J d/du_a
@@ -437,29 +440,21 @@ def _tangent_coeffs(data: CRInitialData, P):
     return coeffs, _scatter_errors(errors, ok, field_errors)
 
 
-def _adapted_J(dF, V) -> np.ndarray:
-    """J pulled back through F: dF^-1 J dF v for each row v of V, (r, d) or
-    (n, r, d), at each frame of the stack dF (n, d, d); one stacked product
-    and solve whose rows round as they would on their own (NaN at a
-    singular dF)."""
-    W = j_rotate((dF[:, None] @ V[..., None])[..., 0])
-    A = np.broadcast_to(dF[:, None], (*W.shape[:2], *dF.shape[1:]))
-    return solve_rows(A, W[..., None])[0][..., 0]
-
-
 def _frames(data: CRInitialData, params, u, ambient, dF, check_det: bool = True):
     """The adapted frames at the rows (params, u), given F and dF there: one
-    stacked AdaptedFrame and per row None or the error that refuses it."""
+    stacked AdaptedFrame and per row None or the error that refuses it.
+    Jt = dF^-1 J dF comes from one stacked solve (NaN at a singular dF)."""
     m, k = len(data.param_names), data.k
     coeffs, errors = _tangent_coeffs(data, params)
     lifts = np.concatenate([coeffs, np.zeros((len(params), k, k))], axis=2)
-    # one solve per row for all its lifts; _adapted_J would round differently
-    jh, singular = solve_rows(
-        dF, np.swapaxes(j_rotate((dF[:, None] @ lifts[..., None])[..., 0]), 1, 2))
-    jh_adapted = np.swapaxes(jh, 1, 2)
-    je_adapted = _adapted_J(dF, np.eye(m + k)[m:])
+    # each column of J dF its own system: a solve of several columns at
+    # once may scale by reciprocals, which rounds differently
+    cols, singular = solve_rows(dF[:, None], np.swapaxes(j_rotate(dF, axis=1), 1, 2)[..., None])
+    Jt = np.swapaxes(cols[..., 0], 1, 2)
+    jh_adapted = lifts @ np.swapaxes(Jt, 1, 2)
+    je_adapted = np.swapaxes(Jt[:, :, m:], 1, 2)
     P = np.swapaxes(jh_adapted[:, :, m:], 1, 2)   # P[a, b] = u_a-component of J h_b
-    Q = np.swapaxes(je_adapted[:, :, m:], 1, 2)   # Q[a, b] = u_a-component of J d/du_b
+    Q = Jt[:, m:, m:]                              # Q[a, b] = u_a-component of J d/du_b
     with np.errstate(invalid="ignore"):      # NaN at a singular dF
         det = np.linalg.det(P)
     A, singular_P = solve_rows(P, Q)
@@ -473,7 +468,7 @@ def _frames(data: CRInitialData, params, u, ambient, dF, check_det: bool = True)
                 f"det P = {det[i]:.3e}: point lies outside the construction domain")
         elif singular_P[i]:
             errors[i] = np.linalg.LinAlgError("Singular matrix")
-    frame = AdaptedFrame(params, u, ambient, dF, lifts, jh_adapted, je_adapted, P, Q, A)
+    frame = AdaptedFrame(params, u, ambient, dF, Jt, lifts, jh_adapted, je_adapted, P, Q, A)
     return frame, errors
 
 
@@ -483,10 +478,9 @@ def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CON
 
     ``dF_map`` is the stacked map of build_dF(data, cfg), or None to build
     it here.  P[a, b] = du_a(J h_b) and Q[a, b] = du_a(J d/du_b), with J
-    pulled back through F, i.e. applied in chart coordinates between dF and
-    its inverse.  The map and the stacked frames that ``solve`` computes
-    for all its queries at once run on (p, u) as a stack of one row, and
-    the error that refuses it is raised.
+    pulled back through F, Jt = dF^-1 J dF.  The map and the stacked
+    frames that ``solve`` computes for all its queries at once run on
+    (p, u) as a stack of one row, and the error that refuses it is raised.
     """
     P, U = np.asarray(p, dtype=float)[None], np.asarray(u, dtype=float)[None]
     dF_map = build_dF(data, cfg) if dF_map is None else dF_map
@@ -512,17 +506,16 @@ class ConstructedFields:
 
 def _construct_rows(frame: AdaptedFrame, cfg: FlowConfig):
     """construct_fields over a stacked frame: the stacked fields and per
-    row None or the ConstructionError that refuses it."""
+    row None or the ConstructionError that refuses it.  The d^c residual
+    reads J xi_a as the product of the frame's Jt with xi_a."""
     k = frame.P.shape[-1]
     m = frame.lifts.shape[-1] - k
-    xi_adapted = -frame.je_adapted
-    for b in range(k):
-        xi_adapted += frame.A[:, b, :, None] * frame.jh_adapted[:, b, None]
+    xi_adapted = np.swapaxes(frame.A, 1, 2) @ frame.jh_adapted - frame.je_adapted
     xi_ambient = np.swapaxes(frame.dF @ np.swapaxes(xi_adapted, 1, 2), 1, 2)
     jxi_ambient = j_rotate(xi_ambient)
 
     residual_d = np.max(np.abs(xi_adapted[:, :, m:]), axis=(1, 2))
-    jxi_adapted = _adapted_J(frame.dF, xi_adapted)
+    jxi_adapted = xi_adapted @ np.swapaxes(frame.Jt, 1, 2)
     residual_dc = np.max(np.abs(jxi_adapted[:, :, m:] - np.eye(k)), axis=(1, 2))
     # Python's max(residual_d, residual_dc), NaN handling included
     worst = np.where(residual_dc > residual_d, residual_dc, residual_d)

@@ -538,19 +538,19 @@ def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
 
 class _HolomorphicFrame:
     """The complexified fields Z_a = (xi_a - i J xi_a)/2 and their first
-    partials (``holomorphic_partials``), compiled into three tapes over the
-    chart: Z; Z and dZ/dx; Z, dZ/dx and dZ/dy.  ``at`` runs one of them over
-    a stack of chart rows; the last one also gives the Cauchy-Riemann
-    residuals |dZ/dzbar| (``cr_residuals``), which checks holomorphy.
+    partials (``holomorphic_partials``), compiled into one tape over the
+    chart: Z, dZ/dx and dZ/dy.  ``at`` runs it over a stack of chart rows
+    and, where ``checks_holomorphy``, reads its Cauchy-Riemann residuals
+    |dZ/dzbar| (``cr_residuals``), which checks holomorphy.
     """
 
     def __init__(self, fields, cfg: FlowConfig):
         self.chart = chart = fields[0].chart
         self.cfg = cfg
         self.shape = (len(fields), chart.N)
-        Z = [c for V in fields for c in V.components]
         dx, dy = holomorphic_partials(fields)
-        self.tapes = [compile_exprs(Z + extra, chart.names) for extra in ([], dx, dx + dy)]
+        self.program = compile_exprs([c for V in fields for c in V.components] + dx + dy,
+                                     chart.names)
         # constant partials have one residual everywhere, decided here once
         self.checks_holomorphy = not all(isinstance(e, Const) for e in dx + dy) or bool(
             self._worst([[e.value for e in dx + dy]]) > cfg.holomorphy_tol)
@@ -564,23 +564,24 @@ class _HolomorphicFrame:
 
     def coefficients(self, zreal) -> np.ndarray:
         """Z (k, N) at one chart point: the one-row view of ``at``."""
-        Z, _, refused = self.at(np.asarray(zreal, dtype=float)[None], 0)
+        Z, _, refused = self.at(np.asarray(zreal, dtype=float)[None])
         _raise_first(refused.values())
         return Z[0]
 
-    def at(self, X, tape, labels=None):
-        """Tape 0, 1 or 2 at the chart rows X (m, 2N): Z (m, k, N), dZ/dz
-        (m, k, N, N) from tapes 1 and 2 (else None), both complex views of
-        the outputs, and a dict j -> the error that refuses row j: the tape's
-        DomainError, naming row j as labels[j] (default j), or from tape 2 a
-        HolomorphyError when its Cauchy-Riemann residual exceeds holomorphy_tol."""
-        vals, faults = self.tapes[tape].rows(X, labels)
+    def at(self, X, labels=None):
+        """The tape at the chart rows X (m, 2N): Z (m, k, N) and dZ/dz
+        (m, k, N, N), complex views of its outputs, and a dict j -> the
+        error that refuses row j: the tape's DomainError, naming row j as
+        labels[j] (default j), or, where ``checks_holomorphy``, a
+        HolomorphyError when its Cauchy-Riemann residual exceeds
+        holomorphy_tol."""
+        vals, faults = self.program.rows(X, labels)
         refused = {j: err for j, err in enumerate(faults) if err} if any(faults) else {}
         (k, N), m = self.shape, len(X)
         C = vals.view(complex)
         Z = C[:, :k * N].reshape(m, k, N)
-        dZ = C[:, k * N:k * N * (N + 1)].reshape(m, k, N, N) if tape else None
-        if tape == 2:
+        dZ = C[:, k * N:k * N * (N + 1)].reshape(m, k, N, N)
+        if self.checks_holomorphy:
             tol, worst = self.cfg.holomorphy_tol, self._worst(vals[:, 2 * k * N:])
             for j in np.flatnonzero(worst > tol):
                 refused.setdefault(j, HolomorphyError(
@@ -598,7 +599,7 @@ def _complex_to_real(z: np.ndarray) -> np.ndarray:
 class ComplexFlow:
     """Complex-time flows along a fixed list of holomorphic fields.
 
-    The fields' first partials and their compiled tapes
+    The fields' first partials and their compiled tape
     (``_HolomorphicFrame``) are made once here.
     ``rows`` integrates a stack of trajectories of dz/ds = sum_a w_a Z_a(z)
     over s in [0, 1], row i with its own count of steps of its own size,
@@ -608,10 +609,11 @@ class ComplexFlow:
     estimate.  ``recount``, the one count rule, raises a row's count while
     its estimate exceeds ``tol`` = newton_tol * STEP_TOL_FRACTION (1/100),
     never above ``limit``, max(1, ceil(|w_i|_1 steps_per_unit)); ``steps``
-    runs it from PILOT_STEPS.  Holomorphy of every field is checked at the
-    start point, at every stage state, at the end point and, where the
-    stage states number fewer than ceil(HOLOMORPHY_READS |w_i|_1), at as
-    many more states on each step's path.
+    and ``rows`` without counts run it from PILOT_STEPS, tangents and all.
+    Holomorphy of every field is checked at the start point, at every
+    stage state, at the end point and, where the stage states number fewer
+    than ceil(HOLOMORPHY_READS |w_i|_1), at as many more states on each
+    step's path.
     """
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
@@ -650,29 +652,37 @@ class ComplexFlow:
         return np.where((counts < limit) & (estimates > self.tol), wanted, counts).astype(int)
 
     def steps(self, P, W):
-        """The step count each row's own error asks for.
+        """The step count each row's own error asks for, and the estimates,
+        points and errors of each row's last run (``_chosen``)."""
+        counts, (points, _, errors, estimates) = self._chosen(P, W)
+        return counts, estimates, points, errors
 
-        Every row is flowed without tangents from PILOT_STEPS, and again
+    def _chosen(self, P, W, dZ0=None, labels=None):
+        """The count loop: every row is flowed from PILOT_STEPS, and again
         while ``recount`` changes its count: a refused row is flowed again
         at its upper limit (``limit``), and a row whose estimate wants more
         takes exactly the limit.  Rows are chosen independently, so a row
-        gets the count it gets alone.  Returns (counts, estimates, points,
-        errors), the last three from each row's last run.
-        """
+        gets the count it gets alone.  The tangent columns dZ0, if given,
+        are stepped in the same runs.  Returns the counts and the outputs
+        of ``rows`` from each row's last run."""
         P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
         limit = self.limit(W)
         counts = np.minimum(PILOT_STEPS, limit)
-        estimates, points, errors = np.zeros(len(P)), np.empty_like(P), [None] * len(P)
+        points, Y, errors, estimates = self.rows(P, W, dZ0, counts, labels)
         pending = np.arange(len(P))
-        while len(pending):
+        while True:
             at = counts[pending]
-            points[pending], _, errs, estimates[pending] = self.rows(
-                P[pending], W[pending], None, at, pending)
-            for i, err in zip(pending, errs):
-                errors[i] = err
             counts[pending] = self.recount(at, estimates[pending], limit[pending])
             pending = pending[counts[pending] != at]
-        return counts, estimates, points, errors
+            if not len(pending):
+                return counts, (points, Y, errors, estimates)
+            points[pending], Yp, errs, estimates[pending] = self.rows(
+                P[pending], W[pending], None if dZ0 is None else np.asarray(dZ0)[pending],
+                counts[pending], pending if labels is None else labels[pending])
+            if Y is not None:
+                Y[pending] = Yp
+            for i, err in zip(pending, errs):
+                errors[i] = err
 
     def rows(self, P, W, dZ0=None, nsteps=None, labels=None):
         """The flows from the chart rows P (n, 2N) for the complex times W
@@ -688,13 +698,11 @@ class ComplexFlow:
         point, a state it reads holomorphy at or its end point, a
         DivergenceError of a stage state or a step's end, or a FlowError
         when |w_i|_1 exceeds max_time.  Row i takes nsteps[i] steps of size
-        1/nsteps[i], by default the count ``steps`` chooses for it; without
-        tangents a row with w_i = 0 takes none.
+        1/nsteps[i], by default the count ``_chosen`` picks for it, tangents
+        and all; without tangents a row with w_i = 0 takes none.
         """
         if nsteps is None:
-            nsteps, estimates, points, errors = self.steps(P, W)
-            if dZ0 is None:
-                return points, None, errors, estimates
+            return self._chosen(P, W, dZ0, labels)[1]
         cfg, frame, k = self.cfg, self.frame, self.k
         P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
         dZ0 = None if dZ0 is None else np.asarray(dZ0, dtype=complex)
@@ -717,15 +725,11 @@ class ComplexFlow:
         z = (P[:, 0::2] + 1j * P[:, 1::2])[:, None]
         if dZ0 is None:
             nsteps[scale == 0.0] = 0
-            state, tape = z, 0
+            state = z
         else:
             r = dZ0.shape[2]
             state = np.concatenate([z, np.swapaxes(dZ0, 1, 2),
                                     np.zeros((n, k, N), dtype=complex)], axis=1)
-            tape = 1
-        # every stage state is checked by its own call
-        if frame.checks_holomorphy:
-            tape = 2
         times = [None, None]     # the rows of the last call and their W
 
         def refuse(rows, refused):
@@ -738,7 +742,7 @@ class ComplexFlow:
             return keep
 
         def velocity(rows, y):
-            Z, dZ, refused = frame.at(_complex_to_real(y[:, 0]), tape, labels[rows])
+            Z, dZ, refused = frame.at(_complex_to_real(y[:, 0]), labels[rows])
             if rows is not times[0]:
                 times[:] = rows, W[rows][:, None]
             Wr = times[1]
@@ -780,7 +784,7 @@ class ComplexFlow:
             states = ((1 - t) ** 2 * ((1 + 2 * t) * y[at, 0] + t * h * k0[at, 0])
                       + t * t * ((3 - 2 * t) * end[at, 0] - (1 - t) * h * k1[at, 0]))
             refused = {}
-            for j, err in frame.at(_complex_to_real(states), 2, labels[rows[at]])[2].items():
+            for j, err in frame.at(_complex_to_real(states), labels[rows[at]])[2].items():
                 refused.setdefault(at[j], err)
             return refuse(rows, refused)
 
@@ -792,7 +796,7 @@ class ComplexFlow:
         # the end points, and the start points of rows that took no step
         rows = np.flatnonzero([err is None for err in errors])
         if frame.checks_holomorphy and len(rows):
-            refuse(rows, frame.at(_complex_to_real(state[rows, 0]), 2, labels[rows])[2])
+            refuse(rows, frame.at(_complex_to_real(state[rows, 0]), labels[rows])[2])
         for i, err in late.items():
             errors[i] = errors[i] or err
         failed = [err is not None for err in errors]

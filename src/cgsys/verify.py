@@ -39,7 +39,7 @@ from .expr import (
 from .flow import DEFAULT_CONFIG, FlowConfig, flow_real, newton_rows
 from .geometry import (
     ComplexChart, VectorField, apply_J, bracket_values, cr_residuals, d_values,
-    dc_values, ddc_terms, env_at, j_matrix, j_rotate, jet_blocks, jets_at,
+    dc_values, ddc_terms, env_at, j_rotate, jet_blocks, jets_at,
     span_residuals,
 )
 
@@ -323,10 +323,11 @@ def _svd_rank(M, vectors: bool = False):
     return s, np.sum(s > max(M.shape[-2:]) * np.finfo(float).eps * s[..., :1], axis=-1), vt
 
 
-def _horizontal_system(G, chart: ComplexChart) -> np.ndarray:
+def _horizontal_system(G) -> np.ndarray:
     """[dU; d^c U] over a stack of differential rows G (n, k, 2N), with
-    d^c U = -dU o J: its kernel is ker dU cap ker d^c U."""
-    return np.concatenate([G, G @ j_matrix(chart).T], axis=1)
+    d^c U = -dU o J, J applied to each row (J^T = -J): its kernel is
+    ker dU cap ker d^c U."""
+    return np.concatenate([G, j_rotate(G)], axis=1)
 
 
 def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
@@ -339,7 +340,7 @@ def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
     k, N = sys.k, sys.chart.N
     G, span = t["grad"], t["frame"]
     Xi = span[..., :k]
-    _, rank_M, vt = _svd_rank(_horizontal_system(G, sys.chart), vectors=True)
+    _, rank_M, vt = _svd_rank(_horizontal_system(G), vectors=True)
     s, rank_span, _ = _svd_rank(span)
     rank_total = np.zeros(len(span), dtype=int)
     for r in np.unique(rank_M):
@@ -525,7 +526,7 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8,
             found.append(i)
     # T cap JT = ker dU cap ker d^c U
     G, n = newton.jac[found], sys.chart.N - k
-    hdims = (sys.chart.dim - np.linalg.matrix_rank(_horizontal_system(G, sys.chart))) // 2
+    hdims = (sys.chart.dim - np.linalg.matrix_rank(_horizontal_system(G))) // 2
     note = ("level set appears empty for this target" if not found else
             "" if all(hdims == n) else
             f"holomorphic tangent dimension {hdims.tolist()} differs from {n}")
@@ -641,13 +642,12 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
 
     # np.maximum, not max(): a NaN residual must propagate and fail its check
     indep = push = timecr = 0.0
-    J = j_matrix(sys.chart)
     for w in w_samples:
         Q, D = legs(C, w)
         indep = np.maximum(indep, np.max(np.abs(U(Q) + w.imag - U(C))))
         xi = np.stack([f.program(Q) for f in sys.fields], axis=-1)
         push = np.maximum(push, _worst(Q, D[..., 0] - xi))
-        timecr = np.maximum(timecr, _worst(Q, 0.5 * (D[..., 0] + J @ D[..., 1])))
+        timecr = np.maximum(timecr, _worst(Q, 0.5 * (D[..., 0] + j_rotate(D[..., 1], axis=1))))
 
     return NormalForm(sys.name, p, slice_pair, xs, ys, F,
                       pushforward_residual=float(push),

@@ -21,9 +21,9 @@ from cgsys.flow import (
     numerical_jacobian,
 )
 from cgsys.cauchy import (
-    PARAM_SPREAD, CRInitialData, TransversalityError, build_dF, build_F,
-    check_cr_transverse, compute_PQA, construct_fields, frobenius_defect_on_M,
-    grid_queries, param_samples, solve, validate_tangency,
+    PARAM_SPREAD, ConstructionError, CRInitialData, TransversalityError,
+    build_dF, build_F, check_cr_transverse, compute_PQA, construct_fields,
+    frobenius_defect_on_M, grid_queries, param_samples, solve, validate_tangency,
 )
 from cgsys.geometry import ComplexChart, VectorField, field_matrix, pair_brackets
 
@@ -373,8 +373,9 @@ def _j_loop(v):
 
 @pytest.mark.parametrize("name", ["heis_data", "affine_data", "line_data"])
 def test_stacked_J_pullbacks_equal_the_per_vector_loops(name, request):
-    # the batched J products and solves must round as the per-vector
-    # products and solves do, so reports stay bit for bit what they were
+    # J pulled back through F, dF^-1 J dF, and its products must round as
+    # the per-row solves of J dF's columns and products do, so a frame
+    # comes out as it would alone
     data = request.getfixturevalue(name)
     dF_map = build_dF(data, CFG)
     m, k = len(data.param_names), data.k
@@ -383,15 +384,12 @@ def test_stacked_J_pullbacks_equal_the_per_vector_loops(name, request):
         p = data.base + rng.uniform(-0.3, 0.3, m)
         frame = compute_PQA(data, dF_map, p, rng.uniform(-0.4, 0.4, k), CFG)
         D = frame.dF
-        jh = np.linalg.solve(D, np.column_stack(
-            [_j_loop(D @ lift) for lift in frame.lifts])).T
-        je = np.array([np.linalg.solve(D, _j_loop(D @ e))
-                       for e in np.eye(m + k)[m:]])
-        assert np.array_equal(frame.jh_adapted, jh)
-        assert np.array_equal(frame.je_adapted, je)
+        Jt = np.column_stack([np.linalg.solve(D, _j_loop(col)) for col in D.T])
+        assert np.array_equal(frame.Jt, Jt)
+        assert np.array_equal(frame.jh_adapted, frame.lifts @ Jt.T)
+        assert np.array_equal(frame.je_adapted, Jt[:, m:].T)
         built = construct_fields(frame, CFG)
-        jxi = np.array([np.linalg.solve(D, _j_loop(D @ xi))
-                        for xi in built.xi_adapted])
+        jxi = built.xi_adapted @ Jt.T
         assert built.residual_dc == float(np.max(np.abs(jxi[:, m:] - np.eye(k))))
         assert np.array_equal(built.jxi_ambient,
                               np.array([_j_loop(v) for v in built.xi_ambient]))
@@ -472,6 +470,26 @@ def test_frames_without_the_det_test_refuse_a_singular_P_alone(heis_data):
         return np.eye(6)
     _, err = _frames_with(heis_data, permuted, check_det=False)
     assert type(err) is np.linalg.LinAlgError and str(err) == "Singular matrix"
+
+
+@pytest.mark.parametrize("name, mix", [("line_data", 1e-6), ("affine_data", 1e-10)])
+def test_fields_refuse_an_ill_conditioned_dF_alone(name, mix, request):
+    # column 1 of dF turned nearly parallel to column 0: dF stays regular
+    # and det P passes, but du_a(xi_b) = 0 and d^c u_a(xi_b) = delta_ab
+    # miss by more than construction_tol
+    def mixed(dF):
+        dF[:, 1] = dF[:, 0] + mix * dF[:, 1]
+        return dF
+    frame, err = _frames_with(request.getfixturevalue(name), mixed)
+    assert err is None
+    built, errors = cgsys.cauchy._construct_rows(frame, CFG)
+    assert errors[0] is None and errors[2] is None
+    worst = max(built.residual_d[1], built.residual_dc[1])
+    assert type(errors[1]) is ConstructionError and worst > CFG.construction_tol
+    assert str(errors[1]) == (f"internal identity residual {worst:.3e} exceeds "
+                              f"{CFG.construction_tol:g}; dF is ill-conditioned here")
+    with pytest.raises(ConstructionError, match="internal identity residual"):
+        construct_fields(cgsys.cauchy._row(frame, 1), CFG)
 
 
 def test_line_frame_is_flat_off_M(line_data):
@@ -1039,6 +1057,34 @@ def test_dF_is_the_derivative_of_F_at_frozen_counts():
         fd = numerical_jacobian(lambda x: F(x[None, :1], x[None, 1:], nsteps)[0][0],
                                 np.concatenate([p, u]), 1e-6)
         assert np.max(np.abs(J - fd)) < 1e-8
+
+
+def test_dF_without_counts_flows_once_per_count(monkeypatch):
+    # the map called without counts (as compute_PQA calls it) carries the
+    # tangent columns through the count loop: one run per count the loop
+    # visits, none repeated, and the outputs of a run at the chosen count
+    data = _ambient_data()
+    flow = data.complex_flow(CFG)
+    P, U = np.array([[0.1]]), np.array([[0.2]])
+    S, D, _ = data.sigma_rows(P)
+    W, dZ0 = 1j * U, D[:, 0::2] + 1j * D[:, 1::2]
+    counts = flow.steps(S, W)[0]
+    assert counts.tolist() == [3]
+    runs, rk = [], cgsys.flow._rk
+
+    def counted_rk(velocity, state, h, nsteps, *args):
+        runs.append(np.broadcast_to(nsteps, (len(state),)).tolist())
+        return rk(velocity, state, h, nsteps, *args)
+
+    monkeypatch.setattr(cgsys.flow, "_rk", counted_rk)
+    chosen = build_dF(data, CFG)(P, U)
+    assert runs == [[1], [3]]
+    runs.clear()
+    for got, want in zip(flow.rows(S, W, dZ0), flow.rows(S, W, dZ0, counts)):
+        assert np.array_equal(got, want)
+    for got, want in zip(chosen, build_dF(data, CFG)(P, U, counts)):
+        assert np.array_equal(got, want)
+    assert runs == [[1], [3], [3], [3]]
 
 
 def test_each_row_reaches_the_newton_map_with_one_count(monkeypatch):

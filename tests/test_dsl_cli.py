@@ -680,10 +680,13 @@ def test_normal_form_report_validates(tmp_path, schema):
 def test_reports_byte_identical_across_runs(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    for out in (a, b):
-        assert main(["verify", "affine", "--points", "40", "--seed", "11",
-                     "--json", str(out)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for argv in (["verify", "affine", "--points", "40", "--seed", "11"],
+                 ["cauchy", "affine", "--grid", "4"],
+                 ["cauchy", "line", "--grid", "5"],
+                 ["cauchy", _ambient_file(tmp_path), "--grid", "3", "--u-extent", "0.25"]):
+        for out in (a, b):
+            assert main([*argv, "--json", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_report_floats_have_17_significant_digits():

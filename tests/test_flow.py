@@ -868,10 +868,9 @@ def test_every_stage_state_is_checked_for_holomorphy(monkeypatch, tangents):
     assert flow.frame.checks_holomorphy
     reads, at = [], flow.frame.at
 
-    def counted(X, tape, labels=None):
-        if tape == 2:
-            reads.extend(np.arange(len(X)) if labels is None else labels)
-        return at(X, tape, labels)
+    def counted(X, labels=None):
+        reads.extend(np.arange(len(X)) if labels is None else labels)
+        return at(X, labels)
 
     dZ0 = np.ones((2, 1, 1), dtype=complex) if tangents else None
     P = np.array([[0.1, 0.0], [-0.2, 0.0]])
@@ -905,9 +904,9 @@ def test_a_stack_whose_rows_are_all_refused_stops_stepping():
     flow, _ = _quadratic_flow(1.1)
     sizes, at = [], flow.frame.at
 
-    def counted(X, tape, labels=None):
+    def counted(X, labels=None):
         sizes.append(len(X))
-        return at(X, tape, labels)
+        return at(X, labels)
 
     flow.frame.at = counted
     _, _, errors, _ = flow.rows(np.zeros((1, 2)), np.array([[3.0]]))

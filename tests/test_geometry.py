@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cgsys.expr import diff, evaluate, parse_expr
-from cgsys.flow import ComplexFlow
+from cgsys.flow import ComplexFlow, HolomorphyError
 from cgsys.geometry import (
     ComplexChart, VectorField, apply_J, env_at, field_matrix, is_holomorphic,
     j_matrix, j_rotate, laplacian, lie_bracket, pair_brackets, span_residuals,
@@ -275,11 +275,16 @@ def test_ddc_bracket_recovery_identities(heis):
 # --- complexification --------------------------------------------------------
 
 
-def complexified(fields, pts):
+def complexified(fields, pts, holomorphic=True):
     """The coefficients Z (n, k, N) of the complexified fields (V - iJV)/2 at
-    the rows of pts, as complex-time flows read them."""
-    Z, _, refused = ComplexFlow(fields).frame.at(np.asarray(pts, dtype=float), 0)
-    assert not refused
+    the rows of pts, as complex-time flows read them from their one tape,
+    which refuses every row of a non-holomorphic field."""
+    Z, _, refused = ComplexFlow(fields).frame.at(np.asarray(pts, dtype=float))
+    if holomorphic:
+        assert not refused
+    else:
+        assert sorted(refused) == list(range(len(pts)))
+        assert all(isinstance(err, HolomorphyError) for err in refused.values())
     return Z
 
 
@@ -293,14 +298,15 @@ def test_complexify_coordinate_fields():
 def test_complexify_group_field(heis):
     chart, fields, _ = heis
     p = [0.3, -0.7, 1.1, 0.5, 0.0, 2.0]
-    assert np.allclose(complexified(fields[:1], [p])[0, 0], [1.0, 0.0, 0.5j])  # (1, 0, i y2)
+    assert np.allclose(complexified(fields[:1], [p], holomorphic=False)[0, 0],
+                       [1.0, 0.0, 0.5j])  # (1, 0, i y2)
 
 
 def test_complexify_roundtrip(heis):
     # the coefficients of Z, read as (re, im) pairs, are V's components
     chart, fields, _ = heis
     pts = sample_points(chart, 5, 3)
-    Z = complexified(fields, pts)
+    Z = complexified(fields, pts, holomorphic=False)
     for a, V in enumerate(fields):
         assert np.array_equal(Z[:, a].view(float), V.program(pts))
 
