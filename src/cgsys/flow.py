@@ -2,8 +2,9 @@
 
 Flows use an explicit Runge-Kutta method of order 8: the 12-stage
 Dormand-Prince 8(5,3) of DOP853 (Hairer-Norsett-Wanner I, II.5).  Real
-flows take a fixed count of max(1, ceil(|t| steps_per_unit)) steps.  Each
-ambient complex flow row takes the count its own summed DOP853 error
+flows (``flow_real``, which no CLI op runs: the demos' and the tests'
+reference) take a fixed count of max(1, ceil(|t| steps_per_unit)) steps.
+Each ambient complex flow row takes the count its own summed DOP853 error
 estimate asks for, at most that one: one count rule
 (``ComplexFlow.recount``) reads the estimates that every run returns, also
 for a Newton solve that freezes the counts so as to invert one smooth
@@ -19,11 +20,11 @@ time is supported on two routes:
 
 Every route also gives exact derivatives of the flow map.  On a matrix group
 one block-triangular exponential yields exp(X) and its Frechet derivatives
-L(X, E) together (Al-Mohy & Higham 2009).  Real flows, of one point or of a
-stack of them, and ambient complex flows step the tangent columns, and the
-column of the time derivative, in the same Runge-Kutta loop as the
-trajectory (the variational equations, Hairer-Norsett-Wanner I.14): the
-exact derivative of the discrete map.
+L(X, E) together (Al-Mohy & Higham 2009).  Ambient complex flows step the
+tangent columns, and the columns of the derivatives in the complex times,
+in the same Runge-Kutta loop as the trajectory (the variational equations,
+Hairer-Norsett-Wanner I.14): the exact derivative of the discrete map.
+The normal form's straightening map phi(z, w) is one such flow.
 
 One Runge-Kutta loop (``_rk``) steps every flow, over a stack of rows that
 each have their own step size and step count.  ``ComplexFlow.rows`` runs
@@ -261,48 +262,30 @@ def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
     return state
 
 
-def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG,
-              tangents=None):
+def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG):
     """The flow of V for time t from p: the solution of dg/ds = V(g) in
     max(1, ceil(|t| steps_per_unit)) steps of ``_rk``.
 
     ``p`` is one point (2N,) or a stack of rows (n, 2N), stepped together by
-    V's compiled components.  Given ``tangents`` (p.shape + (r,)), also
-    returns r + 1 columns stepped by the same steps with V's compiled
-    Jacobian: the tangents pushed through the discrete flow map, then
-    d(end)/dt.  The divergence bound applies to every stage state and step
-    end of the trajectory, not to the columns.
+    V's compiled components.  The divergence bound applies to every stage
+    state and step end of the trajectory.
     """
     p = np.asarray(p, dtype=float)
     if abs(t) > cfg.max_time:
         raise FlowError(f"|t| = {abs(t):g} exceeds max_time {cfg.max_time:g}")
-    rows = p.reshape(-1, p.shape[-1])
-    # state columns [g | tangents | d/dt]: the tangents follow DV, and the
-    # last column c = (s/t) V(g(s)) follows c' = DV c + V/t from c(0) = 0
-    state = rows[..., None].copy() if tangents is None else np.concatenate(
-        [rows[..., None], np.reshape(tangents, (*rows.shape, -1)),
-         np.zeros((*rows.shape, 1))], axis=-1)
+    state = p.reshape(-1, p.shape[-1]).copy()
 
     def velocity(_, state):
-        out = np.empty_like(state)
-        out[..., 0] = vals = V.program(state[..., 0])
-        if tangents is not None:
-            DV = V.jacobian_program(state[..., 0]).reshape(len(vals), vals.shape[1], -1)
-            out[..., 1:] = DV @ state[..., 1:]
-            out[..., -1] += vals / t
-        return out, None
+        return V.program(state), None
 
     def guard(_, state):
-        if np.max(np.abs(state[..., 0])) > cfg.divergence_bound:
+        if np.max(np.abs(state)) > cfg.divergence_bound:
             raise DivergenceError(f"trajectory exceeded bound {cfg.divergence_bound:g}")
 
     if t != 0.0:
         nsteps = max(1, math.ceil(abs(t) * cfg.steps_per_unit))
         state = _rk(velocity, state, t / nsteps, nsteps, guard)
-    elif tangents is not None:
-        state[..., -1] = V.program(rows)
-    end = state[..., 0].reshape(p.shape)
-    return end if tangents is None else (end, state[..., 1:].reshape(*p.shape, -1))
+    return state.reshape(p.shape)
 
 
 def matrix_exp(A) -> np.ndarray:
@@ -541,7 +524,8 @@ class _HolomorphicFrame:
     partials (``holomorphic_partials``), compiled into one tape over the
     chart: Z, dZ/dx and dZ/dy.  ``at`` runs it over a stack of chart rows
     and, where ``checks_holomorphy``, reads its Cauchy-Riemann residuals
-    |dZ/dzbar| (``cr_residuals``), which checks holomorphy.
+    |dZ/dzbar| (``cr_residuals``), which checks holomorphy; ``residuals``
+    reads only those.
     """
 
     def __init__(self, fields, cfg: FlowConfig):
@@ -561,6 +545,13 @@ class _HolomorphicFrame:
         k, N = self.shape
         R = np.asarray(partials).reshape(len(partials), 2, k * N * N, 2)
         return np.fmax.reduce(cr_residuals(R[:, 0], R[:, 1]), axis=1, initial=0.0)
+
+    def residuals(self, X) -> np.ndarray:
+        """Each chart row's largest Cauchy-Riemann residual from the tape
+        at the rows X (m, 2N); NaN partials (a row that is not finite or
+        that the tape refuses) are skipped."""
+        k, N = self.shape
+        return self._worst(self.program.rows(X)[0][:, 2 * k * N:])
 
     def coefficients(self, zreal) -> np.ndarray:
         """Z (k, N) at one chart point: the one-row view of ``at``."""

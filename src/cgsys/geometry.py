@@ -118,12 +118,6 @@ class VectorField:
         """The components compiled into one Program over the chart."""
         return compile_exprs(self.components, self.chart.names)
 
-    @cached_property
-    def jacobian_program(self) -> Program:
-        """The Jacobian entries dV^i/dx_j, row-major, in one Program."""
-        names = self.chart.names
-        return compile_exprs([diff(c, x) for c in self.components for x in names], names)
-
     def __add__(self, other: "VectorField") -> "VectorField":
         _same_chart(self, other)
         return VectorField(self.chart, tuple(

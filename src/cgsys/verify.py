@@ -36,9 +36,9 @@ import numpy as np
 from .expr import (
     DomainError, Expr, Predicate, Table, compile_exprs, diff, evaluate, require_vars,
 )
-from .flow import DEFAULT_CONFIG, FlowConfig, flow_real, newton_rows
+from .flow import DEFAULT_CONFIG, ComplexFlow, FlowConfig, newton_rows
 from .geometry import (
-    ComplexChart, VectorField, apply_J, bracket_values, cr_residuals, d_values,
+    ComplexChart, VectorField, bracket_values, cr_residuals, d_values,
     dc_values, ddc_terms, env_at, j_rotate, jet_blocks, jets_at,
     span_residuals,
 )
@@ -586,11 +586,16 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     """Straighten a holomorphic abelian system near p.
 
     The commuting flows of xi_a and J xi_a build the coordinate map
-    phi(z, w) = G^1_{w_1} ... G^k_{w_k}(slice(z)); in the new coordinates the
-    fields become d/dt_a and U_a + u_a collapses to a function F_a of the
-    slice variables alone.  Systems that are not holomorphic abelian are
-    refused.  F is U on the slice grid (w = 0); the residuals read dphi/dw
-    off flow_real's variational columns over the slice corners, one per leg.
+    phi(z, w) = G^1_{w_1} ... G^k_{w_k}(slice(z)); for holomorphic fields
+    it is one trajectory of dz/ds = sum_a w_a Z_a (Ilyashenko-Yakovenko,
+    Lectures on Analytic Differential Equations, Ch. 1).  In the new
+    coordinates the fields become d/dt_a and U_a + u_a collapses to a
+    function F_a of the slice variables alone.  Systems that are not
+    holomorphic abelian are refused.  F is U on the slice grid (w = 0).
+    The residuals come from one ``ComplexFlow.rows`` over the slice corners
+    times the w samples, its d/dw_a columns dphi/dRe w_a; that flow is
+    complex-linear in w, so the time residual is the fields' largest
+    |dZ/dzbar| at its start and end rows (NaN at a non-finite start).
     """
     cls = classify(sys, sys.table.at(sample_points(sys, 25, 1)), class_tol)
     if not (cls.holomorphic and cls.abelian):
@@ -599,7 +604,7 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
             f"(holomorphic={cls.holomorphic}, abelian={cls.abelian}); "
             "no straightening exists")
     p, k = np.asarray(p, dtype=float), sys.k
-    jfields = [apply_J(f) for f in sys.fields]
+    flow = ComplexFlow(sys.fields, cfg)
     slice_pair = _pick_slice_pair(sys, p) if sys.chart.N > k else None
     U = compile_exprs(sys.grads, sys.chart.names)
 
@@ -610,17 +615,13 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
             Q[:, 2 * slice_pair:2 * slice_pair + 2] += np.column_stack([X, Y])
         return Q
 
-    def legs(Q, w):
-        """phi at the slice rows Q and its columns dphi/dRe w_a, dphi/dIm w_a,
-        shape (n, 2N, k, 2): each leg of phi is one flow_real over Q."""
-        w, cols = np.asarray(w, dtype=complex), np.zeros((*Q.shape, 0))
-        for a in reversed(range(k)):
-            Q, cols = flow_real(sys.fields[a], Q, float(w[a].real), cfg, cols)
-            Q, cols = flow_real(jfields[a], Q, float(w[a].imag), cfg, cols)
-        return Q, cols.reshape(*Q.shape, k, 2)[..., ::-1, :]
-
     def phi(zxy, w) -> np.ndarray:
-        return legs(on_slice(*np.transpose([zxy])), w)[0][0]
+        """phi at one slice point: the one-row view of the flow."""
+        Q, _, errors, _ = flow.rows(on_slice(*np.transpose([zxy])),
+                                    np.asarray(w, dtype=complex)[None])
+        if errors[0] is not None:
+            raise errors[0]
+        return Q[0]
 
     xs, ys = (np.linspace(-grid.extent, grid.extent, n) for n in (grid.nx, grid.ny))
     if slice_pair is None:
@@ -640,14 +641,15 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
                                   (xs[-1], ys[-1]), (xs[len(xs) // 2], ys[len(ys) // 2])]))
     C = on_slice(*np.transpose(corners))
 
-    # np.maximum, not max(): a NaN residual must propagate and fail its check
-    indep = push = timecr = 0.0
-    for w in w_samples:
-        Q, D = legs(C, w)
-        indep = np.maximum(indep, np.max(np.abs(U(Q) + w.imag - U(C))))
-        xi = np.stack([f.program(Q) for f in sys.fields], axis=-1)
-        push = np.maximum(push, _worst(Q, D[..., 0] - xi))
-        timecr = np.maximum(timecr, _worst(Q, 0.5 * (D[..., 0] + j_rotate(D[..., 1], axis=1))))
+    # one row per (w sample, corner); dphi/dRe w_a is the chart vector of Y's
+    # column a.  np.max, not max(): a NaN residual must fail its check
+    P = np.tile(C, (len(w_samples), 1))
+    W = np.repeat(w_samples, len(C), axis=0)
+    Q, Y, _, _ = flow.rows(P, W, np.zeros((len(P), sys.chart.N, 0)))
+    D = np.stack([Y.real, Y.imag], axis=2).reshape(Q.shape + (k,))
+    indep = np.max(np.abs(U(Q) + W.imag - U(P)))
+    push = _worst(Q, D - np.stack([f.program(Q) for f in sys.fields], axis=-1))
+    timecr = _worst(P, flow.frame.residuals(np.vstack([P, Q])))
 
     return NormalForm(sys.name, p, slice_pair, xs, ys, F,
                       pushforward_residual=float(push),

@@ -98,25 +98,6 @@ def _one_plus_z_squared(chart, rotate):
     return apply_J(V) if rotate else V
 
 
-@pytest.mark.parametrize("rotate", [False, True])
-@pytest.mark.parametrize("t", [0.3, -0.2])
-def test_flow_real_columns_match_central_differences(rotate, t):
-    chart = ComplexChart.standard(1)
-    V = _one_plus_z_squared(chart, rotate)
-    rng = np.random.default_rng(12)
-    P = rng.uniform(-0.5, 0.5, size=(3, 2))
-    T = rng.uniform(-1, 1, size=(3, 2, 2))
-    _, cols = flow_real(V, P, t, CFG, T)
-    assert cols.shape == (3, 2, 3)
-    for p, tangents, c in zip(P, T, cols):
-        def real_map(x):
-            # start point moved along the tangents, and the time moved
-            return flow_real(V, p + tangents @ x[:2], t + x[2], CFG)
-
-        fd = numerical_jacobian(real_map, np.zeros(3), 1e-6)
-        assert np.max(np.abs(c - fd)) < 1e-8
-
-
 def test_flow_real_stack_equals_row_by_row(monkeypatch):
     # polynomial components: + - * agree bit for bit however rows are batched
     def refuse(self, p):
@@ -127,18 +108,12 @@ def test_flow_real_stack_equals_row_by_row(monkeypatch):
     V = _one_plus_z_squared(chart, True)
     rng = np.random.default_rng(13)
     P = rng.uniform(-0.5, 0.5, size=(4, 2))
-    T = rng.uniform(-1, 1, size=(4, 2, 1))
     for t in (0.35, 0.0):
-        end, cols = flow_real(V, P, t, CFG, T)
-        assert np.array_equal(flow_real(V, P, t, CFG), end)
+        end = flow_real(V, P, t, CFG)
         for i in range(len(P)):
-            row_end, row_cols = flow_real(V, P[i], t, CFG, T[i])
-            assert np.array_equal(row_end, end[i])
-            assert np.array_equal(row_cols, cols[i])
             assert np.array_equal(flow_real(V, P[i], t, CFG), end[i])
-    # at t = 0 the map is the identity and d(end)/dt is V itself
-    assert np.array_equal(cols[..., 0], T[..., 0])
-    assert np.array_equal(cols[..., 1], V.program(P))
+    # at t = 0 the map is the identity
+    assert np.array_equal(end, P)
 
 
 def test_exp_map_of_zero_field():

@@ -8,10 +8,12 @@ import pytest
 
 from cgsys.dsl import builtin_names, load_builtin
 from cgsys.expr import DomainError, diff, evaluate, parse_expr
-from cgsys.flow import FlowConfig
+from cgsys.flow import FlowConfig, flow_real, numerical_jacobian
 from cgsys.geometry import (
-    ComplexChart, VectorField, apply_J, env_at, field_matrix, j_matrix, lie_bracket,
+    ComplexChart, VectorField, apply_J, env_at, field_matrix, j_matrix, j_rotate,
+    lie_bracket,
 )
+import cgsys.flow
 import cgsys.verify
 from cgsys.cli import main
 from cgsys.verify import (
@@ -556,37 +558,47 @@ def test_normal_form_stable_under_step_refinement(model):
     assert np.max(np.abs(a.F - b.F)) < 1e-7
 
 
-def _flow_stack_shapes(monkeypatch) -> list:
-    """The start-point stack shape of every flow_real call normal_form makes."""
-    shapes, inner = [], cgsys.verify.flow_real
+def _rk_runs(monkeypatch) -> list:
+    """The step counts, one entry per row, of every run of flow's one
+    Runge-Kutta loop."""
+    runs, inner = [], cgsys.flow._rk
 
-    def counted(f, Q, t, cfg, tangents):
-        shapes.append(Q.shape)
-        return inner(f, Q, t, cfg, tangents)
+    def counted(velocity, state, h, nsteps, guard, *args):
+        runs.append(np.broadcast_to(nsteps, (len(state),)).tolist())
+        return inner(velocity, state, h, nsteps, guard, *args)
 
-    monkeypatch.setattr(cgsys.verify, "flow_real", counted)
-    return shapes
+    monkeypatch.setattr(cgsys.flow, "_rk", counted)
+    return runs
 
 
 @pytest.mark.parametrize("name", ["model-k1", "model-k1-rotated"])
 def test_normal_form_flows_each_leg_once_per_flow_time(monkeypatch, name):
-    # k = 1: 2 flow times x 2 legs, each one flow over the 5 slice corners
-    shapes = _flow_stack_shapes(monkeypatch)
+    # k = 1: the 5 slice corners x 2 flow times are the rows of one complex
+    # flow, and its linear field needs one step a row
+    runs = _rk_runs(monkeypatch)
     assert main(["normal-form", name]) == 0
-    assert shapes == [(5, 4)] * 4
+    assert runs == [[1] * 10]
 
 
-def test_normal_form_two_commuting_fields(monkeypatch):
+def two_commuting_fields():
     # k = 2: the exponential chart change in w1 beside a flat w2, so each
     # derivative column must be read against its own field
     chart = ComplexChart.standard(3)
-    sys_ = system(chart, [field(chart, ["0", "0", "1 + x2", "y2", "0", "0"]),
+    return system(chart, [field(chart, ["0", "0", "1 + x2", "y2", "0", "0"]),
                           field(chart, ["0", "0", "0", "0", "1", "0"])],
                   ["x1^2 - y1^2 - atan2(y2, 1 + x2)", "-y3"])
-    shapes = _flow_stack_shapes(monkeypatch)
+
+
+def test_normal_form_two_commuting_fields(monkeypatch):
+    sys_ = two_commuting_fields()
+    runs = _rk_runs(monkeypatch)
     nf = normal_form(sys_, np.zeros(6), GridSpec(nx=5, ny=5, extent=0.4))
     assert nf.slice_pair == 0 and nf.points == 5 * 3
-    assert shapes == [(5, 6)] * (2 * 2 * 3)
+    # the count loop flows all 15 rows once, then again only the rows whose
+    # count it raised, all of one run at the count it visits
+    counts = [c for run in runs for c in set(run)]
+    assert runs[0] == [1] * 15 and all(len(run) <= 15 for run in runs)
+    assert len(counts) == len(set(counts)) == len(runs)
     assert nf.pushforward_residual < 1e-9
     assert nf.time_cr_residual < 1e-9
     assert nf.independence_residual < 1e-9
@@ -595,6 +607,59 @@ def test_normal_form_two_commuting_fields(monkeypatch):
     z = np.array([0.1 - 0.2j, np.exp(w[0]) - 1, w[1]])
     expect = np.column_stack([z.real, z.imag]).ravel()
     assert np.max(np.abs(nf.phi((0.1, -0.2), w) - expect)) < 1e-9
+
+
+def _composed_legs(sys_, P, w) -> np.ndarray:
+    """phi from the start point P by 2k fixed-count real flows: for
+    a = k, ..., 1 the flow of xi_a for time Re w_a, then that of J xi_a for
+    time Im w_a."""
+    for a in reversed(range(sys_.k)):
+        P = flow_real(sys_.fields[a], P, w[a].real, FlowConfig())
+        P = flow_real(apply_J(sys_.fields[a]), P, w[a].imag, FlowConfig())
+    return P
+
+
+@pytest.mark.parametrize("name", ["model-k1", "model-k1-rotated", "line",
+                                  "two-commuting-fields"])
+def test_normal_form_flow_matches_composed_real_legs(monkeypatch, name):
+    # the one complex-time flow of normal_form against its independent
+    # reference, the composed real legs: its points and phi to rounding, its
+    # d/dw_a columns (dphi/dRe w_a, and i times them dphi/dIm w_a) to the
+    # central differences of the legs
+    sys_ = (two_commuting_fields() if name == "two-commuting-fields"
+            else load_builtin(name).system)
+    flows, inner = [], cgsys.flow.ComplexFlow.rows
+
+    def recorded(self, P, W, dZ0=None, nsteps=None, labels=None):
+        out = inner(self, P, W, dZ0, nsteps, labels)
+        if dZ0 is not None and nsteps is None:    # not a run of the count loop
+            flows.append((P, W, out))
+        return out
+
+    monkeypatch.setattr(cgsys.flow.ComplexFlow, "rows", recorded)
+    nf = normal_form(sys_, np.zeros(sys_.chart.dim), GridSpec(nx=5, ny=5, extent=0.4))
+    [(P, W, (Q, Y, errors, _))] = flows
+    assert len(P) == nf.points and errors == [None] * len(P)
+    k, N = sys_.k, sys_.chart.N
+    D = np.stack([Y.real, Y.imag], axis=2).reshape(len(P), 2 * N, k)
+    for p, w, q, d in zip(P, W, Q, D):
+        legs = _composed_legs(sys_, p, w)
+        zxy = (0.0, 0.0) if nf.slice_pair is None else p[2 * nf.slice_pair:][:2]
+        assert np.max(np.abs(q - legs)) < 1e-13
+        assert np.max(np.abs(nf.phi(zxy, w) - legs)) < 1e-13
+        fd = numerical_jacobian(lambda x: _composed_legs(sys_, p, w + x[:k] + 1j * x[k:]),
+                                np.zeros(2 * k), 1e-6)
+        assert np.max(np.abs(np.hstack([d, j_rotate(d, axis=0)]) - fd)) < 1e-8
+
+
+def test_normal_form_time_holomorphy_fails_off_holomorphic_fields(line_alt):
+    # negative control: line-alt's field exp(y1) d/dx1 is not holomorphic;
+    # pushed past classify, the flow refuses every row at its start point,
+    # where |dZ/dzbar| = e^y1 / 2 = 1/2 fails the time check
+    nf = normal_form(line_alt, np.zeros(2), class_tol=1e9)
+    assert nf.time_cr_residual == pytest.approx(0.5, abs=1e-15)
+    for res in (nf.pushforward_residual, nf.independence_residual, nf.time_cr_residual):
+        assert not res < 1e-6
 
 
 def test_normal_form_report_counts_the_points_it_checked(tmp_path):
