@@ -62,8 +62,8 @@ REMOVED = {
     "flow_complex": "ComplexFlow([V], cfg).rows(P, W) or flow_complex_multi([V], p, [w])",
     "equation_map": "solve(data, queries, cfg): its records carry params, u and U",
     "invariant_lift": "compute_PQA(data, dF, p, u): frame.dF @ frame.lifts.T",
-    "ComplexField": "the real VectorField; geometry.holomorphic_partials complexifies it",
-    "complexify": "geometry.holomorphic_partials([V]), or is_holomorphic(V, pts)",
+    "ComplexField": "the real VectorField; geometry.cr_residuals reads it complexified off DX",
+    "complexify": "is_holomorphic(V, pts), or geometry.cr_residuals of jet_blocks' DX",
 }
 
 

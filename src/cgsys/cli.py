@@ -23,7 +23,7 @@ from .dsl import (
     SETTINGS, LoadError, SystemFile, builtin_names, check_rows, load, load_builtin,
 )
 from .expr import DomainError
-from .flow import DEFAULT_CONFIG, FlowError
+from .flow import DEFAULT_CONFIG, FlowConfig, FlowError
 from .report import build_document, check_entry, input_digest, write_report
 from .verify import (
     GridSpec, NormalFormRefusal, SamplingError, check_level_set, normal_form,
@@ -58,6 +58,12 @@ def _setting(sf: SystemFile, args, flag: str, default, key: str | None = None):
         return _RULES[key](value)
     except ValueError as err:
         raise LoadError(f"--{flag.replace('_', '-')}: {err}") from None
+
+
+def _flow_config(sf: SystemFile, args) -> FlowConfig:
+    """The defaults with the flags' and the file's flow settings (``_setting``)."""
+    return DEFAULT_CONFIG.with_(**{key: _setting(sf, args, key, getattr(DEFAULT_CONFIG, key))
+                                   for key in ("steps_per_unit", "newton_tol")})
 
 
 def _level_target(text: str, k: int) -> list[float]:
@@ -128,10 +134,7 @@ def cmd_cauchy(args) -> int:
     sf = _resolve(args.system)
     if sf.cr is None:
         raise LoadError(f"'{sf.name}' has no [cr_data] section")
-    cfg = DEFAULT_CONFIG.with_(
-        steps_per_unit=_setting(sf, args, "steps_per_unit",
-                                DEFAULT_CONFIG.steps_per_unit),
-        newton_tol=_setting(sf, args, "newton_tol", DEFAULT_CONFIG.newton_tol))
+    cfg = _flow_config(sf, args)
     grid = _setting(sf, args, "grid", 5)
     extent = _setting(sf, args, "u_extent", 0.5)
     tol = _setting(sf, args, "tol", 1e-5, key="cauchy_tol")
@@ -204,11 +207,12 @@ def cmd_normal_form(args) -> int:
     grid_n = _setting(sf, args, "grid", 11)
     extent = _setting(sf, args, "extent", 0.5)
     tol = _setting(sf, args, "tol", 1e-6)
+    cfg = _flow_config(sf, args)
     check_rows(grid_n ** 2, f"grid^2 = {grid_n}^2")
     p = np.zeros(sf.chart.dim)
     try:
-        nf = normal_form(sf.system, p, GridSpec(nx=grid_n, ny=grid_n,
-                                                extent=extent))
+        nf = normal_form(sf.system, p, GridSpec(nx=grid_n, ny=grid_n, extent=extent),
+                         cfg)
     except NormalFormRefusal as err:
         print(f"refused: {err}", file=_sys.stderr)
         return 1

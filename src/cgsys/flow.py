@@ -29,8 +29,9 @@ The normal form's straightening map phi(z, w) is one such flow.
 One Runge-Kutta loop (``_rk``) steps every flow, over a stack of rows that
 each have their own step size and step count.  ``ComplexFlow.rows`` runs
 the ambient complex flows of a whole stack in it: one compiled tape of the
-fields' first partials per stage gives Z, its holomorphic Jacobian dZ/dz
-and the Cauchy-Riemann residual |dZ/dzbar|, so holomorphy is checked at the
+fields and their Jacobians (``jet_blocks``) per stage gives Z, its
+holomorphic Jacobian dZ/dz and the Cauchy-Riemann residual |dZ/dzbar|
+(``cr_residuals``), so holomorphy is checked at the
 start point, at every stage state and at the end point (12 states a step),
 and on each step's path where a row takes too few steps for 256 states per
 unit of |w|; a row that diverges (at a stage state or a step's end), leaves the
@@ -63,8 +64,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import Const, Expr, Var, add, compile_exprs, mul
-from .geometry import ComplexChart, VectorField, cr_residuals, holomorphic_partials
+from .expr import Const, Expr, Table, Var, add, mul
+from .geometry import ComplexChart, VectorField, cr_residuals, jet_blocks
 
 __all__ = [
     "FlowConfig", "FlowError", "DivergenceError", "HolomorphyError",
@@ -520,38 +521,39 @@ def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
 
 
 class _HolomorphicFrame:
-    """The complexified fields Z_a = (xi_a - i J xi_a)/2 and their first
-    partials (``holomorphic_partials``), compiled into one tape over the
-    chart: Z, dZ/dx and dZ/dy.  ``at`` runs it over a stack of chart rows
-    and, where ``checks_holomorphy``, reads its Cauchy-Riemann residuals
-    |dZ/dzbar| (``cr_residuals``), which checks holomorphy; ``residuals``
-    reads only those.
+    """The fields and their Jacobians DX (``jet_blocks``) compiled into one
+    tape over the chart, read as the complexified fields Z_a = (xi_a - i J
+    xi_a)/2: Z is the complex view of the fields and dZ/dz is read off DX.
+    ``at`` runs it over a stack of chart rows and, where
+    ``checks_holomorphy``, reads the Cauchy-Riemann residuals |dZ/dzbar| of
+    DX (``cr_residuals``), which checks holomorphy; ``residuals`` reads only
+    those.
     """
 
     def __init__(self, fields, cfg: FlowConfig):
         self.chart = chart = fields[0].chart
         self.cfg = cfg
-        self.shape = (len(fields), chart.N)
-        dx, dy = holomorphic_partials(fields)
-        self.program = compile_exprs([c for V in fields for c in V.components] + dx + dy,
-                                     chart.names)
-        # constant partials have one residual everywhere, decided here once
-        self.checks_holomorphy = not all(isinstance(e, Const) for e in dx + dy) or bool(
-            self._worst([[e.value for e in dx + dy]]) > cfg.holomorphy_tol)
+        k, N = self.shape = (len(fields), chart.N)
+        jets = Table(jet_blocks((), fields, chart), chart.names)
+        self.program = jets.program
+        DX = jets.exprs[2 * k * N:]
+        # constant Jacobians have one residual everywhere, decided here once
+        self.checks_holomorphy = not all(isinstance(e, Const) for e in DX) or bool(
+            self._worst(np.array([[e.value for e in DX]])) > cfg.holomorphy_tol)
 
-    def _worst(self, partials) -> np.ndarray:
-        """Each row's largest residual, from its partials [dZ/dx | dZ/dy]
-        (m, 4 k N^2).  NaN residuals are skipped."""
-        k, N = self.shape
-        R = np.asarray(partials).reshape(len(partials), 2, k * N * N, 2)
-        return np.fmax.reduce(cr_residuals(R[:, 0], R[:, 1]), axis=1, initial=0.0)
+    def _worst(self, vals) -> np.ndarray:
+        """Each row's largest residual, from the Jacobians DX (k, 2N, 2N)
+        that end the rows of vals (m, ...): the tape's output rows or DX
+        alone.  NaN residuals are skipped."""
+        (k, N), m = self.shape, len(vals)
+        R = cr_residuals(vals[:, -4 * k * N * N:].reshape(m, k, 2 * N, 2 * N))
+        return np.fmax.reduce(R.reshape(m, -1), axis=1, initial=0.0)
 
     def residuals(self, X) -> np.ndarray:
         """Each chart row's largest Cauchy-Riemann residual from the tape
-        at the rows X (m, 2N); NaN partials (a row that is not finite or
+        at the rows X (m, 2N); NaN Jacobians (a row that is not finite or
         that the tape refuses) are skipped."""
-        k, N = self.shape
-        return self._worst(self.program.rows(X)[0][:, 2 * k * N:])
+        return self._worst(self.program.rows(X)[0])
 
     def coefficients(self, zreal) -> np.ndarray:
         """Z (k, N) at one chart point: the one-row view of ``at``."""
@@ -560,20 +562,21 @@ class _HolomorphicFrame:
         return Z[0]
 
     def at(self, X, labels=None):
-        """The tape at the chart rows X (m, 2N): Z (m, k, N) and dZ/dz
-        (m, k, N, N), complex views of its outputs, and a dict j -> the
-        error that refuses row j: the tape's DomainError, naming row j as
+        """The tape at the chart rows X (m, 2N): Z (m, k, N), a complex
+        view of its outputs, dZ/dz (m, k, N, N), and a dict j -> the error
+        that refuses row j: the tape's DomainError, naming row j as
         labels[j] (default j), or, where ``checks_holomorphy``, a
         HolomorphyError when its Cauchy-Riemann residual exceeds
         holomorphy_tol."""
         vals, faults = self.program.rows(X, labels)
         refused = {j: err for j, err in enumerate(faults) if err} if any(faults) else {}
         (k, N), m = self.shape, len(X)
-        C = vals.view(complex)
-        Z = C[:, :k * N].reshape(m, k, N)
-        dZ = C[:, k * N:k * N * (N + 1)].reshape(m, k, N, N)
+        Z = vals.view(complex)[:, :k * N].reshape(m, k, N)
+        DX = vals[:, 2 * k * N:].reshape(m, k, 2 * N, 2 * N)
+        dZ = np.empty((m, k, N, N), dtype=complex)
+        dZ.real, dZ.imag = DX[..., 0::2, 0::2], DX[..., 1::2, 0::2]
         if self.checks_holomorphy:
-            tol, worst = self.cfg.holomorphy_tol, self._worst(vals[:, 2 * k * N:])
+            tol, worst = self.cfg.holomorphy_tol, self._worst(vals)
             for j in np.flatnonzero(worst > tol):
                 refused.setdefault(j, HolomorphyError(
                     f"field complexification violates the Cauchy-Riemann "
@@ -590,8 +593,8 @@ def _complex_to_real(z: np.ndarray) -> np.ndarray:
 class ComplexFlow:
     """Complex-time flows along a fixed list of holomorphic fields.
 
-    The fields' first partials and their compiled tape
-    (``_HolomorphicFrame``) are made once here.
+    The fields' jets and their compiled tape (``_HolomorphicFrame``) are
+    made once here.
     ``rows`` integrates a stack of trajectories of dz/ds = sum_a w_a Z_a(z)
     over s in [0, 1], row i with its own count of steps of its own size,
     all stepped together by the one Runge-Kutta loop ``_rk``, and with

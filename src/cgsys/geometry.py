@@ -16,9 +16,9 @@ quantities (dd^c, Laplacians) are exact up to rounding with no nested
 symbolic derivatives.  ``lie_bracket``, ``pair_brackets`` and ``laplacian``
 build the symbolic forms, which tests use as references.  All values are
 immutable and every operation is pure; evaluation over point batches can
-run concurrently without synchronization.  Fields are complexified only
-by ``holomorphic_partials``, and holomorphy has one residual:
-``cr_residuals`` of the partials it gives.
+run concurrently without synchronization.  Field derivatives have one
+layout, the Jacobians DX of ``jet_blocks``, and holomorphy one residual:
+``cr_residuals``, |dZ/dzbar| of the complexified fields read off DX.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = [
     "ComplexChart", "VectorField",
     "env_at", "apply_J", "j_rotate", "j_matrix", "jet_blocks", "jets_at", "d_values",
     "dc_values", "bracket_values", "dc_differentials", "ddc_terms", "lie_bracket",
-    "pair_brackets", "holomorphic_partials", "cr_residuals",
-    "is_holomorphic", "span_residuals", "laplacian", "field_matrix",
+    "pair_brackets", "cr_residuals", "is_holomorphic", "rank_cutoff",
+    "span_residuals", "laplacian", "field_matrix",
 ]
 
 
@@ -169,22 +169,20 @@ def apply_J(V: VectorField) -> VectorField:
     return VectorField(V.chart, tuple(out))
 
 
-def jet_blocks(grads, fields, chart: ComplexChart, hessians: bool = True) -> list:
+def jet_blocks(grads, fields, chart: ComplexChart) -> list:
     """The Table blocks every composed quantity is read from: the fields
     ``X`` (m, 2N) and their Jacobians ``DX`` (m, 2N, 2N), DX[a, i, j] =
-    dX_a^i/dx_j; the differentials ``dU`` (k, 2N) of the functions and,
-    with ``hessians``, their Hessians ``D2U`` (k, 2N, 2N) laid out as DX."""
+    dX_a^i/dx_j; the differentials ``dU`` (k, 2N) of the functions and
+    their Hessians ``D2U`` (k, 2N, 2N) laid out as DX."""
     names, dim = chart.names, chart.dim
     dU = [diff(g, x) for g in grads for x in names]
-    blocks = [
+    return [
         ("X", (len(fields), dim), [c for V in fields for c in V.components]),
         ("DX", (len(fields), dim, dim),
          [diff(c, x) for V in fields for c in V.components for x in names]),
         ("dU", (len(grads), dim), dU),
+        ("D2U", (len(grads), dim, dim), [diff(e, x) for e in dU for x in names]),
     ]
-    if hessians:
-        blocks.append(("D2U", (len(grads), dim, dim), [diff(e, x) for e in dU for x in names]))
-    return blocks
 
 
 def jets_at(table: Table, pts, labels=None) -> dict[str, np.ndarray]:
@@ -272,34 +270,26 @@ def pair_brackets(fields) -> list[VectorField]:
             for i in range(len(fields)) for j in range(i + 1, len(fields))]
 
 
-def holomorphic_partials(fields) -> tuple[list[Expr], list[Expr]]:
-    """The first partials dZ_mu/dx_nu and dZ_mu/dy_nu of the complexified
-    fields Z = (V - iJV)/2 of the real fields V, as expressions: two lists
-    laid out (k, N, N, 2), over field, component mu, coordinate nu and
-    (re, im).  In the basis d/dz_mu = (d/dx_mu - i d/dy_mu)/2 the
-    coefficient of Z is V^{x_mu} + i V^{y_mu}, so these are the partials of
-    V's components.  Where Z is holomorphic, dZ/dx_nu is its Jacobian
-    dZ/dz_nu.  Fields are complexified only here."""
-    return tuple([diff(part, x) for V in fields
-                  for re_im in zip(V.components[0::2], V.components[1::2])
-                  for x in V.chart.names[j::2] for part in re_im] for j in (0, 1))
-
-
-def cr_residuals(dx, dy) -> np.ndarray:
-    """|dZ/dzbar_nu| = |dZ/dx_nu + i dZ/dy_nu|/2 from the partials (..., 2) of
-    holomorphic_partials; it vanishes where the Cauchy-Riemann equations hold."""
-    return 0.5 * np.hypot(dx[..., 0] - dy[..., 1], dx[..., 1] + dy[..., 0])
+def cr_residuals(DX) -> np.ndarray:
+    """|dZ_mu/dzbar_nu| (..., N, N) of the complexified fields Z = (V - iJV)/2
+    from the Jacobians DX (..., 2N, 2N) of jet_blocks.  In the basis d/dz_mu
+    = (d/dx_mu - i d/dy_mu)/2 the coefficient Z_mu is V^{x_mu} + i V^{y_mu},
+    so dZ/dzbar = (dZ/dx + i dZ/dy)/2 is linear in DX.  It vanishes where the
+    Cauchy-Riemann equations hold, and there dZ_mu/dz_nu = DX[2 mu, 2 nu] +
+    i DX[2 mu + 1, 2 nu]."""
+    return 0.5 * np.hypot(DX[..., 0::2, 0::2] - DX[..., 1::2, 1::2],
+                          DX[..., 1::2, 0::2] + DX[..., 0::2, 1::2])
 
 
 def is_holomorphic(V: VectorField, pts, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether every coefficient of the complexification of the real field
     V satisfies the Cauchy-Riemann equations at the sample points; returns
-    the verdict and the max residual modulus."""
-    dx, dy = holomorphic_partials([V])
-    vals = compile_exprs(dx + dy, V.chart.names)(
+    the verdict and the max residual modulus.  Only V's Jacobian is
+    compiled, so only its partials can fault."""
+    shape, DX = {name: b for name, *b in jet_blocks((), [V], V.chart)}["DX"]
+    vals = compile_exprs(DX, V.chart.names)(
         np.reshape(np.asarray(pts, dtype=float), (-1, V.chart.dim)))
-    R = vals.reshape(-1, 2, len(dx) // 2, 2)
-    worst = float(np.max(cr_residuals(R[:, 0], R[:, 1]), initial=0.0))
+    worst = float(np.max(cr_residuals(vals.reshape(-1, *shape)), initial=0.0))
     return worst < tol, worst
 
 
@@ -308,18 +298,23 @@ def field_matrix(fields, p) -> np.ndarray:
     return np.column_stack([f.values(p) for f in fields])
 
 
+def rank_cutoff(M, s) -> np.ndarray:
+    """max(d, r) * eps * sigma_max (..., 1) of matrices M (..., d, r) with
+    singular values s: the singular values at or below it count as zero,
+    as in ``np.linalg.matrix_rank`` and ``np.linalg.lstsq(rcond=None)``."""
+    return max(M.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+
+
 def span_residuals(S, V) -> np.ndarray:
     """Norm of each column of V outside the column span of S, over a stack
     of frames: S is (..., d, r), V is (..., d, m) and the result (..., m).
 
     One stacked SVD stands for a least-squares solve per column, with the
-    cutoff of ``np.linalg.lstsq(rcond=None)``: singular values at or below
-    max(d, r) * eps * sigma_max count as zero, so rank-deficient frames
-    project as that solve does."""
+    cutoff of ``np.linalg.lstsq(rcond=None)`` (``rank_cutoff``), so
+    rank-deficient frames project as that solve does."""
     S, V = np.asarray(S, dtype=float), np.asarray(V, dtype=float)
     U, s, _ = np.linalg.svd(S, full_matrices=False)
-    cutoff = max(S.shape[-2:]) * np.finfo(float).eps * s[..., :1]
-    U = U * (s > cutoff)[..., None, :]
+    U = U * (s > rank_cutoff(S, s))[..., None, :]
     return np.linalg.norm(V - U @ (np.swapaxes(U, -1, -2) @ V), axis=-2)
 
 

@@ -39,7 +39,7 @@ from .expr import (
 from .flow import DEFAULT_CONFIG, ComplexFlow, FlowConfig, newton_rows
 from .geometry import (
     ComplexChart, VectorField, bracket_values, cr_residuals, d_values,
-    dc_values, ddc_terms, env_at, j_rotate, jet_blocks, jets_at,
+    dc_values, ddc_terms, env_at, j_rotate, jet_blocks, jets_at, rank_cutoff,
     span_residuals,
 )
 
@@ -124,11 +124,10 @@ class CheckTable(Table):
     (2N, 2k) and ``bracket`` (2N, B), fields as columns, the latter
     [frame_i, frame_j] for (i, j) in ``pairs``; ``t1``, ``t2``, ``t3`` (P, k)
     the dd^c terms X(d^c u_c(Y)), Y(d^c u_c(X)) and d^c u_c([X, Y]) over
-    the P frame pairs; ``dZ`` (2, k, N, N, 2) the partials d/dx and d/dy of
-    each complexified xi_a, as ``holomorphic_partials`` lays them out;
-    ``lap`` (k,).  Every block is computed row by row, so a row does not
-    depend on the other points, and ``at`` composes TABLE_CHUNK rows at a
-    time.
+    the P frame pairs; ``DX`` (k, 2N, 2N) the Jacobians of the xi_a, as
+    ``jet_blocks`` lays them out; ``lap`` (k,).  Every block is computed
+    row by row, so a row does not depend on the other points, and ``at``
+    composes TABLE_CHUNK rows at a time.
 
     ``pairs`` lists the frame pairs i < j first, then the [J xi_a, xi_b].
     ``ddc_ref[p]`` is the bracket row the dd^c identity of frame pair p
@@ -161,7 +160,7 @@ class CheckTable(Table):
         """The blocks, with the point axis last, from the jets at some
         points (``jets_at``)."""
         xi, Dxi, dU, D2U = jets["X"], jets["DX"], jets["dU"], jets["D2U"]
-        (k, dim, n), P = xi.shape, self.n_frame_pairs
+        P = self.n_frame_pairs
         X = np.concatenate([xi, j_rotate(xi, axis=1)])
         DX = np.concatenate([Dxi, j_rotate(Dxi, axis=1)])      # D(J xi) = J D(xi)
         brackets = bracket_values(X, DX, self.pairs)
@@ -169,10 +168,7 @@ class CheckTable(Table):
         return {
             "d": d_values(dU, xi), "dc": dc_values(dU, xi), "grad": dU,
             "frame": np.swapaxes(X, 0, 1), "bracket": np.swapaxes(brackets, 0, 1),
-            "t1": t1, "t2": t2, "t3": t3,
-            # DX[a, 2 mu + r, 2 nu + j] is d/dx_nu (j = 0) or d/dy_nu (j = 1)
-            # of the part r of Z_a's component mu
-            "dZ": Dxi.reshape(k, dim // 2, 2, dim // 2, 2, n).transpose(4, 0, 1, 3, 2, 5),
+            "t1": t1, "t2": t2, "t3": t3, "DX": Dxi,
             "lap": np.trace(D2U, axis1=1, axis2=2),
         }
 
@@ -316,11 +312,11 @@ class DecompositionRecord:
 def _svd_rank(M, vectors: bool = False):
     """The singular values s of M, or of each matrix of a stack, its
     numerical rank r and, with ``vectors``, its right-singular vectors (else
-    None): singular values at or below max(shape) * eps * sigma_max count
-    as zero, as np.linalg.matrix_rank counts them, and the vectors from row
-    r on span the kernel.  Without vectors s is matrix_rank's own."""
+    None): singular values at or below ``rank_cutoff`` count as zero, as
+    np.linalg.matrix_rank counts them, and the vectors from row r on span
+    the kernel.  Without vectors s is matrix_rank's own."""
     _, s, vt = np.linalg.svd(M) if vectors else (None, np.linalg.svd(M, compute_uv=False), None)
-    return s, np.sum(s > max(M.shape[-2:]) * np.finfo(float).eps * s[..., :1], axis=-1), vt
+    return s, np.sum(s > rank_cutoff(M, s), axis=-1), vt
 
 
 def _horizontal_system(G) -> np.ndarray:
@@ -450,8 +446,7 @@ def classify(sys: GradientSystem, t, tol: float = 1e-9) -> Classification:
     satisfies Cauchy-Riemann), abelian (all real brackets among
     {xi_a, J xi_a} vanish, the real form of [Z_a, conj Z_b] = 0), harmonic
     (flat Laplacian of every gradient component vanishes)."""
-    dZ = t["dZ"]
-    holo = float(np.max(cr_residuals(dZ[:, 0], dZ[:, 1]), initial=0.0))
+    holo = float(np.max(cr_residuals(t["DX"]), initial=0.0))
     abel = float(np.max(np.abs(t["bracket"][..., :sys.table.n_frame_pairs]),
                         initial=0.0))
     harm = float(np.max(np.abs(t["lap"]), initial=0.0))

@@ -1,19 +1,24 @@
-"""The one Cauchy-Riemann residual against sympy: the compiled partials of
-``holomorphic_partials`` reduced by ``cr_residuals`` give |dZ/dzbar| of
-random real polynomial fields in (x, y), and rounding-size residuals for
-fields that are polynomials in z."""
+"""The one Cauchy-Riemann residual against sympy: the compiled Jacobians DX
+of ``jet_blocks`` reduced by ``cr_residuals`` give |dZ/dzbar| of random
+real polynomial fields in (x, y), and rounding-size residuals for fields
+that are polynomials in z."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgsys.expr import compile_exprs, parse_expr
+from cgsys.dsl import load_builtin, loads
+from cgsys.expr import Table, parse_expr
+from cgsys.flow import DEFAULT_CONFIG, _HolomorphicFrame
 from cgsys.geometry import (
-    ComplexChart, VectorField, cr_residuals, holomorphic_partials, is_holomorphic,
+    ComplexChart, VectorField, cr_residuals, is_holomorphic, jet_blocks,
 )
+from cgsys.verify import GradientSystem, classify, sample_points
 
 sympy = pytest.importorskip("sympy")
 
@@ -39,10 +44,8 @@ def _check(polys, N, points, holomorphic):
     chart = ComplexChart.standard(N)
     syms = sympy.symbols(chart.names, real=True)
     V = VectorField.from_exprs(chart, [parse_expr(_to_text(p, chart.names)) for p in polys])
-    dx, dy = holomorphic_partials([V])
-    vals = compile_exprs(dx + dy, chart.names)(points)
-    R = vals.reshape(len(points), 2, N, N, 2)
-    got = cr_residuals(R[:, 0], R[:, 1])                 # (n, N, N)
+    DX = Table(jet_blocks((), [V], chart), chart.names).at(points)["DX"]
+    got = cr_residuals(DX[:, 0])                         # (n, N, N)
     exact = [[Fraction(float(v)) for v in p] for p in points]
     for mu in range(N):
         re, im = polys[2 * mu:2 * mu + 2]
@@ -52,7 +55,7 @@ def _check(polys, N, points, holomorphic):
         for nu in range(N):
             x, y = syms[2 * nu], syms[2 * nu + 1]
             dzbar = _terms((Z.diff(x) + sympy.I * Z.diff(y)) * sympy.Rational(1, 2))
-            # the terms the compiled partials sum, whose size bounds their rounding
+            # the terms the compiled Jacobians sum, whose size bounds their rounding
             terms = [(m, (abs(c), 0)) for part in (re, im) for v in (x, y)
                      for m, (c, _) in _terms(_poly(part, syms).diff(v))]
             for i, q in enumerate(exact):
@@ -129,3 +132,35 @@ def test_cr_residual_of_polynomials_in_z_is_rounding_size(drawn, data):
     _check(polys, N, pts, holomorphic=True)
     V = VectorField.from_exprs(chart, [parse_expr(_to_text(p, chart.names)) for p in polys])
     assert is_holomorphic(V, pts, tol=1e-9)[0]
+
+
+def _ambient_system():
+    """The generated field (1 + 1.1 z^2) d/dz of the benchmark with its
+    closed-form gradient, as a gradient system."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sf = loads(workloads.ambient_cgs(1.1), name="ambient")
+    return GradientSystem(sf.chart, sf.cr.ambient_fields, sf.oracle[0], name="ambient")
+
+
+@pytest.mark.parametrize("name", ["line-alt", "heisenberg", "model-k1",
+                                  "model-k1-rotated", "ambient"])
+def test_classify_the_flow_frame_and_is_holomorphic_read_one_residual(name):
+    # all three complexify the same Jacobians DX through cr_residuals, so
+    # their worst residuals at the same points are the same number
+    sys_ = _ambient_system() if name == "ambient" else load_builtin(name).system
+    pts = sample_points(sys_, 40, 3)
+    from_classify = classify(sys_, sys_.table.at(pts)).residuals["holomorphic"]
+    from_frame = np.max(_HolomorphicFrame(list(sys_.fields), DEFAULT_CONFIG).residuals(pts))
+    from_fields = max(is_holomorphic(V, pts)[1] for V in sys_.fields)
+    assert from_classify == from_frame == from_fields
+    assert (from_classify > 1e-9) == (name in ("line-alt", "heisenberg"))
+
+
+def test_is_holomorphic_compiles_only_the_jacobian():
+    # log(x1) faults at x1 = -1, its partial 1/x1 does not: the verdict is
+    # read off DX alone, |dZ/dzbar| = |1/x1|/2
+    V = VectorField.from_exprs(ComplexChart.standard(1), [parse_expr("log(x1)"), 0.0])
+    assert is_holomorphic(V, [[-1.0, 0.0]]) == (False, 0.5)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cgsys import cli
 from cgsys.cli import main
 from cgsys.dsl import (
     MAX_COMPLEX_DIM, MAX_ROWS, MAX_STEPS_PER_UNIT, LoadError, builtin_names,
@@ -19,7 +20,7 @@ from cgsys.dsl import (
 from cgsys.flow import DEFAULT_CONFIG, _HolomorphicFrame
 from cgsys.geometry import VectorField
 from cgsys.report import canonical_json, schema_text
-from cgsys.verify import GradientSystem, check_axioms, sample_points
+from cgsys.verify import GradientSystem, check_axioms, normal_form, sample_points
 
 MINIMAL = """
 [chart]
@@ -225,6 +226,23 @@ def test_cli_normal_form_refusal(capsys):
 
 def test_cli_normal_form_model():
     assert main(["normal-form", "model-k1", "--grid", "5"]) == 0
+
+
+def test_cli_normal_form_builds_its_flow_config_from_the_file(tmp_path, monkeypatch):
+    # [config] steps_per_unit and newton_tol reach normal_form's FlowConfig,
+    # as they reach cauchy's
+    path = tmp_path / "model-k1-settings.cgs"
+    path.write_text(builtin_text("model-k1").replace(
+        "[config]\n", "[config]\nsteps_per_unit = 1\nnewton_tol = 1e-3\n"))
+    seen = []
+
+    def spy(sys_, p, grid, cfg):
+        seen.append(cfg)
+        return normal_form(sys_, p, grid, cfg)
+
+    monkeypatch.setattr(cli, "normal_form", spy)
+    assert main(["normal-form", str(path), "--grid", "3"]) == 0
+    assert [(cfg.steps_per_unit, cfg.newton_tol) for cfg in seen] == [(1, 1e-3)]
 
 
 @pytest.mark.parametrize("a", [1, 3, 5])
