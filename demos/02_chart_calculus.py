@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from cgsys import apply_J, is_holomorphic, load_builtin, span_residuals, to_string
+from cgsys import Span, apply_J, is_holomorphic, load_builtin, to_string
 
 sys_ = load_builtin("heisenberg").system
 x1, x2, x3 = sys_.fields
@@ -36,10 +36,12 @@ print("[xi_1, xi_2](p) - xi_3(p) =", t["bracket"][0, :, xi12] - t["frame"][0, :,
 ddc = t["t1"] - t["t2"] - t["t3"]
 print("dd^c u_3(xi_1, xi_2) =", ddc[0, xi12, 2], " (should be -1)")
 
-# The frame xi_a, J xi_a spans six independent directions and is involutive.
-print("frame rank:", np.linalg.matrix_rank(t["frame"][0]))
-print("frame involutivity defect:",
-      span_residuals(t["frame"], t["bracket"][..., :table.n_frame_pairs]).max())
+# The frame xi_a, J xi_a spans six independent directions and is involutive:
+# one factorization of the frame gives its rank and the part of each bracket
+# [frame_i, frame_j], i < j, outside its span.
+span = Span(t["frame"])
+print("frame rank:", span.rank[0])
+print("frame involutivity defect:", span.residuals(t["bracket"]).max())
 
 # The field coefficients mix z and conjugate-z, so the complexified field
 # (xi_1 - i J xi_1)/2 is not holomorphic; the residual is the constant 1/2

@@ -9,7 +9,7 @@ from cgsys import (
 )
 from cgsys.geometry import ComplexChart, VectorField
 
-cfg = FlowConfig()  # 32 Runge-Kutta steps per unit time, divergence bound 1e6
+cfg = FlowConfig()  # 32 Runge-Kutta steps per unit time; flow.DIVERGENCE_BOUND = 1e6
 
 # A linear field integrates to the exponential: x' = x from x(0) = 1.
 chart1 = ComplexChart.standard(1)

@@ -46,7 +46,7 @@ print("Q on M:\n", np.round(frame0.Q, 12))
 # closed forms recorded in the oracle section of the gallery file.
 frame = compute_PQA(data, dF, np.array([0.2, -0.1, 0.4]),
                     np.array([0.2, 0.1, 0.0]), cfg)
-built = construct_fields(frame, cfg)
+built = construct_fields(frame)
 grads, fields = sf.oracle
 ref = np.array([f.program(frame.ambient[None])[0] for f in fields])
 print("max field deviation from closed form:",

@@ -22,8 +22,8 @@ from .expr import (
     evaluate, free_vars, parse_expr, subst, to_string,
 )
 from .geometry import (
-    ComplexChart, VectorField, apply_J, is_holomorphic, laplacian, lie_bracket,
-    pair_brackets, span_residuals,
+    ComplexChart, Span, VectorField, apply_J, is_holomorphic, laplacian,
+    lie_bracket, pair_brackets, span_residuals,
 )
 from .flow import (
     DivergenceError, EmbeddingError, FlowConfig, FlowError, HolomorphyError,
@@ -56,8 +56,8 @@ REMOVED = {
     "d_apply": "CheckTable.at(pts)['d'] or geometry.d_values over jets_at",
     "dc_apply": "CheckTable.at(pts)['dc'] or geometry.dc_values over jets_at",
     "ddc_apply": "CheckTable.at(pts)['t1'] - ['t2'] - ['t3'] (geometry.ddc_terms)",
-    "distribution_rank": "np.linalg.matrix_rank of CheckTable.at(pts)['frame']",
-    "frobenius_defect": "span_residuals of CheckTable.at(pts)['frame'] and ['bracket']",
+    "distribution_rank": "Span(t['frame']).rank, t = CheckTable.at(pts)",
+    "frobenius_defect": "Span(t['frame']).residuals(t['bracket']), t = CheckTable.at(pts)",
     "exp_map": "flow_real(V, p, 1.0, cfg)",
     "flow_complex": "ComplexFlow([V], cfg).rows(P, W) or flow_complex_multi([V], p, [w])",
     "equation_map": "solve(data, queries, cfg): its records carry params, u and U",

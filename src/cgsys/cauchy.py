@@ -254,6 +254,9 @@ def _first_error(*errors):
 # the base point, and the largest residual of the initial fields off TM
 PARAM_SPREAD = 1.0
 TANGENCY_TOL = 1e-9
+# the largest internal residual of the defining identities at which a
+# constructed row is accepted
+CONSTRUCTION_TOL = 1e-8
 
 
 def param_samples(data: CRInitialData, n_samples: int, seed: int) -> np.ndarray:
@@ -504,7 +507,7 @@ class ConstructedFields:
     residual_dc: float
 
 
-def _construct_rows(frame: AdaptedFrame, cfg: FlowConfig):
+def _construct_rows(frame: AdaptedFrame):
     """construct_fields over a stacked frame: the stacked fields and per
     row None or the ConstructionError that refuses it.  The d^c residual
     reads J xi_a as the product of the frame's Jt with xi_a."""
@@ -520,20 +523,19 @@ def _construct_rows(frame: AdaptedFrame, cfg: FlowConfig):
     # Python's max(residual_d, residual_dc), NaN handling included
     worst = np.where(residual_dc > residual_d, residual_dc, residual_d)
     errors = [ConstructionError(
-        f"internal identity residual {w:.3e} exceeds {cfg.construction_tol:g}; "
-        "dF is ill-conditioned here") if w > cfg.construction_tol else None
+        f"internal identity residual {w:.3e} exceeds {CONSTRUCTION_TOL:g}; "
+        "dF is ill-conditioned here") if w > CONSTRUCTION_TOL else None
         for w in worst]
     return ConstructedFields(xi_adapted, xi_ambient, jxi_ambient,
                              residual_d, residual_dc), errors
 
 
-def construct_fields(frame: AdaptedFrame,
-                     cfg: FlowConfig = DEFAULT_CONFIG) -> ConstructedFields:
+def construct_fields(frame: AdaptedFrame) -> ConstructedFields:
     """xi_a = -J(d/du_a) + sum_b A[b, a] J(h_b) in adapted coordinates,
     pushed to the chart through dF.  The contract du_a(xi_b) = 0 and
     d^c u_a(xi_b) = delta_ab (with the gradient components U = -u) is checked
     internally; a residual above tolerance signals an ill-conditioned dF."""
-    built, errors = _construct_rows(_stacked(frame), cfg)
+    built, errors = _construct_rows(_stacked(frame))
     _raise_first(errors)
     return _row(built, 0)
 
@@ -656,7 +658,7 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
                                   newton.values[rows], newton.jac[rows])
     keep = passing(rows, stage_errors)
     rows, frame = rows[keep], _row(frame, keep)
-    built, stage_errors = _construct_rows(frame, cfg)
+    built, stage_errors = _construct_rows(frame)
     keep = passing(rows, stage_errors)
     rows, frame, built = rows[keep], _row(frame, keep), _row(built, keep)
 

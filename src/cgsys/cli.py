@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cauchy import CauchyError, TransversalityError, grid_queries, solve
+from .cauchy import CONSTRUCTION_TOL, CauchyError, TransversalityError, grid_queries, solve
 from .dsl import (
     SETTINGS, LoadError, SystemFile, builtin_names, check_rows, load, load_builtin,
 )
@@ -161,8 +161,8 @@ def cmd_cauchy(args) -> int:
                     float(len(records) - n_ok), 0.5, n_ok == len(records),
                     len(records)),
         check_entry("cauchy.identities-internal", "construction-identities",
-                    sol.max_axiom_residual, cfg.construction_tol,
-                    sol.max_axiom_residual < cfg.construction_tol, n_ok),
+                    sol.max_axiom_residual, CONSTRUCTION_TOL,
+                    sol.max_axiom_residual < CONSTRUCTION_TOL, n_ok),
     ]
     if sf.oracle is not None:
         entries.append(check_entry(

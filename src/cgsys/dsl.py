@@ -80,7 +80,7 @@ MAX_ROWS = 100_000
 
 
 # the most Runge-Kutta steps per unit of flow time: 32 times the default of
-# 32, and twice the largest in use (512).  At FlowConfig.max_time = 16 a flow
+# 32, and twice the largest in use (512).  At flow.MAX_TIME = 16 a flow
 # row takes at most 16 * 1,024 = 16,384 steps of 12 stages, 196,608 tape calls
 MAX_STEPS_PER_UNIT = 1_024
 

@@ -35,7 +35,7 @@ holomorphic Jacobian dZ/dz and the Cauchy-Riemann residual |dZ/dzbar|
 start point, at every stage state and at the end point (12 states a step),
 and on each step's path where a row takes too few steps for 256 states per
 unit of |w|; a row that diverges (at a stage state or a step's end), leaves the
-holomorphic region, exceeds max_time or faults is refused alone, with the
+holomorphic region, exceeds MAX_TIME or faults is refused alone, with the
 tape's own error: its DomainError, naming the node and the point, or a
 HolomorphyError from the tape's residual.  ``flow_complex_multi`` is its
 one-row view.
@@ -99,15 +99,13 @@ class EmbeddingError(FlowError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Shared numerical knobs for flows and the construction pipeline."""
+    """The numerical settings of flows and Newton that callers set: the
+    CLI and ``[config]`` (steps_per_unit, newton_tol) and the level-set
+    search (newton_tol, newton_max_iter)."""
 
     steps_per_unit: int = 32
-    max_time: float = 16.0
-    divergence_bound: float = 1e6
-    holomorphy_tol: float = 1e-8
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    construction_tol: float = 1e-8
 
     def __post_init__(self):
         if self.steps_per_unit < 1:
@@ -118,6 +116,12 @@ class FlowConfig:
 
 
 DEFAULT_CONFIG = FlowConfig()
+# the largest |t| of a real flow and |w|_1 of a complex one, the bound on
+# |state| past which a trajectory is refused as divergent, and the largest
+# Cauchy-Riemann residual of a field a complex flow accepts
+MAX_TIME = 16.0
+DIVERGENCE_BOUND = 1e6
+HOLOMORPHY_TOL = 1e-8
 # how far an entry off a group's coordinate pattern may drift from its base
 EMBEDDING_TOL = 1e-9
 # the most squarings matrix_exp takes after a Taylor sum that did not stop
@@ -268,20 +272,20 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG):
     max(1, ceil(|t| steps_per_unit)) steps of ``_rk``.
 
     ``p`` is one point (2N,) or a stack of rows (n, 2N), stepped together by
-    V's compiled components.  The divergence bound applies to every stage
+    V's compiled components.  DIVERGENCE_BOUND applies to every stage
     state and step end of the trajectory.
     """
     p = np.asarray(p, dtype=float)
-    if abs(t) > cfg.max_time:
-        raise FlowError(f"|t| = {abs(t):g} exceeds max_time {cfg.max_time:g}")
+    if abs(t) > MAX_TIME:
+        raise FlowError(f"|t| = {abs(t):g} exceeds max_time {MAX_TIME:g}")
     state = p.reshape(-1, p.shape[-1]).copy()
 
     def velocity(_, state):
         return V.program(state), None
 
     def guard(_, state):
-        if np.max(np.abs(state)) > cfg.divergence_bound:
-            raise DivergenceError(f"trajectory exceeded bound {cfg.divergence_bound:g}")
+        if np.max(np.abs(state)) > DIVERGENCE_BOUND:
+            raise DivergenceError(f"trajectory exceeded bound {DIVERGENCE_BOUND:g}")
 
     if t != 0.0:
         nsteps = max(1, math.ceil(abs(t) * cfg.steps_per_unit))
@@ -458,9 +462,9 @@ def complexified_flow_jacobian(spec: MatrixGroupSpec, g, V, dg, dV):
     the first block row of one exponential of the block upper-triangular
     matrix with X on the diagonal and D_1, ..., D_s beside the first block;
     it is exact where the Taylor sum terminates, i.e. on nilpotent
-    algebras.  The point is g matrix_exp(X), as complexified_flow_matrix
-    computes it (the block's corner can differ from it in the last bits),
-    so the point equals F's.
+    algebras.  The points and errors are complexified_flow_matrix's own
+    (the block's corner can differ from g matrix_exp(X) in the last bits),
+    so the points equal F's.
     """
     M = spec.embed(g)
     X = spec.algebra_element(V)
@@ -476,7 +480,7 @@ def complexified_flow_jacobian(spec: MatrixGroupSpec, g, V, dg, dV):
     tangent = spec.read_slots(spec.embed_tangent(np.swapaxes(dg, 1, 2)) @ expX[:, None])
     frechet = (M @ top[:, :, n:]).reshape(rows, n, s, n).transpose(0, 2, 1, 3)
     J = np.concatenate([tangent, spec.read_slots(frechet)], axis=1)
-    points, errors = spec.unembed_rows(M @ matrix_exp(X))
+    points, errors = complexified_flow_matrix(spec, g, V)
     return points, np.swapaxes(J, 1, 2), errors
 
 
@@ -523,23 +527,22 @@ def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
 class _HolomorphicFrame:
     """The fields and their Jacobians DX (``jet_blocks``) compiled into one
     tape over the chart, read as the complexified fields Z_a = (xi_a - i J
-    xi_a)/2: Z is the complex view of the fields and dZ/dz is read off DX.
-    ``at`` runs it over a stack of chart rows and, where
-    ``checks_holomorphy``, reads the Cauchy-Riemann residuals |dZ/dzbar| of
-    DX (``cr_residuals``), which checks holomorphy; ``residuals`` reads only
-    those.
+    xi_a)/2: Z is the complex view of the fields, and a flow that steps
+    tangents reads dZ/dz off DX.  ``at`` runs it over a stack of chart rows
+    and, where ``checks_holomorphy``, reads the Cauchy-Riemann residuals
+    |dZ/dzbar| of DX (``cr_residuals``), which checks holomorphy;
+    ``residuals`` reads only those.
     """
 
-    def __init__(self, fields, cfg: FlowConfig):
+    def __init__(self, fields):
         self.chart = chart = fields[0].chart
-        self.cfg = cfg
         k, N = self.shape = (len(fields), chart.N)
         jets = Table(jet_blocks((), fields, chart), chart.names)
         self.program = jets.program
         DX = jets.exprs[2 * k * N:]
         # constant Jacobians have one residual everywhere, decided here once
         self.checks_holomorphy = not all(isinstance(e, Const) for e in DX) or bool(
-            self._worst(np.array([[e.value for e in DX]])) > cfg.holomorphy_tol)
+            self._worst(np.array([[e.value for e in DX]])) > HOLOMORPHY_TOL)
 
     def _worst(self, vals) -> np.ndarray:
         """Each row's largest residual, from the Jacobians DX (k, 2N, 2N)
@@ -563,26 +566,24 @@ class _HolomorphicFrame:
 
     def at(self, X, labels=None):
         """The tape at the chart rows X (m, 2N): Z (m, k, N), a complex
-        view of its outputs, dZ/dz (m, k, N, N), and a dict j -> the error
-        that refuses row j: the tape's DomainError, naming row j as
-        labels[j] (default j), or, where ``checks_holomorphy``, a
-        HolomorphyError when its Cauchy-Riemann residual exceeds
-        holomorphy_tol."""
+        view of its outputs, the Jacobians DX (m, k, 2N, 2N), a view too,
+        and a dict j -> the error that refuses row j: the tape's
+        DomainError, naming row j as labels[j] (default j), or, where
+        ``checks_holomorphy``, a HolomorphyError when its Cauchy-Riemann
+        residual exceeds HOLOMORPHY_TOL."""
         vals, faults = self.program.rows(X, labels)
         refused = {j: err for j, err in enumerate(faults) if err} if any(faults) else {}
         (k, N), m = self.shape, len(X)
         Z = vals.view(complex)[:, :k * N].reshape(m, k, N)
         DX = vals[:, 2 * k * N:].reshape(m, k, 2 * N, 2 * N)
-        dZ = np.empty((m, k, N, N), dtype=complex)
-        dZ.real, dZ.imag = DX[..., 0::2, 0::2], DX[..., 1::2, 0::2]
         if self.checks_holomorphy:
-            tol, worst = self.cfg.holomorphy_tol, self._worst(vals)
-            for j in np.flatnonzero(worst > tol):
+            worst = self._worst(vals)
+            for j in np.flatnonzero(worst > HOLOMORPHY_TOL):
                 refused.setdefault(j, HolomorphyError(
                     f"field complexification violates the Cauchy-Riemann "
-                    f"equations (residual {worst[j]:.3e} > {tol:g}); "
+                    f"equations (residual {worst[j]:.3e} > {HOLOMORPHY_TOL:g}); "
                     "complex-time flow refused"))
-        return Z, dZ, refused
+        return Z, DX, refused
 
 
 def _complex_to_real(z: np.ndarray) -> np.ndarray:
@@ -612,7 +613,7 @@ class ComplexFlow:
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        self.frame = _HolomorphicFrame(list(fields), cfg)
+        self.frame = _HolomorphicFrame(list(fields))
         self.k = self.frame.shape[0]
         self.tol = cfg.newton_tol * STEP_TOL_FRACTION
 
@@ -626,9 +627,9 @@ class ComplexFlow:
     def limit(self, W) -> np.ndarray:
         """Each row's upper limit on its step count,
         max(1, ceil(|w|_1 steps_per_unit)), and 0 for a row that takes no
-        step because |w|_1 is not finite or exceeds max_time."""
+        step because |w|_1 is not finite or exceeds MAX_TIME."""
         scale = self._scale(np.asarray(W, dtype=complex))
-        stepping = scale <= self.cfg.max_time
+        stepping = scale <= MAX_TIME
         limit = np.zeros(len(scale), dtype=int)
         limit[stepping] = np.maximum(1, np.ceil(scale[stepping] * self.cfg.steps_per_unit))
         return limit
@@ -691,13 +692,13 @@ class ComplexFlow:
         (naming row i as labels[i], default i) of the fields at its start
         point, a state it reads holomorphy at or its end point, a
         DivergenceError of a stage state or a step's end, or a FlowError
-        when |w_i|_1 exceeds max_time.  Row i takes nsteps[i] steps of size
+        when |w_i|_1 exceeds MAX_TIME.  Row i takes nsteps[i] steps of size
         1/nsteps[i], by default the count ``_chosen`` picks for it, tangents
         and all; without tangents a row with w_i = 0 takes none.
         """
         if nsteps is None:
             return self._chosen(P, W, dZ0, labels)[1]
-        cfg, frame, k = self.cfg, self.frame, self.k
+        frame, k = self.frame, self.k
         P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
         dZ0 = None if dZ0 is None else np.asarray(dZ0, dtype=complex)
         n, N = len(P), frame.chart.N
@@ -710,10 +711,10 @@ class ComplexFlow:
         scale = self._scale(W)
         # rows that take no step raise these once their start point passes
         # the holomorphy check
-        late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {cfg.max_time:g}"
+        late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {MAX_TIME:g}"
                              if np.isfinite(scale[i]) else f"|w| = {scale[i]:g} is not finite")
-                for i in np.flatnonzero(~(scale <= cfg.max_time))}
-        nsteps = np.where(scale <= cfg.max_time, np.broadcast_to(nsteps, (n,)), 0).astype(int)
+                for i in np.flatnonzero(~(scale <= MAX_TIME))}
+        nsteps = np.where(scale <= MAX_TIME, np.broadcast_to(nsteps, (n,)), 0).astype(int)
         # state rows [z; Y^T]: Y' = (sum_a w_a dZ_a/dz) Y, plus Z_a in the
         # column of dz/dw_a
         z = (P[:, 0::2] + 1j * P[:, 1::2])[:, None]
@@ -736,12 +737,15 @@ class ComplexFlow:
             return keep
 
         def velocity(rows, y):
-            Z, dZ, refused = frame.at(_complex_to_real(y[:, 0]), labels[rows])
+            Z, DX, refused = frame.at(_complex_to_real(y[:, 0]), labels[rows])
             if rows is not times[0]:
                 times[:] = rows, W[rows][:, None]
             Wr = times[1]
             if dZ0 is None:
                 return Wr @ Z, refuse(rows, refused)
+            # dZ_mu/dz_nu = DX[2 mu, 2 nu] + i DX[2 mu + 1, 2 nu] (cr_residuals)
+            dZ = np.empty((len(rows), k, N, N), dtype=complex)
+            dZ.real, dZ.imag = DX[..., 0::2, 0::2], DX[..., 1::2, 0::2]
             A = (Wr @ dZ.reshape(len(rows), k, N * N)).reshape(-1, N, N)
             out = np.empty_like(y)
             out[:, :1] = Wr @ Z
@@ -750,11 +754,11 @@ class ComplexFlow:
             return out, refuse(rows, refused)
 
         def guard(rows, y):
-            far = np.abs(y[:, 0]).max(axis=1) > cfg.divergence_bound
+            far = np.abs(y[:, 0]).max(axis=1) > DIVERGENCE_BOUND
             if not far.any():
                 return None
             return refuse(rows, {j: DivergenceError(
-                f"trajectory exceeded bound {cfg.divergence_bound:g}")
+                f"trajectory exceeded bound {DIVERGENCE_BOUND:g}")
                 for j in np.flatnonzero(far)})
 
         # a row reads holomorphy at its start point, its 12 stage states a

@@ -37,7 +37,7 @@ __all__ = [
     "ComplexChart", "VectorField",
     "env_at", "apply_J", "j_rotate", "j_matrix", "jet_blocks", "jets_at", "d_values",
     "dc_values", "bracket_values", "dc_differentials", "ddc_terms", "lie_bracket",
-    "pair_brackets", "cr_residuals", "is_holomorphic", "rank_cutoff",
+    "pair_brackets", "cr_residuals", "is_holomorphic", "rank_cutoff", "Span",
     "span_residuals", "laplacian", "field_matrix",
 ]
 
@@ -302,20 +302,36 @@ def rank_cutoff(M, s) -> np.ndarray:
     """max(d, r) * eps * sigma_max (..., 1) of matrices M (..., d, r) with
     singular values s: the singular values at or below it count as zero,
     as in ``np.linalg.matrix_rank`` and ``np.linalg.lstsq(rcond=None)``."""
-    return max(M.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    return max(np.shape(M)[-2:]) * np.finfo(float).eps * s[..., :1]
+
+
+class Span:
+    """The column spans of a stack of frames S (..., d, r) from one stacked
+    SVD: ``rank`` (...,) counts the singular values above ``rank_cutoff``,
+    as ``np.linalg.matrix_rank`` counts them, and ``basis`` (..., d, r)
+    holds the left-singular vectors of those values, the other columns
+    zeroed.  Projecting on ``basis`` stands for a least-squares solve per
+    column with the cutoff of ``np.linalg.lstsq(rcond=None)``, so
+    rank-deficient frames project as that solve does (Golub & Van Loan,
+    Matrix Computations, 4th ed., 2013, on numerical rank)."""
+
+    def __init__(self, S):
+        U, s, _ = np.linalg.svd(S, full_matrices=False)
+        keep = s > rank_cutoff(S, s)
+        self.rank = np.sum(keep, axis=-1)
+        self.basis = U * keep[..., None, :]
+
+    def residuals(self, V) -> np.ndarray:
+        """Norm of each column of V (..., d, m) outside the span: (..., m)."""
+        return np.linalg.norm(V - self.basis @ (np.swapaxes(self.basis, -1, -2) @ V), axis=-2)
 
 
 def span_residuals(S, V) -> np.ndarray:
     """Norm of each column of V outside the column span of S, over a stack
     of frames: S is (..., d, r), V is (..., d, m) and the result (..., m).
-
-    One stacked SVD stands for a least-squares solve per column, with the
-    cutoff of ``np.linalg.lstsq(rcond=None)`` (``rank_cutoff``), so
-    rank-deficient frames project as that solve does."""
-    S, V = np.asarray(S, dtype=float), np.asarray(V, dtype=float)
-    U, s, _ = np.linalg.svd(S, full_matrices=False)
-    U = U * (s > rank_cutoff(S, s))[..., None, :]
-    return np.linalg.norm(V - U @ (np.swapaxes(U, -1, -2) @ V), axis=-2)
+    A check that reads a frame's rank or several projections factors it
+    once as a ``Span``."""
+    return Span(S).residuals(V)
 
 
 def laplacian(f: Expr, chart: ComplexChart) -> Expr:

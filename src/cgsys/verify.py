@@ -18,12 +18,15 @@ predicate.  Every value a check needs comes from one table per system
 (``GradientSystem.table``), which compiles only the jets of the fields and
 gradients and composes brackets, d^c and the dd^c terms from their values;
 every check is a numpy reduction over the blocks ``t = sys.table.at(pts)``
-it is handed, span residuals by one stacked projection.  ``verify_system``
+it is handed.  The table holds one bracket per frame pair i < j, and a
+check that reads a span factors it once (``geometry.Span``): its rank and
+every projection on it come from one stacked SVD.  ``verify_system``
 draws one point set, evaluates the table there once and hands every check
 those blocks or their first rows, so identical seed and configuration
-reproduce identical residual tables bit for bit.  A domain fault at a sample point raises DomainError
-naming the node and the point.  The level-set search runs flow's one
-Newton, on a compiled tape like every check.
+reproduce identical residual tables bit for bit.  A domain fault at a
+sample point raises DomainError naming the node and the point.  The
+level-set search runs flow's one Newton, on a compiled tape like every
+check.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from .expr import (
 )
 from .flow import DEFAULT_CONFIG, ComplexFlow, FlowConfig, newton_rows
 from .geometry import (
-    ComplexChart, VectorField, bracket_values, cr_residuals, d_values,
+    ComplexChart, Span, VectorField, bracket_values, cr_residuals, d_values,
     dc_values, ddc_terms, env_at, j_rotate, jet_blocks, jets_at, rank_cutoff,
-    span_residuals,
 )
 
 __all__ = [
@@ -121,27 +123,29 @@ class CheckTable(Table):
     trace.  Frame index i < k stands for xi_(i+1), k + a for J xi_(a+1).
     The blocks, each with a leading point axis: ``d``, ``dc`` (k, k)
     du_a(xi_b) and d^c u_a(xi_b); ``grad`` (k, 2N) the rows of dU; ``frame``
-    (2N, 2k) and ``bracket`` (2N, B), fields as columns, the latter
+    (2N, 2k) and ``bracket`` (2N, P), fields as columns, the latter
     [frame_i, frame_j] for (i, j) in ``pairs``; ``t1``, ``t2``, ``t3`` (P, k)
     the dd^c terms X(d^c u_c(Y)), Y(d^c u_c(X)) and d^c u_c([X, Y]) over
-    the P frame pairs; ``DX`` (k, 2N, 2N) the Jacobians of the xi_a, as
+    the same pairs; ``DX`` (k, 2N, 2N) the Jacobians of the xi_a, as
     ``jet_blocks`` lays them out; ``lap`` (k,).  Every block is computed
     row by row, so a row does not depend on the other points, and ``at``
     composes TABLE_CHUNK rows at a time.
 
-    ``pairs`` lists the frame pairs i < j first, then the [J xi_a, xi_b].
-    ``ddc_ref[p]`` is the bracket row the dd^c identity of frame pair p
-    recovers: [xi_a, xi_b] for (J xi_a, J xi_b), else pair p itself.
+    ``pairs`` lists the P = k(2k - 1) frame pairs i < j in row-major order,
+    and ``row`` maps each to its index.  A bracket with i > j is not
+    stored: [J xi_a, xi_b] is -[xi_b, J xi_a], which the table holds bit
+    for bit (each term of ``bracket_values`` is a difference, and IEEE
+    p - q is -(q - p) up to the sign of a zero).  ``ddc_ref[p]`` is the
+    bracket row the dd^c identity of pair p recovers: [xi_a, xi_b] for
+    (J xi_a, J xi_b), else pair p itself.
     """
 
     def __init__(self, sys: GradientSystem):
         k = sys.k
-        frame_pairs = [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k)]
-        self.n_frame_pairs = len(frame_pairs)
-        self.pairs = frame_pairs + [(k + a, b) for a in range(k) for b in range(k)]
+        self.pairs = [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k)]
         self.row = {pq: r for r, pq in enumerate(self.pairs)}
         self.ddc_ref = [self.row[(i - k, j - k) if i >= k else (i, j)]
-                        for i, j in frame_pairs]
+                        for i, j in self.pairs]
         super().__init__(jet_blocks(sys.grads, sys.fields, sys.chart), sys.chart.names)
 
     def at(self, pts) -> dict[str, np.ndarray]:
@@ -160,11 +164,10 @@ class CheckTable(Table):
         """The blocks, with the point axis last, from the jets at some
         points (``jets_at``)."""
         xi, Dxi, dU, D2U = jets["X"], jets["DX"], jets["dU"], jets["D2U"]
-        P = self.n_frame_pairs
         X = np.concatenate([xi, j_rotate(xi, axis=1)])
         DX = np.concatenate([Dxi, j_rotate(Dxi, axis=1)])      # D(J xi) = J D(xi)
         brackets = bracket_values(X, DX, self.pairs)
-        t1, t2, t3 = ddc_terms(dU, D2U, X, DX, self.pairs[:P], brackets[:P])
+        t1, t2, t3 = ddc_terms(dU, D2U, X, DX, self.pairs, brackets)
         return {
             "d": d_values(dU, xi), "dc": dc_values(dU, xi), "grad": dU,
             "frame": np.swapaxes(X, 0, 1), "bracket": np.swapaxes(brackets, 0, 1),
@@ -268,12 +271,14 @@ def _head(t, n: int) -> dict[str, np.ndarray]:
 
 def check_axioms(sys: GradientSystem, t, tol: float = 1e-9) -> list[CheckResult]:
     """Residuals of the two defining identities plus pointwise independence
-    and involutivity of the 2k-frame at the rows of ``t``."""
-    S, k, n = t["frame"], sys.k, len(t["frame"])
+    and involutivity of the 2k-frame at the rows of ``t``: the frame's rank
+    and the brackets' projection come from one factorization (``Span``)."""
+    k, n = sys.k, len(t["frame"])
     r_d = np.abs(t["d"]).max(axis=(1, 2))
     r_dc = np.abs(t["dc"] - np.eye(k)).max(axis=(1, 2))
-    r_rank = (2 * k - np.linalg.matrix_rank(S)).astype(float)
-    r_inv = span_residuals(S, t["bracket"][..., :sys.table.n_frame_pairs]).max(axis=1)
+    frame = Span(t["frame"])
+    r_rank = (2 * k - frame.rank).astype(float)
+    r_inv = frame.residuals(t["bracket"]).max(axis=1)
     return [
         CheckResult("axioms.gradient-annihilation", "gradient-annihilation",
                     r_d, tol, n),
@@ -346,7 +351,7 @@ def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
             [span[rows], np.swapaxes(vt[rows, r:], 1, 2)], axis=2))[1]
     ranks = zip(np.linalg.matrix_rank(Xi), rank_span, np.linalg.matrix_rank(G),
                 2 * N - rank_M, rank_total)
-    residual = np.abs(G @ Xi).max(axis=(1, 2))
+    residual = np.abs(t["d"]).max(axis=(1, 2))
     # flag rank decisions sitting close to the SVD cutoff
     close = np.divide(s[:, 0], s[:, -1], out=np.zeros(len(s)),
                       where=s[:, -1] > 0) > 1e10
@@ -382,13 +387,18 @@ def check_bracket_relations(sys: GradientSystem, t,
     * applying the representation to dd^c U(X, Y) recovers -[X, Y],
     * the representation span itself is involutive,
     * J-rotated brackets satisfy [JX, JY] = [X, Y] and [JX, Y] = -[X, JY].
+
+    Closure and representation-involutivity project on one factorization
+    of the representation span (``Span``), each onto its own columns.  The
+    table holds [xi_b, J xi_a], so [J xi_a, xi_b] is read as its negation.
     """
     k, tab, br = sys.k, sys.table, t["bracket"]
     n = len(br)
     S = t["frame"][..., :k]
+    span = Span(S)
     rep = [tab.row[(a, b)] for a in range(k) for b in range(a + 1, k)]
 
-    closure = span_residuals(S, br[..., :tab.n_frame_pairs]).max(axis=1)
+    closure = span.residuals(br).max(axis=1)
 
     # dd^c u_c(X, Y) through the three-term identity, one coefficient per c
     coeffs = t["t1"] - t["t2"] - t["t3"]
@@ -398,11 +408,11 @@ def check_bracket_relations(sys: GradientSystem, t,
         recovered = recovered + coeffs[:, None, :, c] * S[..., c, None]
     recovery = np.abs(recovered + br[..., tab.ddc_ref]).max(axis=(1, 2))
 
-    rep_involutive = span_residuals(S, br[..., rep]).max(axis=1, initial=0.0)
+    rep_involutive = span.residuals(br[..., rep]).max(axis=1, initial=0.0)
 
     jj = [br[..., tab.row[(k + a, k + b)]] - br[..., tab.row[(a, b)]]
           for a in range(k) for b in range(a + 1, k)]
-    mixed = [br[..., tab.row[(k + a, b)]] + br[..., tab.row[(a, k + b)]]
+    mixed = [br[..., tab.row[(a, k + b)]] - br[..., tab.row[(b, k + a)]]
              for a in range(k) for b in range(k)]
     j_symmetry = np.abs(np.stack(jj + mixed, axis=1)).max(axis=(1, 2))
 
@@ -424,13 +434,13 @@ def check_commutation(sys: GradientSystem, t, tol: float = 1e-9) -> CheckResult:
     """Commutation of the complexified fields at the rows of ``t``: with
     Z_a = (xi_a - i J xi_a)/2, [Z_a, Z_b] = 0.  Expanded over real brackets
     the real part is ([X_a, X_b] - [JX_a, JX_b])/4 and the imaginary part
-    -([X_a, JX_b] + [JX_a, X_b])/4."""
+    -([X_a, JX_b] + [JX_a, X_b])/4, with [JX_a, X_b] = -[X_b, JX_a]."""
     k, row, br = sys.k, sys.table.row, t["bracket"]
     residuals = np.zeros(len(br))
     for a in range(k):
         for b in range(a + 1, k):
             re = (br[..., row[(a, b)]] - br[..., row[(k + a, k + b)]]) / 4.0
-            im = (br[..., row[(a, k + b)]] + br[..., row[(k + a, b)]]) / 4.0
+            im = (br[..., row[(a, k + b)]] - br[..., row[(b, k + a)]]) / 4.0
             residuals = np.maximum(residuals, np.hypot(re, im).max(axis=1))
     note = "single-field system commutes identically" if k == 1 else ""
     return CheckResult("commutation", "complexified-fields-commute",
@@ -447,8 +457,7 @@ def classify(sys: GradientSystem, t, tol: float = 1e-9) -> Classification:
     {xi_a, J xi_a} vanish, the real form of [Z_a, conj Z_b] = 0), harmonic
     (flat Laplacian of every gradient component vanishes)."""
     holo = float(np.max(cr_residuals(t["DX"]), initial=0.0))
-    abel = float(np.max(np.abs(t["bracket"][..., :sys.table.n_frame_pairs]),
-                        initial=0.0))
+    abel = float(np.max(np.abs(t["bracket"]), initial=0.0))
     harm = float(np.max(np.abs(t["lap"]), initial=0.0))
     return Classification(
         holomorphic=holo < tol, abelian=abel < tol, harmonic=harm < tol,
@@ -571,7 +580,7 @@ def _pick_slice_pair(sys: GradientSystem, p) -> int:
     """The complex coordinate line most orthogonal to the span of
     {xi_a(p), J xi_a(p)}: the pair of unit vectors most outside that span."""
     xi = np.stack([f.program(p[None])[0] for f in sys.fields], axis=1)
-    r = span_residuals(np.hstack([xi, j_rotate(xi.T).T]), np.eye(sys.chart.dim))
+    r = Span(np.hstack([xi, j_rotate(xi.T).T])).residuals(np.eye(sys.chart.dim))
     return int(np.argmax((r * r).reshape(-1, 2).sum(axis=1)))
 
 

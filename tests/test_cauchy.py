@@ -21,7 +21,7 @@ from cgsys.flow import (
     numerical_jacobian,
 )
 from cgsys.cauchy import (
-    PARAM_SPREAD, ConstructionError, CRInitialData, TransversalityError,
+    CONSTRUCTION_TOL, PARAM_SPREAD, ConstructionError, CRInitialData, TransversalityError,
     build_dF, build_F, check_cr_transverse, compute_PQA, construct_fields,
     frobenius_defect_on_M, grid_queries, param_samples, solve, validate_tangency,
 )
@@ -388,7 +388,7 @@ def test_stacked_J_pullbacks_equal_the_per_vector_loops(name, request):
         assert np.array_equal(frame.Jt, Jt)
         assert np.array_equal(frame.jh_adapted, frame.lifts @ Jt.T)
         assert np.array_equal(frame.je_adapted, Jt[:, m:].T)
-        built = construct_fields(frame, CFG)
+        built = construct_fields(frame)
         jxi = built.xi_adapted @ Jt.T
         assert built.residual_dc == float(np.max(np.abs(jxi[:, m:] - np.eye(k))))
         assert np.array_equal(built.jxi_ambient,
@@ -476,20 +476,20 @@ def test_frames_without_the_det_test_refuse_a_singular_P_alone(heis_data):
 def test_fields_refuse_an_ill_conditioned_dF_alone(name, mix, request):
     # column 1 of dF turned nearly parallel to column 0: dF stays regular
     # and det P passes, but du_a(xi_b) = 0 and d^c u_a(xi_b) = delta_ab
-    # miss by more than construction_tol
+    # miss by more than CONSTRUCTION_TOL
     def mixed(dF):
         dF[:, 1] = dF[:, 0] + mix * dF[:, 1]
         return dF
     frame, err = _frames_with(request.getfixturevalue(name), mixed)
     assert err is None
-    built, errors = cgsys.cauchy._construct_rows(frame, CFG)
+    built, errors = cgsys.cauchy._construct_rows(frame)
     assert errors[0] is None and errors[2] is None
     worst = max(built.residual_d[1], built.residual_dc[1])
-    assert type(errors[1]) is ConstructionError and worst > CFG.construction_tol
+    assert type(errors[1]) is ConstructionError and worst > CONSTRUCTION_TOL
     assert str(errors[1]) == (f"internal identity residual {worst:.3e} exceeds "
-                              f"{CFG.construction_tol:g}; dF is ill-conditioned here")
+                              f"{CONSTRUCTION_TOL:g}; dF is ill-conditioned here")
     with pytest.raises(ConstructionError, match="internal identity residual"):
-        construct_fields(cgsys.cauchy._row(frame, 1), CFG)
+        construct_fields(cgsys.cauchy._row(frame, 1))
 
 
 def test_line_frame_is_flat_off_M(line_data):
@@ -524,7 +524,7 @@ def test_constructed_fields_extend_initial_data(heis_data):
     P = np.random.default_rng(8).uniform(-1, 1, size=(5, 3))
     for p, rho0 in zip(P, heis_data.table.at(P)["rho0"]):
         frame = compute_PQA(heis_data, dF, p, np.zeros(3), CFG)
-        built = construct_fields(frame, CFG)
+        built = construct_fields(frame)
         assert np.max(np.abs(built.xi_ambient - rho0.T)) < 1e-8
 
 
@@ -534,7 +534,7 @@ def test_heisenberg_fields_match_closed_forms_off_M(heis_data, heis_oracle):
     p = np.array([0.4, -0.3, 0.2])
     u = np.array([0.2, 0.1, 0.0])
     frame = compute_PQA(heis_data, dF, p, u, CFG)
-    built = construct_fields(frame, CFG)
+    built = construct_fields(frame)
     q = frame.ambient
     ref = np.array([f.values(q) for f in fields])
     assert np.max(np.abs(built.xi_ambient - ref)) < 1e-5
@@ -545,10 +545,8 @@ def test_field_values_stable_under_h_refinement(heis_data):
     # central-difference dF with step 5e-7
     p = np.array([0.4, -0.3, 0.2])
     u = np.array([0.2, 0.1, 0.0])
-    a = construct_fields(compute_PQA(heis_data, build_dF(heis_data, CFG), p, u, CFG),
-                         CFG).xi_ambient
-    b = construct_fields(compute_PQA(heis_data, fd_dF(heis_data, 5e-7), p, u, CFG),
-                         CFG).xi_ambient
+    a = construct_fields(compute_PQA(heis_data, build_dF(heis_data, CFG), p, u, CFG)).xi_ambient
+    b = construct_fields(compute_PQA(heis_data, fd_dF(heis_data, 5e-7), p, u, CFG)).xi_ambient
     assert np.max(np.abs(a - b)) < 1e-6
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgsys.dsl import load_builtin, loads
 from cgsys.expr import Table, parse_expr
-from cgsys.flow import DEFAULT_CONFIG, _HolomorphicFrame
+from cgsys.flow import _HolomorphicFrame
 from cgsys.geometry import (
     ComplexChart, VectorField, cr_residuals, is_holomorphic, jet_blocks,
 )
@@ -153,7 +153,7 @@ def test_classify_the_flow_frame_and_is_holomorphic_read_one_residual(name):
     sys_ = _ambient_system() if name == "ambient" else load_builtin(name).system
     pts = sample_points(sys_, 40, 3)
     from_classify = classify(sys_, sys_.table.at(pts)).residuals["holomorphic"]
-    from_frame = np.max(_HolomorphicFrame(list(sys_.fields), DEFAULT_CONFIG).residuals(pts))
+    from_frame = np.max(_HolomorphicFrame(list(sys_.fields)).residuals(pts))
     from_fields = max(is_holomorphic(V, pts)[1] for V in sys_.fields)
     assert from_classify == from_frame == from_fields
     assert (from_classify > 1e-9) == (name in ("line-alt", "heisenberg"))

@@ -105,22 +105,28 @@ def test_check_table_blocks_match_sympy(name):
     k, frame = sys_.k, _sym_frame(sys_, syms)
     us = [to_sympy(g, syms) for g in sys_.grads]
     tab = sys_.table
-    P = tab.n_frame_pairs
+    # one bracket per frame pair i < j, in row-major order
+    assert tab.pairs == [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k)]
     brackets = [_bracket(frame[i], frame[j], xs) for i, j in tab.pairs]
+    # the checks read [J xi_a, xi_b] as the negation of [xi_b, J xi_a]
+    mixed = [_bracket(frame[k + a], frame[b], xs) for a in range(k) for b in range(k)]
     blocks = {
         "d": [[_d(u, frame[b], xs) for b in range(k)] for u in us],
         "dc": [[_dc(u, frame[b], xs) for b in range(k)] for u in us],
         "bracket": [[b[i] for b in brackets] for i in range(len(xs))],
         "t1": [[_d(_dc(u, frame[y], xs), frame[x], xs) for u in us]
-               for x, y in tab.pairs[:P]],
+               for x, y in tab.pairs],
         "t2": [[_d(_dc(u, frame[x], xs), frame[y], xs) for u in us]
-               for x, y in tab.pairs[:P]],
-        "t3": [[_dc(u, b, xs) for u in us] for b in brackets[:P]],
+               for x, y in tab.pairs],
+        "t3": [[_dc(u, b, xs) for u in us] for b in brackets],
         "lap": [sum(sympy.diff(u, x, 2) for x in xs) for u in us],
+        "mixed": [[b[i] for b in mixed] for i in range(len(xs))],
     }
     refs = {block: _evaluator(exprs, xs) for block, exprs in blocks.items()}
     pts = sample_points(sys_, 6, seed=17)
     t = tab.at(pts)
+    assert t["bracket"].shape == (6, 2 * sys_.chart.N, k * (2 * k - 1))
+    t["mixed"] = -t["bracket"][..., [tab.row[(b, k + a)] for a in range(k) for b in range(k)]]
     for block, ref in refs.items():
         want = np.array([ref(p) for p in pts])
         assert t[block].shape == want.shape, block

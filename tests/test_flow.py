@@ -11,6 +11,7 @@ import scipy.linalg
 import cgsys.flow
 from cgsys.expr import DomainError, add, diff, evaluate, sub
 from cgsys.flow import (
+    DIVERGENCE_BOUND, HOLOMORPHY_TOL, MAX_TIME,
     ComplexFlow, DivergenceError, EmbeddingError, FlowConfig, FlowError,
     HolomorphyError, MatrixGroupSpec, NewtonError, complexified_flow_jacobian,
     complexified_flow_matrix, flow_complex_multi, flow_real, left_invariant_fields, matrix_exp, newton_inverse, newton_rows,
@@ -89,7 +90,7 @@ def test_flow_divergence_guard():
     chart = ComplexChart.standard(1)
     V = field(chart, ["x1^2", "0"])
     with pytest.raises(DivergenceError):
-        flow_real(V, [1.0, 0.0], 2.0, FlowConfig(divergence_bound=1e3))
+        flow_real(V, [1.0, 0.0], 2.0, CFG)
 
 
 def _one_plus_z_squared(chart, rotate):
@@ -552,18 +553,18 @@ def _flow_one_row(fields, cfg, p, w, dz0):
     def check_holomorphy(zreal):
         worst = max([0.0] + [0.5 * math.hypot(r.real, r.imag)
                              for r in walk([residuals], zreal)[0]])
-        if worst > cfg.holomorphy_tol:
+        if worst > HOLOMORPHY_TOL:
             raise HolomorphyError(
                 f"field complexification violates the Cauchy-Riemann equations "
-                f"(residual {worst:.3e} > {cfg.holomorphy_tol:g}); "
+                f"(residual {worst:.3e} > {HOLOMORPHY_TOL:g}); "
                 "complex-time flow refused")
 
     w = np.asarray(w, dtype=complex)
     walk(Zs, p)
     check_holomorphy(p)
     scale = float(np.sum(np.abs(w)))
-    if scale > cfg.max_time:
-        raise FlowError(f"|w| = {scale:g} exceeds max_time {cfg.max_time:g}")
+    if scale > MAX_TIME:
+        raise FlowError(f"|w| = {scale:g} exceeds max_time {MAX_TIME:g}")
     z = p[0::2] + 1j * p[1::2]
     if dz0 is None and scale == 0.0:
         return np.ascontiguousarray(z).view(float), None
@@ -588,8 +589,8 @@ def _flow_one_row(fields, cfg, p, w, dz0):
         return out
 
     def bounded(y):
-        if np.max(np.abs(y if dz0 is None else y[0])) > cfg.divergence_bound:
-            raise DivergenceError(f"trajectory exceeded bound {cfg.divergence_bound:g}")
+        if np.max(np.abs(y if dz0 is None else y[0])) > DIVERGENCE_BOUND:
+            raise DivergenceError(f"trajectory exceeded bound {DIVERGENCE_BOUND:g}")
         return y
 
     A, b, c = (x.tolist() for x in (dop853.A[:12, :12], dop853.B, dop853.C[:12]))

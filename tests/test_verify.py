@@ -753,3 +753,55 @@ def test_verify_op_evaluates_the_check_table_once(monkeypatch, extra):
     monkeypatch.setattr(CheckTable, "at", counted)
     assert main(["verify", "heisenberg", "--points", "20", *extra]) == 0
     assert rows == [20]
+
+
+# --- one factorization per span ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_each_check_factors_its_span_once(monkeypatch, name):
+    # independence and integrability read one factorization of the 2k frame;
+    # closure and representation-involutivity one of span(xi_1..xi_k)
+    sys_ = load_builtin(name).system
+    k, dim = sys_.k, sys_.chart.dim
+    t = sys_.table.at(sample_points(sys_, 40, 3))
+    want = check_axioms(sys_, t) + check_bracket_relations(sys_, t)
+    spans = []
+
+    class Counted(cgsys.verify.Span):
+        def __init__(self, S):
+            spans.append(np.shape(S))
+            super().__init__(S)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check took a rank apart from its span's factorization")
+
+    monkeypatch.setattr(cgsys.verify, "Span", Counted)
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    got = check_axioms(sys_, t)
+    assert spans == [(40, dim, 2 * k)]
+    spans.clear()
+    got += check_bracket_relations(sys_, t)
+    assert spans == [(40, dim, k)]
+    for c, ref in zip(got, want):
+        assert np.array_equal(c.residuals, ref.residuals), c.name
+
+
+def test_verify_op_takes_two_svd_stacks_over_its_points(monkeypatch):
+    # the frame and span(xi) at the 60 sample points; the decomposition
+    # check factors its own 25 rows
+    sizes, ranks = [], []
+    svd, matrix_rank = np.linalg.svd, np.linalg.matrix_rank
+
+    def counted_svd(M, *args, **kwargs):
+        sizes.append(len(M))
+        return svd(M, *args, **kwargs)
+
+    def counted_rank(M, *args, **kwargs):
+        ranks.append(len(M))
+        return matrix_rank(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
+    assert main(["verify", "heisenberg", "--points", "60"]) == 0
+    assert sizes.count(60) == 2 and 60 not in ranks
