@@ -78,7 +78,7 @@ from .flow import (
     left_invariant_fields, newton_rows, solve_rows,
 )
 from .geometry import (
-    ComplexChart, VectorField, bracket_values, j_rotate,
+    ComplexChart, Span, VectorField, bracket_values, j_rotate,
     jet_blocks, jets_at, span_residuals,
 )
 
@@ -194,10 +194,10 @@ class CRInitialData:
 
     def complex_flow(self, cfg: FlowConfig) -> ComplexFlow:
         """The ComplexFlow of the ambient fields under cfg, made once per
-        data object and config."""
+        data object and config on the jets the check table compiled."""
         flows = self.__dict__.setdefault("_flows", {})
         if cfg not in flows:
-            flows[cfg] = ComplexFlow(self.ambient_fields, cfg)
+            flows[cfg] = ComplexFlow(self.table.fields, cfg)
         return flows[cfg]
 
     def sigma_rows(self, P):
@@ -288,7 +288,7 @@ def check_cr_transverse(data: CRInitialData, t) -> TransversalityResult:
         raise fault
     required = 2 * data.n + 2 * data.k
     M = np.concatenate([t["dsigma"], j_rotate(t["rho0"], axis=1)], axis=2)[inside]
-    ranks = np.linalg.matrix_rank(M)
+    ranks = Span(M).rank
     witnesses = list(t["p"][inside][ranks < required])
     return TransversalityResult(not witnesses, witnesses,
                                 int(min(ranks, default=required)), required)
@@ -443,7 +443,7 @@ def _tangent_coeffs(data: CRInitialData, P):
     return coeffs, _scatter_errors(errors, ok, field_errors)
 
 
-def _frames(data: CRInitialData, params, u, ambient, dF, check_det: bool = True):
+def _frames(data: CRInitialData, params, u, ambient, dF):
     """The adapted frames at the rows (params, u), given F and dF there: one
     stacked AdaptedFrame and per row None or the error that refuses it.
     Jt = dF^-1 J dF comes from one stacked solve (NaN at a singular dF)."""
@@ -460,23 +460,21 @@ def _frames(data: CRInitialData, params, u, ambient, dF, check_det: bool = True)
     Q = Jt[:, m:, m:]                              # Q[a, b] = u_a-component of J d/du_b
     with np.errstate(invalid="ignore"):      # NaN at a singular dF
         det = np.linalg.det(P)
-    A, singular_P = solve_rows(P, Q)
+    A, _ = solve_rows(P, Q)
     for i, err in enumerate(errors):
         if err is not None:
             continue
         if singular[i]:
             errors[i] = OutsideDomainError("dF is numerically singular at this point")
-        elif check_det and abs(det[i]) <= 1e-10:
+        elif abs(det[i]) <= 1e-10:
             errors[i] = OutsideDomainError(
                 f"det P = {det[i]:.3e}: point lies outside the construction domain")
-        elif singular_P[i]:
-            errors[i] = np.linalg.LinAlgError("Singular matrix")
     frame = AdaptedFrame(params, u, ambient, dF, Jt, lifts, jh_adapted, je_adapted, P, Q, A)
     return frame, errors
 
 
-def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CONFIG,
-                check_det: bool = True) -> AdaptedFrame:
+def compute_PQA(data: CRInitialData, dF_map, p, u,
+                cfg: FlowConfig = DEFAULT_CONFIG) -> AdaptedFrame:
     """Evaluate dF, the lifted frame, and the matrices P, Q, A at (p, u).
 
     ``dF_map`` is the stacked map of build_dF(data, cfg), or None to build
@@ -489,7 +487,7 @@ def compute_PQA(data: CRInitialData, dF_map, p, u, cfg: FlowConfig = DEFAULT_CON
     dF_map = build_dF(data, cfg) if dF_map is None else dF_map
     ambient, dF, errors, _ = dF_map(P, U)
     _raise_first(errors)
-    frame, errors = _frames(data, P, U, ambient, dF, check_det)
+    frame, errors = _frames(data, P, U, ambient, dF)
     _raise_first(errors)
     return _row(frame, 0)
 

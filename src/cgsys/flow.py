@@ -65,7 +65,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expr import Const, Expr, Table, Var, add, mul
-from .geometry import ComplexChart, VectorField, cr_residuals, jet_blocks
+from .geometry import ComplexChart, Span, VectorField, cr_residuals, jet_blocks
 
 __all__ = [
     "FlowConfig", "FlowError", "DivergenceError", "HolomorphyError",
@@ -386,7 +386,7 @@ class MatrixGroupSpec:
         if not self.basis or any(np.shape(E) != (m, m) for E in self.basis):
             raise ValueError(f"need at least one {m}x{m} algebra basis matrix")
         flat = np.stack([np.asarray(E, dtype=float).ravel() for E in self.basis])
-        if np.linalg.matrix_rank(flat) != len(self.basis):
+        if Span(flat.T).rank != len(self.basis):
             raise ValueError("algebra basis matrices must be linearly independent")
 
     @property
@@ -531,14 +531,21 @@ class _HolomorphicFrame:
     tangents reads dZ/dz off DX.  ``at`` runs it over a stack of chart rows
     and, where ``checks_holomorphy``, reads the Cauchy-Riemann residuals
     |dZ/dzbar| of DX (``cr_residuals``), which checks holomorphy;
-    ``residuals`` reads only those.
+    ``residuals`` reads only those.  It is made from the fields or from
+    their jets already compiled, a Table of ``jet_blocks((), fields,
+    chart)``, which a caller that has compiled them shares.
     """
 
     def __init__(self, fields):
-        self.chart = chart = fields[0].chart
-        k, N = self.shape = (len(fields), chart.N)
-        jets = Table(jet_blocks((), fields, chart), chart.names)
+        if isinstance(fields, Table):
+            jets = fields
+        else:
+            fields = list(fields)
+            jets = Table(jet_blocks((), fields, fields[0].chart), fields[0].chart.names)
         self.program = jets.program
+        dim = len(self.program.names)
+        # the outputs are X (k, 2N) and DX (k, 2N, 2N)
+        k, N = self.shape = (len(jets.exprs) // (dim + dim * dim), dim // 2)
         DX = jets.exprs[2 * k * N:]
         # constant Jacobians have one residual everywhere, decided here once
         self.checks_holomorphy = not all(isinstance(e, Const) for e in DX) or bool(
@@ -595,7 +602,7 @@ class ComplexFlow:
     """Complex-time flows along a fixed list of holomorphic fields.
 
     The fields' jets and their compiled tape (``_HolomorphicFrame``) are
-    made once here.
+    made once here, or shared: ``fields`` may be their compiled jet Table.
     ``rows`` integrates a stack of trajectories of dz/ds = sum_a w_a Z_a(z)
     over s in [0, 1], row i with its own count of steps of its own size,
     all stepped together by the one Runge-Kutta loop ``_rk``, and with
@@ -613,7 +620,7 @@ class ComplexFlow:
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        self.frame = _HolomorphicFrame(list(fields))
+        self.frame = _HolomorphicFrame(fields)
         self.k = self.frame.shape[0]
         self.tol = cfg.newton_tol * STEP_TOL_FRACTION
 
@@ -701,7 +708,7 @@ class ComplexFlow:
         frame, k = self.frame, self.k
         P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
         dZ0 = None if dZ0 is None else np.asarray(dZ0, dtype=complex)
-        n, N = len(P), frame.chart.N
+        n, N = len(P), frame.shape[1]
         if P.ndim != 2 or P.shape[1] != 2 * N:
             raise ValueError(f"points must have shape (n, {2 * N}), got {P.shape}")
         if W.shape != (n, k):

@@ -307,8 +307,10 @@ def rank_cutoff(M, s) -> np.ndarray:
 
 class Span:
     """The column spans of a stack of frames S (..., d, r) from one stacked
-    SVD: ``rank`` (...,) counts the singular values above ``rank_cutoff``,
-    as ``np.linalg.matrix_rank`` counts them, and ``basis`` (..., d, r)
+    SVD, the one rank of cgsys: every dimension count reads ``rank``.
+    ``s`` (..., min(d, r)) holds the singular values in descending order,
+    ``rank`` (...,) counts those above ``rank_cutoff``, as
+    ``np.linalg.matrix_rank`` counts them, and ``basis`` (..., d, min(d, r))
     holds the left-singular vectors of those values, the other columns
     zeroed.  Projecting on ``basis`` stands for a least-squares solve per
     column with the cutoff of ``np.linalg.lstsq(rcond=None)``, so
@@ -316,8 +318,8 @@ class Span:
     Matrix Computations, 4th ed., 2013, on numerical rank)."""
 
     def __init__(self, S):
-        U, s, _ = np.linalg.svd(S, full_matrices=False)
-        keep = s > rank_cutoff(S, s)
+        U, self.s, _ = np.linalg.svd(S, full_matrices=False)
+        keep = self.s > rank_cutoff(S, self.s)
         self.rank = np.sum(keep, axis=-1)
         self.basis = U * keep[..., None, :]
 

@@ -20,7 +20,10 @@ gradients and composes brackets, d^c and the dd^c terms from their values;
 every check is a numpy reduction over the blocks ``t = sys.table.at(pts)``
 it is handed.  The table holds one bracket per frame pair i < j, and a
 check that reads a span factors it once (``geometry.Span``): its rank and
-every projection on it come from one stacked SVD.  ``verify_system``
+every projection on it come from one stacked SVD.  Every dimension count
+is such a rank, the decompositions' and the level set's too; the tangent
+splitting counts its total rank by rank-nullity, without a kernel basis.
+``verify_system``
 draws one point set, evaluates the table there once and hands every check
 those blocks or their first rows, so identical seed and configuration
 reproduce identical residual tables bit for bit.  A domain fault at a
@@ -297,7 +300,10 @@ def check_axioms(sys: GradientSystem, t, tol: float = 1e-9) -> list[CheckResult]
 
 @dataclass
 class DecompositionRecord:
-    """Rank arithmetic of the tangent splittings at one point."""
+    """Rank arithmetic of the tangent splittings at one point.  Every count
+    is a ``Span`` rank; ``rank_total``, the rank of the frame beside the
+    horizontal space ker dU cap ker d^c U, is counted by rank-nullity as
+    ``dim_horizontal`` + rank (M frame) for M = [dU; d^c U]."""
 
     rank_representation: int     # expect k
     rank_span: int               # expect 2k
@@ -314,21 +320,12 @@ class DecompositionRecord:
                 and self.residual_gradient_on_rep < 1e-8)
 
 
-def _svd_rank(M, vectors: bool = False):
-    """The singular values s of M, or of each matrix of a stack, its
-    numerical rank r and, with ``vectors``, its right-singular vectors (else
-    None): singular values at or below ``rank_cutoff`` count as zero, as
-    np.linalg.matrix_rank counts them, and the vectors from row r on span
-    the kernel.  Without vectors s is matrix_rank's own."""
-    _, s, vt = np.linalg.svd(M) if vectors else (None, np.linalg.svd(M, compute_uv=False), None)
-    return s, np.sum(s > rank_cutoff(M, s), axis=-1), vt
-
-
 def _horizontal_system(G) -> np.ndarray:
-    """[dU; d^c U] over a stack of differential rows G (n, k, 2N), with
-    d^c U = -dU o J, J applied to each row (J^T = -J): its kernel is
-    ker dU cap ker d^c U."""
-    return np.concatenate([G, j_rotate(G)], axis=1)
+    """The columns du_a and d^c u_a (n, 2N, 2k) of a stack of differential
+    rows G (n, k, 2N), with d^c U = -dU o J, J applied to each row
+    (J^T = -J): the horizontal space ker dU cap ker d^c U is the orthogonal
+    complement of their span."""
+    return np.swapaxes(np.concatenate([G, j_rotate(G)], axis=1), 1, 2)
 
 
 def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
@@ -336,23 +333,25 @@ def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
     rank arithmetic: the representation span sits inside ker dU, the span
     plus its J-rotation is 2k-dimensional, and the horizontal space
     ker dU cap ker d^c U supplies the remaining 2n directions.  One record
-    per row; every rank is taken over the whole stack, the total rank once
-    for each dimension of the horizontal space that occurs."""
+    per row; every rank is read off a ``Span`` of the whole stack.  No
+    kernel basis is built: by rank-nullity, ``rank_total`` = rank
+    [frame | ker M] = (2N - rank M) + rank (M frame) for M = [dU; d^c U],
+    and M frame is the 2k x 2k block [[d, -d^c], [d^c, d]] of the table's
+    own ``d`` and ``dc`` blocks, since du(J xi) = -d^c u(xi) and
+    d^c u(J xi) = du(xi).  The block carries the rounding of |M| |frame|,
+    so its singular values are cut off on that scale, not on its own: a
+    frame inside ker M gives a block of rounding errors alone, of rank 0."""
     k, N = sys.k, sys.chart.N
-    G, span = t["grad"], t["frame"]
-    Xi = span[..., :k]
-    _, rank_M, vt = _svd_rank(_horizontal_system(G), vectors=True)
-    s, rank_span, _ = _svd_rank(span)
-    rank_total = np.zeros(len(span), dtype=int)
-    for r in np.unique(rank_M):
-        rows = np.flatnonzero(rank_M == r)
-        # the horizontal space is spanned by the rows r on of vt
-        rank_total[rows] = _svd_rank(np.concatenate(
-            [span[rows], np.swapaxes(vt[rows, r:], 1, 2)], axis=2))[1]
-    ranks = zip(np.linalg.matrix_rank(Xi), rank_span, np.linalg.matrix_rank(G),
-                2 * N - rank_M, rank_total)
-    residual = np.abs(t["d"]).max(axis=(1, 2))
+    G, d, dc = t["grad"], t["d"], t["dc"]
+    frame, M = Span(t["frame"]), Span(_horizontal_system(G))
+    block = Span(np.block([[d, -dc], [dc, d]]))
+    cutoff = rank_cutoff(t["frame"], M.s[:, :1] * frame.s[:, :1])
+    rank_total = 2 * N - M.rank + np.sum(block.s > cutoff, axis=-1)
+    ranks = zip(Span(t["frame"][..., :k]).rank, frame.rank, Span(G).rank,
+                2 * N - M.rank, rank_total)
+    residual = np.abs(d).max(axis=(1, 2))
     # flag rank decisions sitting close to the SVD cutoff
+    s = frame.s
     close = np.divide(s[:, 0], s[:, -1], out=np.zeros(len(s)),
                       where=s[:, -1] > 0) > 1e10
     expected = {"rank_representation": k, "rank_span": 2 * k, "rank_gradient": k,
@@ -530,11 +529,11 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8,
             found.append(i)
     # T cap JT = ker dU cap ker d^c U
     G, n = newton.jac[found], sys.chart.N - k
-    hdims = (sys.chart.dim - np.linalg.matrix_rank(_horizontal_system(G))) // 2
+    hdims = (sys.chart.dim - Span(_horizontal_system(G)).rank) // 2
     note = ("level set appears empty for this target" if not found else
             "" if all(hdims == n) else
             f"holomorphic tangent dimension {hdims.tolist()} differs from {n}")
-    return LevelSetRecord(V, newton.x[found], np.linalg.matrix_rank(G).tolist(),
+    return LevelSetRecord(V, newton.x[found], Span(G).rank.tolist(),
                           hdims.tolist(), note=note)
 
 

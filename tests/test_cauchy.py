@@ -25,7 +25,7 @@ from cgsys.cauchy import (
     build_dF, build_F, check_cr_transverse, compute_PQA, construct_fields,
     frobenius_defect_on_M, grid_queries, param_samples, solve, validate_tangency,
 )
-from cgsys.geometry import ComplexChart, VectorField, field_matrix, pair_brackets
+from cgsys.geometry import ComplexChart, VectorField, field_matrix, jet_blocks, pair_brackets
 
 CFG = FlowConfig()
 
@@ -423,7 +423,7 @@ def test_non_involutive_data_is_solved_pointwise_with_a_note(tmp_path, capsys):
     assert lines[-2:] == [f"note: {sol.integrability_note}", "verdict: pass"]
 
 
-def _frames_with(data, refused, check_det=True):
+def _frames_with(data, refused):
     """_frames at three solved rows of ``data`` with ``refused`` (a map of
     the solved dF to a dF) put in as row 1, and the frames of the three
     rows alone; asserts that the other rows are as they are alone."""
@@ -432,10 +432,10 @@ def _frames_with(data, refused, check_det=True):
     P, U = data.base + rng.uniform(-0.3, 0.3, (3, m)), rng.uniform(-0.2, 0.2, (3, k))
     ambient, dF, _, _ = build_dF(data, CFG)(P, U)
     dF[1] = refused(dF[1])
-    frame, errors = cgsys.cauchy._frames(data, P, U, ambient, dF, check_det)
+    frame, errors = cgsys.cauchy._frames(data, P, U, ambient, dF)
     for i in (0, 2):
         alone, alone_errors = cgsys.cauchy._frames(
-            data, P[i:i + 1], U[i:i + 1], ambient[i:i + 1], dF[i:i + 1], check_det)
+            data, P[i:i + 1], U[i:i + 1], ambient[i:i + 1], dF[i:i + 1])
         assert errors[i] is None and alone_errors == [None]
         for f in dataclasses.fields(frame):
             assert np.array_equal(getattr(frame, f.name)[i], getattr(alone, f.name)[0])
@@ -463,13 +463,15 @@ def test_frames_refuse_a_small_det_P_alone(heis_data):
     assert str(err) == f"det P = {det:.3e}: point lies outside the construction domain"
 
 
-def test_frames_without_the_det_test_refuse_a_singular_P_alone(heis_data):
+def test_frames_refuse_a_singular_P_by_its_det_alone(heis_data):
     # p1, p2, p3 go to x1, y1, x2: J h_b lies in the image of the parameter
-    # directions except for its y2 part, so P has rank one and dF is regular
+    # directions except for its y2 part, so P has rank one and dF is regular;
+    # a P that LU finds singular has det 0, so the det test refuses it
     def permuted(dF):
         return np.eye(6)
-    _, err = _frames_with(heis_data, permuted, check_det=False)
-    assert type(err) is np.linalg.LinAlgError and str(err) == "Singular matrix"
+    _, err = _frames_with(heis_data, permuted)
+    assert type(err) is cgsys.cauchy.OutsideDomainError
+    assert str(err) == "det P = 0.000e+00: point lies outside the construction domain"
 
 
 @pytest.mark.parametrize("name, mix", [("line_data", 1e-6), ("affine_data", 1e-10)])
@@ -514,7 +516,7 @@ def test_invariant_lift_matches_refined_differences(heis_data):
     # dF with step 5e-7
     p = np.array([0.1, -0.2, 0.3])
     u = np.array([0.1, 0.0, 0.0])
-    exact, fd = (compute_PQA(heis_data, dF, p, u, CFG, check_det=False)
+    exact, fd = (compute_PQA(heis_data, dF, p, u, CFG)
                  for dF in (build_dF(heis_data, CFG), fd_dF(heis_data, 5e-7)))
     assert np.max(np.abs(exact.dF @ exact.lifts.T - fd.dF @ fd.lifts.T)) < 1e-6
 
@@ -1020,6 +1022,29 @@ def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):
         built.clear()
         assert main(argv) == 0
         assert len(built) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["line", "ambient", "heisenberg-cr", "affine"])
+def test_cauchy_op_compiles_its_fields_jets_once(name, tmp_path, monkeypatch, capsys):
+    # the check table and the complex flow share the data's one jet Table;
+    # group data compiles it once too, for the checks alone
+    sf = _ambient_file() if name == "ambient" else load_builtin(name)
+    path = tmp_path / f"{name}.cgs"
+    path.write_text(sf.text)
+    jets = [e for _, _, block in jet_blocks((), sf.cr.ambient_fields, sf.chart) for e in block]
+    compiled = []
+    inner = cgsys.expr.compile_exprs
+
+    def counted(exprs, names):
+        compiled.append(list(exprs))
+        return inner(exprs, names)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "cgsys" and getattr(module, "compile_exprs", None) is inner:
+            monkeypatch.setattr(module, "compile_exprs", counted)
+    assert main(["cauchy", str(path), "--grid", "3"]) == 0
+    assert sum(exprs == jets for exprs in compiled) == 1
     capsys.readouterr()
 
 

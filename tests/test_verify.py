@@ -2,16 +2,19 @@
 commutation, classification, level sets and the normal form."""
 
 import json
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cgsys.dsl import builtin_names, load_builtin
 from cgsys.expr import DomainError, diff, evaluate, parse_expr
 from cgsys.flow import FlowConfig, flow_real, numerical_jacobian
 from cgsys.geometry import (
-    ComplexChart, VectorField, apply_J, env_at, field_matrix, j_matrix, j_rotate,
-    lie_bracket,
+    ComplexChart, Span, VectorField, apply_J, d_values, dc_values, env_at, field_matrix,
+    j_matrix, j_rotate, lie_bracket,
 )
 import cgsys.flow
 import cgsys.verify
@@ -286,6 +289,14 @@ def test_stacked_decompositions_equal_the_row_by_row_ranks(heis, affine, line, m
     fold = system(chart, [field(chart, ["0", "0", "1", "0"])], ["x1^2"], name="fold")
     cases = [(sys_, sys_.table.at(sample_points(sys_, 60, 4)))
              for sys_ in (heis, affine, line, model, broken)]
+    # U constant: dU = 0, so M = [dU; d^c U] vanishes
+    line1 = ComplexChart.standard(1)
+    degenerate = system(line1, [field(line1, ["1", "0"])], ["2"], name="degenerate")
+    cases.append((degenerate, degenerate.table.at([[0.1, 0.2], [-0.5, 0.3]])))
+    # xi = x2 d/dx2 vanishes where x2 = 0
+    vanishing = system(chart, [field(chart, ["0", "0", "x2", "0"])], ["-y2"], name="vanishing")
+    cases.append((vanishing, vanishing.table.at([[0.1, 0.2, 0.0, 0.3], [0.5, -0.1, 0.7, 0.2],
+                                                 [0.0, 0.0, 0.0, 0.0]])))
     cases.append((fold, fold.table.at([[0.5, -0.2, 0.1, 0.0], [0.0, 0.3, 0.0, 1.0],
                                        [-1.5, 0.0, 0.2, 0.2], [0.0, 1.0, -0.4, 0.0]])))
     for sys_, t in cases:
@@ -293,6 +304,51 @@ def test_stacked_decompositions_equal_the_row_by_row_ranks(heis, affine, line, m
                 r.rank_total, bool(r.warning)) for r in check_decompositions(sys_, t)]
         assert got == _decomposition_ranks_row_by_row(sys_, t), sys_.name
     assert [rec.dim_horizontal for rec in check_decompositions(*cases[-1])] == [2, 4, 2, 4]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(N=st.integers(1, 3), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       plant=st.sampled_from(["none", "zero row", "repeated row", "zero field",
+                              "repeated field", "fields in ker dU", "fields in ker M"]))
+def test_rank_total_is_rank_nullity_of_the_frame_and_ker_M(N, k, seed, plant):
+    # rank [frame | ker M] = (2N - rank M) + rank (M frame), M = [dU; d^c U],
+    # on random small-integer G (k x 2N) and fields xi with planted
+    # degeneracies, against numpy's rank of the frame, scaled to norm 1 as the
+    # kernel basis is (a rank is scale-free), beside a kernel basis of M.
+    # Fields projected into a kernel keep rounding errors, so a rank decision
+    # is compared where it is clear: no singular value within a factor 4 of
+    # numpy's cutoff.  A frame inside ker M gives an M frame of rounding
+    # errors alone, whose rank is 0 on the scale |M| |frame|.
+    k = min(k, N)
+    rng = np.random.default_rng(seed)
+    G = rng.integers(-2, 3, (k, 2 * N)).astype(float)
+    xi = rng.integers(-2, 3, (2 * N, k)).astype(float)
+    if plant == "zero row":
+        G[-1] = 0.0
+    elif plant == "repeated row" and k > 1:
+        G[-1] = G[0]
+    elif plant == "zero field":
+        xi[:, -1] = 0.0
+    elif plant == "repeated field" and k > 1:
+        xi[:, -1] = xi[:, 0]
+    sys_ = SimpleNamespace(k=k, chart=ComplexChart.standard(N))
+    M = np.concatenate([G, G @ j_matrix(sys_.chart).T])
+    if plant.startswith("fields in ker"):
+        A = G if plant == "fields in ker dU" else M
+        xi -= np.linalg.pinv(A) @ (A @ xi)
+    frame = np.concatenate([xi, j_rotate(xi, axis=0)], axis=1)
+    t = {"grad": G[None], "frame": frame[None],
+         "d": d_values(G[..., None], xi.T[..., None])[..., 0][None],
+         "dc": dc_values(G[..., None], xi.T[..., None])[..., 0][None]}
+    [rec] = check_decompositions(sys_, t)
+    kernel = np.linalg.svd(M)[2][np.linalg.matrix_rank(M):].T
+    assert rec.dim_horizontal == kernel.shape[1]
+    unit = frame / max(np.linalg.norm(frame, 2), np.finfo(float).tiny)
+    beside = np.hstack([unit, kernel])
+    s = np.linalg.svd(beside, compute_uv=False)
+    cutoff = max(beside.shape) * np.finfo(float).eps * s[0]
+    assume(np.all((s > 4 * cutoff) | (s <= cutoff / 4)))
+    assert rec.rank_total == np.sum(s > cutoff)
 
 
 # --- bracket relations ----------------------------------------------------------
@@ -805,3 +861,33 @@ def test_verify_op_takes_two_svd_stacks_over_its_points(monkeypatch):
     monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
     assert main(["verify", "heisenberg", "--points", "60"]) == 0
     assert sizes.count(60) == 2 and 60 not in ranks
+
+
+def test_every_rank_of_an_op_is_a_span_rank(monkeypatch, capsys):
+    # transversality, the decompositions, the level set and the group-basis
+    # check (loading heisenberg-cr and affine) all count by geometry.Span
+    callers = set()
+    svd = np.linalg.svd
+
+    def traced_svd(M, *args, **kwargs):
+        callers.add(sys._getframe(1).f_code)
+        return svd(M, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rank was taken apart from geometry.Span")
+
+    monkeypatch.setattr(np.linalg, "svd", traced_svd)
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    normal_forms = {"line", "model-k1", "model-k1-rotated"}
+    for name in builtin_names():
+        sf = load_builtin(name)
+        if sf.system is not None:
+            level = ",".join(str(0.1 * (a + 1)) for a in range(sf.system.k))
+            failing = int(name == "broken-demo")
+            assert main(["verify", name]) == failing, name
+            assert main(["verify", name, "--points", "20", f"--level-set={level}"]) == failing
+            assert main(["normal-form", name]) == int(name not in normal_forms), name
+        if sf.cr is not None:
+            assert main(["cauchy", name]) == int(name == "non-transverse-demo"), name
+    assert callers == {Span.__init__.__code__}
+    capsys.readouterr()
