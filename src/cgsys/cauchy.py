@@ -79,7 +79,7 @@ from .flow import (
 )
 from .geometry import (
     ComplexChart, Span, VectorField, bracket_values, j_rotate,
-    jet_blocks, jets_at, span_residuals,
+    jet_blocks, jets_at, span_residuals, to_chart, to_complex,
 )
 
 __all__ = [
@@ -212,17 +212,17 @@ class CRInitialData:
 class CRTable(Table):
     """The compiled table of the data checks over the parameters.
 
-    ``at(P)`` returns the blocks ``p`` (m,) the parameters, ``sigma`` (2N,),
-    ``dsigma`` (2N, m), and ``rho0`` (2N, k) and ``bracket`` (2N, B) the
-    initial fields and their brackets [rho0_i, rho0_j], i < j, at sigma as
-    columns.  The Table compiles sigma and its partials over the parameters;
-    the fields and their Jacobians (``jet_blocks``), compiled over the
-    chart, are evaluated at sigma, and the brackets composed from them."""
+    ``at(P)`` returns the blocks ``p`` (m,) the parameter rows P themselves,
+    ``sigma`` (2N,), ``dsigma`` (2N, m), and ``rho0`` (2N, k) and
+    ``bracket`` (2N, B) the initial fields and their brackets [rho0_i,
+    rho0_j], i < j, at sigma as columns.  The Table compiles sigma and its
+    partials over the parameters; the fields and their Jacobians
+    (``jet_blocks``), compiled over the chart, are evaluated at sigma, and
+    the brackets composed from them."""
 
     def __init__(self, data: CRInitialData):
         names, dim = data.param_names, data.chart.dim
         super().__init__([
-            ("p", (len(names),), [Var(name) for name in names]),
             ("sigma", (dim,), list(data.sigma)),
             ("dsigma", (dim, len(names)),
              [diff(s, name) for s in data.sigma for name in names]),
@@ -232,6 +232,7 @@ class CRTable(Table):
 
     def at(self, P) -> dict[str, np.ndarray]:
         t = super().at(P)
+        t["p"] = np.asarray(P, dtype=float)
         jets = jets_at(self.fields, t["sigma"])
         t["rho0"] = np.transpose(jets["X"], (2, 1, 0))
         t["bracket"] = np.transpose(bracket_values(jets["X"], jets["DX"], self.pairs), (2, 1, 0))
@@ -341,14 +342,14 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
         points, estimates = np.full(S.shape, np.nan), np.full(len(S), np.nan)
         ok = np.flatnonzero([e is None for e in errors])
         points[ok], Y, flow_errors, estimates[ok] = flow.rows(
-            S[ok], W[ok], (D[ok, 0::2] + 1j * D[ok, 1::2]) if jac else None,
+            S[ok], W[ok], to_complex(D[ok], axis=1) if jac else None,
             None if nsteps is None else np.asarray(nsteps)[ok])
         errors = _scatter_errors(errors, ok, flow_errors)
         if not jac:
             return points, errors
         J = np.full((len(S), S.shape[1], m + k), np.nan)
         Y[:, :, m:] *= 1j
-        J[ok, 0::2], J[ok, 1::2] = Y.real, Y.imag
+        J[ok] = to_chart(Y, axis=1)
         return points, J, errors, estimates
 
     return rows

@@ -27,7 +27,7 @@ from .flow import DEFAULT_CONFIG, FlowConfig, FlowError
 from .report import build_document, check_entry, input_digest, write_report
 from .verify import (
     GridSpec, NormalFormRefusal, SamplingError, check_level_set, normal_form,
-    verify_system,
+    symmetric_axis, verify_system,
 )
 
 __all__ = ["main"]
@@ -142,9 +142,7 @@ def cmd_cauchy(args) -> int:
     data = sf.cr
     check_rows(grid ** data.k, f"grid^k = {grid}^{data.k}")
     try:
-        # the halved span cannot overflow, and doubling is exact: these are
-        # linspace(-extent, extent)'s values for every extent whose span is finite
-        axes = [2.0 * np.linspace(-extent / 2, extent / 2, grid)] * data.k
+        axes = [symmetric_axis(extent, grid)] * data.k
         queries = grid_queries(data, axes, cfg=cfg)
         sol = solve(data, queries, cfg, oracle=sf.oracle)
     except TransversalityError as err:
@@ -263,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=int, default=None, help="seed of verify's sample "
+                        "points; cauchy and normal-form accept it but draw no samples from it")
     common.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("verify", parents=[common],

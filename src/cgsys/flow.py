@@ -65,7 +65,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expr import Const, Expr, Table, Var, add, mul
-from .geometry import ComplexChart, Span, VectorField, cr_residuals, jet_blocks
+from .geometry import (
+    ComplexChart, Span, VectorField, cr_residuals, holomorphic_jacobians, jet_blocks,
+    to_chart, to_complex,
+)
 
 __all__ = [
     "FlowConfig", "FlowError", "DivergenceError", "HolomorphyError",
@@ -284,7 +287,7 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG):
         return V.program(state), None
 
     def guard(_, state):
-        if np.max(np.abs(state)) > DIVERGENCE_BOUND:
+        if not np.max(np.abs(state)) <= DIVERGENCE_BOUND:
             raise DivergenceError(f"trajectory exceeded bound {DIVERGENCE_BOUND:g}")
 
     if t != 0.0:
@@ -404,7 +407,7 @@ class MatrixGroupSpec:
     def embed_tangent(self, v) -> np.ndarray:
         """Chart tangent vector -> complex matrix: the linear part of embed.
         A stack of vectors (..., 2N) gives a stack of matrices."""
-        z = np.ascontiguousarray(v, dtype=float).view(complex)
+        z = to_complex(v)
         M = np.zeros(z.shape[:-1] + self.base.shape, dtype=complex)
         M[(..., *zip(*self.positions))] = z
         return M
@@ -412,7 +415,7 @@ class MatrixGroupSpec:
     def read_slots(self, M) -> np.ndarray:
         """The chart vector held in the coordinate slots of a complex matrix
         (of each matrix of a stack)."""
-        return _complex_to_real(np.asarray(M)[(..., *zip(*self.positions))])
+        return to_chart(np.asarray(M)[(..., *zip(*self.positions))])
 
     def unembed_rows(self, M):
         """Complex group matrices (n, m, m) -> their chart points, and per
@@ -581,21 +584,16 @@ class _HolomorphicFrame:
         vals, faults = self.program.rows(X, labels)
         refused = {j: err for j, err in enumerate(faults) if err} if any(faults) else {}
         (k, N), m = self.shape, len(X)
-        Z = vals.view(complex)[:, :k * N].reshape(m, k, N)
+        Z = to_complex(vals[:, :2 * k * N]).reshape(m, k, N)
         DX = vals[:, 2 * k * N:].reshape(m, k, 2 * N, 2 * N)
         if self.checks_holomorphy:
             worst = self._worst(vals)
-            for j in np.flatnonzero(worst > HOLOMORPHY_TOL):
+            for j in (worst > HOLOMORPHY_TOL).nonzero()[0]:
                 refused.setdefault(j, HolomorphyError(
                     f"field complexification violates the Cauchy-Riemann "
                     f"equations (residual {worst[j]:.3e} > {HOLOMORPHY_TOL:g}); "
                     "complex-time flow refused"))
         return Z, DX, refused
-
-
-def _complex_to_real(z: np.ndarray) -> np.ndarray:
-    """The chart vector of z: complex128 memory is its (re, im) pairs."""
-    return np.ascontiguousarray(z, dtype=complex).view(float)
 
 
 class ComplexFlow:
@@ -698,10 +696,12 @@ class ComplexFlow:
         refuses row i (its outputs NaN): a HolomorphyError or DomainError
         (naming row i as labels[i], default i) of the fields at its start
         point, a state it reads holomorphy at or its end point, a
-        DivergenceError of a stage state or a step's end, or a FlowError
-        when |w_i|_1 exceeds MAX_TIME.  Row i takes nsteps[i] steps of size
-        1/nsteps[i], by default the count ``_chosen`` picks for it, tangents
-        and all; without tangents a row with w_i = 0 takes none.
+        DivergenceError of a stage state, a step's end or the start point
+        of a row that takes no step (a state beyond DIVERGENCE_BOUND or not
+        finite), or a FlowError when |w_i|_1 exceeds MAX_TIME.  Row i takes
+        nsteps[i] steps of size 1/nsteps[i], by default the count
+        ``_chosen`` picks for it, tangents and all; without tangents a row
+        with w_i = 0 takes none.
         """
         if nsteps is None:
             return self._chosen(P, W, dZ0, labels)[1]
@@ -724,10 +724,10 @@ class ComplexFlow:
         nsteps = np.where(scale <= MAX_TIME, np.broadcast_to(nsteps, (n,)), 0).astype(int)
         # state rows [z; Y^T]: Y' = (sum_a w_a dZ_a/dz) Y, plus Z_a in the
         # column of dz/dw_a
-        z = (P[:, 0::2] + 1j * P[:, 1::2])[:, None]
+        z = to_complex(P)[:, None]
         if dZ0 is None:
             nsteps[scale == 0.0] = 0
-            state = z
+            state = z.copy()     # _rk writes the state, and z may view P
         else:
             r = dZ0.shape[2]
             state = np.concatenate([z, np.swapaxes(dZ0, 1, 2),
@@ -744,16 +744,13 @@ class ComplexFlow:
             return keep
 
         def velocity(rows, y):
-            Z, DX, refused = frame.at(_complex_to_real(y[:, 0]), labels[rows])
+            Z, DX, refused = frame.at(to_chart(y[:, 0]), labels[rows])
             if rows is not times[0]:
                 times[:] = rows, W[rows][:, None]
             Wr = times[1]
             if dZ0 is None:
                 return Wr @ Z, refuse(rows, refused)
-            # dZ_mu/dz_nu = DX[2 mu, 2 nu] + i DX[2 mu + 1, 2 nu] (cr_residuals)
-            dZ = np.empty((len(rows), k, N, N), dtype=complex)
-            dZ.real, dZ.imag = DX[..., 0::2, 0::2], DX[..., 1::2, 0::2]
-            A = (Wr @ dZ.reshape(len(rows), k, N * N)).reshape(-1, N, N)
+            A = (Wr @ holomorphic_jacobians(DX).reshape(len(rows), k, N * N)).reshape(-1, N, N)
             out = np.empty_like(y)
             out[:, :1] = Wr @ Z
             out[:, 1:] = y[:, 1:] @ np.swapaxes(A, 1, 2)
@@ -761,12 +758,13 @@ class ComplexFlow:
             return out, refuse(rows, refused)
 
         def guard(rows, y):
-            far = np.abs(y[:, 0]).max(axis=1) > DIVERGENCE_BOUND
-            if not far.any():
+            # not |y| <= bound, which a NaN state fails too
+            inside = np.maximum.reduce(np.abs(y[:, 0]), axis=1) <= DIVERGENCE_BOUND
+            if inside.all():
                 return None
             return refuse(rows, {j: DivergenceError(
                 f"trajectory exceeded bound {DIVERGENCE_BOUND:g}")
-                for j in np.flatnonzero(far)})
+                for j in np.flatnonzero(~inside)})
 
         # a row reads holomorphy at its start point, its 12 stage states a
         # step and its end point; where that is fewer than
@@ -789,7 +787,7 @@ class ComplexFlow:
             states = ((1 - t) ** 2 * ((1 + 2 * t) * y[at, 0] + t * h * k0[at, 0])
                       + t * t * ((3 - 2 * t) * end[at, 0] - (1 - t) * h * k1[at, 0]))
             refused = {}
-            for j, err in frame.at(_complex_to_real(states), labels[rows[at]])[2].items():
+            for j, err in frame.at(to_chart(states), labels[rows[at]])[2].items():
                 refused.setdefault(at[j], err)
             return refuse(rows, refused)
 
@@ -798,16 +796,20 @@ class ComplexFlow:
         with np.errstate(over="ignore", invalid="ignore"):
             state = _rk(velocity, state, 1.0 / np.maximum(nsteps, 1), nsteps, guard,
                         estimates, path if extra.any() else None)
-        # the end points, and the start points of rows that took no step
+        # the bound at the start points of rows that took no step (the rows
+        # that stepped met it at every stage state and step end); holomorphy
+        # at the end points, and at the start points of rows that took no step
+        idle = np.flatnonzero(nsteps == 0)
+        guard(idle, state[idle])
         rows = np.flatnonzero([err is None for err in errors])
         if frame.checks_holomorphy and len(rows):
-            refuse(rows, frame.at(_complex_to_real(state[rows, 0]), labels[rows])[2])
+            refuse(rows, frame.at(to_chart(state[rows, 0]), labels[rows])[2])
         for i, err in late.items():
             errors[i] = errors[i] or err
         failed = [err is not None for err in errors]
         state[failed], estimates[failed] = complex(np.nan, np.nan), np.nan
         Y = None if dZ0 is None else np.swapaxes(state[:, 1:], 1, 2)
-        return _complex_to_real(state[:, 0]), Y, errors, estimates
+        return to_chart(state[:, 0]), Y, errors, estimates
 
 
 def flow_complex_multi(fields, p, w, cfg: FlowConfig = DEFAULT_CONFIG) -> np.ndarray:

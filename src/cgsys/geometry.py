@@ -19,6 +19,9 @@ immutable and every operation is pure; evaluation over point batches can
 run concurrently without synchronization.  Field derivatives have one
 layout, the Jacobians DX of ``jet_blocks``, and holomorphy one residual:
 ``cr_residuals``, |dZ/dzbar| of the complexified fields read off DX.
+Chart vectors and complex coordinates have one layout too, z_mu =
+v^{x_mu} + i v^{y_mu}, which only ``to_complex`` and ``to_chart``
+convert, exactly.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from .expr import (
 
 __all__ = [
     "ComplexChart", "VectorField",
-    "env_at", "apply_J", "j_rotate", "j_matrix", "jet_blocks", "jets_at", "d_values",
-    "dc_values", "bracket_values", "dc_differentials", "ddc_terms", "lie_bracket",
-    "pair_brackets", "cr_residuals", "is_holomorphic", "rank_cutoff", "Span",
-    "span_residuals", "laplacian", "field_matrix",
+    "env_at", "apply_J", "j_rotate", "to_complex", "to_chart", "j_matrix", "jet_blocks",
+    "jets_at", "d_values", "dc_values", "bracket_values", "dc_differentials", "ddc_terms",
+    "lie_bracket", "pair_brackets", "cr_residuals", "holomorphic_jacobians",
+    "is_holomorphic", "rank_cutoff", "Span", "span_residuals", "laplacian", "field_matrix",
 ]
 
 
@@ -151,6 +154,31 @@ def j_rotate(v, axis: int = -1) -> np.ndarray:
     out[..., 0::2] = -v[..., 1::2]
     out[..., 1::2] = v[..., 0::2]
     return np.moveaxis(out, -1, axis)
+
+
+def to_complex(v, axis: int = -1) -> np.ndarray:
+    """The complex coordinates of chart vectors along an axis of an array
+    (the last by default): each pair (v^{x_mu}, v^{y_mu}) becomes z_mu =
+    v^{x_mu} + i v^{y_mu}, the coefficient on d/dz_mu of the complexified
+    vector v - iJv.  Exact, with no arithmetic: a view of the pairs as
+    complex128, copied first only where they are not adjacent in memory.
+    ``to_chart`` is its inverse."""
+    v = np.asarray(v, dtype=float)
+    if axis not in (-1, v.ndim - 1) or v.strides[-1] != v.itemsize:
+        return v.swapaxes(axis, -1).copy().view(complex).swapaxes(axis, -1)
+    return v.view(complex)
+
+
+def to_chart(z, axis: int = -1) -> np.ndarray:
+    """The chart vectors of complex coordinates along an axis of an array
+    (the last by default), the inverse of ``to_complex`` and exact as it
+    is: z_mu becomes the pair (Re z_mu, Im z_mu), a view of complex128
+    memory as its (re, im) pairs, copied first only where the coordinates
+    are not adjacent in memory."""
+    z = np.asarray(z, dtype=complex)
+    if axis not in (-1, z.ndim - 1) or z.strides[-1] != z.itemsize:
+        return z.swapaxes(axis, -1).copy().view(float).swapaxes(axis, -1)
+    return z.view(float)
 
 
 def j_matrix(chart: ComplexChart) -> np.ndarray:
@@ -275,10 +303,21 @@ def cr_residuals(DX) -> np.ndarray:
     from the Jacobians DX (..., 2N, 2N) of jet_blocks.  In the basis d/dz_mu
     = (d/dx_mu - i d/dy_mu)/2 the coefficient Z_mu is V^{x_mu} + i V^{y_mu},
     so dZ/dzbar = (dZ/dx + i dZ/dy)/2 is linear in DX.  It vanishes where the
-    Cauchy-Riemann equations hold, and there dZ_mu/dz_nu = DX[2 mu, 2 nu] +
-    i DX[2 mu + 1, 2 nu]."""
+    Cauchy-Riemann equations hold."""
     return 0.5 * np.hypot(DX[..., 0::2, 0::2] - DX[..., 1::2, 1::2],
                           DX[..., 1::2, 0::2] + DX[..., 0::2, 1::2])
+
+
+def holomorphic_jacobians(DX) -> np.ndarray:
+    """dZ_mu/dz_nu (..., N, N) of the complexified fields from the
+    Jacobians DX (..., 2N, 2N) of jet_blocks, where ``cr_residuals``
+    vanish: there dZ/dz = (dZ/dx - i dZ/dy)/2 = dZ/dx, so dZ_mu/dz_nu =
+    DX[2 mu, 2 nu] + i DX[2 mu + 1, 2 nu]: ``to_complex`` of DX's x_nu
+    columns along the rows, set here directly and C-ordered, as the complex
+    flow reads it at every stage."""
+    dZ = np.empty(DX.shape[:-2] + (DX.shape[-1] // 2,) * 2, dtype=complex)
+    dZ.real, dZ.imag = DX[..., 0::2, 0::2], DX[..., 1::2, 0::2]
+    return dZ
 
 
 def is_holomorphic(V: VectorField, pts, tol: float = 1e-9) -> tuple[bool, float]:

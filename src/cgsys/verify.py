@@ -45,7 +45,7 @@ from .expr import (
 from .flow import DEFAULT_CONFIG, ComplexFlow, FlowConfig, newton_rows
 from .geometry import (
     ComplexChart, Span, VectorField, bracket_values, cr_residuals, d_values,
-    dc_values, ddc_terms, env_at, j_rotate, jet_blocks, jets_at, rank_cutoff,
+    dc_values, ddc_terms, env_at, j_rotate, jet_blocks, jets_at, rank_cutoff, to_chart,
 )
 
 __all__ = [
@@ -548,6 +548,16 @@ class GridSpec:
     extent: float = 0.5
 
 
+def symmetric_axis(extent: float, n: int) -> np.ndarray:
+    """np.linspace(-extent, extent, n), finite for every finite extent:
+    above a quarter of the largest double, where linspace's span or steps
+    can overflow, the axis is taken for extent / 4 and scaled back by 4,
+    both exact there."""
+    if extent <= np.finfo(float).max / 4:
+        return np.linspace(-extent, extent, n)
+    return 4.0 * np.linspace(-extent / 4, extent / 4, n)
+
+
 # the scale of the flow times normal_form checks at, and their largest count
 W_EXTENT = 0.25
 N_W_SAMPLES = 4
@@ -626,7 +636,7 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
             raise errors[0]
         return Q[0]
 
-    xs, ys = (np.linspace(-grid.extent, grid.extent, n) for n in (grid.nx, grid.ny))
+    xs, ys = (symmetric_axis(grid.extent, n) for n in (grid.nx, grid.ny))
     if slice_pair is None:
         xs = ys = np.zeros(1)
     # w = 0 moves no point, so the profile is U on the slice grid itself
@@ -649,7 +659,7 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     P = np.tile(C, (len(w_samples), 1))
     W = np.repeat(w_samples, len(C), axis=0)
     Q, Y, _, _ = flow.rows(P, W, np.zeros((len(P), sys.chart.N, 0)))
-    D = np.stack([Y.real, Y.imag], axis=2).reshape(Q.shape + (k,))
+    D = to_chart(Y, axis=1)
     indep = np.max(np.abs(U(Q) + W.imag - U(P)))
     push = _worst(Q, D - np.stack([f.program(Q) for f in sys.fields], axis=-1))
     timecr = _worst(P, flow.frame.residuals(np.vstack([P, Q])))

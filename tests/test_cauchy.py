@@ -260,6 +260,16 @@ def test_cr_table_matches_the_per_point_views(name):
                                rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("name", CR_DATA)
+def test_cr_table_compiles_sigma_and_its_partials_alone(name):
+    # the parameter block is the input rows themselves, not identity
+    # outputs of the tape that every Newton trial's sigma_rows runs
+    data = _cr_data(name)
+    params = param_samples(data, 4, 1)
+    assert len(data.table.exprs) == data.chart.dim * (1 + len(data.param_names))
+    assert data.table.at(params)["p"] is params
+
+
 @pytest.mark.parametrize("name", ["line", "heisenberg-cr", "affine"])
 def test_cauchy_op_evaluates_the_cr_table_once(monkeypatch, name):
     rows = []

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -20,7 +21,9 @@ from cgsys.dsl import (
 from cgsys.flow import DEFAULT_CONFIG, _HolomorphicFrame
 from cgsys.geometry import VectorField
 from cgsys.report import canonical_json, schema_text
-from cgsys.verify import GradientSystem, check_axioms, normal_form, sample_points
+from cgsys.verify import (
+    GradientSystem, check_axioms, normal_form, sample_points, symmetric_axis,
+)
 
 MINIMAL = """
 [chart]
@@ -430,6 +433,39 @@ def test_cli_cauchy_huge_u_extent_is_refused(argv, tmp_path, capsys):
     else:                    # refused where F places the queries, naming the cause
         assert err == ("error: matrix exponential is not finite "
                        "(overflow, or past matrix_exp's accuracy bound)\n")
+
+
+def test_cli_normal_form_huge_extent_faults_at_finite_coordinates(capsys):
+    # the slice grid's axis cannot overflow: the profile's own overflow is an
+    # input error at a grid point with finite coordinates, and no
+    # RuntimeWarning (which the suite's filter turns into an error)
+    assert main(["normal-form", "model-k1", "--extent", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: overflow in ")
+    assert not re.search(r"\b(nan|inf)\b", err)
+
+
+def test_cli_cauchy_largest_u_extent_is_refused_without_a_warning(capsys):
+    # the axis of the largest double is finite, with no RuntimeWarning: its
+    # flow time is refused
+    assert main(["cauchy", "line", "--u-extent", "1.7976931348623157e308", "--grid", "7"]) == 1
+    assert capsys.readouterr().err == "error: |w| = 1.79769e+308 exceeds max_time 16\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extent=st.floats(0.0, np.finfo(float).max, exclude_min=True), n=st.integers(1, 300))
+def test_symmetric_axis_is_linspace_where_that_is_finite(extent, n):
+    # up to a quarter of the largest double linspace itself does not
+    # overflow, subnormal extents included; beyond, the axis stays finite
+    axis = symmetric_axis(extent, n)
+    assert axis[0] == -extent and axis[-1] == (extent if n > 1 else -extent)
+    assert np.isfinite(axis).all() and (np.diff(axis) >= 0).all()
+    if extent <= np.finfo(float).max / 4:
+        assert axis.tobytes() == np.linspace(-extent, extent, n).tobytes()
+    else:   # the quartered axis is linspace's, scaled: the halved one agrees
+        halved = 2.0 * np.linspace(-extent / 2, extent / 2, n)
+        finite = np.isfinite(halved)
+        assert np.array_equal(axis[finite], halved[finite])
 
 
 @pytest.mark.parametrize("command", ["cauchy", "normal-form"])

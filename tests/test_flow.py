@@ -89,8 +89,10 @@ def test_flow_group_law():
 def test_flow_divergence_guard():
     chart = ComplexChart.standard(1)
     V = field(chart, ["x1^2", "0"])
-    with pytest.raises(DivergenceError):
-        flow_real(V, [1.0, 0.0], 2.0, CFG)
+    # NaN fails |y| > bound too, so the bound is tested as not |y| <= bound
+    for p, t in (([1.0, 0.0], 2.0), ([np.nan, 0.0], 0.1), ([0.0, np.inf], 0.1)):
+        with pytest.raises(DivergenceError):
+            flow_real(V, p, t, CFG)
 
 
 def _one_plus_z_squared(chart, rotate):
@@ -888,6 +890,29 @@ def test_a_stack_whose_rows_are_all_refused_stops_stepping():
     _, _, errors, _ = flow.rows(np.zeros((1, 2)), np.array([[3.0]]))
     assert isinstance(errors[0], DivergenceError)
     assert 0 not in sizes and len(sizes) < 12 * 96
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_non_finite_start_rows_are_refused_and_the_others_come_out_as_alone(tangents):
+    # a start row with a NaN or an infinite coordinate is refused, also where
+    # it takes no step (w = 0 without tangents), and without a RuntimeWarning
+    # (which the suite's filter turns into an error)
+    flow, _ = _quadratic_flow(1.1)
+    P = np.array([[0.3, 0.1], [np.nan, 0.0], [0.0, np.inf], [-0.2, 0.4], [-np.inf, 0.0]])
+    W = np.array([[0.5j], [0.1], [0.1j], [0.3 - 0.2j], [0.0]])
+    dZ0 = np.ones((5, 1, 1), dtype=complex) if tangents else None
+    start = P.tobytes()
+    points, Y, errors, estimates = flow.rows(P, W, dZ0)
+    assert P.tobytes() == start      # the state is the flow's own
+    for i in (1, 2, 4):
+        assert isinstance(errors[i], DivergenceError)
+        assert np.isnan(points[i]).all() and np.isnan(estimates[i])
+    for i in (0, 3):
+        alone = flow.rows(P[i:i + 1], W[i:i + 1], None if dZ0 is None else dZ0[i:i + 1])
+        assert errors[i] is None and alone[2] == [None]
+        assert points[i].tobytes() == alone[0][0].tobytes()
+        assert estimates[i] == alone[3][0]
+        assert not tangents or Y[i].tobytes() == alone[1][0].tobytes()
 
 
 # --- Newton inversion ----------------------------------------------------------

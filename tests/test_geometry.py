@@ -4,12 +4,15 @@ closed forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cgsys.expr import diff, evaluate, parse_expr
+from cgsys.expr import Table, diff, evaluate, parse_expr
 from cgsys.flow import ComplexFlow, HolomorphyError
 from cgsys.geometry import (
-    ComplexChart, VectorField, apply_J, env_at, field_matrix, is_holomorphic,
-    j_matrix, j_rotate, laplacian, lie_bracket, pair_brackets, span_residuals,
+    ComplexChart, VectorField, apply_J, env_at, field_matrix, holomorphic_jacobians,
+    is_holomorphic, j_matrix, j_rotate, jet_blocks, laplacian, lie_bracket,
+    pair_brackets, span_residuals, to_chart, to_complex,
 )
 from cgsys.verify import GradientSystem
 
@@ -100,6 +103,60 @@ def test_j_matrix_is_j_rotate_without_negative_zeros():
         assert np.array_equal(J, j_rotate(np.eye(2 * n)).T)
         assert np.array_equal(J @ J, -np.eye(2 * n))
         assert not np.any(np.signbit(J) & (J == 0.0))
+
+
+# every float, with -0.0, the infinities and NaN drawn often
+_floats = st.floats() | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_to_chart_inverts_to_complex_bit_for_bit_along_any_axis(data):
+    shape = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    shape[axis] *= 2
+    v = data.draw(arrays(float, shape, elements=_floats))
+    # C-ordered memory is viewed; Fortran-ordered and reversed memory is copied
+    layout = data.draw(st.sampled_from(["C", "F", "reversed"]))
+    if layout == "F":
+        v = np.asfortranarray(v)
+    elif layout == "reversed":
+        v = v[::-1]
+    z = to_complex(v, axis)
+    pairs = np.moveaxis(v, axis, -1)
+    zm = np.moveaxis(z, axis, -1)
+    assert zm.real.tobytes() == pairs[..., 0::2].tobytes()
+    assert zm.imag.tobytes() == pairs[..., 1::2].tobytes()
+    back = to_chart(z, axis)
+    assert back.shape == v.shape and back.tobytes() == v.tobytes()
+    assert to_complex(back, axis).tobytes() == z.tobytes()
+
+
+def test_to_complex_views_adjacent_pairs_and_copies_the_others():
+    v = np.arange(12.0).reshape(3, 4)
+    assert np.shares_memory(to_complex(v), v) and np.shares_memory(to_complex(v[::2]), v)
+    assert np.shares_memory(to_chart(to_complex(v)), v)
+    z = to_complex(v.T, axis=0)
+    assert not np.shares_memory(z, v)
+    assert np.array_equal(z, [[0 + 1j, 4 + 5j, 8 + 9j], [2 + 3j, 6 + 7j, 10 + 11j]])
+
+
+def test_holomorphic_jacobians_read_the_x_columns_of_DX():
+    rng = np.random.default_rng(4)
+    # a strided stack, as a Table's outputs give it
+    DX = rng.standard_normal((5, 40))[:, 4:40].reshape(5, 1, 6, 6)
+    dZ = holomorphic_jacobians(DX)
+    assert dZ.shape == (5, 1, 3, 3) and dZ.flags.c_contiguous
+    assert np.array_equal(dZ, DX[..., 0::2, 0::2] + 1j * DX[..., 1::2, 0::2])
+    # Z = z1^2 z2 d/dz1: dZ/dz1 = 2 z1 z2 and dZ/dz2 = z1^2
+    chart = ComplexChart.standard(2)
+    V = make_field(chart, ["(x1^2 - y1^2)*x2 - 2*x1*y1*y2", "(x1^2 - y1^2)*y2 + 2*x1*y1*x2",
+                           "0", "0"])
+    pts = sample_points(chart, 6, 1)
+    z1, z2 = to_complex(pts).T
+    dZ = holomorphic_jacobians(Table(jet_blocks((), [V], chart), chart.names).at(pts)["DX"])
+    assert np.allclose(dZ[:, 0, 0], np.column_stack([2 * z1 * z2, z1 ** 2]), rtol=1e-14)
+    assert not dZ[:, 0, 1].any()
 
 
 # --- d and d^c ---------------------------------------------------------------
@@ -308,7 +365,7 @@ def test_complexify_roundtrip(heis):
     pts = sample_points(chart, 5, 3)
     Z = complexified(fields, pts, holomorphic=False)
     for a, V in enumerate(fields):
-        assert np.array_equal(Z[:, a].view(float), V.program(pts))
+        assert np.array_equal(to_chart(Z[:, a]), V.program(pts))
 
 
 def test_holomorphy_of_constant_field():
