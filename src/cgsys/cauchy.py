@@ -35,9 +35,12 @@ ambient fields the tangent columns are stepped by the same 8th-order
 Runge-Kutta loop as the trajectory, which is the exact derivative of the
 discrete flow map at its step count, with holomorphy read at every stage
 state.  ``solve`` freezes each query's count for every Newton trial, so
-Newton inverts one smooth map; where the error estimate that the map
-returned at the solution asks for more steps, the query is solved again
-from there at the new count.  No flow runs outside Newton's map.  A
+Newton inverts one smooth map, and re-chooses the counts through the
+flows' one count loop (``FlowConfig.settle``), each of whose runs is a
+Newton run: where the error estimate that the map returned at the
+solution asks for more steps, the query is solved again from there at the
+new count.  Matrix-group data takes the same loop, which ends after one
+run, since its map takes no steps.  No flow runs outside Newton's map.  A
 Newton solution counts only when its parameters lie in param_domain (where
 param_domain faults, the query is refused).  The range of F is not
 certified globally: |det P| <= 1e-10 or Newton failure at a query simply
@@ -73,8 +76,8 @@ from .expr import (
     Const, Expr, Predicate, Table, Var, compile_exprs, diff, require_vars,
 )
 from .flow import (
-    DEFAULT_CONFIG, PILOT_STEPS, ComplexFlow, FlowConfig, MatrixGroupSpec,
-    _raise_first, complexified_flow_jacobian, complexified_flow_matrix,
+    DEFAULT_CONFIG, ComplexFlow, FlowConfig, MatrixGroupSpec,
+    _raise_first, _scatter, complexified_flow_jacobian, complexified_flow_matrix,
     left_invariant_fields, newton_rows, solve_rows,
 )
 from .geometry import (
@@ -239,13 +242,6 @@ class CRTable(Table):
         return t
 
 
-def _scatter_errors(errors, rows, row_errors):
-    """``errors`` with row_errors[j] put at rows[j]."""
-    for i, err in zip(rows, row_errors):
-        errors[i] = err
-    return errors
-
-
 def _first_error(*errors):
     """Per row the first of several per-row error lists that is not None."""
     return [next((e for e in row if e is not None), None) for row in zip(*errors)]
@@ -324,7 +320,7 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
     and with ``jac`` (points, Jacobians (n, 2N, m + k), errors, estimates),
     errors[i] None or the exception that refuses row i.  The points and
     errors do not depend on ``jac``.  On ambient fields, row i takes
-    nsteps[i] Runge-Kutta steps, by default the count ``ComplexFlow.steps``
+    nsteps[i] Runge-Kutta steps, by default the count ``ComplexFlow.chosen``
     chooses for it, and estimates[i] is their summed error estimate;
     matrix-group data takes no steps, ignores nsteps and estimates 0."""
     k, m, spec = data.k, len(data.param_names), data.group
@@ -344,7 +340,7 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
         points[ok], Y, flow_errors, estimates[ok] = flow.rows(
             S[ok], W[ok], to_complex(D[ok], axis=1) if jac else None,
             None if nsteps is None else np.asarray(nsteps)[ok])
-        errors = _scatter_errors(errors, ok, flow_errors)
+        errors = _scatter(errors, ok, flow_errors)
         if not jac:
             return points, errors
         J = np.full((len(S), S.shape[1], m + k), np.nan)
@@ -441,7 +437,7 @@ def _tangent_coeffs(data: CRInitialData, P):
     vals, field_errors = data.table.fields.program.rows(S[ok], ok)
     rho0[ok] = data.table.fields.blocks(vals)["X"]
     coeffs = np.swapaxes(np.linalg.pinv(D) @ np.swapaxes(rho0, 1, 2), 1, 2)
-    return coeffs, _scatter_errors(errors, ok, field_errors)
+    return coeffs, _scatter(errors, ok, field_errors)
 
 
 def _frames(data: CRInitialData, params, u, ambient, dF):
@@ -636,13 +632,13 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     errors = newton.errors
     for i, rec in enumerate(sol.records):
         rec.newton_iters, rec.halvings = int(newton.iters[i]), int(newton.halvings[i])
-        if counts is not None:
+        if data.group is None:
             rec.rk_steps, rec.rk_error = int(counts[i]), float(newton.estimates[i])
 
     def passing(rows, stage_errors) -> np.ndarray:
         """Record the errors of a stage at its rows; the mask of those that
         pass it."""
-        _scatter_errors(errors, rows, stage_errors)
+        _scatter(errors, rows, stage_errors)
         return np.array([err is None for err in stage_errors], dtype=bool)
 
     rows = np.flatnonzero([err is None for err in errors])
@@ -680,48 +676,41 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
 
 def _newton(data: CRInitialData, cfg: FlowConfig, queries):
     """newton_rows on the map of build_dF from the linearized guesses, and
-    on ambient fields each row's frozen step count (else None).
+    each row's step count, through the one count loop (``FlowConfig.settle``).
 
-    Every row starts at PILOT_STEPS and keeps its count for every trial of
-    a Newton run, so Newton inverts one smooth discrete map whose exact
-    derivative dF is.  Where ``ComplexFlow.recount`` raises a count from
-    the estimate the map returned at a solution, the row is solved again
-    from there at the new count, its Newton steps and halvings adding up,
-    until no count changes.  Such a solve takes one step past newton_tol
-    (``polish``): its start misses the new map by about the old map's
-    error, which may already be below the tolerance.  A refused row's
-    estimate is NaN."""
+    Each run of the loop is one Newton run whose rows keep their counts for
+    every trial, so Newton inverts one smooth discrete map whose exact
+    derivative dF is.  The first run starts every row from its guess at
+    PILOT_STEPS; where ``recount`` raises a count from the estimate the map
+    returned at a solution (its limit read off that solution's u), the row
+    is solved again from there at the new count, its Newton steps and
+    halvings adding up, until no count changes.  Such a solve takes one
+    step past newton_tol (``polish``): its start misses the new map by
+    about the old map's error, which may already be below the tolerance.  A
+    refused row keeps its count, and its estimate is NaN.  A matrix-group
+    map takes no steps and estimates 0, so its loop ends after one run."""
     m = len(data.param_names)
     dF = build_dF(data, cfg)
     x0 = _initial_guesses(data, queries)
-    if data.group is not None:
-        return newton_rows(lambda X, _: dF(X[:, :m], X[:, m:]), queries, x0, cfg), None
-    flow = data.complex_flow(cfg)
-    counts = np.full(len(queries), PILOT_STEPS)
+    runs = []
 
-    def solved(rows, X, polish):
-        frozen = counts[rows]
-        return newton_rows(lambda X, idx: dF(X[:, :m], X[:, m:], frozen[idx]),
-                           queries[rows], X, cfg, polish)
+    def run(rows, counts):
+        out = newton_rows(lambda X, idx: dF(X[:, :m], X[:, m:], counts[idx]),
+                          queries[rows], runs[0].x[rows] if runs else x0, cfg, bool(runs))
+        refused = [e is not None for e in out.errors]
+        out.estimates[refused] = np.nan
+        if not runs:
+            runs.append(out)
+        else:
+            for name in ("x", "values", "jac", "estimates", "errors"):
+                _scatter(getattr(runs[0], name), rows, getattr(out, name))
+            runs[0].iters[rows] += out.iters
+            runs[0].halvings[rows] += out.halvings
+        return out.estimates, np.where(refused, 0, cfg.step_limit(1j * out.x[:, m:]))
 
-    rows = np.arange(len(queries))
-    newton = solved(rows, x0, False)
-    while True:
-        ok = rows[[newton.errors[i] is None for i in rows]]
-        chosen = flow.recount(counts[ok], newton.estimates[ok],
-                              flow.limit(1j * newton.x[ok, m:]))
-        rows = ok[chosen != counts[ok]]
-        if not len(rows):
-            break
-        counts[ok] = chosen
-        redo = solved(rows, newton.x[rows], True)
-        for name in ("x", "values", "jac", "estimates"):
-            getattr(newton, name)[rows] = getattr(redo, name)
-        newton.iters[rows] += redo.iters
-        newton.halvings[rows] += redo.halvings
-        _scatter_errors(newton.errors, rows, redo.errors)
-    newton.estimates[[e is not None for e in newton.errors]] = np.nan
-    return newton, counts
+    # the guesses start at u = 0, whose limit is one step
+    counts = cfg.settle(np.ones(len(queries), dtype=int), run)
+    return runs[0], counts
 
 
 def _oracle_residuals(data: CRInitialData, oracle, Q, U, xi):

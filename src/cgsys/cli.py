@@ -135,6 +135,7 @@ def cmd_cauchy(args) -> int:
     if sf.cr is None:
         raise LoadError(f"'{sf.name}' has no [cr_data] section")
     cfg = _flow_config(sf, args)
+    _setting(sf, args, "seed", 0)      # checked like verify's; no samples are drawn
     grid = _setting(sf, args, "grid", 5)
     extent = _setting(sf, args, "u_extent", 0.5)
     tol = _setting(sf, args, "tol", 1e-5, key="cauchy_tol")
@@ -202,6 +203,7 @@ def cmd_normal_form(args) -> int:
     sf = _resolve(args.system)
     if sf.system is None:
         raise LoadError(f"'{sf.name}' has no [system] section")
+    _setting(sf, args, "seed", 0)      # checked like verify's; no samples are drawn
     grid_n = _setting(sf, args, "grid", 11)
     extent = _setting(sf, args, "extent", 0.5)
     tol = _setting(sf, args, "tol", 1e-6)

@@ -5,11 +5,14 @@ Dormand-Prince 8(5,3) of DOP853 (Hairer-Norsett-Wanner I, II.5).  Real
 flows (``flow_real``, which no CLI op runs: the demos' and the tests'
 reference) take a fixed count of max(1, ceil(|t| steps_per_unit)) steps.
 Each ambient complex flow row takes the count its own summed DOP853 error
-estimate asks for, at most that one: one count rule
-(``ComplexFlow.recount``) reads the estimates that every run returns, also
-for a Newton solve that freezes the counts so as to invert one smooth
-discrete map (internal numerical differentiation, Bock 1981).  Complex
-time is supported on two routes:
+estimate asks for, at most that one.  The count rule belongs to the
+``FlowConfig``, not to the fields: ``step_limit`` bounds a row's count,
+``recount`` re-chooses it from the estimate of a run, and ``settle`` is
+the one count loop, which runs rows again until no count changes.  It
+serves the plain flows (``ComplexFlow.chosen``) and the Cauchy Newton,
+whose runs freeze the counts so as to invert one smooth discrete map
+(internal numerical differentiation, Bock 1981).  Complex time is
+supported on two routes:
 
 * matrix-group data, where the flow of a left-invariant field is the exact
   product g exp(w V) and complex w costs nothing extra, and
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -116,6 +120,50 @@ class FlowConfig:
 
     def with_(self, **kw) -> "FlowConfig":
         return replace(self, **kw)
+
+    @property
+    def step_tol(self) -> float:
+        """The summed error estimate a complex flow row may reach:
+        newton_tol * STEP_TOL_FRACTION."""
+        return self.newton_tol * STEP_TOL_FRACTION
+
+    def step_limit(self, W) -> np.ndarray:
+        """Each row's upper limit on its step count for the complex times W
+        (n, k), max(1, ceil(|w|_1 steps_per_unit)), and 0 for a row that
+        takes no step because |w|_1 is not finite or exceeds MAX_TIME."""
+        scale = _l1_norms(np.asarray(W, dtype=complex))
+        stepping = scale <= MAX_TIME
+        limit = np.maximum(1, np.ceil(np.where(stepping, scale, 0.0) * self.steps_per_unit))
+        return np.where(stepping, limit, 0).astype(int)
+
+    def recount(self, counts, estimates, limit) -> np.ndarray:
+        """The count rule: a row below its ``limit`` whose run at ``counts``
+        gave an estimate above ``step_tol``, or NaN (a refused run), takes
+        the count the estimate's 7th-order decay predicts, with a margin, at
+        least one step more and at most the limit; the others keep theirs.
+        Counts only grow, so re-running the rows whose count changed ends."""
+        estimates = np.where(np.isnan(estimates), np.inf, estimates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = np.ceil(counts * STEP_MARGIN * (estimates / self.step_tol) ** (1 / 7))
+            wanted = np.minimum(limit, np.maximum(counts + 1, grow))
+        return np.where((counts < limit) & (estimates > self.step_tol), wanted, counts).astype(int)
+
+    def settle(self, limit, run) -> np.ndarray:
+        """The one count loop.  Every row first runs at PILOT_STEPS steps,
+        at most its ``limit`` (n,), then again while ``recount`` changes its
+        count: ``run(rows, counts)`` runs the rows ``rows`` (indices, all of
+        them in order the first time, also when there are none) at
+        ``counts`` and returns their estimates and limits; a row whose limit
+        is at most its count keeps it.  Returns the counts, at which each
+        row ran last."""
+        counts = np.minimum(PILOT_STEPS, limit)
+        rows = np.arange(len(counts))
+        while True:
+            at = counts[rows]
+            counts[rows] = self.recount(at, *run(rows, at))
+            rows = rows[counts[rows] != at]
+            if not len(rows):
+                return counts
 
 
 DEFAULT_CONFIG = FlowConfig()
@@ -270,13 +318,21 @@ def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
     return state
 
 
+def _divergence(y) -> DivergenceError:
+    """The error that refuses a trajectory state y beyond DIVERGENCE_BOUND
+    or not finite."""
+    return DivergenceError(f"trajectory exceeded bound {DIVERGENCE_BOUND:g}"
+                           if np.isfinite(y).all() else "trajectory state is not finite")
+
+
 def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG):
     """The flow of V for time t from p: the solution of dg/ds = V(g) in
     max(1, ceil(|t| steps_per_unit)) steps of ``_rk``.
 
     ``p`` is one point (2N,) or a stack of rows (n, 2N), stepped together by
-    V's compiled components.  DIVERGENCE_BOUND applies to every stage
-    state and step end of the trajectory.
+    V's compiled components.  DIVERGENCE_BOUND applies to the start point
+    (also at t = 0) and to every stage state and step end; a state beyond
+    it or not finite raises DivergenceError.
     """
     p = np.asarray(p, dtype=float)
     if abs(t) > MAX_TIME:
@@ -287,9 +343,10 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG):
         return V.program(state), None
 
     def guard(_, state):
-        if not np.max(np.abs(state)) <= DIVERGENCE_BOUND:
-            raise DivergenceError(f"trajectory exceeded bound {DIVERGENCE_BOUND:g}")
+        if not np.max(np.abs(state), initial=0.0) <= DIVERGENCE_BOUND:
+            raise _divergence(state)
 
+    guard(None, state)
     if t != 0.0:
         nsteps = max(1, math.ceil(abs(t) * cfg.steps_per_unit))
         state = _rk(velocity, state, t / nsteps, nsteps, guard)
@@ -352,6 +409,24 @@ def matrix_exp(A) -> np.ndarray:
             else:
                 out[sq] = out[sq] @ out[sq]
     return out
+
+
+def _scatter(out, rows, values):
+    """``out`` with values[j] put at rows[j]: an array or a per-row list
+    (of errors)."""
+    if isinstance(out, list):
+        for i, value in zip(rows, values):
+            out[i] = value
+    else:
+        out[rows] = values
+    return out
+
+
+def _l1_norms(W) -> np.ndarray:
+    """|w|_1 of each row of W (n, k), summed column by column; inf where
+    the sum overflows."""
+    with np.errstate(over="ignore"):
+        return reduce(np.add, np.abs(W).T)
 
 
 def _raise_first(errors) -> None:
@@ -606,83 +681,43 @@ class ComplexFlow:
     all stepped together by the one Runge-Kutta loop ``_rk``, and with
     tangent columns also gives the exact derivative of the discrete flow
     map at those counts; every run returns each row's summed error
-    estimate.  ``recount``, the one count rule, raises a row's count while
-    its estimate exceeds ``tol`` = newton_tol * STEP_TOL_FRACTION (1/100),
-    never above ``limit``, max(1, ceil(|w_i|_1 steps_per_unit)); ``steps``
-    and ``rows`` without counts run it from PILOT_STEPS, tangents and all.
-    Holomorphy of every field is checked at the start point, at every
-    stage state, at the end point and, where the stage states number fewer
-    than ceil(HOLOMORPHY_READS |w_i|_1), at as many more states on each
-    step's path.
+    estimate.  ``chosen``, and ``rows`` without counts, choose each row's
+    count by the config's count loop (``FlowConfig.settle``), tangents and
+    all: from PILOT_STEPS, raised while the estimate exceeds ``step_tol``
+    = newton_tol * STEP_TOL_FRACTION (1/100), never above ``step_limit``,
+    max(1, ceil(|w_i|_1 steps_per_unit)).  Holomorphy of every field is
+    checked at the start point, at every stage state, at the end point and,
+    where the stage states number fewer than ceil(HOLOMORPHY_READS
+    |w_i|_1), at as many more states on each step's path.
     """
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         self.frame = _HolomorphicFrame(fields)
-        self.k = self.frame.shape[0]
-        self.tol = cfg.newton_tol * STEP_TOL_FRACTION
 
-    def _scale(self, W) -> np.ndarray:
-        """|w|_1 of each row of W (n, k), summed column by column."""
-        scale = np.abs(W[:, 0])
-        for a in range(1, self.k):
-            scale = scale + np.abs(W[:, a])
-        return scale
-
-    def limit(self, W) -> np.ndarray:
-        """Each row's upper limit on its step count,
-        max(1, ceil(|w|_1 steps_per_unit)), and 0 for a row that takes no
-        step because |w|_1 is not finite or exceeds MAX_TIME."""
-        scale = self._scale(np.asarray(W, dtype=complex))
-        stepping = scale <= MAX_TIME
-        limit = np.zeros(len(scale), dtype=int)
-        limit[stepping] = np.maximum(1, np.ceil(scale[stepping] * self.cfg.steps_per_unit))
-        return limit
-
-    def recount(self, counts, estimates, limit) -> np.ndarray:
-        """The count rule: a row below its ``limit`` whose run at ``counts``
-        gave an estimate above ``tol``, or NaN (a refused run), takes the
-        count the estimate's 7th-order decay predicts, with a margin, at
-        least one step more and at most the limit; the others keep theirs.
-        Counts only grow, so re-running the rows whose count changed ends."""
-        estimates = np.where(np.isnan(estimates), np.inf, estimates)
-        with np.errstate(over="ignore", invalid="ignore"):
-            grow = np.ceil(counts * STEP_MARGIN * (estimates / self.tol) ** (1 / 7))
-            wanted = np.minimum(limit, np.maximum(counts + 1, grow))
-        return np.where((counts < limit) & (estimates > self.tol), wanted, counts).astype(int)
-
-    def steps(self, P, W):
-        """The step count each row's own error asks for, and the estimates,
-        points and errors of each row's last run (``_chosen``)."""
-        counts, (points, _, errors, estimates) = self._chosen(P, W)
-        return counts, estimates, points, errors
-
-    def _chosen(self, P, W, dZ0=None, labels=None):
-        """The count loop: every row is flowed from PILOT_STEPS, and again
-        while ``recount`` changes its count: a refused row is flowed again
-        at its upper limit (``limit``), and a row whose estimate wants more
-        takes exactly the limit.  Rows are chosen independently, so a row
-        gets the count it gets alone.  The tangent columns dZ0, if given,
-        are stepped in the same runs.  Returns the counts and the outputs
-        of ``rows`` from each row's last run."""
+    def chosen(self, P, W, dZ0=None, labels=None):
+        """The step counts of the count loop (``FlowConfig.settle``) over
+        runs of ``rows``: a refused row runs again at its limit, and a row
+        whose estimate wants more takes exactly the limit.  Rows are chosen
+        independently, so a row gets the count it gets alone.  The tangent
+        columns dZ0, if given, are stepped in the same runs.  Returns the
+        counts and the outputs of ``rows`` from each row's last run."""
         P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
-        limit = self.limit(W)
-        counts = np.minimum(PILOT_STEPS, limit)
-        points, Y, errors, estimates = self.rows(P, W, dZ0, counts, labels)
-        pending = np.arange(len(P))
-        while True:
-            at = counts[pending]
-            counts[pending] = self.recount(at, estimates[pending], limit[pending])
-            pending = pending[counts[pending] != at]
-            if not len(pending):
-                return counts, (points, Y, errors, estimates)
-            points[pending], Yp, errs, estimates[pending] = self.rows(
-                P[pending], W[pending], None if dZ0 is None else np.asarray(dZ0)[pending],
-                counts[pending], pending if labels is None else labels[pending])
-            if Y is not None:
-                Y[pending] = Yp
-            for i, err in zip(pending, errs):
-                errors[i] = err
+        limit = self.cfg.step_limit(W)
+        runs = []    # the outputs of the first run, which takes every row
+
+        def run(rows, counts):
+            out = self.rows(P[rows], W[rows], None if dZ0 is None else np.asarray(dZ0)[rows],
+                            counts, rows if labels is None else labels[rows])
+            if not runs:
+                runs.append(out)
+            else:
+                for whole, part in zip(runs[0], out):
+                    if whole is not None:    # Y without tangents
+                        _scatter(whole, rows, part)
+            return out[3], limit[rows]
+
+        return self.cfg.settle(limit, run), runs[0]
 
     def rows(self, P, W, dZ0=None, nsteps=None, labels=None):
         """The flows from the chart rows P (n, 2N) for the complex times W
@@ -700,22 +735,22 @@ class ComplexFlow:
         of a row that takes no step (a state beyond DIVERGENCE_BOUND or not
         finite), or a FlowError when |w_i|_1 exceeds MAX_TIME.  Row i takes
         nsteps[i] steps of size 1/nsteps[i], by default the count
-        ``_chosen`` picks for it, tangents and all; without tangents a row
+        ``chosen`` picks for it, tangents and all; without tangents a row
         with w_i = 0 takes none.
         """
         if nsteps is None:
-            return self._chosen(P, W, dZ0, labels)[1]
-        frame, k = self.frame, self.k
+            return self.chosen(P, W, dZ0, labels)[1]
+        frame, (k, N) = self.frame, self.frame.shape
         P, W = np.asarray(P, dtype=float), np.asarray(W, dtype=complex)
         dZ0 = None if dZ0 is None else np.asarray(dZ0, dtype=complex)
-        n, N = len(P), frame.shape[1]
+        n = len(P)
         if P.ndim != 2 or P.shape[1] != 2 * N:
             raise ValueError(f"points must have shape (n, {2 * N}), got {P.shape}")
         if W.shape != (n, k):
             raise ValueError("one complex time entry per field")
         errors = [None] * n
         labels = np.arange(n) if labels is None else labels
-        scale = self._scale(W)
+        scale = _l1_norms(W)
         # rows that take no step raise these once their start point passes
         # the holomorphy check
         late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {MAX_TIME:g}"
@@ -735,13 +770,10 @@ class ComplexFlow:
         times = [None, None]     # the rows of the last call and their W
 
         def refuse(rows, refused):
-            for j, err in refused.items():
-                errors[rows[j]] = err
             if not refused:
                 return None
-            keep = np.ones(len(rows), dtype=bool)
-            keep[list(refused)] = False
-            return keep
+            _scatter(errors, rows[list(refused)], refused.values())
+            return ~np.isin(np.arange(len(rows)), list(refused))
 
         def velocity(rows, y):
             Z, DX, refused = frame.at(to_chart(y[:, 0]), labels[rows])
@@ -762,9 +794,7 @@ class ComplexFlow:
             inside = np.maximum.reduce(np.abs(y[:, 0]), axis=1) <= DIVERGENCE_BOUND
             if inside.all():
                 return None
-            return refuse(rows, {j: DivergenceError(
-                f"trajectory exceeded bound {DIVERGENCE_BOUND:g}")
-                for j in np.flatnonzero(~inside)})
+            return refuse(rows, {j: _divergence(y[j, 0]) for j in np.flatnonzero(~inside)})
 
         # a row reads holomorphy at its start point, its 12 stage states a
         # step and its end point; where that is fewer than
@@ -836,11 +866,17 @@ def numerical_jacobian(F, x, h: float) -> np.ndarray:
 
 def _row_norms(R) -> np.ndarray:
     """The 2-norm of each row, summed column by column so that a row's
-    norm does not depend on the rows stacked with it."""
-    total = np.zeros(len(R))
-    for col in np.asarray(R, dtype=float).T:
-        total = total + col * col
-    return np.sqrt(total)
+    norm does not depend on the rows stacked with it.  A row of finite
+    entries whose sum overflows is summed again scaled by the power of two
+    of its largest entry."""
+    R = np.asarray(R, dtype=float)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(reduce(np.add, (R * R).T, np.zeros(len(R))))
+        over = np.isinf(norms) & np.isfinite(R).all(axis=1)
+        if over.any():
+            _, e = np.frexp(np.max(np.abs(R[over]), axis=1))
+            norms[over] = np.ldexp(_row_norms(np.ldexp(R[over], -e[:, None])), e)
+    return norms
 
 
 def solve_rows(A, B):
@@ -916,8 +952,7 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
     live = np.array([err is None for err in errors], dtype=bool)
 
     def refuse(rows, make):
-        for i in rows:
-            errors[i] = make(i)
+        _scatter(errors, rows, [make(i) for i in rows])
         live[rows] = False
 
     owed = np.full(n, polish)    # rows that owe one step past newton_tol

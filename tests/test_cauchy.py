@@ -1092,6 +1092,84 @@ def test_dF_is_the_derivative_of_F_at_frozen_counts():
         assert np.max(np.abs(J - fd)) < 1e-8
 
 
+@pytest.mark.parametrize("name", ["heisenberg-cr", "affine", "ambient"])
+def test_each_solve_enters_the_count_loop_once(name, monkeypatch):
+    # the plain flows' count loop is the Newton's: one pass of
+    # FlowConfig.settle per solve, whose first run starts every row at one
+    # step; a group map estimates 0, so its loop ends after that run
+    sf = _ambient_file(1.25) if name == "ambient" else load_builtin(name)
+    data = sf.cr
+    queries = grid_queries(data, [np.linspace(-0.25, 0.25, 3)] * data.k, cfg=CFG)
+    calls, settle, newton_rows = [], FlowConfig.settle, cgsys.cauchy.newton_rows
+    starts = []
+
+    def spy(cfg, limit, run):
+        runs = []
+        calls.append(runs)
+        return settle(cfg, limit, lambda rows, counts: runs.append((rows, counts.copy()))
+                      or run(rows, counts))
+
+    def newton_spy(FJ, targets, x0, cfg, polish=False):
+        out = newton_rows(FJ, targets, x0, cfg, polish)
+        starts.append((np.array(x0), polish, out.x.copy()))
+        return out
+
+    monkeypatch.setattr(FlowConfig, "settle", spy)
+    monkeypatch.setattr(cgsys.cauchy, "newton_rows", newton_spy)
+    sol = solve(data, queries, CFG, oracle=sf.oracle)
+    assert len(calls) == 1
+    runs = [rows for rows, _ in calls[0]]
+    first_counts = calls[0][0][1]
+    assert runs[0].tolist() == list(range(len(queries)))
+    assert first_counts.tolist() == [1] * len(queries)
+    if name == "ambient":
+        assert len(runs) > 1 and all(r.rk_steps >= 1 for r in sol.records)
+    else:
+        assert len(runs) == 1 and all(r.rk_steps is None for r in sol.records)
+    assert sol.ok
+    # each run is one Newton run: the first from the linearized guesses, the
+    # later ones, with one step past newton_tol, from the last solutions
+    assert len(starts) == len(runs)
+    x0, polish, x = starts[0]
+    assert np.array_equal(x0, cgsys.cauchy._initial_guesses(data, queries)) and not polish
+    for rows, (x0, polish, out) in zip(runs[1:], starts[1:]):
+        assert polish and np.array_equal(x0, x[rows])
+        x[rows] = out
+
+
+SIGMA_FAULTS = """
+[chart]
+complex_dim = 1
+
+[cr_data]
+params = s
+sigma = log(s - 1); 0
+field_1 = 1; 0
+"""
+
+
+@pytest.mark.parametrize("name", ["heisenberg-cr", "affine", "ambient"])
+def test_solve_of_no_queries_is_empty(name):
+    # the count loop's first run, of no rows, gives the Newton outputs
+    data = _cr_data(name)
+    sol = solve(data, np.zeros((0, data.chart.dim)), CFG)
+    assert sol.records == [] and sol.ok
+
+
+def test_maps_without_counts_return_the_rows_that_sigma_refuses():
+    # sigma faults on every row, so the flow runs on no row: the count loop
+    # still takes its one run, of no rows, and each row's DomainError comes
+    # back in its place
+    data = loads(SIGMA_FAULTS, name="sigma-faults").cr
+    P, U = np.array([[0.0], [0.5]]), np.zeros((2, 1))
+    points, errors = build_F(data, CFG)(P, U)
+    points_d, J, errors_d, estimates = build_dF(data, CFG)(P, U)
+    assert all(isinstance(err, DomainError) for err in errors + errors_d)
+    assert [str(err) for err in errors] == [str(err) for err in errors_d]
+    assert np.isnan(points).all() and np.isnan(points_d).all()
+    assert np.isnan(J).all() and np.isnan(estimates).all()
+
+
 def test_dF_without_counts_flows_once_per_count(monkeypatch):
     # the map called without counts (as compute_PQA calls it) carries the
     # tangent columns through the count loop: one run per count the loop
@@ -1101,7 +1179,7 @@ def test_dF_without_counts_flows_once_per_count(monkeypatch):
     P, U = np.array([[0.1]]), np.array([[0.2]])
     S, D, _ = data.sigma_rows(P)
     W, dZ0 = 1j * U, D[:, 0::2] + 1j * D[:, 1::2]
-    counts = flow.steps(S, W)[0]
+    counts = flow.chosen(S, W)[0]
     assert counts.tolist() == [3]
     runs, rk = [], cgsys.flow._rk
 

@@ -477,6 +477,12 @@ def test_cli_points_flag_belongs_to_verify(command, capsys):
     assert "--points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cauchy", "normal-form"])
+def test_cli_seed_is_checked_where_it_draws_no_samples(command, capsys):
+    assert main([command, "line", "--grid", "2", "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "input error: --seed: must be an integer >= 0, got -5\n"
+
+
 def test_cli_refuses_huge_complex_dim_quickly(tmp_path, capsys):
     path = tmp_path / "huge.cgs"
     path.write_text(MINIMAL.replace("complex_dim = 1", "complex_dim = 100000000"))
@@ -607,6 +613,9 @@ MALFORMED = {
     "cr-embed-outside": (["cauchy", "FILE"],
                          _edited("affine", "embed = 1 1; 1 2", "embed = 1 1; 1 5")),
     "cr-mixed-forms": (["cauchy", "FILE"], _edited("line", CR, CR + "embed = 1 1\n")),
+    # every query row is evaluated at the base, where sigma faults
+    "cr-sigma-faults-at-base": (["cauchy", "FILE"],
+                                _edited("line", CR, "sigma = log(s - 1); 0\n")),
     "cr-base-nan": (["cauchy", "FILE", "--grid", "2"],
                     _edited("affine", "base = 0.0 0.0 / 0.0 1.0", "base = 0.0 0.0 / 0.0 nan")),
     "cr-base-inf": (["cauchy", "FILE", "--grid", "2"],
@@ -625,6 +634,9 @@ MALFORMED = {
                                   "[config]\nsteps_per_unit = 1000000000000\n")),
     "config-seed-neg": (["verify", "FILE"], MINIMAL + "[config]\nseed = -1\n"),
     "flag-seed-neg": (["verify", "line", "--seed", "-1"], None),
+    # cauchy and normal-form draw no samples, but check the seed as verify does
+    "flag-seed-neg-cauchy": (["cauchy", "line", "--grid", "2", "--seed", "-5"], None),
+    "flag-seed-neg-normal-form": (["normal-form", "line", "--grid", "2", "--seed", "-5"], None),
     "flag-grid-0": (["normal-form", "model-k1", "--grid", "0"], None),
     "flag-u-extent-nan": (["cauchy", "line", "--u-extent", "nan"], None),
     "flag-extent-nan": (["normal-form", "model-k1", "--extent", "nan"], None),

@@ -89,10 +89,18 @@ def test_flow_group_law():
 def test_flow_divergence_guard():
     chart = ComplexChart.standard(1)
     V = field(chart, ["x1^2", "0"])
-    # NaN fails |y| > bound too, so the bound is tested as not |y| <= bound
-    for p, t in (([1.0, 0.0], 2.0), ([np.nan, 0.0], 0.1), ([0.0, np.inf], 0.1)):
-        with pytest.raises(DivergenceError):
+    # NaN fails |y| > bound too, so the bound is tested as not |y| <= bound;
+    # a state that is not finite is named so, and the start point is checked
+    # also where the flow takes no step
+    bound = f"trajectory exceeded bound {DIVERGENCE_BOUND:g}"
+    for p, t, text in (([1.0, 0.0], 2.0, bound),
+                       ([np.nan, 0.0], 0.1, "trajectory state is not finite"),
+                       ([0.0, np.inf], 0.1, "trajectory state is not finite"),
+                       ([np.nan, 0.0], 0.0, "trajectory state is not finite"),
+                       ([2e6, 0.0], 0.0, bound)):
+        with pytest.raises(DivergenceError) as err:
             flow_real(V, p, t, CFG)
+        assert str(err.value) == text
 
 
 def _one_plus_z_squared(chart, rotate):
@@ -632,7 +640,7 @@ def test_stacked_complex_flow_equals_each_row_alone(tangents):
                   [2.0], [1.0j], [20.0j], [0.1j]])
     dZ0 = (np.random.default_rng(4).uniform(-1, 1, (8, 1, 2)) + 1j) if tangents else None
     # at the upper limit, the counts the reference takes
-    nsteps = flow.limit(W)
+    nsteps = flow.cfg.step_limit(W)
     points, Y, errors, _ = flow.rows(P, W, dZ0, nsteps)
     assert [type(err).__name__ if err else None for err in errors] == [
         None, None, None, None,
@@ -766,26 +774,28 @@ def test_error_estimate_bounds_the_error_and_decays_at_order_seven():
     assert estimates[0] >= 2 ** 6 * estimates[1] >= 2 ** 12 * estimates[2] > 0.0
     # a constant field steps exactly, and its estimate is 0
     line = ComplexFlow([VectorField.coordinate(ComplexChart.standard(1), "x1")], CFG)
-    assert line.steps(P, W)[:2] == ([1], [0.0])
+    counts, (_, _, _, estimates) = line.chosen(P, W)
+    assert (counts, estimates) == ([1], [0.0])
 
 
 def test_each_row_takes_the_steps_its_own_estimate_asks_for():
     flow, exact = _quadratic_flow(1.1)
     P = np.array([[0.3, 0.0], [0.3, 0.0], [0.0, 0.0], [-0.5, 0.0]])
     W = np.array([[0.0], [0.1j], [1.0j], [0.5 - 0.4j]])
-    counts, estimates, points, errors = flow.steps(P, W)
+    counts, (points, _, errors, estimates) = flow.chosen(P, W)
     assert errors == [None] * 4
     # no row over its limit; the rows that move stop below it, within tol
-    assert (counts <= flow.limit(W)).all() and (counts[1:] < flow.limit(W)[1:]).all()
-    assert (estimates <= flow.tol).all()
+    assert (counts <= flow.cfg.step_limit(W)).all() and (
+        counts[1:] < flow.cfg.step_limit(W)[1:]).all()
+    assert (estimates <= flow.cfg.step_tol).all()
     assert counts[2] > counts[1]
     # the points are the flows at those counts, each row as it is alone
     assert np.array_equal(points, flow.rows(P, W, nsteps=counts)[0])
     assert np.array_equal(points, flow.rows(P, W)[0])
     for i in range(4):
-        alone = flow.steps(P[i:i + 1], W[i:i + 1])
-        assert (alone[0][0], alone[1][0]) == (counts[i], estimates[i])
-        assert np.array_equal(alone[2][0], points[i])
+        alone_counts, (alone_points, _, _, alone_estimates) = flow.chosen(P[i:i + 1], W[i:i + 1])
+        assert (alone_counts[0], alone_estimates[0]) == (counts[i], estimates[i])
+        assert np.array_equal(alone_points[0], points[i])
     z = exact(P[:, 0], W[:, 0])
     assert np.max(np.abs(points[:, 0] + 1j * points[:, 1] - z)) < 1e-13
 
@@ -796,15 +806,68 @@ def test_a_row_whose_estimate_wants_more_takes_the_upper_limit():
     flow, _ = _quadratic_flow(1.1, FlowConfig(newton_tol=1e-20))
     P = np.array([[0.3, 0.0], [-0.1, 0.0]])
     W = np.array([[0.25j], [1.3 - 0.2j]])
-    counts, estimates, points, _ = flow.steps(P, W)
-    assert counts.tolist() == [8, 43] == flow.limit(W).tolist()
-    assert (estimates > flow.tol).all()
+    counts, (points, _, _, estimates) = flow.chosen(P, W)
+    assert counts.tolist() == [8, 43] == flow.cfg.step_limit(W).tolist()
+    assert (estimates > flow.cfg.step_tol).all()
     dZ0 = np.ones((2, 1, 1), dtype=complex)
     at_limit = flow.rows(P, W, dZ0, [8, 43])
     chosen = flow.rows(P, W, dZ0)
     assert np.array_equal(points, at_limit[0])
     for got, want in zip(chosen[:2], at_limit[:2]):
         assert np.array_equal(got, want)
+
+
+def test_rows_without_counts_enter_the_count_loop_once(monkeypatch):
+    # each call of rows without counts is one pass of FlowConfig.settle; a
+    # call with counts runs no loop
+    flow, _ = _quadratic_flow(1.1)
+    calls, settle = [], FlowConfig.settle
+
+    def spy(cfg, limit, run):
+        calls.append(np.array(limit))
+        return settle(cfg, limit, run)
+
+    monkeypatch.setattr(FlowConfig, "settle", spy)
+    P, W = np.array([[0.3, 0.0], [0.0, 0.0]]), np.array([[0.5j], [1.0j]])
+    flow.rows(P, W)
+    flow.rows(P, W, np.ones((2, 1, 1), dtype=complex))
+    flow.rows(P, W, nsteps=[4, 4])
+    assert [c.tolist() for c in calls] == [[16, 32], [16, 32]]
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_an_empty_stack_takes_one_run_of_no_rows(tangents, monkeypatch):
+    # the count loop runs once also when there is no row, so rows without
+    # counts returns the empty outputs of that run
+    flow, _ = _quadratic_flow(1.1)
+    runs, rows = [], flow.rows
+
+    def spy(P, W, dZ0=None, nsteps=None, labels=None):
+        runs.append(nsteps)
+        return rows(P, W, dZ0, nsteps, labels)
+
+    monkeypatch.setattr(flow, "rows", spy)
+    dZ0 = np.zeros((0, 1, 1), dtype=complex) if tangents else None
+    points, Y, errors, estimates = flow.rows(np.zeros((0, 2)), np.zeros((0, 1)), dZ0)
+    assert len(runs) == 2 and runs[0] is None and len(runs[1]) == 0
+    assert points.shape == (0, 2) and errors == [] and estimates.shape == (0,)
+    assert (Y is None) if not tangents else len(Y) == 0
+
+
+def test_rows_whose_limit_is_zero_take_no_step():
+    # |w|_1 over MAX_TIME or not finite: limit 0, so count 0, and the run
+    # refuses the row
+    flow, _ = _quadratic_flow(1.1)
+    P = np.zeros((4, 2))
+    W = np.array([[0.5j], [2 * MAX_TIME], [complex(np.nan, 0.0)], [complex(0.0, np.inf)]])
+    assert flow.cfg.step_limit(W).tolist() == [16, 0, 0, 0]
+    counts, (points, _, errors, estimates) = flow.chosen(P, W)
+    assert counts[1:].tolist() == [0, 0, 0] and counts[0] > 0
+    assert errors[0] is None and all(isinstance(err, FlowError) for err in errors[1:])
+    assert np.isnan(points[1:]).all() and np.isnan(estimates[1:]).all()
+    # so is a sum of |w_a| that overflows a double, without the overflow's
+    # RuntimeWarning (which the suite turns into an error)
+    assert CFG.step_limit(np.array([[1e308j, 1e308j], [0.25j, 0.0]])).tolist() == [0, 8]
 
 
 @pytest.mark.parametrize("tangents", [False, True])
@@ -856,7 +919,7 @@ def test_every_stage_state_is_checked_for_holomorphy(monkeypatch, tangents):
     for scale in (1e-3, 0.01, 1 / 7, 0.25, np.nextafter(0.25, 1.0), 1 / 3, 0.5, 1.0, 2.3):
         # two rows, |w|_1 = scale each, at the counts their errors ask for
         W = np.array([[1j * scale], [-1j * scale]])
-        nsteps = flow.steps(P, W)[0]
+        nsteps = flow.chosen(P, W)[0]
         reads.clear()
         with monkeypatch.context() as mp:
             mp.setattr(flow.frame, "at", counted)
@@ -872,7 +935,7 @@ def test_every_stage_state_is_checked_for_holomorphy(monkeypatch, tangents):
     W = np.array([[2.3j], [-2.3j]])
     with monkeypatch.context() as mp:
         mp.setattr(flow.frame, "at", counted)
-        flow.rows(P, W, dZ0, flow.limit(W))
+        flow.rows(P, W, dZ0, flow.cfg.step_limit(W))
     assert len(reads) == 2 * (12 * math.ceil(2.3 * CFG.steps_per_unit) + 1)
 
 
@@ -906,6 +969,7 @@ def test_non_finite_start_rows_are_refused_and_the_others_come_out_as_alone(tang
     assert P.tobytes() == start      # the state is the flow's own
     for i in (1, 2, 4):
         assert isinstance(errors[i], DivergenceError)
+        assert str(errors[i]) == "trajectory state is not finite"
         assert np.isnan(points[i]).all() and np.isnan(estimates[i])
     for i in (0, 3):
         alone = flow.rows(P[i:i + 1], W[i:i + 1], None if dZ0 is None else dZ0[i:i + 1])
@@ -916,6 +980,28 @@ def test_non_finite_start_rows_are_refused_and_the_others_come_out_as_alone(tang
 
 
 # --- Newton inversion ----------------------------------------------------------
+
+
+def test_row_norms_keep_the_column_sum_and_do_not_overflow():
+    # ordinary rows: the column-by-column sum, bit for bit
+    rng = np.random.default_rng(21)
+    R = rng.standard_normal((6, 5)) * np.array([[1e-200], [1e-3], [1.0], [1e3], [1e150], [0]])
+    old = np.zeros(len(R))
+    for col in R.T:
+        old = old + col * col
+    row_norms = cgsys.flow._row_norms
+    assert row_norms(R).tobytes() == np.sqrt(old).tobytes()
+    # rows whose squares overflow: finite norms, each row as it is alone
+    # (the suite turns the overflow's RuntimeWarning into an error)
+    huge = np.array([[1e308, 1e308, 1e308], [1e308, 0.0, -1e308], [1e200, -1e200, 3.0],
+                     [np.inf, 1.0, 0.0], [np.nan, 1e308, 1e308], [0.5, 1.0, 0.0]])
+    norms = row_norms(huge)
+    for i, row in enumerate(huge):
+        assert norms[i].tobytes() == row_norms(row[None])[0].tobytes()
+        if np.isfinite(row).all():
+            assert np.isfinite(norms[i])
+            assert abs(norms[i] - math.hypot(*row)) <= 4 * np.spacing(math.hypot(*row))
+    assert norms[3] == np.inf and np.isnan(norms[4])
 
 
 def test_newton_inverse_quadratic():

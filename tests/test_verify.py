@@ -489,6 +489,13 @@ def test_level_set_far_target_is_empty_pass(line):
     assert "empty" in rec.note
 
 
+def test_level_set_at_the_largest_doubles_is_empty_without_overflow(heis):
+    # residual norms near 1e308 stay finite: no overflow warning, which the
+    # suite turns into an error
+    rec = check_level_set(heis, [1e308, 1e308, 1e308], n_points=4, seed=0)
+    assert rec.ok and len(rec.points) == 0
+
+
 def _level_set_by_gauss_newton(sys_, V, n_points=8, seed=0):
     """The reference search: per seed point, undamped Gauss-Newton with
     lstsq steps on the tree-walked U and dU, stopped when max |U - V| <
