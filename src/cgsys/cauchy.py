@@ -29,8 +29,8 @@ The pipeline:
    back once per query, Jt = dF^-1 J dF, and J h_b, J d/du_a and the J xi_a
    of the d^c identity are products with it.
 
-dF is exact: on a matrix group it comes from one block-triangular matrix
-exponential that yields exp(X) and its Frechet derivatives together; for
+dF is exact: on a matrix group the Frechet derivatives of exp(X) ride on
+the exponential's own Taylor sum and squarings, which give F's points; for
 ambient fields the tangent columns are stepped by the same 8th-order
 Runge-Kutta loop as the trajectory, which is the exact derivative of the
 discrete flow map at its step count, with holomorphy read at every stage
@@ -374,10 +374,11 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
     errors are build_F's to the last bit, so Newton takes its residuals,
     and its step counts their estimates, from this map alone.
 
-    Matrix-group data differentiates g exp(X) through the block Frechet
-    exponential, all rows at once; ambient fields step the tangent columns
-    [dz/dz0 dsigma | dz/dw] along each row's Runge-Kutta trajectory, all rows in
-    one stacked run, with d/du_a = i d/dw_a.
+    Matrix-group data differentiates g exp(X) through the Frechet
+    derivatives that ride on exp(X)'s own Taylor sum, all rows at once;
+    ambient fields step the tangent columns [dz/dz0 dsigma | dz/dw] along
+    each row's Runge-Kutta trajectory, all rows in one stacked run, with
+    d/du_a = i d/dw_a.
     """
     return _flow_rows(data, cfg, jac=True)
 
@@ -440,6 +441,14 @@ def _tangent_coeffs(data: CRInitialData, P):
     return coeffs, _scatter(errors, ok, field_errors)
 
 
+def _solve_columns(M, B):
+    """solve_rows(M, B) with each column of B its own system, all in one
+    stacked call: a solve of several columns at once may scale by
+    reciprocals, which rounds differently from a column alone."""
+    cols, singular = solve_rows(M[:, None], np.swapaxes(B, 1, 2)[..., None])
+    return np.swapaxes(cols[..., 0], 1, 2), singular
+
+
 def _frames(data: CRInitialData, params, u, ambient, dF):
     """The adapted frames at the rows (params, u), given F and dF there: one
     stacked AdaptedFrame and per row None or the error that refuses it.
@@ -447,17 +456,14 @@ def _frames(data: CRInitialData, params, u, ambient, dF):
     m, k = len(data.param_names), data.k
     coeffs, errors = _tangent_coeffs(data, params)
     lifts = np.concatenate([coeffs, np.zeros((len(params), k, k))], axis=2)
-    # each column of J dF its own system: a solve of several columns at
-    # once may scale by reciprocals, which rounds differently
-    cols, singular = solve_rows(dF[:, None], np.swapaxes(j_rotate(dF, axis=1), 1, 2)[..., None])
-    Jt = np.swapaxes(cols[..., 0], 1, 2)
+    Jt, singular = _solve_columns(dF, j_rotate(dF, axis=1))
     jh_adapted = lifts @ np.swapaxes(Jt, 1, 2)
     je_adapted = np.swapaxes(Jt[:, :, m:], 1, 2)
     P = np.swapaxes(jh_adapted[:, :, m:], 1, 2)   # P[a, b] = u_a-component of J h_b
     Q = Jt[:, m:, m:]                              # Q[a, b] = u_a-component of J d/du_b
     with np.errstate(invalid="ignore"):      # NaN at a singular dF
         det = np.linalg.det(P)
-    A, _ = solve_rows(P, Q)
+    A, _ = _solve_columns(P, Q)
     for i, err in enumerate(errors):
         if err is not None:
             continue

@@ -22,11 +22,13 @@ supported on two routes:
   for the flow to extend; fields that fail it are refused.
 
 Every route also gives exact derivatives of the flow map.  On a matrix group
-one block-triangular exponential yields exp(X) and its Frechet derivatives
-L(X, E) together (Al-Mohy & Higham 2009).  Ambient complex flows step the
-tangent columns, and the columns of the derivatives in the complex times,
-in the same Runge-Kutta loop as the trajectory (the variational equations,
-Hairer-Norsett-Wanner I.14): the exact derivative of the discrete map.
+the Frechet derivatives L(X, E) ride on exp(X)'s own Taylor sum and
+squarings (Al-Mohy & Higham 2009), so that exp(X) is matrix_exp(X) and
+the derivative's points are the flow's to the last bit.  Ambient complex
+flows step the tangent columns, and the columns of the derivatives in the
+complex times, in the same Runge-Kutta loop as the trajectory (the
+variational equations, Hairer-Norsett-Wanner I.14): the exact derivative
+of the discrete map.
 The normal form's straightening map phi(z, w) is one such flow.
 
 One Runge-Kutta loop (``_rk``) steps every flow, over a stack of rows that
@@ -44,9 +46,10 @@ HolomorphyError from the tape's residual.  ``flow_complex_multi`` is its
 one-row view.
 
 The matrix-group maps take stacks of rows: ``complexified_flow_matrix``
-and ``complexified_flow_jacobian`` only those, ``matrix_exp`` one matrix
-or a stack.  Each matrix gets its own scaling and its own Taylor stopping
-point, and a row comes out as it would alone.  ``newton_rows``, the one
+and ``complexified_flow_jacobian`` only those, ``matrix_exp`` (the view of
+``_exp_frechet`` with no directions) one matrix or a stack.  Each matrix
+gets its own scaling and its own Taylor stopping point, and a row comes
+out as it would alone.  ``newton_rows``, the one
 Newton of cgsys, runs damped Newton over stacked rows in lockstep, each
 row with its own step halvings and convergence test, on one map that
 returns the values, the exact Jacobians and an error estimate together:
@@ -366,14 +369,38 @@ def matrix_exp(A) -> np.ndarray:
     where 2^s u would exceed 2^-27 (s > MAX_SQUARINGS = 26, a 1-norm above
     2^25): a value with fewer than 26 correct bits is not returned.  A
     matrix whose doubled norm is not finite comes out NaN too; the
-    squarings of a nilpotent one may overflow to inf.
+    squarings of a nilpotent one may overflow to inf.  It is the view of
+    ``_exp_frechet`` with no directions, which adds no work to a term.
     """
     A = np.asarray(A)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix_exp needs a square matrix or a stack of them")
     if A.ndim == 2:
         return matrix_exp(A[None])[0]
-    n, d = len(A), A.shape[-1]
+    return _exp_frechet(A, A[:0])[0]
+
+
+def _exp_frechet(A, D):
+    """exp(A_i) of each matrix of the stack A (n, d, d), by matrix_exp's
+    rules, and its Frechet derivatives L(A_i, D_b) in the k directions D
+    (k, d, d) that the rows share: (E (n, d, d), L (n, k, d, d)).
+
+    The derivatives ride on the exponential's own Taylor sum and squarings
+    (Al-Mohy & Higham 2009; Higham, Functions of Matrices, 10.6): with
+    B = A 2^-s scaled by A's own power of two, the term T_j = T_(j-1) B / j
+    has the derivatives L_j = (T_(j-1) D 2^-s + L_(j-1) B) / j, and each
+    squaring E <- E E takes L <- E L + L E.  Each row holds T and the L_b
+    side by side, [T | L_1 .. L_k]; read as the stack of the k + 1 blocks'
+    rows, it multiplies B in one product per row, whose T rows are T B as
+    matrix_exp forms it, and T D_b is one product for all rows and
+    directions.  A squaring is one product of the stacked [E; L_b] with E
+    and one of E with the L_b side by side.  So E is matrix_exp(A) to the
+    last bit, and without directions this is matrix_exp's own work.  A
+    row's derivatives sum on until their terms and the exponential's are
+    all exactly zero (exact on nilpotent input), and are NaN where that sum
+    did not stop and s > MAX_SQUARINGS.
+    """
+    n, d, k = len(A), A.shape[-1], len(D)
     with np.errstate(over="ignore", invalid="ignore"):
         # twice each matrix's 1-norm, its largest absolute column sum
         colsum = np.abs(A[:, 0])
@@ -383,32 +410,53 @@ def matrix_exp(A) -> np.ndarray:
         s = np.array([math.ceil(math.log2(x)) if 1.0 < x < math.inf else 0 for x in twice],
                      dtype=int)
         # 2^-s is exact and cannot overflow; a row with no finite scaling is NaN
-        B = A * np.where(np.isfinite(twice), np.ldexp(1.0, -s), np.nan)[:, None, None]
-    out = np.broadcast_to(np.eye(d, dtype=np.result_type(A.dtype, float)), A.shape).copy()
-    term = out.copy()
+        scale = np.where(np.isfinite(twice), np.ldexp(1.0, -s), np.nan)[:, None, None]
+        B = A * scale
+    # each row's Taylor term and its derivatives side by side, (n, d, k + 1, d)
+    term = np.zeros((n, d, k + 1, d), dtype=np.result_type(A.dtype, D.dtype, float))
+    term[:, :, 0] = np.eye(d)
+    out = term.copy()
+    beside = np.swapaxes(D, 0, 1).reshape(d, k * d)     # D_1 | .. | D_k
     live = np.ones(n, dtype=bool)
     for j in range(1, 17):
-        term = term @ B
+        step = (term.reshape(n, d * (k + 1), d) @ B).reshape(term.shape)
+        if k:
+            # T 2^-s of every row stacked, times the directions side by side
+            step[:, :, 1:] += ((term[:, :, 0] * scale).reshape(n * d, d) @ beside).reshape(
+                n, d, k, d)
+        term = step
         term /= j
-        live &= term.any(axis=(1, 2))
-        if live.all():
+        nonzero = term.any(axis=(1, 3))
+        live &= nonzero[:, 0]
+        # a row's derivatives sum on while their terms or its own do; adding
+        # its own zero terms changes no bit, as sums from I hold no -0.0
+        moving = live | nonzero[:, 1:].any(axis=1) if k else live
+        if moving.all():
             out += term
-        elif live.any():
-            out[live] += term[live]
+        elif moving.any():
+            out[moving] += term[moving]
         else:
             break
-    # squarings that would amplify rounding past 2^-27 (live: no terminated sum)
-    inexact = live & (s > MAX_SQUARINGS)
+    # squarings that would amplify rounding past 2^-27 (a sum that did not stop)
+    far = s > MAX_SQUARINGS
+    if k:
+        out[:, :, 1:][moving & far] = np.nan
+    inexact = live & far
     if inexact.any():
         out[inexact], s[inexact] = np.nan, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(int(s.max(initial=0))):
             sq = s > i
+            rows = out if sq.all() else out[sq]
+            m, E = len(rows), rows[:, :, 0]
+            step = (rows.reshape(m, d * (k + 1), d) @ E).reshape(rows.shape)
+            if k:
+                step[:, :, 1:] += (E @ rows[:, :, 1:].reshape(m, d, k * d)).reshape(m, d, k, d)
             if sq.all():
-                out = out @ out
+                out = step
             else:
-                out[sq] = out[sq] @ out[sq]
-    return out
+                out[sq] = step
+    return out[:, :, 0], np.swapaxes(out[:, :, 1:], 1, 2)
 
 
 def _scatter(out, rows, values):
@@ -536,29 +584,22 @@ def complexified_flow_jacobian(spec: MatrixGroupSpec, g, V, dg, dV):
     Returns (points (n, 2N), Jacobians (n, 2N, r + s), errors) with errors
     as complexified_flow_matrix gives them: column j of a Jacobian is
     dg_j exp(X), and column r + b is g L(X, D_b), with L the Frechet
-    derivative of exp.  The Jacobian's exp(X) and the L(X, D_b) come from
-    the first block row of one exponential of the block upper-triangular
-    matrix with X on the diagonal and D_1, ..., D_s beside the first block;
-    it is exact where the Taylor sum terminates, i.e. on nilpotent
-    algebras.  The points and errors are complexified_flow_matrix's own
-    (the block's corner can differ from g matrix_exp(X) in the last bits),
-    so the points equal F's.
+    derivative of exp.  exp(X) and the L(X, D_b) come from one Taylor sum
+    and its squarings (``_exp_frechet``), exact where the sum terminates,
+    i.e. on nilpotent algebras; that exp(X) is matrix_exp(X) to the last
+    bit, so the points and errors are complexified_flow_matrix's own.
     """
     M = spec.embed(g)
-    X = spec.algebra_element(V)
     dirs = spec.algebra_element(np.asarray(dV).T)
-    rows, n, s = len(X), spec.matrix_dim, len(dirs)
-    block = np.zeros((rows, s + 1, n, s + 1, n), dtype=complex)
-    for b in range(s + 1):
-        block[:, b, :, b] = X
-    block[:, 0, :, 1:] = dirs.transpose(1, 0, 2)
-    top = matrix_exp(block.reshape(rows, (s + 1) * n, (s + 1) * n))[:, :n].copy()
-    expX = top[:, :, :n]
-    # column j: dg_j exp(X); column r + b: g L(X, D_b)
-    tangent = spec.read_slots(spec.embed_tangent(np.swapaxes(dg, 1, 2)) @ expX[:, None])
-    frechet = (M @ top[:, :, n:]).reshape(rows, n, s, n).transpose(0, 2, 1, 3)
-    J = np.concatenate([tangent, spec.read_slots(frechet)], axis=1)
-    points, errors = complexified_flow_matrix(spec, g, V)
+    E, L = _exp_frechet(spec.algebra_element(V), dirs)
+    rows, n, r, s = len(M), spec.matrix_dim, np.shape(dg)[2], len(dirs)
+    # column j: dg_j exp(X), the r tangent matrices stacked into one product
+    # per row; column r + b: g L(X, D_b), one product with the L_b side by side
+    tangent = spec.embed_tangent(np.swapaxes(dg, 1, 2)).reshape(rows, r * n, n) @ E
+    beside = np.swapaxes(L, 1, 2).reshape(rows, n, s * n)
+    frechet = np.swapaxes((M @ beside).reshape(rows, n, s, n), 1, 2)
+    J = spec.read_slots(np.concatenate([tangent.reshape(rows, r, n, n), frechet], axis=1))
+    points, errors = spec.unembed_rows(M @ E)
     return points, np.swapaxes(J, 1, 2), errors
 
 

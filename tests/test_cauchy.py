@@ -405,6 +405,22 @@ def test_stacked_J_pullbacks_equal_the_per_vector_loops(name, request):
                               np.array([_j_loop(v) for v in built.xi_ambient]))
 
 
+@pytest.mark.parametrize("name", ["heis_data", "affine_data", "line_data"])
+def test_each_column_of_A_is_solved_alone(name, request):
+    # A = P^-1 Q solves each column of Q as its own system, in one stacked
+    # call, so it rounds as a solve of that column alone does
+    data = request.getfixturevalue(name)
+    m, k = len(data.param_names), data.k
+    rng = np.random.default_rng(5)
+    P, U = data.base + rng.uniform(-0.3, 0.3, (20, m)), rng.uniform(-0.4, 0.4, (20, k))
+    ambient, dF, errors, _ = build_dF(data, CFG)(P, U)
+    frame, frame_errors = cgsys.cauchy._frames(data, P, U, ambient, dF)
+    assert errors == frame_errors == [None] * 20
+    for i in range(20):
+        for b in range(k):
+            assert np.array_equal(frame.A[i][:, b], np.linalg.solve(frame.P[i], frame.Q[i][:, b]))
+
+
 NON_INVOLUTIVE = """
 [chart]
 complex_dim = 3
@@ -879,8 +895,7 @@ def test_stacked_F_and_dF_equal_their_one_point_calls(which, heis_data, affine_d
                                    "quadratic", "ambient"])
 def test_dF_points_equal_F_points(which, heis_data, affine_data):
     # Newton takes its residuals from dF's points, so they must be F's to
-    # the last bit; on the affine group the block exponential's corner is
-    # not matrix_exp(X) to the last bit
+    # the last bit
     data = {"heisenberg": heis_data, "affine": affine_data,
             "heisenberg-ode": _heisenberg_ode_data(heis_data),
             "quadratic": loads(QUADRATIC_FIELD, name="quadratic").cr,

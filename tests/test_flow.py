@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 import scipy.integrate._ivp.dop853_coefficients as dop853
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import cgsys.flow
 from cgsys.expr import DomainError, add, diff, evaluate, sub
 from cgsys.flow import (
-    DIVERGENCE_BOUND, HOLOMORPHY_TOL, MAX_TIME,
+    DIVERGENCE_BOUND, HOLOMORPHY_TOL, MAX_SQUARINGS, MAX_TIME,
     ComplexFlow, DivergenceError, EmbeddingError, FlowConfig, FlowError,
     HolomorphyError, MatrixGroupSpec, NewtonError, complexified_flow_jacobian,
     complexified_flow_matrix, flow_complex_multi, flow_real, left_invariant_fields, matrix_exp, newton_inverse, newton_rows,
-    numerical_jacobian, solve_rows,
+    numerical_jacobian, solve_rows, _exp_frechet,
 )
 from cgsys.geometry import ComplexChart, VectorField, apply_J, j_matrix
 
@@ -246,6 +247,143 @@ def test_matrix_exp_huge_row_leaves_its_stack_alone():
     assert np.array_equal(E[0], matrix_exp(A[0])) and np.array_equal(E[3], matrix_exp(A[3]))
     # 5e307 needs more squarings than the accuracy bound allows
     assert np.isnan(E[1]).all() and np.isnan(E[2]).all()
+
+
+# --- the exponential and its Frechet derivatives from one Taylor sum ----------
+
+
+def _reference_matrix_exp(A):
+    """matrix_exp over a stack (n, d, d) as it was written before it became
+    _exp_frechet's view: scaling, a Taylor sum that stops per row at its
+    first zero term, the MAX_SQUARINGS NaN rule, squarings."""
+    n, d = len(A), A.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        colsum = np.abs(A[:, 0])
+        for i in range(1, d):
+            colsum = colsum + np.abs(A[:, i])
+        twice = colsum.max(axis=1, initial=0.0) / 0.5
+        s = np.array([math.ceil(math.log2(x)) if 1.0 < x < math.inf else 0 for x in twice],
+                     dtype=int)
+        B = A * np.where(np.isfinite(twice), np.ldexp(1.0, -s), np.nan)[:, None, None]
+    out = np.broadcast_to(np.eye(d, dtype=np.result_type(A.dtype, float)), A.shape).copy()
+    term = out.copy()
+    live = np.ones(n, dtype=bool)
+    for j in range(1, 17):
+        term = term @ B
+        term /= j
+        live &= term.any(axis=(1, 2))
+        if live.all():
+            out += term
+        elif live.any():
+            out[live] += term[live]
+        else:
+            break
+    inexact = live & (s > MAX_SQUARINGS)
+    if inexact.any():
+        out[inexact], s[inexact] = np.nan, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(s.max(initial=0))):
+            sq = s > i
+            if sq.all():
+                out = out @ out
+            else:
+                out[sq] = out[sq] @ out[sq]
+    return out
+
+
+def _reference_block_frechet(A, D):
+    """L(A_i, D_b) (n, k, d, d) read off the first block row of the
+    reference exponential of the block upper-triangular matrix with A on
+    the diagonal and D_1, ..., D_k beside the first block."""
+    n, d, k = len(A), A.shape[-1], len(D)
+    block = np.zeros((n, k + 1, d, k + 1, d), dtype=complex)
+    for b in range(k + 1):
+        block[:, b, :, b] = A
+    block[:, 0, :, 1:] = np.transpose(D, (1, 0, 2))
+    top = _reference_matrix_exp(block.reshape(n, (k + 1) * d, (k + 1) * d))[:, :d, d:]
+    return top.reshape(n, d, k, d).transpose(0, 2, 1, 3)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# row kinds of a stack: a nilpotent row (strictly upper triangular), whose
+# sums stop early, a diagonal and a full row, a row past MAX_SQUARINGS and
+# a row whose doubled 1-norm is not finite (both NaN)
+_KINDS = ("nilpotent", "diagonal", "full", "past-bound", "no-scaling")
+
+
+@st.composite
+def _exp_stacks(draw, kinds=_KINDS):
+    """A stack A (n, d, d) of the row kinds, real or complex, with -0.0
+    entries, and k directions D (k, d, d) shared by its rows."""
+    n, d, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    complex_ = draw(st.booleans())
+
+    def entries(shape):
+        M = rng.standard_normal(shape)
+        return M + 1j * rng.standard_normal(shape) if complex_ else M
+
+    A = entries((n, d, d))
+    for i in range(n):
+        kind = draw(st.sampled_from(kinds))
+        A[i] *= 2.0 ** draw(st.integers(-8, 6))
+        if kind == "nilpotent":
+            A[i] = np.triu(A[i], 1)
+        elif kind == "diagonal":
+            A[i] = np.diag(np.diag(A[i]))
+        elif kind == "past-bound":
+            A[i, 0, 0] = 1e9j if complex_ else 1e9
+        elif kind == "no-scaling":
+            A[i, 0, -1] = draw(st.sampled_from([9e307, np.inf, np.nan]))
+        A[i][rng.random((d, d)) < 0.25] = -0.0
+    return A, entries((k, d, d))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_exp_stacks())
+def test_the_exponential_of_the_frechet_routine_is_matrix_exp_bit_for_bit(stack):
+    A, D = stack
+    E, L = _exp_frechet(A, D)
+    ref = _reference_matrix_exp(A)
+    assert _same_bits(E, ref)
+    assert _same_bits(matrix_exp(A), ref)
+    assert L.shape == (len(A), len(D)) + A.shape[1:]
+    for i in range(len(A)):
+        # a row in a stack of one, and matrix_exp's one-matrix view
+        Ei, Li = _exp_frechet(A[i:i + 1], D)
+        assert _same_bits(E[i], Ei[0]) and _same_bits(L[i], Li[0])
+        assert _same_bits(matrix_exp(A[i]), ref[i])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_exp_stacks(kinds=("nilpotent", "diagonal", "full")), st.floats(4.0, 64.0))
+def test_frechet_derivatives_match_scipy_and_the_block_exponential(stack, norm):
+    # each row scaled to a 1-norm of 4 to 64: three to seven squarings
+    A, D = stack
+    A = A * (norm / np.maximum(np.abs(A).sum(axis=1).max(axis=1), 1e-300))[:, None, None]
+    E, L = _exp_frechet(A, D)
+    block = _reference_block_frechet(A, D)
+    for i in range(len(A)):
+        for b in range(len(D)):
+            ref = scipy.linalg.expm_frechet(A[i], D[b], compute_expm=False)
+            size = np.max(np.abs(ref))
+            assert np.max(np.abs(L[i, b] - ref)) <= 1e-12 * size
+            assert np.max(np.abs(L[i, b] - block[i, b])) <= 1e-13 * size
+
+
+def test_frechet_sum_that_does_not_stop_is_nan_past_the_squaring_bound():
+    # the shift matrix of size 9: its exponential's sum stops after 9 terms,
+    # its derivatives' after 17, past the 16 the sum takes; at a 1-norm
+    # of 2^30 (31 squarings) they are NaN and the exponential is not
+    N = np.eye(9, k=1)
+    D = np.random.default_rng(4).standard_normal((2, 9, 9))
+    A = np.stack([2.0 ** 30 * N, 2.0 ** 10 * N])
+    E, L = _exp_frechet(A, D)
+    assert np.isfinite(E).all() and _same_bits(E, _reference_matrix_exp(A))
+    assert np.isnan(L[0]).all() and np.isfinite(L[1]).all()
 
 
 # --- matrix-group complexified flow -------------------------------------------
