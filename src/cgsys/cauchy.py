@@ -67,7 +67,7 @@ row with its own step count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -469,6 +469,8 @@ def _frames(data: CRInitialData, params, u, ambient, dF):
             continue
         if singular[i]:
             errors[i] = OutsideDomainError("dF is numerically singular at this point")
+        elif not np.isfinite(det[i]):
+            errors[i] = OutsideDomainError(f"det P = {det[i]:.3e} is not finite")
         elif abs(det[i]) <= 1e-10:
             errors[i] = OutsideDomainError(
                 f"det P = {det[i]:.3e}: point lies outside the construction domain")
@@ -521,12 +523,12 @@ def _construct_rows(frame: AdaptedFrame):
     residual_d = np.max(np.abs(xi_adapted[:, :, m:]), axis=(1, 2))
     jxi_adapted = xi_adapted @ np.swapaxes(frame.Jt, 1, 2)
     residual_dc = np.max(np.abs(jxi_adapted[:, :, m:] - np.eye(k)), axis=(1, 2))
-    # Python's max(residual_d, residual_dc), NaN handling included
-    worst = np.where(residual_dc > residual_d, residual_dc, residual_d)
-    errors = [ConstructionError(
-        f"internal identity residual {w:.3e} exceeds {CONSTRUCTION_TOL:g}; "
-        "dF is ill-conditioned here") if w > CONSTRUCTION_TOL else None
-        for w in worst]
+    # a NaN residual fails both tests, so its row is refused by name
+    errors = [None if w <= CONSTRUCTION_TOL else ConstructionError(
+        f"internal identity residual {w:.3e} "
+        + (f"exceeds {CONSTRUCTION_TOL:g}; dF is ill-conditioned here"
+           if w > CONSTRUCTION_TOL else "is not finite"))
+        for w in np.maximum(residual_d, residual_dc)]
     return ConstructedFields(xi_adapted, xi_ambient, jxi_ambient,
                              residual_d, residual_dc), errors
 
@@ -547,6 +549,9 @@ def construct_fields(frame: AdaptedFrame) -> ConstructedFields:
 
 @dataclass
 class QueryRecord:
+    """One query of a CauchySolution: views of row i of its columns.  A
+    refused query has no reconstruction (None and NaN) and names its error."""
+
     query: np.ndarray
     ok: bool
     error: str = ""
@@ -566,33 +571,87 @@ class QueryRecord:
     rk_error: float | None = None   # and its flow's error estimate at the solution
 
 
+def _max_ok(values, ok) -> float:
+    """The largest of ``values`` over the ok rows, NaN entries left out;
+    NaN when none is left."""
+    values = values[ok]
+    values = values[~np.isnan(values)]
+    return float(values.max()) if values.size else float("nan")
+
+
 @dataclass
 class CauchySolution:
-    """Numerically evaluable gradient system near M plus per-query records."""
+    """Numerically evaluable gradient system near M plus its queries by
+    column: row i of every column belongs to query i.
+
+    ``ok_rows`` marks the queries that resolved; ``errors`` holds each
+    refused query's error text ("" where ok).  The counts cover every row:
+    ``newton_iters``, ``halvings`` and, on ambient fields (else None),
+    ``rk_steps`` and ``rk_error``.  The reconstruction columns ``params``,
+    ``u``, ``U`` (n, k), ``xi``, ``jxi`` (n, k, 2N), ``residual_d``,
+    ``residual_dc``, ``newton_residual`` and, with an oracle (else None),
+    ``oracle_dU`` and ``oracle_dxi`` are NaN on refused rows.  ``records``
+    views the rows as QueryRecords."""
 
     data: CRInitialData
-    records: list[QueryRecord] = field(default_factory=list)
+    query: np.ndarray
+    ok_rows: np.ndarray
+    errors: list[str]
+    newton_iters: np.ndarray
+    halvings: np.ndarray
+    rk_steps: np.ndarray | None
+    rk_error: np.ndarray | None
+    params: np.ndarray
+    u: np.ndarray
+    U: np.ndarray
+    xi: np.ndarray
+    jxi: np.ndarray
+    residual_d: np.ndarray
+    residual_dc: np.ndarray
+    newton_residual: np.ndarray
+    oracle_dU: np.ndarray | None = None
+    oracle_dxi: np.ndarray | None = None
     integrability_defect: float = 0.0
     integrability_note: str = ""
 
+    @cached_property
+    def records(self) -> list[QueryRecord]:
+        """One QueryRecord per query, built on first read."""
+        nan = np.full(len(self.query), np.nan)
+        dU = nan if self.oracle_dU is None else self.oracle_dU
+        dxi = nan if self.oracle_dxi is None else self.oracle_dxi
+        out = []
+        for i, ok in enumerate(self.ok_rows.tolist()):
+            rec = QueryRecord(self.query[i], ok, self.errors[i],
+                              newton_iters=int(self.newton_iters[i]),
+                              halvings=int(self.halvings[i]))
+            if self.rk_steps is not None:
+                rec.rk_steps, rec.rk_error = int(self.rk_steps[i]), float(self.rk_error[i])
+            if ok:
+                rec.params, rec.u, rec.U = self.params[i], self.u[i], self.U[i]
+                rec.xi, rec.jxi = self.xi[i], self.jxi[i]
+                rec.residual_d, rec.residual_dc = float(self.residual_d[i]), float(self.residual_dc[i])
+                rec.newton_residual = float(self.newton_residual[i])
+                rec.oracle_dU, rec.oracle_dxi = float(dU[i]), float(dxi[i])
+            out.append(rec)
+        return out
+
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.records)
+        return bool(self.ok_rows.all())
 
     @property
     def max_oracle_dU(self) -> float:
-        vals = [r.oracle_dU for r in self.records if r.ok]
-        return float(np.nanmax(vals)) if vals else float("nan")
+        return float("nan") if self.oracle_dU is None else _max_ok(self.oracle_dU, self.ok_rows)
 
     @property
     def max_oracle_dxi(self) -> float:
-        vals = [r.oracle_dxi for r in self.records if r.ok]
-        return float(np.nanmax(vals)) if vals else float("nan")
+        return float("nan") if self.oracle_dxi is None else _max_ok(self.oracle_dxi, self.ok_rows)
 
     @property
     def max_axiom_residual(self) -> float:
-        vals = [max(r.residual_d, r.residual_dc) for r in self.records if r.ok]
-        return float(np.max(vals)) if vals else float("nan")
+        worst = np.maximum(self.residual_d, self.residual_dc)[self.ok_rows]
+        return float(worst.max()) if worst.size else float("nan")
 
 
 def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
@@ -606,13 +665,14 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     ambient fields each query's step count is frozen, and re-chosen from
     that estimate, as ``_newton`` describes.  The frames and
     fields come from stacked P/Q/A and field products on the F and dF that
-    Newton returns at the solutions.  A query that fails refuses only its
-    own record, which then names the error; each record also counts its
-    Newton steps and step halvings, and on ambient fields its step count
-    and its flow's error estimate at the solution.
+    Newton returns at the solutions, and fill the solution's columns by
+    stacked assignment.  A query that fails refuses only its own row, which
+    then names the error; each row also counts its Newton steps and step
+    halvings, and on ambient fields its step count and its flow's error
+    estimate at the solution.
 
     ``oracle`` is an optional (grad_exprs, field_list) pair of closed forms;
-    when given, each record carries the deviation of the reconstructed U and
+    when given, each row carries the deviation of the reconstructed U and
     xi_a from the oracle values at the query (NaN where a closed form is
     undefined at it).
     """
@@ -625,21 +685,15 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
             witness=tres.witnesses[0])
     validate_tangency(data, t)
     defect = frobenius_defect_on_M(data, t)
-    sol = CauchySolution(data, integrability_defect=defect)
+    note = ""
     if defect > 1e-8:
-        sol.integrability_note = (
-            f"initial distribution is not involutive on M (defect {defect:.3e}); "
-            "proceeding pointwise")
+        note = (f"initial distribution is not involutive on M (defect {defect:.3e}); "
+                "proceeding pointwise")
 
     queries = np.asarray(queries, dtype=float).reshape(-1, data.chart.dim)
-    sol.records = [QueryRecord(query=q, ok=False) for q in queries]
     m = len(data.param_names)
     newton, counts = _newton(data, cfg, queries)
     errors = newton.errors
-    for i, rec in enumerate(sol.records):
-        rec.newton_iters, rec.halvings = int(newton.iters[i]), int(newton.halvings[i])
-        if data.group is None:
-            rec.rk_steps, rec.rk_error = int(counts[i]), float(newton.estimates[i])
 
     def passing(rows, stage_errors) -> np.ndarray:
         """Record the errors of a stage at its rows; the mask of those that
@@ -651,33 +705,42 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     # every row is tested, so a fault names the query by its own index
     outside = _domain_errors(data, newton.x[:, :m])
     rows = rows[passing(rows, [outside[i] for i in rows])]
-    for i in rows:
-        rec = sol.records[i]
-        rec.params, rec.u = newton.x[i, :m], newton.x[i, m:]
-        rec.U = -rec.u
     frame, stage_errors = _frames(data, newton.x[rows, :m], newton.x[rows, m:],
                                   newton.values[rows], newton.jac[rows])
     keep = passing(rows, stage_errors)
     rows, frame = rows[keep], _row(frame, keep)
     built, stage_errors = _construct_rows(frame)
     keep = passing(rows, stage_errors)
-    rows, frame, built = rows[keep], _row(frame, keep), _row(built, keep)
+    rows, built = rows[keep], _row(built, keep)
 
+    n, k, dim = len(queries), data.k, data.chart.dim
+
+    def column(shape, values):
+        """An (n, *shape) column, NaN but at the resolved rows."""
+        out = np.full((n, *shape), np.nan)
+        out[rows] = values
+        return out
+
+    u = column((k,), newton.x[rows, m:])
+    xi = column((k, dim), built.xi_ambient)
+    oracle_dU = oracle_dxi = None
     if oracle is not None:
-        dU_ref, dxi_ref = _oracle_residuals(data, oracle, queries[rows],
-                                            -newton.x[rows, m:], built.xi_ambient)
-    for j, i in enumerate(rows):
-        rec = sol.records[i]
-        rec.newton_residual = float(np.max(np.abs(frame.ambient[j] - rec.query)))
-        rec.xi, rec.jxi = built.xi_ambient[j], built.jxi_ambient[j]
-        rec.residual_d, rec.residual_dc = float(built.residual_d[j]), float(built.residual_dc[j])
-        if oracle is not None:
-            rec.oracle_dU, rec.oracle_dxi = float(dU_ref[j]), float(dxi_ref[j])
-        rec.ok = True
-    for rec, err in zip(sol.records, errors):
-        if err is not None:
-            rec.error = str(err)
-    return sol
+        dU_ref, dxi_ref = _oracle_residuals(data, oracle, queries[rows], -u[rows], xi[rows])
+        oracle_dU, oracle_dxi = column((), dU_ref), column((), dxi_ref)
+    ok_rows = np.zeros(n, dtype=bool)
+    ok_rows[rows] = True
+    ambient = data.group is None
+    return CauchySolution(
+        data, queries, ok_rows, ["" if err is None else str(err) for err in errors],
+        newton_iters=newton.iters, halvings=newton.halvings,
+        rk_steps=counts if ambient else None, rk_error=newton.estimates if ambient else None,
+        params=column((m,), newton.x[rows, :m]), u=u, U=-u, xi=xi,
+        jxi=column((k, dim), built.jxi_ambient),
+        residual_d=column((), built.residual_d), residual_dc=column((), built.residual_dc),
+        newton_residual=column(
+            (), np.max(np.abs(newton.values[rows] - queries[rows]), axis=1)),
+        oracle_dU=oracle_dU, oracle_dxi=oracle_dxi,
+        integrability_defect=defect, integrability_note=note)
 
 
 def _newton(data: CRInitialData, cfg: FlowConfig, queries):

@@ -18,13 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cauchy import CONSTRUCTION_TOL, CauchyError, TransversalityError, grid_queries, solve
+from .cauchy import (
+    CONSTRUCTION_TOL, CauchyError, CauchySolution, TransversalityError, grid_queries, solve,
+)
 from .dsl import (
     SETTINGS, LoadError, SystemFile, builtin_names, check_rows, load, load_builtin,
 )
 from .expr import DomainError
 from .flow import DEFAULT_CONFIG, FlowConfig, FlowError
-from .report import build_document, check_entry, input_digest, write_report
+from .report import RecordColumns, build_document, check_entry, input_digest, write_report
 from .verify import (
     GridSpec, NormalFormRefusal, SamplingError, check_level_set, normal_form,
     symmetric_axis, verify_system,
@@ -153,12 +155,10 @@ def cmd_cauchy(args) -> int:
                   file=_sys.stderr)
         return 1
 
-    records = sol.records
-    n_ok = sum(r.ok for r in records)
+    n, n_ok = len(sol.query), int(sol.ok_rows.sum())
     entries = [
         check_entry("cauchy.queries-resolved", "flow-coordinates-invertible",
-                    float(len(records) - n_ok), 0.5, n_ok == len(records),
-                    len(records)),
+                    float(n - n_ok), 0.5, n_ok == n, n),
         check_entry("cauchy.identities-internal", "construction-identities",
                     sol.max_axiom_residual, CONSTRUCTION_TOL,
                     sol.max_axiom_residual < CONSTRUCTION_TOL, n_ok),
@@ -171,32 +171,32 @@ def cmd_cauchy(args) -> int:
             "cauchy.field-oracle", "extending-fields-closed-form",
             sol.max_oracle_dxi, tol, sol.max_oracle_dxi < tol, n_ok))
 
-    print(f"cauchy {sf.name}: {len(records)} queries "
+    print(f"cauchy {sf.name}: {n} queries "
           f"(grid {grid}^{data.k}, |u| <= {extent:g})")
     for e in entries:
         _print_check(e)
     if sol.integrability_note:
         print(f"note: {sol.integrability_note}")
 
-    rec_payload = []
-    for r in records:
-        item = {"query": r.query, "ok": r.ok, "newton_iters": r.newton_iters,
-                "halvings": r.halvings}
-        if r.rk_steps is not None:
-            item.update({"rk_steps": r.rk_steps, "rk_error": r.rk_error})
-        if r.ok:
-            item.update({
-                "params": r.params, "u": r.u, "U": r.U, "xi": r.xi,
-                "residual_d": r.residual_d, "residual_dc": r.residual_dc,
-            })
-            if sf.oracle is not None:
-                item.update({"oracle_dU": r.oracle_dU, "oracle_dxi": r.oracle_dxi})
-        else:
-            item["error"] = r.error
-        rec_payload.append(item)
     doc = build_document(input_digest(sf.text), entries, system=sf.name,
-                         records=rec_payload)
+                         records=_report_records(sol))
     return _finish(doc, args.json)
+
+
+def _report_records(sol: CauchySolution) -> RecordColumns:
+    """The report's records of a solution, by column: every record holds
+    its query, ok, its counts and, on ambient fields, rk_steps and rk_error;
+    an ok record its reconstruction (with an oracle, the deviations from
+    it), a refused one its error."""
+    shared = {"query": sol.query, "ok": sol.ok_rows, "newton_iters": sol.newton_iters,
+              "halvings": sol.halvings}
+    if sol.rk_steps is not None:
+        shared.update(rk_steps=sol.rk_steps, rk_error=sol.rk_error)
+    ok_only = {"params": sol.params, "u": sol.u, "U": sol.U, "xi": sol.xi,
+               "residual_d": sol.residual_d, "residual_dc": sol.residual_dc}
+    if sol.oracle_dU is not None:
+        ok_only.update(oracle_dU=sol.oracle_dU, oracle_dxi=sol.oracle_dxi)
+    return RecordColumns(sol.ok_rows, shared, ok_only, {"error": sol.errors})
 
 
 def cmd_normal_form(args) -> int:

@@ -9,6 +9,8 @@ plus optional extras (classification flags, per-query records, profile
 tables).  The serializer sorts keys and prints every float with 17
 significant digits, so identical seed and configuration produce
 byte-identical files; the shipped report_schema.json validates the layout.
+Records may be handed over by column (``RecordColumns``); they are written
+as the same text as the list of their rows.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 import importlib.resources
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ REPORT_VERSION = "0.1.0"
 
 __all__ = [
     "REPORT_VERSION", "input_digest", "check_entry", "build_document",
-    "canonical_json", "write_report", "schema_text",
+    "canonical_json", "write_report", "schema_text", "RecordColumns",
 ]
 
 
@@ -63,6 +66,14 @@ def build_document(digest: str, checks: list[dict], **extras) -> dict:
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
+def _bracketed(parts: list[str], shape) -> str:
+    """The texts ``parts`` of an array of ``shape`` (row-major, at least one)
+    as nested JSON lists."""
+    for n in reversed(shape):
+        parts = ["[" + ", ".join(parts[i:i + n]) + "]" for i in range(0, len(parts), n)]
+    return parts[0]
+
+
 def _encode_floats(a: np.ndarray) -> str:
     """A float array in one pass: every value formatted at once (NaN and
     infinities as null), then the brackets of each axis."""
@@ -71,10 +82,62 @@ def _encode_floats(a: np.ndarray) -> str:
         text = "[" + ", ".join(parts) + "]"
         if "n" not in text:          # no finite value prints an 'n'
             return text
-    parts = ["null" if t in _NON_FINITE else t for t in parts]
-    for n in reversed(a.shape):
-        parts = ["[" + ", ".join(parts[i:i + n]) + "]" for i in range(0, len(parts), n)]
-    return parts[0]
+    return _bracketed(["null" if t in _NON_FINITE else t for t in parts], a.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """A list of report records stored by column.
+
+    Record i is the object of the keys of ``shared`` and, where ``ok[i]``,
+    of ``ok_only``, else of ``refused_only``, each valued at entry i of its
+    column.  A column is an array whose first axis runs over the records, or
+    a list; the records encode as the list of their objects."""
+
+    ok: np.ndarray
+    shared: dict
+    ok_only: dict
+    refused_only: dict
+
+    def row(self, i: int) -> dict:
+        layout = {**self.shared, **(self.ok_only if self.ok[i] else self.refused_only)}
+        return {key: column[i] for key, column in layout.items()}
+
+
+# the %-slot of one value of an ok record's column, by dtype kind
+_SLOTS = {"f": "%.17g", "i": "%d", "b": "%s"}
+
+
+def _encode_records(records: RecordColumns) -> str:
+    """The records as ``_encode`` writes the list of their objects.  The ok
+    rows whose floats are all finite go through one %-template of the ok
+    layout, keys in sorted order (floats %.17g, integers %d); every other
+    row is encoded value by value, so its NaN and infinities become null."""
+    ok = np.asarray(records.ok, dtype=bool)
+    parts = [None] * len(ok)
+    rows = np.flatnonzero(ok)
+    layout = {**records.shared, **records.ok_only}
+    fields, blocks = [], []
+    finite = np.ones(len(rows), dtype=bool)
+    for key in sorted(layout):
+        column = np.asarray(layout[key])[rows]
+        slot = _SLOTS[column.dtype.kind]
+        shape, size = column.shape[1:], math.prod(column.shape[1:])
+        fields.append(f"{_str_key(key).replace('%', '%%')}: {_bracketed([slot] * size, shape)}")
+        block = column.reshape(len(rows), size)
+        if slot == "%.17g":
+            finite &= np.isfinite(block).all(axis=1)
+        elif slot == "%s":
+            block = np.where(block, "true", "false")
+        blocks.append(block)
+    template = "{" + ", ".join(fields) + "}"
+    values = np.concatenate([block.astype(object) for block in blocks], axis=1)
+    for i, row in zip(rows[finite].tolist(), values[finite].tolist()):
+        parts[i] = template % tuple(row)
+    for i, text in enumerate(parts):
+        if text is None:
+            parts[i] = _encode(records.row(i))
+    return "[" + ", ".join(parts) + "]"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -108,6 +171,8 @@ def _encode(obj) -> str:
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, RecordColumns):
+        return _encode_records(obj)
     raise TypeError(f"cannot encode {type(obj).__name__} in a report")
 
 

@@ -520,6 +520,35 @@ def test_fields_refuse_an_ill_conditioned_dF_alone(name, mix, request):
         construct_fields(cgsys.cauchy._row(frame, 1))
 
 
+def test_frames_refuse_a_nan_det_P_alone(affine_data):
+    # NaN fails |det P| <= 1e-10 as it fails every comparison; LAPACK
+    # solves a NaN dF without finding it singular
+    def poisoned(dF):
+        dF[0, 0] = np.nan
+        return dF
+    frame, err = _frames_with(affine_data, poisoned)
+    assert np.isnan(frame.P[1]).all()
+    assert type(err) is cgsys.cauchy.OutsideDomainError
+    assert str(err) == "det P = nan is not finite"
+
+
+@pytest.mark.parametrize("block, entry", [("A", (0, -1, -1)), ("Jt", (0, -1, 0))])
+def test_fields_refuse_a_nan_residual(block, entry, affine_data):
+    # a NaN in A makes both residuals NaN; one in the last row of Jt (off
+    # its u columns, which J d/du_a views) only residual_dc, beside a
+    # finite residual_d
+    P, U = np.array([[0.1, 0.2]]), np.array([[0.1, -0.1]])
+    ambient, dF, _, _ = build_dF(affine_data, CFG)(P, U)
+    frame, errors = cgsys.cauchy._frames(affine_data, P, U, ambient, dF)
+    assert errors == [None]
+    getattr(frame, block)[entry] = np.nan
+    built, [err] = cgsys.cauchy._construct_rows(frame)
+    assert np.isnan(built.residual_dc[0])
+    assert np.isnan(built.residual_d[0]) == (block == "A")
+    assert type(err) is ConstructionError
+    assert str(err) == "internal identity residual nan is not finite"
+
+
 def test_line_frame_is_flat_off_M(line_data):
     dF = build_dF(line_data, CFG)
     frame = compute_PQA(line_data, dF, np.array([0.2]), np.array([0.35]), CFG)

@@ -734,6 +734,27 @@ def test_cauchy_report_validates(tmp_path, schema):
     assert any(c["name"] == "cauchy.gradient-oracle" for c in doc["checks"])
 
 
+@pytest.mark.parametrize("case", ["affine-wide", "ambient"])
+def test_cauchy_records_validate_against_schema(case, tmp_path, schema):
+    # affine at |u| <= 3 refuses rows and has null oracle entries; records
+    # on ambient fields (not matrix-group ones) carry rk_steps and rk_error
+    argv, code = {"affine-wide": (["affine", "--u-extent", "3", "--grid", "5"], 1),
+                  "ambient": ([_ambient_file(tmp_path), "--grid", "3"], 0)}[case]
+    out = tmp_path / "cauchy.json"
+    assert main(["cauchy", *argv, "--json", str(out)]) == code
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, schema)
+    records = doc["records"]
+    if case == "affine-wide":
+        assert any(not r["ok"] for r in records)
+        assert any(r["ok"] and r["oracle_dU"] is None for r in records)
+    assert all(("rk_steps" in r) == (case == "ambient") for r in records)
+    # the record layouts admit no other key
+    records[0]["jxi"] = records[0]["query"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+
+
 def test_normal_form_report_validates(tmp_path, schema):
     out = tmp_path / "nf.json"
     assert main(["normal-form", "model-k1", "--grid", "5",
@@ -746,12 +767,15 @@ def test_normal_form_report_validates(tmp_path, schema):
 def test_reports_byte_identical_across_runs(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    for argv in (["verify", "affine", "--points", "40", "--seed", "11"],
-                 ["cauchy", "affine", "--grid", "4"],
-                 ["cauchy", "line", "--grid", "5"],
-                 ["cauchy", _ambient_file(tmp_path), "--grid", "3", "--u-extent", "0.25"]):
+    # affine at |u| <= 3 refuses rows, so its op exits 1
+    for argv, code in ((["verify", "affine", "--points", "40", "--seed", "11"], 0),
+                       (["cauchy", "affine", "--grid", "4"], 0),
+                       (["cauchy", "line", "--grid", "5"], 0),
+                       (["cauchy", _ambient_file(tmp_path), "--grid", "3", "--u-extent", "0.25"], 0),
+                       (["cauchy", "heisenberg-cr", "--grid", "4"], 0),
+                       (["cauchy", "affine", "--u-extent", "3", "--grid", "5"], 1)):
         for out in (a, b):
-            assert main([*argv, "--json", str(out)]) == 0
+            assert main([*argv, "--json", str(out)]) == code
         assert a.read_bytes() == b.read_bytes()
 
 
