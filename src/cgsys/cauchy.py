@@ -335,18 +335,14 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
                 return points, _first_error(errors, flow_errors)
             *out, flow_errors = complexified_flow_jacobian(spec, S, W, D, 1j * np.eye(k))
             return *out, _first_error(errors, flow_errors), np.zeros(len(S))
-        points, estimates = np.full(S.shape, np.nan), np.full(len(S), np.nan)
-        ok = np.flatnonzero([e is None for e in errors])
-        points[ok], Y, flow_errors, estimates[ok] = flow.rows(
-            S[ok], W[ok], to_complex(D[ok], axis=1) if jac else None,
-            None if nsteps is None else np.asarray(nsteps)[ok])
-        errors = _scatter(errors, ok, flow_errors)
+        # a row that sigma refuses starts at NaN, and keeps sigma's error
+        points, Y, flow_errors, estimates = flow.rows(
+            S, W, to_complex(D, axis=1) if jac else None, nsteps)
+        errors = _first_error(errors, flow_errors)
         if not jac:
             return points, errors
-        J = np.full((len(S), S.shape[1], m + k), np.nan)
         Y[:, :, m:] *= 1j
-        J[ok] = to_chart(Y, axis=1)
-        return points, J, errors, estimates
+        return points, to_chart(Y, axis=1), errors, estimates
 
     return rows
 
@@ -433,12 +429,10 @@ def _tangent_coeffs(data: CRInitialData, P):
     """Parameter-space components of the initial fields at sigma(p), (n, k, m)
     over the parameter rows P, and per row None or the error refusing it."""
     S, D, errors = data.sigma_rows(P)
-    rho0 = np.full((len(S), data.k, data.chart.dim), np.nan)
-    ok = np.flatnonzero([e is None for e in errors])
-    vals, field_errors = data.table.fields.program.rows(S[ok], ok)
-    rho0[ok] = data.table.fields.blocks(vals)["X"]
+    vals, field_errors = data.table.fields.program.rows(S)
+    rho0 = data.table.fields.blocks(vals)["X"]
     coeffs = np.swapaxes(np.linalg.pinv(D) @ np.swapaxes(rho0, 1, 2), 1, 2)
-    return coeffs, _scatter(errors, ok, field_errors)
+    return coeffs, _first_error(errors, field_errors)
 
 
 def _solve_columns(M, B):

@@ -17,7 +17,10 @@ One spec table (``_SECTIONS``) gives each section's fixed keys and indexed
 prefixes; one reader (``_Section``) rejects duplicate, unknown and gapped
 keys and reports every ``ValueError`` raised while converting a value or
 building a model as a ``LoadError`` naming the section, the key and the
-line.  The models (``ComplexChart``, ``VectorField``, ``GradientSystem``,
+line; so is an expression nested, or a tree, deeper than ``MAX_DEPTH``
+(``expr.MAX_DEPTH`` = 64; the gallery's deepest is 10), which bounds every
+recursive walk of an input tree and of its derivatives.  The models
+(``ComplexChart``, ``VectorField``, ``GradientSystem``,
 ``MatrixGroupSpec``, ``CRInitialData``) check their own invariants; the
 loader keeps only the rules that join keys or sections.  ``SETTINGS`` holds
 the checked converter of each setting, shared with the CLI flags.
@@ -38,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .cauchy import CRInitialData
-from .expr import Expr, ParseError, parse_expr, to_string
+from .expr import MAX_DEPTH, Expr, ParseError, depth, parse_expr, to_string
 from .flow import MatrixGroupSpec
 from .geometry import ComplexChart, VectorField
 from .verify import GradientSystem
@@ -232,9 +235,12 @@ def _split_sections(text: str) -> dict[str, _Section]:
 
 def _expr(text: str) -> Expr:
     try:
-        return parse_expr(text.strip())
+        e = parse_expr(text.strip())
     except ParseError as err:
         raise ValueError(f"{err} in {text.strip()!r}") from None
+    if (d := depth(e)) > MAX_DEPTH:
+        raise ValueError(f"expression of depth {d} is deeper than MAX_DEPTH = {MAX_DEPTH}")
+    return e
 
 
 def _exprs(text: str) -> tuple[Expr, ...]:

@@ -60,13 +60,21 @@ __all__ = [
     "ExprError", "ParseError", "UnknownFunctionError",
     "UnboundVariableError", "DomainError",
     "parse_expr", "evaluate", "compile_exprs", "Program", "Table", "Predicate",
-    "diff", "free_vars", "require_vars", "subst", "to_string",
+    "diff", "free_vars", "require_vars", "subst", "to_string", "depth", "MAX_DEPTH",
     "add", "sub", "mul", "div", "pow_", "neg", "unary", "as_expr",
     "UNARY_OPS", "BINARY_OPS",
 ]
 
 UNARY_OPS = ("neg", "sin", "cos", "tan", "atan", "exp", "log", "sqrt")
 BINARY_OPS = ("add", "sub", "mul", "div", "pow")
+
+# the deepest nesting the parser takes and the deepest tree a system file
+# may hold: the gallery's deepest expression has depth 10.  Trees are
+# walked recursively (hashing, equality, diff, compile, printing), and a
+# derivative is deeper than its source, so a bound keeps every walk of an
+# input and of its second derivatives inside Python's default recursion
+# limit, with room for a caller's own stack
+MAX_DEPTH = 64
 
 
 class ExprError(ValueError):
@@ -776,6 +784,18 @@ def free_vars(e: Expr) -> frozenset[str]:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def depth(e: Expr) -> int:
+    """The number of nodes on the longest path from ``e`` down to a leaf,
+    counted level by level without recursion, so that a tree of any depth
+    is measured.  A node's children are its slots that hold an Expr."""
+    deepest, level = 0, [e]
+    while level:
+        deepest += 1
+        level = [c for node in level for name in node.__slots__
+                 if isinstance(c := getattr(node, name), Expr)]
+    return deepest
+
+
 def require_vars(exprs, names, what: str) -> None:
     """Raise ValueError unless ``exprs`` use only variables among ``names``."""
     extra = set().union(*map(free_vars, exprs)) - set(names)
@@ -875,13 +895,16 @@ class _Parser:
     base   := number | ident | ident '(' expr (',' expr)? ')' | '(' expr ')'
 
     '+'/'-' and '*'/'/' associate left, '^' associates right and binds
-    tighter than unary minus, so "-x^2" is -(x^2).
+    tighter than unary minus, so "-x^2" is -(x^2).  Every nested factor
+    (a parenthesis, a function argument, a unary minus or an exponent)
+    goes through ``_factor``, whose nesting is bounded by MAX_DEPTH.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.n = len(text)
+        self.nesting = 0
 
     def parse(self) -> Expr:
         e = self._expr()
@@ -925,14 +948,20 @@ class _Parser:
                 return e
 
     def _factor(self) -> Expr:
+        if self.nesting == MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than MAX_DEPTH = {MAX_DEPTH}",
+                             self.pos)
+        self.nesting += 1
         if self._peek() == "-":
             self.pos += 1
-            return neg(self._factor())
-        base = self._base()
-        if self._peek() == "^":
-            self.pos += 1
-            return pow_(base, self._factor())
-        return base
+            e = neg(self._factor())
+        else:
+            e = self._base()
+            if self._peek() == "^":
+                self.pos += 1
+                e = pow_(e, self._factor())
+        self.nesting -= 1
+        return e
 
     def _base(self) -> Expr:
         c = self._peek()

@@ -42,8 +42,10 @@ and on each step's path where a row takes too few steps for 256 states per
 unit of |w|; a row that diverges (at a stage state or a step's end), leaves the
 holomorphic region, exceeds MAX_TIME or faults is refused alone, with the
 tape's own error: its DomainError, naming the node and the point, or a
-HolomorphyError from the tape's residual.  ``flow_complex_multi`` is its
-one-row view.
+HolomorphyError from the tape's residual.  A refusal has one form, in the
+loop as everywhere in cgsys: the row's first error goes into the per-row
+list and its values turn NaN where it is refused, and the NaN row steps on
+with the others to its count.  ``flow_complex_multi`` is its one-row view.
 
 The matrix-group maps take stacks of rows: ``complexified_flow_matrix``
 and ``complexified_flow_jacobian`` only those, ``matrix_exp`` (the view of
@@ -254,13 +256,12 @@ def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
     ``velocity(rows, y)`` returns the velocities at the states y of the
     rows ``rows`` (indices into state), one call per stage, and
     ``guard(rows, y)`` sees every later stage state before its call and
-    every step's end; each also returns the mask of the rows it keeps, or
-    None to keep all, and may raise to abort the whole stack.  A refused
-    row drops out, as does a finished one, and keeps the state it had
-    before the step; nothing is evaluated once no row is left.
-    ``path(rows, y, end, hh, k0, k1)``, if given, sees each step of the
-    rows that passed its end, with k1 the velocity of the stage at c = 1,
-    and keeps rows as guard does.
+    every step's end.  ``path(rows, y, end, hh, k0, k1)``, if given, sees
+    each step, with k1 the velocity of the stage at c = 1.  A callback may
+    raise to abort the whole stack, or refuse a row by writing NaN into its
+    velocity or into its state y (or end); the NaN row steps on with the
+    others, so every row leaves only when it has taken its count, and the
+    loop stops early once every row still stepping is NaN.
 
     The stage sums run around the first stage's k0, over the nonzero
     entries of A and b in column order: y + h (c_i k0 + sum_j a_ij (k_j - k0))
@@ -281,36 +282,26 @@ def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
     nsteps = np.broadcast_to(nsteps, (n,))
     ends = set(nsteps.tolist())
     column = (slice(None),) + (None,) * (state.ndim - 1)
-    rows = np.flatnonzero(nsteps > 0)
-    hh = h[rows][column]
     for s in range(max(ends, default=0)):
-        if s in ends:            # rows that took nsteps[i] = s steps are done
-            rows = rows[nsteps[rows] > s]
+        if not s or s in ends:   # the rows that take more than s steps
+            rows = np.flatnonzero(nsteps > s)
             hh = h[rows][column]
-        if not len(rows):        # every row still stepping was refused
-            break
         y = state[rows]
-        k, keep = velocity(rows, y)
-        ks = [k]                 # k0, then k_j - k0 for j >= 1
+        if np.isnan(y).all():    # every row still stepping was refused
+            break
+        ks = [velocity(rows, y)]     # k0, then k_j - k0 for j >= 1
         for c, terms in _DP8_STAGES:
-            if keep is not None:
-                rows, y, hh, *ks = (x[keep] for x in (rows, y, hh, *ks))
             total = ks[0] if c is None else c * ks[0]
             for j, a in terms:
                 total = total + a * ks[j]
             arg = y + hh * total
-            keep = guard(rows, arg)
-            if keep is not None:
-                rows, y, hh, arg, *ks = (x[keep] for x in (rows, y, hh, arg, *ks))
-            if c is None or not len(rows):    # the step's end, or no row left
+            guard(rows, arg)
+            if c is None:        # the step's end
                 break
-            k, keep = velocity(rows, arg)
-            ks.append(k - ks[0])
-        if path is not None and len(rows):
-            keep = path(rows, y, arg, hh, ks[0], ks[0] + ks[-1])
-            if keep is not None:
-                rows, y, hh, arg, *ks = (x[keep] for x in (rows, y, hh, arg, *ks))
-        if error is not None and len(rows):
+            ks.append(velocity(rows, arg) - ks[0])
+        if path is not None:
+            path(rows, y, arg, hh, ks[0], ks[0] + ks[-1])
+        if error is not None:
             hp = hh[:, 0]
             e5 = np.abs(hp * _embedded(_DP8_E5, ks)) ** 2
             e3 = np.abs(hp * _embedded(_DP8_E3, ks)) ** 2
@@ -343,7 +334,7 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG):
     state = p.reshape(-1, p.shape[-1]).copy()
 
     def velocity(_, state):
-        return V.program(state), None
+        return V.program(state)
 
     def guard(_, state):
         if not np.max(np.abs(state), initial=0.0) <= DIVERGENCE_BOUND:
@@ -768,8 +759,8 @@ class ComplexFlow:
         columns dZ0 (n, N, r) at the start points, Y is the (n, N, r + k)
         stack [dz/dz0 dZ0_i | dz/dw_1 ... dz/dw_k], stepped by the same
         steps as the points, else None, estimates[i] is row i's summed error
-        estimate (``_rk``), and errors[i] is None or the exception that
-        refuses row i (its outputs NaN): a HolomorphyError or DomainError
+        estimate (``_rk``), and errors[i] is None or the first exception
+        that refuses row i (its outputs NaN): a HolomorphyError or DomainError
         (naming row i as labels[i], default i) of the fields at its start
         point, a state it reads holomorphy at or its end point, a
         DivergenceError of a stage state, a step's end or the start point
@@ -777,7 +768,9 @@ class ComplexFlow:
         finite), or a FlowError when |w_i|_1 exceeds MAX_TIME.  Row i takes
         nsteps[i] steps of size 1/nsteps[i], by default the count
         ``chosen`` picks for it, tangents and all; without tangents a row
-        with w_i = 0 takes none.
+        with w_i = 0 takes none.  A row refused inside the loop turns NaN
+        where it is refused (its velocity, stage state or step end) and
+        steps on; a start row that is NaN is refused as not finite.
         """
         if nsteps is None:
             return self.chosen(P, W, dZ0, labels)[1]
@@ -810,32 +803,33 @@ class ComplexFlow:
                                     np.zeros((n, k, N), dtype=complex)], axis=1)
         times = [None, None]     # the rows of the last call and their W
 
-        def refuse(rows, refused):
-            if not refused:
-                return None
-            _scatter(errors, rows[list(refused)], refused.values())
-            return ~np.isin(np.arange(len(rows)), list(refused))
+        def refuse(rows, refused, values=None):
+            """Keep the first error of each row refused (j -> error, j
+            indexing rows), and write NaN into its row of ``values``."""
+            for j, err in refused.items():
+                errors[rows[j]] = errors[rows[j]] or err
+            if refused and values is not None:
+                values[list(refused)] = np.nan
 
         def velocity(rows, y):
             Z, DX, refused = frame.at(to_chart(y[:, 0]), labels[rows])
             if rows is not times[0]:
                 times[:] = rows, W[rows][:, None]
             Wr = times[1]
-            if dZ0 is None:
-                return Wr @ Z, refuse(rows, refused)
-            A = (Wr @ holomorphic_jacobians(DX).reshape(len(rows), k, N * N)).reshape(-1, N, N)
-            out = np.empty_like(y)
-            out[:, :1] = Wr @ Z
-            out[:, 1:] = y[:, 1:] @ np.swapaxes(A, 1, 2)
-            out[:, 1 + r:] += Z
-            return out, refuse(rows, refused)
+            out = Wr @ Z
+            if dZ0 is not None:
+                A = (Wr @ holomorphic_jacobians(DX).reshape(len(rows), k, N * N)).reshape(
+                    -1, N, N)
+                out = np.concatenate([out, y[:, 1:] @ np.swapaxes(A, 1, 2)], axis=1)
+                out[:, 1 + r:] += Z
+            refuse(rows, refused, out)
+            return out
 
         def guard(rows, y):
             # not |y| <= bound, which a NaN state fails too
             inside = np.maximum.reduce(np.abs(y[:, 0]), axis=1) <= DIVERGENCE_BOUND
-            if inside.all():
-                return None
-            return refuse(rows, {j: _divergence(y[j, 0]) for j in np.flatnonzero(~inside)})
+            if not inside.all():
+                refuse(rows, {j: _divergence(y[j, 0]) for j in np.flatnonzero(~inside)}, y)
 
         # a row reads holomorphy at its start point, its 12 stage states a
         # step and its end point; where that is fewer than
@@ -850,7 +844,7 @@ class ComplexFlow:
         def path(rows, y, end, hh, k0, k1):
             m = extra[rows]
             if not m.any():
-                return None
+                return
             at = np.repeat(np.arange(len(rows)), m)
             t = ((np.arange(len(at)) - np.repeat(np.cumsum(m) - m, m) + 1.0)
                  / np.repeat(m + 1.0, m))[:, None]
@@ -860,7 +854,7 @@ class ComplexFlow:
             refused = {}
             for j, err in frame.at(to_chart(states), labels[rows[at]])[2].items():
                 refused.setdefault(at[j], err)
-            return refuse(rows, refused)
+            refuse(rows, refused, end)
 
         # a stage sum that overflows is refused by the bound on its state
         estimates = np.zeros(n)
@@ -875,8 +869,7 @@ class ComplexFlow:
         rows = np.flatnonzero([err is None for err in errors])
         if frame.checks_holomorphy and len(rows):
             refuse(rows, frame.at(to_chart(state[rows, 0]), labels[rows])[2])
-        for i, err in late.items():
-            errors[i] = errors[i] or err
+        refuse(np.arange(n), late)
         failed = [err is not None for err in errors]
         state[failed], estimates[failed] = complex(np.nan, np.nan), np.nan
         Y = None if dZ0 is None else np.swapaxes(state[:, 1:], 1, 2)

@@ -335,6 +335,24 @@ def test_ode_route_matches_matrix_route(heis_data, heis_spec):
     assert np.max(np.abs(ode - mat)) < 1e-8
 
 
+def test_flow_map_errors_name_their_row_in_the_stack():
+    # sigma refuses row 0 (log 0), and row 2 starts on the field's pole:
+    # F and dF name row 2 by its index in the stack, not among the rows
+    # that sigma accepts
+    data = loads("[chart]\ncomplex_dim = 1\n\n[cr_data]\nparams = s\nsigma = log(s); 0\n"
+                 "field_1 = x1/(x1^2 + y1^2); -y1/(x1^2 + y1^2)\nbase_params = 2\n").cr
+    P, U = np.array([[0.0], [2.0], [1.0]]), np.zeros((3, 1))
+    (points, errors), (dpoints, J, derrors, _) = (
+        build_F(data, CFG)(P, U), build_dF(data, CFG)(P, U))
+    for errs in (errors, derrors):
+        assert [str(err) if err else None for err in errs] == [
+            "log of non-positive value in 'log(s)' at point 0 (s=0.0)", None,
+            "division by zero in 'x1/(x1^2 + y1^2)' at point 2 (x1=0.0, y1=0.0)"]
+    assert np.array_equal(points, dpoints, equal_nan=True)
+    assert np.isnan(points[::2]).all() and np.isnan(J[::2]).all()
+    assert np.array_equal(points[1], [math.log(2.0), 0.0])
+
+
 # --- equation map ----------------------------------------------------------------
 
 

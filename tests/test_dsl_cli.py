@@ -18,6 +18,7 @@ from cgsys.dsl import (
     MAX_COMPLEX_DIM, MAX_ROWS, MAX_STEPS_PER_UNIT, LoadError, builtin_names,
     builtin_text, check_rows, dumps, load_builtin, loads,
 )
+from cgsys.expr import MAX_DEPTH
 from cgsys.flow import DEFAULT_CONFIG, _HolomorphicFrame
 from cgsys.geometry import VectorField
 from cgsys.report import canonical_json, schema_text
@@ -674,6 +675,52 @@ def test_cli_non_finite_literal_is_input_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "bad number" in err
     assert "Traceback" not in err
+
+
+def _deep(shape: str, depth: int, a: str = "x1", b: str = "y1") -> str:
+    """An expression of the given depth: a nesting of parentheses (the
+    parser's recursion), or a flat sum or product (a tree as deep as it is
+    long, which hashing and equality walk recursively)."""
+    if shape == "parentheses":
+        return "(" * (depth - 1) + f"{a} + {b}" + ")" * (depth - 1)
+    op = {"sum": " + ", "product": "*"}[shape]
+    return op.join([b] + [a] * (depth - 1))
+
+
+# far past MAX_DEPTH: each of these overflowed the default recursion limit of
+# Python 3.11 when loaded as a system file
+DEEP = {"parentheses": ("parentheses", 246), "flat-sum": ("sum", 500),
+        "product": ("product", 249)}
+
+
+@pytest.mark.parametrize("case", DEEP)
+def test_cli_deep_expression_is_input_error(case, tmp_path, capsys):
+    path = tmp_path / "deep.cgs"
+    path.write_text(_edited(MINIMAL, "grad_1 = -y1", f"grad_1 = {_deep(*DEEP[case])}"))
+    assert main(["verify", str(path), "--points", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: [system] grad_1: ") and "MAX_DEPTH" in err
+    assert err.endswith("(line 8)\n") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape", ["parentheses", "sum", "product"])
+def test_expressions_at_the_depth_bound_run_in_every_command(shape, tmp_path, capsys):
+    # at MAX_DEPTH in the [system] gradient, which verify differentiates
+    # twice, and in the [cr_data] and [oracle] slots that cauchy compiles
+    def text(depth):
+        return _edited(_edited(_edited(
+            "line", "grad_1 = -y1\n", f"grad_1 = {_deep(shape, depth)}\n"),
+            CR, CR + f"param_domain = {_deep(shape, depth, 's', 's')}\n"),
+            ORACLE, ORACLE.replace("-y1", _deep(shape, depth)))
+    path = tmp_path / "deep.cgs"
+    path.write_text(text(MAX_DEPTH))
+    for argv in (["verify", "--points", "5"], ["normal-form", "--grid", "3"],
+                 ["cauchy", "--grid", "2"]):
+        assert main([argv[0], str(path), *argv[1:]]) in (0, 1)
+        assert "input error" not in capsys.readouterr().err
+    path.write_text(text(MAX_DEPTH + 1))
+    assert main(["verify", str(path)]) == 2
+    assert "MAX_DEPTH" in capsys.readouterr().err
 
 
 # --- fuzzed files through main --------------------------------------------------------

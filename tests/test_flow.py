@@ -760,53 +760,102 @@ def _flow_one_row(fields, cfg, p, w, dz0):
     return (real(y), None) if dz0 is None else (real(y[0]), y[1:].T)
 
 
+def _bump(y0):
+    """A term that is 0 for y1 <= y0 and not holomorphic above it."""
+    return f"(y1 - {y0} + sqrt((y1 - {y0})^2))^3"
+
+
+def _refusal_stacks(tangents):
+    """Stacks whose rows are refused at the start and inside the
+    Runge-Kutta loop, by each of its callbacks, beside rows that are not:
+    (fields, cfg, P, W, dZ0, the names of the rows' errors)."""
+    chart = ComplexChart.standard(1)
+    stacks = []
+
+    def stack(comps, P, W, names, cfg=CFG):
+        dZ0 = ((np.random.default_rng(4).uniform(-1, 1, (len(P), 1, 2)) + 1j)
+               if tangents else None)
+        stacks.append(([field(chart, comps)], cfg, np.array(P, dtype=float),
+                       np.array(W, dtype=complex), dZ0, names))
+
+    # Z(z) = 1 + 1.1 z^2 + 1/(z + 3) plus the bump above y1 = 0.5: |w| = 0,
+    # 0.1, 0.25 and just above it (8 and 9 steps), then a row that diverges
+    # at a stage state, one whose velocity crosses y1 = 0.5, one over
+    # max_time and one whose velocity faults at its start, on the pole
+    stack([f"1 + 1.1*(x1^2 - y1^2) + (x1 + 3)/((x1 + 3)^2 + y1^2) + {_bump(0.5)}",
+           "2*1.1*x1*y1 - y1/((x1 + 3)^2 + y1^2)"],
+          [[0.2, 0.0], [0.1, 0.0], [0.3, 0.0], [-0.1, 0.0],
+           [0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [-3.0, 0.0]],
+          [[0.0], [0.1j], [0.25j], [np.nextafter(0.25, 1.0) * 1j],
+           [2.0], [1.0j], [20.0j], [0.1j]],
+          [None, None, None, None,
+           "DivergenceError", "HolomorphyError", "FlowError", "DomainError"])
+    # (1 + 1.1 z^2) d/dz run into its pole in real time: the guard refuses
+    # two rows at stage states, steps before their counts end
+    stack(["1 + 1.1*(x1^2 - y1^2)", "2*1.1*x1*y1"],
+          [[0.3, 0.0], [0.0, 0.0], [-0.2, 0.4], [0.1, 0.0]],
+          [[0.5j], [3.0], [0.3 - 0.2j], [2.0]],
+          [None, "DivergenceError", None, "DivergenceError"])
+    # the field 1, written so that it faults at x1 = 1/128: a constant field
+    # steps exactly, and row 1's stage at c = 1/4 of its one step lands
+    # there, so its velocity faults in the middle of the step
+    stack(["(x1 - 0.0078125)/(x1 - 0.0078125)", "0"],
+          [[0.5, 0.0], [0.0, 0.0], [0.1, 0.2]], [[0.25j], [1 / 32], [1 / 32]],
+          [None, "DomainError", None])
+    return stacks
+
+
+def _path_stack(tangents):
+    """A stack whose row 0 only a step's Hermite path refuses: the
+    rotation i z plus the bump above y1 = 0.5997, at steps_per_unit = 2,
+    where a row reads fewer stage states than 256 a unit of |w| and so
+    reads its paths too.  Row 0 turns through the top of the circle
+    |z| = 0.6 in one step, whose stage states stay below 0.5997 while its
+    path reaches 0.59996; row 2's velocity crosses far into the bump."""
+    chart = ComplexChart.standard(1)
+    z0 = 0.6j * np.exp(-0.2j)
+    P = np.array([[z0.real, z0.imag], [0.0, 0.3], [0.65, 0.0], [0.2, -0.1]])
+    dZ0 = (np.random.default_rng(4).uniform(-1, 1, (4, 1, 2)) + 1j) if tangents else None
+    return ([field(chart, [f"-y1 + {_bump(0.5997)}", "x1"])], FlowConfig(steps_per_unit=2), P,
+            np.array([[0.4], [0.4], [2.0], [0.3 - 0.1j]]), dZ0,
+            ["HolomorphyError", None, "HolomorphyError", None])
+
+
 @pytest.mark.parametrize("tangents", [False, True])
 def test_stacked_complex_flow_equals_each_row_alone(tangents):
-    # Z(z) = 1 + 1.1 z^2 + 1/(z + 3), plus a term that is 0 for y1 <= 0.5
-    # and not holomorphic above it
-    chart = ComplexChart.standard(1)
-    bump = "(y1 - 0.5 + sqrt((y1 - 0.5)^2))^3"
-    V = field(chart, [f"1 + 1.1*(x1^2 - y1^2) + (x1 + 3)/((x1 + 3)^2 + y1^2) + {bump}",
-                      "2*1.1*x1*y1 - y1/((x1 + 3)^2 + y1^2)"])
-    flow = ComplexFlow([V], CFG)
-    # |w| = 0, 0.1, 0.25 and just above it (8 and 9 steps), then a row
-    # that diverges, one that crosses y1 = 0.5, one over max_time and one
-    # that starts on the pole
-    P = np.array([[0.2, 0.0], [0.1, 0.0], [0.3, 0.0], [-0.1, 0.0],
-                  [0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [-3.0, 0.0]])
-    W = np.array([[0.0], [0.1j], [0.25j], [np.nextafter(0.25, 1.0) * 1j],
-                  [2.0], [1.0j], [20.0j], [0.1j]])
-    dZ0 = (np.random.default_rng(4).uniform(-1, 1, (8, 1, 2)) + 1j) if tangents else None
-    # at the upper limit, the counts the reference takes
-    nsteps = flow.cfg.step_limit(W)
-    points, Y, errors, _ = flow.rows(P, W, dZ0, nsteps)
-    assert [type(err).__name__ if err else None for err in errors] == [
-        None, None, None, None,
-        "DivergenceError", "HolomorphyError", "FlowError", "DomainError"]
-    for i in range(len(P)):
-        dz0 = None if dZ0 is None else dZ0[i]
-        try:
-            want = _flow_one_row([V], CFG, P[i], W[i], dz0)
-        except DomainError as err:
-            # the tape names the node the tree walk names, the row and the point
-            coords = ", ".join(f"{n}={float(v)!r}" for n, v in zip(chart.names, err.point))
-            assert type(errors[i]) is DomainError
-            assert str(errors[i]) == f"{err} at point {i} ({coords})"
-            assert np.isnan(points[i]).all()
-            continue
-        except (FlowError, ValueError) as err:
-            assert type(errors[i]) is type(err) and str(errors[i]) == str(err)
-            assert np.isnan(points[i]).all()
-            continue
-        one, one_Y, _, _ = flow.rows(P[i:i + 1], W[i:i + 1],
-                                     None if dz0 is None else dz0[None], nsteps[i:i + 1])
-        for got in (points[i], one[0]):
-            assert np.array_equal(got, want[0])
-        if tangents:
-            assert np.array_equal(Y[i], want[1]) and np.array_equal(one_Y[0], want[1])
-    # the refused rows change nothing in the others
-    rest = flow.rows(P[:4], W[:4], None if dZ0 is None else dZ0[:4], nsteps[:4])
-    assert np.array_equal(rest[0], points[:4])
+    # each stack at the upper limit of its rows' counts, the counts the
+    # reference takes; a refused row carries the error the reference
+    # raises, its first, and no later one of its NaN state
+    for fields, cfg, P, W, dZ0, names in _refusal_stacks(tangents):
+        chart, flow = fields[0].chart, ComplexFlow(fields, cfg)
+        nsteps = flow.cfg.step_limit(W)
+        points, Y, errors, _ = flow.rows(P, W, dZ0, nsteps)
+        assert [type(err).__name__ if err else None for err in errors] == names
+        for i in range(len(P)):
+            dz0 = None if dZ0 is None else dZ0[i]
+            try:
+                want = _flow_one_row(fields, cfg, P[i], W[i], dz0)
+            except DomainError as err:
+                # the tape names the node the tree walk names, the row and the point
+                coords = ", ".join(f"{n}={float(v)!r}" for n, v in zip(chart.names, err.point))
+                assert type(errors[i]) is DomainError
+                assert str(errors[i]) == f"{err} at point {i} ({coords})"
+                assert np.isnan(points[i]).all()
+                continue
+            except (FlowError, ValueError) as err:
+                assert type(errors[i]) is type(err) and str(errors[i]) == str(err)
+                assert np.isnan(points[i]).all()
+                continue
+            one, one_Y, _, _ = flow.rows(P[i:i + 1], W[i:i + 1],
+                                         None if dz0 is None else dz0[None], nsteps[i:i + 1])
+            for got in (points[i], one[0]):
+                assert np.array_equal(got, want[0])
+            if tangents:
+                assert np.array_equal(Y[i], want[1]) and np.array_equal(one_Y[0], want[1])
+        # the refused rows change nothing in the others
+        kept = [i for i, name in enumerate(names) if name is None]
+        rest = flow.rows(P[kept], W[kept], None if dZ0 is None else dZ0[kept], nsteps[kept])
+        assert np.array_equal(rest[0], points[kept])
 
 
 @pytest.mark.parametrize("tangents", [False, True])
@@ -1010,29 +1059,20 @@ def test_rows_whose_limit_is_zero_take_no_step():
 
 @pytest.mark.parametrize("tangents", [False, True])
 def test_chosen_counts_give_each_row_what_it_gets_alone(tangents):
-    # the stack of test_stacked_complex_flow_equals_each_row_alone at the
-    # counts the rows choose: the same refusals, and each row as alone
-    chart = ComplexChart.standard(1)
-    bump = "(y1 - 0.5 + sqrt((y1 - 0.5)^2))^3"
-    V = field(chart, [f"1 + 1.1*(x1^2 - y1^2) + (x1 + 3)/((x1 + 3)^2 + y1^2) + {bump}",
-                      "2*1.1*x1*y1 - y1/((x1 + 3)^2 + y1^2)"])
-    flow = ComplexFlow([V], CFG)
-    P = np.array([[0.2, 0.0], [0.1, 0.0], [0.3, 0.0], [-0.1, 0.0],
-                  [0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [-3.0, 0.0]])
-    W = np.array([[0.0], [0.1j], [0.25j], [np.nextafter(0.25, 1.0) * 1j],
-                  [2.0], [1.0j], [20.0j], [0.1j]])
-    dZ0 = (np.random.default_rng(4).uniform(-1, 1, (8, 1, 2)) + 1j) if tangents else None
-    points, Y, errors, _ = flow.rows(P, W, dZ0)
-    assert [type(err).__name__ if err else None for err in errors] == [
-        None, None, None, None,
-        "DivergenceError", "HolomorphyError", "FlowError", "DomainError"]
-    for i in range(len(P)):
-        one, one_Y, one_errors, _ = flow.rows(P[i:i + 1], W[i:i + 1],
-                                              None if dZ0 is None else dZ0[i:i + 1])
-        assert str(one_errors[0]) == str(errors[i]).replace(f"at point {i} ", "at point 0 ")
-        assert np.array_equal(one[0], points[i], equal_nan=True)
-        if tangents:
-            assert np.array_equal(one_Y[0], Y[i], equal_nan=True)
+    # the stacks of test_stacked_complex_flow_equals_each_row_alone, and one
+    # whose row a step's path refuses, at the counts the rows choose: the
+    # same refusals, each row's first error, and each row as alone
+    for fields, cfg, P, W, dZ0, names in [*_refusal_stacks(tangents), _path_stack(tangents)]:
+        flow = ComplexFlow(fields, cfg)
+        points, Y, errors, _ = flow.rows(P, W, dZ0)
+        assert [type(err).__name__ if err else None for err in errors] == names
+        for i in range(len(P)):
+            one, one_Y, one_errors, _ = flow.rows(P[i:i + 1], W[i:i + 1],
+                                                  None if dZ0 is None else dZ0[i:i + 1])
+            assert str(one_errors[0]) == str(errors[i]).replace(f"at point {i} ", "at point 0 ")
+            assert np.array_equal(one[0], points[i], equal_nan=True)
+            if tangents:
+                assert np.array_equal(one_Y[0], Y[i], equal_nan=True)
 
 
 @pytest.mark.parametrize("tangents", [False, True])
