@@ -18,9 +18,11 @@ The pipeline:
 3. For an ambient query q, damped Newton inverts F; the gradient map value
    is U(q) = -u.  (With this sign the line case on the complex plane with
    initial field d/dx yields U = -y, and for matrix groups U(g exp(-iV)) = V.)
-4. The lifted frame h_a (initial fields transported invariantly in u) and
-   the u-coordinate fields, rotated by the pulled-back complex structure,
-   produce the matrices P and Q, A = P^-1 Q, and the extending fields
+   A query that Newton refuses keeps its error and goes on at (p, u) = NaN.
+4. At every query, a refused one at NaN, the lifted frame h_a (initial
+   fields transported invariantly in u) and the u-coordinate fields,
+   rotated by the pulled-back complex structure, produce the matrices P and
+   Q, A = P^-1 Q, and the extending fields
 
        xi_a = -J(d/du_a) + sum_b A[b, a] J(h_b),
 
@@ -60,9 +62,13 @@ frames and the fields take stacks of rows only, a point being a stack of
 one, and return, beside their values, the error that refuses each row, so
 a failing query refuses only its own record; ``compute_PQA`` and
 ``construct_fields`` run the same code on a stack of one row and raise its
-error.  On matrix groups a stack costs one batched matrix exponential; on
-ambient fields one stacked Runge-Kutta run (``ComplexFlow.rows``), each
-row with its own step count.
+error.  A refusal has one form through the construction, as in the flows:
+every query runs every stage of ``solve`` (Newton, the param_domain test,
+the frames, the fields and the oracle), a refused one at the NaN that the
+stage refusing it wrote, and keeps the first error of any stage.  On matrix
+groups a stack costs one batched matrix exponential; on ambient fields one
+stacked Runge-Kutta run (``ComplexFlow.rows``), each row with its own step
+count.
 """
 
 from __future__ import annotations
@@ -385,7 +391,7 @@ def _initial_guesses(data: CRInitialData, Q) -> np.ndarray:
     base = data.base
     S, D, errors = data.sigma_rows(base[None])
     _raise_first(errors)
-    coef = np.linalg.pinv(D[0]) @ (Q - S[0])[..., None]
+    coef, _ = solve_rows(D, (Q - S[0])[..., None])
     return np.concatenate([base + coef[..., 0], np.zeros((len(Q), data.k))], axis=1)
 
 
@@ -431,7 +437,7 @@ def _tangent_coeffs(data: CRInitialData, P):
     S, D, errors = data.sigma_rows(P)
     vals, field_errors = data.table.fields.program.rows(S)
     rho0 = data.table.fields.blocks(vals)["X"]
-    coeffs = np.swapaxes(np.linalg.pinv(D) @ np.swapaxes(rho0, 1, 2), 1, 2)
+    coeffs = np.swapaxes(solve_rows(D, np.swapaxes(rho0, 1, 2))[0], 1, 2)
     return coeffs, _first_error(errors, field_errors)
 
 
@@ -657,11 +663,13 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     linearized guess, on the stacked map of build_dF, which evaluates each
     Newton point once for F, dF and the flow's error estimate together; on
     ambient fields each query's step count is frozen, and re-chosen from
-    that estimate, as ``_newton`` describes.  The frames and
-    fields come from stacked P/Q/A and field products on the F and dF that
-    Newton returns at the solutions, and fill the solution's columns by
-    stacked assignment.  A query that fails refuses only its own row, which
-    then names the error; each row also counts its Newton steps and step
+    that estimate, as ``_newton`` describes.  The param_domain test, the
+    frames, the fields and the oracle then each run once over every query
+    row: the frames and fields are stacked P/Q/A and field products on the
+    F and dF that Newton returns at the solutions, NaN on the rows Newton
+    refuses.  A query that fails refuses only its own row, which names the
+    first error of any stage; each column is its stage's output with NaN on
+    the refused rows.  Each row also counts its Newton steps and step
     halvings, and on ambient fields its step count and its flow's error
     estimate at the solution.
 
@@ -687,52 +695,29 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     queries = np.asarray(queries, dtype=float).reshape(-1, data.chart.dim)
     m = len(data.param_names)
     newton, counts = _newton(data, cfg, queries)
-    errors = newton.errors
+    params, u = newton.x[:, :m], newton.x[:, m:]
+    frame, frame_errors = _frames(data, params, u, newton.values, newton.jac)
+    built, built_errors = _construct_rows(frame)
+    errors = _first_error(newton.errors, _domain_errors(data, params),
+                          frame_errors, built_errors)
+    ok_rows = np.array([err is None for err in errors], dtype=bool)
 
-    def passing(rows, stage_errors) -> np.ndarray:
-        """Record the errors of a stage at its rows; the mask of those that
-        pass it."""
-        _scatter(errors, rows, stage_errors)
-        return np.array([err is None for err in stage_errors], dtype=bool)
+    def column(values):
+        """A stage's output, NaN but at the resolved rows."""
+        return np.where(ok_rows.reshape((-1,) + (1,) * (np.ndim(values) - 1)), values, np.nan)
 
-    rows = np.flatnonzero([err is None for err in errors])
-    # every row is tested, so a fault names the query by its own index
-    outside = _domain_errors(data, newton.x[:, :m])
-    rows = rows[passing(rows, [outside[i] for i in rows])]
-    frame, stage_errors = _frames(data, newton.x[rows, :m], newton.x[rows, m:],
-                                  newton.values[rows], newton.jac[rows])
-    keep = passing(rows, stage_errors)
-    rows, frame = rows[keep], _row(frame, keep)
-    built, stage_errors = _construct_rows(frame)
-    keep = passing(rows, stage_errors)
-    rows, built = rows[keep], _row(built, keep)
-
-    n, k, dim = len(queries), data.k, data.chart.dim
-
-    def column(shape, values):
-        """An (n, *shape) column, NaN but at the resolved rows."""
-        out = np.full((n, *shape), np.nan)
-        out[rows] = values
-        return out
-
-    u = column((k,), newton.x[rows, m:])
-    xi = column((k, dim), built.xi_ambient)
+    u, xi = column(u), column(built.xi_ambient)
     oracle_dU = oracle_dxi = None
     if oracle is not None:
-        dU_ref, dxi_ref = _oracle_residuals(data, oracle, queries[rows], -u[rows], xi[rows])
-        oracle_dU, oracle_dxi = column((), dU_ref), column((), dxi_ref)
-    ok_rows = np.zeros(n, dtype=bool)
-    ok_rows[rows] = True
+        oracle_dU, oracle_dxi = map(column, _oracle_residuals(data, oracle, queries, -u, xi))
     ambient = data.group is None
     return CauchySolution(
         data, queries, ok_rows, ["" if err is None else str(err) for err in errors],
         newton_iters=newton.iters, halvings=newton.halvings,
         rk_steps=counts if ambient else None, rk_error=newton.estimates if ambient else None,
-        params=column((m,), newton.x[rows, :m]), u=u, U=-u, xi=xi,
-        jxi=column((k, dim), built.jxi_ambient),
-        residual_d=column((), built.residual_d), residual_dc=column((), built.residual_dc),
-        newton_residual=column(
-            (), np.max(np.abs(newton.values[rows] - queries[rows]), axis=1)),
+        params=column(params), u=u, U=-u, xi=xi, jxi=column(built.jxi_ambient),
+        residual_d=column(built.residual_d), residual_dc=column(built.residual_dc),
+        newton_residual=column(np.max(np.abs(newton.values - queries), axis=1)),
         oracle_dU=oracle_dU, oracle_dxi=oracle_dxi,
         integrability_defect=defect, integrability_note=note)
 
@@ -750,8 +735,9 @@ def _newton(data: CRInitialData, cfg: FlowConfig, queries):
     halvings adding up, until no count changes.  Such a solve takes one
     step past newton_tol (``polish``): its start misses the new map by
     about the old map's error, which may already be below the tolerance.  A
-    refused row keeps its count, and its estimate is NaN.  A matrix-group
-    map takes no steps and estimates 0, so its loop ends after one run."""
+    refused row comes back NaN, so its limit is 0 and it keeps its count.  A
+    matrix-group map takes no steps and estimates 0, so its loop ends after
+    one run."""
     m = len(data.param_names)
     dF = build_dF(data, cfg)
     x0 = _initial_guesses(data, queries)
@@ -760,8 +746,6 @@ def _newton(data: CRInitialData, cfg: FlowConfig, queries):
     def run(rows, counts):
         out = newton_rows(lambda X, idx: dF(X[:, :m], X[:, m:], counts[idx]),
                           queries[rows], runs[0].x[rows] if runs else x0, cfg, bool(runs))
-        refused = [e is not None for e in out.errors]
-        out.estimates[refused] = np.nan
         if not runs:
             runs.append(out)
         else:
@@ -769,7 +753,7 @@ def _newton(data: CRInitialData, cfg: FlowConfig, queries):
                 _scatter(getattr(runs[0], name), rows, getattr(out, name))
             runs[0].iters[rows] += out.iters
             runs[0].halvings[rows] += out.halvings
-        return out.estimates, np.where(refused, 0, cfg.step_limit(1j * out.x[:, m:]))
+        return out.estimates, cfg.step_limit(1j * out.x[:, m:])
 
     # the guesses start at u = 0, whose limit is one step
     counts = cfg.settle(np.ones(len(queries), dtype=int), run)

@@ -42,10 +42,13 @@ and on each step's path where a row takes too few steps for 256 states per
 unit of |w|; a row that diverges (at a stage state or a step's end), leaves the
 holomorphic region, exceeds MAX_TIME or faults is refused alone, with the
 tape's own error: its DomainError, naming the node and the point, or a
-HolomorphyError from the tape's residual.  A refusal has one form, in the
-loop as everywhere in cgsys: the row's first error goes into the per-row
-list and its values turn NaN where it is refused, and the NaN row steps on
-with the others to its count.  ``flow_complex_multi`` is its one-row view.
+HolomorphyError from the tape's residual.  ``flow_complex_multi`` is its
+one-row view.  A refusal has one form, in the loop as everywhere in cgsys:
+the row's first error goes into the per-row list and its values turn NaN
+where it is refused, and the NaN row steps on with the others to its
+count; a row whose start is not finite takes no step.  ``newton_rows``
+refuses a row in the same form: it keeps the row's first error, and the
+row's solution, values, Jacobian and estimate come out NaN.
 
 The matrix-group maps take stacks of rows: ``complexified_flow_matrix``
 and ``complexified_flow_jacobian`` only those, ``matrix_exp`` (the view of
@@ -770,7 +773,8 @@ class ComplexFlow:
         ``chosen`` picks for it, tangents and all; without tangents a row
         with w_i = 0 takes none.  A row refused inside the loop turns NaN
         where it is refused (its velocity, stage state or step end) and
-        steps on; a start row that is NaN is refused as not finite.
+        steps on; a start row that is not finite takes no step and is
+        refused as not finite.
         """
         if nsteps is None:
             return self.chosen(P, W, dZ0, labels)[1]
@@ -790,7 +794,9 @@ class ComplexFlow:
         late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {MAX_TIME:g}"
                              if np.isfinite(scale[i]) else f"|w| = {scale[i]:g} is not finite")
                 for i in np.flatnonzero(~(scale <= MAX_TIME))}
-        nsteps = np.where(scale <= MAX_TIME, np.broadcast_to(nsteps, (n,)), 0).astype(int)
+        # a start row that is not finite takes no step: the guard refuses it
+        nsteps = np.where((scale <= MAX_TIME) & np.isfinite(P).all(axis=1),
+                          np.broadcast_to(nsteps, (n,)), 0).astype(int)
         # state rows [z; Y^T]: Y' = (sum_a w_a dZ_a/dz) Y, plus Z_a in the
         # column of dz/dw_a
         z = to_complex(P)[:, None]
@@ -939,9 +945,10 @@ def solve_rows(A, B):
 
 @dataclass
 class NewtonRows:
-    """The outcome of newton_rows, one entry per row."""
+    """The outcome of newton_rows, one entry per row; a refused row is NaN
+    in ``x``, ``values``, ``jac`` and ``estimates``."""
 
-    x: np.ndarray          # (n, D) the last iterate
+    x: np.ndarray          # (n, D) the solution
     values: np.ndarray     # (n, d) F at x, as the map returned it
     jac: np.ndarray        # (n, d, D) dF at x, as the map returned it
     estimates: np.ndarray  # (n,) the error estimate at x, as the map returned it
@@ -968,6 +975,8 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
     with its exception, a trial that the map refuses or that does not lower
     the residual halves only that row's step, and a row that finds no
     descent step or does not converge within the budget gets a NewtonError.
+    A refused row keeps its first error and comes out NaN, as a row that
+    ``ComplexFlow.rows`` refuses does.
     With ``polish`` each row takes one step more once its residual is below
     newton_tol, so that the residual of a start that solves a nearby map
     (the same equations flowed in fewer steps) is squared away, not just
@@ -1032,6 +1041,8 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
     refuse(np.flatnonzero(live & ~(best < cfg.newton_tol)), lambda i: NewtonError(
         f"did not converge in {cfg.newton_max_iter} iterations "
         f"(residual {best[i]:.3e})"))
+    failed = [err is not None for err in errors]
+    X[failed] = values[failed] = J[failed] = est[failed] = np.nan
     return NewtonRows(X, values, J, est, errors, iters, halvings)
 
 

@@ -335,12 +335,16 @@ def test_ode_route_matches_matrix_route(heis_data, heis_spec):
     assert np.max(np.abs(ode - mat)) < 1e-8
 
 
+# sigma = log(s) refuses s <= 0, and the field x1/|z|^2 d/dx1 has a pole at 0
+LOGSIG_CGS = ("[chart]\ncomplex_dim = 1\n\n[cr_data]\nparams = s\nsigma = log(s); 0\n"
+              "field_1 = x1/(x1^2 + y1^2); -y1/(x1^2 + y1^2)\nbase_params = 2\n")
+
+
 def test_flow_map_errors_name_their_row_in_the_stack():
     # sigma refuses row 0 (log 0), and row 2 starts on the field's pole:
     # F and dF name row 2 by its index in the stack, not among the rows
     # that sigma accepts
-    data = loads("[chart]\ncomplex_dim = 1\n\n[cr_data]\nparams = s\nsigma = log(s); 0\n"
-                 "field_1 = x1/(x1^2 + y1^2); -y1/(x1^2 + y1^2)\nbase_params = 2\n").cr
+    data = loads(LOGSIG_CGS).cr
     P, U = np.array([[0.0], [2.0], [1.0]]), np.zeros((3, 1))
     (points, errors), (dpoints, J, derrors, _) = (
         build_F(data, CFG)(P, U), build_dF(data, CFG)(P, U))
@@ -351,6 +355,34 @@ def test_flow_map_errors_name_their_row_in_the_stack():
     assert np.array_equal(points, dpoints, equal_nan=True)
     assert np.isnan(points[::2]).all() and np.isnan(J[::2]).all()
     assert np.array_equal(points[1], [math.log(2.0), 0.0])
+
+
+def test_a_row_that_sigma_refuses_takes_no_step(monkeypatch):
+    # row 0 is refused by sigma (log 0) and starts its flow at NaN: F and dF,
+    # with counts chosen or frozen, evaluate the fields' tape on as many
+    # rows as the two live rows alone do (642, 642 and 262 rows, where
+    # stepping the NaN row too took 961, 961 and 392)
+    data = loads(LOGSIG_CGS).cr
+    P, U = np.array([[0.0], [2.0], [1.5]]), np.full((3, 1), 0.5)
+    rows, at = [], cgsys.flow._HolomorphicFrame.at
+
+    def counted(self, X, labels=None):
+        rows.append(len(X))
+        return at(self, X, labels)
+
+    monkeypatch.setattr(cgsys.flow._HolomorphicFrame, "at", counted)
+    F, dF = build_F(data, CFG), build_dF(data, CFG)
+    for flow_map, counts in ((F, None), (dF, None), (dF, np.full(3, 5))):
+        outs, evaluated = [], []
+        for live in (slice(0, None), slice(1, None)):
+            rows.clear()
+            outs.append(flow_map(P[live], U[live], None if counts is None else counts[live]))
+            evaluated.append(sum(rows))
+        assert evaluated[0] == evaluated[1]
+        points, errors = outs[0][0], outs[0][1 if flow_map is F else 2]
+        assert str(errors[0]) == "log of non-positive value in 'log(s)' at point 0 (s=0.0)"
+        assert errors[1:] == [None, None] and np.isnan(points[0]).all()
+        assert np.array_equal(points[1:], outs[1][0])
 
 
 # --- equation map ----------------------------------------------------------------
@@ -828,17 +860,26 @@ def test_alternate_line_extension_differs():
 
 
 # name: (system, u extent, grid); affine at |u| >= 2 refuses some of its
-# rows, and at |u| <= 2 on the 7-grid some rows halve their steps
+# rows, and at |u| <= 2 on the 7-grid some rows halve their steps; ambient
+# and logsig at |u| <= 3 each have two rows that Newton refuses, whose NaN
+# parameters go on through the later stages (and log(s) on logsig)
 LOCKSTEP_CASES = {
     "line": ("line", 0.5, 9), "heisenberg-cr": ("heisenberg-cr", 0.5, 3),
     "affine": ("affine", 0.5, 5), "ambient": ("ambient", 0.5, 5),
     "affine-wide": ("affine", 3.0, 5), "affine-halving": ("affine", 2.0, 7),
+    "ambient-wide": ("ambient", 3.0, 9), "logsig-wide": ("logsig", 3.0, 9),
+}
+# the error of every refused row of a case; the other cases refuse none
+LOCKSTEP_REFUSALS = {
+    "affine-wide": "outside param_domain", "affine-halving": "outside param_domain",
+    "ambient-wide": "no descent step found", "logsig-wide": "no descent step found",
 }
 
 
 def _lockstep_case(name):
     system, extent, grid = LOCKSTEP_CASES[name]
-    sf = _ambient_file() if system == "ambient" else load_builtin(system)
+    sf = (_ambient_file() if system == "ambient" else
+          loads(LOGSIG_CGS, name="logsig") if system == "logsig" else load_builtin(system))
     axes = [np.linspace(-extent, extent, grid)] * sf.cr.k
     return sf.cr, sf.oracle, grid_queries(sf.cr, axes, cfg=CFG)
 
@@ -857,9 +898,9 @@ def _assert_same_record(a, b):
 def test_solve_gives_each_query_the_record_it_gets_alone(name):
     data, oracle, queries = _lockstep_case(name)
     sol = solve(data, queries, CFG, oracle=oracle)
-    refused = [r.error for r in sol.records if not r.ok]
-    assert bool(refused) == name.startswith("affine-")
-    assert all("outside param_domain" in e for e in refused)
+    refused, expected = [r.error for r in sol.records if not r.ok], LOCKSTEP_REFUSALS.get(name)
+    assert bool(refused) == bool(expected)
+    assert all(expected in e for e in refused)
     for q, rec in zip(queries, sol.records):
         _assert_same_record(rec, solve(data, [q], CFG, oracle=oracle).records[0])
 

@@ -1263,10 +1263,13 @@ def test_lockstep_rows_fail_on_their_own():
     assert out.errors[0] is None and abs(out.x[0, 0] - 2.0) < 1e-10
     assert str(out.errors[1]) == "Jacobian is numerically singular"
     assert isinstance(out.errors[2], NewtonError)
+    # a refused row comes out NaN
+    for name in ("x", "values", "jac", "estimates"):
+        assert np.isnan(getattr(out, name)[1:]).all() and not np.isnan(getattr(out, name)[0]).any()
     # stacked still equals alone
     for i in range(3):
         alone = newton_rows(FJ, targets[i:i + 1], x0[i:i + 1], cfg)
-        assert np.array_equal(alone.x[0], out.x[i])
+        assert np.array_equal(alone.x[0], out.x[i], equal_nan=True)
         assert (alone.iters[0], alone.halvings[0]) == (out.iters[i], out.halvings[i])
         assert str(alone.errors[0]) == str(out.errors[i])
     with pytest.raises(NewtonError, match="singular"):
