@@ -379,6 +379,11 @@ def _python_pow(xs, ys, bad):
     return out, bad
 
 
+# x^2 runs here too, not as x*x: Python's pow (libm's) is not always
+# correctly rounded, and pow(x, 2.0) differs from x*x on about 1 in 1,100
+# random doubles and on about 1 in 8 doubles with 27-bit significands.
+# np.square and np.power(x, 2.0) agree with x*x, not with pow, so the tape
+# keeps pow to agree bit for bit with ``evaluate``, which takes Python's.
 def _pow_by(e: float):
     """x ** e for the constant exponent e over an array x: Python's float
     power as in _pow_values, with the fault mask computed only where e can

@@ -50,6 +50,18 @@ count; a row whose start is not finite takes no step.  ``newton_rows``
 refuses a row in the same form: it keeps the row's first error, and the
 row's solution, values, Jacobian and estimate come out NaN.
 
+Most of these flows take one or two steps of a few rows, so a stage's
+cost is its count of numpy calls, and the loop keeps it small without
+changing a stage's arithmetic.  One buffer holds k0 and the stage
+differences; a stage sum is one product of its tableau coefficients with
+the buffer's columns and one running sum (``np.add.accumulate``), which
+adds left to right as a loop does, where a reduction could sum pairwise
+and round otherwise.  ``ComplexFlow.rows`` makes what depends only on the
+row set (the rows' W and labels, the velocity array, the Hermite path's
+positions and weights) once per set, and tests a whole stack against
+DIVERGENCE_BOUND and HOLOMORPHY_TOL at once: the per-row tests and the
+errors are made only when that test fails.
+
 The matrix-group maps take stacks of rows: ``complexified_flow_matrix``
 and ``complexified_flow_jacobian`` only those, ``matrix_exp`` (the view of
 ``_exp_frechet`` with no directions) one matrix or a stack.  Each matrix
@@ -235,21 +247,15 @@ _DP8_E3 = {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
 _DP8_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
            7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
            10: 0.08192320648511571, 11: -0.022355307863886294}
-# the stages after the first as (c_i, its (j, a_ij) with j >= 1), then the
-# step's end as (None, its (j, b_j) with j >= 1)
-_DP8_STAGES = tuple((c, tuple((j, a) for j, a in row.items() if j))
-                    for c, row in zip(_DP8_C[1:], _DP8_A[1:])) + (
-    (None, tuple((j, b) for j, b in _DP8_B.items() if j)),)
-
-
-def _embedded(E, ks):
-    """sum_j E_j (k_j - k0), j >= 1, on the point column of the stage
-    differences ks: the exact E sums to 0, so this is sum_j E_j k_j."""
-    total = 0.0
-    for j, e in E.items():
-        if j:
-            total = total + e * ks[j][:, 0]
-    return total
+# the sums of the stages after the first, then of the step's end: the
+# columns of their nonzero entries in column order and the coefficients,
+# c_i on k0 (the end sums k0 itself), a_ij or b_j on k_j - k0 for j >= 1;
+# and DOP853's error estimators [E5; E3] at j = 5..11, their nonzero
+# entries with j >= 1
+_DP8_SUMS = tuple((np.array([0] + [j for j in row if j]),
+                   np.array([c] + [a for j, a in row.items() if j]))
+                  for c, row in zip(_DP8_C[1:] + (1.0,), _DP8_A[1:] + (_DP8_B,)))
+_DP8_E = np.array([[E[j] for j in range(5, 12)] for E in (_DP8_E5, _DP8_E3)])
 
 
 def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
@@ -257,58 +263,67 @@ def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
     of rows: row i of ``state`` takes nsteps[i] steps of size h[i] (``h``
     and ``nsteps`` are arrays over the rows or shared scalars).
     ``velocity(rows, y)`` returns the velocities at the states y of the
-    rows ``rows`` (indices into state), one call per stage, and
-    ``guard(rows, y)`` sees every later stage state before its call and
-    every step's end.  ``path(rows, y, end, hh, k0, k1)``, if given, sees
-    each step, with k1 the velocity of the stage at c = 1.  A callback may
-    raise to abort the whole stack, or refuse a row by writing NaN into its
-    velocity or into its state y (or end); the NaN row steps on with the
-    others, so every row leaves only when it has taken its count, and the
-    loop stops early once every row still stepping is NaN.
+    rows ``rows`` (indices into state), one call per stage, which are read
+    before its next call, and ``guard(rows, y)`` sees every later stage
+    state before its call and every step's end.  ``rows`` is the same
+    object from one step to the next until a count ends, so a callback can
+    keep what depends only on the row set.  ``path(rows, y, end, hh, k0,
+    k1)``, if given, sees each step, with k1 the velocity of the stage at
+    c = 1.  A callback may raise to abort the whole stack, or refuse a row
+    by writing NaN into its velocity or into its state y (or end); the NaN
+    row steps on with the others, so every row leaves only when it has
+    taken its count, and the loop stops early once every row still stepping
+    is NaN.
 
     The stage sums run around the first stage's k0, over the nonzero
     entries of A and b in column order: y + h (c_i k0 + sum_j a_ij (k_j - k0))
     and y + h (k0 + sum_j b_j (k_j - k0)), j >= 1.  A's rows sum to c and
     b sums to 1 (to the rounding of the literals), so this is the tableau,
-    and a constant field steps exactly.
+    and a constant field steps exactly.  One buffer K (12, rows, ...) per
+    row set holds k0 and the differences k_j - k0, each written as its
+    velocity comes; a stage sum is one product of its coefficients with
+    the columns of K it reads and one running sum over them
+    (``np.add.accumulate``), which adds left to right as a loop of
+    ``total = total + a * k_j`` does.  No reduction forms these sums:
+    ``np.add.reduce`` (so ``sum``, ``dot``, ``einsum``) may sum pairwise,
+    in another order, and round otherwise.
 
     Given ``error`` (n,), each step adds to error[i] DOP853's local error
     estimate of row i (Hairer-Norsett-Wanner I, II.5 and II.10) on the
     point column ``state[i, 0]``: with e5 = h sum E5_j k_j and
     e3 = h sum E3_j k_j, |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) in the
     Euclidean norm (0 where both vanish), the same stage differences
-    summed as the step is.  The sum over a row's steps bounds its global
-    error to the order the steps' errors add up.
+    summed as the step is, from K.  The sum over a row's steps bounds its
+    global error to the order the steps' errors add up.
     """
     n = len(state)
     h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
     nsteps = np.broadcast_to(nsteps, (n,))
     ends = set(nsteps.tolist())
     column = (slice(None),) + (None,) * (state.ndim - 1)
+    sums = [(cols, a.reshape((-1,) + (1,) * state.ndim)) for cols, a in _DP8_SUMS]
     for s in range(max(ends, default=0)):
         if not s or s in ends:   # the rows that take more than s steps
             rows = np.flatnonzero(nsteps > s)
             hh = h[rows][column]
+            K = np.empty((len(_DP8_C), len(rows)) + state.shape[1:], dtype=state.dtype)
         y = state[rows]
         if np.isnan(y).all():    # every row still stepping was refused
             break
-        ks = [velocity(rows, y)]     # k0, then k_j - k0 for j >= 1
-        for c, terms in _DP8_STAGES:
-            total = ks[0] if c is None else c * ks[0]
-            for j, a in terms:
-                total = total + a * ks[j]
-            arg = y + hh * total
+        K[0] = velocity(rows, y)     # k0, then k_j - k0 for j >= 1
+        for i, (cols, a) in enumerate(sums, 1):
+            terms = a * K[cols]
+            if i == len(K):      # the step's end, which sums k0 itself
+                terms[0] = K[0]
+            arg = y + hh * np.add.accumulate(terms)[-1]
             guard(rows, arg)
-            if c is None:        # the step's end
-                break
-            ks.append(velocity(rows, arg) - ks[0])
+            if i < len(K):
+                np.subtract(velocity(rows, arg), K[0], out=K[i])
         if path is not None:
-            path(rows, y, arg, hh, ks[0], ks[0] + ks[-1])
+            path(rows, y, arg, hh, K[0], K[0] + K[-1])
         if error is not None:
-            hp = hh[:, 0]
-            e5 = np.abs(hp * _embedded(_DP8_E5, ks)) ** 2
-            e3 = np.abs(hp * _embedded(_DP8_E3, ks)) ** 2
-            e5, e3 = (e.reshape(len(rows), -1).sum(axis=1) for e in (e5, e3))
+            e = hh[:, 0] * np.add.accumulate(_DP8_E[(...,) + column] * K[5:, :, 0], axis=1)[:, -1]
+            e5, e3 = (np.abs(e) ** 2).reshape(2, len(rows), -1).sum(axis=2)
             with np.errstate(invalid="ignore"):
                 error[rows] += np.where(e5 > 0.0, e5 / np.sqrt(e5 + 0.01 * e3), 0.0)
         state[rows] = arg
@@ -462,6 +477,18 @@ def _scatter(out, rows, values):
     else:
         out[rows] = values
     return out
+
+
+def _per_row_set(make):
+    """``make(rows, *args)``, made again only for a new row set: ``_rk``
+    passes the same ``rows`` object until a count ends."""
+    last = [None, None]
+
+    def get(rows, *args):
+        if last[0] is not rows:
+            last[:] = rows, make(rows, *args)
+        return last[1]
+    return get
 
 
 def _l1_norms(W) -> np.ndarray:
@@ -696,7 +723,9 @@ class _HolomorphicFrame:
         (k, N), m = self.shape, len(X)
         Z = to_complex(vals[:, :2 * k * N]).reshape(m, k, N)
         DX = vals[:, 2 * k * N:].reshape(m, k, 2 * N, 2 * N)
-        if self.checks_holomorphy:
+        # one test for the whole stack, which a NaN residual fails too; the
+        # rows are told apart only where it fails
+        if self.checks_holomorphy and not cr_residuals(DX).max(initial=0.0) <= HOLOMORPHY_TOL:
             worst = self._worst(vals)
             for j in (worst > HOLOMORPHY_TOL).nonzero()[0]:
                 refused.setdefault(j, HolomorphyError(
@@ -775,6 +804,13 @@ class ComplexFlow:
         where it is refused (its velocity, stage state or step end) and
         steps on; a start row that is not finite takes no step and is
         refused as not finite.
+
+        The rows' W and labels, the velocity array (filled in place by
+        ``np.matmul``) and the Hermite path's positions, labels and
+        weights are made once per row set that ``_rk`` steps, not per
+        stage or step.  The bound and the Cauchy-Riemann residuals are
+        tested once over the stack (a NaN fails both tests); only when a
+        test fails are its rows told apart and their errors made.
         """
         if nsteps is None:
             return self.chosen(P, W, dZ0, labels)[1]
@@ -807,7 +843,6 @@ class ComplexFlow:
             r = dZ0.shape[2]
             state = np.concatenate([z, np.swapaxes(dZ0, 1, 2),
                                     np.zeros((n, k, N), dtype=complex)], axis=1)
-        times = [None, None]     # the rows of the last call and their W
 
         def refuse(rows, refused, values=None):
             """Keep the first error of each row refused (j -> error, j
@@ -817,24 +852,29 @@ class ComplexFlow:
             if refused and values is not None:
                 values[list(refused)] = np.nan
 
+        @_per_row_set
+        def row_set(rows):
+            """The rows' W, labels and velocity array."""
+            return W[rows][:, None], labels[rows], np.empty((len(rows),) + state.shape[1:],
+                                                            dtype=complex)
+
         def velocity(rows, y):
-            Z, DX, refused = frame.at(to_chart(y[:, 0]), labels[rows])
-            if rows is not times[0]:
-                times[:] = rows, W[rows][:, None]
-            Wr = times[1]
-            out = Wr @ Z
+            Wr, named, out = row_set(rows)
+            Z, DX, refused = frame.at(to_chart(y[:, 0]), named)
+            np.matmul(Wr, Z, out=out[:, :1])
             if dZ0 is not None:
                 A = (Wr @ holomorphic_jacobians(DX).reshape(len(rows), k, N * N)).reshape(
                     -1, N, N)
-                out = np.concatenate([out, y[:, 1:] @ np.swapaxes(A, 1, 2)], axis=1)
+                np.matmul(y[:, 1:], np.swapaxes(A, 1, 2), out=out[:, 1:])
                 out[:, 1 + r:] += Z
             refuse(rows, refused, out)
             return out
 
         def guard(rows, y):
-            # not |y| <= bound, which a NaN state fails too
-            inside = np.maximum.reduce(np.abs(y[:, 0]), axis=1) <= DIVERGENCE_BOUND
-            if not inside.all():
+            # not |y| <= bound, which a NaN state fails too; the rows are
+            # told apart only where the whole stack fails
+            if not np.abs(y[:, 0]).max(initial=0.0) <= DIVERGENCE_BOUND:
+                inside = np.maximum.reduce(np.abs(y[:, 0]), axis=1) <= DIVERGENCE_BOUND
                 refuse(rows, {j: _divergence(y[j, 0]) for j in np.flatnonzero(~inside)}, y)
 
         # a row reads holomorphy at its start point, its 12 stage states a
@@ -847,18 +887,27 @@ class ComplexFlow:
             short = reads - 1 - 12 * nsteps
             extra[short > 0] = np.ceil(short[short > 0] / nsteps[short > 0])
 
-        def path(rows, y, end, hh, k0, k1):
+        @_per_row_set
+        def path_set(rows, hh):
+            """Each path state's row (j indexing rows), its label and the
+            weights of the cubic at it: (1 - t)^2, 1 + 2t, t h, t^2, 3 - 2t
+            and (1 - t) h."""
             m = extra[rows]
-            if not m.any():
-                return
             at = np.repeat(np.arange(len(rows)), m)
             t = ((np.arange(len(at)) - np.repeat(np.cumsum(m) - m, m) + 1.0)
                  / np.repeat(m + 1.0, m))[:, None]
             h = hh[at, 0]
-            states = ((1 - t) ** 2 * ((1 + 2 * t) * y[at, 0] + t * h * k0[at, 0])
-                      + t * t * ((3 - 2 * t) * end[at, 0] - (1 - t) * h * k1[at, 0]))
+            return at, labels[rows[at]], ((1 - t) ** 2, 1 + 2 * t, t * h, t * t, 3 - 2 * t,
+                                          (1 - t) * h)
+
+        def path(rows, y, end, hh, k0, k1):
+            at, named, (a, b, c, d, e, f) = path_set(rows, hh)
+            if not len(at):
+                return
+            # (1 - t)^2 ((1 + 2t) y + t h k0) + t^2 ((3 - 2t) end - (1 - t) h k1)
+            states = a * (b * y[at, 0] + c * k0[at, 0]) + d * (e * end[at, 0] - f * k1[at, 0])
             refused = {}
-            for j, err in frame.at(to_chart(states), labels[rows[at]])[2].items():
+            for j, err in frame.at(to_chart(states), named)[2].items():
                 refused.setdefault(at[j], err)
             refuse(rows, refused, end)
 

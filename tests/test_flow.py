@@ -19,6 +19,7 @@ from cgsys.flow import (
     numerical_jacobian, solve_rows, _exp_frechet,
 )
 from cgsys.geometry import ComplexChart, VectorField, apply_J, j_matrix
+from reference import rk as rk_reference
 
 CFG = FlowConfig()
 
@@ -915,6 +916,74 @@ def test_tableau_is_explicit_with_rows_summing_to_the_nodes():
     assert math.fsum(b) == 1.0
 
 
+# the state shapes _rk steps: real rows (flow_real's (n, 2N)), complex rows
+# [z; tangent columns] (n, 1 + r + k, N) and one-element rows of each kind
+_RK_SHAPES = [(1,), (2,), (4,), (1, 1), (3, 1), (2, 2), (4, 2)]
+_RK_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+def _rk_callbacks(log, complex_state, coefs):
+    """Row-local callbacks for _rk that log every call with the bytes it
+    saw: a velocity a y + b y^2 + c that refuses a row beyond |y| = 1e3 by
+    NaN, a guard that writes NaN into a row beyond 1e2, and a path that
+    writes NaN into a step end beyond 50."""
+    a, b, c = (complex(*x) if complex_state else x[0] for x in coefs)
+
+    def beyond(y, bound):
+        return ~(np.abs(y).reshape(len(y), -1).max(axis=1) <= bound)
+
+    def velocity(rows, y):
+        log.append(("velocity", rows.tobytes(), y.tobytes()))
+        out = a * y + b * (y * y) + c
+        out[beyond(y, 1e3)] = np.nan
+        return out
+
+    def guard(rows, y):
+        log.append(("guard", rows.tobytes(), y.tobytes()))
+        y[beyond(y, 1e2)] = np.nan
+
+    def path(rows, y, end, hh, k0, k1):
+        log.append(("path", *(x.tobytes() for x in (rows, y, end, hh, k0, k1))))
+        end[beyond(end, 50.0)] = np.nan
+
+    return velocity, guard, path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_rk_equals_the_plain_stage_loop_bit_for_bit(data):
+    # _rk's stage buffer and running sums against tests/reference.py's loop
+    # of total = total + a * k_j: the same callbacks see the same bytes in
+    # the same order, and the states and error estimates come out equal,
+    # over stacks of 1-5 rows holding -0.0, infinities and NaN, with
+    # counts that end at different steps
+    n = data.draw(st.integers(1, 5))
+    shape = data.draw(st.sampled_from(_RK_SHAPES))
+    complex_state = len(shape) == 2
+    finite = st.floats(-2.0, 2.0)
+    parts = 2 if complex_state else 1
+    values = np.array(data.draw(st.lists(finite, min_size=n * math.prod(shape) * parts,
+                                         max_size=n * math.prod(shape) * parts)))
+    for pos in data.draw(st.lists(st.integers(0, len(values) - 1), max_size=3)):
+        values[pos] = data.draw(st.sampled_from(_RK_SPECIALS))
+    state = values.view(complex) if complex_state else values
+    state = state.reshape((n,) + shape)
+    h = np.array(data.draw(st.lists(st.floats(-0.6, 0.6), min_size=n, max_size=n)))
+    nsteps = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    coefs = data.draw(st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
+    with_error, with_path = data.draw(st.booleans()), data.draw(st.booleans())
+    runs = []
+    for loop in (cgsys.flow._rk, rk_reference):
+        log = []
+        velocity, guard, path = _rk_callbacks(log, complex_state, coefs)
+        error = np.zeros(n) if with_error else None
+        with np.errstate(all="ignore"):
+            out = loop(velocity, state.copy(), h, nsteps, guard, error,
+                       path if with_path else None)
+        runs.append((out.tobytes(), None if error is None else error.tobytes(), log))
+    assert runs[0] == runs[1]
+
+
 def _quadratic_flow(c, cfg=CFG):
     """The flow of (1 + c z^2) d/dz, and its closed form from z0 for time w,
     tan(atan(sqrt(c) z0) + sqrt(c) w) / sqrt(c)."""
@@ -1155,6 +1224,60 @@ def test_non_finite_start_rows_are_refused_and_the_others_come_out_as_alone(tang
         assert points[i].tobytes() == alone[0][0].tobytes()
         assert estimates[i] == alone[3][0]
         assert not tangents or Y[i].tobytes() == alone[1][0].tobytes()
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_the_stack_wide_checks_refuse_what_each_row_alone_refuses(tangents):
+    # 1 + 1e-8 y1^2 has the Cauchy-Riemann residual 1e-8 |y1|, and real
+    # times keep y1: row 0 is just above HOLOMORPHY_TOL, row 1 just below;
+    # row 2 crosses DIVERGENCE_BOUND at the stage state c = 0.65 of its one
+    # step, and row 3 starts at NaN.  The checks test a whole stack at once
+    # and tell its rows apart only when that test fails
+    chart = ComplexChart.standard(1)
+    flow = ComplexFlow([field(chart, ["1 + 1e-8*y1^2", "0"])], CFG)
+    P = np.array([[0.1, 1 + 2.0**-30], [0.2, 1 - 2.0**-30], [DIVERGENCE_BOUND - 0.5, 0.0],
+                  [np.nan, 0.0], [0.3, 0.2]])
+    W = np.array([[0.5], [0.5], [1.0], [0.5], [0.25 + 0.1j]])
+    assert flow.frame.residuals(P[:2])[0] > HOLOMORPHY_TOL > flow.frame.residuals(P[:2])[1]
+    dZ0 = np.random.default_rng(2).uniform(-1, 1, (5, 1, 2)) + 0.5j if tangents else None
+    nsteps = np.ones(5, dtype=int)
+    points, Y, errors, estimates = flow.rows(P, W, dZ0, nsteps)
+    assert [type(err).__name__ if err else None for err in errors] == [
+        "HolomorphyError", None, "DivergenceError", "DivergenceError", None]
+    for i in range(5):
+        alone = flow.rows(P[i:i + 1], W[i:i + 1], None if dZ0 is None else dZ0[i:i + 1],
+                          nsteps[i:i + 1])
+        assert str(errors[i]) == str(alone[2][0])
+        assert points[i].tobytes() == alone[0][0].tobytes()
+        assert estimates[i].tobytes() == alone[3][0].tobytes()
+        assert not tangents or Y[i].tobytes() == alone[1][0].tobytes()
+        if errors[i]:
+            assert np.isnan(points[i]).all() and np.isnan(estimates[i])
+    assert str(errors[2]) == "trajectory exceeded bound 1e+06"
+    assert str(errors[3]) == "trajectory state is not finite"
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_a_run_reads_holomorphy_once_per_stage_path_and_end(monkeypatch, tangents):
+    # the tape passes of one run of (1 + 1.1 z^2) d/dz: 12 per step of the
+    # longest row (its stages), one per step for the Hermite paths where a
+    # row reads fewer than 256 |w| states, and one for the end points
+    flow, _ = _quadratic_flow(1.1)
+    calls, at = [], cgsys.flow._HolomorphicFrame.at
+
+    def counted(self, X, labels=None):
+        calls.append(len(X))
+        return at(self, X, labels)
+
+    monkeypatch.setattr(cgsys.flow._HolomorphicFrame, "at", counted)
+    P, W = np.array([[0.1, 0.0], [-0.2, 0.1]]), np.array([[0.25j], [-0.25]])
+    dZ0 = np.ones((2, 1, 1), dtype=complex) if tangents else None
+    # |w| = 0.25 reads 64 states: 13 at one step, 37 at three, 97 at eight
+    for counts, paths in (([1, 1], 1), ([3, 3], 3), ([1, 3], 3), ([8, 8], 0)):
+        calls.clear()
+        _, _, errors, _ = flow.rows(P, W, dZ0, np.array(counts))
+        assert errors == [None, None]
+        assert len(calls) == 12 * max(counts) + paths + 1
 
 
 # --- Newton inversion ----------------------------------------------------------
