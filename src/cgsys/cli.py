@@ -1,10 +1,14 @@
 """Command-line driver: verify | cauchy | normal-form | list.
 
-Exit codes: 0 all checks pass, 1 a check fails or a construction is refused,
-2 the input is malformed: a file that does not load, a setting outside its
-rule (``dsl.SETTINGS``) or a sample point outside an expression's domain.
-``--json PATH`` writes the deterministic report document described by the
-shipped schema.
+Exit codes: 0 all checks pass; 1 a check fails, or a construction is
+refused with one ``error:``, ``refused:`` or ``transversality failure:``
+message; 2 the input is malformed.  Exit 2 prints one ``input error:``
+line for a file that does not load, a setting outside its rule
+(``dsl.SETTINGS``) or a sample point outside an expression's domain, a
+``sampling error:`` line when too few sample points lie in the domain, and
+argparse's ``usage:`` and ``error:`` lines for a flag that the command
+does not take.  ``--json PATH`` writes the deterministic report document
+described by the shipped schema.
 """
 
 from __future__ import annotations

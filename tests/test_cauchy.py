@@ -2,11 +2,9 @@
 the nilpotent group against its closed forms, and the affine group."""
 
 import dataclasses
-import importlib.util
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +24,7 @@ from cgsys.cauchy import (
     frobenius_defect_on_M, grid_queries, param_samples, solve, validate_tangency,
 )
 from cgsys.geometry import ComplexChart, VectorField, field_matrix, jet_blocks, pair_brackets
+from cli_contract import ambient_cgs
 
 CFG = FlowConfig()
 
@@ -192,11 +191,7 @@ def test_cauchy_op_draws_parameter_samples_once(monkeypatch, name):
 
 def _ambient_file(c=1.1):
     """The benchmark's generated (1 + c z^2) d/dz file, by default c = 1.1."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return loads(workloads.ambient_cgs(c), name="ambient")
+    return loads(ambient_cgs(c), name="ambient")
 
 
 def _ambient_data():

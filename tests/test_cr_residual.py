@@ -3,10 +3,8 @@ of ``jet_blocks`` reduced by ``cr_residuals`` give |dZ/dzbar| of random
 real polynomial fields in (x, y), and rounding-size residuals for fields
 that are polynomials in z."""
 
-import importlib.util
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ from cgsys.geometry import (
     ComplexChart, VectorField, cr_residuals, is_holomorphic, jet_blocks,
 )
 from cgsys.verify import GradientSystem, classify, sample_points
+from cli_contract import ambient_cgs
 
 sympy = pytest.importorskip("sympy")
 
@@ -137,11 +136,7 @@ def test_cr_residual_of_polynomials_in_z_is_rounding_size(drawn, data):
 def _ambient_system():
     """The generated field (1 + 1.1 z^2) d/dz of the benchmark with its
     closed-form gradient, as a gradient system."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    sf = loads(workloads.ambient_cgs(1.1), name="ambient")
+    sf = loads(ambient_cgs(1.1), name="ambient")
     return GradientSystem(sf.chart, sf.cr.ambient_fields, sf.oracle[0], name="ambient")
 
 

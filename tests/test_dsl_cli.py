@@ -1,11 +1,8 @@
 """File format, gallery, CLI exit codes, JSON schema and determinism."""
 
-import importlib.util
 import json
-import re
 import sys
 import time
-from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -25,17 +22,7 @@ from cgsys.report import canonical_json, schema_text
 from cgsys.verify import (
     GradientSystem, check_axioms, normal_form, sample_points, symmetric_axis,
 )
-
-MINIMAL = """
-[chart]
-complex_dim = 1
-
-[system]
-k = 1
-field_1 = 1; 0
-grad_1 = -y1
-"""
-
+from cli_contract import MINIMAL, ambient_cgs, edited as _edited, in_process, universal_faults
 
 # --- loading -----------------------------------------------------------------
 
@@ -217,17 +204,6 @@ def test_cli_rejects_non_positive_counts(argv, capsys):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
-def test_cli_cauchy_non_transverse(capsys):
-    assert main(["cauchy", "non-transverse-demo"]) == 1
-    err = capsys.readouterr().err
-    assert "witness" in err
-
-
-def test_cli_normal_form_refusal(capsys):
-    assert main(["normal-form", "heisenberg"]) == 1
-    assert "refused" in capsys.readouterr().err
-
-
 def test_cli_normal_form_model():
     assert main(["normal-form", "model-k1", "--grid", "5"]) == 0
 
@@ -336,12 +312,8 @@ def test_cli_empty_level_set_passes_with_its_note(capsys):
 
 def _ambient_file(tmp_path):
     """The benchmark's generated (1 + c z^2) d/dz file, c = 1.1."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     out = tmp_path / "ambient.cgs"
-    out.write_text(workloads.ambient_cgs(1.1))
+    out.write_text(ambient_cgs(1.1))
     return str(out)
 
 
@@ -394,28 +366,6 @@ def test_cli_ops_walk_no_expression_tree(tmp_path, monkeypatch, capsys):
         assert run(argv) == before, argv
 
 
-AMBIENT_NOT_HOLOMORPHIC = """
-[chart]
-complex_dim = 1
-
-[cr_data]
-params = s
-sigma = s; 0
-field_1 = 1 + y1; 0
-"""
-
-
-def test_cli_cauchy_non_holomorphic_ambient_field(tmp_path, capsys):
-    # 1 + y1 is not holomorphic: its complexified flow is refused where the
-    # first trajectory starts, and the op fails without a traceback
-    path = tmp_path / "not-holomorphic.cgs"
-    path.write_text(AMBIENT_NOT_HOLOMORPHIC)
-    assert main(["cauchy", str(path), "--grid", "3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Cauchy-Riemann" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("argv", [
     ["cauchy", "affine", "--u-extent", "1e308", "--grid", "2"],
     ["cauchy", "heisenberg-cr", "--u-extent", "1e308", "--grid", "2"],
@@ -434,16 +384,6 @@ def test_cli_cauchy_huge_u_extent_is_refused(argv, tmp_path, capsys):
     else:                    # refused where F places the queries, naming the cause
         assert err == ("error: matrix exponential is not finite "
                        "(overflow, or past matrix_exp's accuracy bound)\n")
-
-
-def test_cli_normal_form_huge_extent_faults_at_finite_coordinates(capsys):
-    # the slice grid's axis cannot overflow: the profile's own overflow is an
-    # input error at a grid point with finite coordinates, and no
-    # RuntimeWarning (which the suite's filter turns into an error)
-    assert main(["normal-form", "model-k1", "--extent", "1e308"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error: overflow in ")
-    assert not re.search(r"\b(nan|inf)\b", err)
 
 
 def test_cli_cauchy_largest_u_extent_is_refused_without_a_warning(capsys):
@@ -476,12 +416,6 @@ def test_cli_points_flag_belongs_to_verify(command, capsys):
         main([command, system, "--points", "9"])
     assert exc.value.code == 2
     assert "--points" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["cauchy", "normal-form"])
-def test_cli_seed_is_checked_where_it_draws_no_samples(command, capsys):
-    assert main([command, "line", "--grid", "2", "--seed", "-5"]) == 2
-    assert capsys.readouterr().err == "input error: --seed: must be an integer >= 0, got -5\n"
 
 
 def test_cli_refuses_huge_complex_dim_quickly(tmp_path, capsys):
@@ -575,12 +509,6 @@ def test_cli_param_domain_fault_at_a_newton_solution_refuses_the_query(
     assert main(["cauchy", str(path)]) == 2
     assert capsys.readouterr().err.startswith(
         "input error: log of non-positive value in 'log(p1 - 0.5)' at point ")
-
-
-def _edited(base: str, old: str, new: str) -> str:
-    text = builtin_text(base) if base in builtin_names() else base
-    assert old in text
-    return text.replace(old, new, 1)
 
 
 CR = "sigma = s; 0\n"                       # in line's [cr_data]
@@ -748,11 +676,13 @@ def _mutated(data, text: str) -> str:
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzzed_files_keep_the_exit_code_contract(data, tmp_path_factory):
+    # every run keeps the contract table's universal rules
     text = _mutated(data, builtin_text(data.draw(st.sampled_from(builtin_names()))))
-    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.cgs"
-    path.write_text(text)
+    cwd = tmp_path_factory.mktemp("fuzz")
+    (cwd / "fuzzed.cgs").write_text(text)
     for argv in RUNS:
-        assert main([str(path) if a == "FILE" else a for a in argv]) in (0, 1, 2)
+        code, _, err, caught = in_process(["fuzzed.cgs" if a == "FILE" else a for a in argv], cwd)
+        assert not universal_faults(code, err, caught), (argv, text, err)
 
 
 # --- JSON reports ------------------------------------------------------------------
