@@ -12,7 +12,8 @@ e = parse_expr("y3 + x1*y2")
 print("tree:", repr(e))
 print("printed back:", to_string(e))
 
-# Evaluation is plain IEEE double arithmetic over a name -> value mapping.
+# Evaluation is plain IEEE double arithmetic over a name -> value mapping:
+# the tree is compiled to the package's one tape and run on one point.
 env = {"x1": 2.0, "y2": 3.0, "y3": -1.0}
 print("value at", env, "=", evaluate(e, env))
 
@@ -27,7 +28,9 @@ d2 = diff(df, "y1")
 print("second derivative:", to_string(d2))
 print("value at x1=1, y1=1:", evaluate(d2, {"x1": 1.0, "y1": 1.0}))  # -0.5
 
-# Domain faults surface as errors naming the node, never as NaN.
+# Domain faults surface as errors naming the node and the point, never as
+# NaN; the one point is point 0, so this prints
+# "division by zero in 'x1/x2' at point 0 (x1=1.0, x2=0.0)".
 try:
     evaluate(parse_expr("x1/x2"), {"x1": 1.0, "x2": 0.0})
 except DomainError as err:

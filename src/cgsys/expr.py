@@ -21,21 +21,22 @@ There is no canonicalization beyond that list.  The parser builds nodes
 through the same constructors, which is what keeps
 ``parse_expr(to_string(t))`` structurally equal to ``t``.
 
-Two evaluators share these semantics.  ``evaluate`` walks one tree at one
-point with Python's ``math``; it is the reference and the per-point API
-(no Runge-Kutta loop runs it).  ``compile_exprs`` turns a list of trees into a
-``Program``: a straight-line tape with value numbering, so structurally
-equal subtrees are computed once, run with numpy ufuncs over an
-``(n_points, n_vars)`` array.  Its instructions are bound at compile time:
-a power with a constant exponent runs ``_pow_by``, which tests only the
-faults that exponent can have, and constant outputs are filled in one
+One evaluator carries these semantics.  ``compile_exprs`` turns a list of
+trees into a ``Program``: a straight-line tape with value numbering, so
+structurally equal subtrees are computed once, run with numpy ufuncs over
+an ``(n_points, n_vars)`` array.  Its instructions are bound at compile
+time: a power with a constant exponent runs ``_pow_by``, which tests only
+the faults that exponent can have, and constant outputs are filled in one
 assignment.  One pass of the tape over all the rows records each row's
 first faulting instruction; a DomainError's message is built only for a
-row that reports one.  Both evaluators fault at the same node and point
-and never return NaN for a domain fault.  Determinism contract: each
-evaluator is bit-reproducible from run to run; ``+ - * /``, negation,
-``sqrt`` and ``^`` (computed by Python's own power) agree bit for bit
-between them, while numpy's ``sin``/``exp``/``log``/``atan2`` and the other
+row that reports one, and names the node and the point.  A domain fault is
+never returned as NaN.  ``evaluate`` is the tape's one-row view, and the
+folding of a constant raised to a constant power runs the tape's own pow.
+Determinism contract: the tape is bit-reproducible from run to run; on
+``+ - * /``, negation, ``sqrt`` and ``^`` (computed by Python's own power)
+it agrees bit for bit with a plain recursive walk of the tree in Python's
+``math``, and faults at the node and point where that walk first faults,
+while numpy's ``sin``/``exp``/``log``/``atan2`` and the other
 transcendental ufuncs may differ from libm in the last ulp.
 
 ``Table`` names the blocks of a Program's outputs and ``Predicate`` is a
@@ -101,7 +102,8 @@ class DomainError(ExprError):
     """Evaluation left an operation's domain; the message names the node.
 
     ``index`` is the label of the offending row when a Program reported
-    it, None for a single-point evaluation."""
+    it; a one-row view such as ``evaluate`` names row 0.  It is None only
+    for a fault raised outside a Program."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -240,10 +242,10 @@ def pow_(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        try:
-            return Const(_eval_pow(a.value, b.value, None))
-        except (DomainError, OverflowError):
-            pass
+        # the tape's own pow, folded only where it reports no fault
+        (v,), (bad,) = _pow_values(a.value, b.value)
+        if not bad and math.isfinite(v):
+            return Const(float(v))
     return Binary("pow", a, b)
 
 
@@ -262,90 +264,6 @@ def unary(op: str, a: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-
-def _eval_pow(base: float, expo: float, node) -> float:
-    if base == 0.0 and expo < 0.0:
-        raise DomainError(f"zero raised to negative power in '{_name(node)}'")
-    if base < 0.0 and not float(expo).is_integer():
-        raise DomainError(f"negative base with non-integer exponent in '{_name(node)}'")
-    try:
-        return float(base ** expo)
-    except OverflowError:
-        raise DomainError(f"overflow in '{_name(node)}'") from None
-
-
-def _name(node) -> str:
-    return to_string(node) if node is not None else "pow"
-
-
-_TRIG = {"sin": math.sin, "cos": math.cos, "tan": math.tan}
-
-
-def evaluate(e: Expr, env: dict[str, float]) -> float:
-    """Evaluate ``e`` with variables bound by ``env``.
-
-    Deterministic IEEE double arithmetic: the same tree and environment give
-    a bit-identical result.  Lookup of an absent variable raises
-    UnboundVariableError, never a default.  Division by zero, log of a
-    non-positive value, sqrt of a negative value and similar propagate as
-    DomainError naming the offending node, never as NaN.
-    """
-    match e:
-        case Const(value=v):
-            return v
-        case Var(name=n):
-            try:
-                return float(env[n])
-            except KeyError:
-                raise UnboundVariableError(f"unbound variable '{n}'") from None
-        case Unary(op=op, arg=a):
-            x = evaluate(a, env)
-            if op == "neg":
-                return -x
-            if op in _TRIG:
-                if math.isinf(x):
-                    raise DomainError(f"{op} of infinite value in '{to_string(e)}'")
-                return _TRIG[op](x)
-            if op == "atan":
-                return math.atan(x)
-            if op == "exp":
-                try:
-                    return math.exp(x)
-                except OverflowError:
-                    raise DomainError(f"overflow in '{to_string(e)}'") from None
-            if op == "log":
-                if x <= 0.0:
-                    raise DomainError(f"log of non-positive value in '{to_string(e)}'")
-                return math.log(x)
-            if op == "sqrt":
-                if x < 0.0:
-                    raise DomainError(f"sqrt of negative value in '{to_string(e)}'")
-                return math.sqrt(x)
-            raise ValueError(f"unknown unary operation {op!r}")
-        case Binary(op=op, lhs=l, rhs=r):
-            a = evaluate(l, env)
-            b = evaluate(r, env)
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            if op == "mul":
-                return a * b
-            if op == "div":
-                if b == 0.0:
-                    raise DomainError(f"division by zero in '{to_string(e)}'")
-                return a / b
-            if op == "pow":
-                return _eval_pow(a, b, e)
-            raise ValueError(f"unknown binary operation {op!r}")
-        case Atan2(y=ye, x=xe):
-            return math.atan2(evaluate(ye, env), evaluate(xe, env))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # compiled straight-line programs
 
 
@@ -354,8 +272,9 @@ def _is_integer(y):
 
 
 def _pow_values(x, y):
-    """x ** y elementwise through Python's float power, so the tape and
-    ``evaluate`` agree bit for bit; returns the values and the fault mask."""
+    """x ** y elementwise through Python's float power, which a walk of the
+    tree in Python's ``math`` takes too; returns the values and the fault
+    mask."""
     x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
     bad = ((x == 0.0) & (y < 0.0)) | ((x < 0.0) & ~_is_integer(y))
     return _python_pow(np.where(bad, 1.0, x).tolist(), np.where(bad, 1.0, y).tolist(), bad)
@@ -383,7 +302,7 @@ def _python_pow(xs, ys, bad):
 # correctly rounded, and pow(x, 2.0) differs from x*x on about 1 in 1,100
 # random doubles and on about 1 in 8 doubles with 27-bit significands.
 # np.square and np.power(x, 2.0) agree with x*x, not with pow, so the tape
-# keeps pow to agree bit for bit with ``evaluate``, which takes Python's.
+# keeps pow to agree bit for bit with a walk that takes Python's.
 def _pow_by(e: float):
     """x ** e for the constant exponent e over an array x: Python's float
     power as in _pow_values, with the fault mask computed only where e can
@@ -459,8 +378,8 @@ class Program:
     array of the m outputs, one row per point.  Slots ``0..len(names)-1``
     hold the input columns, constants have slots of their own, and each
     instruction writes one new slot from earlier ones.  One pass over all
-    the rows records each row's first faulting instruction, the node
-    ``evaluate`` names at that point; a call raises the first faulting
+    the rows records each row's first faulting instruction, the node where
+    a walk of the trees faults at that point; a call raises the first faulting
     row's DomainError (node, row index, coordinates), ``rows`` returns each
     row's, and no other error message is built.
     """
@@ -624,6 +543,16 @@ def compile_exprs(exprs, names) -> Program:
 
     outputs = [visit(e) for e in roots]
     return Program(names, len(slots), list(consts.items()), code, outputs, nodes)
+
+
+def evaluate(e: Expr, env: dict[str, float]) -> float:
+    """``e`` at the point ``env`` binds: ``[e]`` compiled over env's names
+    and run on one row.  A variable absent from ``env`` raises
+    UnboundVariableError; a domain fault raises that row's DomainError,
+    naming the node and the point as point 0, never NaN."""
+    names = tuple(env)
+    row = np.array([[float(env[n]) for n in names]])
+    return float(compile_exprs([e], names)(row)[0, 0])
 
 
 class Table:

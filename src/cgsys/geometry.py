@@ -14,12 +14,14 @@ brackets [X, Y] = DY X - DX Y (``bracket_values``) and the terms of dd^c by
 the product rule (``dc_differentials``, ``ddc_terms``), so second-derivative
 quantities (dd^c, Laplacians) are exact up to rounding with no nested
 symbolic derivatives.  ``lie_bracket``, ``pair_brackets`` and ``laplacian``
-build the symbolic forms, which tests use as references.  All values are
-immutable and every operation is pure; evaluation over point batches can
-run concurrently without synchronization.  Field derivatives have one
-layout, the Jacobians DX of ``jet_blocks``, and holomorphy one residual:
-``cr_residuals``, |dZ/dzbar| of the complexified fields read off DX.
-Chart vectors and complex coordinates have one layout too, z_mu =
+build the symbolic forms, which tests use as references.  A field's values
+at one point (``VectorField.values``, ``field_matrix``) are the one-row
+view of its compiled ``program``, so no point value walks a tree.  All
+values are immutable and every operation is pure; evaluation over point
+batches can run concurrently without synchronization.  Field derivatives
+have one layout, the Jacobians DX of ``jet_blocks``, and holomorphy one
+residual: ``cr_residuals``, |dZ/dzbar| of the complexified fields read off
+DX.  Chart vectors and complex coordinates have one layout too, z_mu =
 v^{x_mu} + i v^{y_mu}, which only ``to_complex`` and ``to_chart``
 convert, exactly.
 """
@@ -32,13 +34,13 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .expr import (
-    Const, Expr, Program, Table, add, as_expr, compile_exprs, diff, evaluate, mul,
-    neg, require_vars, sub,
+    Const, Expr, Program, Table, add, as_expr, compile_exprs, diff, mul, neg,
+    require_vars, sub,
 )
 
 __all__ = [
     "ComplexChart", "VectorField",
-    "env_at", "apply_J", "j_rotate", "to_complex", "to_chart", "j_matrix", "jet_blocks",
+    "apply_J", "j_rotate", "to_complex", "to_chart", "j_matrix", "jet_blocks",
     "jets_at", "d_values", "dc_values", "bracket_values", "dc_differentials", "ddc_terms",
     "lie_bracket", "pair_brackets", "cr_residuals", "holomorphic_jacobians",
     "is_holomorphic", "rank_cutoff", "Span", "span_residuals", "laplacian", "field_matrix",
@@ -77,12 +79,13 @@ class ComplexChart:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-
-def env_at(chart: ComplexChart, p) -> dict[str, float]:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (chart.dim,):
-        raise ValueError(f"point must have {chart.dim} coordinates, got {p.shape}")
-    return dict(zip(chart.names, p))
+    def row(self, p) -> np.ndarray:
+        """The point p (2N,) as the one row (1, 2N) that a one-row view
+        runs its Program on."""
+        p = np.asarray(p, dtype=float)
+        if p.shape != (self.dim,):
+            raise ValueError(f"point must have {self.dim} coordinates, got {p.shape}")
+        return p[None]
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,8 @@ class VectorField:
         return cls(chart, tuple(comps))
 
     def values(self, p) -> np.ndarray:
-        env = env_at(self.chart, p)
-        return np.array([evaluate(c, env) for c in self.components])
+        """The components at the point p (2N,): ``program``'s one-row view."""
+        return self.program(self.chart.row(p))[0]
 
     @cached_property
     def program(self) -> Program:
@@ -333,7 +336,8 @@ def is_holomorphic(V: VectorField, pts, tol: float = 1e-9) -> tuple[bool, float]
 
 
 def field_matrix(fields, p) -> np.ndarray:
-    """Column matrix of field values at a point (2N x m)."""
+    """Column matrix of field values at a point (2N x m), each column one
+    field's ``values``."""
     return np.column_stack([f.values(p) for f in fields])
 
 

@@ -27,9 +27,10 @@ splitting counts its total rank by rank-nullity, without a kernel basis.
 draws one point set, evaluates the table there once and hands every check
 those blocks or their first rows, so identical seed and configuration
 reproduce identical residual tables bit for bit.  A domain fault at a
-sample point raises DomainError naming the node and the point.  The
-level-set search runs flow's one Newton, on a compiled tape like every
-check.
+sample point raises DomainError naming the node and the point.  No value
+comes from anything but a compiled tape: ``GradientSystem.in_domain`` is
+the one-row view of the domain predicate, and the level-set search runs
+flow's one Newton on a compiled tape like every check.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from functools import cached_property
 import numpy as np
 
 from .expr import (
-    DomainError, Expr, Predicate, Table, compile_exprs, diff, evaluate, require_vars,
+    DomainError, Expr, Predicate, Table, compile_exprs, diff, require_vars,
 )
 from .flow import DEFAULT_CONFIG, ComplexFlow, FlowConfig, newton_rows
 from .geometry import (
     ComplexChart, Span, VectorField, bracket_values, cr_residuals, d_values,
-    dc_values, ddc_terms, env_at, j_rotate, jet_blocks, jets_at, rank_cutoff, to_chart,
+    dc_values, ddc_terms, j_rotate, jet_blocks, jets_at, rank_cutoff, to_chart,
 )
 
 __all__ = [
@@ -94,8 +95,12 @@ class GradientSystem:
         return len(self.fields)
 
     def in_domain(self, p) -> bool:
-        env = env_at(self.chart, p)
-        return all(evaluate(g, env) > 0.0 for g in self.domain)
+        """Whether the point p (2N,) satisfies the domain predicate: the
+        one-row view of ``domain_predicate``, raising its DomainError."""
+        inside, fault = self.domain_predicate.holds(self.chart.row(p))
+        if fault is not None:
+            raise fault
+        return bool(inside[0])
 
     @cached_property
     def table(self) -> "CheckTable":

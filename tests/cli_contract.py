@@ -187,11 +187,13 @@ CASES = (
     Case("cauchy-non-transverse", "cauchy non-transverse-demo", (1,),
          stderr=("^transversality failure", r"witness parameters: \[0\.0\]")),
     # group exponentials that overflow, or whose squarings would leave too few
-    # correct bits, refuse their queries
-    Case("cauchy-affine-u-1e308", "cauchy affine --u-extent 1e308 --grid 2", (1,)),
-    Case("cauchy-heisenberg-cr-u-1e308", "cauchy heisenberg-cr --u-extent 1e308 --grid 2", (1,)),
-    Case("cauchy-affine-u-5e307", "cauchy affine --u-extent 5e307 --grid 2", (1,),
-         stderr=("matrix exponential is not finite",)),
+    # correct bits, are refused where F places the queries, before a report
+    *(Case(f"cauchy-{name}-u-{extent}",
+           f"cauchy {name} --u-extent {extent} --grid 2 --json {REPORT}", (1,),
+           stderr=(r"\Aerror: matrix exponential is not finite "
+                   r"\(overflow, or past matrix_exp's accuracy bound\)\n\Z",))
+      for name, extent in (("affine", "1e308"), ("heisenberg-cr", "1e308"),
+                           ("affine", "5e307"))),
     # an ambient field at a tight Newton tolerance: every query resolves
     Case("cauchy-ambient-tight", "cauchy amb.cgs --grid 3 --u-extent 0.25 "
          f"--newton-tol {TIGHT_NEWTON_TOL!r} --json {REPORT}",

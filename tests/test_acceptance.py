@@ -13,14 +13,15 @@ import pytest
 
 from cgsys.cli import main
 from cgsys.dsl import builtin_names, load_builtin
-from cgsys.expr import DomainError, UnboundVariableError, diff, evaluate, free_vars
+from cgsys.expr import DomainError, UnboundVariableError, diff, free_vars
 from cgsys.flow import FlowConfig
 from cgsys.cauchy import grid_queries, solve
-from cgsys.geometry import apply_J, env_at, laplacian, lie_bracket
+from cgsys.geometry import apply_J, laplacian, lie_bracket
 from cgsys.verify import (
     GridSpec, NormalFormRefusal, check_axioms, check_commutation, normal_form,
     sample_points,
 )
+from reference import env_at, evaluate
 
 CFG = FlowConfig()
 

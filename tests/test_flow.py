@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import cgsys.flow
-from cgsys.expr import DomainError, add, diff, evaluate, sub
+from cgsys.expr import DomainError, add, diff, sub
 from cgsys.flow import (
     DIVERGENCE_BOUND, HOLOMORPHY_TOL, MAX_SQUARINGS, MAX_TIME,
     ComplexFlow, DivergenceError, EmbeddingError, FlowConfig, FlowError,
@@ -19,7 +19,7 @@ from cgsys.flow import (
     numerical_jacobian, solve_rows, _exp_frechet,
 )
 from cgsys.geometry import ComplexChart, VectorField, apply_J, j_matrix
-from reference import rk as rk_reference
+from reference import evaluate, rk as rk_reference
 
 CFG = FlowConfig()
 

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cgsys.expr import Table, diff, evaluate, parse_expr
+from cgsys.expr import DomainError, Table, diff, parse_expr
 from cgsys.flow import ComplexFlow, HolomorphyError
 from cgsys.geometry import (
-    ComplexChart, VectorField, apply_J, env_at, field_matrix, holomorphic_jacobians,
+    ComplexChart, VectorField, apply_J, field_matrix, holomorphic_jacobians,
     is_holomorphic, j_matrix, j_rotate, jet_blocks, laplacian, lie_bracket,
     pair_brackets, span_residuals, to_chart, to_complex,
 )
 from cgsys.verify import GradientSystem
+from reference import env_at, evaluate, values
 
 
 def make_field(chart, comps):
@@ -58,6 +59,19 @@ def affine_points(n, seed):
     pts[:, 0] = rng.uniform(0.5, 2.0, size=n)  # x1
     pts[:, 1] = rng.uniform(0.5, 2.0, size=n)  # y1
     return pts
+
+
+def test_values_is_the_programs_one_row_view(heis):
+    chart, fields, _ = heis
+    for V in fields:
+        for p in sample_points(chart, 5, 4):
+            assert values(V, p).tobytes() == V.values(p).tobytes()
+    V = make_field(ComplexChart.standard(1), ["1/x1", "0"])
+    with pytest.raises(DomainError) as err:
+        V.values([0.0, 2.0])
+    assert str(err.value) == "division by zero in '1/x1' at point 0 (x1=0.0, y1=2.0)"
+    with pytest.raises(ValueError, match="point must have 2 coordinates"):
+        V.values([0.0, 2.0, 1.0])
 
 
 # --- J ----------------------------------------------------------------------
@@ -185,7 +199,7 @@ def test_d_group_gradient_annihilates_representation(heis):
     for p in pts:
         # independent oracle: directional central difference
         h = 1e-6
-        v = fields[0].values(p)
+        v = values(fields[0], p)
         up = env_at(chart, p + h * v)
         dn = env_at(chart, p - h * v)
         oracle = (evaluate(grads[2], up) - evaluate(grads[2], dn)) / (2 * h)
@@ -298,7 +312,7 @@ def test_ddc_group_value_frozen(heis):
     JB = apply_J(lie_bracket(fields[0], fields[1]))
     for p in pts:
         du = [evaluate(diff(grads[2], x), env_at(chart, p)) for x in chart.names]
-        assert np.dot(du, JB.values(p)) == pytest.approx(-1.0, abs=1e-14)
+        assert np.dot(du, values(JB, p)) == pytest.approx(-1.0, abs=1e-14)
     assert np.allclose(got, -1.0, rtol=0, atol=1e-13)
 
 

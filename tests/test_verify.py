@@ -10,11 +10,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cgsys.dsl import builtin_names, load_builtin
-from cgsys.expr import DomainError, diff, evaluate, parse_expr
+from cgsys.expr import DomainError, diff, parse_expr
 from cgsys.flow import FlowConfig, flow_real, numerical_jacobian
 from cgsys.geometry import (
-    ComplexChart, Span, VectorField, apply_J, d_values, dc_values, env_at, field_matrix,
-    j_matrix, j_rotate, lie_bracket,
+    ComplexChart, Span, VectorField, apply_J, d_values, dc_values, j_matrix, j_rotate,
+    lie_bracket,
 )
 import cgsys.flow
 import cgsys.verify
@@ -25,6 +25,7 @@ from cgsys.verify import (
     check_decompositions, check_level_set, classify,
     decomposition_check_result, normal_form, sample_points, verify_system,
 )
+from reference import env_at, evaluate, field_matrix, in_domain, values
 
 
 # the gallery entries with a [system] section
@@ -162,7 +163,7 @@ def one_at_a_time(sys_, n, seed, box=2.0):
             break
         p = rng.uniform(-box, box, size=sys_.chart.dim)
         try:
-            inside = sys_.in_domain(p)
+            inside = in_domain(sys_, p)
         except DomainError:
             return None, attempt
         if inside:
@@ -199,6 +200,17 @@ def test_sampling_domain_faults_like_one_at_a_time(line):
     assert faults == [None, None, None, 4]
 
 
+def test_in_domain_is_the_predicates_one_row_view(line):
+    bare = system(line.chart, line.fields, ["-y1"], domain=["y1 + 3", "sqrt(x1)"])
+    for p in ([0.5, 0.0], [0.5, -4.0], [-0.5, -4.0]):
+        assert bare.in_domain(p) is in_domain(bare, p)
+    with pytest.raises(DomainError) as err:
+        bare.in_domain([-0.5, 0.0])
+    assert str(err.value) == "sqrt of negative value in 'sqrt(x1)' at point 0 (x1=-0.5, y1=0.0)"
+    with pytest.raises(ValueError, match="point must have 2 coordinates"):
+        bare.in_domain([0.5])
+
+
 def test_table_is_built_once_per_system(heis):
     assert heis.table is heis.table
     other = system(heis.chart, heis.fields, ["-y1", "-y2", "x1*y2 - y3"])
@@ -210,7 +222,7 @@ def test_span_residuals_of_checks_match_lstsq_per_point(affine, heis):
     def worst(S, brackets, p):
         out = 0.0
         for b in brackets:
-            v = b.values(p)
+            v = values(b, p)
             coef, *_ = np.linalg.lstsq(S, v, rcond=None)
             out = max(out, float(np.linalg.norm(v - S @ coef)))
         return out
@@ -516,7 +528,7 @@ def _level_set_by_gauss_newton(sys_, V, n_points=8, seed=0):
             r = np.array([evaluate(g, env_at(sys_.chart, p)) for g in sys_.grads]) - V
             norms.append(np.linalg.norm(r))
             if np.max(np.abs(r)) < 1e-11:
-                if sys_.in_domain(p) and not any(
+                if in_domain(sys_, p) and not any(
                         np.linalg.norm(p - q) < 1e-6 for q in found):
                     found.append(p)
                     falling.append(all(np.diff(norms) < 0))
@@ -562,7 +574,7 @@ def test_level_set_search_finds_what_gauss_newton_finds(name):
         for p in rec.points:
             U = [evaluate(g, env_at(sys_.chart, p)) for g in sys_.grads]
             assert np.max(np.abs(U - V)) < 1e-11 and np.max(np.abs(p)) <= 50.0
-            assert sys_.in_domain(p)
+            assert in_domain(sys_, p)
         for p, fell in zip(points, falling):
             if fell:
                 assert np.min(np.max(np.abs(rec.points - p), axis=1)) < 1e-9, (name, V)
