@@ -19,11 +19,10 @@ evaluated concurrently over point batches without synchronization.
 from .expr import (
     Atan2, Binary, Const, DomainError, Expr, ParseError, Program,
     UnboundVariableError, Unary, UnknownFunctionError, Var, compile_exprs, diff,
-    evaluate, free_vars, parse_expr, subst, to_string,
+    evaluate, free_vars, parse_expr, to_string,
 )
 from .geometry import (
-    ComplexChart, Span, VectorField, apply_J, is_holomorphic, laplacian,
-    lie_bracket, pair_brackets, span_residuals,
+    ComplexChart, Span, VectorField, apply_J, is_holomorphic, lie_bracket,
 )
 from .flow import (
     DivergenceError, EmbeddingError, FlowConfig, FlowError, HolomorphyError,
@@ -64,6 +63,10 @@ REMOVED = {
     "invariant_lift": "compute_PQA(data, dF, p, u): frame.dF @ frame.lifts.T",
     "ComplexField": "the real VectorField; geometry.cr_residuals reads it complexified off DX",
     "complexify": "is_holomorphic(V, pts), or geometry.cr_residuals of jet_blocks' DX",
+    "subst": "parse_expr of the substituted text, or the constructors expr.add, expr.mul, ...",
+    "pair_brackets": "CheckTable.at(pts)['bracket'], or lie_bracket(V, W) for one pair",
+    "laplacian": "CheckTable.at(pts)['lap']",
+    "span_residuals": "Span(S).residuals(V)",
 }
 
 

@@ -88,7 +88,7 @@ from .flow import (
 )
 from .geometry import (
     ComplexChart, Span, VectorField, bracket_values, j_rotate,
-    jet_blocks, jets_at, span_residuals, to_chart, to_complex,
+    jet_blocks, jets_at, to_chart, to_complex,
 )
 
 __all__ = [
@@ -201,14 +201,6 @@ class CRInitialData:
         """The compiled param_domain predicate, built on first use."""
         return Predicate(self.param_domain, self.param_names)
 
-    def complex_flow(self, cfg: FlowConfig) -> ComplexFlow:
-        """The ComplexFlow of the ambient fields under cfg, made once per
-        data object and config on the jets the check table compiled."""
-        flows = self.__dict__.setdefault("_flows", {})
-        if cfg not in flows:
-            flows[cfg] = ComplexFlow(self.table.fields, cfg)
-        return flows[cfg]
-
     def sigma_rows(self, P):
         """sigma (n, 2N) and dsigma (n, 2N, m) at the parameter rows P, and
         per row None or the DomainError that refuses it."""
@@ -301,7 +293,7 @@ def validate_tangency(data: CRInitialData, t) -> float:
     """Max residual of the initial fields against the tangent of M at the
     rows of ``t``; the data is invalid when any initial value fails to
     project onto range dsigma (residual above TANGENCY_TOL)."""
-    worst = float(np.max(span_residuals(t["dsigma"], t["rho0"]), initial=0.0))
+    worst = float(np.max(Span(t["dsigma"]).residuals(t["rho0"]), initial=0.0))
     if worst > TANGENCY_TOL:
         raise CauchyError(
             f"initial fields are not tangent to M (residual {worst:.3e})")
@@ -314,7 +306,7 @@ def frobenius_defect_on_M(data: CRInitialData, t) -> float:
     warn rather than fail when this is positive."""
     if data.k < 2:
         return 0.0
-    return float(np.max(span_residuals(t["rho0"], t["bracket"])))
+    return float(np.max(Span(t["rho0"]).residuals(t["bracket"])))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +322,7 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
     chooses for it, and estimates[i] is their summed error estimate;
     matrix-group data takes no steps, ignores nsteps and estimates 0."""
     k, m, spec = data.k, len(data.param_names), data.group
-    flow = data.complex_flow(cfg) if spec is None else None
+    flow = ComplexFlow(data.table.fields, cfg) if spec is None else None
 
     def rows(P, U, nsteps=None):
         S, D, errors = data.sigma_rows(P)

@@ -114,13 +114,13 @@ def cmd_verify(args) -> int:
               else _level_target(args.level_set, sys_.k))
     rep = verify_system(sys_, points, seed, tol)
     cls = rep.classification
-    entries = [check_entry(c.name, c.anchor, c.max_residual, c.tolerance,
-                           c.passed, c.points) for c in rep.checks]
+    entries = [check_entry(c.name, c.anchor, c.max_residual, c.tolerance, c.points)
+               for c in rep.checks]
     if target is not None:
         rec = check_level_set(sys_, target, seed=seed)
         entries.append(check_entry(
             "level-set", "level-set-cr-type", 0.0 if rec.ok else 1.0, 0.5,
-            rec.ok, len(rec.points)))
+            len(rec.points)))
         if rec.note:
             print(f"level-set note: {rec.note}")
 
@@ -162,18 +162,17 @@ def cmd_cauchy(args) -> int:
     n, n_ok = len(sol.query), int(sol.ok_rows.sum())
     entries = [
         check_entry("cauchy.queries-resolved", "flow-coordinates-invertible",
-                    float(n - n_ok), 0.5, n_ok == n, n),
+                    float(n - n_ok), 0.5, n),
         check_entry("cauchy.identities-internal", "construction-identities",
-                    sol.max_axiom_residual, CONSTRUCTION_TOL,
-                    sol.max_axiom_residual < CONSTRUCTION_TOL, n_ok),
+                    sol.max_axiom_residual, CONSTRUCTION_TOL, n_ok),
     ]
     if sf.oracle is not None:
         entries.append(check_entry(
             "cauchy.gradient-oracle", "gradient-map-closed-form",
-            sol.max_oracle_dU, tol, sol.max_oracle_dU < tol, n_ok))
+            sol.max_oracle_dU, tol, n_ok))
         entries.append(check_entry(
             "cauchy.field-oracle", "extending-fields-closed-form",
-            sol.max_oracle_dxi, tol, sol.max_oracle_dxi < tol, n_ok))
+            sol.max_oracle_dxi, tol, n_ok))
 
     print(f"cauchy {sf.name}: {n} queries "
           f"(grid {grid}^{data.k}, |u| <= {extent:g})")
@@ -220,7 +219,7 @@ def cmd_normal_form(args) -> int:
     except NormalFormRefusal as err:
         print(f"refused: {err}", file=_sys.stderr)
         return 1
-    entries = [check_entry(f"normal-form.{name}", anchor, res, t, res < t, nf.points)
+    entries = [check_entry(f"normal-form.{name}", anchor, res, t, nf.points)
                for name, anchor, res, t in (
                    ("straightened-fields", "fields-become-translations",
                     nf.pushforward_residual, max(tol, 1e-6)),

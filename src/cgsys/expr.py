@@ -61,7 +61,7 @@ __all__ = [
     "ExprError", "ParseError", "UnknownFunctionError",
     "UnboundVariableError", "DomainError",
     "parse_expr", "evaluate", "compile_exprs", "Program", "Table", "Predicate",
-    "diff", "free_vars", "require_vars", "subst", "to_string", "depth", "MAX_DEPTH",
+    "diff", "free_vars", "require_vars", "to_string", "depth", "MAX_DEPTH",
     "add", "sub", "mul", "div", "pow_", "neg", "unary", "as_expr",
     "UNARY_OPS", "BINARY_OPS",
 ]
@@ -111,41 +111,11 @@ class DomainError(ExprError):
 
 
 class Expr:
-    """Base node type.  Subclasses are frozen dataclasses, equality is
-    structural, and arithmetic operators build new trees through the
-    simplifying constructors below."""
+    """Base node type.  Subclasses are frozen dataclasses and equality is
+    structural; trees are built through the simplifying constructors
+    below or by ``parse_expr``."""
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, other):
-        return pow_(self, as_expr(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def __str__(self):
         return to_string(self)
@@ -735,26 +705,6 @@ def require_vars(exprs, names, what: str) -> None:
     extra = set().union(*map(free_vars, exprs)) - set(names)
     if extra:
         raise ValueError(f"{what} uses undeclared variables {sorted(extra)}")
-
-
-def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Replace each variable by the expression ``mapping`` assigns it.
-
-    Variables absent from the mapping stay themselves.
-    """
-    match e:
-        case Const():
-            return e
-        case Var(name=n):
-            return mapping.get(n, e)
-        case Unary(op=op, arg=a):
-            return unary(op, subst(a, mapping))
-        case Binary(op=op, lhs=l, rhs=r):
-            ctor = {"add": add, "sub": sub, "mul": mul, "div": div, "pow": pow_}[op]
-            return ctor(subst(l, mapping), subst(r, mapping))
-        case Atan2(y=a, x=b):
-            return Atan2(subst(a, mapping), subst(b, mapping))
-    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

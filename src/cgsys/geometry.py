@@ -13,17 +13,16 @@ numerically from those values: d and d^c (``d_values``, ``dc_values``),
 brackets [X, Y] = DY X - DX Y (``bracket_values``) and the terms of dd^c by
 the product rule (``dc_differentials``, ``ddc_terms``), so second-derivative
 quantities (dd^c, Laplacians) are exact up to rounding with no nested
-symbolic derivatives.  ``lie_bracket``, ``pair_brackets`` and ``laplacian``
-build the symbolic forms, which tests use as references.  A field's values
-at one point (``VectorField.values``, ``field_matrix``) are the one-row
-view of its compiled ``program``, so no point value walks a tree.  All
-values are immutable and every operation is pure; evaluation over point
-batches can run concurrently without synchronization.  Field derivatives
-have one layout, the Jacobians DX of ``jet_blocks``, and holomorphy one
-residual: ``cr_residuals``, |dZ/dzbar| of the complexified fields read off
-DX.  Chart vectors and complex coordinates have one layout too, z_mu =
-v^{x_mu} + i v^{y_mu}, which only ``to_complex`` and ``to_chart``
-convert, exactly.
+symbolic derivatives; ``lie_bracket`` alone builds a bracket as a tree.
+A field's values at one point (``VectorField.values``, ``field_matrix``)
+are the one-row view of its compiled ``program``, so no point value walks
+a tree.  All values are immutable and every operation is pure; evaluation
+over point batches can run concurrently without synchronization.  Field
+derivatives have one layout, the Jacobians DX of ``jet_blocks``, and
+holomorphy one residual: ``cr_residuals``, |dZ/dzbar| of the complexified
+fields read off DX.  Chart vectors and complex coordinates have one layout
+too, z_mu = v^{x_mu} + i v^{y_mu}, which only ``to_complex`` and
+``to_chart`` convert, exactly.
 """
 
 from __future__ import annotations
@@ -40,10 +39,10 @@ from .expr import (
 
 __all__ = [
     "ComplexChart", "VectorField",
-    "apply_J", "j_rotate", "to_complex", "to_chart", "j_matrix", "jet_blocks",
+    "apply_J", "j_rotate", "to_complex", "to_chart", "jet_blocks",
     "jets_at", "d_values", "dc_values", "bracket_values", "dc_differentials", "ddc_terms",
-    "lie_bracket", "pair_brackets", "cr_residuals", "holomorphic_jacobians",
-    "is_holomorphic", "rank_cutoff", "Span", "span_residuals", "laplacian", "field_matrix",
+    "lie_bracket", "cr_residuals", "holomorphic_jacobians",
+    "is_holomorphic", "rank_cutoff", "Span", "field_matrix",
 ]
 
 
@@ -124,23 +123,6 @@ class VectorField:
         """The components compiled into one Program over the chart."""
         return compile_exprs(self.components, self.chart.names)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _same_chart(self, other)
-        return VectorField(self.chart, tuple(
-            add(a, b) for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _same_chart(self, other)
-        return VectorField(self.chart, tuple(
-            sub(a, b) for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(neg(c) for c in self.components))
-
-    def scale(self, factor) -> "VectorField":
-        f = as_expr(factor)
-        return VectorField(self.chart, tuple(mul(f, c) for c in self.components))
-
 
 def _same_chart(*objs):
     charts = {o.chart for o in objs}
@@ -182,12 +164,6 @@ def to_chart(z, axis: int = -1) -> np.ndarray:
     if axis not in (-1, z.ndim - 1) or z.strides[-1] != z.itemsize:
         return z.swapaxes(axis, -1).copy().view(float).swapaxes(axis, -1)
     return z.view(float)
-
-
-def j_matrix(chart: ComplexChart) -> np.ndarray:
-    """The 2N x 2N matrix of J in chart coordinates."""
-    # row i of j_rotate(I) is J e_i; + 0.0 turns the negated zeros into +0.0
-    return j_rotate(np.eye(chart.dim)).T + 0.0
 
 
 def apply_J(V: VectorField) -> VectorField:
@@ -295,12 +271,6 @@ def lie_bracket(V: VectorField, W: VectorField) -> VectorField:
     return VectorField(V.chart, tuple(comps))
 
 
-def pair_brackets(fields) -> list[VectorField]:
-    """The brackets [V_i, V_j], i < j, in row-major order of the pairs."""
-    return [lie_bracket(fields[i], fields[j])
-            for i in range(len(fields)) for j in range(i + 1, len(fields))]
-
-
 def cr_residuals(DX) -> np.ndarray:
     """|dZ_mu/dzbar_nu| (..., N, N) of the complexified fields Z = (V - iJV)/2
     from the Jacobians DX (..., 2N, 2N) of jet_blocks.  In the basis d/dz_mu
@@ -369,19 +339,3 @@ class Span:
     def residuals(self, V) -> np.ndarray:
         """Norm of each column of V (..., d, m) outside the span: (..., m)."""
         return np.linalg.norm(V - self.basis @ (np.swapaxes(self.basis, -1, -2) @ V), axis=-2)
-
-
-def span_residuals(S, V) -> np.ndarray:
-    """Norm of each column of V outside the column span of S, over a stack
-    of frames: S is (..., d, r), V is (..., d, m) and the result (..., m).
-    A check that reads a frame's rank or several projections factors it
-    once as a ``Span``."""
-    return Span(S).residuals(V)
-
-
-def laplacian(f: Expr, chart: ComplexChart) -> Expr:
-    """The flat Laplacian sum_i d^2 f / dcoord_i^2 on the chart."""
-    total: Expr = Const(0.0)
-    for name in chart.names:
-        total = add(total, diff(diff(f, name), name))
-    return total

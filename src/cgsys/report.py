@@ -39,13 +39,15 @@ def input_digest(text: str) -> str:
 
 
 def check_entry(name: str, anchor: str, max_residual: float, tolerance: float,
-                passed: bool, points: int) -> dict:
+                points: int) -> dict:
+    """One check of a report; it passes where max_residual < tolerance (a
+    NaN residual fails)."""
     return {
         "name": name,
         "paper_anchor": anchor,
         "max_residual": float(max_residual),
         "tolerance": float(tolerance),
-        "pass": bool(passed),
+        "pass": bool(max_residual < tolerance),
         "points": int(points),
     }
 

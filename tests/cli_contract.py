@@ -94,6 +94,24 @@ def affine_oracle_bound(doc) -> bool:
     return len(errs) >= 40 and max(errs) <= 1e-14
 
 
+def some_row_refused(doc) -> bool:
+    """At least one record is refused."""
+    return any(not r["ok"] for r in doc["records"])
+
+
+def ok_row_with_null_oracle(doc) -> bool:
+    """An ok record where the closed form is undefined: its oracle is null."""
+    return any(r["ok"] and r["oracle_dU"] is None for r in doc["records"])
+
+
+def group_layout_closed(doc) -> bool:
+    """Matrix-group records carry no rk_steps, and a record with a key the
+    schema does not name is invalid."""
+    first, *rest = doc["records"]
+    extra = dict(doc, records=[dict(first, jxi=first["query"]), *rest])
+    return all("rk_steps" not in r for r in doc["records"]) and not valid(extra)
+
+
 TIGHT_NEWTON_TOL = 1e-13
 
 
@@ -154,16 +172,25 @@ CASES = (
     *(Case(f"gallery-{name}", f"verify {name} --points 37 --seed 5", (int(name == "broken-demo"),))
       for name in builtin_names() if load_builtin(name).system is not None),
     # a domain fault at a sample point, a literal that overflows a double and
-    # expressions past expr.MAX_DEPTH are input errors
+    # expressions past expr.MAX_DEPTH are input errors: the parser refuses
+    # non-finite literals, so no tree holds an infinite constant, and each
+    # deep expression overflowed Python 3.11's default recursion limit when
+    # loaded before the bound
     Case("verify-log-domain", "verify grad.cgs", (2,),
          {"grad.cgs": MINIMAL + "domain = log(x1)\n"}, stderr=INPUT_ERROR),
     Case("verify-inf-literal", "verify grad.cgs", (2,),
          {"grad.cgs": MINIMAL + "domain = log(x1 - 1e309)\n"},
          stderr=(*INPUT_ERROR, "bad number")),
+    Case("verify-grad-1e999", "verify grad.cgs", (2,), _grad("sqrt(x1 - 1e999)"),
+         stderr=(*INPUT_ERROR, "bad number")),
     Case("verify-deep-parens", "verify grad.cgs --points 3", (2,),
          _grad("(" * 246 + "y1" + ")" * 246), stderr=TOO_DEEP),
+    Case("verify-deep-parens-sum", "verify grad.cgs --points 3", (2,),
+         _grad("(" * 245 + "x1 + y1" + ")" * 245), stderr=TOO_DEEP),
     Case("verify-deep-sum", "verify grad.cgs --points 3", (2,),
          _grad(" + ".join(["y1"] + ["x1"] * 499)), stderr=TOO_DEEP),
+    Case("verify-deep-product", "verify grad.cgs --points 3", (2,),
+         _grad("*".join(["y1"] + ["x1"] * 248)), stderr=TOO_DEEP),
     Case("cauchy-line", "cauchy line --grid 3"),
     Case("cauchy-heisenberg-cr", "cauchy heisenberg-cr --grid 3"),
     # the compiled [oracle] comparison, with atan2 and rows where a closed
@@ -172,7 +199,8 @@ CASES = (
          report=(valid, affine_oracle_bound)),
     # Newton solutions outside param_domain refuse their own queries
     Case("cauchy-affine-wide", f"cauchy affine --u-extent 3 --grid 5 --json {REPORT}",
-         (1,), report=(valid,), rerun=True),
+         (1,), report=(valid, some_row_refused, ok_row_with_null_oracle, group_layout_closed),
+         rerun=True),
     # cauchy and normal-form draw no samples, but check --seed as verify does
     *(Case(f"seed-{command}", f"{command} line --grid 2 --seed -5", (2,),
            stderr=(r"\Ainput error: --seed: must be an integer >= 0, got -5\n\Z",))

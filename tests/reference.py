@@ -8,6 +8,11 @@ on ``+ - * /``, negation, ``sqrt`` and ``^`` and report its first fault.
 forms of the one-row views.  This file takes from cgsys only node and error
 classes, ``to_string`` and the DP8 tableau (``test_reference.py``).
 
+``to_sympy`` is a tree as sympy holds it, for tests whose oracle is
+sympy's own calculus (Meurer et al., "SymPy: symbolic computing in
+Python", PeerJ CS 2017): derivatives, brackets, Laplacians and
+substitutions done there share no code with cgsys.
+
 ``rk`` is the Runge-Kutta loop of ``cgsys.flow._rk`` written as a loop over
 the nonzero entries of the DP8 tableau, each stage sum formed left to right
 as ``total = total + a * k_j`` and each error estimator summed from 0.0.
@@ -17,6 +22,7 @@ It takes and calls its callbacks exactly as ``_rk`` does.
 import math
 
 import numpy as np
+import sympy
 
 from cgsys.expr import (
     Atan2, Binary, Const, DomainError, Expr, UnboundVariableError, Unary, Var, to_string,
@@ -127,6 +133,32 @@ def in_domain(system, p) -> bool:
     """``GradientSystem.in_domain``: all() of the domain walked at p > 0."""
     env = env_at(system.chart, p)
     return all(evaluate(g, env) > 0.0 for g in system.domain)
+
+
+_SYMPY_UNARY = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "atan": sympy.atan,
+                "exp": sympy.exp, "log": sympy.log, "sqrt": sympy.sqrt}
+
+
+def to_sympy(e: Expr, syms):
+    """The sympy expression of a cgsys tree over the symbols syms (a dict
+    by variable name); constants become the exact rationals of their
+    doubles."""
+    match e:
+        case Const(value=v):
+            return sympy.Rational(float(v))
+        case Var(name=n):
+            return syms[n]
+        case Unary(op="neg", arg=a):
+            return -to_sympy(a, syms)
+        case Unary(op=op, arg=a):
+            return _SYMPY_UNARY[op](to_sympy(a, syms))
+        case Binary(op=op, lhs=l, rhs=r):
+            a, b = to_sympy(l, syms), to_sympy(r, syms)
+            return {"add": a + b, "sub": a - b, "mul": a * b, "div": a / b,
+                    "pow": a ** b}[op]
+        case Atan2(y=a, x=b):
+            return sympy.atan2(to_sympy(a, syms), to_sympy(b, syms))
+    raise TypeError(e)
 
 
 def _embedded(E, ks):

@@ -16,12 +16,12 @@ from cgsys.dsl import builtin_names, load_builtin
 from cgsys.expr import DomainError, UnboundVariableError, diff, free_vars
 from cgsys.flow import FlowConfig
 from cgsys.cauchy import grid_queries, solve
-from cgsys.geometry import apply_J, laplacian, lie_bracket
+from cgsys.geometry import apply_J, lie_bracket
 from cgsys.verify import (
     GridSpec, NormalFormRefusal, check_axioms, check_commutation, normal_form,
     sample_points,
 )
-from reference import env_at, evaluate
+from reference import evaluate
 
 CFG = FlowConfig()
 
@@ -58,37 +58,23 @@ def test_criterion_01_heisenberg_axioms(heis):
 
 
 def test_criterion_02_heisenberg_bracket_table(heis):
-    pts = sample_points(heis, 100, seed=7)
-    x1, x2, x3 = heis.fields
-    j1, j2, j3 = (apply_J(f) for f in heis.fields)
-    closing = lie_bracket(x1, x2) - x3
-    closing_j = lie_bracket(j1, j2) - x3
-    zeros = [lie_bracket(x1, x3), lie_bracket(x2, x3),
-             lie_bracket(j1, j3), lie_bracket(j2, j3)]
-    zeros += [lie_bracket(a, b) for a in (x1, x2, x3) for b in (j1, j2, j3)]
-    worst = 0.0
-    for p in pts:
-        worst = max(worst, float(np.max(np.abs(closing.values(p)))))
-        worst = max(worst, float(np.max(np.abs(closing_j.values(p)))))
-        for z in zeros:
-            worst = max(worst, float(np.max(np.abs(z.values(p)))))
+    # frame columns 0..2 are xi_1..xi_3, 3..5 are J xi_1..J xi_3
+    t = heis.table.at(sample_points(heis, 100, seed=7))
+    bracket = {pq: t["bracket"][..., r] for pq, r in heis.table.row.items()}
+    xi_3 = t["frame"][..., 2]
+    residuals = [bracket[(0, 1)] - xi_3, bracket[(3, 4)] - xi_3]
+    residuals += [bracket[pq] for pq in ((0, 2), (1, 2), (3, 5), (4, 5))]
+    residuals += [bracket[(a, 3 + b)] for a in range(3) for b in range(3)]
+    worst = float(np.max(np.abs(residuals)))
     _criterion(2, worst < 1e-12,
                f"bracket table residual {worst:.2e} < 1e-12 at 100 points")
 
 
 def test_criterion_03_harmonicity(heis, affine):
-    pts = sample_points(heis, 100, seed=7)
-    worst = 0.0
-    for g in heis.grads:
-        lap = laplacian(g, heis.chart)
-        for p in pts:
-            worst = max(worst, abs(evaluate(lap, env_at(heis.chart, p))))
-    pts_a = sample_points(affine, 100, seed=7)
-    worst_a = 0.0
-    for g in affine.grads:
-        lap = laplacian(g, affine.chart)
-        for p in pts_a:
-            worst_a = max(worst_a, abs(evaluate(lap, env_at(affine.chart, p))))
+    # the check tables' Laplacians, which test_derivative_table pins
+    # against sympy's
+    worst = float(np.max(np.abs(heis.table.at(sample_points(heis, 100, seed=7))["lap"])))
+    worst_a = float(np.max(np.abs(affine.table.at(sample_points(affine, 100, seed=7))["lap"])))
     ok = worst < 1e-12 and worst_a > 1e-3
     _criterion(3, ok, f"harmonic residual {worst:.2e} < 1e-12; "
                       f"non-harmonic witness {worst_a:.2e} > 1e-3")

@@ -8,14 +8,15 @@ import sys
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import cgsys.cauchy
 from cgsys.cli import main
 from cgsys.dsl import load_builtin, loads
-from cgsys.expr import DomainError, ExprError, Table, diff, parse_expr, subst
+from cgsys.expr import DomainError, ExprError, Table, diff, parse_expr
 from cgsys.flow import (
-    FlowConfig, MatrixGroupSpec, complexified_flow_matrix, newton_inverse,
+    ComplexFlow, FlowConfig, MatrixGroupSpec, complexified_flow_matrix, newton_inverse,
     numerical_jacobian,
 )
 from cgsys.cauchy import (
@@ -23,9 +24,9 @@ from cgsys.cauchy import (
     build_dF, build_F, check_cr_transverse, compute_PQA, construct_fields,
     frobenius_defect_on_M, grid_queries, param_samples, solve, validate_tangency,
 )
-from cgsys.geometry import ComplexChart, VectorField, jet_blocks, pair_brackets
+from cgsys.geometry import ComplexChart, VectorField, jet_blocks
 from cli_contract import ambient_cgs
-from reference import evaluate, field_matrix, values
+from reference import evaluate, field_matrix, to_sympy, values
 
 CFG = FlowConfig()
 
@@ -239,8 +240,8 @@ def test_param_samples_match_one_at_a_time(monkeypatch, name):
 def test_cr_table_matches_the_per_point_views(name):
     data = _cr_data(name)
     params = param_samples(data, 10, 2)
+    # the bracket block: test_derivative_table's test_cr_bracket_block_matches_sympy
     t = data.table.at(params)
-    brackets = pair_brackets(data.ambient_fields)
     for i, p in enumerate(params):
         # the tree walk at one point: sigma, its partials and the fields there
         env = dict(zip(data.param_names, p))
@@ -251,9 +252,6 @@ def test_cr_table_matches_the_per_point_views(name):
         assert np.allclose(t["dsigma"][i], dsigma, rtol=1e-14, atol=1e-14)
         assert np.allclose(t["rho0"][i], field_matrix(data.ambient_fields, q),
                            rtol=1e-14, atol=1e-14)
-        if brackets:
-            assert np.allclose(t["bracket"][i], field_matrix(brackets, q),
-                               rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", CR_DATA)
@@ -282,15 +280,17 @@ def test_cauchy_op_evaluates_the_cr_table_once(monkeypatch, name):
 
 def test_rho0_param_exprs_restrict_ambient(heis_data):
     # the initial fields as expressions over the parameters, sigma
-    # substituted into the ambient fields, against the table's rho0
-    mapping = dict(zip(heis_data.chart.names, heis_data.sigma))
-    exprs = [[subst(c, mapping) for c in f.components] for f in heis_data.ambient_fields]
+    # substituted into the ambient fields by sympy, against the table's rho0
+    coords = {n: sympy.Symbol(n, real=True) for n in heis_data.chart.names}
+    params = {n: sympy.Symbol(n, real=True) for n in heis_data.param_names}
+    at_sigma = dict(zip(coords.values(), (to_sympy(s, params) for s in heis_data.sigma)))
+    rho0_at = sympy.lambdify(list(params.values()), [
+        [to_sympy(c, coords).xreplace(at_sigma) for c in f.components]
+        for f in heis_data.ambient_fields])
     P = np.random.default_rng(1).uniform(-1, 1, size=(5, 3))
     rho0 = heis_data.table.at(P)["rho0"]
     for p, table_rho0 in zip(P, rho0):
-        env = dict(zip(heis_data.param_names, p))
-        vals = np.array([[evaluate(c, env) for c in row] for row in exprs])
-        assert np.allclose(vals, table_rho0.T, atol=1e-14)
+        assert np.allclose(np.array(rho0_at(*p), dtype=float), table_rho0.T, atol=1e-14)
 
 
 # --- the flow coordinates F ----------------------------------------------------
@@ -1115,7 +1115,8 @@ def test_equation_map_is_the_one_row_view_of_solve(name):
 
 
 def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):
-    # grid_queries' F and solve's dF share the data's one ComplexFlow
+    # one ComplexFlow for each map, grid_queries' F and solve's dF, both
+    # on the check table's one compiled jet Table
     path = tmp_path / "ambient.cgs"
     path.write_text(_ambient_file().text)
     built = []
@@ -1130,7 +1131,8 @@ def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):
                  ["cauchy", str(path), "--grid", "5", "--u-extent", "0.25"]):
         built.clear()
         assert main(argv) == 0
-        assert len(built) == 1
+        assert len(built) == 2 and built[0][0] is built[1][0]
+        assert isinstance(built[0][0], Table)
     capsys.readouterr()
 
 
@@ -1274,7 +1276,7 @@ def test_dF_without_counts_flows_once_per_count(monkeypatch):
     # tangent columns through the count loop: one run per count the loop
     # visits, none repeated, and the outputs of a run at the chosen count
     data = _ambient_data()
-    flow = data.complex_flow(CFG)
+    flow = ComplexFlow(data.table.fields, CFG)
     P, U = np.array([[0.1]]), np.array([[0.2]])
     S, D, _ = data.sigma_rows(P)
     W, dZ0 = 1j * U, D[:, 0::2] + 1j * D[:, 1::2]

@@ -10,9 +10,8 @@ from hypothesis.extra.numpy import arrays
 from cgsys.expr import DomainError, Table, diff, parse_expr
 from cgsys.flow import ComplexFlow, HolomorphyError
 from cgsys.geometry import (
-    ComplexChart, VectorField, apply_J, field_matrix, holomorphic_jacobians,
-    is_holomorphic, j_matrix, j_rotate, jet_blocks, laplacian, lie_bracket,
-    pair_brackets, span_residuals, to_chart, to_complex,
+    ComplexChart, Span, VectorField, apply_J, field_matrix, holomorphic_jacobians,
+    is_holomorphic, j_rotate, jet_blocks, lie_bracket, to_chart, to_complex,
 )
 from cgsys.verify import GradientSystem
 from reference import env_at, evaluate, values
@@ -109,14 +108,6 @@ def test_numeric_J_matches_symbolic_J(heis):
     assert np.array_equal(j_rotate(V), JV)
     assert np.array_equal(j_rotate(V[0, 0]), JV[0, 0])
     assert np.array_equal(j_rotate(j_rotate(V)), -V)
-
-
-def test_j_matrix_is_j_rotate_without_negative_zeros():
-    for n in (1, 2, 3):
-        J = j_matrix(ComplexChart.standard(n))
-        assert np.array_equal(J, j_rotate(np.eye(2 * n)).T)
-        assert np.array_equal(J @ J, -np.eye(2 * n))
-        assert not np.any(np.signbit(J) & (J == 0.0))
 
 
 # every float, with -0.0, the infinities and NaN drawn often
@@ -264,23 +255,21 @@ def test_affine_bracket_scales_second_field(affine):
 
 def test_bracket_antisymmetry(heis):
     chart, fields, _ = heis
-    b1 = lie_bracket(fields[0], fields[1]) + lie_bracket(fields[1], fields[0])
+    b01, b10 = lie_bracket(fields[0], fields[1]), lie_bracket(fields[1], fields[0])
     for p in sample_points(chart, 100, 11):
-        assert np.max(np.abs(b1.values(p))) < 1e-12
+        assert np.max(np.abs(b01.values(p) + b10.values(p))) < 1e-12
 
 
 def test_bracket_jacobi_identity(heis, affine):
     for chart, fields, _ in (heis, affine):
         tripled = list(fields) + [apply_J(fields[0])]
         X, Y, Z = tripled[0], tripled[1], tripled[-1]
-        J1 = lie_bracket(X, lie_bracket(Y, Z))
-        J2 = lie_bracket(Y, lie_bracket(Z, X))
-        J3 = lie_bracket(Z, lie_bracket(X, Y))
-        total = J1 + J2 + J3
+        cyclic = [lie_bracket(X, lie_bracket(Y, Z)), lie_bracket(Y, lie_bracket(Z, X)),
+                  lie_bracket(Z, lie_bracket(X, Y))]
         pts = (sample_points(chart, 50, 12) if chart.N == 3
                else affine_points(50, 12))
         for p in pts:
-            assert np.max(np.abs(total.values(p))) < 1e-9
+            assert np.max(np.abs(sum(J.values(p) for J in cyclic))) < 1e-9
 
 
 # --- dd^c --------------------------------------------------------------------
@@ -428,8 +417,8 @@ def test_rank_of_repeated_field(heis):
 def test_frobenius_defect_coordinate_fields():
     chart = ComplexChart.standard(2)
     fs = [VectorField.coordinate(chart, "x1"), VectorField.coordinate(chart, "x2")]
-    S, B = stacked(fs, pair_brackets(fs), [[0.1, 0.2, 0.3, 0.4]])
-    assert np.max(span_residuals(S, B)) == 0.0
+    S, B = stacked(fs, [lie_bracket(*fs)], [[0.1, 0.2, 0.3, 0.4]])
+    assert np.max(Span(S).residuals(B)) == 0.0
 
 
 def test_frobenius_defect_group_frame_integrable(heis):
@@ -437,7 +426,7 @@ def test_frobenius_defect_group_frame_integrable(heis):
     table = GradientSystem(chart, fields, grads).table
     t = table.at(sample_points(chart, 10, 20))
     assert t["bracket"].shape == (10, 6, len(table.pairs)) == (10, 6, 15)
-    assert np.max(span_residuals(t["frame"], t["bracket"])) < 1e-12
+    assert np.max(Span(t["frame"]).residuals(t["bracket"])) < 1e-12
 
 
 def test_frobenius_defect_positive_when_bracket_escapes():
@@ -450,7 +439,7 @@ def test_frobenius_defect_positive_when_bracket_escapes():
     b = lie_bracket(V, W).values(p)
     assert np.allclose(b, [0, 0, 1, 0])
     S, B = stacked([V, W], [lie_bracket(V, W)], [p])
-    assert span_residuals(S, B)[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert Span(S).residuals(B)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 # --- symmetry relations under J ----------------------------------------------
@@ -464,27 +453,23 @@ def test_bracket_J_symmetries(heis, affine):
             for b in range(len(fields)):
                 lhs = lie_bracket(apply_J(fields[a]), apply_J(fields[b]))
                 rhs = lie_bracket(fields[a], fields[b])
-                mixed = (lie_bracket(apply_J(fields[a]), fields[b])
-                         + lie_bracket(fields[a], apply_J(fields[b])))
+                m1 = lie_bracket(apply_J(fields[a]), fields[b])
+                m2 = lie_bracket(fields[a], apply_J(fields[b]))
                 for p in pts:
                     assert np.max(np.abs(lhs.values(p) - rhs.values(p))) < 1e-10
-                    assert np.max(np.abs(mixed.values(p))) < 1e-10
+                    assert np.max(np.abs(m1.values(p) + m2.values(p))) < 1e-10
 
 
-# --- harmonicity helpers -----------------------------------------------------
+# --- harmonicity -------------------------------------------------------------
 
 
 def test_laplacian_of_group_gradients(heis, affine):
-    chart, _, grads = heis
-    for g in grads:
-        lap = laplacian(g, chart)
-        for p in sample_points(chart, 20, 23):
-            assert abs(evaluate(lap, env_at(chart, p))) < 1e-13
-
-    chart2, _, grads2 = affine
-    lap2 = laplacian(grads2[1], chart2)
-    vals = [abs(evaluate(lap2, env_at(chart2, p))) for p in affine_points(20, 24)]
-    assert max(vals) > 1e-3
+    # the check table's Laplacian, the trace of the compiled Hessians, which
+    # test_derivative_table pins against sympy's on the gallery systems
+    t = GradientSystem(*heis).table.at(sample_points(heis[0], 20, 23))
+    assert np.max(np.abs(t["lap"])) < 1e-13
+    t2 = GradientSystem(*affine).table.at(affine_points(20, 24))
+    assert np.max(np.abs(t2["lap"][:, 1])) > 1e-3
 
 
 # --- batched span projection ----------------------------------------------------
@@ -508,27 +493,27 @@ def stacked(fields, others, pts):
 
 
 def test_span_residuals_match_lstsq_on_full_rank_frames(heis, affine):
-    for (chart, fields, _), pts in ((heis, sample_points(heis[0], 20, 30)),
-                                    (affine, affine_points(20, 31))):
-        frame = list(fields) + [apply_J(V) for V in fields]
+    for system, pts in ((heis, sample_points(heis[0], 20, 30)),
+                        (affine, affine_points(20, 31))):
         # a random right-hand side escapes the span, the brackets do not
-        S, V = stacked(fields, pair_brackets(frame), pts)
+        t = GradientSystem(*system).table.at(pts)
+        S, V = t["frame"][..., :len(system[1])], t["bracket"]
         V = np.concatenate([V, np.random.default_rng(32).normal(size=V.shape)], axis=2)
-        assert np.max(np.abs(span_residuals(S, V) - lstsq_residuals(S, V))) < 1e-14
+        assert np.max(np.abs(Span(S).residuals(V) - lstsq_residuals(S, V))) < 1e-14
 
 
 def test_span_residuals_match_lstsq_on_rank_deficient_frames(heis):
-    chart, fields, _ = heis
+    chart, fields, grads = heis
     pts = sample_points(chart, 15, 33)
     rng = np.random.default_rng(34)
-    repeated = [fields[0], fields[1], fields[0]]
-    S, V = stacked(repeated, pair_brackets(list(fields) + [apply_J(fields[0])]), pts)
+    t = GradientSystem(chart, fields, grads).table.at(pts)
+    S, V = t["frame"][..., [0, 1, 0]], t["bracket"]
     V = np.concatenate([V, rng.normal(size=(len(pts), chart.dim, 3))], axis=2)
-    assert np.max(np.abs(span_residuals(S, V) - lstsq_residuals(S, V))) < 1e-14
+    assert np.max(np.abs(Span(S).residuals(V) - lstsq_residuals(S, V))) < 1e-14
     # the broken demo's frame {2 d/dx, 2 d/dy} at a point, plus a zero frame
     c1 = ComplexChart.standard(1)
     broken = make_field(c1, ["2", "0"])
     S = np.array([field_matrix([broken, apply_J(broken), broken], [0.3, -0.4]),
                   np.zeros((2, 3))])
     V = rng.normal(size=(2, 2, 4))
-    assert np.max(np.abs(span_residuals(S, V) - lstsq_residuals(S, V))) < 1e-14
+    assert np.max(np.abs(Span(S).residuals(V) - lstsq_residuals(S, V))) < 1e-14

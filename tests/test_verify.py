@@ -3,6 +3,7 @@ commutation, classification, level sets and the normal form."""
 
 import json
 import sys
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +11,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cgsys.dsl import builtin_names, load_builtin
-from cgsys.expr import DomainError, diff, parse_expr
+from cgsys.expr import Const, DomainError, add, diff, mul, parse_expr
 from cgsys.flow import FlowConfig, flow_real, numerical_jacobian
 from cgsys.geometry import (
-    ComplexChart, Span, VectorField, apply_J, d_values, dc_values, j_matrix, j_rotate,
-    lie_bracket,
+    ComplexChart, Span, VectorField, apply_J, d_values, dc_values, j_rotate, lie_bracket,
 )
 import cgsys.flow
 import cgsys.verify
@@ -39,6 +39,12 @@ def field(chart, comps):
 def system(chart, fields, grads, domain=(), name=""):
     return GradientSystem(chart, tuple(fields), tuple(parse_expr(g) for g in grads),
                           tuple(parse_expr(d) for d in domain), name)
+
+
+def explicit_J(N):
+    """J on C^N in chart coordinates, written out: J d/dx_mu = d/dy_mu and
+    J d/dy_mu = -d/dx_mu."""
+    return np.kron(np.eye(N), [[0.0, -1.0], [1.0, 0.0]])
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +291,7 @@ def _decomposition_ranks_row_by_row(sys_, t):
     rank, k = np.linalg.matrix_rank, sys_.k
     out = []
     for G, span in zip(t["grad"], t["frame"]):
-        M = np.concatenate([G, G @ j_matrix(sys_.chart).T])
+        M = np.concatenate([G, G @ explicit_J(sys_.chart.N).T])
         _, s, vt = np.linalg.svd(M)
         H = vt[int(np.sum(s > max(M.shape) * np.finfo(float).eps * s[0])):].T
         sv = np.linalg.svd(span, compute_uv=False)
@@ -344,7 +350,7 @@ def test_rank_total_is_rank_nullity_of_the_frame_and_ker_M(N, k, seed, plant):
     elif plant == "repeated field" and k > 1:
         xi[:, -1] = xi[:, 0]
     sys_ = SimpleNamespace(k=k, chart=ComplexChart.standard(N))
-    M = np.concatenate([G, G @ j_matrix(sys_.chart).T])
+    M = np.concatenate([G, G @ explicit_J(N).T])
     if plant.startswith("fields in ker"):
         A = G if plant == "fields in ker dU" else M
         xi -= np.linalg.pinv(A) @ (A @ xi)
@@ -432,6 +438,9 @@ def test_classify_model_and_rotation(model):
 
 
 def test_classify_abelian_invariant_under_basis_change(heis, model):
+    def combination(coefs, exprs):    # sum_a coefs[a] exprs[a], left to right
+        return reduce(add, (mul(Const(float(c)), e) for c, e in zip(coefs, exprs)))
+
     rng = np.random.default_rng(21)
     for sys_ in (heis, model):
         for _ in range(3):
@@ -440,18 +449,10 @@ def test_classify_abelian_invariant_under_basis_change(heis, model):
             while abs(np.linalg.det(B)) < 0.2:
                 B = rng.uniform(-1, 1, size=(k, k))
             Binv = np.linalg.inv(B)
-            new_fields = []
-            for b in range(k):
-                f = sys_.fields[0].scale(float(B[0, b]))
-                for a in range(1, k):
-                    f = f + sys_.fields[a].scale(float(B[a, b]))
-                new_fields.append(f)
-            new_grads = []
-            for b in range(k):
-                g = float(Binv[b, 0]) * sys_.grads[0]
-                for a in range(1, k):
-                    g = g + float(Binv[b, a]) * sys_.grads[a]
-                new_grads.append(g)
+            comps = list(zip(*(f.components for f in sys_.fields)))
+            new_fields = [VectorField(sys_.chart, tuple(combination(B[:, b], c) for c in comps))
+                          for b in range(k)]
+            new_grads = [combination(Binv[b], sys_.grads) for b in range(k)]
             changed = GradientSystem(sys_.chart, tuple(new_fields),
                                      tuple(new_grads), sys_.domain,
                                      name=sys_.name + "-basis")
@@ -547,7 +548,7 @@ def _level_set_by_gauss_newton(sys_, V, n_points=8, seed=0):
         ranks.append(int(np.linalg.matrix_rank(G)))
         _, s, vt = np.linalg.svd(G)
         T = vt[int(np.sum(s > max(G.shape) * np.finfo(float).eps * s[0])):].T
-        span = np.hstack([T, j_matrix(sys_.chart) @ T])
+        span = np.hstack([T, explicit_J(sys_.chart.N) @ T])
         hdims.append((2 * T.shape[1] - int(np.linalg.matrix_rank(span))) // 2)
     return found, falling, ranks, hdims
 
