@@ -747,7 +747,8 @@ def _newton(data: CRInitialData, cfg: FlowConfig, queries):
             runs[0].halvings[rows] += out.halvings
         return out.estimates, cfg.step_limit(1j * out.x[:, m:])
 
-    # the guesses start at u = 0, whose limit is one step
+    # the guesses start at u = 0, whose limit is one step; a flow for time
+    # 0 takes none, so that first evaluation costs one tape pass
     counts = cfg.settle(np.ones(len(queries), dtype=int), run)
     return runs[0], counts
 

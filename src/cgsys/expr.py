@@ -413,7 +413,7 @@ class Program:
         if n == 0 or not self._slot_outputs:    # then there is no instruction
             return out, None, None
         reg = self._registers.copy()
-        reg[:len(self.names)] = np.ascontiguousarray(P.T)
+        reg[:len(self.names)] = P.T     # the input columns, as views of P
         first = None
         with np.errstate(all="ignore"):
             for pos, (fn, dst, a, b, reason) in enumerate(self.code):

@@ -46,9 +46,11 @@ HolomorphyError from the tape's residual.  ``flow_complex_multi`` is its
 one-row view.  A refusal has one form, in the loop as everywhere in cgsys:
 the row's first error goes into the per-row list and its values turn NaN
 where it is refused, and the NaN row steps on with the others to its
-count; a row whose start is not finite takes no step.  ``newton_rows``
-refuses a row in the same form: it keeps the row's first error, and the
-row's solution, values, Jacobian and estimate come out NaN.
+count; a row whose start is not finite takes no step.  Nor does a row
+with w = 0, with or without tangent columns: its flow is the identity,
+so it reads the tape once at its start, where dz/dw_a is Z_a.
+``newton_rows`` refuses a row in the same form: it keeps the row's first
+error, and the row's solution, values, Jacobian and estimate come out NaN.
 
 Most of these flows take one or two steps of a few rows, so a stage's
 cost is its count of numpy calls, and the loop keeps it small without
@@ -150,7 +152,9 @@ class FlowConfig:
     def step_limit(self, W) -> np.ndarray:
         """Each row's upper limit on its step count for the complex times W
         (n, k), max(1, ceil(|w|_1 steps_per_unit)), and 0 for a row that
-        takes no step because |w|_1 is not finite or exceeds MAX_TIME."""
+        takes no step because |w|_1 is not finite or exceeds MAX_TIME.  A
+        row with w = 0 has the limit 1 and keeps that count, although
+        ``ComplexFlow.rows`` takes no step for it: its flow is the identity."""
         scale = _l1_norms(np.asarray(W, dtype=complex))
         stepping = scale <= MAX_TIME
         limit = np.maximum(1, np.ceil(np.where(stepping, scale, 0.0) * self.steps_per_unit))
@@ -799,11 +803,14 @@ class ComplexFlow:
         of a row that takes no step (a state beyond DIVERGENCE_BOUND or not
         finite), or a FlowError when |w_i|_1 exceeds MAX_TIME.  Row i takes
         nsteps[i] steps of size 1/nsteps[i], by default the count
-        ``chosen`` picks for it, tangents and all; without tangents a row
-        with w_i = 0 takes none.  A row refused inside the loop turns NaN
-        where it is refused (its velocity, stage state or step end) and
-        steps on; a start row that is not finite takes no step and is
-        refused as not finite.
+        ``chosen`` picks for it, tangents and all.  A row with w_i = 0
+        takes no step at any count, with or without tangents: it reads the
+        tape once at its start point, where its d/dw_a column is Z_a, its
+        dz/dz0 columns stay dZ0 and its estimate is 0, and the tape's error
+        there comes before the bound's, as at a first stage.  A row refused
+        inside the loop turns NaN where it is refused (its velocity, stage
+        state or step end) and steps on; a start row that is not finite
+        takes no step and is refused as not finite.
 
         The rows' W and labels, the velocity array (filled in place by
         ``np.matmul``) and the Hermite path's positions, labels and
@@ -830,14 +837,16 @@ class ComplexFlow:
         late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {MAX_TIME:g}"
                              if np.isfinite(scale[i]) else f"|w| = {scale[i]:g} is not finite")
                 for i in np.flatnonzero(~(scale <= MAX_TIME))}
-        # a start row that is not finite takes no step: the guard refuses it
-        nsteps = np.where((scale <= MAX_TIME) & np.isfinite(P).all(axis=1),
+        # a start row that is not finite takes no step: the guard refuses
+        # it; nor does a row with w = 0, whose flow is the identity
+        finite = np.isfinite(P).all(axis=1)
+        still = (scale == 0.0) & finite
+        nsteps = np.where((0.0 < scale) & (scale <= MAX_TIME) & finite,
                           np.broadcast_to(nsteps, (n,)), 0).astype(int)
         # state rows [z; Y^T]: Y' = (sum_a w_a dZ_a/dz) Y, plus Z_a in the
         # column of dz/dw_a
         z = to_complex(P)[:, None]
         if dZ0 is None:
-            nsteps[scale == 0.0] = 0
             state = z.copy()     # _rk writes the state, and z may view P
         else:
             r = dZ0.shape[2]
@@ -911,19 +920,36 @@ class ComplexFlow:
                 refused.setdefault(at[j], err)
             refuse(rows, refused, end)
 
-        # a stage sum that overflows is refused by the bound on its state
+        # a stage sum that overflows is refused by the bound on its state, and
+        # a tape read whose values overflow by the tests that follow it
         estimates = np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore"):
             state = _rk(velocity, state, 1.0 / np.maximum(nsteps, 1), nsteps, guard,
                         estimates, path if extra.any() else None)
-        # the bound at the start points of rows that took no step (the rows
-        # that stepped met it at every stage state and step end); holomorphy
-        # at the end points, and at the start points of rows that took no step
-        idle = np.flatnonzero(nsteps == 0)
-        guard(idle, state[idle])
-        rows = np.flatnonzero([err is None for err in errors])
-        if frame.checks_holomorphy and len(rows):
-            refuse(rows, frame.at(to_chart(state[rows, 0]), labels[rows])[2])
+            # the bound at the start points of the other rows that took no
+            # step (the rows that stepped met it at every stage state and
+            # step end); holomorphy at the end points, and at the start
+            # points of those rows.  A row with w = 0 reads the tape here,
+            # once, at its start: dz/dw_a is Z_a there, dz/dz0 stays dZ0 and
+            # its estimate 0.  As at a first stage, the tape's errors come
+            # first, then a Z that is not finite (the state z0 + h c_1 (0 Z)),
+            # then the bound
+            idle = np.flatnonzero((nsteps == 0) & ~still)
+            guard(idle, state[idle])
+            rows = np.flatnonzero([err is None for err in errors])
+            if not frame.checks_holomorphy:
+                rows = rows[still[rows]]
+            if len(rows):
+                Z, _, refused = frame.at(to_chart(state[rows, 0]), labels[rows])
+                refuse(rows, refused)
+                at = still[rows]
+                if at.any():
+                    rest, Z = rows[at], Z[at]
+                    refuse(rest, {j: _divergence(Z[j])
+                                  for j in np.flatnonzero(~np.isfinite(Z).all(axis=(1, 2)))})
+                    guard(rest, state[rest])
+                    if dZ0 is not None:
+                        state[rest, 1 + r:] = Z
         refuse(np.arange(n), late)
         failed = [err is not None for err in errors]
         state[failed], estimates[failed] = complex(np.nan, np.nan), np.nan

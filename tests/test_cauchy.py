@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import cgsys.cauchy
 from cgsys.cli import main
 from cgsys.dsl import load_builtin, loads
-from cgsys.expr import DomainError, ExprError, Table, diff, parse_expr
+from cgsys.expr import DomainError, ExprError, Program, Table, diff, parse_expr
 from cgsys.flow import (
     ComplexFlow, FlowConfig, MatrixGroupSpec, complexified_flow_matrix, newton_inverse,
     numerical_jacobian,
@@ -1381,3 +1381,37 @@ def test_ambient_records_meet_the_flow_tolerance_or_take_their_limit(c, grid, ex
         limit = max(1, math.ceil(cfg.steps_per_unit * float(np.abs(r.u).sum())))
         assert (r.rk_error <= newton_tol * cgsys.flow.STEP_TOL_FRACTION
                 or r.rk_steps == limit)
+
+
+@pytest.mark.parametrize("generated, argv, stages, passes", [
+    (False, ["line", "--grid", "9"], 24, 35),
+    (True, ["--grid", "3", "--u-extent", "0.25"], 156, 190),
+])
+def test_an_ambient_op_takes_no_stage_at_newtons_start(monkeypatch, tmp_path, generated, argv,
+                                                       stages, passes):
+    # Newton starts every query at u = 0, where the flow is the identity:
+    # that evaluation of dF reads the tape once and calls no stage velocity.
+    # The generated file is the benchmark's (1 + c z^2) d/dz; the line's F
+    # at the grid's u = 0 reads its tape once too, for the faults of its
+    # start
+    if generated:
+        path = tmp_path / "ambient.cgs"
+        path.write_text(ambient_cgs(0.9), encoding="utf-8")
+        argv = [str(path), *argv]
+    calls = {"stage": 0, "pass": 0}
+    rk, tape = cgsys.flow._rk, Program._pass
+
+    def counted_rk(velocity, *args):
+        def counted(rows, y):
+            calls["stage"] += 1
+            return velocity(rows, y)
+        return rk(counted, *args)
+
+    def counted_pass(self, X):
+        calls["pass"] += 1
+        return tape(self, X)
+
+    monkeypatch.setattr(cgsys.flow, "_rk", counted_rk)
+    monkeypatch.setattr(Program, "_pass", counted_pass)
+    assert main(["cauchy", *argv]) == 0
+    assert calls == {"stage": stages, "pass": passes}

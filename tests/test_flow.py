@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import cgsys.flow
-from cgsys.expr import DomainError, add, diff, sub
+from cgsys.expr import DomainError, Program, add, diff, sub
 from cgsys.flow import (
     DIVERGENCE_BOUND, HOLOMORPHY_TOL, MAX_SQUARINGS, MAX_TIME,
     ComplexFlow, DivergenceError, EmbeddingError, FlowConfig, FlowError,
@@ -18,7 +18,9 @@ from cgsys.flow import (
     complexified_flow_matrix, flow_complex_multi, flow_real, left_invariant_fields, matrix_exp, newton_inverse, newton_rows,
     numerical_jacobian, solve_rows, _exp_frechet,
 )
-from cgsys.geometry import ComplexChart, VectorField, apply_J
+from cgsys.geometry import (
+    ComplexChart, VectorField, apply_J, holomorphic_jacobians, to_chart, to_complex,
+)
 from reference import evaluate, rk as rk_reference
 
 CFG = FlowConfig()
@@ -205,6 +207,12 @@ def test_stacked_matrix_exp_equals_one_row_calls(heis_spec):
     assert np.array_equal(E[7], np.eye(3) + nilpotent + nilpotent @ nilpotent / 2.0)
     for row, ref in zip(E[:5], map(scipy.linalg.expm, A[:5])):
         assert np.max(np.abs(row - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3), (3,), (2, 2, 2, 2)])
+def test_matrix_exp_refuses_what_is_not_a_square_matrix_or_a_stack_of_them(shape):
+    with pytest.raises(ValueError, match="square matrix or a stack of them"):
+        matrix_exp(np.ones(shape))
 
 
 def test_matrix_exp_scaling_does_not_overflow():
@@ -1278,6 +1286,176 @@ def test_a_run_reads_holomorphy_once_per_stage_path_and_end(monkeypatch, tangent
         _, _, errors, _ = flow.rows(P, W, dZ0, np.array(counts))
         assert errors == [None, None]
         assert len(calls) == 12 * max(counts) + paths + 1
+
+
+def _rest_and_motion_flow():
+    """Two fields on C, (1 + 1.1 z^2) d/dz and i z d/dz, and a stack of rows
+    at w = 0 (0, 2 and 4) between rows that move, with tangent columns."""
+    chart = ComplexChart.standard(1)
+    flow = ComplexFlow([field(chart, ["1 + 1.1*(x1^2 - y1^2)", "2*1.1*x1*y1"]),
+                        field(chart, ["-y1", "x1"])], CFG)
+    P = np.array([[0.3, -0.1], [0.1, 0.2], [-0.0, 0.4], [-0.2, 0.0], [0.25, -0.0]])
+    W = np.array([[0, 0], [0.3j, 0.1], [0, -0.0], [-0.2, 0.4j], [0, 0]], dtype=complex)
+    dZ0 = np.random.default_rng(5).uniform(-1, 1, (5, 1, 2)) + 0.5j
+    return flow, P, W, dZ0
+
+
+def _stepped_at_rest(flow, P, dZ0):
+    """Rows at w = 0 stepped once by tests/reference.py's loop over the
+    variational velocity [w Z; (w dZ/dz) Y + Z in the d/dw columns]."""
+    (k, N), r = flow.frame.shape, dZ0.shape[2]
+    w = np.zeros(k, dtype=complex)
+
+    def velocity(rows, y):
+        Z, DX, refused = flow.frame.at(to_chart(y[:, 0]))
+        assert not refused
+        A = np.einsum("a,maij->mij", w, holomorphic_jacobians(DX))
+        out = np.concatenate([np.einsum("a,man->mn", w, Z)[:, None],
+                              y[:, 1:] @ np.swapaxes(A, 1, 2)], axis=1)
+        out[:, 1 + r:] += Z
+        return out
+
+    state = np.concatenate([to_complex(P)[:, None], np.swapaxes(dZ0, 1, 2),
+                            np.zeros((len(P), k, N), dtype=complex)], axis=1)
+    state = rk_reference(velocity, state, 1.0, 1, lambda rows, y: None)
+    return to_chart(state[:, 0]), np.swapaxes(state[:, 1:], 1, 2)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_row_at_w_zero_takes_no_step_and_reads_its_start_once(count):
+    # a row with w = 0 comes out [z0; dZ0 | Z(z0)] at any frozen count, with
+    # estimate 0; at one step that is what the Runge-Kutta loop gave, up to
+    # the sign of a zero; the rows that move come out as alone
+    flow, P, W, dZ0 = _rest_and_motion_flow()
+    nsteps = np.full(len(P), count)
+    points, Y, errors, estimates = flow.rows(P, W, dZ0, nsteps)
+    assert errors == [None] * len(P)
+    rest = [0, 2, 4]
+    Z = flow.frame.at(P[rest])[0]
+    for j, i in enumerate(rest):
+        assert points[i].tobytes() == P[i].tobytes() and estimates[i] == 0.0
+        assert Y[i, :, :2].tobytes() == dZ0[i].tobytes()
+        assert Y[i, :, 2:].tobytes() == Z[j].T.tobytes()
+    if count == 1:
+        want_points, want_Y = _stepped_at_rest(flow, P[rest], dZ0[rest])
+        assert np.array_equal(points[rest], want_points) and np.array_equal(Y[rest], want_Y)
+    for i in (1, 3):
+        one = flow.rows(P[i:i + 1], W[i:i + 1], dZ0[i:i + 1], nsteps[i:i + 1])
+        assert points[i].tobytes() == one[0][0].tobytes()
+        assert Y[i].tobytes() == one[1][0].tobytes() and estimates[i] == one[3][0] > 0.0
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_a_stack_at_rest_makes_no_stage_call_and_one_tape_pass(monkeypatch, tangents):
+    # the count loop keeps its count, 1, and the run evaluates the tape once
+    flow, P, W, dZ0 = _rest_and_motion_flow()
+    rest = [0, 2, 4]
+    stages, passes = [], []
+    rk, tape = cgsys.flow._rk, Program._pass
+
+    def counted_rk(velocity, *args):
+        def counted(rows, y):
+            stages.append(len(rows))
+            return velocity(rows, y)
+        return rk(counted, *args)
+
+    def counted_pass(self, X):
+        passes.append(len(X))
+        return tape(self, X)
+
+    monkeypatch.setattr(cgsys.flow, "_rk", counted_rk)
+    monkeypatch.setattr(Program, "_pass", counted_pass)
+    counts, (points, Y, errors, estimates) = flow.chosen(
+        P[rest], W[rest], dZ0[rest] if tangents else None)
+    assert counts.tolist() == [1, 1, 1] and errors == [None] * 3
+    assert stages == [] and passes == [3]
+    assert points.tobytes() == P[rest].tobytes() and not estimates.any()
+
+
+def _faulting_at_rest(tangents):
+    """The field 1, written so that it faults at x1 = 0.5 and x1 = 2e6, plus
+    a bump that is not holomorphic above y1 = 0.5, and rows at w = 0 and
+    over MAX_TIME from a clean start and from starts that fault the tape
+    (also past DIVERGENCE_BOUND), are not holomorphic, lie past the bound
+    or are not finite: (flow, P, W, dZ0)."""
+    chart = ComplexChart.standard(1)
+    one = "((x1 - 0.5)*(x1 - 2e6))/((x1 - 0.5)*(x1 - 2e6))"
+    flow = ComplexFlow([field(chart, [f"{one} + {_bump(0.5)}", "0"])], CFG)
+    starts = [[0.1, 0.0], [0.5, 0.0], [2e6, 0.0], [0.1, 0.8], [3e6, 0.0], [np.nan, 0.0],
+              [1.0, -np.inf]]
+    P = np.array(starts * 2)
+    W = np.repeat([[0.0], [20.0j]], len(starts), axis=0).astype(complex)
+    dZ0 = np.ones((len(P), 1, 1), dtype=complex) if tangents else None
+    return flow, P, W, dZ0
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_a_row_at_rest_keeps_the_first_error_of_a_first_stage(tangents):
+    # at w = 0 the tape's error at the start comes first, then the bound,
+    # as at the first stage of a step; a start that is not finite reads no
+    # tape.  Rows over MAX_TIME keep their order: the bound, the tape, then
+    # the time itself
+    flow, P, W, dZ0 = _faulting_at_rest(tangents)
+    points, Y, errors, estimates = flow.rows(P, W, dZ0, flow.cfg.step_limit(W))
+    fault = (DomainError, "division by zero in '")
+    holo = (HolomorphyError, "field complexification violates the Cauchy-Riemann equations")
+    bound = (DivergenceError, "trajectory exceeded bound 1e+06")
+    infinite = (DivergenceError, "trajectory state is not finite")
+    late = (FlowError, "|w| = 20 exceeds max_time 16")
+    want = [None, fault, fault, holo, bound, infinite, infinite,
+            late, fault, bound, holo, bound, infinite, infinite]
+    for i, (err, kind) in enumerate(zip(errors, want)):
+        if kind is None:
+            assert err is None
+            continue
+        assert type(err) is kind[0] and str(err).startswith(kind[1])
+        assert kind is not fault or str(err).endswith(f"at point {i} (x1={float(P[i, 0])!r}, y1=0.0)")
+    assert np.isnan(points[1:]).all() and np.isnan(estimates[1:]).all()
+    assert points[0].tobytes() == P[0].tobytes() and estimates[0] == 0.0
+    for i in range(len(P)):
+        alone = flow.rows(P[i:i + 1], W[i:i + 1], None if dZ0 is None else dZ0[i:i + 1],
+                          flow.cfg.step_limit(W[i:i + 1]))
+        assert str(alone[2][0]) == str(errors[i]).replace(f"at point {i} ", "at point 0 ")
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_a_row_at_rest_whose_fields_overflow_at_its_start_is_not_finite(tangents):
+    # exp(z)^2 d/dz at x1 = 400, a double's overflow: the first stage state
+    # z0 + h c_1 (0 Z) of the row at rest is not finite, as is the first
+    # stage of the row that moves, and neither read warns (the suite's
+    # filter turns a RuntimeWarning into an error)
+    chart = ComplexChart.standard(1)
+    flow = ComplexFlow([field(chart, ["exp(x1)*exp(x1)*cos(2*y1)",
+                                      "exp(x1)*exp(x1)*sin(2*y1)"])], CFG)
+    P, W = np.array([[400.0, 0.0], [400.0, 0.0], [0.1, 0.2]]), np.array([[0.0], [1e-3], [0.0]])
+    dZ0 = np.ones((3, 1, 1), dtype=complex) if tangents else None
+    points, _, errors, _ = flow.rows(P, W, dZ0, [1, 1, 1])
+    assert [str(err) for err in errors[:2]] == ["trajectory state is not finite"] * 2
+    assert errors[2] is None and points[2].tobytes() == P[2].tobytes()
+
+
+def test_a_path_state_off_the_hermite_cubic_would_refuse_a_row_the_cubic_keeps(monkeypatch):
+    # i z d/dz plus a bump below y1 = -0.1, at steps_per_unit = 2: the row
+    # turns from 0.6 by 0.4 in one step, reading 90 path states besides its
+    # 13 stage and end states.  Its stage states and the cubic from (z0, k0)
+    # to (end, k1) stay above y1 = 0, but a path that put weight (1 + t) h
+    # on k1 would dip 0.44 t^3 below the cubic, into the bump
+    chart = ComplexChart.standard(1)
+    below = "(-0.1 - y1 + sqrt((-0.1 - y1)^2))^3"
+    flow = ComplexFlow([field(chart, ["-y1", f"x1 + {below}"])], FlowConfig(steps_per_unit=2))
+    P, W = np.array([[0.6, 0.0]]), np.array([[0.4]], dtype=complex)
+    reads, at = [], flow.frame.at
+
+    def counted(X, labels=None):
+        reads.append(np.array(X))
+        return at(X, labels)
+
+    monkeypatch.setattr(flow.frame, "at", counted)
+    points, _, errors, _ = flow.rows(P, W, nsteps=[1])
+    assert errors == [None]
+    assert np.allclose(to_complex(points)[0], 0.6 * np.exp(0.4j), atol=1e-12)
+    path = [X for X in reads if len(X) > 1]
+    assert len(path) == 1 and len(path[0]) == 90 and path[0][:, 1].min() >= 0.0
 
 
 # --- Newton inversion ----------------------------------------------------------
