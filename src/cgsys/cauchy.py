@@ -241,8 +241,12 @@ class CRTable(Table):
 
 
 def _first_error(*errors):
-    """Per row the first of several per-row error lists that is not None."""
-    return [next((e for e in row if e is not None), None) for row in zip(*errors)]
+    """Per row the first of several per-row error lists that is not None;
+    the rows are visited only where two lists refuse rows."""
+    refusing = [errs for errs in errors if errs.count(None) != len(errs)]
+    if len(refusing) > 1:
+        return [next((e for e in row if e is not None), None) for row in zip(*refusing)]
+    return list(refusing[0]) if refusing else [None] * len(errors[0])
 
 
 # half-width of the box of parameter offsets param_samples draws around

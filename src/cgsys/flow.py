@@ -67,8 +67,12 @@ errors are made only when that test fails.
 The matrix-group maps take stacks of rows: ``complexified_flow_matrix``
 and ``complexified_flow_jacobian`` only those, ``matrix_exp`` (the view of
 ``_exp_frechet`` with no directions) one matrix or a stack.  Each matrix
-gets its own scaling and its own Taylor stopping point, and a row comes
-out as it would alone.  ``newton_rows``, the one
+gets its own scaling; every row adds every Taylor term until one term is
+zero in every row, and a row's terms after its own zero ones are zeros
+that change no bit, so a row comes out as it would alone.  A stack at
+rest (every Newton start of a group query, at u = 0) takes no term.  The
+per-row error lists are made only where a row is refused.
+``newton_rows``, the one
 Newton of cgsys, runs damped Newton over stacked rows in lockstep, each
 row with its own step halvings and convergence test, on one map that
 returns the values, the exact Jacobians and an error estimate together:
@@ -373,17 +377,21 @@ def matrix_exp(A) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a truncated Taylor sum.
 
     ``A`` is one square matrix or a stack of them (n, d, d).  Each matrix is
-    scaled to norm <= 1/2 by its own power of two and its series runs to
-    degree 16 (remainder below double rounding), stopping early only when
-    its own term is exactly zero, which makes the result exact for
-    nilpotent input.  A row of a stack comes out as it would alone.  Each
-    of the s squarings can double the relative rounding u = 2^-53 of the
-    Taylor value, so a matrix whose series did not terminate comes out NaN
-    where 2^s u would exceed 2^-27 (s > MAX_SQUARINGS = 26, a 1-norm above
-    2^25): a value with fewer than 26 correct bits is not returned.  A
-    matrix whose doubled norm is not finite comes out NaN too; the
-    squarings of a nilpotent one may overflow to inf.  It is the view of
-    ``_exp_frechet`` with no directions, which adds no work to a term.
+    scaled to norm <= 1/2 by its own power of two 2^-s, s the exact
+    ceil(log2(2 ||A||_1)) that ``_scaling`` reads off frexp, and its series
+    runs to degree 16 (remainder below double rounding).  The sum stops
+    once every row's term is exactly zero; a row whose own terms are zero
+    adds only zeros, so each matrix stops where its own term is zero, which
+    makes the result exact for nilpotent input, and a stack of zero
+    matrices is I with no term at all.  A row of a stack comes out as it
+    would alone.  Each of the s squarings can double the relative rounding
+    u = 2^-53 of the Taylor value, so a matrix whose series did not
+    terminate comes out NaN where 2^s u would exceed 2^-27 (s >
+    MAX_SQUARINGS = 26, a 1-norm above 2^25): a value with fewer than 26
+    correct bits is not returned.  A matrix whose doubled norm is not
+    finite comes out NaN too; the squarings of a nilpotent one may overflow
+    to inf.  It is the view of ``_exp_frechet`` with no directions, which
+    adds no work to a term.
     """
     A = np.asarray(A)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -393,6 +401,26 @@ def matrix_exp(A) -> np.ndarray:
     return _exp_frechet(A, A[:0])[0]
 
 
+def _scaling(A):
+    """The squaring count s (n,) of each matrix of the stack A (n, d, d),
+    the least s >= 0 with 2^-s ||A_i||_1 <= 1/2, and whether twice the
+    norm is finite (where it is not, no power of two scales the matrix).
+
+    s is ceil(log2(2 ||A_i||_1)) exactly: frexp gives twice the norm as
+    m 2^e with 1/2 <= m < 1, so s is e, or e - 1 where m = 1/2.  A rounded
+    log2 is not exact: it maps 2^e (1 + 2^-52) to e for e >= 4 and leaves
+    the scaled norm just above 1/2."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # twice each matrix's 1-norm, its largest absolute column sum
+        colsum = np.abs(A[:, 0])
+        for i in range(1, A.shape[-1]):
+            colsum = colsum + np.abs(A[:, i])
+        twice = colsum.max(axis=1, initial=0.0) / 0.5
+    mantissa, exponent = np.frexp(twice)
+    s = np.where((twice > 1.0) & (twice < np.inf), exponent - (mantissa == 0.5), 0)
+    return s, np.isfinite(twice)
+
+
 def _exp_frechet(A, D):
     """exp(A_i) of each matrix of the stack A (n, d, d), by matrix_exp's
     rules, and its Frechet derivatives L(A_i, D_b) in the k directions D
@@ -400,62 +428,69 @@ def _exp_frechet(A, D):
 
     The derivatives ride on the exponential's own Taylor sum and squarings
     (Al-Mohy & Higham 2009; Higham, Functions of Matrices, 10.6): with
-    B = A 2^-s scaled by A's own power of two, the term T_j = T_(j-1) B / j
-    has the derivatives L_j = (T_(j-1) D 2^-s + L_(j-1) B) / j, and each
-    squaring E <- E E takes L <- E L + L E.  Each row holds T and the L_b
-    side by side, [T | L_1 .. L_k]; read as the stack of the k + 1 blocks'
-    rows, it multiplies B in one product per row, whose T rows are T B as
-    matrix_exp forms it, and T D_b is one product for all rows and
-    directions.  A squaring is one product of the stacked [E; L_b] with E
-    and one of E with the L_b side by side.  So E is matrix_exp(A) to the
-    last bit, and without directions this is matrix_exp's own work.  A
-    row's derivatives sum on until their terms and the exponential's are
-    all exactly zero (exact on nilpotent input), and are NaN where that sum
-    did not stop and s > MAX_SQUARINGS.
+    B = A 2^-s scaled by A's own power of two (``_scaling``), the term
+    T_j = T_(j-1) B / j has the derivatives L_j = (T_(j-1) D 2^-s +
+    L_(j-1) B) / j, and each squaring E <- E E takes L <- E L + L E.  Each
+    row holds T and the L_b side by side, [T | L_1 .. L_k]; read as the
+    stack of the k + 1 blocks' rows, it multiplies B in one product per
+    row, whose T rows are T B as matrix_exp forms it, and T D_b is one
+    product for all rows and directions.  A squaring is one product of the
+    stacked [E; L_b] with E and one of E with the L_b side by side.  So E
+    is matrix_exp(A) to the last bit, and without directions this is
+    matrix_exp's own work.
+
+    Every row adds every term, and the sum stops at the first term that is
+    exactly zero in every row, one test of the whole stack.  A row whose
+    terms (T and every L_b) are all zero has only +-0 terms after them, as
+    B and D are finite there (a row with no finite scaling is NaN, and a
+    direction that is not finite makes every L term of every row NaN), and
+    adding them changes no bit, as sums from I hold no -0.0: each row ends
+    as if it had stopped at its own zero term, exact on nilpotent input.
+    A stack of zero matrices with finite directions takes no term: its
+    first term, I 0 and I D_b, is exact, so E = I and L_b = D_b + 0.0.  No
+    2^-s product is formed when no row is scaled.  A row's derivatives are
+    NaN where their sum did not stop and s > MAX_SQUARINGS, and so is its
+    exponential where its own sum did not stop; whether a sum stopped is
+    read off the last term, only when a row is past that bound.
     """
     n, d, k = len(A), A.shape[-1], len(D)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # twice each matrix's 1-norm, its largest absolute column sum
-        colsum = np.abs(A[:, 0])
-        for i in range(1, d):
-            colsum = colsum + np.abs(A[:, i])
-        twice = colsum.max(axis=1, initial=0.0) / 0.5
-        s = np.array([math.ceil(math.log2(x)) if 1.0 < x < math.inf else 0 for x in twice],
-                     dtype=int)
-        # 2^-s is exact and cannot overflow; a row with no finite scaling is NaN
-        scale = np.where(np.isfinite(twice), np.ldexp(1.0, -s), np.nan)[:, None, None]
-        B = A * scale
     # each row's Taylor term and its derivatives side by side, (n, d, k + 1, d)
-    term = np.zeros((n, d, k + 1, d), dtype=np.result_type(A.dtype, D.dtype, float))
-    term[:, :, 0] = np.eye(d)
-    out = term.copy()
+    out = np.zeros((n, d, k + 1, d), dtype=np.result_type(A.dtype, D.dtype, float))
+    out[:, :, 0] = np.eye(d)
     beside = np.swapaxes(D, 0, 1).reshape(d, k * d)     # D_1 | .. | D_k
-    live = np.ones(n, dtype=bool)
+    if not A.any() and np.isfinite(beside).all():
+        # the zero stack: its first term is exact and its second is zero
+        out[:, :, 1:] = beside.reshape(d, k, d) + 0.0
+        return out[:, :, 0], np.swapaxes(out[:, :, 1:], 1, 2)
+    s, finite = _scaling(A)
+    scaled = s.any() or not finite.all()
+    if scaled:
+        # 2^-s is exact and cannot overflow; a row with no finite scaling is NaN
+        scale = np.where(finite, np.ldexp(1.0, -s), np.nan)[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = A * scale
+    else:
+        B = A
+    term = out.copy()
     for j in range(1, 17):
         step = (term.reshape(n, d * (k + 1), d) @ B).reshape(term.shape)
         if k:
             # T 2^-s of every row stacked, times the directions side by side
-            step[:, :, 1:] += ((term[:, :, 0] * scale).reshape(n * d, d) @ beside).reshape(
-                n, d, k, d)
+            T = term[:, :, 0] * scale if scaled else term[:, :, 0]
+            step[:, :, 1:] += (T.reshape(n * d, d) @ beside).reshape(n, d, k, d)
         term = step
         term /= j
-        nonzero = term.any(axis=(1, 3))
-        live &= nonzero[:, 0]
-        # a row's derivatives sum on while their terms or its own do; adding
-        # its own zero terms changes no bit, as sums from I hold no -0.0
-        moving = live | nonzero[:, 1:].any(axis=1) if k else live
-        if moving.all():
-            out += term
-        elif moving.any():
-            out[moving] += term[moving]
-        else:
+        # a row past its own zero terms adds +-0 to sums that hold no -0.0
+        out += term
+        if not term.any():
             break
     # squarings that would amplify rounding past 2^-27 (a sum that did not stop)
     far = s > MAX_SQUARINGS
-    if k:
-        out[:, :, 1:][moving & far] = np.nan
-    inexact = live & far
-    if inexact.any():
+    if far.any():
+        nonzero = term.any(axis=(1, 3))
+        if k:
+            out[:, :, 1:][far & nonzero[:, 1:].any(axis=1)] = np.nan
+        inexact = far & nonzero[:, 0]
         out[inexact], s[inexact] = np.nan, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(int(s.max(initial=0))):
@@ -500,6 +535,14 @@ def _l1_norms(W) -> np.ndarray:
     the sum overflows."""
     with np.errstate(over="ignore"):
         return reduce(np.add, np.abs(W).T)
+
+
+def _accepted(errors) -> np.ndarray:
+    """Per row of a per-row error list whether it holds None, read in one
+    call where no row is refused."""
+    if errors.count(None) == len(errors):
+        return np.ones(len(errors), dtype=bool)
+    return np.array([err is None for err in errors], dtype=bool)
 
 
 def _raise_first(errors) -> None:
@@ -568,12 +611,15 @@ class MatrixGroupSpec:
     def unembed_rows(self, M):
         """Complex group matrices (n, m, m) -> their chart points, and per
         row None or the EmbeddingError that refuses an off-pattern or
-        non-finite matrix (an exponential past matrix_exp's bounds)."""
+        non-finite matrix (an exponential past matrix_exp's bounds).  The
+        per-row errors are made only when a row is refused."""
         offset = np.asarray(M, dtype=complex) - self.base
         rest = offset.copy()
         rest[(..., *zip(*self.positions))] = 0.0
         finite = np.isfinite(offset).all(axis=(-2, -1))
         drift = np.max(np.abs(rest), axis=(-2, -1), initial=0.0)
+        if (finite & (drift <= EMBEDDING_TOL)).all():
+            return self.read_slots(offset), [None] * len(drift)
         errors = [None if ok and d <= EMBEDDING_TOL else EmbeddingError(
             f"matrix leaves the embedded coordinate pattern (drift {d:.3e})" if ok else
             "matrix exponential is not finite (overflow, or past matrix_exp's accuracy bound)")
@@ -1067,7 +1113,7 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
     errors = list(errors)
     res = values - targets
     best = _row_norms(res)
-    live = np.array([err is None for err in errors], dtype=bool)
+    live = _accepted(errors)
 
     def refuse(rows, make):
         _scatter(errors, rows, [make(i) for i in rows])
@@ -1099,8 +1145,7 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
             tvalues, tJ, terrors, test = FJ(trial, idx)
             tres = tvalues - targets[idx]
             tnorm = _row_norms(tres)
-            better = np.array([err is None for err in terrors], dtype=bool)
-            better &= tnorm < best[idx]
+            better = _accepted(terrors) & (tnorm < best[idx])
             won = idx[better]
             X[won], values[won], J[won] = trial[better], tvalues[better], tJ[better]
             est[won] = np.asarray(test)[better]

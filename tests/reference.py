@@ -6,7 +6,8 @@ vectorized code must agree with bit for bit.
 on ``+ - * /``, negation, ``sqrt`` and ``^`` and report its first fault.
 ``env_at``, ``values``, ``field_matrix`` and ``in_domain`` are the walk's
 forms of the one-row views.  This file takes from cgsys only node and error
-classes, ``to_string`` and the DP8 tableau (``test_reference.py``).
+classes, ``to_string``, the DP8 tableau and MAX_SQUARINGS
+(``test_reference.py``).
 
 ``to_sympy`` is a tree as sympy holds it, for tests whose oracle is
 sympy's own calculus (Meurer et al., "SymPy: symbolic computing in
@@ -17,6 +18,12 @@ substitutions done there share no code with cgsys.
 the nonzero entries of the DP8 tableau, each stage sum formed left to right
 as ``total = total + a * k_j`` and each error estimator summed from 0.0.
 It takes and calls its callbacks exactly as ``_rk`` does.
+
+``matrix_exp`` and ``exp_frechet`` are ``cgsys.flow.matrix_exp`` and
+``cgsys.flow._exp_frechet`` as plain scaling and squaring: each row's
+squaring count is found by halving twice its 1-norm until it is at most 1,
+and each row adds its terms until its own are exactly zero, by a per-row
+mask, where the package adds every term and stops the whole stack at once.
 """
 
 import math
@@ -27,7 +34,7 @@ import sympy
 from cgsys.expr import (
     Atan2, Binary, Const, DomainError, Expr, UnboundVariableError, Unary, Var, to_string,
 )
-from cgsys.flow import _DP8_A, _DP8_B, _DP8_C, _DP8_E3, _DP8_E5
+from cgsys.flow import _DP8_A, _DP8_B, _DP8_C, _DP8_E3, _DP8_E5, MAX_SQUARINGS
 
 
 def _eval_pow(base: float, expo: float, node) -> float:
@@ -211,3 +218,106 @@ def rk(velocity, state, h, nsteps, guard, error=None, path=None):
                 error[rows] += np.where(e5 > 0.0, e5 / np.sqrt(e5 + 0.01 * e3), 0.0)
         state[rows] = arg
     return state
+
+
+def _scaled(A):
+    """The squaring count s of each matrix of the stack A (n, d, d), the
+    number of halvings that bring twice its 1-norm to at most 1 (0 where
+    that is not finite), and A scaled by 2^-s (NaN where it is not)."""
+    n, d = len(A), A.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        colsum = np.abs(A[:, 0])
+        for i in range(1, d):
+            colsum = colsum + np.abs(A[:, i])
+        twice = colsum.max(axis=1, initial=0.0) / 0.5
+    s = np.zeros(n, dtype=int)
+    for i, x in enumerate(twice.tolist()):
+        while 1.0 < x < math.inf:
+            x /= 2.0
+            s[i] += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.where(np.isfinite(twice), np.ldexp(1.0, -s), np.nan)[:, None, None]
+        return s, scale, A * scale
+
+
+def matrix_exp(A):
+    """exp of each matrix of the stack A (n, d, d): scaling, a Taylor sum
+    that stops per row at its first zero term, the MAX_SQUARINGS NaN rule,
+    squarings."""
+    n, d = len(A), A.shape[-1]
+    s, _, B = _scaled(A)
+    out = np.broadcast_to(np.eye(d, dtype=np.result_type(A.dtype, float)), A.shape).copy()
+    term = out.copy()
+    live = np.ones(n, dtype=bool)
+    for j in range(1, 17):
+        term = term @ B
+        term /= j
+        live &= term.any(axis=(1, 2))
+        if live.all():
+            out += term
+        elif live.any():
+            out[live] += term[live]
+        else:
+            break
+    inexact = live & (s > MAX_SQUARINGS)
+    if inexact.any():
+        out[inexact], s[inexact] = np.nan, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(s.max(initial=0))):
+            sq = s > i
+            if sq.all():
+                out = out @ out
+            else:
+                out[sq] = out[sq] @ out[sq]
+    return out
+
+
+def exp_frechet(A, D):
+    """exp(A_i) and L(A_i, D_b) (E (n, d, d), L (n, k, d, d)) of the stack A
+    (n, d, d) in the shared directions D (k, d, d), by the products of
+    ``cgsys.flow._exp_frechet``, with per-row masks: a row adds its terms
+    while its own exponential term or any of its derivative terms is
+    nonzero, and its derivatives (its exponential) are NaN where their sum
+    (its sum) did not stop and s > MAX_SQUARINGS."""
+    n, d, k = len(A), A.shape[-1], len(D)
+    s, scale, B = _scaled(A)
+    term = np.zeros((n, d, k + 1, d), dtype=np.result_type(A.dtype, D.dtype, float))
+    term[:, :, 0] = np.eye(d)
+    out = term.copy()
+    beside = np.swapaxes(D, 0, 1).reshape(d, k * d)
+    live = np.ones(n, dtype=bool)
+    for j in range(1, 17):
+        step = (term.reshape(n, d * (k + 1), d) @ B).reshape(term.shape)
+        if k:
+            step[:, :, 1:] += ((term[:, :, 0] * scale).reshape(n * d, d) @ beside).reshape(
+                n, d, k, d)
+        term = step
+        term /= j
+        nonzero = term.any(axis=(1, 3))
+        live &= nonzero[:, 0]
+        moving = live | nonzero[:, 1:].any(axis=1) if k else live
+        if moving.all():
+            out += term
+        elif moving.any():
+            out[moving] += term[moving]
+        else:
+            break
+    far = s > MAX_SQUARINGS
+    if k:
+        out[:, :, 1:][moving & far] = np.nan
+    inexact = live & far
+    if inexact.any():
+        out[inexact], s[inexact] = np.nan, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(s.max(initial=0))):
+            sq = s > i
+            rows = out if sq.all() else out[sq]
+            m, E = len(rows), rows[:, :, 0]
+            step = (rows.reshape(m, d * (k + 1), d) @ E).reshape(rows.shape)
+            if k:
+                step[:, :, 1:] += (E @ rows[:, :, 1:].reshape(m, d, k * d)).reshape(m, d, k, d)
+            if sq.all():
+                out = step
+            else:
+                out[sq] = step
+    return out[:, :, 0], np.swapaxes(out[:, :, 1:], 1, 2)

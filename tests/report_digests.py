@@ -40,6 +40,8 @@ EXTRA = (
     ["cauchy", "affine", "--u-extent", "1.5"],
     ["cauchy", "affine", "--u-extent", "3"],
     ["cauchy", "line", "--grid", "9"],
+    ["cauchy", "heisenberg-cr", "--u-extent", "1.5"],
+    ["cauchy", "heisenberg-cr", "--grid", "9"],
     ["verify", "heisenberg", "--points", "5000", "--seed", "3"],
 )
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 import cgsys.cauchy
 from cgsys.cli import main
 from cgsys.dsl import load_builtin, loads
-from cgsys.expr import DomainError, ExprError, Program, Table, diff, parse_expr
+from cgsys.expr import Const, DomainError, ExprError, Program, Table, diff, mul, parse_expr
 from cgsys.flow import (
-    ComplexFlow, FlowConfig, MatrixGroupSpec, complexified_flow_matrix, newton_inverse,
+    ComplexFlow, EmbeddingError, FlowConfig, MatrixGroupSpec, NewtonError,
+    complexified_flow_matrix, left_invariant_fields, newton_inverse, newton_rows,
     numerical_jacobian,
 )
 from cgsys.cauchy import (
@@ -25,6 +26,7 @@ from cgsys.cauchy import (
     frobenius_defect_on_M, grid_queries, param_samples, solve, validate_tangency,
 )
 from cgsys.geometry import ComplexChart, VectorField, jet_blocks
+from cgsys.verify import symmetric_axis
 from cli_contract import ambient_cgs
 from reference import evaluate, field_matrix, to_sympy, values
 
@@ -329,6 +331,94 @@ def test_ode_route_matches_matrix_route(heis_data, heis_spec):
     (ode, ode_errors), (mat, errors) = F_ode(P, U), F_mat(P, U)
     assert ode_errors == errors == [None] * 5
     assert np.max(np.abs(ode - mat)) < 1e-8
+
+
+def _two_routes(data, extent, grid):
+    """solve on the group route and on the ambient one (the same data with
+    group=None: its left-invariant fields flowed by Runge-Kutta) at the
+    queries of the CLI's grid."""
+    queries = grid_queries(data, [symmetric_axis(extent, grid)] * data.k, cfg=CFG)
+    return solve(data, queries, CFG), solve(dataclasses.replace(data, group=None), queries, CFG)
+
+
+@pytest.mark.parametrize("name", ["heisenberg-cr", "affine"])
+def test_the_ambient_route_gives_the_group_route_answer(name):
+    # an oracle for the group map that shares neither its exponential nor its
+    # Frechet derivatives: the same ok set, and U and xi within cauchy_tol
+    sf = load_builtin(name)
+    tol = sf.config["cauchy_tol"]
+    group, ambient = _two_routes(sf.cr, 0.5, 5)
+    assert group.ok_rows.all() and np.array_equal(group.ok_rows, ambient.ok_rows)
+    assert np.max(np.abs(group.U - ambient.U)) <= tol
+    assert np.max(np.abs(group.xi - ambient.xi)) <= tol
+    # negative control: the first left-invariant field scaled by 1.01 in the
+    # ambient copy moves U and xi by far more than the tolerance
+    X = sf.cr.ambient_fields[0]
+    scaled = VectorField(X.chart, tuple(mul(Const(1.01), c) for c in X.components))
+    perturbed = dataclasses.replace(sf.cr, ambient_fields=(scaled, *sf.cr.ambient_fields[1:]))
+    _, off = _two_routes(perturbed, 0.5, 5)
+    assert np.max(np.abs(group.U - off.U)) > 100 * tol
+    assert np.max(np.abs(group.xi - off.xi)) > 100 * tol
+
+
+def _refusing_group_data():
+    """Affine-group data whose map refuses a row in each of its ways: sigma
+    = log(p1) refuses p1 <= 0, a time past matrix_exp's accuracy bound makes
+    the exponential NaN, and E2's entry 1e-3 below the coordinate pattern
+    drifts off it wherever u2 != 0."""
+    chart = ComplexChart.standard(2)
+    E1, E2 = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [1e-3, 0.0]])
+    spec = MatrixGroupSpec(chart, np.array([[0.0, 0.0], [0.0, 1.0]]), ((0, 0), (0, 1)),
+                           (E1, E2))
+    sigma = tuple(map(parse_expr, ("log(p1)", "0", "p2", "0")))
+    return CRInitialData(chart, 2, ("p1", "p2"), sigma, left_invariant_fields(spec), spec)
+
+
+def test_each_refused_row_keeps_the_error_it_gets_alone():
+    # one stack: row 0 refused by sigma (its error names point 0, alone too),
+    # row 1 by the exponential's bound, row 2 by the drift, row 3 by Newton
+    # trials that all drift, and row 4 solved
+    data = _refusing_group_data()
+    F, dF = build_F(data, CFG), build_dF(data, CFG)
+
+    def FJ(X, _rows):
+        return dF(X[:, :2], X[:, 2:])
+
+    x0 = np.array([[0.0, 0.3, 0.0, 0.0], [2.0, 0.3, 1e9, 0.0], [2.0, 0.3, 0.0, 0.5],
+                   [2.0, 0.3, 0.0, 0.0], [2.0, 0.3, 0.0, 0.0]])
+    (reachable, drifting), _ = F(np.array([[2.2, 0.3], [2.2, 0.3]]),
+                                 np.array([[0.2, 0.0], [0.2, 0.4]]))
+    targets = np.array([reachable] * 3 + [drifting, reachable])
+    out = newton_rows(FJ, targets, x0, CFG)
+    assert [str(err) if err else None for err in out.errors] == [
+        "log of non-positive value in 'log(p1)' at point 0 (p1=0.0, p2=0.3)",
+        "matrix exponential is not finite (overflow, or past matrix_exp's accuracy bound)",
+        "matrix leaves the embedded coordinate pattern (drift 5.000e-04)",
+        "no descent step found (residual 3.606e-01)", None]
+    assert [type(err) for err in out.errors[:4]] == [
+        DomainError, EmbeddingError, EmbeddingError, NewtonError]
+    assert out.halvings.tolist() == [0, 0, 0, 10, 0]
+    assert np.allclose(out.x[4], [2.2, 0.3, 0.2, 0.0], rtol=0, atol=1e-12)
+    for i in range(5):
+        alone = newton_rows(FJ, targets[i:i + 1], x0[i:i + 1], CFG)
+        assert [type(alone.errors[0]), str(alone.errors[0])] == [
+            type(out.errors[i]), str(out.errors[i])]
+        assert np.array_equal(alone.x[0], out.x[i], equal_nan=True)
+        assert (alone.iters[0], alone.halvings[0]) == (out.iters[i], out.halvings[i])
+    # the map alone: each start row's error, stacked and one at a time
+    errors = dF(x0[:, :2], x0[:, 2:])[2]
+    for i in range(5):
+        assert str(errors[i]) == str(dF(x0[i:i + 1, :2], x0[i:i + 1, 2:])[2][0])
+
+
+def test_first_error_takes_each_row_from_the_first_list_that_refuses_it():
+    a, b, c = DomainError("a"), EmbeddingError("b"), NewtonError("c")
+    clear, one, two = [None] * 3, [None, a, None], [b, c, None]
+    for lists, first in [((clear,), clear), ((clear, clear), clear), ((clear, one), one),
+                         ((one, clear, clear), one), ((one, two), [b, a, None]),
+                         ((two, clear, one), [b, c, None])]:
+        got = cgsys.cauchy._first_error(*lists)
+        assert got == first and all(got is not errs for errs in lists)
 
 
 # sigma = log(s) refuses s <= 0, and the field x1/|z|^2 d/dx1 has a pole at 0

@@ -2,6 +2,7 @@
 matrix product g exp(tV) as the oracle for group flows."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from cgsys.flow import (
     ComplexFlow, DivergenceError, EmbeddingError, FlowConfig, FlowError,
     HolomorphyError, MatrixGroupSpec, NewtonError, complexified_flow_jacobian,
     complexified_flow_matrix, flow_complex_multi, flow_real, left_invariant_fields, matrix_exp, newton_inverse, newton_rows,
-    numerical_jacobian, solve_rows, _exp_frechet,
+    numerical_jacobian, solve_rows, _exp_frechet, _scaling,
 )
 from cgsys.geometry import (
     ComplexChart, VectorField, apply_J, holomorphic_jacobians, to_chart, to_complex,
 )
+import reference
 from reference import evaluate, rk as rk_reference
 
 CFG = FlowConfig()
@@ -225,12 +227,27 @@ def test_matrix_exp_scaling_does_not_overflow():
     assert np.array_equal(matrix_exp([[0.0, 5e307], [0.0, 0.0]]), [[1.0, 5e307], [0.0, 1.0]])
 
 
-@pytest.mark.parametrize("x", [5e307, 1e17, 1e15, 2.0 ** 25 * 1.01])
+@pytest.mark.parametrize("x", [5e307, 1e17, 1e15, 2.0 ** 25 * 1.01,
+                               np.nextafter(2.0 ** 25, np.inf)])
 def test_matrix_exp_refuses_squarings_past_its_accuracy_bound(x):
     # exp(i x) has modulus 1; past MAX_SQUARINGS = 26 squarings (1-norm
-    # above 2^25) rounding amplified by 2^s would decide it, and it is NaN
+    # above 2^25, if only by one ulp) rounding amplified by 2^s would
+    # decide it, and it is NaN
     assert np.isnan(matrix_exp([[1j * x]])).all()
     assert np.isnan(matrix_exp(np.array([[[0.5]], [[1j * x]]]))[1]).all()
+
+
+@pytest.mark.parametrize("k", range(4, 31))
+def test_the_scaled_norm_is_at_most_one_half_one_ulp_past_a_power_of_two(k):
+    # twice the 1-norm is 2^k (1 + 2^-52): a rounded log2 gives s = k and a
+    # scaled norm of (1 + 2^-52)/2; the exact count is k + 1, and the least
+    x = math.ldexp(1.0 + 2.0 ** -52, k - 1)
+    for A in ([[[x]]], [[[0.0, -x], [0.0, 0.0]]], [[[1j * x]]]):
+        s, finite = _scaling(np.array(A))
+        assert finite.all() and s.tolist() == [k + 1]
+        assert math.ldexp(x, -(k + 1)) <= 0.5 < math.ldexp(x, -k)
+    # and a power of two takes no more than it needs
+    assert _scaling(np.array([[[math.ldexp(1.0, k - 1)]]]))[0].tolist() == [k]
 
 
 @pytest.mark.parametrize("x", [1e3, 1e7, 2.0 ** 25])
@@ -261,45 +278,6 @@ def test_matrix_exp_huge_row_leaves_its_stack_alone():
 # --- the exponential and its Frechet derivatives from one Taylor sum ----------
 
 
-def _reference_matrix_exp(A):
-    """matrix_exp over a stack (n, d, d) as it was written before it became
-    _exp_frechet's view: scaling, a Taylor sum that stops per row at its
-    first zero term, the MAX_SQUARINGS NaN rule, squarings."""
-    n, d = len(A), A.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        colsum = np.abs(A[:, 0])
-        for i in range(1, d):
-            colsum = colsum + np.abs(A[:, i])
-        twice = colsum.max(axis=1, initial=0.0) / 0.5
-        s = np.array([math.ceil(math.log2(x)) if 1.0 < x < math.inf else 0 for x in twice],
-                     dtype=int)
-        B = A * np.where(np.isfinite(twice), np.ldexp(1.0, -s), np.nan)[:, None, None]
-    out = np.broadcast_to(np.eye(d, dtype=np.result_type(A.dtype, float)), A.shape).copy()
-    term = out.copy()
-    live = np.ones(n, dtype=bool)
-    for j in range(1, 17):
-        term = term @ B
-        term /= j
-        live &= term.any(axis=(1, 2))
-        if live.all():
-            out += term
-        elif live.any():
-            out[live] += term[live]
-        else:
-            break
-    inexact = live & (s > MAX_SQUARINGS)
-    if inexact.any():
-        out[inexact], s[inexact] = np.nan, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(int(s.max(initial=0))):
-            sq = s > i
-            if sq.all():
-                out = out @ out
-            else:
-                out[sq] = out[sq] @ out[sq]
-    return out
-
-
 def _reference_block_frechet(A, D):
     """L(A_i, D_b) (n, k, d, d) read off the first block row of the
     reference exponential of the block upper-triangular matrix with A on
@@ -309,7 +287,7 @@ def _reference_block_frechet(A, D):
     for b in range(k + 1):
         block[:, b, :, b] = A
     block[:, 0, :, 1:] = np.transpose(D, (1, 0, 2))
-    top = _reference_matrix_exp(block.reshape(n, (k + 1) * d, (k + 1) * d))[:, :d, d:]
+    top = reference.matrix_exp(block.reshape(n, (k + 1) * d, (k + 1) * d))[:, :d, d:]
     return top.reshape(n, d, k, d).transpose(0, 2, 1, 3)
 
 
@@ -317,30 +295,61 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# row kinds of a stack: a nilpotent row (strictly upper triangular), whose
-# sums stop early, a diagonal and a full row, a row past MAX_SQUARINGS and
-# a row whose doubled 1-norm is not finite (both NaN)
-_KINDS = ("nilpotent", "diagonal", "full", "past-bound", "no-scaling")
+def _same_bits_but_nan_signs(a, b):
+    """_same_bits with every NaN taken as +NaN: a row that is NaN for want of
+    a finite scaling may take another NaN sign in a stack than alone."""
+    def plus(x):
+        x = np.array(x)
+        parts = x.view(float) if x.dtype == complex else x
+        parts[np.isnan(parts)] = np.nan
+        return x
+    return _same_bits(plus(a), plus(b))
+
+
+# row kinds of a stack: a nilpotent row (strictly upper triangular from a
+# drawn diagonal on, so that rows stop at different terms), a zero row
+# (+-0 entries only), a diagonal and a full row, a row past MAX_SQUARINGS
+# and a row whose doubled 1-norm is not finite (both NaN)
+_KINDS = ("nilpotent", "zero", "diagonal", "full", "past-bound", "no-scaling")
+# and the stacks: rows of those kinds, all zero rows, or all zero rows
+# with a direction entry that is not finite
+_STACKS = ("rows", "zero", "zero-non-finite")
 
 
 @st.composite
-def _exp_stacks(draw, kinds=_KINDS):
-    """A stack A (n, d, d) of the row kinds, real or complex, with -0.0
-    entries, and k directions D (k, d, d) shared by its rows."""
+def _exp_stacks(draw, kinds=_KINDS, stacks=_STACKS):
+    """A stack A (n, d, d), real or complex, with -0.0 entries, and k
+    directions D (k, d, d) shared by its rows."""
     n, d, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     complex_ = draw(st.booleans())
+    stack = draw(st.sampled_from(stacks))
 
     def entries(shape):
         M = rng.standard_normal(shape)
         return M + 1j * rng.standard_normal(shape) if complex_ else M
 
+    def zeros(shape):
+        M = np.zeros(shape, dtype=complex if complex_ else float)
+        M.real = np.copysign(0.0, rng.standard_normal(shape))
+        if complex_:
+            M.imag = np.copysign(0.0, rng.standard_normal(shape))
+        return M
+
+    if stack != "rows":
+        k = max(k, int(stack == "zero-non-finite"))
+        D = entries((k, d, d))
+        if stack == "zero-non-finite":
+            D[tuple(rng.integers(0, (k, d, d)))] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        return zeros((n, d, d)), D
     A = entries((n, d, d))
     for i in range(n):
         kind = draw(st.sampled_from(kinds))
         A[i] *= 2.0 ** draw(st.integers(-8, 6))
         if kind == "nilpotent":
-            A[i] = np.triu(A[i], 1)
+            A[i] = np.triu(A[i], draw(st.integers(1, d)))
+        elif kind == "zero":
+            A[i] = zeros((d, d))
         elif kind == "diagonal":
             A[i] = np.diag(np.diag(A[i]))
         elif kind == "past-bound":
@@ -351,24 +360,68 @@ def _exp_stacks(draw, kinds=_KINDS):
     return A, entries((k, d, d))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+def _warned(f, *args):
+    """f(*args) and the set of warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, {f"{w.category.__name__}: {w.message}" for w in caught}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_exp_stacks())
+def test_the_frechet_routine_is_the_per_row_reference_bit_for_bit(stack):
+    # every row adds every term and the stack stops at once, where the
+    # reference masks each row's adds and stops it at its own zero terms;
+    # a zero stack takes no term unless a direction is not finite
+    A, D = stack
+    (E, L), warned = _warned(_exp_frechet, A, D)
+    (rE, rL), ref_warned = _warned(reference.exp_frechet, A, D)
+    assert _same_bits(E, rE) and _same_bits(L, rL) and warned == ref_warned
+
+
+def test_a_zero_stack_takes_no_term(monkeypatch):
+    # exp(0) = I and L(0, D) = D + 0.0, without reading a norm; a stack with
+    # a direction that is not finite takes the loop, where 0 inf is NaN
+    D = np.array([[[1.5, -0.0], [0.0, -2.0]]], dtype=complex)
+    A = np.array([[[-0.0, 0.0], [0.0, -0.0]]] * 3)
+
+    def no_norm(A):
+        raise AssertionError("read a norm")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cgsys.flow, "_scaling", no_norm)
+        E, L = _exp_frechet(A, D)
+    assert _same_bits(E, np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy())
+    assert _same_bits(L, np.broadcast_to(D + 0.0, (3, 1, 2, 2)).copy())
+    assert _same_bits(matrix_exp(A), np.broadcast_to(np.eye(2), (3, 2, 2)).copy())
+    D[0, 0, 1] = np.inf
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        E, L = _exp_frechet(A, D)
+    assert _same_bits(E, np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy())
+    assert np.isnan(L).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_exp_stacks(stacks=("rows", "zero")))
 def test_the_exponential_of_the_frechet_routine_is_matrix_exp_bit_for_bit(stack):
     A, D = stack
     E, L = _exp_frechet(A, D)
-    ref = _reference_matrix_exp(A)
+    ref = reference.matrix_exp(A)
     assert _same_bits(E, ref)
     assert _same_bits(matrix_exp(A), ref)
     assert L.shape == (len(A), len(D)) + A.shape[1:]
     for i in range(len(A)):
         # a row in a stack of one, and matrix_exp's one-matrix view
         Ei, Li = _exp_frechet(A[i:i + 1], D)
-        assert _same_bits(E[i], Ei[0]) and _same_bits(L[i], Li[0])
+        assert _same_bits_but_nan_signs(E[i], Ei[0])
+        assert _same_bits_but_nan_signs(L[i], Li[0])
         assert _same_bits(matrix_exp(A[i]), ref[i])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_exp_stacks(kinds=("nilpotent", "diagonal", "full")), st.floats(4.0, 64.0))
+@given(_exp_stacks(kinds=("nilpotent", "diagonal", "full"), stacks=("rows",)),
+       st.floats(4.0, 64.0))
 def test_frechet_derivatives_match_scipy_and_the_block_exponential(stack, norm):
     # each row scaled to a 1-norm of 4 to 64: three to seven squarings
     A, D = stack
@@ -391,7 +444,7 @@ def test_frechet_sum_that_does_not_stop_is_nan_past_the_squaring_bound():
     D = np.random.default_rng(4).standard_normal((2, 9, 9))
     A = np.stack([2.0 ** 30 * N, 2.0 ** 10 * N])
     E, L = _exp_frechet(A, D)
-    assert np.isfinite(E).all() and _same_bits(E, _reference_matrix_exp(A))
+    assert np.isfinite(E).all() and _same_bits(E, reference.matrix_exp(A))
     assert np.isnan(L[0]).all() and np.isfinite(L[1]).all()
 
 
@@ -609,6 +662,10 @@ def test_unembed_names_a_non_finite_exponential(heis_spec, affine_spec):
         assert isinstance(err, EmbeddingError) and str(err) == (
             "matrix exponential is not finite (overflow, or past matrix_exp's accuracy bound)")
     assert "drift 5.000e-01" in str(errors[3])
+    # an inf in a coordinate slot drifts nothing, and is refused in a stack
+    # where no row drifts
+    assert [str(err) if err else None for err in heis_spec.unembed_rows(M[:2])[1]] == [
+        None, "matrix exponential is not finite (overflow, or past matrix_exp's accuracy bound)"]
     # exp(1e9 i E1) needs more squarings than MAX_SQUARINGS, so it is NaN,
     # and its row is refused as not finite
     points, errors = complexified_flow_matrix(
