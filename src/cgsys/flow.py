@@ -447,8 +447,9 @@ def _exp_frechet(A, D):
     adding them changes no bit, as sums from I hold no -0.0: each row ends
     as if it had stopped at its own zero term, exact on nilpotent input.
     A stack of zero matrices with finite directions takes no term: its
-    first term, I 0 and I D_b, is exact, so E = I and L_b = D_b + 0.0.  No
-    2^-s product is formed when no row is scaled.  A row's derivatives are
+    first term, I 0 and I D_b, is exact, so E = I and L_b = D_b + 0.0.  A
+    row with no finite scaling is set to NaN, E and L, after the sum, so it
+    takes the same NaN in a stack as alone.  A row's derivatives are
     NaN where their sum did not stop and s > MAX_SQUARINGS, and so is its
     exponential where its own sum did not stop; whether a sum stopped is
     read off the last term, only when a row is past that bound.
@@ -463,20 +464,16 @@ def _exp_frechet(A, D):
         out[:, :, 1:] = beside.reshape(d, k, d) + 0.0
         return out[:, :, 0], np.swapaxes(out[:, :, 1:], 1, 2)
     s, finite = _scaling(A)
-    scaled = s.any() or not finite.all()
-    if scaled:
-        # 2^-s is exact and cannot overflow; a row with no finite scaling is NaN
-        scale = np.where(finite, np.ldexp(1.0, -s), np.nan)[:, None, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            B = A * scale
-    else:
-        B = A
+    # 2^-s is exact and cannot overflow; a row with no finite scaling is NaN
+    scale = np.where(finite, np.ldexp(1.0, -s), np.nan)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = A * scale
     term = out.copy()
     for j in range(1, 17):
         step = (term.reshape(n, d * (k + 1), d) @ B).reshape(term.shape)
         if k:
             # T 2^-s of every row stacked, times the directions side by side
-            T = term[:, :, 0] * scale if scaled else term[:, :, 0]
+            T = term[:, :, 0] * scale
             step[:, :, 1:] += (T.reshape(n * d, d) @ beside).reshape(n, d, k, d)
         term = step
         term /= j
@@ -484,6 +481,9 @@ def _exp_frechet(A, D):
         out += term
         if not term.any():
             break
+    if not finite.all():
+        # one NaN, stacked or alone: the products' NaN sign depends on the stack
+        out[~finite] = np.nan
     # squarings that would amplify rounding past 2^-27 (a sum that did not stop)
     far = s > MAX_SQUARINGS
     if far.any():
@@ -1145,7 +1145,7 @@ def newton_rows(FJ, targets, x0, cfg: FlowConfig = DEFAULT_CONFIG,
             tvalues, tJ, terrors, test = FJ(trial, idx)
             tres = tvalues - targets[idx]
             tnorm = _row_norms(tres)
-            better = _accepted(terrors) & (tnorm < best[idx])
+            better = _accepted(list(terrors)) & (tnorm < best[idx])
             won = idx[better]
             X[won], values[won], J[won] = trial[better], tvalues[better], tJ[better]
             est[won] = np.asarray(test)[better]

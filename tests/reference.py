@@ -242,10 +242,10 @@ def _scaled(A):
 
 def matrix_exp(A):
     """exp of each matrix of the stack A (n, d, d): scaling, a Taylor sum
-    that stops per row at its first zero term, the MAX_SQUARINGS NaN rule,
-    squarings."""
+    that stops per row at its first zero term, NaN for a row with no finite
+    scaling, the MAX_SQUARINGS NaN rule, squarings."""
     n, d = len(A), A.shape[-1]
-    s, _, B = _scaled(A)
+    s, scale, B = _scaled(A)
     out = np.broadcast_to(np.eye(d, dtype=np.result_type(A.dtype, float)), A.shape).copy()
     term = out.copy()
     live = np.ones(n, dtype=bool)
@@ -259,6 +259,7 @@ def matrix_exp(A):
             out[live] += term[live]
         else:
             break
+    out[~np.isfinite(scale[:, 0, 0])] = np.nan
     inexact = live & (s > MAX_SQUARINGS)
     if inexact.any():
         out[inexact], s[inexact] = np.nan, 0
@@ -277,8 +278,9 @@ def exp_frechet(A, D):
     (n, d, d) in the shared directions D (k, d, d), by the products of
     ``cgsys.flow._exp_frechet``, with per-row masks: a row adds its terms
     while its own exponential term or any of its derivative terms is
-    nonzero, and its derivatives (its exponential) are NaN where their sum
-    (its sum) did not stop and s > MAX_SQUARINGS."""
+    nonzero, a row with no finite scaling is NaN, and its derivatives (its
+    exponential) are NaN where their sum (its sum) did not stop and
+    s > MAX_SQUARINGS."""
     n, d, k = len(A), A.shape[-1], len(D)
     s, scale, B = _scaled(A)
     term = np.zeros((n, d, k + 1, d), dtype=np.result_type(A.dtype, D.dtype, float))
@@ -302,6 +304,7 @@ def exp_frechet(A, D):
             out[moving] += term[moving]
         else:
             break
+    out[~np.isfinite(scale[:, 0, 0])] = np.nan
     far = s > MAX_SQUARINGS
     if k:
         out[:, :, 1:][moving & far] = np.nan
