@@ -52,8 +52,8 @@ __version__ = "0.1.0"
 
 # removed one-point functions and types and the batched code that replaces each
 REMOVED = {
-    "d_apply": "CheckTable.at(pts)['d'] or geometry.d_values over jets_at",
-    "dc_apply": "CheckTable.at(pts)['dc'] or geometry.dc_values over jets_at",
+    "d_apply": "CheckTable.at(pts)['d'] (geometry.d_values in a Composition)",
+    "dc_apply": "CheckTable.at(pts)['dc'] (geometry.dc_values in a Composition)",
     "ddc_apply": "CheckTable.at(pts)['t1'] - ['t2'] - ['t3'] (geometry.ddc_terms)",
     "distribution_rank": "Span(t['frame']).rank, t = CheckTable.at(pts)",
     "frobenius_defect": "Span(t['frame']).residuals(t['bracket']), t = CheckTable.at(pts)",

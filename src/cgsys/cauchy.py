@@ -87,8 +87,8 @@ from .flow import (
     left_invariant_fields, newton_rows, solve_rows,
 )
 from .geometry import (
-    ComplexChart, Span, VectorField, bracket_values, j_rotate,
-    jet_blocks, jets_at, to_chart, to_complex,
+    ComplexChart, Composition, Span, VectorField, bracket_values, j_rotate,
+    jet_blocks, to_chart, to_complex,
 )
 
 __all__ = [
@@ -229,15 +229,24 @@ class CRTable(Table):
              [diff(s, name) for s in data.sigma for name in names]),
         ], names)
         self.fields = Table(jet_blocks((), data.ambient_fields, data.chart), data.chart.names)
-        self.pairs = [(i, j) for i in range(data.k) for j in range(i + 1, data.k)]
+        self.composition = Composition(self.fields, _bracket_terms)
 
     def at(self, P) -> dict[str, np.ndarray]:
         t = super().at(P)
         t["p"] = np.asarray(P, dtype=float)
-        jets = jets_at(self.fields, t["sigma"])
-        t["rho0"] = np.transpose(jets["X"], (2, 1, 0))
-        t["bracket"] = np.transpose(bracket_values(jets["X"], jets["DX"], self.pairs), (2, 1, 0))
+        c = self.composition(t["sigma"])
+        t["rho0"] = np.transpose(c["X"], (2, 1, 0))
+        t["bracket"] = np.transpose(c["bracket"], (2, 1, 0))
         return t
+
+
+def _bracket_terms(jets) -> dict[str, np.ndarray]:
+    """The brackets [rho0_i, rho0_j], i < j, from the fields' jets, with
+    the point axis last: run once per structure on Terms
+    (``geometry.Composition``)."""
+    k = len(jets["X"])
+    return {"bracket": bracket_values(jets["X"], jets["DX"],
+                                      [(i, j) for i in range(k) for j in range(i + 1, k)])}
 
 
 def _first_error(*errors):
@@ -287,7 +296,7 @@ def check_cr_transverse(data: CRInitialData, t) -> TransversalityResult:
         raise fault
     required = 2 * data.n + 2 * data.k
     M = np.concatenate([t["dsigma"], j_rotate(t["rho0"], axis=1)], axis=2)[inside]
-    ranks = Span(M).rank
+    ranks = Span(M, basis=False).rank
     witnesses = list(t["p"][inside][ranks < required])
     return TransversalityResult(not witnesses, witnesses,
                                 int(min(ranks, default=required)), required)
@@ -460,8 +469,10 @@ def _frames(data: CRInitialData, params, u, ambient, dF):
     with np.errstate(invalid="ignore"):      # NaN at a singular dF
         det = np.linalg.det(P)
     A, _ = _solve_columns(P, Q)
-    for i, err in enumerate(errors):
-        if err is not None:
+    # one test over the stack; the errors are built for the refused rows only
+    refused = singular | ~np.isfinite(det) | (np.abs(det) <= 1e-10)
+    for i in np.flatnonzero(refused):
+        if errors[i] is not None:
             continue
         if singular[i]:
             errors[i] = OutsideDomainError("dF is numerically singular at this point")
@@ -519,12 +530,15 @@ def _construct_rows(frame: AdaptedFrame):
     residual_d = np.max(np.abs(xi_adapted[:, :, m:]), axis=(1, 2))
     jxi_adapted = xi_adapted @ np.swapaxes(frame.Jt, 1, 2)
     residual_dc = np.max(np.abs(jxi_adapted[:, :, m:] - np.eye(k)), axis=(1, 2))
-    # a NaN residual fails both tests, so its row is refused by name
-    errors = [None if w <= CONSTRUCTION_TOL else ConstructionError(
-        f"internal identity residual {w:.3e} "
-        + (f"exceeds {CONSTRUCTION_TOL:g}; dF is ill-conditioned here"
-           if w > CONSTRUCTION_TOL else "is not finite"))
-        for w in np.maximum(residual_d, residual_dc)]
+    # a NaN residual fails both tests, so its row is refused by name; one
+    # test over the stack, and errors built for the refused rows only
+    worst = np.maximum(residual_d, residual_dc)
+    errors = [None] * len(worst)
+    for i in np.flatnonzero(~(worst <= CONSTRUCTION_TOL)):
+        errors[i] = ConstructionError(
+            f"internal identity residual {worst[i]:.3e} "
+            + (f"exceeds {CONSTRUCTION_TOL:g}; dF is ill-conditioned here"
+               if worst[i] > CONSTRUCTION_TOL else "is not finite"))
     return ConstructedFields(xi_adapted, xi_ambient, jxi_ambient,
                              residual_d, residual_dc), errors
 
@@ -774,12 +788,15 @@ def _domain_errors(data: CRInitialData, P) -> list:
     """Per row of Newton-solved parameters P: None inside param_domain, else
     the OutsideDomainError that refuses the solution.  One compiled test
     over the rows; a row where it faults names the fault, its node and
-    the point."""
+    the point.  The errors are built for the refused rows only."""
     inside, faults = data.domain_predicate.rows(P)
-    return [None if ok else OutsideDomainError(
-        f"Newton solution has parameters {np.round(p, 6).tolist()} "
-        + ("outside param_domain" if fault is None else f"where param_domain faults: {fault}"))
-        for p, ok, fault in zip(P, inside, faults)]
+    errors = [None] * len(P)
+    for i in np.flatnonzero(~inside):
+        errors[i] = OutsideDomainError(
+            f"Newton solution has parameters {np.round(P[i], 6).tolist()} "
+            + ("outside param_domain" if faults[i] is None
+               else f"where param_domain faults: {faults[i]}"))
+    return errors
 
 
 def grid_queries(data: CRInitialData, u_axes,

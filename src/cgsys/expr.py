@@ -529,12 +529,15 @@ class Table:
     """Named blocks of expressions, (name, shape, exprs) with prod(shape)
     expressions in row-major order each, compiled into one Program.
     ``at(pts)`` returns every block at every row of ``pts``, each with a
-    leading point axis; rows are computed independently of each other."""
+    leading point axis; rows are computed independently of each other.
+    ``columns`` maps each block's name to its range of the program's
+    outputs and its shape, fixed at construction."""
 
     def __init__(self, blocks, names):
-        self.exprs, self._blocks = [], []
+        self.exprs, self.columns = [], {}
         for name, shape, exprs in blocks:
-            self._blocks.append((name, len(self.exprs), shape))
+            self.columns[name] = (slice(len(self.exprs), len(self.exprs) + len(exprs)),
+                                  tuple(shape))
             self.exprs += exprs
         self.program = compile_exprs(self.exprs, names)
 
@@ -543,8 +546,8 @@ class Table:
 
     def blocks(self, vals) -> dict[str, np.ndarray]:
         """The blocks of the program's output rows ``vals``."""
-        return {name: vals[:, lo:lo + int(np.prod(shape))].reshape((len(vals), *shape))
-                for name, lo, shape in self._blocks}
+        return {name: vals[:, cols].reshape((len(vals), *shape))
+                for name, (cols, shape) in self.columns.items()}
 
 
 class Predicate:

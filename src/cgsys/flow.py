@@ -580,7 +580,7 @@ class MatrixGroupSpec:
         if not self.basis or any(np.shape(E) != (m, m) for E in self.basis):
             raise ValueError(f"need at least one {m}x{m} algebra basis matrix")
         flat = np.stack([np.asarray(E, dtype=float).ravel() for E in self.basis])
-        if Span(flat.T).rank != len(self.basis):
+        if Span(flat.T, basis=False).rank != len(self.basis):
             raise ValueError("algebra basis matrices must be linearly independent")
 
     @property

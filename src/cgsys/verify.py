@@ -18,16 +18,22 @@ predicate.  Every value a check needs comes from one table per system
 (``GradientSystem.table``), which compiles only the jets of the fields and
 gradients and composes brackets, d^c and the dd^c terms from their values;
 every check is a numpy reduction over the blocks ``t = sys.table.at(pts)``
-it is handed.  The table holds one bracket per frame pair i < j, and a
-check that reads a span factors it once (``geometry.Span``): its rank and
-every projection on it come from one stacked SVD.  Every dimension count
-is such a rank, the decompositions' and the level set's too; the tangent
-splitting counts its total rank by rank-nullity, without a kernel basis.
-``verify_system``
+it is handed.  The composition knows the jets' structure: it computes only
+the products whose jets are not ``Const(0.0)``, in the order and
+association of geometry's helpers, builds the entries of constant jets
+once, and gives NaN where a dropped product meets a non-finite value, as
+0 * inf would (``geometry.Composition``).  The table holds one bracket per
+frame pair i < j, and a check that reads a span factors it once
+(``geometry.Span``): its rank and every projection on it come from one
+stacked SVD, and a span read only for its rank is factored without
+singular vectors.  Every dimension count is such a rank, the
+decompositions' and the level set's too; the tangent splitting counts its
+total rank by rank-nullity, without a kernel basis.  ``verify_system``
 draws one point set, evaluates the table there once and hands every check
 those blocks or their first rows, so identical seed and configuration
-reproduce identical residual tables bit for bit.  A domain fault at a
-sample point raises DomainError naming the node and the point.  No value
+reproduce identical residual tables bit for bit; the decomposition check
+reads its rows of the frame off the axioms' factorization.  A domain fault
+at a sample point raises DomainError naming the node and the point.  No value
 comes from anything but a compiled tape: ``GradientSystem.in_domain`` is
 the one-row view of the domain predicate, and the level-set search runs
 flow's one Newton on a compiled tape like every check.
@@ -45,8 +51,8 @@ from .expr import (
 )
 from .flow import DEFAULT_CONFIG, ComplexFlow, FlowConfig, newton_rows
 from .geometry import (
-    ComplexChart, Span, VectorField, bracket_values, cr_residuals, d_values,
-    dc_values, ddc_terms, j_rotate, jet_blocks, jets_at, rank_cutoff, to_chart,
+    ComplexChart, Composition, Span, VectorField, bracket_values, cr_residuals,
+    d_values, dc_values, ddc_terms, j_rotate, jet_blocks, rank_cutoff, to_chart,
 )
 
 __all__ = [
@@ -125,10 +131,17 @@ class CheckTable(Table):
 
     The Table compiles only ``jet_blocks``: the fields xi_a, their Jacobians,
     the differentials of the u_a and their Hessians.  ``at(pts)`` evaluates
-    it once and composes the blocks from those values with geometry's numpy
+    it once and composes the blocks from those values with geometry's
     helpers: brackets from the Jacobians, d^c u(V) = -du(JV), the dd^c terms
     by the product rule, D(J xi) = J D(xi), the Laplacian as the Hessian's
-    trace.  Frame index i < k stands for xi_(i+1), k + a for J xi_(a+1).
+    trace.  The composition (``geometry.Composition``) reads at construction
+    which jets are ``Const(0.0)``, J xi's zeros being those of xi rotated,
+    and computes only the products that are not structurally zero, in the
+    helpers' order and association; an entry of constant jets alone is
+    built once and broadcast, and an entry with no product left is an exact
+    zero, or NaN at a row where a dropped product meets a non-finite value,
+    as 0 * inf makes it.  Frame index i < k stands for xi_(i+1), k + a for
+    J xi_(a+1).
     The blocks, each with a leading point axis: ``d``, ``dc`` (k, k)
     du_a(xi_b) and d^c u_a(xi_b); ``grad`` (k, 2N) the rows of dU; ``frame``
     (2N, 2k) and ``bracket`` (2N, P), fields as columns, the latter
@@ -150,38 +163,55 @@ class CheckTable(Table):
 
     def __init__(self, sys: GradientSystem):
         k = sys.k
-        self.pairs = [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k)]
+        self.pairs = _frame_pairs(k)
         self.row = {pq: r for r, pq in enumerate(self.pairs)}
         self.ddc_ref = [self.row[(i - k, j - k) if i >= k else (i, j)]
                         for i, j in self.pairs]
         super().__init__(jet_blocks(sys.grads, sys.fields, sys.chart), sys.chart.names)
+        self.composition = Composition(self, _check_terms)
 
     def at(self, pts) -> dict[str, np.ndarray]:
         pts = np.asarray(pts, dtype=float)
         for lo in range(0, max(len(pts), 1), TABLE_CHUNK):
             hi = min(lo + TABLE_CHUNK, len(pts))
             # a DomainError names the row by its index in pts
-            blocks = self._compose(jets_at(self, pts[lo:hi], np.arange(lo, hi)))
+            blocks = self._blocks(self.composition(pts[lo:hi], np.arange(lo, hi)))
             if lo == 0:
                 out = {name: np.empty((len(pts), *b.shape[:-1])) for name, b in blocks.items()}
             for name, b in blocks.items():
                 out[name][lo:hi] = np.moveaxis(b, -1, 0)
         return out
 
-    def _compose(self, jets) -> dict[str, np.ndarray]:
-        """The blocks, with the point axis last, from the jets at some
-        points (``jets_at``)."""
-        xi, Dxi, dU, D2U = jets["X"], jets["DX"], jets["dU"], jets["D2U"]
-        X = np.concatenate([xi, j_rotate(xi, axis=1)])
-        DX = np.concatenate([Dxi, j_rotate(Dxi, axis=1)])      # D(J xi) = J D(xi)
-        brackets = bracket_values(X, DX, self.pairs)
-        t1, t2, t3 = ddc_terms(dU, D2U, X, DX, self.pairs, brackets)
+    @staticmethod
+    def _blocks(c) -> dict[str, np.ndarray]:
+        """The blocks, with the point axis last, from the composition at
+        some points."""
+        xi = c["X"]
         return {
-            "d": d_values(dU, xi), "dc": dc_values(dU, xi), "grad": dU,
-            "frame": np.swapaxes(X, 0, 1), "bracket": np.swapaxes(brackets, 0, 1),
-            "t1": t1, "t2": t2, "t3": t3, "DX": Dxi,
-            "lap": np.trace(D2U, axis1=1, axis2=2),
+            "d": c["d"], "dc": c["dc"], "grad": c["dU"],
+            "frame": np.swapaxes(np.concatenate([xi, j_rotate(xi, axis=1)]), 0, 1),
+            "bracket": c["bracket"], "t1": c["t1"], "t2": c["t2"], "t3": c["t3"],
+            "DX": c["DX"], "lap": c["lap"],
         }
+
+
+def _frame_pairs(k: int) -> list[tuple[int, int]]:
+    """The pairs i < j of the 2k frame indices, in row-major order."""
+    return [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k)]
+
+
+def _check_terms(jets) -> dict[str, np.ndarray]:
+    """The composed blocks of the check table from its jets, with the point
+    axis last: run once per structure on Terms (``geometry.Composition``)."""
+    xi, Dxi, dU, D2U = jets["X"], jets["DX"], jets["dU"], jets["D2U"]
+    pairs = _frame_pairs(len(xi))
+    X = np.concatenate([xi, j_rotate(xi, axis=1)])
+    DX = np.concatenate([Dxi, j_rotate(Dxi, axis=1)])      # D(J xi) = J D(xi)
+    brackets = bracket_values(X, DX, pairs)
+    t1, t2, t3 = ddc_terms(dU, D2U, X, DX, pairs, brackets)
+    return {"d": d_values(dU, xi), "dc": dc_values(dU, xi),
+            "bracket": np.swapaxes(brackets, 0, 1), "t1": t1, "t2": t2, "t3": t3,
+            "lap": np.trace(D2U, axis1=1, axis2=2)}
 
 
 @dataclass
@@ -258,10 +288,14 @@ def verify_system(sys: GradientSystem, points: int, seed: int,
     of ``points`` sample points and one evaluation of the check table there.
     The decomposition check reads the first 25 rows of the blocks and the
     classification the first 50: sampling draws one stream and the table
-    evaluates rows independently, so each is what a draw of that size gives."""
+    evaluates rows independently, so each is what a draw of that size gives.
+    The frame is factored once, and the decomposition check reads its first
+    25 rows off that factorization (``Span`` factors each frame alone)."""
     t = sys.table.at(sample_points(sys, points, seed))
-    checks = check_axioms(sys, t, tol)
-    checks.append(decomposition_check_result(sys, _head(t, 25)))
+    frame = Span(t["frame"])
+    checks = check_axioms(sys, t, tol, frame)
+    checks.append(decomposition_check_result(sys, _head(t, 25), frame[:25]))
+    del frame       # its singular vectors are as large as the frame stack
     checks += check_bracket_relations(sys, t, tol)
     checks.append(check_commutation(sys, t, tol))
     return VerificationReport(sys.name, seed, points, checks,
@@ -277,14 +311,16 @@ def _head(t, n: int) -> dict[str, np.ndarray]:
 # axiom checks
 
 
-def check_axioms(sys: GradientSystem, t, tol: float = 1e-9) -> list[CheckResult]:
+def check_axioms(sys: GradientSystem, t, tol: float = 1e-9,
+                 frame: Span | None = None) -> list[CheckResult]:
     """Residuals of the two defining identities plus pointwise independence
     and involutivity of the 2k-frame at the rows of ``t``: the frame's rank
-    and the brackets' projection come from one factorization (``Span``)."""
+    and the brackets' projection come from one factorization (``Span``),
+    ``frame`` if given, that of ``t["frame"]``."""
     k, n = sys.k, len(t["frame"])
     r_d = np.abs(t["d"]).max(axis=(1, 2))
     r_dc = np.abs(t["dc"] - np.eye(k)).max(axis=(1, 2))
-    frame = Span(t["frame"])
+    frame = Span(t["frame"]) if frame is None else frame
     r_rank = (2 * k - frame.rank).astype(float)
     r_inv = frame.residuals(t["bracket"]).max(axis=1)
     return [
@@ -333,12 +369,16 @@ def _horizontal_system(G) -> np.ndarray:
     return np.swapaxes(np.concatenate([G, j_rotate(G)], axis=1), 1, 2)
 
 
-def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
+def check_decompositions(sys: GradientSystem, t,
+                         frame: Span | None = None) -> list[DecompositionRecord]:
     """Verify the splittings of the tangent space at every row of ``t`` by
     rank arithmetic: the representation span sits inside ker dU, the span
     plus its J-rotation is 2k-dimensional, and the horizontal space
     ker dU cap ker d^c U supplies the remaining 2n directions.  One record
-    per row; every rank is read off a ``Span`` of the whole stack.  No
+    per row; every rank is read off a ``Span`` of the whole stack, the
+    frame's off ``frame`` if given (the factorization of ``t["frame"]``,
+    whose singular values the cutoff warning reads), the others rank-only,
+    with no singular vectors.  No
     kernel basis is built: by rank-nullity, ``rank_total`` = rank
     [frame | ker M] = (2N - rank M) + rank (M frame) for M = [dU; d^c U],
     and M frame is the 2k x 2k block [[d, -d^c], [d^c, d]] of the table's
@@ -348,12 +388,13 @@ def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
     frame inside ker M gives a block of rounding errors alone, of rank 0."""
     k, N = sys.k, sys.chart.N
     G, d, dc = t["grad"], t["d"], t["dc"]
-    frame, M = Span(t["frame"]), Span(_horizontal_system(G))
-    block = Span(np.block([[d, -dc], [dc, d]]))
+    frame = Span(t["frame"]) if frame is None else frame
+    M = Span(_horizontal_system(G), basis=False)
+    block = Span(np.block([[d, -dc], [dc, d]]), basis=False)
     cutoff = rank_cutoff(t["frame"], M.s[:, :1] * frame.s[:, :1])
     rank_total = 2 * N - M.rank + np.sum(block.s > cutoff, axis=-1)
-    ranks = zip(Span(t["frame"][..., :k]).rank, frame.rank, Span(G).rank,
-                2 * N - M.rank, rank_total)
+    ranks = zip(Span(t["frame"][..., :k], basis=False).rank, frame.rank,
+                Span(G, basis=False).rank, 2 * N - M.rank, rank_total)
     residual = np.abs(d).max(axis=(1, 2))
     # flag rank decisions sitting close to the SVD cutoff
     s = frame.s
@@ -369,9 +410,11 @@ def check_decompositions(sys: GradientSystem, t) -> list[DecompositionRecord]:
         for i, (r_rep, r_span, r_G, dim_H, r_total) in enumerate(ranks)]
 
 
-def decomposition_check_result(sys: GradientSystem, t) -> CheckResult:
-    """Aggregate the decomposition records at the rows of ``t`` into a check."""
-    recs = check_decompositions(sys, t)
+def decomposition_check_result(sys: GradientSystem, t,
+                               frame: Span | None = None) -> CheckResult:
+    """Aggregate the decomposition records at the rows of ``t`` into a check
+    (``frame`` as check_decompositions takes it)."""
+    recs = check_decompositions(sys, t, frame)
     note = next((r.warning for r in reversed(recs) if r.warning), "")
     return CheckResult("decompositions", "tangent-splitting",
                        np.array([0.0 if r.ok else 1.0 for r in recs]), 0.5,
@@ -534,11 +577,11 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8,
             found.append(i)
     # T cap JT = ker dU cap ker d^c U
     G, n = newton.jac[found], sys.chart.N - k
-    hdims = (sys.chart.dim - Span(_horizontal_system(G)).rank) // 2
+    hdims = (sys.chart.dim - Span(_horizontal_system(G), basis=False).rank) // 2
     note = ("level set appears empty for this target" if not found else
             "" if all(hdims == n) else
             f"holomorphic tangent dimension {hdims.tolist()} differs from {n}")
-    return LevelSetRecord(V, newton.x[found], Span(G).rank.tolist(),
+    return LevelSetRecord(V, newton.x[found], Span(G, basis=False).rank.tolist(),
                           hdims.tolist(), note=note)
 
 

@@ -19,6 +19,14 @@ the nonzero entries of the DP8 tableau, each stage sum formed left to right
 as ``total = total + a * k_j`` and each error estimator summed from 0.0.
 It takes and calls its callbacks exactly as ``_rk`` does.
 
+``compose`` is the check table's dense composition as ``cgsys.verify``
+composed it before the composition learned the jets' zeros: geometry's
+numpy helpers (``d_values``, ``dc_values``, ``bracket_values``,
+``dc_differentials``, ``ddc_terms``) and ``np.trace`` over every product,
+zero or not, on the jets' values with the point axis last.  The package's
+sparse composition must equal it bit for bit up to the sign of a zero, and
+be NaN exactly where it is (0 * inf).
+
 ``matrix_exp`` and ``exp_frechet`` are ``cgsys.flow.matrix_exp`` and
 ``cgsys.flow._exp_frechet`` as plain scaling and squaring: each row's
 squaring count is found by halving twice its 1-norm until it is at most 1,
@@ -27,6 +35,7 @@ mask, where the package adds every term and stops the whole stack at once.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import sympy
@@ -324,3 +333,72 @@ def exp_frechet(A, D):
             else:
                 out[sq] = step
     return out[:, :, 0], np.swapaxes(out[:, :, 1:], 1, 2)
+
+
+# --- the dense composition ------------------------------------------------------
+# The helpers take and return arrays whose last axis is the points, with the
+# coordinates on the axis before it, and sum each coordinate sum in
+# coordinate order.
+
+
+def j_rotate(v, axis: int = -1) -> np.ndarray:
+    """J on chart vectors along an axis: (v_x, v_y) becomes (-v_y, v_x)."""
+    v = np.moveaxis(np.asarray(v, dtype=float), axis, -1)
+    out = np.empty_like(v)
+    out[..., 0::2] = -v[..., 1::2]
+    out[..., 1::2] = v[..., 0::2]
+    return np.moveaxis(out, -1, axis)
+
+
+def d_values(G, V) -> np.ndarray:
+    """du(V) for the differential rows G (k, 2N, n) and the vectors V
+    (m, 2N, n): (k, m, n)."""
+    return np.sum(G[:, None] * V[None], axis=-2)
+
+
+def dc_values(G, V) -> np.ndarray:
+    """d^c u(V) = -du(JV), laid out as d_values."""
+    G, V = G[:, None], V[None]
+    return np.sum(G[:, :, 0::2] * V[:, :, 1::2] - G[:, :, 1::2] * V[:, :, 0::2], axis=-2)
+
+
+def _pair_index(pairs):
+    return np.reshape(np.asarray(pairs, dtype=int), (-1, 2)).T
+
+
+def bracket_values(X, DX, pairs) -> np.ndarray:
+    """[X_i, X_j] = DX_j X_i - DX_i X_j for (i, j) in pairs, (P, 2N, n)."""
+    i, j = _pair_index(pairs)
+    return reduce(np.add, (DX[j, :, l] * X[i, None, l] - DX[i, :, l] * X[j, None, l]
+                           for l in range(X.shape[1])))
+
+
+def dc_differentials(dU, D2U, X, DX) -> np.ndarray:
+    """The differentials of d^c u_c(X_b), (k, m, 2N, n), by the product rule."""
+    H, G, X, DX = D2U[:, None], dU[:, None, :, None], X[None, :, :, None], DX[None]
+    return reduce(np.add, ((H[:, :, x] * X[:, :, x + 1] + G[:, :, x] * DX[:, :, x + 1])
+                           - (H[:, :, x + 1] * X[:, :, x] + G[:, :, x + 1] * DX[:, :, x])
+                           for x in range(0, dU.shape[1], 2)))
+
+
+def ddc_terms(dU, D2U, X, DX, pairs, brackets) -> tuple[np.ndarray, ...]:
+    """X(d^c u(Y)), Y(d^c u(X)) and d^c u([X, Y]), each (P, k, n)."""
+    xs, ys = _pair_index(pairs)
+    d_dc = dc_differentials(dU, D2U, X, DX)
+    return (np.swapaxes(np.sum(X[xs][None] * d_dc[:, ys], axis=-2), 0, 1),
+            np.swapaxes(np.sum(X[ys][None] * d_dc[:, xs], axis=-2), 0, 1),
+            np.swapaxes(dc_values(dU, brackets), 0, 1))
+
+
+def compose(jets, pairs) -> dict[str, np.ndarray]:
+    """The check table's composed blocks, with the point axis last, from
+    its jets ``X``, ``DX``, ``dU`` and ``D2U`` (point axis last) and the
+    frame pairs."""
+    xi, Dxi, dU, D2U = jets["X"], jets["DX"], jets["dU"], jets["D2U"]
+    X = np.concatenate([xi, j_rotate(xi, axis=1)])
+    DX = np.concatenate([Dxi, j_rotate(Dxi, axis=1)])
+    brackets = bracket_values(X, DX, pairs)
+    t1, t2, t3 = ddc_terms(dU, D2U, X, DX, pairs, brackets)
+    return {"d": d_values(dU, xi), "dc": dc_values(dU, xi),
+            "bracket": np.swapaxes(brackets, 0, 1), "t1": t1, "t2": t2, "t3": t3,
+            "lap": np.trace(D2U, axis1=1, axis2=2)}

@@ -43,6 +43,7 @@ EXTRA = (
     ["cauchy", "heisenberg-cr", "--u-extent", "1.5"],
     ["cauchy", "heisenberg-cr", "--grid", "9"],
     ["verify", "heisenberg", "--points", "5000", "--seed", "3"],
+    ["verify", "affine", "--points", "2000", "--seed", "4"],
 )
 
 

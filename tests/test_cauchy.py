@@ -685,6 +685,47 @@ def test_fields_refuse_a_nan_residual(block, entry, affine_data):
     assert str(err) == "internal identity residual nan is not finite"
 
 
+def test_one_stack_refuses_each_row_as_it_refuses_that_row_alone(affine_data):
+    # rows refused by a singular dF, a NaN det P, a small det P, the
+    # construction residual and param_domain beside a resolved row: each
+    # row's error, and the first of the stages' errors, is what the row
+    # alone gives, with its text unchanged
+    m, k = len(affine_data.param_names), affine_data.k
+    rng = np.random.default_rng(3)
+    P, U = affine_data.base + rng.uniform(-0.3, 0.3, (6, m)), rng.uniform(-0.2, 0.2, (6, k))
+    P[5, 0] = 0.1
+    ambient, dF, _, _ = build_dF(affine_data, CFG)(P, U)
+    dF[1][:, 0] = 0.0
+    dF[2][0, 0] = np.nan
+    dF[3][:, m:] *= 1e6
+    dF[4][:, 1] = dF[4][:, 0] + 1e-10 * dF[4][:, 1]
+
+    def stages(rows):
+        frame, frame_errors = cgsys.cauchy._frames(
+            affine_data, P[rows], U[rows], ambient[rows], dF[rows])
+        built, built_errors = cgsys.cauchy._construct_rows(frame)
+        domain_errors = cgsys.cauchy._domain_errors(affine_data, P[rows])
+        return [domain_errors, frame_errors, built_errors]
+
+    stack = stages(slice(None))
+    for i in range(6):
+        alone = stages(slice(i, i + 1))
+        assert [[str(e) if e else e for e in errs[i:i + 1]] for errs in stack] == \
+            [[str(e) if e else e for e in errs] for errs in alone]
+    texts = [str(e) if e else e for e in cgsys.cauchy._first_error(*stack)]
+    det = np.linalg.det(cgsys.cauchy._frames(
+        affine_data, P[3:4], U[3:4], ambient[3:4], dF[3:4])[0].P[0])
+    assert texts[:4] == [None, "dF is numerically singular at this point",
+                         "det P = nan is not finite",
+                         f"det P = {det:.3e}: point lies outside the construction domain"]
+    assert texts[4].startswith("internal identity residual ") and texts[4].endswith(
+        f"exceeds {CONSTRUCTION_TOL:g}; dF is ill-conditioned here")
+    assert texts[5] == (f"Newton solution has parameters {np.round(P[5], 6).tolist()} "
+                        "outside param_domain")
+    # the construction refuses rows 1 and 2 too, after the frames
+    assert [type(stack[2][i]) for i in (1, 2, 4)] == [ConstructionError] * 3
+
+
 def test_line_frame_is_flat_off_M(line_data):
     dF = build_dF(line_data, CFG)
     frame = compute_PQA(line_data, dF, np.array([0.2]), np.array([0.35]), CFG)

@@ -14,7 +14,7 @@ from cgsys.dsl import builtin_names, load_builtin
 from cgsys.expr import Const, DomainError, add, diff, mul, parse_expr
 from cgsys.flow import FlowConfig, flow_real, numerical_jacobian
 from cgsys.geometry import (
-    ComplexChart, Span, VectorField, apply_J, d_values, dc_values, j_rotate, lie_bracket,
+    ComplexChart, Span, VectorField, apply_J, j_rotate, lie_bracket,
 )
 import cgsys.flow
 import cgsys.verify
@@ -25,7 +25,7 @@ from cgsys.verify import (
     check_decompositions, check_level_set, classify,
     decomposition_check_result, normal_form, sample_points, verify_system,
 )
-from reference import env_at, evaluate, field_matrix, in_domain, values
+from reference import d_values, dc_values, env_at, evaluate, field_matrix, in_domain, values
 
 
 # the gallery entries with a [system] section
@@ -845,9 +845,9 @@ def test_each_check_factors_its_span_once(monkeypatch, name):
     spans = []
 
     class Counted(cgsys.verify.Span):
-        def __init__(self, S):
-            spans.append(np.shape(S))
-            super().__init__(S)
+        def __init__(self, S, basis=True):
+            spans.append((np.shape(S), basis))
+            super().__init__(S, basis)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a check took a rank apart from its span's factorization")
@@ -855,22 +855,23 @@ def test_each_check_factors_its_span_once(monkeypatch, name):
     monkeypatch.setattr(cgsys.verify, "Span", Counted)
     monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
     got = check_axioms(sys_, t)
-    assert spans == [(40, dim, 2 * k)]
+    assert spans == [((40, dim, 2 * k), True)]
     spans.clear()
     got += check_bracket_relations(sys_, t)
-    assert spans == [(40, dim, k)]
+    assert spans == [((40, dim, k), True)]
     for c, ref in zip(got, want):
         assert np.array_equal(c.residuals, ref.residuals), c.name
 
 
 def test_verify_op_takes_two_svd_stacks_over_its_points(monkeypatch):
-    # the frame and span(xi) at the 60 sample points; the decomposition
-    # check factors its own 25 rows
+    # the frame and span(xi) at the 60 sample points, with singular
+    # vectors; the decomposition check reads its 25 rows of the frame off
+    # the first and factors its four other spans without singular vectors
     sizes, ranks = [], []
     svd, matrix_rank = np.linalg.svd, np.linalg.matrix_rank
 
     def counted_svd(M, *args, **kwargs):
-        sizes.append(len(M))
+        sizes.append((len(M), kwargs.get("compute_uv", True)))
         return svd(M, *args, **kwargs)
 
     def counted_rank(M, *args, **kwargs):
@@ -880,17 +881,22 @@ def test_verify_op_takes_two_svd_stacks_over_its_points(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
     assert main(["verify", "heisenberg", "--points", "60"]) == 0
-    assert sizes.count(60) == 2 and 60 not in ranks
+    assert sizes == [(60, True), (25, False), (25, False), (25, False), (25, False),
+                     (60, True)]
+    assert 60 not in ranks
 
 
 def test_every_rank_of_an_op_is_a_span_rank(monkeypatch, capsys):
     # transversality, the decompositions, the level set and the group-basis
-    # check (loading heisenberg-cr and affine) all count by geometry.Span
-    callers = set()
+    # check (loading heisenberg-cr and affine) all count by geometry.Span;
+    # a span read for its rank alone is factored without singular vectors,
+    # the one other form of Span's SVD
+    callers, forms = set(), set()
     svd = np.linalg.svd
 
     def traced_svd(M, *args, **kwargs):
         callers.add(sys._getframe(1).f_code)
+        forms.add(tuple(sorted(kwargs.items())))
         return svd(M, *args, **kwargs)
 
     def refuse(*args, **kwargs):
@@ -910,4 +916,23 @@ def test_every_rank_of_an_op_is_a_span_rank(monkeypatch, capsys):
         if sf.cr is not None:
             assert main(["cauchy", name]) == int(name == "non-transverse-demo"), name
     assert callers == {Span.__init__.__code__}
+    assert forms == {(("full_matrices", False),), (("compute_uv", False),)}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_rank_only_spans_decide_the_decompositions_as_full_factorizations(monkeypatch, name):
+    # the records, their ranks and their close-to-cutoff warnings, from
+    # rank-only factorizations equal those from full ones
+    sys_ = load_builtin(name).system
+
+    class Full(Span):
+        def __init__(self, S, basis=True):
+            super().__init__(S)
+
+    for points, seed in ((25, 0), (25, 1), (120, 7)):
+        t = sys_.table.at(sample_points(sys_, points, seed))
+        got = check_decompositions(sys_, t)
+        with monkeypatch.context() as m:
+            m.setattr(cgsys.verify, "Span", Full)
+            assert check_decompositions(sys_, t) == got, (points, seed)
