@@ -219,7 +219,8 @@ class CRTable(Table):
     rho0_j], i < j, at sigma as columns.  The Table compiles sigma and its
     partials over the parameters; the fields and their Jacobians
     (``jet_blocks``), compiled over the chart, are evaluated at sigma, and
-    the brackets composed from them."""
+    the brackets composed from them (``geometry.Composition``): three
+    Program passes in all."""
 
     def __init__(self, data: CRInitialData):
         names, dim = data.param_names, data.chart.dim
@@ -235,18 +236,17 @@ class CRTable(Table):
         t = super().at(P)
         t["p"] = np.asarray(P, dtype=float)
         c = self.composition(t["sigma"])
-        t["rho0"] = np.transpose(c["X"], (2, 1, 0))
-        t["bracket"] = np.transpose(c["bracket"], (2, 1, 0))
+        t["rho0"], t["bracket"] = np.swapaxes(c["X"], 1, 2), c["bracket"]
         return t
 
 
 def _bracket_terms(jets) -> dict[str, np.ndarray]:
-    """The brackets [rho0_i, rho0_j], i < j, from the fields' jets, with
-    the point axis last: run once per structure on Terms
-    (``geometry.Composition``)."""
+    """The brackets [rho0_i, rho0_j], i < j, as columns from the fields'
+    jets, with the point axis last: run once per structure on Terms, whose
+    expressions the composition compiles (``geometry.Composition``)."""
     k = len(jets["X"])
-    return {"bracket": bracket_values(jets["X"], jets["DX"],
-                                      [(i, j) for i in range(k) for j in range(i + 1, k)])}
+    return {"bracket": np.swapaxes(bracket_values(
+        jets["X"], jets["DX"], [(i, j) for i in range(k) for j in range(i + 1, k)]), 0, 1)}
 
 
 def _first_error(*errors):

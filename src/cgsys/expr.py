@@ -236,6 +236,11 @@ def unary(op: str, a: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # compiled straight-line programs
 
+# the bound of the diff, free_vars and evaluate caches: a table build makes a
+# few hundred entries (228 for the largest in the gallery), so it never evicts
+# its own, while a long-lived process that loads many systems stays bounded
+CACHE_SIZE = 1 << 14
+
 
 def _is_integer(y):
     return np.isfinite(y) & (np.floor(y) == y)
@@ -516,13 +521,21 @@ def compile_exprs(exprs, names) -> Program:
 
 
 def evaluate(e: Expr, env: dict[str, float]) -> float:
-    """``e`` at the point ``env`` binds: ``[e]`` compiled over env's names
-    and run on one row.  A variable absent from ``env`` raises
-    UnboundVariableError; a domain fault raises that row's DomainError,
-    naming the node and the point as point 0, never NaN."""
+    """``e`` at the point ``env`` binds: ``[e]`` compiled over env's names,
+    once per tree and names, and run on one row.  A variable absent from
+    ``env`` raises UnboundVariableError; a domain fault raises that row's
+    DomainError, naming the node and the point as point 0, never NaN."""
     names = tuple(env)
     row = np.array([[float(env[n]) for n in names]])
-    return float(compile_exprs([e], names)(row)[0, 0])
+    return float(_one_row(e, names, repr(e))(row)[0, 0])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _one_row(e: Expr, names: tuple[str, ...], text: str) -> Program:
+    """``[e]`` compiled over ``names``, once per tree: ``text``, e's repr,
+    tells apart the trees that are equal but for the sign of a zero
+    constant, as Const(0.0) == Const(-0.0)."""
+    return compile_exprs([e], names)
 
 
 class Table:
@@ -611,12 +624,6 @@ class Predicate:
 
 # ---------------------------------------------------------------------------
 # structural differentiation
-
-# the bound of the diff and free_vars caches: one table build makes a few
-# hundred entries (228 for the largest in the gallery), so it never evicts
-# its own, while a long-lived process that loads many systems stays bounded
-CACHE_SIZE = 1 << 14
-
 
 @lru_cache(maxsize=CACHE_SIZE)
 def diff(e: Expr, name: str) -> Expr:

@@ -16,12 +16,13 @@ quantities (dd^c, Laplacians) are exact up to rounding with no nested
 symbolic derivatives; ``lie_bracket`` alone builds a bracket as a tree.
 The helpers write each composed entry as a sum of products of jets; a
 ``Composition`` runs them once per structure on the jets as ``Term``s,
-which drop every product with a ``Const(0.0)`` jet and fold the constant
-ones, and then evaluates only the products and sums left, in the helpers'
-order and association, so each entry is the helpers' value up to the sign
-of a zero (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
-Ch. 7-8, on exploiting sparsity).  A dropped product that would meet a
-non-finite value makes its entry NaN, as 0 * inf does.
+expressions that drop every product with a ``Const(0.0)`` jet and fold
+the constant ones, and compiles the products and sums left, in the
+helpers' order and association, onto expr's one Program tape, so each
+entry is the helpers' value up to the sign of a zero (Griewank & Walther,
+Evaluating Derivatives, 2nd ed., 2008, Ch. 7-8, on exploiting sparsity).
+A dropped product that would meet a non-finite value makes its entry NaN,
+as 0 * inf does.
 A field's values at one point (``VectorField.values``, ``field_matrix``)
 are the one-row view of its compiled ``program``, so no point value walks
 a tree.  All values are immutable and every operation is pure; evaluation
@@ -42,7 +43,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .expr import (
-    Const, Expr, Program, Table, add, as_expr, compile_exprs, diff, mul, neg,
+    ZERO, Const, Expr, Program, Table, Var, add, as_expr, compile_exprs, diff, mul, neg,
     require_vars, sub,
 )
 
@@ -207,7 +208,7 @@ def jet_blocks(grads, fields, chart: ComplexChart) -> list:
 # The helpers below take and return arrays whose last axis is the points,
 # with the coordinates on the axis before it, and sum each coordinate sum in
 # coordinate order.  A Composition runs them once, on the jets as Terms with
-# a point axis of one, and evaluates only what they leave: every entry is
+# a point axis of one, and compiles only what they leave: every entry is
 # the sum they write, less its structurally zero products.
 
 
@@ -266,227 +267,124 @@ def ddc_terms(dU, D2U, X, DX, pairs, brackets) -> tuple[np.ndarray, ...]:
 # composition over the structurally nonzero jets
 
 
-class _Node:
-    """One row of a Composition's stack: a jet ("jet", column), a constant
-    ("const", value), the rows of ones ("one") and zeros ("zero"), a product
-    ("mul", a, b, sign) = sign * (a * b) or a sum ("add", a, b) of rows."""
-
-    __slots__ = ("op", "args", "height")
-
-    def __init__(self, op, *args):
-        self.op, self.args = op, args
-        self.height = 1 + max(a.height for a in args[:2]) if op in ("mul", "add") else 0
-
-
-_ONE, _ZERO = _Node("one"), _Node("zero")
-
-
 class Term:
     """One entry of a composed block, as a Composition builds it from the
-    jets: structurally zero (``node`` and ``value`` None), a constant
-    ``value`` (``sign`` times a constant jet's node, or no node), or
-    ``sign`` times the value of ``node``.  ``poison`` holds the nodes whose
-    non-finite value makes the entry NaN: the factors of the products
-    dropped because one factor is zero, where 0 * inf would give NaN.
+    jets: ``expr``, an expression of the jets' non-constant columns
+    (variables ``j<col>``), and ``poison``, the expressions whose non-finite
+    value makes the entry NaN: the other factors of the products dropped
+    because one factor is zero, where 0 * inf would give NaN.
 
-    The operators build the sums the helpers write and keep their order and
-    association: a zero operand drops out of a sum (x + 0 = x and 0 - x = -x,
-    exact up to the sign of a zero), a product with a zero factor is zero,
-    constants fold as IEEE doubles, and a - b is a + (-b), as IEEE defines
-    it, with signs carried into the products."""
+    The operators are expr's add, sub, mul and neg, which keep the order
+    and association the helpers write and fold constants.  A zero operand
+    (a ``Const(0.0)``) drops out of a sum (x + 0 = x and 0 - x = -x, exact
+    up to the sign of a zero), and a product with a zero factor is the zero
+    term, poisoned by the other factor unless that is a finite constant."""
 
-    __slots__ = ("node", "sign", "value", "poison")
+    __slots__ = ("expr", "poison", "zero")
 
-    def __init__(self, node=None, sign=1.0, value=None, poison=frozenset()):
-        self.node, self.sign, self.value, self.poison = node, sign, value, poison
+    def __init__(self, expr: Expr, poison: frozenset = frozenset()):
+        self.expr, self.poison = expr, poison
+        self.zero = isinstance(expr, Const) and expr.value == 0.0
 
-    def _zero(self) -> bool:
-        return self.node is None and self.value is None
-
-    def _with(self, poison) -> "Term":
-        return self if poison == self.poison else Term(self.node, self.sign, self.value, poison)
+    def _with(self, poison: frozenset) -> "Term":
+        """This term, poisoned by ``poison`` too."""
+        return self if poison <= self.poison else Term(self.expr, self.poison | poison)
 
     def __neg__(self) -> "Term":
-        value = None if self.value is None else -self.value
-        return Term(self.node, -self.sign, value, self.poison)
+        return self if self.zero else Term(neg(self.expr), self.poison)
 
     def __add__(self, other: "Term") -> "Term":
-        poison = self.poison | other.poison
-        if self.node is None and self.value is None:
-            return other._with(poison)
-        if other.node is None and other.value is None:
-            return self._with(poison)
-        if self.value is not None and other.value is not None:
-            return Term(None, 1.0, self.value + other.value, poison)
-        return Term(_Node("add", self.row(), other.row()), 1.0, None, poison)
+        if other.zero:
+            return self._with(other.poison)
+        if self.zero:
+            return other._with(self.poison)
+        return Term(add(self.expr, other.expr), self.poison | other.poison)
 
     def __sub__(self, other: "Term") -> "Term":
-        return self + -other
+        if self.zero or other.zero:
+            return self + -other
+        return Term(sub(self.expr, other.expr), self.poison | other.poison)
 
     def __mul__(self, other: "Term") -> "Term":
         poison = self.poison | other.poison
-        if self.node is None and self.value is None:
-            return Term(None, 1.0, None, poison | other._raw())
-        if other.node is None and other.value is None:
-            return Term(None, 1.0, None, poison | self._raw())
-        if self.value is not None and other.value is not None:
-            return Term(None, 1.0, self.value * other.value, poison)
-        (a, sa), (b, sb) = self._factor(), other._factor()
-        return Term(_Node("mul", a, b, sa * sb), 1.0, None, poison)
-
-    def _factor(self):
-        """A node and a sign whose product is this nonzero term."""
-        if self.node is None:
-            return _Node("const", self.value), 1.0
-        return self.node, self.sign
-
-    def _raw(self) -> frozenset:
-        """The nodes whose non-finite value poisons a product of this term
-        with a zero: its own, unless it is zero or a finite constant."""
-        if self.value is None:
-            return frozenset() if self.node is None else frozenset([self.node])
-        return frozenset() if math.isfinite(self.value) else frozenset([self._factor()[0]])
-
-    def row(self) -> _Node:
-        """The node whose value this term is, the sign carried into it."""
-        if self._zero():
-            return _ZERO
-        node, sign = self._factor()
-        if sign > 0:
-            return node
-        if self.value is not None:
-            return _Node("const", self.value)
-        if node.op == "const":
-            return _Node("const", -node.args[0])
-        if node.op == "mul":
-            return _Node("mul", *node.args[:2], -node.args[2])
-        if node.op == "add":
-            return _Node("add", *(Term(a, -1.0).row() for a in node.args))
-        return _Node("mul", node, _ONE, -1.0)
+        if not (self.zero or other.zero):
+            return Term(mul(self.expr, other.expr), poison)
+        factor = other.expr if self.zero else self.expr
+        if not (isinstance(factor, Const) and math.isfinite(factor.value)):
+            return Term(ZERO, poison | {factor})
+        return Term(ZERO, poison) if poison else _ZERO
 
 
-def _jet_terms(layout, pattern) -> dict[str, np.ndarray]:
-    """The blocks of a Table as Term arrays with a point axis of one: a
-    Const(0.0) jet is zero, another Const a constant on its jet's node."""
-    jets, col = {}, 0
-    for name, shape in layout:
-        size = int(np.prod(shape))
-        terms = np.empty(size, dtype=object)
-        for i, value in enumerate(pattern[col:col + size]):
-            terms[i] = (Term(_Node("jet", col + i)) if value is None else
-                        Term() if value == 0.0 else Term(_Node("jet", col + i), value=value))
-        jets[name] = terms.reshape(*shape, 1)
-        col += size
-    return jets
-
-
-class _Plan:
-    """A composition compiled once per structure: the stack's rows are the
-    jets, ones, zeros, the constants ``consts`` and then the products and
-    sums, grouped into ``levels`` (lo, hi, ufunc, a, b, sign) of one height
-    and kind, each computed from lower rows in one operation; ``entries``
-    are the rows of the composed blocks, laid out as ``blocks``, and
-    (``poisoned``, ``poison``) pairs an entry with a row that poisons it."""
-
-    def __init__(self, compose, layout, pattern):
-        jets = len(pattern)
-        composed = compose(_jet_terms(layout, pattern))
-        self.blocks, terms, at = {}, [], 0
-        for name, block in composed.items():
-            self.blocks[name] = (slice(at, at + block[..., 0].size), block.shape[:-1])
-            terms += list(block.ravel())
-            at += block[..., 0].size
-        roots = [t.row() for t in terms]
-        nodes, stack = {}, roots + [node for t in terms for node in t.poison]
-        while stack:
-            node = stack.pop()
-            if node not in nodes and node.op not in ("jet", "one", "zero"):
-                nodes[node] = None
-                stack += [a for a in node.args if isinstance(a, _Node)]
-        consts = [node for node in nodes if node.op == "const"]
-        ops = sorted((node for node in nodes if node.op in ("mul", "add")),
-                     key=lambda node: (node.height, node.op))
-        row = {_ONE: jets, _ZERO: jets + 1}
-        row.update((node, jets + 2 + i) for i, node in enumerate(consts + ops))
-        self.rows = jets + 2 + len(consts) + len(ops)
-        self.jets, self.consts = jets, np.array([node.args[0] for node in consts])
-        self.levels = []
-        for lo in range(len(ops)):
-            node = ops[lo]
-            if lo and (ops[lo - 1].height, ops[lo - 1].op) == (node.height, node.op):
-                continue
-            group = [m for m in ops[lo:] if (m.height, m.op) == (node.height, node.op)]
-            a, b = (np.array([_index(row, m.args[i]) for m in group]) for i in (0, 1))
-            sign = None
-            if node.op == "mul" and any(m.args[2] < 0 for m in group):
-                sign = np.array([m.args[2] for m in group])[:, None]
-            first = jets + 2 + len(consts) + lo
-            self.levels.append((first, first + len(group),
-                                np.multiply if node.op == "mul" else np.add, a, b, sign))
-        self.entries = np.array([_index(row, r) for r in roots], dtype=int)
-        self.poisoned, self.poison = np.reshape(np.array(
-            [(e, _index(row, node)) for e, t in enumerate(terms) for node in t.poison],
-            dtype=int), (-1, 2)).T
-
-
-def _index(row, node) -> int:
-    """The stack row of a node: a jet's is its column."""
-    return node.args[0] if node.op == "jet" else row[node]
+_ZERO = Term(ZERO)
 
 
 # a table is built for every op that loads a system, and its structure
 # repeats across loads, so each structure is compiled once per process; the
 # gallery has nine, and the bound keeps a process that loads many bounded
 @lru_cache(maxsize=256)
-def _plan(compose, layout, pattern) -> _Plan:
-    return _Plan(compose, layout, pattern)
+def _plan(compose, layout, pattern):
+    """``compose`` run once on the jets as Terms with a point axis of one
+    and compiled over the jets' variable columns: the Program, those
+    columns, each composed block's columns and shape (as ``Table.columns``),
+    the number of entries and the pairs (entry, poison output) as two arrays,
+    the distinct poison expressions being the outputs after the entries."""
+    terms = np.array([Term(Var(f"j{col}")) if value is None else _ZERO if value == 0.0
+                      else Term(Const(value)) for col, value in enumerate(pattern)], dtype=object)
+    ends = np.cumsum([math.prod(shape) for _, shape in layout])
+    jets = {name: block.reshape(*shape, 1)
+            for (name, shape), block in zip(layout, np.split(terms, ends[:-1]))}
+    columns, entries = {}, []
+    for name, block in compose(jets).items():
+        columns[name] = (slice(len(entries), len(entries) + block.size), block.shape[:-1])
+        entries += list(block.ravel())
+    poison = list(dict.fromkeys(e for t in entries for e in t.poison))
+    output = {e: len(entries) + i for i, e in enumerate(poison)}
+    pairs = np.reshape(np.array([(i, output[e]) for i, t in enumerate(entries)
+                                 for e in t.poison], dtype=int), (-1, 2)).T
+    variables = [col for col, value in enumerate(pattern) if value is None]
+    program = compile_exprs([t.expr for t in entries] + poison, [f"j{col}" for col in variables])
+    return program, variables, columns, len(entries), pairs
 
 
 class Composition:
     """Blocks composed from the jets of a Table by ``compose``, computing
-    only the structurally nonzero products.
+    only the structurally nonzero products, on the one tape.
 
     ``compose`` maps the Table's blocks to the composed blocks with the
     helpers above.  It runs once per structure (the block layout and which
     jets are constants, and their values), on the jets as Terms: a
-    ``Const(0.0)`` jet is structurally zero, so every product with it is
-    dropped, and a sum with no product left is an exact zero.  An entry all
-    of whose products are of constant jets is folded once and broadcast.
-    Calling the composition on points evaluates the Table once and then
-    only the products and sums left, each in the order and association the
-    helpers write, so every entry equals the helper's value on the jets up
-    to the sign of a zero.  Where a dropped product meets a non-finite value
-    the helper's 0 * inf gives NaN: one test of the whole stack for
-    non-finite values decides whether any product may, and only where it
-    fails are the entries such a value poisons set to NaN, row by row."""
+    ``Const(0.0)`` jet is the zero term, so every product with it is
+    dropped, and a sum with no product left is an exact zero; products of
+    constant jets fold.  What is left, in the order and association the
+    helpers write, is compiled into ``program`` over the jets' variable
+    columns, so calling the composition on points is two Program passes,
+    the jets and then the composition, and every entry equals the helper's
+    value on the jets up to the sign of a zero.  Where a dropped product
+    meets a non-finite value the helper's 0 * inf gives NaN: the program's
+    last outputs are the factors such products dropped, one test of them
+    all for non-finite values decides whether any product may, and only
+    where it fails are the entries such a value poisons set to NaN, row by
+    row."""
 
     def __init__(self, table: Table, compose):
         layout = tuple((name, shape) for name, (_, shape) in table.columns.items())
         pattern = tuple(e.value if isinstance(e, Const) else None for e in table.exprs)
-        self.table, self.plan = table, _plan(compose, layout, pattern)
+        self.table = table
+        (self.program, self.variables, self.columns, self.entries,
+         (self.poisoned, self.poison)) = _plan(compose, layout, pattern)
 
     def __call__(self, pts, labels=None) -> dict[str, np.ndarray]:
         """The Table's blocks and the composed ones at the rows of pts, each
-        with the point axis last.  ``labels`` as Program takes it."""
-        plan, n = self.plan, len(pts)
-        s = np.empty((plan.rows, n))
-        s[:plan.jets] = self.table.program(pts, labels).T
-        s[plan.jets], s[plan.jets + 1] = 1.0, 0.0
-        s[plan.jets + 2:plan.jets + 2 + len(plan.consts)] = plan.consts[:, None]
-        for lo, hi, ufunc, a, b, sign in plan.levels:
-            ufunc(s[a], s[b], out=s[lo:hi])
-            if sign is not None:
-                s[lo:hi] *= sign
-        out = s[plan.entries]
-        finite = np.isfinite(s)
-        if not finite.all():
-            hit = np.zeros(out.shape, dtype=bool)
-            np.logical_or.at(hit, plan.poisoned, ~finite[plan.poison])
-            out[hit] = np.nan
-        blocks = {name: s[cols].reshape(*shape, n)
-                  for name, (cols, shape) in self.table.columns.items()}
-        blocks.update((name, out[rows].reshape(*shape, n))
-                      for name, (rows, shape) in plan.blocks.items())
+        with a leading point axis.  ``labels`` as Program takes it."""
+        jets = self.table.program(pts, labels)
+        vals = self.program(jets[:, self.variables])
+        if not np.isfinite(vals[:, self.entries:]).all():
+            hit = np.zeros((self.entries, len(vals)), dtype=bool)
+            np.logical_or.at(hit, self.poisoned, ~np.isfinite(vals[:, self.poison].T))
+            vals[:, :self.entries][hit.T] = np.nan
+        blocks = self.table.blocks(jets)
+        blocks.update((name, vals[:, cols].reshape(len(vals), *shape))
+                      for name, (cols, shape) in self.columns.items())
         return blocks
 
 

@@ -18,12 +18,13 @@ predicate.  Every value a check needs comes from one table per system
 (``GradientSystem.table``), which compiles only the jets of the fields and
 gradients and composes brackets, d^c and the dd^c terms from their values;
 every check is a numpy reduction over the blocks ``t = sys.table.at(pts)``
-it is handed.  The composition knows the jets' structure: it computes only
-the products whose jets are not ``Const(0.0)``, in the order and
-association of geometry's helpers, builds the entries of constant jets
-once, and gives NaN where a dropped product meets a non-finite value, as
-0 * inf would (``geometry.Composition``).  The table holds one bracket per
-frame pair i < j, and a check that reads a span factors it once
+it is handed.  The composition knows the jets' structure: it compiles into
+a second Program only the products whose jets are not ``Const(0.0)``, in
+the order and association of geometry's helpers, folds the entries of
+constant jets once, and gives NaN where a dropped product meets a
+non-finite value, as 0 * inf would (``geometry.Composition``), so the
+table is two Program passes per chunk of rows.  The table holds one
+bracket per frame pair i < j, and a check that reads a span factors it once
 (``geometry.Span``): its rank and every projection on it come from one
 stacked SVD, and a span read only for its rank is factored without
 singular vectors.  Every dimension count is such a rank, the
@@ -119,10 +120,10 @@ class GradientSystem:
         return Predicate(self.domain, self.chart.names)
 
 
-# the rows CheckTable composes at a time: the composition's temporaries grow
-# with the rows composed together (heisenberg at 20,000 points peaks at
-# 229 MB unchunked against 78 MB in chunks of 256, for 74 MB of blocks),
-# and chunks of 256 also composed fastest
+# the rows CheckTable composes at a time: the tapes' registers grow with the
+# rows run together (heisenberg at 20,000 points peaks at 183 MB RSS
+# unchunked against 102 MB in chunks of 256, from 39 MB before the call),
+# and chunks of 128 to 1,024 rows take about the same time
 TABLE_CHUNK = 256
 
 
@@ -136,12 +137,12 @@ class CheckTable(Table):
     by the product rule, D(J xi) = J D(xi), the Laplacian as the Hessian's
     trace.  The composition (``geometry.Composition``) reads at construction
     which jets are ``Const(0.0)``, J xi's zeros being those of xi rotated,
-    and computes only the products that are not structurally zero, in the
-    helpers' order and association; an entry of constant jets alone is
-    built once and broadcast, and an entry with no product left is an exact
-    zero, or NaN at a row where a dropped product meets a non-finite value,
-    as 0 * inf makes it.  Frame index i < k stands for xi_(i+1), k + a for
-    J xi_(a+1).
+    and compiles into its ``program`` only the products that are not
+    structurally zero, in the helpers' order and association; an entry of
+    constant jets alone is folded once, and an entry with no product left
+    is an exact zero, or NaN at a row where a dropped product meets a
+    non-finite value, as 0 * inf makes it.  Frame index i < k stands for
+    xi_(i+1), k + a for J xi_(a+1).
     The blocks, each with a leading point axis: ``d``, ``dc`` (k, k)
     du_a(xi_b) and d^c u_a(xi_b); ``grad`` (k, 2N) the rows of dU; ``frame``
     (2N, 2k) and ``bracket`` (2N, P), fields as columns, the latter
@@ -150,7 +151,8 @@ class CheckTable(Table):
     the same pairs; ``DX`` (k, 2N, 2N) the Jacobians of the xi_a, as
     ``jet_blocks`` lays them out; ``lap`` (k,).  Every block is computed
     row by row, so a row does not depend on the other points, and ``at``
-    composes TABLE_CHUNK rows at a time.
+    runs TABLE_CHUNK rows at a time, two Program passes each: the jets and
+    then their composition.
 
     ``pairs`` lists the P = k(2k - 1) frame pairs i < j in row-major order,
     and ``row`` maps each to its index.  A bracket with i > j is not
@@ -175,24 +177,15 @@ class CheckTable(Table):
         for lo in range(0, max(len(pts), 1), TABLE_CHUNK):
             hi = min(lo + TABLE_CHUNK, len(pts))
             # a DomainError names the row by its index in pts
-            blocks = self._blocks(self.composition(pts[lo:hi], np.arange(lo, hi)))
+            c = self.composition(pts[lo:hi], np.arange(lo, hi))
+            xi, c["grad"] = c.pop("X"), c.pop("dU")
+            c["frame"] = np.swapaxes(np.concatenate([xi, j_rotate(xi, axis=2)], 1), 1, 2)
+            del c["D2U"]
             if lo == 0:
-                out = {name: np.empty((len(pts), *b.shape[:-1])) for name, b in blocks.items()}
-            for name, b in blocks.items():
-                out[name][lo:hi] = np.moveaxis(b, -1, 0)
+                out = {name: np.empty((len(pts), *b.shape[1:])) for name, b in c.items()}
+            for name, b in c.items():
+                out[name][lo:hi] = b
         return out
-
-    @staticmethod
-    def _blocks(c) -> dict[str, np.ndarray]:
-        """The blocks, with the point axis last, from the composition at
-        some points."""
-        xi = c["X"]
-        return {
-            "d": c["d"], "dc": c["dc"], "grad": c["dU"],
-            "frame": np.swapaxes(np.concatenate([xi, j_rotate(xi, axis=1)]), 0, 1),
-            "bracket": c["bracket"], "t1": c["t1"], "t2": c["t2"], "t3": c["t3"],
-            "DX": c["DX"], "lap": c["lap"],
-        }
 
 
 def _frame_pairs(k: int) -> list[tuple[int, int]]:
@@ -202,7 +195,8 @@ def _frame_pairs(k: int) -> list[tuple[int, int]]:
 
 def _check_terms(jets) -> dict[str, np.ndarray]:
     """The composed blocks of the check table from its jets, with the point
-    axis last: run once per structure on Terms (``geometry.Composition``)."""
+    axis last: run once per structure on Terms, whose expressions the
+    composition compiles (``geometry.Composition``)."""
     xi, Dxi, dU, D2U = jets["X"], jets["DX"], jets["dU"], jets["D2U"]
     pairs = _frame_pairs(len(xi))
     X = np.concatenate([xi, j_rotate(xi, axis=1)])

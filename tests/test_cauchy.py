@@ -1515,8 +1515,8 @@ def test_ambient_records_meet_the_flow_tolerance_or_take_their_limit(c, grid, ex
 
 
 @pytest.mark.parametrize("generated, argv, stages, passes", [
-    (False, ["line", "--grid", "9"], 24, 35),
-    (True, ["--grid", "3", "--u-extent", "0.25"], 156, 190),
+    (False, ["line", "--grid", "9"], 24, 36),
+    (True, ["--grid", "3", "--u-extent", "0.25"], 156, 191),
 ])
 def test_an_ambient_op_takes_no_stage_at_newtons_start(monkeypatch, tmp_path, generated, argv,
                                                        stages, passes):

@@ -8,15 +8,17 @@ must equal the reference bit for bit up to the sign of a zero, and be NaN
 exactly where the reference is: at rows whose jets overflow to inf, a
 dropped product meets inf as 0 * inf does in the reference."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgsys.dsl import builtin_names, load_builtin
-from cgsys.expr import parse_expr
+from cgsys.expr import Program, parse_expr
 from cgsys.geometry import ComplexChart, VectorField
 from cgsys.cauchy import param_samples
-from cgsys.verify import GradientSystem, sample_points
+from cgsys.verify import TABLE_CHUNK, GradientSystem, sample_points
 import reference
 
 SYSTEMS = [n for n in builtin_names() if load_builtin(n).system is not None]
@@ -27,7 +29,7 @@ JETS = ("X", "DX", "dU", "D2U")
 def assert_matches_reference(table, pts):
     """The check table's composition at pts equals the dense reference."""
     with np.errstate(all="ignore"):
-        got = table.composition(pts)
+        got = {name: np.moveaxis(b, 0, -1) for name, b in table.composition(pts).items()}
         want = reference.compose({name: got[name] for name in JETS}, table.pairs)
     for name, block in want.items():
         assert got[name].shape == block.shape, name
@@ -46,9 +48,10 @@ def test_gallery_compositions_equal_the_dense_reference(name, n, seed):
 def test_cr_brackets_equal_the_dense_reference(name):
     data = load_builtin(name).cr
     tab = data.table
-    c = tab.composition(tab.at(param_samples(data, 30, 4))["sigma"])
+    c = {key: np.moveaxis(b, 0, -1)
+         for key, b in tab.composition(tab.at(param_samples(data, 30, 4))["sigma"]).items()}
     pairs = [(i, j) for i in range(data.k) for j in range(i + 1, data.k)]
-    want = reference.bracket_values(c["X"], c["DX"], pairs)
+    want = np.swapaxes(reference.bracket_values(c["X"], c["DX"], pairs), 0, 1)
     assert c["bracket"].shape == want.shape
     assert np.array_equal(c["bracket"], want, equal_nan=True)
 
@@ -102,3 +105,20 @@ def test_a_dropped_product_meeting_inf_is_nan_only_in_its_row():
         t = sys_.table.at(pts)
     assert np.isnan(t["bracket"][1]).any()
     assert np.isfinite(t["bracket"][[0, 2]]).all()
+
+
+@pytest.mark.parametrize("n", [1, 256, 257])
+def test_the_check_table_is_two_tape_passes_per_chunk(monkeypatch, n):
+    # each chunk of rows runs the jets' Program and then the composition's
+    sys_ = load_builtin("heisenberg").system
+    table, pts = sys_.table, sample_points(sys_, n, 0)
+    assert isinstance(table.composition.program, Program)
+    passes, tape = [], Program._pass
+
+    def counted(self, P):
+        passes.append(self)
+        return tape(self, P)
+
+    monkeypatch.setattr(Program, "_pass", counted)
+    table.at(pts)
+    assert passes == [table.program, table.composition.program] * math.ceil(n / TABLE_CHUNK)

@@ -121,6 +121,32 @@ def test_eval_deterministic():
     assert all(evaluate(e, env) == first for _ in range(5))
 
 
+def test_evaluate_compiles_each_tree_once_per_names(monkeypatch):
+    # the one-row program is cached per tree and names: an equal tree
+    # compiles nothing more and gives what a fresh compile gives, other
+    # names compile again, an unbound variable raises at every call, and a
+    # tree equal but for the sign of a zero constant has its own program
+    compiled, compile_ = [], expr_module.compile_exprs
+
+    def counted(exprs, names):
+        compiled.append(names)
+        return compile_(exprs, names)
+
+    monkeypatch.setattr(expr_module, "compile_exprs", counted)
+    expr_module._one_row.cache_clear()
+    text = "sin(x1)*exp(y1) - atan2(y1, x1)^3 / (1 + x1^2)"
+    for env in ({"x1": 0.7315, "y1": -1.25}, {"x1": -2.0, "y1": 0.5}, {"y1": 3.0, "x1": 1.5}):
+        want = compile_([parse_expr(text)], tuple(env))(np.array([list(env.values())]))[0, 0]
+        assert evaluate(parse_expr(text), env) == want
+    assert compiled == [("x1", "y1"), ("y1", "x1")]
+    for _ in range(2):
+        with pytest.raises(UnboundVariableError):
+            evaluate(parse_expr("x1 + q"), {"x1": 1.0})
+    assert compiled[2:] == [("x1",)] * 2
+    assert evaluate(parse_expr("atan2(0, x1)"), {"x1": -1.0}) == math.pi
+    assert evaluate(parse_expr("atan2(-0, x1)"), {"x1": -1.0}) == -math.pi
+
+
 # --- differentiation -------------------------------------------------------
 
 
