@@ -82,7 +82,7 @@ from .expr import (
     Const, Expr, Predicate, Table, Var, compile_exprs, diff, require_vars,
 )
 from .flow import (
-    DEFAULT_CONFIG, ComplexFlow, FlowConfig, MatrixGroupSpec,
+    DEFAULT_CONFIG, ComplexFlow, FlowConfig, MatrixGroupSpec, _HolomorphicFrame,
     _raise_first, _scatter, complexified_flow_jacobian, complexified_flow_matrix,
     left_invariant_fields, newton_rows, solve_rows,
 )
@@ -232,6 +232,12 @@ class CRTable(Table):
         self.fields = Table(jet_blocks((), data.ambient_fields, data.chart), data.chart.names)
         self.composition = Composition(self.fields, _bracket_terms)
 
+    @cached_property
+    def frame(self) -> _HolomorphicFrame:
+        """The stage tape of the ambient flows, compiled from the fields'
+        jets on first use: once per data object, for every F and dF."""
+        return _HolomorphicFrame(self.fields)
+
     def at(self, P) -> dict[str, np.ndarray]:
         t = super().at(P)
         t["p"] = np.asarray(P, dtype=float)
@@ -335,7 +341,7 @@ def _flow_rows(data: CRInitialData, cfg: FlowConfig, jac: bool):
     chooses for it, and estimates[i] is their summed error estimate;
     matrix-group data takes no steps, ignores nsteps and estimates 0."""
     k, m, spec = data.k, len(data.param_names), data.group
-    flow = ComplexFlow(data.table.fields, cfg) if spec is None else None
+    flow = ComplexFlow(data.table.frame, cfg) if spec is None else None
 
     def rows(P, U, nsteps=None):
         S, D, errors = data.sigma_rows(P)

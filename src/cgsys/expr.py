@@ -32,6 +32,8 @@ first faulting instruction; a DomainError's message is built only for a
 row that reports one, and names the node and the point.  A domain fault is
 never returned as NaN.  ``evaluate`` is the tape's one-row view, and the
 folding of a constant raised to a constant power runs the tape's own pow.
+``Program.then`` makes one tape of two, the second run on the first's
+outputs.
 Determinism contract: the tape is bit-reproducible from run to run; on
 ``+ - * /``, negation, ``sqrt`` and ``^`` (computed by Python's own power)
 it agrees bit for bit with a plain recursive walk of the tree in Python's
@@ -367,10 +369,12 @@ class Program:
         self.code = code          # (function, out slot, lhs slot, rhs slot or None, reason)
         self.outputs = outputs    # slot of each output expression
         self.nodes = nodes        # expression node of each instruction
-        # the register file before a call: the constants in their slots
-        self._registers = [None] * n_slots
+        # the register file after the input columns before a call: the
+        # constants in their slots
+        registers = [None] * n_slots
         for slot, value in consts:
-            self._registers[slot] = value
+            registers[slot] = value
+        self._registers = registers[len(names):]
         # an output row holding the constant outputs, which fills them all
         # in one assignment (None: there are none); the other outputs, with
         # their slots, are copied one by one
@@ -417,21 +421,46 @@ class Program:
             out[:] = self._const_row
         if n == 0 or not self._slot_outputs:    # then there is no instruction
             return out, None, None
-        reg = self._registers.copy()
-        reg[:len(self.names)] = P.T     # the input columns, as views of P
-        first = None
-        with np.errstate(all="ignore"):
-            for pos, (fn, dst, a, b, reason) in enumerate(self.code):
-                v = fn(reg[a]) if b is None else fn(reg[a], reg[b])
-                if reason:
-                    v, bad = v
-                    if bad is not None and bad.any():
-                        first = np.full(n, -1) if first is None else first
-                        first[bad & (first < 0)] = pos
-                reg[dst] = v
+        reg = [*P.T, *self._registers]     # the input columns are views of P
+        first = self._run(reg, n)
+        columns = out.T
         for j, slot in self._slot_outputs:
-            out[:, j] = reg[slot]
+            columns[j] = reg[slot]
         return out, first, lambda i, labels: self._fault(P, i, first[i], reg, labels)
+
+    @np.errstate(all="ignore")
+    def _run(self, reg, n):
+        """The instructions over the register file ``reg`` of n rows, in
+        place; each row's first faulting instruction (None: no fault)."""
+        first = None
+        for pos, (fn, dst, a, b, reason) in enumerate(self.code):
+            v = fn(reg[a]) if b is None else fn(reg[a], reg[b])
+            if reason:
+                v, bad = v
+                if bad is not None and bad.any():
+                    first = np.full(n, -1) if first is None else first
+                    first[bad & (first < 0)] = pos
+            reg[dst] = v
+        return first
+
+    def then(self, other: "Program") -> "Program":
+        """One tape that runs this one and then ``other`` on its outputs:
+        ``other``'s input columns are this tape's outputs, in order, and its
+        outputs are the tape's.  This tape's instructions come first, so a
+        row faults where this tape alone faults first."""
+        if len(other.names) != len(self.outputs):
+            raise ValueError(f"the second tape needs {len(self.outputs)} inputs, "
+                             f"got {len(other.names)}")
+        base = len(self.names) + len(self._registers)
+        # other's slots: its inputs are this tape's outputs, the rest follow
+        # this tape's slots
+        slot = [*self.outputs, *range(base, base + len(other._registers))]
+        consts = [(i, v) for i, v in enumerate([*self._registers, *other._registers],
+                                                len(self.names)) if v is not None]
+        code = [(fn, slot[dst], slot[a], None if b is None else slot[b], reason)
+                for fn, dst, a, b, reason in other.code]
+        return Program(self.names, base + len(other._registers), consts, self.code + code,
+                       [slot[s] for s in other.outputs], self.nodes + other.nodes)
 
     def _fault(self, P, row, pos, reg, labels) -> DomainError:
         _, _, a, b, reason = self.code[pos]

@@ -33,9 +33,10 @@ The normal form's straightening map phi(z, w) is one such flow.
 
 One Runge-Kutta loop (``_rk``) steps every flow, over a stack of rows that
 each have their own step size and step count.  ``ComplexFlow.rows`` runs
-the ambient complex flows of a whole stack in it: one compiled tape of the
-fields and their Jacobians (``jet_blocks``) per stage gives Z, its
-holomorphic Jacobian dZ/dz and the Cauchy-Riemann residual |dZ/dzbar|
+the ambient complex flows of a whole stack in it: one pass per stage of
+the stage tape, the fields' jets (``jet_blocks``) followed by the layout a
+stage reads (``_HolomorphicFrame``), gives Z, its holomorphic Jacobian
+dZ/dz and the Cauchy-Riemann differences whose hypot is twice |dZ/dzbar|
 (``cr_residuals``), so holomorphy is checked at the
 start point, at every stage state and at the end point (12 states a step),
 and on each step's path where a row takes too few steps for 256 states per
@@ -58,11 +59,13 @@ changing a stage's arithmetic.  One buffer holds k0 and the stage
 differences; a stage sum is one product of its tableau coefficients with
 the buffer's columns and one running sum (``np.add.accumulate``), which
 adds left to right as a loop does, where a reduction could sum pairwise
-and round otherwise.  ``ComplexFlow.rows`` makes what depends only on the
-row set (the rows' W and labels, the velocity array, the Hermite path's
+and round otherwise; the shaped coefficients are made once per state
+layout.  ``ComplexFlow.rows`` makes what depends only on the row set (the
+rows' W and labels, the velocity array and its views, the Hermite path's
 positions and weights) once per set, and tests a whole stack against
 DIVERGENCE_BOUND and HOLOMORPHY_TOL at once: the per-row tests and the
-errors are made only when that test fails.
+errors are made only when that test fails.  A call in which no row steps
+reads the tape once, at the start points, and builds nothing for steps.
 
 The matrix-group maps take stacks of rows: ``complexified_flow_matrix``
 and ``complexified_flow_jacobian`` only those, ``matrix_exp`` (the view of
@@ -90,14 +93,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
-from .expr import Const, Expr, Table, Var, add, mul
+from .expr import Binary, Const, Expr, Table, Var, add, compile_exprs, mul
 from .geometry import (
-    ComplexChart, Span, VectorField, cr_residuals, holomorphic_jacobians, jet_blocks,
-    to_chart, to_complex,
+    ComplexChart, Span, VectorField, jet_blocks, to_chart, to_complex,
 )
 
 __all__ = [
@@ -266,10 +268,19 @@ _DP8_SUMS = tuple((np.array([0] + [j for j in row if j]),
 _DP8_E = np.array([[E[j] for j in range(5, 12)] for E in (_DP8_E5, _DP8_E3)])
 
 
+@cache
+def _stage_sums(ndim: int):
+    """``_DP8_SUMS`` with each coefficient vector shaped to multiply the
+    columns of K that it reads, for a state of ndim axes, and ``_DP8_E``
+    shaped to multiply K's point columns: made once per ndim."""
+    return ([(cols, a.reshape((-1,) + (1,) * ndim)) for cols, a in _DP8_SUMS],
+            _DP8_E.reshape(_DP8_E.shape + (1,) * (ndim - 1)))
+
+
 def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
     """The one explicit Runge-Kutta loop, over the DP8 tableau and a stack
     of rows: row i of ``state`` takes nsteps[i] steps of size h[i] (``h``
-    and ``nsteps`` are arrays over the rows or shared scalars).
+    and ``nsteps`` are arrays over the rows).
     ``velocity(rows, y)`` returns the velocities at the states y of the
     rows ``rows`` (indices into state), one call per stage, which are read
     before its next call, and ``guard(rows, y)`` sees every later stage
@@ -304,12 +315,9 @@ def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
     summed as the step is, from K.  The sum over a row's steps bounds its
     global error to the order the steps' errors add up.
     """
-    n = len(state)
-    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
-    nsteps = np.broadcast_to(nsteps, (n,))
     ends = set(nsteps.tolist())
     column = (slice(None),) + (None,) * (state.ndim - 1)
-    sums = [(cols, a.reshape((-1,) + (1,) * state.ndim)) for cols, a in _DP8_SUMS]
+    sums, E = _stage_sums(state.ndim)
     for s in range(max(ends, default=0)):
         if not s or s in ends:   # the rows that take more than s steps
             rows = np.flatnonzero(nsteps > s)
@@ -320,7 +328,7 @@ def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
             break
         K[0] = velocity(rows, y)     # k0, then k_j - k0 for j >= 1
         for i, (cols, a) in enumerate(sums, 1):
-            terms = a * K[cols]
+            terms = a * K.take(cols, axis=0)
             if i == len(K):      # the step's end, which sums k0 itself
                 terms[0] = K[0]
             arg = y + hh * np.add.accumulate(terms)[-1]
@@ -330,7 +338,7 @@ def _rk(velocity, state, h, nsteps, guard, error=None, path=None):
         if path is not None:
             path(rows, y, arg, hh, K[0], K[0] + K[-1])
         if error is not None:
-            e = hh[:, 0] * np.add.accumulate(_DP8_E[(...,) + column] * K[5:, :, 0], axis=1)[:, -1]
+            e = hh[:, 0] * np.add.accumulate(E * K[5:, :, 0], axis=1)[:, -1]
             e5, e3 = (np.abs(e) ** 2).reshape(2, len(rows), -1).sum(axis=2)
             with np.errstate(invalid="ignore"):
                 error[rows] += np.where(e5 > 0.0, e5 / np.sqrt(e5 + 0.01 * e3), 0.0)
@@ -369,7 +377,8 @@ def flow_real(V: VectorField, p, t: float, cfg: FlowConfig = DEFAULT_CONFIG):
     guard(None, state)
     if t != 0.0:
         nsteps = max(1, math.ceil(abs(t) * cfg.steps_per_unit))
-        state = _rk(velocity, state, t / nsteps, nsteps, guard)
+        state = _rk(velocity, state, np.full(len(state), t / nsteps),
+                    np.full(len(state), nsteps), guard)
     return state.reshape(p.shape)
 
 
@@ -714,46 +723,78 @@ def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
 # complex-time flows of holomorphic fields
 
 
+def _raw(op: str, a: Expr, b: Expr) -> Expr:
+    """a - b or a + b as the tape computes it: a Binary node, which no
+    constructor simplifies, and a constant only where both operands are
+    (Python's float arithmetic is the tape's, bit for bit)."""
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value - b.value if op == "sub" else a.value + b.value)
+    return Binary(op, a, b)
+
+
 class _HolomorphicFrame:
-    """The fields and their Jacobians DX (``jet_blocks``) compiled into one
-    tape over the chart, read as the complexified fields Z_a = (xi_a - i J
-    xi_a)/2: Z is the complex view of the fields, and a flow that steps
-    tangents reads dZ/dz off DX.  ``at`` runs it over a stack of chart rows
-    and, where ``checks_holomorphy``, reads the Cauchy-Riemann residuals
-    |dZ/dzbar| of DX (``cr_residuals``), which checks holomorphy;
-    ``residuals`` reads only those.  It is made from the fields or from
-    their jets already compiled, a Table of ``jet_blocks((), fields,
-    chart)``, which a caller that has compiled them shares.
+    """The stage tape of the complex flows: one tape over the chart whose
+    outputs are what a Runge-Kutta stage reads of the complexified fields
+    Z_a = (xi_a - i J xi_a)/2.  It is the tape of the fields and their
+    Jacobians DX (``jet_blocks``) followed by a layout of its outputs
+    (``Program.then``): Z as (re, im) pairs (the fields themselves),
+    dZ_mu/dz_nu = DX[2 mu, 2 nu] + i DX[2 mu + 1, 2 nu] as pairs
+    (``holomorphic_jacobians``), and the Cauchy-Riemann differences p =
+    DX[2 mu, 2 nu] - DX[2 mu + 1, 2 nu + 1] and q = DX[2 mu + 1, 2 nu] +
+    DX[2 mu, 2 nu + 1], the tape's own subtraction and addition, whose
+    hypot is twice the residual |dZ/dzbar| that ``cr_residuals`` gives.
+    The jets' instructions come first, so a row faults where the jets' own
+    tape does.  ``at`` runs it over a stack of chart rows and, where
+    ``checks_holomorphy``, checks holomorphy; ``residuals`` reads only the
+    residuals.  It is made once, from the fields or from their jets' Table
+    (``jet_blocks((), fields, chart)``), whose compiled tape a caller that
+    has one shares.
     """
 
     def __init__(self, fields):
         if isinstance(fields, Table):
-            jets = fields
+            exprs, jets = fields.exprs, fields.program
         else:
             fields = list(fields)
-            jets = Table(jet_blocks((), fields, fields[0].chart), fields[0].chart.names)
-        self.program = jets.program
-        dim = len(self.program.names)
-        # the outputs are X (k, 2N) and DX (k, 2N, 2N)
-        k, N = self.shape = (len(jets.exprs) // (dim + dim * dim), dim // 2)
-        DX = jets.exprs[2 * k * N:]
-        # constant Jacobians have one residual everywhere, decided here once
-        self.checks_holomorphy = not all(isinstance(e, Const) for e in DX) or bool(
-            self._worst(np.array([[e.value for e in DX]])) > HOLOMORPHY_TOL)
+            exprs = [e for _, _, block in jet_blocks((), fields, fields[0].chart) for e in block]
+            jets = compile_exprs(exprs, fields[0].chart.names)
+        dim = len(jets.names)
+        k, N = self.shape = (len(exprs) // (dim + dim * dim), dim // 2)
+        # the layout reads the jets' outputs, X (k, 2N) then DX (k, 2N, 2N),
+        # as its inputs, a constant jet as itself
+        jet = [e if isinstance(e, Const) else Var(f"j{i}") for i, e in enumerate(exprs)]
 
-    def _worst(self, vals) -> np.ndarray:
-        """Each row's largest residual, from the Jacobians DX (k, 2N, 2N)
-        that end the rows of vals (m, ...): the tape's output rows or DX
-        alone.  NaN residuals are skipped."""
-        (k, N), m = self.shape, len(vals)
-        R = cr_residuals(vals[:, -4 * k * N * N:].reshape(m, k, 2 * N, 2 * N))
-        return np.fmax.reduce(R.reshape(m, -1), axis=1, initial=0.0)
+        def dx(a, mu, s, nu, t):
+            """DX[a, 2 mu + s, 2 nu + t]"""
+            return jet[k * dim + (a * dim + 2 * mu + s) * dim + 2 * nu + t]
+
+        entries = [(a, mu, nu) for a in range(k) for mu in range(N) for nu in range(N)]
+        dZ = [dx(a, mu, s, nu, 0) for a, mu, nu in entries for s in (0, 1)]
+        p = [_raw("sub", dx(a, mu, 0, nu, 0), dx(a, mu, 1, nu, 1)) for a, mu, nu in entries]
+        q = [_raw("add", dx(a, mu, 1, nu, 0), dx(a, mu, 0, nu, 1)) for a, mu, nu in entries]
+        self.program = jets.then(compile_exprs([*jet[:k * dim], *dZ, *p, *q],
+                                               [f"j{i}" for i in range(len(exprs))]))
+        # the output columns of Z, dZ/dz, p and q
+        kN, kNN = k * N, k * N * N
+        self._Z, self._dZ = slice(0, 2 * kN), slice(2 * kN, 2 * kN + 2 * kNN)
+        self._p, self._q = slice(2 * kN + 2 * kNN, 2 * kN + 3 * kNN), slice(2 * kN + 3 * kNN, None)
+        # constant Jacobians have one residual everywhere, decided here once
+        self.checks_holomorphy = not all(isinstance(e, Const) for e in p + q) or bool(
+            self._worst(np.array([[e.value for e in p]]), np.array([[e.value for e in q]]))[0]
+            > HOLOMORPHY_TOL)
+
+    @staticmethod
+    def _worst(p, q) -> np.ndarray:
+        """Each row's largest residual 0.5 hypot(p, q) from its Cauchy-Riemann
+        differences p and q (m, kNN); NaN residuals are skipped."""
+        return np.fmax.reduce(0.5 * np.hypot(p, q), axis=1, initial=0.0)
 
     def residuals(self, X) -> np.ndarray:
         """Each chart row's largest Cauchy-Riemann residual from the tape
         at the rows X (m, 2N); NaN Jacobians (a row that is not finite or
         that the tape refuses) are skipped."""
-        return self._worst(self.program.rows(X)[0])
+        vals = self.program.rows(X)[0]
+        return self._worst(vals[:, self._p], vals[:, self._q])
 
     def coefficients(self, zreal) -> np.ndarray:
         """Z (k, N) at one chart point: the one-row view of ``at``."""
@@ -762,34 +803,41 @@ class _HolomorphicFrame:
         return Z[0]
 
     def at(self, X, labels=None):
-        """The tape at the chart rows X (m, 2N): Z (m, k, N), a complex
-        view of its outputs, the Jacobians DX (m, k, 2N, 2N), a view too,
-        and a dict j -> the error that refuses row j: the tape's
-        DomainError, naming row j as labels[j] (default j), or, where
+        """The tape at the chart rows X (m, 2N): Z (m, k, N) and dZ/dz
+        (m, k, N, N), complex views of its outputs, and a dict j -> the
+        error that refuses row j (its outputs NaN): the tape's DomainError,
+        naming row j as labels[j] (default j), or, where
         ``checks_holomorphy``, a HolomorphyError when its Cauchy-Riemann
-        residual exceeds HOLOMORPHY_TOL."""
-        vals, faults = self.program.rows(X, labels)
-        refused = {j: err for j, err in enumerate(faults) if err} if any(faults) else {}
-        (k, N), m = self.shape, len(X)
-        Z = to_complex(vals[:, :2 * k * N]).reshape(m, k, N)
-        DX = vals[:, 2 * k * N:].reshape(m, k, 2 * N, 2 * N)
+        residual exceeds HOLOMORPHY_TOL.  The errors are made only for the
+        rows refused."""
+        vals, first, error = self.program._pass(X)
+        refused = {}
+        if first is not None:
+            faulted = np.flatnonzero(first >= 0).tolist()
+            vals[faulted] = np.nan
+            refused = {j: error(j, labels) for j in faulted}
+        (k, N), m = self.shape, len(vals)
+        p, q = vals[:, self._p], vals[:, self._q]
         # one test for the whole stack, which a NaN residual fails too; the
-        # rows are told apart only where it fails
-        if self.checks_holomorphy and not cr_residuals(DX).max(initial=0.0) <= HOLOMORPHY_TOL:
-            worst = self._worst(vals)
+        # rows are told apart only where it fails.  hypot <= 2 TOL decides as
+        # 0.5 hypot <= TOL: the halving is exact above the subnormals
+        if self.checks_holomorphy and m and not np.hypot(p, q).max() <= 2 * HOLOMORPHY_TOL:
+            worst = self._worst(p, q)
             for j in (worst > HOLOMORPHY_TOL).nonzero()[0]:
                 refused.setdefault(j, HolomorphyError(
                     f"field complexification violates the Cauchy-Riemann "
                     f"equations (residual {worst[j]:.3e} > {HOLOMORPHY_TOL:g}); "
                     "complex-time flow refused"))
-        return Z, DX, refused
+        return (vals[:, self._Z].view(complex).reshape(m, k, N),
+                vals[:, self._dZ].view(complex).reshape(m, k, N, N), refused)
 
 
 class ComplexFlow:
     """Complex-time flows along a fixed list of holomorphic fields.
 
-    The fields' jets and their compiled tape (``_HolomorphicFrame``) are
-    made once here, or shared: ``fields`` may be their compiled jet Table.
+    The stage tape (``_HolomorphicFrame``) is made once here, or shared:
+    ``fields`` may be the fields' compiled jet Table, whose tape it extends,
+    or a stage tape already made.
     ``rows`` integrates a stack of trajectories of dz/ds = sum_a w_a Z_a(z)
     over s in [0, 1], row i with its own count of steps of its own size,
     all stepped together by the one Runge-Kutta loop ``_rk``, and with
@@ -807,7 +855,7 @@ class ComplexFlow:
 
     def __init__(self, fields, cfg: FlowConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        self.frame = _HolomorphicFrame(fields)
+        self.frame = fields if isinstance(fields, _HolomorphicFrame) else _HolomorphicFrame(fields)
 
     def chosen(self, P, W, dZ0=None, labels=None):
         """The step counts of the count loop (``FlowConfig.settle``) over
@@ -859,11 +907,12 @@ class ComplexFlow:
         takes no step and is refused as not finite.
 
         The rows' W and labels, the velocity array (filled in place by
-        ``np.matmul``) and the Hermite path's positions, labels and
-        weights are made once per row set that ``_rk`` steps, not per
-        stage or step.  The bound and the Cauchy-Riemann residuals are
-        tested once over the stack (a NaN fails both tests); only when a
-        test fails are its rows told apart and their errors made.
+        ``np.matmul``) with its column views and the Hermite path's
+        positions, labels and weights are made once per row set that
+        ``_rk`` steps, not per stage or step, and only when a row steps.
+        The bound and the Cauchy-Riemann residuals are tested once over
+        the stack (a NaN fails both tests); only when a test fails are its
+        rows told apart and their errors made.
         """
         if nsteps is None:
             return self.chosen(P, W, dZ0, labels)[1]
@@ -878,24 +927,18 @@ class ComplexFlow:
         errors = [None] * n
         labels = np.arange(n) if labels is None else labels
         scale = _l1_norms(W)
-        # rows that take no step raise these once their start point passes
-        # the holomorphy check
-        late = {i: FlowError(f"|w| = {scale[i]:g} exceeds max_time {MAX_TIME:g}"
-                             if np.isfinite(scale[i]) else f"|w| = {scale[i]:g} is not finite")
-                for i in np.flatnonzero(~(scale <= MAX_TIME))}
         # a start row that is not finite takes no step: the guard refuses
         # it; nor does a row with w = 0, whose flow is the identity
         finite = np.isfinite(P).all(axis=1)
         still = (scale == 0.0) & finite
-        nsteps = np.where((0.0 < scale) & (scale <= MAX_TIME) & finite,
-                          np.broadcast_to(nsteps, (n,)), 0).astype(int)
+        nsteps = np.where((0.0 < scale) & (scale <= MAX_TIME) & finite, nsteps, 0).astype(int)
         # state rows [z; Y^T]: Y' = (sum_a w_a dZ_a/dz) Y, plus Z_a in the
         # column of dz/dw_a
         z = to_complex(P)[:, None]
+        r = 0 if dZ0 is None else dZ0.shape[2]
         if dZ0 is None:
             state = z.copy()     # _rk writes the state, and z may view P
         else:
-            r = dZ0.shape[2]
             state = np.concatenate([z, np.swapaxes(dZ0, 1, 2),
                                     np.zeros((n, k, N), dtype=complex)], axis=1)
 
@@ -909,38 +952,29 @@ class ComplexFlow:
 
         @_per_row_set
         def row_set(rows):
-            """The rows' W, labels and velocity array."""
-            return W[rows][:, None], labels[rows], np.empty((len(rows),) + state.shape[1:],
-                                                            dtype=complex)
+            """The rows' W and labels, the velocity array and its point,
+            tangent and d/dw columns."""
+            out = np.empty((len(rows),) + state.shape[1:], dtype=complex)
+            return W[rows][:, None], labels[rows], out, out[:, :1], out[:, 1:], out[:, 1 + r:]
 
         def velocity(rows, y):
-            Wr, named, out = row_set(rows)
-            Z, DX, refused = frame.at(to_chart(y[:, 0]), named)
-            np.matmul(Wr, Z, out=out[:, :1])
+            Wr, named, out, point, tangents, dw = row_set(rows)
+            Z, dZ, refused = frame.at(to_chart(y[:, 0]), named)
+            np.matmul(Wr, Z, out=point)
             if dZ0 is not None:
-                A = (Wr @ holomorphic_jacobians(DX).reshape(len(rows), k, N * N)).reshape(
-                    -1, N, N)
-                np.matmul(y[:, 1:], np.swapaxes(A, 1, 2), out=out[:, 1:])
-                out[:, 1 + r:] += Z
-            refuse(rows, refused, out)
+                A = (Wr @ dZ.reshape(len(rows), k, N * N)).reshape(-1, N, N)
+                np.matmul(y[:, 1:], A.swapaxes(1, 2), out=tangents)
+                dw += Z
+            if refused:
+                refuse(rows, refused, out)
             return out
 
         def guard(rows, y):
             # not |y| <= bound, which a NaN state fails too; the rows are
-            # told apart only where the whole stack fails
-            if not np.abs(y[:, 0]).max(initial=0.0) <= DIVERGENCE_BOUND:
+            # told apart only where the whole stack, never empty, fails
+            if not np.abs(y[:, 0]).max() <= DIVERGENCE_BOUND:
                 inside = np.maximum.reduce(np.abs(y[:, 0]), axis=1) <= DIVERGENCE_BOUND
                 refuse(rows, {j: _divergence(y[j, 0]) for j in np.flatnonzero(~inside)}, y)
-
-        # a row reads holomorphy at its start point, its 12 stage states a
-        # step and its end point; where that is fewer than
-        # ceil(HOLOMORPHY_READS * |w|_1), each step adds ``extra`` states on
-        # its path, the Hermite cubic from (y, k0) to (end, k1)
-        extra = np.zeros(n, dtype=int)
-        if frame.checks_holomorphy:
-            reads = np.ceil(HOLOMORPHY_READS * np.where(nsteps > 0, scale, 0.0))
-            short = reads - 1 - 12 * nsteps
-            extra[short > 0] = np.ceil(short[short > 0] / nsteps[short > 0])
 
         @_per_row_set
         def path_set(rows, hh):
@@ -960,18 +994,30 @@ class ComplexFlow:
             if not len(at):
                 return
             # (1 - t)^2 ((1 + 2t) y + t h k0) + t^2 ((3 - 2t) end - (1 - t) h k1)
-            states = a * (b * y[at, 0] + c * k0[at, 0]) + d * (e * end[at, 0] - f * k1[at, 0])
+            y0, k0, y1, k1 = (v[:, 0].take(at, axis=0) for v in (y, k0, end, k1))
+            states = a * (b * y0 + c * k0) + d * (e * y1 - f * k1)
             refused = {}
             for j, err in frame.at(to_chart(states), named)[2].items():
                 refused.setdefault(at[j], err)
             refuse(rows, refused, end)
 
+        # a row reads holomorphy at its start point, its 12 stage states a
+        # step and its end point; where that is fewer than
+        # ceil(HOLOMORPHY_READS * |w|_1), each step adds ``extra`` states on
+        # its path, the Hermite cubic from (y, k0) to (end, k1)
+        extra = np.zeros(n, dtype=int)
+        if frame.checks_holomorphy and nsteps.any():
+            reads = np.ceil(HOLOMORPHY_READS * np.where(nsteps > 0, scale, 0.0))
+            short = reads - 1 - 12 * nsteps
+            more = short > 0
+            extra[more] = np.ceil(short[more] / nsteps[more])
+
         # a stage sum that overflows is refused by the bound on its state, and
         # a tape read whose values overflow by the tests that follow it
         estimates = np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            state = _rk(velocity, state, 1.0 / np.maximum(nsteps, 1), nsteps, guard,
-                        estimates, path if extra.any() else None)
+            _rk(velocity, state, 1.0 / np.maximum(nsteps, 1), nsteps, guard, estimates,
+                path if extra.any() else None)
             # the bound at the start points of the other rows that took no
             # step (the rows that stepped met it at every stage state and
             # step end); holomorphy at the end points, and at the start
@@ -980,9 +1026,11 @@ class ComplexFlow:
             # its estimate 0.  As at a first stage, the tape's errors come
             # first, then a Z that is not finite (the state z0 + h c_1 (0 Z)),
             # then the bound
-            idle = np.flatnonzero((nsteps == 0) & ~still)
-            guard(idle, state[idle])
-            rows = np.flatnonzero([err is None for err in errors])
+            idle = (nsteps == 0) & ~still
+            if idle.any():
+                idle = np.flatnonzero(idle)
+                guard(idle, state[idle])
+            rows = np.flatnonzero(_accepted(errors))
             if not frame.checks_holomorphy:
                 rows = rows[still[rows]]
             if len(rows):
@@ -996,9 +1044,14 @@ class ComplexFlow:
                     guard(rest, state[rest])
                     if dZ0 is not None:
                         state[rest, 1 + r:] = Z
-        refuse(np.arange(n), late)
-        failed = [err is not None for err in errors]
-        state[failed], estimates[failed] = complex(np.nan, np.nan), np.nan
+        # a row past MAX_TIME keeps the error its start point met first
+        for i in np.flatnonzero(~(scale <= MAX_TIME)):
+            errors[i] = errors[i] or FlowError(
+                f"|w| = {scale[i]:g} exceeds max_time {MAX_TIME:g}" if np.isfinite(scale[i])
+                else f"|w| = {scale[i]:g} is not finite")
+        if errors.count(None) < n:
+            failed = ~_accepted(errors)
+            state[failed], estimates[failed] = complex(np.nan, np.nan), np.nan
         Y = None if dZ0 is None else np.swapaxes(state[:, 1:], 1, 2)
         return to_chart(state[:, 0]), Y, errors, estimates
 

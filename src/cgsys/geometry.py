@@ -326,8 +326,10 @@ def _plan(compose, layout, pattern):
     """``compose`` run once on the jets as Terms with a point axis of one
     and compiled over the jets' variable columns: the Program, those
     columns, each composed block's columns and shape (as ``Table.columns``),
-    the number of entries and the pairs (entry, poison output) as two arrays,
-    the distinct poison expressions being the outputs after the entries."""
+    the number of entries, the pairs (entry, poison) as two arrays, and the
+    jets' columns of the poisons that are a jet itself.  The distinct
+    poisons are numbered the other ones first, which are the outputs after
+    the entries, then those columns."""
     terms = np.array([Term(Var(f"j{col}")) if value is None else _ZERO if value == 0.0
                       else Term(Const(value)) for col, value in enumerate(pattern)], dtype=object)
     ends = np.cumsum([math.prod(shape) for _, shape in layout])
@@ -338,12 +340,16 @@ def _plan(compose, layout, pattern):
         columns[name] = (slice(len(entries), len(entries) + block.size), block.shape[:-1])
         entries += list(block.ravel())
     poison = list(dict.fromkeys(e for t in entries for e in t.poison))
-    output = {e: len(entries) + i for i, e in enumerate(poison)}
-    pairs = np.reshape(np.array([(i, output[e]) for i, t in enumerate(entries)
+    # a poison that is a jet is read off the jets, not copied out of the program
+    outputs = [e for e in poison if not isinstance(e, Var)]
+    jets_poison = [e for e in poison if isinstance(e, Var)]
+    number = {e: i for i, e in enumerate(outputs + jets_poison)}
+    pairs = np.reshape(np.array([(i, number[e]) for i, t in enumerate(entries)
                                  for e in t.poison], dtype=int), (-1, 2)).T
     variables = [col for col, value in enumerate(pattern) if value is None]
-    program = compile_exprs([t.expr for t in entries] + poison, [f"j{col}" for col in variables])
-    return program, variables, columns, len(entries), pairs
+    program = compile_exprs([t.expr for t in entries] + outputs, [f"j{col}" for col in variables])
+    return (program, variables, columns, len(entries), pairs,
+            np.array([int(e.name[1:]) for e in jets_poison], dtype=int))
 
 
 class Composition:
@@ -360,27 +366,29 @@ class Composition:
     columns, so calling the composition on points is two Program passes,
     the jets and then the composition, and every entry equals the helper's
     value on the jets up to the sign of a zero.  Where a dropped product
-    meets a non-finite value the helper's 0 * inf gives NaN: the program's
-    last outputs are the factors such products dropped, one test of them
-    all for non-finite values decides whether any product may, and only
-    where it fails are the entries such a value poisons set to NaN, row by
-    row."""
+    meets a non-finite value the helper's 0 * inf gives NaN: the factors
+    such products dropped are the program's last outputs, or the jets'
+    own columns where a factor is a jet, one test of them all for
+    non-finite values decides whether any product may, and only where it
+    fails are the entries such a value poisons set to NaN, row by row."""
 
     def __init__(self, table: Table, compose):
         layout = tuple((name, shape) for name, (_, shape) in table.columns.items())
         pattern = tuple(e.value if isinstance(e, Const) else None for e in table.exprs)
         self.table = table
         (self.program, self.variables, self.columns, self.entries,
-         (self.poisoned, self.poison)) = _plan(compose, layout, pattern)
+         (self.poisoned, self.poison), self.poison_jets) = _plan(compose, layout, pattern)
 
     def __call__(self, pts, labels=None) -> dict[str, np.ndarray]:
         """The Table's blocks and the composed ones at the rows of pts, each
         with a leading point axis.  ``labels`` as Program takes it."""
         jets = self.table.program(pts, labels)
         vals = self.program(jets[:, self.variables])
-        if not np.isfinite(vals[:, self.entries:]).all():
+        poison_jets = jets[:, self.poison_jets]
+        if not (np.isfinite(vals[:, self.entries:]).all() and np.isfinite(poison_jets).all()):
+            poison = np.concatenate([vals[:, self.entries:], poison_jets], axis=1)
             hit = np.zeros((self.entries, len(vals)), dtype=bool)
-            np.logical_or.at(hit, self.poisoned, ~np.isfinite(vals[:, self.poison].T))
+            np.logical_or.at(hit, self.poisoned, ~np.isfinite(poison[:, self.poison].T))
             vals[:, :self.entries][hit.T] = np.nan
         blocks = self.table.blocks(jets)
         blocks.update((name, vals[:, cols].reshape(len(vals), *shape))
@@ -418,8 +426,8 @@ def holomorphic_jacobians(DX) -> np.ndarray:
     Jacobians DX (..., 2N, 2N) of jet_blocks, where ``cr_residuals``
     vanish: there dZ/dz = (dZ/dx - i dZ/dy)/2 = dZ/dx, so dZ_mu/dz_nu =
     DX[2 mu, 2 nu] + i DX[2 mu + 1, 2 nu]: ``to_complex`` of DX's x_nu
-    columns along the rows, set here directly and C-ordered, as the complex
-    flow reads it at every stage."""
+    columns along the rows, set here directly and C-ordered.  The complex
+    flows' stage tape lays out the same numbers as its outputs."""
     dZ = np.empty(DX.shape[:-2] + (DX.shape[-1] // 2,) * 2, dtype=complex)
     dZ.real, dZ.imag = DX[..., 0::2, 0::2], DX[..., 1::2, 0::2]
     return dZ

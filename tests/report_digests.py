@@ -4,10 +4,13 @@ source trees that give the same digests on every command line behave the
 same on them, to the byte.
 
 The command lines (``argv_list``) are every gallery entry under ``verify``,
-``cauchy`` and ``normal-form``, a few larger runs, and the ``argv`` and
-``cold`` op lists of every benchmark workload at seeds 1 and 2, read from
-``bench/workloads.py`` through ``cli_contract``'s loader; the generated
-input files are written to a temporary folder, never under ``bench/``.
+``cauchy`` and ``normal-form``, a few larger runs, the contract table's
+ambient ``cauchy`` cases (``CONTRACT_CASES``, with their input files:
+refusals, rows refused inside the Runge-Kutta loop and NaN rows), and the
+``argv`` and ``cold`` op lists of every benchmark workload at seeds 1 and 2,
+read from ``bench/workloads.py`` through ``cli_contract``'s loader; the
+generated input files are written to a temporary folder, never under
+``bench/``.
 Each command runs in a fresh folder that holds those files, with
 ``--json report.json`` added, in one interpreter that imports ``cgsys``
 from the given ``src`` root.
@@ -45,18 +48,27 @@ EXTRA = (
     ["verify", "heisenberg", "--points", "5000", "--seed", "3"],
     ["verify", "affine", "--points", "2000", "--seed", "4"],
 )
+# cases of cli_contract.CASES, run with their files and without their own --json
+CONTRACT_CASES = ("cauchy-not-holomorphic", "cauchy-ambient-tight", "cauchy-ambient-poles",
+                  "cauchy-log-sigma")
 
 
 def argv_list() -> tuple[list[list[str]], dict[str, str]]:
     """The distinct command lines, in a stable order, and the generated
     input files they name: relative path -> text."""
-    from cli_contract import _workloads
+    from cli_contract import CASES, REPORT, _workloads
     from cgsys.dsl import builtin_names
 
     argvs = [[command, name] for command in ("verify", "cauchy", "normal-form")
              for name in builtin_names()]
     argvs += [list(a) for a in EXTRA]
     files = {}
+    for case in (case for case in CASES if case.id in CONTRACT_CASES):
+        argv = case.argv
+        if argv[-2:] == ["--json", REPORT]:
+            argv = argv[:-2]
+        argvs.append(argv)
+        files.update(case.files)
     workloads = _workloads()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

@@ -1247,7 +1247,7 @@ def test_equation_map_is_the_one_row_view_of_solve(name):
 
 def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):
     # one ComplexFlow for each map, grid_queries' F and solve's dF, both
-    # on the check table's one compiled jet Table
+    # on the data's one stage tape, made from the check table's jet Table
     path = tmp_path / "ambient.cgs"
     path.write_text(_ambient_file().text)
     built = []
@@ -1263,14 +1263,16 @@ def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):
         built.clear()
         assert main(argv) == 0
         assert len(built) == 2 and built[0][0] is built[1][0]
-        assert isinstance(built[0][0], Table)
+        assert isinstance(built[0][0], cgsys.flow._HolomorphicFrame)
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", ["line", "ambient", "heisenberg-cr", "affine"])
 def test_cauchy_op_compiles_its_fields_jets_once(name, tmp_path, monkeypatch, capsys):
-    # the check table and the complex flow share the data's one jet Table;
-    # group data compiles it once too, for the checks alone
+    # the check table compiles the data's jets once, and the complex flows
+    # of ambient data share one stage tape, the jets' tape followed by its
+    # layout, which the flow module compiles once per op; group data
+    # compiles the jets once too, for the checks alone, and no stage tape
     sf = _ambient_file() if name == "ambient" else load_builtin(name)
     path = tmp_path / f"{name}.cgs"
     path.write_text(sf.text)
@@ -1278,15 +1280,20 @@ def test_cauchy_op_compiles_its_fields_jets_once(name, tmp_path, monkeypatch, ca
     compiled = []
     inner = cgsys.expr.compile_exprs
 
-    def counted(exprs, names):
-        compiled.append(list(exprs))
-        return inner(exprs, names)
+    def counted_in(module_name):
+        def counted(exprs, names):
+            compiled.append((module_name, list(exprs)))
+            return inner(exprs, names)
+        return counted
 
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "cgsys" and getattr(module, "compile_exprs", None) is inner:
-            monkeypatch.setattr(module, "compile_exprs", counted)
+            monkeypatch.setattr(module, "compile_exprs", counted_in(module_name))
     assert main(["cauchy", str(path), "--grid", "3"]) == 0
-    assert sum(exprs == jets for exprs in compiled) == 1
+    assert sum(exprs == jets for module_name, exprs in compiled
+               if module_name != "cgsys.flow") == 1
+    assert [module_name for module_name, _ in compiled].count("cgsys.flow") == (
+        sf.cr.group is None)
     capsys.readouterr()
 
 

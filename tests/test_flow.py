@@ -11,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import cgsys.flow
+import cgsys.geometry
 from cgsys.expr import DomainError, Program, add, diff, sub
 from cgsys.flow import (
     DIVERGENCE_BOUND, HOLOMORPHY_TOL, MAX_SQUARINGS, MAX_TIME,
@@ -20,7 +21,7 @@ from cgsys.flow import (
     numerical_jacobian, solve_rows, _exp_frechet, _scaling,
 )
 from cgsys.geometry import (
-    ComplexChart, VectorField, apply_J, holomorphic_jacobians, to_chart, to_complex,
+    ComplexChart, VectorField, apply_J, to_chart, to_complex,
 )
 import reference
 from reference import evaluate, rk as rk_reference
@@ -1344,28 +1345,74 @@ def test_a_run_reads_holomorphy_once_per_stage_path_and_end(monkeypatch, tangent
         assert len(calls) == 12 * max(counts) + paths + 1
 
 
-def _rest_and_motion_flow():
-    """Two fields on C, (1 + 1.1 z^2) d/dz and i z d/dz, and a stack of rows
-    at w = 0 (0, 2 and 4) between rows that move, with tangent columns."""
+@pytest.mark.parametrize("tangents", [False, True])
+def test_a_run_is_one_tape_pass_per_stage_path_and_end(monkeypatch, tangents):
+    # 2 rows at 3 steps: exactly one Program._pass of the stage tape per
+    # stage (36), per step's Hermite path (3) and for the end points (1);
+    # dZ/dz and the residuals are the tape's outputs, so no stage reads
+    # holomorphic_jacobians or cr_residuals
+    flow, _ = _quadratic_flow(1.1)
+    passes, tape = [], Program._pass
+
+    def counted(self, X):
+        passes.append(self)
+        return tape(self, X)
+
+    def not_on_the_stage_path(*args):
+        raise AssertionError("a stage read DX outside the stage tape")
+
+    monkeypatch.setattr(Program, "_pass", counted)
+    for module in (cgsys.geometry, cgsys.flow):
+        for name in ("holomorphic_jacobians", "cr_residuals"):
+            monkeypatch.setattr(module, name, not_on_the_stage_path, raising=False)
+    P, W = np.array([[0.1, 0.0], [-0.2, 0.1]]), np.array([[0.25j], [-0.25]])
+    dZ0 = np.ones((2, 1, 1), dtype=complex) if tangents else None
+    _, _, errors, _ = flow.rows(P, W, dZ0, np.array([3, 3]))
+    assert errors == [None, None]
+    assert passes == [flow.frame.program] * (12 * 3 + 3 + 1)
+
+
+def _rest_fields():
+    """(1 + 1.1 z^2) d/dz and i z d/dz on C."""
     chart = ComplexChart.standard(1)
-    flow = ComplexFlow([field(chart, ["1 + 1.1*(x1^2 - y1^2)", "2*1.1*x1*y1"]),
-                        field(chart, ["-y1", "x1"])], CFG)
+    return [field(chart, ["1 + 1.1*(x1^2 - y1^2)", "2*1.1*x1*y1"]), field(chart, ["-y1", "x1"])]
+
+
+def _rest_and_motion_flow():
+    """The two fields of ``_rest_fields`` and a stack of rows at w = 0 (0, 2
+    and 4) between rows that move, with tangent columns."""
+    flow = ComplexFlow(_rest_fields(), CFG)
     P = np.array([[0.3, -0.1], [0.1, 0.2], [-0.0, 0.4], [-0.2, 0.0], [0.25, -0.0]])
     W = np.array([[0, 0], [0.3j, 0.1], [0, -0.0], [-0.2, 0.4j], [0, 0]], dtype=complex)
     dZ0 = np.random.default_rng(5).uniform(-1, 1, (5, 1, 2)) + 0.5j
     return flow, P, W, dZ0
 
 
-def _stepped_at_rest(flow, P, dZ0):
+def _walked(fields, X):
+    """Z (m, k, N) and dZ/dz (m, k, N, N) at the chart rows X, walked off
+    the fields' trees by tests/reference.py: Z_mu = V^{x_mu} + i V^{y_mu}
+    and dZ_mu/dz_nu = dV^{x_mu}/dx_nu + i dV^{y_mu}/dx_nu."""
+    chart = fields[0].chart
+    Z, dZ = [], []
+    for x in X:
+        env = reference.env_at(chart, x)
+        Z.append([to_complex(reference.values(V, x)) for V in fields])
+        dZ.append([[[complex(*(evaluate(diff(V.components[2 * mu + s], chart.names[2 * nu]),
+                                        env) for s in (0, 1)))
+                     for nu in range(chart.N)] for mu in range(chart.N)] for V in fields])
+    return np.array(Z), np.array(dZ)
+
+
+def _stepped_at_rest(fields, P, dZ0):
     """Rows at w = 0 stepped once by tests/reference.py's loop over the
-    variational velocity [w Z; (w dZ/dz) Y + Z in the d/dw columns]."""
-    (k, N), r = flow.frame.shape, dZ0.shape[2]
+    variational velocity [w Z; (w dZ/dz) Y + Z in the d/dw columns], Z and
+    dZ/dz walked off the fields' trees (not read off the flow's tape)."""
+    k, N, r = len(fields), fields[0].chart.N, dZ0.shape[2]
     w = np.zeros(k, dtype=complex)
 
     def velocity(rows, y):
-        Z, DX, refused = flow.frame.at(to_chart(y[:, 0]))
-        assert not refused
-        A = np.einsum("a,maij->mij", w, holomorphic_jacobians(DX))
+        Z, dZ = _walked(fields, to_chart(y[:, 0]))
+        A = np.einsum("a,maij->mij", w, dZ)
         out = np.concatenate([np.einsum("a,man->mn", w, Z)[:, None],
                               y[:, 1:] @ np.swapaxes(A, 1, 2)], axis=1)
         out[:, 1 + r:] += Z
@@ -1393,7 +1440,7 @@ def test_a_row_at_w_zero_takes_no_step_and_reads_its_start_once(count):
         assert Y[i, :, :2].tobytes() == dZ0[i].tobytes()
         assert Y[i, :, 2:].tobytes() == Z[j].T.tobytes()
     if count == 1:
-        want_points, want_Y = _stepped_at_rest(flow, P[rest], dZ0[rest])
+        want_points, want_Y = _stepped_at_rest(_rest_fields(), P[rest], dZ0[rest])
         assert np.array_equal(points[rest], want_points) and np.array_equal(Y[rest], want_Y)
     for i in (1, 3):
         one = flow.rows(P[i:i + 1], W[i:i + 1], dZ0[i:i + 1], nsteps[i:i + 1])

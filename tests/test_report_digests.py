@@ -19,7 +19,7 @@ def test_two_runs_of_one_tree_give_equal_digests():
 
 def test_the_command_lines_are_distinct_and_name_their_generated_files():
     argvs, files = argv_list()
-    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 89
+    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 93
     named = {arg for argv in argvs for arg in argv if arg.endswith(".cgs")}
     assert named == set(files) and not any(name.startswith("bench") for name in files)
 
