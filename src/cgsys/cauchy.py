@@ -48,7 +48,7 @@ param_domain faults, the query is refused).  The range of F is not
 certified globally: |det P| <= 1e-10 or Newton failure at a query simply
 marks it outside the working neighbourhood.  Every step runs on compiled
 tapes, the comparison with an ``[oracle]`` included: its closed forms are
-compiled once per ``solve`` and run over the resolved queries.
+compiled once per ``ClosedForms`` object and run over the resolved queries.
 
 Query points are independent, so ``solve`` handles all of them in
 lockstep: one damped Newton over the stacked rows (p, u), each started
@@ -79,7 +79,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import (
-    Const, Expr, Predicate, Table, Var, compile_exprs, diff, require_vars,
+    Const, Expr, Predicate, Program, Table, Var, compile_exprs, diff, require_vars,
 )
 from .flow import (
     DEFAULT_CONFIG, ComplexFlow, FlowConfig, MatrixGroupSpec, _HolomorphicFrame,
@@ -92,7 +92,7 @@ from .geometry import (
 )
 
 __all__ = [
-    "CRInitialData", "CauchyError", "TransversalityError", "OutsideDomainError",
+    "CRInitialData", "ClosedForms", "CauchyError", "TransversalityError", "OutsideDomainError",
     "ConstructionError", "AdaptedFrame", "ConstructedFields",
     "TransversalityResult", "QueryRecord", "CauchySolution",
     "param_samples", "check_cr_transverse", "validate_tangency",
@@ -208,6 +208,19 @@ class CRInitialData:
         t = self.table.blocks(vals)
         return t["sigma"], t["dsigma"], errors
 
+
+
+class ClosedForms(tuple):
+    """An oracle's closed forms: the pair (grad_exprs, field_list) on one
+    chart, whose tape is built on first use."""
+
+    @cached_property
+    def program(self) -> Program:
+        """The gradient expressions, then each field's components, one tape
+        over the chart."""
+        grads, fields = self
+        return compile_exprs([*grads, *(c for f in fields for c in f.components)],
+                             fields[0].chart.names)
 
 
 class CRTable(Table):
@@ -780,13 +793,13 @@ def _newton(data: CRInitialData, cfg: FlowConfig, queries):
 def _oracle_residuals(data: CRInitialData, oracle, Q, U, xi):
     """The largest deviations of U (n, k) and xi (n, k, 2N) at the query
     rows Q from the closed forms ``oracle = (grad_exprs, field_list)``, each
-    (n,): one tape of the closed forms over the chart, run once over Q.  A
+    (n,): their tape (``ClosedForms.program``), run once over Q.  A
     row where the tape faults (a closed form undefined at the query, e.g.
     exactly on a removable singularity) gets NaN outputs, so NaN residuals."""
-    grads, fields = oracle
-    ref, _ = compile_exprs([*grads, *(c for f in fields for c in f.components)],
-                           data.chart.names).rows(Q)
-    U_ref, xi_ref = ref[:, :len(grads)], ref[:, len(grads):].reshape(xi.shape)
+    closed = oracle if isinstance(oracle, ClosedForms) else ClosedForms(oracle)
+    ref, _ = closed.program.rows(Q)
+    k = len(closed[0])
+    U_ref, xi_ref = ref[:, :k], ref[:, k:].reshape(xi.shape)
     return np.abs(U_ref - U).max(axis=1), np.abs(xi_ref - xi).max(axis=(1, 2))
 
 

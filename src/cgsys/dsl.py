@@ -1,8 +1,9 @@
 """Loader and writer for the system-definition file format.
 
-Files are UTF-8, INI-like: ``[section]`` headers, ``key = value`` entries
-and ``#`` comment lines.  Expression lists are separated by ``;`` (commas
-appear inside atan2 calls).  Sections:
+Files are UTF-8 (a leading byte-order mark is skipped), INI-like:
+``[section]`` headers, ``key = value`` entries and ``#`` comment lines.
+Expression lists are separated by ``;`` (commas appear inside atan2
+calls).  Sections:
 
 * ``[chart]``   - complex_dim, optional coordinate names
 * ``[system]``  - k, field_i (2N components each), grad_i, optional domain
@@ -36,11 +37,13 @@ import importlib.resources
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .cauchy import CRInitialData
+from .cauchy import ClosedForms, CRInitialData
 from .expr import MAX_DEPTH, Expr, ParseError, depth, parse_expr, to_string
 from .flow import MatrixGroupSpec
 from .geometry import ComplexChart, VectorField
@@ -75,6 +78,10 @@ _POSITIVE = _rule(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 MAX_COMPLEX_DIM = 64
 _COMPLEX_DIM = _rule(int, lambda n: n <= MAX_COMPLEX_DIM,
                      f"an integer <= {MAX_COMPLEX_DIM}")
+
+# the most system texts ``loads`` keeps built at once, with their tapes; the
+# gallery holds 9 and each benchmark workload loads 2 to 6
+LOAD_CACHE_SIZE = 64
 
 # the most rows one run evaluates: sample points (verify), queries, grid^k
 # (cauchy) or profile cells, grid^2 (normal-form); the largest in use are
@@ -130,16 +137,18 @@ class LoadError(ValueError):
         self.line = line
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SystemFile:
-    """A parsed and cross-validated system definition."""
+    """A parsed and cross-validated system definition, immutable: ``loads``
+    hands one to every caller of the same text, so ``config`` is a read-only
+    mapping and the arrays it holds are read-only."""
 
     name: str
     chart: ComplexChart
     system: GradientSystem | None = None
     cr: CRInitialData | None = None
-    oracle: tuple[tuple[Expr, ...], tuple[VectorField, ...]] | None = None
-    config: dict = field(default_factory=dict)
+    oracle: ClosedForms | None = None
+    config: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
     text: str = ""
 
 
@@ -251,8 +260,13 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(text.replace(";", " ").split())
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _numbers(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(";")])
+    return _readonly(np.array([float(tok) for tok in text.split(";")]))
 
 
 def _matrix(text: str) -> np.ndarray:
@@ -261,7 +275,7 @@ def _matrix(text: str) -> np.ndarray:
         raise ValueError("ragged matrix rows")
     if not np.all(np.isfinite(rows)):
         raise ValueError("matrix entries must be finite numbers")
-    return np.array(rows)
+    return _readonly(np.array(rows))
 
 
 def _positions(text: str) -> tuple[tuple[int, int], ...]:
@@ -322,11 +336,18 @@ def _load_oracle(sec: _Section, chart: ComplexChart, cr: CRInitialData | None):
         closed = GradientSystem(chart, sec.fields(chart), sec.items("grad", _expr))
     if cr is not None and closed.k != cr.k:
         raise LoadError(f"[oracle] has {closed.k} fields, [cr_data] has k = {cr.k}")
-    return closed.grads, closed.fields
+    return ClosedForms((closed.grads, closed.fields))
 
 
+@lru_cache(maxsize=LOAD_CACHE_SIZE)
 def loads(text: str, name: str = "<string>") -> SystemFile:
-    """Parse a system definition from a string."""
+    """Parse a system definition from a string.
+
+    The result is shared: every call with the same ``text`` and ``name``
+    returns one immutable SystemFile, kept for the LOAD_CACHE_SIZE (64)
+    texts loaded most recently, so what its models build on first use (the
+    compiled check tables, predicates and flow tapes) is built once per
+    process.  A text that does not load raises its LoadError at every call."""
     sections = _split_sections(text)
     if "chart" not in sections:
         raise LoadError("missing [chart] section")
@@ -343,14 +364,16 @@ def loads(text: str, name: str = "<string>") -> SystemFile:
         sec = sections["config"]
         config = {key: sec.read(key, SETTINGS[key]) for key in sec.entries}
     return SystemFile(name=name, chart=chart, system=system, cr=cr,
-                      oracle=oracle, config=config, text=text)
+                      oracle=oracle, config=MappingProxyType(config), text=text)
 
 
 def load(path) -> SystemFile:
-    """Parse a system definition file."""
+    """Parse a system definition file, UTF-8 with or without a byte-order
+    mark: ``loads`` of its text, named by the file's stem, so the same
+    shared, immutable SystemFile per (text, name)."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise LoadError(f"cannot read {p}: {err}") from None
     return loads(text, name=p.stem)

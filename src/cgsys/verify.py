@@ -48,9 +48,9 @@ from functools import cached_property
 import numpy as np
 
 from .expr import (
-    DomainError, Expr, Predicate, Table, compile_exprs, diff, require_vars,
+    DomainError, Expr, Predicate, Program, Table, compile_exprs, diff, require_vars,
 )
-from .flow import DEFAULT_CONFIG, ComplexFlow, FlowConfig, newton_rows
+from .flow import DEFAULT_CONFIG, ComplexFlow, FlowConfig, _HolomorphicFrame, newton_rows
 from .geometry import (
     ComplexChart, Composition, Span, VectorField, bracket_values, cr_residuals,
     d_values, dc_values, ddc_terms, j_rotate, jet_blocks, rank_cutoff, to_chart,
@@ -118,6 +118,26 @@ class GradientSystem:
     def domain_predicate(self) -> Predicate:
         """The compiled domain predicate, built on first use."""
         return Predicate(self.domain, self.chart.names)
+
+    @cached_property
+    def gradient_map(self) -> Program:
+        """The tape of U = (u_1, ..., u_k) over the chart, built on first
+        use: normal_form's profile and its shift test."""
+        return compile_exprs(self.grads, self.chart.names)
+
+    @cached_property
+    def gradient_jets(self) -> Program:
+        """The tape of U and its partials dU[a, i] = du_a/dx_i over the
+        chart, built on first use: the level-set Newton's.  A row faults
+        where dU does, so it does not stand in for ``gradient_map``."""
+        names = self.chart.names
+        return compile_exprs([*self.grads, *(diff(g, x) for g in self.grads for x in names)],
+                             names)
+
+    @cached_property
+    def frame(self) -> _HolomorphicFrame:
+        """The stage tape of the fields' complex flows, built on first use."""
+        return _HolomorphicFrame(self.fields)
 
 
 # the rows CheckTable composes at a time: the tapes' registers grow with the
@@ -546,11 +566,9 @@ def check_level_set(sys: GradientSystem, V, n_points: int = 8,
     except SamplingError:
         return LevelSetRecord(V, np.empty((0, sys.chart.dim)), [], [],
                               note="no domain samples")
-    tape = compile_exprs([*sys.grads, *(diff(g, x) for g in sys.grads for x in names)],
-                         names)
 
     def U_dU(X, _):
-        vals, errors = tape.rows(X)
+        vals, errors = sys.gradient_jets.rows(X)
         return vals[:, :k], vals[:, k:].reshape(len(X), k, len(names)), errors, np.zeros(len(X))
 
     newton = newton_rows(U_dU, np.broadcast_to(V, (len(seeds), k)), seeds,
@@ -659,9 +677,9 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
             f"(holomorphic={cls.holomorphic}, abelian={cls.abelian}); "
             "no straightening exists")
     p, k = np.asarray(p, dtype=float), sys.k
-    flow = ComplexFlow(sys.fields, cfg)
+    flow = ComplexFlow(sys.frame, cfg)
     slice_pair = _pick_slice_pair(sys, p) if sys.chart.N > k else None
-    U = compile_exprs(sys.grads, sys.chart.names)
+    U = sys.gradient_map
 
     def on_slice(X, Y) -> np.ndarray:
         """The slice points p + (x, y) at the slice pair, one row per (x, y)."""

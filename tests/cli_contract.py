@@ -165,6 +165,8 @@ CASES = (
     # Newton's residual norms near the largest doubles do not overflow
     Case("verify-level-set-1e308", "verify heisenberg --level-set=1e308,1e308,1e308"),
     # classify reads holomorphy off the fields' Jacobians
+    # a UTF-8 file saved with a byte-order mark loads
+    Case("verify-bom", "verify bom.cgs", files={"bom.cgs": "\ufeff" + builtin_text("line")}),
     Case("verify-line-alt", "verify line-alt", stdout=("holomorphic=False",)),
     Case("verify-model-k1", "verify model-k1", stdout=("holomorphic=True",)),
     # every [system] of the gallery passes at a second point count and seed,

@@ -13,14 +13,18 @@ generated input files are written to a temporary folder, never under
 ``bench/``.
 Each command runs in a fresh folder that holds those files, with
 ``--json report.json`` added, in one interpreter that imports ``cgsys``
-from the given ``src`` root.
+from the given ``src`` root.  That interpreter runs the whole list twice,
+a cold pass and then a warm pass that finds every text already loaded,
+and a command line whose digest differs between the two passes raises
+``HistoryError``: its output depends on what the process ran before.
 
     python tests/report_digests.py --src SRC --out DIGESTS.json
     python tests/report_digests.py --compare BASE.json HEAD.json
 
 ``--compare`` lists the command lines whose digests differ or that only
 one file holds, and exits 0 either way: a tree that changes bytes on
-purpose is not a failure.  A command that raises makes the run fail.
+purpose is not a failure.  A command that raises, or that gives another
+digest on its warm pass, makes the run fail.
 """
 
 from __future__ import annotations
@@ -112,15 +116,25 @@ def run_here(argvs, files) -> dict[str, str]:
     return digests
 
 
+class HistoryError(RuntimeError):
+    """A command line gave other bytes on its warm pass than on its cold one."""
+
+
 def digests(src, argvs=None) -> dict[str, str]:
     """The digests of the command lines ``argvs`` (default: ``argv_list``)
     with ``cgsys`` imported from the source root ``src``, in a fresh
-    interpreter that writes no bytecode."""
+    interpreter that writes no bytecode and runs them twice (``run_here``):
+    the cold pass's digests, which HistoryError refuses where the warm pass
+    differs."""
     argvs, files = argv_list() if argvs is None else (argvs, argv_list()[1])
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     done = subprocess.run([sys.executable, "-B", __file__, "--here"], env=env, check=True,
                           input=json.dumps([argvs, files]), capture_output=True, text=True)
-    return json.loads(done.stdout)
+    cold, warm = json.loads(done.stdout)
+    if changed := moved(cold, warm):
+        raise HistoryError(f"{len(changed)} command lines depend on the process's history, "
+                           f"their warm pass differs from their cold one: {changed}")
+    return cold
 
 
 def moved(base: dict[str, str], head: dict[str, str]) -> list[str]:
@@ -140,7 +154,8 @@ def _main(args=None) -> int:
         import cgsys
         if not Path(cgsys.__file__).resolve().is_relative_to(Path(os.environ["PYTHONPATH"])):
             raise SystemExit(f"cgsys was imported from {cgsys.__file__}")
-        print(json.dumps(run_here(*json.loads(sys.stdin.read()))))
+        argvs, files = json.loads(sys.stdin.read())
+        print(json.dumps([run_here(argvs, files), run_here(argvs, files)]))
         return 0
     if args.compare:
         base, head = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)

@@ -1271,12 +1271,14 @@ def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):
 def test_cauchy_op_compiles_its_fields_jets_once(name, tmp_path, monkeypatch, capsys):
     # the check table compiles the data's jets once, and the complex flows
     # of ambient data share one stage tape, the jets' tape followed by its
-    # layout, which the flow module compiles once per op; group data
-    # compiles the jets once too, for the checks alone, and no stage tape
+    # layout, which the flow module compiles once per loaded text; group
+    # data compiles the jets once too, for the checks alone, and no stage
+    # tape.  A repeat of the op loads the same data and compiles nothing
     sf = _ambient_file() if name == "ambient" else load_builtin(name)
     path = tmp_path / f"{name}.cgs"
     path.write_text(sf.text)
     jets = [e for _, _, block in jet_blocks((), sf.cr.ambient_fields, sf.chart) for e in block]
+    loads.cache_clear()      # sf is the file's (text, name), built above
     compiled = []
     inner = cgsys.expr.compile_exprs
 
@@ -1294,6 +1296,9 @@ def test_cauchy_op_compiles_its_fields_jets_once(name, tmp_path, monkeypatch, ca
                if module_name != "cgsys.flow") == 1
     assert [module_name for module_name, _ in compiled].count("cgsys.flow") == (
         sf.cr.group is None)
+    compiled.clear()
+    assert main(["cauchy", str(path), "--grid", "3"]) == 0
+    assert compiled == []
     capsys.readouterr()
 
 

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cgsys.cli import main
-from cgsys.dsl import builtin_names, load_builtin
+from cgsys.dsl import builtin_names, load_builtin, loads
 from cgsys.expr import (
     Atan2, Binary, Const, Var, add, diff, evaluate, mul, pow_, sub, unary,
 )
@@ -188,6 +188,7 @@ def test_verify_and_cauchy_never_compose_symbolically(monkeypatch, capsys):
                 cgsys.verify, cgsys.dsl, cgsys.cli):
         if hasattr(mod, "lie_bracket"):
             monkeypatch.setattr(mod, "lie_bracket", refuse)
+    loads.cache_clear()      # the builds of the tables run patched too
     for name in SYSTEMS:
         assert main(["verify", name]) == (1 if name == "broken-demo" else 0), name
     for name in CR_ENTRIES:
