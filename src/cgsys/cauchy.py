@@ -230,10 +230,10 @@ class CRTable(Table):
     ``sigma`` (2N,), ``dsigma`` (2N, m), and ``rho0`` (2N, k) and
     ``bracket`` (2N, B) the initial fields and their brackets [rho0_i,
     rho0_j], i < j, at sigma as columns.  The Table compiles sigma and its
-    partials over the parameters; the fields and their Jacobians
-    (``jet_blocks``), compiled over the chart, are evaluated at sigma, and
-    the brackets composed from them (``geometry.Composition``): three
-    Program passes in all."""
+    partials over the parameters; ``fields`` compiles the fields' jets
+    (``jet_blocks``) over the chart, and ``composition`` lays out rho0 and
+    the brackets composed from them (``geometry.Composition``) on the jets'
+    tape: two Program passes in all, sigma and then the fields at sigma."""
 
     def __init__(self, data: CRInitialData):
         names, dim = data.param_names, data.chart.dim
@@ -247,24 +247,24 @@ class CRTable(Table):
 
     @cached_property
     def frame(self) -> _HolomorphicFrame:
-        """The stage tape of the ambient flows, compiled from the fields'
+        """The stage tape of the ambient flows, composed from the fields'
         jets on first use: once per data object, for every F and dF."""
         return _HolomorphicFrame(self.fields)
 
     def at(self, P) -> dict[str, np.ndarray]:
         t = super().at(P)
         t["p"] = np.asarray(P, dtype=float)
-        c = self.composition(t["sigma"])
-        t["rho0"], t["bracket"] = np.swapaxes(c["X"], 1, 2), c["bracket"]
+        t.update(self.composition.at(t["sigma"]))
         return t
 
 
 def _bracket_terms(jets) -> dict[str, np.ndarray]:
-    """The brackets [rho0_i, rho0_j], i < j, as columns from the fields'
-    jets, with the point axis last: run once per structure on Terms, whose
-    expressions the composition compiles (``geometry.Composition``)."""
+    """The initial fields and their brackets [rho0_i, rho0_j], i < j, as
+    columns from the fields' jets, with the point axis last: run once per
+    structure on Terms, whose expressions the composition compiles
+    (``geometry.Composition``)."""
     k = len(jets["X"])
-    return {"bracket": np.swapaxes(bracket_values(
+    return {"rho0": np.swapaxes(jets["X"], 0, 1), "bracket": np.swapaxes(bracket_values(
         jets["X"], jets["DX"], [(i, j) for i in range(k) for j in range(i + 1, k)]), 0, 1)}
 
 

@@ -384,7 +384,12 @@ def builtin_names() -> tuple[str, ...]:
     return BUILTINS
 
 
+# a warm builtin load is then two dictionary lookups, this and ``loads``'s;
+# BUILTINS bounds it, and an unknown name raises and is not kept
+@lru_cache(maxsize=len(BUILTINS))
 def builtin_text(name: str) -> str:
+    """The text of the gallery entry ``name``, read from the package once
+    per process."""
     if name not in BUILTINS:
         raise LoadError(f"unknown builtin system '{name}'")
     res = importlib.resources.files("cgsys").joinpath(f"gallery/{name}.cgs")

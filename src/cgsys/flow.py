@@ -34,8 +34,9 @@ The normal form's straightening map phi(z, w) is one such flow.
 One Runge-Kutta loop (``_rk``) steps every flow, over a stack of rows that
 each have their own step size and step count.  ``ComplexFlow.rows`` runs
 the ambient complex flows of a whole stack in it: one pass per stage of
-the stage tape, the fields' jets (``jet_blocks``) followed by the layout a
-stage reads (``_HolomorphicFrame``), gives Z, its holomorphic Jacobian
+the stage tape, the composition of the fields' jets (``jet_blocks``) that
+lays out what a stage reads (``_HolomorphicFrame``, a
+``geometry.Composition``), gives Z, its holomorphic Jacobian
 dZ/dz and the Cauchy-Riemann differences whose hypot is twice |dZ/dzbar|
 (``cr_residuals``), so holomorphy is checked at the
 start point, at every stage state and at the end point (12 states a step),
@@ -97,9 +98,9 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .expr import Binary, Const, Expr, Table, Var, add, compile_exprs, mul
+from .expr import Const, Expr, Table, Var, add, mul
 from .geometry import (
-    ComplexChart, Span, VectorField, jet_blocks, to_chart, to_complex,
+    ComplexChart, Composition, Span, VectorField, jet_blocks, to_chart, to_complex,
 )
 
 __all__ = [
@@ -723,65 +724,48 @@ def left_invariant_fields(spec: MatrixGroupSpec) -> tuple[VectorField, ...]:
 # complex-time flows of holomorphic fields
 
 
-def _raw(op: str, a: Expr, b: Expr) -> Expr:
-    """a - b or a + b as the tape computes it: a Binary node, which no
-    constructor simplifies, and a constant only where both operands are
-    (Python's float arithmetic is the tape's, bit for bit)."""
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value if op == "sub" else a.value + b.value)
-    return Binary(op, a, b)
+def _stage_terms(jets) -> dict[str, np.ndarray]:
+    """What a Runge-Kutta stage reads of the complexified fields, from
+    their jets with the point axis last: Z as (re, im) pairs, the fields
+    themselves; dZ_mu/dz_nu = DX[2 mu, 2 nu] + i DX[2 mu + 1, 2 nu] as
+    pairs (``holomorphic_jacobians``); and the Cauchy-Riemann differences
+    p and q of DX, sliced as ``cr_residuals`` slices it, whose hypot is
+    twice |dZ/dzbar|.  Run once per structure on Terms (``Composition``)."""
+    DX = jets["DX"]
+    k, N = len(DX), DX.shape[1] // 2
+    return {"Z": jets["X"],
+            "dZ": np.stack([DX[:, 0::2, 0::2], DX[:, 1::2, 0::2]], axis=3).reshape(
+                k, N, 2 * N, 1),
+            "p": DX[:, 0::2, 0::2] - DX[:, 1::2, 1::2],
+            "q": DX[:, 1::2, 0::2] + DX[:, 0::2, 1::2]}
 
 
-class _HolomorphicFrame:
-    """The stage tape of the complex flows: one tape over the chart whose
-    outputs are what a Runge-Kutta stage reads of the complexified fields
-    Z_a = (xi_a - i J xi_a)/2.  It is the tape of the fields and their
-    Jacobians DX (``jet_blocks``) followed by a layout of its outputs
-    (``Program.then``): Z as (re, im) pairs (the fields themselves),
-    dZ_mu/dz_nu = DX[2 mu, 2 nu] + i DX[2 mu + 1, 2 nu] as pairs
-    (``holomorphic_jacobians``), and the Cauchy-Riemann differences p =
-    DX[2 mu, 2 nu] - DX[2 mu + 1, 2 nu + 1] and q = DX[2 mu + 1, 2 nu] +
-    DX[2 mu, 2 nu + 1], the tape's own subtraction and addition, whose
-    hypot is twice the residual |dZ/dzbar| that ``cr_residuals`` gives.
-    The jets' instructions come first, so a row faults where the jets' own
-    tape does.  ``at`` runs it over a stack of chart rows and, where
-    ``checks_holomorphy``, checks holomorphy; ``residuals`` reads only the
-    residuals.  It is made once, from the fields or from their jets' Table
-    (``jet_blocks((), fields, chart)``), whose compiled tape a caller that
-    has one shares.
+class _HolomorphicFrame(Composition):
+    """The stage tape of the complex flows: the composition of the fields'
+    jets (``jet_blocks``) that lays out what a Runge-Kutta stage reads of
+    the complexified fields Z_a = (xi_a - i J xi_a)/2 (``_stage_terms``),
+    on one tape with the jets, whose instructions come first, so a row
+    faults where the jets' own tape does.  ``at`` runs it over a stack of
+    chart rows and, where ``checks_holomorphy``, checks holomorphy;
+    ``residuals`` reads only the residuals.  It is made once, from the
+    fields or from their jets' Table (``jet_blocks((), fields, chart)``),
+    whose compiled tape a caller that has one shares.  Constant Jacobians
+    have one residual everywhere, so ``checks_holomorphy`` is decided once,
+    from the composition's constant entries.
     """
 
     def __init__(self, fields):
-        if isinstance(fields, Table):
-            exprs, jets = fields.exprs, fields.program
-        else:
-            fields = list(fields)
-            exprs = [e for _, _, block in jet_blocks((), fields, fields[0].chart) for e in block]
-            jets = compile_exprs(exprs, fields[0].chart.names)
-        dim = len(jets.names)
-        k, N = self.shape = (len(exprs) // (dim + dim * dim), dim // 2)
-        # the layout reads the jets' outputs, X (k, 2N) then DX (k, 2N, 2N),
-        # as its inputs, a constant jet as itself
-        jet = [e if isinstance(e, Const) else Var(f"j{i}") for i, e in enumerate(exprs)]
-
-        def dx(a, mu, s, nu, t):
-            """DX[a, 2 mu + s, 2 nu + t]"""
-            return jet[k * dim + (a * dim + 2 * mu + s) * dim + 2 * nu + t]
-
-        entries = [(a, mu, nu) for a in range(k) for mu in range(N) for nu in range(N)]
-        dZ = [dx(a, mu, s, nu, 0) for a, mu, nu in entries for s in (0, 1)]
-        p = [_raw("sub", dx(a, mu, 0, nu, 0), dx(a, mu, 1, nu, 1)) for a, mu, nu in entries]
-        q = [_raw("add", dx(a, mu, 1, nu, 0), dx(a, mu, 0, nu, 1)) for a, mu, nu in entries]
-        self.program = jets.then(compile_exprs([*jet[:k * dim], *dZ, *p, *q],
-                                               [f"j{i}" for i in range(len(exprs))]))
-        # the output columns of Z, dZ/dz, p and q
-        kN, kNN = k * N, k * N * N
-        self._Z, self._dZ = slice(0, 2 * kN), slice(2 * kN, 2 * kN + 2 * kNN)
-        self._p, self._q = slice(2 * kN + 2 * kNN, 2 * kN + 3 * kNN), slice(2 * kN + 3 * kNN, None)
-        # constant Jacobians have one residual everywhere, decided here once
-        self.checks_holomorphy = not all(isinstance(e, Const) for e in p + q) or bool(
-            self._worst(np.array([[e.value for e in p]]), np.array([[e.value for e in q]]))[0]
-            > HOLOMORPHY_TOL)
+        if not isinstance(fields, Table):
+            chart = fields[0].chart
+            fields = Table(jet_blocks((), fields, chart), chart.names)
+        super().__init__(fields, _stage_terms)
+        self.shape = self.columns["p"][1][:2]
+        # the entries' columns of Z, dZ/dz, p and q
+        self._Z, self._dZ, self._p, self._q = (self.columns[name][0]
+                                               for name in ("Z", "dZ", "p", "q"))
+        p, q = self.constants[self._p], self.constants[self._q]
+        self.checks_holomorphy = None in p + q or bool(
+            self._worst(np.array([p]), np.array([q]))[0] > HOLOMORPHY_TOL)
 
     @staticmethod
     def _worst(p, q) -> np.ndarray:
@@ -793,7 +777,7 @@ class _HolomorphicFrame:
         """Each chart row's largest Cauchy-Riemann residual from the tape
         at the rows X (m, 2N); NaN Jacobians (a row that is not finite or
         that the tape refuses) are skipped."""
-        vals = self.program.rows(X)[0]
+        vals = self.rows(X)[0]
         return self._worst(vals[:, self._p], vals[:, self._q])
 
     def coefficients(self, zreal) -> np.ndarray:
@@ -810,12 +794,7 @@ class _HolomorphicFrame:
         ``checks_holomorphy``, a HolomorphyError when its Cauchy-Riemann
         residual exceeds HOLOMORPHY_TOL.  The errors are made only for the
         rows refused."""
-        vals, first, error = self.program._pass(X)
-        refused = {}
-        if first is not None:
-            faulted = np.flatnonzero(first >= 0).tolist()
-            vals[faulted] = np.nan
-            refused = {j: error(j, labels) for j in faulted}
+        vals, refused = self.rows(X, labels)
         (k, N), m = self.shape, len(vals)
         p, q = vals[:, self._p], vals[:, self._q]
         # one test for the whole stack, which a NaN residual fails too; the

@@ -18,11 +18,13 @@ The helpers write each composed entry as a sum of products of jets; a
 ``Composition`` runs them once per structure on the jets as ``Term``s,
 expressions that drop every product with a ``Const(0.0)`` jet and fold
 the constant ones, and compiles the products and sums left, in the
-helpers' order and association, onto expr's one Program tape, so each
-entry is the helpers' value up to the sign of a zero (Griewank & Walther,
-Evaluating Derivatives, 2nd ed., 2008, Ch. 7-8, on exploiting sparsity).
-A dropped product that would meet a non-finite value makes its entry NaN,
-as 0 * inf does.
+helpers' order and association, onto the end of the jets' own tape, so
+each entry is the helpers' value up to the sign of a zero and a call is one
+Program pass (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
+Ch. 7-8, on exploiting sparsity).  A dropped product that would meet a
+non-finite value makes its entry NaN, as 0 * inf does.  The check table,
+the CR data's brackets and the complex flows' stage reads are each such a
+layout of the jets.
 A field's values at one point (``VectorField.values``, ``field_matrix``)
 are the one-row view of its compiled ``program``, so no point value walks
 a tree.  All values are immutable and every operation is pure; evaluation
@@ -277,8 +279,9 @@ class Term:
     The operators are expr's add, sub, mul and neg, which keep the order
     and association the helpers write and fold constants.  A zero operand
     (a ``Const(0.0)``) drops out of a sum (x + 0 = x and 0 - x = -x, exact
-    up to the sign of a zero), and a product with a zero factor is the zero
-    term, poisoned by the other factor unless that is a finite constant."""
+    up to the sign of a zero), a product with a zero factor is the zero
+    term, poisoned by the other factor unless that is a finite constant,
+    and a negation is exact, a zero's sign included, as numpy's is."""
 
     __slots__ = ("expr", "poison", "zero")
 
@@ -291,7 +294,7 @@ class Term:
         return self if poison <= self.poison else Term(self.expr, self.poison | poison)
 
     def __neg__(self) -> "Term":
-        return self if self.zero else Term(neg(self.expr), self.poison)
+        return Term(neg(self.expr), self.poison)
 
     def __add__(self, other: "Term") -> "Term":
         if other.zero:
@@ -324,14 +327,13 @@ _ZERO = Term(ZERO)
 @lru_cache(maxsize=256)
 def _plan(compose, layout, pattern):
     """``compose`` run once on the jets as Terms with a point axis of one
-    and compiled over the jets' variable columns: the Program, those
-    columns, each composed block's columns and shape (as ``Table.columns``),
-    the number of entries, the pairs (entry, poison) as two arrays, and the
-    jets' columns of the poisons that are a jet itself.  The distinct
-    poisons are numbered the other ones first, which are the outputs after
-    the entries, then those columns."""
-    terms = np.array([Term(Var(f"j{col}")) if value is None else _ZERO if value == 0.0
-                      else Term(Const(value)) for col, value in enumerate(pattern)], dtype=object)
+    and compiled over every jet column (``j<col>``): the Program, whose
+    outputs are the entries and then the distinct poisons, each composed
+    block's columns and shape (as ``Table.columns``), the pairs (entry,
+    poison) as two arrays, and each entry's value where it is a constant
+    that nothing poisons, else None."""
+    terms = np.array([Term(Var(f"j{col}")) if value is None else Term(Const(value))
+                      for col, value in enumerate(pattern)], dtype=object)
     ends = np.cumsum([math.prod(shape) for _, shape in layout])
     jets = {name: block.reshape(*shape, 1)
             for (name, shape), block in zip(layout, np.split(terms, ends[:-1]))}
@@ -340,60 +342,80 @@ def _plan(compose, layout, pattern):
         columns[name] = (slice(len(entries), len(entries) + block.size), block.shape[:-1])
         entries += list(block.ravel())
     poison = list(dict.fromkeys(e for t in entries for e in t.poison))
-    # a poison that is a jet is read off the jets, not copied out of the program
-    outputs = [e for e in poison if not isinstance(e, Var)]
-    jets_poison = [e for e in poison if isinstance(e, Var)]
-    number = {e: i for i, e in enumerate(outputs + jets_poison)}
+    number = {e: i for i, e in enumerate(poison)}
     pairs = np.reshape(np.array([(i, number[e]) for i, t in enumerate(entries)
                                  for e in t.poison], dtype=int), (-1, 2)).T
-    variables = [col for col, value in enumerate(pattern) if value is None]
-    program = compile_exprs([t.expr for t in entries] + outputs, [f"j{col}" for col in variables])
-    return (program, variables, columns, len(entries), pairs,
-            np.array([int(e.name[1:]) for e in jets_poison], dtype=int))
+    program = compile_exprs([t.expr for t in entries] + poison,
+                            [f"j{col}" for col in range(len(pattern))])
+    return program, columns, pairs, tuple(
+        t.expr.value if isinstance(t.expr, Const) and not t.poison else None for t in entries)
 
 
 class Composition:
     """Blocks composed from the jets of a Table by ``compose``, computing
-    only the structurally nonzero products, on the one tape.
+    only the structurally nonzero products, on one tape with the jets.
 
-    ``compose`` maps the Table's blocks to the composed blocks with the
-    helpers above.  It runs once per structure (the block layout and which
-    jets are constants, and their values), on the jets as Terms: a
-    ``Const(0.0)`` jet is the zero term, so every product with it is
-    dropped, and a sum with no product left is an exact zero; products of
-    constant jets fold.  What is left, in the order and association the
-    helpers write, is compiled into ``program`` over the jets' variable
-    columns, so calling the composition on points is two Program passes,
-    the jets and then the composition, and every entry equals the helper's
-    value on the jets up to the sign of a zero.  Where a dropped product
-    meets a non-finite value the helper's 0 * inf gives NaN: the factors
-    such products dropped are the program's last outputs, or the jets'
-    own columns where a factor is a jet, one test of them all for
-    non-finite values decides whether any product may, and only where it
-    fails are the entries such a value poisons set to NaN, row by row."""
+    ``compose`` maps the Table's blocks to every block a caller reads,
+    the jets it passes through included, with the helpers above.  It runs
+    once per structure (the block layout and which jets are constants, and
+    their values), on the jets as Terms: a ``Const(0.0)`` jet is a zero
+    term, so every product with it is dropped, and a sum with no product
+    left is an exact zero; products of constant jets fold.  What is left,
+    in the order and association the helpers write, is compiled over the
+    jets' columns and follows the jets' tape (``Program.then``), so
+    ``program`` is one tape and a call on points is one Program pass, and
+    every entry equals the helper's value on the jets up to the sign of a
+    zero; a jet passed through, or negated, is the jet's own value.  The
+    jets' instructions come first, so a row faults where the jets' tape
+    does.  Where a dropped product meets a non-finite value the helper's
+    0 * inf gives NaN: the factors such products dropped are the tape's
+    outputs after the entries, one test of them all for non-finite values
+    decides whether any product may, and only where it fails are the
+    entries such a value poisons set to NaN, row by row.  ``at`` gives the
+    blocks, each with a leading point axis, as views of one array of the
+    entries, and ``constants`` holds each entry's value where it is a
+    constant that nothing poisons, else None."""
 
-    def __init__(self, table: Table, compose):
-        layout = tuple((name, shape) for name, (_, shape) in table.columns.items())
-        pattern = tuple(e.value if isinstance(e, Const) else None for e in table.exprs)
-        self.table = table
-        (self.program, self.variables, self.columns, self.entries,
-         (self.poisoned, self.poison), self.poison_jets) = _plan(compose, layout, pattern)
+    def __init__(self, jets: Table, compose):
+        layout = tuple((name, shape) for name, (_, shape) in jets.columns.items())
+        pattern = tuple(e.value if isinstance(e, Const) else None for e in jets.exprs)
+        self.jets = jets
+        plan, self.columns, (self.poisoned, self.poison), self.constants = _plan(
+            compose, layout, pattern)
+        self.entries = len(self.constants)
+        self.program = jets.program.then(plan)
 
-    def __call__(self, pts, labels=None) -> dict[str, np.ndarray]:
-        """The Table's blocks and the composed ones at the rows of pts, each
-        with a leading point axis.  ``labels`` as Program takes it."""
-        jets = self.table.program(pts, labels)
-        vals = self.program(jets[:, self.variables])
-        poison_jets = jets[:, self.poison_jets]
-        if not (np.isfinite(vals[:, self.entries:]).all() and np.isfinite(poison_jets).all()):
-            poison = np.concatenate([vals[:, self.entries:], poison_jets], axis=1)
-            hit = np.zeros((self.entries, len(vals)), dtype=bool)
-            np.logical_or.at(hit, self.poisoned, ~np.isfinite(poison[:, self.poison].T))
-            vals[:, :self.entries][hit.T] = np.nan
-        blocks = self.table.blocks(jets)
-        blocks.update((name, vals[:, cols].reshape(len(vals), *shape))
-                      for name, (cols, shape) in self.columns.items())
-        return blocks
+    blocks = Table.blocks
+
+    def __call__(self, pts, labels=None) -> np.ndarray:
+        """The entries (n, entries) at the rows of pts; a fault raises the
+        first faulting row's DomainError, naming it as Program does."""
+        vals, refused = self.rows(pts, labels)
+        if refused:
+            raise refused[min(refused)]
+        return vals
+
+    def rows(self, pts, labels=None):
+        """The entries at the rows of pts, NaN where a value that a dropped
+        product meets is not finite, and a dict j -> the DomainError that
+        refuses row j (its entries NaN), naming row j as labels[j] (default
+        j); the errors are made only for the rows refused."""
+        vals, first, error = self.program._pass(pts)
+        if self.poison.size:        # then the poisons follow the entries
+            vals, poison = vals[:, :self.entries], vals[:, self.entries:]
+            if not np.isfinite(poison).all():
+                hit = np.zeros((self.entries, len(vals)), dtype=bool)
+                np.logical_or.at(hit, self.poisoned, ~np.isfinite(poison[:, self.poison].T))
+                vals[hit.T] = np.nan
+        if first is None:
+            return vals, {}
+        faulted = np.flatnonzero(first >= 0).tolist()
+        vals[faulted] = np.nan
+        return vals, {j: error(j, labels) for j in faulted}
+
+    def at(self, pts, labels=None) -> dict[str, np.ndarray]:
+        """The blocks at the rows of pts, raising as a call does."""
+        return self.blocks(self(pts, labels))
 
 
 def lie_bracket(V: VectorField, W: VectorField) -> VectorField:

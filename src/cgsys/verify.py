@@ -18,12 +18,12 @@ predicate.  Every value a check needs comes from one table per system
 (``GradientSystem.table``), which compiles only the jets of the fields and
 gradients and composes brackets, d^c and the dd^c terms from their values;
 every check is a numpy reduction over the blocks ``t = sys.table.at(pts)``
-it is handed.  The composition knows the jets' structure: it compiles into
-a second Program only the products whose jets are not ``Const(0.0)``, in
+it is handed.  The composition knows the jets' structure: it compiles onto
+the jets' tape only the products whose jets are not ``Const(0.0)``, in
 the order and association of geometry's helpers, folds the entries of
 constant jets once, and gives NaN where a dropped product meets a
 non-finite value, as 0 * inf would (``geometry.Composition``), so the
-table is two Program passes per chunk of rows.  The table holds one
+table is one Program pass per chunk of rows.  The table holds one
 bracket per frame pair i < j, and a check that reads a span factors it once
 (``geometry.Span``): its rank and every projection on it come from one
 stacked SVD, and a span read only for its rank is factored without
@@ -147,17 +147,18 @@ class GradientSystem:
 TABLE_CHUNK = 256
 
 
-class CheckTable(Table):
+class CheckTable(Composition):
     """Every block the checks read, composed from one compiled Table of jets.
 
-    The Table compiles only ``jet_blocks``: the fields xi_a, their Jacobians,
-    the differentials of the u_a and their Hessians.  ``at(pts)`` evaluates
-    it once and composes the blocks from those values with geometry's
-    helpers: brackets from the Jacobians, d^c u(V) = -du(JV), the dd^c terms
-    by the product rule, D(J xi) = J D(xi), the Laplacian as the Hessian's
-    trace.  The composition (``geometry.Composition``) reads at construction
+    The Table (``jets``) compiles only ``jet_blocks``: the fields xi_a, their
+    Jacobians, the differentials of the u_a and their Hessians.  The table
+    is their composition (``geometry.Composition``) by ``_check_terms``,
+    which lays out the blocks with geometry's helpers: brackets from the
+    Jacobians, d^c u(V) = -du(JV), the dd^c terms by the product rule,
+    D(J xi) = J D(xi), the Laplacian as the Hessian's trace, and the jets
+    the checks read as they are.  The composition reads at construction
     which jets are ``Const(0.0)``, J xi's zeros being those of xi rotated,
-    and compiles into its ``program`` only the products that are not
+    and compiles onto the jets' tape only the products that are not
     structurally zero, in the helpers' order and association; an entry of
     constant jets alone is folded once, and an entry with no product left
     is an exact zero, or NaN at a row where a dropped product meets a
@@ -171,8 +172,8 @@ class CheckTable(Table):
     the same pairs; ``DX`` (k, 2N, 2N) the Jacobians of the xi_a, as
     ``jet_blocks`` lays them out; ``lap`` (k,).  Every block is computed
     row by row, so a row does not depend on the other points, and ``at``
-    runs TABLE_CHUNK rows at a time, two Program passes each: the jets and
-    then their composition.
+    runs TABLE_CHUNK rows at a time, one Program pass each, into one array
+    of which every block is a view.
 
     ``pairs`` lists the P = k(2k - 1) frame pairs i < j in row-major order,
     and ``row`` maps each to its index.  A bracket with i > j is not
@@ -189,23 +190,19 @@ class CheckTable(Table):
         self.row = {pq: r for r, pq in enumerate(self.pairs)}
         self.ddc_ref = [self.row[(i - k, j - k) if i >= k else (i, j)]
                         for i, j in self.pairs]
-        super().__init__(jet_blocks(sys.grads, sys.fields, sys.chart), sys.chart.names)
-        self.composition = Composition(self, _check_terms)
+        super().__init__(Table(jet_blocks(sys.grads, sys.fields, sys.chart), sys.chart.names),
+                         _check_terms)
 
     def at(self, pts) -> dict[str, np.ndarray]:
         pts = np.asarray(pts, dtype=float)
-        for lo in range(0, max(len(pts), 1), TABLE_CHUNK):
+        if len(pts) <= TABLE_CHUNK:      # one chunk: its pass's own array
+            return super().at(pts)
+        out = np.empty((len(pts), self.entries))
+        for lo in range(0, len(pts), TABLE_CHUNK):
             hi = min(lo + TABLE_CHUNK, len(pts))
             # a DomainError names the row by its index in pts
-            c = self.composition(pts[lo:hi], np.arange(lo, hi))
-            xi, c["grad"] = c.pop("X"), c.pop("dU")
-            c["frame"] = np.swapaxes(np.concatenate([xi, j_rotate(xi, axis=2)], 1), 1, 2)
-            del c["D2U"]
-            if lo == 0:
-                out = {name: np.empty((len(pts), *b.shape[1:])) for name, b in c.items()}
-            for name, b in c.items():
-                out[name][lo:hi] = b
-        return out
+            out[lo:hi] = self(pts[lo:hi], np.arange(lo, hi))
+        return self.blocks(out)
 
 
 def _frame_pairs(k: int) -> list[tuple[int, int]]:
@@ -214,8 +211,8 @@ def _frame_pairs(k: int) -> list[tuple[int, int]]:
 
 
 def _check_terms(jets) -> dict[str, np.ndarray]:
-    """The composed blocks of the check table from its jets, with the point
-    axis last: run once per structure on Terms, whose expressions the
+    """Every block of the check table from its jets, with the point axis
+    last: run once per structure on Terms, whose expressions the
     composition compiles (``geometry.Composition``)."""
     xi, Dxi, dU, D2U = jets["X"], jets["DX"], jets["dU"], jets["D2U"]
     pairs = _frame_pairs(len(xi))
@@ -223,9 +220,9 @@ def _check_terms(jets) -> dict[str, np.ndarray]:
     DX = np.concatenate([Dxi, j_rotate(Dxi, axis=1)])      # D(J xi) = J D(xi)
     brackets = bracket_values(X, DX, pairs)
     t1, t2, t3 = ddc_terms(dU, D2U, X, DX, pairs, brackets)
-    return {"d": d_values(dU, xi), "dc": dc_values(dU, xi),
-            "bracket": np.swapaxes(brackets, 0, 1), "t1": t1, "t2": t2, "t3": t3,
-            "lap": np.trace(D2U, axis1=1, axis2=2)}
+    return {"d": d_values(dU, xi), "dc": dc_values(dU, xi), "grad": dU,
+            "frame": np.swapaxes(X, 0, 1), "bracket": np.swapaxes(brackets, 0, 1),
+            "t1": t1, "t2": t2, "t3": t3, "DX": Dxi, "lap": np.trace(D2U, axis1=1, axis2=2)}
 
 
 @dataclass

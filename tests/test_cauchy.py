@@ -1271,20 +1271,22 @@ def test_cauchy_op_builds_one_complex_flow(tmp_path, monkeypatch, capsys):
 def test_cauchy_op_compiles_its_fields_jets_once(name, tmp_path, monkeypatch, capsys):
     # the check table compiles the data's jets once, and the complex flows
     # of ambient data share one stage tape, the jets' tape followed by its
-    # layout, which the flow module compiles once per loaded text; group
-    # data compiles the jets once too, for the checks alone, and no stage
-    # tape.  A repeat of the op loads the same data and compiles nothing
+    # layout, which geometry compiles once per structure beside the
+    # brackets' layout; group data compiles the jets once too, for the
+    # checks alone, and no stage layout.  A repeat of the op loads the same
+    # data and compiles nothing
     sf = _ambient_file() if name == "ambient" else load_builtin(name)
     path = tmp_path / f"{name}.cgs"
     path.write_text(sf.text)
     jets = [e for _, _, block in jet_blocks((), sf.cr.ambient_fields, sf.chart) for e in block]
     loads.cache_clear()      # sf is the file's (text, name), built above
+    cgsys.geometry._plan.cache_clear()      # and the process may hold its layouts
     compiled = []
     inner = cgsys.expr.compile_exprs
 
     def counted_in(module_name):
         def counted(exprs, names):
-            compiled.append((module_name, list(exprs)))
+            compiled.append((module_name, list(exprs), tuple(names)))
             return inner(exprs, names)
         return counted
 
@@ -1292,9 +1294,8 @@ def test_cauchy_op_compiles_its_fields_jets_once(name, tmp_path, monkeypatch, ca
         if module_name.split(".")[0] == "cgsys" and getattr(module, "compile_exprs", None) is inner:
             monkeypatch.setattr(module, "compile_exprs", counted_in(module_name))
     assert main(["cauchy", str(path), "--grid", "3"]) == 0
-    assert sum(exprs == jets for module_name, exprs in compiled
-               if module_name != "cgsys.flow") == 1
-    assert [module_name for module_name, _ in compiled].count("cgsys.flow") == (
+    assert sum(exprs == jets and names == sf.chart.names for _, exprs, names in compiled) == 1
+    assert [module_name for module_name, _, _ in compiled].count("cgsys.geometry") == 1 + (
         sf.cr.group is None)
     compiled.clear()
     assert main(["cauchy", str(path), "--grid", "3"]) == 0
@@ -1527,8 +1528,8 @@ def test_ambient_records_meet_the_flow_tolerance_or_take_their_limit(c, grid, ex
 
 
 @pytest.mark.parametrize("generated, argv, stages, passes", [
-    (False, ["line", "--grid", "9"], 24, 36),
-    (True, ["--grid", "3", "--u-extent", "0.25"], 156, 191),
+    (False, ["line", "--grid", "9"], 24, 35),
+    (True, ["--grid", "3", "--u-extent", "0.25"], 156, 190),
 ])
 def test_an_ambient_op_takes_no_stage_at_newtons_start(monkeypatch, tmp_path, generated, argv,
                                                        stages, passes):

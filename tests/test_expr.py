@@ -476,8 +476,8 @@ def test_gallery_tables_match_tree_walk(name):
     sys_ = load_builtin(name).system
     pts = sample_points(sys_, 12, seed=3)
     ref = np.array([[reference.evaluate(e, dict(zip(sys_.chart.names, p)))
-                     for e in sys_.table.exprs] for p in pts])
-    got = sys_.table.program(pts)
+                     for e in sys_.table.jets.exprs] for p in pts])
+    got = sys_.table.jets.program(pts)
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 

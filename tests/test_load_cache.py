@@ -3,6 +3,7 @@ caller of one (text, name) the same immutable SystemFile, so a repeated op
 parses and compiles nothing and gives the bytes of its first run."""
 
 import dataclasses
+import importlib.resources
 import sys
 
 import numpy as np
@@ -74,6 +75,21 @@ def test_loads_shares_one_object_per_text_and_name():
     assert loads(text, name="a") is sf
     assert loads(text, name="b") is not sf and loads(text, name="b").name == "b"
     assert load_builtin("line") is load_builtin("line")
+
+
+def test_a_warm_builtin_load_reads_no_package_resource(monkeypatch):
+    # the gallery text is read once per name: a second load_builtin is two
+    # dictionary lookups, and the nine builtins bound that cache
+    first = load_builtin("heisenberg")
+
+    def banned(*args):
+        raise AssertionError("a package resource was read")
+
+    monkeypatch.setattr(importlib.resources, "files", banned)
+    assert load_builtin("heisenberg") is first
+    assert builtin_text.cache_info().maxsize == len(builtin_names())
+    with pytest.raises(LoadError, match="unknown builtin system 'nothing'"):
+        load_builtin("nothing")
 
 
 def test_the_cache_keeps_the_latest_texts_and_no_error():

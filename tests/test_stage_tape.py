@@ -5,7 +5,7 @@ residuals through ``cr_residuals``, and the refusals those reads made, byte
 for byte.  The data are every ambient field list of the gallery (the CR
 data's and the systems'), the benchmark's generated (1 + c z^2) d/dz, an
 N = 2, k = 2 polynomial frame, the field 1/z, whose tape faults at 0, and
-fields that are not holomorphic; the rows are seeded, with a row where the
+fields that are not holomorphic, one with a constant Jacobian; the rows are seeded, with a row where the
 tape faults, a NaN row and a row whose jets overflow.  ``ComplexFlow.rows``
 equals tests/reference.py's loop over a velocity that reads the old way."""
 
@@ -49,6 +49,8 @@ def _datasets():
         _field(two, ["1 + x2", "y2", "x1 - (x2^2 - y2^2)", "y1 - 2*x2*y2"])]
     data["pole"] = [_field(one, ["x1/(x1^2 + y1^2)", "-y1/(x1^2 + y1^2)"])]
     data["not-holomorphic"] = [_field(one, ["1 + y1", "0"])]
+    # a constant Jacobian whose residual is 1: checked at every read
+    data["not-holomorphic-constant"] = [_field(one, ["x1", "-y1"])]
     data["not-holomorphic-N2"] = [
         _field(two, ["x1*x2", "y1", "1", "x2*y1"]), _field(two, ["0", "1", "y2", "0"])]
     return data
