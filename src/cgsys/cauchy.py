@@ -9,10 +9,11 @@ The pipeline:
 
 1. Transversality: at sample parameters the columns of dsigma together with
    the J-rotations of the initial fields must span 2n + 2k directions.
-   ``solve`` draws one set of parameter samples (``param_samples``),
-   evaluates the data's compiled table (``CRInitialData.table``) there once
-   and checks transversality, tangency of the initial fields and their
-   involutivity defect as reductions over its blocks.
+   Once per data object (``CRInitialData.checks``) one set of parameter
+   samples is drawn (``param_samples``), the data's compiled table
+   (``CRInitialData.table``) is evaluated there once, and transversality,
+   tangency of the initial fields and their involutivity defect are
+   checked as reductions over its blocks; ``solve`` reads that record.
 2. F(p, u) flows sigma(p) for complex time i(u_1, ..., u_k); near M this is
    a diffeomorphism onto a neighbourhood, giving adapted coordinates (p, u).
 3. For an ambient query q, damped Newton inverts F; the gradient map value
@@ -92,8 +93,8 @@ from .geometry import (
 )
 
 __all__ = [
-    "CRInitialData", "ClosedForms", "CauchyError", "TransversalityError", "OutsideDomainError",
-    "ConstructionError", "AdaptedFrame", "ConstructedFields",
+    "CRInitialData", "DataChecks", "ClosedForms", "CauchyError", "TransversalityError",
+    "OutsideDomainError", "ConstructionError", "AdaptedFrame", "ConstructedFields",
     "TransversalityResult", "QueryRecord", "CauchySolution",
     "param_samples", "check_cr_transverse", "validate_tangency",
     "frobenius_defect_on_M",
@@ -200,6 +201,12 @@ class CRInitialData:
     def domain_predicate(self) -> Predicate:
         """The compiled param_domain predicate, built on first use."""
         return Predicate(self.param_domain, self.param_names)
+
+    @cached_property
+    def checks(self) -> "DataChecks":
+        """The data's own checks (``DataChecks``), run on first use.  A check
+        that raises stores nothing, so such data raises again on every use."""
+        return _data_checks(self)
 
     def sigma_rows(self, P):
         """sigma (n, 2N) and dsigma (n, 2N, m) at the parameter rows P, and
@@ -339,6 +346,40 @@ def frobenius_defect_on_M(data: CRInitialData, t) -> float:
     if data.k < 2:
         return 0.0
     return float(np.max(Span(t["rho0"]).residuals(t["bracket"])))
+
+
+@dataclass(frozen=True)
+class DataChecks:
+    """The checks of a data object's hypotheses at ``param_samples(data, 25,
+    0)``: transversality's least and required ranks and its first witness
+    (a read-only row, None when the data is transverse), then, on
+    transverse data only, the tangency residual and the involutivity
+    defect with its note ("" when the distribution is involutive)."""
+
+    min_rank: int
+    required_rank: int
+    witness: np.ndarray | None = None
+    tangency: float = float("nan")
+    defect: float = float("nan")
+    note: str = ""
+
+
+def _data_checks(data: CRInitialData) -> DataChecks:
+    """DataChecks from one draw of parameter samples and one table pass;
+    raises what ``check_cr_transverse`` and ``validate_tangency`` raise."""
+    t = data.table.at(param_samples(data, 25, 0))
+    tres = check_cr_transverse(data, t)
+    if not tres.transverse:
+        witness = np.array(tres.witnesses[0])
+        witness.flags.writeable = False
+        return DataChecks(tres.min_rank, tres.required_rank, witness)
+    tangency = validate_tangency(data, t)
+    defect = frobenius_defect_on_M(data, t)
+    note = ""
+    if defect > 1e-8:
+        note = (f"initial distribution is not involutive on M (defect {defect:.3e}); "
+                "proceeding pointwise")
+    return DataChecks(tres.min_rank, tres.required_rank, None, tangency, defect, note)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +728,11 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
           oracle=None) -> CauchySolution:
     """Run the construction at each ambient query point.
 
-    The queries are independent, so they are solved in lockstep: one
+    The data's hypotheses are checked once per data object
+    (``CRInitialData.checks``), and every call reads that record: data
+    that is not CR-transverse raises TransversalityError with the record's
+    witness on every call, and data whose checks raise raises on every
+    call.  The queries are independent, so they are solved in lockstep: one
     damped Newton (newton_rows) inverts F at all of them, each from the
     linearized guess, on the stacked map of build_dF, which evaluates each
     Newton point once for F, dF and the flow's error estimate together; on
@@ -707,19 +752,12 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
     xi_a from the oracle values at the query (NaN where a closed form is
     undefined at it).
     """
-    t = data.table.at(param_samples(data, 25, 0))
-    tres = check_cr_transverse(data, t)
-    if not tres.transverse:
+    checks = data.checks
+    if checks.witness is not None:
         raise TransversalityError(
             f"initial data is not CR-transverse "
-            f"(rank {tres.min_rank} < {tres.required_rank} at a sample)",
-            witness=tres.witnesses[0])
-    validate_tangency(data, t)
-    defect = frobenius_defect_on_M(data, t)
-    note = ""
-    if defect > 1e-8:
-        note = (f"initial distribution is not involutive on M (defect {defect:.3e}); "
-                "proceeding pointwise")
+            f"(rank {checks.min_rank} < {checks.required_rank} at a sample)",
+            witness=checks.witness)
 
     queries = np.asarray(queries, dtype=float).reshape(-1, data.chart.dim)
     m = len(data.param_names)
@@ -748,7 +786,7 @@ def solve(data: CRInitialData, queries, cfg: FlowConfig = DEFAULT_CONFIG,
         residual_d=column(built.residual_d), residual_dc=column(built.residual_dc),
         newton_residual=column(np.max(np.abs(newton.values - queries), axis=1)),
         oracle_dU=oracle_dU, oracle_dxi=oracle_dxi,
-        integrability_defect=defect, integrability_note=note)
+        integrability_defect=checks.defect, integrability_note=checks.note)
 
 
 def _newton(data: CRInitialData, cfg: FlowConfig, queries):

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -138,6 +139,14 @@ class GradientSystem:
     def frame(self) -> _HolomorphicFrame:
         """The stage tape of the fields' complex flows, built on first use."""
         return _HolomorphicFrame(self.fields)
+
+    @cached_property
+    def normal_form_residuals(self) -> MappingProxyType:
+        """normal_form's gate: the classification residuals (``classify``)
+        at ``sample_points(self, 25, 1)``, found on first use.  A draw or
+        table that raises stores nothing, so it raises again on every use."""
+        t = self.table.at(sample_points(self, 25, 1))
+        return MappingProxyType(classify(self, t).residuals)
 
 
 # the rows CheckTable composes at a time: the tapes' registers grow with the
@@ -661,17 +670,21 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     Lectures on Analytic Differential Equations, Ch. 1).  In the new
     coordinates the fields become d/dt_a and U_a + u_a collapses to a
     function F_a of the slice variables alone.  Systems that are not
-    holomorphic abelian are refused.  F is U on the slice grid (w = 0).
+    holomorphic abelian are refused: the system's classification residuals
+    (``GradientSystem.normal_form_residuals``, found once per system) are
+    compared with ``class_tol`` on every call.  F is U on the slice grid
+    (w = 0).
     The residuals come from one ``ComplexFlow.rows`` over the slice corners
     times the w samples, its d/dw_a columns dphi/dRe w_a; that flow is
     complex-linear in w, so the time residual is the fields' largest
     |dZ/dzbar| at its start and end rows (NaN at a non-finite start).
     """
-    cls = classify(sys, sys.table.at(sample_points(sys, 25, 1)), class_tol)
-    if not (cls.holomorphic and cls.abelian):
+    res = sys.normal_form_residuals
+    holomorphic, abelian = res["holomorphic"] < class_tol, res["abelian"] < class_tol
+    if not (holomorphic and abelian):
         raise NormalFormRefusal(
             f"system {sys.name or '<anonymous>'} is not holomorphic abelian "
-            f"(holomorphic={cls.holomorphic}, abelian={cls.abelian}); "
+            f"(holomorphic={holomorphic}, abelian={abelian}); "
             "no straightening exists")
     p, k = np.asarray(p, dtype=float), sys.k
     flow = ComplexFlow(sys.frame, cfg)

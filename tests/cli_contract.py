@@ -211,6 +211,10 @@ CASES = (
     Case("cauchy-not-holomorphic", "cauchy not-holomorphic.cgs --grid 3", (1,),
          {"not-holomorphic.cgs": CR_HEAD + "sigma = s; 0\nfield_1 = 1 + y1; 0\n"},
          stderr=("^error:", "Cauchy-Riemann")),
+    # an initial field with a normal component is refused by the data checks
+    Case("cauchy-not-tangent", "cauchy not-tangent.cgs --grid 3", (1,),
+         {"not-tangent.cgs": CR_HEAD + "sigma = s; 0\nfield_1 = 1; 0.5\n"},
+         stderr=(r"\Aerror: initial fields are not tangent to M \(residual 5\.000e-01\)\n\Z",)),
     Case("cauchy-nan-base", "cauchy nan-base.cgs --grid 2", (2,), {"nan-base.cgs": edited(
         "affine", "base = 0.0 0.0 / 0.0 1.0", "base = 0.0 0.0 / 0.0 nan")}, stderr=INPUT_ERROR),
     # non-transverse-demo's field vanishes at s = 0

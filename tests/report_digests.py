@@ -13,10 +13,12 @@ generated input files are written to a temporary folder, never under
 ``bench/``.
 Each command runs in a fresh folder that holds those files, with
 ``--json report.json`` added, in one interpreter that imports ``cgsys``
-from the given ``src`` root.  That interpreter runs the whole list twice,
-a cold pass and then a warm pass that finds every text already loaded,
-and a command line whose digest differs between the two passes raises
-``HistoryError``: its output depends on what the process ran before.
+from the given ``src`` root.  That interpreter runs the whole list twice
+(``passes``): a cold pass, and then a warm pass in reverse order that finds
+every text already loaded and runs each command after other commands than
+its cold pass did.  A command line whose digest differs between the two
+passes raises ``HistoryError``: its output depends on what the process ran
+before, such as a cache whose content depends on which op filled it.
 
     python tests/report_digests.py --src SRC --out DIGESTS.json
     python tests/report_digests.py --compare BASE.json HEAD.json
@@ -53,8 +55,8 @@ EXTRA = (
     ["verify", "affine", "--points", "2000", "--seed", "4"],
 )
 # cases of cli_contract.CASES, run with their files and without their own --json
-CONTRACT_CASES = ("cauchy-not-holomorphic", "cauchy-ambient-tight", "cauchy-ambient-poles",
-                  "cauchy-log-sigma")
+CONTRACT_CASES = ("cauchy-not-holomorphic", "cauchy-not-tangent", "cauchy-ambient-tight",
+                  "cauchy-ambient-poles", "cauchy-log-sigma")
 
 
 def argv_list() -> tuple[list[list[str]], dict[str, str]]:
@@ -116,6 +118,14 @@ def run_here(argvs, files) -> dict[str, str]:
     return digests
 
 
+def passes(argvs, run) -> tuple[dict[str, str], dict[str, str]]:
+    """``run(argvs)`` and then ``run`` of the command lines in reverse
+    order, each a dict keyed by command line; the warm pass's is given in
+    the cold pass's order."""
+    cold, warm = run(argvs), run(argvs[::-1])
+    return cold, {argv: warm[argv] for argv in cold}
+
+
 class HistoryError(RuntimeError):
     """A command line gave other bytes on its warm pass than on its cold one."""
 
@@ -123,9 +133,9 @@ class HistoryError(RuntimeError):
 def digests(src, argvs=None) -> dict[str, str]:
     """The digests of the command lines ``argvs`` (default: ``argv_list``)
     with ``cgsys`` imported from the source root ``src``, in a fresh
-    interpreter that writes no bytecode and runs them twice (``run_here``):
-    the cold pass's digests, which HistoryError refuses where the warm pass
-    differs."""
+    interpreter that writes no bytecode and runs them twice (``passes`` of
+    ``run_here``): the cold pass's digests, which HistoryError refuses where
+    the warm pass differs."""
     argvs, files = argv_list() if argvs is None else (argvs, argv_list()[1])
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     done = subprocess.run([sys.executable, "-B", __file__, "--here"], env=env, check=True,
@@ -155,7 +165,7 @@ def _main(args=None) -> int:
         if not Path(cgsys.__file__).resolve().is_relative_to(Path(os.environ["PYTHONPATH"])):
             raise SystemExit(f"cgsys was imported from {cgsys.__file__}")
         argvs, files = json.loads(sys.stdin.read())
-        print(json.dumps([run_here(argvs, files), run_here(argvs, files)]))
+        print(json.dumps(passes(argvs, lambda order: run_here(order, files))))
         return 0
     if args.compare:
         base, head = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)

@@ -189,6 +189,10 @@ def test_cauchy_op_draws_parameter_samples_once(monkeypatch, name):
         return inner(*args)
 
     monkeypatch.setattr(cgsys.cauchy, "param_samples", counted)
+    loads.cache_clear()      # the op builds its data object, and checks it, anew
+    assert main(["cauchy", name, "--grid", "3"]) == 0
+    assert len(calls) == 1
+    # a warm repeat reads the data's checks and draws none
     assert main(["cauchy", name, "--grid", "3"]) == 0
     assert len(calls) == 1
 
@@ -276,6 +280,10 @@ def test_cauchy_op_evaluates_the_cr_table_once(monkeypatch, name):
         return inner(self, pts)
 
     monkeypatch.setattr(Table, "at", counted)
+    loads.cache_clear()      # the op builds its data object, and checks it, anew
+    assert main(["cauchy", name, "--grid", "3"]) == 0
+    assert rows == [26]
+    # a warm repeat reads the data's checks and makes no table pass
     assert main(["cauchy", name, "--grid", "3"]) == 0
     assert rows == [26]
 

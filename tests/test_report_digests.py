@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from report_digests import HistoryError, argv_list, digests, moved
+from report_digests import HistoryError, argv_list, digests, moved, passes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ARGVS = [["verify", "line"], ["cauchy", "line", "--grid", "3"],
@@ -38,7 +38,7 @@ def test_an_output_that_depends_on_the_process_history_is_refused(tmp_path):
 
 def test_the_command_lines_are_distinct_and_name_their_generated_files():
     argvs, files = argv_list()
-    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 93
+    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 94
     named = {arg for argv in argvs for arg in argv if arg.endswith(".cgs")}
     assert named == set(files) and not any(name.startswith("bench") for name in files)
 
@@ -46,3 +46,24 @@ def test_the_command_lines_are_distinct_and_name_their_generated_files():
 def test_moved_lists_changed_and_one_sided_command_lines():
     assert moved({"a": "1", "b": "2", "c": "3"}, {"a": "1", "b": "4", "d": "5"}) == [
         "b", "c", "d"]
+
+
+def test_the_warm_pass_runs_the_command_lines_in_reverse_order():
+    # a fake run whose output is the command line that ran just before,
+    # the history a cache filled by whichever op ran first would keep
+    orders, last = [], [None]
+
+    def run(argvs):
+        orders.append([" ".join(argv) for argv in argvs])
+        out = {}
+        for argv in argvs:
+            out[" ".join(argv)], last[0] = last[0], " ".join(argv)
+        return out
+
+    argvs = [["cauchy", "a"], ["cauchy", "b"], ["verify", "c"]]
+    cold, warm = passes(argvs, run)
+    assert orders == [["cauchy a", "cauchy b", "verify c"], ["verify c", "cauchy b", "cauchy a"]]
+    assert list(warm) == list(cold) == orders[0]
+    # in the same order only the first line would follow another line;
+    # reversed, every line does
+    assert moved(cold, warm) == orders[0]
