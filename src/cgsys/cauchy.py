@@ -53,7 +53,8 @@ compiled once per ``ClosedForms`` object and run over the resolved queries.
 
 Query points are independent, so ``solve`` handles all of them in
 lockstep: one damped Newton over the stacked rows (p, u), each started
-from the linearized guess with its own step halvings and convergence test.
+from the linearized guess with its own step halvings and convergence test;
+sigma is linearized once per data object (``CRInitialData.linearization``).
 Newton runs on the map of build_dF, whose points equal F's to the last
 bit, so each Newton point is evaluated once for its value, its Jacobian
 and its flow's error estimate together, and the stacked P/Q/A and field
@@ -207,6 +208,16 @@ class CRInitialData:
         """The data's own checks (``DataChecks``), run on first use.  A check
         that raises stores nothing, so such data raises again on every use."""
         return _data_checks(self)
+
+    @cached_property
+    def linearization(self):
+        """sigma and dsigma at the base parameters, and dsigma's
+        pseudo-inverse there where it is not square (else None): what
+        Newton's first guesses invert (``_initial_guesses``), found on first
+        use.  A base row that faults raises its DomainError on every use."""
+        S, D, errors = self.sigma_rows(self.base[None])
+        _raise_first(errors)
+        return S[0], D, None if D.shape[-1] == D.shape[-2] else np.linalg.pinv(D)
 
     def sigma_rows(self, P):
         """sigma (n, 2N) and dsigma (n, 2N, m) at the parameter rows P, and
@@ -453,11 +464,14 @@ def build_dF(data: CRInitialData, cfg: FlowConfig = DEFAULT_CONFIG):
 def _initial_guesses(data: CRInitialData, Q) -> np.ndarray:
     """Newton's start rows for the query rows Q: sigma linearized around
     the base parameters, inverted by least squares, and u = 0."""
-    base = data.base
-    S, D, errors = data.sigma_rows(base[None])
-    _raise_first(errors)
-    coef, _ = solve_rows(D, (Q - S[0])[..., None])
-    return np.concatenate([base + coef[..., 0], np.zeros((len(Q), data.k))], axis=1)
+    S, D, pinv = data.linearization
+    B = (Q - S)[..., None]
+    if pinv is None:
+        coef = solve_rows(D, B)[0]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = pinv @ B
+    return np.concatenate([data.base + coef[..., 0], np.zeros((len(Q), data.k))], axis=1)
 
 
 # ---------------------------------------------------------------------------

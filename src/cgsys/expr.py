@@ -26,14 +26,17 @@ trees into a ``Program``: a straight-line tape with value numbering, so
 structurally equal subtrees are computed once, run with numpy ufuncs over
 an ``(n_points, n_vars)`` array.  Its instructions are bound at compile
 time: a power with a constant exponent runs ``_pow_by``, which tests only
-the faults that exponent can have, and constant outputs are filled in one
-assignment.  One pass of the tape over all the rows records each row's
-first faulting instruction; a DomainError's message is built only for a
-row that reports one, and names the node and the point.  A domain fault is
-never returned as NaN.  ``evaluate`` is the tape's one-row view, and the
-folding of a constant raised to a constant power runs the tape's own pow.
-``Program.then`` makes one tape of two, the second run on the first's
-outputs.
+the bases that exponent has no real power of, and constant outputs are
+filled in one assignment.  One rule names every fault: a point faults at
+the first node whose value is not finite while its operands are (IEEE
+754's overflow, division by zero and invalid operation), and a non-finite
+input never faults anew.  One pass of the tape over all the rows finds
+each row's first faulting instruction; a DomainError's message is built
+only for a row that has one, and names the node, the reason and the point.
+A domain fault is never returned as NaN.  ``evaluate`` is the tape's
+one-row view, and the folding of a constant raised to a constant power
+runs the tape's own pow.  ``Program.then`` makes one tape of two, the
+second run on the first's outputs.
 Determinism contract: the tape is bit-reproducible from run to run; on
 ``+ - * /``, negation, ``sqrt`` and ``^`` (computed by Python's own power)
 it agrees bit for bit with a plain recursive walk of the tree in Python's
@@ -214,9 +217,9 @@ def pow_(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        # the tape's own pow, folded only where it reports no fault
-        (v,), (bad,) = _pow_values(a.value, b.value)
-        if not bad and math.isfinite(v):
+        # the tape's own pow, folded only where it does not fault
+        (v,) = _pow_values(a.value, b.value)
+        if math.isfinite(v):
             return Const(float(v))
     return Binary("pow", a, b)
 
@@ -250,29 +253,31 @@ def _is_integer(y):
 
 def _pow_values(x, y):
     """x ** y elementwise through Python's float power, which a walk of the
-    tree in Python's ``math`` takes too; returns the values and the fault
-    mask."""
+    tree in Python's ``math`` takes too; NaN where the power has no real
+    value (0 to a negative power, a negative base to a non-integer
+    exponent) and inf where it overflows."""
     x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
     bad = ((x == 0.0) & (y < 0.0)) | ((x < 0.0) & ~_is_integer(y))
-    return _python_pow(np.where(bad, 1.0, x).tolist(), np.where(bad, 1.0, y).tolist(), bad)
+    return _python_pow(x, np.where(bad, 1.0, y).tolist(), bad)
 
 
-def _python_pow(xs, ys, bad):
-    """Python's float power over the lists xs and ys (ys may be an endless
-    iterator of one exponent), with overflow marked in ``bad`` (None: no
-    fault yet); the values and the fault mask."""
+def _python_pow(x, ys, bad=None):
+    """Python's float power of the array x to the exponents ys (a list, or
+    an endless iterator of one exponent): NaN where ``bad`` (None: nowhere),
+    inf where it overflows."""
+    xs = (x if bad is None else np.where(bad, 1.0, x)).tolist()
     try:
-        return np.fromiter(map(pow, xs, ys), dtype=float, count=len(xs)), bad
+        out = np.fromiter(map(pow, xs, ys), dtype=float, count=len(xs))
     except OverflowError:
-        pass
-    out = np.empty(len(xs))
-    bad = np.zeros(len(xs), dtype=bool) if bad is None else bad.copy()
-    for i, (a, b) in enumerate(zip(xs, ys)):
-        try:
-            out[i] = a ** b
-        except OverflowError:
-            out[i], bad[i] = math.inf, True
-    return out, bad
+        out = np.empty(len(xs))
+        for i, (a, b) in enumerate(zip(xs, ys)):
+            try:
+                out[i] = a ** b
+            except OverflowError:
+                out[i] = math.inf
+    if bad is not None:
+        out[bad] = np.nan
+    return out
 
 
 # x^2 runs here too, not as x*x: Python's pow (libm's) is not always
@@ -281,9 +286,9 @@ def _python_pow(xs, ys, bad):
 # np.square and np.power(x, 2.0) agree with x*x, not with pow, so the tape
 # keeps pow to agree bit for bit with a walk that takes Python's.
 def _pow_by(e: float):
-    """x ** e for the constant exponent e over an array x: Python's float
-    power as in _pow_values, with the fault mask computed only where e can
-    fault (x == 0 for e < 0, x < 0 for a non-integer e, and overflow)."""
+    """x ** e for the constant exponent e over an array x: _pow_values,
+    with the bases that have no real power tested only where e has such
+    bases (x == 0 for e < 0, x < 0 for a non-integer e)."""
     zero_faults, negative_faults = e < 0.0, not e.is_integer()
 
     def run(x, _):
@@ -292,60 +297,52 @@ def _pow_by(e: float):
             bad = x == 0.0
         if negative_faults:
             bad = x < 0.0 if bad is None else bad | (x < 0.0)
-        if bad is not None and bad.any():
-            x = np.where(bad, 1.0, x)
-        else:
-            bad = None
-        return _python_pow(x.tolist(), itertools.repeat(e), bad)
+        return _python_pow(x, itertools.repeat(e), bad if bad is not None and bad.any() else None)
     return run
 
 
-def _pow_reason(x, y) -> str:
-    if x == 0.0 and y < 0.0:
+def _reason(op: str, x: float, y: float | None) -> str:
+    """Why the op's value at the finite operands x (and y) is not finite."""
+    if op == "div" and y == 0.0:
+        return "division by zero"
+    if op == "log":
+        return "log of non-positive value"
+    if op == "sqrt":
+        return "sqrt of negative value"
+    if op == "pow" and x == 0.0 and y < 0.0:
         return "zero raised to negative power"
-    if x < 0.0 and not float(y).is_integer():
+    if op == "pow" and x < 0.0 and not float(y).is_integer():
         return "negative base with non-integer exponent"
     return "overflow"
 
 
-def _checked_div(x, y):
-    return np.divide(x, y), np.equal(y, 0.0)
+def _masking(op: str, a: int, b: int | None, consts) -> tuple:
+    """The operand slots of an instruction through which a non-finite value
+    can give a finite result (x/inf, exp(-inf), atan(inf), atan2, pow(inf,
+    0)), given the constants by slot; through any other operand a non-finite
+    value gives a non-finite result."""
+    if op in ("exp", "atan"):
+        return (a,)
+    if op == "div":
+        return (b,)
+    if op == "atan2" or (op == "pow" and not consts.get(b, 0.0) > 0.0):
+        return (a, b)
+    return ()
 
 
-def _checked_log(x):
-    return np.log(x), np.less_equal(x, 0.0)
-
-
-def _checked_sqrt(x):
-    return np.sqrt(x), np.less(x, 0.0)
-
-
-def _checked_exp(x):
-    v = np.exp(x)
-    return v, np.isinf(v) & np.isfinite(x)
-
-
-def _checked_trig(fn):
-    def run(x):
-        return fn(x), np.isinf(x)
-    return run
-
-
-# op -> (ufunc, or a checked function returning (values, fault mask or
-# None), and the reason a fault names; pow takes its reason from the
-# operands)
+# op -> the function an instruction runs on its operand registers
 _TAPE_OPS = {
-    "neg": (np.negative, None), "atan": (np.arctan, None),
-    "sin": (_checked_trig(np.sin), "sin of infinite value"),
-    "cos": (_checked_trig(np.cos), "cos of infinite value"),
-    "tan": (_checked_trig(np.tan), "tan of infinite value"),
-    "exp": (_checked_exp, "overflow"),
-    "log": (_checked_log, "log of non-positive value"),
-    "sqrt": (_checked_sqrt, "sqrt of negative value"),
-    "add": (np.add, None), "sub": (np.subtract, None),
-    "mul": (np.multiply, None), "div": (_checked_div, "division by zero"),
-    "pow": (_pow_values, "pow"), "atan2": (np.arctan2, None),
+    "neg": np.negative, "atan": np.arctan, "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "add": np.add, "sub": np.subtract,
+    "mul": np.multiply, "div": np.divide, "pow": _pow_values, "atan2": np.arctan2,
 }
+
+
+def _frozen(value) -> np.ndarray:
+    """A constant as the read-only 0-d float64 array an instruction reads."""
+    value = np.array(value, dtype=float)
+    value.flags.writeable = False
+    return value
 
 
 class Program:
@@ -354,35 +351,51 @@ class Program:
     Calling it on an ``(n, len(names))`` point array returns the ``(n, m)``
     array of the m outputs, one row per point.  Slots ``0..len(names)-1``
     hold the input columns, constants have slots of their own, and each
-    instruction writes one new slot from earlier ones.  One pass over all
-    the rows records each row's first faulting instruction, the node where
-    a walk of the trees faults at that point; a call raises the first faulting
-    row's DomainError (node, row index, coordinates), ``rows`` returns each
-    row's, and no other error message is built.
+    instruction writes one new slot from earlier ones, with no fault test of
+    its own.
+
+    One rule finds the faults: a row faults at its first instruction whose
+    value is not finite while its operands are, the node where a walk of
+    the trees faults at that point; a non-finite input never faults anew.
+    A pass tests once whether any value may have turned non-finite: its
+    non-constant outputs, the values no instruction reads, and the operands
+    through which a non-finite value can give a finite one (``_masking``);
+    every other value feeds one of those, non-finite if it is.  Only where
+    that test fails are the registers scanned for each row's first fault.
+    A call raises the first faulting row's DomainError (node, row index,
+    coordinates), ``rows`` returns each row's, and no other error message is
+    built.
     """
 
     __slots__ = ("names", "code", "outputs", "nodes", "_registers", "_const_row",
-                 "_slot_outputs")
+                 "_slot_outputs", "_tested", "_watched")
 
     def __init__(self, names, n_slots, consts, code, outputs, nodes):
         self.names = names        # input variable per column
-        self.code = code          # (function, out slot, lhs slot, rhs slot or None, reason)
+        self.code = code          # (function, out slot, lhs slot, rhs slot or None, op)
         self.outputs = outputs    # slot of each output expression
         self.nodes = nodes        # expression node of each instruction
         # the register file after the input columns before a call: the
         # constants in their slots
-        registers = [None] * n_slots
-        for slot, value in consts:
-            registers[slot] = value
-        self._registers = registers[len(names):]
+        const_slots = {slot: _frozen(value) for slot, value in consts}
+        self._registers = [const_slots.get(slot) for slot in range(len(names), n_slots)]
         # an output row holding the constant outputs, which fills them all
         # in one assignment (None: there are none); the other outputs, with
         # their slots, are copied one by one
-        const_slots = dict(consts)
         row = np.array([const_slots.get(slot, np.nan) for slot in outputs])
         self._const_row = row if len(const_slots.keys() & set(outputs)) else None
         self._slot_outputs = [(j, slot) for j, slot in enumerate(outputs)
                               if slot not in const_slots]
+        # the output columns the pass tests (all of them: a slice), and the
+        # other registers it tests: the operands through which a non-finite
+        # value can vanish and the values that no instruction reads
+        tested = [j for j, slot in self._slot_outputs if slot >= len(names)]
+        self._tested = slice(None) if len(tested) == len(outputs) else np.array(tested, int)
+        read = {s for _, _, a, b, _ in code for s in (a, b)}
+        self._watched = sorted(
+            {s for _, _, a, b, op in code for s in _masking(op, a, b, const_slots)
+             if s not in const_slots}
+            | ({dst for _, dst, _, _, _ in code} - read - set(outputs)))
 
     def __len__(self) -> int:
         return len(self.code)
@@ -422,26 +435,32 @@ class Program:
         if n == 0 or not self._slot_outputs:    # then there is no instruction
             return out, None, None
         reg = [*P.T, *self._registers]     # the input columns are views of P
-        first = self._run(reg, n)
+        with np.errstate(all="ignore"):
+            for fn, dst, a, b, _ in self.code:
+                reg[dst] = fn(reg[a]) if b is None else fn(reg[a], reg[b])
         columns = out.T
         for j, slot in self._slot_outputs:
             columns[j] = reg[slot]
+        first = None if np.isfinite(out[:, self._tested]).all() and all(
+            np.isfinite(reg[s]).all() for s in self._watched) else self._first_faults(reg, n)
+        if first is None:
+            return out, None, None
         return out, first, lambda i, labels: self._fault(P, i, first[i], reg, labels)
 
-    @np.errstate(all="ignore")
-    def _run(self, reg, n):
-        """The instructions over the register file ``reg`` of n rows, in
-        place; each row's first faulting instruction (None: no fault)."""
-        first = None
-        for pos, (fn, dst, a, b, reason) in enumerate(self.code):
-            v = fn(reg[a]) if b is None else fn(reg[a], reg[b])
-            if reason:
-                v, bad = v
-                if bad is not None and bad.any():
-                    first = np.full(n, -1) if first is None else first
-                    first[bad & (first < 0)] = pos
-            reg[dst] = v
-        return first
+    def _first_faults(self, reg, n):
+        """Each row's first instruction whose value is not finite while its
+        operands are (-1: none; None where no row has one), read off the
+        registers of a pass in one stack."""
+        stack = np.empty((len(reg), n))
+        for slot, r in enumerate(reg):
+            stack[slot] = r
+        finite = np.isfinite(stack)
+        dst, a, b = np.array([(dst, a, a if b is None else b)
+                              for _, dst, a, b, _ in self.code]).T
+        new = ~finite[dst] & finite[a] & finite[b]
+        if not new.any():
+            return None
+        return np.where(new.any(axis=0), new.argmax(axis=0), -1)
 
     def then(self, other: "Program") -> "Program":
         """One tape that runs this one and then ``other`` on its outputs:
@@ -457,21 +476,20 @@ class Program:
         slot = [*self.outputs, *range(base, base + len(other._registers))]
         consts = [(i, v) for i, v in enumerate([*self._registers, *other._registers],
                                                 len(self.names)) if v is not None]
-        code = [(fn, slot[dst], slot[a], None if b is None else slot[b], reason)
-                for fn, dst, a, b, reason in other.code]
+        code = [(fn, slot[dst], slot[a], None if b is None else slot[b], op)
+                for fn, dst, a, b, op in other.code]
         return Program(self.names, base + len(other._registers), consts, self.code + code,
                        [slot[s] for s in other.outputs], self.nodes + other.nodes)
 
     def _fault(self, P, row, pos, reg, labels) -> DomainError:
-        _, _, a, b, reason = self.code[pos]
-        if reason == "pow":
-            x, y = (float(np.broadcast_to(reg[s], (len(P),))[row]) for s in (a, b))
-            reason = _pow_reason(x, y)
+        _, _, a, b, op = self.code[pos]
+        x, y = (None if s is None else float(np.broadcast_to(reg[s], (len(P),))[row])
+                for s in (a, b))
         index = int(row if labels is None else labels[row])
         coords = ", ".join(f"{name}={float(v)!r}"
                            for name, v in zip(self.names, P[row]))
-        return DomainError(f"{reason} in '{to_string(self.nodes[pos])}' at point {index} "
-                           f"({coords})", index)
+        return DomainError(f"{_reason(op, x, y)} in '{to_string(self.nodes[pos])}' "
+                           f"at point {index} ({coords})", index)
 
 
 def compile_exprs(exprs, names) -> Program:
@@ -503,12 +521,12 @@ def compile_exprs(exprs, names) -> Program:
         return slot
 
     def emit(e, op, args):
-        fn, reason = _TAPE_OPS[op]
+        fn = _TAPE_OPS[op]
         if op == "pow" and args[1] in consts and args[0] not in scalar:
             fn = _pow_by(consts[args[1]])
 
         def make(slot):
-            code.append((fn, slot, args[0], args[1] if len(args) > 1 else None, reason))
+            code.append((fn, slot, args[0], args[1] if len(args) > 1 else None, op))
             nodes.append(e)
             if all(a in scalar for a in args):
                 scalar.add(slot)

@@ -21,8 +21,9 @@ the constant ones, and compiles the products and sums left, in the
 helpers' order and association, onto the end of the jets' own tape, so
 each entry is the helpers' value up to the sign of a zero and a call is one
 Program pass (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
-Ch. 7-8, on exploiting sparsity).  A dropped product that would meet a
-non-finite value makes its entry NaN, as 0 * inf does.  The check table,
+Ch. 7-8, on exploiting sparsity).  The tape refuses a row of finite
+inputs where a jet turns non-finite, so a dropped product never meets one
+there.  The check table,
 the CR data's brackets and the complex flows' stage reads are each such a
 layout of the jets.
 A field's values at one point (``VectorField.values``, ``field_matrix``)
@@ -272,50 +273,37 @@ def ddc_terms(dU, D2U, X, DX, pairs, brackets) -> tuple[np.ndarray, ...]:
 class Term:
     """One entry of a composed block, as a Composition builds it from the
     jets: ``expr``, an expression of the jets' non-constant columns
-    (variables ``j<col>``), and ``poison``, the expressions whose non-finite
-    value makes the entry NaN: the other factors of the products dropped
-    because one factor is zero, where 0 * inf would give NaN.
+    (variables ``j<col>``).
 
     The operators are expr's add, sub, mul and neg, which keep the order
     and association the helpers write and fold constants.  A zero operand
     (a ``Const(0.0)``) drops out of a sum (x + 0 = x and 0 - x = -x, exact
     up to the sign of a zero), a product with a zero factor is the zero
-    term, poisoned by the other factor unless that is a finite constant,
-    and a negation is exact, a zero's sign included, as numpy's is."""
+    term, and a negation is exact, a zero's sign included, as numpy's is."""
 
-    __slots__ = ("expr", "poison", "zero")
+    __slots__ = ("expr", "zero")
 
-    def __init__(self, expr: Expr, poison: frozenset = frozenset()):
-        self.expr, self.poison = expr, poison
+    def __init__(self, expr: Expr):
+        self.expr = expr
         self.zero = isinstance(expr, Const) and expr.value == 0.0
 
-    def _with(self, poison: frozenset) -> "Term":
-        """This term, poisoned by ``poison`` too."""
-        return self if poison <= self.poison else Term(self.expr, self.poison | poison)
-
     def __neg__(self) -> "Term":
-        return Term(neg(self.expr), self.poison)
+        return Term(neg(self.expr))
 
     def __add__(self, other: "Term") -> "Term":
         if other.zero:
-            return self._with(other.poison)
+            return self
         if self.zero:
-            return other._with(self.poison)
-        return Term(add(self.expr, other.expr), self.poison | other.poison)
+            return other
+        return Term(add(self.expr, other.expr))
 
     def __sub__(self, other: "Term") -> "Term":
         if self.zero or other.zero:
             return self + -other
-        return Term(sub(self.expr, other.expr), self.poison | other.poison)
+        return Term(sub(self.expr, other.expr))
 
     def __mul__(self, other: "Term") -> "Term":
-        poison = self.poison | other.poison
-        if not (self.zero or other.zero):
-            return Term(mul(self.expr, other.expr), poison)
-        factor = other.expr if self.zero else self.expr
-        if not (isinstance(factor, Const) and math.isfinite(factor.value)):
-            return Term(ZERO, poison | {factor})
-        return Term(ZERO, poison) if poison else _ZERO
+        return _ZERO if self.zero or other.zero else Term(mul(self.expr, other.expr))
 
 
 _ZERO = Term(ZERO)
@@ -327,11 +315,10 @@ _ZERO = Term(ZERO)
 @lru_cache(maxsize=256)
 def _plan(compose, layout, pattern):
     """``compose`` run once on the jets as Terms with a point axis of one
-    and compiled over every jet column (``j<col>``): the Program, whose
-    outputs are the entries and then the distinct poisons, each composed
-    block's columns and shape (as ``Table.columns``), the pairs (entry,
-    poison) as two arrays, and each entry's value where it is a constant
-    that nothing poisons, else None."""
+    and compiled over every jet column (``j<col>``): the Program of the
+    entries, each composed block's columns and shape (as
+    ``Table.columns``), and each entry's value where it is a constant,
+    else None."""
     terms = np.array([Term(Var(f"j{col}")) if value is None else Term(Const(value))
                       for col, value in enumerate(pattern)], dtype=object)
     ends = np.cumsum([math.prod(shape) for _, shape in layout])
@@ -340,15 +327,9 @@ def _plan(compose, layout, pattern):
     columns, entries = {}, []
     for name, block in compose(jets).items():
         columns[name] = (slice(len(entries), len(entries) + block.size), block.shape[:-1])
-        entries += list(block.ravel())
-    poison = list(dict.fromkeys(e for t in entries for e in t.poison))
-    number = {e: i for i, e in enumerate(poison)}
-    pairs = np.reshape(np.array([(i, number[e]) for i, t in enumerate(entries)
-                                 for e in t.poison], dtype=int), (-1, 2)).T
-    program = compile_exprs([t.expr for t in entries] + poison,
-                            [f"j{col}" for col in range(len(pattern))])
-    return program, columns, pairs, tuple(
-        t.expr.value if isinstance(t.expr, Const) and not t.poison else None for t in entries)
+        entries += [t.expr for t in block.ravel()]
+    program = compile_exprs(entries, [f"j{col}" for col in range(len(pattern))])
+    return program, columns, tuple(e.value if isinstance(e, Const) else None for e in entries)
 
 
 class Composition:
@@ -367,21 +348,18 @@ class Composition:
     every entry equals the helper's value on the jets up to the sign of a
     zero; a jet passed through, or negated, is the jet's own value.  The
     jets' instructions come first, so a row faults where the jets' tape
-    does.  Where a dropped product meets a non-finite value the helper's
-    0 * inf gives NaN: the factors such products dropped are the tape's
-    outputs after the entries, one test of them all for non-finite values
-    decides whether any product may, and only where it fails are the
-    entries such a value poisons set to NaN, row by row.  ``at`` gives the
+    does; it refuses a row of finite inputs where a jet turns non-finite,
+    so a dropped product meets no non-finite value at a row it accepts
+    whose inputs are finite.  ``at`` gives the
     blocks, each with a leading point axis, as views of one array of the
     entries, and ``constants`` holds each entry's value where it is a
-    constant that nothing poisons, else None."""
+    constant, else None."""
 
     def __init__(self, jets: Table, compose):
         layout = tuple((name, shape) for name, (_, shape) in jets.columns.items())
         pattern = tuple(e.value if isinstance(e, Const) else None for e in jets.exprs)
         self.jets = jets
-        plan, self.columns, (self.poisoned, self.poison), self.constants = _plan(
-            compose, layout, pattern)
+        plan, self.columns, self.constants = _plan(compose, layout, pattern)
         self.entries = len(self.constants)
         self.program = jets.program.then(plan)
 
@@ -396,17 +374,10 @@ class Composition:
         return vals
 
     def rows(self, pts, labels=None):
-        """The entries at the rows of pts, NaN where a value that a dropped
-        product meets is not finite, and a dict j -> the DomainError that
-        refuses row j (its entries NaN), naming row j as labels[j] (default
-        j); the errors are made only for the rows refused."""
+        """The entries at the rows of pts, and a dict j -> the DomainError
+        that refuses row j (its entries NaN), naming row j as labels[j]
+        (default j); the errors are made only for the rows refused."""
         vals, first, error = self.program._pass(pts)
-        if self.poison.size:        # then the poisons follow the entries
-            vals, poison = vals[:, :self.entries], vals[:, self.entries:]
-            if not np.isfinite(poison).all():
-                hit = np.zeros((self.entries, len(vals)), dtype=bool)
-                np.logical_or.at(hit, self.poisoned, ~np.isfinite(poison[:, self.poison].T))
-                vals[hit.T] = np.nan
         if first is None:
             return vals, {}
         faulted = np.flatnonzero(first >= 0).tolist()

@@ -20,11 +20,10 @@ gradients and composes brackets, d^c and the dd^c terms from their values;
 every check is a numpy reduction over the blocks ``t = sys.table.at(pts)``
 it is handed.  The composition knows the jets' structure: it compiles onto
 the jets' tape only the products whose jets are not ``Const(0.0)``, in
-the order and association of geometry's helpers, folds the entries of
-constant jets once, and gives NaN where a dropped product meets a
-non-finite value, as 0 * inf would (``geometry.Composition``), so the
-table is one Program pass per chunk of rows.  The table holds one
-bracket per frame pair i < j, and a check that reads a span factors it once
+the order and association of geometry's helpers, and folds the entries of
+constant jets once (``geometry.Composition``), so the table is one Program
+pass per chunk of rows.  The table holds one bracket per frame pair
+i < j, and a check that reads a span factors it once
 (``geometry.Span``): its rank and every projection on it come from one
 stacked SVD, and a span read only for its rank is factored without
 singular vectors.  Every dimension count is such a rank, the
@@ -34,7 +33,8 @@ draws one point set, evaluates the table there once and hands every check
 those blocks or their first rows, so identical seed and configuration
 reproduce identical residual tables bit for bit; the decomposition check
 reads its rows of the frame off the axioms' factorization.  A domain fault
-at a sample point raises DomainError naming the node and the point.  No value
+at a sample point (a value on the tape that turns non-finite, an overflow
+included) raises DomainError naming the node and the point.  No value
 comes from anything but a compiled tape: ``GradientSystem.in_domain`` is
 the one-row view of the domain predicate, and the level-set search runs
 flow's one Newton on a compiled tape like every check.
@@ -170,8 +170,7 @@ class CheckTable(Composition):
     and compiles onto the jets' tape only the products that are not
     structurally zero, in the helpers' order and association; an entry of
     constant jets alone is folded once, and an entry with no product left
-    is an exact zero, or NaN at a row where a dropped product meets a
-    non-finite value, as 0 * inf makes it.  Frame index i < k stands for
+    is an exact zero.  Frame index i < k stands for
     xi_(i+1), k + a for J xi_(a+1).
     The blocks, each with a leading point axis: ``d``, ``dc`` (k, k)
     du_a(xi_b) and d^c u_a(xi_b); ``grad`` (k, 2N) the rows of dU; ``frame``

@@ -193,6 +193,14 @@ CASES = (
          _grad(" + ".join(["y1"] + ["x1"] * 499)), stderr=TOO_DEEP),
     Case("verify-deep-product", "verify grad.cgs --points 3", (2,),
          _grad("*".join(["y1"] + ["x1"] * 248)), stderr=TOO_DEEP),
+    # a valid system whose tape overflows at every sample point is refused at
+    # the first value that turns non-finite, before its jets reach an SVD
+    *(Case(f"verify-overflow-{kind}", f"verify overflow-{kind}.cgs", (2,),
+           {f"overflow-{kind}.cgs": edited(MINIMAL, "grad_1 = -y1", f"grad_1 = -y1 + {grad}")},
+           stderr=(rf"\Ainput error: overflow in '{node}' at point 0 "
+                   r"\(x1=[-+.e\d]+, y1=[-+.e\d]+\)\n\Z",))
+      for kind, grad, node in (("product", "1e200*x1*1e200", r"1e\+200\*1e\+200"),
+                               ("exp", "exp(400)*exp(400)*x1", r"exp\(400\)\*exp\(400\)"))),
     Case("cauchy-line", "cauchy line --grid 3"),
     Case("cauchy-heisenberg-cr", "cauchy heisenberg-cr --grid 3"),
     # the compiled [oracle] comparison, with atan2 and rows where a closed

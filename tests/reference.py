@@ -3,7 +3,9 @@ vectorized code must agree with bit for bit.
 
 ``evaluate`` walks one tree at one point with Python's ``math``: the tape
 (``expr.Program``, the package's only evaluator) must match it bit for bit
-on ``+ - * /``, negation, ``sqrt`` and ``^`` and report its first fault.
+on ``+ - * /``, negation, ``sqrt`` and ``^`` and report its first fault,
+by the one rule written here again: a node faults where its value is not
+finite while its operands are.
 ``env_at``, ``values``, ``field_matrix`` and ``in_domain`` are the walk's
 forms of the one-row views.  This file takes from cgsys only node and error
 classes, ``to_string``, the DP8 tableau and MAX_SQUARINGS
@@ -24,8 +26,8 @@ composed it before the composition learned the jets' zeros: geometry's
 numpy helpers (``d_values``, ``dc_values``, ``bracket_values``,
 ``dc_differentials``, ``ddc_terms``) and ``np.trace`` over every product,
 zero or not, on the jets' values with the point axis last.  The package's
-sparse composition must equal it bit for bit up to the sign of a zero, and
-be NaN exactly where it is (0 * inf).
+sparse composition must equal it bit for bit up to the sign of a zero at
+the rows it accepts, and refuse exactly the rows where it is not finite.
 
 ``matrix_exp`` and ``exp_frechet`` are ``cgsys.flow.matrix_exp`` and
 ``cgsys.flow._exp_frechet`` as plain scaling and squaring: each row's
@@ -46,22 +48,65 @@ from cgsys.expr import (
 from cgsys.flow import _DP8_A, _DP8_B, _DP8_C, _DP8_E3, _DP8_E5, MAX_SQUARINGS
 
 
-def _eval_pow(base: float, expo: float, node) -> float:
-    if base == 0.0 and expo < 0.0:
-        raise DomainError(f"zero raised to negative power in '{_name(node)}'")
-    if base < 0.0 and not float(expo).is_integer():
-        raise DomainError(f"negative base with non-integer exponent in '{_name(node)}'")
+def _power(base: float, expo: float) -> float:
+    """Python's float power: NaN where it has no real value (0 to a
+    negative power, a negative base to a non-integer exponent), inf where
+    it overflows."""
+    if (base == 0.0 and expo < 0.0) or (base < 0.0 and not float(expo).is_integer()):
+        return math.nan
     try:
         return float(base ** expo)
     except OverflowError:
-        raise DomainError(f"overflow in '{_name(node)}'") from None
+        return math.inf
 
 
-def _name(node) -> str:
-    return to_string(node) if node is not None else "pow"
+def _quotient(a: float, b: float) -> float:
+    """a / b, with IEEE 754's value where Python raises: a signed infinity
+    for a nonzero a over a zero, NaN for 0/0 and NaN/0."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-_TRIG = {"sin": math.sin, "cos": math.cos, "tan": math.tan}
+def _math(fn, x: float) -> float:
+    """fn(x) in Python's math, with IEEE 754's value where Python raises:
+    inf for an overflow of exp, NaN for sin, cos, tan of an infinity and
+    for log and sqrt of -inf (a finite operand that raises faults)."""
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
+_UNARY = {"neg": lambda x: -x, "sin": math.sin, "cos": math.cos, "tan": math.tan,
+          "atan": math.atan, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
+_BINARY = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b,
+           "div": _quotient, "pow": _power}
+
+
+def _reason(op: str, x: float, y: float | None) -> str:
+    if op == "div" and y == 0.0:
+        return "division by zero"
+    if op in ("log", "sqrt"):
+        return {"log": "log of non-positive value", "sqrt": "sqrt of negative value"}[op]
+    if op == "pow" and x == 0.0 and y < 0.0:
+        return "zero raised to negative power"
+    if op == "pow" and x < 0.0 and not float(y).is_integer():
+        return "negative base with non-integer exponent"
+    return "overflow"
+
+
+def _checked(node, op, value, x, y=None) -> float:
+    """value, the node's at the operands x (and y), or the DomainError of
+    the one fault rule: a value that is not finite at finite operands."""
+    if not math.isfinite(value) and math.isfinite(x) and (y is None or math.isfinite(y)):
+        raise DomainError(f"{_reason(op, x, y)} in '{to_string(node)}'")
+    return value
 
 
 def evaluate(e: Expr, env: dict[str, float]) -> float:
@@ -69,9 +114,11 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
 
     Deterministic IEEE double arithmetic: the same tree and environment give
     a bit-identical result.  Lookup of an absent variable raises
-    UnboundVariableError, never a default.  Division by zero, log of a
-    non-positive value, sqrt of a negative value and similar propagate as
-    DomainError naming the offending node, never as NaN.
+    UnboundVariableError, never a default.  A node whose value is not
+    finite while its operands are (an overflow, a division by zero, log of
+    a non-positive value, sqrt of a negative value, a power with no real
+    value) raises DomainError naming it, never NaN; a non-finite operand
+    gives IEEE 754's value and no fault.
     """
     match e:
         case Const(value=v):
@@ -82,47 +129,19 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
             except KeyError:
                 raise UnboundVariableError(f"unbound variable '{n}'") from None
         case Unary(op=op, arg=a):
+            if op not in _UNARY:
+                raise ValueError(f"unknown unary operation {op!r}")
             x = evaluate(a, env)
-            if op == "neg":
-                return -x
-            if op in _TRIG:
-                if math.isinf(x):
-                    raise DomainError(f"{op} of infinite value in '{to_string(e)}'")
-                return _TRIG[op](x)
-            if op == "atan":
-                return math.atan(x)
-            if op == "exp":
-                try:
-                    return math.exp(x)
-                except OverflowError:
-                    raise DomainError(f"overflow in '{to_string(e)}'") from None
-            if op == "log":
-                if x <= 0.0:
-                    raise DomainError(f"log of non-positive value in '{to_string(e)}'")
-                return math.log(x)
-            if op == "sqrt":
-                if x < 0.0:
-                    raise DomainError(f"sqrt of negative value in '{to_string(e)}'")
-                return math.sqrt(x)
-            raise ValueError(f"unknown unary operation {op!r}")
+            return _checked(e, op, _math(_UNARY[op], x), x)
         case Binary(op=op, lhs=l, rhs=r):
+            if op not in _BINARY:
+                raise ValueError(f"unknown binary operation {op!r}")
             a = evaluate(l, env)
             b = evaluate(r, env)
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            if op == "mul":
-                return a * b
-            if op == "div":
-                if b == 0.0:
-                    raise DomainError(f"division by zero in '{to_string(e)}'")
-                return a / b
-            if op == "pow":
-                return _eval_pow(a, b, e)
-            raise ValueError(f"unknown binary operation {op!r}")
+            return _checked(e, op, _BINARY[op](a, b), a, b)
         case Atan2(y=ye, x=xe):
-            return math.atan2(evaluate(ye, env), evaluate(xe, env))
+            a, b = evaluate(ye, env), evaluate(xe, env)
+            return _checked(e, "atan2", math.atan2(a, b), a, b)
     raise TypeError(f"not an expression: {e!r}")
 
 

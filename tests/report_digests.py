@@ -1,7 +1,7 @@
-"""One SHA-256 per ``cgsys`` command line over what the command gives back:
-its exit code, stdout, stderr, warnings and ``--json`` report bytes.  Two
-source trees that give the same digests on every command line behave the
-same on them, to the byte.
+"""SHA-256 digests of what each ``cgsys`` command line gives back, one per
+part (``PARTS``): its exit code, stdout, stderr, warnings and ``--json``
+report bytes.  Two source trees that give the same digests on every
+command line behave the same on them, to the byte.
 
 The command lines (``argv_list``) are every gallery entry under ``verify``,
 ``cauchy`` and ``normal-form``, a few larger runs, the contract table's
@@ -23,9 +23,9 @@ before, such as a cache whose content depends on which op filled it.
     python tests/report_digests.py --src SRC --out DIGESTS.json
     python tests/report_digests.py --compare BASE.json HEAD.json
 
-``--compare`` lists the command lines whose digests differ or that only
-one file holds, and exits 0 either way: a tree that changes bytes on
-purpose is not a failure.  A command that raises, or that gives another
+``--compare`` lists the command lines whose digests differ, each with the
+parts that moved, or that only one file holds, and exits 0 either way: a
+tree that changes bytes on purpose is not a failure.  A command that raises, or that gives another
 digest on its warm pass, makes the run fail.
 """
 
@@ -44,6 +44,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 REPORT = "report.json"
+PARTS = ("exit code", "stdout", "stderr", "warnings", "report")
 SEEDS = (1, 2)
 EXTRA = (
     ["cauchy", "affine", "--u-extent", "1.5"],
@@ -56,7 +57,8 @@ EXTRA = (
 )
 # cases of cli_contract.CASES, run with their files and without their own --json
 CONTRACT_CASES = ("cauchy-not-holomorphic", "cauchy-not-tangent", "cauchy-ambient-tight",
-                  "cauchy-ambient-poles", "cauchy-log-sigma")
+                  "cauchy-ambient-poles", "cauchy-log-sigma", "verify-overflow-product",
+                  "verify-overflow-exp")
 
 
 def argv_list() -> tuple[list[list[str]], dict[str, str]]:
@@ -88,9 +90,10 @@ def argv_list() -> tuple[list[list[str]], dict[str, str]]:
     return list(map(list, dict.fromkeys(map(tuple, argvs)))), files
 
 
-def run_here(argvs, files) -> dict[str, str]:
-    """Each command line's digest from ``cgsys.cli.main`` in this
-    interpreter, keyed by the command line joined by spaces."""
+def run_here(argvs, files) -> dict[str, dict[str, str]]:
+    """Each command line's digests from ``cgsys.cli.main`` in this
+    interpreter, part -> digest, keyed by the command line joined by
+    spaces."""
     from cgsys.cli import main
 
     digests, home = {}, os.getcwd()
@@ -114,11 +117,12 @@ def run_here(argvs, files) -> dict[str, str]:
             record = [code, out.getvalue(), err.getvalue(),
                       [f"{w.category.__name__}: {w.message}" for w in caught],
                       report.read_bytes().hex() if report.exists() else None]
-        digests[" ".join(argv)] = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+        digests[" ".join(argv)] = {part: hashlib.sha256(json.dumps(value).encode()).hexdigest()
+                                   for part, value in zip(PARTS, record)}
     return digests
 
 
-def passes(argvs, run) -> tuple[dict[str, str], dict[str, str]]:
+def passes(argvs, run) -> tuple[dict, dict]:
     """``run(argvs)`` and then ``run`` of the command lines in reverse
     order, each a dict keyed by command line; the warm pass's is given in
     the cold pass's order."""
@@ -130,7 +134,7 @@ class HistoryError(RuntimeError):
     """A command line gave other bytes on its warm pass than on its cold one."""
 
 
-def digests(src, argvs=None) -> dict[str, str]:
+def digests(src, argvs=None) -> dict[str, dict[str, str]]:
     """The digests of the command lines ``argvs`` (default: ``argv_list``)
     with ``cgsys`` imported from the source root ``src``, in a fresh
     interpreter that writes no bytecode and runs them twice (``passes`` of
@@ -147,9 +151,17 @@ def digests(src, argvs=None) -> dict[str, str]:
     return cold
 
 
-def moved(base: dict[str, str], head: dict[str, str]) -> list[str]:
+def moved(base: dict, head: dict) -> list[str]:
     """The command lines whose digests differ, or that one side lacks."""
     return [argv for argv in dict.fromkeys([*base, *head]) if base.get(argv) != head.get(argv)]
+
+
+def parts_moved(base: dict | None, head: dict | None) -> str:
+    """The parts of one command line whose digests differ, or the side that
+    holds it alone."""
+    if base is None or head is None:
+        return "only in base" if head is None else "only in head"
+    return ", ".join(part for part in PARTS if base.get(part) != head.get(part))
 
 
 def _main(args=None) -> int:
@@ -172,7 +184,7 @@ def _main(args=None) -> int:
         changed = moved(base, head)
         print(f"{len(changed)} of {len(set(base) | set(head))} command lines moved")
         for argv in changed:
-            print(f"- `{argv}`")
+            print(f"- `{argv}`: {parts_moved(base.get(argv), head.get(argv))}")
         return 0
     if not args.src:
         ap.error("give --src or --compare")

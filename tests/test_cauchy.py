@@ -288,6 +288,31 @@ def test_cauchy_op_evaluates_the_cr_table_once(monkeypatch, name):
     assert rows == [26]
 
 
+@pytest.mark.parametrize("name", ["line", "heisenberg-cr", "affine"])
+def test_solve_linearizes_sigma_at_the_base_once_per_data_object(monkeypatch, name):
+    # Newton's first guesses read sigma and dsigma at the base parameters
+    # (and dsigma's pseudo-inverse) once per data object, not once per solve
+    at_base, inner = [], CRInitialData.sigma_rows
+
+    def counted(self, P):
+        if len(P) == 1 and np.array_equal(P[0], self.base):
+            at_base.append(self)
+        return inner(self, P)
+
+    monkeypatch.setattr(CRInitialData, "sigma_rows", counted)
+    loads.cache_clear()      # the op builds its data object anew
+    for _ in range(3):
+        assert main(["cauchy", name, "--grid", "3"]) == 0
+    assert len(at_base) == 1
+    data = at_base[0]
+    first = data.linearization
+    assert data.linearization is first and len(at_base) == 1
+    grid = grid_queries(data, [np.linspace(-0.2, 0.2, 3)] * data.k)
+    solve(data, grid)
+    solve(data, grid)
+    assert len(at_base) == 1
+
+
 def test_rho0_param_exprs_restrict_ambient(heis_data):
     # the initial fields as expressions over the parameters, sigma
     # substituted into the ambient fields by sympy, against the table's rho0

@@ -4,9 +4,9 @@
 ``Const(0.0)``; ``reference.compose`` is the dense composition over every
 product.  On every gallery system and on generated systems with planted
 zero patterns (constant and linear fields, k up to 3), every composed block
-must equal the reference bit for bit up to the sign of a zero, and be NaN
-exactly where the reference is: at rows whose jets overflow to inf, a
-dropped product meets inf as 0 * inf does in the reference."""
+must equal the reference bit for bit up to the sign of a zero at the rows
+the tape accepts, and the tape must refuse exactly the rows where the
+reference is not finite: rows whose jets, or their products, overflow."""
 
 import math
 
@@ -27,14 +27,23 @@ JETS = ("X", "DX", "dU", "D2U")
 
 
 def assert_matches_reference(table, pts):
-    """The check table's composition at pts equals the dense reference."""
+    """The check table's composition at pts equals the dense reference on
+    the jets' values at every row it accepts, and it refuses the rows where
+    the reference has a value that is not finite."""
+    vals, refused = table.rows(pts)
+    got = {name: np.moveaxis(b, 0, -1) for name, b in table.blocks(vals).items()}
+    jets = {name: np.moveaxis(b, 0, -1)
+            for name, b in table.jets.blocks(table.jets.program.rows(pts)[0]).items()}
     with np.errstate(all="ignore"):
-        got = {name: np.moveaxis(b, 0, -1) for name, b in table.at(pts).items()}
-        jets = {name: np.moveaxis(b, 0, -1) for name, b in table.jets.at(pts).items()}
         want = reference.compose({name: jets[name] for name in JETS}, table.pairs)
+    finite = np.ones(len(pts), dtype=bool)
+    for block in want.values():
+        finite &= np.isfinite(block.reshape(-1, len(pts))).all(axis=0)
+    assert sorted(refused) == np.flatnonzero(~finite).tolist()
     for name, block in want.items():
         assert got[name].shape == block.shape, name
-        assert np.array_equal(got[name], block, equal_nan=True), name
+        assert np.array_equal(got[name][..., finite], block[..., finite]), name
+        assert np.isnan(got[name][..., ~finite]).all(), name
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -99,19 +108,20 @@ def test_generated_compositions_equal_the_dense_reference(sys_, data):
     assert_matches_reference(sys_.table, points(data, sys_))
 
 
-def test_a_dropped_product_meeting_inf_is_nan_only_in_its_row():
-    # at x1 = 1e200 the field's 1e150 x1^2 is inf, so the reference's
-    # brackets multiply it by the zero jets of the other field; the other
-    # rows stay finite
+def test_an_overflowing_jet_refuses_only_its_row():
+    # at x1 = 1e200 the field's 1e150 x1^2 overflows, where the dense
+    # reference multiplied the inf by the zero jets of the other field; the
+    # tape refuses that row at its first overflow, and the other rows stay
+    # finite
     chart = ComplexChart.standard(1)
     sys_ = GradientSystem(chart, (VectorField.from_exprs(
         chart, [parse_expr("1e150*x1*x1"), parse_expr("0")]),), (parse_expr("-y1"),))
     pts = np.array([[0.5, 0.25], [1e200, 0.0], [-1.5, 1.0]])
     assert_matches_reference(sys_.table, pts)
-    with np.errstate(all="ignore"):
-        t = sys_.table.at(pts)
-    assert np.isnan(t["bracket"][1]).any()
-    assert np.isfinite(t["bracket"][[0, 2]]).all()
+    vals, refused = sys_.table.rows(pts)
+    assert {j: str(err) for j, err in refused.items()} == {
+        1: "overflow in '1e+150*x1' at point 1 (x1=1e+200, y1=0.0)"}
+    assert np.isnan(vals[1]).all() and np.isfinite(vals[[0, 2]]).all()
 
 
 @pytest.mark.parametrize("n", [1, 256, 257])
@@ -154,18 +164,19 @@ def test_the_cr_table_is_two_tape_passes(monkeypatch, name):
 def assert_passes_the_jets_through(table, pts):
     """The check table's ``frame``, ``grad`` and ``DX`` at pts are, bit for
     bit, the jets Table's J-rotated concatenation of X, its dU and its DX,
-    at every row the tapes do not refuse; both refuse the same rows with
-    the same errors, and there every block is NaN."""
-    with np.errstate(all="ignore"):
-        vals, refused = table.rows(pts)
-        jets, errors = table.jets.program.rows(pts)
+    at every row the tapes do not refuse.  The check table refuses every
+    row the jets refuse, with the same error, and besides those only rows
+    where a product of finite jets overflows; there every block is NaN."""
+    vals, refused = table.rows(pts)
+    jets, errors = table.jets.program.rows(pts)
     got, jets = table.blocks(vals), table.jets.blocks(jets)
     xi = jets["X"]
     want = {"frame": np.swapaxes(np.concatenate([xi, j_rotate(xi, axis=2)], 1), 1, 2),
             "grad": jets["dU"], "DX": jets["DX"]}
-    assert {j: str(err) for j, err in refused.items()} == {
-        j: str(err) for j, err in enumerate(errors) if err is not None}
-    ok = np.array([err is None for err in errors], dtype=bool)
+    for j, err in refused.items():
+        assert str(err) == str(errors[j]) if errors[j] else str(err).startswith("overflow in '")
+    assert set(refused) >= {j for j, err in enumerate(errors) if err is not None}
+    ok = np.array([j not in refused for j in range(len(pts))], dtype=bool)
     for name, block in want.items():
         assert got[name].shape == block.shape, name
         assert got[name][ok].tobytes() == block[ok].tobytes(), name

@@ -26,7 +26,8 @@ from test_load_cache import _run
 WARM = [(["cauchy", name], {}) for name in builtin_names()
         if load_builtin(name).cr is not None] + [
     ([a for a in case.argv if a not in ("--json", REPORT)], case.files)
-    for case in CASES if case.id in CONTRACT_CASES and case.id != "cauchy-not-tangent"]
+    for case in CASES if case.id in CONTRACT_CASES and case.argv[0] == "cauchy"
+    and case.id != "cauchy-not-tangent"]
 
 
 @pytest.fixture

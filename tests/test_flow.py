@@ -1522,18 +1522,21 @@ def test_a_row_at_rest_keeps_the_first_error_of_a_first_stage(tangents):
 
 
 @pytest.mark.parametrize("tangents", [False, True])
-def test_a_row_at_rest_whose_fields_overflow_at_its_start_is_not_finite(tangents):
-    # exp(z)^2 d/dz at x1 = 400, a double's overflow: the first stage state
-    # z0 + h c_1 (0 Z) of the row at rest is not finite, as is the first
-    # stage of the row that moves, and neither read warns (the suite's
-    # filter turns a RuntimeWarning into an error)
+def test_a_row_whose_fields_overflow_at_its_start_is_refused_there(tangents):
+    # exp(z)^2 d/dz at x1 = 400, a double's overflow: the tape refuses the
+    # start of the row at rest and of the row that moves, at the product
+    # that overflows, and neither read warns (the suite's filter turns a
+    # RuntimeWarning into an error)
     chart = ComplexChart.standard(1)
     flow = ComplexFlow([field(chart, ["exp(x1)*exp(x1)*cos(2*y1)",
                                       "exp(x1)*exp(x1)*sin(2*y1)"])], CFG)
     P, W = np.array([[400.0, 0.0], [400.0, 0.0], [0.1, 0.2]]), np.array([[0.0], [1e-3], [0.0]])
     dZ0 = np.ones((3, 1, 1), dtype=complex) if tangents else None
     points, _, errors, _ = flow.rows(P, W, dZ0, [1, 1, 1])
-    assert [str(err) for err in errors[:2]] == ["trajectory state is not finite"] * 2
+    assert [(type(err), str(err)) for err in errors[:2]] == [
+        (DomainError, f"overflow in 'exp(x1)*exp(x1)' at point {i} (x1=400.0, y1=0.0)")
+        for i in range(2)]
+    assert np.isnan(points[:2]).all()
     assert errors[2] is None and points[2].tobytes() == P[2].tobytes()
 
 
