@@ -36,7 +36,9 @@ only for a row that has one, and names the node, the reason and the point.
 A domain fault is never returned as NaN.  ``evaluate`` is the tape's
 one-row view, and the folding of a constant raised to a constant power
 runs the tape's own pow.  ``Program.then`` makes one tape of two, the
-second run on the first's outputs.
+second run on the first's outputs, and names a fault of the second tape
+over the first one's inputs; ``Program.select`` reads the sub-tape of some
+outputs off a tape, with no compile.
 Determinism contract: the tape is bit-reproducible from run to run; on
 ``+ - * /``, negation, ``sqrt`` and ``^`` (computed by Python's own power)
 it agrees bit for bit with a plain recursive walk of the tree in Python's
@@ -57,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -367,14 +369,15 @@ class Program:
     built.
     """
 
-    __slots__ = ("names", "code", "outputs", "nodes", "_registers", "_const_row",
+    __slots__ = ("names", "code", "outputs", "exprs", "nodes", "_registers", "_const_row",
                  "_slot_outputs", "_tested", "_watched")
 
-    def __init__(self, names, n_slots, consts, code, outputs, nodes):
+    def __init__(self, names, n_slots, consts, code, outputs, exprs, nodes):
         self.names = names        # input variable per column
         self.code = code          # (function, out slot, lhs slot, rhs slot or None, op)
         self.outputs = outputs    # slot of each output expression
-        self.nodes = nodes        # expression node of each instruction
+        self.exprs = exprs        # each output's expression, and each
+        self.nodes = nodes        # instruction's node (read by ``_expr``)
         # the register file after the input columns before a call: the
         # constants in their slots
         const_slots = {slot: _frozen(value) for slot, value in consts}
@@ -462,11 +465,38 @@ class Program:
             return None
         return np.where(new.any(axis=0), new.argmax(axis=0), -1)
 
+    def select(self, outputs) -> "Program":
+        """The sub-tape of the outputs at the indices ``outputs``, in that
+        order: the instructions that feed them, in this tape's order, so
+        each output is this tape's value bit for bit and a row is refused
+        exactly where the tape of those outputs compiled alone refuses it.
+        Where two of a row's instructions fault, the fault named is the
+        first in this tape's order, which a tape compiled alone may not
+        visit first."""
+        outs, base = [self.outputs[j] for j in outputs], len(self.names)
+        need = set(outs)
+        for _, dst, a, b, _ in reversed(self.code):
+            if dst in need:
+                need.update((a, b))
+        keep = [pos for pos, c in enumerate(self.code) if c[1] in need]
+        # the slots kept, renumbered in order: the inputs, then the constants
+        # and values the kept instructions read or write
+        new = {s: i for i, s in enumerate([*range(base), *sorted(need - {None, *range(base)})])}
+        consts = [(new[s], v) for s, v in enumerate(self._registers, base)
+                  if v is not None and s in new]
+        code = [(fn, new[dst], new[a], None if b is None else new[b], op)
+                for fn, dst, a, b, op in (self.code[pos] for pos in keep)]
+        return Program(self.names, len(new), consts, code, [new[s] for s in outs],
+                       [self.exprs[j] for j in outputs], [self.nodes[pos] for pos in keep])
+
     def then(self, other: "Program") -> "Program":
         """One tape that runs this one and then ``other`` on its outputs:
         ``other``'s input columns are this tape's outputs, in order, and its
         outputs are the tape's.  This tape's instructions come first, so a
-        row faults where this tape alone faults first."""
+        row faults where this tape alone faults first.  A fault in
+        ``other``'s instructions names its node with each input replaced
+        by the output expression of this tape that feeds it, so it reads
+        over this tape's inputs."""
         if len(other.names) != len(self.outputs):
             raise ValueError(f"the second tape needs {len(self.outputs)} inputs, "
                              f"got {len(other.names)}")
@@ -478,8 +508,12 @@ class Program:
                                                 len(self.names)) if v is not None]
         code = [(fn, slot[dst], slot[a], None if b is None else slot[b], op)
                 for fn, dst, a, b, op in other.code]
+
+        def over(e):       # e over this tape's inputs, read on the error path alone
+            return _substitute(_expr(e), dict(zip(other.names, map(_expr, self.exprs))))
         return Program(self.names, base + len(other._registers), consts, self.code + code,
-                       [slot[s] for s in other.outputs], self.nodes + other.nodes)
+                       [slot[s] for s in other.outputs], [partial(over, e) for e in other.exprs],
+                       self.nodes + [partial(over, node) for node in other.nodes])
 
     def _fault(self, P, row, pos, reg, labels) -> DomainError:
         _, _, a, b, op = self.code[pos]
@@ -488,7 +522,7 @@ class Program:
         index = int(row if labels is None else labels[row])
         coords = ", ".join(f"{name}={float(v)!r}"
                            for name, v in zip(self.names, P[row]))
-        return DomainError(f"{_reason(op, x, y)} in '{to_string(self.nodes[pos])}' "
+        return DomainError(f"{_reason(op, x, y)} in '{to_string(_expr(self.nodes[pos]))}' "
                            f"at point {index} ({coords})", index)
 
 
@@ -564,7 +598,7 @@ def compile_exprs(exprs, names) -> Program:
         return slot
 
     outputs = [visit(e) for e in roots]
-    return Program(names, len(slots), list(consts.items()), code, outputs, nodes)
+    return Program(names, len(slots), list(consts.items()), code, outputs, roots, nodes)
 
 
 def evaluate(e: Expr, env: dict[str, float]) -> float:
@@ -591,18 +625,28 @@ class Table:
     ``at(pts)`` returns every block at every row of ``pts``, each with a
     leading point axis; rows are computed independently of each other.
     ``columns`` maps each block's name to its range of the program's
-    outputs and its shape, fixed at construction."""
+    outputs and its shape, fixed at construction.  ``select`` gives a
+    Table of some of the blocks on the sub-tape of their outputs."""
 
-    def __init__(self, blocks, names):
+    def __init__(self, blocks, names, program=None):
         self.exprs, self.columns = [], {}
         for name, shape, exprs in blocks:
             self.columns[name] = (slice(len(self.exprs), len(self.exprs) + len(exprs)),
                                   tuple(shape))
             self.exprs += exprs
-        self.program = compile_exprs(self.exprs, names)
+        self.program = compile_exprs(self.exprs, names) if program is None else program
 
-    def at(self, pts) -> dict[str, np.ndarray]:
-        return self.blocks(self.program(pts))
+    def select(self, names) -> "Table":
+        """The blocks ``names``, in that order, on ``Program.select`` of
+        their outputs: no compile, and the values of this Table's tape."""
+        cols = [self.columns[name] for name in names]
+        return Table([(name, shape, self.exprs[c]) for name, (c, shape) in zip(names, cols)],
+                     self.program.names, self.program.select(np.r_[tuple(c for c, _ in cols)]))
+
+    def at(self, pts, labels=None) -> dict[str, np.ndarray]:
+        """The blocks at the rows of pts; a fault raises the first faulting
+        row's DomainError, naming it as labels[row] (default: the row)."""
+        return self.blocks(self.program(pts, labels))
 
     def blocks(self, vals) -> dict[str, np.ndarray]:
         """The blocks of the program's output rows ``vals``."""
@@ -743,6 +787,22 @@ def free_vars(e: Expr) -> frozenset[str]:
         case Atan2(y=a, x=b):
             return free_vars(a) | free_vars(b)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _expr(node) -> Expr:
+    """A Program's output expression or node as an expression over its
+    inputs: the one it holds, or, where that was made over another tape's
+    inputs (``Program.then``), what the call it holds gives."""
+    return node() if callable(node) else node
+
+
+def _substitute(e: Expr, env: dict) -> Expr:
+    """``e`` with each variable that ``env`` names replaced by its
+    expression there, node for node, with no simplification."""
+    if isinstance(e, Var):
+        return env.get(e.name, e)
+    return type(e)(*(_substitute(c, env) if isinstance(c, Expr) else c
+                     for c in map(e.__getattribute__, e.__slots__)))
 
 
 def depth(e: Expr) -> int:

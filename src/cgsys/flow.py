@@ -748,16 +748,16 @@ class _HolomorphicFrame(Composition):
     faults where the jets' own tape does.  ``at`` runs it over a stack of
     chart rows and, where ``checks_holomorphy``, checks holomorphy;
     ``residuals`` reads only the residuals.  It is made once, from the
-    fields or from their jets' Table (``jet_blocks((), fields, chart)``),
-    whose compiled tape a caller that has one shares.  Constant Jacobians
+    fields or from a Table of their jets X and DX (``jet_blocks((),
+    fields, chart)``, or a gradient system's selection of them), whose
+    compiled tape a caller that has one shares.  Constant Jacobians
     have one residual everywhere, so ``checks_holomorphy`` is decided once,
     from the composition's constant entries.
     """
 
     def __init__(self, fields):
         if not isinstance(fields, Table):
-            chart = fields[0].chart
-            fields = Table(jet_blocks((), fields, chart), chart.names)
+            fields = Table(jet_blocks((), fields, fields[0].chart), fields[0].chart.names)
         super().__init__(fields, _stage_terms)
         self.shape = self.columns["p"][1][:2]
         # the entries' columns of Z, dZ/dz, p and q

@@ -23,9 +23,11 @@ each entry is the helpers' value up to the sign of a zero and a call is one
 Program pass (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
 Ch. 7-8, on exploiting sparsity).  The tape refuses a row of finite
 inputs where a jet turns non-finite, so a dropped product never meets one
-there.  The check table,
+there, and a product that faults is named as an expression over the
+chart's coordinates.  The check table,
 the CR data's brackets and the complex flows' stage reads are each such a
-layout of the jets.
+layout of the jets; a gradient system's two are layouts of selections of
+its one jets Table (``Table.select``).
 A field's values at one point (``VectorField.values``, ``field_matrix``)
 are the one-row view of its compiled ``program``, so no point value walks
 a tree.  All values are immutable and every operation is pure; evaluation
@@ -195,8 +197,10 @@ def apply_J(V: VectorField) -> VectorField:
 def jet_blocks(grads, fields, chart: ComplexChart) -> list:
     """The Table blocks every composed quantity is read from: the fields
     ``X`` (m, 2N) and their Jacobians ``DX`` (m, 2N, 2N), DX[a, i, j] =
-    dX_a^i/dx_j; the differentials ``dU`` (k, 2N) of the functions and
-    their Hessians ``D2U`` (k, 2N, 2N) laid out as DX."""
+    dX_a^i/dx_j; the differentials ``dU`` (k, 2N) of the functions, their
+    Hessians ``D2U`` (k, 2N, 2N) laid out as DX, and the functions ``U``
+    (k,) themselves.  ``U`` comes last, so the tape of the others is the
+    one they compile to alone, instruction for instruction."""
     names, dim = chart.names, chart.dim
     dU = [diff(g, x) for g in grads for x in names]
     return [
@@ -205,6 +209,7 @@ def jet_blocks(grads, fields, chart: ComplexChart) -> list:
          [diff(c, x) for V in fields for c in V.components for x in names]),
         ("dU", (len(grads), dim), dU),
         ("D2U", (len(grads), dim, dim), [diff(e, x) for e in dU for x in names]),
+        ("U", (len(grads),), list(grads)),
     ]
 
 
@@ -273,7 +278,8 @@ def ddc_terms(dU, D2U, X, DX, pairs, brackets) -> tuple[np.ndarray, ...]:
 class Term:
     """One entry of a composed block, as a Composition builds it from the
     jets: ``expr``, an expression of the jets' non-constant columns
-    (variables ``j<col>``).
+    (variables ``j<col>``, which a fault's message replaces by the jets'
+    own expressions).
 
     The operators are expr's add, sub, mul and neg, which keep the order
     and association the helpers write and fold constants.  A zero operand
@@ -318,7 +324,9 @@ def _plan(compose, layout, pattern):
     and compiled over every jet column (``j<col>``): the Program of the
     entries, each composed block's columns and shape (as
     ``Table.columns``), and each entry's value where it is a constant,
-    else None."""
+    else None.  The ``j<col>`` variables live on this tape alone: joined
+    to the jets' tape (``Program.then``), a faulting entry is named with
+    each ``j<col>`` replaced by the jet's expression, over the chart."""
     terms = np.array([Term(Var(f"j{col}")) if value is None else Term(Const(value))
                       for col, value in enumerate(pattern)], dtype=object)
     ends = np.cumsum([math.prod(shape) for _, shape in layout])
@@ -344,13 +352,16 @@ class Composition:
     left is an exact zero; products of constant jets fold.  What is left,
     in the order and association the helpers write, is compiled over the
     jets' columns and follows the jets' tape (``Program.then``), so
-    ``program`` is one tape and a call on points is one Program pass, and
+    ``program`` is one tape and ``at`` on points is one Program pass, and
     every entry equals the helper's value on the jets up to the sign of a
     zero; a jet passed through, or negated, is the jet's own value.  The
     jets' instructions come first, so a row faults where the jets' tape
     does; it refuses a row of finite inputs where a jet turns non-finite,
     so a dropped product meets no non-finite value at a row it accepts
-    whose inputs are finite.  ``at`` gives the
+    whose inputs are finite.  A product of finite jets that faults is
+    named as the product of the jets' own expressions, over the chart's
+    coordinates, like a node of the file.  ``jets`` may be a selection of
+    a larger Table (``Table.select``).  ``at`` gives the
     blocks, each with a leading point axis, as views of one array of the
     entries, and ``constants`` holds each entry's value where it is a
     constant, else None."""
@@ -360,18 +371,9 @@ class Composition:
         pattern = tuple(e.value if isinstance(e, Const) else None for e in jets.exprs)
         self.jets = jets
         plan, self.columns, self.constants = _plan(compose, layout, pattern)
-        self.entries = len(self.constants)
         self.program = jets.program.then(plan)
 
-    blocks = Table.blocks
-
-    def __call__(self, pts, labels=None) -> np.ndarray:
-        """The entries (n, entries) at the rows of pts; a fault raises the
-        first faulting row's DomainError, naming it as Program does."""
-        vals, refused = self.rows(pts, labels)
-        if refused:
-            raise refused[min(refused)]
-        return vals
+    at, blocks = Table.at, Table.blocks
 
     def rows(self, pts, labels=None):
         """The entries at the rows of pts, and a dict j -> the DomainError
@@ -383,10 +385,6 @@ class Composition:
         faulted = np.flatnonzero(first >= 0).tolist()
         vals[faulted] = np.nan
         return vals, {j: error(j, labels) for j in faulted}
-
-    def at(self, pts, labels=None) -> dict[str, np.ndarray]:
-        """The blocks at the rows of pts, raising as a call does."""
-        return self.blocks(self(pts, labels))
 
 
 def lie_bracket(V: VectorField, W: VectorField) -> VectorField:
@@ -429,12 +427,11 @@ def holomorphic_jacobians(DX) -> np.ndarray:
 def is_holomorphic(V: VectorField, pts, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether every coefficient of the complexification of the real field
     V satisfies the Cauchy-Riemann equations at the sample points; returns
-    the verdict and the max residual modulus.  Only V's Jacobian is
-    compiled, so only its partials can fault."""
-    shape, DX = {name: b for name, *b in jet_blocks((), [V], V.chart)}["DX"]
-    vals = compile_exprs(DX, V.chart.names)(
-        np.reshape(np.asarray(pts, dtype=float), (-1, V.chart.dim)))
-    worst = float(np.max(cr_residuals(vals.reshape(-1, *shape)), initial=0.0))
+    the verdict and the max residual modulus.  Only the selection of V's
+    Jacobian from its jets runs, so only its partials can fault."""
+    jets = Table(jet_blocks((), [V], V.chart), V.chart.names).select(["DX"])
+    DX = jets.at(np.reshape(np.asarray(pts, dtype=float), (-1, V.chart.dim)))["DX"]
+    worst = float(np.max(cr_residuals(DX), initial=0.0))
     return worst < tol, worst
 
 

@@ -14,9 +14,13 @@ explicit tolerance; verdicts are residual-based, never symbolic proofs.
 
 Sampling is separate from checking.  ``sample_points`` draws seeded points
 from the box [-2, 2]^(2N) filtered by the system's compiled domain
-predicate.  Every value a check needs comes from one table per system
-(``GradientSystem.table``), which compiles only the jets of the fields and
-gradients and composes brackets, d^c and the dd^c terms from their values;
+predicate.  A system compiles one tape over its chart, its jets
+(``GradientSystem.jets``: the fields, their Jacobians, the gradients'
+differentials and Hessians, and the gradients), and every tape it runs is
+a selection of it (``Table.select``).  Every value a check needs comes
+from one table per system (``GradientSystem.table``), which selects the
+jets of the fields and gradients and composes brackets, d^c and the dd^c
+terms from their values;
 every check is a numpy reduction over the blocks ``t = sys.table.at(pts)``
 it is handed.  The composition knows the jets' structure: it compiles onto
 the jets' tape only the products whose jets are not ``Const(0.0)``, in
@@ -34,7 +38,8 @@ those blocks or their first rows, so identical seed and configuration
 reproduce identical residual tables bit for bit; the decomposition check
 reads its rows of the frame off the axioms' factorization.  A domain fault
 at a sample point (a value on the tape that turns non-finite, an overflow
-included) raises DomainError naming the node and the point.  No value
+included) raises DomainError naming the node and the point; a composed
+product that faults is named over the chart's coordinates.  No value
 comes from anything but a compiled tape: ``GradientSystem.in_domain`` is
 the one-row view of the domain predicate, and the level-set search runs
 flow's one Newton on a compiled tape like every check.
@@ -48,9 +53,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .expr import (
-    DomainError, Expr, Predicate, Program, Table, compile_exprs, diff, require_vars,
-)
+from .expr import DomainError, Expr, Predicate, Program, Table, require_vars
 from .flow import DEFAULT_CONFIG, ComplexFlow, FlowConfig, _HolomorphicFrame, newton_rows
 from .geometry import (
     ComplexChart, Composition, Span, VectorField, bracket_values, cr_residuals,
@@ -111,8 +114,15 @@ class GradientSystem:
         return bool(inside[0])
 
     @cached_property
+    def jets(self) -> Table:
+        """The system's one compiled tape over the chart, built on first
+        use: the Table of ``jet_blocks`` (X, DX, dU, D2U and U), of which
+        every tape the system runs is a selection (``Table.select``)."""
+        return Table(jet_blocks(self.grads, self.fields, self.chart), self.chart.names)
+
+    @cached_property
     def table(self) -> "CheckTable":
-        """The compiled check table, built on first use."""
+        """The check table, composed on ``jets`` on first use."""
         return CheckTable(self)
 
     @cached_property
@@ -121,24 +131,37 @@ class GradientSystem:
         return Predicate(self.domain, self.chart.names)
 
     @cached_property
+    def field_map(self) -> Program:
+        """The tape of the fields X (k, 2N), row-major, over the chart, the
+        selection of ``jets``' X, made on first use with no compile:
+        normal_form's slice pair and its push test."""
+        return self.jets.select(["X"]).program
+
+    @cached_property
     def gradient_map(self) -> Program:
-        """The tape of U = (u_1, ..., u_k) over the chart, built on first
-        use: normal_form's profile and its shift test."""
-        return compile_exprs(self.grads, self.chart.names)
+        """The tape of U = (u_1, ..., u_k) over the chart, the selection of
+        ``jets``' U, made on first use with no compile: the instructions
+        that feed U, in the jets' order, so it gives the values of U
+        compiled alone, bit for bit, and refuses the same rows.
+        normal_form's profile and its shift test."""
+        return self.jets.select(["U"]).program
 
     @cached_property
     def gradient_jets(self) -> Program:
         """The tape of U and its partials dU[a, i] = du_a/dx_i over the
-        chart, built on first use: the level-set Newton's.  A row faults
-        where dU does, so it does not stand in for ``gradient_map``."""
-        names = self.chart.names
-        return compile_exprs([*self.grads, *(diff(g, x) for g in self.grads for x in names)],
-                             names)
+        chart, the selection of ``jets``' U and dU, made on first use with
+        no compile and no second differentiation (dU is the jets' own):
+        the level-set Newton's.  A row faults where dU does, so it does not
+        stand in for ``gradient_map``."""
+        return self.jets.select(["U", "dU"]).program
 
     @cached_property
     def frame(self) -> _HolomorphicFrame:
-        """The stage tape of the fields' complex flows, built on first use."""
-        return _HolomorphicFrame(self.fields)
+        """The stage tape of the fields' complex flows, composed on first
+        use on the selection of ``jets``' X and DX: the instructions of the
+        fields' own jets tape, in the same order, and no compile over the
+        chart."""
+        return _HolomorphicFrame(self.jets.select(["X", "DX"]))
 
     @cached_property
     def normal_form_residuals(self) -> MappingProxyType:
@@ -157,10 +180,13 @@ TABLE_CHUNK = 256
 
 
 class CheckTable(Composition):
-    """Every block the checks read, composed from one compiled Table of jets.
+    """Every block the checks read, composed from the system's jets.
 
-    The Table (``jets``) compiles only ``jet_blocks``: the fields xi_a, their
-    Jacobians, the differentials of the u_a and their Hessians.  The table
+    The Table (``jets``) is the selection of the fields xi_a, their
+    Jacobians, the differentials of the u_a and their Hessians from the
+    system's one jets Table (``GradientSystem.jets``), whose U it leaves
+    out; with U last there, it runs the instructions that compiling those
+    four blocks alone gives, in the same order.  The table
     is their composition (``geometry.Composition``) by ``_check_terms``,
     which lays out the blocks with geometry's helpers: brackets from the
     Jacobians, d^c u(V) = -du(JV), the dd^c terms by the product rule,
@@ -198,18 +224,17 @@ class CheckTable(Composition):
         self.row = {pq: r for r, pq in enumerate(self.pairs)}
         self.ddc_ref = [self.row[(i - k, j - k) if i >= k else (i, j)]
                         for i, j in self.pairs]
-        super().__init__(Table(jet_blocks(sys.grads, sys.fields, sys.chart), sys.chart.names),
-                         _check_terms)
+        super().__init__(sys.jets.select(["X", "DX", "dU", "D2U"]), _check_terms)
 
     def at(self, pts) -> dict[str, np.ndarray]:
         pts = np.asarray(pts, dtype=float)
         if len(pts) <= TABLE_CHUNK:      # one chunk: its pass's own array
             return super().at(pts)
-        out = np.empty((len(pts), self.entries))
+        out = np.empty((len(pts), len(self.constants)))
         for lo in range(0, len(pts), TABLE_CHUNK):
             hi = min(lo + TABLE_CHUNK, len(pts))
             # a DomainError names the row by its index in pts
-            out[lo:hi] = self(pts[lo:hi], np.arange(lo, hi))
+            out[lo:hi] = self.program(pts[lo:hi], np.arange(lo, hi))
         return self.blocks(out)
 
 
@@ -653,7 +678,7 @@ class NormalForm:
 def _pick_slice_pair(sys: GradientSystem, p) -> int:
     """The complex coordinate line most orthogonal to the span of
     {xi_a(p), J xi_a(p)}: the pair of unit vectors most outside that span."""
-    xi = np.stack([f.program(p[None])[0] for f in sys.fields], axis=1)
+    xi = sys.field_map(p[None]).reshape(sys.k, -1).T
     r = Span(np.hstack([xi, j_rotate(xi.T).T])).residuals(np.eye(sys.chart.dim))
     return int(np.argmax((r * r).reshape(-1, 2).sum(axis=1)))
 
@@ -688,7 +713,6 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     p, k = np.asarray(p, dtype=float), sys.k
     flow = ComplexFlow(sys.frame, cfg)
     slice_pair = _pick_slice_pair(sys, p) if sys.chart.N > k else None
-    U = sys.gradient_map
 
     def on_slice(X, Y) -> np.ndarray:
         """The slice points p + (x, y) at the slice pair, one row per (x, y)."""
@@ -711,7 +735,7 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     # w = 0 moves no point, so the profile is U on the slice grid itself
     w0 = np.zeros(k, dtype=complex)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    F = np.moveaxis((U(on_slice(X.ravel(), Y.ravel())) + w0.imag)
+    F = np.moveaxis((sys.gradient_map(on_slice(X.ravel(), Y.ravel())) + w0.imag)
                     .reshape(len(xs), len(ys), k), -1, 0)
 
     # deterministic w samples exercising each flow direction and a mix
@@ -729,8 +753,8 @@ def normal_form(sys: GradientSystem, p, grid: GridSpec = GridSpec(),
     W = np.repeat(w_samples, len(C), axis=0)
     Q, Y, _, _ = flow.rows(P, W, np.zeros((len(P), sys.chart.N, 0)))
     D = to_chart(Y, axis=1)
-    indep = np.max(np.abs(U(Q) + W.imag - U(P)))
-    push = _worst(Q, D - np.stack([f.program(Q) for f in sys.fields], axis=-1))
+    indep = np.max(np.abs(sys.gradient_map(Q) + W.imag - sys.gradient_map(P)))
+    push = _worst(Q, D - np.swapaxes(sys.field_map(Q).reshape(len(Q), k, -1), 1, 2))
     timecr = _worst(P, flow.frame.residuals(np.vstack([P, Q])))
 
     return NormalForm(sys.name, p, slice_pair, xs, ys, F,

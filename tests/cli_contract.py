@@ -201,6 +201,15 @@ CASES = (
                    r"\(x1=[-+.e\d]+, y1=[-+.e\d]+\)\n\Z",))
       for kind, grad, node in (("product", "1e200*x1*1e200", r"1e\+200\*1e\+200"),
                                ("exp", "exp(400)*exp(400)*x1", r"exp\(400\)\*exp\(400\)"))),
+    # a product the checks compose from finite jets, du(xi) = du/dx1 xi^x1,
+    # overflows: it is named as an expression over the chart's coordinates,
+    # not over the composition's jet columns
+    Case("verify-overflow-composed", "verify overflow-composed.cgs", (2,),
+         {"overflow-composed.cgs": edited(edited(MINIMAL, "= 1; 0", "= 1e200*x1; 0"),
+                                          "= -y1", "= -y1 + 1e200*x1*x1")},
+         stderr=(r"\Ainput error: overflow in '\(1e\+200\*x1 \+ 1e\+200\*x1\)\*\(1e\+200\*x1\)' "
+                 r"at point 0 \(x1=[-+.e\d]+, y1=[-+.e\d]+\)\n\Z",),
+         absent=(r"\bj\d+\b",)),
     Case("cauchy-line", "cauchy line --grid 3"),
     Case("cauchy-heisenberg-cr", "cauchy heisenberg-cr --grid 3"),
     # the compiled [oracle] comparison, with atan2 and rows where a closed

@@ -3,14 +3,18 @@ code lines, the lines that hold code and are not blank, not only a
 comment and not part of a docstring (the string that opens a module, a
 class or a function).
 
-    python tests/code_size.py [SRC]
+    python tests/code_size.py [SRC] [--base BASE]
 
 counts ``SRC/cgsys/*.py`` (default: the ``src`` folder beside ``tests``)
 and prints one line per file and a total, ``lines code_lines path``.
+With ``--base``, a second source root such as the parent commit's, it
+prints each file's code lines as ``base → head name`` instead, ``-`` for
+a file that one tree lacks, and the totals so.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -51,14 +55,29 @@ def sizes(src: Path) -> dict[str, tuple[int, int]]:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    src = Path(args[0]) if args else Path(__file__).resolve().parents[1] / "src"
-    per_file = sizes(src)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src", nargs="?", type=Path,
+                    default=Path(__file__).resolve().parents[1] / "src")
+    ap.add_argument("--base", type=Path, help="a source root to compare the code lines with")
+    args = ap.parse_args(argv)
+    per_file = sizes(args.src)
+    if args.base is not None:
+        base = sizes(args.base)
+        for name in sorted(base.keys() | per_file.keys()):
+            print(f"{_code(base, name):>6} → {_code(per_file, name):>6} {name}")
+        print(f"{sum(c for _, c in base.values()):6d} → "
+              f"{sum(c for _, c in per_file.values()):6d} total")
+        return 0
     for name, (lines, code) in per_file.items():
         print(f"{lines:6d} {code:6d} {name}")
     print(f"{sum(n for n, _ in per_file.values()):6d} "
           f"{sum(c for _, c in per_file.values()):6d} total")
     return 0
+
+
+def _code(per_file, name: str) -> str:
+    """A file's code lines, or ``-`` where the tree lacks the file."""
+    return str(per_file[name][1]) if name in per_file else "-"
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ EXTRA = (
 # cases of cli_contract.CASES, run with their files and without their own --json
 CONTRACT_CASES = ("cauchy-not-holomorphic", "cauchy-not-tangent", "cauchy-ambient-tight",
                   "cauchy-ambient-poles", "cauchy-log-sigma", "verify-overflow-product",
-                  "verify-overflow-exp")
+                  "verify-overflow-exp", "verify-overflow-composed")
 
 
 def argv_list() -> tuple[list[list[str]], dict[str, str]]:

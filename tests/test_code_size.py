@@ -39,3 +39,16 @@ def test_a_source_tree_is_counted_per_file_and_in_all(tmp_path, capsys):
     assert main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "    20      9 a.py", "     3      1 b.py", "    23     10 total"]
+
+
+def test_a_base_tree_is_compared_per_file(tmp_path, capsys):
+    trees = {"base": {"a.py": FIXTURE, "b.py": "x = 1\n"},
+             "head": {"a.py": FIXTURE + "y = 2\n", "c.py": "z = 3\n\nw = 4\n"}}
+    for tree, files in trees.items():
+        (tmp_path / tree / "cgsys").mkdir(parents=True)
+        for name, text in files.items():
+            (tmp_path / tree / "cgsys" / name).write_text(text, encoding="utf-8")
+    assert main([str(tmp_path / "head"), "--base", str(tmp_path / "base")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     9 →     10 a.py", "     1 →      - b.py", "     - →      2 c.py",
+        "    10 →     12 total"]

@@ -10,9 +10,13 @@ with such masked intermediates among them, and on rows with overflowing,
 zero and non-finite coordinates, the compiled pass and the walk refuse the
 same rows with the same text, and an output is non-finite only at a
 refused row or at a row whose input is non-finite.  Without the masking
-operands' test the property fails."""
+operands' test the property fails.  A selection of a tape's outputs
+(``Program.select``) gives the values and refuses the rows of those
+outputs compiled alone, and a fault in the second tape of a
+``Program.then`` names its node over the first tape's expressions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,3 +106,28 @@ def test_a_value_that_no_instruction_reads_faults_too():
     assert [str(err) if err else None for err in errors] == [
         "overflow in 'x1*1e+200*1e+200' at point 0 (x1=1.0, y1=2.0, x2=0.0)", None]
     assert out[1, 0] == 4.0
+    # a fault in the second tape names its node over the first tape's
+    # output expressions, and none of the second tape's input names
+    tape = first.then(compile_exprs([parse_expr("b*b*1e300")], ("a", "b")))
+    _, errors = tape.rows(np.array([[0.0, 1e5, 0.0], [0.0, 3.0, 0.0]]))
+    assert [str(err) if err else None for err in errors] == [
+        "overflow in '(y1 + 1)*(y1 + 1)*1e+300' at point 0 (x1=0.0, y1=100000.0, x2=0.0)", None]
+    assert not re.search(r"\b[ab]\b", str(errors[0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(TREES, min_size=1, max_size=4), ROWS, st.data())
+def test_a_selection_runs_as_its_outputs_compiled_alone(exprs, rows, data):
+    """``Program.select`` keeps the instructions that feed the chosen
+    outputs, in the whole tape's order: its outputs are those of the
+    outputs compiled alone, bit for bit, and it refuses the same rows.
+    Where two of a row's instructions fault, the selection names the first
+    of them in the whole tape's order, which the tape compiled alone,
+    visiting only the chosen outputs and in their order, may not reach
+    first; so only the refused rows are compared, not their text."""
+    idx = data.draw(st.lists(st.integers(0, len(exprs) - 1), min_size=1, unique=True))
+    P = np.array(rows, dtype=float)
+    out, errors = compile_exprs(exprs, NAMES).select(idx).rows(P)
+    alone, alone_errors = compile_exprs([exprs[i] for i in idx], NAMES).rows(P)
+    assert out.tobytes() == alone.tobytes()
+    assert [err is None for err in errors] == [err is None for err in alone_errors]

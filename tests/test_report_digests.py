@@ -45,7 +45,7 @@ def test_an_output_that_depends_on_the_process_history_is_refused(tmp_path):
 
 def test_the_command_lines_are_distinct_and_name_their_generated_files():
     argvs, files = argv_list()
-    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 96
+    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 97
     named = {arg for argv in argvs for arg in argv if arg.endswith(".cgs")}
     assert named == set(files) and not any(name.startswith("bench") for name in files)
 
